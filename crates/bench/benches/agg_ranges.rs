@@ -44,7 +44,8 @@ use ua_engine::{
 };
 use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
 use ua_vecexec::{
-    execute_au_vectorized, execute_au_vectorized_opts, execute_vectorized, execute_vectorized_opts,
+    execute_au_vectorized, execute_au_vectorized_with_stats, execute_vectorized,
+    execute_vectorized_opts, execute_vectorized_with_stats,
 };
 
 /// Rows in the scanned table.
@@ -132,7 +133,6 @@ fn median_secs<F: FnMut() -> usize>(mut f: F, samples: usize) -> f64 {
 }
 
 fn bench_agg_ranges(c: &mut Criterion) {
-    ua_vecexec::install();
     let det = det_table();
     let catalog = Catalog::new();
     catalog.register("events", det.clone());
@@ -385,15 +385,11 @@ fn bench_agg_ranges(c: &mut Criterion) {
             },
         );
     }
-    if execute_vectorized_opts(&det_plan, &catalog, stats_opts).is_ok() {
-        if let Some(stats) = ua_obs::take_last_query_stats() {
-            report = report.operator_stats("det_vectorized", stats);
-        }
+    if let (Ok(_), Some(stats)) = execute_vectorized_with_stats(&det_plan, &catalog, stats_opts) {
+        report = report.operator_stats("det_vectorized", stats);
     }
-    if execute_au_vectorized_opts(&au_plan, &catalog, stats_opts).is_ok() {
-        if let Some(stats) = ua_obs::take_last_query_stats() {
-            report = report.operator_stats("au_vectorized", stats);
-        }
+    if let (Ok(_), Some(stats)) = execute_au_vectorized_with_stats(&au_plan, &catalog, stats_opts) {
+        report = report.operator_stats("au_vectorized", stats);
     }
     // The parallel breakers' phase accounting: an instrumented threads=4
     // run surfaces the pool's build/merge phases (partitioned hash-join
@@ -405,17 +401,16 @@ fn bench_agg_ranges(c: &mut Criterion) {
         collect_stats: true,
         collect_trace: false,
     };
-    if execute_vectorized_opts(&det_plan, &catalog, par_stats_opts).is_ok() {
-        if let Some(stats) = ua_obs::take_last_query_stats() {
-            if let Some(pool) = &stats.pool {
-                report = report
-                    .int("pool_build_tasks", pool.build_tasks)
-                    .int("pool_build_wall_ns", pool.build_wall_ns)
-                    .int("pool_partition_merge_ns", pool.partition_merge_ns)
-                    .int("pool_merge_ns", pool.merge_ns);
-            }
-            report = report.operator_stats("det_vectorized_threads4", stats);
+    if let (Ok(_), Some(stats)) = execute_vectorized_with_stats(&det_plan, &catalog, par_stats_opts)
+    {
+        if let Some(pool) = &stats.pool {
+            report = report
+                .int("pool_build_tasks", pool.build_tasks)
+                .int("pool_build_wall_ns", pool.build_wall_ns)
+                .int("pool_partition_merge_ns", pool.partition_merge_ns)
+                .int("pool_merge_ns", pool.merge_ns);
         }
+        report = report.operator_stats("det_vectorized_threads4", stats);
     }
     report.write();
 }

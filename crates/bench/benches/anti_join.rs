@@ -113,7 +113,6 @@ fn median_secs<F: FnMut() -> usize>(mut f: F, samples: usize) -> f64 {
 }
 
 fn bench_anti_join(c: &mut Criterion) {
-    ua_vecexec::install();
     let s = session();
 
     // Correctness gates first. The anti-probe must survive the optimizer

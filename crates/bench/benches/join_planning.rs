@@ -78,8 +78,6 @@ fn median_secs<F: FnMut() -> usize>(mut f: F, samples: usize) -> f64 {
 }
 
 fn bench_join_planning(c: &mut Criterion) {
-    ua_vecexec::install();
-
     // Correctness gates before timing: the optimizer must not change the
     // result (matched scale, where the cross join is feasible), the plan
     // must actually contain a HashJoin, and the engines must agree at full

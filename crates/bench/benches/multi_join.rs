@@ -80,8 +80,6 @@ fn median_secs<F: FnMut() -> usize>(mut f: F, samples: usize) -> f64 {
 }
 
 fn bench_multi_join(c: &mut Criterion) {
-    ua_vecexec::install();
-
     let reordered = session(true);
     let as_written = session(false);
 

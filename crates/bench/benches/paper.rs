@@ -1,5 +1,5 @@
 //! Criterion benches for the timing-sensitive experiments of the paper,
-//! plus the ablations called out in DESIGN.md §5.
+//! plus four ablations.
 //!
 //! These run scaled-down configurations so `cargo bench` completes in
 //! minutes; the `reproduce` binary regenerates the full paper-style tables.
@@ -111,7 +111,7 @@ fn bench_fig19(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 1 (DESIGN.md §5): native K²-evaluation vs Enc + rewriting.
+/// Ablation 1: native K²-evaluation vs Enc + rewriting.
 fn bench_ablation_native_vs_rewrite(c: &mut Criterion) {
     let (uncertain, _, ua_session) = pdbench_suite::prepare(0.0005, 0.05, 13);
     let ua_native = UaDb::from_xdb(&uncertain.xdb);
@@ -127,7 +127,7 @@ fn bench_ablation_native_vs_rewrite(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 2 (DESIGN.md §5): annotation-map K-relations vs row-vector bag
+/// Ablation 2: annotation-map K-relations vs row-vector bag
 /// tables executing the same query.
 fn bench_ablation_storage(c: &mut Criterion) {
     let (uncertain, det_catalog, _) = pdbench_suite::prepare(0.0005, 0.02, 31);
@@ -148,7 +148,7 @@ fn bench_ablation_storage(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 3 (DESIGN.md §5): hash join vs forced nested loops.
+/// Ablation 3: hash join vs forced nested loops.
 fn bench_ablation_join(c: &mut Criterion) {
     use ua_data::Expr;
     let (_, det_catalog, _) = pdbench_suite::prepare(0.0005, 0.02, 3);
@@ -192,7 +192,7 @@ fn bench_ablation_join(c: &mut Criterion) {
         .write();
 }
 
-/// Ablation 4 (DESIGN.md §5): PTIME CNF labeling vs exact solver labeling —
+/// Ablation 4: PTIME CNF labeling vs exact solver labeling —
 /// the mechanism behind Figure 10's gap, measured in isolation.
 fn bench_ablation_labeling(c: &mut Criterion) {
     let cdb = random_cdb(&CtableConfig {

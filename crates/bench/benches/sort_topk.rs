@@ -23,7 +23,7 @@ use ua_data::value::Value;
 use ua_data::Expr;
 use ua_engine::plan::{Plan, SortOrder};
 use ua_engine::{execute, execute_with_stats, Catalog, ExecOptions, QueryStats, Table};
-use ua_vecexec::{execute_vectorized, execute_vectorized_opts};
+use ua_vecexec::{execute_vectorized, execute_vectorized_with_stats};
 
 /// Rows in the scanned table.
 const N: usize = 1_000_000;
@@ -202,10 +202,8 @@ fn bench_sort_topk(c: &mut Criterion) {
         collect_stats: true,
         collect_trace: false,
     };
-    if execute_vectorized_opts(&topk, &catalog, stats_opts).is_ok() {
-        if let Some(stats) = ua_obs::take_last_query_stats() {
-            report = report.operator_stats("topk_vectorized", stats);
-        }
+    if let (Ok(_), Some(stats)) = execute_vectorized_with_stats(&topk, &catalog, stats_opts) {
+        report = report.operator_stats("topk_vectorized", stats);
     }
     report.write();
 }

@@ -159,7 +159,6 @@ fn bench_ua_labels(c: &mut Criterion) {
     let session = UaSession::new();
     session.register_table("orders", raw);
     session.register_table("customers", cust);
-    ua_vecexec::install();
 
     session.set_exec_mode(ExecMode::Row);
     let row = session.query_ua(sql).expect("row ua");

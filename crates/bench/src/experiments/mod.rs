@@ -1,4 +1,4 @@
-//! One module per paper table/figure (see DESIGN.md's experiment index).
+//! One module per paper table/figure.
 
 pub mod access;
 pub mod fig10;

@@ -1,6 +1,6 @@
 //! Experiment harness reproducing every table and figure of the UA-DB
-//! paper's evaluation (Section 11). See `DESIGN.md` for the experiment
-//! index and `EXPERIMENTS.md` for paper-vs-measured results.
+//! paper's evaluation (Section 11); [`experiments`] has one module per
+//! table or figure.
 //!
 //! Run everything with `cargo run --release -p ua-bench --bin reproduce`.
 

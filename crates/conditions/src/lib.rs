@@ -10,8 +10,7 @@
 //! * [`cnf`] — CNF recognition and the **PTIME tautology check** the paper's
 //!   c-sound C-table labeling scheme builds on;
 //! * [`solver`] — an **exact** validity/satisfiability decision procedure by
-//!   order-region enumeration, substituting for the paper's use of Z3 (see
-//!   DESIGN.md for the substitution argument);
+//!   order-region enumeration, substituting for the paper's use of Z3;
 //! * [`prob`] — exact (Shannon expansion) and Monte-Carlo probability of a
 //!   condition under independent per-variable distributions (PC-tables,
 //!   MayBMS `conf()`);

@@ -8,8 +8,8 @@
 //! shape statistics** — row count (scaled down 100×), column count, the
 //! percentage of uncertain attribute values `U_attr` and of uncertain rows
 //! `U_row` — with missingness *correlated within rows* exactly as the
-//! paper's errors are (DESIGN.md documents why this preserves the
-//! FNR-of-projection behaviour being measured).
+//! paper's errors are (which preserves the FNR-of-projection behaviour
+//! being measured).
 //!
 //! Uncertain cells carry 2–4 imputation-candidate alternatives; candidate 0
 //! (the "imputed best guess") dominates, so the best-guess world is the

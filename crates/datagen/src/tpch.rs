@@ -5,8 +5,7 @@
 //! cardinality ratios, scaled by a fractional scale factor. Value
 //! distributions follow the benchmark's shapes (uniform keys, skewless
 //! dates, segment/priority categories) — enough to reproduce the *relative*
-//! behaviour of the paper's Figure 11/12/13/14 workloads at laptop scale
-//! (see DESIGN.md's substitution table).
+//! behaviour of the paper's Figure 11/12/13/14 workloads at laptop scale.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -8,10 +8,10 @@
 //!
 //! The row engine executes AU plans natively by interpreting each
 //! operator over [`AuRelation`]s with the shared `ua_ranges::ops`
-//! implementations; the vectorized engine registers an `au` hook (range
-//! column triples in its batches for σ/π/aggregation, per-operator
-//! fallback to the same shared ops elsewhere), so both engines serve
-//! [`UaSession::query_au`] with identical results.
+//! implementations ([`ua_plan::au`], re-exported here); the vectorized
+//! engine carries range column triples in its batches for σ/π/aggregation
+//! and falls back per operator to the same shared ops elsewhere, so both
+//! engines serve [`UaSession::query_au`] with identical results.
 //!
 //! Source relations enter AU sessions either pre-annotated
 //! ([`UaSession::register_au_relation`]) or through the Section 9.2 SQL
@@ -21,25 +21,19 @@
 //! best-guess world are kept (with a zero selected-guess multiplicity)
 //! instead of dropped, which is what makes the upper bounds sound.
 
-use crate::exec::{execute, EngineError};
-use crate::mode::{require_vectorized_hooks, ExecMode};
-use crate::plan::{AggFunc, Plan, SortOrder};
-use crate::sql::ast::SourceAnnotation;
-use crate::sql::parser::parse;
-use crate::sql::planner::{plan_query, SourceResolver};
-use crate::storage::{Catalog, Table};
-use crate::ua::UaSession;
+use crate::ua::{float_of, keep_columns, resolve_encoded, Semantics, UaSession};
 use ua_conditions::{cnf_tautology, is_cnf, parse_condition, VarInterner};
-use ua_core::{expr_mentions_marker, UA_LABEL_COLUMN};
-use ua_data::expr::Expr;
-use ua_data::schema::{Column, Schema, SchemaError};
+use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashMap;
-use ua_ranges::{
-    decode_rows, encode_rows, flattened_schema, AggKind, AggSpec, AuRelation, AuTuple, MultBound,
-    RangeValue,
-};
+pub use ua_plan::au::*;
+use ua_plan::exec::EngineError;
+use ua_plan::plan::Plan;
+use ua_plan::sql::ast::SourceAnnotation;
+use ua_plan::sql::planner::SourceResolver;
+use ua_plan::storage::{Catalog, Table};
+use ua_ranges::{decode_rows, AuRelation, AuTuple, MultBound, RangeValue};
 
 /// An AU query result: the flattened encoded representation (selected
 /// guesses, per-attribute bound columns, multiplicity triple columns).
@@ -80,352 +74,6 @@ impl AuResult {
     }
 }
 
-/// Whether a column name is one of the AU encoding's sidecars (bound
-/// columns or the multiplicity triple). Matches only the *exact* names
-/// the encoding generates (`ua_lb_<i>`/`ua_ub_<i>` with a numeric index,
-/// `ua_m_lb`/`ua_m_bg`/`ua_m_ub`) — a user column that merely shares the
-/// prefix (say `ua_lb_note`) is ordinary data, exactly as only the
-/// literal `ua_c` is the UA marker.
-pub fn is_au_sidecar_name(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    let indexed = |prefix: &str| {
-        lower
-            .strip_prefix(prefix)
-            .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
-    };
-    indexed(ua_ranges::AU_LB_PREFIX)
-        || indexed(ua_ranges::AU_UB_PREFIX)
-        || lower == ua_ranges::AU_MULT_LB
-        || lower == ua_ranges::AU_MULT_BG
-        || lower == ua_ranges::AU_MULT_UB
-}
-
-fn marker_error() -> EngineError {
-    EngineError::Schema(SchemaError::AmbiguousColumn(UA_LABEL_COLUMN.to_string()))
-}
-
-fn reject_marker(expr: &Expr) -> Result<(), EngineError> {
-    if expr_mentions_marker(expr) {
-        Err(marker_error())
-    } else {
-        Ok(())
-    }
-}
-
-/// The uniform marker guard for AU plans, run once before engine dispatch
-/// so the row and vectorized paths reject exactly the same queries: the
-/// `ua_c` marker (and by extension any engine-managed bookkeeping column)
-/// may not appear in predicates, projections, join conditions, sort keys —
-/// or, the class of hole PR 4 closed for ORDER BY, in **GROUP BY keys and
-/// aggregate arguments**.
-pub fn reject_marker_in_plan(plan: &Plan) -> Result<(), EngineError> {
-    match plan {
-        Plan::Scan(_) => Ok(()),
-        Plan::Alias { input, .. } => reject_marker_in_plan(input),
-        Plan::Filter { input, predicate } => {
-            reject_marker(predicate)?;
-            reject_marker_in_plan(input)
-        }
-        Plan::Map { input, columns } => {
-            for c in columns {
-                if c.name().eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                    return Err(marker_error());
-                }
-                reject_marker(&c.expr)?;
-            }
-            reject_marker_in_plan(input)
-        }
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            if let Some(p) = predicate {
-                reject_marker(p)?;
-            }
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-            ..
-        } => {
-            for (l, r) in keys {
-                reject_marker(l)?;
-                reject_marker(r)?;
-            }
-            if let Some(res) = residual {
-                reject_marker(res)?;
-            }
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::UnionAll { left, right } | Plan::Except { left, right, .. } => {
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            ..
-        } => {
-            if let Some(p) = predicate {
-                reject_marker(p)?;
-            }
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::Distinct { input } => reject_marker_in_plan(input),
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            for g in group_by {
-                if g.name().eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                    return Err(marker_error());
-                }
-                reject_marker(&g.expr)?;
-            }
-            for a in aggregates {
-                if a.name.eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                    return Err(marker_error());
-                }
-                if let Some(arg) = &a.arg {
-                    reject_marker(arg)?;
-                }
-            }
-            reject_marker_in_plan(input)
-        }
-        Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
-            for (k, _) in keys {
-                reject_marker(k)?;
-            }
-            reject_marker_in_plan(input)
-        }
-        Plan::Limit { input, .. } => reject_marker_in_plan(input),
-    }
-}
-
-/// Map the engine's aggregate functions onto the range layer's kinds.
-pub fn agg_kind(func: AggFunc) -> AggKind {
-    match func {
-        AggFunc::Count => AggKind::Count,
-        AggFunc::CountStar => AggKind::CountStar,
-        AggFunc::Sum => AggKind::Sum,
-        AggFunc::Min => AggKind::Min,
-        AggFunc::Max => AggKind::Max,
-        AggFunc::Avg => AggKind::Avg,
-    }
-}
-
-/// Execute an AU plan on the row engine: each operator interprets over
-/// [`AuRelation`]s via the shared `ua_ranges::ops` — the same code the
-/// vectorized engine's fallbacks call (through [`au_unary`]/[`au_binary`]),
-/// so the engines cannot diverge.
-pub fn execute_au(plan: &Plan, catalog: &Catalog) -> Result<AuRelation, EngineError> {
-    execute_au_traced(plan, catalog, &mut crate::stats::Tracer::off())
-}
-
-/// [`execute_au`] with a span tracer threaded through the recursion (see
-/// [`crate::exec::execute_traced`] — same contract: no-op when off,
-/// byte-identical results either way).
-pub(crate) fn execute_au_traced(
-    plan: &Plan,
-    catalog: &Catalog,
-    tracer: &mut crate::stats::Tracer<'_>,
-) -> Result<AuRelation, EngineError> {
-    let trace_name = ua_obs::trace_active().then(|| crate::stats::node_label(plan).0);
-    if let Some(name) = &trace_name {
-        ua_obs::trace_begin(name, "operator");
-    }
-    tracer.enter(plan);
-    let result = match plan {
-        Plan::Scan(name) => catalog
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.clone()))
-            .and_then(|table| decode_rows(table.schema(), table.rows()).map_err(EngineError::Sql)),
-        Plan::Alias { input, .. }
-        | Plan::Filter { input, .. }
-        | Plan::Map { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => {
-            execute_au_traced(input, catalog, tracer).and_then(|rel| au_unary(plan, &rel))
-        }
-        Plan::Join { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::UnionAll { left, right }
-        | Plan::Except { left, right, .. }
-        | Plan::OuterJoin { left, right, .. } => execute_au_traced(left, catalog, tracer)
-            .and_then(|l| execute_au_traced(right, catalog, tracer).map(|r| (l, r)))
-            .and_then(|(l, r)| au_binary(plan, &l, &r)),
-    };
-    let result = match result {
-        Ok(rel) => {
-            if tracer.enabled() {
-                au_span_extras(&rel, tracer);
-            }
-            tracer.exit(rel.rows().len());
-            Ok(rel)
-        }
-        Err(e) => {
-            tracer.abandon();
-            Err(e)
-        }
-    };
-    if let Some(name) = &trace_name {
-        ua_obs::trace_end(name, "operator");
-    }
-    result
-}
-
-/// Record the AU telemetry extras for a finished span: the bound-precision
-/// profile ([`ua_ranges::WidthSummary`] — which operator widened bounds to
-/// ⊤, and by how much) plus the logical bytes of the materialized
-/// range-annotated relation. The materialization is also charged against
-/// the query-wide memory high-water mark.
-fn au_span_extras(rel: &AuRelation, tracer: &mut crate::stats::Tracer<'_>) {
-    let ws = ua_ranges::WidthSummary::of(rel);
-    tracer.extra("certain_rows", ws.certain_rows);
-    tracer.extra("top_attrs_permille", ws.top_attr_permille());
-    tracer.extra("rel_width_permille", ws.mean_rel_width_permille());
-    tracer.extra("mult_spread", ws.mult_spread);
-    let bytes = au_relation_mem_bytes(rel);
-    let mut mem = ua_obs::MemTracker::new();
-    mem.alloc(bytes);
-    tracer.extra("mem_bytes", bytes);
-}
-
-/// Estimated logical bytes of a materialized [`AuRelation`] — the
-/// range-annotation counterpart of [`crate::stats::tuple_mem_bytes`]:
-/// 24 bytes for the multiplicity triple plus, per attribute cell, the
-/// best guess and both bounds (a bare ±∞ bound costs one 16-byte slot).
-/// Shape-derived, never allocator-derived, so the figure is deterministic.
-pub(crate) fn au_relation_mem_bytes(rel: &AuRelation) -> u64 {
-    fn bound_bytes(b: &ua_ranges::Bound) -> u64 {
-        match b {
-            ua_ranges::Bound::Val(v) => crate::stats::value_mem_bytes(v),
-            _ => 16,
-        }
-    }
-    rel.rows()
-        .iter()
-        .map(|row| {
-            24 + row
-                .values
-                .iter()
-                .map(|r| {
-                    crate::stats::value_mem_bytes(&r.bg) + bound_bytes(r.lb()) + bound_bytes(r.ub())
-                })
-                .sum::<u64>()
-        })
-        .sum()
-}
-
-/// Apply one unary AU operator (the node at the root of `plan`) to an
-/// already-evaluated input. Shared between the row interpreter and the
-/// vectorized engine's per-operator fallbacks.
-pub fn au_unary(plan: &Plan, rel: &AuRelation) -> Result<AuRelation, EngineError> {
-    match plan {
-        Plan::Alias { name, .. } => {
-            let schema = rel.schema().with_qualifier(name);
-            Ok(rel.clone().with_schema(schema))
-        }
-        Plan::Filter { predicate, .. } => {
-            ua_ranges::ops::filter(rel, predicate).map_err(EngineError::Expr)
-        }
-        Plan::Map { columns, .. } => {
-            let cols: Vec<(Expr, Column)> = columns
-                .iter()
-                .map(|c| (c.expr.clone(), c.column.clone()))
-                .collect();
-            ua_ranges::ops::map(rel, &cols).map_err(EngineError::Expr)
-        }
-        Plan::Distinct { .. } => Ok(ua_ranges::ops::distinct(rel)),
-        Plan::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } => {
-            let keys: Vec<(Expr, Column)> = group_by
-                .iter()
-                .map(|g| (g.expr.clone(), g.column.clone()))
-                .collect();
-            let specs: Vec<AggSpec> = aggregates
-                .iter()
-                .map(|a| AggSpec {
-                    kind: agg_kind(a.func),
-                    arg: a.arg.clone(),
-                    column: Column::unqualified(&a.name),
-                })
-                .collect();
-            ua_ranges::ops::aggregate(rel, &keys, &specs).map_err(EngineError::Expr)
-        }
-        Plan::Sort { keys, .. } => {
-            let keys: Vec<(Expr, bool)> = keys
-                .iter()
-                .map(|(e, o)| (e.clone(), *o == SortOrder::Desc))
-                .collect();
-            ua_ranges::ops::sort_by_bg(rel, &keys).map_err(EngineError::Expr)
-        }
-        Plan::Limit { limit, .. } => Ok(ua_ranges::ops::limit(rel, *limit)),
-        Plan::TopK { keys, limit, .. } => {
-            let keys: Vec<(Expr, bool)> = keys
-                .iter()
-                .map(|(e, o)| (e.clone(), *o == SortOrder::Desc))
-                .collect();
-            let sorted = ua_ranges::ops::sort_by_bg(rel, &keys).map_err(EngineError::Expr)?;
-            Ok(ua_ranges::ops::limit(&sorted, *limit))
-        }
-        other => Err(EngineError::Sql(format!(
-            "not a unary AU operator: {other}"
-        ))),
-    }
-}
-
-/// Apply one binary AU operator to already-evaluated inputs (see
-/// [`au_unary`]).
-pub fn au_binary(plan: &Plan, l: &AuRelation, r: &AuRelation) -> Result<AuRelation, EngineError> {
-    match plan {
-        Plan::Join { predicate, .. } => {
-            ua_ranges::ops::join(l, r, predicate.as_ref()).map_err(EngineError::Expr)
-        }
-        Plan::HashJoin {
-            keys,
-            residual,
-            build_left,
-            ..
-        } => ua_ranges::ops::hash_join(l, r, keys, residual.as_ref(), *build_left)
-            .map_err(EngineError::Expr),
-        Plan::UnionAll { .. } => ua_ranges::ops::union(l, r).map_err(EngineError::Schema),
-        Plan::Except { all, .. } => ua_ranges::ops::except(l, r, *all).map_err(EngineError::Schema),
-        Plan::OuterJoin {
-            predicate, kind, ..
-        } => ua_ranges::ops::outer_join(
-            l,
-            r,
-            predicate.as_ref(),
-            *kind == crate::plan::OuterKind::Left,
-        )
-        .map_err(EngineError::Expr),
-        other => Err(EngineError::Sql(format!(
-            "not a binary AU operator: {other}"
-        ))),
-    }
-}
-
-/// Materialize an [`AuRelation`] as its flattened encoded table.
-pub fn au_table(rel: &AuRelation) -> Table {
-    Table::from_rows(flattened_schema(rel.schema()), encode_rows(rel))
-}
-
 impl UaSession {
     /// Register a range-annotated relation under `name` (stored in the
     /// flattened encoding; [`UaSession::query_au`] decodes it on scan).
@@ -440,18 +88,8 @@ impl UaSession {
     /// and truncate by the selected-guess world (presentation-level).
     pub fn query_au(&self, sql: &str) -> Result<AuResult, EngineError> {
         let _trace = self.trace_query();
-        let ast = ua_obs::trace_scope("parse", "session", || parse(sql))
-            .map_err(|e| EngineError::Sql(e.to_string()))?;
-        let plan = ua_obs::trace_scope("plan", "session", || {
-            plan_query(&ast, self.catalog(), &AuResolver)
-        })?;
+        let plan = self.plan_sql(sql, &AuResolver)?;
         self.execute_au_plan(&plan)
-    }
-
-    /// Run an already-built plan under AU semantics.
-    pub fn query_au_plan(&self, plan: &Plan) -> Result<AuResult, EngineError> {
-        let _trace = self.trace_query();
-        self.execute_au_plan(plan)
     }
 
     /// The optimizer pipeline on an AU plan (mirroring the UA wiring):
@@ -465,7 +103,7 @@ impl UaSession {
     pub(crate) fn optimize_au_plan(&self, plan: &Plan) -> Plan {
         self.optimize_plan_with(
             plan.clone(),
-            crate::optimize::OptimizerPasses {
+            ua_plan::optimize::OptimizerPasses {
                 positional_joins: false,
                 ..Default::default()
             },
@@ -478,39 +116,8 @@ impl UaSession {
         // keys, aggregate arguments) identically.
         reject_marker_in_plan(plan)?;
         let plan = &ua_obs::trace_scope("optimize", "session", || self.optimize_au_plan(plan));
-        ua_obs::trace_scope("execute", "session", || match self.exec_mode() {
-            ExecMode::Row => {
-                let rel = if self.stats_enabled() {
-                    ua_obs::mem_query_start();
-                    let (result, root) =
-                        crate::stats::try_execute_au_with_stats(plan, self.catalog());
-                    let peak = ua_obs::mem_query_finish().unwrap_or(0);
-                    // Failed queries keep their (error-marked) partial
-                    // tree: stats are stored before the `?` propagates.
-                    if let Some(root) = root {
-                        self.store_stats(ua_obs::QueryStats {
-                            engine: "row".into(),
-                            semantics: "au".into(),
-                            root,
-                            pool: None,
-                            peak_mem_bytes: peak,
-                        });
-                    }
-                    result?
-                } else {
-                    execute_au(plan, self.catalog())?
-                };
-                Ok(AuResult {
-                    table: au_table(&rel),
-                })
-            }
-            ExecMode::Vectorized => {
-                let opts = self.exec_options();
-                let table = (require_vectorized_hooks()?.au)(plan, self.catalog(), opts);
-                self.adopt_hook_stats();
-                Ok(AuResult { table: table? })
-            }
-        })
+        self.dispatch(plan, Semantics::Au)
+            .map(|table| AuResult { table })
     }
 
     /// `EXPLAIN ANALYZE` for AU queries: the user plan and optimized
@@ -518,8 +125,7 @@ impl UaSession {
     /// row counts, wall times and est-vs-actual cardinalities. The query
     /// really executes; its result is discarded.
     pub fn explain_analyze_au(&self, sql: &str) -> Result<String, EngineError> {
-        let ast = parse(sql).map_err(|e| EngineError::Sql(e.to_string()))?;
-        let plan = plan_query(&ast, self.catalog(), &AuResolver)?;
+        let plan = self.plan_sql(sql, &AuResolver)?;
         let physical = self.optimize_au_plan(&plan);
         let stats = self.run_analyzed(|| self.execute_au_plan(&plan).map(|_| ()))?;
         Ok(format!(
@@ -527,23 +133,6 @@ impl UaSession {
             crate::ua::render_analysis(&stats)
         ))
     }
-}
-
-fn float_of(v: &Value, col: &str) -> Result<f64, EngineError> {
-    v.as_f64()
-        .ok_or_else(|| EngineError::Sql(format!("probability column `{col}` must be numeric")))
-}
-
-fn keep_columns(schema: &Schema, exclude: &[usize]) -> (Vec<usize>, Vec<Column>) {
-    let mut keep = Vec::new();
-    let mut cols = Vec::new();
-    for (i, col) in schema.columns().iter().enumerate() {
-        if !exclude.contains(&i) {
-            keep.push(i);
-            cols.push(col.clone());
-        }
-    }
-    (keep, cols)
 }
 
 /// The TI-DB labeling lifted to range annotations: every tuple keeps point
@@ -675,9 +264,7 @@ pub fn ctable_source_au(
 }
 
 /// Source resolver for AU queries: the Section 9.2 annotation clauses
-/// convert through the range labelings, cached per annotation fingerprint
-/// (same injective length-prefixed scheme as the UA resolver, under the
-/// `__au__` namespace so UA and AU encodings of one table never collide).
+/// convert through the range labelings.
 struct AuResolver;
 
 impl SourceResolver for AuResolver {
@@ -687,82 +274,26 @@ impl SourceResolver for AuResolver {
         annotation: &SourceAnnotation,
         catalog: &Catalog,
     ) -> Result<Plan, EngineError> {
-        let fp = |parts: &[&str]| {
-            parts
-                .iter()
-                .map(|p| format!("{}_{p}", p.len()))
-                .collect::<Vec<_>>()
-                .join("_")
-        };
-        let fingerprint = match annotation {
-            SourceAnnotation::Ti { probability } => format!("ti_{}", fp(&[probability])),
+        resolve_encoded("au", name, annotation, catalog, |base| match annotation {
+            SourceAnnotation::Ti { probability } => ti_source_au(base, probability),
             SourceAnnotation::X {
                 xid,
                 altid,
                 probability,
-            } => format!("x_{}", fp(&[xid, altid, probability])),
+            } => x_source_au(base, xid, altid, probability),
             SourceAnnotation::CTable {
                 variables,
                 condition,
-            } => {
-                let mut parts: Vec<&str> = variables.iter().map(String::as_str).collect();
-                parts.push(condition);
-                format!("ct_{}", fp(&parts))
-            }
-        };
-        let derived = format!("__au__{name}__{fingerprint}");
-        if catalog.get(&derived).is_none() {
-            let base = catalog
-                .get(name)
-                .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-            let encoded = match annotation {
-                SourceAnnotation::Ti { probability } => ti_source_au(&base, probability)?,
-                SourceAnnotation::X {
-                    xid,
-                    altid,
-                    probability,
-                } => x_source_au(&base, xid, altid, probability)?,
-                SourceAnnotation::CTable {
-                    variables,
-                    condition,
-                } => ctable_source_au(&base, variables, condition)?,
-            };
-            catalog.register(derived.clone(), encoded);
-        }
-        Ok(Plan::Scan(derived))
+            } => ctable_source_au(base, variables, condition),
+        })
     }
-}
-
-/// Convenience: evaluate a deterministic query over a catalog (used by the
-/// AU soundness tests to ground possible worlds). Re-exported so tests
-/// don't need a session.
-pub fn execute_det(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute(plan, catalog)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ua::tests::geocoder_session;
     use ua_data::tuple;
-
-    fn geocoder_session() -> UaSession {
-        let session = UaSession::new();
-        session.register_table(
-            "addr",
-            Table::from_rows(
-                Schema::qualified("addr", ["xid", "aid", "p", "id", "locale", "state"]),
-                vec![
-                    tuple![1i64, 1i64, 1.0, 1i64, "Lasalle", "NY"],
-                    tuple![2i64, 1i64, 0.6, 2i64, "Tucson", "AZ"],
-                    tuple![2i64, 2i64, 0.4, 2i64, "Grant Ferry", "NY"],
-                    tuple![3i64, 1i64, 0.5, 3i64, "Kingsley", "NY"],
-                    tuple![3i64, 2i64, 0.5, 3i64, "Kingsley", "NY"],
-                    tuple![4i64, 1i64, 1.0, 4i64, "Kensington", "NY"],
-                ],
-            ),
-        );
-        session
-    }
 
     #[test]
     fn group_by_count_executes_under_au() {
@@ -808,7 +339,9 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    Err(EngineError::Schema(SchemaError::AmbiguousColumn(_)))
+                    Err(EngineError::Schema(
+                        ua_data::schema::SchemaError::AmbiguousColumn(_)
+                    ))
                 ),
                 "{sql} must be rejected, got {err:?}"
             );

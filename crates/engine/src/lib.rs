@@ -1,50 +1,29 @@
-//! A bag-semantics relational engine with a SQL frontend and the UA-DB
-//! query-rewriting middleware (paper Section 9).
+//! The UA-DB middleware (paper Section 9): [`UaSession`] parses SQL, plans
+//! and optimizes it, and runs it under deterministic, UA (`⟦·⟧_UA`) or AU
+//! (`⟦·⟧_AU`) semantics on either executor.
 //!
-//! Layers, bottom-up:
+//! Everything the session is built from lives in the crates below it and is
+//! re-exported here under its old path: plans, storage, the SQL frontend,
+//! the optimizer and the row interpreter come from `ua-plan`, the columnar
+//! executor is `ua-vecexec`. What this crate itself holds:
 //!
-//! * [`storage`] — row-oriented tables + a shared catalog (a tuple with
-//!   multiplicity `n` is stored as `n` row copies, the representation the
-//!   paper's encoding targets);
-//! * [`plan`] / [`exec`] — physical plans and the materializing executor
-//!   (hash joins on extractable equi-keys, grouping, sorting, limits);
-//! * [`optimize`] — the pass pipeline (filter pushdown, cost-aware join
-//!   planning into [`plan::Plan::HashJoin`]) applied uniformly to both
-//!   executors' plans before dispatch;
-//! * [`sql`] — lexer, parser and planner for a SPJUA SQL dialect including
-//!   the paper's source-annotation clauses (Section 9.2);
-//! * [`ua`] — the UA frontend: labeling-scheme source conversion,
-//!   `⟦·⟧_UA` rewriting and execution over the encoded representation.
+//! * [`ua`] — the session, the UA frontend (labeling-scheme source
+//!   conversion, `⟦·⟧_UA` rewriting, dispatch to the selected executor);
+//! * [`au`] — the AU frontend (range-labeling source conversion,
+//!   `query_au`);
+//! * [`mode`] — [`ExecMode`], the executor choice.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod au;
-pub mod exec;
 pub mod mode;
-pub mod optimize;
-pub mod plan;
-pub mod sql;
-pub mod stats;
-pub mod storage;
 pub mod ua;
 
-pub use au::{
-    agg_kind, au_binary, au_table, au_unary, ctable_source_au, execute_au, is_au_sidecar_name,
-    reject_marker_in_plan, ti_source_au, x_source_au, AuResult,
-};
-pub use exec::{execute, limit_table, sort_table, top_k_table, AggState, EngineError};
-pub use mode::{
-    register_vectorized_hooks, vectorized_hooks, ExecMode, ExecOptions, VectorizedHooks,
-};
-pub use optimize::{
-    estimate_rows, fuse_topk, optimize, optimize_with, plan_joins, predicate_selectivity,
-    push_filters, record_join_misestimates, reorder_joins, reorder_joins_ua, OptimizerPasses,
-    DEFAULT_FILTER_SELECTIVITY, DP_MAX_RELATIONS, MISESTIMATE_RATIO,
-};
-pub use plan::{AggExpr, AggFunc, Plan, SortOrder};
-pub use sql::{parse, plan_query, plan_schema};
-pub use stats::{execute_au_with_stats, execute_with_stats};
-pub use storage::{Catalog, ColumnStats, Histogram, Table, TableStats, HISTOGRAM_BUCKETS};
-pub use ua::{ctable_source, ti_source, x_source, UaResult, UaSession, UA_FRAGMENT_ERROR};
-pub use ua_obs::{OperatorStats, PoolStats, QueryStats};
+pub use au::{ctable_source_au, ti_source_au, x_source_au, AuResult};
+pub use mode::ExecMode;
+pub use ua::{ctable_source, ti_source, x_source, UaResult, UaSession};
+// Every `ua_engine::…` path that predates the `ua-plan` split — modules
+// (`exec`, `optimize`, `plan`, `sql`, `stats`, `storage`) and flat items
+// alike — still names the same thing.
+pub use ua_plan::*;

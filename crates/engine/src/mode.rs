@@ -1,18 +1,11 @@
-//! Execution-mode selection and the vectorized-executor hook registry.
+//! Execution-mode selection.
 //!
-//! The engine ships two executors for the same [`Plan`](crate::plan::Plan)s:
-//! the row-at-a-time interpreter in [`crate::exec`] and the batch-oriented
-//! columnar engine in the `ua-vecexec` crate. `ua-vecexec` sits *above* this
-//! crate in the dependency graph (it reuses the plan, storage and error
-//! types), so the engine cannot call it directly; instead `ua-vecexec`
-//! registers its entry points here once per process
-//! ([`register_vectorized_hooks`], called by `ua_vecexec::install()`), and
-//! [`crate::ua::UaSession`] dispatches on its [`ExecMode`].
+//! Two executors run the same [`Plan`](ua_plan::plan::Plan)s: the
+//! row-at-a-time interpreter in [`ua_plan::exec`] and the batch-oriented
+//! columnar engine in `ua-vecexec`. Both sit below this crate, so
+//! [`crate::ua::UaSession`] calls whichever its [`ExecMode`] selects.
 
-use crate::exec::EngineError;
-use crate::plan::Plan;
-use crate::storage::{Catalog, Table};
-use std::sync::OnceLock;
+pub use ua_plan::options::ExecOptions;
 
 /// Which executor a session uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -21,84 +14,6 @@ pub enum ExecMode {
     #[default]
     Row,
     /// The batch-oriented columnar engine (`ua-vecexec`), which carries UA
-    /// labels as per-batch bitmaps. Requires `ua_vecexec::install()` to have
-    /// run (the `uadb` facade re-exports it as `uadb::vecexec::install`).
+    /// labels as per-batch bitmaps.
     Vectorized,
-}
-
-/// Runtime knobs a session passes to the vectorized executor per query.
-///
-/// The executor's *output* is independent of every field here — the
-/// morsel-parallel pipeline merges per-batch results in deterministic
-/// batch-index order, so any thread count (and any batch size) produces
-/// byte-identical tables; the differential/determinism tests assert it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExecOptions {
-    /// Worker threads for the morsel-driven parallel pipeline. `0` means
-    /// resolve automatically: the `UA_VEC_THREADS` environment variable if
-    /// set, else the machine's available parallelism. `1` forces the serial
-    /// pipeline.
-    pub threads: usize,
-    /// Rows per column-batch morsel; `0` means the executor's default
-    /// (`ua_vecexec::DEFAULT_BATCH_ROWS`).
-    pub batch_rows: usize,
-    /// Whether the executor should collect per-operator
-    /// [`ua_obs::QueryStats`] and deposit them in the thread-local handoff
-    /// slot (`ua_obs::set_last_query_stats`) for the session to pick up.
-    /// Stats ride *next to* the result — output is byte-identical on or
-    /// off.
-    pub collect_stats: bool,
-    /// Whether the executor should emit query-lifetime trace events
-    /// (bind/execute/merge phase spans on the session thread's armed
-    /// trace ring, plus per-morsel task spans recorded by the pool and
-    /// injected after the join). Like stats, tracing is a pure observer —
-    /// output is byte-identical on or off.
-    pub collect_trace: bool,
-}
-
-/// Entry points a vectorized executor registers.
-#[derive(Clone, Copy)]
-pub struct VectorizedHooks {
-    /// Execute an arbitrary [`Plan`] (deterministic semantics).
-    pub plan: fn(&Plan, &Catalog, ExecOptions) -> Result<Table, EngineError>,
-    /// Execute a physical plan over UA-encoded base tables — the `RA⁺`
-    /// fragment (optionally optimizer-planned, so [`Plan::HashJoin`]
-    /// appears) plus trailing [`Plan::Sort`]/[`Plan::Limit`]/[`Plan::TopK`]
-    /// wrappers, which the executor runs natively over its encoded batches
-    /// — returning the encoded result (certainty marker in last position).
-    /// The plan is the *user* query's — label propagation per `⟦·⟧_UA`
-    /// happens inside the executor, on its label bitmaps, instead of via a
-    /// rewritten plan.
-    pub ua: fn(&Plan, &Catalog, ExecOptions) -> Result<Table, EngineError>,
-    /// Execute a plan over AU-encoded (range-annotated) base tables — the
-    /// full plan algebra including `DISTINCT` and aggregation — returning
-    /// the flattened encoded result (`ua_ranges::flattened_schema` layout).
-    /// The executor runs σ/π/aggregation over range column triples and
-    /// falls back per-operator to the shared `ua_ranges::ops`
-    /// implementations elsewhere, so results are identical to the row
-    /// engine's AU interpreter.
-    pub au: fn(&Plan, &Catalog, ExecOptions) -> Result<Table, EngineError>,
-}
-
-static HOOKS: OnceLock<VectorizedHooks> = OnceLock::new();
-
-/// Register the vectorized executor (idempotent; first registration wins).
-pub fn register_vectorized_hooks(hooks: VectorizedHooks) {
-    let _ = HOOKS.set(hooks);
-}
-
-/// The registered vectorized executor, if any.
-pub fn vectorized_hooks() -> Option<&'static VectorizedHooks> {
-    HOOKS.get()
-}
-
-pub(crate) fn require_vectorized_hooks() -> Result<&'static VectorizedHooks, EngineError> {
-    vectorized_hooks().ok_or_else(|| {
-        EngineError::Sql(
-            "ExecMode::Vectorized requires the ua-vecexec executor; call \
-             ua_vecexec::install() (re-exported as uadb::vecexec::install) \
-             before querying"
-                .into(),
-        )
-    })
 }

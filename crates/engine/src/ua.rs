@@ -13,13 +13,7 @@
 //!   best-guess-world extraction are implemented by [`ti_source`],
 //!   [`x_source`] and [`ctable_source`].
 
-use crate::exec::{execute, EngineError};
-use crate::mode::{require_vectorized_hooks, ExecMode, ExecOptions};
-use crate::plan::Plan;
-use crate::sql::ast::SourceAnnotation;
-use crate::sql::parser::parse;
-use crate::sql::planner::{plan_query, SourceResolver};
-use crate::storage::{Catalog, Table};
+use crate::mode::{ExecMode, ExecOptions};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use ua_conditions::{cnf_tautology, is_cnf, parse_condition, VarInterner};
@@ -29,6 +23,13 @@ use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashMap;
+pub use ua_plan::exec::UA_FRAGMENT_ERROR;
+use ua_plan::exec::{execute, EngineError};
+use ua_plan::plan::Plan;
+use ua_plan::sql::ast::SourceAnnotation;
+use ua_plan::sql::parser::parse;
+use ua_plan::sql::planner::{plan_query, SourceResolver};
+use ua_plan::storage::{Catalog, Table};
 use ua_semiring::pair::Ua;
 
 /// A UA query result: rows of the encoded representation.
@@ -139,19 +140,23 @@ impl Drop for TraceGuard<'_> {
     }
 }
 
-/// The error both executors raise for UA queries outside the supported
-/// fragment — one string so the row and vectorized paths fail identically
-/// (the differential harness compares error messages).
-pub const UA_FRAGMENT_ERROR: &str = "UA queries support the relational algebra \
-     (selection, projection, join, UNION ALL, EXCEPT, LEFT/RIGHT OUTER JOIN) \
-     plus trailing ORDER BY/LIMIT; DISTINCT and aggregation are not closed \
-     under UA semantics";
+/// The semantics a plan executes under: which interpreter the row engine
+/// runs it through and which vectorized entry point it goes to.
+#[derive(Clone, Copy)]
+pub(crate) enum Semantics {
+    Det,
+    /// Row engine: `plan` is the `⟦·⟧_UA`-rewritten plan, interpreted
+    /// deterministically. Vectorized engine: `plan` is the user plan and
+    /// labels propagate as bitmaps.
+    Ua,
+    Au,
+}
 
 /// A trailing `ORDER BY`/`LIMIT` peeled off a UA plan before dispatch —
 /// both commute with the rewriting (they only reorder/truncate encoded
 /// rows).
 enum Wrapper {
-    Sort(Vec<(ua_data::Expr, crate::plan::SortOrder)>),
+    Sort(Vec<(ua_data::Expr, ua_plan::plan::SortOrder)>),
     Limit(usize),
 }
 
@@ -208,7 +213,7 @@ fn encoded_base_schema(t: &Table) -> Schema {
     Schema::new(t.schema().columns()[..t.schema().arity() - 1].to_vec())
 }
 
-/// Encoded-relation EXCEPT, matching the deterministic [`crate::exec::except_table`]
+/// Encoded-relation EXCEPT, matching the deterministic [`ua_plan::exec::except_table`]
 /// contract over the *base* columns (two copies of a tuple are never
 /// distinguished by their markers). Every output row is labeled 0: under
 /// `K²` the difference's certain multiplicity needs an *upper* bound on
@@ -257,7 +262,7 @@ fn ua_except_encoded(l: &Table, r: &Table, all: bool) -> Result<Table, EngineErr
 }
 
 /// Encoded-relation outer join: the deterministic
-/// [`crate::exec::outer_join_stream`] contract over the base columns, with
+/// [`ua_plan::exec::outer_join_stream`] contract over the base columns, with
 /// markers combined per `⟦·⟧_UA`'s join rule for matches (`min`, i.e.
 /// label-AND) and 0 for NULL-padded misses — a pad row is never certain,
 /// since some world may supply a match that replaces it.
@@ -265,7 +270,7 @@ fn ua_outer_join_encoded(
     l: &Table,
     r: &Table,
     predicate: Option<&ua_data::Expr>,
-    kind: crate::plan::OuterKind,
+    kind: ua_plan::plan::OuterKind,
 ) -> Result<Table, EngineError> {
     if let Some(p) = predicate {
         if ua_core::expr_mentions_marker(p) {
@@ -293,10 +298,10 @@ fn ua_outer_join_encoded(
     let lb = base_table(l);
     let rb = base_table(r);
     let mut out = Table::new(lb.schema().concat(rb.schema()).with_column(UA_LABEL_COLUMN));
-    crate::exec::outer_join_pairs(&lb, &rb, predicate, kind, &mut |oi, ii, row| {
+    ua_plan::exec::outer_join_pairs(&lb, &rb, predicate, kind, &mut |oi, ii, row| {
         let label = match ii {
             Some(ii) => {
-                let (li, ri) = if kind == crate::plan::OuterKind::Left {
+                let (li, ri) = if kind == ua_plan::plan::OuterKind::Left {
                     (oi, ii)
                 } else {
                     (ii, oi)
@@ -326,9 +331,7 @@ impl UaSession {
         session
     }
 
-    /// Select the executor for subsequent queries. `ExecMode::Vectorized`
-    /// requires `ua_vecexec::install()` to have run; queries report a clear
-    /// error otherwise.
+    /// Select the executor for subsequent queries.
     pub fn set_exec_mode(&self, mode: ExecMode) {
         let bits = match mode {
             ExecMode::Row => 0,
@@ -437,23 +440,15 @@ impl UaSession {
     }
 
     /// Store an instrumented execution's stats, feed the planner's
-    /// est-vs-actual join counters ([`crate::optimize::record_join_misestimates`])
+    /// est-vs-actual join counters ([`ua_plan::optimize::record_join_misestimates`])
     /// and publish the query's memory high-water mark as the
     /// `mem.query.peak_bytes` gauge.
     pub(crate) fn store_stats(&self, stats: ua_obs::QueryStats) {
-        crate::optimize::record_join_misestimates(&stats.root);
+        ua_plan::optimize::record_join_misestimates(&stats.root);
         ua_obs::global()
             .gauge("mem.query.peak_bytes")
             .set(i64::try_from(stats.peak_mem_bytes).unwrap_or(i64::MAX));
         *self.last_stats.lock() = Some(stats);
-    }
-
-    /// Pick up stats a vectorized execution deposited in the thread-local
-    /// handoff slot (the hook signature stays stats-agnostic).
-    pub(crate) fn adopt_hook_stats(&self) {
-        if let Some(stats) = ua_obs::take_last_query_stats() {
-            self.store_stats(stats);
-        }
     }
 
     /// The per-query options handed to the vectorized executor.
@@ -468,12 +463,76 @@ impl UaSession {
         }
     }
 
+    /// The one executor dispatch: run `plan` under `semantics` on the
+    /// session's selected executor. Both executors hand their
+    /// [`ua_obs::QueryStats`] back by value next to the result, so an
+    /// instrumented query stores its own stats — on failure too, as the
+    /// error-marked partial tree — and an uninstrumented one stores none.
+    pub(crate) fn dispatch(&self, plan: &Plan, semantics: Semantics) -> Result<Table, EngineError> {
+        ua_obs::trace_scope("execute", "session", || {
+            let (result, stats) = match self.exec_mode() {
+                ExecMode::Row => self.run_row(plan, semantics),
+                ExecMode::Vectorized => {
+                    let run = match semantics {
+                        Semantics::Det => ua_vecexec::execute_vectorized_with_stats,
+                        Semantics::Ua => ua_vecexec::execute_ua_vectorized_with_stats,
+                        Semantics::Au => ua_vecexec::execute_au_vectorized_with_stats,
+                    };
+                    run(plan, &self.catalog, self.exec_options())
+                }
+            };
+            if let Some(stats) = stats {
+                self.store_stats(stats);
+            }
+            result
+        })
+    }
+
+    /// [`Self::dispatch`]'s row-engine arm, shaped like the vectorized
+    /// `*_with_stats` entry points.
+    fn run_row(
+        &self,
+        plan: &Plan,
+        semantics: Semantics,
+    ) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
+        let (au, name) = match semantics {
+            Semantics::Det => (false, "det"),
+            Semantics::Ua => (false, "ua"),
+            Semantics::Au => (true, "au"),
+        };
+        let encode = |rel: ua_ranges::AuRelation| ua_plan::au_table(&rel);
+        if !self.stats_enabled() {
+            let result = if au {
+                ua_plan::execute_au(plan, &self.catalog).map(encode)
+            } else {
+                execute(plan, &self.catalog)
+            };
+            return (result, None);
+        }
+        ua_obs::mem_query_start();
+        let (result, root) = if au {
+            let (rel, root) = ua_plan::stats::try_execute_au_with_stats(plan, &self.catalog);
+            (rel.map(encode), root)
+        } else {
+            ua_plan::stats::try_execute_with_stats(plan, &self.catalog)
+        };
+        let peak_mem_bytes = ua_obs::mem_query_finish().unwrap_or(0);
+        let stats = root.map(|root| ua_obs::QueryStats {
+            engine: "row".into(),
+            semantics: name.into(),
+            root,
+            pool: None,
+            peak_mem_bytes,
+        });
+        (result, stats)
+    }
+
     /// The shared optimization step: every query plan — deterministic or
     /// UA, row or vectorized — passes through here before executor
     /// dispatch, so both engines always run plans shaped by the same
     /// rewrites and cannot drift.
     fn optimize_plan(&self, plan: Plan) -> Plan {
-        self.optimize_plan_with(plan, crate::optimize::OptimizerPasses::default())
+        self.optimize_plan_with(plan, ua_plan::optimize::OptimizerPasses::default())
     }
 
     /// [`Self::optimize_plan`] for the vectorized UA path, whose runtime
@@ -488,7 +547,7 @@ impl UaSession {
     fn optimize_plan_stripped(&self, plan: Plan) -> Plan {
         self.optimize_plan_with(
             plan,
-            crate::optimize::OptimizerPasses {
+            ua_plan::optimize::OptimizerPasses {
                 positional_joins: false,
                 reorder_joins: false,
                 ..Default::default()
@@ -508,7 +567,7 @@ impl UaSession {
         if !self.optimizer_enabled() || !self.reorder_joins_enabled() {
             return ra;
         }
-        let reordered = crate::optimize::reorder_joins_ua(Plan::from_ra(&ra), &self.catalog);
+        let reordered = ua_plan::optimize::reorder_joins_ua(Plan::from_ra(&ra), &self.catalog);
         // The pass emits only RA⁺ shapes; fall back defensively otherwise.
         reordered.to_ra().unwrap_or(ra)
     }
@@ -516,14 +575,14 @@ impl UaSession {
     pub(crate) fn optimize_plan_with(
         &self,
         plan: Plan,
-        passes: crate::optimize::OptimizerPasses,
+        passes: ua_plan::optimize::OptimizerPasses,
     ) -> Plan {
         if self.optimizer_enabled() {
-            let passes = crate::optimize::OptimizerPasses {
+            let passes = ua_plan::optimize::OptimizerPasses {
                 reorder_joins: passes.reorder_joins && self.reorder_joins_enabled(),
                 ..passes
             };
-            crate::optimize::optimize_with(plan, &self.catalog, passes)
+            ua_plan::optimize::optimize_with(plan, &self.catalog, passes)
         } else {
             plan
         }
@@ -546,44 +605,26 @@ impl UaSession {
         self.catalog.register(name, Table::from_relation(&encoded));
     }
 
+    /// Parse and plan `sql`, resolving annotated sources through
+    /// `resolver` (the `parse` and `plan` phases of a traced query).
+    pub(crate) fn plan_sql(
+        &self,
+        sql: &str,
+        resolver: &dyn SourceResolver,
+    ) -> Result<Plan, EngineError> {
+        let ast = ua_obs::trace_scope("parse", "session", || parse(sql))
+            .map_err(|e| EngineError::Sql(e.to_string()))?;
+        ua_obs::trace_scope("plan", "session", || {
+            plan_query(&ast, &self.catalog, resolver)
+        })
+    }
+
     /// Run a query under plain deterministic semantics.
     pub fn query_det(&self, sql: &str) -> Result<Table, EngineError> {
         let _trace = self.trace_query();
-        let ast = ua_obs::trace_scope("parse", "session", || parse(sql))
-            .map_err(|e| EngineError::Sql(e.to_string()))?;
-        let plan = ua_obs::trace_scope("plan", "session", || {
-            plan_query(&ast, &self.catalog, &UaResolver { session: self })
-        })?;
+        let plan = self.plan_sql(sql, &UaResolver)?;
         let plan = ua_obs::trace_scope("optimize", "session", || self.optimize_plan(plan));
-        ua_obs::trace_scope("execute", "session", || match self.exec_mode() {
-            ExecMode::Row => {
-                if self.stats_enabled() {
-                    ua_obs::mem_query_start();
-                    let (result, root) = crate::stats::try_execute_with_stats(&plan, &self.catalog);
-                    let peak = ua_obs::mem_query_finish().unwrap_or(0);
-                    // A failed query still deposits its (error-marked)
-                    // partial operator tree before the error propagates.
-                    if let Some(root) = root {
-                        self.store_stats(ua_obs::QueryStats {
-                            engine: "row".into(),
-                            semantics: "det".into(),
-                            root,
-                            pool: None,
-                            peak_mem_bytes: peak,
-                        });
-                    }
-                    result
-                } else {
-                    execute(&plan, &self.catalog)
-                }
-            }
-            ExecMode::Vectorized => {
-                let table =
-                    (require_vectorized_hooks()?.plan)(&plan, &self.catalog, self.exec_options());
-                self.adopt_hook_stats();
-                table
-            }
-        })
+        self.dispatch(&plan, Semantics::Det)
     }
 
     /// Run a query under UA semantics: plan, rewrite with `⟦·⟧_UA`, execute
@@ -594,11 +635,7 @@ impl UaSession {
     /// and rejected here.
     pub fn query_ua(&self, sql: &str) -> Result<UaResult, EngineError> {
         let _trace = self.trace_query();
-        let ast = ua_obs::trace_scope("parse", "session", || parse(sql))
-            .map_err(|e| EngineError::Sql(e.to_string()))?;
-        let plan = ua_obs::trace_scope("plan", "session", || {
-            plan_query(&ast, &self.catalog, &UaResolver { session: self })
-        })?;
+        let plan = self.plan_sql(sql, &UaResolver)?;
         self.execute_ua_plan(&plan)
     }
 
@@ -612,8 +649,7 @@ impl UaSession {
     /// the optimized physical plan the row engine executes (the
     /// middleware's "show rewritten SQL", plus `EXPLAIN`).
     pub fn explain_ua(&self, sql: &str) -> Result<String, EngineError> {
-        let ast = parse(sql).map_err(|e| EngineError::Sql(e.to_string()))?;
-        let plan = plan_query(&ast, &self.catalog, &UaResolver { session: self })?;
+        let plan = self.plan_sql(sql, &UaResolver)?;
         let user_ra = plan
             .to_ra()
             .ok_or_else(|| EngineError::Sql("EXPLAIN UA supports the RA⁺ fragment".into()))?;
@@ -629,8 +665,7 @@ impl UaSession {
     /// Explain a deterministic query: the planner's plan and the optimized
     /// physical plan that actually executes.
     pub fn explain_det(&self, sql: &str) -> Result<String, EngineError> {
-        let ast = parse(sql).map_err(|e| EngineError::Sql(e.to_string()))?;
-        let plan = plan_query(&ast, &self.catalog, &UaResolver { session: self })?;
+        let plan = self.plan_sql(sql, &UaResolver)?;
         let physical = self.optimize_plan(plan.clone());
         Ok(format!(
             "plan:\n  {plan}\nphysical (optimized):\n  {physical}"
@@ -694,15 +729,7 @@ impl UaSession {
             let user_plan = ua_obs::trace_scope("optimize", "session", || {
                 self.rewrap(self.optimize_plan_stripped(Plan::from_ra(&ra)), wrappers)
             });
-            let table = ua_obs::trace_scope("execute", "session", || {
-                let table = (require_vectorized_hooks()?.ua)(
-                    &user_plan,
-                    &self.catalog,
-                    self.exec_options(),
-                );
-                self.adopt_hook_stats();
-                table
-            })?;
+            let table = self.dispatch(&user_plan, Semantics::Ua)?;
             return Ok(UaResult { table });
         }
         let lookup = |name: &str| self.catalog.schema_of(name);
@@ -710,26 +737,7 @@ impl UaSession {
         let rewritten_plan = ua_obs::trace_scope("optimize", "session", || {
             self.rewrap(self.optimize_plan(Plan::from_ra(&rewritten)), wrappers)
         });
-        let table = ua_obs::trace_scope("execute", "session", || {
-            if self.stats_enabled() {
-                ua_obs::mem_query_start();
-                let (result, root) =
-                    crate::stats::try_execute_with_stats(&rewritten_plan, &self.catalog);
-                let peak = ua_obs::mem_query_finish().unwrap_or(0);
-                if let Some(root) = root {
-                    self.store_stats(ua_obs::QueryStats {
-                        engine: "row".into(),
-                        semantics: "ua".into(),
-                        root,
-                        pool: None,
-                        peak_mem_bytes: peak,
-                    });
-                }
-                result
-            } else {
-                execute(&rewritten_plan, &self.catalog)
-            }
-        })?;
+        let table = self.dispatch(&rewritten_plan, Semantics::Ua)?;
         Ok(UaResult { table })
     }
 
@@ -750,7 +758,7 @@ impl UaSession {
             };
         }
         if self.optimizer_enabled() {
-            plan = crate::optimize::fuse_topk(plan);
+            plan = ua_plan::optimize::fuse_topk(plan);
         }
         plan
     }
@@ -774,21 +782,13 @@ impl UaSession {
         wrappers: Vec<Wrapper>,
     ) -> Result<UaResult, EngineError> {
         let reordered = if self.optimizer_enabled() && self.reorder_joins_enabled() {
-            crate::optimize::reorder_joins_ua(inner.clone(), &self.catalog)
+            ua_plan::optimize::reorder_joins_ua(inner.clone(), &self.catalog)
         } else {
             inner.clone()
         };
         if self.exec_mode() == ExecMode::Vectorized {
             let user_plan = self.rewrap(self.optimize_plan_stripped(reordered), wrappers);
-            let table = ua_obs::trace_scope("execute", "session", || {
-                let table = (require_vectorized_hooks()?.ua)(
-                    &user_plan,
-                    &self.catalog,
-                    self.exec_options(),
-                );
-                self.adopt_hook_stats();
-                table
-            })?;
+            let table = self.dispatch(&user_plan, Semantics::Ua)?;
             return Ok(UaResult { table });
         }
         let mut temps = TempTables {
@@ -804,8 +804,8 @@ impl UaSession {
         // produces.
         for w in wrappers.into_iter().rev() {
             table = match w {
-                Wrapper::Sort(keys) => crate::exec::sort_table(&table, &keys)?,
-                Wrapper::Limit(limit) => crate::exec::limit_table(&table, limit),
+                Wrapper::Sort(keys) => ua_plan::exec::sort_table(&table, &keys)?,
+                Wrapper::Limit(limit) => ua_plan::exec::limit_table(&table, limit),
             };
         }
         Ok(UaResult { table })
@@ -948,81 +948,93 @@ pub(crate) fn render_analysis(stats: &ua_obs::QueryStats) -> String {
     out
 }
 
-/// Source resolver applying the Section 9.2 labeling schemes: annotated
-/// sources are converted once and cached in the catalog under a derived
-/// name.
-struct UaResolver<'a> {
-    session: &'a UaSession,
+/// Resolve an annotated source to a scan of its encoding: converted by
+/// `encode` on first use, then cached in the catalog under a name derived
+/// from `namespace` (`ua` / `au`, so the two encodings of one table never
+/// collide), the table and the annotation's shape.
+pub(crate) fn resolve_encoded(
+    namespace: &str,
+    name: &str,
+    annotation: &SourceAnnotation,
+    catalog: &Catalog,
+    encode: impl FnOnce(&Table) -> Result<Table, EngineError>,
+) -> Result<Plan, EngineError> {
+    // The cache key carries the annotation's shape: the same base table
+    // may legitimately be annotated differently across (or within)
+    // queries, and a bare `__ua__{name}` key would silently serve the
+    // first encoding for all of them.
+    // Each field is length-prefixed so the encoding is injective even
+    // though '_' can appear inside column names (plain joining would
+    // make `XID (a) ALTID (b_c)` collide with `XID (a_b) ALTID (c)`),
+    // while the derived name stays a lexable identifier that
+    // `query_det` can still reference.
+    let fp = |parts: &[&str]| {
+        parts
+            .iter()
+            .map(|p| format!("{}_{p}", p.len()))
+            .collect::<Vec<_>>()
+            .join("_")
+    };
+    let fingerprint = match annotation {
+        SourceAnnotation::Ti { probability } => format!("ti_{}", fp(&[probability])),
+        SourceAnnotation::X {
+            xid,
+            altid,
+            probability,
+        } => format!("x_{}", fp(&[xid, altid, probability])),
+        SourceAnnotation::CTable {
+            variables,
+            condition,
+        } => {
+            let mut parts: Vec<&str> = variables.iter().map(String::as_str).collect();
+            parts.push(condition);
+            format!("ct_{}", fp(&parts))
+        }
+    };
+    let derived = format!("__{namespace}__{name}__{fingerprint}");
+    if catalog.get(&derived).is_none() {
+        let base = catalog
+            .get(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+        catalog.register(derived.clone(), encode(&base)?);
+    }
+    Ok(Plan::Scan(derived))
 }
 
-impl SourceResolver for UaResolver<'_> {
+/// Source resolver applying the Section 9.2 labeling schemes.
+struct UaResolver;
+
+impl SourceResolver for UaResolver {
     fn resolve(
         &self,
         name: &str,
         annotation: &SourceAnnotation,
         catalog: &Catalog,
     ) -> Result<Plan, EngineError> {
-        // The cache key carries the annotation's shape: the same base table
-        // may legitimately be annotated differently across (or within)
-        // queries, and a bare `__ua__{name}` key would silently serve the
-        // first encoding for all of them.
-        // Each field is length-prefixed so the encoding is injective even
-        // though '_' can appear inside column names (plain joining would
-        // make `XID (a) ALTID (b_c)` collide with `XID (a_b) ALTID (c)`),
-        // while the derived name stays a lexable identifier that
-        // `query_det` can still reference.
-        let fp = |parts: &[&str]| {
-            parts
-                .iter()
-                .map(|p| format!("{}_{p}", p.len()))
-                .collect::<Vec<_>>()
-                .join("_")
-        };
-        let fingerprint = match annotation {
-            SourceAnnotation::Ti { probability } => format!("ti_{}", fp(&[probability])),
+        resolve_encoded("ua", name, annotation, catalog, |base| match annotation {
+            SourceAnnotation::Ti { probability } => ti_source(base, probability),
             SourceAnnotation::X {
                 xid,
                 altid,
                 probability,
-            } => format!("x_{}", fp(&[xid, altid, probability])),
+            } => x_source(base, xid, altid, probability),
             SourceAnnotation::CTable {
                 variables,
                 condition,
-            } => {
-                let mut parts: Vec<&str> = variables.iter().map(String::as_str).collect();
-                parts.push(condition);
-                format!("ct_{}", fp(&parts))
-            }
-        };
-        let derived = format!("__ua__{name}__{fingerprint}");
-        if catalog.get(&derived).is_none() {
-            let base = catalog
-                .get(name)
-                .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-            let encoded = match annotation {
-                SourceAnnotation::Ti { probability } => ti_source(&base, probability)?,
-                SourceAnnotation::X {
-                    xid,
-                    altid,
-                    probability,
-                } => x_source(&base, xid, altid, probability)?,
-                SourceAnnotation::CTable {
-                    variables,
-                    condition,
-                } => ctable_source(&base, variables, condition)?,
-            };
-            catalog.register(derived.clone(), encoded);
-        }
-        let _ = self.session;
-        Ok(Plan::Scan(derived))
+            } => ctable_source(base, variables, condition),
+        })
     }
 }
 
-fn float_of(v: &Value) -> Option<f64> {
+/// A probability cell as `f64` (shared by the UA and AU source labelings).
+pub(crate) fn float_of(v: &Value, col: &str) -> Result<f64, EngineError> {
     v.as_f64()
+        .ok_or_else(|| EngineError::Sql(format!("probability column `{col}` must be numeric")))
 }
 
-fn keep_columns(schema: &Schema, exclude: &[usize]) -> (Vec<usize>, Vec<Column>) {
+/// The columns of `schema` outside `exclude` (the annotation's bookkeeping
+/// columns): their indices and their `Column`s.
+pub(crate) fn keep_columns(schema: &Schema, exclude: &[usize]) -> (Vec<usize>, Vec<Column>) {
     let mut keep = Vec::new();
     let mut cols = Vec::new();
     for (i, col) in schema.columns().iter().enumerate() {
@@ -1043,9 +1055,7 @@ pub fn ti_source(table: &Table, prob_col: &str) -> Result<Table, EngineError> {
     cols.push(Column::unqualified(UA_LABEL_COLUMN));
     let mut out = Table::new(Schema::new(cols));
     for row in table.rows() {
-        let p = float_of(row.get(p_idx).expect("resolved index")).ok_or_else(|| {
-            EngineError::Sql(format!("probability column `{prob_col}` must be numeric"))
-        })?;
+        let p = float_of(row.get(p_idx).expect("resolved index"), prob_col)?;
         if p >= 0.5 {
             let mut values: Vec<Value> = keep
                 .iter()
@@ -1085,9 +1095,7 @@ pub fn x_source(
     let mut order: Vec<Value> = Vec::new();
     for row in table.rows() {
         let xid = row.get(x_idx).expect("in range").clone();
-        let p = float_of(row.get(p_idx).expect("in range")).ok_or_else(|| {
-            EngineError::Sql(format!("probability column `{prob_col}` must be numeric"))
-        })?;
+        let p = float_of(row.get(p_idx).expect("in range"), prob_col)?;
         match blocks.get_mut(&xid) {
             Some(b) => {
                 b.total += p;
@@ -1186,11 +1194,11 @@ pub fn ctable_source(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ua_data::tuple;
 
-    fn geocoder_session() -> UaSession {
+    pub(crate) fn geocoder_session() -> UaSession {
         // The paper's running example (Figures 2/3) as an x-relation stored
         // row-wise with xid/altid/probability columns.
         let session = UaSession::new();

@@ -178,7 +178,6 @@ fn det_over(world: &Table, sql: &str) -> Table {
 
 #[test]
 fn au_bounds_enclose_every_world_including_group_by() {
-    ua_vecexec::install();
     for seed in 0..32u64 {
         let blocks = gen_blocks(seed);
         let worlds = enumerate_worlds(&blocks);
@@ -240,7 +239,6 @@ fn au_bounds_enclose_every_world_including_group_by() {
 /// world of the tuple-independent ground truth.
 #[test]
 fn ti_group_by_sum_count_end_to_end() {
-    ua_vecexec::install();
     let base = Table::from_rows(
         Schema::qualified("t", ["g", "v", "p"]),
         vec![
@@ -350,7 +348,6 @@ fn sweep_queries() -> Vec<String> {
 /// world.
 #[test]
 fn au_results_stable_across_threads_and_optimizer() {
-    ua_vecexec::install();
     for seed in 0..6u64 {
         let blocks = gen_blocks(seed);
         let worlds = enumerate_worlds(&blocks);
@@ -411,7 +408,6 @@ fn au_results_stable_across_threads_and_optimizer() {
 /// back.
 #[test]
 fn au_vec_covered_plans_do_not_fall_back() {
-    ua_vecexec::install();
     let blocks = gen_blocks(3);
     const COUNTERS: [&str; 7] = [
         "au.vec.fallback.join",
@@ -483,7 +479,6 @@ fn negation_query_pairs() -> Vec<(String, String)> {
 /// byte, and none of the batch-native `au.vec.fallback.*` counters move.
 #[test]
 fn au_negation_bounds_enclose_every_world() {
-    ua_vecexec::install();
     const COUNTERS: [&str; 8] = [
         "au.vec.fallback.join",
         "au.vec.fallback.hash_join",
@@ -559,7 +554,6 @@ fn au_negation_bounds_enclose_every_world() {
 /// on BOTH engines — the same class of hole PR 4 closed for ORDER BY.
 #[test]
 fn marker_in_group_by_rejected_on_both_engines() {
-    ua_vecexec::install();
     let blocks = gen_blocks(1);
     for sql in [
         "SELECT ua_c, count(*) AS n FROM {src} GROUP BY ua_c".replace("{src}", X_SOURCE),

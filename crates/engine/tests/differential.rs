@@ -576,7 +576,6 @@ fn run_det_threads(sql: &str, optimizer: bool, threads: usize) -> Result<Table, 
 /// The two engines either both fail, or produce byte-identical encoded
 /// tables (same rows, same trailing `ua_c` labels, same order).
 fn assert_engines_agree_ua(sql: &str, optimizer: bool) {
-    ua_vecexec::install();
     let row = run_ua(sql, ExecMode::Row, optimizer);
     let vec = run_ua(sql, ExecMode::Vectorized, optimizer);
     match (row, vec) {
@@ -643,7 +642,6 @@ proptest! {
     /// thread count (morsel merge order is the determinism contract).
     #[test]
     fn ua_order_by_agrees_across_engines_and_threads(sql in arb_order_by()) {
-        ua_vecexec::install();
         for optimizer in [true, false] {
             let row = run_ua(&sql, ExecMode::Row, optimizer);
             for threads in [1usize, 2, 8] {
@@ -676,7 +674,6 @@ proptest! {
     /// engine's, at every thread count.
     #[test]
     fn det_group_by_agrees_across_engines_and_threads(sql in arb_group_by()) {
-        ua_vecexec::install();
         for optimizer in [true, false] {
             let row = run_det(&sql, ExecMode::Row, optimizer);
             for threads in [1usize, 2, 8] {
@@ -708,7 +705,6 @@ proptest! {
     /// engine-specific acceptance).
     #[test]
     fn ua_rejects_group_by_uniformly(sql in arb_group_by()) {
-        ua_vecexec::install();
         for optimizer in [true, false] {
             let row = run_ua(&sql, ExecMode::Row, optimizer);
             prop_assert!(row.is_err(), "UA must reject aggregation: {}", &sql);
@@ -729,7 +725,6 @@ proptest! {
     /// executor produce byte-identical flattened encoded tables.
     #[test]
     fn au_engines_agree_on_group_by(sql in arb_group_by()) {
-        ua_vecexec::install();
         let row = seeded_session(ExecMode::Row, true).query_au(&sql);
         let vec = seeded_session(ExecMode::Vectorized, true).query_au(&sql);
         match (row, vec) {
@@ -762,7 +757,6 @@ proptest! {
     /// the optimizer preserves the result multiset (labels included).
     #[test]
     fn ua_negation_agrees_across_engines_and_threads(sql in arb_negation()) {
-        ua_vecexec::install();
         let mut per_opt: Vec<Option<Vec<Tuple>>> = Vec::new();
         for optimizer in [true, false] {
             let row = run_ua(&sql, ExecMode::Row, optimizer);
@@ -800,7 +794,6 @@ proptest! {
     /// grid.
     #[test]
     fn det_negation_agrees_across_engines_and_threads(sql in arb_negation()) {
-        ua_vecexec::install();
         for optimizer in [true, false] {
             let row = run_det(&sql, ExecMode::Row, optimizer);
             for threads in [1usize, 2, 8] {
@@ -832,7 +825,6 @@ proptest! {
     /// flattened encoded tables.
     #[test]
     fn au_engines_agree_on_negation(sql in arb_negation()) {
-        ua_vecexec::install();
         let row = seeded_session(ExecMode::Row, true).query_au(&sql);
         let vec = seeded_session(ExecMode::Vectorized, true).query_au(&sql);
         match (row, vec) {
@@ -863,7 +855,6 @@ proptest! {
     /// to their best-guess worlds; no labels): engines and optimizer agree.
     #[test]
     fn det_engines_agree_on_random_sql(sql in arb_query()) {
-        ua_vecexec::install();
         for optimizer in [true, false] {
             let row = run_det(&sql, ExecMode::Row, optimizer);
             let vec = run_det(&sql, ExecMode::Vectorized, optimizer);
@@ -895,7 +886,6 @@ proptest! {
 /// column; the vectorized engine errored).
 #[test]
 fn annotated_source_alias_resolves_columns_in_both_engines() {
-    ua_vecexec::install();
     let queries = [
         "SELECT x.a FROM ti IS TI WITH PROBABILITY (p) x WHERE x.a >= 0",
         "SELECT x.a AS c0 FROM ti IS TI WITH PROBABILITY (p) x ORDER BY x.a LIMIT 5",
@@ -954,7 +944,6 @@ fn positional_predicates_keep_runtime_binding_semantics_in_vectorized_ua() {
     use ua_data::RaExpr;
     use ua_semiring::pair::Ua;
 
-    ua_vecexec::install();
     let mk = |name: &str, cols: [&str; 2], rows: &[(i64, i64)]| -> Relation<Ua<u64>> {
         Relation::from_annotated(
             Schema::qualified(name, cols),
@@ -998,7 +987,6 @@ fn positional_predicates_keep_runtime_binding_semantics_in_vectorized_ua() {
 /// the same join order; this is what makes byte-equality possible.)
 #[test]
 fn multi_way_comma_joins_agree_across_engines_and_optimizer() {
-    ua_vecexec::install();
     let queries = [
         // Chain through the middle relation.
         "SELECT * FROM ti IS TI WITH PROBABILITY (p) x, \
@@ -1035,13 +1023,4 @@ fn multi_way_comma_joins_agree_across_engines_and_optimizer() {
             assert_eq!(row.rows(), vec.rows(), "det optimizer={optimizer}: {sql}");
         }
     }
-}
-
-#[test]
-fn vectorized_mode_is_installed_for_this_harness() {
-    // `ua_vecexec::install()` is idempotent; make the dependency explicit so
-    // a future refactor that drops the hook registration fails loudly here
-    // rather than via per-case query errors.
-    ua_vecexec::install();
-    assert!(ua_engine::vectorized_hooks().is_some());
 }

@@ -281,7 +281,6 @@ fn each_pass_preserves_certain_label_soundness() {
 /// `certain(optimized) ⊆ certain(unoptimized) ⊆ cert_ℕ(Q(𝒟))`.
 #[test]
 fn reordered_three_way_join_stays_c_sound_on_both_engines() {
-    ua_vecexec::install();
     let query = three_way_star_query();
     for seed in 0..6u64 {
         let incomplete = five_world_db(seed);
@@ -342,7 +341,6 @@ fn reordered_three_way_join_stays_c_sound_on_both_engines() {
 /// what must survive any future, lossier Top-K (e.g. an approximate heap).
 #[test]
 fn topk_rewrite_stays_c_sound_on_both_engines() {
-    ua_vecexec::install();
     // SQL form of the comma-join query (the session registers the encoded
     // relations under their plain names) plus its RA⁺ core for the
     // ground-truth possible-worlds evaluation.
@@ -428,7 +426,6 @@ fn topk_rewrite_stays_c_sound_on_both_engines() {
 /// preserve the result multiset.
 #[test]
 fn negation_queries_stay_c_sound_on_both_engines() {
-    ua_vecexec::install();
     let queries = [
         "SELECT r.a FROM r EXCEPT SELECT s.d FROM s",
         "SELECT r.a FROM r EXCEPT ALL SELECT s.b FROM s",
@@ -518,7 +515,6 @@ fn negation_queries_stay_c_sound_on_both_engines() {
 
 #[test]
 fn full_sessions_stay_c_sound_on_both_engines() {
-    ua_vecexec::install();
     for seed in 0..4u64 {
         let incomplete = five_world_db(seed);
         for mode in [ExecMode::Row, ExecMode::Vectorized] {

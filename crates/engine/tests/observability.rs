@@ -86,7 +86,6 @@ const AU_SQL: &str = "SELECT x.g, count(*) AS n, sum(x.v) AS s \
 /// deterministic, UA, and AU query paths.
 #[test]
 fn instrumentation_never_changes_results() {
-    ua_vecexec::install();
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
         for optimizer in [true, false] {
             for threads in [1usize, 2, 8] {
@@ -136,7 +135,6 @@ fn instrumentation_never_changes_results() {
 /// engines; the vectorized report includes the morsel-pool line.
 #[test]
 fn explain_analyze_reports_operators_on_both_engines() {
-    ua_vecexec::install();
     let s = seeded_session();
 
     s.set_exec_mode(ExecMode::Row);
@@ -176,7 +174,6 @@ fn explain_analyze_reports_operators_on_both_engines() {
 /// UA and AU EXPLAIN ANALYZE work end to end as well.
 #[test]
 fn explain_analyze_covers_ua_and_au_semantics() {
-    ua_vecexec::install();
     let s = seeded_session();
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
         s.set_exec_mode(mode);
@@ -200,7 +197,6 @@ fn explain_analyze_covers_ua_and_au_semantics() {
 /// sweep of DISTINCT, aggregation, joins and set operations.
 #[test]
 fn au_vectorized_fallback_counters_stay_zero() {
-    ua_vecexec::install();
     let s = seeded_session();
     s.set_exec_mode(ExecMode::Vectorized);
     let reg = ua_obs::global();
@@ -246,7 +242,6 @@ fn au_vectorized_fallback_counters_stay_zero() {
 /// trip the misestimate counter on correctly planned queries.
 #[test]
 fn aggregate_estimates_are_post_grouping() {
-    ua_vecexec::install();
     let s = seeded_session();
     let sub_join = "SELECT a.g, x.v FROM \
                     (SELECT y.g AS g, count(*) AS n FROM t IS TI WITH PROBABILITY (p) y \
@@ -281,7 +276,6 @@ fn aggregate_estimates_are_post_grouping() {
 /// 15× and trip the misestimate counter on a correctly planned query.
 #[test]
 fn distinct_estimates_are_post_dedup() {
-    ua_vecexec::install();
     let s = seeded_session();
     let sub_join = "SELECT a.g, d.region FROM \
                     (SELECT DISTINCT c.dk AS g FROM cust c) a, \
@@ -311,7 +305,6 @@ fn distinct_estimates_are_post_dedup() {
 /// joins in the planner feedback counters.
 #[test]
 fn planner_feedback_counters_observe_joins() {
-    ua_vecexec::install();
     let s = seeded_session();
     s.set_stats_enabled(true);
     let reg = ua_obs::global();

@@ -245,7 +245,6 @@ fn explain_ua_snapshots_the_hash_join() {
 /// (`Value::join_key`) instead of comparing tuples structurally.
 #[test]
 fn hash_keys_keep_coercing_equality_semantics() {
-    ua_vecexec::install();
     for mode in [ua_engine::ExecMode::Row, ua_engine::ExecMode::Vectorized] {
         for optimizer in [true, false] {
             let session = UaSession::with_mode(mode);
@@ -493,7 +492,6 @@ fn stacked_error_capable_filters_keep_their_guard_order_when_reordered() {
     let opt = ua_engine::execute(&optimized, &c)
         .unwrap_or_else(|e| panic!("optimized plan errored where raw succeeded: {e}\n{optimized}"));
     assert_eq!(raw.sorted_rows(), opt.sorted_rows());
-    ua_vecexec::install();
     let vec = ua_vecexec::execute_vectorized(&optimized, &c).expect("vectorized");
     assert_eq!(opt.rows(), vec.rows());
 }
@@ -649,7 +647,6 @@ fn optimizer_toggle_restores_raw_plans() {
 /// counts, `estimate_rows` cardinalities, batch counts — is exact.
 #[test]
 fn explain_analyze_golden_snapshot() {
-    ua_vecexec::install();
     let s = UaSession::new();
     s.register_table(
         "emp",

@@ -40,7 +40,6 @@ fn session(mode: ExecMode) -> UaSession {
 #[test]
 fn det_except_all() {
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
-        ua_vecexec::install();
         let t = session(mode)
             .query_det("SELECT r.a FROM r EXCEPT ALL SELECT s.b FROM s")
             .unwrap();
@@ -52,7 +51,6 @@ fn det_except_all() {
 #[test]
 fn det_except_distinct() {
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
-        ua_vecexec::install();
         let t = session(mode)
             .query_det("SELECT r.a FROM r EXCEPT SELECT s.b FROM s")
             .unwrap();
@@ -64,7 +62,6 @@ fn det_except_distinct() {
 #[test]
 fn det_left_join() {
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
-        ua_vecexec::install();
         let t = session(mode)
             .query_det("SELECT r.a, s.b FROM r LEFT JOIN s ON r.a = s.b")
             .unwrap();
@@ -82,7 +79,6 @@ fn det_left_join() {
 #[test]
 fn det_right_join() {
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
-        ua_vecexec::install();
         let t = session(mode)
             .query_det("SELECT r.a, s.b FROM r RIGHT JOIN s ON r.a = s.b")
             .unwrap();
@@ -94,7 +90,6 @@ fn det_right_join() {
 #[test]
 fn det_not_exists() {
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
-        ua_vecexec::install();
         let t = session(mode)
             .query_det("SELECT r.a FROM r WHERE NOT EXISTS (SELECT s.b FROM s WHERE s.b > 10)")
             .unwrap();
@@ -110,7 +105,6 @@ fn det_not_exists() {
 #[test]
 fn det_not_in() {
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
-        ua_vecexec::install();
         let t = session(mode)
             .query_det("SELECT r.a FROM r WHERE r.a NOT IN (SELECT s.b FROM s)")
             .unwrap();
@@ -142,7 +136,6 @@ fn det_not_in_with_null_in_subquery() {
 
 #[test]
 fn ua_except_and_outer_join() {
-    ua_vecexec::install();
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
         let s = session(mode);
         let r = s
@@ -171,7 +164,6 @@ fn ua_except_and_outer_join() {
 
 #[test]
 fn ua_engines_agree_on_negation_smoke() {
-    ua_vecexec::install();
     let queries = [
         "SELECT x.a FROM r IS TI WITH PROBABILITY (p) x \
          EXCEPT ALL SELECT y.b FROM s IS TI WITH PROBABILITY (p) y",
@@ -209,7 +201,6 @@ fn ua_engines_agree_on_negation_smoke() {
 
 #[test]
 fn au_negation_smoke() {
-    ua_vecexec::install();
     let queries = [
         "SELECT x.a FROM r IS TI WITH PROBABILITY (p) x \
          EXCEPT ALL SELECT y.b FROM s IS TI WITH PROBABILITY (p) y",

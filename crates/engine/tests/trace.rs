@@ -205,7 +205,6 @@ fn assert_well_formed(events: &[Ev], ctx: &str) {
 /// on the synthetic pool-worker threads.
 #[test]
 fn trace_export_is_valid_perfetto() {
-    ua_vecexec::install();
     let s = seeded_session();
     s.set_trace_enabled(true);
     s.set_vec_threads(8);
@@ -270,7 +269,6 @@ fn trace_export_is_valid_perfetto() {
 /// contract runs.
 #[test]
 fn tracing_never_changes_results() {
-    ua_vecexec::install();
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
         for optimizer in [true, false] {
             for threads in [1usize, 2, 8] {
@@ -315,7 +313,6 @@ fn tracing_never_changes_results() {
 /// — and the trace stays balanced (error paths close their spans).
 #[test]
 fn failed_query_still_reports_partial_stats() {
-    ua_vecexec::install();
     let s = seeded_session();
     s.set_stats_enabled(true);
     s.set_trace_enabled(true);
@@ -350,7 +347,6 @@ fn failed_query_still_reports_partial_stats() {
 /// BOTH engines, plus the query-level memory high-water mark.
 #[test]
 fn explain_analyze_reports_memory_and_bound_width() {
-    ua_vecexec::install();
     let s = seeded_session();
     let au3 = "SELECT d.region, count(*) AS n, sum(x.v) AS s \
                FROM t IS TI WITH PROBABILITY (p) x \
@@ -398,7 +394,6 @@ fn explain_analyze_reports_memory_and_bound_width() {
 /// logical byte figures, single-threaded).
 #[test]
 fn golden_render_includes_mem_and_uncertainty_columns() {
-    ua_vecexec::install();
     let s = seeded_session();
     s.set_exec_mode(ExecMode::Vectorized);
     s.set_vec_threads(1);

@@ -29,17 +29,16 @@
 //! ## Determinism
 //!
 //! Instrumentation lives **off the result path**: executors time and count
-//! alongside the data they were already producing and deposit the finished
-//! tree in a thread-local handoff slot ([`set_last_query_stats`] /
-//! [`take_last_query_stats`]), so query *results* are byte-identical
-//! whether collection is on or off — the differential tests assert it.
+//! alongside the data they were already producing and return the finished
+//! [`QueryStats`] by value next to the result, so query *results* are
+//! byte-identical whether collection is on or off — the differential tests
+//! assert it.
 //! Only the stats themselves (wall times, worker attribution) vary run to
 //! run; row counts and tree shape are deterministic.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -545,28 +544,6 @@ impl QueryStats {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local handoff
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static LAST_QUERY_STATS: RefCell<Option<QueryStats>> = const { RefCell::new(None) };
-}
-
-/// Deposit a finished query's stats for the caller on this thread (query
-/// execution is synchronous, so the session that dispatched the query
-/// collects from the same thread). Executors call this; sessions call
-/// [`take_last_query_stats`].
-pub fn set_last_query_stats(stats: QueryStats) {
-    LAST_QUERY_STATS.with(|s| *s.borrow_mut() = Some(stats));
-}
-
-/// Take (and clear) the stats deposited by the last instrumented execution
-/// on this thread.
-pub fn take_last_query_stats() -> Option<QueryStats> {
-    LAST_QUERY_STATS.with(|s| s.borrow_mut().take())
-}
-
-// ---------------------------------------------------------------------------
 // Small shared helpers
 // ---------------------------------------------------------------------------
 
@@ -695,20 +672,6 @@ mod tests {
         child.wall_ns = 30;
         parent.children.push(child);
         assert_eq!(parent.self_ns(), 70);
-    }
-
-    #[test]
-    fn handoff_slot_roundtrip() {
-        assert!(take_last_query_stats().is_none());
-        set_last_query_stats(QueryStats {
-            engine: "row".into(),
-            semantics: "det".into(),
-            root: OperatorStats::new("Scan", "t"),
-            ..QueryStats::default()
-        });
-        let got = take_last_query_stats().expect("deposited");
-        assert_eq!(got.engine, "row");
-        assert!(take_last_query_stats().is_none(), "take clears");
     }
 
     #[test]

@@ -67,6 +67,14 @@ impl From<ua_data::algebra::RaError> for EngineError {
     }
 }
 
+/// The error both executors raise for UA queries outside the supported
+/// fragment — one string so the row and vectorized paths fail identically
+/// (the differential harness compares error messages).
+pub const UA_FRAGMENT_ERROR: &str = "UA queries support the relational algebra \
+     (selection, projection, join, UNION ALL, EXCEPT, LEFT/RIGHT OUTER JOIN) \
+     plus trailing ORDER BY/LIMIT; DISTINCT and aggregation are not closed \
+     under UA semantics";
+
 /// Execute `plan` against `catalog`, materializing the result.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
     execute_traced(plan, catalog, &mut Tracer::off())
@@ -585,7 +593,7 @@ pub fn outer_join_stream(
 /// preserved-side row index and the matched other-side row index (`None`
 /// for the NULL-padded miss). The UA frontend combines certainty markers
 /// through these indices.
-pub(crate) fn outer_join_pairs(
+pub fn outer_join_pairs(
     l: &Table,
     r: &Table,
     predicate: Option<&Expr>,

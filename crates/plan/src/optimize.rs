@@ -53,7 +53,7 @@
 //!   so positions valid against encoded schemas would misalign there.
 
 use crate::plan::Plan;
-use crate::sql::planner::plan_schema;
+use crate::sql::planner::{is_system_column, plan_schema};
 use crate::storage::{Catalog, TableStats};
 use std::sync::Arc;
 use ua_data::algebra::{shift_columns, ProjColumn};
@@ -77,7 +77,10 @@ pub struct OptimizerPasses {
     /// the `ua_c` marker out of its batches, so positions computed against
     /// encoded schemas would split at the wrong arity and silently join on
     /// the wrong columns. Named references are always safe (the marker
-    /// never participates in name resolution).
+    /// never participates in name resolution). With it off, reordering
+    /// also sees each leaf's *user-visible* schema — no trailing `ua_c`,
+    /// no AU bound or multiplicity sidecars — which is what the vectorized
+    /// UA batches and the AU relations carry at run time.
     pub positional_joins: bool,
     /// Fuse `Limit(Sort(..))` into the bounded-heap [`Plan::TopK`]
     /// operator ([`fuse_topk`]).
@@ -109,7 +112,7 @@ pub fn optimize_with(plan: Plan, catalog: &Catalog, passes: OptimizerPasses) -> 
     }
     if passes.plan_joins {
         if passes.reorder_joins {
-            plan = reorder_joins_impl(plan, catalog, passes.positional_joins, false);
+            plan = reorder_joins_impl(plan, catalog, passes.positional_joins);
         }
         plan = plan_joins_impl(plan, catalog, passes.positional_joins);
         if passes.push_filters {
@@ -1121,7 +1124,7 @@ pub const DP_MAX_RELATIONS: usize = 6;
 /// remapped — use [`reorder_joins_ua`] when runtime schemas differ from
 /// `plan_schema`.
 pub fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
-    reorder_joins_impl(plan, catalog, true, false)
+    reorder_joins_impl(plan, catalog, true)
 }
 
 /// [`reorder_joins`] for *user* `RA⁺` plans over UA-annotated sources, as
@@ -1132,12 +1135,12 @@ pub fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
 /// path's marker-stripped batches), and the emitted plan stays in the
 /// `RA⁺` fragment so `Plan::to_ra` succeeds.
 pub fn reorder_joins_ua(plan: Plan, catalog: &Catalog) -> Plan {
-    reorder_joins_impl(plan, catalog, false, true)
+    reorder_joins_impl(plan, catalog, false)
 }
 
-fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool, strip: bool) -> Plan {
+fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool) -> Plan {
     if peels_to_join(&plan) {
-        return match try_reorder(&plan, catalog, positional, strip) {
+        return match try_reorder(&plan, catalog, positional) {
             Some(reordered) => reordered,
             // The region was analyzed and left as-written (best order
             // already, or unreorderable). Walk through its filters and
@@ -1145,22 +1148,22 @@ fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool, strip: bo
             // on the bare join under the filter stack would reorder by
             // raw cross-product sizes, blind to the stack's conjuncts —
             // and give only the region's leaves their own turn.
-            None => descend_region(plan, catalog, positional, strip),
+            None => descend_region(plan, catalog, positional),
         };
     }
     // Structural recursion: the node itself stays, children get their turn.
     match plan {
         Plan::Scan(name) => Plan::Scan(name),
         Plan::Alias { input, name } => Plan::Alias {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             name,
         },
         Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             predicate,
         },
         Plan::Map { input, columns } => Plan::Map {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             columns,
         },
         Plan::Join {
@@ -1168,8 +1171,8 @@ fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool, strip: bo
             right,
             predicate,
         } => Plan::Join {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional, strip)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional, strip)),
+            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
+            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
             predicate,
         },
         Plan::HashJoin {
@@ -1179,22 +1182,22 @@ fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool, strip: bo
             residual,
             build_left,
         } => Plan::HashJoin {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional, strip)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional, strip)),
+            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
+            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
             keys,
             residual,
             build_left,
         },
         Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional, strip)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional, strip)),
+            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
+            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
         },
         // Reorder barriers: `flatten_join_tree` treats both as leaves (a
         // difference or padded join cannot commute with inner joins), but
         // each side is its own reorderable region.
         Plan::Except { left, right, all } => Plan::Except {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional, strip)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional, strip)),
+            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
+            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
             all,
         },
         Plan::OuterJoin {
@@ -1203,33 +1206,33 @@ fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool, strip: bo
             predicate,
             kind,
         } => Plan::OuterJoin {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional, strip)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional, strip)),
+            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
+            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
             predicate,
             kind,
         },
         Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
         },
         Plan::Aggregate {
             input,
             group_by,
             aggregates,
         } => Plan::Aggregate {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             group_by,
             aggregates,
         },
         Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             keys,
         },
         Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             limit,
         },
         Plan::TopK { input, keys, limit } => Plan::TopK {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional, strip)),
+            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
             keys,
             limit,
         },
@@ -1238,10 +1241,10 @@ fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool, strip: bo
 
 /// Recurse into an analyzed-but-unchanged join region: filters and joins
 /// pass through untouched, leaves re-enter the reorder pass.
-fn descend_region(plan: Plan, catalog: &Catalog, positional: bool, strip: bool) -> Plan {
+fn descend_region(plan: Plan, catalog: &Catalog, positional: bool) -> Plan {
     match plan {
         Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(descend_region(*input, catalog, positional, strip)),
+            input: Box::new(descend_region(*input, catalog, positional)),
             predicate,
         },
         Plan::Join {
@@ -1249,11 +1252,11 @@ fn descend_region(plan: Plan, catalog: &Catalog, positional: bool, strip: bool) 
             right,
             predicate,
         } => Plan::Join {
-            left: Box::new(descend_region(*left, catalog, positional, strip)),
-            right: Box::new(descend_region(*right, catalog, positional, strip)),
+            left: Box::new(descend_region(*left, catalog, positional)),
+            right: Box::new(descend_region(*right, catalog, positional)),
             predicate,
         },
-        other => reorder_joins_impl(other, catalog, positional, strip),
+        other => reorder_joins_impl(other, catalog, positional),
     }
 }
 
@@ -1311,7 +1314,7 @@ impl Tree {
 /// unresolvable schemas, positional references in name-only mode, an
 /// unexpressible column-order restoration, or a chosen order equal to the
 /// as-written one.
-fn try_reorder(plan: &Plan, catalog: &Catalog, positional: bool, strip: bool) -> Option<Plan> {
+fn try_reorder(plan: &Plan, catalog: &Catalog, positional: bool) -> Option<Plan> {
     // Peel the filter stack sitting on the outermost join.
     let mut conjuncts: Vec<Expr> = Vec::new();
     let mut core = plan;
@@ -1327,16 +1330,17 @@ fn try_reorder(plan: &Plan, catalog: &Catalog, positional: bool, strip: bool) ->
     }
 
     // Reorder within each leaf first (subqueries carry their own joins),
-    // then snapshot schemas — possibly marker-stripped for the UA path.
+    // then snapshot schemas. Name-only mode means the executor's runtime
+    // schemas are the user-visible ones, not `plan_schema`'s encoded ones.
     let leaves: Vec<Plan> = leaf_refs
         .into_iter()
-        .map(|l| reorder_joins_impl(l.clone(), catalog, positional, strip))
+        .map(|l| reorder_joins_impl(l.clone(), catalog, positional))
         .collect();
     let schemas: Vec<Schema> = leaves
         .iter()
         .map(|l| {
             let s = plan_schema(l, catalog).ok()?;
-            Some(if strip { strip_trailing_marker(s) } else { s })
+            Some(if positional { s } else { user_visible(s) })
         })
         .collect::<Option<_>>()?;
     let offsets: Vec<usize> = schemas
@@ -1552,16 +1556,21 @@ fn flatten_join_tree<'a>(
     }
 }
 
-/// Strip one trailing `ua_c` marker column (the invariant position of the
-/// paper's encoding) so UA-path classification sees user-visible schemas.
-fn strip_trailing_marker(schema: Schema) -> Schema {
-    let cols = schema.columns();
-    match cols.last() {
-        Some(c) if c.name.eq_ignore_ascii_case(ua_core::UA_LABEL_COLUMN) => {
-            Schema::new(cols[..cols.len() - 1].to_vec())
-        }
-        _ => schema,
-    }
+/// The user-visible part of an encoded leaf schema: everything but the
+/// system columns (the UA `ua_c` marker, the AU bound and multiplicity
+/// sidecars). Reordering classifies conjuncts and restores column order
+/// against these — the schemas the vectorized UA batches and the AU
+/// relations actually carry — so a restoring projection never names a
+/// bookkeeping column.
+fn user_visible(schema: Schema) -> Schema {
+    Schema::new(
+        schema
+            .columns()
+            .iter()
+            .filter(|c| !is_system_column(c))
+            .cloned()
+            .collect(),
+    )
 }
 
 /// Classify one conjunct of the flattened join graph. Returns `None` only

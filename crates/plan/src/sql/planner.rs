@@ -372,7 +372,7 @@ fn contains_subquery(expr: &SqlExpr) -> bool {
 }
 
 /// System-managed columns hidden from star expansion and schema restores.
-fn is_system_column(col: &Column) -> bool {
+pub(crate) fn is_system_column(col: &Column) -> bool {
     col.name.eq_ignore_ascii_case(ua_core::UA_LABEL_COLUMN)
         || crate::au::is_au_sidecar_name(&col.name)
 }

@@ -64,11 +64,11 @@ use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashMap;
-use ua_engine::plan::{AggExpr, Plan};
-use ua_engine::stats::node_label;
-use ua_engine::storage::{Catalog, Table};
-use ua_engine::{estimate_rows, EngineError, ExecOptions};
 use ua_obs::{OperatorStats, Stopwatch};
+use ua_plan::plan::{AggExpr, Plan};
+use ua_plan::stats::node_label;
+use ua_plan::storage::{Catalog, Table};
+use ua_plan::{estimate_rows, EngineError, ExecOptions};
 use ua_ranges::{
     au_base_schema, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
     reanchor, truth_range, AggCols, AggKind, AuRelation, MultBound, RangeValue, TripleCol,
@@ -434,7 +434,7 @@ impl<'a> AuDriver<'a> {
             Plan::HashJoin { left, right, .. } => {
                 let (ls, lstat) = self.stream_traced(left)?;
                 let (rs, rstat) = self.stream_traced(right)?;
-                let out = ua_engine::au_binary(plan, &ls.to_relation(), &rs.to_relation())?;
+                let out = ua_plan::au_binary(plan, &ls.to_relation(), &rs.to_relation())?;
                 (
                     AuStream::from_relation(&out, self.batch_rows),
                     lstat.into_iter().chain(rstat).collect(),
@@ -452,7 +452,7 @@ impl<'a> AuDriver<'a> {
             Plan::Except { left, right, .. } | Plan::OuterJoin { left, right, .. } => {
                 let (ls, lstat) = self.stream_traced(left)?;
                 let (rs, rstat) = self.stream_traced(right)?;
-                let out = ua_engine::au_binary(plan, &ls.to_relation(), &rs.to_relation())?;
+                let out = ua_plan::au_binary(plan, &ls.to_relation(), &rs.to_relation())?;
                 (
                     AuStream::from_relation(&out, self.batch_rows),
                     lstat.into_iter().chain(rstat).collect(),
@@ -623,7 +623,7 @@ impl<'a> AuDriver<'a> {
         }
         let kinds: Vec<AggKind> = aggregates
             .iter()
-            .map(|a| ua_engine::agg_kind(a.func))
+            .map(|a| ua_plan::agg_kind(a.func))
             .collect();
         let mut columns: Vec<Column> = group_by.iter().map(|g| g.column.clone()).collect();
         columns.extend(aggregates.iter().map(|a| Column::unqualified(&a.name)));
@@ -635,7 +635,7 @@ impl<'a> AuDriver<'a> {
     /// nested-loop: each left chunk converts straight into range rows
     /// (reusing the stream↔relation conversion) and joins against the
     /// full right relation on its own worker through the shared
-    /// [`ua_engine::au_binary`] → `ua_ranges::ops::join` refinement.
+    /// [`ua_plan::au_binary`] → `ua_ranges::ops::join` refinement.
     /// `join` is left-row-major over the whole right side, so blocks
     /// concatenated in chunk order are byte-identical to one monolithic
     /// call, and errors surface from the lowest-indexed failing chunk —
@@ -661,7 +661,7 @@ impl<'a> AuDriver<'a> {
         let parts: Vec<AuRelation> = if ls.batches.is_empty() {
             // Empty left side: one empty block still produces the joined
             // schema (and any predicate binding error) like the row path.
-            vec![ua_engine::au_binary(
+            vec![ua_plan::au_binary(
                 plan,
                 &AuRelation::new(ls.user.clone()),
                 &right,
@@ -669,7 +669,7 @@ impl<'a> AuDriver<'a> {
         } else {
             self.pool
                 .map_in_order(ls.batches.iter().collect::<Vec<_>>(), |_, batch| {
-                    ua_engine::au_binary(plan, &chunk_rel(batch), &right)
+                    ua_plan::au_binary(plan, &chunk_rel(batch), &right)
                 })
                 .into_iter()
                 .collect::<Result<_, _>>()?
@@ -988,27 +988,28 @@ fn au_stream_mem_bytes(stream: &AuStream) -> u64 {
 }
 
 /// Execute an AU plan with the vectorized engine, returning the flattened
-/// encoded result table — the hook `ua_engine`'s `ExecMode::Vectorized`
-/// AU dispatch calls. `opts.batch_rows` sizes the morsels; `opts.threads`
-/// sizes the morsel pool the per-batch stages (scan chunking, σ, π, final
-/// materialization) map on — batch order is deterministic, so results are
-/// byte-identical across thread counts.
+/// encoded result table. `opts.batch_rows` sizes the morsels;
+/// `opts.threads` sizes the morsel pool the per-batch stages (scan
+/// chunking, σ, π, final materialization) map on — batch order is
+/// deterministic, so results are byte-identical across thread counts.
 pub fn execute_au_vectorized_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> Result<Table, EngineError> {
-    let batch_rows = if opts.batch_rows == 0 {
-        crate::columnar::DEFAULT_BATCH_ROWS
-    } else {
-        opts.batch_rows
-    };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(crate::exec::resolve_threads(opts.threads))
-        .build()
-        .expect("shim pool construction is infallible");
-    pool.set_instrumented(opts.collect_stats || opts.collect_trace);
-    pool.set_spans_recorded(opts.collect_trace);
+    execute_au_vectorized_with_stats(plan, catalog, opts).0
+}
+
+/// [`execute_au_vectorized_opts`] returning the run's
+/// [`ua_obs::QueryStats`] by value next to the result (`Some` iff
+/// `opts.collect_stats`, on the error path too). This is what the
+/// session's `ExecMode::Vectorized` AU dispatch calls.
+pub fn execute_au_vectorized_with_stats(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
+    let (batch_rows, pool) = crate::exec::morsel_setup(opts);
     if opts.collect_stats {
         ua_obs::mem_query_start();
     }
@@ -1019,18 +1020,15 @@ pub fn execute_au_vectorized_opts(
         collect_trace: opts.collect_trace,
         pool,
     };
+    let finish =
+        |root| crate::exec::finish_query_stats(&driver.pool, driver.collect_trace, root, "au");
     let (stream, stats) = match driver.phase("execute", || driver.stream_traced(plan)) {
         Ok(ok) => ok,
         Err(e) => {
-            crate::exec::deposit_query_stats(
-                &driver.pool,
-                driver.collect_trace,
-                driver
-                    .collect_stats
-                    .then(|| crate::exec::error_root(plan, catalog)),
-                "au",
-            );
-            return Err(e);
+            let root = driver
+                .collect_stats
+                .then(|| crate::exec::error_root(plan, catalog));
+            return (Err(e), finish(root));
         }
     };
     let rows = driver.phase("merge", || {
@@ -1045,129 +1043,10 @@ pub fn execute_au_vectorized_opts(
         }
         rows
     });
-    crate::exec::deposit_query_stats(&driver.pool, driver.collect_trace, stats, "au");
-    Ok(Table::from_rows(stream.flat, rows))
+    (Ok(Table::from_rows(stream.flat, rows)), finish(stats))
 }
 
 /// [`execute_au_vectorized_opts`] with default options.
 pub fn execute_au_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
     execute_au_vectorized_opts(plan, catalog, ExecOptions::default())
-}
-
-/// Whether a table in the catalog is AU-encoded (flattened layout).
-pub fn is_au_table(table: &Table) -> bool {
-    au_base_schema(table.schema()).is_some()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ua_data::tuple;
-    use ua_engine::UaSession;
-
-    #[test]
-    fn vectorized_au_matches_row_au() {
-        crate::install();
-        let session = UaSession::new();
-        session.register_table(
-            "t",
-            Table::from_rows(
-                Schema::qualified("t", ["g", "v", "p"]),
-                vec![
-                    tuple![1i64, 10i64, 1.0],
-                    tuple![1i64, 20i64, 0.7],
-                    tuple![2i64, 30i64, 0.4],
-                    tuple![2i64, 40i64, 1.0],
-                ],
-            ),
-        );
-        for sql in [
-            "SELECT g, v FROM t IS TI WITH PROBABILITY (p) x WHERE x.v >= 15",
-            "SELECT g, count(*) AS n, sum(v) AS s FROM t IS TI WITH PROBABILITY (p) x GROUP BY g",
-            "SELECT DISTINCT g FROM t IS TI WITH PROBABILITY (p) x",
-            "SELECT g, v + 1 AS w FROM t IS TI WITH PROBABILITY (p) x ORDER BY w DESC LIMIT 2",
-            "SELECT g, min(v) AS lo, max(v) AS hi, avg(v) AS m FROM t IS TI WITH PROBABILITY (p) x GROUP BY g",
-            // Non-equi and keyless joins exercise the block-nested-loop
-            // against the row engine's monolithic `au_binary` nested loop.
-            "SELECT x.v, y.v FROM t IS TI WITH PROBABILITY (p) x, \
-             t IS TI WITH PROBABILITY (p) y WHERE x.v < y.v",
-            "SELECT x.g, y.g FROM t IS TI WITH PROBABILITY (p) x, \
-             t IS TI WITH PROBABILITY (p) y",
-        ] {
-            let row = {
-                session.set_exec_mode(ua_engine::ExecMode::Row);
-                session
-                    .query_au(sql)
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"))
-            };
-            let vec = {
-                session.set_exec_mode(ua_engine::ExecMode::Vectorized);
-                session
-                    .query_au(sql)
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"))
-            };
-            assert_eq!(row.table.schema(), vec.table.schema(), "{sql}");
-            assert_eq!(row.table.rows(), vec.table.rows(), "{sql}");
-        }
-    }
-
-    #[test]
-    fn au_batch_native_ops_do_not_bump_fallback_counters() {
-        crate::install();
-        let session = UaSession::new();
-        session.register_table(
-            "s",
-            Table::from_rows(
-                Schema::qualified("s", ["k", "v", "p"]),
-                vec![
-                    tuple![1i64, 5i64, 0.9],
-                    tuple![2i64, 6i64, 1.0],
-                    tuple![2i64, 7i64, 0.5],
-                ],
-            ),
-        );
-        session.register_table(
-            "d",
-            Table::from_rows(
-                Schema::qualified("d", ["k", "name", "q"]),
-                vec![tuple![1i64, "one", 1.0], tuple![2i64, "two", 0.8]],
-            ),
-        );
-        session.set_exec_mode(ua_engine::ExecMode::Vectorized);
-        let counters = [
-            "au.vec.fallback.join",
-            "au.vec.fallback.hash_join",
-            "au.vec.fallback.aggregate",
-            "au.vec.fallback.sort",
-            "au.vec.fallback.limit",
-            "au.vec.fallback.top_k",
-            "au.vec.fallback.union_all",
-            "au.vec.fallback.distinct",
-        ];
-        let before: Vec<u64> = counters
-            .iter()
-            .map(|c| ua_obs::global().counter(c).get())
-            .collect();
-        for sql in [
-            "SELECT x.k, sum(x.v) AS s FROM s IS TI WITH PROBABILITY (p) x GROUP BY x.k",
-            "SELECT x.v, y.name FROM s IS TI WITH PROBABILITY (p) x, \
-             d IS TI WITH PROBABILITY (q) y WHERE x.k = y.k",
-            "SELECT x.v FROM s IS TI WITH PROBABILITY (p) x ORDER BY x.v DESC LIMIT 2",
-            "SELECT x.k FROM s IS TI WITH PROBABILITY (p) x WHERE x.v < 6 \
-             UNION ALL SELECT x.k FROM s IS TI WITH PROBABILITY (p) x WHERE x.v >= 6",
-            "SELECT DISTINCT x.k FROM s IS TI WITH PROBABILITY (p) x",
-        ] {
-            session
-                .query_au(sql)
-                .unwrap_or_else(|e| panic!("{sql}: {e}"));
-        }
-        let after: Vec<u64> = counters
-            .iter()
-            .map(|c| ua_obs::global().counter(c).get())
-            .collect();
-        assert_eq!(
-            before, after,
-            "batch-native AU operators must not fall back"
-        );
-    }
 }

@@ -19,8 +19,8 @@ use std::sync::Arc;
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
-use ua_engine::storage::Table;
-use ua_engine::EngineError;
+use ua_plan::storage::Table;
+use ua_plan::EngineError;
 
 /// Default number of rows per batch: small enough for L1/L2-resident
 /// columns, large enough to amortize per-batch dispatch.

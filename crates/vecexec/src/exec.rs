@@ -47,8 +47,9 @@
 //! rows anymore.
 
 use crate::columnar::{
-    batches_from_encoded_table_pooled, batches_from_table_pooled, table_from_batches_pooled,
-    BatchStream, ColumnBatch, DEFAULT_BATCH_ROWS,
+    batches_from_encoded_table_pooled, batches_from_table_pooled,
+    encoded_table_from_batches_pooled, table_from_batches_pooled, BatchStream, ColumnBatch,
+    DEFAULT_BATCH_ROWS,
 };
 use crate::kernels::{filter_selection, project_selected};
 use crate::ops::{self, ProbeState};
@@ -56,40 +57,74 @@ use ua_core::{expr_mentions_marker, UA_LABEL_COLUMN};
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::{Schema, SchemaError};
-use ua_engine::plan::Plan;
-use ua_engine::stats::node_label;
-use ua_engine::storage::{Catalog, Table};
-use ua_engine::{estimate_rows, EngineError, ExecOptions};
 use ua_obs::{OperatorStats, PoolStats, QueryStats, Stopwatch};
+use ua_plan::plan::Plan;
+use ua_plan::stats::node_label;
+use ua_plan::storage::{Catalog, Table};
+use ua_plan::{estimate_rows, EngineError, ExecOptions};
 
 /// Execute `plan` against `catalog` with the vectorized engine using
 /// default options (auto thread count), materializing the result table.
-/// Drop-in replacement for [`ua_engine::execute`].
+/// Drop-in replacement for [`ua_plan::execute`].
 pub fn execute_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
     execute_vectorized_opts(plan, catalog, ExecOptions::default())
 }
 
 /// [`execute_vectorized`] with explicit [`ExecOptions`] (thread count /
-/// batch size). This is the hook the engine's `ExecMode::Vectorized`
-/// dispatch calls.
+/// batch size).
 pub fn execute_vectorized_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> Result<Table, EngineError> {
+    execute_vectorized_with_stats(plan, catalog, opts).0
+}
+
+/// [`execute_vectorized_opts`] returning the run's [`QueryStats`] by value
+/// next to the result — `Some` iff `opts.collect_stats`, on the error path
+/// too (a one-node error-marked tree). This is what the session's
+/// `ExecMode::Vectorized` dispatch calls.
+pub fn execute_vectorized_with_stats(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+) -> (Result<Table, EngineError>, Option<QueryStats>) {
+    run(plan, catalog, opts, false)
+}
+
+/// The det/UA entry point: stream `plan` through a [`Driver`] and
+/// materialize the result (`ua` = scans decode UA-encoded tables into label
+/// bitmaps and the marker column is re-attached on the way out).
+pub(crate) fn run(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+    ua: bool,
+) -> (Result<Table, EngineError>, Option<QueryStats>) {
     if opts.collect_stats {
         ua_obs::mem_query_start();
     }
-    let driver = Driver::new(catalog, opts, false);
+    let driver = Driver::new(catalog, opts, ua);
+    let finish = |root| {
+        let semantics = if ua { "ua" } else { "det" };
+        finish_query_stats(&driver.pool, driver.collect_trace, root, semantics)
+    };
     match driver.stream_traced(plan) {
         Ok((stream, stats)) => {
-            let table = driver.phase("merge", || table_from_batches_pooled(&stream, &driver.pool));
-            driver.deposit_stats(stats, "det");
-            Ok(table)
+            let table = driver.phase("merge", || {
+                if ua {
+                    encoded_table_from_batches_pooled(&stream, &driver.pool)
+                } else {
+                    table_from_batches_pooled(&stream, &driver.pool)
+                }
+            });
+            (Ok(table), finish(stats))
         }
+        // A failed run still reports *something*: a one-node error-marked
+        // tree naming the failing plan's root operator.
         Err(e) => {
-            driver.deposit_error_stats(plan, "det");
-            Err(e)
+            let root = driver.collect_stats.then(|| error_root(plan, catalog));
+            (Err(e), finish(root))
         }
     }
 }
@@ -152,6 +187,23 @@ pub(crate) fn reject_marker_reference(expr: &Expr) -> Result<(), EngineError> {
     } else {
         Ok(())
     }
+}
+
+/// Resolve `opts` into the morsel size and the (optionally instrumented)
+/// worker pool one query runs on — shared by the det/UA and AU drivers.
+pub(crate) fn morsel_setup(opts: ExecOptions) -> (usize, rayon::ThreadPool) {
+    let batch_rows = if opts.batch_rows == 0 {
+        DEFAULT_BATCH_ROWS
+    } else {
+        opts.batch_rows
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(resolve_threads(opts.threads))
+        .build()
+        .expect("shim pool construction is infallible");
+    pool.set_instrumented(opts.collect_stats || opts.collect_trace);
+    pool.set_spans_recorded(opts.collect_trace);
+    (batch_rows, pool)
 }
 
 /// One query's execution context: catalog, batch size, thread pool, and
@@ -223,17 +275,7 @@ enum Stage {
 
 impl<'a> Driver<'a> {
     pub(crate) fn new(catalog: &'a Catalog, opts: ExecOptions, ua: bool) -> Driver<'a> {
-        let batch_rows = if opts.batch_rows == 0 {
-            DEFAULT_BATCH_ROWS
-        } else {
-            opts.batch_rows
-        };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(resolve_threads(opts.threads))
-            .build()
-            .expect("shim pool construction is infallible");
-        pool.set_instrumented(opts.collect_stats || opts.collect_trace);
-        pool.set_spans_recorded(opts.collect_trace);
+        let (batch_rows, pool) = morsel_setup(opts);
         Driver {
             catalog,
             batch_rows,
@@ -264,22 +306,6 @@ impl<'a> Driver<'a> {
         let mut t = ua_obs::MemTracker::new();
         t.alloc(bytes);
         self.mem.borrow_mut().push(t);
-    }
-
-    /// Publish an instrumented run's stats through the thread-local
-    /// handoff slot ([`ua_obs::set_last_query_stats`]) for the session to
-    /// adopt — the hook signatures stay stats-agnostic.
-    pub(crate) fn deposit_stats(&self, root: Option<OperatorStats>, semantics: &str) {
-        deposit_query_stats(&self.pool, self.collect_trace, root, semantics);
-    }
-
-    /// Deposit a one-node error-marked stats tree for a query that failed
-    /// mid-execution, so `last_query_stats()` still reports *something*
-    /// (engine, semantics, the failing plan's root operator) instead of
-    /// silently yielding the previous query's stats.
-    pub(crate) fn deposit_error_stats(&self, plan: &Plan, semantics: &str) {
-        let root = self.collect_stats.then(|| error_root(plan, self.catalog));
-        self.deposit_stats(root, semantics);
     }
 
     /// Execute `plan` to a batch stream.
@@ -648,7 +674,7 @@ impl<'a> Driver<'a> {
                         l,
                         r,
                         predicate.as_ref(),
-                        *kind == ua_engine::plan::OuterKind::Left,
+                        *kind == ua_plan::plan::OuterKind::Left,
                         Some(&self.pool),
                     )?,
                     children,
@@ -698,7 +724,7 @@ impl<'a> Driver<'a> {
                 )
             }
             Plan::Distinct { .. } | Plan::Aggregate { .. } => {
-                return Err(EngineError::Sql(ua_engine::UA_FRAGMENT_ERROR.into()))
+                return Err(EngineError::Sql(ua_plan::UA_FRAGMENT_ERROR.into()))
             }
             Plan::Filter { .. }
             | Plan::Map { .. }
@@ -756,7 +782,7 @@ impl<'a> Driver<'a> {
 }
 
 /// Deterministic logical size of one batch, matching the row engine's
-/// [`ua_engine::stats::tuple_mem_bytes`] convention (8 bytes of row
+/// [`ua_plan::stats::tuple_mem_bytes`] convention (8 bytes of row
 /// header plus one 16-byte slot per value, plus string payload lengths):
 /// the figure depends only on logical shape, never on allocator layout,
 /// batch size or thread count, so `mem_bytes` columns are comparable
@@ -778,7 +804,7 @@ pub(crate) fn column_mem_bytes(col: &crate::columnar::ColumnVec) -> u64 {
         ColumnVec::Float(v) => 16 * v.len() as u64,
         ColumnVec::Bool(v) => 16 * v.len() as u64,
         ColumnVec::Str(v) => v.iter().map(|s| 16 + s.len() as u64).sum::<u64>(),
-        ColumnVec::Mixed(v) => v.iter().map(ua_engine::stats::value_mem_bytes).sum::<u64>(),
+        ColumnVec::Mixed(v) => v.iter().map(ua_plan::stats::value_mem_bytes).sum::<u64>(),
     }
 }
 
@@ -807,22 +833,22 @@ pub(crate) fn inject_pool_spans(pool: &rayon::ThreadPool) {
     }
 }
 
-/// Publish an instrumented run's stats through the thread-local handoff
-/// slot, shared by the det/UA driver and the AU driver: replay morsel
-/// spans *before* `take_metrics` drains the shared pool state, and disarm
-/// the memory accumulator unconditionally so an uninstrumented (or
-/// failed) follow-up query starts clean.
-pub(crate) fn deposit_query_stats(
+/// Close an instrumented run into its [`QueryStats`], shared by the
+/// det/UA driver and the AU driver: replay morsel spans *before*
+/// `take_metrics` drains the shared pool state, and disarm the memory
+/// accumulator unconditionally so an uninstrumented (or failed) follow-up
+/// query starts clean.
+pub(crate) fn finish_query_stats(
     pool: &rayon::ThreadPool,
     collect_trace: bool,
     root: Option<OperatorStats>,
     semantics: &str,
-) {
+) -> Option<QueryStats> {
     if collect_trace {
         inject_pool_spans(pool);
     }
     let peak_mem_bytes = ua_obs::mem_query_finish().unwrap_or(0);
-    let Some(root) = root else { return };
+    let root = root?;
     let m = pool.take_metrics();
     let pool_stats = PoolStats {
         workers: m.workers as u64,
@@ -836,18 +862,18 @@ pub(crate) fn deposit_query_stats(
         build_wall_ns: m.build_wall_ns,
         partition_merge_ns: m.partition_merge_ns,
     };
-    ua_obs::set_last_query_stats(QueryStats {
+    Some(QueryStats {
         engine: "vectorized".into(),
         semantics: semantics.into(),
         root,
         pool: Some(pool_stats),
         peak_mem_bytes,
-    });
+    })
 }
 
 /// A one-node stats tree for a failed query: the plan root's label with
-/// an `error` marker, the shape [`crate::exec::Driver::deposit_error_stats`]
-/// and the AU hook deposit so EXPLAIN ANALYZE can say *which* query died.
+/// an `error` marker, the shape the entry points return so EXPLAIN ANALYZE
+/// can say *which* query died.
 pub(crate) fn error_root(plan: &Plan, catalog: &Catalog) -> OperatorStats {
     let (name, detail) = node_label(plan);
     let mut node = OperatorStats::new(name, detail);

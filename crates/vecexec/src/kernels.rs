@@ -35,7 +35,7 @@ use std::sync::Arc;
 use ua_data::expr::{ArithOp, CmpOp, Expr, ExprError, Truth};
 use ua_data::schema::Schema;
 use ua_data::value::{Value, F64};
-use ua_engine::EngineError;
+use ua_plan::EngineError;
 
 /// The result of vectorized scalar evaluation.
 pub enum Evaluated {
@@ -577,7 +577,7 @@ mod tests {
     use ua_data::tuple;
     use ua_data::tuple::Tuple;
     use ua_data::value::VarId;
-    use ua_engine::Table;
+    use ua_plan::Table;
 
     fn batch(rows: Vec<Tuple>, cols: &[&str]) -> ColumnBatch {
         let t = Table::from_rows(Schema::qualified("t", cols.iter().copied()), rows);

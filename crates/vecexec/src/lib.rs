@@ -1,8 +1,8 @@
 //! **ua-vecexec** — a batch-oriented, columnar execution engine for UA-DBs.
 //!
-//! The row executor in `ua-engine` interprets plans tuple at a time and pays
+//! The row executor in `ua-plan` interprets plans tuple at a time and pays
 //! a pair-semiring call per tuple for UA label propagation. This crate runs
-//! the *same* [`Plan`](ua_engine::plan::Plan)s over [`columnar::ColumnBatch`]es
+//! the *same* [`Plan`](ua_plan::plan::Plan)s over [`columnar::ColumnBatch`]es
 //! (~1024-row typed column vectors) and carries the paper's certain/uncertain
 //! annotation as a per-batch **label bitmap** plus a `u64` multiplicity
 //! column, so selection, projection, join and union propagate labels with
@@ -13,7 +13,7 @@
 //! * [`bitmap`] — packed bitmaps for predicate masks and label vectors;
 //! * [`columnar`] — [`columnar::ColumnBatch`], typed
 //!   [`columnar::ColumnVec`]s, and lossless converters to/from
-//!   [`ua_engine::Table`] and [`ua_data::Relation`]`<u64>`;
+//!   [`ua_plan::Table`] and [`ua_data::Relation`]`<u64>`;
 //! * [`kernels`] — vectorized expression/predicate evaluation, bit-exact
 //!   with the row engine's scalar `Expr` evaluator, plus the fused
 //!   selection-consuming kernels (σ→π, σ→probe);
@@ -30,12 +30,18 @@
 //!
 //! ## Opting in
 //!
+//! `ua-engine`'s `UaSession` calls this crate directly; selecting the
+//! executor is the whole opt-in:
+//!
 //! ```
-//! ua_vecexec::install(); // register with the engine (idempotent)
 //! let session = ua_engine::UaSession::new();
 //! session.set_exec_mode(ua_engine::ExecMode::Vectorized);
-//! // session.query_ua(...) / session.query_det(...) now run vectorized.
+//! // session.query_det(...) / query_ua(...) / query_au(...) now run vectorized.
 //! ```
+//!
+//! Without a session, call [`execute_vectorized`], [`execute_ua_vectorized`]
+//! or [`execute_au_vectorized`] on a plan and a catalog; the `*_with_stats`
+//! variants return the run's [`ua_obs::QueryStats`] next to the result.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,66 +54,23 @@ pub mod kernels;
 pub mod ops;
 pub mod ua;
 
-pub use au_exec::{execute_au_vectorized, execute_au_vectorized_opts};
+pub use au_exec::{
+    execute_au_vectorized, execute_au_vectorized_opts, execute_au_vectorized_with_stats,
+};
 pub use columnar::{
     batches_from_relation, batches_from_table, batches_from_table_pooled, relation_from_batches,
     table_from_batches, table_from_batches_pooled, BatchStream, ColumnBatch, ColumnVec,
     DEFAULT_BATCH_ROWS,
 };
-pub use exec::{exec_stream, execute_vectorized, execute_vectorized_opts, resolve_threads};
-pub use ua::{execute_ua_vectorized, execute_ua_vectorized_opts, ua_stream};
+pub use exec::{
+    exec_stream, execute_vectorized, execute_vectorized_opts, execute_vectorized_with_stats,
+    resolve_threads,
+};
+pub use ua::{
+    execute_ua_vectorized, execute_ua_vectorized_opts, execute_ua_vectorized_with_stats, ua_stream,
+};
 
-/// Register the vectorized executor with `ua-engine` so sessions can select
-/// [`ua_engine::ExecMode::Vectorized`]. Idempotent; call once anywhere
-/// before querying.
-pub fn install() {
-    ua_engine::register_vectorized_hooks(ua_engine::VectorizedHooks {
-        plan: execute_vectorized_opts,
-        ua: execute_ua_vectorized_opts,
-        au: au_exec::execute_au_vectorized_opts,
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use ua_data::schema::Schema;
-    use ua_data::tuple;
-    use ua_engine::{ExecMode, Table, UaSession};
-
-    #[test]
-    fn session_opt_in_end_to_end() {
-        super::install();
-        let session = UaSession::new();
-        assert_eq!(session.exec_mode(), ExecMode::Row);
-        session.set_exec_mode(ExecMode::Vectorized);
-        assert_eq!(session.exec_mode(), ExecMode::Vectorized);
-        session.register_table(
-            "addr",
-            Table::from_rows(
-                Schema::qualified("addr", ["xid", "aid", "p", "id", "locale"]),
-                vec![
-                    tuple![1i64, 1i64, 1.0, 1i64, "Lasalle"],
-                    tuple![2i64, 1i64, 0.6, 2i64, "Tucson"],
-                    tuple![2i64, 2i64, 0.4, 2i64, "Grant Ferry"],
-                ],
-            ),
-        );
-        let result = session
-            .query_ua("SELECT id, locale FROM addr IS X WITH XID (xid) ALTID (aid) PROBABILITY (p)")
-            .unwrap();
-        let rows = result.rows_with_certainty();
-        assert_eq!(rows.len(), 2);
-        let certain: Vec<bool> = {
-            let mut sorted = rows.clone();
-            sorted.sort();
-            sorted.into_iter().map(|(_, c)| c).collect()
-        };
-        assert_eq!(certain, vec![true, false]);
-    }
-
-    #[test]
-    fn install_registers_hooks() {
-        super::install();
-        assert!(ua_engine::vectorized_hooks().is_some());
-    }
-}
+/// Does nothing. Sessions call this crate directly, so there is nothing to
+/// register; the function only remains because the `spine` benchmark adapter
+/// still calls it, and goes away with the next benchmark PR.
+pub fn install() {}

@@ -21,8 +21,8 @@ use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
 use ua_data::{FxHashMap, FxHashSet, FxHasher};
-use ua_engine::plan::{AggExpr, SortOrder};
-use ua_engine::{AggState, EngineError};
+use ua_plan::plan::{AggExpr, SortOrder};
+use ua_plan::{AggState, EngineError};
 
 /// The deterministic partitioning hash for parallel pipeline breakers.
 /// Partition choice must agree between a hash-join build and its probes
@@ -102,7 +102,7 @@ pub fn union_all(left: BatchStream, right: BatchStream) -> Result<BatchStream, E
 
 /// Bag difference, columnar: right-side multiplicities accumulate into a
 /// per-key budget, then left batches stream through it in order. Matching
-/// follows `ua_engine::except_table` exactly — IS-NOT-DISTINCT keys
+/// follows `ua_plan::except_table` exactly — IS-NOT-DISTINCT keys
 /// ([`Value::join_key`] over every column, NULL matches NULL), earliest-
 /// first removal for `all`, first unmatched occurrence for distinct — so
 /// the two engines emit byte-identical rows in the same order.
@@ -194,7 +194,7 @@ pub fn except(
 /// them at an extra all-NULL row appended to the build chunk — one gather
 /// assembles matches and pads in preserved-major order. Output columns are
 /// always `left ++ right`; row order, padding and residual treatment are
-/// byte-for-byte `ua_engine::outer_join_stream`'s.
+/// byte-for-byte `ua_plan::outer_join_stream`'s.
 ///
 /// UA labels: matched rows AND their sides' labels (the `⟦·⟧_UA` join
 /// rule); pad rows are never certain — the pad row's label bit is `0`, so
@@ -612,7 +612,7 @@ pub fn join(
     })
 }
 
-/// Optimizer-planned hash join ([`ua_engine::plan::Plan::HashJoin`]).
+/// Optimizer-planned hash join ([`ua_plan::plan::Plan::HashJoin`]).
 ///
 /// Key expressions are per-side (left against the left schema, right
 /// against the right schema); `build_left` picks the hash-table side. Row
@@ -656,7 +656,7 @@ pub fn hash_join(
     })
 }
 
-/// Bind a [`ua_engine::plan::Plan::HashJoin`]'s per-side expressions and
+/// Bind a [`ua_plan::plan::Plan::HashJoin`]'s per-side expressions and
 /// build its [`ProbeState`] from the already-executed build stream
 /// (`build` is the plan's left input when `build_left`, its right input
 /// otherwise; the probe side stays streamed).
@@ -931,7 +931,7 @@ pub fn limit(input: BatchStream, limit: usize) -> BatchStream {
 /// keys (outermost first, `Value`'s total order, per-key direction), then
 /// the full base row, then the UA label (uncertain before certain).
 ///
-/// This is byte-for-byte `ua_engine::sort_table`'s ordering: in the row
+/// This is byte-for-byte `ua_plan::sort_table`'s ordering: in the row
 /// engine's UA path the sort runs over the *encoded* table, whose
 /// deterministic full-row tie-break ends on the trailing `ua_c` marker
 /// (`0` for uncertain, `1` for certain) — here the marker lives in the
@@ -978,7 +978,7 @@ fn sort_cmp(
 /// these accessors yields the permutation [`sort_cmp`] defines,
 /// byte-identically; [`sort`] uses them for both the key columns and the
 /// full-row tie-break, and the differential test pins the ordering
-/// against `ua_engine::sort_table`.
+/// against `ua_plan::sort_table`.
 enum ColCmp<'a> {
     Int(&'a [i64]),
     Float(&'a [F64]),
@@ -1033,7 +1033,7 @@ fn bind_sort_keys(
 /// permutation under [`sort_cmp`]'s ordering, and gathers the output in
 /// `batch_rows`-sized slices — no row materialization anywhere. Order
 /// (null placement, direction handling, tie-breaks) is identical to
-/// `ua_engine::sort_table` over the materialized (encoded) table, which
+/// `ua_plan::sort_table` over the materialized (encoded) table, which
 /// the differential tests assert.
 pub fn sort(
     input: BatchStream,
@@ -1577,7 +1577,7 @@ mod tests {
     use super::*;
     use crate::columnar::batches_from_encoded_table;
     use ua_data::tuple;
-    use ua_engine::Table;
+    use ua_plan::Table;
 
     #[test]
     fn distinct_keeps_differently_labeled_copies_apart() {
@@ -1645,7 +1645,7 @@ mod tests {
             ],
         ];
         for keys in &key_sets {
-            let expect = ua_engine::sort_table(&t, keys).unwrap();
+            let expect = ua_plan::sort_table(&t, keys).unwrap();
             for batch_rows in [1, 3, 1024] {
                 let sorted = sort(batches_from_table(&t, batch_rows), keys, batch_rows).unwrap();
                 let got = table_from_batches(&sorted);
@@ -1664,7 +1664,7 @@ mod tests {
     #[test]
     fn partitioned_aggregation_merges_in_first_seen_order() {
         use crate::columnar::{batches_from_table, table_from_batches};
-        use ua_engine::plan::AggFunc;
+        use ua_plan::plan::AggFunc;
         // 24 groups, first seen in descending order, interleaved across
         // batches; per-group values alternate huge/tiny so fold order is
         // observable in the Sum/Avg bytes.

@@ -17,10 +17,10 @@
 //! which is exactly the rewritten query's effect on the encoded
 //! representation (Theorem 7), minus the per-tuple pair-semiring calls. The
 //! result re-attaches the bitmap as a trailing `ua_c` column, so it is
-//! byte-compatible with the row path's [`ua_engine::UaResult`] table.
+//! byte-compatible with the row path's `ua_engine::UaResult` table.
 //!
 //! Input is the user query's **physical plan** — the `RA⁺` fragment of
-//! [`Plan`], optionally already shaped by `ua-engine`'s optimizer (so
+//! [`Plan`], optionally already shaped by `ua-plan`'s optimizer (so
 //! [`Plan::HashJoin`] appears here too; the optimizer keeps its expressions
 //! name-based precisely because these batches carry no marker column and
 //! positions computed against encoded schemas would misalign) — plus any
@@ -38,11 +38,11 @@
 //! parallel output is byte-identical to serial output for every thread
 //! count.
 
-use crate::columnar::{encoded_table_from_batches_pooled, BatchStream};
+use crate::columnar::BatchStream;
 use crate::exec::Driver;
-use ua_engine::plan::Plan;
-use ua_engine::storage::{Catalog, Table};
-use ua_engine::{EngineError, ExecOptions};
+use ua_plan::plan::Plan;
+use ua_plan::storage::{Catalog, Table};
+use ua_plan::{EngineError, ExecOptions};
 
 /// Execute the *user* query's physical plan (the `RA⁺` fragment plus
 /// trailing Sort/Limit/TopK) over UA-encoded base tables in `catalog`,
@@ -52,30 +52,25 @@ pub fn execute_ua_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, En
     execute_ua_vectorized_opts(plan, catalog, ExecOptions::default())
 }
 
-/// [`execute_ua_vectorized`] with explicit [`ExecOptions`]. This is the
-/// hook the engine's `ExecMode::Vectorized` UA dispatch calls.
+/// [`execute_ua_vectorized`] with explicit [`ExecOptions`].
 pub fn execute_ua_vectorized_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> Result<Table, EngineError> {
-    if opts.collect_stats {
-        ua_obs::mem_query_start();
-    }
-    let driver = Driver::new(catalog, opts, true);
-    match driver.stream_traced(plan) {
-        Ok((stream, stats)) => {
-            let table = driver.phase("merge", || {
-                encoded_table_from_batches_pooled(&stream, &driver.pool)
-            });
-            driver.deposit_stats(stats, "ua");
-            Ok(table)
-        }
-        Err(e) => {
-            driver.deposit_error_stats(plan, "ua");
-            Err(e)
-        }
-    }
+    execute_ua_vectorized_with_stats(plan, catalog, opts).0
+}
+
+/// [`execute_ua_vectorized_opts`] returning the run's
+/// [`ua_obs::QueryStats`] by value next to the result (`Some` iff
+/// `opts.collect_stats`, on the error path too). This is what the
+/// session's `ExecMode::Vectorized` UA dispatch calls.
+pub fn execute_ua_vectorized_with_stats(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
+    crate::exec::run(plan, catalog, opts, true)
 }
 
 /// The batch-level UA evaluator, serial, with an explicit batch size (the

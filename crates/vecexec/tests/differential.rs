@@ -324,7 +324,6 @@ fn ua_path_matches_rewritten_row_path_label_for_label() {
 
             session.set_exec_mode(ExecMode::Row);
             let row = session.query_ua_ra(&q).expect("row UA");
-            ua_vecexec::install();
             session.set_exec_mode(ExecMode::Vectorized);
             let vec = session.query_ua_ra(&q).expect("vec UA");
 
@@ -344,7 +343,6 @@ fn ua_path_matches_rewritten_row_path_label_for_label() {
 
 #[test]
 fn ua_sql_frontend_with_order_by_and_limit_agrees() {
-    ua_vecexec::install();
     let mut rng = StdRng::seed_from_u64(99);
     let table = Table::from_rows(
         Schema::qualified("addr", ["xid", "aid", "p", "id", "locale", "state"]),
@@ -382,7 +380,6 @@ fn ua_sql_frontend_with_order_by_and_limit_agrees() {
 
 #[test]
 fn referencing_the_marker_is_rejected_in_both_paths() {
-    ua_vecexec::install();
     let session = UaSession::new();
     let rel = random_ua_relation(&mut StdRng::seed_from_u64(1), "r", &["a"], 5);
     session.register_ua_relation("r", &rel);
@@ -666,7 +663,6 @@ fn ua_hook_executes_order_by_limit_natively() {
         }
     }
     // And end-to-end through the session: both engines, fused and unfused.
-    ua_vecexec::install();
     let mk_session = |mode| {
         let s = UaSession::with_mode(mode);
         // Registering the pre-encoded table under the session catalog.

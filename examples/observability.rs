@@ -13,7 +13,6 @@ use uadb::data::{tuple, Schema};
 use uadb::engine::{ExecMode, Table, UaSession};
 
 fn main() {
-    uadb::vecexec::install();
     let session = UaSession::new();
 
     // orders ⋈ cust ⋈ dept, small but joinful.

@@ -14,7 +14,6 @@ use uadb::data::{tuple, Schema};
 use uadb::engine::{ExecMode, Table, UaSession};
 
 fn main() {
-    uadb::vecexec::install();
     let session = UaSession::new();
 
     session.register_table(

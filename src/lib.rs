@@ -26,8 +26,9 @@
 //! | [`incomplete`] | possible worlds, `K^W`-databases, labelings |
 //! | [`models`] | TI-DBs, x-DBs/BI-DBs, C-tables + labeling schemes |
 //! | [`core`] | **UA-DBs**: pair annotations, `Enc`, the `⟦·⟧_UA` rewriting |
-//! | [`engine`] | row-store executor, SQL frontend, UA middleware, [`engine::ExecMode`] |
-//! | [`vecexec`] | batch-oriented columnar executor with UA label bitmaps, morsel-parallel pipelines and columnar Sort/Top-K |
+//! | [`plan`] | plans, row-store tables + catalog, SQL frontend, optimizer, the row executor (det and AU) — shared by everything below |
+//! | [`vecexec`] | batch-oriented columnar executor with UA label bitmaps, morsel-parallel pipelines and columnar Sort/Top-K; built on [`plan`] |
+//! | [`engine`] | the UA middleware: [`engine::UaSession`] (det / UA / AU queries), [`engine::ExecMode`], source labelings; calls both executors directly and re-exports [`plan`] under its own paths |
 //! | [`obs`] | metrics registry, per-operator [`obs::OperatorStats`] spans, `EXPLAIN ANALYZE` plumbing |
 //! | [`baselines`] | Libkin, MayBMS-style, MCDB-style comparison systems |
 //! | [`datagen`] | seeded workload generators for every experiment |
@@ -35,11 +36,12 @@
 //! ## Choosing an executor
 //!
 //! Both executors run the same plans and produce identical results (the
-//! `ua-vecexec` differential tests enforce label-for-label equality). The
-//! row executor is the default; opt into the columnar one per session:
+//! `ua-vecexec` differential tests enforce label-for-label equality), and
+//! the session calls either one as an ordinary function. The row executor
+//! is the default; select the columnar one per session — there is nothing
+//! else to set up:
 //!
 //! ```
-//! uadb::vecexec::install(); // one-time process-wide registration
 //! let session = uadb::engine::UaSession::new();
 //! session.set_exec_mode(uadb::engine::ExecMode::Vectorized);
 //! ```
@@ -80,6 +82,7 @@ pub use ua_engine as engine;
 pub use ua_incomplete as incomplete;
 pub use ua_models as models;
 pub use ua_obs as obs;
+pub use ua_plan as plan;
 pub use ua_ranges as ranges;
 pub use ua_semiring as semiring;
 pub use ua_vecexec as vecexec;

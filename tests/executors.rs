@@ -1,0 +1,264 @@
+//! The session calls both executors as ordinary functions: nothing to
+//! register before `ExecMode::Vectorized` works, stats come back by value
+//! with the query that produced them, and both executors agree byte for
+//! byte across thread counts with stats on or off.
+//!
+//! No test in this file makes any process-wide set-up call, so each one
+//! also checks that a fresh process needs none.
+
+use uadb::data::{tuple, Schema, Tuple};
+use uadb::datagen::pdbench::{inject_db, PdbenchConfig};
+use uadb::datagen::queries::pdbench_uncertain_columns;
+use uadb::datagen::tpch::{self, TpchConfig};
+use uadb::engine::{ExecMode, ExecOptions, Plan, Table, UaSession};
+use uadb::ranges::AuRelation;
+
+const ADDR_X: &str = "addr IS X WITH XID (xid) ALTID (aid) PROBABILITY (p)";
+
+/// The paper's geocoder example (Figures 2/3) as a raw x-table.
+fn geocoder() -> UaSession {
+    let session = UaSession::new();
+    session.register_table(
+        "addr",
+        Table::from_rows(
+            Schema::qualified("addr", ["xid", "aid", "p", "id", "locale", "state"]),
+            vec![
+                tuple![1i64, 1i64, 1.0, 1i64, "Lasalle", "NY"],
+                tuple![2i64, 1i64, 0.6, 2i64, "Tucson", "AZ"],
+                tuple![2i64, 2i64, 0.4, 2i64, "Grant Ferry", "NY"],
+                tuple![3i64, 1i64, 0.5, 3i64, "Kingsley", "NY"],
+                tuple![3i64, 2i64, 0.5, 3i64, "Kingsley", "NY"],
+                tuple![4i64, 1i64, 1.0, 4i64, "Kensington", "NY"],
+            ],
+        ),
+    );
+    session
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Sem {
+    Det,
+    Ua,
+    Au,
+}
+
+/// One PDBench database (5 % cell uncertainty) loaded three ways under the
+/// same table names: the best-guess world, the `Enc` tables, and the
+/// AU-encoded x-DB.
+struct Pdbench {
+    det: UaSession,
+    ua: UaSession,
+    au: UaSession,
+}
+
+impl Pdbench {
+    fn load(scale: f64, seed: u64) -> Pdbench {
+        let data = tpch::generate(&TpchConfig::new(scale, seed));
+        let tables: Vec<(&str, &Table, &[&str])> = data
+            .tables()
+            .into_iter()
+            .map(|(name, table)| (name, table, pdbench_uncertain_columns(name)))
+            .collect();
+        let db = inject_db(
+            &tables,
+            &PdbenchConfig {
+                uncertainty: 0.05,
+                seed,
+                ..PdbenchConfig::default()
+            },
+        );
+        let s = Pdbench {
+            det: UaSession::new(),
+            ua: UaSession::new(),
+            au: UaSession::new(),
+        };
+        for (name, _, _) in &tables {
+            s.det.register_table(*name, db.bgw[*name].clone());
+            s.ua.register_table(*name, db.encoded[*name].clone());
+            let xrel = db.xdb.get(name).expect("every table was injected");
+            let blocks: Vec<Vec<(Tuple, f64)>> = xrel
+                .xtuples()
+                .iter()
+                .map(|xt| {
+                    xt.alternatives
+                        .iter()
+                        .map(|a| (a.tuple.clone(), a.probability))
+                        .collect()
+                })
+                .collect();
+            let rel =
+                AuRelation::from_x_blocks(xrel.schema().clone(), blocks.iter().map(Vec::as_slice));
+            s.au.register_au_relation(*name, &rel);
+        }
+        s
+    }
+
+    fn session(&self, sem: Sem) -> &UaSession {
+        match sem {
+            Sem::Det => &self.det,
+            Sem::Ua => &self.ua,
+            Sem::Au => &self.au,
+        }
+    }
+}
+
+fn run(session: &UaSession, sem: Sem, sql: &str) -> Table {
+    match sem {
+        Sem::Det => session.query_det(sql),
+        Sem::Ua => session.query_ua(sql).map(|r| r.table),
+        Sem::Au => session.query_au(sql).map(|r| r.table),
+    }
+    .unwrap_or_else(|e| panic!("{sem:?} `{sql}`: {e}"))
+}
+
+#[test]
+fn fresh_vectorized_session_answers_det_ua_and_au() {
+    let session = geocoder();
+    session.set_exec_mode(ExecMode::Vectorized);
+    let det = session
+        .query_det("SELECT id, locale FROM addr WHERE p >= 0.6")
+        .expect("det");
+    assert_eq!(det.len(), 3);
+    let ua = session
+        .query_ua(&format!("SELECT id, locale FROM {ADDR_X}"))
+        .expect("ua");
+    assert_eq!(ua.certainty_counts(), (2, 4));
+    let au = session
+        .query_au(&format!(
+            "SELECT state, count(*) AS n FROM {ADDR_X} GROUP BY state"
+        ))
+        .expect("au");
+    assert_eq!(au.decode().rows().len(), 2);
+}
+
+#[test]
+fn stats_never_cross_queries() {
+    let session = geocoder();
+    session.set_exec_mode(ExecMode::Vectorized);
+    // An instrumented run outside the session, on this thread …
+    let opts = ExecOptions {
+        threads: 1,
+        batch_rows: 0,
+        collect_stats: true,
+        collect_trace: false,
+    };
+    uadb::vecexec::execute_vectorized_opts(&Plan::Scan("addr".into()), session.catalog(), opts)
+        .expect("direct call");
+    // … must not show up as the stats of a stats-off session query.
+    assert!(!session.stats_enabled());
+    session
+        .query_det("SELECT id FROM addr WHERE p >= 0.6")
+        .expect("session query");
+    assert!(session.last_query_stats().is_none());
+}
+
+/// `{det,ua,au} × {Row,Vectorized} × threads {1,2} × stats {on,off}`:
+/// every cell returns the bytes of the row engine's plain run, and an
+/// instrumented vectorized run reports itself with its pool section.
+fn assert_grid(session: &UaSession, sem: Sem, sql: &str) {
+    session.set_exec_mode(ExecMode::Row);
+    session.set_stats_enabled(false);
+    let expected = run(session, sem, sql);
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        for threads in [1, 2] {
+            for stats in [false, true] {
+                session.set_exec_mode(mode);
+                session.set_vec_threads(threads);
+                session.set_stats_enabled(stats);
+                let got = run(session, sem, sql);
+                let cell = format!("{sem:?} {mode:?} threads={threads} stats={stats} `{sql}`");
+                assert_eq!(got.schema(), expected.schema(), "{cell}");
+                assert_eq!(got.rows(), expected.rows(), "{cell}");
+                if stats && mode == ExecMode::Vectorized {
+                    let qs = session.last_query_stats().expect(&cell);
+                    assert_eq!(qs.engine, "vectorized", "{cell}");
+                    assert!(qs.pool.is_some(), "{cell}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn executor_grid_geocoder() {
+    let session = geocoder();
+    assert_grid(
+        &session,
+        Sem::Det,
+        "SELECT state, count(*) AS n FROM addr WHERE p >= 0.5 GROUP BY state",
+    );
+    for sem in [Sem::Ua, Sem::Au] {
+        assert_grid(
+            &session,
+            sem,
+            &format!("SELECT id, locale FROM {ADDR_X} WHERE state = 'NY' ORDER BY id"),
+        );
+        assert_grid(
+            &session,
+            sem,
+            &format!("SELECT a.id, b.id FROM {ADDR_X} a, {ADDR_X} b WHERE a.state = b.state"),
+        );
+    }
+    assert_grid(
+        &session,
+        Sem::Au,
+        &format!("SELECT state, count(*) AS n FROM {ADDR_X} GROUP BY state"),
+    );
+}
+
+#[test]
+fn executor_grid_pdbench() {
+    let db = Pdbench::load(0.002, 7);
+    // UA rejects aggregation by design, so it runs the first two only.
+    let queries = [
+        "SELECT orderkey, quantity * extendedprice AS v FROM lineitem WHERE shipdate > 1200",
+        "SELECT c.custkey, o.orderkey FROM customer c, orders o \
+         WHERE c.custkey = o.custkey AND c.nationkey = 2 ORDER BY o.orderkey LIMIT 20",
+        "SELECT shippriority, count(*) AS n FROM orders GROUP BY shippriority",
+    ];
+    for sem in [Sem::Det, Sem::Ua, Sem::Au] {
+        let n = if matches!(sem, Sem::Ua) { 2 } else { 3 };
+        for sql in &queries[..n] {
+            assert_grid(db.session(sem), sem, sql);
+        }
+    }
+}
+
+/// PDBench's 4-way join written with aliases: the optimizer reorders it,
+/// and the reordered AU plan used to restore its column order through the
+/// AU encoding's bound columns (`unknown column s.ua_lb_0`).
+#[test]
+fn aliased_au_joins_survive_reordering() {
+    let db = Pdbench::load(0.005, 1);
+    let query = |from: &str, [s, l, o, c]: [&str; 4]| {
+        format!(
+            "SELECT {s}.suppkey, {c}.custkey, {l}.shipdate FROM {from} \
+             WHERE {s}.suppkey = {l}.suppkey AND {o}.orderkey = {l}.orderkey \
+             AND {c}.custkey = {o}.custkey AND {s}.nationkey = 1 AND {c}.nationkey = 2"
+        )
+    };
+    let aliased = query(
+        "supplier s, lineitem l, orders o, customer c",
+        ["s", "l", "o", "c"],
+    );
+    let unaliased = query(
+        "supplier, lineitem, orders, customer",
+        ["supplier", "lineitem", "orders", "customer"],
+    );
+    let session = &db.au;
+    session.set_reorder_joins_enabled(false);
+    let as_written = run(session, Sem::Au, &aliased).sorted_rows();
+    assert_eq!(as_written.len(), 66);
+    session.set_reorder_joins_enabled(true);
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        session.set_exec_mode(mode);
+        let got = run(session, Sem::Au, &aliased);
+        assert_eq!(got.sorted_rows(), as_written, "{mode:?}");
+        // Same join order with or without aliases: same row order.
+        assert_eq!(
+            run(session, Sem::Au, &unaliased).rows(),
+            got.rows(),
+            "{mode:?}"
+        );
+    }
+}
