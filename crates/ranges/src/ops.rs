@@ -95,21 +95,36 @@ pub fn refine_join_pair(
     values: Vec<RangeValue>,
     mult: MultBound,
 ) -> Result<Option<AuTuple>, ExprError> {
-    let mut mult = mult;
-    if let Some(pred) = predicate {
-        let bg_tuple: Tuple = values.iter().map(|v| v.bg.clone()).collect();
-        let bg_true = pred.holds(&bg_tuple)?;
-        let rt = truth_range(pred, &values);
-        if !rt.possibly_true() {
-            return Ok(None);
-        }
-        mult = MultBound::new(
-            if rt.certainly_true() { mult.lb } else { 0 },
-            if bg_true { mult.bg } else { 0 },
-            mult.ub,
-        );
-    }
+    let mult = match predicate {
+        Some(pred) => match refine_pair_mult(pred, &values, mult)? {
+            Some(mult) => mult,
+            None => return Ok(None),
+        },
+        None => mult,
+    };
     Ok(Some(AuTuple { values, mult }))
+}
+
+/// The multiplicity half of [`refine_join_pair`] over borrowed ranges: the
+/// vectorized join gathers surviving pairs' attribute columns itself, so
+/// it only needs the survive/refine decision. `values` may hold
+/// placeholders at positions `predicate` does not reference.
+pub fn refine_pair_mult(
+    predicate: &Expr,
+    values: &[RangeValue],
+    mult: MultBound,
+) -> Result<Option<MultBound>, ExprError> {
+    let bg_tuple: Tuple = values.iter().map(|v| v.bg.clone()).collect();
+    let bg_true = predicate.holds(&bg_tuple)?;
+    let rt = truth_range(predicate, values);
+    if !rt.possibly_true() {
+        return Ok(None);
+    }
+    Ok(Some(MultBound::new(
+        if rt.certainly_true() { mult.lb } else { 0 },
+        if bg_true { mult.bg } else { 0 },
+        mult.ub,
+    )))
 }
 
 /// Evaluate per-row key ranges for one join side (`exprs` bound against
@@ -142,7 +157,7 @@ fn normalized_key(keys: &[RangeValue]) -> Tuple {
 /// comparisons are `None` under `sql_cmp` — three-valued ANY, i.e.
 /// possibly equal — so hash pruning is sound only when each key column's
 /// point keys stay within one family across both sides.
-fn key_family(v: &Value) -> u8 {
+pub fn key_family(v: &Value) -> u8 {
     match v {
         Value::Bool(_) => 1,
         Value::Int(_) | Value::Float(_) => 2,
@@ -269,35 +284,17 @@ pub fn join(
     let schema = left.schema().concat(right.schema());
     let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
     let mut out = AuRelation::new(schema);
-    if let Some(pred) = &bound {
-        let (keys, _) = extract_equi_keys(pred, left.schema().arity());
-        if !keys.is_empty() {
-            let lk: Vec<Expr> = keys.iter().map(|k| k.left.clone()).collect();
-            let rk: Vec<Expr> = keys.iter().map(|k| k.right.clone()).collect();
-            let l_keys = eval_key_ranges(left, &lk)?;
-            let r_keys = eval_key_ranges(right, &rk)?;
-            let index = SgKeyIndex::build(&r_keys, keys.len());
-            if index.compatible_with(&point_key_families(&l_keys, keys.len())) {
-                let mut cand: Vec<usize> = Vec::new();
-                for (li, l) in left.rows().iter().enumerate() {
-                    index.candidates(&l_keys[li], &mut cand);
-                    for &ri in &cand {
-                        let r = &right.rows()[ri];
-                        let mut values = l.values.clone();
-                        values.extend(r.values.iter().cloned());
-                        if let Some(t) =
-                            refine_join_pair(Some(pred), values, l.mult.times(&r.mult))?
-                        {
-                            out.push(t);
-                        }
-                    }
-                }
-                return Ok(out);
-            }
+    let keyed = match &bound {
+        Some(pred) => equi_key_index(pred, left, right, false)?,
+        None => None,
+    };
+    let mut cand: Vec<usize> = (0..right.rows().len()).collect();
+    for (li, l) in left.rows().iter().enumerate() {
+        if let Some((index, l_keys)) = &keyed {
+            index.candidates(&l_keys[li], &mut cand);
         }
-    }
-    for l in left.rows() {
-        for r in right.rows() {
+        for &ri in &cand {
+            let r = &right.rows()[ri];
             let mut values = l.values.clone();
             values.extend(r.values.iter().cloned());
             if let Some(t) = refine_join_pair(bound.as_ref(), values, l.mult.times(&r.mult))? {
@@ -306,6 +303,39 @@ pub fn join(
         }
     }
     Ok(out)
+}
+
+/// A build-side key index plus the probe side's per-row key ranges.
+type KeyedCandidates = (SgKeyIndex, Vec<Vec<RangeValue>>);
+
+/// The candidate index of a θ-join whose (bound) predicate has
+/// extractable equi-keys: a [`SgKeyIndex`] over the build side's key
+/// ranges (`left` when `build_left`) plus the probe side's per-row key
+/// ranges. `None` — every pair is a candidate — when there are no
+/// equi-keys or cross-family point keys make pruning unsound.
+fn equi_key_index(
+    pred: &Expr,
+    left: &AuRelation,
+    right: &AuRelation,
+    build_left: bool,
+) -> Result<Option<KeyedCandidates>, ExprError> {
+    let (keys, _) = extract_equi_keys(pred, left.schema().arity());
+    if keys.is_empty() {
+        return Ok(None);
+    }
+    let lk: Vec<Expr> = keys.iter().map(|k| k.left.clone()).collect();
+    let rk: Vec<Expr> = keys.iter().map(|k| k.right.clone()).collect();
+    let l_keys = eval_key_ranges(left, &lk)?;
+    let r_keys = eval_key_ranges(right, &rk)?;
+    let (build_keys, probe_keys) = if build_left {
+        (l_keys, r_keys)
+    } else {
+        (r_keys, l_keys)
+    };
+    let index = SgKeyIndex::build(&build_keys, keys.len());
+    Ok(index
+        .compatible_with(&point_key_families(&probe_keys, keys.len()))
+        .then_some((index, probe_keys)))
 }
 
 /// Shift a (bound) right-side expression's column refs up onto the
@@ -1897,12 +1927,23 @@ pub fn outer_join(
     } else {
         (right.rows(), left.rows())
     };
+    // Equi-keys prune exactly like [`join`]: a pruned pair's key equality
+    // is certainly false, so it would have hit the `continue` below —
+    // no match flag and no output row depends on it.
+    let keyed = match &bound {
+        Some(pred) => equi_key_index(pred, left, right, !left_kind)?,
+        None => None,
+    };
+    let mut cand: Vec<usize> = (0..inner_rows.len()).collect();
     let mut out = AuRelation::new(schema);
-    for o in outer_rows {
+    for (oi, o) in outer_rows.iter().enumerate() {
+        if let Some((index, outer_keys)) = &keyed {
+            index.candidates(&outer_keys[oi], &mut cand);
+        }
         let mut sg_matched = false;
         let mut possibly_matched = false;
         let mut certainly_matched = false;
-        for i in inner_rows {
+        for i in cand.iter().map(|&ii| &inner_rows[ii]) {
             let (l, r) = if left_kind { (o, i) } else { (i, o) };
             let mut values = l.values.clone();
             values.extend(r.values.iter().cloned());
@@ -2440,5 +2481,30 @@ mod tests {
         assert!(out.rows()[0].values[0].is_null(), "left side pads to NULL");
         assert_eq!(out.rows()[0].values[1], RangeValue::point(Value::Int(7)));
         assert_eq!(out.rows()[0].mult, MultBound::new(1, 2, 3));
+    }
+
+    #[test]
+    fn outer_join_key_pruning_changes_nothing() {
+        // `θ OR FALSE` has θ's truth ranges and selected-guess truth but no
+        // extractable equi-key, so it takes the unpruned nested loop:
+        // pruned and unpruned outer joins must agree on matches, pad
+        // gating and order, for both preserved sides, over point, ranged,
+        // NULL and top keys.
+        let (l, r) = join_fixture();
+        let keyed = Expr::named("l.a").eq(Expr::named("s.b"));
+        let with_residual = keyed.clone().and(Expr::named("s.c").lt(Expr::lit(2i64)));
+        for pred in [keyed, with_residual] {
+            let unpruned = pred.clone().or(Expr::lit(false));
+            for left_kind in [true, false] {
+                let pruned = outer_join(&l, &r, Some(&pred), left_kind).unwrap();
+                assert_eq!(
+                    pruned,
+                    outer_join(&l, &r, Some(&unpruned), left_kind).unwrap(),
+                    "{pred} left_kind={left_kind}"
+                );
+                let pads = pruned.rows().iter().filter(|t| t.values[1].is_null());
+                assert!(!left_kind || pads.count() > 0, "the fixture must pad");
+            }
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! vectorized engine fold them morsel by morsel and still match the row
 //! engine's numbers byte for byte in golden snapshots.
 
+use crate::mult::MultBound;
 use crate::relation::{AuRelation, AuTuple};
-use crate::value::Bound;
+use crate::value::{Bound, RangeValue};
 
 /// An order-insensitive precision profile of range-annotated tuples.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,40 +64,57 @@ impl WidthSummary {
 
     /// Fold one tuple into the summary.
     pub fn observe(&mut self, row: &AuTuple) {
+        self.observe_mult(row.mult);
+        for r in &row.values {
+            self.observe_cell(r);
+        }
+    }
+
+    /// Fold one tuple's multiplicity triple (its cells go through
+    /// [`WidthSummary::observe_cell`] / [`WidthSummary::observe_points`]).
+    pub fn observe_mult(&mut self, mult: MultBound) {
         self.rows += 1;
-        if row.mult.certainly_present() {
+        if mult.certainly_present() {
             self.certain_rows += 1;
         }
         self.mult_spread = self
             .mult_spread
-            .saturating_add(row.mult.ub.saturating_sub(row.mult.lb));
-        for r in &row.values {
-            self.attrs += 1;
-            if r.is_top() {
-                self.top_attrs += 1;
-                continue;
-            }
-            if r.is_point() {
-                self.point_attrs += 1;
+            .saturating_add(mult.ub.saturating_sub(mult.lb));
+    }
+
+    /// Fold `cells` point cells at once — what a columnar caller counts
+    /// off a point mask without building a [`RangeValue`] per cell.
+    pub fn observe_points(&mut self, cells: u64) {
+        self.attrs += cells;
+        self.point_attrs += cells;
+        self.width_cells += cells;
+    }
+
+    /// Fold one attribute cell.
+    pub fn observe_cell(&mut self, r: &RangeValue) {
+        if r.is_point() {
+            return self.observe_points(1);
+        }
+        self.attrs += 1;
+        if r.is_top() {
+            self.top_attrs += 1;
+            return;
+        }
+        // Bounded, non-point: numeric cells contribute their relative
+        // width; bounded non-numeric ranges (e.g. string hulls) have
+        // no meaningful width and stay out of the mean.
+        if let (Bound::Val(lo), Bound::Val(hi)) = (r.lb(), r.ub()) {
+            if let (Some(lo), Some(hi), Some(bg)) = (lo.as_f64(), hi.as_f64(), r.bg.as_f64()) {
+                let rel = (hi - lo).max(0.0) / (1.0 + bg.abs());
+                let permille = (rel * 1000.0).round();
                 self.width_cells += 1;
-                continue;
-            }
-            // Bounded, non-point: numeric cells contribute their relative
-            // width; bounded non-numeric ranges (e.g. string hulls) have
-            // no meaningful width and stay out of the mean.
-            if let (Bound::Val(lo), Bound::Val(hi)) = (r.lb(), r.ub()) {
-                if let (Some(lo), Some(hi), Some(bg)) = (lo.as_f64(), hi.as_f64(), r.bg.as_f64()) {
-                    let rel = (hi - lo).max(0.0) / (1.0 + bg.abs());
-                    let permille = (rel * 1000.0).round();
-                    self.width_cells += 1;
-                    self.rel_width_permille_sum = self.rel_width_permille_sum.saturating_add(
-                        if permille >= u64::MAX as f64 {
+                self.rel_width_permille_sum =
+                    self.rel_width_permille_sum
+                        .saturating_add(if permille >= u64::MAX as f64 {
                             u64::MAX
                         } else {
                             permille as u64
-                        },
-                    );
-                }
+                        });
             }
         }
     }
@@ -136,8 +154,6 @@ impl WidthSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mult::MultBound;
-    use crate::value::RangeValue;
     use ua_data::schema::Schema;
     use ua_data::value::Value;
 

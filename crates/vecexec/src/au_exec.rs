@@ -16,17 +16,29 @@
 //!   `decode_row`/`encode_row` normalization — pay-as-you-go, and the
 //!   first malformed row reports exactly like the row engine's scan.
 //! * **σ** — the selected-guess mask evaluates with the existing typed
-//!   [`crate::kernels::truth_masks`] over the bg columns; the
-//!   certainly/possibly-true analysis runs `ua_ranges::truth_range` per
-//!   row over ranges assembled from the triple columns; multiplicity
-//!   columns are refined per the `⟦σ⟧_AU` rule. Batches filter in
-//!   parallel, merged in deterministic batch order.
+//!   [`crate::kernels::truth_masks`] over the bg columns. The
+//!   possibly-true / certainly-true analysis is *kernel-native* for
+//!   predicates built from comparisons (`Col ⋄ Lit`, `Col ⋄ Col`),
+//!   `BETWEEN`, literal `IN` lists and `AND`/`OR`/`NOT` whose column
+//!   operands are dense same-typed `Int`/`Float`/`Str` triples:
+//!   [`crate::kernels::range_truth_masks`] applies `cmp_possibilities`'
+//!   endpoint rules to the `lb`/`ub` columns directly and combines the
+//!   leaves with bitmap ops (such triples are never top, so no leaf can be
+//!   *unknown* and Kleene logic is two bitmaps). Every other shape — a
+//!   column holding `±∞` bounds, definite NULLs or top ranges, a computed
+//!   operand, `IS NULL`, `CASE`, a NaN under an Int/Float coercion — sends
+//!   the batch down the per-row `ua_ranges::truth_range` path, over ranges
+//!   assembled for the referenced columns only. Either way `ua_m_lb` /
+//!   `ua_m_bg` are refined by masking and the survivors leave in one
+//!   gather. Batches filter in parallel, merged in deterministic batch
+//!   order.
 //! * **π** — bg output columns evaluate with the typed expression kernels
 //!   (including the typed arithmetic kernels); bound columns are `O(1)`
 //!   column clones for plain references, broadcasts for literals, and
-//!   per-row interval evaluation re-anchored via `ua_ranges::reanchor` for
-//!   computed expressions (preserving definite NULLs, exactly like the row
-//!   engine's `eval_range`).
+//!   per-row interval evaluation — over the referenced columns only —
+//!   re-anchored via `ua_ranges::reanchor` for computed expressions
+//!   (preserving definite NULLs, exactly like the row engine's
+//!   `eval_range`).
 //! * **γ** — aggregation prepares its inputs *columnar*: group keys and
 //!   aggregate arguments assemble per column (stored triples for plain
 //!   references, typed-kernel selected guesses re-anchoring interval
@@ -40,23 +52,48 @@
 //!   and [`crate::ops::top_k`] reproduce `ua_ranges::ops::sort_by_bg` +
 //!   `limit` byte for byte. Union validates the *user* schemas (the row
 //!   engine's error) and concatenates batches.
-//! * **⋈ (nested-loop and hash)** — the stream's columns convert straight
+//! * **⋈ (hash)** — triple-column-native (`AuDriver::hash_join`). The
+//!   build side's *point* keys (`lb = bg = ub`, checked columnar; NaN
+//!   excluded) go into the deterministic engine's hash index
+//!   (`ops::build_index`, integer fast path and partitioned build
+//!   included); rows with a ranged, unknown or NaN key are *fuzzy* and
+//!   join every candidate list. Probe batches run on the morsel pool and
+//!   emit probe-major, candidates ascending in build-scan order — the
+//!   row operator's order, byte for byte. Pruning is sound because a
+//!   pruned pair has two unequal point keys of one comparable family: its
+//!   key equality is certainly false. A pair the index finds between
+//!   same-typed point keys, with no residual, is certainly equal and
+//!   keeps the plain `MultBound::times` product unrefined; every other
+//!   candidate (fuzzy key, residual, mixed key types) is refined by the
+//!   shared `ua_ranges::ops::refine_pair_mult` over ranges assembled for
+//!   that pair only. Output columns are gathered, never re-encoded. Point
+//!   keys of *different* families on the two sides (`Int` vs `Str`) make
+//!   pruning unsound; that case defers to the relation path
+//!   (`ua_ranges::ops::hash_join`).
+//! * **⋈ (nested-loop), −, ⟕** — the stream's columns convert straight
 //!   into range rows (no tuple encoding, no re-validation — the stream is
 //!   canonical by construction) and feed the shared
-//!   `ua_ranges::ops::join`/`hash_join`, which prune candidate pairs with
-//!   the selected-guess key index. One implementation of the pair
-//!   refinement exists in the workspace, so the engines cannot disagree.
+//!   `ua_ranges::ops::{join, except, outer_join}`; keyless / non-equi
+//!   joins run block-nested-loop on the pool. One implementation of the
+//!   pair refinement exists in the workspace, so the engines cannot
+//!   disagree.
 //! * **δ (distinct)** — rows merge by selected-guess tuple straight off
 //!   the bg columns in first-seen scan order, hulling attribute ranges
 //!   and combining multiplicities exactly as `ua_ranges::ops::distinct`.
 //!
 //! No operator falls back to the row engine's materialize-and-dispatch
 //! path any more: every `au.vec.fallback.*` counter stays pinned at zero
-//! (regression-tested here and in the engine's observability suite).
+//! (regression-tested here and in the engine's observability suite). What
+//! *does* still run row-wise inside σ and hash-⋈ is counted: the
+//! `au.vec.rowwise.filter_rows` / `au.vec.rowwise.join_pairs` registry
+//! counters and the `rowwise_rows` / `rowwise_pairs` extras on the Filter
+//! / HashJoin stats nodes say how much of an operator paid for
+//! uncertainty (zero over all-certain data).
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{chunk_ranges, BatchStream, ColumnBatch, ColumnVec};
-use crate::kernels::{eval_expr, truth_masks};
+use crate::kernels::{eval_expr, range_truth_masks, truth_masks, Evaluated};
+use crate::ops::{build_index, probe_index, JoinIndex};
 use std::sync::Arc;
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
@@ -69,9 +106,11 @@ use ua_plan::plan::{AggExpr, Plan};
 use ua_plan::stats::node_label;
 use ua_plan::storage::{Catalog, Table};
 use ua_plan::{estimate_rows, EngineError, ExecOptions};
+use ua_ranges::ops::{key_family, refine_pair_mult};
 use ua_ranges::{
-    au_base_schema, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
-    reanchor, truth_range, AggCols, AggKind, AuRelation, MultBound, RangeValue, TripleCol,
+    approx_range, au_base_schema, decode_row, encode_row, flattened_schema, range_from_parts,
+    range_parts, reanchor, truth_range, AggCols, AggKind, AuRelation, MultBound, RangeValue,
+    TripleCol, WidthSummary,
 };
 
 /// A stream of AU batches: the user schema plus batches over its
@@ -107,10 +146,10 @@ impl AuStream {
         let n = self.user.arity();
         let mut rel = AuRelation::new(self.user.clone());
         for b in &self.batches {
-            for i in 0..b.len() {
+            for (i, mult) in mult_bounds(b, n).enumerate() {
                 rel.push(ua_ranges::relation::AuTuple {
                     values: row_ranges(b, n, i),
-                    mult: mult_bound_at(b, n, i),
+                    mult,
                 });
             }
         }
@@ -143,34 +182,96 @@ fn bg_view(batch: &ColumnBatch, user: &Schema) -> ColumnBatch {
         user.clone(),
         batch.columns()[..n].to_vec(),
         batch.labels().clone(),
-        Arc::new(batch.mults().to_vec()),
+        batch.shared_mults(),
+    )
+}
+
+/// Row `i`'s range for attribute `c`, assembled from its triple columns.
+fn range_at(batch: &ColumnBatch, n: usize, c: usize, i: usize) -> RangeValue {
+    range_from_parts(
+        batch.column(n + c).value(i),
+        batch.column(c).value(i),
+        batch.column(2 * n + c).value(i),
     )
 }
 
 /// Assemble row `i`'s attribute ranges from the triple columns.
 fn row_ranges(batch: &ColumnBatch, n: usize, i: usize) -> Vec<RangeValue> {
-    (0..n)
-        .map(|c| {
-            range_from_parts(
-                batch.column(n + c).value(i),
-                batch.column(c).value(i),
-                batch.column(2 * n + c).value(i),
-            )
-        })
-        .collect()
+    (0..n).map(|c| range_at(batch, n, c, i)).collect()
 }
 
-fn mult_at(batch: &ColumnBatch, n: usize, component: usize, i: usize) -> i64 {
-    match batch.column(3 * n + component).value(i) {
-        Value::Int(m) => m,
-        _ => 0,
+/// Row-at-a-time range assembly for the shapes the typed kernels do not
+/// cover, restricted to the columns an expression reads: every other
+/// position keeps a placeholder the range evaluator never looks at, so a
+/// one-column predicate over a 16-column table builds one range per row,
+/// not sixteen.
+struct RefRanges {
+    refs: Vec<usize>,
+    row: Vec<RangeValue>,
+}
+
+impl RefRanges {
+    /// Scratch for `expr`, bound over `arity` columns.
+    fn new(expr: &Expr, arity: usize) -> RefRanges {
+        let mut refs = Vec::new();
+        expr.referenced_columns(&mut refs);
+        refs.sort_unstable();
+        refs.dedup();
+        RefRanges {
+            refs,
+            row: vec![RangeValue::null(); arity],
+        }
+    }
+
+    /// Load row `i` of `batch` (user arity `n`) into the referenced
+    /// positions among `offset..offset + n` — `offset` places the right
+    /// side of a join pair after the left side.
+    fn load(&mut self, batch: &ColumnBatch, n: usize, i: usize, offset: usize) {
+        for &r in &self.refs {
+            if (offset..offset + n).contains(&r) {
+                self.row[r] = range_at(batch, n, r - offset, i);
+            }
+        }
     }
 }
 
-/// Row `i`'s multiplicity triple from the `ua_m_*` columns.
-fn mult_bound_at(batch: &ColumnBatch, n: usize, i: usize) -> MultBound {
-    let at = |c: usize| mult_at(batch, n, c, i).max(0) as u64;
-    MultBound::new(at(0), at(1), at(2))
+/// Per-row "pins a single known value" mask of one `[lb, bg, ub]` column
+/// triple. Dense same-typed triples compare the raw slices (the stream
+/// invariant `lb ≤ bg ≤ ub` makes `lb = bg = ub` exactly
+/// [`RangeValue::is_point`]); anything else assembles the range.
+fn point_mask(lb: &ColumnVec, bg: &ColumnVec, ub: &ColumnVec) -> Bitmap {
+    fn dense<T: PartialEq>(l: &[T], b: &[T], u: &[T]) -> Bitmap {
+        Bitmap::from_fn(b.len(), |i| l[i] == b[i] && b[i] == u[i])
+    }
+    match (lb, bg, ub) {
+        (ColumnVec::Int(l), ColumnVec::Int(b), ColumnVec::Int(u)) => dense(l, b, u),
+        (ColumnVec::Float(l), ColumnVec::Float(b), ColumnVec::Float(u)) => dense(l, b, u),
+        (ColumnVec::Bool(l), ColumnVec::Bool(b), ColumnVec::Bool(u)) => dense(l, b, u),
+        (ColumnVec::Str(l), ColumnVec::Str(b), ColumnVec::Str(u)) => dense(l, b, u),
+        _ => Bitmap::from_fn(bg.len(), |i| {
+            range_from_parts(lb.value(i), bg.value(i), ub.value(i)).is_point()
+        }),
+    }
+}
+
+/// The three `ua_m_*` multiplicity columns as raw slices. Every stream
+/// batch carries them as dense non-negative `Int`s (scans validate or
+/// normalize, operators write `Int` columns); only an empty batch sniffs
+/// as an empty untyped column.
+fn mult_slices(batch: &ColumnBatch, n: usize) -> [&[i64]; 3] {
+    [0, 1, 2].map(|k| match batch.column(3 * n + k) {
+        ColumnVec::Int(v) => v.as_slice(),
+        other => {
+            assert!(other.is_empty(), "AU multiplicity columns are dense Ints");
+            &[]
+        }
+    })
+}
+
+/// The batch's multiplicity triples, row by row.
+fn mult_bounds(batch: &ColumnBatch, n: usize) -> impl Iterator<Item = MultBound> + '_ {
+    let [lb, bg, ub] = mult_slices(batch, n);
+    (0..batch.len()).map(move |i| MultBound::new(lb[i] as u64, bg[i] as u64, ub[i] as u64))
 }
 
 /// Whether a decoded chunk is already in canonical encoded form, checked
@@ -247,43 +348,79 @@ fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, E
     Ok(encoded_chunk(flat, &rows))
 }
 
-/// Evaluate one bound expression's per-row attribute ranges over a batch,
-/// columnar where possible: plain references assemble from the stored
-/// triples, literals broadcast, and computed expressions re-anchor an
-/// interval evaluation on the typed-kernel selected guess — per row
-/// exactly `ua_ranges::eval_range` (which is `reanchor(approx_range(e),
-/// e.eval(bg))`).
+/// The per-row ranges of a *computed* (bound) expression: an interval
+/// evaluation over the referenced columns only, re-anchored on `bg`, the
+/// typed-kernel selected guess — per row exactly `ua_ranges::eval_range`
+/// (which is `reanchor(approx_range(e), e.eval(bg))`, so a definite NULL
+/// projected through a computed expression stays definite).
+fn computed_ranges<'a>(
+    batch: &'a ColumnBatch,
+    n: usize,
+    expr: &'a Expr,
+    bg: &'a ColumnVec,
+) -> impl Iterator<Item = RangeValue> + 'a {
+    let mut rows = RefRanges::new(expr, n);
+    (0..batch.len()).map(move |i| {
+        rows.load(batch, n, i, 0);
+        reanchor(&approx_range(expr, &rows.row), bg.value(i))
+    })
+}
+
+/// Evaluate one bound expression's per-row attribute ranges over a batch:
+/// plain references assemble from the stored triples, literals broadcast,
+/// computed expressions go through [`computed_ranges`].
 fn expr_ranges(
     batch: &ColumnBatch,
     n: usize,
     expr: &Expr,
     bgv: &ColumnBatch,
-    memo: &mut Option<Vec<Vec<RangeValue>>>,
 ) -> Result<Vec<RangeValue>, EngineError> {
     let len = batch.len();
     match expr {
-        Expr::Col(i) => Ok((0..len)
-            .map(|r| {
-                range_from_parts(
-                    batch.column(n + i).value(r),
-                    batch.column(*i).value(r),
-                    batch.column(2 * n + i).value(r),
-                )
-            })
-            .collect()),
+        Expr::Col(c) => Ok((0..len).map(|i| range_at(batch, n, *c, i)).collect()),
+        Expr::Lit(v) => Ok(vec![RangeValue::point(v.clone()); len]),
+        other => {
+            let bg = eval_expr(other, bgv)?.into_column(len);
+            Ok(computed_ranges(batch, n, other, &bg).collect())
+        }
+    }
+}
+
+/// Evaluate one bound expression into its `[bg, lb, ub]` columns — the
+/// columnar form of [`expr_ranges`]: `O(1)` column clones for plain
+/// references, broadcasts for literals, and only computed expressions pay
+/// the per-row interval evaluation.
+fn expr_triple(
+    batch: &ColumnBatch,
+    n: usize,
+    expr: &Expr,
+    bgv: &ColumnBatch,
+) -> Result<[ColumnVec; 3], EngineError> {
+    let len = batch.len();
+    match expr {
+        Expr::Col(c) => Ok([
+            batch.column(*c).clone(),
+            batch.column(n + c).clone(),
+            batch.column(2 * n + c).clone(),
+        ]),
         Expr::Lit(v) => {
-            let rv = reanchor(&RangeValue::point(v.clone()), v.clone());
-            Ok(vec![rv; len])
+            let (lb, bg, ub) = range_parts(&RangeValue::point(v.clone()));
+            Ok([&bg, &lb, &ub].map(|part| ColumnVec::broadcast(part, len)))
         }
         other => {
             let bg = eval_expr(other, bgv)?.into_column(len);
-            let rows =
-                memo.get_or_insert_with(|| (0..len).map(|i| row_ranges(batch, n, i)).collect());
-            Ok(rows
-                .iter()
-                .enumerate()
-                .map(|(i, ranges)| reanchor(&ua_ranges::approx_range(other, ranges), bg.value(i)))
-                .collect())
+            let mut lbs: Vec<Value> = Vec::with_capacity(len);
+            let mut ubs: Vec<Value> = Vec::with_capacity(len);
+            for r in computed_ranges(batch, n, other, &bg) {
+                let (lb, _, ub) = range_parts(&r);
+                lbs.push(lb);
+                ubs.push(ub);
+            }
+            Ok([
+                bg,
+                ColumnVec::from_values(lbs.iter()),
+                ColumnVec::from_values(ubs.iter()),
+            ])
         }
     }
 }
@@ -318,6 +455,8 @@ impl<'a> AuDriver<'a> {
 
     fn stream_traced(&self, plan: &Plan) -> Result<(AuStream, Option<OperatorStats>), EngineError> {
         let timer = self.collect_stats.then(Stopwatch::start);
+        // How much of a σ / hash-⋈ paid the per-row price of uncertainty.
+        let mut rowwise: Option<(&str, u64)> = None;
         let (stream, children) = match plan {
             Plan::Scan(name) => (self.scan(name)?, Vec::new()),
             Plan::Alias { input, name } => {
@@ -339,7 +478,9 @@ impl<'a> AuDriver<'a> {
             }
             Plan::Filter { input, predicate } => {
                 let (stream, child) = self.stream_traced(input)?;
-                (self.filter(stream, predicate)?, child.into_iter().collect())
+                let (out, rows) = self.filter(stream, predicate)?;
+                rowwise = Some(("rowwise_rows", rows));
+                (out, child.into_iter().collect())
             }
             Plan::Map { input, columns } => {
                 let (stream, child) = self.stream_traced(input)?;
@@ -428,17 +569,19 @@ impl<'a> AuDriver<'a> {
                     lstat.into_iter().chain(rstat).collect(),
                 )
             }
-            // Hash joins: columns convert straight into range rows (no
-            // encode, no re-validation) and feed the shared selected-guess
-            // hash join.
-            Plan::HashJoin { left, right, .. } => {
+            Plan::HashJoin {
+                left,
+                right,
+                keys,
+                residual,
+                build_left,
+            } => {
                 let (ls, lstat) = self.stream_traced(left)?;
                 let (rs, rstat) = self.stream_traced(right)?;
-                let out = ua_plan::au_binary(plan, &ls.to_relation(), &rs.to_relation())?;
-                (
-                    AuStream::from_relation(&out, self.batch_rows),
-                    lstat.into_iter().chain(rstat).collect(),
-                )
+                let (out, pairs) =
+                    self.hash_join(plan, &ls, &rs, keys, residual.as_ref(), *build_left)?;
+                rowwise = Some(("rowwise_pairs", pairs));
+                (out, lstat.into_iter().chain(rstat).collect())
             }
             Plan::Distinct { input } => {
                 let (stream, child) = self.stream_traced(input)?;
@@ -469,6 +612,9 @@ impl<'a> AuDriver<'a> {
             // the cumulative wall time `OperatorStats` documents.
             node.wall_ns = timer.elapsed_ns();
             au_span_extras(&stream, &mut node);
+            if let Some((key, count)) = rowwise {
+                node.push_extra(key, count);
+            }
             node.children = children;
             node
         });
@@ -509,36 +655,37 @@ impl<'a> AuDriver<'a> {
         })
     }
 
-    /// `⟦σ_θ⟧_AU`, batch-native: possibly-true rows survive; per row the
-    /// multiplicity lower bound is kept only under a certainly-true
-    /// predicate and the selected-guess multiplicity only when θ holds
-    /// over the bg columns (the vectorized typed mask). Batches filter in
-    /// parallel on the morsel pool.
-    fn filter(&self, stream: AuStream, predicate: &Expr) -> Result<AuStream, EngineError> {
+    /// `⟦σ_θ⟧_AU`, batch-native ([`filter_batch`]), batches filtering in
+    /// parallel on the morsel pool. Also returns how many input rows took
+    /// the per-row `truth_range` path.
+    fn filter(&self, stream: AuStream, predicate: &Expr) -> Result<(AuStream, u64), EngineError> {
         let bound = predicate.bind(&stream.user).map_err(EngineError::Expr)?;
         let n = stream.user.arity();
-        let batches: Vec<ColumnBatch> = self
+        let mut rowwise = 0u64;
+        let mut batches: Vec<ColumnBatch> = Vec::with_capacity(stream.batches.len());
+        for part in self
             .pool
             .map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, batch| {
                 filter_batch(batch, &bound, &stream.user, &stream.flat, n)
             })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .flatten()
-            .collect();
-        Ok(AuStream {
-            user: stream.user,
-            flat: stream.flat,
-            batches,
-        })
+        {
+            let (batch, rows) = part?;
+            rowwise += rows;
+            batches.extend(batch);
+        }
+        count_rowwise("au.vec.rowwise.filter_rows", rowwise);
+        Ok((
+            AuStream {
+                user: stream.user,
+                flat: stream.flat,
+                batches,
+            },
+            rowwise,
+        ))
     }
 
-    /// `⟦π⟧_AU`, batch-native: bg output columns through the typed
-    /// expression kernels; bound columns cloned for plain references,
-    /// broadcast for literals, interval-evaluated and re-anchored
-    /// ([`ua_ranges::reanchor`] — definite NULLs stay definite) per row
-    /// otherwise. Batches project in parallel on the morsel pool.
+    /// `⟦π⟧_AU`, batch-native: one [`expr_triple`] per output column.
+    /// Batches project in parallel on the morsel pool.
     fn map(&self, stream: AuStream, columns: &[ProjColumn]) -> Result<AuStream, EngineError> {
         let bound: Vec<Expr> = columns
             .iter()
@@ -608,18 +755,15 @@ impl<'a> AuDriver<'a> {
                 continue;
             }
             let bgv = bg_view(batch, &stream.user);
-            let mut memo: Option<Vec<Vec<RangeValue>>> = None;
             for (e, col) in bound_keys.iter().zip(&mut input.keys) {
-                fill_triple(batch, n, e, &bgv, &mut memo, col)?;
+                fill_triple(batch, n, e, &bgv, col)?;
             }
             for (e, col) in bound_args.iter().zip(&mut input.args) {
                 if let (Some(e), Some(col)) = (e.as_ref(), col.as_mut()) {
-                    fill_triple(batch, n, e, &bgv, &mut memo, col)?;
+                    fill_triple(batch, n, e, &bgv, col)?;
                 }
             }
-            for i in 0..batch.len() {
-                input.mults.push(mult_bound_at(batch, n, i));
-            }
+            input.mults.extend(mult_bounds(batch, n));
         }
         let kinds: Vec<AggKind> = aggregates
             .iter()
@@ -650,10 +794,10 @@ impl<'a> AuDriver<'a> {
         let n = ls.user.arity();
         let chunk_rel = |batch: &ColumnBatch| {
             let mut chunk = AuRelation::new(ls.user.clone());
-            for i in 0..batch.len() {
+            for (i, mult) in mult_bounds(batch, n).enumerate() {
                 chunk.push(ua_ranges::relation::AuTuple {
                     values: row_ranges(batch, n, i),
-                    mult: mult_bound_at(batch, n, i),
+                    mult,
                 });
             }
             chunk
@@ -684,6 +828,145 @@ impl<'a> AuDriver<'a> {
         Ok(AuStream::from_relation(&out, self.batch_rows))
     }
 
+    /// `⟦⋈⟧_AU` for `Plan::HashJoin`, triple-column-native — the columnar
+    /// form of `ua_ranges::ops::hash_join`, emitting the same rows in the
+    /// same order (probe-major, candidates ascending in build-scan order).
+    ///
+    /// The build side concatenates into one chunk and the *existing*
+    /// deterministic hash index ([`build_index`], `Int` fast path and
+    /// partitioned build included) covers the bg keys of its rows whose
+    /// key triples are all hashable points; rows with a ranged, unknown
+    /// or NaN key are *fuzzy* and stand in every candidate list, exactly
+    /// as in [`ua_ranges::SgKeyIndex`]. Probe batches run on the morsel
+    /// pool ([`AuProbe::probe`]). A pruned pair has two point keys of one
+    /// comparable family that differ, i.e. a certainly-false key
+    /// equality, so dropping it loses no possibly-true pair — which is
+    /// sound only when each key column's point keys share one family
+    /// across both sides; the cross-family case defers to the relation
+    /// path (`ua_ranges::ops::hash_join`, which itself falls back to the
+    /// nested loop there). Also returns how many candidate pairs were
+    /// refined row-wise.
+    fn hash_join(
+        &self,
+        plan: &Plan,
+        ls: &AuStream,
+        rs: &AuStream,
+        keys: &[(Expr, Expr)],
+        residual: Option<&Expr>,
+        build_left: bool,
+    ) -> Result<(AuStream, u64), EngineError> {
+        let user = ls.user.concat(&rs.user);
+        let (nl, nr) = (ls.user.arity(), rs.user.arity());
+        let lk: Vec<Expr> = keys
+            .iter()
+            .map(|(l, _)| l.bind(&ls.user))
+            .collect::<Result<_, _>>()
+            .map_err(EngineError::Expr)?;
+        let rk: Vec<Expr> = keys
+            .iter()
+            .map(|(_, r)| r.bind(&rs.user))
+            .collect::<Result<_, _>>()
+            .map_err(EngineError::Expr)?;
+        // The full join predicate over `left ++ right`, as the row
+        // operator reconstructs it: key equalities ∧ residual.
+        let mut conjuncts: Vec<Expr> = lk
+            .iter()
+            .zip(&rk)
+            .map(|(l, r)| {
+                let shifted = r
+                    .map_refs(&|name| Some(name.to_string()), &|i| i + nl)
+                    .expect("identity name mapping cannot fail");
+                l.clone().eq(shifted)
+            })
+            .collect();
+        if let Some(res) = residual {
+            conjuncts.push(res.bind(&user).map_err(EngineError::Expr)?);
+        }
+        let pred = Expr::conjunction(conjuncts);
+
+        let (build, probe, build_exprs, probe_exprs) = if build_left {
+            (ls, rs, &lk, &rk)
+        } else {
+            (rs, ls, &rk, &lk)
+        };
+        let (nb, np) = (build.user.arity(), probe.user.arity());
+        let chunk = flat_stream(build).into_single_chunk();
+        let build_keys = || SideKeys::eval(&chunk, nb, build_exprs, &build.user);
+        let probe_keys = || {
+            probe
+                .batches
+                .iter()
+                .map(|b| SideKeys::eval(b, np, probe_exprs, &probe.user))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        // Left keys evaluate before right keys, like the row operator.
+        let (bkeys, pkeys) = if build_left {
+            let b = build_keys()?;
+            (b, probe_keys()?)
+        } else {
+            let p = probe_keys()?;
+            (build_keys()?, p)
+        };
+        let probe_families = pkeys.iter().fold(vec![0u8; keys.len()], |mut acc, k| {
+            for (a, f) in acc.iter_mut().zip(k.families()) {
+                *a |= f;
+            }
+            acc
+        });
+        let compatible = bkeys
+            .families()
+            .iter()
+            .zip(&probe_families)
+            .all(|(a, b)| (a | b).count_ones() <= 1);
+        if !compatible {
+            let (l, r) = (ls.to_relation(), rs.to_relation());
+            let pairs = (l.rows().len() * r.rows().len()) as u64;
+            count_rowwise("au.vec.rowwise.join_pairs", pairs);
+            let out = ua_plan::au_binary(plan, &l, &r)?;
+            return Ok((AuStream::from_relation(&out, self.batch_rows), pairs));
+        }
+
+        let build_points = bkeys.point_rows();
+        let index = build_index(
+            &bkeys.index_columns(build_points.as_deref()),
+            build_points.as_ref().map_or(chunk.len(), Vec::len),
+            Some(&self.pool),
+        );
+        let state = AuProbe {
+            build_fuzzy: (0..chunk.len() as u32)
+                .filter(|&i| !bkeys.point.get(i as usize))
+                .collect(),
+            chunk,
+            build_bg: bkeys.bg,
+            build_points,
+            index,
+            pred,
+            has_residual: residual.is_some(),
+            build_left,
+            arity: (nl, nr),
+            flat: flattened_schema(&user),
+        };
+        let mut pairs = 0u64;
+        let mut batches: Vec<ColumnBatch> = Vec::with_capacity(probe.batches.len());
+        for part in self.pool.map_in_order(
+            probe.batches.iter().zip(&pkeys).collect::<Vec<_>>(),
+            |_, (batch, keys)| state.probe(batch, keys),
+        ) {
+            let (batch, refined) = part?;
+            pairs += refined;
+            batches.extend(batch);
+        }
+        count_rowwise("au.vec.rowwise.join_pairs", pairs);
+        Ok((
+            AuStream {
+                user,
+                flat: state.flat,
+                batches,
+            },
+            pairs,
+        ))
+    }
+
     /// `⟦δ⟧_AU`, batch-native: rows merge by selected-guess tuple over the
     /// canonical chunks in first-seen scan order. The stream's first `n`
     /// columns *are* the SG tuple, so the merge key reads straight off the
@@ -696,9 +979,8 @@ impl<'a> AuDriver<'a> {
         let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
         let mut merged: Vec<ua_ranges::relation::AuTuple> = Vec::new();
         for batch in &stream.batches {
-            for i in 0..batch.len() {
+            for (i, mult) in mult_bounds(batch, n).enumerate() {
                 let key: Tuple = (0..n).map(|c| batch.column(c).value(i)).collect();
-                let mult = mult_bound_at(batch, n, i);
                 match index.get(&key) {
                     Some(&slot) => {
                         let acc = &mut merged[slot];
@@ -730,6 +1012,267 @@ impl<'a> AuDriver<'a> {
             rel.push(row);
         }
         AuStream::from_relation(&rel, self.batch_rows)
+    }
+}
+
+/// One join side's evaluated key columns over a batch (or the build
+/// chunk).
+struct SideKeys {
+    /// The selected-guess key columns, one per key.
+    bg: Vec<ColumnVec>,
+    /// Rows whose every key is a *hashable point* (`lb = bg = ub`, not
+    /// NaN — `ua_ranges::ops`' `hashable_point`, checked columnar): the rows
+    /// an index can hold or look up. Every other row is fuzzy.
+    point: Bitmap,
+}
+
+impl SideKeys {
+    /// Evaluate the (bound) key expressions of a side with user arity `n`.
+    fn eval(
+        batch: &ColumnBatch,
+        n: usize,
+        exprs: &[Expr],
+        user: &Schema,
+    ) -> Result<SideKeys, EngineError> {
+        let bgv = bg_view(batch, user);
+        let mut point = Bitmap::filled(batch.len(), true);
+        let mut bg = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            let [b, lb, ub] = expr_triple(batch, n, e, &bgv)?;
+            point.and_assign(&point_mask(&lb, &b, &ub));
+            // NaN compares `None` against ints (three-valued ANY): fuzzy.
+            match &b {
+                ColumnVec::Float(vals) => {
+                    point.and_not_assign(&Bitmap::from_fn(vals.len(), |i| vals[i].get().is_nan()));
+                }
+                ColumnVec::Mixed(vals) => point.and_not_assign(&Bitmap::from_fn(
+                    vals.len(),
+                    |i| matches!(&vals[i], Value::Float(f) if f.get().is_nan()),
+                )),
+                _ => {}
+            }
+            bg.push(b);
+        }
+        Ok(SideKeys { bg, point })
+    }
+
+    /// The point rows, ascending; `None` when every row is one.
+    fn point_rows(&self) -> Option<Vec<u32>> {
+        (!self.point.all_ones()).then(|| self.point.ones())
+    }
+
+    /// The bg key columns restricted to `rows` (`None` = every row), in
+    /// the form [`build_index`] / [`probe_index`] take.
+    fn index_columns(&self, rows: Option<&[u32]>) -> Vec<Evaluated> {
+        self.bg
+            .iter()
+            .map(|c| Evaluated::Col(rows.map_or_else(|| c.clone(), |r| c.gather(r))))
+            .collect()
+    }
+
+    /// Per key column, the comparable-type families
+    /// (`ua_ranges::ops::key_family`) of the point rows' keys.
+    fn families(&self) -> Vec<u8> {
+        let any_point = self.point.count_ones() > 0;
+        self.bg
+            .iter()
+            .map(|col| match col {
+                ColumnVec::Mixed(vals) => self
+                    .point
+                    .ones()
+                    .iter()
+                    .fold(0, |f, &i| f | key_family(&vals[i as usize])),
+                // A typed column's values all share one family.
+                typed if any_point => key_family(&typed.value(0)),
+                _ => 0,
+            })
+            .collect()
+    }
+}
+
+/// Whether two key columns are dense vectors of one type — then two point
+/// keys the index pairs up are equal under the domain order itself, not
+/// just under the coercing join-key normalization.
+fn same_dense_type(a: &ColumnVec, b: &ColumnVec) -> bool {
+    !matches!(a, ColumnVec::Mixed(_)) && std::mem::discriminant(a) == std::mem::discriminant(b)
+}
+
+/// Keep `v[j]` iff `keep[j]` (one flag per element).
+fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("one flag per element"));
+}
+
+/// Prepared probe state of the AU hash join (read-only, shared by the
+/// probe morsels).
+struct AuProbe {
+    /// The build side as one chunk over its flattened schema.
+    chunk: ColumnBatch,
+    /// The build side's bg key columns (over the whole chunk).
+    build_bg: Vec<ColumnVec>,
+    /// Chunk rows the index holds, ascending (`None` = every row): index
+    /// entries are positions into this list.
+    build_points: Option<Vec<u32>>,
+    /// Chunk rows with a fuzzy key, ascending.
+    build_fuzzy: Vec<u32>,
+    index: JoinIndex,
+    /// Key equalities ∧ residual, bound over `left ++ right`.
+    pred: Expr,
+    has_residual: bool,
+    build_left: bool,
+    /// User arities `(left, right)`.
+    arity: (usize, usize),
+    /// The flattened output schema.
+    flat: Schema,
+}
+
+impl AuProbe {
+    /// Probe one batch: the joined batch (`None` when no pair survives)
+    /// and the number of pairs refined row-wise.
+    ///
+    /// A point probe row's candidates are its index bucket merged with
+    /// the fuzzy build rows, ascending; a fuzzy probe row's candidates
+    /// are all build rows. A pair found through the index between
+    /// same-typed point keys, with no residual, is certainly equal
+    /// (`points_equal`): the predicate is certainly true and holds over
+    /// the selected guess, so its multiplicity is the plain product and
+    /// nothing is refined. Every other candidate goes through the shared
+    /// `ua_ranges::ops::refine_pair_mult` over ranges assembled for that
+    /// pair's referenced columns only.
+    fn probe(
+        &self,
+        batch: &ColumnBatch,
+        keys: &SideKeys,
+    ) -> Result<(Option<ColumnBatch>, u64), EngineError> {
+        let (nl, nr) = self.arity;
+        let (nb, np) = if self.build_left { (nl, nr) } else { (nr, nl) };
+        let probe_points = keys.point_rows();
+        let (mut pidx, mut bidx) = probe_index(
+            &self.index,
+            &keys.index_columns(probe_points.as_deref()),
+            probe_points.as_ref().map_or(batch.len(), Vec::len),
+        );
+        if let Some(rows) = &probe_points {
+            pidx.iter_mut().for_each(|p| *p = rows[*p as usize]);
+        }
+        if let Some(rows) = &self.build_points {
+            bidx.iter_mut().for_each(|b| *b = rows[*b as usize]);
+        }
+        // `indexed[j]`: pair `j` came out of the index (`None` = all did).
+        let mut indexed: Option<Vec<bool>> = None;
+        if probe_points.is_some() || !self.build_fuzzy.is_empty() {
+            let (hp, hb) = (std::mem::take(&mut pidx), std::mem::take(&mut bidx));
+            let mut flags = Vec::with_capacity(hp.len());
+            let mut next = 0;
+            for i in 0..batch.len() as u32 {
+                if !keys.point.get(i as usize) {
+                    for b in 0..self.chunk.len() as u32 {
+                        pidx.push(i);
+                        bidx.push(b);
+                        flags.push(false);
+                    }
+                    continue;
+                }
+                // Merge this row's bucket run with the fuzzy build rows
+                // (two disjoint ascending lists).
+                let mut fuzzy = self.build_fuzzy.iter().copied().peekable();
+                while next < hp.len() && hp[next] == i {
+                    while let Some(f) = fuzzy.next_if(|&f| f < hb[next]) {
+                        pidx.push(i);
+                        bidx.push(f);
+                        flags.push(false);
+                    }
+                    pidx.push(i);
+                    bidx.push(hb[next]);
+                    flags.push(true);
+                    next += 1;
+                }
+                for f in fuzzy {
+                    pidx.push(i);
+                    bidx.push(f);
+                    flags.push(false);
+                }
+            }
+            indexed = Some(flags);
+        }
+        if pidx.is_empty() {
+            return Ok((None, 0));
+        }
+
+        // `MultBound::times` on the three multiplicity columns: saturating
+        // products (`i64` saturation is where the `u64` product clamps
+        // when it is encoded).
+        let pm = mult_slices(batch, np);
+        let bm = mult_slices(&self.chunk, nb);
+        let mut mults: [Vec<i64>; 3] = [0, 1, 2].map(|k| {
+            pidx.iter()
+                .zip(&bidx)
+                .map(|(&p, &b)| pm[k][p as usize].saturating_mul(bm[k][b as usize]))
+                .collect()
+        });
+
+        let certain_keys = !self.has_residual
+            && keys
+                .bg
+                .iter()
+                .zip(&self.build_bg)
+                .all(|(p, b)| same_dense_type(p, b));
+        let (lsrc, lidx, rsrc, ridx) = if self.build_left {
+            (&self.chunk, &mut bidx, batch, &mut pidx)
+        } else {
+            (batch, &mut pidx, &self.chunk, &mut bidx)
+        };
+        let mut refined = 0u64;
+        if !(certain_keys && indexed.is_none()) {
+            let mut rows = RefRanges::new(&self.pred, nl + nr);
+            let mut keep = Vec::with_capacity(lidx.len());
+            for j in 0..lidx.len() {
+                if certain_keys && indexed.as_ref().is_some_and(|flags| flags[j]) {
+                    keep.push(true);
+                    continue;
+                }
+                refined += 1;
+                rows.load(lsrc, nl, lidx[j] as usize, 0);
+                rows.load(rsrc, nr, ridx[j] as usize, nl);
+                let base =
+                    MultBound::new(mults[0][j] as u64, mults[1][j] as u64, mults[2][j] as u64);
+                match refine_pair_mult(&self.pred, &rows.row, base).map_err(EngineError::Expr)? {
+                    Some(m) => {
+                        // Refinement only zeroes components: they still fit.
+                        mults[0][j] = m.lb as i64;
+                        mults[1][j] = m.bg as i64;
+                        keep.push(true);
+                    }
+                    None => keep.push(false),
+                }
+            }
+            if keep.contains(&false) {
+                retain_flagged(lidx, &keep);
+                retain_flagged(ridx, &keep);
+                mults.iter_mut().for_each(|m| retain_flagged(m, &keep));
+            }
+        }
+        let rows_out = lidx.len();
+        if rows_out == 0 {
+            return Ok((None, refined));
+        }
+
+        // Flattened layout of `left ++ right`: all bg, all lb, all ub.
+        let mut columns: Vec<ColumnVec> = Vec::with_capacity(3 * (nl + nr) + 3);
+        for part in 0..3 {
+            columns.extend((0..nl).map(|c| lsrc.column(part * nl + c).gather(lidx)));
+            columns.extend((0..nr).map(|c| rsrc.column(part * nr + c).gather(ridx)));
+        }
+        columns.extend(mults.into_iter().map(|m| ColumnVec::Int(Arc::new(m))));
+        Ok((
+            Some(ColumnBatch::new(
+                self.flat.clone(),
+                columns,
+                Bitmap::filled(rows_out, true),
+                Arc::new(vec![1u64; rows_out]),
+            )),
+            refined,
+        ))
     }
 }
 
@@ -774,7 +1317,6 @@ fn fill_triple(
     n: usize,
     expr: &Expr,
     bgv: &ColumnBatch,
-    memo: &mut Option<Vec<Vec<RangeValue>>>,
     col: &mut TripleCol,
 ) -> Result<(), EngineError> {
     match col {
@@ -808,7 +1350,7 @@ fn fill_triple(
             lb.extend_from_slice(l);
             ub.extend_from_slice(u);
         }
-        TripleCol::Rows(rows) => rows.extend(expr_ranges(batch, n, expr, bgv, memo)?),
+        TripleCol::Rows(rows) => rows.extend(expr_ranges(batch, n, expr, bgv)?),
     }
     Ok(())
 }
@@ -825,54 +1367,76 @@ fn flat_stream(stream: &AuStream) -> BatchStream {
     }
 }
 
-/// One batch of [`AuDriver::filter`] (pure per-batch function, safe to
-/// run on the pool): `None` when no row survives.
+/// One batch of `⟦σ_θ⟧_AU` (pure per-batch function, safe to run on the
+/// pool): possibly-true rows survive, the multiplicity lower bound is
+/// kept only under a certainly-true predicate and the selected-guess
+/// multiplicity only when θ holds over the bg columns (the deterministic
+/// typed mask). Kernel-native predicates ([`range_truth_masks`]) decide
+/// possibility and certainty as bitmaps straight off the `lb`/`ub`
+/// columns; any other shape evaluates `truth_range` per row over ranges
+/// assembled for the referenced columns only. Either way the two
+/// multiplicity columns are refined by masking and the survivors leave in
+/// one gather. Returns the surviving batch (`None` when no row survives)
+/// and how many rows took the per-row path.
 fn filter_batch(
     batch: &ColumnBatch,
     bound: &Expr,
     user: &Schema,
     flat: &Schema,
     n: usize,
-) -> Result<Option<ColumnBatch>, EngineError> {
-    if batch.is_empty() {
-        return Ok(None);
+) -> Result<(Option<ColumnBatch>, u64), EngineError> {
+    let len = batch.len();
+    if len == 0 {
+        return Ok((None, 0));
     }
-    let bgv = bg_view(batch, user);
-    let (bg_true, _) = truth_masks(bound, &bgv)?;
-    let mut keep: Vec<u32> = Vec::new();
-    let mut new_lb: Vec<Value> = Vec::new();
-    let mut new_bg: Vec<Value> = Vec::new();
-    for i in 0..batch.len() {
-        let ranges = row_ranges(batch, n, i);
-        let rt = truth_range(bound, &ranges);
-        if !rt.possibly_true() {
-            continue;
+    let (bg_true, _) = truth_masks(bound, &bg_view(batch, user))?;
+    let (possibly, certainly, rowwise) = match range_truth_masks(bound, batch, n) {
+        Some((possibly, possibly_false)) => {
+            let mut certainly = possibly.clone();
+            certainly.and_not_assign(&possibly_false);
+            (possibly, certainly, 0)
         }
-        keep.push(i as u32);
-        new_lb.push(Value::Int(if rt.certainly_true() {
-            mult_at(batch, n, 0, i)
-        } else {
-            0
-        }));
-        new_bg.push(Value::Int(if bg_true.get(i) {
-            mult_at(batch, n, 1, i)
-        } else {
-            0
-        }));
-    }
+        None => {
+            let mut rows = RefRanges::new(bound, n);
+            let mut possibly = Bitmap::filled(len, false);
+            let mut certainly = Bitmap::filled(len, false);
+            for i in 0..len {
+                rows.load(batch, n, i, 0);
+                let rt = truth_range(bound, &rows.row);
+                possibly.set(i, rt.possibly_true());
+                certainly.set(i, rt.certainly_true());
+            }
+            (possibly, certainly, len as u64)
+        }
+    };
+    let keep = possibly.ones();
     if keep.is_empty() {
-        return Ok(None);
+        return Ok((None, rowwise));
     }
+    if keep.len() == len && certainly.all_ones() && bg_true.all_ones() {
+        return Ok((Some(batch.clone()), rowwise));
+    }
+    let [m_lb, m_bg, _] = mult_slices(batch, n);
+    let masked = |mult: &[i64], mask: &Bitmap| {
+        let kept = keep.iter().map(|&i| i as usize);
+        ColumnVec::Int(Arc::new(
+            kept.map(|i| if mask.get(i) { mult[i] } else { 0 })
+                .collect(),
+        ))
+    };
     let gathered = batch.gather(&keep);
     let mut columns = gathered.columns().to_vec();
-    columns[3 * n] = ColumnVec::from_values(new_lb.iter());
-    columns[3 * n + 1] = ColumnVec::from_values(new_bg.iter());
-    Ok(Some(ColumnBatch::new(
-        flat.clone(),
-        columns,
-        gathered.labels().clone(),
-        Arc::new(gathered.mults().to_vec()),
-    )))
+    columns[3 * n] = masked(m_lb, &certainly);
+    columns[3 * n + 1] = masked(m_bg, &bg_true);
+    Ok((
+        Some(ColumnBatch::new(
+            flat.clone(),
+            columns,
+            gathered.labels().clone(),
+            gathered.shared_mults(),
+        )),
+        rowwise,
+    ))
 }
 
 /// One batch of [`AuDriver::map`] (pure per-batch function, safe to run
@@ -884,61 +1448,31 @@ fn map_batch(
     out_flat: &Schema,
     n_in: usize,
 ) -> Result<ColumnBatch, EngineError> {
-    let len = batch.len();
-    let n_out = bound.len();
     let bgv = bg_view(batch, user);
-    let bg_cols: Vec<ColumnVec> = bound
+    let triples: Vec<[ColumnVec; 3]> = bound
         .iter()
-        .map(|e| Ok(eval_expr(e, &bgv)?.into_column(len)))
-        .collect::<Result<_, EngineError>>()?;
-    // Per-row range assembly is shared across computed expressions.
-    let mut memo: Option<Vec<Vec<RangeValue>>> = None;
-    let mut lb_cols: Vec<ColumnVec> = Vec::with_capacity(n_out);
-    let mut ub_cols: Vec<ColumnVec> = Vec::with_capacity(n_out);
-    for (k, e) in bound.iter().enumerate() {
-        match e {
-            Expr::Col(i) => {
-                lb_cols.push(batch.column(n_in + i).clone());
-                ub_cols.push(batch.column(2 * n_in + i).clone());
-            }
-            Expr::Lit(v) => {
-                let (lb, _, ub) = range_parts(&RangeValue::point(v.clone()));
-                lb_cols.push(ColumnVec::broadcast(&lb, len));
-                ub_cols.push(ColumnVec::broadcast(&ub, len));
-            }
-            other => {
-                let rows = memo
-                    .get_or_insert_with(|| (0..len).map(|i| row_ranges(batch, n_in, i)).collect());
-                let mut lbs: Vec<Value> = Vec::with_capacity(len);
-                let mut ubs: Vec<Value> = Vec::with_capacity(len);
-                for (i, ranges) in rows.iter().enumerate() {
-                    let approx = ua_ranges::approx_range(other, ranges);
-                    // Re-anchor on the exact bg — the same `reanchor` step
-                    // `eval_range` performs, so a definite NULL projected
-                    // through a computed expression stays definite.
-                    let r = reanchor(&approx, bg_cols[k].value(i));
-                    let (lb, _, ub) = range_parts(&r);
-                    lbs.push(lb);
-                    ubs.push(ub);
-                }
-                lb_cols.push(ColumnVec::from_values(lbs.iter()));
-                ub_cols.push(ColumnVec::from_values(ubs.iter()));
-            }
-        }
+        .map(|e| expr_triple(batch, n_in, e, &bgv))
+        .collect::<Result<_, _>>()?;
+    // Flattened layout: every bg column, then every lb, then every ub.
+    let mut out_cols: Vec<ColumnVec> = Vec::with_capacity(3 * bound.len() + 3);
+    for part in 0..3 {
+        out_cols.extend(triples.iter().map(|t| t[part].clone()));
     }
-    let mut out_cols: Vec<ColumnVec> = Vec::with_capacity(3 * n_out + 3);
-    out_cols.extend(bg_cols);
-    out_cols.extend(lb_cols);
-    out_cols.extend(ub_cols);
-    out_cols.push(batch.column(3 * n_in).clone());
-    out_cols.push(batch.column(3 * n_in + 1).clone());
-    out_cols.push(batch.column(3 * n_in + 2).clone());
+    out_cols.extend_from_slice(&batch.columns()[3 * n_in..]);
     Ok(ColumnBatch::new(
         out_flat.clone(),
         out_cols,
         batch.labels().clone(),
-        Arc::new(batch.mults().to_vec()),
+        batch.shared_mults(),
     ))
+}
+
+/// Bump a `au.vec.rowwise.*` registry counter (skipping the registry
+/// lookup when nothing went row-wise).
+fn count_rowwise(name: &str, count: u64) {
+    if count > 0 {
+        ua_obs::global().counter(name).add(count);
+    }
 }
 
 /// The AU telemetry extras for a finished operator span — the same
@@ -947,15 +1481,23 @@ fn map_batch(
 /// and by how much) plus the materialized stream's logical bytes, charged
 /// against the query memory accumulator. Every AU operator materializes
 /// its whole output, so the profile observes exactly the operator result.
+/// Folded columnar: each attribute's point cells are counted off its
+/// [`point_mask`], and only the non-point residue assembles a range.
 fn au_span_extras(stream: &AuStream, node: &mut OperatorStats) {
     let n = stream.user.arity();
-    let mut ws = ua_ranges::WidthSummary::new();
+    let mut ws = WidthSummary::new();
     for b in &stream.batches {
-        for i in 0..b.len() {
-            ws.observe(&ua_ranges::relation::AuTuple {
-                values: row_ranges(b, n, i),
-                mult: mult_bound_at(b, n, i),
-            });
+        for mult in mult_bounds(b, n) {
+            ws.observe_mult(mult);
+        }
+        for c in 0..n {
+            let points = point_mask(b.column(n + c), b.column(c), b.column(2 * n + c));
+            ws.observe_points(points.count_ones() as u64);
+            if !points.all_ones() {
+                for i in (0..b.len()).filter(|&i| !points.get(i)) {
+                    ws.observe_cell(&range_at(b, n, c, i));
+                }
+            }
         }
     }
     node.push_extra("certain_rows", ws.certain_rows);

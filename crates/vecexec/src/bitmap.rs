@@ -96,6 +96,26 @@ impl Bitmap {
         }
     }
 
+    /// Word-wise in-place AND-NOT: clear every bit set in `other`.
+    pub fn and_not_assign(&mut self, other: &Bitmap) {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w &= !o;
+        }
+    }
+
+    /// A bitmap of `len` bits with bit `i` set iff `f(i)`.
+    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Bitmap {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for (wi, word) in words.iter_mut().enumerate() {
+            let base = wi * 64;
+            for bit in 0..(len - base).min(64) {
+                *word |= u64::from(f(base + bit)) << bit;
+            }
+        }
+        Bitmap { words, len }
+    }
+
     /// Positions of all set bits, in order — the selection vector of a
     /// predicate mask.
     pub fn ones(&self) -> Vec<u32> {

@@ -293,6 +293,12 @@ impl ColumnBatch {
         &self.mults
     }
 
+    /// The multiplicity column's shared buffer, for views that keep the
+    /// rows and only swap columns.
+    pub fn shared_mults(&self) -> Arc<Vec<u64>> {
+        Arc::clone(&self.mults)
+    }
+
     /// Materialize row `i` as a tuple.
     pub fn row(&self, i: usize) -> Tuple {
         self.columns.iter().map(|c| c.value(i)).collect()

@@ -569,6 +569,188 @@ fn cmp_masks(op: CmpOp, a: &Evaluated, b: &Evaluated, n: usize) -> (Bitmap, Bitm
     }
 }
 
+/// The `[lb, bg, ub]` view of one kernel-native comparison operand: a
+/// dense same-typed column triple of an AU batch, or a literal (a point).
+enum Tri<'a, T> {
+    Cols {
+        lb: &'a [T],
+        bg: &'a [T],
+        ub: &'a [T],
+    },
+    Lit(&'a T),
+}
+
+impl<T> Tri<'_, T> {
+    #[inline]
+    fn at(&self, i: usize) -> (&T, &T, &T) {
+        match self {
+            Tri::Cols { lb, bg, ub } => (&lb[i], &bg[i], &ub[i]),
+            Tri::Lit(v) => (v, v, v),
+        }
+    }
+}
+
+enum RangeOperand<'a> {
+    Int(Tri<'a, i64>),
+    Float(Tri<'a, F64>),
+    Str(Tri<'a, Arc<str>>),
+}
+
+/// Classify a comparison operand of [`range_truth_masks`]: a plain
+/// reference whose `[bg | lb | ub]` columns (at `c`, `n + c`, `2n + c` of
+/// the flattened layout) are dense vectors of one type, or a known
+/// `Int`/`Float`/`Str` literal. Dense typed columns hold no `NULL`, so
+/// such a triple is never top and never a definite NULL.
+fn range_operand<'a>(e: &'a Expr, batch: &'a ColumnBatch, n: usize) -> Option<RangeOperand<'a>> {
+    use ColumnVec::*;
+    match e {
+        Expr::Col(c) if *c < n => {
+            match (
+                batch.column(n + c),
+                batch.column(*c),
+                batch.column(2 * n + c),
+            ) {
+                (Int(lb), Int(bg), Int(ub)) => Some(RangeOperand::Int(Tri::Cols { lb, bg, ub })),
+                (Float(lb), Float(bg), Float(ub)) => {
+                    Some(RangeOperand::Float(Tri::Cols { lb, bg, ub }))
+                }
+                (Str(lb), Str(bg), Str(ub)) => Some(RangeOperand::Str(Tri::Cols { lb, bg, ub })),
+                _ => None,
+            }
+        }
+        Expr::Lit(Value::Int(v)) => Some(RangeOperand::Int(Tri::Lit(v))),
+        Expr::Lit(Value::Float(v)) => Some(RangeOperand::Float(Tri::Lit(v))),
+        Expr::Lit(Value::Str(v)) => Some(RangeOperand::Str(Tri::Lit(v))),
+        _ => None,
+    }
+}
+
+/// `ua_ranges`' `cmp_possibilities` over two operand triples, row by row:
+/// the possibly-true and possibly-false masks of `a op b` from the same
+/// endpoint rules (`lt` possible iff `a.lb < b.ub`, `gt` iff `b.lb <
+/// a.ub`, `eq` iff the intervals intersect, certain equality only between
+/// two equal points). `cmp` is the domain order (`range_cmp`); `None` from
+/// it — a NaN under the coercing Int/Float comparison — abandons the
+/// kernel, because that row's truth is `ANY`.
+fn possibility_masks<T: PartialEq, U: PartialEq>(
+    op: CmpOp,
+    len: usize,
+    a: &Tri<'_, T>,
+    b: &Tri<'_, U>,
+    cmp: impl Fn(&T, &U) -> Option<Ordering>,
+) -> Option<(Bitmap, Bitmap)> {
+    let mut t = Bitmap::filled(len, false);
+    let mut f = Bitmap::filled(len, false);
+    for i in 0..len {
+        let (al, ab, au) = a.at(i);
+        let (bl, bb, bu) = b.at(i);
+        let bg_ord = cmp(ab, bb)?;
+        let low = cmp(al, bu)?;
+        let high = cmp(au, bl)?;
+        let lt = low == Ordering::Less;
+        let gt = high == Ordering::Greater;
+        let eq = low != Ordering::Greater && high != Ordering::Less;
+        let (pt, pf) = match op {
+            CmpOp::Lt => (lt, gt || eq),
+            CmpOp::Le => (lt || eq, gt),
+            CmpOp::Gt => (gt, lt || eq),
+            CmpOp::Ge => (gt || eq, lt),
+            CmpOp::Eq | CmpOp::Ne => {
+                let points_equal =
+                    bg_ord == Ordering::Equal && al == ab && ab == au && bl == bb && bb == bu;
+                let ne = lt || gt || !points_equal;
+                if op == CmpOp::Eq {
+                    (eq, ne)
+                } else {
+                    (ne, eq)
+                }
+            }
+        };
+        if pt {
+            t.set(i, true);
+        }
+        if pf {
+            f.set(i, true);
+        }
+    }
+    Some((t, f))
+}
+
+fn range_cmp_masks(
+    op: CmpOp,
+    a: &Expr,
+    b: &Expr,
+    batch: &ColumnBatch,
+    n: usize,
+) -> Option<(Bitmap, Bitmap)> {
+    use RangeOperand::*;
+    let len = batch.len();
+    match (range_operand(a, batch, n)?, range_operand(b, batch, n)?) {
+        (Int(a), Int(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
+        (Float(a), Float(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
+        (Str(a), Str(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
+        (Int(a), Float(b)) => {
+            possibility_masks(op, len, &a, &b, |x, y| (*x as f64).partial_cmp(&y.get()))
+        }
+        (Float(a), Int(b)) => {
+            possibility_masks(op, len, &a, &b, |x, y| x.get().partial_cmp(&(*y as f64)))
+        }
+        _ => None,
+    }
+}
+
+/// The typed three-valued kernel of `⟦σ⟧_AU`: evaluate a (bound) predicate
+/// over an AU batch's `[bg | lb | ub]` triple columns (user arity `n`)
+/// into `(possibly true, possibly false)` bitmaps — bit for bit
+/// `ua_ranges::truth_range`'s `t` and `f` flags per row — without
+/// assembling a range. Native shapes are `AND`/`OR`/`NOT` over
+/// comparisons, `BETWEEN` and literal `IN` lists whose operands are plain
+/// references to dense same-typed `Int`/`Float`/`Str` triples or known
+/// literals of those types. Such operands are never top, so every leaf's
+/// *unknown* flag is identically false and the Kleene connectives lift to
+/// word-wide bitmap ops; a row is certainly true iff it is possibly true
+/// and not possibly false. `None` for every other shape (and for a NaN
+/// met by a coercing Int/Float comparison): the caller takes the per-row
+/// `truth_range` path.
+pub fn range_truth_masks(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<(Bitmap, Bitmap)> {
+    match expr {
+        Expr::Cmp(op, a, b) => range_cmp_masks(*op, a, b, batch, n),
+        Expr::And(a, b) => {
+            let (mut t, mut f) = range_truth_masks(a, batch, n)?;
+            let (tb, fb) = range_truth_masks(b, batch, n)?;
+            t.and_assign(&tb);
+            f.or_assign(&fb);
+            Some((t, f))
+        }
+        Expr::Or(a, b) => {
+            let (mut t, mut f) = range_truth_masks(a, batch, n)?;
+            let (tb, fb) = range_truth_masks(b, batch, n)?;
+            t.or_assign(&tb);
+            f.and_assign(&fb);
+            Some((t, f))
+        }
+        Expr::Not(a) => range_truth_masks(a, batch, n).map(|(t, f)| (f, t)),
+        Expr::Between(e, lo, hi) => {
+            let (mut t, mut f) = range_cmp_masks(CmpOp::Ge, e, lo, batch, n)?;
+            let (tb, fb) = range_cmp_masks(CmpOp::Le, e, hi, batch, n)?;
+            t.and_assign(&tb);
+            f.or_assign(&fb);
+            Some((t, f))
+        }
+        Expr::InList(e, list) => {
+            let mut t = Bitmap::filled(batch.len(), false);
+            let mut f = Bitmap::filled(batch.len(), true);
+            for item in list {
+                let (ti, fi) = range_cmp_masks(CmpOp::Eq, e, item, batch, n)?;
+                t.or_assign(&ti);
+                f.and_assign(&fi);
+            }
+            Some((t, f))
+        }
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

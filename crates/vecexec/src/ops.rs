@@ -370,7 +370,7 @@ pub fn outer_join(
 /// lookup routed by the same hash sees exactly the entry list a
 /// single-partition build would hold. Partition count therefore never
 /// affects probe results; it only decides how the build parallelizes.
-enum JoinIndex {
+pub(crate) enum JoinIndex {
     /// Single integer equi-key: dense i64 hash tables.
     Int(Vec<FxHashMap<i64, Vec<u32>>>),
     /// General composite key.
@@ -748,7 +748,13 @@ fn build_partitioned<K: Hash + Eq + Send>(
     })
 }
 
-fn build_index(key_cols: &[Evaluated], rows: usize, pool: Option<&ThreadPool>) -> JoinIndex {
+/// Index `rows` build rows by their evaluated key columns (SQL `NULL`
+/// keys never join and are left out).
+pub(crate) fn build_index(
+    key_cols: &[Evaluated],
+    rows: usize,
+    pool: Option<&ThreadPool>,
+) -> JoinIndex {
     let parts = build_partitions(rows, pool);
     // Fast path: one integer key column.
     if let [Evaluated::Col(ColumnVec::Int(vals))] = key_cols {
@@ -784,7 +790,13 @@ fn build_index(key_cols: &[Evaluated], rows: usize, pool: Option<&ThreadPool>) -
     JoinIndex::Tuple(vec![map])
 }
 
-fn probe_index(index: &JoinIndex, probe_cols: &[Evaluated], rows: usize) -> (Vec<u32>, Vec<u32>) {
+/// Look `rows` probe rows up: matching `(probe row, build row)` pairs,
+/// probe-major with build rows ascending within one probe row.
+pub(crate) fn probe_index(
+    index: &JoinIndex,
+    probe_cols: &[Evaluated],
+    rows: usize,
+) -> (Vec<u32>, Vec<u32>) {
     let mut lidx = Vec::new();
     let mut ridx = Vec::new();
     match index {

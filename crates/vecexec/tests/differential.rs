@@ -947,3 +947,236 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
         }
     }
 }
+
+/// AU hash joins over ranged keys: the triple-column-native join must emit
+/// the row operator's bytes — same rows, same order, same refined
+/// multiplicities — for point keys, ranged / NULL / top / NaN keys on the
+/// build side, the probe side and both, a residual predicate,
+/// `Int`-vs-`Float` keys, cross-family keys (the relation-path deferral),
+/// computed and composite keys and empty sides, under both `build_left`
+/// settings, at threads {1, 2, 4} × batch rows {1, 7, 1024}.
+#[test]
+fn au_hash_joins_match_the_row_operator_over_ranged_keys() {
+    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Keys {
+        /// Every key a certain value.
+        Points,
+        /// Points mixed with ranged, definite-NULL and top keys.
+        Ranged,
+    }
+    #[derive(Clone, Copy)]
+    enum Domain {
+        Int,
+        Float,
+        Str,
+    }
+
+    // t(k, k2, v): `k` in the given domain and certainty, `k2` a small
+    // certain Int, `v` a ranged Int payload for the residual.
+    fn side(rng: &mut StdRng, name: &str, rows: usize, keys: Keys, domain: Domain) -> AuRelation {
+        let point = |x: i64| match domain {
+            Domain::Int => Value::Int(x),
+            // Integral and fractional floats, NaN and -0.0.
+            Domain::Float => match x {
+                5 => Value::float(f64::NAN),
+                0 => Value::float(-0.0),
+                x if x % 4 == 3 => Value::float(x as f64 + 0.5),
+                x => Value::float(x as f64),
+            },
+            Domain::Str => Value::str(format!("k{x}")),
+        };
+        let mut rel = AuRelation::new(Schema::qualified(name, ["k", "k2", "v"]));
+        for _ in 0..rows {
+            let x = rng.gen_range(0..8i64);
+            let k = match (keys, rng.gen_range(0..10u32)) {
+                (Keys::Ranged, 0) => RangeValue::null(),
+                (Keys::Ranged, 1) => RangeValue::top(point(x)),
+                (Keys::Ranged, 2 | 3) => {
+                    RangeValue::new(Bound::Val(point(x)), point(x + 1), Bound::Val(point(x + 2)))
+                }
+                _ => RangeValue::point(point(x)),
+            };
+            let v = rng.gen_range(0..20i64);
+            let spread = rng.gen_range(0..3i64);
+            let ub = rng.gen_range(1..3u64);
+            let bg = rng.gen_range(0..=ub);
+            let lb = rng.gen_range(0..=bg);
+            rel.push(AuTuple {
+                values: vec![
+                    k,
+                    RangeValue::point(Value::Int(rng.gen_range(0..3))),
+                    RangeValue::new(
+                        Bound::Val(Value::Int(v - spread)),
+                        Value::Int(v),
+                        Bound::Val(Value::Int(v + spread)),
+                    ),
+                ],
+                mult: MultBound::new(lb, bg, ub),
+            });
+        }
+        rel
+    }
+
+    let single = vec![(Expr::named("l.k"), Expr::named("r.k"))];
+    let composite = vec![
+        (Expr::named("l.k"), Expr::named("r.k")),
+        (Expr::named("l.k2"), Expr::named("r.k2")),
+    ];
+    let computed = vec![(
+        Expr::named("l.k").add(Expr::lit(1i64)),
+        Expr::named("r.k").add(Expr::named("r.k2")),
+    )];
+    let residual = Expr::named("l.v").lt(Expr::named("r.v"));
+    use Domain::{Float, Int, Str};
+    use Keys::{Points, Ranged};
+    // (name, left rows/keys/domain, right rows/keys/domain, keys, residual)
+    #[allow(clippy::type_complexity)]
+    let cases: Vec<(
+        &str,
+        (usize, Keys, Domain),
+        (usize, Keys, Domain),
+        &Vec<(Expr, Expr)>,
+        Option<&Expr>,
+    )> = vec![
+        (
+            "points",
+            (90, Points, Int),
+            (40, Points, Int),
+            &single,
+            None,
+        ),
+        (
+            "ranged left",
+            (60, Ranged, Int),
+            (30, Points, Int),
+            &single,
+            None,
+        ),
+        (
+            "ranged right",
+            (60, Points, Int),
+            (30, Ranged, Int),
+            &single,
+            None,
+        ),
+        (
+            "ranged both",
+            (50, Ranged, Int),
+            (25, Ranged, Int),
+            &single,
+            None,
+        ),
+        (
+            "residual",
+            (50, Ranged, Int),
+            (30, Points, Int),
+            &single,
+            Some(&residual),
+        ),
+        (
+            "residual over points",
+            (60, Points, Int),
+            (30, Points, Int),
+            &single,
+            Some(&residual),
+        ),
+        (
+            "int vs float",
+            (60, Ranged, Int),
+            (40, Ranged, Float),
+            &single,
+            None,
+        ),
+        (
+            "float vs float",
+            (60, Ranged, Float),
+            (40, Points, Float),
+            &single,
+            None,
+        ),
+        (
+            "strings",
+            (40, Ranged, Str),
+            (30, Ranged, Str),
+            &single,
+            None,
+        ),
+        (
+            "cross family",
+            (20, Ranged, Int),
+            (15, Points, Str),
+            &single,
+            None,
+        ),
+        (
+            "composite",
+            (70, Ranged, Int),
+            (40, Ranged, Int),
+            &composite,
+            None,
+        ),
+        (
+            "computed",
+            (50, Ranged, Int),
+            (40, Points, Int),
+            &computed,
+            None,
+        ),
+        (
+            "empty left",
+            (0, Points, Int),
+            (20, Ranged, Int),
+            &single,
+            None,
+        ),
+        (
+            "empty right",
+            (20, Ranged, Int),
+            (0, Points, Int),
+            &single,
+            None,
+        ),
+    ];
+
+    let mut rng = StdRng::seed_from_u64(0xA0_7015);
+    for (name, (ln, lkeys, ldom), (rn, rkeys, rdom), keys, residual) in cases {
+        let catalog = Catalog::new();
+        let l = side(&mut rng, "l", ln, lkeys, ldom);
+        let r = side(&mut rng, "r", rn, rkeys, rdom);
+        catalog.register("l", ua_engine::au_table(&l));
+        catalog.register("r", ua_engine::au_table(&r));
+        for build_left in [false, true] {
+            let plan = Plan::HashJoin {
+                left: Box::new(Plan::Scan("l".into())),
+                right: Box::new(Plan::Scan("r".into())),
+                keys: keys.clone(),
+                residual: residual.cloned(),
+                build_left,
+            };
+            let row = ua_engine::au_table(&ua_engine::execute_au(&plan, &catalog).expect("au row"));
+            if ln > 0 && rn > 0 && !name.starts_with("cross") {
+                assert!(!row.is_empty(), "{name}: the case must exercise the join");
+            }
+            for threads in [1, 2, 4] {
+                for batch_rows in [1, 7, 1024] {
+                    let vec = ua_vecexec::execute_au_vectorized_opts(
+                        &plan,
+                        &catalog,
+                        opts(threads, batch_rows),
+                    )
+                    .expect("au vec");
+                    assert_tables_identical(
+                        &row,
+                        &vec,
+                        &format!(
+                            "au hash join `{name}` build_left={build_left} \
+                             threads={threads} batch={batch_rows}"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+}

@@ -155,7 +155,8 @@ fn stats_never_cross_queries() {
 /// `{det,ua,au} × {Row,Vectorized} × threads {1,2} × stats {on,off}`:
 /// every cell returns the bytes of the row engine's plain run, and an
 /// instrumented vectorized run reports itself with its pool section.
-fn assert_grid(session: &UaSession, sem: Sem, sql: &str) {
+/// Returns the result's row count.
+fn assert_grid(session: &UaSession, sem: Sem, sql: &str) -> usize {
     session.set_exec_mode(ExecMode::Row);
     session.set_stats_enabled(false);
     let expected = run(session, sem, sql);
@@ -177,6 +178,7 @@ fn assert_grid(session: &UaSession, sem: Sem, sql: &str) {
             }
         }
     }
+    expected.len()
 }
 
 #[test]
@@ -209,18 +211,81 @@ fn executor_grid_geocoder() {
 #[test]
 fn executor_grid_pdbench() {
     let db = Pdbench::load(0.002, 7);
-    // UA rejects aggregation by design, so it runs the first two only.
+    // (statement, inside the UA fragment?) — UA rejects aggregation by
+    // design. The last two are PDBench Q1 and Q3: σ over ranged columns
+    // under 3- and 4-way hash joins on certain keys.
     let queries = [
-        "SELECT orderkey, quantity * extendedprice AS v FROM lineitem WHERE shipdate > 1200",
-        "SELECT c.custkey, o.orderkey FROM customer c, orders o \
-         WHERE c.custkey = o.custkey AND c.nationkey = 2 ORDER BY o.orderkey LIMIT 20",
-        "SELECT shippriority, count(*) AS n FROM orders GROUP BY shippriority",
+        (
+            "SELECT orderkey, quantity * extendedprice AS v FROM lineitem WHERE shipdate > 1200",
+            true,
+        ),
+        (
+            "SELECT c.custkey, o.orderkey FROM customer c, orders o \
+             WHERE c.custkey = o.custkey AND c.nationkey = 2 ORDER BY o.orderkey LIMIT 20",
+            true,
+        ),
+        (
+            "SELECT shippriority, count(*) AS n FROM orders GROUP BY shippriority",
+            false,
+        ),
+        (
+            "SELECT o.orderkey, o.orderdate, o.shippriority \
+             FROM customer c, orders o, lineitem l \
+             WHERE c.mktsegment = 'BUILDING' AND c.custkey = o.custkey \
+             AND l.orderkey = o.orderkey AND o.orderdate < 1200 AND l.shipdate > 1200",
+            true,
+        ),
+        (
+            "SELECT s.suppkey, c.custkey, l.shipdate \
+             FROM supplier s, lineitem l, orders o, customer c \
+             WHERE s.suppkey = l.suppkey AND o.orderkey = l.orderkey \
+             AND c.custkey = o.custkey AND s.nationkey = 1 AND c.nationkey = 2",
+            true,
+        ),
     ];
     for sem in [Sem::Det, Sem::Ua, Sem::Au] {
-        let n = if matches!(sem, Sem::Ua) { 2 } else { 3 };
-        for sql in &queries[..n] {
-            assert_grid(db.session(sem), sem, sql);
+        for (sql, in_ua_fragment) in queries {
+            if in_ua_fragment || !matches!(sem, Sem::Ua) {
+                let rows = assert_grid(db.session(sem), sem, sql);
+                assert!(rows > 0, "{sem:?} `{sql}` must return rows");
+            }
         }
+    }
+}
+
+/// AU hash joins whose keys are ranged, NULL or top on either side: the
+/// vectorized join indexes the point keys, pairs every fuzzy key with
+/// every candidate and refines those pairs row-wise — to the row
+/// interpreter's bytes, with and without a residual predicate.
+#[test]
+fn executor_grid_au_joins_over_ranged_keys() {
+    use uadb::data::Value;
+    use uadb::ranges::{AuTuple, Bound, MultBound, RangeValue};
+    let session = UaSession::new();
+    for (name, rows) in [("l", 45i64), ("r", 30)] {
+        let mut rel = AuRelation::new(Schema::qualified(name, ["k", "v"]));
+        for i in 0..rows {
+            let k = Value::Int(i % 6);
+            let key = match i % 7 {
+                0 => RangeValue::new(Bound::Val(k.clone()), k, Bound::Val(Value::Int(i % 6 + 2))),
+                1 => RangeValue::null(),
+                2 => RangeValue::top(k),
+                _ => RangeValue::point(k),
+            };
+            rel.push(AuTuple {
+                values: vec![key, RangeValue::point(Value::Int(i * 3 % 11))],
+                mult: MultBound::new((i % 2) as u64, 1, 1 + (i % 3) as u64),
+            });
+        }
+        session.register_au_relation(name, &rel);
+    }
+    for sql in [
+        "SELECT l.k, l.v, r.v FROM l, r WHERE l.k = r.k",
+        "SELECT l.k, l.v, r.v FROM l, r WHERE l.k = r.k AND l.v < r.v",
+    ] {
+        let plan = session.explain_analyze_au(sql).expect("explain");
+        assert!(plan.contains("HashJoin["), "{sql} plans as\n{plan}");
+        assert!(assert_grid(&session, Sem::Au, sql) > 0);
     }
 }
 
