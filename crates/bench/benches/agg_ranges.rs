@@ -321,8 +321,8 @@ fn bench_agg_ranges(c: &mut Criterion) {
     // deterministic vectorized aggregation. The columnar `agg_bounds`
     // kernels (dense Int/Float lb/bg/ub triples fed straight from the
     // canonical chunks, no per-row `RangeValue` gather) brought the
-    // median down from the ~13-18x the row-shaped `aggregate_prepared`
-    // fold measured; 12x absorbs single-core container noise while
+    // median down from the ~13-18x the row-shaped `RangeValue` fold
+    // measured; 12x absorbs single-core container noise while
     // failing any regression back to the row-shaped path.
     assert!(
         au_speedup > 1.0,

@@ -1,9 +1,11 @@
 //! The UA-DB query-rewriting frontend (paper Section 9).
 //!
 //! [`UaSession`] is the middleware the paper describes: input queries are
-//! parsed, translated to relational algebra, rewritten with `⟦·⟧_UA`
-//! (Figures 8/9) and executed against the bag engine over the encoded
-//! representation (extra `ua_c` column; Definition 8).
+//! parsed, planned, rewritten with `⟦·⟧_UA` (Figures 8/9 —
+//! [`ua_plan::ua::rewrite_ua_plan`], one ordinary plan over the encoded
+//! representation; extra `ua_c` column, Definition 8) and executed by the
+//! bag engine. A UA query takes the same route as a deterministic or AU
+//! one: plan → optimize → one executor dispatch.
 //!
 //! Source relations enter the system either
 //!
@@ -17,7 +19,7 @@ use crate::mode::{ExecMode, ExecOptions};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use ua_conditions::{cnf_tautology, is_cnf, parse_condition, VarInterner};
-use ua_core::{decode_relation, encode_relation, rewrite_ua, UA_LABEL_COLUMN};
+use ua_core::{decode_relation, encode_relation, UA_LABEL_COLUMN};
 use ua_data::relation::Relation;
 use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
@@ -30,6 +32,7 @@ use ua_plan::sql::ast::SourceAnnotation;
 use ua_plan::sql::parser::parse;
 use ua_plan::sql::planner::{plan_query, SourceResolver};
 use ua_plan::storage::{Catalog, Table};
+use ua_plan::ua::rewrite_ua_plan;
 use ua_semiring::pair::Ua;
 
 /// A UA query result: rows of the encoded representation.
@@ -150,172 +153,6 @@ pub(crate) enum Semantics {
     /// labels propagate as bitmaps.
     Ua,
     Au,
-}
-
-/// A trailing `ORDER BY`/`LIMIT` peeled off a UA plan before dispatch —
-/// both commute with the rewriting (they only reorder/truncate encoded
-/// rows).
-enum Wrapper {
-    Sort(Vec<(ua_data::Expr, ua_plan::plan::SortOrder)>),
-    Limit(usize),
-}
-
-/// Whether the plan contains a node outside RA⁺ that the UA frontend still
-/// supports: EXCEPT or an outer join.
-fn plan_contains_negation(plan: &Plan) -> bool {
-    match plan {
-        Plan::Except { .. } | Plan::OuterJoin { .. } => true,
-        Plan::Scan(_) => false,
-        Plan::Alias { input, .. }
-        | Plan::Filter { input, .. }
-        | Plan::Map { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. }
-        | Plan::Aggregate { input, .. } => plan_contains_negation(input),
-        Plan::Join { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::UnionAll { left, right } => {
-            plan_contains_negation(left) || plan_contains_negation(right)
-        }
-    }
-}
-
-/// Temporary encoded tables materialized by the row-mode negation path,
-/// dropped from the catalog on scope exit (success or error).
-struct TempTables<'a> {
-    catalog: &'a Catalog,
-    names: Vec<String>,
-}
-
-impl TempTables<'_> {
-    fn register(&mut self, table: Table) -> String {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let name = format!("__ua_tmp_{}", NEXT.fetch_add(1, Ordering::Relaxed));
-        self.catalog.register(&name, table);
-        self.names.push(name.clone());
-        name
-    }
-}
-
-impl Drop for TempTables<'_> {
-    fn drop(&mut self) {
-        for name in &self.names {
-            self.catalog.drop_table(name);
-        }
-    }
-}
-
-/// The user-visible part of an encoded table's schema (everything left of
-/// the `ua_c` marker).
-fn encoded_base_schema(t: &Table) -> Schema {
-    Schema::new(t.schema().columns()[..t.schema().arity() - 1].to_vec())
-}
-
-/// Encoded-relation EXCEPT, matching the deterministic [`ua_plan::exec::except_table`]
-/// contract over the *base* columns (two copies of a tuple are never
-/// distinguished by their markers). Every output row is labeled 0: under
-/// `K²` the difference's certain multiplicity needs an *upper* bound on
-/// the right side's possible multiplicity, which the UA encoding does not
-/// carry — label 0 is the only sound under-approximation (the bound-aware
-/// version lives in `ua_ranges::ops::except`).
-fn ua_except_encoded(l: &Table, r: &Table, all: bool) -> Result<Table, EngineError> {
-    encoded_base_schema(l).check_union_compatible(&encoded_base_schema(r))?;
-    let base = l.schema().arity() - 1;
-    let key_of = |row: &Tuple| -> Tuple {
-        row.values()[..base]
-            .iter()
-            .map(|v| v.clone().join_key())
-            .collect()
-    };
-    let mut budget: FxHashMap<Tuple, u64> = FxHashMap::default();
-    for row in r.rows() {
-        *budget.entry(key_of(row)).or_insert(0) += 1;
-    }
-    let mut out = Table::new(encoded_base_schema(l).with_column(UA_LABEL_COLUMN));
-    let mut push = |row: &Tuple| {
-        let mut vals: Vec<Value> = row.values()[..base].to_vec();
-        vals.push(Value::Int(0));
-        out.push(Tuple::new(vals));
-    };
-    if all {
-        for row in l.rows() {
-            match budget.get_mut(&key_of(row)) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => push(row),
-            }
-        }
-    } else {
-        let mut seen: ua_data::FxHashSet<Tuple> = ua_data::FxHashSet::default();
-        for row in l.rows() {
-            let key = key_of(row);
-            if budget.contains_key(&key) {
-                continue;
-            }
-            if seen.insert(key) {
-                push(row);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Encoded-relation outer join: the deterministic
-/// [`ua_plan::exec::outer_join_stream`] contract over the base columns, with
-/// markers combined per `⟦·⟧_UA`'s join rule for matches (`min`, i.e.
-/// label-AND) and 0 for NULL-padded misses — a pad row is never certain,
-/// since some world may supply a match that replaces it.
-fn ua_outer_join_encoded(
-    l: &Table,
-    r: &Table,
-    predicate: Option<&ua_data::Expr>,
-    kind: ua_plan::plan::OuterKind,
-) -> Result<Table, EngineError> {
-    if let Some(p) = predicate {
-        if ua_core::expr_mentions_marker(p) {
-            return Err(EngineError::Schema(
-                ua_data::schema::SchemaError::AmbiguousColumn(UA_LABEL_COLUMN.to_string()),
-            ));
-        }
-    }
-    let base_table = |t: &Table| -> Table {
-        let base = t.schema().arity() - 1;
-        Table::from_rows(
-            encoded_base_schema(t),
-            t.rows()
-                .iter()
-                .map(|row| Tuple::new(row.values()[..base].to_vec()))
-                .collect(),
-        )
-    };
-    let marker_of = |t: &Table, i: usize| -> i64 {
-        match t.rows()[i].values().last() {
-            Some(Value::Int(n)) if *n != 0 => 1,
-            _ => 0,
-        }
-    };
-    let lb = base_table(l);
-    let rb = base_table(r);
-    let mut out = Table::new(lb.schema().concat(rb.schema()).with_column(UA_LABEL_COLUMN));
-    ua_plan::exec::outer_join_pairs(&lb, &rb, predicate, kind, &mut |oi, ii, row| {
-        let label = match ii {
-            Some(ii) => {
-                let (li, ri) = if kind == ua_plan::plan::OuterKind::Left {
-                    (oi, ii)
-                } else {
-                    (ii, oi)
-                };
-                marker_of(l, li).min(marker_of(r, ri))
-            }
-            None => 0,
-        };
-        let mut vals = row.values().to_vec();
-        vals.push(Value::Int(label));
-        out.push(Tuple::new(vals));
-        Ok(())
-    })?;
-    Ok(out)
 }
 
 impl UaSession {
@@ -542,7 +379,7 @@ impl UaSession {
     /// lowered from SQL are name-based; only programmatic `RaExpr` queries
     /// with `Expr::Col` predicates give up the hash-join rewrite, keeping
     /// their pre-optimizer runtime-binding semantics). Join *reordering*
-    /// already happened on the shared user plan ([`Self::reorder_user_ra`])
+    /// already happened on the shared user plan ([`Self::ua_plans`])
     /// before dispatch, so the pass is off here.
     fn optimize_plan_stripped(&self, plan: Plan) -> Plan {
         self.optimize_plan_with(
@@ -555,21 +392,27 @@ impl UaSession {
         )
     }
 
-    /// Statistics-driven join reordering for UA queries, applied to the
-    /// *user* `RA⁺` query before the two execution paths diverge — the row
-    /// engine rewrites with `⟦·⟧_UA` (whose marker-combining projections
-    /// would otherwise hide the join tree from the optimizer) and the
-    /// vectorized engine executes the user plan directly, so reordering
-    /// here is the single point that keeps both engines on the same join
-    /// order (and therefore the same output row order, which the
-    /// differential harness asserts byte-for-byte).
-    fn reorder_user_ra(&self, ra: ua_data::RaExpr) -> ua_data::RaExpr {
-        if !self.optimizer_enabled() || !self.reorder_joins_enabled() {
-            return ra;
-        }
-        let reordered = ua_plan::optimize::reorder_joins_ua(Plan::from_ra(&ra), &self.catalog);
-        // The pass emits only RA⁺ shapes; fall back defensively otherwise.
-        reordered.to_ra().unwrap_or(ra)
+    /// The two plans a UA query is made of: the *user* plan after
+    /// statistics-driven join reordering, and its `⟦·⟧_UA` rewriting.
+    /// Reordering happens on the user plan, before the two execution paths
+    /// diverge — the row engine executes the rewriting (whose
+    /// marker-combining projections would otherwise hide the join tree
+    /// from the optimizer) and the vectorized engine executes the user
+    /// plan directly, so this is the single point that keeps both engines
+    /// on the same join order (and therefore the same output row order,
+    /// which the differential harness asserts byte-for-byte). The
+    /// rewriting doubles as the one pre-dispatch guard: whatever it
+    /// rejects, it rejects identically for both engines.
+    fn ua_plans(&self, plan: &Plan) -> Result<(Plan, Plan), EngineError> {
+        let user = if self.optimizer_enabled() && self.reorder_joins_enabled() {
+            ua_plan::optimize::reorder_joins_ua(plan.clone(), &self.catalog)
+        } else {
+            plan.clone()
+        };
+        let rewritten = ua_obs::trace_scope("rewrite", "session", || {
+            rewrite_ua_plan(&user, &self.catalog)
+        })?;
+        Ok((user, rewritten))
     }
 
     pub(crate) fn optimize_plan_with(
@@ -630,9 +473,10 @@ impl UaSession {
     /// Run a query under UA semantics: plan, rewrite with `⟦·⟧_UA`, execute
     /// over the encoded tables.
     ///
-    /// The `RA⁺` fragment (+ trailing `ORDER BY`/`LIMIT`) is supported;
-    /// `DISTINCT` and aggregation over UA-DBs are future work in the paper
-    /// and rejected here.
+    /// `RA⁺`, `EXCEPT [ALL]`, outer joins and `NOT IN`/`NOT EXISTS` (+
+    /// trailing `ORDER BY`/`LIMIT`) are supported; `DISTINCT` and
+    /// aggregation over UA-DBs are future work in the paper and rejected
+    /// here.
     pub fn query_ua(&self, sql: &str) -> Result<UaResult, EngineError> {
         let _trace = self.trace_query();
         let plan = self.plan_sql(sql, &UaResolver)?;
@@ -645,20 +489,16 @@ impl UaSession {
         self.execute_ua_plan(&Plan::from_ra(query))
     }
 
-    /// Explain a UA query: the user plan, the `⟦·⟧_UA`-rewritten plan, and
-    /// the optimized physical plan the row engine executes (the
-    /// middleware's "show rewritten SQL", plus `EXPLAIN`).
+    /// Explain a UA query: the user plan, the `⟦·⟧_UA`-rewritten plan
+    /// ([`rewrite_ua_plan`]), and the optimized physical plan the row
+    /// engine executes (the middleware's "show rewritten SQL", plus
+    /// `EXPLAIN`).
     pub fn explain_ua(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &UaResolver)?;
-        let user_ra = plan
-            .to_ra()
-            .ok_or_else(|| EngineError::Sql("EXPLAIN UA supports the RA⁺ fragment".into()))?;
-        let ra = self.reorder_user_ra(user_ra.clone());
-        let lookup = |name: &str| self.catalog.schema_of(name);
-        let rewritten = rewrite_ua(&ra, &lookup)?;
-        let physical = self.optimize_plan(Plan::from_ra(&rewritten));
+        let (_, rewritten) = self.ua_plans(&plan)?;
+        let physical = self.optimize_plan(rewritten.clone());
         Ok(format!(
-            "user plan:\n  {user_ra}\nrewritten (⟦·⟧_UA):\n  {rewritten}\nphysical (optimized):\n  {physical}"
+            "user plan:\n  {plan}\nrewritten (⟦·⟧_UA):\n  {rewritten}\nphysical (optimized):\n  {physical}"
         ))
     }
 
@@ -673,223 +513,19 @@ impl UaSession {
     }
 
     fn execute_ua_plan(&self, plan: &Plan) -> Result<UaResult, EngineError> {
-        // Peel trailing Sort/Limit — they commute with the rewriting (they
-        // only reorder/truncate encoded rows).
-        let mut wrappers = Vec::new();
-        let mut inner = plan;
-        loop {
-            match inner {
-                Plan::Sort { input, keys } => {
-                    // The marker is engine bookkeeping, not user schema:
-                    // ordering by it is rejected uniformly (it binds over
-                    // the *encoded* result in the row path but not over the
-                    // vectorized path's marker-stripped batches, and both
-                    // engines must fail identically — mirroring the
-                    // selection/projection/join rejection in `rewrite_ua`).
-                    for (key, _) in keys {
-                        if ua_core::expr_mentions_marker(key) {
-                            return Err(EngineError::Schema(
-                                ua_data::schema::SchemaError::AmbiguousColumn(
-                                    UA_LABEL_COLUMN.to_string(),
-                                ),
-                            ));
-                        }
-                    }
-                    wrappers.push(Wrapper::Sort(keys.clone()));
-                    inner = input;
-                }
-                Plan::Limit { input, limit } => {
-                    wrappers.push(Wrapper::Limit(*limit));
-                    inner = input;
-                }
-                _ => break,
-            }
-        }
-        let ra = match inner.to_ra() {
-            Some(ra) => ra,
-            // `to_ra` covers exactly the RA⁺ fragment; EXCEPT and outer
-            // joins step outside it but stay UA-sound with the labeling
-            // rules of `execute_ua_negation`.
-            None if plan_contains_negation(inner) => {
-                return self.execute_ua_negation(inner, wrappers)
-            }
-            None => return Err(EngineError::Sql(UA_FRAGMENT_ERROR.into())),
-        };
-        let ra = self.reorder_user_ra(ra);
-        // Both branches below run the SAME optimizer pipeline
-        // (`optimize_plan`) on the plan their executor receives, before
-        // dispatch — the uniformity the differential harness asserts.
-        if self.exec_mode() == ExecMode::Vectorized {
-            // The vectorized engine propagates labels itself (bitmaps, per
-            // the ⟦·⟧_UA rules), so it takes the *user* query's (optimized)
-            // physical plan, not a rewritten one. Trailing Sort/Limit/TopK
-            // ride along and execute natively over the encoded batches
-            // (columnar sort with the marker as final tie-break, bounded
-            // Top-K heap) — no row-engine fallback.
-            let user_plan = ua_obs::trace_scope("optimize", "session", || {
-                self.rewrap(self.optimize_plan_stripped(Plan::from_ra(&ra)), wrappers)
-            });
-            let table = self.dispatch(&user_plan, Semantics::Ua)?;
-            return Ok(UaResult { table });
-        }
-        let lookup = |name: &str| self.catalog.schema_of(name);
-        let rewritten = ua_obs::trace_scope("rewrite", "session", || rewrite_ua(&ra, &lookup))?;
-        let rewritten_plan = ua_obs::trace_scope("optimize", "session", || {
-            self.rewrap(self.optimize_plan(Plan::from_ra(&rewritten)), wrappers)
+        let (user, rewritten) = self.ua_plans(plan)?;
+        // Both arms run the SAME optimizer pipeline on the plan their
+        // executor receives — the uniformity the differential harness
+        // asserts. The row engine executes the rewritten plan as an
+        // ordinary deterministic query; the vectorized engine propagates
+        // labels itself (bitmaps, per the ⟦·⟧_UA rules), so it takes the
+        // *user* query's physical plan.
+        let physical = ua_obs::trace_scope("optimize", "session", || match self.exec_mode() {
+            ExecMode::Row => self.optimize_plan(rewritten),
+            ExecMode::Vectorized => self.optimize_plan_stripped(user),
         });
-        let table = self.dispatch(&rewritten_plan, Semantics::Ua)?;
-        Ok(UaResult { table })
-    }
-
-    /// Re-apply peeled Sort/Limit wrappers (innermost last) over an
-    /// optimized core plan, fusing `Limit(Sort(..))` into `TopK` exactly
-    /// like the deterministic pipeline when the optimizer is on.
-    fn rewrap(&self, mut plan: Plan, wrappers: Vec<Wrapper>) -> Plan {
-        for w in wrappers.into_iter().rev() {
-            plan = match w {
-                Wrapper::Sort(keys) => Plan::Sort {
-                    input: Box::new(plan),
-                    keys,
-                },
-                Wrapper::Limit(limit) => Plan::Limit {
-                    input: Box::new(plan),
-                    limit,
-                },
-            };
-        }
-        if self.optimizer_enabled() {
-            plan = ua_plan::optimize::fuse_topk(plan);
-        }
-        plan
-    }
-
-    /// Execute a UA plan whose core contains negation nodes (EXCEPT /
-    /// outer join), which `⟦·⟧_UA` proper does not cover.
-    ///
-    /// The vectorized engine propagates labels natively through every
-    /// operator, so it takes the user plan whole — join reordering stays
-    /// the single pre-dispatch pass, with the negation nodes acting as
-    /// reorder barriers. The row engine has no label-carrying operators;
-    /// instead the plan executes bottom-up over *encoded* relations:
-    /// maximal RA⁺ regions go through the usual rewriting, and each
-    /// negation node combines its children's encoded results directly
-    /// (see [`ua_except_encoded`] / [`ua_outer_join_encoded`]),
-    /// materialized as temporary catalog tables so enclosing RA⁺ regions
-    /// can keep treating them as pre-encoded UA sources.
-    fn execute_ua_negation(
-        &self,
-        inner: &Plan,
-        wrappers: Vec<Wrapper>,
-    ) -> Result<UaResult, EngineError> {
-        let reordered = if self.optimizer_enabled() && self.reorder_joins_enabled() {
-            ua_plan::optimize::reorder_joins_ua(inner.clone(), &self.catalog)
-        } else {
-            inner.clone()
-        };
-        if self.exec_mode() == ExecMode::Vectorized {
-            let user_plan = self.rewrap(self.optimize_plan_stripped(reordered), wrappers);
-            let table = self.dispatch(&user_plan, Semantics::Ua)?;
-            return Ok(UaResult { table });
-        }
-        let mut temps = TempTables {
-            catalog: &self.catalog,
-            names: Vec::new(),
-        };
-        let result = self.execute_ua_encoded(&reordered, &mut temps);
-        drop(temps);
-        let mut table = result?;
-        // The peeled wrappers apply directly to the materialized encoded
-        // result: sorting encoded rows tie-breaks on the full row with the
-        // marker last — the same order the vectorized columnar sort
-        // produces.
-        for w in wrappers.into_iter().rev() {
-            table = match w {
-                Wrapper::Sort(keys) => ua_plan::exec::sort_table(&table, &keys)?,
-                Wrapper::Limit(limit) => ua_plan::exec::limit_table(&table, limit),
-            };
-        }
-        Ok(UaResult { table })
-    }
-
-    /// Row-engine execution of a UA plan (possibly containing negation
-    /// nodes) over encoded relations; returns the encoded result (marker
-    /// column last).
-    fn execute_ua_encoded(
-        &self,
-        plan: &Plan,
-        temps: &mut TempTables<'_>,
-    ) -> Result<Table, EngineError> {
-        let stripped = self.strip_negations(plan, temps)?;
-        let ra = stripped
-            .to_ra()
-            .ok_or_else(|| EngineError::Sql(UA_FRAGMENT_ERROR.into()))?;
-        let lookup = |name: &str| self.catalog.schema_of(name);
-        let rewritten = rewrite_ua(&ra, &lookup)?;
-        let physical = self.optimize_plan(Plan::from_ra(&rewritten));
-        execute(&physical, &self.catalog)
-    }
-
-    /// Replace every maximal negation subtree of `plan` with a scan of its
-    /// materialized encoded result, leaving an RA⁺ plan for `rewrite_ua`.
-    fn strip_negations(
-        &self,
-        plan: &Plan,
-        temps: &mut TempTables<'_>,
-    ) -> Result<Plan, EngineError> {
-        if plan.to_ra().is_some() {
-            // A pure RA⁺ region: leave it to the rewriting, which keeps
-            // per-tuple label propagation exact (and lets the optimizer
-            // see the whole region at once).
-            return Ok(plan.clone());
-        }
-        Ok(match plan {
-            Plan::Except { left, right, all } => {
-                let l = self.execute_ua_encoded(left, temps)?;
-                let r = self.execute_ua_encoded(right, temps)?;
-                Plan::Scan(temps.register(ua_except_encoded(&l, &r, *all)?))
-            }
-            Plan::OuterJoin {
-                left,
-                right,
-                predicate,
-                kind,
-            } => {
-                let l = self.execute_ua_encoded(left, temps)?;
-                let r = self.execute_ua_encoded(right, temps)?;
-                Plan::Scan(temps.register(ua_outer_join_encoded(
-                    &l,
-                    &r,
-                    predicate.as_ref(),
-                    *kind,
-                )?))
-            }
-            Plan::Alias { input, name } => Plan::Alias {
-                input: Box::new(self.strip_negations(input, temps)?),
-                name: name.clone(),
-            },
-            Plan::Filter { input, predicate } => Plan::Filter {
-                input: Box::new(self.strip_negations(input, temps)?),
-                predicate: predicate.clone(),
-            },
-            Plan::Map { input, columns } => Plan::Map {
-                input: Box::new(self.strip_negations(input, temps)?),
-                columns: columns.clone(),
-            },
-            Plan::Join {
-                left,
-                right,
-                predicate,
-            } => Plan::Join {
-                left: Box::new(self.strip_negations(left, temps)?),
-                right: Box::new(self.strip_negations(right, temps)?),
-                predicate: predicate.clone(),
-            },
-            Plan::UnionAll { left, right } => Plan::UnionAll {
-                left: Box::new(self.strip_negations(left, temps)?),
-                right: Box::new(self.strip_negations(right, temps)?),
-            },
-            _ => return Err(EngineError::Sql(UA_FRAGMENT_ERROR.into())),
-        })
+        self.dispatch(&physical, Semantics::Ua)
+            .map(|table| UaResult { table })
     }
 
     /// `EXPLAIN ANALYZE` for deterministic queries: run `sql` with stats
@@ -1349,6 +985,46 @@ pub(crate) mod tests {
         assert!(
             text.contains("ua_c"),
             "rewritten plan must carry the marker"
+        );
+    }
+
+    /// `EXCEPT` and outer joins explain like everything else `query_ua`
+    /// runs: user plan, its `⟦·⟧_UA` rewriting, the optimized physical plan.
+    #[test]
+    fn explain_ua_goldens_for_except_and_left_join() {
+        let session = UaSession::new();
+        for name in ["r", "s"] {
+            let schema = Schema::qualified(name, ["a"]).with_column(UA_LABEL_COLUMN);
+            session.register_table(name, Table::from_rows(schema, vec![tuple![1i64, 1i64]]));
+        }
+        assert_eq!(
+            session
+                .explain_ua("SELECT a FROM r WHERE a > 0 EXCEPT SELECT a FROM s")
+                .unwrap(),
+            "user plan:\n  \
+             Except(Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s)))\n\
+             rewritten (⟦·⟧_UA):\n  \
+             Map[#0→a, 0→ua_c](Except(\
+             Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s))))\n\
+             physical (optimized):\n  \
+             Map[#0→a, 0→ua_c](Except(\
+             Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s))))"
+        );
+        assert_eq!(
+            session
+                .explain_ua("SELECT r.a, s.a AS b FROM r LEFT JOIN s ON r.a = s.a WHERE r.a > 0")
+                .unwrap(),
+            "user plan:\n  \
+             Map[r.a→a, s.a→b](Filter[(r.a > 0)](\
+             OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s))))\n\
+             rewritten (⟦·⟧_UA):\n  \
+             Map[r.a→a, s.a→b, ua_c→ua_c](Filter[(r.a > 0)](\
+             Map[#0→r.a, #2→s.a, CASE WHEN ((#1 = 1) AND (#3 = 1)) THEN 1 ELSE 0 END→ua_c](\
+             OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s)))))\n\
+             physical (optimized):\n  \
+             Map[r.a→a, s.a→b, ua_c→ua_c](\
+             Map[#0→r.a, #2→s.a, CASE WHEN ((#1 = 1) AND (#3 = 1)) THEN 1 ELSE 0 END→ua_c](\
+             Filter[(#0 > 0)](OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s)))))"
         );
     }
 

@@ -586,20 +586,6 @@ pub fn outer_join_stream(
     kind: OuterKind,
     on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    outer_join_pairs(l, r, predicate, kind, &mut |_, _, row| on_row(row))
-}
-
-/// [`outer_join_stream`] with provenance: the callback also receives the
-/// preserved-side row index and the matched other-side row index (`None`
-/// for the NULL-padded miss). The UA frontend combines certainty markers
-/// through these indices.
-pub fn outer_join_pairs(
-    l: &Table,
-    r: &Table,
-    predicate: Option<&Expr>,
-    kind: OuterKind,
-    on_row: &mut dyn FnMut(usize, Option<usize>, Tuple) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
     let schema = l.schema().concat(r.schema());
     let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
     let outer_is_left = kind == OuterKind::Left;
@@ -642,7 +628,7 @@ pub fn outer_join_pairs(
                 }
                 table.entry(key).or_default().push(ii);
             }
-            for (oi, orow) in outer.rows().iter().enumerate() {
+            for orow in outer.rows() {
                 let key = key_of(&probe_exprs, orow)?;
                 let mut matched = false;
                 if !key.has_null() {
@@ -651,22 +637,22 @@ pub fn outer_join_pairs(
                             let joined = concat(orow, &inner.rows()[ii]);
                             if residual.holds(&joined)? {
                                 matched = true;
-                                on_row(oi, Some(ii), joined)?;
+                                on_row(joined)?;
                             }
                         }
                     }
                 }
                 if !matched {
-                    on_row(oi, None, concat(orow, &pad))?;
+                    on_row(concat(orow, &pad))?;
                 }
             }
             return Ok(());
         }
     }
 
-    for (oi, orow) in outer.rows().iter().enumerate() {
+    for orow in outer.rows() {
         let mut matched = false;
-        for (ii, irow) in inner.rows().iter().enumerate() {
+        for irow in inner.rows() {
             let joined = concat(orow, irow);
             let keep = match &bound {
                 Some(p) => p.holds(&joined)?,
@@ -674,11 +660,11 @@ pub fn outer_join_pairs(
             };
             if keep {
                 matched = true;
-                on_row(oi, Some(ii), joined)?;
+                on_row(joined)?;
             }
         }
         if !matched {
-            on_row(oi, None, concat(orow, &pad))?;
+            on_row(concat(orow, &pad))?;
         }
     }
     Ok(())

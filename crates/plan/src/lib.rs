@@ -14,6 +14,9 @@
 //!   executor (hash joins on extractable equi-keys, grouping, sorting,
 //!   limits), with [`stats`] threading per-operator spans through it;
 //! * [`au`] — the AU row interpreter (`⟦·⟧_AU` over `ua_ranges::ops`);
+//! * [`ua`] — the plan-level `⟦·⟧_UA` rewriting: a UA query becomes one
+//!   ordinary plan over the `Enc` tables (`RA⁺`, `−`, `⟕`, trailing
+//!   `Sort`/`Limit`/`TopK`), which the row interpreter executes as is;
 //! * [`optimize`] — the pass pipeline (filter pushdown, cost-aware join
 //!   planning into [`plan::Plan::HashJoin`]) applied uniformly to both
 //!   executors' plans before dispatch;
@@ -32,6 +35,7 @@ pub mod plan;
 pub mod sql;
 pub mod stats;
 pub mod storage;
+pub mod ua;
 
 pub use au::{
     agg_kind, au_binary, au_table, au_unary, execute_au, is_au_sidecar_name, reject_marker_in_plan,
@@ -49,4 +53,5 @@ pub use plan::{AggExpr, AggFunc, Plan, SortOrder};
 pub use sql::{parse, plan_query, plan_schema};
 pub use stats::{execute_au_with_stats, execute_with_stats};
 pub use storage::{Catalog, ColumnStats, Histogram, Table, TableStats, HISTOGRAM_BUCKETS};
+pub use ua::rewrite_ua_plan;
 pub use ua_obs::{OperatorStats, PoolStats, QueryStats};

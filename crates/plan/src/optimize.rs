@@ -2,7 +2,7 @@
 //! and cost-aware join planning.
 //!
 //! The optimizer is a pass pipeline over [`Plan`]s, applied by
-//! [`crate::ua::UaSession`] to the plan each executor actually runs —
+//! `ua_engine::UaSession` to the plan each executor actually runs —
 //! uniformly before `ExecMode::Row` / `ExecMode::Vectorized` dispatch, and
 //! for both deterministic and UA queries — so the two engines cannot drift
 //! (the differential test harness locks them together).

@@ -6,5 +6,5 @@ pub mod parser;
 pub mod planner;
 
 pub use ast::{Query, SelectStmt, SourceAnnotation, SqlExpr, TableRef};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING_DEPTH};
 pub use planner::{lower_scalar, plan_query, plan_schema, RejectAnnotations, SourceResolver};

@@ -42,10 +42,25 @@ const RESERVED: &[&str] = &[
     "exists",
 ];
 
+/// How deep a query may nest: parenthesised, `NOT`, unary-sign, `CASE` and
+/// function-argument expressions, subqueries, and operator chains (`a AND b
+/// AND …`, `a + b + …`) by the height of the tree they build. The planner,
+/// the optimizer and both executors recurse over what the parser hands
+/// them, so an unbounded tree is a stack overflow — a process abort, not
+/// an error. Deeper input is a [`ParseError`] naming this limit. Sized for
+/// the worst consumer: a debug build's row executor on a 2 MiB test-thread
+/// stack survives ~40 nested `NOT IN (SELECT …)` (two levels each).
+pub const MAX_NESTING_DEPTH: usize = 32;
+
 /// Parse one SQL query.
 pub fn parse(sql: &str) -> Result<Query, ParseError> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        peak: 0,
+    };
     let q = p.query()?;
     p.eat_semicolons();
     if !p.at_end() {
@@ -60,6 +75,11 @@ pub fn parse(sql: &str) -> Result<Query, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current position (see [`Parser::nested`]).
+    depth: usize,
+    /// The deepest `depth` reached since an operator chain last reset it:
+    /// how tall the subtree just parsed is ([`Parser::chain`]).
+    peak: usize,
 }
 
 impl Parser {
@@ -152,9 +172,62 @@ impl Parser {
         while self.accept(&Token::Semicolon) {}
     }
 
+    fn too_deep() -> ParseError {
+        ParseError::new(format!(
+            "query nests deeper than {MAX_NESTING_DEPTH} levels"
+        ))
+    }
+
+    /// Parse one nesting level down — every recursive descent of the
+    /// grammar goes through here, so [`MAX_NESTING_DEPTH`] bounds both the
+    /// parser's own recursion and the height of the tree it returns. An
+    /// error aborts the whole parse, so `depth` is only restored on success.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        if self.depth > MAX_NESTING_DEPTH {
+            return Err(Parser::too_deep());
+        }
+        let parsed = parse(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
+    /// A left-associative operator chain `operand (op operand)*`. The loop
+    /// does not recurse, but each link puts one more node on top of the
+    /// tree built so far, so the chain tracks that tree's height (in
+    /// nesting levels, read off `peak`) and caps it like any other nesting.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Parser) -> Result<SqlExpr, ParseError>,
+        next_op: fn(&mut Parser) -> Option<BinOp>,
+    ) -> Result<SqlExpr, ParseError> {
+        let outer_peak = std::mem::replace(&mut self.peak, self.depth);
+        let mut left = operand(self)?;
+        let mut height = self.peak - self.depth;
+        while let Some(op) = next_op(self) {
+            self.peak = self.depth;
+            let right = operand(self)?;
+            height = 1 + height.max(self.peak - self.depth);
+            if self.depth + height > MAX_NESTING_DEPTH {
+                return Err(Parser::too_deep());
+            }
+            left = SqlExpr::Binary(op, Box::new(left), Box::new(right));
+        }
+        self.peak = outer_peak.max(self.depth + height);
+        Ok(left)
+    }
+
     // ---- grammar ---------------------------------------------------------
 
     fn query(&mut self) -> Result<Query, ParseError> {
+        self.nested(Parser::query_body)
+    }
+
+    fn query_body(&mut self) -> Result<Query, ParseError> {
         let mut selects = vec![self.select_stmt()?];
         let mut set_ops = Vec::new();
         loop {
@@ -414,30 +487,22 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> Result<SqlExpr, ParseError> {
-        self.or_expr()
+        self.nested(Parser::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.accept_kw("or") {
-            let right = self.and_expr()?;
-            left = SqlExpr::Binary(BinOp::Or, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Parser::and_expr, |p| p.accept_kw("or").then_some(BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.not_expr()?;
-        while self.accept_kw("and") {
-            let right = self.not_expr()?;
-            left = SqlExpr::Binary(BinOp::And, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Parser::not_expr, |p| {
+            p.accept_kw("and").then_some(BinOp::And)
+        })
     }
 
     fn not_expr(&mut self) -> Result<SqlExpr, ParseError> {
         if self.accept_kw("not") {
-            Ok(SqlExpr::Not(Box::new(self.not_expr()?)))
+            Ok(SqlExpr::Not(Box::new(self.nested(Parser::not_expr)?)))
         } else {
             self.predicate()
         }
@@ -518,38 +583,32 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
+        self.chain(Parser::multiplicative, |p| {
+            let op = match p.peek() {
                 Some(Token::Plus) => BinOp::Add,
                 Some(Token::Minus) => BinOp::Sub,
-                _ => break,
+                _ => return None,
             };
-            self.pos += 1;
-            let right = self.multiplicative()?;
-            left = SqlExpr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+            p.pos += 1;
+            Some(op)
+        })
     }
 
     fn multiplicative(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
+        self.chain(Parser::unary, |p| {
+            let op = match p.peek() {
                 Some(Token::Star) => BinOp::Mul,
                 Some(Token::Slash) => BinOp::Div,
-                _ => break,
+                _ => return None,
             };
-            self.pos += 1;
-            let right = self.unary()?;
-            left = SqlExpr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+            p.pos += 1;
+            Some(op)
+        })
     }
 
     fn unary(&mut self) -> Result<SqlExpr, ParseError> {
         if self.accept(&Token::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Parser::unary)?;
             return Ok(match inner {
                 SqlExpr::Int(i) => SqlExpr::Int(-i),
                 SqlExpr::Float(x) => SqlExpr::Float(-x),
@@ -557,7 +616,7 @@ impl Parser {
             });
         }
         if self.accept(&Token::Plus) {
-            return self.unary();
+            return self.nested(Parser::unary);
         }
         self.primary()
     }
@@ -870,5 +929,41 @@ mod tests {
         assert!(parse("SELECT a FROM t GROUP a").is_err());
         assert!(parse("SELECT a FROM t extra garbage !").is_err());
         assert!(parse("SELECT a FROM r IS Q WITH NONSENSE (p)").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_by_tree_height() {
+        let too_deep = |sql: &str| match parse(sql) {
+            Err(e) => e.message.contains(&MAX_NESTING_DEPTH.to_string()),
+            Ok(_) => false,
+        };
+        // Recursive constructs: one level each.
+        let n = MAX_NESTING_DEPTH;
+        assert!(too_deep(&format!(
+            "SELECT {}1{} FROM t",
+            "(".repeat(n),
+            ")".repeat(n)
+        )));
+        assert!(too_deep(&format!(
+            "SELECT a FROM t WHERE {}a",
+            "NOT ".repeat(n)
+        )));
+        assert!(too_deep(&format!("SELECT {}a FROM t", "- ".repeat(n))));
+        // Operator chains do not recurse in the parser, but each link adds
+        // a level to the (left-deep) tree …
+        let chain = |links: usize| format!("a = 1{}", " AND a = 1".repeat(links));
+        assert!(parse(&format!("SELECT a FROM t WHERE {}", chain(n / 2))).is_ok());
+        assert!(too_deep(&format!("SELECT a FROM t WHERE {}", chain(n))));
+        assert!(too_deep(&format!("SELECT a{} FROM t", " + 1".repeat(n))));
+        // … also when no single chain or parenthesis run is long: four
+        // nested chains of n/2 links are 2n levels tall.
+        let mut nested = chain(n / 2);
+        for _ in 0..3 {
+            nested = format!("({nested}){}", " AND a = 1".repeat(n / 2));
+        }
+        assert!(too_deep(&format!("SELECT a FROM t WHERE {nested}")));
+        // Grouping the same conjuncts into a balanced tree stays shallow.
+        let balanced = format!("({}) AND ({})", chain(n / 2), chain(n / 2));
+        assert!(parse(&format!("SELECT a FROM t WHERE {balanced}")).is_ok());
     }
 }

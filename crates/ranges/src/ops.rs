@@ -988,9 +988,9 @@ impl TripleCol {
     }
 }
 
-/// Borrowed view of one aggregation-input column; what [`aggregate_view`]
-/// actually runs over, so [`AggInput`] (row-backed) and [`AggCols`]
-/// (triple-backed) share the whole grouping + bound combination.
+/// Borrowed view of one aggregation-input column; what [`aggregate_cols`]
+/// actually runs over, so row-backed and dense [`TripleCol`]s share the
+/// whole grouping + bound combination.
 #[derive(Clone, Copy)]
 enum ColView<'a> {
     Int {
@@ -1261,25 +1261,12 @@ fn agg_bounds_dense<T: DenseVal>(
 
 /// Pre-evaluated, column-major aggregation input: every group-key and
 /// aggregate-argument range for every row, plus the row multiplicities.
-/// Produced by [`aggregate`] from an [`AuRelation`], or directly by a
-/// columnar executor that evaluated the expressions batch-at-a-time —
-/// both feed [`aggregate_prepared`], so the bound combination has exactly
-/// one implementation.
-pub struct AggInput {
-    /// Group-key ranges, one vector (of `n_rows` entries) per key
-    /// expression.
-    pub keys: Vec<Vec<RangeValue>>,
-    /// Aggregate-argument ranges, one optional vector per aggregate
-    /// (`None` for `COUNT(*)`).
-    pub args: Vec<Option<Vec<RangeValue>>>,
-    /// Tuple multiplicity bounds, one per input row.
-    pub mults: Vec<MultBound>,
-}
-
-/// Triple-column-native aggregation input: like [`AggInput`] but each
-/// column is a [`TripleCol`], so dense `lb/bg/ub` vectors flow straight
-/// from a columnar executor's canonical chunks into the typed kernel arms
-/// of the bound combination — no per-row [`RangeValue`] gathering.
+/// Each column is a [`TripleCol`]: [`aggregate`] fills [`TripleCol::Rows`]
+/// from an [`AuRelation`]; a columnar executor that evaluated the
+/// expressions batch-at-a-time hands over dense `lb/bg/ub` vectors, which
+/// flow straight into the typed kernel arms of the bound combination — no
+/// per-row [`RangeValue`] gathering. Both feed [`aggregate_cols`], so the
+/// bound combination has exactly one implementation.
 pub struct AggCols {
     /// Group-key triples, one per key expression.
     pub keys: Vec<TripleCol>,
@@ -1290,9 +1277,12 @@ pub struct AggCols {
     pub mults: Vec<MultBound>,
 }
 
-/// γ over triple-column input: [`aggregate_prepared`] fed from dense
-/// `lb/bg/ub` columns where the executor has them. Output is
-/// byte-identical to the row-backed path for the same logical input.
+/// γ over pre-evaluated input: the grouping + bound combination of
+/// [`aggregate`] without expression evaluation — typed kernels where a
+/// column is a dense triple, the per-row fold where it is not. `kinds`
+/// gives one aggregate function per `input.args` entry; `schema` is the
+/// output schema (key columns then aggregate columns). Grouped iff
+/// `input.keys` is non-empty.
 pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuRelation {
     let keys: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
     let args: Vec<Option<ColView>> = input
@@ -1300,35 +1290,7 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuR
         .iter()
         .map(|c| c.as_ref().map(TripleCol::view))
         .collect();
-    aggregate_view(&keys, &args, &input.mults, kinds, schema)
-}
-
-/// γ over pre-evaluated input: the grouping + bound combination of
-/// [`aggregate`] without expression evaluation. `kinds` gives one
-/// aggregate function per `input.args` entry; `schema` is the output
-/// schema (key columns then aggregate columns). Grouped iff
-/// `input.keys` is non-empty.
-pub fn aggregate_prepared(input: &AggInput, kinds: &[AggKind], schema: Schema) -> AuRelation {
-    let keys: Vec<ColView> = input.keys.iter().map(|c| ColView::Rows(c)).collect();
-    let args: Vec<Option<ColView>> = input
-        .args
-        .iter()
-        .map(|c| c.as_deref().map(ColView::Rows))
-        .collect();
-    aggregate_view(&keys, &args, &input.mults, kinds, schema)
-}
-
-/// The engine behind [`aggregate_prepared`] and [`aggregate_cols`]:
-/// grouping and bound combination over column views — typed kernels where
-/// a column is a dense triple, the per-row fold where it is not. One
-/// implementation, so the row and columnar feeds cannot diverge.
-fn aggregate_view(
-    keys: &[ColView],
-    args: &[Option<ColView>],
-    mults: &[MultBound],
-    kinds: &[AggKind],
-    schema: Schema,
-) -> AuRelation {
+    let mults = &input.mults;
     let n_keys = keys.len();
     let n_rows = mults.len();
     let grouped = n_keys > 0;
@@ -1501,7 +1463,7 @@ fn aggregate_view(
                 continue;
             }
             in_sg_any = true;
-            for (s, argcol) in bg_states.iter_mut().zip(args) {
+            for (s, argcol) in bg_states.iter_mut().zip(&args) {
                 match argcol {
                     Some(ColView::Int { bg, .. }) => {
                         s.update(Some(&Value::Int(bg[i])), mults[i].bg)
@@ -1621,33 +1583,32 @@ pub fn aggregate(
     // Evaluate keys and arguments per tuple (errors surface in input order,
     // keys before arguments, like the deterministic engines).
     let n_rows = rel.rows().len();
-    let mut input = AggInput {
-        keys: (0..bound_keys.len())
-            .map(|_| Vec::with_capacity(n_rows))
-            .collect(),
-        args: bound_args
-            .iter()
-            .map(|e| e.as_ref().map(|_| Vec::with_capacity(n_rows)))
-            .collect(),
-        mults: Vec::with_capacity(n_rows),
-    };
+    let mut keys: Vec<Vec<RangeValue>> = vec![Vec::with_capacity(n_rows); bound_keys.len()];
+    let mut args: Vec<Option<Vec<RangeValue>>> = bound_args
+        .iter()
+        .map(|e| e.as_ref().map(|_| Vec::with_capacity(n_rows)))
+        .collect();
     for row in rel.rows() {
         let bg_tuple = row.bg_tuple();
-        for (e, col) in bound_keys.iter().zip(&mut input.keys) {
+        for (e, col) in bound_keys.iter().zip(&mut keys) {
             col.push(eval_range(e, &row.values, &bg_tuple)?);
         }
-        for (e, col) in bound_args.iter().zip(&mut input.args) {
+        for (e, col) in bound_args.iter().zip(&mut args) {
             if let (Some(e), Some(col)) = (e.as_ref(), col.as_mut()) {
                 col.push(eval_range(e, &row.values, &bg_tuple)?);
             }
         }
-        input.mults.push(row.mult);
     }
+    let input = AggCols {
+        keys: keys.into_iter().map(TripleCol::Rows).collect(),
+        args: args.into_iter().map(|c| c.map(TripleCol::Rows)).collect(),
+        mults: rel.rows().iter().map(|row| row.mult).collect(),
+    };
 
     let kinds: Vec<AggKind> = aggregates.iter().map(|a| a.kind).collect();
     let mut columns: Vec<Column> = group_by.iter().map(|(_, c)| c.clone()).collect();
     columns.extend(aggregates.iter().map(|a| a.column.clone()));
-    Ok(aggregate_prepared(&input, &kinds, Schema::new(columns)))
+    Ok(aggregate_cols(&input, &kinds, Schema::new(columns)))
 }
 
 /// Sort rows by selected-guess keys (outermost first, per-key direction)

@@ -42,10 +42,10 @@
 //! * **γ** — aggregation prepares its inputs *columnar*: group keys and
 //!   aggregate arguments assemble per column (stored triples for plain
 //!   references, typed-kernel selected guesses re-anchoring interval
-//!   evaluation for computed expressions) into an [`AggInput`], then the
-//!   single shared bound combination `ua_ranges::ops::aggregate_prepared`
-//!   (with its integer-key fast path) folds the groups. No row tuples, no
-//!   decode round trip.
+//!   evaluation for computed expressions) into an `AggCols` of
+//!   `TripleCol`s, then the single shared bound combination
+//!   `ua_ranges::ops::aggregate_cols` (with its integer-key fast path)
+//!   folds the groups. No row tuples, no decode round trip.
 //! * **Sort / Top-K / Limit / ∪** — run the deterministic columnar
 //!   operators over the flat stream directly: the full flattened row is
 //!   the AU sort tie-break order by construction, so [`crate::ops::sort`]

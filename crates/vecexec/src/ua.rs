@@ -24,8 +24,8 @@
 //! [`Plan::HashJoin`] appears here too; the optimizer keeps its expressions
 //! name-based precisely because these batches carry no marker column and
 //! positions computed against encoded schemas would misalign) — plus any
-//! trailing [`Plan::Sort`] / [`Plan::Limit`] / [`Plan::TopK`] wrappers the
-//! session peeled off the user query. Those execute **natively** on the
+//! trailing [`Plan::Sort`] / [`Plan::Limit`] / [`Plan::TopK`] chain of the
+//! user query. Those execute **natively** on the
 //! encoded batches (columnar sort with the label as the marker-equivalent
 //! final tie-break, bounded Top-K heap, copy-counting limit) — the old
 //! row-engine fallback for `ORDER BY`/`LIMIT` is gone. `DISTINCT` and

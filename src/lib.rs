@@ -26,7 +26,7 @@
 //! | [`incomplete`] | possible worlds, `K^W`-databases, labelings |
 //! | [`models`] | TI-DBs, x-DBs/BI-DBs, C-tables + labeling schemes |
 //! | [`core`] | **UA-DBs**: pair annotations, `Enc`, the `⟦·⟧_UA` rewriting |
-//! | [`plan`] | plans, row-store tables + catalog, SQL frontend, optimizer, the row executor (det and AU) — shared by everything below |
+//! | [`plan`] | plans, row-store tables + catalog, SQL frontend, optimizer, the row executor (det and AU), the plan-level `⟦·⟧_UA` rewriting the row executor runs UA queries through ([`plan::ua`]) — shared by everything below |
 //! | [`vecexec`] | batch-oriented columnar executor with UA label bitmaps, morsel-parallel pipelines and columnar Sort/Top-K; built on [`plan`] |
 //! | [`engine`] | the UA middleware: [`engine::UaSession`] (det / UA / AU queries), [`engine::ExecMode`], source labelings; calls both executors directly and re-exports [`plan`] under its own paths |
 //! | [`obs`] | metrics registry, per-operator [`obs::OperatorStats`] spans, `EXPLAIN ANALYZE` plumbing |

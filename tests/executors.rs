@@ -212,8 +212,8 @@ fn executor_grid_geocoder() {
 fn executor_grid_pdbench() {
     let db = Pdbench::load(0.002, 7);
     // (statement, inside the UA fragment?) — UA rejects aggregation by
-    // design. The last two are PDBench Q1 and Q3: σ over ranged columns
-    // under 3- and 4-way hash joins on certain keys.
+    // design. The fourth and fifth are PDBench Q1 and Q3: σ over ranged
+    // columns under 3- and 4-way hash joins on certain keys.
     let queries = [
         (
             "SELECT orderkey, quantity * extendedprice AS v FROM lineitem WHERE shipdate > 1200",
@@ -240,6 +240,26 @@ fn executor_grid_pdbench() {
              FROM supplier s, lineitem l, orders o, customer c \
              WHERE s.suppkey = l.suppkey AND o.orderkey = l.orderkey \
              AND c.custkey = o.custkey AND s.nationkey = 1 AND c.nationkey = 2",
+            true,
+        ),
+        // The `negation` workload's three statement shapes, over key-range
+        // slices (row det and both AU engines evaluate them pairwise).
+        (
+            "SELECT o.orderkey, o.totalprice FROM orders o \
+             WHERE o.orderkey < 120 AND o.orderkey NOT IN \
+             (SELECT l.orderkey FROM lineitem l WHERE l.quantity > 45 AND l.orderkey < 120)",
+            true,
+        ),
+        (
+            "SELECT custkey FROM customer WHERE custkey < 200 \
+             EXCEPT SELECT custkey FROM orders WHERE custkey < 200 AND orderdate < 1200",
+            true,
+        ),
+        (
+            "SELECT c.custkey, c.acctbal, o.orderkey, o.totalprice FROM \
+             (SELECT custkey, acctbal FROM customer WHERE custkey < 40) c LEFT JOIN \
+             (SELECT custkey, orderkey, totalprice FROM orders WHERE custkey < 40) o \
+             ON c.custkey = o.custkey",
             true,
         ),
     ];
@@ -326,4 +346,97 @@ fn aliased_au_joins_survive_reordering() {
             "{mode:?}"
         );
     }
+}
+
+/// `r(a)` and `s(a)` as `Enc` tables: `r` = {1 certain, 2 uncertain,
+/// 3 certain}, `s` = {2 certain}.
+fn encoded_r_s(mode: ExecMode) -> UaSession {
+    let session = UaSession::with_mode(mode);
+    for (name, rows) in [
+        (
+            "r",
+            vec![tuple![1i64, 1i64], tuple![2i64, 0i64], tuple![3i64, 1i64]],
+        ),
+        ("s", vec![tuple![2i64, 1i64]]),
+    ] {
+        let schema = Schema::qualified(name, ["a"]).with_column("ua_c");
+        session.register_table(name, Table::from_rows(schema, rows));
+    }
+    session
+}
+
+/// UA `EXCEPT` / `LEFT JOIN` / `NOT IN` go through the one dispatch like
+/// every other query: they report their own stats and trace on both
+/// engines and register nothing in the catalog.
+#[test]
+fn ua_negation_reports_stats_and_trace_and_leaves_the_catalog_alone() {
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        let engine = match mode {
+            ExecMode::Row => "row",
+            ExecMode::Vectorized => "vectorized",
+        };
+        let session = encoded_r_s(mode);
+        session.set_stats_enabled(true);
+        session.set_trace_enabled(true);
+        let tables = session.catalog().table_names();
+        for sql in [
+            "SELECT a FROM r EXCEPT SELECT a FROM s",
+            "SELECT r.a, s.a FROM r LEFT JOIN s ON r.a = s.a",
+            "SELECT a FROM r WHERE a NOT IN (SELECT a FROM s)",
+        ] {
+            // An unrelated instrumented query first: its stats must not
+            // survive as the negation query's.
+            session.query_det("SELECT a FROM s").expect("det");
+            let result = session.query_ua(sql).expect(sql);
+            let cell = format!("{mode:?} `{sql}`");
+            let stats = session.last_query_stats().expect(&cell);
+            assert_eq!(stats.semantics, "ua", "{cell}");
+            assert_eq!(stats.engine, engine, "{cell}");
+            assert_eq!(stats.root.rows_out, result.table.len() as u64, "{cell}");
+            let trace = session.last_query_trace().expect(&cell);
+            for span in ["\"optimize\"", "\"execute\""] {
+                assert!(trace.contains(span), "{cell}: no {span} span in {trace}");
+            }
+            assert_eq!(session.catalog().table_names(), tables, "{cell}");
+        }
+    }
+}
+
+/// Pathologically nested SQL is an error naming the limit — not a stack
+/// overflow — on every entry point.
+#[test]
+fn deep_nesting_is_an_error_not_a_crash() {
+    const DEPTH: usize = 10_000;
+    let session = encoded_r_s(ExecMode::Row);
+    let mut subqueries = "SELECT a FROM r".to_string();
+    for i in 0..DEPTH {
+        subqueries = format!("SELECT a FROM ({subqueries}) x{i}");
+    }
+    let statements = [
+        format!("SELECT {}1{} FROM r", "(".repeat(DEPTH), ")".repeat(DEPTH)),
+        format!("SELECT a FROM r WHERE {}a = 1", "NOT ".repeat(DEPTH)),
+        format!("SELECT a FROM r WHERE a = 1{}", " AND a = 1".repeat(DEPTH)),
+        subqueries,
+    ];
+    for sql in &statements {
+        for sem in [Sem::Det, Sem::Ua, Sem::Au] {
+            let err = match sem {
+                Sem::Det => session.query_det(sql).map(|_| ()),
+                Sem::Ua => session.query_ua(sql).map(|_| ()),
+                Sem::Au => session.query_au(sql).map(|_| ()),
+            }
+            .expect_err("too deep");
+            assert!(
+                matches!(err, uadb::engine::EngineError::Sql(_)),
+                "{sem:?}: {err:?}"
+            );
+            let limit = uadb::engine::sql::MAX_NESTING_DEPTH.to_string();
+            assert!(err.to_string().contains(&limit), "{sem:?}: {err}");
+        }
+    }
+    // The limit leaves ordinary nesting alone.
+    let ok = session
+        .query_ua("SELECT a FROM (SELECT a FROM r WHERE NOT (a = 2 OR (a + 1) * 2 > 7)) x")
+        .expect("shallow nesting");
+    assert_eq!(ok.table.len(), 1);
 }

@@ -74,6 +74,50 @@ fn arb_query() -> impl Strategy<Value = RaExpr> {
     ]
 }
 
+/// A random `RA⁺` tree over the `Enc` tables `r(k, v)` and `s(k, w)` (and
+/// the unencoded `t(k)`), grown from a stream of choices: σ / π / ⋈ / × /
+/// ∪ / alias at every level, self-joins included, with the occasional
+/// reference to the `ua_c` marker — both rewritings must agree on what
+/// they reject, too.
+fn arb_ra_tree() -> impl Strategy<Value = RaExpr> {
+    type Choices<'a> = std::slice::Iter<'a, usize>;
+    fn next(choices: &mut Choices<'_>) -> usize {
+        choices.next().copied().unwrap_or(0)
+    }
+    fn col(choices: &mut Choices<'_>) -> &'static str {
+        match next(choices) {
+            c if c % 16 == 15 => "ua_c",
+            c => ["k", "v", "w", "a.k", "b.k"][c % 5],
+        }
+    }
+    fn grow(choices: &mut Choices<'_>, depth: usize) -> RaExpr {
+        let pick = next(choices) % 8;
+        if depth == 0 || pick == 0 {
+            return RaExpr::table(match next(choices) {
+                c if c % 12 == 11 => "t",
+                c => ["r", "s"][c % 2],
+            });
+        }
+        let input = grow(choices, depth - 1);
+        match pick {
+            1 => input.select(Expr::named(col(choices)).ge(Expr::lit(next(choices) as i64))),
+            2 => input.project([col(choices), col(choices)]),
+            3 => input.alias(["a", "b"][next(choices) % 2]),
+            4 => input.alias("a").join(
+                grow(choices, depth - 1).alias("b"),
+                Expr::named("a.k").eq(Expr::named(col(choices))),
+            ),
+            5 => input.cross(grow(choices, depth - 1)),
+            6 => input.union(grow(choices, depth - 1)),
+            _ => input.project_cols(vec![ProjColumn::expr(
+                Expr::named(col(choices)).add(Expr::lit(1i64)),
+                ["x", "k", "ua_c"][next(choices) % 3],
+            )]),
+        }
+    }
+    proptest::collection::vec(0usize..840, 4..40).prop_map(|choices| grow(&mut choices.iter(), 4))
+}
+
 /// A small ℕ_UA-relation over one int column.
 fn arb_ua_relation() -> impl Strategy<Value = Relation<Ua<u64>>> {
     proptest::collection::vec((0i64..6, 0u64..3, 0u64..3), 0..8).prop_map(|rows| {
@@ -131,6 +175,23 @@ proptest! {
         let rewritten = rewrite_ua(&q, &lookup).expect("rewrite");
         let via_enc = decode_relation(&eval(&rewritten, &encoded).expect("eval"));
         prop_assert_eq!(direct, via_enc);
+    }
+
+    /// The plan-level rewriting the session executes emits exactly the
+    /// plans of the formal `RA⁺` reference, and rejects what it rejects.
+    #[test]
+    fn plan_rewriting_equals_the_reference(q in arb_ra_tree()) {
+        use uadb::plan::{rewrite_ua_plan, Catalog, Plan, Table};
+        let catalog = Catalog::new();
+        for (name, cols) in [("r", vec!["k", "v", "ua_c"]), ("s", vec!["k", "w", "ua_c"]), ("t", vec!["k"])] {
+            catalog.register(name, Table::new(Schema::qualified(name, cols)));
+        }
+        let lookup = |name: &str| catalog.schema_of(name);
+        let plan = rewrite_ua_plan(&Plan::from_ra(&q), &catalog);
+        match rewrite_ua(&q, &lookup) {
+            Ok(reference) => prop_assert_eq!(plan.ok(), Some(Plan::from_ra(&reference)), "{}", &q),
+            Err(e) => prop_assert!(plan.is_err(), "{} must be rejected ({:?})", &q, e),
+        }
     }
 
     /// `Enc⁻¹ ∘ Enc` is the identity on well-formed UA-relations.
