@@ -421,6 +421,102 @@ pub fn extract_equi_keys(predicate: &Expr, left_arity: usize) -> (Vec<EquiKey>, 
     (keys, residual)
 }
 
+/// `x = k OR x IS NULL OR k IS NULL` — the ON predicate of `x NOT IN
+/// (subquery)`'s anti-join: membership is unknown when either side is NULL,
+/// and the join must record that as a match so the row is dropped. The
+/// planner builds the predicate here and the join operators recognise it
+/// with [`match_null_aware_eq`], so the shape cannot drift between them.
+pub fn null_aware_eq(x: Expr, k: Expr) -> Expr {
+    x.clone()
+        .eq(k.clone())
+        .or(Expr::IsNull(Box::new(x)))
+        .or(Expr::IsNull(Box::new(k)))
+}
+
+/// Recognise a bound join predicate that is exactly [`null_aware_eq`]`(x,
+/// k)` with `x` over the left input (or constant) and `k` over the right:
+/// the pair as an [`EquiKey`]. A pair can satisfy the predicate only when
+/// the keys are equal or one of them is unknown, so a hash index on the
+/// key plus "an unknown key on either side meets every row" yields
+/// exactly the pairs worth evaluating the full predicate on.
+pub fn match_null_aware_eq(predicate: &Expr, left_arity: usize) -> Option<EquiKey> {
+    let Expr::Or(eq_or_x, k_null) = predicate else {
+        return None;
+    };
+    let (Expr::Or(eq, x_null), Expr::IsNull(k2)) = (&**eq_or_x, &**k_null) else {
+        return None;
+    };
+    let (Expr::Cmp(CmpOp::Eq, x, k), Expr::IsNull(x2)) = (&**eq, &**x_null) else {
+        return None;
+    };
+    let (mut x_cols, mut k_cols) = (Vec::new(), Vec::new());
+    x.referenced_columns(&mut x_cols);
+    k.referenced_columns(&mut k_cols);
+    let sided = x_cols.iter().all(|&c| c < left_arity)
+        && !k_cols.is_empty()
+        && k_cols.iter().all(|&c| c >= left_arity);
+    (x == x2 && k == k2 && sided).then(|| EquiKey {
+        left: (**x).clone(),
+        right: shift_columns(k, left_arity),
+    })
+}
+
+/// How a join generates its candidate pairs from a bound predicate: hash
+/// `keys` (empty = every pair), then evaluate `residual` on each
+/// candidate.
+#[derive(Default)]
+pub struct JoinKeys {
+    /// Per-side key expressions whose equality a match needs.
+    pub keys: Vec<EquiKey>,
+    /// What is still evaluated per candidate pair.
+    pub residual: Vec<Expr>,
+    /// The predicate is a [`null_aware_eq`]: an unknown key on either side
+    /// is a candidate for every row of the other side (under plain
+    /// equi-keys an unknown key matches nothing).
+    pub null_aware: bool,
+}
+
+/// The candidate keys of a bound join predicate: the null-aware key of a
+/// `NOT IN` anti-join (its full predicate stays the residual), else the
+/// conjunction's equi-keys ([`extract_equi_keys`]). The outer joins of
+/// both deterministic engines and the AU join operators choose with it.
+pub fn candidate_keys(predicate: &Expr, left_arity: usize) -> JoinKeys {
+    match match_null_aware_eq(predicate, left_arity) {
+        Some(key) => JoinKeys {
+            keys: vec![key],
+            residual: vec![predicate.clone()],
+            null_aware: true,
+        },
+        None => {
+            let (keys, residual) = extract_equi_keys(predicate, left_arity);
+            JoinKeys {
+                keys,
+                residual,
+                null_aware: false,
+            }
+        }
+    }
+}
+
+/// Merge two ascending, disjoint candidate lists (a key's bucket and the
+/// rows that are candidates for every key) into `out`, ascending — hashed
+/// candidates come out in the other side's scan order, as the pairwise
+/// loop visits them.
+pub fn merge_ascending<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// Rewrite column references `c` to `c - delta` (to evaluate a
 /// concatenated-schema expression against the right tuple alone).
 pub fn shift_columns(e: &Expr, delta: usize) -> Expr {
@@ -663,6 +759,47 @@ mod tests {
             .project(Vec::<String>::new());
         assert_eq!(q.operator_count(), 3);
         assert_eq!(q.base_tables(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn null_aware_eq_is_recognised_exactly() {
+        // Two left columns, the right side starts at 2.
+        let x = Expr::col(1).add(Expr::lit(1i64));
+        let k = Expr::col(2);
+        let key = match_null_aware_eq(&null_aware_eq(x.clone(), k.clone()), 2).expect("the shape");
+        assert_eq!((key.left, key.right), (x.clone(), Expr::col(0)));
+        // A constant operand (`5 NOT IN (…)`) is a key too.
+        assert!(match_null_aware_eq(&null_aware_eq(Expr::lit(5i64), k.clone()), 2).is_some());
+        let keys = candidate_keys(&null_aware_eq(x.clone(), k.clone()), 2);
+        assert!(keys.null_aware && keys.keys.len() == 1);
+        assert_eq!(keys.residual, [null_aware_eq(x.clone(), k.clone())]);
+
+        let is_null = |e: &Expr| Expr::IsNull(Box::new(e.clone()));
+        let eq = x.clone().eq(k.clone());
+        for near_miss in [
+            // The hand-written two-disjunct idiom: a NULL operand does not match.
+            eq.clone().or(is_null(&k)),
+            // The disjuncts test other expressions than the compared ones.
+            eq.clone().or(is_null(&Expr::col(0))).or(is_null(&k)),
+            eq.clone().or(is_null(&x)).or(is_null(&Expr::col(3))),
+            // Sides swapped or straddled: no left-probe / right-build split.
+            null_aware_eq(k.clone(), x.clone()),
+            null_aware_eq(x.clone().add(k.clone()), k.clone()),
+            null_aware_eq(x.clone(), Expr::lit(1i64)),
+            // Not the whole predicate.
+            null_aware_eq(x.clone(), k.clone()).and(Expr::lit(true)),
+            x.clone().lt(k.clone()).or(is_null(&x)).or(is_null(&k)),
+        ] {
+            assert!(match_null_aware_eq(&near_miss, 2).is_none(), "{near_miss}");
+            assert!(!candidate_keys(&near_miss, 2).null_aware);
+        }
+    }
+
+    #[test]
+    fn merge_ascending_interleaves() {
+        let mut out = vec![99usize];
+        merge_ascending(&[1, 4, 9], &[0, 5, 6, 10], &mut out);
+        assert_eq!(out, [99, 0, 1, 4, 5, 6, 9, 10]);
     }
 
     #[test]

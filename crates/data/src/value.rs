@@ -114,9 +114,10 @@ impl Value {
     /// to ints, so structural key equality agrees with [`Value::sql_cmp`]'s
     /// coercing numeric equality (`Int(2) = Float(2.0)`). Every hash-key
     /// build/probe site must apply this, or the hash strategy would drop
-    /// rows a nested-loop evaluation of the same predicate keeps.
-    /// (Beyond ±2⁵³, where `i64 → f64` is lossy, `sql_cmp` itself compares
-    /// through `f64` and the two can still disagree; exact within.)
+    /// rows a nested-loop evaluation of the same predicate keeps. Exact
+    /// over the whole `i64` range: [`cmp_int_float`] compares without the
+    /// lossy `i64 → f64` cast, so two known values share a key iff
+    /// `sql_cmp` calls them equal.
     pub fn join_key(self) -> Value {
         if let Value::Float(f) = &self {
             let x = f.get();
@@ -157,8 +158,8 @@ impl Value {
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             (Int(a), Int(b)) => Some(a.cmp(b)),
             (Float(a), Float(b)) => Some(a.cmp(b)),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(&b.get()),
-            (Float(a), Int(b)) => a.get().partial_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => cmp_int_float(*a, b.get()),
+            (Float(a), Int(b)) => cmp_int_float(*b, a.get()).map(std::cmp::Ordering::reverse),
             (Str(a), Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
             _ => None,
         }
@@ -231,6 +232,30 @@ impl Value {
                 }
             }
         }
+    }
+}
+
+/// Exact order of an integer against a float — no `i64 → f64` cast, which
+/// rounds past ±2⁵³ and would call `9007199254740993` equal to
+/// `9007199254740992.0`. `None` only for NaN (three-valued unknown, as
+/// `partial_cmp` gives).
+pub fn cmp_int_float(i: i64, f: f64) -> Option<std::cmp::Ordering> {
+    use std::cmp::Ordering;
+    // ±2⁶³ are exact floats, and every float strictly between them
+    // truncates to an `i64` exactly.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        None
+    } else if f >= TWO_63 {
+        Some(Ordering::Less)
+    } else if f < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let whole = f.trunc();
+        Some(
+            i.cmp(&(whole as i64))
+                .then(0.0_f64.partial_cmp(&(f - whole)).expect("finite")),
+        )
     }
 }
 
@@ -341,6 +366,54 @@ mod tests {
             Some(Ordering::Less)
         );
         assert_eq!(Value::Int(2).sql_cmp(&Value::str("2")), None);
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact_past_2_53() {
+        const P53: i64 = 1 << 53;
+        let f53 = Value::float(P53 as f64);
+        assert_eq!(Value::Int(P53).sql_cmp(&f53), Some(Ordering::Equal));
+        // `(P53 + 1) as f64` rounds back to 2⁵³: a lossy cast calls these equal.
+        assert_eq!(Value::Int(P53 + 1).sql_cmp(&f53), Some(Ordering::Greater));
+        assert_eq!(f53.sql_cmp(&Value::Int(P53 + 1)), Some(Ordering::Less));
+        assert_eq!(
+            Value::Int(-P53 - 1).sql_cmp(&Value::float(-(P53 as f64))),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(i64::MAX).sql_cmp(&Value::float(2f64.powi(63))),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).sql_cmp(&Value::float(-(2f64.powi(63)))),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).sql_cmp(&Value::float(f64::NEG_INFINITY)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            Value::Int(-2).sql_cmp(&Value::float(-2.5)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            Value::Int(-3).sql_cmp(&Value::float(-2.5)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(0).sql_cmp(&Value::float(-0.0)),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(Value::Int(1).sql_cmp(&Value::float(f64::NAN)), None);
+        // Hash keys agree with the comparison: same key iff equal.
+        for (i, f) in [(P53 + 1, P53 as f64), (P53, P53 as f64), (3, 3.0), (3, 3.5)] {
+            let (a, b) = (Value::Int(i), Value::float(f));
+            assert_eq!(
+                a.clone().join_key() == b.clone().join_key(),
+                a.sql_eq(&b),
+                "{i} vs {f}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::plan::{AggExpr, AggFunc, OuterKind, Plan, SortOrder};
 use crate::stats::Tracer;
 use crate::storage::{Catalog, Table};
 use std::fmt;
-use ua_data::algebra::extract_equi_keys;
+use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, JoinKeys};
 use ua_data::expr::{Expr, ExprError};
 use ua_data::schema::{Schema, SchemaError};
 use ua_data::tuple::Tuple;
@@ -579,6 +579,14 @@ pub(crate) fn except_table_metered(
 /// scan order, else one NULL-padded row). Join equality follows SQL
 /// semantics — NULL keys never match, so NULL-keyed preserved rows come
 /// out padded. Shared contract for both executors.
+///
+/// Candidate pairs come from a hash table on the predicate's keys
+/// ([`candidate_keys`]) when it has any, the residual decides among
+/// them. `NOT IN`'s null-aware key differs from an equi-key in one way:
+/// an unknown key is a candidate for every row of the other side (unknown
+/// build keys merge into each probe's bucket in build-scan order, an
+/// unknown probe key takes every build row) where an equi-join drops it.
+/// A predicate without keys visits all pairs.
 pub fn outer_join_stream(
     l: &Table,
     r: &Table,
@@ -598,67 +606,72 @@ pub fn outer_join_stream(
             irow.concat(orow)
         }
     };
+    let JoinKeys {
+        keys,
+        residual,
+        null_aware,
+    } = match &bound {
+        Some(pred) => candidate_keys(pred, l.schema().arity()),
+        None => JoinKeys::default(),
+    };
+    let residual = Expr::conjunction(residual);
+    let (build_exprs, probe_exprs): (Vec<&Expr>, Vec<&Expr>) = if outer_is_left {
+        keys.iter().map(|k| (&k.right, &k.left)).unzip()
+    } else {
+        keys.iter().map(|k| (&k.left, &k.right)).unzip()
+    };
+    let key_of = |exprs: &[&Expr], row: &Tuple| -> Result<Tuple, EngineError> {
+        Ok(exprs
+            .iter()
+            .map(|e| e.eval(row).map(Value::join_key))
+            .collect::<Result<_, _>>()?)
+    };
+    // How a key that cannot be hashed is treated: the null-aware predicate
+    // holds for any unknown key (`IS NULL` is true of labeled nulls too),
+    // an equality for no NULL key (labeled nulls equal themselves). With
+    // no keys at all every pair is a candidate.
+    let meets_all =
+        |key: &Tuple| keys.is_empty() || (null_aware && key.iter().any(Value::is_unknown));
+    let meets_none = |key: &Tuple| !null_aware && key.has_null();
 
-    if let Some(pred) = &bound {
-        let (keys, residual) = extract_equi_keys(pred, l.schema().arity());
-        if !keys.is_empty() {
-            let residual = Expr::conjunction(residual);
-            let key_of = |exprs: &[&Expr], row: &Tuple| -> Result<Tuple, EngineError> {
-                Ok(exprs
-                    .iter()
-                    .map(|e| e.eval(row).map(Value::join_key))
-                    .collect::<Result<_, _>>()?)
-            };
-            let (build_exprs, probe_exprs): (Vec<&Expr>, Vec<&Expr>) = if outer_is_left {
-                (
-                    keys.iter().map(|k| &k.right).collect(),
-                    keys.iter().map(|k| &k.left).collect(),
-                )
-            } else {
-                (
-                    keys.iter().map(|k| &k.left).collect(),
-                    keys.iter().map(|k| &k.right).collect(),
-                )
-            };
-            let mut table: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
-            for (ii, irow) in inner.rows().iter().enumerate() {
-                let key = key_of(&build_exprs, irow)?;
-                if key.has_null() {
-                    continue;
-                }
+    let all: Vec<usize> = if keys.is_empty() || null_aware {
+        (0..inner.rows().len()).collect()
+    } else {
+        Vec::new()
+    };
+    let mut table: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
+    let mut always: Vec<usize> = Vec::new();
+    if !keys.is_empty() {
+        for (ii, irow) in inner.rows().iter().enumerate() {
+            let key = key_of(&build_exprs, irow)?;
+            if meets_all(&key) {
+                always.push(ii);
+            } else if !meets_none(&key) {
                 table.entry(key).or_default().push(ii);
             }
-            for orow in outer.rows() {
-                let key = key_of(&probe_exprs, orow)?;
-                let mut matched = false;
-                if !key.has_null() {
-                    if let Some(matches) = table.get(&key) {
-                        for &ii in matches {
-                            let joined = concat(orow, &inner.rows()[ii]);
-                            if residual.holds(&joined)? {
-                                matched = true;
-                                on_row(joined)?;
-                            }
-                        }
-                    }
-                }
-                if !matched {
-                    on_row(concat(orow, &pad))?;
-                }
-            }
-            return Ok(());
         }
     }
-
+    let mut merged: Vec<usize> = Vec::new();
     for orow in outer.rows() {
+        let key = key_of(&probe_exprs, orow)?;
+        let cand: &[usize] = if meets_all(&key) {
+            &all
+        } else if meets_none(&key) {
+            &[]
+        } else {
+            let bucket = table.get(&key).map_or(&[][..], Vec::as_slice);
+            if always.is_empty() {
+                bucket
+            } else {
+                merged.clear();
+                merge_ascending(bucket, &always, &mut merged);
+                &merged
+            }
+        };
         let mut matched = false;
-        for irow in inner.rows() {
-            let joined = concat(orow, irow);
-            let keep = match &bound {
-                Some(p) => p.holds(&joined)?,
-                None => true,
-            };
-            if keep {
+        for &ii in cand {
+            let joined = concat(orow, &inner.rows()[ii]);
+            if residual.holds(&joined)? {
                 matched = true;
                 on_row(joined)?;
             }
@@ -1118,6 +1131,85 @@ mod tests {
             ),
         );
         c
+    }
+
+    /// `NOT IN`'s null-aware key against the all-pairs loop (`θ OR FALSE`
+    /// holds exactly when θ does, but has no recognisable key): the same
+    /// rows in the same order for both preserved sides, over NULL and
+    /// labeled-null keys on either side, `1` next to `1.0`, integers past
+    /// 2⁵³ next to the float they round to, and cross-family values.
+    #[test]
+    fn null_aware_outer_join_matches_the_all_pairs_loop() {
+        use ua_data::algebra::null_aware_eq;
+        use ua_data::value::VarId;
+        let keys = |name: &str, vals: Vec<Value>| {
+            let rows = vals
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| Tuple::new(vec![v, Value::Int(i as i64)]))
+                .collect();
+            Table::from_rows(Schema::qualified(name, ["k", "id"]), rows)
+        };
+        let big = 1i64 << 53;
+        let l = keys(
+            "l",
+            vec![
+                Value::Int(1),
+                Value::Null,
+                Value::float(1.0),
+                Value::Int(big + 1),
+                Value::Var(VarId(7)),
+                Value::str("1"),
+                Value::Int(4),
+                Value::Bool(true),
+            ],
+        );
+        let with_unknowns = keys(
+            "r",
+            vec![
+                Value::float(1.0),
+                Value::Var(VarId(7)),
+                Value::Int(1),
+                Value::float(big as f64),
+                Value::Null,
+                Value::str("1"),
+                Value::float(f64::NAN),
+            ],
+        );
+        let known = keys("r", vec![Value::Int(1), Value::float(4.0), Value::str("x")]);
+        let empty = keys("r", vec![]);
+        let not_in = null_aware_eq(Expr::named("l.k"), Expr::named("r.k"));
+        let pairwise = not_in.clone().or(Expr::lit(false));
+        let run = |r: &Table, pred: &Expr, kind: OuterKind| {
+            let mut out = Vec::new();
+            outer_join_stream(&l, r, Some(pred), kind, &mut |row| {
+                out.push(row);
+                Ok(())
+            })
+            .unwrap();
+            out
+        };
+        for r in [&with_unknowns, &known, &empty] {
+            for kind in [OuterKind::Left, OuterKind::Right] {
+                let hashed = run(r, &not_in, kind);
+                assert_eq!(hashed, run(r, &pairwise, kind), "{kind:?} over {r:?}");
+            }
+        }
+        // Without unknown keys on the right only equal keys match: `4`
+        // meets `4.0`, `2⁵³ + 1` meets nothing, the NULL and labeled-null
+        // left keys meet every row.
+        let matches = run(&known, &not_in, OuterKind::Left);
+        let ids = |lid: i64| -> Vec<Value> {
+            matches
+                .iter()
+                .filter(|t| t.get(1) == Some(&Value::Int(lid)))
+                .map(|t| t.get(3).expect("r.id").clone())
+                .collect()
+        };
+        assert_eq!(ids(6), [Value::Int(1)]);
+        assert_eq!(ids(3), [Value::Null]);
+        assert_eq!(ids(1), [Value::Int(0), Value::Int(1), Value::Int(2)]);
+        assert_eq!(ids(4), [Value::Int(0), Value::Int(1), Value::Int(2)]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::exec::EngineError;
 use crate::plan::{AggExpr, AggFunc, OuterKind, Plan};
 use crate::sql::ast::*;
 use crate::storage::Catalog;
-use ua_data::algebra::ProjColumn;
+use ua_data::algebra::{null_aware_eq, ProjColumn};
 use ua_data::expr::{CmpOp, Expr};
 use ua_data::schema::{Column, Schema};
 use ua_data::value::Value;
@@ -386,9 +386,11 @@ pub(crate) fn is_system_column(col: &Column) -> bool {
 /// The left outer join NULL-pads exactly the input rows with no match, the
 /// filter keeps those, and the final projection restores the input's
 /// visible schema. For `NOT IN` the ON predicate is the three-valued
-/// `x = key OR x IS NULL OR key IS NULL`: a NULL on either side makes the
-/// membership test unknown, and SQL's `NOT IN` must then drop the row —
-/// which the join records as a match and the filter removes. `NOT EXISTS`
+/// `x = key OR x IS NULL OR key IS NULL` ([`null_aware_eq`], which the
+/// outer-join operators recognise and hash on `x = key`): a NULL on either
+/// side makes the membership test unknown, and SQL's `NOT IN` must then
+/// drop the row — which the join records as a match and the filter
+/// removes. `NOT EXISTS`
 /// over an uncorrelated subquery joins unconditionally: any subquery row
 /// matches every input row.
 fn lower_anti_join(
@@ -433,13 +435,7 @@ fn lower_anti_join(
                     ProjColumn::expr(Expr::lit(1i64), flag.clone()),
                 ],
             };
-            let x = lower_scalar(operand)?;
-            let k = Expr::named(key);
-            let pred = x
-                .clone()
-                .eq(k.clone())
-                .or(Expr::IsNull(Box::new(x)))
-                .or(Expr::IsNull(Box::new(k)));
+            let pred = null_aware_eq(lower_scalar(operand)?, Expr::named(key));
             (flagged, Some(pred))
         }
     };

@@ -21,6 +21,11 @@
 //! * **δ (DISTINCT)** — rows merge by selected-guess tuple; ranges hull,
 //!   `lb/bg` cap at 1, `ub` sums (each merged copy may ground to a
 //!   distinct value and survive deduplication on its own).
+//! * **− / ⟕ (EXCEPT, outer joins, `NOT IN`)** — see [`except`] and
+//!   [`outer_join`]. Their bound rules quantify over *pairs* of rows, but
+//!   only pairs that can possibly match move any bound, so both take
+//!   their candidates from a selected-guess hash index ([`SgKeyIndex`])
+//!   and run the pair tests on those alone.
 //! * **γ (GROUP BY / aggregation)** — see [`aggregate`]: output groups are
 //!   the distinct selected-guess keys; every input tuple whose key range
 //!   intersects a group's key hull contributes to that group's aggregate
@@ -31,7 +36,7 @@ use crate::mult::MultBound;
 use crate::relation::{encode_row, AuRelation, AuTuple};
 use crate::value::{range_cmp, Bound, RangeValue};
 use std::cmp::Ordering;
-use ua_data::algebra::extract_equi_keys;
+use ua_data::algebra::{candidate_keys, merge_ascending};
 use ua_data::expr::{Expr, ExprError};
 use ua_data::schema::{Column, Schema, SchemaError};
 use ua_data::tuple::Tuple;
@@ -149,6 +154,15 @@ fn hashable_point(r: &RangeValue) -> bool {
     r.is_point() && !matches!(&r.bg, Value::Float(f) if f.get().is_nan())
 }
 
+/// Whether every key of a row pins one hashable value. Under
+/// IS-NOT-DISTINCT matching (`nulls_match`, EXCEPT's) a definite NULL is
+/// such a value — it matches exactly the other definite NULLs; under join
+/// equality it is not (no bucket could hold "matches nothing").
+fn hashable_keys(keys: &[RangeValue], nulls_match: bool) -> bool {
+    keys.iter()
+        .all(|r| hashable_point(r) || (nulls_match && r.is_null()))
+}
+
 fn normalized_key(keys: &[RangeValue]) -> Tuple {
     keys.iter().map(|r| r.bg.clone().join_key()).collect()
 }
@@ -166,74 +180,93 @@ pub fn key_family(v: &Value) -> u8 {
     }
 }
 
-/// Per-key-column family bitmasks over the rows whose keys are all
-/// hashable points (other rows are fuzzy and join every candidate list,
-/// so their families never matter).
-pub fn point_key_families(rows: &[Vec<RangeValue>], n_keys: usize) -> Vec<u8> {
-    let mut fam = vec![0u8; n_keys];
-    for keys in rows {
-        if keys.iter().all(hashable_point) {
-            for (f, r) in fam.iter_mut().zip(keys) {
-                *f |= key_family(&r.bg);
-            }
+/// OR the point keys' families of one hashable row into `fam` (a definite
+/// NULL has no family: it is comparable with nothing and equal to NULLs
+/// only).
+fn add_families(fam: &mut [u8], keys: &[RangeValue]) {
+    for (f, r) in fam.iter_mut().zip(keys) {
+        if !r.is_null() {
+            *f |= key_family(&r.bg);
         }
     }
-    fam
 }
 
-/// A selected-guess key index over one join side's evaluated key ranges:
-/// rows whose keys are all points hash by coercion-normalized key tuple;
-/// rows with ranged, unknown, or NaN keys are *fuzzy* — possibly equal to
-/// any probe key — and appear in every candidate list. Pruned pairs are
-/// exactly those with a certainly-false key equality, so candidate
-/// refinement reproduces the nested loop's surviving rows.
+/// A selected-guess key index over one side's key ranges: rows whose keys
+/// are all hashable ([`hashable_keys`]) sit in buckets by
+/// coercion-normalized key tuple; rows with a ranged, unknown, or NaN key
+/// are *fuzzy* — possibly equal to any probe key — and appear in every
+/// candidate list. Pruned pairs are exactly those whose key equality is
+/// certainly false (two hashable key tuples of one family per column in
+/// different buckets differ under `sql_cmp`, which is exact), so
+/// refining the candidates reproduces the pairwise loop's result.
 pub struct SgKeyIndex {
     buckets: FxHashMap<Tuple, Vec<usize>>,
     fuzzy: Vec<usize>,
-    families: Vec<u8>,
     len: usize,
+    nulls_match: bool,
 }
 
 impl SgKeyIndex {
-    /// Index one side's per-row key ranges (`rows[i]` holds row `i`'s
-    /// `n_keys` evaluated key ranges).
-    pub fn build(rows: &[Vec<RangeValue>], n_keys: usize) -> SgKeyIndex {
+    /// Index `build`'s per-row key ranges (row `i` yields its `n_keys` key
+    /// ranges) for probing with `probe`'s, under join equality or —
+    /// `nulls_match` — under IS-NOT-DISTINCT matching. `None` when hash
+    /// pruning between the two sides is unsound: some key column's point
+    /// keys span two comparable type families across them (cross-family
+    /// points compare `None`, i.e. possibly equal).
+    pub fn build_for<'a>(
+        build: impl IntoIterator<Item = &'a [RangeValue]>,
+        probe: impl IntoIterator<Item = &'a [RangeValue]>,
+        n_keys: usize,
+        nulls_match: bool,
+    ) -> Option<SgKeyIndex> {
         let mut buckets: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
         let mut fuzzy = Vec::new();
+        // Per-key-column family bitmasks over the hashable rows of both
+        // sides (fuzzy rows join every candidate list, so their families
+        // never matter).
         let mut families = vec![0u8; n_keys];
-        for (i, keys) in rows.iter().enumerate() {
-            if keys.iter().all(hashable_point) {
-                for (f, r) in families.iter_mut().zip(keys) {
-                    *f |= key_family(&r.bg);
-                }
-                buckets.entry(normalized_key(keys)).or_default().push(i);
+        let mut len = 0;
+        for keys in build {
+            if hashable_keys(keys, nulls_match) {
+                add_families(&mut families, keys);
+                buckets.entry(normalized_key(keys)).or_default().push(len);
             } else {
-                fuzzy.push(i);
+                fuzzy.push(len);
+            }
+            len += 1;
+        }
+        for keys in probe {
+            if hashable_keys(keys, nulls_match) {
+                add_families(&mut families, keys);
             }
         }
-        SgKeyIndex {
-            buckets,
-            fuzzy,
-            families,
-            len: rows.len(),
-        }
+        families
+            .iter()
+            .all(|f| f.count_ones() <= 1)
+            .then_some(SgKeyIndex {
+                buckets,
+                fuzzy,
+                len,
+                nulls_match,
+            })
     }
 
-    /// Whether hash pruning against a probe side with the given point-key
-    /// families ([`point_key_families`]) is sound: every key column's
-    /// point keys across both sides share one comparable type family.
-    pub fn compatible_with(&self, probe_families: &[u8]) -> bool {
-        self.families
-            .iter()
-            .zip(probe_families)
-            .all(|(a, b)| (a | b).count_ones() <= 1)
+    /// The index that prunes nothing: all `len` rows are candidates of
+    /// every probe.
+    fn unpruned(len: usize) -> SgKeyIndex {
+        SgKeyIndex {
+            buckets: FxHashMap::default(),
+            fuzzy: (0..len).collect(),
+            len,
+            nulls_match: false,
+        }
     }
 
     /// Collect the build rows whose key equality with `keys` is possibly
     /// true, ascending (build-scan order), into `out`.
     pub fn candidates(&self, keys: &[RangeValue], out: &mut Vec<usize>) {
         out.clear();
-        if !keys.iter().all(hashable_point) {
+        if !hashable_keys(keys, self.nulls_match) {
             out.extend(0..self.len);
             return;
         }
@@ -242,30 +275,7 @@ impl SgKeyIndex {
             .get(&normalized_key(keys))
             .map(Vec::as_slice)
             .unwrap_or_default();
-        // Merge the two ascending lists (bucket and fuzzy are disjoint).
-        let (mut a, mut b) = (bucket.iter().peekable(), self.fuzzy.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    if x < y {
-                        out.push(x);
-                        a.next();
-                    } else {
-                        out.push(y);
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    out.push(x);
-                    a.next();
-                }
-                (None, Some(&&y)) => {
-                    out.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
+        merge_ascending(bucket, &self.fuzzy, out);
     }
 }
 
@@ -309,17 +319,24 @@ pub fn join(
 type KeyedCandidates = (SgKeyIndex, Vec<Vec<RangeValue>>);
 
 /// The candidate index of a θ-join whose (bound) predicate has
-/// extractable equi-keys: a [`SgKeyIndex`] over the build side's key
-/// ranges (`left` when `build_left`) plus the probe side's per-row key
-/// ranges. `None` — every pair is a candidate — when there are no
-/// equi-keys or cross-family point keys make pruning unsound.
+/// extractable keys ([`candidate_keys`]: the null-aware key of a `NOT IN`
+/// anti-join, or the conjunction's equi-keys): a
+/// [`SgKeyIndex`] over the build side's key ranges (`left` when
+/// `build_left`) plus the probe side's per-row key ranges. `None` — every
+/// pair is a candidate — when there are no keys or cross-family point
+/// keys make pruning unsound.
+///
+/// The null-aware predicate `x = k OR x IS NULL OR k IS NULL` prunes on
+/// `x = k` alone: a pruned pair has two point keys, so both `IS NULL`
+/// disjuncts are certainly false along with the equality (a definite-NULL
+/// or top key is fuzzy and never pruned).
 fn equi_key_index(
     pred: &Expr,
     left: &AuRelation,
     right: &AuRelation,
     build_left: bool,
 ) -> Result<Option<KeyedCandidates>, ExprError> {
-    let (keys, _) = extract_equi_keys(pred, left.schema().arity());
+    let keys = candidate_keys(pred, left.schema().arity()).keys;
     if keys.is_empty() {
         return Ok(None);
     }
@@ -332,10 +349,13 @@ fn equi_key_index(
     } else {
         (r_keys, l_keys)
     };
-    let index = SgKeyIndex::build(&build_keys, keys.len());
-    Ok(index
-        .compatible_with(&point_key_families(&probe_keys, keys.len()))
-        .then_some((index, probe_keys)))
+    let index = SgKeyIndex::build_for(
+        build_keys.iter().map(Vec::as_slice),
+        probe_keys.iter().map(Vec::as_slice),
+        keys.len(),
+        false,
+    );
+    Ok(index.map(|index| (index, probe_keys)))
 }
 
 /// Shift a (bound) right-side expression's column refs up onto the
@@ -386,10 +406,14 @@ pub fn hash_join(
     } else {
         (&r_keys, &l_keys)
     };
-    let index = SgKeyIndex::build(build_keys, keys.len());
-    if !index.compatible_with(&point_key_families(probe_keys, keys.len())) {
+    let Some(index) = SgKeyIndex::build_for(
+        build_keys.iter().map(Vec::as_slice),
+        probe_keys.iter().map(Vec::as_slice),
+        keys.len(),
+        false,
+    ) else {
         return join(left, right, Some(&pred));
-    }
+    };
     let (build_rel, probe_rel) = if build_left {
         (left, right)
     } else {
@@ -1732,16 +1756,63 @@ fn certain_valued(row: &[RangeValue]) -> bool {
 ///   might absorb first (removal is first-`k` in scan order, so
 ///   Σ `ub` over earlier possibly-equal left rows protects this row's
 ///   copies from the budget).
+///
+/// Candidate generation is hashed, the pair tests are not: the right side
+/// (and, for `EXCEPT ALL`'s protectors, the left side) is indexed by
+/// selected-guess tuple over *all* columns ([`row_index`]), and
+/// [`rows_possibly_equal`] / [`rows_certainly_equal`] run on a left row's
+/// candidates only. A pruned pair is two fixed rows that differ in some
+/// column, where both tests are false — every sum and flag above is the
+/// one the all-pairs loop computes, in the same order.
 pub fn except(left: &AuRelation, right: &AuRelation, all: bool) -> Result<AuRelation, SchemaError> {
+    except_over(left, right, all, true)
+}
+
+/// The all-pairs reference [`except`] is tested against: every right (and
+/// earlier left) row is a candidate — the path cross-family columns take.
+#[cfg(test)]
+fn except_pairwise(
+    left: &AuRelation,
+    right: &AuRelation,
+    all: bool,
+) -> Result<AuRelation, SchemaError> {
+    except_over(left, right, all, false)
+}
+
+fn except_over(
+    left: &AuRelation,
+    right: &AuRelation,
+    all: bool,
+    hashed: bool,
+) -> Result<AuRelation, SchemaError> {
     left.schema().check_union_compatible(right.schema())?;
     Ok(if all {
-        except_all(left, right)
+        except_all(left, right, hashed)
     } else {
-        except_distinct(left, right)
+        except_distinct(left, right, hashed)
     })
 }
 
-fn except_all(left: &AuRelation, right: &AuRelation) -> AuRelation {
+/// The rows of `build` that can ground equal to rows of `probe` under
+/// EXCEPT's IS-NOT-DISTINCT matching, as an all-column [`SgKeyIndex`]:
+/// rows whose every attribute is a definite NULL or a hashable point sit
+/// in buckets, rows with a ranged / top / NaN attribute are in every
+/// candidate list, and a probe row that is itself not fixed scans
+/// everything. Every row is a candidate for every probe when some
+/// column's points span two type families across the two sides
+/// (cross-family points compare `None`, i.e. possibly equal) or `hashed`
+/// is off.
+fn row_index(build: &[AuTuple], probe: &[AuTuple], arity: usize, hashed: bool) -> SgKeyIndex {
+    fn values(rows: &[AuTuple]) -> impl Iterator<Item = &[RangeValue]> {
+        rows.iter().map(|t| t.values.as_slice())
+    }
+    hashed
+        .then(|| SgKeyIndex::build_for(values(build), values(probe), arity, true))
+        .flatten()
+        .unwrap_or_else(|| SgKeyIndex::unpruned(build.len()))
+}
+
+fn except_all(left: &AuRelation, right: &AuRelation, hashed: bool) -> AuRelation {
     // SG removal budget per normalized selected-guess tuple.
     let mut budget: FxHashMap<Tuple, u64> = FxHashMap::default();
     for r in right.rows() {
@@ -1750,6 +1821,12 @@ fn except_all(left: &AuRelation, right: &AuRelation) -> AuRelation {
         }
     }
     let rows = left.rows();
+    let arity = left.schema().arity();
+    let right_index = row_index(right.rows(), rows, arity, hashed);
+    // Protectors are needed by certainly-hit rows only: index the left
+    // side against itself on first use.
+    let mut left_index: Option<SgKeyIndex> = None;
+    let mut cand: Vec<usize> = Vec::new();
     let mut out = AuRelation::new(left.schema().clone());
     for (i, l) in rows.iter().enumerate() {
         let bg_out = if l.mult.bg >= 1 {
@@ -1767,7 +1844,8 @@ fn except_all(left: &AuRelation, right: &AuRelation) -> AuRelation {
         let mut possible_removal: u64 = 0;
         let mut certain_removal: u64 = 0;
         let fixed = certain_valued(&l.values);
-        for r in right.rows() {
+        right_index.candidates(&l.values, &mut cand);
+        for r in cand.iter().map(|&ri| &right.rows()[ri]) {
             if r.mult.ub >= 1 && rows_possibly_equal(&l.values, &r.values) {
                 possible_removal = possible_removal.saturating_add(r.mult.ub);
             }
@@ -1777,8 +1855,11 @@ fn except_all(left: &AuRelation, right: &AuRelation) -> AuRelation {
         }
         let lb_out = l.mult.lb.saturating_sub(possible_removal);
         let ub_out = if certain_removal > 0 {
+            left_index
+                .get_or_insert_with(|| row_index(rows, rows, arity, hashed))
+                .candidates(&l.values, &mut cand);
             let mut protectors: u64 = 0;
-            for k in &rows[..i] {
+            for k in cand.iter().take_while(|&&k| k < i).map(|&k| &rows[k]) {
                 if k.mult.ub >= 1 && rows_possibly_equal(&k.values, &l.values) {
                     protectors = protectors.saturating_add(k.mult.ub);
                 }
@@ -1804,7 +1885,7 @@ fn except_all(left: &AuRelation, right: &AuRelation) -> AuRelation {
 /// `distinct(EXCEPT ALL)`). A left row survives a world iff its grounding
 /// is absent from the right side there, and only the first left row
 /// grounding a given tuple emits it.
-fn except_distinct(left: &AuRelation, right: &AuRelation) -> AuRelation {
+fn except_distinct(left: &AuRelation, right: &AuRelation, hashed: bool) -> AuRelation {
     let mut sg_right: FxHashSet<Tuple> = FxHashSet::default();
     for r in right.rows() {
         if r.mult.bg >= 1 {
@@ -1816,19 +1897,18 @@ fn except_distinct(left: &AuRelation, right: &AuRelation) -> AuRelation {
     // guarantees the single output copy, so later rows must not).
     let mut sg_seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut certain_seen: FxHashSet<Tuple> = FxHashSet::default();
+    let right_index = row_index(right.rows(), left.rows(), left.schema().arity(), hashed);
+    let mut cand: Vec<usize> = Vec::new();
     let mut out = AuRelation::new(left.schema().clone());
     for l in left.rows() {
         let key = normalized_key(&l.values);
-        let possibly_removed = right
-            .rows()
-            .iter()
-            .any(|r| r.mult.ub >= 1 && rows_possibly_equal(&l.values, &r.values));
+        right_index.candidates(&l.values, &mut cand);
+        let candidates = || cand.iter().map(|&ri| &right.rows()[ri]);
+        let possibly_removed =
+            candidates().any(|r| r.mult.ub >= 1 && rows_possibly_equal(&l.values, &r.values));
         let fixed = certain_valued(&l.values);
         let certainly_removed = fixed
-            && right
-                .rows()
-                .iter()
-                .any(|r| r.mult.lb >= 1 && rows_certainly_equal(&l.values, &r.values));
+            && candidates().any(|r| r.mult.lb >= 1 && rows_certainly_equal(&l.values, &r.values));
         let bg_out = if l.mult.bg >= 1 && !sg_right.contains(&key) && sg_seen.insert(key.clone()) {
             1
         } else {
@@ -1871,6 +1951,11 @@ fn except_distinct(left: &AuRelation, right: &AuRelation) -> AuRelation {
 /// * `ub` — the preserved row's `ub`, unless some certainly-present
 ///   other-side row matches under every grounding (then every world has
 ///   a match and the pad is impossible; dropped when this hits zero).
+///
+/// All three flags only ever see possibly-matching pairs, so candidates
+/// come from the other side's selected-guess key index whenever the
+/// predicate has keys ([`equi_key_index`]: equi-keys, or `x = k` of
+/// `NOT IN`'s null-aware equality).
 pub fn outer_join(
     left: &AuRelation,
     right: &AuRelation,
@@ -1888,9 +1973,10 @@ pub fn outer_join(
     } else {
         (right.rows(), left.rows())
     };
-    // Equi-keys prune exactly like [`join`]: a pruned pair's key equality
-    // is certainly false, so it would have hit the `continue` below —
-    // no match flag and no output row depends on it.
+    // Keys prune exactly like [`join`] ([`equi_key_index`], `NOT IN`'s
+    // null-aware key included): a pruned pair's predicate is certainly
+    // false, so it would have hit the `continue` below — no match flag and
+    // no output row depends on it.
     let keyed = match &bound {
         Some(pred) => equi_key_index(pred, left, right, !left_kind)?,
         None => None,
@@ -1956,6 +2042,9 @@ pub fn outer_join(
     }
     Ok(out)
 }
+
+#[cfg(test)]
+mod pruning_equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,172 @@
+//! Hashed candidate generation changes nothing: [`except`] (both variants)
+//! and [`outer_join`] under `NOT IN`'s null-aware predicate against their
+//! all-pairs references — identical rows, order and `[lb, bg, ub]`
+//! triples — over inputs that mix everything the index special-cases.
+
+use super::*;
+use proptest::prelude::*;
+use ua_data::algebra::null_aware_eq;
+
+/// One attribute: points (with `1` / `1.0` / `1.5` sharing a family, and
+/// `2⁵³ + 1` / `2⁵³ as f64`, which a lossy `i64 → f64` comparison calls
+/// equal while their hash keys differ), NaN, definite NULL, top, ranged —
+/// and, `with_str`, strings next to the numbers, which makes the column
+/// cross-family.
+fn arb_attr(with_str: bool) -> BoxedStrategy<RangeValue> {
+    let point = |v: Value| Just(RangeValue::point(v)).boxed();
+    let mut arms = vec![
+        (0i64..4)
+            .prop_map(|i| RangeValue::point(Value::Int(i)))
+            .boxed(),
+        (0i64..4)
+            .prop_map(|i| RangeValue::point(Value::Int(i)))
+            .boxed(),
+        point(Value::float(1.0)),
+        point(Value::float(1.5)),
+        point(Value::float(f64::NAN)),
+        point(Value::Int((1 << 53) + 1)),
+        point(Value::float((1i64 << 53) as f64)),
+        point(Value::Null),
+        Just(RangeValue::top(Value::Null)).boxed(),
+        Just(RangeValue::top(Value::Int(2))).boxed(),
+        (0i64..3, 0i64..2, 0i64..2)
+            .prop_map(|(lo, a, b)| {
+                RangeValue::new(
+                    Bound::Val(Value::Int(lo)),
+                    Value::Int(lo + a),
+                    Bound::Val(Value::Int(lo + a + b)),
+                )
+            })
+            .boxed(),
+    ];
+    if with_str {
+        arms.push(point(Value::str("1")));
+        arms.push(point(Value::str("a")));
+    }
+    Union::new(arms).boxed()
+}
+
+/// Up to eight rows over `cols`; multiplicities `0 ≤ lb ≤ bg ≤ ub ≤ 3`
+/// (`ub = 0` rows vanish at `push`, `lb = bg = 0` rows stay).
+fn arb_rel(
+    qualifier: &'static str,
+    cols: &'static [&'static str],
+    with_str: bool,
+) -> impl Strategy<Value = AuRelation> {
+    let row = (
+        proptest::collection::vec(arb_attr(with_str), cols.len()..=cols.len()),
+        proptest::collection::vec(0u64..4, 3..=3),
+    );
+    proptest::collection::vec(row, 0..=8).prop_map(move |rows| {
+        let mut rel = AuRelation::new(Schema::qualified(qualifier, cols.iter().copied()));
+        for (values, mut m) in rows {
+            m.sort_unstable();
+            rel.push(AuTuple {
+                values,
+                mult: MultBound::new(m[0], m[1], m[2]),
+            });
+        }
+        rel
+    })
+}
+
+/// Both sides of one case, strings in both or in neither.
+fn arb_sides(
+    l_cols: &'static [&'static str],
+    r_cols: &'static [&'static str],
+) -> impl Strategy<Value = (AuRelation, AuRelation)> {
+    let sides = move |with_str| {
+        (
+            arb_rel("l", l_cols, with_str),
+            arb_rel("r", r_cols, with_str),
+        )
+    };
+    prop_oneof![sides(false), sides(true)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn hashed_except_equals_pairwise(sides in arb_sides(&["a", "b"], &["a", "b"])) {
+        let (l, r) = sides;
+        for all in [true, false] {
+            prop_assert_eq!(
+                except(&l, &r, all).unwrap(),
+                except_pairwise(&l, &r, all).unwrap(),
+                "all={} left={:?} right={:?}", all, l, r
+            );
+        }
+    }
+
+    #[test]
+    fn hashed_not_in_outer_join_equals_pairwise(sides in arb_sides(&["x", "p"], &["k"])) {
+        let (l, r) = sides;
+        let not_in = null_aware_eq(Expr::named("l.x"), Expr::named("r.k"));
+        // `θ OR FALSE` has θ's truth ranges and selected-guess truth but no
+        // recognisable key: the all-pairs loop.
+        let pairwise = not_in.clone().or(Expr::lit(false));
+        for left_kind in [true, false] {
+            prop_assert_eq!(
+                outer_join(&l, &r, Some(&not_in), left_kind).unwrap(),
+                outer_join(&l, &r, Some(&pairwise), left_kind).unwrap(),
+                "left_kind={} left={:?} right={:?}", left_kind, l, r
+            );
+        }
+    }
+}
+
+fn rel_of(qualifier: &str, rows: Vec<Vec<RangeValue>>) -> AuRelation {
+    let mut rel = AuRelation::new(Schema::qualified(qualifier, ["a"]));
+    for values in rows {
+        rel.push(AuTuple {
+            values,
+            mult: MultBound::certain(1),
+        });
+    }
+    rel
+}
+
+/// The property above is not vacuous: the index really prunes same-family
+/// inputs, really gives up on cross-family ones, and `NOT IN`'s predicate
+/// really is keyed.
+#[test]
+fn the_index_prunes_exactly_when_it_may() {
+    let int = |i| vec![RangeValue::point(Value::Int(i))];
+    let ranged = vec![RangeValue::new(
+        Bound::Val(Value::Int(0)),
+        Value::Int(1),
+        Bound::Val(Value::Int(5)),
+    )];
+    let l = rel_of("l", vec![int(1), vec![RangeValue::null()], ranged.clone()]);
+    let r = rel_of(
+        "r",
+        vec![int(1), int(2), vec![RangeValue::null()], ranged, int(1)],
+    );
+    let index = row_index(r.rows(), l.rows(), 1, true);
+    let mut cand = Vec::new();
+    index.candidates(&l.rows()[0].values, &mut cand);
+    assert_eq!(cand, [0, 3, 4], "bucket of 1 merged with the ranged row");
+    index.candidates(&l.rows()[1].values, &mut cand);
+    assert_eq!(cand, [2, 3], "a definite NULL matches NULLs and fuzzy rows");
+    index.candidates(&l.rows()[2].values, &mut cand);
+    assert_eq!(cand, [0, 1, 2, 3, 4], "a ranged probe scans everything");
+
+    let strs = rel_of("s", vec![vec![RangeValue::point(Value::str("1"))]]);
+    row_index(r.rows(), strs.rows(), 1, true).candidates(&strs.rows()[0].values, &mut cand);
+    assert_eq!(
+        cand,
+        [0, 1, 2, 3, 4],
+        "Int vs Str points are possibly equal"
+    );
+
+    let schema = l.schema().concat(r.schema());
+    let not_in = null_aware_eq(Expr::named("l.a"), Expr::named("r.a"))
+        .bind(&schema)
+        .unwrap();
+    let (index, probe_keys) = equi_key_index(&not_in, &l, &r, false)
+        .unwrap()
+        .expect("NOT IN's predicate is keyed on x = k");
+    index.candidates(&probe_keys[0], &mut cand);
+    assert_eq!(cand, [0, 2, 3, 4], "under `=` a definite-NULL key is fuzzy");
+}

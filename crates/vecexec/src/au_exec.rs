@@ -70,13 +70,16 @@
 //!   keys of *different* families on the two sides (`Int` vs `Str`) make
 //!   pruning unsound; that case defers to the relation path
 //!   (`ua_ranges::ops::hash_join`).
-//! * **⋈ (nested-loop), −, ⟕** — the stream's columns convert straight
+//! * **⋈ (keyless), −, ⟕** — the stream's columns convert straight
 //!   into range rows (no tuple encoding, no re-validation — the stream is
 //!   canonical by construction) and feed the shared
-//!   `ua_ranges::ops::{join, except, outer_join}`; keyless / non-equi
-//!   joins run block-nested-loop on the pool. One implementation of the
-//!   pair refinement exists in the workspace, so the engines cannot
-//!   disagree.
+//!   `ua_ranges::ops::{join, except, outer_join}`. `−` and `⟕` generate
+//!   their candidate pairs from a selected-guess hash index there (all
+//!   columns under IS-NOT-DISTINCT matching for `−`; the ON clause's
+//!   equi-keys, or `x = k` of `NOT IN`'s null-aware equality, for `⟕`)
+//!   and test only those; keyless / non-equi joins run block-nested-loop
+//!   on the pool. One implementation of the pair refinement exists in the
+//!   workspace, so the engines cannot disagree.
 //! * **δ (distinct)** — rows merge by selected-guess tuple straight off
 //!   the bg columns in first-seen scan order, hulling attribute ranges
 //!   and combining multiplicities exactly as `ua_ranges::ops::distinct`.

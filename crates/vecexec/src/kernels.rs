@@ -34,7 +34,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 use ua_data::expr::{ArithOp, CmpOp, Expr, ExprError, Truth};
 use ua_data::schema::Schema;
-use ua_data::value::{Value, F64};
+use ua_data::value::{cmp_int_float, Value, F64};
 use ua_plan::EngineError;
 
 /// The result of vectorized scalar evaluation.
@@ -689,12 +689,10 @@ fn range_cmp_masks(
         (Int(a), Int(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
         (Float(a), Float(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
         (Str(a), Str(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
-        (Int(a), Float(b)) => {
-            possibility_masks(op, len, &a, &b, |x, y| (*x as f64).partial_cmp(&y.get()))
-        }
-        (Float(a), Int(b)) => {
-            possibility_masks(op, len, &a, &b, |x, y| x.get().partial_cmp(&(*y as f64)))
-        }
+        (Int(a), Float(b)) => possibility_masks(op, len, &a, &b, |x, y| cmp_int_float(*x, y.get())),
+        (Float(a), Int(b)) => possibility_masks(op, len, &a, &b, |x, y| {
+            cmp_int_float(*y, x.get()).map(Ordering::reverse)
+        }),
         _ => None,
     }
 }

@@ -15,7 +15,7 @@ use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
-use ua_data::algebra::{extract_equi_keys, ProjColumn};
+use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, JoinKeys, ProjColumn};
 use ua_data::expr::Expr;
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
@@ -192,9 +192,13 @@ pub fn except(
 /// inner hash join uses (SQL join equality — NULL keys never enter the
 /// index or match out of it), and probe misses pad with NULLs by routing
 /// them at an extra all-NULL row appended to the build chunk — one gather
-/// assembles matches and pads in preserved-major order. Output columns are
-/// always `left ++ right`; row order, padding and residual treatment are
-/// byte-for-byte `ua_plan::outer_join_stream`'s.
+/// assembles matches and pads in preserved-major order. `NOT IN`'s
+/// null-aware equality uses the same index on its `x = k`, plus the two
+/// rules that make it null-aware: build rows with an unknown key are
+/// candidates of every probe row (merged into its bucket in build-scan
+/// order), and an unknown probe key takes every build row. Output columns
+/// are always `left ++ right`; row order, padding and residual treatment
+/// are byte-for-byte `ua_plan::exec::outer_join_stream`'s.
 ///
 /// UA labels: matched rows AND their sides' labels (the `⟦·⟧_UA` join
 /// rule); pad rows are never certain — the pad row's label bit is `0`, so
@@ -237,89 +241,107 @@ pub fn outer_join(
         ColumnBatch::new(chunk.schema().clone(), columns, labels, Arc::new(mults))
     };
 
-    // Strategy split mirrors `outer_join_stream`: equi-keys index the
-    // non-preserved side (residual on matches), anything else nested-loops.
+    // Strategy split mirrors `outer_join_stream`: the predicate's keys
+    // index the non-preserved side (residual on candidates), anything else
+    // nested-loops. `always` is `Some` for `NOT IN`'s null-aware key: the
+    // build rows with an unknown key, candidates of every probe row.
     let mut index: Option<JoinIndex> = None;
+    let mut always: Option<Vec<u32>> = None;
     let mut probe_exprs: Vec<Expr> = Vec::new();
-    let mut pair_pred: Option<&Expr> = None;
-    let mut key_residual: Option<Expr> = None;
+    let mut pair_pred: Option<Expr> = bound.clone();
     if let Some(pred) = &bound {
-        let (keys, residual) = extract_equi_keys(pred, left_arity);
-        if keys.is_empty() {
-            pair_pred = Some(pred);
-        } else {
+        let JoinKeys {
+            keys,
+            residual,
+            null_aware,
+        } = candidate_keys(pred, left_arity);
+        if !keys.is_empty() {
             let (build_keys, probes): (Vec<Expr>, Vec<Expr>) = if left_kind {
-                (
-                    keys.iter().map(|k| k.right.clone()).collect(),
-                    keys.iter().map(|k| k.left.clone()).collect(),
-                )
+                keys.into_iter().map(|k| (k.right, k.left)).unzip()
             } else {
-                (
-                    keys.iter().map(|k| k.left.clone()).collect(),
-                    keys.iter().map(|k| k.right.clone()).collect(),
-                )
+                keys.into_iter().map(|k| (k.left, k.right)).unzip()
             };
             let key_cols: Vec<Evaluated> = build_keys
                 .iter()
                 .map(|e| eval_expr(e, &chunk))
                 .collect::<Result<_, _>>()?;
+            always = null_aware.then(|| unknown_rows(&key_cols[0], chunk.len()));
             index = Some(build_index(&key_cols, chunk.len(), pool));
             probe_exprs = probes;
-            if !residual.is_empty() {
-                key_residual = Some(Expr::conjunction(residual));
-            }
+            pair_pred = (!residual.is_empty()).then(|| Expr::conjunction(residual));
         }
     }
-    let pair_pred = pair_pred.or(key_residual.as_ref());
+    let n_build = chunk.len() as u32;
 
     let mut batches = Vec::new();
     for obatch in &outer.batches {
         if obatch.is_empty() {
             continue;
         }
-        // The nested path materializes candidate cross products in bounded
-        // pieces (whole probe rows per piece, so pad grouping stays local);
-        // the indexed path's candidates are bounded by actual key matches.
-        const MAX_PAIRS_PER_PIECE: usize = 1 << 16;
-        let piece_rows = match &index {
-            Some(_) => obatch.len(),
-            None => (MAX_PAIRS_PER_PIECE / chunk.len().max(1)).max(1),
+        // The key-equal pairs of the whole batch, probe-major with build
+        // rows ascending — bounded by actual key matches.
+        let probe_cols: Vec<Evaluated> = probe_exprs
+            .iter()
+            .map(|e| eval_expr(e, obatch))
+            .collect::<Result<_, _>>()?;
+        let (eq_p, eq_b) = match &index {
+            Some(index) => probe_index(index, &probe_cols, obatch.len()),
+            None => (Vec::new(), Vec::new()),
         };
+        let unknown_probes = match &always {
+            Some(_) => unknown_rows(&probe_cols[0], obatch.len()),
+            None => Vec::new(),
+        };
+        let (mut eq_at, mut unknown_at) = (0usize, 0usize);
+        // Plain equi-keys take the batch in one piece. The other two paths
+        // materialize their candidates in bounded pieces (whole probe rows
+        // per piece, so pad grouping stays local): the nested path a slice
+        // of the cross product, the null-aware path each probe row's
+        // bucket merged with `always` — or the whole build side for an
+        // unknown probe key.
+        const MAX_PAIRS_PER_PIECE: usize = 1 << 16;
         let mut start = 0u32;
         while (start as usize) < obatch.len() {
-            let end = ((start as usize + piece_rows).min(obatch.len())) as u32;
-            // Candidate pairs in probe-major order (build-scan order within
-            // one probe row) — index lookups or the piece's cross product.
-            let (pidx, bidx) = match &index {
-                Some(index) => {
-                    let probe_cols: Vec<Evaluated> = probe_exprs
-                        .iter()
-                        .map(|e| eval_expr(e, obatch))
-                        .collect::<Result<_, _>>()?;
-                    probe_index(index, &probe_cols, obatch.len())
+            let mut end = start;
+            let (mut piece_p, mut piece_b) = (Vec::new(), Vec::new());
+            let (pidx, bidx): (&[u32], &[u32]) = match (&index, &always) {
+                (Some(_), None) => {
+                    end = obatch.len() as u32;
+                    (&eq_p, &eq_b)
                 }
-                None => {
-                    let cap = (end - start) as usize * chunk.len();
-                    let mut pidx = Vec::with_capacity(cap);
-                    let mut bidx = Vec::with_capacity(cap);
-                    for i in start..end {
-                        for j in 0..chunk.len() as u32 {
-                            pidx.push(i);
-                            bidx.push(j);
+                _ => {
+                    while (end as usize) < obatch.len()
+                        && (end == start || piece_p.len() < MAX_PAIRS_PER_PIECE)
+                    {
+                        let run = eq_at;
+                        while eq_at < eq_p.len() && eq_p[eq_at] == end {
+                            eq_at += 1;
                         }
+                        match &always {
+                            Some(_) if unknown_probes.get(unknown_at) == Some(&end) => {
+                                unknown_at += 1;
+                                piece_b.extend(0..n_build);
+                            }
+                            Some(always) => {
+                                merge_ascending(&eq_b[run..eq_at], always, &mut piece_b)
+                            }
+                            None => piece_b.extend(0..n_build),
+                        }
+                        piece_p.resize(piece_b.len(), end);
+                        end += 1;
                     }
-                    (pidx, bidx)
+                    (&piece_p, &piece_b)
                 }
             };
             // Which candidate pairs survive the (residual) predicate.
             // Failing matches count as no-match: a probe row whose every
             // candidate fails still pads.
-            let survivors: Option<Bitmap> = match pair_pred {
+            let survivors: Option<Bitmap> = match &pair_pred {
                 Some(pred) if !pidx.is_empty() => {
                     let cand = if left_kind {
-                        join_gather(obatch, &chunk, &pidx, &bidx, &out_schema)
+                        join_gather(obatch, &chunk, pidx, bidx, &out_schema)
                     } else {
-                        join_gather(&chunk, obatch, &bidx, &pidx, &out_schema)
+                        join_gather(&chunk, obatch, bidx, pidx, &out_schema)
                     };
                     let (t, _f) = truth_masks(pred, &cand)?;
                     Some(t)
@@ -362,6 +384,19 @@ pub fn outer_join(
         schema: out_schema,
         batches,
     })
+}
+
+/// The rows of an evaluated key column holding an unknown (`NULL` or a
+/// labeled null), ascending.
+fn unknown_rows(col: &Evaluated, rows: usize) -> Vec<u32> {
+    match col {
+        Evaluated::Col(ColumnVec::Mixed(vals)) => (0..rows as u32)
+            .filter(|&i| vals[i as usize].is_unknown())
+            .collect(),
+        Evaluated::Const(v) if v.is_unknown() => (0..rows as u32).collect(),
+        // Typed columns never hold nulls by construction.
+        _ => Vec::new(),
+    }
 }
 
 /// The hash-join build index, partitioned by key hash. Each key lives in
@@ -1619,6 +1654,91 @@ mod tests {
                 (tuple![2i64], true),
             ]
         );
+    }
+
+    /// `NOT IN`'s null-aware outer join against the row operator: NULL and
+    /// labeled-null keys on either side, mixed `Int`/`Float`/`Str` keys, a
+    /// dense `Int` build column (the integer index), both preserved sides,
+    /// probe batches of one row and of all rows — and enough NULL probes
+    /// over a wide build side that the candidates split into pieces.
+    #[test]
+    fn null_aware_outer_join_matches_the_row_operator() {
+        use crate::columnar::{batches_from_table, table_from_batches};
+        use ua_data::algebra::null_aware_eq;
+        use ua_data::value::VarId;
+        use ua_plan::plan::OuterKind;
+        let keys = |name: &str, vals: Vec<Value>| {
+            let rows = vals
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| Tuple::new(vec![v, Value::Int(i as i64)]))
+                .collect();
+            Table::from_rows(Schema::qualified(name, ["k", "id"]), rows)
+        };
+        let big = 1i64 << 53;
+        let mixed = |name: &str| {
+            keys(
+                name,
+                vec![
+                    Value::Int(1),
+                    Value::Null,
+                    Value::float(1.0),
+                    Value::Int(big + 1),
+                    Value::float(big as f64),
+                    Value::Var(VarId(7)),
+                    Value::str("1"),
+                    Value::Int(4),
+                ],
+            )
+        };
+        let ints = |name: &str, n: i64| keys(name, (0..n).map(|i| Value::Int(i % 5)).collect());
+        let nulls = |name: &str, n: i64| {
+            let val = |i| {
+                if i % 3 == 0 {
+                    Value::Int(i)
+                } else {
+                    Value::Null
+                }
+            };
+            keys(name, (0..n).map(val).collect())
+        };
+        let cases = [
+            (mixed("l"), mixed("r")),
+            (mixed("l"), ints("r", 12)),
+            (ints("l", 12), mixed("r")),
+            (mixed("l"), keys("r", vec![])),
+            // 400 probes, two thirds of them NULL, over 300 build rows:
+            // 80k candidate pairs, more than one piece holds.
+            (nulls("l", 400), ints("r", 300)),
+        ];
+        let not_in = null_aware_eq(Expr::named("l.k"), Expr::named("r.k"));
+        for (l, r) in &cases {
+            for (kind, left_kind) in [(OuterKind::Left, true), (OuterKind::Right, false)] {
+                let mut expected = Vec::new();
+                ua_plan::exec::outer_join_stream(l, r, Some(&not_in), kind, &mut |row| {
+                    expected.push(row);
+                    Ok(())
+                })
+                .unwrap();
+                for batch_rows in [1, 4096] {
+                    let got = outer_join(
+                        batches_from_table(l, batch_rows),
+                        batches_from_table(r, batch_rows),
+                        Some(&not_in),
+                        left_kind,
+                        None,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        table_from_batches(&got).rows(),
+                        expected,
+                        "{kind:?} batch_rows={batch_rows} {} x {} rows",
+                        l.len(),
+                        r.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -402,6 +402,245 @@ fn ua_negation_reports_stats_and_trace_and_leaves_the_catalog_alone() {
     }
 }
 
+/// One x-relation over `(a, b)`: blocks of weighted alternatives.
+type Blocks = Vec<Vec<(Tuple, f64)>>;
+
+/// `xr` and `xs`, small enough to enumerate: NULLs in the `NOT IN` operand
+/// column and in the subquery column (certain ones, and one that is only
+/// an alternative), duplicate rows for `EXCEPT ALL`'s budgets, and
+/// maybe-absent rows.
+fn null_bearing_xdb() -> [(&'static str, Blocks); 2] {
+    use uadb::data::Value::{Int, Null};
+    let t = |a, b| Tuple::new(vec![a, b]);
+    [
+        (
+            "xr",
+            vec![
+                vec![(t(Int(1), Int(10)), 1.0)],
+                vec![(t(Null, Int(20)), 1.0)],
+                vec![(t(Int(2), Int(30)), 0.6), (t(Int(3), Int(30)), 0.4)],
+                vec![(t(Int(4), Int(40)), 0.7)],
+                vec![(t(Int(1), Int(10)), 1.0)],
+                vec![(t(Int(5), Null), 1.0)],
+                vec![(t(Int(6), Int(60)), 1.0)],
+            ],
+        ),
+        (
+            "xs",
+            vec![
+                vec![(t(Int(1), Int(10)), 1.0)],
+                vec![(t(Int(2), Int(30)), 0.5), (t(Null, Int(25)), 0.5)],
+                vec![(t(Int(5), Null), 1.0)],
+                vec![(t(Int(3), Int(30)), 0.4)],
+                vec![(t(Null, Null), 1.0)],
+            ],
+        ),
+    ]
+}
+
+/// Every possible world of one x-relation (one alternative per block, or
+/// none when the block's mass is below 1), the selected-guess world first
+/// — the labelings' rule: the first most likely alternative, unless
+/// absence is likelier.
+fn worlds_of(blocks: &Blocks) -> Vec<Vec<Tuple>> {
+    let mut worlds: Vec<Vec<Tuple>> = vec![Vec::new()];
+    for block in blocks {
+        let absent = 1.0 - block.iter().map(|(_, p)| p).sum::<f64>();
+        let mut choices: Vec<(Option<&Tuple>, f64)> =
+            block.iter().map(|(t, p)| (Some(t), *p)).collect();
+        if absent > 1e-9 {
+            choices.push((None, absent));
+        }
+        // Stable: ties keep the first alternative in front.
+        choices.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut next = Vec::new();
+        for choice in choices {
+            for w in &worlds {
+                next.push(w.iter().cloned().chain(choice.0.cloned()).collect());
+            }
+        }
+        worlds = next;
+    }
+    worlds
+}
+
+/// `NOT IN` with a NULL operand and with a NULL in the subquery, `EXCEPT`
+/// and `EXCEPT ALL` over NULL-bearing rows: byte-identical on both engines
+/// with the optimizer on and off under det, UA and AU — and the AU result
+/// encloses the query's answer in every possible world, its selected guess
+/// being the answer over the selected-guess world.
+#[test]
+fn negation_over_nulls_agrees_on_every_path_and_encloses_every_world() {
+    use uadb::data::Value;
+    use uadb::ranges::{check_encloses_world, sg_rows};
+    let xdb = null_bearing_xdb();
+    let worlds: Vec<Vec<Vec<Tuple>>> = {
+        let (r, s) = (worlds_of(&xdb[0].1), worlds_of(&xdb[1].1));
+        // The product, with (SG of xr, SG of xs) first.
+        s.iter()
+            .flat_map(|s| r.iter().map(move |r| vec![r.clone(), s.clone()]))
+            .collect()
+    };
+    assert_eq!(worlds.len(), 4 * 4);
+    let det_session = |world: &[Vec<Tuple>]| {
+        let session = UaSession::new();
+        for ((name, _), rows) in xdb.iter().zip(world) {
+            let schema = Schema::qualified(name, ["a", "b"]);
+            session.register_table(*name, Table::from_rows(schema, rows.clone()));
+        }
+        session
+    };
+    let uncertain = UaSession::new();
+    for (name, blocks) in &xdb {
+        let rows = blocks.iter().enumerate().flat_map(|(xid, block)| {
+            block.iter().enumerate().map(move |(aid, (t, p))| {
+                let head = [xid as i64, aid as i64].map(Value::Int);
+                Tuple::new(
+                    head.into_iter()
+                        .chain([Value::float(*p)])
+                        .chain(t.iter().cloned())
+                        .collect::<Vec<_>>(),
+                )
+            })
+        });
+        let schema = Schema::qualified(name, ["xid", "aid", "p", "a", "b"]);
+        uncertain.register_table(*name, Table::from_rows(schema, rows.collect()));
+    }
+    let sg = det_session(&worlds[0]);
+
+    let queries = [
+        // NULL in the subquery (certainly): nothing is certainly out.
+        "SELECT r.a, r.b FROM {xr} r WHERE r.a NOT IN (SELECT s.a FROM {xs} s)",
+        // NULL only as an alternative in the subquery, NULL operand in xr.
+        "SELECT r.a, r.b FROM {xr} r WHERE r.a NOT IN (SELECT s.a FROM {xs} s WHERE s.b > 5)",
+        // No NULL in the subquery: the NULL operand alone decides its row.
+        "SELECT r.a, r.b FROM {xr} r WHERE r.a NOT IN (SELECT s.a FROM {xs} s WHERE s.a < 3)",
+        "SELECT r.a FROM {xr} r WHERE r.b NOT IN (SELECT s.b FROM {xs} s WHERE s.a >= 1)",
+        "SELECT a, b FROM {xr} r EXCEPT SELECT a, b FROM {xs} s",
+        "SELECT a, b FROM {xr} r EXCEPT ALL SELECT a, b FROM {xs} s",
+        "SELECT b FROM {xr} r EXCEPT ALL SELECT b FROM {xs} s",
+        "SELECT a FROM {xr} r EXCEPT SELECT a FROM {xs} s WHERE s.b > 5",
+    ];
+    for template in queries {
+        let det_sql = template.replace("{xr}", "xr").replace("{xs}", "xs");
+        let x_sql = ["xr", "xs"].iter().fold(template.to_string(), |sql, name| {
+            let source = format!("{name} IS X WITH XID (xid) ALTID (aid) PROBABILITY (p)");
+            sql.replace(&format!("{{{name}}}"), &source)
+        });
+        let mut sg_answer = None;
+        for (session, sem, sql) in [
+            (&sg, Sem::Det, &det_sql),
+            (&uncertain, Sem::Ua, &x_sql),
+            (&uncertain, Sem::Au, &x_sql),
+        ] {
+            session.set_exec_mode(ExecMode::Row);
+            session.set_optimizer_enabled(true);
+            let expected = run(session, sem, sql);
+            for optimizer in [true, false] {
+                for mode in [ExecMode::Row, ExecMode::Vectorized] {
+                    session.set_optimizer_enabled(optimizer);
+                    session.set_exec_mode(mode);
+                    let got = run(session, sem, sql);
+                    let cell = format!("{sem:?} {mode:?} optimizer={optimizer} `{sql}`");
+                    assert_eq!(got.schema(), expected.schema(), "{cell}");
+                    assert_eq!(got.rows(), expected.rows(), "{cell}");
+                }
+            }
+            if let Sem::Det = sem {
+                sg_answer = Some(expected.sorted_rows());
+            }
+        }
+        let au = uncertain.query_au(&x_sql).expect("au").decode();
+        assert_eq!(Some(sg_rows(&au)), sg_answer, "`{det_sql}`: selected guess");
+        for (wi, world) in worlds.iter().enumerate() {
+            let truth = run(&det_session(world), Sem::Det, &det_sql);
+            if let Err(violation) = check_encloses_world(&au, truth.rows()) {
+                panic!(
+                    "`{det_sql}`, world {wi} {world:?}: {violation}\nanswer {:?}\nAU {au:?}",
+                    truth.rows()
+                );
+            }
+        }
+    }
+}
+
+/// `Int` and `Float` keys past 2⁵³ (where `i64 → f64` rounds) are equal
+/// iff they denote the same number, on every path a query can take: the
+/// filter over a cross product (optimizer off), the hash join (on), the
+/// outer join's and `NOT IN`'s key index, on both engines. `ORDER BY`
+/// keeps its structural order (every `Int` before every `Float`).
+#[test]
+fn int_float_equality_past_2_53_is_exact_on_every_path() {
+    use uadb::data::Value;
+    const P53: i64 = 1 << 53;
+    let session = UaSession::new();
+    let f53 = Value::float(P53 as f64);
+    for (name, keys) in [
+        (
+            "a",
+            vec![Value::Int(P53 + 1), Value::Int(P53), Value::Int(3)],
+        ),
+        ("b", vec![f53.clone(), Value::float(3.0), Value::float(3.5)]),
+    ] {
+        let rows = keys.into_iter().map(|k| Tuple::new(vec![k])).collect();
+        session.register_table(name, Table::from_rows(Schema::qualified(name, ["k"]), rows));
+    }
+    let pair = |i: i64, f: &Value| Tuple::new(vec![Value::Int(i), f.clone()]);
+    let int = |i: i64| Tuple::new(vec![Value::Int(i)]);
+    let three = Value::float(3.0);
+    let cases = [
+        (
+            "SELECT a.k, b.k FROM a, b WHERE a.k = b.k",
+            vec![pair(P53, &f53), pair(3, &three)],
+        ),
+        (
+            "SELECT a.k, b.k FROM a LEFT JOIN b ON a.k = b.k",
+            vec![
+                pair(P53 + 1, &Value::Null),
+                pair(P53, &f53),
+                pair(3, &three),
+            ],
+        ),
+        (
+            "SELECT a.k FROM a WHERE a.k NOT IN (SELECT b.k FROM b)",
+            vec![int(P53 + 1)],
+        ),
+        (
+            "SELECT a.k FROM a WHERE a.k > 9007199254740992.0",
+            vec![int(P53 + 1)],
+        ),
+        ("SELECT k FROM a EXCEPT SELECT k FROM b", vec![int(P53 + 1)]),
+        (
+            "SELECT max(k) AS hi FROM (SELECT k FROM a UNION ALL SELECT k FROM b) u",
+            vec![int(P53 + 1)],
+        ),
+        (
+            "SELECT k FROM (SELECT k FROM b UNION ALL SELECT k FROM a) u ORDER BY k",
+            vec![
+                int(3),
+                int(P53),
+                int(P53 + 1),
+                Tuple::new(vec![three.clone()]),
+                Tuple::new(vec![Value::float(3.5)]),
+                Tuple::new(vec![f53.clone()]),
+            ],
+        ),
+    ];
+    for (sql, expected) in cases {
+        for optimizer in [true, false] {
+            for mode in [ExecMode::Row, ExecMode::Vectorized] {
+                session.set_optimizer_enabled(optimizer);
+                session.set_exec_mode(mode);
+                assert_eq!(
+                    run(&session, Sem::Det, sql).rows(),
+                    expected,
+                    "{mode:?} optimizer={optimizer} `{sql}`"
+                );
+            }
+        }
+    }
+}
+
 /// Pathologically nested SQL is an error naming the limit — not a stack
 /// overflow — on every entry point.
 #[test]
