@@ -37,7 +37,7 @@ const SQL: &str = "SELECT r.v, s.w FROM r, s WHERE r.k = s.k AND r.v < 250";
 /// (so `r.v < 250` keeps ~25%).
 fn session(rows: usize, optimizer: bool) -> UaSession {
     let mut rng = StdRng::seed_from_u64(0x10B5);
-    let s = UaSession::new();
+    let s = UaSession::with_mode(ExecMode::Row);
     s.set_optimizer_enabled(optimizer);
     s.register_table(
         "r",

@@ -19,6 +19,7 @@ use ua_datagen::tpch::{generate, TpchConfig};
 use ua_engine::plan::Plan;
 use ua_engine::storage::{Catalog, Table};
 use ua_engine::ua::UaSession;
+use ua_engine::ExecMode;
 
 /// Per-query, per-system measurements.
 #[derive(Clone, Debug)]
@@ -77,8 +78,9 @@ pub fn prepare(scale: f64, uncertainty: f64, seed: u64) -> (UncertainDb, Catalog
     for (name, table) in &uncertain.nulls {
         det_catalog.register(format!("{name}__nulls"), table.clone());
     }
-    // UA session over the encoded tables.
-    let ua = UaSession::new();
+    // UA session over the encoded tables, on the row engine like the det
+    // baseline it is timed against (`ua_engine::exec::execute`).
+    let ua = UaSession::with_mode(ExecMode::Row);
     for (name, table) in &uncertain.encoded {
         ua.register_table(name.clone(), table.clone());
     }

@@ -17,6 +17,7 @@ use ua_engine::plan::Plan;
 use ua_engine::sql::{parse, plan_query, RejectAnnotations};
 use ua_engine::storage::{Catalog, Table};
 use ua_engine::ua::UaSession;
+use ua_engine::ExecMode;
 use ua_models::{XDb, XRelation};
 
 /// Per-query results.
@@ -57,7 +58,8 @@ fn build_testbed(rows_scale: usize, seed: u64) -> TestBed {
         ),
     ];
     let det = Catalog::new();
-    let ua = UaSession::new();
+    // The row engine, like the det baseline it is timed against.
+    let ua = UaSession::with_mode(ExecMode::Row);
     let mut xdb = XDb::new();
     for (name, table, eligible) in tables {
         let u = inject(

@@ -21,7 +21,7 @@
 //! best-guess world are kept (with a zero selected-guess multiplicity)
 //! instead of dropped, which is what makes the upper bounds sound.
 
-use crate::ua::{float_of, keep_columns, resolve_encoded, Semantics, UaSession};
+use crate::ua::{float_of, keep_columns, resolve_encoded, UaSession};
 use ua_conditions::{cnf_tautology, is_cnf, parse_condition, VarInterner};
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
@@ -116,7 +116,7 @@ impl UaSession {
         // keys, aggregate arguments) identically.
         reject_marker_in_plan(plan)?;
         let plan = &ua_obs::trace_scope("optimize", "session", || self.optimize_au_plan(plan));
-        self.dispatch(plan, Semantics::Au)
+        self.dispatch(plan, ua_plan::Semantics::Au)
             .map(|table| AuResult { table })
     }
 

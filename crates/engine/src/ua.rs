@@ -33,6 +33,7 @@ use ua_plan::sql::parser::parse;
 use ua_plan::sql::planner::{plan_query, SourceResolver};
 use ua_plan::storage::{Catalog, Table};
 use ua_plan::ua::rewrite_ua_plan;
+use ua_plan::Semantics;
 use ua_semiring::pair::Ua;
 
 /// A UA query result: rows of the encoded representation.
@@ -74,8 +75,8 @@ impl UaResult {
 /// The UA-DB frontend session.
 pub struct UaSession {
     catalog: Catalog,
-    /// [`ExecMode`] as a `u8` so the session stays shareable (`&self`
-    /// querying) without a lock: 0 = Row, 1 = Vectorized.
+    /// [`ExecMode`] as its `u8` discriminant so the session stays shareable
+    /// (`&self` querying) without a lock.
     mode: AtomicU8,
     /// Whether the optimizer pipeline (`optimize::optimize`) runs on query
     /// plans. On by default; the differential test harness turns it off to
@@ -110,7 +111,7 @@ impl Default for UaSession {
     fn default() -> UaSession {
         UaSession {
             catalog: Catalog::default(),
-            mode: AtomicU8::new(0),
+            mode: AtomicU8::new(ExecMode::default() as u8),
             optimizer: AtomicBool::new(true),
             reorder: AtomicBool::new(true),
             vec_threads: AtomicUsize::new(0),
@@ -143,18 +144,6 @@ impl Drop for TraceGuard<'_> {
     }
 }
 
-/// The semantics a plan executes under: which interpreter the row engine
-/// runs it through and which vectorized entry point it goes to.
-#[derive(Clone, Copy)]
-pub(crate) enum Semantics {
-    Det,
-    /// Row engine: `plan` is the `⟦·⟧_UA`-rewritten plan, interpreted
-    /// deterministically. Vectorized engine: `plan` is the user plan and
-    /// labels propagate as bitmaps.
-    Ua,
-    Au,
-}
-
 impl UaSession {
     /// A fresh session with an empty catalog.
     pub fn new() -> UaSession {
@@ -170,18 +159,15 @@ impl UaSession {
 
     /// Select the executor for subsequent queries.
     pub fn set_exec_mode(&self, mode: ExecMode) {
-        let bits = match mode {
-            ExecMode::Row => 0,
-            ExecMode::Vectorized => 1,
-        };
-        self.mode.store(bits, Ordering::Relaxed);
+        self.mode.store(mode as u8, Ordering::Relaxed);
     }
 
     /// The currently selected executor.
     pub fn exec_mode(&self) -> ExecMode {
-        match self.mode.load(Ordering::Relaxed) {
-            0 => ExecMode::Row,
-            _ => ExecMode::Vectorized,
+        if self.mode.load(Ordering::Relaxed) == ExecMode::Row as u8 {
+            ExecMode::Row
+        } else {
+            ExecMode::Vectorized
         }
     }
 
@@ -310,12 +296,7 @@ impl UaSession {
             let (result, stats) = match self.exec_mode() {
                 ExecMode::Row => self.run_row(plan, semantics),
                 ExecMode::Vectorized => {
-                    let run = match semantics {
-                        Semantics::Det => ua_vecexec::execute_vectorized_with_stats,
-                        Semantics::Ua => ua_vecexec::execute_ua_vectorized_with_stats,
-                        Semantics::Au => ua_vecexec::execute_au_vectorized_with_stats,
-                    };
-                    run(plan, &self.catalog, self.exec_options())
+                    ua_vecexec::execute(plan, &self.catalog, self.exec_options(), semantics)
                 }
             };
             if let Some(stats) = stats {
@@ -325,18 +306,14 @@ impl UaSession {
         })
     }
 
-    /// [`Self::dispatch`]'s row-engine arm, shaped like the vectorized
-    /// `*_with_stats` entry points.
+    /// [`Self::dispatch`]'s row-engine arm, shaped like
+    /// [`ua_vecexec::execute`].
     fn run_row(
         &self,
         plan: &Plan,
         semantics: Semantics,
     ) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
-        let (au, name) = match semantics {
-            Semantics::Det => (false, "det"),
-            Semantics::Ua => (false, "ua"),
-            Semantics::Au => (true, "au"),
-        };
+        let au = semantics == Semantics::Au;
         let encode = |rel: ua_ranges::AuRelation| ua_plan::au_table(&rel);
         if !self.stats_enabled() {
             let result = if au {
@@ -356,7 +333,7 @@ impl UaSession {
         let peak_mem_bytes = ua_obs::mem_query_finish().unwrap_or(0);
         let stats = root.map(|root| ua_obs::QueryStats {
             engine: "row".into(),
-            semantics: name.into(),
+            semantics: semantics.name().into(),
             root,
             pool: None,
             peak_mem_bytes,

@@ -169,7 +169,7 @@ fn au_session(blocks: &[Block], mode: ExecMode) -> UaSession {
 }
 
 fn det_over(world: &Table, sql: &str) -> Table {
-    let session = UaSession::new();
+    let session = UaSession::with_mode(ExecMode::Row);
     session.register_table("xr", world.clone());
     session
         .query_det(sql)
@@ -283,7 +283,7 @@ fn ti_group_by_sum_count_end_to_end() {
             .map(|(_, t)| t.clone())
             .collect();
         let world = Table::from_rows(world_schema.clone(), rows);
-        let session = UaSession::new();
+        let session = UaSession::with_mode(ExecMode::Row);
         session.register_table("t", world);
         let truth = session
             .query_det("SELECT g, count(*) AS n, sum(v) AS s FROM t x GROUP BY g")

@@ -105,7 +105,7 @@ fn five_world_db(seed: u64) -> IncompleteDb<u64> {
 /// The c-sound `ℕ_UA`-labeling of `incomplete`: best-guess world 0 for the
 /// deterministic part, GLB across all worlds for the certain part.
 fn session_from(incomplete: &IncompleteDb<u64>) -> UaSession {
-    let session = UaSession::new();
+    let session = UaSession::with_mode(ExecMode::Row);
     let w0 = incomplete.world(0);
     for name in ["r", "s", "t"] {
         let rel0 = w0.get(name).expect("relation in world 0");
@@ -441,7 +441,7 @@ fn negation_queries_stay_c_sound_on_both_engines() {
             let mut truth: Option<Vec<Tuple>> = None;
             for w in 0..N_WORLDS {
                 let world = incomplete.world(w);
-                let det = UaSession::new();
+                let det = UaSession::with_mode(ExecMode::Row);
                 for name in ["r", "s", "t"] {
                     let rel = world.get(name).expect("relation");
                     let rows: Vec<Tuple> = rel

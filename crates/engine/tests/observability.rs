@@ -235,6 +235,79 @@ fn au_vectorized_fallback_counters_stay_zero() {
     }
 }
 
+/// One collection path, one set of numbers: for an AU join + filter +
+/// `GROUP BY` the vectorized stats tree equals the row interpreter's node
+/// for node — shape, child order, row counts, the bound-width profile and
+/// the logical bytes — and so does the query's memory high-water mark
+/// (each AU operator's output is charged and released with its span, so
+/// the peak is the largest single operator on both engines). The probe
+/// table spans three morsels at four threads, so the σ / alias / π
+/// figures are per-morsel tallies summed in batch order.
+#[test]
+fn au_vectorized_stats_tree_equals_the_row_interpreters() {
+    let s = seeded_session();
+    s.register_table(
+        "big",
+        Table::from_rows(
+            Schema::qualified("big", ["g", "k", "v", "p"]),
+            (0..2500i64)
+                .map(|i| {
+                    Tuple::new(vec![
+                        Value::Int(i % 7),
+                        Value::Int(i % 200),
+                        Value::Int((i * 13) % 400),
+                        Value::float(if i % 3 == 0 { 0.5 } else { 1.0 }),
+                    ])
+                })
+                .collect(),
+        ),
+    );
+    let sql = "SELECT b.g, count(*) AS n, sum(x.v) AS s \
+               FROM big IS TI WITH PROBABILITY (p) b, t IS TI WITH PROBABILITY (p) x \
+               WHERE b.k = x.v AND b.v >= 100 GROUP BY b.g";
+    s.set_stats_enabled(true);
+    s.set_vec_threads(4);
+    let stats_of = |mode| {
+        s.set_exec_mode(mode);
+        s.query_au(sql).expect("au query");
+        s.last_query_stats().expect("stats collected")
+    };
+    let (row, vec) = (stats_of(ExecMode::Row), stats_of(ExecMode::Vectorized));
+
+    fn assert_same(row: &ua_obs::OperatorStats, vec: &ua_obs::OperatorStats, path: &str) {
+        let path = format!("{path}/{}", row.name);
+        assert_eq!(row.name, vec.name, "{path}: operator");
+        assert_eq!(row.rows_out, vec.rows_out, "{path}: rows_out");
+        for key in [
+            "certain_rows",
+            "top_attrs_permille",
+            "rel_width_permille",
+            "mult_spread",
+            "mem_bytes",
+        ] {
+            let extra =
+                |n: &ua_obs::OperatorStats| n.extra.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+            assert!(extra(row).is_some(), "{path}: row tree lacks `{key}`");
+            assert_eq!(extra(row), extra(vec), "{path}: {key}");
+        }
+        assert_eq!(row.children.len(), vec.children.len(), "{path}: children");
+        for (r, v) in row.children.iter().zip(&vec.children) {
+            assert_same(r, v, &path);
+        }
+    }
+    assert_same(&row.root, &vec.root, "");
+    let mut names = Vec::new();
+    vec.root.walk(&mut |n| names.push(n.name.as_str()));
+    for op in ["Aggregate", "HashJoin", "Filter", "Scan"] {
+        assert!(
+            names.contains(&op),
+            "the plan must exercise {op}: {names:?}"
+        );
+    }
+    assert!(row.peak_mem_bytes > 0);
+    assert_eq!(row.peak_mem_bytes, vec.peak_mem_bytes, "query memory peak");
+}
+
 /// The `planner.join.misestimated` regression: a join above an aggregate
 /// subquery must compare its estimate against the aggregate's
 /// *post-grouping* cardinality (group-key ndvs), not the pre-grouping

@@ -199,10 +199,23 @@ fn assert_well_formed(events: &[Ev], ctx: &str) {
     }
 }
 
+/// One runner per semantics, so a contract can be asserted for `query_det`,
+/// `query_ua` and `query_au` alike.
+type Run<'a> = Box<dyn Fn(&str) -> Result<(), ua_engine::EngineError> + 'a>;
+
+fn runners(s: &UaSession) -> [(&'static str, &'static str, Run<'_>); 3] {
+    [
+        ("det", DET_SQL, Box::new(|sql| s.query_det(sql).map(drop))),
+        ("ua", UA_SQL, Box::new(|sql| s.query_ua(sql).map(drop))),
+        ("au", AU_SQL, Box::new(|sql| s.query_au(sql).map(drop))),
+    ]
+}
+
 /// The exported trace is schema-valid Perfetto JSON on both engines and
-/// all three semantics; the vectorized 8-thread run additionally carries
-/// the full phase ladder on the session thread and per-morsel `X` spans
-/// on the synthetic pool-worker threads.
+/// all three semantics; every vectorized 8-thread run additionally carries
+/// the executor's full phase ladder on the session thread and per-morsel
+/// `X` spans on the synthetic pool-worker threads — one driver, so the
+/// same ladder whichever semantics ran.
 #[test]
 fn trace_export_is_valid_perfetto() {
     let s = seeded_session();
@@ -211,15 +224,8 @@ fn trace_export_is_valid_perfetto() {
 
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
         s.set_exec_mode(mode);
-        for (sem, run) in [
-            (
-                "det",
-                Box::new(|| s.query_det(DET_SQL).map(drop)) as Box<dyn Fn() -> _>,
-            ),
-            ("ua", Box::new(|| s.query_ua(UA_SQL).map(drop))),
-            ("au", Box::new(|| s.query_au(AU_SQL).map(drop))),
-        ] {
-            run().unwrap_or_else(|e| panic!("{mode:?}/{sem}: {e}"));
+        for (sem, sql, run) in runners(&s) {
+            run(sql).unwrap_or_else(|e| panic!("{mode:?}/{sem}: {e}"));
             let json = s
                 .last_query_trace()
                 .unwrap_or_else(|| panic!("{mode:?}/{sem}: no trace exported"));
@@ -235,31 +241,32 @@ fn trace_export_is_valid_perfetto() {
                     "{ctx}: missing `{phase}` phase span:\n{json}"
                 );
             }
+            if mode == ExecMode::Row {
+                continue;
+            }
+            // The vectorized runs get the executor-side phases and the
+            // injected per-morsel pool spans.
+            for phase in ["bind", "execute", "merge"] {
+                assert!(
+                    events
+                        .iter()
+                        .any(|e| e.ph == 'B' && e.name == phase && e.cat == "vecexec"),
+                    "{ctx}: vectorized trace missing `{phase}` phase:\n{json}"
+                );
+            }
+            let morsels: Vec<&Ev> = events
+                .iter()
+                .filter(|e| e.ph == 'X' && e.name.starts_with("morsel"))
+                .collect();
+            assert!(
+                !morsels.is_empty(),
+                "{ctx}: 8-thread vectorized run must inject per-morsel pool spans"
+            );
+            for m in &morsels {
+                assert!(m.tid >= 1, "pool spans live on worker tids: {m:?}");
+                assert_eq!(m.cat, "pool");
+            }
         }
-    }
-
-    // The vectorized det run (last loop leaves Vectorized mode) gets the
-    // executor-side phases and the injected per-morsel pool spans.
-    s.set_exec_mode(ExecMode::Vectorized);
-    s.query_det(DET_SQL).expect("vec det");
-    let events = parse_trace(&s.last_query_trace().expect("vec trace"));
-    for phase in ["bind", "merge"] {
-        assert!(
-            events.iter().any(|e| e.ph == 'B' && e.name == phase),
-            "vectorized trace missing `{phase}` phase"
-        );
-    }
-    let morsels: Vec<&Ev> = events
-        .iter()
-        .filter(|e| e.ph == 'X' && e.name.starts_with("morsel"))
-        .collect();
-    assert!(
-        !morsels.is_empty(),
-        "8-thread vectorized run must inject per-morsel pool spans"
-    );
-    for m in &morsels {
-        assert!(m.tid >= 1, "pool spans live on worker tids: {m:?}");
-        assert_eq!(m.cat, "pool");
     }
 }
 
@@ -309,35 +316,41 @@ fn tracing_never_changes_results() {
 }
 
 /// A query that fails mid-execution (runtime type error) still deposits
-/// a partial operator tree carrying the `error` marker — on both engines
-/// — and the trace stays balanced (error paths close their spans).
+/// a partial operator tree carrying the `error` marker — on both engines,
+/// under all three semantics — and the trace stays balanced (error paths
+/// close their spans).
 #[test]
 fn failed_query_still_reports_partial_stats() {
     let s = seeded_session();
     s.set_stats_enabled(true);
     s.set_trace_enabled(true);
     // Int + Str only fails when a row actually evaluates it.
-    let bad = "SELECT o.ok + 'x' AS z FROM orders o";
+    let bad_det = "SELECT o.ok + 'x' AS z FROM orders o";
+    let bad_annotated = "SELECT x.v + 'x' AS z FROM t IS TI WITH PROBABILITY (p) x";
     for mode in [ExecMode::Row, ExecMode::Vectorized] {
         s.set_exec_mode(mode);
-        let err = s.query_det(bad).expect_err("type error must propagate");
-        let msg = err.to_string();
-        let stats = s
-            .last_query_stats()
-            .unwrap_or_else(|| panic!("{mode:?}: failed query left no stats ({msg})"));
-        let rendered = stats.render(false);
-        assert!(
-            rendered.contains("error=1"),
-            "{mode:?}: partial tree must carry the error marker:\n{rendered}"
-        );
-        let engine = if mode == ExecMode::Row {
-            "row"
-        } else {
-            "vectorized"
-        };
-        assert_eq!(stats.engine, engine, "{mode:?}: wrong engine tag");
-        let json = s.last_query_trace().expect("failed query still traces");
-        assert_well_formed(&parse_trace(&json), &format!("{mode:?} error path"));
+        for (sem, _, run) in runners(&s) {
+            let ctx = format!("{mode:?}/{sem}");
+            let bad = if sem == "det" { bad_det } else { bad_annotated };
+            let err = run(bad).expect_err("type error must propagate");
+            let stats = s
+                .last_query_stats()
+                .unwrap_or_else(|| panic!("{ctx}: failed query left no stats ({err})"));
+            let rendered = stats.render(false);
+            assert!(
+                rendered.contains("error=1"),
+                "{ctx}: partial tree must carry the error marker:\n{rendered}"
+            );
+            let engine = if mode == ExecMode::Row {
+                "row"
+            } else {
+                "vectorized"
+            };
+            assert_eq!(stats.engine, engine, "{ctx}: wrong engine tag");
+            assert_eq!(stats.semantics, sem, "{ctx}: wrong semantics tag");
+            let json = s.last_query_trace().expect("failed query still traces");
+            assert_well_formed(&parse_trace(&json), &format!("{ctx} error path"));
+        }
     }
 }
 

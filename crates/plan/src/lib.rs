@@ -22,7 +22,8 @@
 //!   executors' plans before dispatch;
 //! * [`sql`] — lexer, parser and planner for a SPJUA SQL dialect including
 //!   the paper's source-annotation clauses (Section 9.2);
-//! * [`options`] — the per-query knobs the vectorized executor takes.
+//! * [`options`] — what a session hands an executor per query: the
+//!   [`Semantics`] and the vectorized executor's knobs.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +49,7 @@ pub use optimize::{
     push_filters, record_join_misestimates, reorder_joins, reorder_joins_ua, OptimizerPasses,
     DEFAULT_FILTER_SELECTIVITY, DP_MAX_RELATIONS, MISESTIMATE_RATIO,
 };
-pub use options::ExecOptions;
+pub use options::{ExecOptions, Semantics};
 pub use plan::{AggExpr, AggFunc, Plan, SortOrder};
 pub use sql::{parse, plan_query, plan_schema};
 pub use stats::{execute_au_with_stats, execute_with_stats};

@@ -1,4 +1,32 @@
-//! Per-query runtime knobs for the vectorized executor.
+//! What a session hands an executor per query: the semantics to run the
+//! plan under and the vectorized executor's runtime knobs.
+
+/// The semantics a plan executes under — the annotation both papers vary
+/// while the query semantics stays one: plain bag multiplicities (`K`),
+/// certain/uncertain labels (`K²`), or attribute-range triples with
+/// multiplicity bounds (the AU product semiring).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Semantics {
+    /// Deterministic bag semantics.
+    Det,
+    /// `⟦·⟧_UA`. Row engine: the plan is the `⟦·⟧_UA`-rewritten plan,
+    /// interpreted deterministically. Vectorized engine: the plan is the
+    /// user plan over UA-encoded tables and labels propagate as bitmaps.
+    Ua,
+    /// `⟦·⟧_AU` over AU-encoded (flattened range-triple) tables.
+    Au,
+}
+
+impl Semantics {
+    /// The tag [`ua_obs::QueryStats::semantics`] carries.
+    pub fn name(self) -> &'static str {
+        match self {
+            Semantics::Det => "det",
+            Semantics::Ua => "ua",
+            Semantics::Au => "au",
+        }
+    }
+}
 
 /// Runtime knobs a session passes to the vectorized executor per query.
 ///

@@ -1,23 +1,24 @@
-//! The vectorized AU path: attribute-level bounds as range column triples.
+//! AU semantics for the one vectorized driver: the per-batch range
+//! kernels its σ / π stages run, and the AU sources (`impl Driver`) its
+//! `source_traced` runs under `Semantics::Au`. The plan walk, pipeline,
+//! stats assembly and entry point live in [`crate::exec`]; nothing here
+//! drives a plan.
 //!
 //! An AU batch is an ordinary [`ColumnBatch`] over the *flattened* AU
 //! schema (`ua_ranges::flattened_schema`): the selected-guess columns in
 //! user order, then one lower- and one upper-bound column per attribute
 //! (`NULL` = `∓∞`), then the three multiplicity-bound columns. Typed
 //! column vectors apply unchanged — a certain `Int` attribute stays three
-//! dense `Int` columns.
+//! dense `Int` columns — and an AU stream is a plain [`BatchStream`]: its
+//! user schema is the first `(arity − 3) / 3` columns (`user_schema`).
+//! That is what lets Sort / Top-K / Limit / ∪ and the result
+//! materialisation be the deterministic operators, untouched.
 //!
-//! Operator coverage:
+//! Pipeline stages (run per morsel by `exec::run_chain`):
 //!
-//! * **Scan** — batches the encoded table directly, chunk-parallel on the
-//!   morsel pool. Each chunk validates with a typed columnar fast path
-//!   (same-type `lb ≤ bg ≤ ub` triples under the domain order, well-formed
-//!   positive multiplicities); only chunks that fail it pay the row-wise
-//!   `decode_row`/`encode_row` normalization — pay-as-you-go, and the
-//!   first malformed row reports exactly like the row engine's scan.
-//! * **σ** — the selected-guess mask evaluates with the existing typed
-//!   [`crate::kernels::truth_masks`] over the bg columns. The
-//!   possibly-true / certainly-true analysis is *kernel-native* for
+//! * **σ** (`filter_batch`) — the selected-guess mask evaluates with the
+//!   existing typed [`crate::kernels::truth_masks`] over the bg columns.
+//!   The possibly-true / certainly-true analysis is *kernel-native* for
 //!   predicates built from comparisons (`Col ⋄ Lit`, `Col ⋄ Col`),
 //!   `BETWEEN`, literal `IN` lists and `AND`/`OR`/`NOT` whose column
 //!   operands are dense same-typed `Int`/`Float`/`Str` triples:
@@ -30,15 +31,25 @@
 //!   the batch down the per-row `ua_ranges::truth_range` path, over ranges
 //!   assembled for the referenced columns only. Either way `ua_m_lb` /
 //!   `ua_m_bg` are refined by masking and the survivors leave in one
-//!   gather. Batches filter in parallel, merged in deterministic batch
-//!   order.
-//! * **π** — bg output columns evaluate with the typed expression kernels
-//!   (including the typed arithmetic kernels); bound columns are `O(1)`
-//!   column clones for plain references, broadcasts for literals, and
-//!   per-row interval evaluation — over the referenced columns only —
-//!   re-anchored via `ua_ranges::reanchor` for computed expressions
-//!   (preserving definite NULLs, exactly like the row engine's
+//!   gather.
+//! * **π** (`map_batch`) — bg output columns evaluate with the typed
+//!   expression kernels (including the typed arithmetic kernels); bound
+//!   columns are `O(1)` column clones for plain references, broadcasts for
+//!   literals, and per-row interval evaluation — over the referenced
+//!   columns only — re-anchored via `ua_ranges::reanchor` for computed
+//!   expressions (preserving definite NULLs, exactly like the row engine's
 //!   `eval_range`).
+//! * **alias** — the driver's own re-qualification stage over the
+//!   flattened schema.
+//!
+//! Sources:
+//!
+//! * **Scan** — batches the encoded table directly, chunk-parallel on the
+//!   morsel pool. Each chunk validates with a typed columnar fast path
+//!   (same-type `lb ≤ bg ≤ ub` triples under the domain order, well-formed
+//!   positive multiplicities); only chunks that fail it pay the row-wise
+//!   `decode_row`/`encode_row` normalization — pay-as-you-go, and the
+//!   first malformed row reports exactly like the row engine's scan.
 //! * **γ** — aggregation prepares its inputs *columnar*: group keys and
 //!   aggregate arguments assemble per column (stored triples for plain
 //!   references, typed-kernel selected guesses re-anchoring interval
@@ -46,13 +57,7 @@
 //!   `TripleCol`s, then the single shared bound combination
 //!   `ua_ranges::ops::aggregate_cols` (with its integer-key fast path)
 //!   folds the groups. No row tuples, no decode round trip.
-//! * **Sort / Top-K / Limit / ∪** — run the deterministic columnar
-//!   operators over the flat stream directly: the full flattened row is
-//!   the AU sort tie-break order by construction, so [`crate::ops::sort`]
-//!   and [`crate::ops::top_k`] reproduce `ua_ranges::ops::sort_by_bg` +
-//!   `limit` byte for byte. Union validates the *user* schemas (the row
-//!   engine's error) and concatenates batches.
-//! * **⋈ (hash)** — triple-column-native (`AuDriver::hash_join`). The
+//! * **⋈ (hash)** — triple-column-native (`Driver::au_hash_join`). The
 //!   build side's *point* keys (`lb = bg = ub`, checked columnar; NaN
 //!   excluded) go into the deterministic engine's hash index
 //!   (`ops::build_index`, integer fast path and partitioned build
@@ -70,9 +75,10 @@
 //!   keys of *different* families on the two sides (`Int` vs `Str`) make
 //!   pruning unsound; that case defers to the relation path
 //!   (`ua_ranges::ops::hash_join`).
-//! * **⋈ (keyless), −, ⟕** — the stream's columns convert straight
-//!   into range rows (no tuple encoding, no re-validation — the stream is
-//!   canonical by construction) and feed the shared
+//! * **⋈ (keyless), −, ⟕** — cross the stream ↔ relation boundary (one
+//!   pair of functions, `to_relation` / `from_relation`: columns convert
+//!   straight into range rows, no tuple encoding, no re-validation — the
+//!   stream is canonical by construction) and feed the shared
 //!   `ua_ranges::ops::{join, except, outer_join}`. `−` and `⟕` generate
 //!   their candidate pairs from a selected-guess hash index there (all
 //!   columns under IS-NOT-DISTINCT matching for `−`; the ON clause's
@@ -85,16 +91,20 @@
 //!   and combining multiplicities exactly as `ua_ranges::ops::distinct`.
 //!
 //! No operator falls back to the row engine's materialize-and-dispatch
-//! path any more: every `au.vec.fallback.*` counter stays pinned at zero
-//! (regression-tested here and in the engine's observability suite). What
-//! *does* still run row-wise inside σ and hash-⋈ is counted: the
+//! path: every `au.vec.fallback.*` counter stays pinned at zero
+//! (regression-tested in the engine's observability suite). What *does*
+//! still run row-wise inside σ and hash-⋈ is counted: the
 //! `au.vec.rowwise.filter_rows` / `au.vec.rowwise.join_pairs` registry
 //! counters and the `rowwise_rows` / `rowwise_pairs` extras on the Filter
 //! / HashJoin stats nodes say how much of an operator paid for
 //! uncertainty (zero over all-certain data).
 
 use crate::bitmap::Bitmap;
-use crate::columnar::{chunk_ranges, BatchStream, ColumnBatch, ColumnVec};
+use crate::columnar::{
+    batches_from_table_pooled, chunk_columns, chunk_to_batch, convert_chunks, BatchStream,
+    ColumnBatch, ColumnVec,
+};
+use crate::exec::Driver;
 use crate::kernels::{eval_expr, range_truth_masks, truth_masks, Evaluated};
 use crate::ops::{build_index, probe_index, JoinIndex};
 use std::sync::Arc;
@@ -104,76 +114,49 @@ use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashMap;
-use ua_obs::{OperatorStats, Stopwatch};
 use ua_plan::plan::{AggExpr, Plan};
-use ua_plan::stats::node_label;
-use ua_plan::storage::{Catalog, Table};
-use ua_plan::{estimate_rows, EngineError, ExecOptions};
+use ua_plan::storage::Table;
+use ua_plan::EngineError;
 use ua_ranges::ops::{key_family, refine_pair_mult};
+use ua_ranges::relation::AuTuple;
 use ua_ranges::{
-    approx_range, au_base_schema, decode_row, encode_row, flattened_schema, range_from_parts,
-    range_parts, reanchor, truth_range, AggCols, AggKind, AuRelation, MultBound, RangeValue,
-    TripleCol, WidthSummary,
+    approx_range, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
+    reanchor, truth_range, AggCols, AggKind, AuRelation, MultBound, RangeValue, TripleCol,
+    WidthSummary,
 };
 
-/// A stream of AU batches: the user schema plus batches over its
-/// flattened form.
-struct AuStream {
-    user: Schema,
-    flat: Schema,
-    batches: Vec<ColumnBatch>,
+/// The user schema of an AU stream: the first `(arity − 3) / 3` columns of
+/// its flattened schema (what `ua_ranges::au_base_schema` returns, minus
+/// the layout validation scans already did).
+pub(crate) fn user_schema(flat: &Schema) -> Schema {
+    Schema::new(flat.columns()[..(flat.arity() - 3) / 3].to_vec())
 }
 
-impl AuStream {
-    /// Re-batch a shared-operator result (already canonical — operator
-    /// outputs normalize through `RangeValue`/`MultBound` constructors).
-    fn from_relation(rel: &AuRelation, batch_rows: usize) -> AuStream {
-        let user = rel.schema().clone();
-        let flat = flattened_schema(&user);
-        let rows: Vec<Tuple> = rel.rows().iter().map(encode_row).collect();
-        let batches = chunk_ranges(rows.len(), batch_rows)
-            .into_iter()
-            .map(|(s, e)| encoded_chunk(&flat, &rows[s..e]))
-            .collect();
-        AuStream {
-            user,
-            flat,
-            batches,
+/// Stream → relation, one of the two boundary functions between the
+/// columnar AU stream and the shared `ua_ranges::ops` operators: the
+/// columns convert straight into range rows. Infallible — every stream is
+/// canonical by construction (scans normalize, operators preserve normal
+/// form), so no validation round trip is paid.
+fn to_relation(user: &Schema, batches: &[ColumnBatch]) -> AuRelation {
+    let n = user.arity();
+    let mut rel = AuRelation::new(user.clone());
+    for b in batches {
+        for (i, mult) in mult_bounds(b, n).enumerate() {
+            rel.push(AuTuple {
+                values: row_ranges(b, n, i),
+                mult,
+            });
         }
     }
-
-    /// Convert the columns straight into range rows. Infallible: every
-    /// stream is canonical by construction (scans normalize, operators
-    /// preserve normal form), so no validation round trip is paid.
-    fn to_relation(&self) -> AuRelation {
-        let n = self.user.arity();
-        let mut rel = AuRelation::new(self.user.clone());
-        for b in &self.batches {
-            for (i, mult) in mult_bounds(b, n).enumerate() {
-                rel.push(ua_ranges::relation::AuTuple {
-                    values: row_ranges(b, n, i),
-                    mult,
-                });
-            }
-        }
-        rel
-    }
+    rel
 }
 
-/// Build one batch from already-canonical encoded rows (labels certain,
-/// multiplicity 1 — AU multiplicities live in the `ua_m_*` data columns).
-fn encoded_chunk(flat: &Schema, chunk: &[Tuple]) -> ColumnBatch {
-    let columns: Vec<ColumnVec> = (0..flat.arity())
-        .map(|c| {
-            ColumnVec::from_values(chunk.iter().map(move |r| r.get(c).expect("arity checked")))
-        })
-        .collect();
-    ColumnBatch::new(
-        flat.clone(),
-        columns,
-        Bitmap::filled(chunk.len(), true),
-        Arc::new(vec![1u64; chunk.len()]),
-    )
+/// Relation → stream, the other boundary function: a shared-operator
+/// result (already canonical — operator outputs normalize through the
+/// `RangeValue` / `MultBound` constructors) re-batches through its
+/// flattened table, chunk-parallel on the query's pool.
+fn from_relation(rel: &AuRelation, driver: &Driver) -> BatchStream {
+    batches_from_table_pooled(&ua_plan::au_table(rel), driver.batch_rows, &driver.pool)
 }
 
 /// The batch's selected-guess view: the first `n` columns under the user
@@ -329,11 +312,7 @@ fn triple_is_canonical(lb: &ColumnVec, bg: &ColumnVec, ub: &ColumnVec) -> bool {
 /// normalization (dropping `ub = 0` rows, erroring on the first malformed
 /// multiplicity — identical to the row engine's scan) only when it fails.
 fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, EngineError> {
-    let columns: Vec<ColumnVec> = (0..flat.arity())
-        .map(|c| {
-            ColumnVec::from_values(chunk.iter().map(move |r| r.get(c).expect("arity checked")))
-        })
-        .collect();
+    let columns = chunk_columns(flat.arity(), chunk);
     if chunk_is_canonical(&columns, n) {
         return Ok(ColumnBatch::new(
             flat.clone(),
@@ -348,7 +327,7 @@ fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, E
             rows.push(encode_row(&t));
         }
     }
-    Ok(encoded_chunk(flat, &rows))
+    Ok(chunk_to_batch(flat, &rows))
 }
 
 /// The per-row ranges of a *computed* (bound) expression: an interval
@@ -428,288 +407,47 @@ fn expr_triple(
     }
 }
 
-struct AuDriver<'a> {
-    catalog: &'a Catalog,
-    batch_rows: usize,
-    /// Collect per-operator [`OperatorStats`] next to the result (results
-    /// are identical on or off).
-    collect_stats: bool,
-    /// Emit execute/merge phase spans and per-morsel pool task spans on
-    /// the session thread's armed trace ring (results identical on or
-    /// off, like stats).
-    collect_trace: bool,
-    /// The morsel pool: per-batch stages (scan chunking, σ, π) map in
-    /// deterministic batch order, so parallel output is byte-identical to
-    /// serial.
-    pool: rayon::ThreadPool,
-}
-
-impl<'a> AuDriver<'a> {
-    /// Bracket `f` in a query-phase trace span when tracing is on; a
-    /// plain call otherwise (closes on the error path too, so exported
-    /// traces stay balanced).
-    fn phase<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        if self.collect_trace {
-            ua_obs::trace_scope(name, "vecexec", f)
-        } else {
-            f()
-        }
-    }
-
-    fn stream_traced(&self, plan: &Plan) -> Result<(AuStream, Option<OperatorStats>), EngineError> {
-        let timer = self.collect_stats.then(Stopwatch::start);
-        // How much of a σ / hash-⋈ paid the per-row price of uncertainty.
-        let mut rowwise: Option<(&str, u64)> = None;
-        let (stream, children) = match plan {
-            Plan::Scan(name) => (self.scan(name)?, Vec::new()),
-            Plan::Alias { input, name } => {
-                let (stream, child) = self.stream_traced(input)?;
-                let user = stream.user.with_qualifier(name);
-                let flat = flattened_schema(&user);
-                (
-                    AuStream {
-                        batches: stream
-                            .batches
-                            .iter()
-                            .map(|b| b.with_schema(flat.clone()))
-                            .collect(),
-                        user,
-                        flat,
-                    },
-                    child.into_iter().collect(),
-                )
-            }
-            Plan::Filter { input, predicate } => {
-                let (stream, child) = self.stream_traced(input)?;
-                let (out, rows) = self.filter(stream, predicate)?;
-                rowwise = Some(("rowwise_rows", rows));
-                (out, child.into_iter().collect())
-            }
-            Plan::Map { input, columns } => {
-                let (stream, child) = self.stream_traced(input)?;
-                (self.map(stream, columns)?, child.into_iter().collect())
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                let (stream, child) = self.stream_traced(input)?;
-                (
-                    self.aggregate(stream, group_by, aggregates)?,
-                    child.into_iter().collect(),
-                )
-            }
-            Plan::Sort { input, keys } => {
-                let (stream, child) = self.stream_traced(input)?;
-                let sorted = crate::ops::sort(flat_stream(&stream), keys, self.batch_rows)?;
-                (
-                    AuStream {
-                        user: stream.user,
-                        flat: stream.flat,
-                        batches: sorted.batches,
-                    },
-                    child.into_iter().collect(),
-                )
-            }
-            Plan::TopK { input, keys, limit } => {
-                let (stream, child) = self.stream_traced(input)?;
-                let top = crate::ops::top_k(flat_stream(&stream), keys, *limit, self.batch_rows)?;
-                (
-                    AuStream {
-                        user: stream.user,
-                        flat: stream.flat,
-                        batches: top.batches,
-                    },
-                    child.into_iter().collect(),
-                )
-            }
-            Plan::Limit { input, limit } => {
-                let (stream, child) = self.stream_traced(input)?;
-                let limited = crate::ops::limit(flat_stream(&stream), *limit);
-                (
-                    AuStream {
-                        user: stream.user,
-                        flat: stream.flat,
-                        batches: limited.batches,
-                    },
-                    child.into_iter().collect(),
-                )
-            }
-            Plan::UnionAll { left, right } => {
-                let (ls, lstat) = self.stream_traced(left)?;
-                let (rs, rstat) = self.stream_traced(right)?;
-                // Validate the *user* schemas — the row engine's check and
-                // error; the left schema wins for the output.
-                ls.user
-                    .check_union_compatible(&rs.user)
-                    .map_err(EngineError::Schema)?;
-                let mut batches = ls.batches;
-                batches.extend(
-                    rs.batches
-                        .into_iter()
-                        .map(|b| b.with_schema(ls.flat.clone())),
-                );
-                (
-                    AuStream {
-                        user: ls.user,
-                        flat: ls.flat,
-                        batches,
-                    },
-                    lstat.into_iter().chain(rstat).collect(),
-                )
-            }
-            // Keyless / non-equi joins: block-nested-loop — each left
-            // chunk converts to range rows and joins against the full
-            // right relation on its own worker, blocks concatenating in
-            // chunk order (byte-identical to one monolithic left-major
-            // nested loop).
-            Plan::Join { left, right, .. } => {
-                let (ls, lstat) = self.stream_traced(left)?;
-                let (rs, rstat) = self.stream_traced(right)?;
-                (
-                    self.block_join(plan, &ls, &rs)?,
-                    lstat.into_iter().chain(rstat).collect(),
-                )
-            }
-            Plan::HashJoin {
-                left,
-                right,
-                keys,
-                residual,
-                build_left,
-            } => {
-                let (ls, lstat) = self.stream_traced(left)?;
-                let (rs, rstat) = self.stream_traced(right)?;
-                let (out, pairs) =
-                    self.hash_join(plan, &ls, &rs, keys, residual.as_ref(), *build_left)?;
-                rowwise = Some(("rowwise_pairs", pairs));
-                (out, lstat.into_iter().chain(rstat).collect())
-            }
-            Plan::Distinct { input } => {
-                let (stream, child) = self.stream_traced(input)?;
-                (self.distinct(stream), child.into_iter().collect())
-            }
-            // Difference / outer join: both sides convert to range
-            // relations and route through the shared AU bound-combination
-            // operators in `ua_ranges::ops` (the same single copy the row
-            // interpreter dispatches through `au_binary`), so the two
-            // engines cannot diverge on the `[lb, bg, ub]` arithmetic.
-            Plan::Except { left, right, .. } | Plan::OuterJoin { left, right, .. } => {
-                let (ls, lstat) = self.stream_traced(left)?;
-                let (rs, rstat) = self.stream_traced(right)?;
-                let out = ua_plan::au_binary(plan, &ls.to_relation(), &rs.to_relation())?;
-                (
-                    AuStream::from_relation(&out, self.batch_rows),
-                    lstat.into_iter().chain(rstat).collect(),
-                )
-            }
-        };
-        let stats = timer.map(|timer| {
-            let (name, detail) = node_label(plan);
-            let mut node = OperatorStats::new(name, detail);
-            node.est_rows = estimate_rows(plan, self.catalog);
-            node.rows_out = stream.batches.iter().map(|b| b.len() as u64).sum();
-            node.batches_out = stream.batches.len() as u64;
-            // The timer spans the recursive children, so this is already
-            // the cumulative wall time `OperatorStats` documents.
-            node.wall_ns = timer.elapsed_ns();
-            au_span_extras(&stream, &mut node);
-            if let Some((key, count)) = rowwise {
-                node.push_extra(key, count);
-            }
-            node.children = children;
-            node
-        });
-        Ok((stream, stats))
-    }
-
+/// The AU sources of the one vectorized [`Driver`] — what its
+/// `source_traced` runs under `Semantics::Au` for Scan, γ, δ, `−`, `⟕` and
+/// both joins. Every stream in and out is a [`BatchStream`] over a
+/// flattened AU schema.
+impl Driver<'_> {
     /// Scan an AU-encoded table into batches, chunk-parallel. Validation
     /// is columnar per chunk ([`chunk_is_canonical`]); the first malformed
     /// row errors exactly like the row engine's decode (chunks merge in
     /// table order).
-    fn scan(&self, name: &str) -> Result<AuStream, EngineError> {
-        let table = self
-            .catalog
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-        let user = au_base_schema(table.schema()).ok_or_else(|| {
+    pub(crate) fn au_scan(&self, table: &Table) -> Result<BatchStream, EngineError> {
+        let flat = table.schema();
+        let user = ua_ranges::au_base_schema(flat).ok_or_else(|| {
             EngineError::Sql(format!(
-                "schema {} is not AU-encoded (ua_lb_*/ua_ub_*/ua_m_* layout)",
-                table.schema()
+                "schema {flat} is not AU-encoded (ua_lb_*/ua_ub_*/ua_m_* layout)"
             ))
         })?;
-        let flat = flattened_schema(&user);
+        let schema = flattened_schema(&user);
         let n = user.arity();
-        let rows = table.rows();
-        let ranges = chunk_ranges(rows.len(), self.batch_rows);
-        let batches: Vec<ColumnBatch> = self
-            .pool
-            .map_in_order(ranges, |_, (s, e)| scan_chunk(&flat, n, &rows[s..e]))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .filter(|b| !b.is_empty())
-            .collect();
-        Ok(AuStream {
-            user,
-            flat,
-            batches,
+        let batches = convert_chunks(table.rows(), self.batch_rows, &self.pool, |chunk| {
+            scan_chunk(&schema, n, chunk)
         })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .filter(|b| !b.is_empty())
+        .collect();
+        Ok(BatchStream { schema, batches })
     }
 
-    /// `⟦σ_θ⟧_AU`, batch-native ([`filter_batch`]), batches filtering in
-    /// parallel on the morsel pool. Also returns how many input rows took
-    /// the per-row `truth_range` path.
-    fn filter(&self, stream: AuStream, predicate: &Expr) -> Result<(AuStream, u64), EngineError> {
-        let bound = predicate.bind(&stream.user).map_err(EngineError::Expr)?;
-        let n = stream.user.arity();
-        let mut rowwise = 0u64;
-        let mut batches: Vec<ColumnBatch> = Vec::with_capacity(stream.batches.len());
-        for part in self
-            .pool
-            .map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, batch| {
-                filter_batch(batch, &bound, &stream.user, &stream.flat, n)
-            })
-        {
-            let (batch, rows) = part?;
-            rowwise += rows;
-            batches.extend(batch);
-        }
-        count_rowwise("au.vec.rowwise.filter_rows", rowwise);
-        Ok((
-            AuStream {
-                user: stream.user,
-                flat: stream.flat,
-                batches,
-            },
-            rowwise,
-        ))
-    }
-
-    /// `⟦π⟧_AU`, batch-native: one [`expr_triple`] per output column.
-    /// Batches project in parallel on the morsel pool.
-    fn map(&self, stream: AuStream, columns: &[ProjColumn]) -> Result<AuStream, EngineError> {
-        let bound: Vec<Expr> = columns
-            .iter()
-            .map(|c| c.expr.bind(&stream.user))
-            .collect::<Result<_, _>>()
-            .map_err(EngineError::Expr)?;
-        let user = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
-        let flat = flattened_schema(&user);
-        let n_in = stream.user.arity();
-        let batches: Vec<ColumnBatch> = self
-            .pool
-            .map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, batch| {
-                map_batch(batch, &bound, &stream.user, &flat, n_in)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        Ok(AuStream {
-            user,
-            flat,
-            batches,
-        })
+    /// A binary operator with no columnar form (`−`, `⟕`, the cross-family
+    /// hash ⋈): both sides cross the relation boundary into the shared
+    /// [`ua_plan::au_binary`] and the result crosses back.
+    pub(crate) fn au_binary(
+        &self,
+        plan: &Plan,
+        ls: &BatchStream,
+        rs: &BatchStream,
+    ) -> Result<BatchStream, EngineError> {
+        let l = to_relation(&user_schema(&ls.schema), &ls.batches);
+        let r = to_relation(&user_schema(&rs.schema), &rs.batches);
+        Ok(from_relation(&ua_plan::au_binary(plan, &l, &r)?, self))
     }
 
     /// `⟦γ⟧_AU`, triple-column-native: group keys, aggregate arguments
@@ -721,23 +459,24 @@ impl<'a> AuDriver<'a> {
     /// combination (`ua_ranges::ops::aggregate_cols`, typed kernels over
     /// the dense triples, integer-key fast path included) folds the
     /// groups. Keys evaluate before arguments, like the row engine.
-    fn aggregate(
+    pub(crate) fn au_aggregate(
         &self,
-        stream: AuStream,
+        stream: &BatchStream,
         group_by: &[ProjColumn],
         aggregates: &[AggExpr],
-    ) -> Result<AuStream, EngineError> {
+    ) -> Result<BatchStream, EngineError> {
+        let user = user_schema(&stream.schema);
         let bound_keys: Vec<Expr> = group_by
             .iter()
-            .map(|g| g.expr.bind(&stream.user))
+            .map(|g| g.expr.bind(&user))
             .collect::<Result<_, _>>()
             .map_err(EngineError::Expr)?;
         let bound_args: Vec<Option<Expr>> = aggregates
             .iter()
-            .map(|a| a.arg.as_ref().map(|e| e.bind(&stream.user)).transpose())
+            .map(|a| a.arg.as_ref().map(|e| e.bind(&user)).transpose())
             .collect::<Result<_, _>>()
             .map_err(EngineError::Expr)?;
-        let n = stream.user.arity();
+        let n = user.arity();
         let n_rows: usize = stream.batches.iter().map(|b| b.len()).sum();
         let mut input = AggCols {
             keys: bound_keys
@@ -757,7 +496,7 @@ impl<'a> AuDriver<'a> {
             if batch.is_empty() {
                 continue;
             }
-            let bgv = bg_view(batch, &stream.user);
+            let bgv = bg_view(batch, &user);
             for (e, col) in bound_keys.iter().zip(&mut input.keys) {
                 fill_triple(batch, n, e, &bgv, col)?;
             }
@@ -775,7 +514,7 @@ impl<'a> AuDriver<'a> {
         let mut columns: Vec<Column> = group_by.iter().map(|g| g.column.clone()).collect();
         columns.extend(aggregates.iter().map(|a| Column::unqualified(&a.name)));
         let rel = ua_ranges::ops::aggregate_cols(&input, &kinds, Schema::new(columns));
-        Ok(AuStream::from_relation(&rel, self.batch_rows))
+        Ok(from_relation(&rel, self))
     }
 
     /// `⟦⋈⟧_AU` for keyless / non-equi joins (`Plan::Join`), block
@@ -787,36 +526,23 @@ impl<'a> AuDriver<'a> {
     /// concatenated in chunk order are byte-identical to one monolithic
     /// call, and errors surface from the lowest-indexed failing chunk —
     /// the row engine's left-scan order.
-    fn block_join(
+    pub(crate) fn au_block_join(
         &self,
         plan: &Plan,
-        ls: &AuStream,
-        rs: &AuStream,
-    ) -> Result<AuStream, EngineError> {
-        let right = rs.to_relation();
-        let n = ls.user.arity();
-        let chunk_rel = |batch: &ColumnBatch| {
-            let mut chunk = AuRelation::new(ls.user.clone());
-            for (i, mult) in mult_bounds(batch, n).enumerate() {
-                chunk.push(ua_ranges::relation::AuTuple {
-                    values: row_ranges(batch, n, i),
-                    mult,
-                });
-            }
-            chunk
-        };
+        ls: &BatchStream,
+        rs: &BatchStream,
+    ) -> Result<BatchStream, EngineError> {
+        let right = to_relation(&user_schema(&rs.schema), &rs.batches);
+        let user = user_schema(&ls.schema);
         let parts: Vec<AuRelation> = if ls.batches.is_empty() {
             // Empty left side: one empty block still produces the joined
             // schema (and any predicate binding error) like the row path.
-            vec![ua_plan::au_binary(
-                plan,
-                &AuRelation::new(ls.user.clone()),
-                &right,
-            )?]
+            vec![ua_plan::au_binary(plan, &AuRelation::new(user), &right)?]
         } else {
             self.pool
                 .map_in_order(ls.batches.iter().collect::<Vec<_>>(), |_, batch| {
-                    ua_plan::au_binary(plan, &chunk_rel(batch), &right)
+                    let block = to_relation(&user, std::slice::from_ref(batch));
+                    ua_plan::au_binary(plan, &block, &right)
                 })
                 .into_iter()
                 .collect::<Result<_, _>>()?
@@ -828,7 +554,7 @@ impl<'a> AuDriver<'a> {
                 out.push(row.clone());
             }
         }
-        Ok(AuStream::from_relation(&out, self.batch_rows))
+        Ok(from_relation(&out, self))
     }
 
     /// `⟦⋈⟧_AU` for `Plan::HashJoin`, triple-column-native — the columnar
@@ -849,25 +575,38 @@ impl<'a> AuDriver<'a> {
     /// path (`ua_ranges::ops::hash_join`, which itself falls back to the
     /// nested loop there). Also returns how many candidate pairs were
     /// refined row-wise.
-    fn hash_join(
+    ///
+    /// That family check over *both* sides, left keys evaluating before
+    /// right keys whichever side builds, and the deferral's left-major
+    /// output are why this is a source over two executed inputs and not a
+    /// build-at-bind / probe-per-morsel stage like the det join.
+    pub(crate) fn au_hash_join(
         &self,
         plan: &Plan,
-        ls: &AuStream,
-        rs: &AuStream,
-        keys: &[(Expr, Expr)],
-        residual: Option<&Expr>,
-        build_left: bool,
-    ) -> Result<(AuStream, u64), EngineError> {
-        let user = ls.user.concat(&rs.user);
-        let (nl, nr) = (ls.user.arity(), rs.user.arity());
+        ls: &BatchStream,
+        rs: &BatchStream,
+    ) -> Result<(BatchStream, u64), EngineError> {
+        let Plan::HashJoin {
+            keys,
+            residual,
+            build_left,
+            ..
+        } = plan
+        else {
+            unreachable!("au_hash_join runs Plan::HashJoin nodes")
+        };
+        let build_left = *build_left;
+        let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
+        let user = luser.concat(&ruser);
+        let (nl, nr) = (luser.arity(), ruser.arity());
         let lk: Vec<Expr> = keys
             .iter()
-            .map(|(l, _)| l.bind(&ls.user))
+            .map(|(l, _)| l.bind(&luser))
             .collect::<Result<_, _>>()
             .map_err(EngineError::Expr)?;
         let rk: Vec<Expr> = keys
             .iter()
-            .map(|(_, r)| r.bind(&rs.user))
+            .map(|(_, r)| r.bind(&ruser))
             .collect::<Result<_, _>>()
             .map_err(EngineError::Expr)?;
         // The full join predicate over `left ++ right`, as the row
@@ -887,19 +626,19 @@ impl<'a> AuDriver<'a> {
         }
         let pred = Expr::conjunction(conjuncts);
 
-        let (build, probe, build_exprs, probe_exprs) = if build_left {
-            (ls, rs, &lk, &rk)
+        let (build, probe, build_exprs, probe_exprs, build_user, probe_user) = if build_left {
+            (ls, rs, &lk, &rk, &luser, &ruser)
         } else {
-            (rs, ls, &rk, &lk)
+            (rs, ls, &rk, &lk, &ruser, &luser)
         };
-        let (nb, np) = (build.user.arity(), probe.user.arity());
-        let chunk = flat_stream(build).into_single_chunk();
-        let build_keys = || SideKeys::eval(&chunk, nb, build_exprs, &build.user);
+        let (nb, np) = (build_user.arity(), probe_user.arity());
+        let chunk = build.clone().into_single_chunk();
+        let build_keys = || SideKeys::eval(&chunk, nb, build_exprs, build_user);
         let probe_keys = || {
             probe
                 .batches
                 .iter()
-                .map(|b| SideKeys::eval(b, np, probe_exprs, &probe.user))
+                .map(|b| SideKeys::eval(b, np, probe_exprs, probe_user))
                 .collect::<Result<Vec<_>, _>>()
         };
         // Left keys evaluate before right keys, like the row operator.
@@ -922,11 +661,9 @@ impl<'a> AuDriver<'a> {
             .zip(&probe_families)
             .all(|(a, b)| (a | b).count_ones() <= 1);
         if !compatible {
-            let (l, r) = (ls.to_relation(), rs.to_relation());
-            let pairs = (l.rows().len() * r.rows().len()) as u64;
+            let pairs = (ls.num_rows() * rs.num_rows()) as u64;
             count_rowwise("au.vec.rowwise.join_pairs", pairs);
-            let out = ua_plan::au_binary(plan, &l, &r)?;
-            return Ok((AuStream::from_relation(&out, self.batch_rows), pairs));
+            return Ok((self.au_binary(plan, ls, rs)?, pairs));
         }
 
         let build_points = bkeys.point_rows();
@@ -961,9 +698,8 @@ impl<'a> AuDriver<'a> {
         }
         count_rowwise("au.vec.rowwise.join_pairs", pairs);
         Ok((
-            AuStream {
-                user,
-                flat: state.flat,
+            BatchStream {
+                schema: state.flat,
                 batches,
             },
             pairs,
@@ -977,10 +713,11 @@ impl<'a> AuDriver<'a> {
     /// multiplicities exactly as `ua_ranges::ops::distinct` (`lb`/`bg` cap
     /// at 1, `ub` sums — each copy may ground to a distinct surviving
     /// value), so the output is byte-identical to the row engine's δ.
-    fn distinct(&self, stream: AuStream) -> AuStream {
-        let n = stream.user.arity();
+    pub(crate) fn au_distinct(&self, stream: &BatchStream) -> BatchStream {
+        let user = user_schema(&stream.schema);
+        let n = user.arity();
         let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
-        let mut merged: Vec<ua_ranges::relation::AuTuple> = Vec::new();
+        let mut merged: Vec<AuTuple> = Vec::new();
         for batch in &stream.batches {
             for (i, mult) in mult_bounds(batch, n).enumerate() {
                 let key: Tuple = (0..n).map(|c| batch.column(c).value(i)).collect();
@@ -998,7 +735,7 @@ impl<'a> AuDriver<'a> {
                     }
                     None => {
                         index.insert(key, merged.len());
-                        merged.push(ua_ranges::relation::AuTuple {
+                        merged.push(AuTuple {
                             values: row_ranges(batch, n, i),
                             mult: MultBound::new(
                                 u64::from(mult.lb >= 1),
@@ -1010,11 +747,11 @@ impl<'a> AuDriver<'a> {
                 }
             }
         }
-        let mut rel = AuRelation::new(stream.user.clone());
+        let mut rel = AuRelation::new(user);
         for row in merged {
             rel.push(row);
         }
-        AuStream::from_relation(&rel, self.batch_rows)
+        from_relation(&rel, self)
     }
 }
 
@@ -1358,18 +1095,6 @@ fn fill_triple(
     Ok(())
 }
 
-/// View an AU stream as a plain [`BatchStream`] over the flat schema —
-/// what lets the deterministic columnar Sort/Top-K/Limit run unchanged:
-/// batch-level labels are uniformly certain and multiplicities uniformly
-/// 1 (the AU triples are data columns), and the flattened row layout *is*
-/// the AU tie-break order.
-fn flat_stream(stream: &AuStream) -> BatchStream {
-    BatchStream {
-        schema: stream.flat.clone(),
-        batches: stream.batches.clone(),
-    }
-}
-
 /// One batch of `⟦σ_θ⟧_AU` (pure per-batch function, safe to run on the
 /// pool): possibly-true rows survive, the multiplicity lower bound is
 /// kept only under a certainly-true predicate and the selected-guess
@@ -1381,7 +1106,7 @@ fn flat_stream(stream: &AuStream) -> BatchStream {
 /// multiplicity columns are refined by masking and the survivors leave in
 /// one gather. Returns the surviving batch (`None` when no row survives)
 /// and how many rows took the per-row path.
-fn filter_batch(
+pub(crate) fn filter_batch(
     batch: &ColumnBatch,
     bound: &Expr,
     user: &Schema,
@@ -1442,9 +1167,9 @@ fn filter_batch(
     ))
 }
 
-/// One batch of [`AuDriver::map`] (pure per-batch function, safe to run
-/// on the pool).
-fn map_batch(
+/// One batch of `⟦π⟧_AU` (pure per-batch function, safe to run on the
+/// pool): one [`expr_triple`] per output column.
+pub(crate) fn map_batch(
     batch: &ColumnBatch,
     bound: &[Expr],
     user: &Schema,
@@ -1472,126 +1197,42 @@ fn map_batch(
 
 /// Bump a `au.vec.rowwise.*` registry counter (skipping the registry
 /// lookup when nothing went row-wise).
-fn count_rowwise(name: &str, count: u64) {
+pub(crate) fn count_rowwise(name: &str, count: u64) {
     if count > 0 {
         ua_obs::global().counter(name).add(count);
     }
 }
 
-/// The AU telemetry extras for a finished operator span — the same
-/// bound-precision profile the row interpreter records
-/// ([`ua_ranges::WidthSummary`]: which operator widened bounds toward ⊤,
-/// and by how much) plus the materialized stream's logical bytes, charged
-/// against the query memory accumulator. Every AU operator materializes
-/// its whole output, so the profile observes exactly the operator result.
-/// Folded columnar: each attribute's point cells are counted off its
+/// Fold one AU batch into a bound-precision profile — the same
+/// [`WidthSummary`] the row interpreter records per operator. Folded
+/// columnar: each attribute's point cells are counted off its
 /// [`point_mask`], and only the non-point residue assembles a range.
-fn au_span_extras(stream: &AuStream, node: &mut OperatorStats) {
-    let n = stream.user.arity();
-    let mut ws = WidthSummary::new();
-    for b in &stream.batches {
-        for mult in mult_bounds(b, n) {
-            ws.observe_mult(mult);
-        }
-        for c in 0..n {
-            let points = point_mask(b.column(n + c), b.column(c), b.column(2 * n + c));
-            ws.observe_points(points.count_ones() as u64);
-            if !points.all_ones() {
-                for i in (0..b.len()).filter(|&i| !points.get(i)) {
-                    ws.observe_cell(&range_at(b, n, c, i));
-                }
+pub(crate) fn observe_width(b: &ColumnBatch, ws: &mut WidthSummary) {
+    let n = (b.schema().arity() - 3) / 3;
+    for mult in mult_bounds(b, n) {
+        ws.observe_mult(mult);
+    }
+    for c in 0..n {
+        let points = point_mask(b.column(n + c), b.column(c), b.column(2 * n + c));
+        ws.observe_points(points.count_ones() as u64);
+        if !points.all_ones() {
+            for i in (0..b.len()).filter(|&i| !points.get(i)) {
+                ws.observe_cell(&range_at(b, n, c, i));
             }
         }
     }
-    node.push_extra("certain_rows", ws.certain_rows);
-    node.push_extra("top_attrs_permille", ws.top_attr_permille());
-    node.push_extra("rel_width_permille", ws.mean_rel_width_permille());
-    node.push_extra("mult_spread", ws.mult_spread);
-    let bytes = au_stream_mem_bytes(stream);
-    let mut mem = ua_obs::MemTracker::new();
-    mem.alloc(bytes);
-    node.push_extra("mem_bytes", bytes);
 }
 
-/// Logical bytes of a materialized AU stream — the columnar counterpart
-/// of the row engine's `au_relation_mem_bytes` convention: 24 bytes per
-/// multiplicity triple plus the attribute triple columns (bg, lb, ub —
-/// one 16-byte slot per cell plus string payloads). Shape-derived and
-/// batch-size-independent, so the figure matches across thread counts.
-fn au_stream_mem_bytes(stream: &AuStream) -> u64 {
-    let n = stream.user.arity();
-    stream
-        .batches
-        .iter()
-        .map(|b| {
-            24 * b.len() as u64
-                + (0..3 * n)
-                    .map(|c| crate::exec::column_mem_bytes(b.column(c)))
-                    .sum::<u64>()
-        })
-        .sum()
-}
-
-/// Execute an AU plan with the vectorized engine, returning the flattened
-/// encoded result table. `opts.batch_rows` sizes the morsels;
-/// `opts.threads` sizes the morsel pool the per-batch stages (scan
-/// chunking, σ, π, final materialization) map on — batch order is
-/// deterministic, so results are byte-identical across thread counts.
-pub fn execute_au_vectorized_opts(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> Result<Table, EngineError> {
-    execute_au_vectorized_with_stats(plan, catalog, opts).0
-}
-
-/// [`execute_au_vectorized_opts`] returning the run's
-/// [`ua_obs::QueryStats`] by value next to the result (`Some` iff
-/// `opts.collect_stats`, on the error path too). This is what the
-/// session's `ExecMode::Vectorized` AU dispatch calls.
-pub fn execute_au_vectorized_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
-    let (batch_rows, pool) = crate::exec::morsel_setup(opts);
-    if opts.collect_stats {
-        ua_obs::mem_query_start();
-    }
-    let driver = AuDriver {
-        catalog,
-        batch_rows,
-        collect_stats: opts.collect_stats,
-        collect_trace: opts.collect_trace,
-        pool,
-    };
-    let finish =
-        |root| crate::exec::finish_query_stats(&driver.pool, driver.collect_trace, root, "au");
-    let (stream, stats) = match driver.phase("execute", || driver.stream_traced(plan)) {
-        Ok(ok) => ok,
-        Err(e) => {
-            let root = driver
-                .collect_stats
-                .then(|| crate::exec::error_root(plan, catalog));
-            return (Err(e), finish(root));
-        }
-    };
-    let rows = driver.phase("merge", || {
-        let parts: Vec<Vec<Tuple>> = driver
-            .pool
-            .map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, b| {
-                (0..b.len()).map(|i| b.row(i)).collect()
-            });
-        let mut rows: Vec<Tuple> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts {
-            rows.extend(p);
-        }
-        rows
-    });
-    (Ok(Table::from_rows(stream.flat, rows)), finish(stats))
-}
-
-/// [`execute_au_vectorized_opts`] with default options.
-pub fn execute_au_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute_au_vectorized_opts(plan, catalog, ExecOptions::default())
+/// Logical bytes of one AU batch — the columnar counterpart of the row
+/// engine's `au_relation_mem_bytes` convention: 24 bytes per multiplicity
+/// triple plus the attribute triple columns (bg, lb, ub — one 16-byte slot
+/// per cell plus string payloads). Shape-derived and additive over
+/// batches, so an operator's figure matches across thread counts and
+/// batch sizes.
+pub(crate) fn batch_mem_bytes(b: &ColumnBatch) -> u64 {
+    let attr_columns = b.schema().arity() - 3;
+    24 * b.len() as u64
+        + (0..attr_columns)
+            .map(|c| crate::exec::column_mem_bytes(b.column(c)))
+            .sum::<u64>()
 }

@@ -378,7 +378,7 @@ impl BatchStream {
 /// The `[start, end)` chunk boundaries of an `n`-row table at `batch_rows`
 /// rows per chunk — each chunk converts independently, which is what lets
 /// scans decompose in parallel with a deterministic batch order.
-pub(crate) fn chunk_ranges(n: usize, batch_rows: usize) -> Vec<(usize, usize)> {
+fn chunk_ranges(n: usize, batch_rows: usize) -> Vec<(usize, usize)> {
     let step = batch_rows.max(1);
     let mut ranges = Vec::with_capacity(n.div_ceil(step));
     let mut start = 0;
@@ -390,18 +390,44 @@ pub(crate) fn chunk_ranges(n: usize, batch_rows: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Convert one row chunk into a batch (all rows labeled certain,
-/// multiplicity 1 — deterministic semantics).
-fn chunk_to_batch(schema: &Schema, chunk: &[Tuple]) -> ColumnBatch {
-    let arity = schema.arity();
-    let columns: Vec<ColumnVec> = (0..arity)
+/// A one-worker pool. `map_in_order` on it runs inline on the calling
+/// thread, so each serial converter below *is* its `_pooled` twin.
+fn inline_pool() -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("shim pool construction is infallible")
+}
+
+/// Convert `rows` chunk by chunk on `pool`, results in chunk order — the
+/// one scan loop under the plain, UA-encoded and AU-encoded scans.
+pub(crate) fn convert_chunks<T: Send>(
+    rows: &[Tuple],
+    batch_rows: usize,
+    pool: &rayon::ThreadPool,
+    convert: impl Fn(&[Tuple]) -> T + Sync,
+) -> Vec<T> {
+    pool.map_in_order(chunk_ranges(rows.len(), batch_rows), |_, (s, e)| {
+        convert(&rows[s..e])
+    })
+}
+
+/// Columns `0..arity` of a row chunk, each in its densest representation.
+pub(crate) fn chunk_columns(arity: usize, chunk: &[Tuple]) -> Vec<ColumnVec> {
+    (0..arity)
         .map(|c| {
             ColumnVec::from_values(chunk.iter().map(move |r| r.get(c).expect("arity checked")))
         })
-        .collect();
+        .collect()
+}
+
+/// Convert one row chunk into a batch with every row labeled certain at
+/// multiplicity 1 — deterministic semantics, and AU semantics too (AU
+/// multiplicities live in the `ua_m_*` data columns).
+pub(crate) fn chunk_to_batch(schema: &Schema, chunk: &[Tuple]) -> ColumnBatch {
     ColumnBatch::new(
         schema.clone(),
-        columns,
+        chunk_columns(schema.arity(), chunk),
         Bitmap::filled(chunk.len(), true),
         Arc::new(vec![1u64; chunk.len()]),
     )
@@ -416,11 +442,6 @@ fn encoded_chunk_to_batch(
     chunk: &[Tuple],
 ) -> Result<ColumnBatch, EngineError> {
     let arity = base_schema.arity();
-    let columns: Vec<ColumnVec> = (0..arity)
-        .map(|c| {
-            ColumnVec::from_values(chunk.iter().map(move |r| r.get(c).expect("arity checked")))
-        })
-        .collect();
     let mut bm = Bitmap::filled(chunk.len(), false);
     for (i, row) in chunk.iter().enumerate() {
         match row.get(arity) {
@@ -436,7 +457,7 @@ fn encoded_chunk_to_batch(
     }
     Ok(ColumnBatch::new(
         base_schema.clone(),
-        columns,
+        chunk_columns(arity, chunk),
         bm,
         Arc::new(vec![1u64; chunk.len()]),
     ))
@@ -445,14 +466,7 @@ fn encoded_chunk_to_batch(
 /// Decompose a row table into batches (all rows labeled certain,
 /// multiplicity 1 — deterministic semantics).
 pub fn batches_from_table(table: &Table, batch_rows: usize) -> BatchStream {
-    let rows = table.rows();
-    BatchStream {
-        schema: table.schema().clone(),
-        batches: chunk_ranges(rows.len(), batch_rows)
-            .into_iter()
-            .map(|(s, e)| chunk_to_batch(table.schema(), &rows[s..e]))
-            .collect(),
-    }
+    batches_from_table_pooled(table, batch_rows, &inline_pool())
 }
 
 /// [`batches_from_table`] with chunks converted in parallel on `pool` —
@@ -463,12 +477,12 @@ pub fn batches_from_table_pooled(
     batch_rows: usize,
     pool: &rayon::ThreadPool,
 ) -> BatchStream {
-    let rows = table.rows();
-    let ranges = chunk_ranges(rows.len(), batch_rows);
     let schema = table.schema();
     BatchStream {
         schema: schema.clone(),
-        batches: pool.map_in_order(ranges, |_, (s, e)| chunk_to_batch(schema, &rows[s..e])),
+        batches: convert_chunks(table.rows(), batch_rows, pool, |chunk| {
+            chunk_to_batch(schema, chunk)
+        }),
     }
 }
 
@@ -499,16 +513,7 @@ pub fn batches_from_encoded_table(
     name: &str,
     batch_rows: usize,
 ) -> Result<BatchStream, EngineError> {
-    let base_schema = encoded_base_schema(table, name)?;
-    let rows = table.rows();
-    let batches = chunk_ranges(rows.len(), batch_rows)
-        .into_iter()
-        .map(|(s, e)| encoded_chunk_to_batch(&base_schema, name, &rows[s..e]))
-        .collect::<Result<_, _>>()?;
-    Ok(BatchStream {
-        schema: base_schema,
-        batches,
-    })
+    batches_from_encoded_table_pooled(table, name, batch_rows, &inline_pool())
 }
 
 /// [`batches_from_encoded_table`] with chunks converted in parallel on
@@ -522,14 +527,11 @@ pub fn batches_from_encoded_table_pooled(
     pool: &rayon::ThreadPool,
 ) -> Result<BatchStream, EngineError> {
     let base_schema = encoded_base_schema(table, name)?;
-    let rows = table.rows();
-    let ranges = chunk_ranges(rows.len(), batch_rows);
-    let batches = pool
-        .map_in_order(ranges, |_, (s, e)| {
-            encoded_chunk_to_batch(&base_schema, name, &rows[s..e])
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+    let batches = convert_chunks(table.rows(), batch_rows, pool, |chunk| {
+        encoded_chunk_to_batch(&base_schema, name, chunk)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
     Ok(BatchStream {
         schema: base_schema,
         batches,
@@ -574,77 +576,53 @@ pub fn batches_from_relation(rel: &ua_data::Relation<u64>, batch_rows: usize) ->
 /// `n` copies (the engine's bag representation). Labels are dropped — use
 /// [`encoded_table_from_batches`] to keep them.
 pub fn table_from_batches(stream: &BatchStream) -> Table {
-    let mut total: u64 = 0;
-    for b in &stream.batches {
-        total += b.mults().iter().sum::<u64>();
-    }
-    let mut rows = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
-    for b in &stream.batches {
-        for i in 0..b.len() {
-            let row = b.row(i);
-            rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
-        }
-    }
-    Table::from_rows(stream.schema.clone(), rows)
+    table_from_batches_pooled(stream, &inline_pool())
 }
 
 /// Materialize a stream as a UA-encoded row table: the label bitmap is
 /// re-attached as a trailing `ua_c` column of `0`/`1` markers.
 pub fn encoded_table_from_batches(stream: &BatchStream) -> Table {
-    let schema = stream.schema.with_column(ua_core::UA_LABEL_COLUMN);
-    let mut rows = Vec::new();
-    for b in &stream.batches {
-        encoded_batch_rows(b, &mut rows);
-    }
-    Table::from_rows(schema, rows)
+    encoded_table_from_batches_pooled(stream, &inline_pool())
 }
 
-fn encoded_batch_rows(b: &ColumnBatch, rows: &mut Vec<Tuple>) {
-    for i in 0..b.len() {
-        let marker = Value::Int(i64::from(b.labels().get(i)));
-        let row = b.row(i).push(marker);
-        rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
-    }
-}
-
-fn batch_rows(b: &ColumnBatch, rows: &mut Vec<Tuple>) {
-    for i in 0..b.len() {
-        let row = b.row(i);
-        rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
-    }
-}
-
-/// [`table_from_batches`] with per-batch row materialization on `pool`
-/// (row order unchanged — batches flatten in stream order).
-pub fn table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
+/// The stream's row copies in stream order, one batch per task on `pool`;
+/// `marker` appends each copy's label as a trailing `0`/`1` value.
+fn rows_pooled(stream: &BatchStream, pool: &rayon::ThreadPool, marker: bool) -> Vec<Tuple> {
     let parts: Vec<Vec<Tuple>> =
         pool.map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, b| {
-            let mut rows = Vec::new();
-            batch_rows(b, &mut rows);
+            let mut rows = Vec::with_capacity(b.len());
+            for i in 0..b.len() {
+                let row = if marker {
+                    b.row(i).push(Value::Int(i64::from(b.labels().get(i))))
+                } else {
+                    b.row(i)
+                };
+                rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
+            }
             rows
         });
     let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for p in parts {
         rows.extend(p);
     }
-    Table::from_rows(stream.schema.clone(), rows)
+    rows
+}
+
+/// [`table_from_batches`] with per-batch row materialization on `pool`
+/// (row order unchanged — batches flatten in stream order). Deterministic
+/// and AU results both come out of here: an AU stream's flattened schema
+/// is its table schema.
+pub fn table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
+    Table::from_rows(stream.schema.clone(), rows_pooled(stream, pool, false))
 }
 
 /// [`encoded_table_from_batches`] with per-batch row materialization on
 /// `pool` (row order unchanged).
 pub fn encoded_table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
-    let schema = stream.schema.with_column(ua_core::UA_LABEL_COLUMN);
-    let parts: Vec<Vec<Tuple>> =
-        pool.map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, b| {
-            let mut rows = Vec::new();
-            encoded_batch_rows(b, &mut rows);
-            rows
-        });
-    let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        rows.extend(p);
-    }
-    Table::from_rows(schema, rows)
+    Table::from_rows(
+        stream.schema.with_column(ua_core::UA_LABEL_COLUMN),
+        rows_pooled(stream, pool, true),
+    )
 }
 
 /// Collapse a stream back into an annotation-map relation (multiplicities

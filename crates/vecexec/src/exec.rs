@@ -1,19 +1,37 @@
 //! The vectorized plan driver: morsel-driven, optionally parallel,
-//! batch-at-a-time execution of [`Plan`]s.
+//! batch-at-a-time execution of [`Plan`]s — **one driver for all three
+//! semantics**, parameterised by [`Semantics`] the way both papers
+//! parameterise one query semantics by the annotation.
+//!
+//! * `Det` — batches are typed columns plus a `u64` multiplicity column;
+//!   σ / π / alias and the hash-join probe are pipeline stages, the
+//!   breakers are the [`ops`] operators.
+//! * `Ua` — plus a label bitmap (the scan strips `ua_c` into it). The same
+//!   kernels and probes run; labels are gathered with the rows and ANDed
+//!   in the join gather. δ / γ and marker references are rejected.
+//! * `Au` — batches over the *flattened* schema: user columns, `lb` / `ub`
+//!   columns, the multiplicity triple. σ / π are pipeline stages over the
+//!   range kernels in [`crate::au_exec`], joins are sources over two
+//!   executed inputs, `ops::{sort, top_k, limit, union_all}` run the
+//!   flattened batches unchanged, and Scan / δ / γ / `−` / `⟕` are the AU
+//!   sources in [`crate::au_exec`].
 //!
 //! ## Pipelines and morsels
 //!
 //! The driver splits a plan into **pipelines**: maximal chains of per-batch
-//! operators — filter, projection, re-qualification, hash-join *probe* —
-//! over one source (a scan, a pipeline breaker like Sort/Aggregate, or a
-//! nested-loop join). Each source batch is a *morsel*: it runs through the
-//! whole bound stage chain independently, so morsels execute on a small
-//! work-stealing thread pool (the offline `rayon` shim) with **no shared
-//! mutable state** — hash-join build sides are built once (large builds
-//! partition by key hash and index each partition on its own worker, see
-//! [`ops`]) and probed read-only; UA label bitmaps AND per morsel inside
+//! operators — filter, projection, re-qualification, and (det / UA)
+//! hash-join *probe* — over one source (a scan, a pipeline breaker like
+//! Sort/Aggregate, an AU join). Each source batch is a *morsel*: it runs
+//! through the whole bound stage chain independently, so morsels execute on
+//! a small work-stealing thread pool (the offline `rayon` shim) with **no
+//! shared mutable state** — hash-join build sides are built once (large
+//! builds partition by key hash and index each partition on its own worker,
+//! see [`ops`]) and probed read-only; UA label bitmaps AND per morsel inside
 //! the join gather. Aggregation, the other pipeline breaker, folds
 //! partition-parallel through [`ops::aggregate_pooled`].
+//!
+//! The AU hash join is a *source* over two executed inputs, not a probe
+//! stage; `Driver::au_hash_join` says why.
 //!
 //! ## Determinism contract
 //!
@@ -36,16 +54,22 @@
 //!
 //! ## Fused kernels
 //!
-//! Adjacent `Filter→Map` and `Filter→HashJoin-probe` pairs fuse: the
-//! filter's selection bitmap is evaluated and *consumed in the same pass*
-//! ([`crate::kernels::project_selected`], [`ops::ProbeState::probe`]),
+//! Adjacent det / UA `Filter→Map` and `Filter→HashJoin-probe` pairs fuse:
+//! the filter's selection bitmap is evaluated and *consumed in the same
+//! pass* ([`crate::kernels::project_selected`], [`ops::ProbeState::probe`]),
 //! gathering each needed column once instead of materializing the filtered
-//! batch first.
+//! batch first. AU stages do not fuse, so an AU stats tree keeps one span
+//! per plan operator like the row interpreter's.
 //!
-//! Sort, Top-K and Limit are columnar-native ([`ops::sort`],
-//! [`ops::top_k`], [`ops::limit`]) — nothing in this driver materializes
-//! rows anymore.
+//! ## One collection path
+//!
+//! Every span is assembled in one place (`Driver::finish_node`) from an
+//! output tally (`StageTally`) — taken per morsel and summed for
+//! pipeline stages, taken over the output stream for sources — and every
+//! run closes through [`execute`], which emits the `bind` / `execute` /
+//! `merge` phase spans and the [`QueryStats`] for all three semantics.
 
+use crate::au_exec::{self, filter_batch, map_batch, user_schema};
 use crate::columnar::{
     batches_from_encoded_table_pooled, batches_from_table_pooled,
     encoded_table_from_batches_pooled, table_from_batches_pooled, BatchStream, ColumnBatch,
@@ -61,101 +85,137 @@ use ua_obs::{OperatorStats, PoolStats, QueryStats, Stopwatch};
 use ua_plan::plan::Plan;
 use ua_plan::stats::node_label;
 use ua_plan::storage::{Catalog, Table};
-use ua_plan::{estimate_rows, EngineError, ExecOptions};
+use ua_plan::{estimate_rows, EngineError, ExecOptions, Semantics};
+use ua_ranges::{flattened_schema, WidthSummary};
 
-/// Execute `plan` against `catalog` with the vectorized engine using
-/// default options (auto thread count), materializing the result table.
-/// Drop-in replacement for [`ua_plan::execute`].
-pub fn execute_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute_vectorized_opts(plan, catalog, ExecOptions::default())
+/// Execute `plan` against `catalog` under `semantics` with the vectorized
+/// engine, materializing the result table in that semantics' encoding
+/// (plain, `ua_c` marker last, flattened AU triples) — what the row
+/// engine's `execute` / `execute_au` + `au_table` return for the same
+/// plan. The run's [`QueryStats`] come back by value next to the result:
+/// `Some` iff `opts.collect_stats`, on the error path too (a one-node
+/// error-marked tree). This is the one vectorized entry point; the
+/// session's `ExecMode::Vectorized` dispatch calls it.
+pub fn execute(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+    semantics: Semantics,
+) -> (Result<Table, EngineError>, Option<QueryStats>) {
+    if opts.collect_stats {
+        ua_obs::mem_query_start();
+    }
+    let driver = Driver::new(catalog, opts, semantics);
+    let (result, root) = match driver.stream_traced(plan) {
+        Ok((stream, stats)) => {
+            let table = driver.phase("merge", || match semantics {
+                Semantics::Ua => encoded_table_from_batches_pooled(&stream, &driver.pool),
+                // An AU stream's flattened schema is its table schema.
+                Semantics::Det | Semantics::Au => table_from_batches_pooled(&stream, &driver.pool),
+            });
+            (Ok(table), stats)
+        }
+        // A failed run still reports *something*: a one-node error-marked
+        // tree naming the failing plan's root operator.
+        Err(e) => (
+            Err(e),
+            driver.collect_stats.then(|| {
+                let mut root = driver.open_node(plan);
+                root.push_extra("error", 1);
+                root
+            }),
+        ),
+    };
+    (result, driver.finish_query_stats(root))
 }
 
-/// [`execute_vectorized`] with explicit [`ExecOptions`] (thread count /
-/// batch size).
+/// Execute `plan` under `semantics` into a batch stream (an AU stream is a
+/// stream over the flattened schema). The differential tests compare
+/// these byte for byte across thread counts and batch sizes.
+pub fn stream(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+    semantics: Semantics,
+) -> Result<BatchStream, EngineError> {
+    let driver = Driver::new(catalog, opts, semantics);
+    driver.stream_traced(plan).map(|(stream, _)| stream)
+}
+
+/// Serial, uninstrumented options at an explicit batch size — the
+/// reference configuration of the batch-boundary sweeps.
+pub(crate) fn serial_opts(batch_rows: usize) -> ExecOptions {
+    ExecOptions {
+        threads: 1,
+        batch_rows,
+        ..ExecOptions::default()
+    }
+}
+
+/// [`execute`] under deterministic semantics with default options (auto
+/// thread count). Drop-in replacement for [`ua_plan::execute`].
+pub fn execute_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
+    execute(plan, catalog, ExecOptions::default(), Semantics::Det).0
+}
+
+/// [`execute`] under deterministic semantics, result only.
 pub fn execute_vectorized_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> Result<Table, EngineError> {
-    execute_vectorized_with_stats(plan, catalog, opts).0
+    execute(plan, catalog, opts, Semantics::Det).0
 }
 
-/// [`execute_vectorized_opts`] returning the run's [`QueryStats`] by value
-/// next to the result — `Some` iff `opts.collect_stats`, on the error path
-/// too (a one-node error-marked tree). This is what the session's
-/// `ExecMode::Vectorized` dispatch calls.
+/// [`execute`] under deterministic semantics.
 pub fn execute_vectorized_with_stats(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> (Result<Table, EngineError>, Option<QueryStats>) {
-    run(plan, catalog, opts, false)
+    execute(plan, catalog, opts, Semantics::Det)
 }
 
-/// The det/UA entry point: stream `plan` through a [`Driver`] and
-/// materialize the result (`ua` = scans decode UA-encoded tables into label
-/// bitmaps and the marker column is re-attached on the way out).
-pub(crate) fn run(
+/// [`execute`] under AU semantics with default options.
+pub fn execute_au_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
+    execute(plan, catalog, ExecOptions::default(), Semantics::Au).0
+}
+
+/// [`execute`] under AU semantics, result only.
+pub fn execute_au_vectorized_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
-    ua: bool,
-) -> (Result<Table, EngineError>, Option<QueryStats>) {
-    if opts.collect_stats {
-        ua_obs::mem_query_start();
-    }
-    let driver = Driver::new(catalog, opts, ua);
-    let finish = |root| {
-        let semantics = if ua { "ua" } else { "det" };
-        finish_query_stats(&driver.pool, driver.collect_trace, root, semantics)
-    };
-    match driver.stream_traced(plan) {
-        Ok((stream, stats)) => {
-            let table = driver.phase("merge", || {
-                if ua {
-                    encoded_table_from_batches_pooled(&stream, &driver.pool)
-                } else {
-                    table_from_batches_pooled(&stream, &driver.pool)
-                }
-            });
-            (Ok(table), finish(stats))
-        }
-        // A failed run still reports *something*: a one-node error-marked
-        // tree naming the failing plan's root operator.
-        Err(e) => {
-            let root = driver.collect_stats.then(|| error_root(plan, catalog));
-            (Err(e), finish(root))
-        }
-    }
+) -> Result<Table, EngineError> {
+    execute(plan, catalog, opts, Semantics::Au).0
 }
 
-/// Execute `plan` into a batch stream with an explicit batch size, serially
-/// (the differential tests sweep batch boundaries through this and use it
-/// as the reference output for the parallel determinism property).
+/// [`execute`] under AU semantics.
+pub fn execute_au_vectorized_with_stats(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: ExecOptions,
+) -> (Result<Table, EngineError>, Option<QueryStats>) {
+    execute(plan, catalog, opts, Semantics::Au)
+}
+
+/// [`stream`] under deterministic semantics, serially at an explicit batch
+/// size.
 pub fn exec_stream(
     plan: &Plan,
     catalog: &Catalog,
     batch_rows: usize,
 ) -> Result<BatchStream, EngineError> {
-    exec_stream_opts(
-        plan,
-        catalog,
-        ExecOptions {
-            threads: 1,
-            batch_rows,
-            collect_stats: false,
-            collect_trace: false,
-        },
-    )
+    stream(plan, catalog, serial_opts(batch_rows), Semantics::Det)
 }
 
-/// [`exec_stream`] with explicit [`ExecOptions`].
+/// [`stream`] under deterministic semantics.
 pub fn exec_stream_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> Result<BatchStream, EngineError> {
-    Driver::new(catalog, opts, false).stream(plan)
+    stream(plan, catalog, opts, Semantics::Det)
 }
 
 /// Resolve a requested thread count: `0` = the `UA_VEC_THREADS`
@@ -179,7 +239,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 
 /// The marker is engine bookkeeping, not user schema: reject references so
 /// both executors fail identically (mirrors `rewrite_ua`).
-pub(crate) fn reject_marker_reference(expr: &Expr) -> Result<(), EngineError> {
+fn reject_marker_reference(expr: &Expr) -> Result<(), EngineError> {
     if expr_mentions_marker(expr) {
         Err(EngineError::Schema(SchemaError::AmbiguousColumn(
             UA_LABEL_COLUMN.to_string(),
@@ -189,29 +249,18 @@ pub(crate) fn reject_marker_reference(expr: &Expr) -> Result<(), EngineError> {
     }
 }
 
-/// Resolve `opts` into the morsel size and the (optionally instrumented)
-/// worker pool one query runs on — shared by the det/UA and AU drivers.
-pub(crate) fn morsel_setup(opts: ExecOptions) -> (usize, rayon::ThreadPool) {
-    let batch_rows = if opts.batch_rows == 0 {
-        DEFAULT_BATCH_ROWS
-    } else {
-        opts.batch_rows
-    };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(resolve_threads(opts.threads))
-        .build()
-        .expect("shim pool construction is infallible");
-    pool.set_instrumented(opts.collect_stats || opts.collect_trace);
-    pool.set_spans_recorded(opts.collect_trace);
-    (batch_rows, pool)
-}
-
-/// One query's execution context: catalog, batch size, thread pool, and
-/// whether scans decode UA-encoded tables into label bitmaps (`ua`).
+/// One query's execution context: the catalog, the morsel size, the
+/// worker pool, and the [`Semantics`] — the annotation every operator arm
+/// is parameterised by. Det batches carry `u64` multiplicities; UA scans
+/// decode encoded tables into label bitmaps that the same kernels gather
+/// and AND; AU batches are plain batches over the flattened schema (user
+/// columns, then `lb` / `ub` columns, then the multiplicity triple) whose
+/// σ / π run the range kernels and whose breakers are the AU sources in
+/// [`crate::au_exec`].
 pub(crate) struct Driver<'a> {
     catalog: &'a Catalog,
-    batch_rows: usize,
-    ua: bool,
+    pub(crate) batch_rows: usize,
+    semantics: Semantics,
     /// Collect per-stage [`OperatorStats`] (and morsel-pool metrics) next
     /// to the result. Results are byte-identical on or off.
     collect_stats: bool,
@@ -219,10 +268,10 @@ pub(crate) struct Driver<'a> {
     /// trace ring, and have the pool record per-morsel task spans for
     /// injection after the join. Results are byte-identical on or off.
     collect_trace: bool,
-    /// Live [`ua_obs::MemTracker`]s for pipeline-breaker materializations
-    /// (join build tables, sort/Top-K/aggregate outputs). Held until the
-    /// driver drops, so states that coexist during execution stack in the
-    /// query-wide memory high-water mark.
+    /// Live [`ua_obs::MemTracker`]s for det / UA pipeline-breaker
+    /// materializations (join build tables, sort/Top-K/aggregate outputs).
+    /// Held until the driver drops, so states that coexist during
+    /// execution stack in the query-wide memory high-water mark.
     mem: std::cell::RefCell<Vec<ua_obs::MemTracker>>,
     pub(crate) pool: rayon::ThreadPool,
 }
@@ -271,15 +320,38 @@ enum Stage {
         pred: Option<Expr>,
         schema: Schema,
     },
+    /// `⟦σ⟧_AU` ([`filter_batch`]); `user` is the input's user schema.
+    AuFilter {
+        pred: Expr,
+        user: Schema,
+    },
+    /// `⟦π⟧_AU` ([`map_batch`]); `user` is the input's user schema, `flat`
+    /// the output's flattened schema.
+    AuProject {
+        exprs: Vec<Expr>,
+        user: Schema,
+        flat: Schema,
+    },
 }
 
 impl<'a> Driver<'a> {
-    pub(crate) fn new(catalog: &'a Catalog, opts: ExecOptions, ua: bool) -> Driver<'a> {
-        let (batch_rows, pool) = morsel_setup(opts);
+    /// Resolve `opts` into the morsel size and the (optionally
+    /// instrumented) worker pool one query runs on.
+    fn new(catalog: &'a Catalog, opts: ExecOptions, semantics: Semantics) -> Driver<'a> {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(resolve_threads(opts.threads))
+            .build()
+            .expect("shim pool construction is infallible");
+        pool.set_instrumented(opts.collect_stats || opts.collect_trace);
+        pool.set_spans_recorded(opts.collect_trace);
         Driver {
             catalog,
-            batch_rows,
-            ua,
+            batch_rows: if opts.batch_rows == 0 {
+                DEFAULT_BATCH_ROWS
+            } else {
+                opts.batch_rows
+            },
+            semantics,
             collect_stats: opts.collect_stats,
             collect_trace: opts.collect_trace,
             mem: std::cell::RefCell::new(Vec::new()),
@@ -290,7 +362,7 @@ impl<'a> Driver<'a> {
     /// Bracket `f` in a query-phase trace span when tracing is on; a plain
     /// call otherwise. The span closes on the error path too, so exported
     /// traces stay balanced.
-    pub(crate) fn phase<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+    fn phase<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         if self.collect_trace {
             ua_obs::trace_scope(name, "vecexec", f)
         } else {
@@ -298,19 +370,14 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Charge a pipeline-breaker materialization against the query's
-    /// memory accumulator, holding the tracker until the driver drops (the
-    /// state really does live until then — probe states and breaker
-    /// outputs are owned by the running query).
+    /// Charge a det / UA pipeline-breaker materialization against the
+    /// query's memory accumulator, holding the tracker until the driver
+    /// drops (the state really does live until then — probe states and
+    /// breaker outputs are owned by the running query).
     fn track_mem(&self, bytes: u64) {
         let mut t = ua_obs::MemTracker::new();
         t.alloc(bytes);
         self.mem.borrow_mut().push(t);
-    }
-
-    /// Execute `plan` to a batch stream.
-    pub(crate) fn stream(&self, plan: &Plan) -> Result<BatchStream, EngineError> {
-        self.stream_traced(plan).map(|(s, _)| s)
     }
 
     /// Execute `plan` to a batch stream, returning the per-stage span tree
@@ -320,7 +387,7 @@ impl<'a> Driver<'a> {
     /// per-stage tallies ride next to its output batches through the same
     /// `map_in_order`, and both merge in deterministic batch-index order —
     /// tallies by summation, batches exactly as the untraced path would.
-    pub(crate) fn stream_traced(
+    fn stream_traced(
         &self,
         plan: &Plan,
     ) -> Result<(BatchStream, Option<OperatorStats>), EngineError> {
@@ -330,95 +397,96 @@ impl<'a> Driver<'a> {
         if specs.is_empty() {
             return Ok((source, source_stats));
         }
-        let (stages, out_schema, metas) =
+        let (stages, schema, metas) =
             self.phase("bind", || self.bind_stages(specs, source.schema.clone()))?;
-        if !self.collect_stats {
-            let results = self.phase("execute", || {
+        let observe = self.collect_stats.then_some(self.semantics);
+        let run = |batch: ColumnBatch| run_chain(batch, &stages, observe);
+        let results = self.phase("execute", || match self.semantics {
+            // AU morsels run on `Arc` clones, so the session thread, not
+            // the workers, frees the source after the fan-out: workers
+            // freeing the batches a σ rejects cost a 15-batch AU point
+            // lookup +9 % CPU at two threads.
+            Semantics::Au => {
+                let morsels = source.batches.iter().collect();
                 self.pool
-                    .map_in_order(source.batches, |_, batch| run_chain(batch, &stages))
-            });
-            let mut batches = Vec::new();
-            for r in results {
-                // `?` on the lowest-indexed error reproduces the serial
-                // loop's failure; later morsels' speculative work is
-                // discarded.
-                batches.extend(r?);
+                    .map_in_order(morsels, |_, b: &ColumnBatch| run(b.clone()))
             }
-            return Ok((
-                BatchStream {
-                    schema: out_schema,
-                    batches,
-                },
-                None,
-            ));
-        }
-        let n_stages = stages.len();
-        let results = self.phase("execute", || {
-            self.pool
-                .map_in_order(source.batches, |_, batch| run_chain_traced(batch, &stages))
+            // Det / UA morsels own their batch, so a consumed one is freed
+            // while the pipeline still runs (keeping the source to the end
+            // cost `join_heavy` +4.5 % peak RSS).
+            Semantics::Det | Semantics::Ua => self.pool.map_in_order(source.batches, |_, b| run(b)),
         });
         let mut batches = Vec::new();
-        let mut tallies = vec![StageTally::default(); n_stages];
+        let mut tallies = vec![StageTally::default(); metas.len()];
         for r in results {
+            // `?` on the lowest-indexed error reproduces the serial loop's
+            // failure; later morsels' speculative work is discarded.
             let (bs, ts) = r?;
             batches.extend(bs);
-            for (acc, t) in tallies.iter_mut().zip(ts) {
-                acc.merge(&t);
+            for (acc, t) in tallies.iter_mut().zip(&ts) {
+                acc.merge(t);
             }
         }
         // Wrap the source span in one node per stage, innermost (first to
         // run) deepest — the tree mirrors the executed pipeline.
-        let mut node = source_stats.expect("tracing yields source stats");
-        let metas = metas.expect("tracing yields stage metas");
-        for (meta, tally) in metas.into_iter().zip(tallies) {
-            let mut n = OperatorStats::new(meta.name, meta.detail);
-            n.est_rows = meta.est_rows;
-            n.rows_out = tally.rows_out;
-            n.batches_out = tally.batches_out;
-            n.extra = meta.extra;
-            if n.name == "HashJoin" || n.name == "Join" || n.name == "Cross" {
-                n.push_extra("probe_rows", node.rows_out);
+        let stats = source_stats.map(|mut node| {
+            for (mut meta, mut tally) in metas.into_iter().zip(tallies) {
+                if matches!(meta.name.as_str(), "HashJoin" | "Join" | "Cross") {
+                    meta.push_extra("probe_rows", node.rows_out);
+                }
+                meta.children.push(node);
+                tally.wall_ns += meta.children.iter().map(|c| c.wall_ns).sum::<u64>();
+                node = self.finish_node(meta, tally);
             }
-            if self.ua {
-                n.push_extra("certain_rows", tally.certain_rows);
-            }
-            let mut children = meta.children;
-            children.push(node);
-            n.wall_ns = tally.wall_ns + children.iter().map(|c| c.wall_ns).sum::<u64>();
-            n.children = children;
-            node = n;
-        }
-        Ok((
-            BatchStream {
-                schema: out_schema,
-                batches,
-            },
-            Some(node),
-        ))
+            node
+        });
+        Ok((BatchStream { schema, batches }, stats))
+    }
+
+    /// Execute one operator input, its span (if any) as a child list.
+    fn input(&self, plan: &Plan) -> Result<(BatchStream, Vec<OperatorStats>), EngineError> {
+        let (stream, stats) = self.stream_traced(plan)?;
+        Ok((stream, stats.into_iter().collect()))
+    }
+
+    /// Execute a binary operator's inputs, left before right; child spans
+    /// in the same order.
+    fn inputs(
+        &self,
+        left: &Plan,
+        right: &Plan,
+    ) -> Result<(BatchStream, BatchStream, Vec<OperatorStats>), EngineError> {
+        let (l, mut children) = self.input(left)?;
+        let (r, right_stats) = self.input(right)?;
+        children.extend(right_stats);
+        Ok((l, r, children))
     }
 
     /// Walk down the plan collecting pipelineable stages (top-down order),
     /// each paired with the plan node it came from (for stage labels and
     /// cardinality estimates when tracing); returns the pipeline's source
-    /// node.
+    /// node. σ, π and re-qualification pipeline under every semantics;
+    /// joins are probe stages under det / UA and sources under AU (see
+    /// [`Driver::au_hash_join`]).
     fn collect_chain<'p>(
         &self,
         plan: &'p Plan,
         specs: &mut Vec<(Spec<'p>, &'p Plan)>,
     ) -> Result<&'p Plan, EngineError> {
+        let ua = self.semantics == Semantics::Ua;
         let mut cur = plan;
         loop {
             let node = cur;
             match cur {
                 Plan::Filter { input, predicate } => {
-                    if self.ua {
+                    if ua {
                         reject_marker_reference(predicate)?;
                     }
                     specs.push((Spec::Filter(predicate), node));
                     cur = input;
                 }
                 Plan::Map { input, columns } => {
-                    if self.ua {
+                    if ua {
                         // Mirror rewrite_ua: the marker is engine-managed;
                         // projecting or referencing it explicitly is
                         // rejected.
@@ -438,6 +506,9 @@ impl<'a> Driver<'a> {
                     specs.push((Spec::Requalify(name), node));
                     cur = input;
                 }
+                Plan::HashJoin { .. } | Plan::Join { .. } if self.semantics == Semantics::Au => {
+                    return Ok(cur)
+                }
                 Plan::HashJoin {
                     left,
                     right,
@@ -445,7 +516,7 @@ impl<'a> Driver<'a> {
                     residual,
                     build_left,
                 } => {
-                    if self.ua {
+                    if ua {
                         for (kl, kr) in keys.iter() {
                             reject_marker_reference(kl)?;
                             reject_marker_reference(kr)?;
@@ -475,7 +546,7 @@ impl<'a> Driver<'a> {
                     right,
                     predicate,
                 } => {
-                    if self.ua {
+                    if ua {
                         if let Some(p) = predicate {
                             reject_marker_reference(p)?;
                         }
@@ -494,36 +565,70 @@ impl<'a> Driver<'a> {
         }
     }
 
+    /// Open `plan`'s span: its label and estimate. Bind time adds build-side
+    /// extras and children; [`Driver::finish_node`] closes it once the
+    /// operator's output tally is known (for a pipeline stage: after the
+    /// morsel tallies merge).
+    fn open_node(&self, plan: &Plan) -> OperatorStats {
+        let (name, detail) = node_label(plan);
+        let mut node = OperatorStats::new(name, detail);
+        node.est_rows = estimate_rows(plan, self.catalog);
+        node
+    }
+
+    /// A join stage's build side: execute it and, when tracing, record its
+    /// time, size and span on the stage's meta.
+    fn build_side(
+        &self,
+        plan: &Plan,
+        meta: Option<&mut OperatorStats>,
+    ) -> Result<BatchStream, EngineError> {
+        let timer = meta.is_some().then(Stopwatch::start);
+        let (build, build_stats) = self.stream_traced(plan)?;
+        if let (Some(m), Some(timer)) = (meta, timer) {
+            m.push_extra("build_ns", timer.elapsed_ns());
+            m.push_extra("build_rows", build.num_rows() as u64);
+            let bytes = stream_mem_bytes(&build);
+            self.track_mem(bytes);
+            m.push_extra("mem_bytes", bytes);
+            m.children.extend(build_stats);
+        }
+        Ok(build)
+    }
+
     /// Bind the collected stages bottom-up against the evolving schema,
     /// executing join build sides, then fuse adjacent filter pairs. When
-    /// tracing, a [`StageMeta`] per bound stage rides along (labels,
+    /// tracing, an open span per bound stage rides along (labels,
     /// estimates, build-side span trees), fused in lockstep with the
-    /// stages.
+    /// stages; untraced runs get none.
+    ///
+    /// `schema` is the *user* schema throughout. Under AU the stream
+    /// carries its flattened form (`flat`), so AU stages keep the user
+    /// schema they bound against; they never fuse, which keeps one span
+    /// per plan operator like the row interpreter's tree.
     fn bind_stages(
         &self,
         specs: Vec<(Spec<'_>, &Plan)>,
         source_schema: Schema,
-    ) -> Result<BoundStages, EngineError> {
-        let mut schema = source_schema;
+    ) -> Result<(Vec<Stage>, Schema, Vec<OperatorStats>), EngineError> {
+        let (mut schema, mut flat) = match self.semantics {
+            Semantics::Au => (user_schema(&source_schema), Some(source_schema)),
+            Semantics::Det | Semantics::Ua => (source_schema, None),
+        };
         let mut stages: Vec<Stage> = Vec::with_capacity(specs.len());
-        let mut metas: Option<Vec<StageMeta>> = self
-            .collect_stats
-            .then(|| Vec::with_capacity(stages.capacity()));
+        let mut metas: Vec<OperatorStats> = Vec::new();
         for (spec, node_plan) in specs.into_iter().rev() {
-            let mut meta = metas.as_ref().map(|_| {
-                let (name, detail) = node_label(node_plan);
-                StageMeta {
-                    name,
-                    detail,
-                    est_rows: estimate_rows(node_plan, self.catalog),
-                    extra: Vec::new(),
-                    children: Vec::new(),
-                }
-            });
+            let mut meta = self.collect_stats.then(|| self.open_node(node_plan));
             match spec {
                 Spec::Filter(p) => {
-                    let bound = p.bind(&schema).map_err(EngineError::Expr)?;
-                    stages.push(Stage::Filter(bound));
+                    let pred = p.bind(&schema).map_err(EngineError::Expr)?;
+                    stages.push(match flat {
+                        Some(_) => Stage::AuFilter {
+                            pred,
+                            user: schema.clone(),
+                        },
+                        None => Stage::Filter(pred),
+                    });
                 }
                 Spec::Project(cols) => {
                     let exprs: Vec<Expr> = cols
@@ -532,12 +637,25 @@ impl<'a> Driver<'a> {
                         .collect::<Result<_, _>>()
                         .map_err(EngineError::Expr)?;
                     let out = Schema::new(cols.iter().map(|c| c.column.clone()).collect());
-                    schema = out.clone();
-                    stages.push(Stage::Project { exprs, schema: out });
+                    let user = std::mem::replace(&mut schema, out.clone());
+                    stages.push(match &mut flat {
+                        Some(flat) => {
+                            *flat = flattened_schema(&out);
+                            Stage::AuProject {
+                                exprs,
+                                user,
+                                flat: flat.clone(),
+                            }
+                        }
+                        None => Stage::Project { exprs, schema: out },
+                    });
                 }
                 Spec::Requalify(name) => {
                     schema = schema.with_qualifier(name);
-                    stages.push(Stage::Requalify(schema.clone()));
+                    if let Some(flat) = &mut flat {
+                        *flat = flattened_schema(&schema);
+                    }
+                    stages.push(Stage::Requalify(flat.as_ref().unwrap_or(&schema).clone()));
                 }
                 Spec::HashJoin {
                     build_plan,
@@ -545,19 +663,7 @@ impl<'a> Driver<'a> {
                     residual,
                     build_left,
                 } => {
-                    let build_timer = meta.as_ref().map(|_| Stopwatch::start());
-                    let (build, build_stats) = self.stream_traced(build_plan)?;
-                    if let (Some(m), Some(timer)) = (meta.as_mut(), build_timer) {
-                        m.extra.push(("build_ns".into(), timer.elapsed_ns()));
-                        m.extra.push((
-                            "build_rows".into(),
-                            build.batches.iter().map(|b| b.len() as u64).sum(),
-                        ));
-                        let bytes = stream_mem_bytes(&build);
-                        self.track_mem(bytes);
-                        m.extra.push(("mem_bytes".into(), bytes));
-                        m.children.extend(build_stats);
-                    }
+                    let build = self.build_side(build_plan, meta.as_mut())?;
                     let (left_schema, right_schema) = if build_left {
                         (build.schema.clone(), schema.clone())
                     } else {
@@ -576,26 +682,12 @@ impl<'a> Driver<'a> {
                     stages.push(Stage::Probe(state));
                 }
                 Spec::Theta { right, predicate } => {
-                    let build_timer = meta.as_ref().map(|_| Stopwatch::start());
-                    let (right_stream, right_stats) = self.stream_traced(right)?;
-                    if let (Some(m), Some(timer)) = (meta.as_mut(), build_timer) {
-                        m.extra.push(("build_ns".into(), timer.elapsed_ns()));
-                        m.extra.push((
-                            "build_rows".into(),
-                            right_stream.batches.iter().map(|b| b.len() as u64).sum(),
-                        ));
-                        let bytes = stream_mem_bytes(&right_stream);
-                        self.track_mem(bytes);
-                        m.extra.push(("mem_bytes".into(), bytes));
-                        m.children.extend(right_stats);
-                    }
+                    let right_stream = self.build_side(right, meta.as_mut())?;
                     let out_schema = schema.concat(&right_stream.schema);
                     let bound = predicate
                         .map(|p| p.bind(&out_schema))
                         .transpose()
                         .map_err(EngineError::Expr)?;
-                    // The strategy decision is ops::theta_strategy — the
-                    // same single copy the standalone ops::join uses.
                     match ops::theta_strategy(
                         right_stream,
                         bound.as_ref(),
@@ -615,44 +707,70 @@ impl<'a> Driver<'a> {
                     schema = out_schema;
                 }
             }
-            if let (Some(ms), Some(m)) = (metas.as_mut(), meta) {
-                ms.push(m);
-            }
+            metas.extend(meta);
         }
         let (stages, metas) = fuse_stages(stages, metas);
-        Ok((stages, schema, metas))
+        Ok((stages, flat.unwrap_or(schema), metas))
     }
 
     /// Execute a pipeline source / breaker node, with its span when
-    /// tracing.
+    /// tracing. Scan, δ, γ, `−`, `⟕` and — under AU — both joins pick
+    /// their implementation by semantics; Sort / Top-K / Limit / ∪ are the
+    /// same columnar operators for all three (the flattened AU row layout
+    /// *is* the AU sort tie-break order, so [`ops::sort`] and
+    /// [`ops::top_k`] reproduce `ua_ranges::ops::sort_by_bg` + `limit`
+    /// byte for byte).
     fn source_traced(
         &self,
         plan: &Plan,
     ) -> Result<(BatchStream, Option<OperatorStats>), EngineError> {
         let timer = self.collect_stats.then(Stopwatch::start);
+        let semantics = self.semantics;
+        let (ua, au) = (semantics == Semantics::Ua, semantics == Semantics::Au);
+        // AU hash-⋈ candidate pairs refined row-wise.
+        let mut rowwise = 0;
         let (stream, children) = match plan {
             Plan::Scan(name) => {
                 let table = self
                     .catalog
                     .get(name)
                     .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-                let stream = if self.ua {
-                    batches_from_encoded_table_pooled(&table, name, self.batch_rows, &self.pool)?
-                } else {
-                    batches_from_table_pooled(&table, self.batch_rows, &self.pool)
+                let stream = match semantics {
+                    Semantics::Det => {
+                        batches_from_table_pooled(&table, self.batch_rows, &self.pool)
+                    }
+                    Semantics::Ua => batches_from_encoded_table_pooled(
+                        &table,
+                        name,
+                        self.batch_rows,
+                        &self.pool,
+                    )?,
+                    Semantics::Au => self.au_scan(&table)?,
                 };
                 (stream, Vec::new())
             }
             Plan::UnionAll { left, right } => {
-                let (l, ls) = self.stream_traced(left)?;
-                let (r, rs) = self.stream_traced(right)?;
-                let children = ls.into_iter().chain(rs).collect();
+                let (l, r, children) = self.inputs(left, right)?;
+                if au {
+                    // The row engine's check and error speak of the *user*
+                    // arities, not the flattened ones.
+                    user_schema(&l.schema)
+                        .check_union_compatible(&user_schema(&r.schema))
+                        .map_err(EngineError::Schema)?;
+                }
                 (ops::union_all(l, r)?, children)
             }
+            // Under AU, difference, outer join and the cross-family hash
+            // join route through the shared bound-combination operators in
+            // `ua_ranges::ops` (the single copy the row interpreter
+            // dispatches through `au_binary`), so the engines cannot
+            // diverge on the `[lb, bg, ub]` arithmetic.
+            Plan::Except { left, right, .. } | Plan::OuterJoin { left, right, .. } if au => {
+                let (l, r, children) = self.inputs(left, right)?;
+                (self.au_binary(plan, &l, &r)?, children)
+            }
             Plan::Except { left, right, all } => {
-                let (l, ls) = self.stream_traced(left)?;
-                let (r, rs) = self.stream_traced(right)?;
-                let children = ls.into_iter().chain(rs).collect();
+                let (l, r, children) = self.inputs(left, right)?;
                 (ops::except(l, r, *all)?, children)
             }
             Plan::OuterJoin {
@@ -661,14 +779,12 @@ impl<'a> Driver<'a> {
                 predicate,
                 kind,
             } => {
-                if self.ua {
+                if ua {
                     if let Some(p) = predicate {
                         reject_marker_reference(p)?;
                     }
                 }
-                let (l, ls) = self.stream_traced(left)?;
-                let (r, rs) = self.stream_traced(right)?;
-                let children = ls.into_iter().chain(rs).collect();
+                let (l, r, children) = self.inputs(left, right)?;
                 (
                     ops::outer_join(
                         l,
@@ -680,51 +796,57 @@ impl<'a> Driver<'a> {
                     children,
                 )
             }
-            Plan::Sort { input, keys } => {
-                if self.ua {
+            Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
+                if ua {
                     for (k, _) in keys {
                         reject_marker_reference(k)?;
                     }
                 }
-                let (stream, child) = self.stream_traced(input)?;
-                (
-                    ops::sort(stream, keys, self.batch_rows)?,
-                    child.into_iter().collect(),
-                )
-            }
-            Plan::TopK { input, keys, limit } => {
-                if self.ua {
-                    for (k, _) in keys {
-                        reject_marker_reference(k)?;
-                    }
-                }
-                let (stream, child) = self.stream_traced(input)?;
-                (
-                    ops::top_k(stream, keys, *limit, self.batch_rows)?,
-                    child.into_iter().collect(),
-                )
+                let (stream, child) = self.input(input)?;
+                let sorted = match plan {
+                    Plan::TopK { limit, .. } => ops::top_k(stream, keys, *limit, self.batch_rows),
+                    _ => ops::sort(stream, keys, self.batch_rows),
+                };
+                (sorted?, child)
             }
             Plan::Limit { input, limit } => {
-                let (stream, child) = self.stream_traced(input)?;
-                (ops::limit(stream, *limit), child.into_iter().collect())
+                let (stream, child) = self.input(input)?;
+                (ops::limit(stream, *limit), child)
             }
-            Plan::Distinct { input } if !self.ua => {
-                let (stream, child) = self.stream_traced(input)?;
-                (ops::distinct(stream), child.into_iter().collect())
+            Plan::Distinct { .. } | Plan::Aggregate { .. } if ua => {
+                return Err(EngineError::Sql(ua_plan::UA_FRAGMENT_ERROR.into()))
+            }
+            Plan::Distinct { input } => {
+                let (stream, child) = self.input(input)?;
+                let distinct = if au {
+                    self.au_distinct(&stream)
+                } else {
+                    ops::distinct(stream)
+                };
+                (distinct, child)
             }
             Plan::Aggregate {
                 input,
                 group_by,
                 aggregates,
-            } if !self.ua => {
-                let (stream, child) = self.stream_traced(input)?;
-                (
-                    ops::aggregate_pooled(stream, group_by, aggregates, &self.pool)?,
-                    child.into_iter().collect(),
-                )
+            } => {
+                let (stream, child) = self.input(input)?;
+                let grouped = if au {
+                    self.au_aggregate(&stream, group_by, aggregates)
+                } else {
+                    ops::aggregate_pooled(stream, group_by, aggregates, &self.pool)
+                };
+                (grouped?, child)
             }
-            Plan::Distinct { .. } | Plan::Aggregate { .. } => {
-                return Err(EngineError::Sql(ua_plan::UA_FRAGMENT_ERROR.into()))
+            Plan::Join { left, right, .. } if au => {
+                let (l, r, children) = self.inputs(left, right)?;
+                (self.au_block_join(plan, &l, &r)?, children)
+            }
+            Plan::HashJoin { left, right, .. } if au => {
+                let (l, r, children) = self.inputs(left, right)?;
+                let (joined, pairs) = self.au_hash_join(plan, &l, &r)?;
+                rowwise = pairs;
+                (joined, children)
             }
             Plan::Filter { .. }
             | Plan::Map { .. }
@@ -734,11 +856,14 @@ impl<'a> Driver<'a> {
                 unreachable!("pipelineable nodes are collected into the chain")
             }
         };
-        // Pipeline breakers hold their whole output (and their build
-        // state) materialized at once — charge that against the query's
-        // memory accumulator and surface it on the span. Scans charge
-        // nothing: base-table batches share the catalog's storage.
+        // Det / UA pipeline breakers hold their whole output (and their
+        // build state) materialized at once — charge that against the
+        // query's memory accumulator and surface it on the span. Scans
+        // charge nothing: base-table batches share the catalog's storage.
+        // (AU spans charge and release every operator's output, see
+        // [`Driver::finish_node`].)
         let breaker_bytes = (self.collect_stats
+            && !au
             && matches!(
                 plan,
                 Plan::Sort { .. }
@@ -755,29 +880,87 @@ impl<'a> Driver<'a> {
         let stats = timer.map(|timer| {
             // `timer` spans children too, so the elapsed time is already
             // cumulative — exactly the [`OperatorStats::wall_ns`] contract.
-            let (name, detail) = node_label(plan);
-            let mut node = OperatorStats::new(name, detail);
-            node.est_rows = estimate_rows(plan, self.catalog);
-            node.rows_out = stream.batches.iter().map(|b| b.len() as u64).sum();
-            node.batches_out = stream.batches.len() as u64;
-            node.wall_ns = timer.elapsed_ns();
-            if let Some(bytes) = breaker_bytes {
-                node.push_extra("mem_bytes", bytes);
-            }
-            if self.ua {
-                node.push_extra(
-                    "certain_rows",
-                    stream
-                        .batches
-                        .iter()
-                        .map(|b| b.labels().count_ones() as u64)
-                        .sum::<u64>(),
-                );
-            }
+            let mut tally = StageTally {
+                wall_ns: timer.elapsed_ns(),
+                rowwise,
+                ..StageTally::default()
+            };
+            tally.observe(&stream.batches, semantics);
+            let mut node = self.open_node(plan);
+            node.extra
+                .extend(breaker_bytes.map(|bytes| ("mem_bytes".into(), bytes)));
             node.children = children;
-            node
+            self.finish_node(node, tally)
         });
         Ok((stream, stats))
+    }
+
+    /// Close the span of a finished operator — pipeline stage or source —
+    /// with its output tally (`tally.wall_ns` already cumulative): the one
+    /// place a finished operator's figures are written. The per-semantics
+    /// telemetry goes on here: UA certain-label counts; under AU the
+    /// bound-precision profile the row interpreter records
+    /// ([`WidthSummary`]: which operator widened bounds toward ⊤, and by
+    /// how much), the output's logical bytes, and how much of a σ /
+    /// hash-⋈ paid the per-row price of uncertainty. AU charges each
+    /// operator's output against the query memory accumulator and releases
+    /// it with the span, so the query peak is the largest single operator
+    /// — the row AU interpreter's rule.
+    fn finish_node(&self, mut node: OperatorStats, tally: StageTally) -> OperatorStats {
+        node.rows_out = tally.rows_out;
+        node.batches_out = tally.batches_out;
+        node.wall_ns = tally.wall_ns;
+        match self.semantics {
+            Semantics::Det => {}
+            Semantics::Ua => node.push_extra("certain_rows", tally.certain_rows),
+            Semantics::Au => {
+                let ws = &tally.width;
+                node.push_extra("certain_rows", ws.certain_rows);
+                node.push_extra("top_attrs_permille", ws.top_attr_permille());
+                node.push_extra("rel_width_permille", ws.mean_rel_width_permille());
+                node.push_extra("mult_spread", ws.mult_spread);
+                ua_obs::MemTracker::new().alloc(tally.mem_bytes);
+                node.push_extra("mem_bytes", tally.mem_bytes);
+                match node.name.as_str() {
+                    "Filter" => node.push_extra("rowwise_rows", tally.rowwise),
+                    "HashJoin" => node.push_extra("rowwise_pairs", tally.rowwise),
+                    _ => {}
+                }
+            }
+        }
+        node
+    }
+
+    /// Close an instrumented run into its [`QueryStats`]: replay morsel spans
+    /// *before* `take_metrics` drains the shared pool state, and disarm the
+    /// memory accumulator unconditionally so an uninstrumented (or failed)
+    /// follow-up query starts clean.
+    fn finish_query_stats(&self, root: Option<OperatorStats>) -> Option<QueryStats> {
+        if self.collect_trace {
+            inject_pool_spans(&self.pool);
+        }
+        let peak_mem_bytes = ua_obs::mem_query_finish().unwrap_or(0);
+        let root = root?;
+        let m = self.pool.take_metrics();
+        let pool_stats = PoolStats {
+            workers: m.workers as u64,
+            tasks: m.tasks,
+            stolen: m.stolen,
+            wall_ns: m.wall_ns,
+            merge_ns: m.merge_ns,
+            worker_busy_ns: m.worker_busy_ns,
+            worker_tasks: m.worker_tasks,
+            build_tasks: m.build_tasks,
+            build_wall_ns: m.build_wall_ns,
+            partition_merge_ns: m.partition_merge_ns,
+        };
+        Some(QueryStats {
+            engine: "vectorized".into(),
+            semantics: self.semantics.name().into(),
+            root,
+            pool: Some(pool_stats),
+            peak_mem_bytes,
+        })
     }
 }
 
@@ -787,7 +970,7 @@ impl<'a> Driver<'a> {
 /// the figure depends only on logical shape, never on allocator layout,
 /// batch size or thread count, so `mem_bytes` columns are comparable
 /// across both engines and stable under the determinism grid.
-pub(crate) fn batch_mem_bytes(batch: &ColumnBatch) -> u64 {
+fn batch_mem_bytes(batch: &ColumnBatch) -> u64 {
     let mut bytes = 8 * batch.len() as u64;
     for c in 0..batch.schema().arity() {
         bytes += column_mem_bytes(batch.column(c));
@@ -810,14 +993,14 @@ pub(crate) fn column_mem_bytes(col: &crate::columnar::ColumnVec) -> u64 {
 
 /// [`batch_mem_bytes`] summed over a stream — the logical footprint of a
 /// fully materialized pipeline-breaker output or join build side.
-pub(crate) fn stream_mem_bytes(stream: &BatchStream) -> u64 {
+fn stream_mem_bytes(stream: &BatchStream) -> u64 {
     stream.batches.iter().map(batch_mem_bytes).sum()
 }
 
 /// Replay the pool's recorded per-morsel task spans onto the session
 /// thread's trace ring (`morsel N` / `build N`, category `pool`, tid
 /// `1 + worker`), then drop them. No-op when no trace ring is armed.
-pub(crate) fn inject_pool_spans(pool: &rayon::ThreadPool) {
+fn inject_pool_spans(pool: &rayon::ThreadPool) {
     for s in pool.take_spans() {
         if let Some(ts) = ua_obs::trace_ns_of(s.start) {
             let dur = s.end.saturating_duration_since(s.start).as_nanos() as u64;
@@ -833,118 +1016,78 @@ pub(crate) fn inject_pool_spans(pool: &rayon::ThreadPool) {
     }
 }
 
-/// Close an instrumented run into its [`QueryStats`], shared by the
-/// det/UA driver and the AU driver: replay morsel spans *before*
-/// `take_metrics` drains the shared pool state, and disarm the memory
-/// accumulator unconditionally so an uninstrumented (or failed) follow-up
-/// query starts clean.
-pub(crate) fn finish_query_stats(
-    pool: &rayon::ThreadPool,
-    collect_trace: bool,
-    root: Option<OperatorStats>,
-    semantics: &str,
-) -> Option<QueryStats> {
-    if collect_trace {
-        inject_pool_spans(pool);
-    }
-    let peak_mem_bytes = ua_obs::mem_query_finish().unwrap_or(0);
-    let root = root?;
-    let m = pool.take_metrics();
-    let pool_stats = PoolStats {
-        workers: m.workers as u64,
-        tasks: m.tasks,
-        stolen: m.stolen,
-        wall_ns: m.wall_ns,
-        merge_ns: m.merge_ns,
-        worker_busy_ns: m.worker_busy_ns,
-        worker_tasks: m.worker_tasks,
-        build_tasks: m.build_tasks,
-        build_wall_ns: m.build_wall_ns,
-        partition_merge_ns: m.partition_merge_ns,
-    };
-    Some(QueryStats {
-        engine: "vectorized".into(),
-        semantics: semantics.into(),
-        root,
-        pool: Some(pool_stats),
-        peak_mem_bytes,
-    })
-}
-
-/// A one-node stats tree for a failed query: the plan root's label with
-/// an `error` marker, the shape the entry points return so EXPLAIN ANALYZE
-/// can say *which* query died.
-pub(crate) fn error_root(plan: &Plan, catalog: &Catalog) -> OperatorStats {
-    let (name, detail) = node_label(plan);
-    let mut node = OperatorStats::new(name, detail);
-    node.est_rows = estimate_rows(plan, catalog);
-    node.push_extra("error", 1);
-    node
-}
-
-/// Bound pipeline stages, the schema they produce, and (when tracing)
-/// their [`StageMeta`] companions.
-type BoundStages = (Vec<Stage>, Schema, Option<Vec<StageMeta>>);
-
-/// Labels, estimates and child spans for one bound pipeline stage,
-/// assembled into [`OperatorStats`] after the morsel tallies merge.
-struct StageMeta {
-    name: String,
-    detail: String,
-    est_rows: Option<u64>,
-    extra: Vec<(String, u64)>,
-    children: Vec<OperatorStats>,
-}
-
-/// Per-stage output tallies for one morsel's run through the chain,
-/// summed across morsels in batch-index order.
+/// One operator's output tally. A pipeline stage's is taken per morsel and
+/// summed across morsels in batch-index order; every field is integral and
+/// summation is order-insensitive, so the merged figures are deterministic
+/// across thread counts and batch sizes.
 #[derive(Clone, Default)]
 struct StageTally {
     rows_out: u64,
     batches_out: u64,
     wall_ns: u64,
-    /// Output rows whose UA label bit is set (certain rows). Summation is
-    /// order-independent, so the merged figure is deterministic across
-    /// thread counts; only surfaced on UA runs (deterministic batches
-    /// carry all-certain labels by construction).
+    /// UA: output rows whose label bit is set.
     certain_rows: u64,
+    /// AU: the output's bound-precision profile.
+    width: WidthSummary,
+    /// AU: the output's logical bytes.
+    mem_bytes: u64,
+    /// AU: σ input rows / hash-⋈ candidate pairs that left the columnar
+    /// kernels for the per-row range evaluator.
+    rowwise: u64,
 }
 
 impl StageTally {
+    /// Count an operator's output batches in, with the telemetry
+    /// `semantics` calls for.
+    fn observe(&mut self, out: &[ColumnBatch], semantics: Semantics) {
+        self.batches_out += out.len() as u64;
+        for b in out {
+            self.rows_out += b.len() as u64;
+            match semantics {
+                Semantics::Det => {}
+                Semantics::Ua => self.certain_rows += b.labels().count_ones() as u64,
+                Semantics::Au => {
+                    au_exec::observe_width(b, &mut self.width);
+                    self.mem_bytes += au_exec::batch_mem_bytes(b);
+                }
+            }
+        }
+    }
+
     fn merge(&mut self, other: &StageTally) {
         self.rows_out += other.rows_out;
         self.batches_out += other.batches_out;
         self.wall_ns += other.wall_ns;
         self.certain_rows += other.certain_rows;
+        self.width.merge(&other.width);
+        self.mem_bytes += other.mem_bytes;
+        self.rowwise += other.rowwise;
     }
 }
 
 /// Fuse adjacent `Filter→Project` / `Filter→Probe` stage pairs so the
-/// selection bitmap is consumed in the same pass it is produced. Stage
-/// metas (when tracing) fuse in lockstep: the merged span keeps the
-/// consumer's label with the filter's predicate folded into its detail,
-/// so the tree mirrors the kernels that actually ran.
-fn fuse_stages(
-    stages: Vec<Stage>,
-    metas: Option<Vec<StageMeta>>,
-) -> (Vec<Stage>, Option<Vec<StageMeta>>) {
-    let tracing = metas.is_some();
-    let mut metas = metas.unwrap_or_default().into_iter();
+/// selection bitmap is consumed in the same pass it is produced. The
+/// stages' open spans (one per stage when tracing, none otherwise) fuse in
+/// lockstep: the merged span keeps the consumer's label with the filter's
+/// predicate folded into its detail, so the tree mirrors the kernels that
+/// actually ran.
+fn fuse_stages(stages: Vec<Stage>, metas: Vec<OperatorStats>) -> (Vec<Stage>, Vec<OperatorStats>) {
+    let mut metas = metas.into_iter();
     let mut out: Vec<Stage> = Vec::with_capacity(stages.len());
-    let mut out_metas: Vec<StageMeta> = Vec::new();
-    let fuse_meta = |out_metas: &mut Vec<StageMeta>, meta: Option<StageMeta>| {
+    let mut out_metas: Vec<OperatorStats> = Vec::new();
+    let fuse_meta = |out_metas: &mut Vec<OperatorStats>, meta: Option<OperatorStats>| {
         if let (Some(filter), Some(mut consumer)) = (out_metas.pop(), meta) {
             consumer.detail = if consumer.detail.is_empty() {
                 format!("σ[{}]", filter.detail)
             } else {
                 format!("{}; σ[{}]", consumer.detail, filter.detail)
             };
-            consumer.extra.push(("fused_filter".into(), 1));
+            consumer.push_extra("fused_filter", 1);
             out_metas.push(consumer);
         }
     };
     for stage in stages {
-        let meta = if tracing { metas.next() } else { None };
+        let meta = metas.next();
         match (out.pop(), stage) {
             (Some(Stage::Filter(pred)), Stage::Project { exprs, schema }) => {
                 out.push(Stage::FilterProject {
@@ -959,78 +1102,60 @@ fn fuse_stages(
                 fuse_meta(&mut out_metas, meta);
             }
             (prev, stage) => {
-                if let Some(p) = prev {
-                    out.push(p);
-                }
+                out.extend(prev);
                 out.push(stage);
-                if let Some(m) = meta {
-                    out_metas.push(m);
-                }
+                out_metas.extend(meta);
             }
         }
     }
-    (out, tracing.then_some(out_metas))
+    (out, out_metas)
 }
 
 /// Run one morsel through the stage chain. Pure function of the input
-/// batch — the parallel driver's determinism rests on this.
-fn run_chain(batch: ColumnBatch, stages: &[Stage]) -> Result<Vec<ColumnBatch>, EngineError> {
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut cur = vec![batch];
-    for stage in stages {
-        let mut next = Vec::new();
-        for b in cur {
-            apply_stage(stage, b, &mut next)?;
-        }
-        if next.is_empty() {
-            return Ok(next);
-        }
-        cur = next;
-    }
-    Ok(cur)
-}
-
-/// [`run_chain`] plus a per-stage [`StageTally`] — the instrumented morsel
-/// run. Stats ride *next to* the batches; the batches themselves are what
-/// `run_chain` would produce, bit for bit.
-fn run_chain_traced(
+/// batch — the parallel driver's determinism rests on this. With
+/// `observe`, a per-stage [`StageTally`] rides *next to* the batches (an
+/// empty list otherwise); the batches themselves are bit for bit what the
+/// unobserved run produces.
+fn run_chain(
     batch: ColumnBatch,
     stages: &[Stage],
+    observe: Option<Semantics>,
 ) -> Result<(Vec<ColumnBatch>, Vec<StageTally>), EngineError> {
-    let mut tallies = vec![StageTally::default(); stages.len()];
-    if batch.is_empty() {
-        return Ok((Vec::new(), tallies));
-    }
-    let mut cur = vec![batch];
+    let mut tallies = vec![StageTally::default(); observe.map_or(0, |_| stages.len())];
+    let mut cur = if batch.is_empty() {
+        Vec::new()
+    } else {
+        vec![batch]
+    };
     for (i, stage) in stages.iter().enumerate() {
-        let timer = Stopwatch::start();
-        let mut next = Vec::new();
-        for b in cur {
-            apply_stage(stage, b, &mut next)?;
+        if cur.is_empty() {
+            break;
         }
-        let t = &mut tallies[i];
-        t.wall_ns += timer.elapsed_ns();
-        t.rows_out += next.iter().map(|b| b.len() as u64).sum::<u64>();
-        t.batches_out += next.len() as u64;
-        t.certain_rows += next
-            .iter()
-            .map(|b| b.labels().count_ones() as u64)
-            .sum::<u64>();
-        if next.is_empty() {
-            return Ok((next, tallies));
+        let timer = observe.map(|_| Stopwatch::start());
+        let mut next = Vec::new();
+        let mut rowwise = 0;
+        for b in cur {
+            rowwise += apply_stage(stage, b, &mut next)?;
+        }
+        if let (Some(semantics), Some(timer)) = (observe, timer) {
+            let t = &mut tallies[i];
+            t.wall_ns = timer.elapsed_ns();
+            t.rowwise = rowwise;
+            t.observe(&next, semantics);
         }
         cur = next;
     }
     Ok((cur, tallies))
 }
 
+/// Apply one stage to one batch, appending its output batches to `out`.
+/// Returns how many input rows took the AU per-row range path (always 0
+/// outside `⟦σ⟧_AU`).
 fn apply_stage(
     stage: &Stage,
     batch: ColumnBatch,
     out: &mut Vec<ColumnBatch>,
-) -> Result<(), EngineError> {
+) -> Result<u64, EngineError> {
     match stage {
         Stage::Filter(pred) => match filter_selection(pred, &batch)? {
             None => out.push(batch),
@@ -1050,29 +1175,26 @@ fn apply_stage(
             Some(sel) => out.push(project_selected(&batch, Some(&sel), exprs, schema)?),
         },
         Stage::Requalify(schema) => out.push(batch.with_schema(schema.clone())),
-        Stage::Probe(probe) => {
-            if let Some(joined) = probe.probe(&batch, None)? {
-                out.push(joined);
-            }
-        }
+        Stage::Probe(probe) => out.extend(probe.probe(&batch, None)?),
         Stage::FilterProbe { pred, probe } => match filter_selection(pred, &batch)? {
-            None => {
-                if let Some(joined) = probe.probe(&batch, None)? {
-                    out.push(joined);
-                }
-            }
+            None => out.extend(probe.probe(&batch, None)?),
             Some(sel) if sel.is_empty() => {}
-            Some(sel) => {
-                if let Some(joined) = probe.probe(&batch, Some(&sel))? {
-                    out.push(joined);
-                }
-            }
+            Some(sel) => out.extend(probe.probe(&batch, Some(&sel))?),
         },
         Stage::NestedLoop {
             chunk,
             pred,
             schema,
         } => ops::nested_loop_batch(&batch, chunk, pred.as_ref(), schema, out)?,
+        Stage::AuFilter { pred, user } => {
+            let (kept, rowwise) = filter_batch(&batch, pred, user, batch.schema(), user.arity())?;
+            out.extend(kept);
+            au_exec::count_rowwise("au.vec.rowwise.filter_rows", rowwise);
+            return Ok(rowwise);
+        }
+        Stage::AuProject { exprs, user, flat } => {
+            out.push(map_batch(&batch, exprs, user, flat, user.arity())?);
+        }
     }
-    Ok(())
+    Ok(0)
 }

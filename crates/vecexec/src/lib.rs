@@ -13,35 +13,44 @@
 //! * [`bitmap`] — packed bitmaps for predicate masks and label vectors;
 //! * [`columnar`] — [`columnar::ColumnBatch`], typed
 //!   [`columnar::ColumnVec`]s, and lossless converters to/from
-//!   [`ua_plan::Table`] and [`ua_data::Relation`]`<u64>`;
+//!   [`ua_plan::Table`] and [`ua_data::Relation`]`<u64>` (one per
+//!   direction and encoding; the serial forms run the pooled ones inline);
 //! * [`kernels`] — vectorized expression/predicate evaluation, bit-exact
 //!   with the row engine's scalar `Expr` evaluator, plus the fused
-//!   selection-consuming kernels (σ→π, σ→probe);
-//! * [`ops`] — the operators (filter, project, hash/nested-loop join,
-//!   union, distinct, aggregate, columnar sort, fused Top-K, limit),
-//!   order-compatible with the row executor;
-//! * [`exec`] — the morsel-driven plan driver ([`execute_vectorized`]):
-//!   per-batch pipelines run on a work-stealing thread pool (offline
-//!   `rayon` shim) and merge in deterministic batch-index order, so
-//!   parallel output is byte-identical to serial;
-//! * [`ua`] — the UA path ([`execute_ua_vectorized`]): `⟦·⟧_UA` realized as
-//!   bitmap propagation instead of plan rewriting, sharing the same
-//!   parallel driver (Sort/Limit/Top-K included — no row-engine fallback).
+//!   selection-consuming kernels (σ→π, σ→probe) and the three-valued
+//!   range-truth kernel AU σ uses;
+//! * [`ops`] — the stream operators (union, difference, outer join,
+//!   distinct, aggregate, columnar sort, fused Top-K, limit) and the hash
+//!   / nested-loop join state the pipeline probes, order-compatible with
+//!   the row executor;
+//! * [`exec`] — **the** morsel-driven plan driver and the one entry point
+//!   [`execute`]: a single plan walk, pipeline, stats assembler and result
+//!   materialisation for deterministic, UA and AU semantics, selected by
+//!   [`ua_plan::Semantics`]. Per-batch pipelines run on a work-stealing
+//!   thread pool (offline `rayon` shim) and merge in deterministic
+//!   batch-index order, so parallel output is byte-identical to serial;
+//! * [`ua`] — what `⟦·⟧_UA` means on this engine (label bitmaps instead of
+//!   plan rewriting) and the UA stream entry points;
+//! * [`au_exec`] — the AU range kernels the driver's σ / π stages call and
+//!   the AU sources (scan, γ, δ, joins, `−`, `⟕`) it runs as pipeline
+//!   breakers.
 //!
-//! ## Opting in
+//! ## Choosing the executor
 //!
-//! `ua-engine`'s `UaSession` calls this crate directly; selecting the
-//! executor is the whole opt-in:
+//! `ua-engine`'s `UaSession` calls this crate directly and uses it by
+//! default; the row interpreter stays selectable as the oracle:
 //!
 //! ```
 //! let session = ua_engine::UaSession::new();
-//! session.set_exec_mode(ua_engine::ExecMode::Vectorized);
-//! // session.query_det(...) / query_ua(...) / query_au(...) now run vectorized.
+//! assert_eq!(session.exec_mode(), ua_engine::ExecMode::Vectorized);
+//! // session.query_det(...) / query_ua(...) / query_au(...) run vectorized.
+//! session.set_exec_mode(ua_engine::ExecMode::Row);
 //! ```
 //!
-//! Without a session, call [`execute_vectorized`], [`execute_ua_vectorized`]
-//! or [`execute_au_vectorized`] on a plan and a catalog; the `*_with_stats`
-//! variants return the run's [`ua_obs::QueryStats`] next to the result.
+//! Without a session, call [`execute`] on a plan, a catalog, the options
+//! and the semantics; it returns the run's [`ua_obs::QueryStats`] next to
+//! the result. [`execute_vectorized`] / [`execute_au_vectorized`] and
+//! their `_opts` / `_with_stats` forms forward to it.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,21 +63,17 @@ pub mod kernels;
 pub mod ops;
 pub mod ua;
 
-pub use au_exec::{
-    execute_au_vectorized, execute_au_vectorized_opts, execute_au_vectorized_with_stats,
-};
 pub use columnar::{
     batches_from_relation, batches_from_table, batches_from_table_pooled, relation_from_batches,
     table_from_batches, table_from_batches_pooled, BatchStream, ColumnBatch, ColumnVec,
     DEFAULT_BATCH_ROWS,
 };
 pub use exec::{
-    exec_stream, execute_vectorized, execute_vectorized_opts, execute_vectorized_with_stats,
-    resolve_threads,
+    exec_stream, execute, execute_au_vectorized, execute_au_vectorized_opts,
+    execute_au_vectorized_with_stats, execute_vectorized, execute_vectorized_opts,
+    execute_vectorized_with_stats, resolve_threads,
 };
-pub use ua::{
-    execute_ua_vectorized, execute_ua_vectorized_opts, execute_ua_vectorized_with_stats, ua_stream,
-};
+pub use ua::ua_stream;
 
 /// Does nothing. Sessions call this crate directly, so there is nothing to
 /// register; the function only remains because the `spine` benchmark adapter

@@ -39,49 +39,6 @@ fn partition_hash<K: Hash + ?Sized>(key: &K) -> u64 {
 /// entry list lives, never its contents or order.
 const PARALLEL_BUILD_MIN_ROWS: usize = 4096;
 
-/// σ — keep rows whose (bound) predicate is certainly true. Delegates to
-/// the same selection kernel the morsel pipeline's filter stage consumes,
-/// so standalone and pipelined filtering cannot diverge.
-pub fn filter(input: BatchStream, predicate: &Expr) -> Result<BatchStream, EngineError> {
-    let bound = predicate.bind(&input.schema).map_err(EngineError::Expr)?;
-    let mut batches = Vec::with_capacity(input.batches.len());
-    for batch in input.batches {
-        if batch.is_empty() {
-            continue;
-        }
-        match crate::kernels::filter_selection(&bound, &batch)? {
-            None => batches.push(batch),
-            Some(sel) if sel.is_empty() => {}
-            Some(sel) => batches.push(batch.gather(&sel)),
-        }
-    }
-    Ok(BatchStream {
-        schema: input.schema,
-        batches,
-    })
-}
-
-/// π — evaluate output expressions per batch; labels and multiplicities are
-/// carried through unchanged (the `⟦·⟧_UA` projection rule keeps each row
-/// copy's own marker). Delegates to the pipeline's projection kernel.
-pub fn project(input: BatchStream, columns: &[ProjColumn]) -> Result<BatchStream, EngineError> {
-    let bound: Vec<Expr> = columns
-        .iter()
-        .map(|c| c.expr.bind(&input.schema))
-        .collect::<Result<_, _>>()
-        .map_err(EngineError::Expr)?;
-    let out_schema = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
-    let batches = input
-        .batches
-        .iter()
-        .map(|batch| crate::kernels::project_selected(batch, None, &bound, &out_schema))
-        .collect::<Result<_, _>>()?;
-    Ok(BatchStream {
-        schema: out_schema,
-        batches,
-    })
-}
-
 /// Bag union — batches concatenate (annotations add by rows standing next
 /// to each other; the left schema wins, as in the row engine).
 pub fn union_all(left: BatchStream, right: BatchStream) -> Result<BatchStream, EngineError> {
@@ -520,12 +477,10 @@ impl ProbeState {
     }
 }
 
-/// The θ-join strategy decision — THE single copy of it: the pipeline
-/// driver's `Theta` stage and the standalone [`join`] operator both route
-/// through here, so the two paths can never make different choices. With
+/// The θ-join strategy decision, mirroring the row executor exactly: with
 /// extractable equi-keys in the bound predicate, the right side builds a
-/// [`ProbeState`] (residual kept); otherwise the right side chunks for
-/// nested loops.
+/// [`ProbeState`] (residual applied to matches); otherwise the right side
+/// chunks for nested loops.
 pub(crate) enum ThetaStrategy {
     /// Hash-probe the left side against the indexed right side.
     Hash(ProbeState),
@@ -602,93 +557,6 @@ pub(crate) fn nested_loop_batch(
         start = end;
     }
     Ok(())
-}
-
-/// θ-join. Strategy mirrors the row executor exactly: extract equi-keys
-/// from the bound predicate, hash-join on them with the residual applied to
-/// matches; fall back to nested loops otherwise. The probe side streams
-/// left batches in order and the build side keeps per-key row ids in scan
-/// order, so the output row order equals the row engine's.
-pub fn join(
-    left: BatchStream,
-    right: BatchStream,
-    predicate: Option<&Expr>,
-) -> Result<BatchStream, EngineError> {
-    let out_schema = left.schema.concat(&right.schema);
-    let left_arity = left.schema.arity();
-    let bound = match predicate {
-        Some(p) => Some(p.bind(&out_schema).map_err(EngineError::Expr)?),
-        None => None,
-    };
-    let mut batches = Vec::with_capacity(left.batches.len());
-    match theta_strategy(right, bound.as_ref(), left_arity, &out_schema, None)? {
-        ThetaStrategy::Hash(state) => {
-            for lbatch in &left.batches {
-                if let Some(joined) = state.probe(lbatch, None)? {
-                    batches.push(joined);
-                }
-            }
-        }
-        ThetaStrategy::NestedLoop(right_chunk) => {
-            for lbatch in &left.batches {
-                nested_loop_batch(
-                    lbatch,
-                    &right_chunk,
-                    bound.as_ref(),
-                    &out_schema,
-                    &mut batches,
-                )?;
-            }
-        }
-    }
-    Ok(BatchStream {
-        schema: out_schema,
-        batches,
-    })
-}
-
-/// Optimizer-planned hash join ([`ua_plan::plan::Plan::HashJoin`]).
-///
-/// Key expressions are per-side (left against the left schema, right
-/// against the right schema); `build_left` picks the hash-table side. Row
-/// order replicates the row executor exactly: probe-side scan order, with
-/// build-side scan order within one probe row. Output columns are always
-/// `left ++ right` regardless of build side; labels AND, multiplicities
-/// multiply (via [`join_gather`]).
-pub fn hash_join(
-    left: BatchStream,
-    right: BatchStream,
-    keys: &[(Expr, Expr)],
-    residual: Option<&Expr>,
-    build_left: bool,
-) -> Result<BatchStream, EngineError> {
-    let left_schema = left.schema.clone();
-    let right_schema = right.schema.clone();
-    let out_schema = left_schema.concat(&right_schema);
-    let (build_stream, probe_stream) = if build_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let state = hash_join_probe_state(
-        build_stream,
-        &left_schema,
-        &right_schema,
-        keys,
-        residual,
-        build_left,
-        None,
-    )?;
-    let mut batches = Vec::with_capacity(probe_stream.batches.len());
-    for pbatch in &probe_stream.batches {
-        if let Some(joined) = state.probe(pbatch, None)? {
-            batches.push(joined);
-        }
-    }
-    Ok(BatchStream {
-        schema: out_schema,
-        batches,
-    })
 }
 
 /// Bind a [`ua_plan::plan::Plan::HashJoin`]'s per-side expressions and

@@ -33,71 +33,36 @@
 //! expression mentioning the `ua_c` marker is rejected exactly like the
 //! row path's `rewrite_ua`.
 //!
-//! Execution shares the deterministic morsel-parallel driver with the
-//! deterministic path ([`crate::exec`]): label ANDs run per morsel, and
-//! parallel output is byte-identical to serial output for every thread
-//! count.
+//! UA is one [`Semantics`] of the one morsel-parallel driver
+//! ([`crate::exec`]): scans pick the encoded converter, the marker checks
+//! arm, and every kernel is the deterministic one — label ANDs run per
+//! morsel, and parallel output is byte-identical to serial output for
+//! every thread count. [`crate::exec::execute`] with [`Semantics::Ua`]
+//! returns the encoded table; what remains here are the stream entry
+//! points the differential tests and the benchmark adapter call.
 
 use crate::columnar::BatchStream;
-use crate::exec::Driver;
+use crate::exec::{serial_opts, stream};
 use ua_plan::plan::Plan;
-use ua_plan::storage::{Catalog, Table};
-use ua_plan::{EngineError, ExecOptions};
+use ua_plan::storage::Catalog;
+use ua_plan::{EngineError, ExecOptions, Semantics};
 
-/// Execute the *user* query's physical plan (the `RA⁺` fragment plus
-/// trailing Sort/Limit/TopK) over UA-encoded base tables in `catalog`,
-/// returning the encoded result (marker column last) — the vectorized
-/// counterpart of rewrite-then-execute, with default options.
-pub fn execute_ua_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute_ua_vectorized_opts(plan, catalog, ExecOptions::default())
-}
-
-/// [`execute_ua_vectorized`] with explicit [`ExecOptions`].
-pub fn execute_ua_vectorized_opts(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> Result<Table, EngineError> {
-    execute_ua_vectorized_with_stats(plan, catalog, opts).0
-}
-
-/// [`execute_ua_vectorized_opts`] returning the run's
-/// [`ua_obs::QueryStats`] by value next to the result (`Some` iff
-/// `opts.collect_stats`, on the error path too). This is what the
-/// session's `ExecMode::Vectorized` UA dispatch calls.
-pub fn execute_ua_vectorized_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
-    crate::exec::run(plan, catalog, opts, true)
-}
-
-/// The batch-level UA evaluator, serial, with an explicit batch size (the
-/// differential tests sweep batch boundaries through this and use it as
-/// the reference for the parallel determinism property).
+/// [`stream`] under UA semantics, serially at an explicit batch size: the
+/// *user* query's physical plan over UA-encoded base tables, labels in
+/// each batch's bitmap.
 pub fn ua_stream(
     plan: &Plan,
     catalog: &Catalog,
     batch_rows: usize,
 ) -> Result<BatchStream, EngineError> {
-    ua_stream_opts(
-        plan,
-        catalog,
-        ExecOptions {
-            threads: 1,
-            batch_rows,
-            collect_stats: false,
-            collect_trace: false,
-        },
-    )
+    stream(plan, catalog, serial_opts(batch_rows), Semantics::Ua)
 }
 
-/// [`ua_stream`] with explicit [`ExecOptions`].
+/// [`stream`] under UA semantics.
 pub fn ua_stream_opts(
     plan: &Plan,
     catalog: &Catalog,
     opts: ExecOptions,
 ) -> Result<BatchStream, EngineError> {
-    Driver::new(catalog, opts, true).stream(plan)
+    stream(plan, catalog, opts, Semantics::Ua)
 }

@@ -366,7 +366,7 @@ fn ua_sql_frontend_with_order_by_and_limit_agrees() {
     );
     let sql = "SELECT id, locale FROM addr IS X WITH XID (xid) ALTID (aid) PROBABILITY (p) \
                WHERE state = 'NY' ORDER BY id LIMIT 100";
-    let row_session = UaSession::new();
+    let row_session = UaSession::with_mode(ExecMode::Row);
     row_session.register_table("addr", table.clone());
     let row = row_session.query_ua(sql).expect("row");
 
@@ -948,6 +948,169 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
     }
 }
 
+#[derive(Clone, Copy, PartialEq)]
+enum Keys {
+    /// Every key a certain value.
+    Points,
+    /// Points mixed with ranged, definite-NULL and top keys.
+    Ranged,
+}
+
+#[derive(Clone, Copy)]
+enum Domain {
+    Int,
+    Float,
+    Str,
+}
+
+/// An AU relation `name(k, k2, v)`: `k` in the given domain and certainty,
+/// `k2` a small certain Int, `v` a ranged Int payload.
+fn au_side(
+    rng: &mut StdRng,
+    name: &str,
+    rows: usize,
+    keys: Keys,
+    domain: Domain,
+) -> ua_ranges::AuRelation {
+    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
+    let point = |x: i64| match domain {
+        Domain::Int => Value::Int(x),
+        // Integral and fractional floats, NaN and -0.0.
+        Domain::Float => match x {
+            5 => Value::float(f64::NAN),
+            0 => Value::float(-0.0),
+            x if x % 4 == 3 => Value::float(x as f64 + 0.5),
+            x => Value::float(x as f64),
+        },
+        Domain::Str => Value::str(format!("k{x}")),
+    };
+    let mut rel = AuRelation::new(Schema::qualified(name, ["k", "k2", "v"]));
+    for _ in 0..rows {
+        let x = rng.gen_range(0..8i64);
+        let k = match (keys, rng.gen_range(0..10u32)) {
+            (Keys::Ranged, 0) => RangeValue::null(),
+            (Keys::Ranged, 1) => RangeValue::top(point(x)),
+            (Keys::Ranged, 2 | 3) => {
+                RangeValue::new(Bound::Val(point(x)), point(x + 1), Bound::Val(point(x + 2)))
+            }
+            _ => RangeValue::point(point(x)),
+        };
+        let v = rng.gen_range(0..20i64);
+        let spread = rng.gen_range(0..3i64);
+        let ub = rng.gen_range(1..3u64);
+        let bg = rng.gen_range(0..=ub);
+        let lb = rng.gen_range(0..=bg);
+        rel.push(AuTuple {
+            values: vec![
+                k,
+                RangeValue::point(Value::Int(rng.gen_range(0..3))),
+                RangeValue::new(
+                    Bound::Val(Value::Int(v - spread)),
+                    Value::Int(v),
+                    Bound::Val(Value::Int(v + spread)),
+                ),
+            ],
+            mult: MultBound::new(lb, bg, ub),
+        });
+    }
+    rel
+}
+
+/// The determinism property at stream level for the AU semantics of the one
+/// driver: σ → alias → π → σ chains pipelined below both inputs of a hash ⋈
+/// and above it, over ranged / definite-NULL / top keys and ranged
+/// payloads. Every thread count × batch size, stats on or off, yields the
+/// serial stream's batches byte for byte, and every stream materializes to
+/// the row interpreter's table (`execute_au` + `au_table`).
+#[test]
+fn parallel_au_pipelines_are_byte_identical_to_serial() {
+    use ua_engine::Semantics;
+    use ua_vecexec::exec::stream;
+
+    // σ → alias → π → σ over one scanned side.
+    let chain = |table: &str, alias: &str| Plan::Filter {
+        input: Box::new(Plan::Map {
+            input: Box::new(Plan::Alias {
+                input: Box::new(Plan::Filter {
+                    input: Box::new(Plan::Scan(table.into())),
+                    predicate: Expr::named("v").ge(Expr::lit(2i64)),
+                }),
+                name: alias.into(),
+            }),
+            columns: vec![
+                ProjColumn::with_column(
+                    Expr::named("k"),
+                    ua_data::schema::Column::qualified(alias, "k"),
+                ),
+                ProjColumn::with_column(
+                    Expr::named("v").add(Expr::named("k2")),
+                    ua_data::schema::Column::qualified(alias, "w"),
+                ),
+            ],
+        }),
+        predicate: Expr::named("w").lt(Expr::lit(19i64)),
+    };
+    let join = |build_left| Plan::HashJoin {
+        left: Box::new(chain("l", "a")),
+        right: Box::new(chain("r", "b")),
+        keys: vec![(Expr::named("a.k"), Expr::named("b.k"))],
+        residual: None,
+        build_left,
+    };
+    // σ → π → alias → σ over the join.
+    let above = |build_left| Plan::Filter {
+        input: Box::new(Plan::Alias {
+            input: Box::new(Plan::Map {
+                input: Box::new(Plan::Filter {
+                    input: Box::new(join(build_left)),
+                    predicate: Expr::named("a.w").le(Expr::named("b.w").add(Expr::lit(4i64))),
+                }),
+                columns: vec![
+                    ProjColumn::expr(Expr::named("a.k"), "k"),
+                    ProjColumn::expr(Expr::named("a.w").add(Expr::named("b.w")), "s"),
+                ],
+            }),
+            name: "j".into(),
+        }),
+        predicate: Expr::named("j.s").gt(Expr::lit(6i64)),
+    };
+
+    let mut rng = StdRng::seed_from_u64(0x9A11E3);
+    for trial in 0..3 {
+        let catalog = Catalog::new();
+        let l = au_side(&mut rng, "l", 150, Keys::Ranged, Domain::Int);
+        let r = au_side(&mut rng, "r", 60, Keys::Ranged, Domain::Int);
+        catalog.register("l", ua_engine::au_table(&l));
+        catalog.register("r", ua_engine::au_table(&r));
+        for build_left in [false, true] {
+            let plan = above(build_left);
+            let row = ua_engine::au_table(&ua_engine::execute_au(&plan, &catalog).expect("au row"));
+            assert!(!row.is_empty(), "trial={trial}: the chain must keep rows");
+            for batch_rows in [1usize, 7, 64, 1024] {
+                let serial =
+                    stream(&plan, &catalog, opts(1, batch_rows), Semantics::Au).expect("serial AU");
+                let context = format!("trial={trial} build_left={build_left} batch={batch_rows}");
+                assert_tables_identical(&row, &table_from_batches(&serial), &context);
+                for threads in [1usize, 2, 4, 8] {
+                    for collect_stats in [false, true] {
+                        let options = ExecOptions {
+                            collect_stats,
+                            ..opts(threads, batch_rows)
+                        };
+                        let parallel =
+                            stream(&plan, &catalog, options, Semantics::Au).expect("parallel AU");
+                        assert_streams_byte_identical(
+                            &serial,
+                            &parallel,
+                            &format!("{context} threads={threads} stats={collect_stats}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// AU hash joins over ranged keys: the triple-column-native join must emit
 /// the row operator's bytes — same rows, same order, same refined
 /// multiplicities — for point keys, ranged / NULL / top / NaN keys on the
@@ -957,68 +1120,6 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
 /// settings, at threads {1, 2, 4} × batch rows {1, 7, 1024}.
 #[test]
 fn au_hash_joins_match_the_row_operator_over_ranged_keys() {
-    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Keys {
-        /// Every key a certain value.
-        Points,
-        /// Points mixed with ranged, definite-NULL and top keys.
-        Ranged,
-    }
-    #[derive(Clone, Copy)]
-    enum Domain {
-        Int,
-        Float,
-        Str,
-    }
-
-    // t(k, k2, v): `k` in the given domain and certainty, `k2` a small
-    // certain Int, `v` a ranged Int payload for the residual.
-    fn side(rng: &mut StdRng, name: &str, rows: usize, keys: Keys, domain: Domain) -> AuRelation {
-        let point = |x: i64| match domain {
-            Domain::Int => Value::Int(x),
-            // Integral and fractional floats, NaN and -0.0.
-            Domain::Float => match x {
-                5 => Value::float(f64::NAN),
-                0 => Value::float(-0.0),
-                x if x % 4 == 3 => Value::float(x as f64 + 0.5),
-                x => Value::float(x as f64),
-            },
-            Domain::Str => Value::str(format!("k{x}")),
-        };
-        let mut rel = AuRelation::new(Schema::qualified(name, ["k", "k2", "v"]));
-        for _ in 0..rows {
-            let x = rng.gen_range(0..8i64);
-            let k = match (keys, rng.gen_range(0..10u32)) {
-                (Keys::Ranged, 0) => RangeValue::null(),
-                (Keys::Ranged, 1) => RangeValue::top(point(x)),
-                (Keys::Ranged, 2 | 3) => {
-                    RangeValue::new(Bound::Val(point(x)), point(x + 1), Bound::Val(point(x + 2)))
-                }
-                _ => RangeValue::point(point(x)),
-            };
-            let v = rng.gen_range(0..20i64);
-            let spread = rng.gen_range(0..3i64);
-            let ub = rng.gen_range(1..3u64);
-            let bg = rng.gen_range(0..=ub);
-            let lb = rng.gen_range(0..=bg);
-            rel.push(AuTuple {
-                values: vec![
-                    k,
-                    RangeValue::point(Value::Int(rng.gen_range(0..3))),
-                    RangeValue::new(
-                        Bound::Val(Value::Int(v - spread)),
-                        Value::Int(v),
-                        Bound::Val(Value::Int(v + spread)),
-                    ),
-                ],
-                mult: MultBound::new(lb, bg, ub),
-            });
-        }
-        rel
-    }
-
     let single = vec![(Expr::named("l.k"), Expr::named("r.k"))];
     let composite = vec![
         (Expr::named("l.k"), Expr::named("r.k")),
@@ -1143,8 +1244,8 @@ fn au_hash_joins_match_the_row_operator_over_ranged_keys() {
     let mut rng = StdRng::seed_from_u64(0xA0_7015);
     for (name, (ln, lkeys, ldom), (rn, rkeys, rdom), keys, residual) in cases {
         let catalog = Catalog::new();
-        let l = side(&mut rng, "l", ln, lkeys, ldom);
-        let r = side(&mut rng, "r", rn, rkeys, rdom);
+        let l = au_side(&mut rng, "l", ln, lkeys, ldom);
+        let r = au_side(&mut rng, "r", rn, rkeys, rdom);
         catalog.register("l", ua_engine::au_table(&l));
         catalog.register("r", ua_engine::au_table(&r));
         for build_left in [false, true] {

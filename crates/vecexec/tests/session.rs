@@ -9,7 +9,7 @@ use ua_engine::{ExecMode, Table, UaSession};
 #[test]
 fn session_opt_in_end_to_end() {
     let session = UaSession::new();
-    assert_eq!(session.exec_mode(), ExecMode::Row);
+    assert_eq!(session.exec_mode(), ExecMode::Vectorized);
     session.set_exec_mode(ExecMode::Vectorized);
     assert_eq!(session.exec_mode(), ExecMode::Vectorized);
     session.register_table(

@@ -27,7 +27,7 @@
 //! | [`models`] | TI-DBs, x-DBs/BI-DBs, C-tables + labeling schemes |
 //! | [`core`] | **UA-DBs**: pair annotations, `Enc`, the `⟦·⟧_UA` rewriting |
 //! | [`plan`] | plans, row-store tables + catalog, SQL frontend, optimizer, the row executor (det and AU), the plan-level `⟦·⟧_UA` rewriting the row executor runs UA queries through ([`plan::ua`]) — shared by everything below |
-//! | [`vecexec`] | batch-oriented columnar executor with UA label bitmaps, morsel-parallel pipelines and columnar Sort/Top-K; built on [`plan`] |
+//! | [`vecexec`] | batch-oriented columnar executor: one morsel-parallel driver for det / UA (label bitmaps) / AU (range-triple columns), columnar Sort/Top-K; the default executor, built on [`plan`] |
 //! | [`engine`] | the UA middleware: [`engine::UaSession`] (det / UA / AU queries), [`engine::ExecMode`], source labelings; calls both executors directly and re-exports [`plan`] under its own paths |
 //! | [`obs`] | metrics registry, per-operator [`obs::OperatorStats`] spans, `EXPLAIN ANALYZE` plumbing |
 //! | [`baselines`] | Libkin, MayBMS-style, MCDB-style comparison systems |
@@ -37,13 +37,16 @@
 //!
 //! Both executors run the same plans and produce identical results (the
 //! `ua-vecexec` differential tests enforce label-for-label equality), and
-//! the session calls either one as an ordinary function. The row executor
-//! is the default; select the columnar one per session — there is nothing
+//! the session calls either one as an ordinary function. The columnar
+//! executor is the default (2–7x the interpreter on the `spine` data
+//! workloads); the row interpreter stays selectable per session as the
+//! reference the differential suites compare against — there is nothing
 //! else to set up:
 //!
 //! ```
 //! let session = uadb::engine::UaSession::new();
-//! session.set_exec_mode(uadb::engine::ExecMode::Vectorized);
+//! assert_eq!(session.exec_mode(), uadb::engine::ExecMode::Vectorized);
+//! session.set_exec_mode(uadb::engine::ExecMode::Row);
 //! ```
 //!
 //! ## Quickstart

@@ -6,7 +6,7 @@ use uadb::core::{decode_relation, encode_database, rewrite_ua, UaDb};
 use uadb::data::{eval, tuple, Expr, RaExpr, Schema};
 use uadb::datagen::pdbench::{inject, PdbenchConfig};
 use uadb::datagen::tpch::{generate, TpchConfig};
-use uadb::engine::{Table, UaSession};
+use uadb::engine::{ExecMode, Table, UaSession};
 use uadb::models::{XDb, XRelation, XTuple};
 use uadb::semiring::hom::h_det;
 
@@ -45,7 +45,7 @@ fn queries() -> Vec<RaExpr> {
 }
 
 /// The three UA evaluation paths agree: native pair-semiring evaluation,
-/// Enc + rewritten K-relational evaluation, and the row engine through the
+/// Enc + rewritten K-relational evaluation, and both engines through the
 /// SQL session — and their det component matches BGQP.
 #[test]
 fn three_evaluation_paths_agree() {
@@ -68,8 +68,11 @@ fn three_evaluation_paths_agree() {
         let via_encoding = decode_relation(&eval(&rewritten, &encoded).expect("encoded eval"));
         assert_eq!(native, via_encoding, "Theorem 7 violated for {q}");
 
-        let via_engine = session.query_ua_ra(&q).expect("engine").decode();
-        assert_eq!(native, via_engine, "engine path diverges for {q}");
+        for mode in [ExecMode::Row, ExecMode::Vectorized] {
+            session.set_exec_mode(mode);
+            let via_engine = session.query_ua_ra(&q).expect("engine").decode();
+            assert_eq!(native, via_engine, "{mode:?} engine path diverges for {q}");
+        }
 
         // Backwards compatibility with best-guess query processing.
         let bgqp = eval(&q, &xdb.best_guess_world()).expect("bgqp");

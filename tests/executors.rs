@@ -68,9 +68,9 @@ impl Pdbench {
             },
         );
         let s = Pdbench {
-            det: UaSession::new(),
-            ua: UaSession::new(),
-            au: UaSession::new(),
+            det: UaSession::with_mode(ExecMode::Row),
+            ua: UaSession::with_mode(ExecMode::Row),
+            au: UaSession::with_mode(ExecMode::Row),
         };
         for (name, _, _) in &tables {
             s.det.register_table(*name, db.bgw[*name].clone());
@@ -483,7 +483,7 @@ fn negation_over_nulls_agrees_on_every_path_and_encloses_every_world() {
     };
     assert_eq!(worlds.len(), 4 * 4);
     let det_session = |world: &[Vec<Tuple>]| {
-        let session = UaSession::new();
+        let session = UaSession::with_mode(ExecMode::Row);
         for ((name, _), rows) in xdb.iter().zip(world) {
             let schema = Schema::qualified(name, ["a", "b"]);
             session.register_table(*name, Table::from_rows(schema, rows.clone()));
