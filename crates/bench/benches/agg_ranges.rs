@@ -39,14 +39,10 @@ use ua_data::value::Value;
 use ua_data::Expr;
 use ua_engine::plan::{AggExpr, AggFunc, Plan};
 use ua_engine::{
-    execute, execute_au, execute_with_stats, Catalog, ExecMode, ExecOptions, QueryStats, Table,
-    UaSession,
+    execute, execute_au, execute_row, Catalog, ExecMode, ExecOptions, Semantics, Table, UaSession,
 };
 use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
-use ua_vecexec::{
-    execute_au_vectorized, execute_au_vectorized_with_stats, execute_vectorized,
-    execute_vectorized_opts, execute_vectorized_with_stats,
-};
+use ua_vecexec::execute as vec_execute;
 
 /// Rows in the scanned table.
 const N: usize = 1_000_000;
@@ -144,7 +140,9 @@ fn bench_agg_ranges(c: &mut Criterion) {
     // Correctness gates: identical results per semantics across engines.
     let det_row = execute(&det_plan, &catalog).expect("det row agg");
     assert_eq!(det_row.len(), GROUPS as usize);
-    let det_vec = execute_vectorized(&det_plan, &catalog).expect("det vec agg");
+    let det_vec = vec_execute(&det_plan, &catalog, ExecOptions::default(), Semantics::Det)
+        .0
+        .expect("det vec agg");
     assert_eq!(det_row.rows(), det_vec.rows(), "det engines disagree");
     // The AU vectorized runs (this gate and every timed iteration below)
     // must stay batch-native: scan → γ with no row-at-a-time fallback.
@@ -163,7 +161,9 @@ fn bench_agg_ranges(c: &mut Criterion) {
         .map(|c| ua_obs::global().counter(c).get())
         .collect();
     let au_row = ua_engine::au_table(&execute_au(&au_plan, &catalog).expect("AU row agg"));
-    let au_vec = execute_au_vectorized(&au_plan, &catalog).expect("AU vec agg");
+    let au_vec = vec_execute(&au_plan, &catalog, ExecOptions::default(), Semantics::Au)
+        .0
+        .expect("AU vec agg");
     assert_eq!(au_row.rows(), au_vec.rows(), "AU engines disagree");
     assert_eq!(au_row.len(), GROUPS as usize);
 
@@ -182,13 +182,23 @@ fn bench_agg_ranges(c: &mut Criterion) {
         b.iter(|| execute(plan, &catalog).expect("row").len())
     });
     group.bench_with_input(BenchmarkId::new("det_vec", N), &det_plan, |b, plan| {
-        b.iter(|| execute_vectorized(plan, &catalog).expect("vec").len())
+        b.iter(|| {
+            vec_execute(plan, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec")
+                .len()
+        })
     });
     group.finish();
 
     let t_det_row = median_secs(|| execute(&det_plan, &catalog).expect("row").len(), 5);
     let t_det_vec = median_secs(
-        || execute_vectorized(&det_plan, &catalog).expect("vec").len(),
+        || {
+            vec_execute(&det_plan, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec")
+                .len()
+        },
         5,
     );
     // Parallel pipeline breakers: the partitioned aggregation fold at
@@ -203,7 +213,8 @@ fn bench_agg_ranges(c: &mut Criterion) {
         collect_trace: false,
     };
     for threads in [1usize, 2, 4, 8] {
-        let out = execute_vectorized_opts(&det_plan, &catalog, par_opts(threads))
+        let out = vec_execute(&det_plan, &catalog, par_opts(threads), Semantics::Det)
+            .0
             .expect("parallel det agg");
         assert_eq!(
             det_row.rows(),
@@ -213,7 +224,8 @@ fn bench_agg_ranges(c: &mut Criterion) {
     }
     let t_par1 = median_secs(
         || {
-            execute_vectorized_opts(&det_plan, &catalog, par_opts(1))
+            vec_execute(&det_plan, &catalog, par_opts(1), Semantics::Det)
+                .0
                 .expect("threads=1")
                 .len()
         },
@@ -221,7 +233,8 @@ fn bench_agg_ranges(c: &mut Criterion) {
     );
     let t_par4 = median_secs(
         || {
-            execute_vectorized_opts(&det_plan, &catalog, par_opts(4))
+            vec_execute(&det_plan, &catalog, par_opts(4), Semantics::Det)
+                .0
                 .expect("threads=4")
                 .len()
         },
@@ -234,7 +247,8 @@ fn bench_agg_ranges(c: &mut Criterion) {
     );
     let t_au_vec = median_secs(
         || {
-            execute_au_vectorized(&au_plan, &catalog)
+            vec_execute(&au_plan, &catalog, ExecOptions::default(), Semantics::Au)
+                .0
                 .expect("au vec")
                 .len()
         },
@@ -373,22 +387,13 @@ fn bench_agg_ranges(c: &mut Criterion) {
         collect_stats: true,
         collect_trace: false,
     };
-    if let Ok((_, root)) = execute_with_stats(&det_plan, &catalog) {
-        report = report.operator_stats(
-            "det_row",
-            QueryStats {
-                engine: "row".into(),
-                semantics: "det".into(),
-                root,
-                pool: None,
-                peak_mem_bytes: 0,
-            },
-        );
+    if let (Ok(_), Some(stats)) = execute_row(&det_plan, &catalog, Semantics::Det, true) {
+        report = report.operator_stats("det_row", stats);
     }
-    if let (Ok(_), Some(stats)) = execute_vectorized_with_stats(&det_plan, &catalog, stats_opts) {
+    if let (Ok(_), Some(stats)) = vec_execute(&det_plan, &catalog, stats_opts, Semantics::Det) {
         report = report.operator_stats("det_vectorized", stats);
     }
-    if let (Ok(_), Some(stats)) = execute_au_vectorized_with_stats(&au_plan, &catalog, stats_opts) {
+    if let (Ok(_), Some(stats)) = vec_execute(&au_plan, &catalog, stats_opts, Semantics::Au) {
         report = report.operator_stats("au_vectorized", stats);
     }
     // The parallel breakers' phase accounting: an instrumented threads=4
@@ -401,8 +406,7 @@ fn bench_agg_ranges(c: &mut Criterion) {
         collect_stats: true,
         collect_trace: false,
     };
-    if let (Ok(_), Some(stats)) = execute_vectorized_with_stats(&det_plan, &catalog, par_stats_opts)
-    {
+    if let (Ok(_), Some(stats)) = vec_execute(&det_plan, &catalog, par_stats_opts, Semantics::Det) {
         if let Some(pool) = &stats.pool {
             report = report
                 .int("pool_build_tasks", pool.build_tasks)

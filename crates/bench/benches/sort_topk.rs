@@ -22,8 +22,8 @@ use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::Expr;
 use ua_engine::plan::{Plan, SortOrder};
-use ua_engine::{execute, execute_with_stats, Catalog, ExecOptions, QueryStats, Table};
-use ua_vecexec::{execute_vectorized, execute_vectorized_with_stats};
+use ua_engine::{execute, execute_row, Catalog, ExecOptions, Semantics, Table};
+use ua_vecexec::execute as vec_execute;
 
 /// Rows in the scanned table.
 const N: usize = 1_000_000;
@@ -110,11 +110,20 @@ fn bench_sort_topk(c: &mut Criterion) {
         ("row topk", execute(&topk, &catalog).expect("row topk")),
         (
             "vec sort+limit",
-            execute_vectorized(&sort_limit, &catalog).expect("vec sort+limit"),
+            vec_execute(
+                &sort_limit,
+                &catalog,
+                ExecOptions::default(),
+                Semantics::Det,
+            )
+            .0
+            .expect("vec sort+limit"),
         ),
         (
             "vec topk",
-            execute_vectorized(&topk, &catalog).expect("vec topk"),
+            vec_execute(&topk, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec topk"),
         ),
     ] {
         assert_eq!(reference.rows(), table.rows(), "{label} disagrees");
@@ -133,10 +142,22 @@ fn bench_sort_topk(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("vec_sort_limit", N),
         &sort_limit,
-        |b, plan| b.iter(|| execute_vectorized(plan, &catalog).expect("vec").len()),
+        |b, plan| {
+            b.iter(|| {
+                vec_execute(plan, &catalog, ExecOptions::default(), Semantics::Det)
+                    .0
+                    .expect("vec")
+                    .len()
+            })
+        },
     );
     group.bench_with_input(BenchmarkId::new("vec_topk", N), &topk, |b, plan| {
-        b.iter(|| execute_vectorized(plan, &catalog).expect("vec").len())
+        b.iter(|| {
+            vec_execute(plan, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec")
+                .len()
+        })
     });
     group.finish();
 
@@ -144,14 +165,25 @@ fn bench_sort_topk(c: &mut Criterion) {
     let t_row_topk = median_secs(|| execute(&topk, &catalog).expect("row").len(), 5);
     let t_vec_sort = median_secs(
         || {
-            execute_vectorized(&sort_limit, &catalog)
-                .expect("vec")
-                .len()
+            vec_execute(
+                &sort_limit,
+                &catalog,
+                ExecOptions::default(),
+                Semantics::Det,
+            )
+            .0
+            .expect("vec")
+            .len()
         },
         5,
     );
     let t_vec_topk = median_secs(
-        || execute_vectorized(&topk, &catalog).expect("vec").len(),
+        || {
+            vec_execute(&topk, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec")
+                .len()
+        },
         5,
     );
 
@@ -184,17 +216,8 @@ fn bench_sort_topk(c: &mut Criterion) {
     // Operator breakdowns for the fused TopK plan on both engines. These
     // run below the session layer, so the stats come straight from the
     // executor entry points instead of `instrumented_stats`.
-    if let Ok((_, root)) = execute_with_stats(&topk, &catalog) {
-        report = report.operator_stats(
-            "topk_row",
-            QueryStats {
-                engine: "row".into(),
-                semantics: "det".into(),
-                root,
-                pool: None,
-                peak_mem_bytes: 0,
-            },
-        );
+    if let (Ok(_), Some(stats)) = execute_row(&topk, &catalog, Semantics::Det, true) {
+        report = report.operator_stats("topk_row", stats);
     }
     let stats_opts = ExecOptions {
         threads: 1,
@@ -202,7 +225,7 @@ fn bench_sort_topk(c: &mut Criterion) {
         collect_stats: true,
         collect_trace: false,
     };
-    if let (Ok(_), Some(stats)) = execute_vectorized_with_stats(&topk, &catalog, stats_opts) {
+    if let (Ok(_), Some(stats)) = vec_execute(&topk, &catalog, stats_opts, Semantics::Det) {
         report = report.operator_stats("topk_vectorized", stats);
     }
     report.write();

@@ -15,8 +15,8 @@ use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::{Expr, RaExpr};
 use ua_engine::plan::Plan;
-use ua_engine::{execute, Catalog, ExecMode, ExecOptions, Table, UaSession};
-use ua_vecexec::{execute_vectorized, execute_vectorized_opts};
+use ua_engine::{execute, Catalog, ExecMode, ExecOptions, Semantics, Table, UaSession};
+use ua_vecexec::execute as vec_execute;
 
 const ORDERS: usize = 200_000;
 const CUSTOMERS: usize = 20_000;
@@ -89,7 +89,9 @@ fn bench_sel_join_proj(c: &mut Criterion) {
 
     // Correctness gate before timing.
     let row = execute(&plan, &catalog).expect("row");
-    let vec = execute_vectorized(&plan, &catalog).expect("vec");
+    let vec = vec_execute(&plan, &catalog, ExecOptions::default(), Semantics::Det)
+        .0
+        .expect("vec");
     assert_eq!(row.rows(), vec.rows(), "engines disagree");
     println!(
         "pipeline output: {} rows from {} x {}",
@@ -104,13 +106,22 @@ fn bench_sel_join_proj(c: &mut Criterion) {
         b.iter(|| execute(plan, &catalog).expect("row"))
     });
     group.bench_with_input(BenchmarkId::new("vectorized", ORDERS), &plan, |b, plan| {
-        b.iter(|| execute_vectorized(plan, &catalog).expect("vec"))
+        b.iter(|| {
+            vec_execute(plan, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec")
+        })
     });
     group.finish();
 
     let t_row = median_secs(|| execute(&plan, &catalog).expect("row").len(), 7);
     let t_vec = median_secs(
-        || execute_vectorized(&plan, &catalog).expect("vec").len(),
+        || {
+            vec_execute(&plan, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec")
+                .len()
+        },
         7,
     );
     println!(
@@ -211,9 +222,13 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
     };
 
     // Determinism gate: parallel output must be byte-identical to serial.
-    let serial = execute_vectorized_opts(&plan, &catalog, opts(1)).expect("serial");
+    let serial = vec_execute(&plan, &catalog, opts(1), Semantics::Det)
+        .0
+        .expect("serial");
     for threads in [2usize, 4, 8] {
-        let parallel = execute_vectorized_opts(&plan, &catalog, opts(threads)).expect("parallel");
+        let parallel = vec_execute(&plan, &catalog, opts(threads), Semantics::Det)
+            .0
+            .expect("parallel");
         assert_eq!(
             serial.rows(),
             parallel.rows(),
@@ -228,7 +243,11 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
             BenchmarkId::new(format!("threads_{threads}"), ORDERS),
             &plan,
             |b, plan| {
-                b.iter(|| execute_vectorized_opts(plan, &catalog, opts(threads)).expect("vec"))
+                b.iter(|| {
+                    vec_execute(plan, &catalog, opts(threads), Semantics::Det)
+                        .0
+                        .expect("vec")
+                })
             },
         );
     }
@@ -236,7 +255,8 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
 
     let t_serial = median_secs(
         || {
-            execute_vectorized_opts(&plan, &catalog, opts(1))
+            vec_execute(&plan, &catalog, opts(1), Semantics::Det)
+                .0
                 .expect("vec")
                 .len()
         },
@@ -244,7 +264,8 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
     );
     let t_parallel = median_secs(
         || {
-            execute_vectorized_opts(&plan, &catalog, opts(4))
+            vec_execute(&plan, &catalog, opts(4), Semantics::Det)
+                .0
                 .expect("vec")
                 .len()
         },

@@ -123,32 +123,14 @@ pub fn rewrite_ua(
 /// and the vectorized path (where it lives in the label bitmaps) stay
 /// observably identical.
 pub fn expr_mentions_marker(expr: &Expr) -> bool {
-    match expr {
-        Expr::Named(name) => {
+    let mut mentioned = false;
+    expr.for_each_leaf(&mut |leaf| {
+        if let Expr::Named(name) = leaf {
             let base = name.rsplit_once('.').map_or(name.as_str(), |(_, b)| b);
-            base.eq_ignore_ascii_case(UA_LABEL_COLUMN)
+            mentioned |= base.eq_ignore_ascii_case(UA_LABEL_COLUMN);
         }
-        Expr::Col(_) | Expr::Lit(_) => false,
-        Expr::Cmp(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::Least(a, b) => expr_mentions_marker(a) || expr_mentions_marker(b),
-        Expr::Not(a) | Expr::IsNull(a) => expr_mentions_marker(a),
-        Expr::Case {
-            branches,
-            otherwise,
-        } => {
-            branches
-                .iter()
-                .any(|(c, v)| expr_mentions_marker(c) || expr_mentions_marker(v))
-                || otherwise.as_deref().is_some_and(expr_mentions_marker)
-        }
-        Expr::Between(e, lo, hi) => {
-            expr_mentions_marker(e) || expr_mentions_marker(lo) || expr_mentions_marker(hi)
-        }
-        Expr::InList(e, list) => expr_mentions_marker(e) || list.iter().any(expr_mentions_marker),
-    }
+    });
+    mentioned
 }
 
 fn reject_marker_reference(expr: &Expr) -> Result<(), RaError> {

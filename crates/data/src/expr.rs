@@ -335,48 +335,99 @@ impl Expr {
             .unwrap_or(Expr::Lit(Value::Bool(true)))
     }
 
-    /// Resolve all [`Expr::Named`] references against `schema`, producing a
-    /// fully positional expression.
-    pub fn bind(&self, schema: &Schema) -> Result<Expr, ExprError> {
+    /// Visit every leaf (`Col` / `Named` / `Lit`) left to right: the one
+    /// read walk over the expression tree. [`Expr::referenced_columns`],
+    /// the optimizer's reference collection and the marker guards are
+    /// instantiations.
+    pub fn for_each_leaf<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Col(_) | Expr::Named(_) | Expr::Lit(_) => f(self),
+            Expr::Cmp(_, a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::Arith(_, a, b)
+            | Expr::Least(a, b) => {
+                a.for_each_leaf(f);
+                b.for_each_leaf(f);
+            }
+            Expr::Not(a) | Expr::IsNull(a) => a.for_each_leaf(f),
+            Expr::Case {
+                branches,
+                otherwise,
+            } => {
+                for (c, v) in branches {
+                    c.for_each_leaf(f);
+                    v.for_each_leaf(f);
+                }
+                if let Some(e) = otherwise {
+                    e.for_each_leaf(f);
+                }
+            }
+            Expr::Between(e, lo, hi) => {
+                e.for_each_leaf(f);
+                lo.for_each_leaf(f);
+                hi.for_each_leaf(f);
+            }
+            Expr::InList(e, list) => {
+                e.for_each_leaf(f);
+                list.iter().for_each(|item| item.for_each_leaf(f));
+            }
+        }
+    }
+
+    /// Rebuild the expression with every leaf replaced by `f(leaf)`, in
+    /// [`Expr::for_each_leaf`]'s order, failing with the first error `f`
+    /// returns: the one rebuilding walk. [`Expr::bind`], [`Expr::map_refs`]
+    /// and the optimizer's substitution through projections are
+    /// instantiations.
+    pub fn try_map_leaves<E>(
+        &self,
+        f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        fn boxed<E>(
+            e: &Expr,
+            f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+        ) -> Result<Box<Expr>, E> {
+            e.try_map_leaves(f).map(Box::new)
+        }
         Ok(match self {
-            Expr::Col(i) => Expr::Col(*i),
-            Expr::Named(name) => Expr::Col(schema.resolve(name)?),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Cmp(op, a, b) => {
-                Expr::Cmp(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            Expr::And(a, b) => Expr::And(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            Expr::Or(a, b) => Expr::Or(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            Expr::Not(a) => Expr::Not(Box::new(a.bind(schema)?)),
-            Expr::Arith(op, a, b) => {
-                Expr::Arith(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            Expr::IsNull(a) => Expr::IsNull(Box::new(a.bind(schema)?)),
+            Expr::Col(_) | Expr::Named(_) | Expr::Lit(_) => return f(self),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, boxed(a, f)?, boxed(b, f)?),
+            Expr::And(a, b) => Expr::And(boxed(a, f)?, boxed(b, f)?),
+            Expr::Or(a, b) => Expr::Or(boxed(a, f)?, boxed(b, f)?),
+            Expr::Not(a) => Expr::Not(boxed(a, f)?),
+            Expr::Arith(op, a, b) => Expr::Arith(*op, boxed(a, f)?, boxed(b, f)?),
+            Expr::IsNull(a) => Expr::IsNull(boxed(a, f)?),
             Expr::Case {
                 branches,
                 otherwise,
             } => Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| Ok((c.bind(schema)?, v.bind(schema)?)))
-                    .collect::<Result<_, ExprError>>()?,
+                    .map(|(c, v)| Ok((c.try_map_leaves(f)?, v.try_map_leaves(f)?)))
+                    .collect::<Result<_, E>>()?,
                 otherwise: match otherwise {
-                    Some(e) => Some(Box::new(e.bind(schema)?)),
+                    Some(e) => Some(boxed(e, f)?),
                     None => None,
                 },
             },
-            Expr::Between(e, lo, hi) => Expr::Between(
-                Box::new(e.bind(schema)?),
-                Box::new(lo.bind(schema)?),
-                Box::new(hi.bind(schema)?),
-            ),
+            Expr::Between(e, lo, hi) => Expr::Between(boxed(e, f)?, boxed(lo, f)?, boxed(hi, f)?),
             Expr::InList(e, list) => Expr::InList(
-                Box::new(e.bind(schema)?),
+                boxed(e, f)?,
                 list.iter()
-                    .map(|v| v.bind(schema))
-                    .collect::<Result<_, _>>()?,
+                    .map(|item| item.try_map_leaves(f))
+                    .collect::<Result<_, E>>()?,
             ),
-            Expr::Least(a, b) => Expr::Least(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
+            Expr::Least(a, b) => Expr::Least(boxed(a, f)?, boxed(b, f)?),
+        })
+    }
+
+    /// Resolve all [`Expr::Named`] references against `schema`, producing a
+    /// fully positional expression.
+    pub fn bind(&self, schema: &Schema) -> Result<Expr, ExprError> {
+        self.try_map_leaves(&mut |leaf| match leaf {
+            Expr::Named(name) => Ok(Expr::Col(schema.resolve(name)?)),
+            bound => Ok(bound.clone()),
         })
     }
 
@@ -497,88 +548,29 @@ impl Expr {
 
     /// All column positions this (bound) expression reads.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Col(i) => out.push(*i),
-            Expr::Named(_) | Expr::Lit(_) => {}
-            Expr::Cmp(_, a, b)
-            | Expr::And(a, b)
-            | Expr::Or(a, b)
-            | Expr::Arith(_, a, b)
-            | Expr::Least(a, b) => {
-                a.referenced_columns(out);
-                b.referenced_columns(out);
+        self.for_each_leaf(&mut |leaf| {
+            if let Expr::Col(i) = leaf {
+                out.push(*i);
             }
-            Expr::Not(a) | Expr::IsNull(a) => a.referenced_columns(out),
-            Expr::Case {
-                branches,
-                otherwise,
-            } => {
-                for (c, v) in branches {
-                    c.referenced_columns(out);
-                    v.referenced_columns(out);
-                }
-                if let Some(e) = otherwise {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Between(e, lo, hi) => {
-                e.referenced_columns(out);
-                lo.referenced_columns(out);
-                hi.referenced_columns(out);
-            }
-            Expr::InList(e, list) => {
-                e.referenced_columns(out);
-                for item in list {
-                    item.referenced_columns(out);
-                }
-            }
-        }
+        });
     }
 
     /// Rebuild the expression with every column reference mapped: named
     /// references through `names` (which may decline, failing the whole
     /// rebuild with `None`) and positional references through `cols`.
-    /// Everything else is cloned structurally. This is the one shared
-    /// reference-rewriting visitor — [`crate::algebra::shift_columns`] and
-    /// the optimizer's requalification/remapping passes are instantiations.
+    /// [`crate::algebra::shift_columns`] and the optimizer's
+    /// requalification/remapping passes are instantiations.
     pub fn map_refs(
         &self,
         names: &dyn Fn(&str) -> Option<String>,
         cols: &dyn Fn(usize) -> usize,
     ) -> Option<Expr> {
-        let go = |e: &Expr| e.map_refs(names, cols);
-        Some(match self {
-            Expr::Named(name) => Expr::Named(names(name)?),
-            Expr::Col(i) => Expr::Col(cols(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Cmp(op, a, b) => Expr::Cmp(*op, Box::new(go(a)?), Box::new(go(b)?)),
-            Expr::And(a, b) => Expr::And(Box::new(go(a)?), Box::new(go(b)?)),
-            Expr::Or(a, b) => Expr::Or(Box::new(go(a)?), Box::new(go(b)?)),
-            Expr::Not(a) => Expr::Not(Box::new(go(a)?)),
-            Expr::Arith(op, a, b) => Expr::Arith(*op, Box::new(go(a)?), Box::new(go(b)?)),
-            Expr::IsNull(a) => Expr::IsNull(Box::new(go(a)?)),
-            Expr::Between(e, lo, hi) => {
-                Expr::Between(Box::new(go(e)?), Box::new(go(lo)?), Box::new(go(hi)?))
-            }
-            Expr::InList(e, list) => Expr::InList(
-                Box::new(go(e)?),
-                list.iter().map(go).collect::<Option<_>>()?,
-            ),
-            Expr::Least(a, b) => Expr::Least(Box::new(go(a)?), Box::new(go(b)?)),
-            Expr::Case {
-                branches,
-                otherwise,
-            } => Expr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| Some((go(c)?, go(v)?)))
-                    .collect::<Option<_>>()?,
-                otherwise: match otherwise {
-                    Some(e) => Some(Box::new(go(e)?)),
-                    None => None,
-                },
-            },
+        self.try_map_leaves(&mut |leaf| match leaf {
+            Expr::Named(name) => names(name).map(Expr::Named).ok_or(()),
+            Expr::Col(i) => Ok(Expr::Col(cols(*i))),
+            lit => Ok(lit.clone()),
         })
+        .ok()
     }
 
     /// Split a conjunction into its conjuncts.
@@ -779,6 +771,78 @@ mod tests {
             .and(Expr::named("b").eq(Expr::lit(2i64)))
             .and(Expr::named("c").eq(Expr::lit(3i64)));
         assert_eq!(e.split_conjuncts().len(), 3);
+    }
+
+    /// One expression holding all 13 variants: leaves `a`, `#1`, `c`, `d`
+    /// and eight literals among ten interior nodes.
+    fn every_variant() -> Expr {
+        let case = Expr::Case {
+            branches: vec![(
+                Expr::named("a").lt(Expr::lit(1i64)),
+                Expr::Col(1).add(Expr::lit(2i64)),
+            )],
+            otherwise: Some(Box::new(Expr::named("c").least(Expr::lit(3i64)))),
+        };
+        let in_list = Expr::InList(
+            Box::new(Expr::named("d")),
+            vec![Expr::lit(4i64), Expr::lit(5i64)],
+        );
+        case.between(Expr::lit(6i64), Expr::lit(7i64))
+            .and(in_list.or(Expr::IsNull(Box::new(Expr::lit("x"))).not()))
+    }
+
+    fn leaves(e: &Expr) -> Vec<Expr> {
+        let mut out = Vec::new();
+        e.for_each_leaf(&mut |leaf| out.push(leaf.clone()));
+        out
+    }
+
+    #[test]
+    fn identity_rebuilds_are_the_identity() {
+        let e = every_variant();
+        assert_eq!(
+            e.map_refs(&|n| Some(n.to_string()), &|i| i),
+            Some(e.clone())
+        );
+        let bound = e.bind(&Schema::unqualified(["a", "b", "c", "d"])).unwrap();
+        assert_ne!(bound, e);
+        assert_eq!(bound.bind(&Schema::unqualified(["z"])).unwrap(), bound);
+        let mut cols = Vec::new();
+        bound.referenced_columns(&mut cols);
+        assert_eq!(cols, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn the_read_walk_sees_exactly_the_leaves_the_rebuild_replaces() {
+        let e = every_variant();
+        let seen = leaves(&e);
+        assert_eq!(seen.len(), 12);
+        assert!(seen
+            .iter()
+            .all(|l| matches!(l, Expr::Col(_) | Expr::Named(_) | Expr::Lit(_))));
+        // The rebuild is handed the same leaves in the same order …
+        let mut handed = Vec::new();
+        let numbered = e
+            .try_map_leaves(&mut |leaf| {
+                handed.push(leaf.clone());
+                Ok::<_, ()>(Expr::Col(100 + handed.len()))
+            })
+            .unwrap();
+        assert_eq!(handed, seen);
+        // … and replaces every one of them, nothing else.
+        let replaced: Vec<Expr> = (1..=seen.len()).map(|i| Expr::Col(100 + i)).collect();
+        assert_eq!(leaves(&numbered), replaced);
+        let restored = numbered.try_map_leaves(&mut |leaf| match leaf {
+            Expr::Col(i) => Ok(seen[i - 101].clone()),
+            other => Err(other.clone()),
+        });
+        assert_eq!(restored, Ok(e));
+        // The first failing leaf, left to right, fails the rebuild.
+        let first_literal = every_variant().try_map_leaves(&mut |leaf| match leaf {
+            Expr::Lit(v) => Err(v.clone()),
+            other => Ok(other.clone()),
+        });
+        assert_eq!(first_literal, Err(Value::Int(1)));
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! through the AU-DB model of the authors' follow-up (attribute ranges
 //! `[lb, bg, ub]` plus tuple multiplicity-bound triples; see `ua-ranges`).
 //!
-//! The row engine executes AU plans natively by interpreting each
-//! operator over [`AuRelation`]s with the shared `ua_ranges::ops`
-//! implementations ([`ua_plan::au`], re-exported here); the vectorized
-//! engine carries range column triples in its batches for σ/π/aggregation
-//! and falls back per operator to the same shared ops elsewhere, so both
-//! engines serve [`UaSession::query_au`] with identical results.
+//! Both executors serve [`UaSession::query_au`] with identical results:
+//! the vectorized engine (the default) runs AU as one semantics of its
+//! one driver, σ / π / ⋈ / γ / δ native over range column triples, and
+//! the row engine — its oracle — interprets each operator over
+//! [`AuRelation`]s with the shared `ua_ranges::ops` implementations
+//! ([`ua_plan::au`], re-exported here), which the vectorized engine also
+//! calls for `−`, `⟕`, keyless and cross-family joins.
 //!
 //! Source relations enter AU sessions either pre-annotated
 //! ([`UaSession::register_au_relation`]) or through the Section 9.2 SQL
@@ -33,6 +34,7 @@ use ua_plan::plan::Plan;
 use ua_plan::sql::ast::SourceAnnotation;
 use ua_plan::sql::planner::SourceResolver;
 use ua_plan::storage::{Catalog, Table};
+use ua_plan::Semantics;
 use ua_ranges::{decode_rows, AuRelation, AuTuple, MultBound, RangeValue};
 
 /// An AU query result: the flattened encoded representation (selected
@@ -92,31 +94,15 @@ impl UaSession {
         self.execute_au_plan(&plan)
     }
 
-    /// The optimizer pipeline on an AU plan (mirroring the UA wiring):
-    /// filter pushdown, statistics-driven join reordering,
-    /// cost-aware hash-join planning and TopK fusion all run on the shared
-    /// user plan before `⟦·⟧_AU` dispatch, so the row and vectorized
-    /// engines execute identically shaped plans. Positional join
-    /// classification is off — AU scans resolve to flattened encoded
-    /// tables (arity `3n + 3`), so only name-based references (the user
-    /// columns, which lead the flattened schema) classify reliably.
-    pub(crate) fn optimize_au_plan(&self, plan: &Plan) -> Plan {
-        self.optimize_plan_with(
-            plan.clone(),
-            ua_plan::optimize::OptimizerPasses {
-                positional_joins: false,
-                ..Default::default()
-            },
-        )
-    }
-
     fn execute_au_plan(&self, plan: &Plan) -> Result<AuResult, EngineError> {
         // One uniform guard before dispatch: both engines reject marker
         // references (selection, projection, joins, sort keys, GROUP BY
         // keys, aggregate arguments) identically.
         reject_marker_in_plan(plan)?;
-        let plan = &ua_obs::trace_scope("optimize", "session", || self.optimize_au_plan(plan));
-        self.dispatch(plan, ua_plan::Semantics::Au)
+        let plan = &ua_obs::trace_scope("optimize", "session", || {
+            self.optimize_plan(plan.clone(), Semantics::Au, self.exec_mode())
+        });
+        self.dispatch(plan, Semantics::Au)
             .map(|table| AuResult { table })
     }
 
@@ -126,7 +112,7 @@ impl UaSession {
     /// really executes; its result is discarded.
     pub fn explain_analyze_au(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &AuResolver)?;
-        let physical = self.optimize_au_plan(&plan);
+        let physical = self.optimize_plan(plan.clone(), Semantics::Au, self.exec_mode());
         let stats = self.run_analyzed(|| self.execute_au_plan(&plan).map(|_| ()))?;
         Ok(format!(
             "plan:\n  {plan}\nphysical (optimized):\n  {physical}\n{}",

@@ -25,8 +25,9 @@ use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashMap;
+use ua_plan::exec::EngineError;
 pub use ua_plan::exec::UA_FRAGMENT_ERROR;
-use ua_plan::exec::{execute, EngineError};
+use ua_plan::optimize::OptimizerPasses;
 use ua_plan::plan::Plan;
 use ua_plan::sql::ast::SourceAnnotation;
 use ua_plan::sql::parser::parse;
@@ -294,7 +295,9 @@ impl UaSession {
     pub(crate) fn dispatch(&self, plan: &Plan, semantics: Semantics) -> Result<Table, EngineError> {
         ua_obs::trace_scope("execute", "session", || {
             let (result, stats) = match self.exec_mode() {
-                ExecMode::Row => self.run_row(plan, semantics),
+                ExecMode::Row => {
+                    ua_plan::execute_row(plan, &self.catalog, semantics, self.stats_enabled())
+                }
                 ExecMode::Vectorized => {
                     ua_vecexec::execute(plan, &self.catalog, self.exec_options(), semantics)
                 }
@@ -306,67 +309,44 @@ impl UaSession {
         })
     }
 
-    /// [`Self::dispatch`]'s row-engine arm, shaped like
-    /// [`ua_vecexec::execute`].
-    fn run_row(
-        &self,
-        plan: &Plan,
-        semantics: Semantics,
-    ) -> (Result<Table, EngineError>, Option<ua_obs::QueryStats>) {
-        let au = semantics == Semantics::Au;
-        let encode = |rel: ua_ranges::AuRelation| ua_plan::au_table(&rel);
-        if !self.stats_enabled() {
-            let result = if au {
-                ua_plan::execute_au(plan, &self.catalog).map(encode)
-            } else {
-                execute(plan, &self.catalog)
-            };
-            return (result, None);
+    /// The one optimization step: every query plan passes through here
+    /// before executor dispatch (and before `EXPLAIN` renders it), so both
+    /// engines always run plans shaped by the same rewrites and cannot
+    /// drift. `(semantics, mode)` name the executor the plan is for, and
+    /// with it the schemas its expressions will bind against at run time:
+    ///
+    /// * `Det`, and `Ua` on the row engine (which executes the
+    ///   `⟦·⟧_UA`-rewritten plan as a deterministic one): the full pipeline.
+    /// * `Ua` on the vectorized engine, whose runtime schemas are the
+    ///   marker-*stripped* encoded schemas: positional references would be
+    ///   classified against the wrong arities there, so join planning is
+    ///   restricted to name-based classification (all plans lowered from
+    ///   SQL are name-based; only programmatic `RaExpr` queries with
+    ///   `Expr::Col` predicates give up the hash-join rewrite, keeping
+    ///   their pre-optimizer runtime-binding semantics). Join *reordering*
+    ///   already happened on the shared user plan ([`Self::ua_plans`]), so
+    ///   the pass is off.
+    /// * `Au`: the full pipeline on the shared user plan, before `⟦·⟧_AU`
+    ///   dispatch, so both engines execute identically shaped plans.
+    ///   Positional classification is off — AU scans resolve to flattened
+    ///   encoded tables (arity `3n + 3`), so only name-based references
+    ///   (the user columns, which lead the flattened schema) classify
+    ///   reliably.
+    pub(crate) fn optimize_plan(&self, plan: Plan, semantics: Semantics, mode: ExecMode) -> Plan {
+        if !self.optimizer_enabled() {
+            return plan;
         }
-        ua_obs::mem_query_start();
-        let (result, root) = if au {
-            let (rel, root) = ua_plan::stats::try_execute_au_with_stats(plan, &self.catalog);
-            (rel.map(encode), root)
-        } else {
-            ua_plan::stats::try_execute_with_stats(plan, &self.catalog)
+        let (positional_joins, reorder_joins) = match (semantics, mode) {
+            (Semantics::Det, _) | (Semantics::Ua, ExecMode::Row) => (true, true),
+            (Semantics::Ua, ExecMode::Vectorized) => (false, false),
+            (Semantics::Au, _) => (false, true),
         };
-        let peak_mem_bytes = ua_obs::mem_query_finish().unwrap_or(0);
-        let stats = root.map(|root| ua_obs::QueryStats {
-            engine: "row".into(),
-            semantics: semantics.name().into(),
-            root,
-            pool: None,
-            peak_mem_bytes,
-        });
-        (result, stats)
-    }
-
-    /// The shared optimization step: every query plan — deterministic or
-    /// UA, row or vectorized — passes through here before executor
-    /// dispatch, so both engines always run plans shaped by the same
-    /// rewrites and cannot drift.
-    fn optimize_plan(&self, plan: Plan) -> Plan {
-        self.optimize_plan_with(plan, ua_plan::optimize::OptimizerPasses::default())
-    }
-
-    /// [`Self::optimize_plan`] for the vectorized UA path, whose runtime
-    /// schemas are the marker-*stripped* encoded schemas: positional
-    /// references would be classified against the wrong arities there, so
-    /// join planning is restricted to name-based classification (all plans
-    /// lowered from SQL are name-based; only programmatic `RaExpr` queries
-    /// with `Expr::Col` predicates give up the hash-join rewrite, keeping
-    /// their pre-optimizer runtime-binding semantics). Join *reordering*
-    /// already happened on the shared user plan ([`Self::ua_plans`])
-    /// before dispatch, so the pass is off here.
-    fn optimize_plan_stripped(&self, plan: Plan) -> Plan {
-        self.optimize_plan_with(
-            plan,
-            ua_plan::optimize::OptimizerPasses {
-                positional_joins: false,
-                reorder_joins: false,
-                ..Default::default()
-            },
-        )
+        let passes = OptimizerPasses {
+            positional_joins,
+            reorder_joins: reorder_joins && self.reorder_joins_enabled(),
+            ..OptimizerPasses::default()
+        };
+        ua_plan::optimize::optimize_with(plan, &self.catalog, passes)
     }
 
     /// The two plans a UA query is made of: the *user* plan after
@@ -390,22 +370,6 @@ impl UaSession {
             rewrite_ua_plan(&user, &self.catalog)
         })?;
         Ok((user, rewritten))
-    }
-
-    pub(crate) fn optimize_plan_with(
-        &self,
-        plan: Plan,
-        passes: ua_plan::optimize::OptimizerPasses,
-    ) -> Plan {
-        if self.optimizer_enabled() {
-            let passes = ua_plan::optimize::OptimizerPasses {
-                reorder_joins: passes.reorder_joins && self.reorder_joins_enabled(),
-                ..passes
-            };
-            ua_plan::optimize::optimize_with(plan, &self.catalog, passes)
-        } else {
-            plan
-        }
     }
 
     /// The underlying catalog (deterministic tables and encoded UA tables
@@ -443,7 +407,9 @@ impl UaSession {
     pub fn query_det(&self, sql: &str) -> Result<Table, EngineError> {
         let _trace = self.trace_query();
         let plan = self.plan_sql(sql, &UaResolver)?;
-        let plan = ua_obs::trace_scope("optimize", "session", || self.optimize_plan(plan));
+        let plan = ua_obs::trace_scope("optimize", "session", || {
+            self.optimize_plan(plan, Semantics::Det, self.exec_mode())
+        });
         self.dispatch(&plan, Semantics::Det)
     }
 
@@ -473,7 +439,7 @@ impl UaSession {
     pub fn explain_ua(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &UaResolver)?;
         let (_, rewritten) = self.ua_plans(&plan)?;
-        let physical = self.optimize_plan(rewritten.clone());
+        let physical = self.optimize_plan(rewritten.clone(), Semantics::Ua, ExecMode::Row);
         Ok(format!(
             "user plan:\n  {plan}\nrewritten (⟦·⟧_UA):\n  {rewritten}\nphysical (optimized):\n  {physical}"
         ))
@@ -483,7 +449,7 @@ impl UaSession {
     /// physical plan that actually executes.
     pub fn explain_det(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &UaResolver)?;
-        let physical = self.optimize_plan(plan.clone());
+        let physical = self.optimize_plan(plan.clone(), Semantics::Det, self.exec_mode());
         Ok(format!(
             "plan:\n  {plan}\nphysical (optimized):\n  {physical}"
         ))
@@ -497,9 +463,13 @@ impl UaSession {
         // ordinary deterministic query; the vectorized engine propagates
         // labels itself (bitmaps, per the ⟦·⟧_UA rules), so it takes the
         // *user* query's physical plan.
-        let physical = ua_obs::trace_scope("optimize", "session", || match self.exec_mode() {
-            ExecMode::Row => self.optimize_plan(rewritten),
-            ExecMode::Vectorized => self.optimize_plan_stripped(user),
+        let mode = self.exec_mode();
+        let physical = ua_obs::trace_scope("optimize", "session", || {
+            let plan = match mode {
+                ExecMode::Row => rewritten,
+                ExecMode::Vectorized => user,
+            };
+            self.optimize_plan(plan, Semantics::Ua, mode)
         });
         self.dispatch(&physical, Semantics::Ua)
             .map(|table| UaResult { table })

@@ -1024,3 +1024,48 @@ fn multi_way_comma_joins_agree_across_engines_and_optimizer() {
         }
     }
 }
+
+/// Regression: AU `ORDER BY` keys bind against the *user* schema on both
+/// engines. The vectorized Sort / Top-K used to bind them against the
+/// stream's flattened schema, so a key naming a bound or multiplicity
+/// column returned rows there while the row engine answered `unknown
+/// column` — breaking the Ok-vs-Err contract and leaking bookkeeping
+/// columns. With the optimizer on `ORDER BY … LIMIT` runs as `TopK`, off
+/// as `Limit(Sort)`; without `LIMIT` as `Sort`; the subquery form puts the
+/// sort below a projection.
+#[test]
+fn au_sort_keys_cannot_name_bookkeeping_columns() {
+    const FROM: &str = "ti IS TI WITH PROBABILITY (p)";
+    for key in ["ua_ub_0", "ua_lb_1", "ua_m_lb", "ua_m_bg", "ua_m_ub"] {
+        for sql in [
+            format!("SELECT a FROM {FROM} ORDER BY {key}"),
+            format!("SELECT a FROM {FROM} ORDER BY {key} DESC, a LIMIT 3"),
+            format!("SELECT s.a FROM (SELECT a, b FROM {FROM} ORDER BY {key} LIMIT 5) s"),
+        ] {
+            for optimizer in [true, false] {
+                let row = seeded_session(ExecMode::Row, optimizer).query_au(&sql);
+                let vec = seeded_session(ExecMode::Vectorized, optimizer).query_au(&sql);
+                match (row, vec) {
+                    (Err(r), Err(v)) => assert_eq!(
+                        r.to_string(),
+                        v.to_string(),
+                        "error text differs (optimizer={optimizer}): {sql}"
+                    ),
+                    (r, v) => panic!(
+                        "bookkeeping sort key must be rejected by both engines \
+                         (optimizer={optimizer}): {sql}\n row: {:?}\n vec: {:?}",
+                        r.map(|t| t.table.len()),
+                        v.map(|t| t.table.len())
+                    ),
+                }
+            }
+        }
+    }
+    // User columns still sort, identically.
+    let sql = format!("SELECT a, b FROM {FROM} ORDER BY b DESC, a LIMIT 7");
+    let row = seeded_session(ExecMode::Row, true).query_au(&sql).unwrap();
+    let vec = seeded_session(ExecMode::Vectorized, true)
+        .query_au(&sql)
+        .unwrap();
+    assert_eq!(row.table.rows(), vec.table.rows(), "{sql}");
+}

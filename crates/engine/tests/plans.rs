@@ -492,7 +492,14 @@ fn stacked_error_capable_filters_keep_their_guard_order_when_reordered() {
     let opt = ua_engine::execute(&optimized, &c)
         .unwrap_or_else(|e| panic!("optimized plan errored where raw succeeded: {e}\n{optimized}"));
     assert_eq!(raw.sorted_rows(), opt.sorted_rows());
-    let vec = ua_vecexec::execute_vectorized(&optimized, &c).expect("vectorized");
+    let vec = ua_vecexec::execute(
+        &optimized,
+        &c,
+        ua_engine::ExecOptions::default(),
+        ua_engine::Semantics::Det,
+    )
+    .0
+    .expect("vectorized");
     assert_eq!(opt.rows(), vec.rows());
 }
 

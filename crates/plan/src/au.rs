@@ -2,10 +2,11 @@
 //!
 //! The row engine executes AU plans natively by interpreting each
 //! operator over [`AuRelation`]s with the shared `ua_ranges::ops`
-//! implementations ([`execute_au`]); the vectorized engine runs
-//! σ/π/aggregation over range column triples and falls back per operator
-//! to the same shared ops through [`au_unary`]/[`au_binary`], so both
-//! engines produce identical results. The session-level entry points
+//! implementations ([`execute_au`]). It is the oracle for the vectorized
+//! engine, whose one driver runs σ / π / ⋈ / γ / δ over range column
+//! triples and reaches the shared ops only for `−`, `⟕`, keyless and
+//! cross-family joins (through [`au_binary`]) — the differential suites
+//! hold the two byte-identical. The session-level entry points
 //! (`UaSession::query_au`, the Section 9.2 source labelings) live in
 //! `ua-engine`.
 
@@ -37,115 +38,24 @@ pub fn is_au_sidecar_name(name: &str) -> bool {
         || lower == ua_ranges::AU_MULT_UB
 }
 
-fn marker_error() -> EngineError {
-    EngineError::Schema(SchemaError::AmbiguousColumn(UA_LABEL_COLUMN.to_string()))
-}
-
-fn reject_marker(expr: &Expr) -> Result<(), EngineError> {
-    if expr_mentions_marker(expr) {
-        Err(marker_error())
-    } else {
-        Ok(())
-    }
-}
-
-/// The uniform marker guard for AU plans, run once before engine dispatch
-/// so the row and vectorized paths reject exactly the same queries: the
-/// `ua_c` marker (and by extension any engine-managed bookkeeping column)
-/// may not appear in predicates, projections, join conditions, sort keys —
-/// or, the class of hole PR 4 closed for ORDER BY, in **GROUP BY keys and
-/// aggregate arguments**.
+/// The uniform marker guard, run once before a UA or AU plan reaches
+/// either executor so the row and vectorized paths reject exactly the same
+/// queries: the `ua_c` marker is engine bookkeeping, so no expression a
+/// node evaluates (predicates, projections, join conditions, sort keys,
+/// GROUP BY keys, aggregate arguments) may reference it and no output
+/// column may take its name.
 pub fn reject_marker_in_plan(plan: &Plan) -> Result<(), EngineError> {
-    match plan {
-        Plan::Scan(_) => Ok(()),
-        Plan::Alias { input, .. } => reject_marker_in_plan(input),
-        Plan::Filter { input, predicate } => {
-            reject_marker(predicate)?;
-            reject_marker_in_plan(input)
-        }
-        Plan::Map { input, columns } => {
-            for c in columns {
-                if c.name().eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                    return Err(marker_error());
-                }
-                reject_marker(&c.expr)?;
-            }
-            reject_marker_in_plan(input)
-        }
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            if let Some(p) = predicate {
-                reject_marker(p)?;
-            }
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-            ..
-        } => {
-            for (l, r) in keys {
-                reject_marker(l)?;
-                reject_marker(r)?;
-            }
-            if let Some(res) = residual {
-                reject_marker(res)?;
-            }
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::UnionAll { left, right } | Plan::Except { left, right, .. } => {
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            ..
-        } => {
-            if let Some(p) = predicate {
-                reject_marker(p)?;
-            }
-            reject_marker_in_plan(left)?;
-            reject_marker_in_plan(right)
-        }
-        Plan::Distinct { input } => reject_marker_in_plan(input),
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            for g in group_by {
-                if g.name().eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                    return Err(marker_error());
-                }
-                reject_marker(&g.expr)?;
-            }
-            for a in aggregates {
-                if a.name.eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                    return Err(marker_error());
-                }
-                if let Some(arg) = &a.arg {
-                    reject_marker(arg)?;
-                }
-            }
-            reject_marker_in_plan(input)
-        }
-        Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
-            for (k, _) in keys {
-                reject_marker(k)?;
-            }
-            reject_marker_in_plan(input)
-        }
-        Plan::Limit { input, .. } => reject_marker_in_plan(input),
+    let (exprs, names) = plan.exprs();
+    if exprs.into_iter().any(expr_mentions_marker)
+        || names
+            .into_iter()
+            .any(|n| n.eq_ignore_ascii_case(UA_LABEL_COLUMN))
+    {
+        return Err(EngineError::Schema(SchemaError::AmbiguousColumn(
+            UA_LABEL_COLUMN.to_string(),
+        )));
     }
+    plan.inputs().try_for_each(reject_marker_in_plan)
 }
 
 /// Map the engine's aggregate functions onto the range layer's kinds.
@@ -161,9 +71,9 @@ pub fn agg_kind(func: AggFunc) -> AggKind {
 }
 
 /// Execute an AU plan on the row engine: each operator interprets over
-/// [`AuRelation`]s via the shared `ua_ranges::ops` — the same code the
-/// vectorized engine's fallbacks call (through [`au_unary`]/[`au_binary`]),
-/// so the engines cannot diverge.
+/// [`AuRelation`]s via the shared `ua_ranges::ops` — the bound rules the
+/// vectorized engine's column-native operators are tested against, and the
+/// very code it calls (through [`au_binary`]) where it has none.
 pub fn execute_au(plan: &Plan, catalog: &Catalog) -> Result<AuRelation, EngineError> {
     execute_au_traced(plan, catalog, &mut crate::stats::Tracer::off())
 }
@@ -267,8 +177,7 @@ pub(crate) fn au_relation_mem_bytes(rel: &AuRelation) -> u64 {
 }
 
 /// Apply one unary AU operator (the node at the root of `plan`) to an
-/// already-evaluated input. Shared between the row interpreter and the
-/// vectorized engine's per-operator fallbacks.
+/// already-evaluated input.
 pub fn au_unary(plan: &Plan, rel: &AuRelation) -> Result<AuRelation, EngineError> {
     match plan {
         Plan::Alias { name, .. } => {
@@ -327,8 +236,9 @@ pub fn au_unary(plan: &Plan, rel: &AuRelation) -> Result<AuRelation, EngineError
     }
 }
 
-/// Apply one binary AU operator to already-evaluated inputs (see
-/// [`au_unary`]).
+/// Apply one binary AU operator to already-evaluated inputs. Shared
+/// between the row interpreter and the vectorized engine's `−`, `⟕`,
+/// keyless and cross-family joins.
 pub fn au_binary(plan: &Plan, l: &AuRelation, r: &AuRelation) -> Result<AuRelation, EngineError> {
     match plan {
         Plan::Join { predicate, .. } => {

@@ -52,7 +52,7 @@ pub use optimize::{
 pub use options::{ExecOptions, Semantics};
 pub use plan::{AggExpr, AggFunc, Plan, SortOrder};
 pub use sql::{parse, plan_query, plan_schema};
-pub use stats::{execute_au_with_stats, execute_with_stats};
+pub use stats::execute_row;
 pub use storage::{Catalog, ColumnStats, Histogram, Table, TableStats, HISTOGRAM_BUCKETS};
 pub use ua::rewrite_ua_plan;
 pub use ua_obs::{OperatorStats, PoolStats, QueryStats};

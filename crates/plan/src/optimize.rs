@@ -42,6 +42,12 @@
 //! 4. Filter pushdown again: selections pushed onto join inputs by passes
 //!    2/3 may sink further through projections (e.g. into subqueries).
 //!
+//! Each pass is the arms that hold its rule plus
+//! `other => other.map_inputs(|p| pass(p, …))` ([`Plan::map_inputs`]); the
+//! expression helpers at the bottom instantiate the two `Expr` leaf walks
+//! (`for_each_leaf`, `try_map_leaves`). `docs/optimizer.md` ("Adding a plan
+//! operator or a pass") lists what a new operator has to supply.
+//!
 //! Invariants (checked by `tests/plans.rs`, `tests/differential.rs` and
 //! `tests/label_soundness.rs`):
 //!
@@ -134,8 +140,8 @@ pub fn optimize_with(plan: Plan, catalog: &Catalog, passes: OptimizerPasses) -> 
 /// `Limit` over an already-fused `TopK` also folds (the smaller count
 /// wins), so stacked `LIMIT`s cannot undo the fusion.
 pub fn fuse_topk(plan: Plan) -> Plan {
-    match plan {
-        Plan::Limit { input, limit } => match fuse_topk(*input) {
+    match plan.map_inputs(fuse_topk) {
+        Plan::Limit { input, limit } => match *input {
             Plan::Sort { input, keys } => Plan::TopK { input, keys, limit },
             Plan::TopK {
                 input,
@@ -151,82 +157,7 @@ pub fn fuse_topk(plan: Plan) -> Plan {
                 limit,
             },
         },
-        Plan::Scan(name) => Plan::Scan(name),
-        Plan::Alias { input, name } => Plan::Alias {
-            input: Box::new(fuse_topk(*input)),
-            name,
-        },
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(fuse_topk(*input)),
-            predicate,
-        },
-        Plan::Map { input, columns } => Plan::Map {
-            input: Box::new(fuse_topk(*input)),
-            columns,
-        },
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => Plan::Join {
-            left: Box::new(fuse_topk(*left)),
-            right: Box::new(fuse_topk(*right)),
-            predicate,
-        },
-        Plan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-            build_left,
-        } => Plan::HashJoin {
-            left: Box::new(fuse_topk(*left)),
-            right: Box::new(fuse_topk(*right)),
-            keys,
-            residual,
-            build_left,
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(fuse_topk(*left)),
-            right: Box::new(fuse_topk(*right)),
-        },
-        Plan::Except { left, right, all } => Plan::Except {
-            left: Box::new(fuse_topk(*left)),
-            right: Box::new(fuse_topk(*right)),
-            all,
-        },
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => Plan::OuterJoin {
-            left: Box::new(fuse_topk(*left)),
-            right: Box::new(fuse_topk(*right)),
-            predicate,
-            kind,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(fuse_topk(*input)),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(fuse_topk(*input)),
-            group_by,
-            aggregates,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(fuse_topk(*input)),
-            keys,
-        },
-        Plan::TopK { input, keys, limit } => Plan::TopK {
-            input: Box::new(fuse_topk(*input)),
-            keys,
-            limit,
-        },
+        other => other,
     }
 }
 
@@ -312,82 +243,7 @@ pub fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
                 },
             }
         }
-        Plan::Scan(name) => Plan::Scan(name),
-        Plan::Alias { input, name } => Plan::Alias {
-            input: Box::new(push_filters(*input, catalog)),
-            name,
-        },
-        Plan::Map { input, columns } => Plan::Map {
-            input: Box::new(push_filters(*input, catalog)),
-            columns,
-        },
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => Plan::Join {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
-            predicate,
-        },
-        Plan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-            build_left,
-        } => Plan::HashJoin {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
-            keys,
-            residual,
-            build_left,
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
-        },
-        Plan::Except { left, right, all } => Plan::Except {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
-            all,
-        },
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => Plan::OuterJoin {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
-            predicate,
-            kind,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(push_filters(*input, catalog)),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(push_filters(*input, catalog)),
-            group_by,
-            aggregates,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(push_filters(*input, catalog)),
-            keys,
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(push_filters(*input, catalog)),
-            limit,
-        },
-        Plan::TopK { input, keys, limit } => Plan::TopK {
-            input: Box::new(push_filters(*input, catalog)),
-            keys,
-            limit,
-        },
+        other => other.map_inputs(|p| push_filters(p, catalog)),
     }
 }
 
@@ -516,76 +372,11 @@ fn plan_joins_impl(plan: Plan, catalog: &Catalog, positional: bool) -> Plan {
             };
             rewrite_join(*left, *right, conjuncts, catalog, positional)
         }
-        Plan::Scan(name) => Plan::Scan(name),
-        Plan::Alias { input, name } => Plan::Alias {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-            name,
-        },
-        Plan::Map { input, columns } => Plan::Map {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-            columns,
-        },
-        Plan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-            build_left,
-        } => Plan::HashJoin {
-            left: Box::new(plan_joins_impl(*left, catalog, positional)),
-            right: Box::new(plan_joins_impl(*right, catalog, positional)),
-            keys,
-            residual,
-            build_left,
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(plan_joins_impl(*left, catalog, positional)),
-            right: Box::new(plan_joins_impl(*right, catalog, positional)),
-        },
-        Plan::Except { left, right, all } => Plan::Except {
-            left: Box::new(plan_joins_impl(*left, catalog, positional)),
-            right: Box::new(plan_joins_impl(*right, catalog, positional)),
-            all,
-        },
-        // The ON predicate stays on the logical node — the vectorized
-        // anti/outer probe extracts equi-keys itself, and rewriting to
-        // `HashJoin` would lose the padding semantics.
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => Plan::OuterJoin {
-            left: Box::new(plan_joins_impl(*left, catalog, positional)),
-            right: Box::new(plan_joins_impl(*right, catalog, positional)),
-            predicate,
-            kind,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-            group_by,
-            aggregates,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-            keys,
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-            limit,
-        },
-        Plan::TopK { input, keys, limit } => Plan::TopK {
-            input: Box::new(plan_joins_impl(*input, catalog, positional)),
-            keys,
-            limit,
-        },
+        // Everything else only hands the pass on to its inputs. That
+        // includes `OuterJoin`: its ON predicate stays on the logical node
+        // — the vectorized anti/outer probe extracts equi-keys itself, and
+        // rewriting to `HashJoin` would lose the padding semantics.
+        other => other.map_inputs(|p| plan_joins_impl(p, catalog, positional)),
     }
 }
 
@@ -1151,111 +942,20 @@ fn reorder_joins_impl(plan: Plan, catalog: &Catalog, positional: bool) -> Plan {
             None => descend_region(plan, catalog, positional),
         };
     }
-    // Structural recursion: the node itself stays, children get their turn.
-    match plan {
-        Plan::Scan(name) => Plan::Scan(name),
-        Plan::Alias { input, name } => Plan::Alias {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            name,
-        },
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            predicate,
-        },
-        Plan::Map { input, columns } => Plan::Map {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            columns,
-        },
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => Plan::Join {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
-            predicate,
-        },
-        Plan::HashJoin {
-            left,
-            right,
-            keys,
-            residual,
-            build_left,
-        } => Plan::HashJoin {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
-            keys,
-            residual,
-            build_left,
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
-        },
-        // Reorder barriers: `flatten_join_tree` treats both as leaves (a
-        // difference or padded join cannot commute with inner joins), but
-        // each side is its own reorderable region.
-        Plan::Except { left, right, all } => Plan::Except {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
-            all,
-        },
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => Plan::OuterJoin {
-            left: Box::new(reorder_joins_impl(*left, catalog, positional)),
-            right: Box::new(reorder_joins_impl(*right, catalog, positional)),
-            predicate,
-            kind,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => Plan::Aggregate {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            group_by,
-            aggregates,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            keys,
-        },
-        Plan::Limit { input, limit } => Plan::Limit {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            limit,
-        },
-        Plan::TopK { input, keys, limit } => Plan::TopK {
-            input: Box::new(reorder_joins_impl(*input, catalog, positional)),
-            keys,
-            limit,
-        },
-    }
+    // The node itself stays, its inputs get their turn. `Except` and
+    // `OuterJoin` are reorder barriers — `flatten_join_tree` treats both as
+    // leaves (a difference or padded join cannot commute with inner joins)
+    // — but each side is its own reorderable region.
+    plan.map_inputs(|p| reorder_joins_impl(p, catalog, positional))
 }
 
 /// Recurse into an analyzed-but-unchanged join region: filters and joins
 /// pass through untouched, leaves re-enter the reorder pass.
 fn descend_region(plan: Plan, catalog: &Catalog, positional: bool) -> Plan {
     match plan {
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(descend_region(*input, catalog, positional)),
-            predicate,
-        },
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => Plan::Join {
-            left: Box::new(descend_region(*left, catalog, positional)),
-            right: Box::new(descend_region(*right, catalog, positional)),
-            predicate,
-        },
+        Plan::Filter { .. } | Plan::Join { .. } => {
+            plan.map_inputs(|p| descend_region(p, catalog, positional))
+        }
         other => reorder_joins_impl(other, catalog, positional),
     }
 }
@@ -2058,50 +1758,17 @@ fn side_of(expr: &Expr, ls: &Schema, rs: &Schema, la: usize, positional: bool) -
 
 /// Collect positional and named column references of an expression.
 fn collect_refs<'a>(expr: &'a Expr, cols: &mut Vec<usize>, names: &mut Vec<&'a str>) {
-    match expr {
+    expr.for_each_leaf(&mut |leaf| match leaf {
         Expr::Col(i) => cols.push(*i),
         Expr::Named(n) => names.push(n),
-        Expr::Lit(_) => {}
-        Expr::Cmp(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::Least(a, b) => {
-            collect_refs(a, cols, names);
-            collect_refs(b, cols, names);
-        }
-        Expr::Not(a) | Expr::IsNull(a) => collect_refs(a, cols, names),
-        Expr::Between(e, lo, hi) => {
-            collect_refs(e, cols, names);
-            collect_refs(lo, cols, names);
-            collect_refs(hi, cols, names);
-        }
-        Expr::InList(e, list) => {
-            collect_refs(e, cols, names);
-            for i in list {
-                collect_refs(i, cols, names);
-            }
-        }
-        Expr::Case {
-            branches,
-            otherwise,
-        } => {
-            for (c, v) in branches {
-                collect_refs(c, cols, names);
-                collect_refs(v, cols, names);
-            }
-            if let Some(e) = otherwise {
-                collect_refs(e, cols, names);
-            }
-        }
-    }
+        _ => {}
+    });
 }
 
 fn has_named_refs(expr: &Expr) -> bool {
-    let mut cols = Vec::new();
-    let mut names = Vec::new();
-    collect_refs(expr, &mut cols, &mut names);
-    !names.is_empty()
+    let mut named = false;
+    expr.for_each_leaf(&mut |leaf| named |= matches!(leaf, Expr::Named(_)));
+    named
 }
 
 /// Whether evaluating the predicate can raise an error (as opposed to
@@ -2172,80 +1839,32 @@ fn option_conjunction(conjuncts: Vec<Expr>) -> Option<Expr> {
 /// references with the projection's expressions. `None` when a reference
 /// cannot be resolved uniquely (the pushdown is then skipped).
 fn substitute(predicate: &Expr, columns: &[ProjColumn]) -> Option<Expr> {
-    Some(match predicate {
-        Expr::Col(i) => columns.get(*i)?.expr.clone(),
-        Expr::Named(name) => {
-            let (qualifier, base) = match name.rsplit_once('.') {
-                Some((q, n)) => (Some(q), n),
-                None => (None, name.as_str()),
-            };
-            let mut matches = columns.iter().filter(|c| {
-                c.column.name.eq_ignore_ascii_case(base)
-                    && match qualifier {
-                        None => true,
-                        Some(q) => c
-                            .column
-                            .qualifier
-                            .as_deref()
-                            .is_some_and(|mine| mine.eq_ignore_ascii_case(q)),
-                    }
-            });
-            let col = matches.next()?;
-            if matches.next().is_some() {
-                return None; // ambiguous
-            }
-            col.expr.clone()
-        }
-        Expr::Lit(v) => Expr::Lit(v.clone()),
-        Expr::Cmp(op, a, b) => Expr::Cmp(
-            *op,
-            Box::new(substitute(a, columns)?),
-            Box::new(substitute(b, columns)?),
-        ),
-        Expr::And(a, b) => Expr::And(
-            Box::new(substitute(a, columns)?),
-            Box::new(substitute(b, columns)?),
-        ),
-        Expr::Or(a, b) => Expr::Or(
-            Box::new(substitute(a, columns)?),
-            Box::new(substitute(b, columns)?),
-        ),
-        Expr::Not(a) => Expr::Not(Box::new(substitute(a, columns)?)),
-        Expr::Arith(op, a, b) => Expr::Arith(
-            *op,
-            Box::new(substitute(a, columns)?),
-            Box::new(substitute(b, columns)?),
-        ),
-        Expr::IsNull(a) => Expr::IsNull(Box::new(substitute(a, columns)?)),
-        Expr::Between(e, lo, hi) => Expr::Between(
-            Box::new(substitute(e, columns)?),
-            Box::new(substitute(lo, columns)?),
-            Box::new(substitute(hi, columns)?),
-        ),
-        Expr::InList(e, list) => Expr::InList(
-            Box::new(substitute(e, columns)?),
-            list.iter()
-                .map(|i| substitute(i, columns))
-                .collect::<Option<_>>()?,
-        ),
-        Expr::Least(a, b) => Expr::Least(
-            Box::new(substitute(a, columns)?),
-            Box::new(substitute(b, columns)?),
-        ),
-        Expr::Case {
-            branches,
-            otherwise,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Some((substitute(c, columns)?, substitute(v, columns)?)))
-                .collect::<Option<_>>()?,
-            otherwise: match otherwise {
-                Some(e) => Some(Box::new(substitute(e, columns)?)),
-                None => None,
-            },
-        },
-    })
+    let by_name = |name: &str| -> Option<&ProjColumn> {
+        let (qualifier, base) = match name.rsplit_once('.') {
+            Some((q, n)) => (Some(q), n),
+            None => (None, name),
+        };
+        let mut matches = columns.iter().filter(|c| {
+            c.column.name.eq_ignore_ascii_case(base)
+                && match qualifier {
+                    None => true,
+                    Some(q) => c
+                        .column
+                        .qualifier
+                        .as_deref()
+                        .is_some_and(|mine| mine.eq_ignore_ascii_case(q)),
+                }
+        });
+        // A second match makes the reference ambiguous.
+        matches.next().filter(|_| matches.next().is_none())
+    };
+    predicate
+        .try_map_leaves(&mut |leaf| match leaf {
+            Expr::Col(i) => columns.get(*i).map(|c| c.expr.clone()).ok_or(()),
+            Expr::Named(name) => by_name(name).map(|c| c.expr.clone()).ok_or(()),
+            lit => Ok(lit.clone()),
+        })
+        .ok()
 }
 
 #[cfg(test)]

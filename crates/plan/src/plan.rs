@@ -295,26 +295,163 @@ impl Plan {
         })
     }
 
-    /// Number of relational operators (for plan statistics).
-    pub fn operator_count(&self) -> usize {
-        match self {
-            Plan::Scan(_) => 0,
-            Plan::Alias { input, .. } => input.operator_count(),
-            Plan::Filter { input, .. }
+    /// This node's input plans, left before right.
+    pub fn inputs(&self) -> impl Iterator<Item = &Plan> {
+        let (first, second) = match self {
+            Plan::Scan(_) => (None, None),
+            Plan::Alias { input, .. }
+            | Plan::Filter { input, .. }
             | Plan::Map { input, .. }
             | Plan::Distinct { input }
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::TopK { input, .. } => 1 + input.operator_count(),
+            | Plan::TopK { input, .. } => (Some(&**input), None),
             Plan::Join { left, right, .. }
             | Plan::HashJoin { left, right, .. }
             | Plan::UnionAll { left, right }
             | Plan::Except { left, right, .. }
-            | Plan::OuterJoin { left, right, .. } => {
-                1 + left.operator_count() + right.operator_count()
+            | Plan::OuterJoin { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Rebuild this node over `f` of each input (in [`Plan::inputs`]
+    /// order), everything else unchanged: the one place that names every
+    /// variant in order to rebuild it. A rewriting pass is the arms that
+    /// hold its rule plus `other => other.map_inputs(|p| pass(p))`.
+    pub fn map_inputs(self, mut f: impl FnMut(Plan) -> Plan) -> Plan {
+        let mut go = |p: Box<Plan>| Box::new(f(*p));
+        match self {
+            Plan::Scan(name) => Plan::Scan(name),
+            Plan::Alias { input, name } => Plan::Alias {
+                input: go(input),
+                name,
+            },
+            Plan::Filter { input, predicate } => Plan::Filter {
+                input: go(input),
+                predicate,
+            },
+            Plan::Map { input, columns } => Plan::Map {
+                input: go(input),
+                columns,
+            },
+            Plan::Join {
+                left,
+                right,
+                predicate,
+            } => Plan::Join {
+                left: go(left),
+                right: go(right),
+                predicate,
+            },
+            Plan::HashJoin {
+                left,
+                right,
+                keys,
+                residual,
+                build_left,
+            } => Plan::HashJoin {
+                left: go(left),
+                right: go(right),
+                keys,
+                residual,
+                build_left,
+            },
+            Plan::UnionAll { left, right } => Plan::UnionAll {
+                left: go(left),
+                right: go(right),
+            },
+            Plan::Except { left, right, all } => Plan::Except {
+                left: go(left),
+                right: go(right),
+                all,
+            },
+            Plan::OuterJoin {
+                left,
+                right,
+                predicate,
+                kind,
+            } => Plan::OuterJoin {
+                left: go(left),
+                right: go(right),
+                predicate,
+                kind,
+            },
+            Plan::Distinct { input } => Plan::Distinct { input: go(input) },
+            Plan::Aggregate {
+                input,
+                group_by,
+                aggregates,
+            } => Plan::Aggregate {
+                input: go(input),
+                group_by,
+                aggregates,
+            },
+            Plan::Sort { input, keys } => Plan::Sort {
+                input: go(input),
+                keys,
+            },
+            Plan::Limit { input, limit } => Plan::Limit {
+                input: go(input),
+                limit,
+            },
+            Plan::TopK { input, keys, limit } => Plan::TopK {
+                input: go(input),
+                keys,
+                limit,
+            },
+        }
+    }
+
+    /// What this node itself carries, inputs aside: the expressions it
+    /// evaluates (predicates, projection and grouping expressions,
+    /// aggregate arguments, join and sort keys) and the output column
+    /// names it introduces (`Map` / `Aggregate`).
+    pub fn exprs(&self) -> (Vec<&Expr>, Vec<&str>) {
+        let mut exprs: Vec<&Expr> = Vec::new();
+        let mut names: Vec<&str> = Vec::new();
+        match self {
+            Plan::Scan(_)
+            | Plan::Alias { .. }
+            | Plan::UnionAll { .. }
+            | Plan::Except { .. }
+            | Plan::Distinct { .. }
+            | Plan::Limit { .. } => {}
+            Plan::Filter { predicate, .. } => exprs.push(predicate),
+            Plan::Map { columns, .. } => {
+                exprs.extend(columns.iter().map(|c| &c.expr));
+                names.extend(columns.iter().map(ProjColumn::name));
+            }
+            Plan::Join { predicate, .. } | Plan::OuterJoin { predicate, .. } => {
+                exprs.extend(predicate);
+            }
+            Plan::HashJoin { keys, residual, .. } => {
+                exprs.extend(keys.iter().flat_map(|(l, r)| [l, r]));
+                exprs.extend(residual);
+            }
+            Plan::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                exprs.extend(group_by.iter().map(|g| &g.expr));
+                exprs.extend(aggregates.iter().filter_map(|a| a.arg.as_ref()));
+                names.extend(group_by.iter().map(ProjColumn::name));
+                names.extend(aggregates.iter().map(|a| a.name.as_str()));
+            }
+            Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
+                exprs.extend(keys.iter().map(|(k, _)| k));
             }
         }
+        (exprs, names)
+    }
+
+    /// Number of relational operators (for plan statistics): every node
+    /// but scans and aliases.
+    pub fn operator_count(&self) -> usize {
+        usize::from(!matches!(self, Plan::Scan(_) | Plan::Alias { .. }))
+            + self.inputs().map(Plan::operator_count).sum::<usize>()
     }
 }
 
@@ -428,6 +565,153 @@ mod tests {
         let plan = Plan::from_ra(&q);
         assert_eq!(plan.to_ra(), Some(q));
         assert_eq!(plan.operator_count(), 3);
+    }
+
+    /// One plan holding all 14 variants, every expression field a distinct
+    /// `old_<n>` reference (17 of them).
+    fn every_variant() -> Plan {
+        let mut n = 0;
+        let mut old = || {
+            n += 1;
+            Expr::named(format!("old_{n}"))
+        };
+        let scan = |name: &str| Box::new(Plan::Scan(name.into()));
+        let hash_join = Plan::HashJoin {
+            left: Box::new(Plan::Alias {
+                input: scan("r"),
+                name: "x".into(),
+            }),
+            right: Box::new(Plan::Filter {
+                input: scan("s"),
+                predicate: old().eq(old()),
+            }),
+            keys: vec![(old(), old()), (old(), old())],
+            residual: Some(old()),
+            build_left: true,
+        };
+        let join = Plan::Join {
+            left: Box::new(hash_join),
+            right: Box::new(Plan::Map {
+                input: scan("t"),
+                columns: vec![
+                    ProjColumn::expr(old(), "m1"),
+                    ProjColumn::expr(old().add(old()), "m2"),
+                ],
+            }),
+            predicate: Some(old()),
+        };
+        let outer = Plan::OuterJoin {
+            left: Box::new(join),
+            right: Box::new(Plan::Distinct { input: scan("u") }),
+            predicate: Some(old()),
+            kind: OuterKind::Left,
+        };
+        let aggregate = Plan::Aggregate {
+            input: Box::new(outer),
+            group_by: vec![ProjColumn::expr(old(), "g")],
+            aggregates: vec![
+                AggExpr {
+                    func: AggFunc::Sum,
+                    arg: Some(old()),
+                    name: "total".into(),
+                },
+                AggExpr {
+                    func: AggFunc::CountStar,
+                    arg: None,
+                    name: "n".into(),
+                },
+            ],
+        };
+        let top_k = Plan::TopK {
+            input: Box::new(Plan::Limit {
+                input: Box::new(Plan::Sort {
+                    input: Box::new(aggregate),
+                    keys: vec![(old(), SortOrder::Asc), (old(), SortOrder::Desc)],
+                }),
+                limit: 9,
+            }),
+            keys: vec![(old(), SortOrder::Desc)],
+            limit: 3,
+        };
+        Plan::Except {
+            left: Box::new(Plan::UnionAll {
+                left: Box::new(top_k),
+                right: scan("v"),
+            }),
+            right: scan("w"),
+            all: true,
+        }
+    }
+
+    /// Every node of the tree, pre-order, reached through `inputs` alone.
+    fn nodes(plan: &Plan) -> Vec<&Plan> {
+        let mut out = vec![plan];
+        for input in plan.inputs() {
+            out.extend(nodes(input));
+        }
+        out
+    }
+
+    #[test]
+    fn the_sample_plan_holds_every_variant() {
+        let plan = every_variant();
+        let mut kinds: Vec<_> = nodes(&plan)
+            .into_iter()
+            .map(|p| crate::stats::node_label(p).0)
+            .collect();
+        kinds.sort();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 14, "{kinds:?}");
+        assert_eq!(plan.operator_count(), 12);
+    }
+
+    #[test]
+    fn map_inputs_with_identity_rebuilds_every_variant_unchanged() {
+        fn rebuild(plan: Plan) -> Plan {
+            plan.map_inputs(rebuild)
+        }
+        let plan = every_variant();
+        assert_eq!(rebuild(plan.clone()), plan);
+    }
+
+    #[test]
+    fn map_inputs_visits_children_in_inputs_order() {
+        let plan = every_variant();
+        for node in nodes(&plan) {
+            let mut visited: Vec<Plan> = Vec::new();
+            node.clone().map_inputs(|child| {
+                visited.push(child.clone());
+                child
+            });
+            let inputs: Vec<Plan> = node.inputs().cloned().collect();
+            assert_eq!(visited, inputs, "{node}");
+        }
+    }
+
+    #[test]
+    fn exprs_reach_every_reference_and_output_name() {
+        let plan = every_variant();
+        let mut rendered = format!("{plan:?}");
+        let (mut refs, mut outputs) = (0, Vec::new());
+        for node in nodes(&plan) {
+            let (exprs, names) = node.exprs();
+            for e in exprs {
+                e.for_each_leaf(&mut |leaf| {
+                    if let Expr::Named(name) = leaf {
+                        refs += 1;
+                        // Trailing quote: `old_1` must not eat `old_12`.
+                        rendered = rendered.replace(&format!("{name}\""), "new\"");
+                    }
+                });
+            }
+            outputs.extend(names);
+        }
+        assert_eq!(refs, 17);
+        assert!(
+            !rendered.contains("old_"),
+            "a reference `exprs` does not reach: {rendered}"
+        );
+        assert_eq!(outputs, ["g", "total", "n", "m1", "m2"]);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! tracer's state — results are byte-identical with collection on or off
 //! (the differential tests assert it).
 
+use crate::au::au_table;
 use crate::exec::EngineError;
+use crate::options::Semantics;
 use crate::plan::Plan;
 use crate::storage::{Catalog, Table};
-use ua_obs::{OperatorStats, Stopwatch};
+use ua_obs::{OperatorStats, QueryStats, Stopwatch};
 
 /// The span stack threaded through the row executors' recursion.
 pub(crate) struct Tracer<'a> {
@@ -145,52 +147,45 @@ impl<'a> Tracer<'a> {
     }
 }
 
-/// Execute `plan` on the row engine while collecting the per-operator
-/// span tree — [`crate::execute`] plus instrumentation; the result table
-/// is byte-identical to the uninstrumented run.
-pub fn execute_with_stats(
+/// Execute `plan` against `catalog` under `semantics` on the row engine,
+/// materializing the result table in that semantics' encoding — the twin
+/// of `ua_vecexec::execute`, and the oracle it is tested against. `Ua`
+/// plans arrive `⟦·⟧_UA`-rewritten and run as deterministic ones; `Au`
+/// plans run the AU interpreter and come back flattened ([`au_table`]).
+///
+/// With `collect_stats` the run's [`QueryStats`] come back next to the
+/// result — on the error path too, as the partial operator tree whose
+/// failing spans carry an `error=1` extra. The result is byte-identical
+/// with collection on or off.
+pub fn execute_row(
     plan: &Plan,
     catalog: &Catalog,
-) -> Result<(Table, OperatorStats), EngineError> {
-    let (result, root) = try_execute_with_stats(plan, catalog);
-    Ok((result?, root.expect("traced execution yields a root span")))
-}
-
-/// [`execute_with_stats`] that keeps the span tree on failure: the stats
-/// come back alongside the result, and a query that errors mid-execution
-/// yields the partial operator tree with the failing spans carrying an
-/// `error=1` extra — the instrument for debugging failed queries.
-pub fn try_execute_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-) -> (Result<Table, EngineError>, Option<OperatorStats>) {
-    let mut tracer = Tracer::on(catalog);
-    let result = crate::exec::execute_traced(plan, catalog, &mut tracer);
-    (result, tracer.finish())
-}
-
-/// Execute an AU plan on the row interpreter while collecting the
-/// per-operator span tree (the instrumented [`crate::execute_au`]).
-pub fn execute_au_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-) -> Result<(ua_ranges::AuRelation, OperatorStats), EngineError> {
-    let (result, root) = try_execute_au_with_stats(plan, catalog);
-    Ok((result?, root.expect("traced execution yields a root span")))
-}
-
-/// [`execute_au_with_stats`] that keeps the (partial, error-marked) span
-/// tree on failure — the AU counterpart of [`try_execute_with_stats`].
-pub fn try_execute_au_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-) -> (
-    Result<ua_ranges::AuRelation, EngineError>,
-    Option<OperatorStats>,
-) {
-    let mut tracer = Tracer::on(catalog);
-    let result = crate::au::execute_au_traced(plan, catalog, &mut tracer);
-    (result, tracer.finish())
+    semantics: Semantics,
+    collect_stats: bool,
+) -> (Result<Table, EngineError>, Option<QueryStats>) {
+    let mut tracer = if collect_stats {
+        ua_obs::mem_query_start();
+        Tracer::on(catalog)
+    } else {
+        Tracer::off()
+    };
+    let result = match semantics {
+        Semantics::Det | Semantics::Ua => crate::exec::execute_traced(plan, catalog, &mut tracer),
+        Semantics::Au => {
+            crate::au::execute_au_traced(plan, catalog, &mut tracer).map(|rel| au_table(&rel))
+        }
+    };
+    // A collecting tracer always finishes into a root span (the executors
+    // open one before anything can fail), so the accumulator armed above
+    // is disarmed here.
+    let stats = tracer.finish().map(|root| QueryStats {
+        engine: "row".into(),
+        semantics: semantics.name().into(),
+        root,
+        pool: None,
+        peak_mem_bytes: ua_obs::mem_query_finish().unwrap_or(0),
+    });
+    (result, stats)
 }
 
 /// Estimated logical bytes of one value: a fixed 16-byte slot (tag +
@@ -321,7 +316,8 @@ mod tests {
             predicate: ua_data::expr::Expr::named("salary").ge(ua_data::expr::Expr::lit(80i64)),
         };
         let plain = crate::execute(&plan, &c).unwrap();
-        let (traced, root) = execute_with_stats(&plan, &c).unwrap();
+        let (traced, stats) = execute_row(&plan, &c, Semantics::Det, true);
+        let (traced, root) = (traced.unwrap(), stats.unwrap().root);
         assert_eq!(plain.schema(), traced.schema());
         assert_eq!(plain.rows(), traced.rows());
         assert_eq!(root.name, "Filter");

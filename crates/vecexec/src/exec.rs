@@ -77,10 +77,9 @@ use crate::columnar::{
 };
 use crate::kernels::{filter_selection, project_selected};
 use crate::ops::{self, ProbeState};
-use ua_core::{expr_mentions_marker, UA_LABEL_COLUMN};
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
-use ua_data::schema::{Schema, SchemaError};
+use ua_data::schema::Schema;
 use ua_obs::{OperatorStats, PoolStats, QueryStats, Stopwatch};
 use ua_plan::plan::Plan;
 use ua_plan::stats::node_label;
@@ -106,7 +105,7 @@ pub fn execute(
         ua_obs::mem_query_start();
     }
     let driver = Driver::new(catalog, opts, semantics);
-    let (result, root) = match driver.stream_traced(plan) {
+    let (result, root) = match driver.run(plan) {
         Ok((stream, stats)) => {
             let table = driver.phase("merge", || match semantics {
                 Semantics::Ua => encoded_table_from_batches_pooled(&stream, &driver.pool),
@@ -139,46 +138,7 @@ pub fn stream(
     semantics: Semantics,
 ) -> Result<BatchStream, EngineError> {
     let driver = Driver::new(catalog, opts, semantics);
-    driver.stream_traced(plan).map(|(stream, _)| stream)
-}
-
-/// Serial, uninstrumented options at an explicit batch size — the
-/// reference configuration of the batch-boundary sweeps.
-pub(crate) fn serial_opts(batch_rows: usize) -> ExecOptions {
-    ExecOptions {
-        threads: 1,
-        batch_rows,
-        ..ExecOptions::default()
-    }
-}
-
-/// [`execute`] under deterministic semantics with default options (auto
-/// thread count). Drop-in replacement for [`ua_plan::execute`].
-pub fn execute_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute(plan, catalog, ExecOptions::default(), Semantics::Det).0
-}
-
-/// [`execute`] under deterministic semantics, result only.
-pub fn execute_vectorized_opts(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> Result<Table, EngineError> {
-    execute(plan, catalog, opts, Semantics::Det).0
-}
-
-/// [`execute`] under deterministic semantics.
-pub fn execute_vectorized_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> (Result<Table, EngineError>, Option<QueryStats>) {
-    execute(plan, catalog, opts, Semantics::Det)
-}
-
-/// [`execute`] under AU semantics with default options.
-pub fn execute_au_vectorized(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute(plan, catalog, ExecOptions::default(), Semantics::Au).0
+    driver.run(plan).map(|(stream, _)| stream)
 }
 
 /// [`execute`] under AU semantics, result only.
@@ -188,25 +148,6 @@ pub fn execute_au_vectorized_opts(
     opts: ExecOptions,
 ) -> Result<Table, EngineError> {
     execute(plan, catalog, opts, Semantics::Au).0
-}
-
-/// [`execute`] under AU semantics.
-pub fn execute_au_vectorized_with_stats(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: ExecOptions,
-) -> (Result<Table, EngineError>, Option<QueryStats>) {
-    execute(plan, catalog, opts, Semantics::Au)
-}
-
-/// [`stream`] under deterministic semantics, serially at an explicit batch
-/// size.
-pub fn exec_stream(
-    plan: &Plan,
-    catalog: &Catalog,
-    batch_rows: usize,
-) -> Result<BatchStream, EngineError> {
-    stream(plan, catalog, serial_opts(batch_rows), Semantics::Det)
 }
 
 /// [`stream`] under deterministic semantics.
@@ -235,18 +176,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// The marker is engine bookkeeping, not user schema: reject references so
-/// both executors fail identically (mirrors `rewrite_ua`).
-fn reject_marker_reference(expr: &Expr) -> Result<(), EngineError> {
-    if expr_mentions_marker(expr) {
-        Err(EngineError::Schema(SchemaError::AmbiguousColumn(
-            UA_LABEL_COLUMN.to_string(),
-        )))
-    } else {
-        Ok(())
-    }
 }
 
 /// One query's execution context: the catalog, the morsel size, the
@@ -380,6 +309,18 @@ impl<'a> Driver<'a> {
         self.mem.borrow_mut().push(t);
     }
 
+    /// Where a query enters the driver. The `ua_c` marker is engine
+    /// bookkeeping, not user schema (here it lives in the label bitmaps), so
+    /// a UA plan that mentions it is rejected before anything executes —
+    /// the guard the session's `rewrite_ua_plan` and `ua_core::rewrite_ua`
+    /// apply for the row engine.
+    fn run(&self, plan: &Plan) -> Result<(BatchStream, Option<OperatorStats>), EngineError> {
+        if self.semantics == Semantics::Ua {
+            ua_plan::reject_marker_in_plan(plan)?;
+        }
+        self.stream_traced(plan)
+    }
+
     /// Execute `plan` to a batch stream, returning the per-stage span tree
     /// when stats collection is on (`None` otherwise).
     ///
@@ -392,7 +333,7 @@ impl<'a> Driver<'a> {
         plan: &Plan,
     ) -> Result<(BatchStream, Option<OperatorStats>), EngineError> {
         let mut specs = Vec::new();
-        let source_plan = self.collect_chain(plan, &mut specs)?;
+        let source_plan = self.collect_chain(plan, &mut specs);
         let (source, source_stats) = self.source_traced(source_plan)?;
         if specs.is_empty() {
             return Ok((source, source_stats));
@@ -468,37 +409,16 @@ impl<'a> Driver<'a> {
     /// node. σ, π and re-qualification pipeline under every semantics;
     /// joins are probe stages under det / UA and sources under AU (see
     /// [`Driver::au_hash_join`]).
-    fn collect_chain<'p>(
-        &self,
-        plan: &'p Plan,
-        specs: &mut Vec<(Spec<'p>, &'p Plan)>,
-    ) -> Result<&'p Plan, EngineError> {
-        let ua = self.semantics == Semantics::Ua;
+    fn collect_chain<'p>(&self, plan: &'p Plan, specs: &mut Vec<(Spec<'p>, &'p Plan)>) -> &'p Plan {
         let mut cur = plan;
         loop {
             let node = cur;
             match cur {
                 Plan::Filter { input, predicate } => {
-                    if ua {
-                        reject_marker_reference(predicate)?;
-                    }
                     specs.push((Spec::Filter(predicate), node));
                     cur = input;
                 }
                 Plan::Map { input, columns } => {
-                    if ua {
-                        // Mirror rewrite_ua: the marker is engine-managed;
-                        // projecting or referencing it explicitly is
-                        // rejected.
-                        for c in columns {
-                            if c.name().eq_ignore_ascii_case(UA_LABEL_COLUMN) {
-                                return Err(EngineError::Schema(SchemaError::AmbiguousColumn(
-                                    UA_LABEL_COLUMN.to_string(),
-                                )));
-                            }
-                            reject_marker_reference(&c.expr)?;
-                        }
-                    }
                     specs.push((Spec::Project(columns), node));
                     cur = input;
                 }
@@ -507,7 +427,7 @@ impl<'a> Driver<'a> {
                     cur = input;
                 }
                 Plan::HashJoin { .. } | Plan::Join { .. } if self.semantics == Semantics::Au => {
-                    return Ok(cur)
+                    return cur
                 }
                 Plan::HashJoin {
                     left,
@@ -516,15 +436,6 @@ impl<'a> Driver<'a> {
                     residual,
                     build_left,
                 } => {
-                    if ua {
-                        for (kl, kr) in keys.iter() {
-                            reject_marker_reference(kl)?;
-                            reject_marker_reference(kr)?;
-                        }
-                        if let Some(res) = residual {
-                            reject_marker_reference(res)?;
-                        }
-                    }
                     let (build_plan, probe_plan) = if *build_left {
                         (&**left, &**right)
                     } else {
@@ -546,11 +457,6 @@ impl<'a> Driver<'a> {
                     right,
                     predicate,
                 } => {
-                    if ua {
-                        if let Some(p) = predicate {
-                            reject_marker_reference(p)?;
-                        }
-                    }
                     specs.push((
                         Spec::Theta {
                             right,
@@ -560,7 +466,7 @@ impl<'a> Driver<'a> {
                     ));
                     cur = left;
                 }
-                _ => return Ok(cur),
+                _ => return cur,
             }
         }
     }
@@ -779,11 +685,6 @@ impl<'a> Driver<'a> {
                 predicate,
                 kind,
             } => {
-                if ua {
-                    if let Some(p) = predicate {
-                        reject_marker_reference(p)?;
-                    }
-                }
                 let (l, r, children) = self.inputs(left, right)?;
                 (
                     ops::outer_join(
@@ -797,12 +698,14 @@ impl<'a> Driver<'a> {
                 )
             }
             Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
-                if ua {
-                    for (k, _) in keys {
-                        reject_marker_reference(k)?;
-                    }
-                }
                 let (stream, child) = self.input(input)?;
+                // AU sort keys may name user columns only, as on the row
+                // engine; those lead the flattened layout, so positions
+                // bound against the user schema hold for the stream.
+                let au_keys = au
+                    .then(|| ops::bind_sort_keys(keys, &user_schema(&stream.schema)))
+                    .transpose()?;
+                let keys = au_keys.as_ref().unwrap_or(keys);
                 let sorted = match plan {
                     Plan::TopK { limit, .. } => ops::top_k(stream, keys, *limit, self.batch_rows),
                     _ => ops::sort(stream, keys, self.batch_rows),

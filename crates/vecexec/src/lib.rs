@@ -30,7 +30,7 @@
 //!   thread pool (offline `rayon` shim) and merge in deterministic
 //!   batch-index order, so parallel output is byte-identical to serial;
 //! * [`ua`] — what `⟦·⟧_UA` means on this engine (label bitmaps instead of
-//!   plan rewriting) and the UA stream entry points;
+//!   plan rewriting);
 //! * [`au_exec`] — the AU range kernels the driver's σ / π stages call and
 //!   the AU sources (scan, γ, δ, joins, `−`, `⟕`) it runs as pipeline
 //!   breakers.
@@ -49,8 +49,7 @@
 //!
 //! Without a session, call [`execute`] on a plan, a catalog, the options
 //! and the semantics; it returns the run's [`ua_obs::QueryStats`] next to
-//! the result. [`execute_vectorized`] / [`execute_au_vectorized`] and
-//! their `_opts` / `_with_stats` forms forward to it.
+//! the result. [`stream`] stops at the batch stream.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,12 +67,7 @@ pub use columnar::{
     table_from_batches, table_from_batches_pooled, BatchStream, ColumnBatch, ColumnVec,
     DEFAULT_BATCH_ROWS,
 };
-pub use exec::{
-    exec_stream, execute, execute_au_vectorized, execute_au_vectorized_opts,
-    execute_au_vectorized_with_stats, execute_vectorized, execute_vectorized_opts,
-    execute_vectorized_with_stats, resolve_threads,
-};
-pub use ua::ua_stream;
+pub use exec::{execute, execute_au_vectorized_opts, resolve_threads, stream};
 
 /// Does nothing. Sessions call this crate directly, so there is nothing to
 /// register; the function only remains because the `spine` benchmark adapter

@@ -934,7 +934,7 @@ impl<'a> ColCmp<'a> {
 }
 
 /// Bind sort keys against a stream schema.
-fn bind_sort_keys(
+pub(crate) fn bind_sort_keys(
     keys: &[(Expr, SortOrder)],
     schema: &Schema,
 ) -> Result<Vec<(Expr, SortOrder)>, EngineError> {

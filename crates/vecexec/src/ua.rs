@@ -38,27 +38,17 @@
 //! arm, and every kernel is the deterministic one — label ANDs run per
 //! morsel, and parallel output is byte-identical to serial output for
 //! every thread count. [`crate::exec::execute`] with [`Semantics::Ua`]
-//! returns the encoded table; what remains here are the stream entry
-//! points the differential tests and the benchmark adapter call.
+//! returns the encoded table; what remains here is the stream forward
+//! the benchmark adapter calls.
 
 use crate::columnar::BatchStream;
-use crate::exec::{serial_opts, stream};
+use crate::exec::stream;
 use ua_plan::plan::Plan;
 use ua_plan::storage::Catalog;
 use ua_plan::{EngineError, ExecOptions, Semantics};
 
-/// [`stream`] under UA semantics, serially at an explicit batch size: the
-/// *user* query's physical plan over UA-encoded base tables, labels in
-/// each batch's bitmap.
-pub fn ua_stream(
-    plan: &Plan,
-    catalog: &Catalog,
-    batch_rows: usize,
-) -> Result<BatchStream, EngineError> {
-    stream(plan, catalog, serial_opts(batch_rows), Semantics::Ua)
-}
-
-/// [`stream`] under UA semantics.
+/// [`stream`] under UA semantics: the *user* query's physical plan over
+/// UA-encoded base tables, labels in each batch's bitmap.
 pub fn ua_stream_opts(
     plan: &Plan,
     catalog: &Catalog,

@@ -11,11 +11,11 @@ use ua_data::tuple::Tuple;
 use ua_data::value::{Value, VarId};
 use ua_data::{Expr, RaExpr, Relation};
 use ua_engine::plan::{AggExpr, AggFunc, Plan, SortOrder};
-use ua_engine::{execute, Catalog, EngineError, ExecMode, ExecOptions, Table, UaSession};
+use ua_engine::{
+    execute, Catalog, EngineError, ExecMode, ExecOptions, Semantics, Table, UaSession,
+};
 use ua_semiring::pair::Ua;
-use ua_vecexec::exec::{exec_stream, exec_stream_opts};
-use ua_vecexec::ua::ua_stream_opts;
-use ua_vecexec::{execute_vectorized, table_from_batches, BatchStream};
+use ua_vecexec::{stream, table_from_batches, BatchStream};
 
 /// Sizes that straddle the default batch boundary (1024).
 const SIZES: [usize; 6] = [0, 1, 7, 1024, 1025, 2500];
@@ -259,7 +259,9 @@ fn deterministic_plans_agree_across_sizes_and_seeds() {
             catalog.register("s", random_s(&mut rng, rows.min(600) / 2 + 1));
             let plan = random_plan(&mut rng);
             let row = execute(&plan, &catalog).expect("row exec");
-            let vec = execute_vectorized(&plan, &catalog).expect("vec exec");
+            let vec = ua_vecexec::execute(&plan, &catalog, ExecOptions::default(), Semantics::Det)
+                .0
+                .expect("vec exec");
             assert_tables_identical(&row, &vec, &format!("rows={rows} trial={trial} {plan}"));
         }
     }
@@ -275,7 +277,8 @@ fn batch_size_is_semantically_invisible() {
         let plan = random_plan(&mut rng);
         let row = execute(&plan, &catalog).expect("row exec");
         for batch_rows in [1usize, 2, 1024, 1025, 4096] {
-            let stream = exec_stream(&plan, &catalog, batch_rows).expect("vec exec");
+            let stream =
+                stream(&plan, &catalog, opts(1, batch_rows), Semantics::Det).expect("vec exec");
             let vec = table_from_batches(&stream);
             assert_tables_identical(
                 &row,
@@ -472,10 +475,10 @@ fn parallel_pipelines_are_byte_identical_to_serial() {
         catalog.register("r", random_r(&mut rng, 1030));
         catalog.register("s", random_s(&mut rng, 120));
         let plan = random_plan(&mut rng);
-        let serial = exec_stream(&plan, &catalog, 128);
+        let serial = stream(&plan, &catalog, opts(1, 128), Semantics::Det);
         for threads in [2usize, 3, 8] {
             for rep in 0..3 {
-                let parallel = exec_stream_opts(&plan, &catalog, opts(threads, 128));
+                let parallel = stream(&plan, &catalog, opts(threads, 128), Semantics::Det);
                 match (&serial, &parallel) {
                     (Ok(s), Ok(p)) => assert_streams_byte_identical(
                         s,
@@ -514,11 +517,11 @@ fn parallel_ua_pipelines_are_byte_identical_to_serial() {
         let q = random_ra(&mut rng);
         let plan = Plan::from_ra(&q);
         let catalog = session.catalog();
-        let serial = ua_vecexec::ua::ua_stream(&plan, catalog, 64).expect("serial UA");
+        let serial = stream(&plan, catalog, opts(1, 64), Semantics::Ua).expect("serial UA");
         for threads in [2usize, 8] {
             for rep in 0..3 {
                 let parallel =
-                    ua_stream_opts(&plan, catalog, opts(threads, 64)).expect("parallel UA");
+                    stream(&plan, catalog, opts(threads, 64), Semantics::Ua).expect("parallel UA");
                 assert_streams_byte_identical(
                     &serial,
                     &parallel,
@@ -582,8 +585,8 @@ fn sort_and_topk_agree_across_batch_sizes_and_threads() {
         let row = execute(plan, &catalog).expect("row exec");
         for batch_rows in [1usize, 7, 1024] {
             for threads in [1usize, 2, 8] {
-                let stream =
-                    exec_stream_opts(plan, &catalog, opts(threads, batch_rows)).expect("vec exec");
+                let stream = stream(plan, &catalog, opts(threads, batch_rows), Semantics::Det)
+                    .expect("vec exec");
                 let vec = table_from_batches(&stream);
                 assert_tables_identical(
                     &row,
@@ -595,8 +598,8 @@ fn sort_and_topk_agree_across_batch_sizes_and_threads() {
     }
 }
 
-/// Regression (tentpole satellite): the vectorized UA hook no longer bails
-/// out to the row engine for trailing ORDER BY / LIMIT — `ua_stream` on
+/// Regression: the vectorized UA path no longer bails out to the row
+/// engine for trailing ORDER BY / LIMIT — a `Semantics::Ua` `stream` of
 /// Sort/Limit/TopK-bearing plans succeeds and matches the row path's
 /// encoded sort (which tie-breaks on the trailing marker column) byte for
 /// byte, labels riding with their rows.
@@ -646,8 +649,8 @@ fn ua_hook_executes_order_by_limit_natively() {
         // The old driver returned Err("...ORDER BY/LIMIT are applied by the
         // session...") here; now it must execute natively.
         for batch_rows in [3usize, 1024] {
-            let stream = ua_vecexec::ua::ua_stream(plan, &catalog, batch_rows)
-                .unwrap_or_else(|e| panic!("UA hook fell back for plan {pi}: {e}"));
+            let stream = stream(plan, &catalog, opts(1, batch_rows), Semantics::Ua)
+                .unwrap_or_else(|e| panic!("UA stream fell back for plan {pi}: {e}"));
             let got = ua_vecexec::columnar::encoded_table_from_batches(&stream);
             // Reference: the row engine's sort/limit over the *encoded*
             // table (what the session's old fallback computed).
@@ -691,8 +694,8 @@ fn ua_hook_executes_order_by_limit_natively() {
 fn unknown_table_errors_match_between_thread_counts() {
     let catalog = Catalog::new();
     let plan = Plan::Scan("missing".into());
-    let serial = exec_stream(&plan, &catalog, 16).expect_err("unknown table");
-    let parallel = exec_stream_opts(&plan, &catalog, opts(4, 16)).expect_err("unknown table");
+    let serial = stream(&plan, &catalog, opts(1, 16), Semantics::Det).expect_err("unknown table");
+    let parallel = stream(&plan, &catalog, opts(4, 16), Semantics::Det).expect_err("unknown table");
     assert!(matches!(serial, EngineError::UnknownTable(_)));
     assert_eq!(serial.to_string(), parallel.to_string());
 }
@@ -817,15 +820,20 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
         let row = execute(&plan, &det_catalog).expect("row exec");
         for batch_rows in BATCHES {
             let serial =
-                exec_stream_opts(&plan, &det_catalog, opts(1, batch_rows)).expect("serial");
+                stream(&plan, &det_catalog, opts(1, batch_rows), Semantics::Det).expect("serial");
             assert_tables_identical(
                 &row,
                 &table_from_batches(&serial),
                 &format!("det {name} serial batch={batch_rows}"),
             );
             for threads in THREADS {
-                let parallel =
-                    exec_stream_opts(&plan, &det_catalog, opts(threads, batch_rows)).expect("par");
+                let parallel = stream(
+                    &plan,
+                    &det_catalog,
+                    opts(threads, batch_rows),
+                    Semantics::Det,
+                )
+                .expect("par");
                 assert_streams_byte_identical(
                     &serial,
                     &parallel,
@@ -859,10 +867,16 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
     };
     let ua_catalog = ua_session.catalog();
     for batch_rows in BATCHES {
-        let serial = ua_stream_opts(&ua_join, ua_catalog, opts(1, batch_rows)).expect("ua serial");
+        let serial =
+            stream(&ua_join, ua_catalog, opts(1, batch_rows), Semantics::Ua).expect("ua serial");
         for threads in THREADS {
-            let parallel =
-                ua_stream_opts(&ua_join, ua_catalog, opts(threads, batch_rows)).expect("ua par");
+            let parallel = stream(
+                &ua_join,
+                ua_catalog,
+                opts(threads, batch_rows),
+                Semantics::Ua,
+            )
+            .expect("ua par");
             assert_streams_byte_identical(
                 &serial,
                 &parallel,
@@ -1024,9 +1038,6 @@ fn au_side(
 /// the row interpreter's table (`execute_au` + `au_table`).
 #[test]
 fn parallel_au_pipelines_are_byte_identical_to_serial() {
-    use ua_engine::Semantics;
-    use ua_vecexec::exec::stream;
-
     // σ → alias → π → σ over one scanned side.
     let chain = |table: &str, alias: &str| Plan::Filter {
         input: Box::new(Plan::Map {

@@ -63,7 +63,7 @@ fn run(ranged: bool, computed_filter: bool) -> (u64, u64) {
         collect_stats: true,
         collect_trace: false,
     };
-    let (result, stats) = ua_vecexec::execute_au_vectorized_with_stats(&plan, &catalog, opts);
+    let (result, stats) = ua_vecexec::execute(&plan, &catalog, opts, ua_engine::Semantics::Au);
     let vec = result.expect("au vec");
     let row = ua_engine::au_table(&ua_engine::execute_au(&plan, &catalog).expect("au row"));
     assert_eq!(row.rows(), vec.rows());

@@ -142,8 +142,14 @@ fn stats_never_cross_queries() {
         collect_stats: true,
         collect_trace: false,
     };
-    uadb::vecexec::execute_vectorized_opts(&Plan::Scan("addr".into()), session.catalog(), opts)
-        .expect("direct call");
+    uadb::vecexec::execute(
+        &Plan::Scan("addr".into()),
+        session.catalog(),
+        opts,
+        uadb::engine::Semantics::Det,
+    )
+    .0
+    .expect("direct call");
     // … must not show up as the stats of a stats-off session query.
     assert!(!session.stats_enabled());
     session
