@@ -534,7 +534,10 @@ pub(crate) fn render_analysis(stats: &ua_obs::QueryStats) -> String {
 /// Resolve an annotated source to a scan of its encoding: converted by
 /// `encode` on first use, then cached in the catalog under a name derived
 /// from `namespace` (`ua` / `au`, so the two encodings of one table never
-/// collide), the table and the annotation's shape.
+/// collide), the table and the annotation's shape. The cached encoding is
+/// tied to the base table's registration ([`Catalog::derive`]): a
+/// re-registered base is encoded again and a dropped one takes its
+/// encodings with it, so no label outlives the rows it was computed from.
 pub(crate) fn resolve_encoded(
     namespace: &str,
     name: &str,
@@ -575,11 +578,8 @@ pub(crate) fn resolve_encoded(
         }
     };
     let derived = format!("__{namespace}__{name}__{fingerprint}");
-    if catalog.get(&derived).is_none() {
-        let base = catalog
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-        catalog.register(derived.clone(), encode(&base)?);
+    if !catalog.derive(name, &derived, encode)? {
+        return Err(EngineError::UnknownTable(name.to_string()));
     }
     Ok(Plan::Scan(derived))
 }

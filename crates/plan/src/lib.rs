@@ -9,7 +9,9 @@
 //!
 //! * [`storage`] — row-oriented tables + a shared catalog (a tuple with
 //!   multiplicity `n` is stored as `n` row copies, the representation the
-//!   paper's encoding targets);
+//!   paper's encoding targets); the catalog also keeps, per table and
+//!   generation-tagged, its statistics, the column chunks the vectorized
+//!   engine decoded from it and the tables derived from it;
 //! * [`plan`] / [`exec`] — physical plans and the materializing row
 //!   executor (hash joins on extractable equi-keys, grouping, sorting,
 //!   limits), with [`stats`] threading per-operator spans through it;

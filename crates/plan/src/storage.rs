@@ -6,8 +6,18 @@
 //! [`Table`] converts losslessly to and from the annotation-map
 //! representation (`Relation<u64>`), which is how the engine interoperates
 //! with the K-relation layer and with `Enc`/`Enc⁻¹`.
+//!
+//! Beside each table's rows the [`Catalog`] keeps what has been computed
+//! from them, all under one registration-generation tag: its statistics,
+//! the column chunks the vectorized engine decoded from it
+//! ([`Catalog::chunks_of`] — a scan transposes and validates a table once,
+//! not once per query) and the tables derived from it
+//! ([`Catalog::derive`]). The rows stay the source of truth and what the
+//! row engine reads.
 
+use crate::options::Semantics;
 use parking_lot::RwLock;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ua_data::relation::Relation;
@@ -258,7 +268,26 @@ impl TableStats {
     }
 }
 
-/// A shared, thread-safe catalog of named tables, with per-table statistics.
+/// A table's decoded column chunks as the catalog holds them: opaque,
+/// because the columnar types live above this crate. The vectorized scan is
+/// the store's one writer and one reader and downcasts to its own stream
+/// type.
+pub type Chunks = Arc<dyn Any + Send + Sync>;
+
+/// One resident decoded copy of a table under one encoding.
+struct ChunkEntry {
+    /// Registration generation of the table the chunks were decoded from.
+    generation: u64,
+    /// Rows per chunk; a scan at another batch size rebuilds the entry.
+    batch_rows: usize,
+    /// Resident buffer bytes, as the builder reported them.
+    bytes: u64,
+    chunks: Chunks,
+}
+
+/// A shared, thread-safe catalog of named tables, with per-table statistics
+/// and the decoded column chunks of the tables the vectorized engine has
+/// scanned.
 #[derive(Default)]
 pub struct Catalog {
     /// Tables, each tagged with the registration generation that produced
@@ -270,6 +299,13 @@ pub struct Catalog {
     /// the tag against the live store, so a replaced table never serves a
     /// stale snapshot, even under racing registrations.
     stats: RwLock<BTreeMap<String, (u64, Arc<TableStats>)>>,
+    /// The chunk store ([`Catalog::chunks_of`]): per table at most one
+    /// decoded copy per encoding (slot `Semantics as usize`), under the
+    /// same generation tag as `stats`.
+    chunks: RwLock<BTreeMap<String, [Option<ChunkEntry>; 3]>>,
+    /// Derived tables ([`Catalog::derive`]): derived name → the base table
+    /// and the base's generation the derivation read.
+    derived: RwLock<BTreeMap<String, (String, u64)>>,
     generation: std::sync::atomic::AtomicU64,
 }
 
@@ -292,6 +328,9 @@ impl Catalog {
     /// `stats.staleness` counter — the planner-feedback signal that stale
     /// statistics were consumed (an explicit [`Catalog::analyze`] after
     /// bulk replacement keeps the counter quiet).
+    ///
+    /// The table's decoded chunks are evicted either way: the chunk store
+    /// holds copies of live tables only.
     pub fn register(&self, name: impl Into<String>, table: Table) {
         let name = name.into();
         let generation = self.next_generation();
@@ -300,15 +339,21 @@ impl Catalog {
             let stats = Arc::new(TableStats::collect(&table));
             self.stats.write().insert(name.clone(), (generation, stats));
         }
-        self.tables.write().insert(name, (generation, table));
+        self.tables
+            .write()
+            .insert(name.clone(), (generation, table));
+        self.chunks.write().remove(&name);
         self.publish_catalog_gauges();
     }
 
     /// Publish the catalog's size as the `catalog.tables` / `catalog.rows`
-    /// gauges — the planner-feedback signals alongside `stats.staleness`.
+    /// gauges — the planner-feedback signals alongside `stats.staleness` —
+    /// and the chunk store's as `catalog.chunk_bytes`.
     fn publish_catalog_gauges(&self) {
         let tables = self.tables.read();
         let rows: u64 = tables.values().map(|(_, t)| t.len() as u64).sum();
+        let chunks = self.chunks.read();
+        let chunk_bytes: u64 = chunks.values().flatten().flatten().map(|e| e.bytes).sum();
         let registry = ua_obs::global();
         registry
             .gauge("catalog.tables")
@@ -316,6 +361,9 @@ impl Catalog {
         registry
             .gauge("catalog.rows")
             .set(i64::try_from(rows).unwrap_or(i64::MAX));
+        registry
+            .gauge("catalog.chunk_bytes")
+            .set(i64::try_from(chunk_bytes).unwrap_or(i64::MAX));
     }
 
     /// Fetch a table by name.
@@ -323,15 +371,104 @@ impl Catalog {
         self.tables.read().get(name).map(|(_, t)| Arc::clone(t))
     }
 
+    /// The live table under `name` with its registration generation.
+    fn live(&self, name: &str) -> Option<(u64, Arc<Table>)> {
+        let tables = self.tables.read();
+        let (generation, table) = tables.get(name)?;
+        Some((*generation, Arc::clone(table)))
+    }
+
+    /// The chunk store: the decoded column chunks of table `name` under
+    /// `encoding` (plain, `Enc` marker → label bitmap, AU flattened
+    /// canonical) at `batch_rows` rows per chunk, or `None` for an unknown
+    /// table.
+    ///
+    /// The first scan that asks decodes the live table with `build`, which
+    /// returns the chunks and their resident bytes; every later scan gets
+    /// the same [`Chunks`] back. A hit is validated against the live
+    /// table's registration generation exactly as [`Catalog::stats_of`]
+    /// does, and [`Catalog::register`] / [`Catalog::drop_table`] evict, so
+    /// a replaced or dropped table never serves old chunks. There is one
+    /// entry per (table, encoding): a scan at another `batch_rows`
+    /// rebuilds and replaces it. A failed `build` stores nothing, so a
+    /// malformed table reports its error on every query. Two scans racing
+    /// on a cold entry both build; the streams are equal and the later
+    /// insert wins.
+    pub fn chunks_of<E>(
+        &self,
+        name: &str,
+        encoding: Semantics,
+        batch_rows: usize,
+        build: impl FnOnce(&Table) -> Result<(Chunks, u64), E>,
+    ) -> Result<Option<Chunks>, E> {
+        let Some((generation, table)) = self.live(name) else {
+            return Ok(None);
+        };
+        let slot = encoding as usize;
+        if let Some(entry) = self.chunks.read().get(name).and_then(|e| e[slot].as_ref()) {
+            if entry.generation == generation && entry.batch_rows == batch_rows {
+                return Ok(Some(Arc::clone(&entry.chunks)));
+            }
+        }
+        let (chunks, bytes) = build(&table)?;
+        ua_obs::global().counter("catalog.chunks.builds").inc();
+        {
+            // Insert under the table lock and only while `generation` is
+            // still live: `register` / `drop_table` change the table first
+            // and evict second, so either their eviction sees this entry
+            // or this check sees their change — a dropped or replaced
+            // table never keeps a decoded copy behind.
+            let tables = self.tables.read();
+            if tables
+                .get(name)
+                .is_some_and(|(live, _)| *live == generation)
+            {
+                self.chunks.write().entry(name.to_string()).or_default()[slot] = Some(ChunkEntry {
+                    generation,
+                    batch_rows,
+                    bytes,
+                    chunks: Arc::clone(&chunks),
+                });
+            }
+        }
+        self.publish_catalog_gauges();
+        Ok(Some(chunks))
+    }
+
+    /// Make sure `derived` holds the table `derive` computes from the live
+    /// table `base`; `false` for an unknown `base`. The derivation runs on
+    /// first use and again whenever `base` has been re-registered since
+    /// (its registration generation moved — the tag `stats` and the chunk
+    /// store validate against); [`Catalog::drop_table`] of `base` drops
+    /// `derived` with it.
+    pub fn derive<E>(
+        &self,
+        base: &str,
+        derived: &str,
+        derive: impl FnOnce(&Table) -> Result<Table, E>,
+    ) -> Result<bool, E> {
+        let Some((generation, table)) = self.live(base) else {
+            return Ok(false);
+        };
+        let current = self
+            .derived
+            .read()
+            .get(derived)
+            .is_some_and(|(b, g)| b == base && *g == generation);
+        if !(current && self.tables.read().contains_key(derived)) {
+            self.register(derived, derive(&table)?);
+            self.derived
+                .write()
+                .insert(derived.to_string(), (base.to_string(), generation));
+        }
+        Ok(true)
+    }
+
     /// Statistics for a table, collected from the *live* store: a cached
     /// snapshot is served only while it still describes the currently
     /// registered table; otherwise stats are recollected on the spot.
     pub fn stats_of(&self, name: &str) -> Option<Arc<TableStats>> {
-        let (generation, table) = {
-            let tables = self.tables.read();
-            let (generation, table) = tables.get(name)?;
-            (*generation, Arc::clone(table))
-        };
+        let (generation, table) = self.live(name)?;
         if let Some((cached, stats)) = self.stats.read().get(name) {
             if *cached == generation {
                 return Some(Arc::clone(stats));
@@ -352,11 +489,7 @@ impl Catalog {
     /// store unconditionally. Returns the fresh stats, or `None` for an
     /// unknown table.
     pub fn analyze(&self, name: &str) -> Option<Arc<TableStats>> {
-        let (generation, table) = {
-            let tables = self.tables.read();
-            let (generation, table) = tables.get(name)?;
-            (*generation, Arc::clone(table))
-        };
+        let (generation, table) = self.live(name)?;
         let stats = Arc::new(TableStats::collect(&table));
         self.stats
             .write()
@@ -372,10 +505,21 @@ impl Catalog {
             .map(|(_, t)| t.schema().clone())
     }
 
-    /// Drop a table; returns whether it existed.
+    /// Drop a table — with its statistics, its decoded chunks and every
+    /// table [derived](Catalog::derive) from it; returns whether it existed.
     pub fn drop_table(&self, name: &str) -> bool {
         self.stats.write().remove(name);
         let existed = self.tables.write().remove(name).is_some();
+        self.chunks.write().remove(name);
+        let dependents: Vec<String> = {
+            let mut derived = self.derived.write();
+            derived.remove(name);
+            let names = derived.iter().filter(|(_, (base, _))| base == name);
+            names.map(|(d, _)| d.clone()).collect()
+        };
+        for dependent in dependents {
+            self.drop_table(&dependent);
+        }
         if existed {
             self.publish_catalog_gauges();
         }

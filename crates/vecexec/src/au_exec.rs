@@ -101,7 +101,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{
-    batches_from_table_pooled, chunk_columns, chunk_to_batch, convert_chunks, BatchStream,
+    batches_from_table_pooled, chunk_columns, chunk_to_batch, convert_chunks, ones, BatchStream,
     ColumnBatch, ColumnVec,
 };
 use crate::exec::Driver;
@@ -224,9 +224,14 @@ impl RefRanges {
 /// Per-row "pins a single known value" mask of one `[lb, bg, ub]` column
 /// triple. Dense same-typed triples compare the raw slices (the stream
 /// invariant `lb ≤ bg ≤ ub` makes `lb = bg = ub` exactly
-/// [`RangeValue::is_point`]); anything else assembles the range.
+/// [`RangeValue::is_point`]) — or nothing at all when both bounds *are*
+/// the `bg` buffer, which is how a scan stores a never-uncertain column
+/// ([`share_point_bounds`]); anything else assembles the range.
 fn point_mask(lb: &ColumnVec, bg: &ColumnVec, ub: &ColumnVec) -> Bitmap {
-    fn dense<T: PartialEq>(l: &[T], b: &[T], u: &[T]) -> Bitmap {
+    fn dense<T: PartialEq>(l: &Arc<Vec<T>>, b: &Arc<Vec<T>>, u: &Arc<Vec<T>>) -> Bitmap {
+        if Arc::ptr_eq(l, b) && Arc::ptr_eq(u, b) {
+            return Bitmap::filled(b.len(), true);
+        }
         Bitmap::from_fn(b.len(), |i| l[i] == b[i] && b[i] == u[i])
     }
     match (lb, bg, ub) {
@@ -307,18 +312,40 @@ fn triple_is_canonical(lb: &ColumnVec, bg: &ColumnVec, ub: &ColumnVec) -> bool {
     }
 }
 
+/// Make every bound column of a canonical chunk that equals its
+/// selected-guess column *be* that column's buffer: an attribute's `lb` /
+/// `ub` equal to its `bg`, and `ua_m_lb` / `ua_m_ub` equal to `ua_m_bg`.
+/// Values are unchanged; the decoded copy, resident in the catalog's chunk
+/// store, pays for bounds in proportion to the uncertain columns, and
+/// [`point_mask`] recognises the shared buffer without comparing.
+fn share_point_bounds(columns: &mut [ColumnVec], n: usize) {
+    let pairs = (0..n).flat_map(|c| [(n + c, c), (2 * n + c, c)]);
+    for (bound, bg) in pairs.chain([(3 * n, 3 * n + 1), (3 * n + 2, 3 * n + 1)]) {
+        if columns[bound] == columns[bg] {
+            columns[bound] = columns[bg].clone();
+        }
+    }
+}
+
 /// Convert one encoded-table chunk into a batch: the typed columnar
 /// canonical check first, the row-wise `decode_row`/`encode_row`
 /// normalization (dropping `ub = 0` rows, erroring on the first malformed
 /// multiplicity — identical to the row engine's scan) only when it fails.
-fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, EngineError> {
-    let columns = chunk_columns(flat.arity(), chunk);
+/// `full` is the decode's shared all-ones sidecar (see [`convert_chunks`]).
+fn scan_chunk(
+    flat: &Schema,
+    n: usize,
+    chunk: &[Tuple],
+    full: &Arc<Vec<u64>>,
+) -> Result<ColumnBatch, EngineError> {
+    let mut columns = chunk_columns(flat.arity(), chunk);
     if chunk_is_canonical(&columns, n) {
+        share_point_bounds(&mut columns, n);
         return Ok(ColumnBatch::new(
             flat.clone(),
             columns,
             Bitmap::filled(chunk.len(), true),
-            Arc::new(vec![1u64; chunk.len()]),
+            ones(full, chunk.len()),
         ));
     }
     let mut rows: Vec<Tuple> = Vec::with_capacity(chunk.len());
@@ -327,7 +354,7 @@ fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, E
             rows.push(encode_row(&t));
         }
     }
-    Ok(chunk_to_batch(flat, &rows))
+    Ok(chunk_to_batch(flat, &rows, full))
 }
 
 /// The per-row ranges of a *computed* (bound) expression: an interval
@@ -412,7 +439,8 @@ fn expr_triple(
 /// both joins. Every stream in and out is a [`BatchStream`] over a
 /// flattened AU schema.
 impl Driver<'_> {
-    /// Scan an AU-encoded table into batches, chunk-parallel. Validation
+    /// Decode an AU-encoded table into batches, chunk-parallel — the AU
+    /// builder of the catalog's chunk store (`Driver::scan`). Validation
     /// is columnar per chunk ([`chunk_is_canonical`]); the first malformed
     /// row errors exactly like the row engine's decode (chunks merge in
     /// table order).
@@ -425,8 +453,8 @@ impl Driver<'_> {
         })?;
         let schema = flattened_schema(&user);
         let n = user.arity();
-        let batches = convert_chunks(table.rows(), self.batch_rows, &self.pool, |chunk| {
-            scan_chunk(&schema, n, chunk)
+        let batches = convert_chunks(table.rows(), self.batch_rows, &self.pool, |chunk, full| {
+            scan_chunk(&schema, n, chunk, full)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?

@@ -400,16 +400,31 @@ fn inline_pool() -> rayon::ThreadPool {
 }
 
 /// Convert `rows` chunk by chunk on `pool`, results in chunk order — the
-/// one scan loop under the plain, UA-encoded and AU-encoded scans.
+/// one scan loop under the plain, UA-encoded and AU-encoded scans. Every
+/// chunk is also handed the decode's one all-ones multiplicity sidecar,
+/// as long as a full chunk: the chunk store keeps the result resident, and
+/// a sidecar per chunk would be 8 KiB of ones each ([`ones`] picks).
 pub(crate) fn convert_chunks<T: Send>(
     rows: &[Tuple],
     batch_rows: usize,
     pool: &rayon::ThreadPool,
-    convert: impl Fn(&[Tuple]) -> T + Sync,
+    convert: impl Fn(&[Tuple], &Arc<Vec<u64>>) -> T + Sync,
 ) -> Vec<T> {
+    let full = Arc::new(vec![1u64; batch_rows.max(1).min(rows.len())]);
     pool.map_in_order(chunk_ranges(rows.len(), batch_rows), |_, (s, e)| {
-        convert(&rows[s..e])
+        convert(&rows[s..e], &full)
     })
+}
+
+/// `len` ones as a multiplicity sidecar: the decode's shared buffer when
+/// the chunk is full-size, a buffer of its own otherwise (the last chunk,
+/// an AU chunk that dropped `ub = 0` rows).
+pub(crate) fn ones(full: &Arc<Vec<u64>>, len: usize) -> Arc<Vec<u64>> {
+    if len == full.len() {
+        Arc::clone(full)
+    } else {
+        Arc::new(vec![1u64; len])
+    }
 }
 
 /// Columns `0..arity` of a row chunk, each in its densest representation.
@@ -424,12 +439,16 @@ pub(crate) fn chunk_columns(arity: usize, chunk: &[Tuple]) -> Vec<ColumnVec> {
 /// Convert one row chunk into a batch with every row labeled certain at
 /// multiplicity 1 — deterministic semantics, and AU semantics too (AU
 /// multiplicities live in the `ua_m_*` data columns).
-pub(crate) fn chunk_to_batch(schema: &Schema, chunk: &[Tuple]) -> ColumnBatch {
+pub(crate) fn chunk_to_batch(
+    schema: &Schema,
+    chunk: &[Tuple],
+    full: &Arc<Vec<u64>>,
+) -> ColumnBatch {
     ColumnBatch::new(
         schema.clone(),
         chunk_columns(schema.arity(), chunk),
         Bitmap::filled(chunk.len(), true),
-        Arc::new(vec![1u64; chunk.len()]),
+        ones(full, chunk.len()),
     )
 }
 
@@ -440,6 +459,7 @@ fn encoded_chunk_to_batch(
     base_schema: &Schema,
     name: &str,
     chunk: &[Tuple],
+    full: &Arc<Vec<u64>>,
 ) -> Result<ColumnBatch, EngineError> {
     let arity = base_schema.arity();
     let mut bm = Bitmap::filled(chunk.len(), false);
@@ -459,7 +479,7 @@ fn encoded_chunk_to_batch(
         base_schema.clone(),
         chunk_columns(arity, chunk),
         bm,
-        Arc::new(vec![1u64; chunk.len()]),
+        ones(full, chunk.len()),
     ))
 }
 
@@ -480,8 +500,8 @@ pub fn batches_from_table_pooled(
     let schema = table.schema();
     BatchStream {
         schema: schema.clone(),
-        batches: convert_chunks(table.rows(), batch_rows, pool, |chunk| {
-            chunk_to_batch(schema, chunk)
+        batches: convert_chunks(table.rows(), batch_rows, pool, |chunk, full| {
+            chunk_to_batch(schema, chunk, full)
         }),
     }
 }
@@ -527,8 +547,8 @@ pub fn batches_from_encoded_table_pooled(
     pool: &rayon::ThreadPool,
 ) -> Result<BatchStream, EngineError> {
     let base_schema = encoded_base_schema(table, name)?;
-    let batches = convert_chunks(table.rows(), batch_rows, pool, |chunk| {
-        encoded_chunk_to_batch(&base_schema, name, chunk)
+    let batches = convert_chunks(table.rows(), batch_rows, pool, |chunk, full| {
+        encoded_chunk_to_batch(&base_schema, name, chunk, full)
     })
     .into_iter()
     .collect::<Result<_, _>>()?;
@@ -593,7 +613,9 @@ fn rows_pooled(stream: &BatchStream, pool: &rayon::ThreadPool, marker: bool) -> 
             let mut rows = Vec::with_capacity(b.len());
             for i in 0..b.len() {
                 let row = if marker {
-                    b.row(i).push(Value::Int(i64::from(b.labels().get(i))))
+                    let label = Value::Int(i64::from(b.labels().get(i)));
+                    let values = b.columns().iter().map(|c| c.value(i));
+                    values.chain(std::iter::once(label)).collect()
                 } else {
                     b.row(i)
                 };

@@ -77,13 +77,14 @@ use crate::columnar::{
 };
 use crate::kernels::{filter_selection, project_selected};
 use crate::ops::{self, ProbeState};
+use std::sync::Arc;
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::Schema;
 use ua_obs::{OperatorStats, PoolStats, QueryStats, Stopwatch};
 use ua_plan::plan::Plan;
 use ua_plan::stats::node_label;
-use ua_plan::storage::{Catalog, Table};
+use ua_plan::storage::{Catalog, Chunks, Table};
 use ua_plan::{estimate_rows, EngineError, ExecOptions, Semantics};
 use ua_ranges::{flattened_schema, WidthSummary};
 
@@ -342,6 +343,10 @@ impl<'a> Driver<'a> {
             self.phase("bind", || self.bind_stages(specs, source.schema.clone()))?;
         let observe = self.collect_stats.then_some(self.semantics);
         let run = |batch: ColumnBatch| run_chain(batch, &stages, observe);
+        // A scan's batches are handles on the catalog's resident chunks
+        // (`Driver::scan`): dropping one frees a column list, never a
+        // buffer. Who frees a morsel matters for the sources that own
+        // their buffers — breaker and AU join outputs.
         let results = self.phase("execute", || match self.semantics {
             // AU morsels run on `Arc` clones, so the session thread, not
             // the workers, frees the source after the fan-out: workers
@@ -619,6 +624,35 @@ impl<'a> Driver<'a> {
         Ok((stages, flat.unwrap_or(schema), metas))
     }
 
+    /// Scan base table `name`: its decoded chunks come out of the
+    /// catalog's chunk store ([`Catalog::chunks_of`]) as clones of the
+    /// `Arc`-shared column buffers — O(batches × columns) pointer bumps.
+    /// Only the first scan of a registration under this semantics (and
+    /// batch size) decodes, on this query's pool, with the one converter
+    /// its encoding has: plain rows, `ua_c` marker → label bitmap, AU
+    /// flattened-canonical with every validation rule of
+    /// [`Driver::au_scan`]. A decode error is returned, not stored.
+    fn scan(&self, name: &str) -> Result<BatchStream, EngineError> {
+        let chunks = self
+            .catalog
+            .chunks_of(name, self.semantics, self.batch_rows, |table| {
+                let stream = match self.semantics {
+                    Semantics::Det => batches_from_table_pooled(table, self.batch_rows, &self.pool),
+                    Semantics::Ua => {
+                        batches_from_encoded_table_pooled(table, name, self.batch_rows, &self.pool)?
+                    }
+                    Semantics::Au => self.au_scan(table)?,
+                };
+                let bytes = resident_bytes(&stream);
+                Ok::<_, EngineError>((Arc::new(stream) as Chunks, bytes))
+            })?
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+        let stream: &BatchStream = chunks
+            .downcast_ref()
+            .expect("this scan is the chunk store's only writer");
+        Ok(stream.clone())
+    }
+
     /// Execute a pipeline source / breaker node, with its span when
     /// tracing. Scan, δ, γ, `−`, `⟕` and — under AU — both joins pick
     /// their implementation by semantics; Sort / Top-K / Limit / ∪ are the
@@ -636,25 +670,7 @@ impl<'a> Driver<'a> {
         // AU hash-⋈ candidate pairs refined row-wise.
         let mut rowwise = 0;
         let (stream, children) = match plan {
-            Plan::Scan(name) => {
-                let table = self
-                    .catalog
-                    .get(name)
-                    .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-                let stream = match semantics {
-                    Semantics::Det => {
-                        batches_from_table_pooled(&table, self.batch_rows, &self.pool)
-                    }
-                    Semantics::Ua => batches_from_encoded_table_pooled(
-                        &table,
-                        name,
-                        self.batch_rows,
-                        &self.pool,
-                    )?,
-                    Semantics::Au => self.au_scan(&table)?,
-                };
-                (stream, Vec::new())
-            }
+            Plan::Scan(name) => (self.scan(name)?, Vec::new()),
             Plan::UnionAll { left, right } => {
                 let (l, r, children) = self.inputs(left, right)?;
                 if au {
@@ -762,9 +778,11 @@ impl<'a> Driver<'a> {
         // Det / UA pipeline breakers hold their whole output (and their
         // build state) materialized at once — charge that against the
         // query's memory accumulator and surface it on the span. Scans
-        // charge nothing: base-table batches share the catalog's storage.
-        // (AU spans charge and release every operator's output, see
-        // [`Driver::finish_node`].)
+        // charge nothing: base-table batches share the catalog's storage —
+        // every buffer of a scan is the chunk store's (`Driver::scan`),
+        // whose size is the `catalog.chunk_bytes` gauge, not a per-query
+        // figure. (AU spans charge and release every operator's output,
+        // see [`Driver::finish_node`].)
         let breaker_bytes = (self.collect_stats
             && !au
             && matches!(
@@ -898,6 +916,39 @@ pub(crate) fn column_mem_bytes(col: &crate::columnar::ColumnVec) -> u64 {
 /// fully materialized pipeline-breaker output or join build side.
 fn stream_mem_bytes(stream: &BatchStream) -> u64 {
     stream.batches.iter().map(batch_mem_bytes).sum()
+}
+
+/// What a decoded stream keeps resident in the chunk store, the figure
+/// behind the `catalog.chunk_bytes` gauge: element size × length of every
+/// column, multiplicity and label buffer, each shared buffer (the all-ones
+/// sidecar, an AU bound column that is its `bg` column) counted once.
+/// String payloads are the row store's own `Arc<str>`s and count nothing.
+fn resident_bytes(stream: &BatchStream) -> u64 {
+    use crate::columnar::ColumnVec;
+    fn buffer<T>(v: &Arc<Vec<T>>) -> (usize, u64) {
+        (
+            Arc::as_ptr(v) as usize,
+            std::mem::size_of_val(v.as_slice()) as u64,
+        )
+    }
+    let mut seen = ua_data::FxHashSet::default();
+    let mut bytes = 0;
+    for b in &stream.batches {
+        let columns = b.columns().iter().map(|c| match c {
+            ColumnVec::Int(v) => buffer(v),
+            ColumnVec::Float(v) => buffer(v),
+            ColumnVec::Bool(v) => buffer(v),
+            ColumnVec::Str(v) => buffer(v),
+            ColumnVec::Mixed(v) => buffer(v),
+        });
+        for (ptr, len) in columns.chain([buffer(&b.shared_mults())]) {
+            if seen.insert(ptr) {
+                bytes += len;
+            }
+        }
+        bytes += b.len().div_ceil(8) as u64;
+    }
+    bytes
 }
 
 /// Replay the pool's recorded per-morsel task spans onto the session

@@ -685,3 +685,90 @@ fn deep_nesting_is_an_error_not_a_crash() {
         .expect("shallow nesting");
     assert_eq!(ok.table.len(), 1);
 }
+
+/// A Section 9.2 source annotation is encoded on first use and cached in
+/// the catalog under a derived name. The cached encoding follows its base
+/// table: re-registering the base re-encodes, dropping it drops the
+/// encodings — a *certain* label never outlives the rows it was computed
+/// from.
+#[test]
+fn annotated_sources_follow_their_base_table() {
+    let table =
+        |rows: Vec<Tuple>| Table::from_rows(Schema::qualified("t", ["xid", "aid", "p", "a"]), rows);
+    // `(a, certain)` in `a` order, under UA (label) and AU (`mult.lb ≥ 1`).
+    let labelled = |session: &UaSession, sem: Sem, sql: &str| -> Vec<(Tuple, bool)> {
+        let mut rows = match sem {
+            Sem::Ua => session.query_ua(sql).expect("ua").rows_with_certainty(),
+            Sem::Au => {
+                let rel = session.query_au(sql).expect("au").decode();
+                let rows = rel.rows().iter();
+                rows.map(|r| (r.bg_tuple(), r.mult.lb >= 1)).collect()
+            }
+            Sem::Det => unreachable!("det queries take no annotation"),
+        };
+        rows.sort();
+        rows
+    };
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        for source in [
+            "t IS TI WITH PROBABILITY (p)",
+            "t IS X WITH XID (xid) ALTID (aid) PROBABILITY (p)",
+        ] {
+            let sql = format!("SELECT a FROM {source}");
+            let session = UaSession::with_mode(mode);
+            session.register_table(
+                "t",
+                table(vec![
+                    tuple![1i64, 1i64, 1.0, 1i64],
+                    tuple![2i64, 1i64, 0.9, 2i64],
+                ]),
+            );
+            for sem in [Sem::Ua, Sem::Au] {
+                assert_eq!(
+                    labelled(&session, sem, &sql),
+                    vec![(tuple![1i64], true), (tuple![2i64], false)],
+                    "{mode:?} {sem:?} `{sql}`"
+                );
+            }
+            session.register_table(
+                "t",
+                table(vec![
+                    tuple![1i64, 1i64, 1.0, 7i64],
+                    tuple![2i64, 1i64, 1.0, 8i64],
+                    tuple![3i64, 1i64, 0.7, 9i64],
+                ]),
+            );
+            assert_eq!(
+                run(&session, Sem::Det, "SELECT a FROM t").sorted_rows(),
+                vec![tuple![7i64], tuple![8i64], tuple![9i64]]
+            );
+            for sem in [Sem::Ua, Sem::Au] {
+                assert_eq!(
+                    labelled(&session, sem, &sql),
+                    vec![
+                        (tuple![7i64], true),
+                        (tuple![8i64], true),
+                        (tuple![9i64], false)
+                    ],
+                    "{mode:?} {sem:?} `{sql}` after the base was replaced"
+                );
+            }
+            assert!(session.catalog().drop_table("t"));
+            assert_eq!(
+                session.catalog().table_names(),
+                Vec::<String>::new(),
+                "{mode:?} `{sql}`: encodings are dropped with their base"
+            );
+            for result in [
+                session.query_ua(&sql).map(|_| ()),
+                session.query_au(&sql).map(|_| ()),
+            ] {
+                let err = result.expect_err("the base table is gone");
+                assert!(
+                    matches!(err, uadb::engine::EngineError::UnknownTable(_)),
+                    "{mode:?} `{sql}`: {err:?}"
+                );
+            }
+        }
+    }
+}
