@@ -575,3 +575,97 @@ fn marker_in_group_by_rejected_on_both_engines() {
         }
     }
 }
+
+/// Interval endpoints are *checked*: `[1, 1, 2⁶²] * 4` used to compute its
+/// upper endpoint with the scalar evaluator's wrapping product (`2⁶⁴ ≡ 0`)
+/// and answer `[0, 4, 4]`, while the world `v = 2⁶¹` evaluates — under the
+/// engine's own wrapping arithmetic — to `i64::MIN`. An overflowing
+/// endpoint now widens the result to top (on both engines: the typed
+/// kernel abandons the batch), so every world is enclosed again — through
+/// a projection, a nested expression and a computed predicate operand —
+/// while a product of two *points* keeps the wrapped point (one world,
+/// whose value is the evaluator's).
+#[test]
+fn overflowing_interval_endpoints_widen_instead_of_wrapping() {
+    let t = |g: i64, v: i64| Tuple::new(vec![Value::Int(g), Value::Int(v)]);
+    let blocks: Vec<Block> = vec![
+        // v ∈ {1, 2⁶¹, 2⁶²}: the range [1, 1, 2⁶²].
+        vec![(t(0, 1), 0.5), (t(0, 1 << 61), 0.25), (t(0, 1 << 62), 0.25)],
+        // A certain 2⁶²: a point.
+        vec![(t(1, 1 << 62), 1.0)],
+        // Small values: no overflow, tight bounds.
+        vec![(t(2, 3), 0.6), (t(2, 5), 0.4)],
+        // v ∈ {−2, 2⁶², i64::MAX − 1}: sums and differences overflow too.
+        vec![
+            (t(3, -2), 0.5),
+            (t(3, 1 << 62), 0.25),
+            (t(3, i64::MAX - 1), 0.25),
+        ],
+    ];
+    let worlds = enumerate_worlds(&blocks);
+    let sg = sg_world(&blocks);
+    let pairs: Vec<(String, String)> = [
+        "SELECT g, v * 4 AS w FROM {src}",
+        "SELECT g, 4 * v AS w FROM {src}",
+        "SELECT g, (v * 4 + g) * 2 AS w FROM {src}",
+        "SELECT g, v + 4611686018427387904 AS w FROM {src}",
+        "SELECT g, 0 - 4611686018427387904 - v AS w FROM {src}",
+        "SELECT g FROM {src} WHERE v * 4 < 0",
+        "SELECT g FROM {src} WHERE v * 4 BETWEEN 0 AND 100",
+    ]
+    .iter()
+    .map(|q| (q.replace("{src}", X_SOURCE), q.replace("{src}", "xr x")))
+    .collect();
+    for (au_sql, det_sql) in &pairs {
+        let row = au_session(&blocks, ExecMode::Row)
+            .query_au(au_sql)
+            .unwrap_or_else(|e| panic!("row `{au_sql}`: {e}"));
+        let vec = au_session(&blocks, ExecMode::Vectorized)
+            .query_au(au_sql)
+            .unwrap_or_else(|e| panic!("vec `{au_sql}`: {e}"));
+        assert_eq!(
+            row.table.rows(),
+            vec.table.rows(),
+            "engines diverge on {au_sql}"
+        );
+        let au_rel = row.decode();
+        let mut sg_expected = det_over(&sg, det_sql).rows().to_vec();
+        sg_expected.sort();
+        assert_eq!(
+            sg_rows(&au_rel),
+            sg_expected,
+            "the selected guess is the evaluator's wrapping result: {au_sql}"
+        );
+        for (wi, world) in worlds.iter().enumerate() {
+            let truth = det_over(world, det_sql);
+            if let Err(violation) = check_encloses_world(&au_rel, truth.rows()) {
+                panic!(
+                    "world {wi}, query `{au_sql}`: {violation}\n\
+                     world input: {:?}\nworld result: {:?}",
+                    world.rows(),
+                    truth.rows()
+                );
+            }
+        }
+    }
+    // Point × point: the wrapped point, not top; and the small block's
+    // bounds are as tight as ever.
+    let products = au_session(&blocks, ExecMode::Vectorized)
+        .query_au(&pairs[0].0)
+        .expect("vec")
+        .decode();
+    let w_of = |g: i64| {
+        let row = products
+            .rows()
+            .iter()
+            .find(|r| r.values[0].bg == Value::Int(g))
+            .expect("group present");
+        row.values[1].clone()
+    };
+    assert!(w_of(0).is_top(), "an overflowing endpoint widens to top");
+    assert_eq!(w_of(0).bg, Value::Int(4));
+    assert!(w_of(1).is_point(), "point × point stays a point");
+    assert_eq!(w_of(1).bg, Value::Int((1i64 << 62).wrapping_mul(4)));
+    assert!(w_of(2).contains(&Value::Int(12)) && w_of(2).contains(&Value::Int(20)));
+    assert!(!w_of(2).contains(&Value::Int(21)) && !w_of(2).is_top());
+}

@@ -1069,3 +1069,136 @@ fn au_sort_keys_cannot_name_bookkeeping_columns() {
         .unwrap();
     assert_eq!(row.table.rows(), vec.table.rows(), "{sql}");
 }
+
+/// Computed projections and computed predicate operands under AU — nested
+/// `+ − ×`, `Int × Float`, a literal on either side, `÷` (never
+/// kernel-native), over x-DB ranges, a NULL-bearing TI column and a join —
+/// from SQL, through the session: the vectorized engine at threads
+/// {1, 2, 4, 8} returns the row interpreter's table byte for byte under
+/// each optimizer setting, and the optimizer preserves the multiset.
+#[test]
+fn au_computed_expressions_agree_across_engines_and_threads() {
+    const XR: &str = "xr IS X WITH XID (xid) ALTID (aid) PROBABILITY (p) y";
+    const TI: &str = "ti IS TI WITH PROBABILITY (p) x";
+    let queries = [
+        format!("SELECT y.k * y.v AS w, y.k FROM {XR} WHERE y.v * 2 > y.k + 1"),
+        format!("SELECT y.k * 0.5 + y.v AS w FROM {XR} WHERE 2.5 * y.v <= y.k * y.k"),
+        format!("SELECT (y.k + y.v) * (y.k - 2) AS w, 3 - y.v AS d FROM {XR}"),
+        format!("SELECT y.k / 2 AS h, y.k - y.v AS d FROM {XR} WHERE y.k * y.v BETWEEN 2 AND 12"),
+        format!("SELECT x.a + x.b * 2 AS w FROM {TI} WHERE x.a * x.b < 10"),
+        format!("SELECT x.b * y.v AS w FROM {TI}, {XR} WHERE x.b = y.k AND x.b + y.v > 3"),
+        format!("SELECT y.k FROM {XR} WHERE y.v * 4611686018427387904 < 0"),
+    ];
+    for sql in &queries {
+        let mut per_optimizer = Vec::new();
+        for optimizer in [true, false] {
+            let row = seeded_session(ExecMode::Row, optimizer)
+                .query_au(sql)
+                .unwrap_or_else(|e| panic!("row `{sql}`: {e}"));
+            for threads in [1usize, 2, 4, 8] {
+                let session = seeded_session(ExecMode::Vectorized, optimizer);
+                session.set_vec_threads(threads);
+                let vec = session
+                    .query_au(sql)
+                    .unwrap_or_else(|e| panic!("vec `{sql}`: {e}"));
+                assert_eq!(row.table.schema(), vec.table.schema(), "{sql}");
+                assert_eq!(
+                    row.table.rows(),
+                    vec.table.rows(),
+                    "optimizer={optimizer} threads={threads}: {sql}"
+                );
+            }
+            per_optimizer.push(row.table.sorted_rows());
+        }
+        assert_eq!(
+            per_optimizer[0], per_optimizer[1],
+            "optimizer changed {sql}"
+        );
+    }
+    // The first query must exercise ranges, not only points.
+    let ranged = seeded_session(ExecMode::Vectorized, true)
+        .query_au(&queries[0])
+        .expect("au")
+        .decode();
+    assert!(ranged.rows().iter().any(|r| !r.values[0].is_point()));
+}
+
+/// The same shapes from SQL over a registered AU relation with ranged,
+/// NULL, top and overflowing cells, at the executor boundary where the
+/// morsel size is a parameter: threads {1, 2, 4, 8} × batch rows
+/// {1, 7, 64, 1024}, the row interpreter as the oracle.
+#[test]
+fn au_computed_expressions_agree_across_threads_and_batch_sizes() {
+    use ua_engine::{ExecOptions, Semantics};
+    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
+    let mut rng = StdRng::seed_from_u64(0x00C0_1175);
+    let mut rel = AuRelation::new(Schema::qualified("t", ["i", "j", "f"]));
+    for row in 0..120 {
+        let x = rng.gen_range(-4..12i64);
+        let i = match rng.gen_range(0..6u32) {
+            0 | 1 => RangeValue::point(Value::Int(x)),
+            2 if row % 40 == 7 => RangeValue::new(
+                Bound::Val(Value::Int(1)),
+                Value::Int(2),
+                Bound::Val(Value::Int(1 << 62)),
+            ),
+            _ => RangeValue::new(
+                Bound::Val(Value::Int(x - rng.gen_range(0..3i64))),
+                Value::Int(x),
+                Bound::Val(Value::Int(x + rng.gen_range(0..3i64))),
+            ),
+        };
+        let j = match rng.gen_range(0..6u32) {
+            0 => RangeValue::null(),
+            1 => RangeValue::top(Value::Int(x)),
+            _ => RangeValue::point(Value::Int(x + 1)),
+        };
+        let y = f64::from(rng.gen_range(-6..6i32)) / 4.0;
+        let f = if rng.gen_range(0..3u32) == 0 {
+            RangeValue::point(Value::float(y))
+        } else {
+            RangeValue::new(
+                Bound::Val(Value::float(y - 0.5)),
+                Value::float(y),
+                Bound::Val(Value::float(y + 1.0)),
+            )
+        };
+        rel.push(AuTuple {
+            values: vec![i, j, f],
+            mult: MultBound::new(0, 1, 2),
+        });
+    }
+    let session = UaSession::with_mode(ExecMode::Row);
+    session.register_au_relation("t", &rel);
+    let catalog = session.catalog();
+    for sql in [
+        "SELECT i * f AS w, f * (1 - f) AS d FROM t WHERE i * 2 > j + 1",
+        "SELECT (i + 3) * (i - 2) AS w, 2 * i AS e FROM t WHERE f * 0.5 <= i",
+        "SELECT j + 1 AS w, i / 2 AS h FROM t WHERE 1 - f < 0.25 OR i * i IN (4, 9)",
+        "SELECT i * 4 AS w FROM t WHERE NOT (i * 4 < 0)",
+    ] {
+        let query = ua_engine::sql::parse(sql).expect("parses");
+        let plan = ua_engine::sql::plan_query(&query, catalog, &ua_engine::sql::RejectAnnotations)
+            .expect("plans");
+        let row = ua_engine::au_table(&ua_engine::execute_au(&plan, catalog).expect("au row"));
+        assert!(!row.is_empty(), "{sql}: the case must keep rows");
+        for threads in [1usize, 2, 4, 8] {
+            for batch_rows in [1usize, 7, 64, 1024] {
+                let opts = ExecOptions {
+                    threads,
+                    batch_rows,
+                    collect_stats: false,
+                    collect_trace: false,
+                };
+                let vec = ua_vecexec::execute(&plan, catalog, opts, Semantics::Au)
+                    .0
+                    .expect("au vec");
+                assert_eq!(
+                    row.rows(),
+                    vec.rows(),
+                    "threads={threads} batch={batch_rows}: {sql}"
+                );
+            }
+        }
+    }
+}

@@ -257,13 +257,55 @@ fn bound_binop(a: &Bound, b: &Bound, f: impl Fn(&Value, &Value) -> Option<Value>
     }
 }
 
+/// One operator of endpoint arithmetic: the scalar evaluator's rule (type
+/// promotion, `NULL` on unknowns, `None` on a type error) and the checked
+/// `i64` form of the same operator.
+#[derive(Clone, Copy)]
+struct EndpointOp {
+    scalar: fn(&Value, &Value) -> Option<Value>,
+    checked: fn(i64, i64) -> Option<i64>,
+}
+
+const ADD: EndpointOp = EndpointOp {
+    scalar: Value::add,
+    checked: i64::checked_add,
+};
+const SUB: EndpointOp = EndpointOp {
+    scalar: Value::sub,
+    checked: i64::checked_sub,
+};
+const MUL: EndpointOp = EndpointOp {
+    scalar: Value::mul,
+    checked: i64::checked_mul,
+};
+
+impl EndpointOp {
+    /// One endpoint of `a op b`. The scalar evaluator wraps on `i64`
+    /// overflow; a wrapped *endpoint* no longer bounds the worlds between
+    /// the operands' endpoints (`[1, 2⁶²] * 4` would read `[0, 4]`), so an
+    /// overflowing integer endpoint is `None` and the caller widens to top.
+    /// The one exception: two *point* operands describe a single world,
+    /// whose value is the evaluator's own wrapping result — the endpoint
+    /// wraps with it and the result stays the point `bg`.
+    fn endpoint(self, a: &RangeValue, b: &RangeValue, x: &Value, y: &Value) -> Option<Value> {
+        match (x, y) {
+            (Value::Int(i), Value::Int(j)) => match (self.checked)(*i, *j) {
+                Some(v) => Some(Value::Int(v)),
+                None if a.is_point() && b.is_point() => (self.scalar)(x, y),
+                None => None,
+            },
+            _ => (self.scalar)(x, y),
+        }
+    }
+}
+
 /// Interval addition. `bg` must already be the exact selected-guess result
 /// (the caller computes it with the scalar evaluator); endpoint failures —
-/// type errors, opposing infinities, wrap-around that inverts the ordering —
-/// widen to top via [`RangeValue::new`].
+/// type errors, opposing infinities, `i64` overflow (see
+/// [`EndpointOp::endpoint`]) — widen to top.
 pub fn interval_add(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
-    let lb = bound_binop(&a.lb, &b.lb, Value::add);
-    let ub = bound_binop(&a.ub, &b.ub, Value::add);
+    let lb = bound_binop(&a.lb, &b.lb, |x, y| ADD.endpoint(a, b, x, y));
+    let ub = bound_binop(&a.ub, &b.ub, |x, y| ADD.endpoint(a, b, x, y));
     match (lb, ub) {
         (Some(lb), Some(ub)) => RangeValue::new(lb, bg, ub),
         _ => RangeValue::top(bg),
@@ -272,8 +314,8 @@ pub fn interval_add(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
 
 /// Interval subtraction (`[a.lb - b.ub, a.ub - b.lb]`).
 pub fn interval_sub(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
-    let lb = bound_binop(&a.lb, &b.ub, Value::sub);
-    let ub = bound_binop(&a.ub, &b.lb, Value::sub);
+    let lb = bound_binop(&a.lb, &b.ub, |x, y| SUB.endpoint(a, b, x, y));
+    let ub = bound_binop(&a.ub, &b.lb, |x, y| SUB.endpoint(a, b, x, y));
     match (lb, ub) {
         (Some(lb), Some(ub)) => RangeValue::new(lb, bg, ub),
         _ => RangeValue::top(bg),
@@ -281,8 +323,9 @@ pub fn interval_sub(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
 }
 
 /// Interval multiplication: the hull of the four endpoint products. Any
-/// infinite endpoint widens to top (sign analysis over infinities buys
-/// little here and the top range is always sound).
+/// infinite endpoint — and any overflowing integer product — widens to top
+/// (sign analysis over infinities buys little here and the top range is
+/// always sound).
 pub fn interval_mul(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
     let corners = [
         (&a.lb, &b.lb),
@@ -294,7 +337,7 @@ pub fn interval_mul(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
     let mut hi: Option<Bound> = None;
     for (x, y) in corners {
         let p = match (x, y) {
-            (Bound::Val(x), Bound::Val(y)) => x.mul(y).map(Bound::Val),
+            (Bound::Val(x), Bound::Val(y)) => MUL.endpoint(a, b, x, y).map(Bound::Val),
             _ => None,
         };
         match p {
@@ -420,6 +463,39 @@ mod tests {
         }
         let diff = interval_sub(&a, &b, Value::Int(2));
         assert!(diff.contains(&Value::Int(3 - -2)));
+    }
+
+    #[test]
+    fn overflowing_endpoints_widen_except_between_points() {
+        let four = RangeValue::point(Value::Int(4));
+        // `[1, 1, 2⁶²] * 4`: the upper corner is 2⁶⁴ ≡ 0 under wrapping
+        // arithmetic, and `[0, 4, 4]` misses the world 2⁶¹ * 4 = i64::MIN.
+        let wide = interval_mul(&span(1, 1, 1 << 62), &four, Value::Int(4));
+        assert!(wide.is_top() && wide.bg == Value::Int(4));
+        assert!(wide.contains(&Value::Int((1i64 << 61).wrapping_mul(4))));
+        // Sums and differences: one wrapped endpoint, or both.
+        let max = RangeValue::point(Value::Int(i64::MAX));
+        assert!(interval_add(&span(0, 0, 1), &max, Value::Int(i64::MAX)).is_top());
+        assert!(interval_add(&span(1, 1, 2), &max, Value::Int(i64::MIN)).is_top());
+        assert!(interval_sub(&span(-2, -2, 0), &max, Value::Int(i64::MAX)).is_top());
+        // Two points are one world: the evaluator's wrapping value.
+        let big = RangeValue::point(Value::Int(1 << 62));
+        let wrapped = Value::Int((1i64 << 62).wrapping_mul(4));
+        assert_eq!(
+            interval_mul(&big, &four, wrapped.clone()),
+            RangeValue::point(wrapped)
+        );
+        assert_eq!(
+            interval_add(&max, &four, Value::Int(i64::MIN + 3)),
+            RangeValue::point(Value::Int(i64::MIN + 3))
+        );
+        // Floats do not wrap, and in-range integers are untouched.
+        let f = RangeValue::point(Value::float(1e308));
+        assert!(!interval_mul(&f, &four, Value::float(f64::INFINITY)).is_top());
+        assert_eq!(
+            interval_mul(&span(1, 2, 3), &four, Value::Int(8)),
+            span(4, 8, 12)
+        );
     }
 
     #[test]

@@ -128,8 +128,8 @@ impl ThreadPoolBuilder {
 
 /// A pool of `num_threads` workers. Threads are scoped per call (spawned on
 /// demand, joined before returning), which keeps the shim `unsafe`-free and
-/// leak-proof; for the coarse batch morsels this workspace processes, the
-/// per-call spawn cost is noise.
+/// leak-proof. A spawn and a join cost a hundred microseconds or more, so a
+/// caller with a handful of small items uses [`ThreadPool::map_inline`].
 pub struct ThreadPool {
     num_threads: usize,
     /// Off by default: instrumentation costs two clock reads per task.
@@ -215,7 +215,21 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.map_phase(items, f, false)
+        self.map_phase(items, f, false, self.num_threads)
+    }
+
+    /// [`ThreadPool::map_in_order`] on the calling thread, whatever the
+    /// pool's worker count: no thread is spawned, and the call is accounted
+    /// (tasks, wall time, spans) exactly as a one-worker pool accounts it.
+    /// For callers that know their items are too few or too small to repay
+    /// a spawn and a join.
+    pub fn map_inline<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        self.map_phase(items, f, false, 1)
     }
 
     /// [`ThreadPool::map_in_order`] accounted to the *build* phase —
@@ -229,10 +243,10 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.map_phase(items, f, true)
+        self.map_phase(items, f, true, self.num_threads)
     }
 
-    fn map_phase<T, R, F>(&self, items: Vec<T>, f: F, build: bool) -> Vec<R>
+    fn map_phase<T, R, F>(&self, items: Vec<T>, f: F, build: bool, workers: usize) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -246,7 +260,7 @@ impl ThreadPool {
         } else {
             None
         };
-        let threads = self.num_threads.min(n);
+        let threads = workers.min(n);
         if threads <= 1 {
             let mut spans: Vec<TaskSpan> = Vec::new();
             let out: Vec<R> = items
@@ -444,6 +458,24 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(pool(8).map_in_order(empty, |_, x| x).is_empty());
         assert_eq!(pool(8).map_in_order(vec![5], |_, x| x + 1), vec![6]);
+    }
+
+    #[test]
+    fn map_inline_is_the_one_worker_path_of_any_pool() {
+        let items: Vec<u64> = (0..5).collect();
+        let p = pool(4);
+        p.set_instrumented(true);
+        p.set_spans_recorded(true);
+        let caller = std::thread::current().id();
+        let got = p.map_inline(items.clone(), |i, x| {
+            assert_eq!(std::thread::current().id(), caller, "no thread is spawned");
+            x + i as u64
+        });
+        assert_eq!(got, p.map_in_order(items, |i, x| x + i as u64));
+        let m = p.take_metrics();
+        assert_eq!((m.workers, m.tasks), (4, 10));
+        assert_eq!(m.spans.len(), 10);
+        assert!(m.spans[..5].iter().all(|s| s.worker == 0 && !s.build));
     }
 
     #[test]

@@ -19,26 +19,31 @@
 //! * **σ** (`filter_batch`) — the selected-guess mask evaluates with the
 //!   existing typed [`crate::kernels::truth_masks`] over the bg columns.
 //!   The possibly-true / certainly-true analysis is *kernel-native* for
-//!   predicates built from comparisons (`Col ⋄ Lit`, `Col ⋄ Col`),
-//!   `BETWEEN`, literal `IN` lists and `AND`/`OR`/`NOT` whose column
-//!   operands are dense same-typed `Int`/`Float`/`Str` triples:
+//!   predicates built from comparisons, `BETWEEN`, literal `IN` lists and
+//!   `AND`/`OR`/`NOT` whose operands the expression kernel evaluates
+//!   ([`crate::kernels::eval_triple`]: dense same-typed `Int`/`Float`/`Str`
+//!   triples, literals, `+ − ×` over the numeric ones):
 //!   [`crate::kernels::range_truth_masks`] applies `cmp_possibilities`'
-//!   endpoint rules to the `lb`/`ub` columns directly and combines the
+//!   endpoint rules to the operand triples directly and combines the
 //!   leaves with bitmap ops (such triples are never top, so no leaf can be
 //!   *unknown* and Kleene logic is two bitmaps). Every other shape — a
-//!   column holding `±∞` bounds, definite NULLs or top ranges, a computed
-//!   operand, `IS NULL`, `CASE`, a NaN under an Int/Float coercion — sends
+//!   column holding `±∞` bounds, definite NULLs or top ranges, a `÷` or
+//!   `CASE` operand, `IS NULL`, a NaN under an Int/Float coercion — sends
 //!   the batch down the per-row `ua_ranges::truth_range` path, over ranges
 //!   assembled for the referenced columns only. Either way `ua_m_lb` /
 //!   `ua_m_bg` are refined by masking and the survivors leave in one
-//!   gather.
-//! * **π** (`map_batch`) — bg output columns evaluate with the typed
-//!   expression kernels (including the typed arithmetic kernels); bound
-//!   columns are `O(1)` column clones for plain references, broadcasts for
-//!   literals, and per-row interval evaluation — over the referenced
-//!   columns only — re-anchored via `ua_ranges::reanchor` for computed
-//!   expressions (preserving definite NULLs, exactly like the row engine's
-//!   `eval_range`).
+//!   gather, which gathers each distinct buffer once — a point column
+//!   (bounds aliasing `bg`) is still one above the filter.
+//! * **π** (`map_batch`) — every kernel-native output column comes out of
+//!   [`crate::kernels::eval_triple`] as three typed columns (interval
+//!   arithmetic at column speed; points map to points whose bounds alias
+//!   `bg`). What it declines keeps its old evaluation: other stored
+//!   triples are `O(1)` column clones, other literals broadcast, and a
+//!   computed expression — `÷`, `CASE`, NULL-able operands, a batch with a
+//!   row that widens to top or overflows — pays per-row interval
+//!   evaluation over the referenced columns only, re-anchored via
+//!   `ua_ranges::reanchor` (preserving definite NULLs, exactly like the
+//!   row engine's `eval_range`).
 //! * **alias** — the driver's own re-qualification stage over the
 //!   flattened schema.
 //!
@@ -93,10 +98,10 @@
 //! No operator falls back to the row engine's materialize-and-dispatch
 //! path: every `au.vec.fallback.*` counter stays pinned at zero
 //! (regression-tested in the engine's observability suite). What *does*
-//! still run row-wise inside σ and hash-⋈ is counted: the
-//! `au.vec.rowwise.filter_rows` / `au.vec.rowwise.join_pairs` registry
+//! still run row-wise inside σ, π and hash-⋈ is counted: the
+//! `au.vec.rowwise.{filter_rows, project_rows, join_pairs}` registry
 //! counters and the `rowwise_rows` / `rowwise_pairs` extras on the Filter
-//! / HashJoin stats nodes say how much of an operator paid for
+//! / Map / HashJoin stats nodes say how much of an operator paid for
 //! uncertainty (zero over all-certain data).
 
 use crate::bitmap::Bitmap;
@@ -105,7 +110,7 @@ use crate::columnar::{
     ColumnBatch, ColumnVec,
 };
 use crate::exec::Driver;
-use crate::kernels::{eval_expr, range_truth_masks, truth_masks, Evaluated};
+use crate::kernels::{eval_expr, eval_triple, range_truth_masks, truth_masks, Evaluated};
 use crate::ops::{build_index, probe_index, JoinIndex};
 use std::sync::Arc;
 use ua_data::algebra::ProjColumn;
@@ -396,25 +401,39 @@ fn expr_ranges(
 }
 
 /// Evaluate one bound expression into its `[bg, lb, ub]` columns — the
-/// columnar form of [`expr_ranges`]: `O(1)` column clones for plain
-/// references, broadcasts for literals, and only computed expressions pay
-/// the per-row interval evaluation.
+/// columnar form of [`expr_ranges`] — and say whether the batch took the
+/// per-row path. Every kernel-native shape ([`eval_triple`]: stored dense
+/// triples, literals, `+` / `−` / `×` over them) comes out of the typed
+/// evaluator, point columns aliasing their `bg` buffer. What it declines
+/// keeps the evaluation it had: a stored triple of any other
+/// representation is three `O(1)` column clones, any other literal
+/// broadcasts, and a computed expression pays [`computed_ranges`] per row
+/// over the typed-kernel selected guess.
 fn expr_triple(
     batch: &ColumnBatch,
     n: usize,
     expr: &Expr,
     bgv: &ColumnBatch,
-) -> Result<[ColumnVec; 3], EngineError> {
+) -> Result<([ColumnVec; 3], bool), EngineError> {
     let len = batch.len();
+    if let Some(triple) = eval_triple(expr, batch, n) {
+        return Ok((triple.into_columns(), false));
+    }
     match expr {
-        Expr::Col(c) => Ok([
-            batch.column(*c).clone(),
-            batch.column(n + c).clone(),
-            batch.column(2 * n + c).clone(),
-        ]),
+        Expr::Col(c) => Ok((
+            [
+                batch.column(*c).clone(),
+                batch.column(n + c).clone(),
+                batch.column(2 * n + c).clone(),
+            ],
+            false,
+        )),
         Expr::Lit(v) => {
             let (lb, bg, ub) = range_parts(&RangeValue::point(v.clone()));
-            Ok([&bg, &lb, &ub].map(|part| ColumnVec::broadcast(part, len)))
+            Ok((
+                [&bg, &lb, &ub].map(|part| ColumnVec::broadcast(part, len)),
+                false,
+            ))
         }
         other => {
             let bg = eval_expr(other, bgv)?.into_column(len);
@@ -425,11 +444,14 @@ fn expr_triple(
                 lbs.push(lb);
                 ubs.push(ub);
             }
-            Ok([
-                bg,
-                ColumnVec::from_values(lbs.iter()),
-                ColumnVec::from_values(ubs.iter()),
-            ])
+            Ok((
+                [
+                    bg,
+                    ColumnVec::from_values(lbs.iter()),
+                    ColumnVec::from_values(ubs.iter()),
+                ],
+                true,
+            ))
         }
     }
 }
@@ -806,7 +828,7 @@ impl SideKeys {
         let mut point = Bitmap::filled(batch.len(), true);
         let mut bg = Vec::with_capacity(exprs.len());
         for e in exprs {
-            let [b, lb, ub] = expr_triple(batch, n, e, &bgv)?;
+            let ([b, lb, ub], _) = expr_triple(batch, n, e, &bgv)?;
             point.and_assign(&point_mask(&lb, &b, &ub));
             // NaN compares `None` against ints (three-valued ANY): fuzzy.
             match &b {
@@ -1196,31 +1218,37 @@ pub(crate) fn filter_batch(
 }
 
 /// One batch of `⟦π⟧_AU` (pure per-batch function, safe to run on the
-/// pool): one [`expr_triple`] per output column.
+/// pool): one [`expr_triple`] per output column. Also returns how many
+/// input rows took the per-row path — the batch's length when some column
+/// left the typed evaluator for [`computed_ranges`], else 0.
 pub(crate) fn map_batch(
     batch: &ColumnBatch,
     bound: &[Expr],
     user: &Schema,
     out_flat: &Schema,
     n_in: usize,
-) -> Result<ColumnBatch, EngineError> {
+) -> Result<(ColumnBatch, u64), EngineError> {
     let bgv = bg_view(batch, user);
-    let triples: Vec<[ColumnVec; 3]> = bound
-        .iter()
-        .map(|e| expr_triple(batch, n_in, e, &bgv))
-        .collect::<Result<_, _>>()?;
+    let mut rowwise = false;
+    let mut triples: Vec<[ColumnVec; 3]> = Vec::with_capacity(bound.len());
+    for e in bound {
+        let (triple, per_row) = expr_triple(batch, n_in, e, &bgv)?;
+        rowwise |= per_row;
+        triples.push(triple);
+    }
     // Flattened layout: every bg column, then every lb, then every ub.
     let mut out_cols: Vec<ColumnVec> = Vec::with_capacity(3 * bound.len() + 3);
     for part in 0..3 {
         out_cols.extend(triples.iter().map(|t| t[part].clone()));
     }
     out_cols.extend_from_slice(&batch.columns()[3 * n_in..]);
-    Ok(ColumnBatch::new(
+    let out = ColumnBatch::new(
         out_flat.clone(),
         out_cols,
         batch.labels().clone(),
         batch.shared_mults(),
-    ))
+    );
+    Ok((out, if rowwise { batch.len() as u64 } else { 0 }))
 }
 
 /// Bump a `au.vec.rowwise.*` registry counter (skipping the registry

@@ -152,6 +152,19 @@ impl ColumnVec {
         }
     }
 
+    /// Whether both columns are handles on one buffer — how an AU batch
+    /// says "this bound column *is* its `bg` column" without a comparison.
+    pub fn shares_buffer(&self, other: &ColumnVec) -> bool {
+        match (self, other) {
+            (ColumnVec::Int(a), ColumnVec::Int(b)) => Arc::ptr_eq(a, b),
+            (ColumnVec::Float(a), ColumnVec::Float(b)) => Arc::ptr_eq(a, b),
+            (ColumnVec::Bool(a), ColumnVec::Bool(b)) => Arc::ptr_eq(a, b),
+            (ColumnVec::Str(a), ColumnVec::Str(b)) => Arc::ptr_eq(a, b),
+            (ColumnVec::Mixed(a), ColumnVec::Mixed(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// The rows at `idx`, in order.
     pub fn gather(&self, idx: &[u32]) -> ColumnVec {
         match self {
@@ -304,12 +317,23 @@ impl ColumnBatch {
         self.columns.iter().map(|c| c.value(i)).collect()
     }
 
-    /// The rows at `idx` (labels and multiplicities ride along).
+    /// The rows at `idx` (labels and multiplicities ride along). Each
+    /// distinct buffer is gathered once and the result handed to every
+    /// column that aliases it, so an AU point column — bounds sharing the
+    /// `bg` buffer — is still one above a filter, at a third of the copies.
     pub fn gather(&self, idx: &[u32]) -> ColumnBatch {
+        let mut columns: Vec<ColumnVec> = Vec::with_capacity(self.columns.len());
+        for (c, col) in self.columns.iter().enumerate() {
+            let alias = self.columns[..c].iter().position(|p| p.shares_buffer(col));
+            columns.push(match alias {
+                Some(first) => columns[first].clone(),
+                None => col.gather(idx),
+            });
+        }
         ColumnBatch {
             schema: self.schema.clone(),
             len: idx.len(),
-            columns: self.columns.iter().map(|c| c.gather(idx)).collect(),
+            columns,
             labels: self.labels.gather(idx),
             mults: Arc::new(idx.iter().map(|&i| self.mults[i as usize]).collect()),
         }
@@ -608,21 +632,32 @@ pub fn encoded_table_from_batches(stream: &BatchStream) -> Table {
 /// The stream's row copies in stream order, one batch per task on `pool`;
 /// `marker` appends each copy's label as a trailing `0`/`1` value.
 fn rows_pooled(stream: &BatchStream, pool: &rayon::ThreadPool, marker: bool) -> Vec<Tuple> {
-    let parts: Vec<Vec<Tuple>> =
-        pool.map_in_order(stream.batches.iter().collect::<Vec<_>>(), |_, b| {
-            let mut rows = Vec::with_capacity(b.len());
-            for i in 0..b.len() {
-                let row = if marker {
-                    let label = Value::Int(i64::from(b.labels().get(i)));
-                    let values = b.columns().iter().map(|c| c.value(i));
-                    values.chain(std::iter::once(label)).collect()
-                } else {
-                    b.row(i)
-                };
-                rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
-            }
-            rows
-        });
+    let batches: Vec<&ColumnBatch> = stream.batches.iter().collect();
+    let materialize = |_, b: &ColumnBatch| {
+        let mut rows = Vec::with_capacity(b.len());
+        for i in 0..b.len() {
+            let row = if marker {
+                let label = Value::Int(i64::from(b.labels().get(i)));
+                let values = b.columns().iter().map(|c| c.value(i));
+                values.chain(std::iter::once(label)).collect()
+            } else {
+                b.row(i)
+            };
+            rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
+        }
+        rows
+    };
+    // A result of at most one full morsel's rows is one worker's work
+    // however many batches hold it (a point lookup's three near-empty
+    // batches): it stays on the calling thread, saving the pool's spawn and
+    // join (`exec::INLINE_MORSELS`). Beyond that the rows decide, not the
+    // batch count — a row costs ≈ 0.1 µs to materialise, so five full
+    // batches repay two threads.
+    let parts: Vec<Vec<Tuple>> = if stream.num_rows() <= DEFAULT_BATCH_ROWS {
+        pool.map_inline(batches, materialize)
+    } else {
+        pool.map_in_order(batches, materialize)
+    };
     let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for p in parts {
         rows.extend(p);

@@ -160,6 +160,31 @@ pub fn exec_stream_opts(
     stream(plan, catalog, opts, Semantics::Det)
 }
 
+/// Below this many morsels a streaming pipeline runs on the calling thread.
+/// Spawning and joining the pool's scoped workers reads 90–280 µs on the
+/// benchmark box against ≈ 15 µs per 1 024-row σ / π morsel, so a
+/// three-batch point lookup paid several times its own work to start two
+/// threads. Inline is the one-worker path, so results are byte-identical
+/// either side of the constant.
+const INLINE_MORSELS: usize = 8;
+
+/// `pool.map_in_order` over a streaming pipeline's morsels — on the
+/// calling thread (through the pool's one-worker branch, so tasks and
+/// spans are still recorded) when there are fewer than [`INLINE_MORSELS`].
+/// Coarse fan-outs (partition builds, AU join blocks) call the pool
+/// directly: their few items are each worth a thread.
+fn map_morsels<T: Send, R: Send>(
+    pool: &rayon::ThreadPool,
+    morsels: Vec<T>,
+    f: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    if morsels.len() < INLINE_MORSELS {
+        pool.map_inline(morsels, f)
+    } else {
+        pool.map_in_order(morsels, f)
+    }
+}
+
 /// Resolve a requested thread count: `0` = the `UA_VEC_THREADS`
 /// environment variable if set to a positive integer, else the machine's
 /// available parallelism.
@@ -354,13 +379,14 @@ impl<'a> Driver<'a> {
             // lookup +9 % CPU at two threads.
             Semantics::Au => {
                 let morsels = source.batches.iter().collect();
-                self.pool
-                    .map_in_order(morsels, |_, b: &ColumnBatch| run(b.clone()))
+                map_morsels(&self.pool, morsels, |_, b: &ColumnBatch| run(b.clone()))
             }
             // Det / UA morsels own their batch, so a consumed one is freed
             // while the pipeline still runs (keeping the source to the end
             // cost `join_heavy` +4.5 % peak RSS).
-            Semantics::Det | Semantics::Ua => self.pool.map_in_order(source.batches, |_, b| run(b)),
+            Semantics::Det | Semantics::Ua => {
+                map_morsels(&self.pool, source.batches, |_, b| run(b))
+            }
         });
         let mut batches = Vec::new();
         let mut tallies = vec![StageTally::default(); metas.len()];
@@ -822,7 +848,7 @@ impl<'a> Driver<'a> {
     /// telemetry goes on here: UA certain-label counts; under AU the
     /// bound-precision profile the row interpreter records
     /// ([`WidthSummary`]: which operator widened bounds toward ⊤, and by
-    /// how much), the output's logical bytes, and how much of a σ /
+    /// how much), the output's logical bytes, and how much of a σ / π /
     /// hash-⋈ paid the per-row price of uncertainty. AU charges each
     /// operator's output against the query memory accumulator and releases
     /// it with the span, so the query peak is the largest single operator
@@ -844,6 +870,9 @@ impl<'a> Driver<'a> {
                 node.push_extra("mem_bytes", tally.mem_bytes);
                 match node.name.as_str() {
                     "Filter" => node.push_extra("rowwise_rows", tally.rowwise),
+                    // A projection is row-wise by exception (most are plain
+                    // references): the extra appears only when it was.
+                    "Map" if tally.rowwise > 0 => node.push_extra("rowwise_rows", tally.rowwise),
                     "HashJoin" => node.push_extra("rowwise_pairs", tally.rowwise),
                     _ => {}
                 }
@@ -985,8 +1014,8 @@ struct StageTally {
     width: WidthSummary,
     /// AU: the output's logical bytes.
     mem_bytes: u64,
-    /// AU: σ input rows / hash-⋈ candidate pairs that left the columnar
-    /// kernels for the per-row range evaluator.
+    /// AU: σ / π input rows and hash-⋈ candidate pairs that left the
+    /// columnar kernels for the per-row range evaluator.
     rowwise: u64,
 }
 
@@ -1104,7 +1133,7 @@ fn run_chain(
 
 /// Apply one stage to one batch, appending its output batches to `out`.
 /// Returns how many input rows took the AU per-row range path (always 0
-/// outside `⟦σ⟧_AU`).
+/// outside `⟦σ⟧_AU` / `⟦π⟧_AU`).
 fn apply_stage(
     stage: &Stage,
     batch: ColumnBatch,
@@ -1147,7 +1176,10 @@ fn apply_stage(
             return Ok(rowwise);
         }
         Stage::AuProject { exprs, user, flat } => {
-            out.push(map_batch(&batch, exprs, user, flat, user.arity())?);
+            let (mapped, rowwise) = map_batch(&batch, exprs, user, flat, user.arity())?;
+            out.push(mapped);
+            au_exec::count_rowwise("au.vec.rowwise.project_rows", rowwise);
+            return Ok(rowwise);
         }
     }
     Ok(0)

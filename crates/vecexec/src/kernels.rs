@@ -16,6 +16,14 @@
 //!   fall back to row-at-a-time evaluation of the same `Expr::eval` the
 //!   row engine uses — again guaranteeing agreement.
 //!
+//! Beside them sit the two AU range kernels, which read an AU batch's
+//! `[bg | lb | ub]` triple columns and never assemble a range:
+//! [`eval_triple`] (an expression's three columns — interval arithmetic at
+//! column speed) and [`range_truth_masks`] (a predicate's possibly-true /
+//! possibly-false bitmaps, its comparison operands through the same
+//! evaluator). Both are bit for bit `ua_ranges`' per-row evaluators or
+//! decline the batch.
+//!
 //! On top of those sit the **fused** kernels the morsel pipeline uses to
 //! evaluate a selection bitmap and consume it in the same pass:
 //!
@@ -569,39 +577,252 @@ fn cmp_masks(op: CmpOp, a: &Evaluated, b: &Evaluated, n: usize) -> (Bitmap, Bitm
     }
 }
 
-/// The `[lb, bg, ub]` view of one kernel-native comparison operand: a
-/// dense same-typed column triple of an AU batch, or a literal (a point).
-enum Tri<'a, T> {
-    Cols {
-        lb: &'a [T],
-        bg: &'a [T],
-        ub: &'a [T],
+/// One kernel-native operand of the AU expression kernel, over element
+/// type `T`: a literal, or a dense column triple of an AU batch whose two
+/// bound columns either *are* the `bg` buffer ([`Operand::Point`] — how a
+/// scan stores a never-uncertain column, and how this kernel writes one) or
+/// are buffers of their own ([`Operand::Ranged`], `lb ≤ bg ≤ ub` row by row
+/// under `T`'s order). Dense typed columns hold no `NULL`, so no operand
+/// is ever top or a definite NULL.
+enum Operand<T> {
+    Lit(T),
+    Point(Arc<Vec<T>>),
+    Ranged {
+        lb: Arc<Vec<T>>,
+        bg: Arc<Vec<T>>,
+        ub: Arc<Vec<T>>,
     },
-    Lit(&'a T),
 }
 
-impl<T> Tri<'_, T> {
+impl<T> Operand<T> {
+    /// A stored triple: `Point` on buffer identity, never by comparing.
+    fn stored(lb: &Arc<Vec<T>>, bg: &Arc<Vec<T>>, ub: &Arc<Vec<T>>) -> Operand<T> {
+        if Arc::ptr_eq(lb, bg) && Arc::ptr_eq(ub, bg) {
+            Operand::Point(Arc::clone(bg))
+        } else {
+            Operand::Ranged {
+                lb: Arc::clone(lb),
+                bg: Arc::clone(bg),
+                ub: Arc::clone(ub),
+            }
+        }
+    }
+
+    /// Row `i` as `(lb, bg, ub)`.
     #[inline]
     fn at(&self, i: usize) -> (&T, &T, &T) {
         match self {
-            Tri::Cols { lb, bg, ub } => (&lb[i], &bg[i], &ub[i]),
-            Tri::Lit(v) => (v, v, v),
+            Operand::Lit(v) => (v, v, v),
+            Operand::Point(bg) => (&bg[i], &bg[i], &bg[i]),
+            Operand::Ranged { lb, bg, ub } => (&lb[i], &bg[i], &ub[i]),
+        }
+    }
+
+    /// The same operand over another element type.
+    fn map<U>(&self, f: impl Fn(&T) -> U) -> Operand<U> {
+        let col = |v: &Arc<Vec<T>>| Arc::new(v.iter().map(&f).collect::<Vec<U>>());
+        match self {
+            Operand::Lit(v) => Operand::Lit(f(v)),
+            Operand::Point(bg) => Operand::Point(col(bg)),
+            Operand::Ranged { lb, bg, ub } => Operand::Ranged {
+                lb: col(lb),
+                bg: col(bg),
+                ub: col(ub),
+            },
+        }
+    }
+
+    /// As `len`-row columns; a literal broadcasts to a point.
+    fn into_triple(self, len: usize, column: fn(Arc<Vec<T>>) -> ColumnVec) -> Triple
+    where
+        T: Clone,
+    {
+        match self {
+            Operand::Lit(v) => Triple::Point(column(Arc::new(vec![v; len]))),
+            Operand::Point(bg) => Triple::Point(column(bg)),
+            Operand::Ranged { lb, bg, ub } => Triple::Ranged {
+                lb: column(lb),
+                bg: column(bg),
+                ub: column(ub),
+            },
         }
     }
 }
 
-enum RangeOperand<'a> {
-    Int(Tri<'a, i64>),
-    Float(Tri<'a, F64>),
-    Str(Tri<'a, Arc<str>>),
+/// A kernel-native operand with its element type.
+enum Native {
+    Int(Operand<i64>),
+    Float(Operand<F64>),
+    Str(Operand<Arc<str>>),
 }
 
-/// Classify a comparison operand of [`range_truth_masks`]: a plain
-/// reference whose `[bg | lb | ub]` columns (at `c`, `n + c`, `2n + c` of
-/// the flattened layout) are dense vectors of one type, or a known
-/// `Int`/`Float`/`Str` literal. Dense typed columns hold no `NULL`, so
-/// such a triple is never top and never a definite NULL.
-fn range_operand<'a>(e: &'a Expr, batch: &'a ColumnBatch, n: usize) -> Option<RangeOperand<'a>> {
+/// What [`eval_triple`] returns: the `[lb, bg, ub]` columns of an
+/// expression over one AU batch.
+pub enum Triple {
+    /// Every row is the point `bg`: `lb = bg = ub`, one buffer.
+    Point(ColumnVec),
+    /// Three buffers, `lb ≤ bg ≤ ub` row by row.
+    Ranged {
+        /// The lower bounds.
+        lb: ColumnVec,
+        /// The selected guesses.
+        bg: ColumnVec,
+        /// The upper bounds.
+        ub: ColumnVec,
+    },
+}
+
+impl Triple {
+    /// The columns in flattened-layout order `[bg, lb, ub]`. A point's
+    /// bound columns are clones of its `bg` handle — the same buffer — so
+    /// the pointer tests downstream (`point_mask`, `observe_width`,
+    /// [`ColumnBatch::gather`]) stay O(1).
+    pub fn into_columns(self) -> [ColumnVec; 3] {
+        match self {
+            Triple::Point(bg) => [bg.clone(), bg.clone(), bg],
+            Triple::Ranged { lb, bg, ub } => [bg, lb, ub],
+        }
+    }
+}
+
+/// The two element types interval arithmetic is native for. `scalar` is
+/// the scalar evaluator's operator (`Value::{add, sub, mul}`: wrapping
+/// integers, IEEE floats canonicalised by [`F64::new`]); `endpoint` is the
+/// same operator as `ua_ranges` computes a range *endpoint* with — checked
+/// on integers, because a wrapped endpoint stops enclosing its worlds.
+trait Num: Copy + Ord {
+    fn scalar(op: ArithOp, a: Self, b: Self) -> Self;
+    fn endpoint(op: ArithOp, a: Self, b: Self) -> Option<Self>;
+}
+
+impl Num for i64 {
+    #[inline]
+    fn scalar(op: ArithOp, a: i64, b: i64) -> i64 {
+        match op {
+            ArithOp::Add => a.wrapping_add(b),
+            ArithOp::Sub => a.wrapping_sub(b),
+            ArithOp::Mul => a.wrapping_mul(b),
+            ArithOp::Div => unreachable!("division is not kernel-native"),
+        }
+    }
+
+    #[inline]
+    fn endpoint(op: ArithOp, a: i64, b: i64) -> Option<i64> {
+        match op {
+            ArithOp::Add => a.checked_add(b),
+            ArithOp::Sub => a.checked_sub(b),
+            ArithOp::Mul => a.checked_mul(b),
+            ArithOp::Div => unreachable!("division is not kernel-native"),
+        }
+    }
+}
+
+impl Num for F64 {
+    #[inline]
+    fn scalar(op: ArithOp, a: F64, b: F64) -> F64 {
+        let (a, b) = (a.get(), b.get());
+        F64::new(match op {
+            ArithOp::Add => a + b,
+            ArithOp::Sub => a - b,
+            ArithOp::Mul => a * b,
+            ArithOp::Div => unreachable!("division is not kernel-native"),
+        })
+    }
+
+    #[inline]
+    fn endpoint(op: ArithOp, a: F64, b: F64) -> Option<F64> {
+        Some(Self::scalar(op, a, b))
+    }
+}
+
+/// `a op b` over two same-typed operands, `op ∈ {+, −, ×}` — per row
+/// exactly `ua_ranges::{interval_add, interval_sub, interval_mul}`:
+///
+/// * `+`: `[a.lb + b.lb, a.ub + b.ub]`; `−`: `[a.lb − b.ub, a.ub − b.lb]`;
+/// * `×`: the four corner products in `interval_mul`'s order
+///   (`lb·lb, lb·ub, ub·lb, ub·ub`), folded with `min_bound` / `max_bound`'s
+///   first-seen-wins ties;
+/// * `bg` is the scalar operator on the two selected guesses, which is what
+///   `approx_range` anchors on and — for these operators over these types —
+///   what `Expr::eval` returns, so `reanchor` changes nothing;
+/// * `RangeValue::new`'s normalisation `lb ⪯ bg ⪯ ub` is tested on every
+///   row under `T`'s order (`Ord` on `i64`, [`F64`]'s total order — both
+///   are `range_cmp` within one type, NaN and ±∞ included).
+///
+/// A row that fails the normalisation (the row evaluator widens it to top)
+/// or whose integer endpoint overflows (likewise, or — between two point
+/// rows — keeps the wrapped point) returns `None`: the batch is the row
+/// evaluator's, and there is no second result.
+///
+/// **Point lemma.** If every row of both operands is a point, every row of
+/// `a op b` is the point `bg`: each endpoint of `+` / `−` and each corner
+/// of `×` is the scalar operator applied to the very values that produced
+/// `bg`, so `lb = bg = ub` bit for bit (an `i64` overflow included: between
+/// two points the row evaluator's endpoints wrap with `bg`), and
+/// `lb ⪯ bg ⪯ ub` holds reflexively in a total order. So two point (or
+/// literal) operands compute `bg` alone and return [`Operand::Point`]
+/// without reading a bound. Division, `CASE`, `LEAST` and NULL-producing
+/// arithmetic have no such lemma and are not native.
+fn interval_arith<T: Num>(
+    op: ArithOp,
+    a: &Operand<T>,
+    b: &Operand<T>,
+    len: usize,
+) -> Option<Operand<T>> {
+    let ranged = |o: &Operand<T>| matches!(o, Operand::Ranged { .. });
+    if let (Operand::Lit(x), Operand::Lit(y)) = (a, b) {
+        return Some(Operand::Lit(T::scalar(op, *x, *y)));
+    }
+    if !ranged(a) && !ranged(b) {
+        let bg = (0..len).map(|i| T::scalar(op, *a.at(i).1, *b.at(i).1));
+        return Some(Operand::Point(Arc::new(bg.collect())));
+    }
+    let mut lbs = Vec::with_capacity(len);
+    let mut bgs = Vec::with_capacity(len);
+    let mut ubs = Vec::with_capacity(len);
+    for i in 0..len {
+        let ((al, ag, au), (bl, bg, bu)) = (a.at(i), b.at(i));
+        let (lb, ub) = match op {
+            ArithOp::Add => (T::endpoint(op, *al, *bl)?, T::endpoint(op, *au, *bu)?),
+            ArithOp::Sub => (T::endpoint(op, *al, *bu)?, T::endpoint(op, *au, *bl)?),
+            ArithOp::Mul => {
+                let first = T::endpoint(op, *al, *bl)?;
+                let (mut lo, mut hi) = (first, first);
+                for (x, y) in [(al, bu), (au, bl), (au, bu)] {
+                    let p = T::endpoint(op, *x, *y)?;
+                    if lo > p {
+                        lo = p;
+                    }
+                    if hi < p {
+                        hi = p;
+                    }
+                }
+                (lo, hi)
+            }
+            ArithOp::Div => return None,
+        };
+        let g = T::scalar(op, *ag, *bg);
+        if lb > g || g > ub {
+            return None;
+        }
+        lbs.push(lb);
+        bgs.push(g);
+        ubs.push(ub);
+    }
+    Some(Operand::Ranged {
+        lb: Arc::new(lbs),
+        bg: Arc::new(bgs),
+        ub: Arc::new(ubs),
+    })
+}
+
+/// Evaluate a (bound) expression to a kernel-native operand, or `None`:
+/// a plain reference whose `[bg | lb | ub]` columns (at `c`, `n + c`,
+/// `2n + c` of the flattened layout) are dense vectors of one of the three
+/// native types, a literal of those types, or `+` / `−` / `×` over numeric
+/// native operands, recursively — `Int ∘ Int` stays `Int`, anything else
+/// promotes its integer side with `as f64`, as `Value::{add, sub, mul}` do.
+fn eval_native(e: &Expr, batch: &ColumnBatch, n: usize) -> Option<Native> {
     use ColumnVec::*;
     match e {
         Expr::Col(c) if *c < n => {
@@ -610,19 +831,57 @@ fn range_operand<'a>(e: &'a Expr, batch: &'a ColumnBatch, n: usize) -> Option<Ra
                 batch.column(*c),
                 batch.column(2 * n + c),
             ) {
-                (Int(lb), Int(bg), Int(ub)) => Some(RangeOperand::Int(Tri::Cols { lb, bg, ub })),
+                (Int(lb), Int(bg), Int(ub)) => Some(Native::Int(Operand::stored(lb, bg, ub))),
                 (Float(lb), Float(bg), Float(ub)) => {
-                    Some(RangeOperand::Float(Tri::Cols { lb, bg, ub }))
+                    Some(Native::Float(Operand::stored(lb, bg, ub)))
                 }
-                (Str(lb), Str(bg), Str(ub)) => Some(RangeOperand::Str(Tri::Cols { lb, bg, ub })),
+                (Str(lb), Str(bg), Str(ub)) => Some(Native::Str(Operand::stored(lb, bg, ub))),
                 _ => None,
             }
         }
-        Expr::Lit(Value::Int(v)) => Some(RangeOperand::Int(Tri::Lit(v))),
-        Expr::Lit(Value::Float(v)) => Some(RangeOperand::Float(Tri::Lit(v))),
-        Expr::Lit(Value::Str(v)) => Some(RangeOperand::Str(Tri::Lit(v))),
+        Expr::Lit(Value::Int(v)) => Some(Native::Int(Operand::Lit(*v))),
+        Expr::Lit(Value::Float(v)) => Some(Native::Float(Operand::Lit(*v))),
+        Expr::Lit(Value::Str(v)) => Some(Native::Str(Operand::Lit(Arc::clone(v)))),
+        Expr::Arith(op @ (ArithOp::Add | ArithOp::Sub | ArithOp::Mul), a, b) => {
+            let promote = |o: &Operand<i64>| o.map(|&i| F64::new(i as f64));
+            let len = batch.len();
+            match (eval_native(a, batch, n)?, eval_native(b, batch, n)?) {
+                (Native::Int(a), Native::Int(b)) => {
+                    interval_arith(*op, &a, &b, len).map(Native::Int)
+                }
+                (Native::Float(a), Native::Float(b)) => {
+                    interval_arith(*op, &a, &b, len).map(Native::Float)
+                }
+                (Native::Int(a), Native::Float(b)) => {
+                    interval_arith(*op, &promote(&a), &b, len).map(Native::Float)
+                }
+                (Native::Float(a), Native::Int(b)) => {
+                    interval_arith(*op, &a, &promote(&b), len).map(Native::Float)
+                }
+                _ => None,
+            }
+        }
         _ => None,
     }
+}
+
+/// The typed `[lb, bg, ub]` expression kernel of `⟦π⟧_AU` and of `⟦σ⟧_AU`'s
+/// comparison operands: evaluate a (bound) expression over an AU batch's
+/// triple columns (user arity `n`) into its three columns — row by row, and
+/// column representation for column representation, what
+/// `ua_ranges::eval_range` + `range_parts` produce — without assembling a
+/// range. Native shapes are those of [`eval_native`]; the per-operator
+/// bit-identity argument and the `Point` lemma are on [`interval_arith`].
+/// `None` for every other shape and for a batch in which some row, at some
+/// nesting level, fails `lb ⪯ bg ⪯ ub` or overflows an integer endpoint:
+/// the caller evaluates that batch per row.
+pub fn eval_triple(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<Triple> {
+    let len = batch.len();
+    Some(match eval_native(expr, batch, n)? {
+        Native::Int(o) => o.into_triple(len, ColumnVec::Int),
+        Native::Float(o) => o.into_triple(len, ColumnVec::Float),
+        Native::Str(o) => o.into_triple(len, ColumnVec::Str),
+    })
 }
 
 /// `ua_ranges`' `cmp_possibilities` over two operand triples, row by row:
@@ -635,8 +894,8 @@ fn range_operand<'a>(e: &'a Expr, batch: &'a ColumnBatch, n: usize) -> Option<Ra
 fn possibility_masks<T: PartialEq, U: PartialEq>(
     op: CmpOp,
     len: usize,
-    a: &Tri<'_, T>,
-    b: &Tri<'_, U>,
+    a: &Operand<T>,
+    b: &Operand<U>,
     cmp: impl Fn(&T, &U) -> Option<Ordering>,
 ) -> Option<(Bitmap, Bitmap)> {
     let mut t = Bitmap::filled(len, false);
@@ -676,21 +935,17 @@ fn possibility_masks<T: PartialEq, U: PartialEq>(
     Some((t, f))
 }
 
-fn range_cmp_masks(
-    op: CmpOp,
-    a: &Expr,
-    b: &Expr,
-    batch: &ColumnBatch,
-    n: usize,
-) -> Option<(Bitmap, Bitmap)> {
-    use RangeOperand::*;
-    let len = batch.len();
-    match (range_operand(a, batch, n)?, range_operand(b, batch, n)?) {
-        (Int(a), Int(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
-        (Float(a), Float(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
-        (Str(a), Str(b)) => possibility_masks(op, len, &a, &b, |x, y| Some(x.cmp(y))),
-        (Int(a), Float(b)) => possibility_masks(op, len, &a, &b, |x, y| cmp_int_float(*x, y.get())),
-        (Float(a), Int(b)) => possibility_masks(op, len, &a, &b, |x, y| {
+/// One comparison leaf of [`range_truth_masks`] over two operands out of
+/// [`eval_native`] — a computed operand's range is never top (a batch with
+/// a top row declines there), so it compares like a stored one.
+fn range_cmp_masks(op: CmpOp, a: &Native, b: &Native, len: usize) -> Option<(Bitmap, Bitmap)> {
+    use Native::*;
+    match (a, b) {
+        (Int(a), Int(b)) => possibility_masks(op, len, a, b, |x, y| Some(x.cmp(y))),
+        (Float(a), Float(b)) => possibility_masks(op, len, a, b, |x, y| Some(x.cmp(y))),
+        (Str(a), Str(b)) => possibility_masks(op, len, a, b, |x, y| Some(x.cmp(y))),
+        (Int(a), Float(b)) => possibility_masks(op, len, a, b, |x, y| cmp_int_float(*x, y.get())),
+        (Float(a), Int(b)) => possibility_masks(op, len, a, b, |x, y| {
             cmp_int_float(*y, x.get()).map(Ordering::reverse)
         }),
         _ => None,
@@ -702,17 +957,21 @@ fn range_cmp_masks(
 /// into `(possibly true, possibly false)` bitmaps — bit for bit
 /// `ua_ranges::truth_range`'s `t` and `f` flags per row — without
 /// assembling a range. Native shapes are `AND`/`OR`/`NOT` over
-/// comparisons, `BETWEEN` and literal `IN` lists whose operands are plain
-/// references to dense same-typed `Int`/`Float`/`Str` triples or known
-/// literals of those types. Such operands are never top, so every leaf's
+/// comparisons, `BETWEEN` and literal `IN` lists whose operands are
+/// kernel-native ([`eval_triple`]'s shapes: references to dense same-typed
+/// `Int`/`Float`/`Str` triples, known literals of those types, `+`/`−`/`×`
+/// over the numeric ones). Such operands are never top, so every leaf's
 /// *unknown* flag is identically false and the Kleene connectives lift to
 /// word-wide bitmap ops; a row is certainly true iff it is possibly true
 /// and not possibly false. `None` for every other shape (and for a NaN
 /// met by a coercing Int/Float comparison): the caller takes the per-row
 /// `truth_range` path.
 pub fn range_truth_masks(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<(Bitmap, Bitmap)> {
+    let len = batch.len();
+    // Each operand evaluates once, however many leaves compare it.
+    let operand = |e: &Expr| eval_native(e, batch, n);
     match expr {
-        Expr::Cmp(op, a, b) => range_cmp_masks(*op, a, b, batch, n),
+        Expr::Cmp(op, a, b) => range_cmp_masks(*op, &operand(a)?, &operand(b)?, len),
         Expr::And(a, b) => {
             let (mut t, mut f) = range_truth_masks(a, batch, n)?;
             let (tb, fb) = range_truth_masks(b, batch, n)?;
@@ -729,17 +988,23 @@ pub fn range_truth_masks(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<(
         }
         Expr::Not(a) => range_truth_masks(a, batch, n).map(|(t, f)| (f, t)),
         Expr::Between(e, lo, hi) => {
-            let (mut t, mut f) = range_cmp_masks(CmpOp::Ge, e, lo, batch, n)?;
-            let (tb, fb) = range_cmp_masks(CmpOp::Le, e, hi, batch, n)?;
+            let e = operand(e)?;
+            let (mut t, mut f) = range_cmp_masks(CmpOp::Ge, &e, &operand(lo)?, len)?;
+            let (tb, fb) = range_cmp_masks(CmpOp::Le, &e, &operand(hi)?, len)?;
             t.and_assign(&tb);
             f.or_assign(&fb);
             Some((t, f))
         }
+        // An empty list is certainly false whatever its operand is.
+        Expr::InList(_, list) if list.is_empty() => {
+            Some((Bitmap::filled(len, false), Bitmap::filled(len, true)))
+        }
         Expr::InList(e, list) => {
-            let mut t = Bitmap::filled(batch.len(), false);
-            let mut f = Bitmap::filled(batch.len(), true);
+            let e = operand(e)?;
+            let mut t = Bitmap::filled(len, false);
+            let mut f = Bitmap::filled(len, true);
             for item in list {
-                let (ti, fi) = range_cmp_masks(CmpOp::Eq, e, item, batch, n)?;
+                let (ti, fi) = range_cmp_masks(CmpOp::Eq, &e, &operand(item)?, len)?;
                 t.or_assign(&ti);
                 f.and_assign(&fi);
             }

@@ -17,8 +17,9 @@
 //!   direction and encoding; the serial forms run the pooled ones inline);
 //! * [`kernels`] — vectorized expression/predicate evaluation, bit-exact
 //!   with the row engine's scalar `Expr` evaluator, plus the fused
-//!   selection-consuming kernels (σ→π, σ→probe) and the three-valued
-//!   range-truth kernel AU σ uses;
+//!   selection-consuming kernels (σ→π, σ→probe) and the two typed AU
+//!   range kernels: the `[lb, bg, ub]` expression kernel AU π runs and the
+//!   three-valued range-truth kernel AU σ runs over it;
 //! * [`ops`] — the stream operators (union, difference, outer join,
 //!   distinct, aggregate, columnar sort, fused Top-K, limit) and the hash
 //!   / nested-loop join state the pipeline probes, order-compatible with

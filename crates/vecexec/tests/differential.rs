@@ -1292,3 +1292,135 @@ fn au_hash_joins_match_the_row_operator_over_ranged_keys() {
         }
     }
 }
+
+/// Computed AU projections and computed predicate operands — the shapes the
+/// typed `[lb, bg, ub]` expression kernel evaluates (`+ − ×`, nested,
+/// `Int × Float`, a literal on either side) and the shapes it declines
+/// (`÷`, a column with NULL / top / `±∞`-bounded cells, a batch holding a
+/// row whose integer endpoint overflows) — over ranged, NaN-bearing and
+/// overflowing data: at threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024}
+/// every stream is the serial stream byte for byte and materializes to the
+/// row interpreter's table. 150 rows put the source below the driver's
+/// inline-morsel constant at 64 and 1024 rows per batch and above it at 1
+/// and 7.
+#[test]
+fn au_computed_expressions_match_the_row_engine_across_threads_and_batches() {
+    use ua_data::expr::ArithOp;
+    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
+    let mut rng = StdRng::seed_from_u64(0x0072_191E);
+    let mut rel = AuRelation::new(Schema::qualified("t", ["i", "j", "f", "q"]));
+    let span =
+        |lo: Value, bg: Value, hi: Value| RangeValue::new(Bound::Val(lo), bg, Bound::Val(hi));
+    for row in 0..150 {
+        let x = rng.gen_range(-6..20i64);
+        let i = match rng.gen_range(0..12u32) {
+            0..=5 => RangeValue::point(Value::Int(x)),
+            // One overflowing cell per ~75 rows: its batch takes the row path.
+            6 if row % 3 == 0 => span(Value::Int(1), Value::Int(x.max(1)), Value::Int(1 << 62)),
+            _ => {
+                let (lo, hi) = (rng.gen_range(0..4i64), rng.gen_range(0..4i64));
+                span(Value::Int(x - lo), Value::Int(x), Value::Int(x + hi))
+            }
+        };
+        let j = match rng.gen_range(0..8u32) {
+            0 => RangeValue::null(),
+            1 => RangeValue::top(Value::Int(x)),
+            2 => RangeValue::new(Bound::NegInf, Value::Int(x), Bound::Val(Value::Int(x + 2))),
+            3 => span(Value::Int(x - 1), Value::Int(x), Value::Int(x + 1)),
+            _ => RangeValue::point(Value::Int(x)),
+        };
+        let y = rng.gen_range(-8..8i64) as f64 / 4.0;
+        let f = match rng.gen_range(0..16u32) {
+            0 => RangeValue::point(Value::float(f64::NAN)),
+            1 => span(
+                Value::float(y),
+                Value::float(y + 1.0),
+                Value::float(f64::INFINITY),
+            ),
+            2 => RangeValue::point(Value::float(-0.0)),
+            3..=8 => RangeValue::point(Value::float(y)),
+            _ => span(
+                Value::float(y - 0.5),
+                Value::float(y),
+                Value::float(y + 0.25),
+            ),
+        };
+        let ub = rng.gen_range(1..3u64);
+        let bg = rng.gen_range(0..=ub);
+        rel.push(AuTuple {
+            values: vec![i, j, f, RangeValue::point(Value::Int(rng.gen_range(0..5)))],
+            mult: MultBound::new(rng.gen_range(0..=bg), bg, ub),
+        });
+    }
+    let catalog = Catalog::new();
+    catalog.register("t", ua_engine::au_table(&rel));
+
+    let col = Expr::named;
+    let div = |a: Expr, b: Expr| Expr::Arith(ArithOp::Div, Box::new(a), Box::new(b));
+    let projections: Vec<Expr> = vec![
+        col("i").mul(col("f")),
+        col("f").mul(Expr::lit(1i64).sub(col("f"))),
+        col("i").add(col("q")).mul(col("i").sub(Expr::lit(2i64))),
+        Expr::lit(2i64).mul(col("i")),
+        col("i").mul(Expr::lit(2.5)),
+        col("q").mul(col("q")).sub(Expr::lit(1i64)),
+        col("j").add(Expr::lit(1i64)),
+        div(col("i"), col("q")),
+        col("i")
+            .mul(Expr::lit(1i64 << 40))
+            .mul(Expr::lit(1i64 << 30)),
+    ];
+    let predicates: Vec<Expr> = vec![
+        col("i")
+            .mul(Expr::lit(2i64))
+            .gt(col("q").add(Expr::lit(3i64))),
+        col("f").mul(Expr::lit(0.5)).le(col("i")),
+        Expr::lit(1i64).sub(col("f")).lt(Expr::lit(0.25)),
+        col("i")
+            .add(col("q"))
+            .mul(Expr::lit(2i64))
+            .between(Expr::lit(4i64), Expr::lit(20i64)),
+        Expr::InList(
+            Box::new(col("q").mul(Expr::lit(2i64))),
+            vec![Expr::lit(4i64), Expr::lit(6i64)],
+        ),
+        col("j").add(Expr::lit(1i64)).gt(Expr::lit(2i64)),
+        div(col("i"), Expr::lit(1i64)).lt(Expr::lit(9i64)),
+        col("i").mul(Expr::lit(4i64)).lt(Expr::lit(0i64)).not(),
+    ];
+    let plan_of = |predicate: &Expr, projection: &Expr| Plan::Map {
+        input: Box::new(Plan::Filter {
+            input: Box::new(Plan::Scan("t".into())),
+            predicate: predicate.clone(),
+        }),
+        columns: vec![
+            ProjColumn::expr(col("q"), "q"),
+            ProjColumn::expr(projection.clone(), "w"),
+        ],
+    };
+    let mut plans: Vec<Plan> = projections
+        .iter()
+        .map(|p| plan_of(&predicates[0], p))
+        .collect();
+    plans.extend(predicates[1..].iter().map(|p| plan_of(p, &projections[0])));
+
+    for (pi, plan) in plans.iter().enumerate() {
+        let row = ua_engine::au_table(&ua_engine::execute_au(plan, &catalog).expect("au row"));
+        assert!(!row.is_empty(), "plan {pi}: the case must keep rows");
+        for batch_rows in [1usize, 7, 64, 1024] {
+            let serial =
+                stream(plan, &catalog, opts(1, batch_rows), Semantics::Au).expect("serial AU");
+            let context = format!("plan {pi} batch={batch_rows}");
+            assert_tables_identical(&row, &table_from_batches(&serial), &context);
+            for threads in [2usize, 4, 8] {
+                let parallel = stream(plan, &catalog, opts(threads, batch_rows), Semantics::Au)
+                    .expect("parallel AU");
+                assert_streams_byte_identical(
+                    &serial,
+                    &parallel,
+                    &format!("{context} threads={threads}"),
+                );
+            }
+        }
+    }
+}

@@ -570,6 +570,102 @@ fn negation_over_nulls_agrees_on_every_path_and_encloses_every_world() {
     }
 }
 
+/// AU interval endpoints are checked, not wrapping: over `a ∈ {1, 2⁶¹,
+/// 2⁶²}` the product `a * 4` used to read `[0, 4, 4]` (its upper endpoint
+/// `2⁶⁴ ≡ 0`) while the world `a = 2⁶¹` evaluates to `i64::MIN`. Both
+/// engines now widen an overflowing endpoint to top — identically, with
+/// the optimizer on and off, in a projection and in a predicate operand —
+/// so every world is enclosed; the selected guess stays the evaluator's
+/// wrapping value, and a product of two points stays that point.
+#[test]
+fn interval_overflow_widens_on_both_engines_and_encloses_every_world() {
+    use uadb::data::Value::{self, Int};
+    use uadb::ranges::{check_encloses_world, sg_rows};
+    let t = |a: i64, b: i64| Tuple::new(vec![Int(a), Int(b)]);
+    let blocks: Blocks = vec![
+        vec![
+            (t(1, 10), 0.5),
+            (t(1 << 61, 10), 0.25),
+            (t(1 << 62, 10), 0.25),
+        ],
+        vec![(t(1 << 62, 20), 1.0)],
+        vec![(t(3, 30), 0.6), (t(5, 30), 0.4)],
+    ];
+    let worlds = worlds_of(&blocks);
+    assert_eq!(worlds.len(), 3 * 2);
+    let det_session = |world: &[Tuple]| {
+        let session = UaSession::with_mode(ExecMode::Row);
+        let schema = Schema::qualified("xr", ["a", "b"]);
+        session.register_table("xr", Table::from_rows(schema, world.to_vec()));
+        session
+    };
+    let uncertain = UaSession::new();
+    let rows = blocks.iter().enumerate().flat_map(|(xid, block)| {
+        block.iter().enumerate().map(move |(aid, (t, p))| {
+            let head = [Int(xid as i64), Int(aid as i64), Value::float(*p)];
+            Tuple::new(
+                head.into_iter()
+                    .chain(t.iter().cloned())
+                    .collect::<Vec<_>>(),
+            )
+        })
+    });
+    let schema = Schema::qualified("xr", ["xid", "aid", "p", "a", "b"]);
+    uncertain.register_table("xr", Table::from_rows(schema, rows.collect()));
+
+    for template in [
+        "SELECT b, a * 4 AS w FROM {xr} r",
+        "SELECT b, (4 * a + b) * 2 AS w FROM {xr} r",
+        "SELECT b FROM {xr} r WHERE a * 4 < 0",
+    ] {
+        let det_sql = template.replace("{xr}", "xr");
+        let x_sql = template.replace("{xr}", "xr IS X WITH XID (xid) ALTID (aid) PROBABILITY (p)");
+        uncertain.set_exec_mode(ExecMode::Row);
+        uncertain.set_optimizer_enabled(true);
+        let expected = run(&uncertain, Sem::Au, &x_sql);
+        for optimizer in [true, false] {
+            for mode in [ExecMode::Row, ExecMode::Vectorized] {
+                uncertain.set_optimizer_enabled(optimizer);
+                uncertain.set_exec_mode(mode);
+                let got = run(&uncertain, Sem::Au, &x_sql);
+                assert_eq!(
+                    got.rows(),
+                    expected.rows(),
+                    "{mode:?} optimizer={optimizer} `{x_sql}`"
+                );
+            }
+        }
+        let au = uncertain.query_au(&x_sql).expect("au").decode();
+        let sg = run(&det_session(&worlds[0]), Sem::Det, &det_sql);
+        assert_eq!(
+            sg_rows(&au),
+            sg.sorted_rows(),
+            "`{det_sql}`: selected guess"
+        );
+        for (wi, world) in worlds.iter().enumerate() {
+            let truth = run(&det_session(world), Sem::Det, &det_sql);
+            if let Err(violation) = check_encloses_world(&au, truth.rows()) {
+                panic!(
+                    "`{det_sql}`, world {wi} {world:?}: {violation}\nanswer {:?}\nAU {au:?}",
+                    truth.rows()
+                );
+            }
+        }
+    }
+
+    let products = uncertain
+        .query_au("SELECT b, a * 4 AS w FROM xr IS X WITH XID (xid) ALTID (aid) PROBABILITY (p) r")
+        .expect("au")
+        .decode();
+    let w_of = |b: i64| {
+        let row = products.rows().iter().find(|r| r.values[0].bg == Int(b));
+        row.expect("row present").values[1].clone()
+    };
+    assert!(w_of(10).is_top() && w_of(10).bg == Int(4));
+    assert!(w_of(20).is_point() && w_of(20).bg == Int((1i64 << 62).wrapping_mul(4)));
+    assert!(!w_of(30).is_top() && w_of(30).contains(&Int(20)) && !w_of(30).contains(&Int(21)));
+}
+
 /// `Int` and `Float` keys past 2⁵³ (where `i64 → f64` rounds) are equal
 /// iff they denote the same number, on every path a query can take: the
 /// filter over a cross product (optimizer off), the hash join (on), the
