@@ -235,6 +235,62 @@ fn au_vectorized_fallback_counters_stay_zero() {
     }
 }
 
+/// What still crosses the stream ↔ relation boundary on the vectorized
+/// engine (`au.vec.relation_rows`, and a `relation_rows` extra on the
+/// operator that sent rows across): not AU `−` or `⟕` — no node of an
+/// `EXCEPT`, `EXCEPT ALL`, `LEFT` / `RIGHT JOIN`, `NOT IN` or `NOT EXISTS`
+/// carries the extra, and the anti-join filter `NOT IN` / `NOT EXISTS`
+/// lower to runs in the σ kernel (`rowwise_rows = 0`). A `GROUP BY` still
+/// does: γ's output re-batches through a relation, so the counter moves.
+/// The registry is process-wide and this file's other tests run AU
+/// `GROUP BY`s concurrently, so the zero side is read per query off its
+/// stats tree and only the non-zero side off the counter.
+#[test]
+fn au_negation_no_longer_crosses_the_relation_boundary() {
+    let s = seeded_session();
+    s.set_exec_mode(ExecMode::Vectorized);
+    s.set_stats_enabled(true);
+    let x = "t IS TI WITH PROBABILITY (p) x";
+    let y = "t IS TI WITH PROBABILITY (p) y";
+    let sweep = [
+        format!("SELECT x.g FROM {x} EXCEPT SELECT y.g FROM {y} WHERE y.v > 197"),
+        format!("SELECT x.g FROM {x} EXCEPT ALL SELECT y.g FROM {y} WHERE y.v > 100"),
+        format!("SELECT x.v, y.v AS w FROM {x} LEFT JOIN {y} ON x.v = y.g"),
+        format!("SELECT x.v, y.v AS w FROM {x} RIGHT JOIN {y} ON x.v = y.g"),
+        format!("SELECT x.v FROM {x} WHERE x.g NOT IN (SELECT y.g FROM {y} WHERE y.v > 197)"),
+        format!("SELECT x.v FROM {x} WHERE NOT EXISTS (SELECT y.g FROM {y} WHERE y.v > 500)"),
+    ];
+    for sql in &sweep {
+        let result = s.query_au(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+        assert!(!result.table.is_empty(), "`{sql}` must return rows");
+        let stats = s.last_query_stats().expect("stats collected");
+        let mut negation = 0;
+        stats.root.walk(&mut |node| {
+            let extra = |key: &str| node.extra.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+            assert_eq!(
+                extra("relation_rows"),
+                None,
+                "`{sql}`: {} crossed",
+                node.name
+            );
+            match node.name.as_str() {
+                "Except" | "OuterJoin" => negation += 1,
+                "Filter" => assert_eq!(extra("rowwise_rows"), Some(0), "`{sql}`: row-wise σ"),
+                _ => {}
+            }
+        });
+        assert_eq!(negation, 1, "`{sql}` must run one `−` or `⟕`");
+    }
+
+    let crossed = || ua_obs::global().counter("au.vec.relation_rows").get();
+    let before = crossed();
+    s.query_au(AU_SQL).expect("au group by");
+    assert!(
+        crossed() >= before + 5,
+        "γ's five output groups still cross the relation boundary"
+    );
+}
+
 /// One collection path, one set of numbers: for an AU join + filter +
 /// `GROUP BY` the vectorized stats tree equals the row interpreter's node
 /// for node — shape, child order, row counts, the bound-width profile and

@@ -25,19 +25,24 @@
 //!   [`outer_join`]. Their bound rules quantify over *pairs* of rows, but
 //!   only pairs that can possibly match move any bound, so both take
 //!   their candidates from a selected-guess hash index ([`SgKeyIndex`])
-//!   and run the pair tests on those alone.
+//!   and run the pair tests on those alone. The rules are written once,
+//!   over a read-only [`RowView`], and return a [`Selection`] — which
+//!   rows survive, paired with what, under which triple — instead of a
+//!   relation: the row engine materialises it from its [`AuRelation`]s,
+//!   the vectorized engine gathers it from its column chunks.
 //! * **γ (GROUP BY / aggregation)** — see [`aggregate`]: output groups are
 //!   the distinct selected-guess keys; every input tuple whose key range
 //!   intersects a group's key hull contributes to that group's aggregate
 //!   bounds, certainly-present point-key members to its lower bounds.
 
-use crate::eval::{eval_range, truth_range};
+use crate::eval::{eval_range, truth_range, RangeTruth};
 use crate::mult::MultBound;
 use crate::relation::{encode_row, AuRelation, AuTuple};
 use crate::value::{range_cmp, Bound, RangeValue};
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use ua_data::algebra::{candidate_keys, merge_ascending};
-use ua_data::expr::{Expr, ExprError};
+use ua_data::algebra::{candidate_keys, merge_ascending, JoinKeys};
+use ua_data::expr::{Expr, ExprError, Truth};
 use ua_data::schema::{Column, Schema, SchemaError};
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
@@ -49,20 +54,13 @@ pub fn filter(rel: &AuRelation, predicate: &Expr) -> Result<AuRelation, ExprErro
     let bound = predicate.bind(rel.schema())?;
     let mut out = AuRelation::new(rel.schema().clone());
     for row in rel.rows() {
-        let bg_tuple = row.bg_tuple();
-        let bg_true = bound.holds(&bg_tuple)?;
-        let rt = truth_range(&bound, &row.values);
-        if !rt.possibly_true() {
-            continue;
+        let (rt, bg_true) = pair_truth(&bound, &row.values)?;
+        if let Some(mult) = refine(rt, bg_true, row.mult) {
+            out.push(AuTuple {
+                values: row.values.clone(),
+                mult,
+            });
         }
-        out.push(AuTuple {
-            values: row.values.clone(),
-            mult: MultBound::new(
-                if rt.certainly_true() { row.mult.lb } else { 0 },
-                if bg_true { row.mult.bg } else { 0 },
-                row.mult.ub,
-            ),
-        });
     }
     Ok(out)
 }
@@ -119,52 +117,232 @@ pub fn refine_pair_mult(
     values: &[RangeValue],
     mult: MultBound,
 ) -> Result<Option<MultBound>, ExprError> {
+    let (rt, bg_true) = pair_truth(predicate, values)?;
+    Ok(refine(rt, bg_true, mult))
+}
+
+/// A (bound) predicate over one row's (or pair's) ranges: its truth range
+/// and whether it holds over the selected guesses — the selected-guess
+/// evaluation errors exactly where deterministic execution would.
+fn pair_truth(predicate: &Expr, values: &[RangeValue]) -> Result<(RangeTruth, bool), ExprError> {
     let bg_tuple: Tuple = values.iter().map(|v| v.bg.clone()).collect();
     let bg_true = predicate.holds(&bg_tuple)?;
-    let rt = truth_range(predicate, values);
-    if !rt.possibly_true() {
-        return Ok(None);
+    Ok((truth_range(predicate, values), bg_true))
+}
+
+/// σ's refinement of one multiplicity triple: `None` unless the predicate
+/// is possibly true; `lb` survives only certain truth, `bg` only
+/// selected-guess truth.
+fn refine(rt: RangeTruth, bg_true: bool, mult: MultBound) -> Option<MultBound> {
+    rt.possibly_true().then(|| {
+        MultBound::new(
+            if rt.certainly_true() { mult.lb } else { 0 },
+            if bg_true { mult.bg } else { 0 },
+            mult.ub,
+        )
+    })
+}
+
+/// How firmly one cell pins its value — what the selected-guess index and
+/// the `−` bound rules ask of a cell before (and mostly instead of)
+/// assembling its range.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Pin {
+    /// A point other than NaN: one known value in every world, and a
+    /// usable hash key.
+    Point,
+    /// A NaN point: one value in every world, but `sql_cmp` calls NaN
+    /// incomparable with an integer (three-valued ANY), so it keys no
+    /// bucket.
+    Nan,
+    /// A definite NULL: `NULL` in every world.
+    Null,
+    /// A ranged or top cell: more than one grounding.
+    Loose,
+}
+
+impl Pin {
+    /// The pin of one range.
+    fn of(r: &RangeValue) -> Pin {
+        if r.is_null() {
+            Pin::Null
+        } else if !r.is_point() {
+            Pin::Loose
+        } else if matches!(&r.bg, Value::Float(f) if f.get().is_nan()) {
+            Pin::Nan
+        } else {
+            Pin::Point
+        }
     }
-    Ok(Some(MultBound::new(
-        if rt.certainly_true() { mult.lb } else { 0 },
-        if bg_true { mult.bg } else { 0 },
-        mult.ub,
-    )))
 }
 
-/// Evaluate per-row key ranges for one join side (`exprs` bound against
-/// that side's schema).
-fn eval_key_ranges(rel: &AuRelation, exprs: &[Expr]) -> Result<Vec<Vec<RangeValue>>, ExprError> {
-    rel.rows()
-        .iter()
-        .map(|row| {
-            let bg = row.bg_tuple();
-            exprs
-                .iter()
-                .map(|e| eval_range(e, &row.values, &bg))
-                .collect()
+/// A read-only view of an AU relation's rows — what `−` and `⟕` select
+/// over, so their bound rules have one implementation whether the rows sit
+/// in an [`AuRelation`] (its `rows()` are a view) or in column chunks. A
+/// view's columns are the relation's attributes, possibly followed by
+/// evaluated key columns (the `⟕` key expressions, each a range per row).
+pub trait RowView {
+    /// Number of rows.
+    fn len(&self) -> usize;
+
+    /// Whether the view has no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `i`'s multiplicity triple.
+    fn mult(&self, i: usize) -> MultBound;
+
+    /// Row `i`'s selected guess in column `c`.
+    fn bg(&self, i: usize, c: usize) -> Value;
+
+    /// How row `i`'s column `c` pins its value.
+    fn pin(&self, i: usize, c: usize) -> Pin;
+
+    /// Row `i`'s range in column `c`, assembled on demand.
+    fn range(&self, i: usize, c: usize) -> Cow<'_, RangeValue>;
+}
+
+impl RowView for [AuTuple] {
+    fn len(&self) -> usize {
+        <[AuTuple]>::len(self)
+    }
+
+    fn mult(&self, i: usize) -> MultBound {
+        self[i].mult
+    }
+
+    fn bg(&self, i: usize, c: usize) -> Value {
+        self[i].values[c].bg.clone()
+    }
+
+    fn pin(&self, i: usize, c: usize) -> Pin {
+        Pin::of(&self[i].values[c])
+    }
+
+    fn range(&self, i: usize, c: usize) -> Cow<'_, RangeValue> {
+        Cow::Borrowed(&self[i].values[c])
+    }
+}
+
+/// A relation with evaluated key columns after its attributes: column
+/// `arity + k` of row `i` is its `k`-th key range — how the row engine's
+/// keyed joins hand their keys to the index and the `⟕` selection.
+struct WithKeys<'a> {
+    rel: &'a AuRelation,
+    keys: Vec<Vec<RangeValue>>,
+    /// The key columns' positions.
+    cols: Vec<usize>,
+}
+
+impl<'a> WithKeys<'a> {
+    /// `rel` with the (bound) key expressions `exprs` evaluated per row.
+    fn new(rel: &'a AuRelation, exprs: &[Expr]) -> Result<WithKeys<'a>, ExprError> {
+        let arity = rel.schema().arity();
+        let keys = rel
+            .rows()
+            .iter()
+            .map(|row| {
+                let bg = row.bg_tuple();
+                exprs
+                    .iter()
+                    .map(|e| eval_range(e, &row.values, &bg))
+                    .collect()
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(WithKeys {
+            rel,
+            keys,
+            cols: (arity..arity + exprs.len()).collect(),
         })
-        .collect()
+    }
+
+    /// Column `c`'s range in row `i`.
+    fn cell(&self, i: usize, c: usize) -> &RangeValue {
+        match c.checked_sub(self.rel.schema().arity()) {
+            Some(k) => &self.keys[i][k],
+            None => &self.rel.rows()[i].values[c],
+        }
+    }
 }
 
-/// Whether a point key's selected guess can participate in hash-bucket
-/// pruning: NaN floats compare `None` against ints under `sql_cmp`
-/// (three-valued ANY), so they stay fuzzy.
-fn hashable_point(r: &RangeValue) -> bool {
-    r.is_point() && !matches!(&r.bg, Value::Float(f) if f.get().is_nan())
+impl RowView for WithKeys<'_> {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn mult(&self, i: usize) -> MultBound {
+        self.rel.rows()[i].mult
+    }
+
+    fn bg(&self, i: usize, c: usize) -> Value {
+        self.cell(i, c).bg.clone()
+    }
+
+    fn pin(&self, i: usize, c: usize) -> Pin {
+        Pin::of(self.cell(i, c))
+    }
+
+    fn range(&self, i: usize, c: usize) -> Cow<'_, RangeValue> {
+        Cow::Borrowed(self.cell(i, c))
+    }
 }
 
-/// Whether every key of a row pins one hashable value. Under
-/// IS-NOT-DISTINCT matching (`nulls_match`, EXCEPT's) a definite NULL is
-/// such a value — it matches exactly the other definite NULLs; under join
-/// equality it is not (no bucket could hold "matches nothing").
-fn hashable_keys(keys: &[RangeValue], nulls_match: bool) -> bool {
-    keys.iter()
-        .all(|r| hashable_point(r) || (nulls_match && r.is_null()))
+/// A row's coercion-normalized (`join_key`) selected-guess key over a
+/// column set: one `i64` on the one-`Int`-column fast path (the shape
+/// `aggregate_cols` and the deterministic join index special-case), the
+/// tuple otherwise.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum SgKey {
+    Int(i64),
+    Tuple(Tuple),
 }
 
-fn normalized_key(keys: &[RangeValue]) -> Tuple {
-    keys.iter().map(|r| r.bg.clone().join_key()).collect()
+impl SgKey {
+    /// The key of the selected guesses `bgs` (`int`: of the one `Int`
+    /// column).
+    fn of(int: bool, mut bgs: impl Iterator<Item = Value>) -> SgKey {
+        if !int {
+            return SgKey::Tuple(bgs.map(Value::join_key).collect());
+        }
+        match bgs.next() {
+            Some(Value::Int(k)) => SgKey::Int(k),
+            _ => unreachable!("the one-Int-column path is checked over every row"),
+        }
+    }
+}
+
+/// Row `i`'s key over `cols`.
+fn row_key<V: RowView + ?Sized>(int: bool, v: &V, i: usize, cols: &[usize]) -> SgKey {
+    SgKey::of(int, cols.iter().map(|&c| v.bg(i, c)))
+}
+
+/// Whether `a_cols` / `b_cols` are one column holding an `Int` selected
+/// guess in every row of both views: the keys are then that `i64`
+/// (`join_key` is the identity on `Int`).
+fn int_keyed<A, B>(a: &A, a_cols: &[usize], b: &B, b_cols: &[usize]) -> bool
+where
+    A: RowView + ?Sized,
+    B: RowView + ?Sized,
+{
+    fn all_int<V: RowView + ?Sized>(v: &V, c: usize) -> bool {
+        (0..v.len()).all(|i| matches!(v.bg(i, c), Value::Int(_)))
+    }
+    a_cols.len() == 1 && all_int(a, a_cols[0]) && all_int(b, b_cols[0])
+}
+
+/// Whether cells pinned by `pins` each fix one hashable value: a point
+/// other than NaN or — under IS-NOT-DISTINCT matching (`nulls_match`,
+/// EXCEPT's) — a definite NULL, which matches exactly the other definite
+/// NULLs; under join equality it does not (no bucket could hold "matches
+/// nothing").
+fn hashable(mut pins: impl Iterator<Item = Pin>, nulls_match: bool) -> bool {
+    pins.all(|p| p == Pin::Point || (nulls_match && p == Pin::Null))
+}
+
+/// Whether row `i` of `v` is hashable over `cols`.
+fn hashable_row<V: RowView + ?Sized>(v: &V, i: usize, cols: &[usize], nulls_match: bool) -> bool {
+    hashable(cols.iter().map(|&c| v.pin(i, c)), nulls_match)
 }
 
 /// The comparable-type family of a point key value. Cross-family point
@@ -183,61 +361,81 @@ pub fn key_family(v: &Value) -> u8 {
 /// OR the point keys' families of one hashable row into `fam` (a definite
 /// NULL has no family: it is comparable with nothing and equal to NULLs
 /// only).
-fn add_families(fam: &mut [u8], keys: &[RangeValue]) {
-    for (f, r) in fam.iter_mut().zip(keys) {
-        if !r.is_null() {
-            *f |= key_family(&r.bg);
+fn add_families<V: RowView + ?Sized>(fam: &mut [u8], v: &V, i: usize, cols: &[usize]) {
+    for (f, &c) in fam.iter_mut().zip(cols) {
+        if v.pin(i, c) == Pin::Point {
+            *f |= key_family(&v.bg(i, c));
         }
     }
 }
 
-/// A selected-guess key index over one side's key ranges: rows whose keys
-/// are all hashable ([`hashable_keys`]) sit in buckets by
-/// coercion-normalized key tuple; rows with a ranged, unknown, or NaN key
-/// are *fuzzy* — possibly equal to any probe key — and appear in every
-/// candidate list. Pruned pairs are exactly those whose key equality is
-/// certainly false (two hashable key tuples of one family per column in
-/// different buckets differ under `sql_cmp`, which is exact), so
-/// refining the candidates reproduces the pairwise loop's result.
+/// A selected-guess key index over one side's key columns: rows whose keys
+/// are all hashable ([`hashable`]) sit in buckets by coercion-normalized
+/// key; rows with a ranged, unknown, or NaN key are *fuzzy* — possibly
+/// equal to any probe key — and appear in every candidate list. Pruned
+/// pairs are exactly those whose key equality is certainly false (two
+/// hashable key tuples of one family per column in different buckets
+/// differ under `sql_cmp`, which is exact), so refining the candidates
+/// reproduces the pairwise loop's result.
+///
+/// The converse is what lets callers skip refinement: a hashable probe
+/// row meets a hashable build row only in its own bucket, and two hashable
+/// keys of one family share a bucket iff `sql_cmp` calls them equal
+/// (`join_key` equality is `sql_cmp` equality within a family — `F64::new`
+/// canonicalises `−0.0`, and NaN never hashes). So such a *bucket hit*
+/// (`bucket_hit`) is a pair of certainly equal keys.
 pub struct SgKeyIndex {
-    buckets: FxHashMap<Tuple, Vec<usize>>,
+    buckets: FxHashMap<SgKey, Vec<usize>>,
     fuzzy: Vec<usize>,
-    len: usize,
+    /// Per build row, whether it sits in a bucket.
+    bucketed: Vec<bool>,
     nulls_match: bool,
+    /// Keys take the one-`Int`-column path.
+    int: bool,
 }
 
 impl SgKeyIndex {
-    /// Index `build`'s per-row key ranges (row `i` yields its `n_keys` key
-    /// ranges) for probing with `probe`'s, under join equality or —
+    /// Index `build`'s rows by their key over `build_cols` for probing
+    /// `probe`'s rows over `probe_cols`, under join equality or —
     /// `nulls_match` — under IS-NOT-DISTINCT matching. `None` when hash
     /// pruning between the two sides is unsound: some key column's point
     /// keys span two comparable type families across them (cross-family
     /// points compare `None`, i.e. possibly equal).
-    pub fn build_for<'a>(
-        build: impl IntoIterator<Item = &'a [RangeValue]>,
-        probe: impl IntoIterator<Item = &'a [RangeValue]>,
-        n_keys: usize,
+    pub fn build_for<B, P>(
+        build: &B,
+        build_cols: &[usize],
+        probe: &P,
+        probe_cols: &[usize],
         nulls_match: bool,
-    ) -> Option<SgKeyIndex> {
-        let mut buckets: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
-        let mut fuzzy = Vec::new();
+    ) -> Option<SgKeyIndex>
+    where
+        B: RowView + ?Sized,
+        P: RowView + ?Sized,
+    {
+        let int = int_keyed(build, build_cols, probe, probe_cols);
         // Per-key-column family bitmasks over the hashable rows of both
         // sides (fuzzy rows join every candidate list, so their families
         // never matter).
-        let mut families = vec![0u8; n_keys];
-        let mut len = 0;
-        for keys in build {
-            if hashable_keys(keys, nulls_match) {
-                add_families(&mut families, keys);
-                buckets.entry(normalized_key(keys)).or_default().push(len);
+        let mut families = vec![0u8; build_cols.len()];
+        let mut buckets: FxHashMap<SgKey, Vec<usize>> = FxHashMap::default();
+        let mut fuzzy = Vec::new();
+        let mut bucketed = Vec::with_capacity(build.len());
+        for i in 0..build.len() {
+            let keyed = hashable_row(build, i, build_cols, nulls_match);
+            if keyed {
+                add_families(&mut families, build, i, build_cols);
+                buckets
+                    .entry(row_key(int, build, i, build_cols))
+                    .or_default()
+                    .push(i);
             } else {
-                fuzzy.push(len);
+                fuzzy.push(i);
             }
-            len += 1;
+            bucketed.push(keyed);
         }
-        for keys in probe {
-            if hashable_keys(keys, nulls_match) {
-                add_families(&mut families, keys);
+        for i in 0..probe.len() {
+            if hashable_row(probe, i, probe_cols, nulls_match) {
+                add_families(&mut families, probe, i, probe_cols);
             }
         }
         families
@@ -246,36 +444,56 @@ impl SgKeyIndex {
             .then_some(SgKeyIndex {
                 buckets,
                 fuzzy,
-                len,
+                bucketed,
                 nulls_match,
+                int,
             })
     }
 
     /// The index that prunes nothing: all `len` rows are candidates of
-    /// every probe.
+    /// every probe, and none is a bucket hit.
     fn unpruned(len: usize) -> SgKeyIndex {
         SgKeyIndex {
             buckets: FxHashMap::default(),
             fuzzy: (0..len).collect(),
-            len,
+            bucketed: vec![false; len],
             nulls_match: false,
+            int: false,
         }
     }
 
-    /// Collect the build rows whose key equality with `keys` is possibly
-    /// true, ascending (build-scan order), into `out`.
-    pub fn candidates(&self, keys: &[RangeValue], out: &mut Vec<usize>) {
+    /// Row `i` of `probe`'s key over `cols`, or `None` when the row is
+    /// fuzzy — then every build row is its candidate.
+    fn probe_key<P: RowView + ?Sized>(&self, probe: &P, i: usize, cols: &[usize]) -> Option<SgKey> {
+        hashable_row(probe, i, cols, self.nulls_match).then(|| row_key(self.int, probe, i, cols))
+    }
+
+    /// Collect the build rows whose key equality with a probe row keyed
+    /// `key` ([`SgKeyIndex::probe_key`]) is possibly true, ascending
+    /// (build-scan order), into `out`.
+    fn candidates_of(&self, key: Option<&SgKey>, out: &mut Vec<usize>) {
         out.clear();
-        if !hashable_keys(keys, self.nulls_match) {
-            out.extend(0..self.len);
-            return;
+        match key {
+            None => out.extend(0..self.bucketed.len()),
+            Some(key) => {
+                let bucket = self.buckets.get(key).map(Vec::as_slice);
+                merge_ascending(bucket.unwrap_or_default(), &self.fuzzy, out);
+            }
         }
-        let bucket = self
-            .buckets
-            .get(&normalized_key(keys))
-            .map(Vec::as_slice)
-            .unwrap_or_default();
-        merge_ascending(bucket, &self.fuzzy, out);
+    }
+
+    /// Whether candidate `b` of a probe row keyed `key` came out of the
+    /// probe's own bucket: the two keys are certainly equal.
+    fn bucket_hit(&self, key: Option<&SgKey>, b: usize) -> bool {
+        key.is_some() && self.bucketed[b]
+    }
+
+    /// Collect the candidates of a probe row given its key ranges (in
+    /// `probe_cols` order), ascending, into `out`.
+    pub fn candidates(&self, keys: &[RangeValue], out: &mut Vec<usize>) {
+        let key = hashable(keys.iter().map(Pin::of), self.nulls_match)
+            .then(|| SgKey::of(self.int, keys.iter().map(|r| r.bg.clone())));
+        self.candidates_of(key.as_ref(), out);
     }
 }
 
@@ -320,11 +538,10 @@ type KeyedCandidates = (SgKeyIndex, Vec<Vec<RangeValue>>);
 
 /// The candidate index of a θ-join whose (bound) predicate has
 /// extractable keys ([`candidate_keys`]: the null-aware key of a `NOT IN`
-/// anti-join, or the conjunction's equi-keys): a
-/// [`SgKeyIndex`] over the build side's key ranges (`left` when
-/// `build_left`) plus the probe side's per-row key ranges. `None` — every
-/// pair is a candidate — when there are no keys or cross-family point
-/// keys make pruning unsound.
+/// anti-join, or the conjunction's equi-keys): a [`SgKeyIndex`] over the
+/// build side's key ranges (`left` when `build_left`) plus the probe
+/// side's per-row key ranges. `None` — every pair is a candidate — when
+/// there are no keys or cross-family point keys make pruning unsound.
 ///
 /// The null-aware predicate `x = k OR x IS NULL OR k IS NULL` prunes on
 /// `x = k` alone: a pruned pair has two point keys, so both `IS NULL`
@@ -336,26 +553,37 @@ fn equi_key_index(
     right: &AuRelation,
     build_left: bool,
 ) -> Result<Option<KeyedCandidates>, ExprError> {
-    let keys = candidate_keys(pred, left.schema().arity()).keys;
-    if keys.is_empty() {
+    let keys = candidate_keys(pred, left.schema().arity());
+    if keys.keys.is_empty() {
         return Ok(None);
     }
-    let lk: Vec<Expr> = keys.iter().map(|k| k.left.clone()).collect();
-    let rk: Vec<Expr> = keys.iter().map(|k| k.right.clone()).collect();
-    let l_keys = eval_key_ranges(left, &lk)?;
-    let r_keys = eval_key_ranges(right, &rk)?;
-    let (build_keys, probe_keys) = if build_left {
-        (l_keys, r_keys)
+    let (lk, rk) = key_exprs(&keys);
+    Ok(key_index(
+        WithKeys::new(left, &lk)?,
+        WithKeys::new(right, &rk)?,
+        build_left,
+    ))
+}
+
+/// The per-side key expressions of a join's candidate keys.
+fn key_exprs(keys: &JoinKeys) -> (Vec<Expr>, Vec<Expr>) {
+    keys.keys
+        .iter()
+        .map(|k| (k.left.clone(), k.right.clone()))
+        .unzip()
+}
+
+/// The [`SgKeyIndex`] over the key columns of `left` (when `build_left`)
+/// or `right`, plus the other side's key ranges; `None` when cross-family
+/// point keys make pruning unsound.
+fn key_index(left: WithKeys, right: WithKeys, build_left: bool) -> Option<KeyedCandidates> {
+    let (build, probe) = if build_left {
+        (left, right)
     } else {
-        (r_keys, l_keys)
+        (right, left)
     };
-    let index = SgKeyIndex::build_for(
-        build_keys.iter().map(Vec::as_slice),
-        probe_keys.iter().map(Vec::as_slice),
-        keys.len(),
-        false,
-    );
-    Ok(index.map(|index| (index, probe_keys)))
+    let index = SgKeyIndex::build_for(&build, &build.cols, &probe, &probe.cols, false)?;
+    Some((index, probe.keys))
 }
 
 /// Shift a (bound) right-side expression's column refs up onto the
@@ -399,19 +627,12 @@ pub fn hash_join(
         conjuncts.push(res.bind(&schema)?);
     }
     let pred = Expr::conjunction(conjuncts);
-    let l_keys = eval_key_ranges(left, &lk)?;
-    let r_keys = eval_key_ranges(right, &rk)?;
-    let (build_keys, probe_keys) = if build_left {
-        (&l_keys, &r_keys)
-    } else {
-        (&r_keys, &l_keys)
-    };
-    let Some(index) = SgKeyIndex::build_for(
-        build_keys.iter().map(Vec::as_slice),
-        probe_keys.iter().map(Vec::as_slice),
-        keys.len(),
-        false,
-    ) else {
+    let keyed = key_index(
+        WithKeys::new(left, &lk)?,
+        WithKeys::new(right, &rk)?,
+        build_left,
+    );
+    let Some((index, probe_keys)) = keyed else {
         return join(left, right, Some(&pred));
     };
     let (build_rel, probe_rel) = if build_left {
@@ -1707,32 +1928,137 @@ fn possibly_equal_nd(a: &RangeValue, b: &RangeValue) -> bool {
     }
 }
 
-/// Whether two attribute ranges are equal under *every* grounding
-/// (IS-NOT-DISTINCT): both definite NULL, or both points whose selected
-/// guesses compare equal under SQL. Under-approximating certain equality
-/// is the sound direction (it only raises `ub`s).
-fn certainly_equal_nd(a: &RangeValue, b: &RangeValue) -> bool {
-    match (a.is_null(), b.is_null()) {
-        (true, true) => true,
-        (false, false) => {
-            a.is_point() && b.is_point() && a.bg.sql_cmp(&b.bg) == Some(Ordering::Equal)
+/// [`possibly_equal_nd`] of column `c` of row `i` of `a` and row `j` of
+/// `b`, assembling ranges only for a loose cell: the pins decide the rest.
+/// Two points intersect iff `sql_cmp` calls them equal, so they are
+/// possibly equal iff it does not order them (equal, or incomparable
+/// across families); a definite NULL and a point never are.
+fn cells_possibly_equal<V: RowView + ?Sized>(a: &V, i: usize, b: &V, j: usize, c: usize) -> bool {
+    match (a.pin(i, c), b.pin(j, c)) {
+        (Pin::Loose, _) | (_, Pin::Loose) => possibly_equal_nd(&a.range(i, c), &b.range(j, c)),
+        (Pin::Null, Pin::Null) => true,
+        (Pin::Null, _) | (_, Pin::Null) => false,
+        _ => !matches!(
+            a.bg(i, c).sql_cmp(&b.bg(j, c)),
+            Some(Ordering::Less | Ordering::Greater)
+        ),
+    }
+}
+
+/// Whether two cells are equal under *every* grounding (IS-NOT-DISTINCT):
+/// both definite NULL, or both points whose selected guesses compare
+/// equal under SQL — the pins and guesses decide it, no range needed.
+/// Under-approximating certain equality is the sound direction (it only
+/// raises `ub`s).
+fn cells_certainly_equal<V: RowView + ?Sized>(a: &V, i: usize, b: &V, j: usize, c: usize) -> bool {
+    match (a.pin(i, c), b.pin(j, c)) {
+        (Pin::Null, Pin::Null) => true,
+        (Pin::Point | Pin::Nan, Pin::Point | Pin::Nan) => {
+            a.bg(i, c).sql_cmp(&b.bg(j, c)) == Some(Ordering::Equal)
         }
         _ => false,
     }
 }
 
-fn rows_possibly_equal(a: &[RangeValue], b: &[RangeValue]) -> bool {
-    a.iter().zip(b).all(|(x, y)| possibly_equal_nd(x, y))
+/// Whether rows `i` of `a` and `j` of `b` are possibly equal on every one
+/// of their `arity` columns.
+fn rows_possibly_equal<V: RowView + ?Sized>(
+    a: &V,
+    i: usize,
+    b: &V,
+    j: usize,
+    arity: usize,
+) -> bool {
+    (0..arity).all(|c| cells_possibly_equal(a, i, b, j, c))
 }
 
-fn rows_certainly_equal(a: &[RangeValue], b: &[RangeValue]) -> bool {
-    a.iter().zip(b).all(|(x, y)| certainly_equal_nd(x, y))
+/// Whether rows `i` of `a` and `j` of `b` are certainly equal on every
+/// one of their `arity` columns.
+fn rows_certainly_equal<V: RowView + ?Sized>(
+    a: &V,
+    i: usize,
+    b: &V,
+    j: usize,
+    arity: usize,
+) -> bool {
+    (0..arity).all(|c| cells_certainly_equal(a, i, b, j, c))
 }
 
-/// Whether the row denotes one known tuple in every world: each attribute
-/// is a point or a definite NULL.
-fn certain_valued(row: &[RangeValue]) -> bool {
-    row.iter().all(|v| v.is_null() || v.is_point())
+/// Whether row `i` denotes one known tuple in every world: each attribute
+/// is a point (NaN included) or a definite NULL.
+fn certain_valued<V: RowView + ?Sized>(v: &V, i: usize, arity: usize) -> bool {
+    (0..arity).all(|c| v.pin(i, c) != Pin::Loose)
+}
+
+/// What `−` and `⟕` select, before anything is materialised: output row
+/// `k` is row `left[k]` of the left input next to row `right[k]` of the
+/// right input (`None`: that side is the definite-NULL pad), under
+/// multiplicity triple `mults[k]`. `−` keeps left rows only, so its
+/// `right` is empty. Every selected triple has `ub ≥ 1` — a row with
+/// `ub = 0` exists in no world and is never selected.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Selection {
+    /// Per output row, its row of the left input.
+    pub left: Vec<Option<usize>>,
+    /// Per output row, its row of the right input (`⟕` only).
+    pub right: Vec<Option<usize>>,
+    /// Per output row, its multiplicity triple.
+    pub mults: Vec<MultBound>,
+}
+
+impl Selection {
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        self.mults.len()
+    }
+
+    /// Whether nothing was selected.
+    pub fn is_empty(&self) -> bool {
+        self.mults.is_empty()
+    }
+
+    /// Keep left row `i` under `mult` (`−`).
+    fn keep(&mut self, i: usize, mult: MultBound) {
+        if mult.ub >= 1 {
+            self.left.push(Some(i));
+            self.mults.push(mult);
+        }
+    }
+
+    /// Keep the pair `(left, right)` under `mult` (`⟕`).
+    fn pair(&mut self, left: Option<usize>, right: Option<usize>, mult: MultBound) {
+        if mult.ub >= 1 {
+            self.left.push(left);
+            self.right.push(right);
+            self.mults.push(mult);
+        }
+    }
+
+    /// The selected rows of `left` (next to those of `right`, for `⟕`) as
+    /// a relation over `schema`; a pad side is all definite NULLs.
+    fn materialise(
+        &self,
+        left: &AuRelation,
+        right: Option<&AuRelation>,
+        schema: Schema,
+    ) -> AuRelation {
+        fn side(rel: &AuRelation, row: Option<usize>, values: &mut Vec<RangeValue>) {
+            match row {
+                Some(i) => values.extend(rel.rows()[i].values.iter().cloned()),
+                None => values.extend((0..rel.schema().arity()).map(|_| RangeValue::null())),
+            }
+        }
+        let mut out = AuRelation::new(schema);
+        for (k, &mult) in self.mults.iter().enumerate() {
+            let mut values = Vec::with_capacity(out.schema().arity());
+            side(left, self.left[k], &mut values);
+            if let Some(right) = right {
+                side(right, self.right[k], &mut values);
+            }
+            out.push(AuTuple { values, mult });
+        }
+        out
+    }
 }
 
 /// `−` (EXCEPT): bag difference under the deterministic engine's
@@ -1763,9 +2089,23 @@ fn certain_valued(row: &[RangeValue]) -> bool {
 /// [`rows_possibly_equal`] / [`rows_certainly_equal`] run on a left row's
 /// candidates only. A pruned pair is two fixed rows that differ in some
 /// column, where both tests are false — every sum and flag above is the
-/// one the all-pairs loop computes, in the same order.
+/// one the all-pairs loop computes, in the same order. A bucket hit is two
+/// fixed rows equal in every column, where both tests are true without
+/// reading a range.
 pub fn except(left: &AuRelation, right: &AuRelation, all: bool) -> Result<AuRelation, SchemaError> {
     except_over(left, right, all, true)
+}
+
+/// `−` over two views of union-compatible inputs of `arity` columns: the
+/// surviving left rows with their triples — what [`except`] materialises
+/// and the vectorized engine gathers from its chunks.
+pub fn except_select<V: RowView + ?Sized>(
+    left: &V,
+    right: &V,
+    arity: usize,
+    all: bool,
+) -> Selection {
+    except_rows(left, right, arity, all, true)
 }
 
 /// The all-pairs reference [`except`] is tested against: every right (and
@@ -1786,11 +2126,23 @@ fn except_over(
     hashed: bool,
 ) -> Result<AuRelation, SchemaError> {
     left.schema().check_union_compatible(right.schema())?;
-    Ok(if all {
-        except_all(left, right, hashed)
+    let arity = left.schema().arity();
+    let selection = except_rows(left.rows(), right.rows(), arity, all, hashed);
+    Ok(selection.materialise(left, None, left.schema().clone()))
+}
+
+fn except_rows<V: RowView + ?Sized>(
+    left: &V,
+    right: &V,
+    arity: usize,
+    all: bool,
+    hashed: bool,
+) -> Selection {
+    if all {
+        except_all(left, right, arity, hashed)
     } else {
-        except_distinct(left, right, hashed)
-    })
+        except_distinct(left, right, arity, hashed)
+    }
 }
 
 /// The rows of `build` that can ground equal to rows of `probe` under
@@ -1802,80 +2154,85 @@ fn except_over(
 /// column's points span two type families across the two sides
 /// (cross-family points compare `None`, i.e. possibly equal) or `hashed`
 /// is off.
-fn row_index(build: &[AuTuple], probe: &[AuTuple], arity: usize, hashed: bool) -> SgKeyIndex {
-    fn values(rows: &[AuTuple]) -> impl Iterator<Item = &[RangeValue]> {
-        rows.iter().map(|t| t.values.as_slice())
-    }
+fn row_index<B, P>(build: &B, probe: &P, arity: usize, hashed: bool) -> SgKeyIndex
+where
+    B: RowView + ?Sized,
+    P: RowView + ?Sized,
+{
+    let cols: Vec<usize> = (0..arity).collect();
     hashed
-        .then(|| SgKeyIndex::build_for(values(build), values(probe), arity, true))
+        .then(|| SgKeyIndex::build_for(build, &cols, probe, &cols, true))
         .flatten()
         .unwrap_or_else(|| SgKeyIndex::unpruned(build.len()))
 }
 
-fn except_all(left: &AuRelation, right: &AuRelation, hashed: bool) -> AuRelation {
+fn except_all<V: RowView + ?Sized>(left: &V, right: &V, arity: usize, hashed: bool) -> Selection {
+    let cols: Vec<usize> = (0..arity).collect();
+    let int = int_keyed(left, &cols, right, &cols);
     // SG removal budget per normalized selected-guess tuple.
-    let mut budget: FxHashMap<Tuple, u64> = FxHashMap::default();
-    for r in right.rows() {
-        if r.mult.bg >= 1 {
-            *budget.entry(normalized_key(&r.values)).or_insert(0) += r.mult.bg;
+    let mut budget: FxHashMap<SgKey, u64> = FxHashMap::default();
+    for r in 0..right.len() {
+        let m = right.mult(r);
+        if m.bg >= 1 {
+            *budget.entry(row_key(int, right, r, &cols)).or_insert(0) += m.bg;
         }
     }
-    let rows = left.rows();
-    let arity = left.schema().arity();
-    let right_index = row_index(right.rows(), rows, arity, hashed);
+    let right_index = row_index(right, left, arity, hashed);
     // Protectors are needed by certainly-hit rows only: index the left
     // side against itself on first use.
     let mut left_index: Option<SgKeyIndex> = None;
     let mut cand: Vec<usize> = Vec::new();
-    let mut out = AuRelation::new(left.schema().clone());
-    for (i, l) in rows.iter().enumerate() {
-        let bg_out = if l.mult.bg >= 1 {
-            match budget.get_mut(&normalized_key(&l.values)) {
+    let mut out = Selection::default();
+    for i in 0..left.len() {
+        let l = left.mult(i);
+        let bg_out = if l.bg >= 1 {
+            match budget.get_mut(&row_key(int, left, i, &cols)) {
                 Some(b) => {
-                    let take = (*b).min(l.mult.bg);
+                    let take = (*b).min(l.bg);
                     *b -= take;
-                    l.mult.bg - take
+                    l.bg - take
                 }
-                None => l.mult.bg,
+                None => l.bg,
             }
         } else {
             0
         };
         let mut possible_removal: u64 = 0;
         let mut certain_removal: u64 = 0;
-        let fixed = certain_valued(&l.values);
-        right_index.candidates(&l.values, &mut cand);
-        for r in cand.iter().map(|&ri| &right.rows()[ri]) {
-            if r.mult.ub >= 1 && rows_possibly_equal(&l.values, &r.values) {
-                possible_removal = possible_removal.saturating_add(r.mult.ub);
+        let fixed = certain_valued(left, i, arity);
+        let key = right_index.probe_key(left, i, &cols);
+        right_index.candidates_of(key.as_ref(), &mut cand);
+        for &r in &cand {
+            let m = right.mult(r);
+            let hit = right_index.bucket_hit(key.as_ref(), r);
+            if m.ub >= 1 && (hit || rows_possibly_equal(left, i, right, r, arity)) {
+                possible_removal = possible_removal.saturating_add(m.ub);
             }
-            if fixed && r.mult.lb >= 1 && rows_certainly_equal(&l.values, &r.values) {
-                certain_removal = certain_removal.saturating_add(r.mult.lb);
+            if fixed && m.lb >= 1 && (hit || rows_certainly_equal(left, i, right, r, arity)) {
+                certain_removal = certain_removal.saturating_add(m.lb);
             }
         }
-        let lb_out = l.mult.lb.saturating_sub(possible_removal);
+        let lb_out = l.lb.saturating_sub(possible_removal);
         let ub_out = if certain_removal > 0 {
-            left_index
-                .get_or_insert_with(|| row_index(rows, rows, arity, hashed))
-                .candidates(&l.values, &mut cand);
+            let index = left_index.get_or_insert_with(|| row_index(left, left, arity, hashed));
+            let key = index.probe_key(left, i, &cols);
+            index.candidates_of(key.as_ref(), &mut cand);
             let mut protectors: u64 = 0;
-            for k in cand.iter().take_while(|&&k| k < i).map(|&k| &rows[k]) {
-                if k.mult.ub >= 1 && rows_possibly_equal(&k.values, &l.values) {
-                    protectors = protectors.saturating_add(k.mult.ub);
+            for &k in cand.iter().take_while(|&&k| k < i) {
+                let m = left.mult(k);
+                let hit = index.bucket_hit(key.as_ref(), k);
+                if m.ub >= 1 && (hit || rows_possibly_equal(left, k, left, i, arity)) {
+                    protectors = protectors.saturating_add(m.ub);
                 }
             }
-            l.mult
-                .ub
-                .saturating_sub(certain_removal.saturating_sub(protectors))
+            l.ub.saturating_sub(certain_removal.saturating_sub(protectors))
         } else {
-            l.mult.ub
+            l.ub
         };
-        if ub_out >= 1 {
-            out.push(AuTuple {
-                values: l.values.clone(),
-                mult: MultBound::new(lb_out.min(bg_out).min(ub_out), bg_out.min(ub_out), ub_out),
-            });
-        }
+        out.keep(
+            i,
+            MultBound::new(lb_out.min(bg_out).min(ub_out), bg_out.min(ub_out), ub_out),
+        );
     }
     out
 }
@@ -1885,52 +2242,55 @@ fn except_all(left: &AuRelation, right: &AuRelation, hashed: bool) -> AuRelation
 /// `distinct(EXCEPT ALL)`). A left row survives a world iff its grounding
 /// is absent from the right side there, and only the first left row
 /// grounding a given tuple emits it.
-fn except_distinct(left: &AuRelation, right: &AuRelation, hashed: bool) -> AuRelation {
-    let mut sg_right: FxHashSet<Tuple> = FxHashSet::default();
-    for r in right.rows() {
-        if r.mult.bg >= 1 {
-            sg_right.insert(normalized_key(&r.values));
-        }
-    }
+fn except_distinct<V: RowView + ?Sized>(
+    left: &V,
+    right: &V,
+    arity: usize,
+    hashed: bool,
+) -> Selection {
+    let cols: Vec<usize> = (0..arity).collect();
+    let int = int_keyed(left, &cols, right, &cols);
+    let sg_right: FxHashSet<SgKey> = (0..right.len())
+        .filter(|&r| right.mult(r).bg >= 1)
+        .map(|r| row_key(int, right, r, &cols))
+        .collect();
     // First SG occurrence per left tuple, and first certain claimant per
     // fixed tuple (an earlier certainly-equal row with lb ≥ 1 already
     // guarantees the single output copy, so later rows must not).
-    let mut sg_seen: FxHashSet<Tuple> = FxHashSet::default();
-    let mut certain_seen: FxHashSet<Tuple> = FxHashSet::default();
-    let right_index = row_index(right.rows(), left.rows(), left.schema().arity(), hashed);
+    let mut sg_seen: FxHashSet<SgKey> = FxHashSet::default();
+    let mut certain_seen: FxHashSet<SgKey> = FxHashSet::default();
+    let right_index = row_index(right, left, arity, hashed);
     let mut cand: Vec<usize> = Vec::new();
-    let mut out = AuRelation::new(left.schema().clone());
-    for l in left.rows() {
-        let key = normalized_key(&l.values);
-        right_index.candidates(&l.values, &mut cand);
-        let candidates = || cand.iter().map(|&ri| &right.rows()[ri]);
-        let possibly_removed =
-            candidates().any(|r| r.mult.ub >= 1 && rows_possibly_equal(&l.values, &r.values));
-        let fixed = certain_valued(&l.values);
+    let mut out = Selection::default();
+    for i in 0..left.len() {
+        let l = left.mult(i);
+        let row = row_key(int, left, i, &cols);
+        let key = right_index.probe_key(left, i, &cols);
+        right_index.candidates_of(key.as_ref(), &mut cand);
+        let hit = |r: usize| right_index.bucket_hit(key.as_ref(), r);
+        let possibly_removed = cand.iter().any(|&r| {
+            right.mult(r).ub >= 1 && (hit(r) || rows_possibly_equal(left, i, right, r, arity))
+        });
+        let fixed = certain_valued(left, i, arity);
         let certainly_removed = fixed
-            && candidates().any(|r| r.mult.lb >= 1 && rows_certainly_equal(&l.values, &r.values));
-        let bg_out = if l.mult.bg >= 1 && !sg_right.contains(&key) && sg_seen.insert(key.clone()) {
+            && cand.iter().any(|&r| {
+                right.mult(r).lb >= 1 && (hit(r) || rows_certainly_equal(left, i, right, r, arity))
+            });
+        let bg_out = if l.bg >= 1 && !sg_right.contains(&row) && sg_seen.insert(row.clone()) {
             1
         } else {
             0
         };
-        let lb_out =
-            if l.mult.lb >= 1 && fixed && !possibly_removed && certain_seen.insert(key.clone()) {
-                1
-            } else {
-                0
-            };
-        let ub_out = if certainly_removed {
-            0
+        let lb_out = if l.lb >= 1 && fixed && !possibly_removed && certain_seen.insert(row) {
+            1
         } else {
-            l.mult.ub.min(1)
+            0
         };
-        if ub_out >= 1 {
-            out.push(AuTuple {
-                values: l.values.clone(),
-                mult: MultBound::new(lb_out.min(bg_out).min(ub_out), bg_out.min(ub_out), ub_out),
-            });
-        }
+        let ub_out = if certainly_removed { 0 } else { l.ub.min(1) };
+        out.keep(
+            i,
+            MultBound::new(lb_out.min(bg_out).min(ub_out), bg_out.min(ub_out), ub_out),
+        );
     }
     out
 }
@@ -1954,7 +2314,7 @@ fn except_distinct(left: &AuRelation, right: &AuRelation, hashed: bool) -> AuRel
 ///
 /// All three flags only ever see possibly-matching pairs, so candidates
 /// come from the other side's selected-guess key index whenever the
-/// predicate has keys ([`equi_key_index`]: equi-keys, or `x = k` of
+/// predicate has keys ([`candidate_keys`]: equi-keys, or `x = k` of
 /// `NOT IN`'s null-aware equality).
 pub fn outer_join(
     left: &AuRelation,
@@ -1963,84 +2323,149 @@ pub fn outer_join(
     left_kind: bool,
 ) -> Result<AuRelation, ExprError> {
     let schema = left.schema().concat(right.schema());
-    let bound = match predicate {
-        Some(p) => Some(p.bind(&schema)?),
-        None => None,
-    };
-    let (l_arity, r_arity) = (left.schema().arity(), right.schema().arity());
-    let (outer_rows, inner_rows) = if left_kind {
-        (left.rows(), right.rows())
+    let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
+    let arities = (left.schema().arity(), right.schema().arity());
+    let keys = bound
+        .as_ref()
+        .map_or_else(JoinKeys::default, |p| candidate_keys(p, arities.0));
+    let (lk, rk) = key_exprs(&keys);
+    let (l, r) = (WithKeys::new(left, &lk)?, WithKeys::new(right, &rk)?);
+    let selection = outer_join_select(&l, &r, arities, bound.as_ref(), &keys, left_kind)?;
+    Ok(selection.materialise(left, Some(right), schema))
+}
+
+/// `⟕` / `⟖` over two views: the selection [`outer_join`] materialises
+/// and the vectorized engine gathers. `arities` are the two inputs' user
+/// arities and `predicate` is bound over `left ++ right`; `keys` are its
+/// [`candidate_keys`], whose left / right expressions each view carries,
+/// evaluated, as its columns `arity..arity + keys.len()` (no predicate,
+/// no keys).
+///
+/// Keys prune exactly like [`join`]: a pruned pair's predicate is
+/// certainly false, so no match flag and no output row depends on it. A
+/// bucket hit pairs two certainly equal keys; when the predicate is
+/// nothing but plain-column key equalities — or `NOT IN`'s null-aware
+/// one, where `x = k` certainly true makes the disjunction so — such a
+/// pair is certainly true and true over the selected guess, and refines
+/// to its plain product without assembling a range (a key column is then
+/// the attribute column the predicate reads).
+pub fn outer_join_select<V: RowView + ?Sized>(
+    left: &V,
+    right: &V,
+    arities: (usize, usize),
+    predicate: Option<&Expr>,
+    keys: &JoinKeys,
+    left_kind: bool,
+) -> Result<Selection, ExprError> {
+    let (outer, inner, o_arity, i_arity) = if left_kind {
+        (left, right, arities.0, arities.1)
     } else {
-        (right.rows(), left.rows())
+        (right, left, arities.1, arities.0)
     };
-    // Keys prune exactly like [`join`] ([`equi_key_index`], `NOT IN`'s
-    // null-aware key included): a pruned pair's predicate is certainly
-    // false, so it would have hit the `continue` below — no match flag and
-    // no output row depends on it.
-    let keyed = match &bound {
-        Some(pred) => equi_key_index(pred, left, right, !left_kind)?,
-        None => None,
-    };
-    let mut cand: Vec<usize> = (0..inner_rows.len()).collect();
-    let mut out = AuRelation::new(schema);
-    for (oi, o) in outer_rows.iter().enumerate() {
-        if let Some((index, outer_keys)) = &keyed {
-            index.candidates(&outer_keys[oi], &mut cand);
-        }
+    let n_keys = keys.keys.len();
+    let o_cols: Vec<usize> = (o_arity..o_arity + n_keys).collect();
+    let i_cols: Vec<usize> = (i_arity..i_arity + n_keys).collect();
+    let index = (n_keys > 0)
+        .then(|| SgKeyIndex::build_for(inner, &i_cols, outer, &o_cols, false))
+        .flatten();
+    let certain_hits = (keys.residual.is_empty() || keys.null_aware)
+        && keys
+            .keys
+            .iter()
+            .all(|k| matches!((&k.left, &k.right), (Expr::Col(_), Expr::Col(_))));
+    let mut pairs = predicate.map(|p| PairEval::new(p, arities));
+    let certain = RangeTruth::exact(Truth::True);
+    let mut cand: Vec<usize> = (0..inner.len()).collect();
+    let mut out = Selection::default();
+    for o in 0..outer.len() {
+        let key = index.as_ref().and_then(|index| {
+            let key = index.probe_key(outer, o, &o_cols);
+            index.candidates_of(key.as_ref(), &mut cand);
+            key
+        });
         let mut sg_matched = false;
         let mut possibly_matched = false;
         let mut certainly_matched = false;
-        for i in cand.iter().map(|&ii| &inner_rows[ii]) {
+        for &i in &cand {
             let (l, r) = if left_kind { (o, i) } else { (i, o) };
-            let mut values = l.values.clone();
-            values.extend(r.values.iter().cloned());
-            let base = l.mult.times(&r.mult);
-            match &bound {
-                Some(pred) => {
-                    let bg_tuple: Tuple = values.iter().map(|v| v.bg.clone()).collect();
-                    let bg_true = pred.holds(&bg_tuple)?;
-                    let rt = truth_range(pred, &values);
-                    if !rt.possibly_true() {
-                        continue;
-                    }
-                    possibly_matched |= i.mult.ub >= 1;
-                    sg_matched |= bg_true && i.mult.bg >= 1;
-                    certainly_matched |= rt.certainly_true() && i.mult.lb >= 1;
-                    out.push(AuTuple {
-                        values,
-                        mult: MultBound::new(
-                            if rt.certainly_true() { base.lb } else { 0 },
-                            if bg_true { base.bg } else { 0 },
-                            base.ub,
-                        ),
-                    });
+            let (rt, bg_true) = match &mut pairs {
+                // No predicate: every pair matches in every world.
+                None => (certain, true),
+                Some(_)
+                    if certain_hits
+                        && index
+                            .as_ref()
+                            .is_some_and(|x| x.bucket_hit(key.as_ref(), i)) =>
+                {
+                    (certain, true)
                 }
-                None => {
-                    possibly_matched |= i.mult.ub >= 1;
-                    sg_matched |= i.mult.bg >= 1;
-                    certainly_matched |= i.mult.lb >= 1;
-                    out.push(AuTuple { values, mult: base });
-                }
-            }
+                Some(pairs) => pairs.eval(left, l, right, r)?,
+            };
+            let Some(mult) = refine(rt, bg_true, left.mult(l).times(&right.mult(r))) else {
+                continue;
+            };
+            let m = inner.mult(i);
+            possibly_matched |= m.ub >= 1;
+            sg_matched |= bg_true && m.bg >= 1;
+            certainly_matched |= rt.certainly_true() && m.lb >= 1;
+            out.pair(Some(l), Some(r), mult);
         }
+        let m = outer.mult(o);
         let pad = MultBound::new(
-            if possibly_matched { 0 } else { o.mult.lb },
-            if sg_matched { 0 } else { o.mult.bg },
-            if certainly_matched { 0 } else { o.mult.ub },
+            if possibly_matched { 0 } else { m.lb },
+            if sg_matched { 0 } else { m.bg },
+            if certainly_matched { 0 } else { m.ub },
         );
-        if pad.ub >= 1 {
-            let mut values = Vec::with_capacity(l_arity + r_arity);
-            if left_kind {
-                values.extend(o.values.iter().cloned());
-                values.extend((0..r_arity).map(|_| RangeValue::null()));
-            } else {
-                values.extend((0..l_arity).map(|_| RangeValue::null()));
-                values.extend(o.values.iter().cloned());
-            }
-            out.push(AuTuple { values, mult: pad });
+        if left_kind {
+            out.pair(Some(o), None, pad);
+        } else {
+            out.pair(None, Some(o), pad);
         }
     }
     Ok(out)
+}
+
+/// Scratch for evaluating a (bound) join predicate over pairs of view
+/// rows: only the columns it references are assembled, every other
+/// position keeps a placeholder the evaluators never read.
+struct PairEval<'p> {
+    predicate: &'p Expr,
+    l_arity: usize,
+    refs: Vec<usize>,
+    row: Vec<RangeValue>,
+}
+
+impl<'p> PairEval<'p> {
+    fn new(predicate: &'p Expr, (l_arity, r_arity): (usize, usize)) -> PairEval<'p> {
+        let mut refs = Vec::new();
+        predicate.referenced_columns(&mut refs);
+        refs.sort_unstable();
+        refs.dedup();
+        PairEval {
+            predicate,
+            l_arity,
+            refs,
+            row: vec![RangeValue::null(); l_arity + r_arity],
+        }
+    }
+
+    /// [`pair_truth`] over row `l` of `left` next to row `r` of `right`.
+    fn eval<V: RowView + ?Sized>(
+        &mut self,
+        left: &V,
+        l: usize,
+        right: &V,
+        r: usize,
+    ) -> Result<(RangeTruth, bool), ExprError> {
+        for &c in &self.refs {
+            self.row[c] = match c.checked_sub(self.l_arity) {
+                Some(rc) => right.range(r, rc),
+                None => left.range(l, c),
+            }
+            .into_owned();
+        }
+        pair_truth(self.predicate, &self.row)
+    }
 }
 
 #[cfg(test)]

@@ -26,11 +26,13 @@
 //!   [`crate::kernels::range_truth_masks`] applies `cmp_possibilities`'
 //!   endpoint rules to the operand triples directly and combines the
 //!   leaves with bitmap ops (such triples are never top, so no leaf can be
-//!   *unknown* and Kleene logic is two bitmaps). Every other shape — a
-//!   column holding `±∞` bounds, definite NULLs or top ranges, a `÷` or
-//!   `CASE` operand, `IS NULL`, a NaN under an Int/Float coercion — sends
-//!   the batch down the per-row `ua_ranges::truth_range` path, over ranges
-//!   assembled for the referenced columns only. Either way `ua_m_lb` /
+//!   *unknown* and Kleene logic is two bitmaps). `IS [NOT] NULL` over a
+//!   stored column of any representation is native too — the anti-join
+//!   filter every `NOT IN` / `NOT EXISTS` lowers to. Every other shape — a
+//!   comparison over a column holding `±∞` bounds, definite NULLs or top
+//!   ranges, a `÷` or `CASE` operand, a NaN under an Int/Float coercion —
+//!   sends the batch down the per-row `ua_ranges::truth_range` path, over
+//!   ranges assembled for the referenced columns only. Either way `ua_m_lb` /
 //!   `ua_m_bg` are refined by masking and the survivors leave in one
 //!   gather, which gathers each distinct buffer once — a point column
 //!   (bounds aliasing `bg`) is still one above the filter.
@@ -80,17 +82,27 @@
 //!   keys of *different* families on the two sides (`Int` vs `Str`) make
 //!   pruning unsound; that case defers to the relation path
 //!   (`ua_ranges::ops::hash_join`).
-//! * **⋈ (keyless), −, ⟕** — cross the stream ↔ relation boundary (one
-//!   pair of functions, `to_relation` / `from_relation`: columns convert
-//!   straight into range rows, no tuple encoding, no re-validation — the
-//!   stream is canonical by construction) and feed the shared
-//!   `ua_ranges::ops::{join, except, outer_join}`. `−` and `⟕` generate
-//!   their candidate pairs from a selected-guess hash index there (all
-//!   columns under IS-NOT-DISTINCT matching for `−`; the ON clause's
-//!   equi-keys, or `x = k` of `NOT IN`'s null-aware equality, for `⟕`)
-//!   and test only those; keyless / non-equi joins run block-nested-loop
-//!   on the pool. One implementation of the pair refinement exists in the
-//!   workspace, so the engines cannot disagree.
+//! * **−, ⟕** — column-native selection (`Driver::{au_except,
+//!   au_outer_join}`). Each input concatenates into one chunk and is read
+//!   through a `ChunkView`, the vectorized `ua_ranges::ops::RowView`: a
+//!   cell's pin comes off its column's `point_mask` (O(1) when the
+//!   bounds alias `bg`), a range is assembled only when a bound rule asks
+//!   for one, and `⟕`'s key expressions are evaluated by `expr_triple`
+//!   as the hash join's are. The shared `ua_ranges::ops::{except_select,
+//!   outer_join_select}` — the very bound rules the row engine's `except`
+//!   / `outer_join` run — return which rows survive, paired with what,
+//!   under which triple; the driver gathers that selection out of the
+//!   chunks (`Driver::gather_selection`). Nothing crosses into an
+//!   `AuRelation`.
+//! * **⋈ (keyless), cross-family ⋈** — cross the stream ↔ relation
+//!   boundary (one pair of functions, `to_relation` / `from_relation`:
+//!   columns convert straight into range rows, no tuple encoding, no
+//!   re-validation — the stream is canonical by construction) and feed the
+//!   shared `ua_ranges::ops::{join, hash_join}`; keyless / non-equi joins
+//!   run block-nested-loop on the pool. The rows crossing are counted
+//!   (`au.vec.relation_rows`, and a `relation_rows` extra on the
+//!   operator's stats node), as are those γ's and δ's outputs re-batch
+//!   through `from_relation`.
 //! * **δ (distinct)** — rows merge by selected-guess tuple straight off
 //!   the bg columns in first-seen scan order, hulling attribute ranges
 //!   and combining multiplicities exactly as `ua_ranges::ops::distinct`.
@@ -106,14 +118,18 @@
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{
-    batches_from_table_pooled, chunk_columns, chunk_to_batch, convert_chunks, ones, BatchStream,
-    ColumnBatch, ColumnVec,
+    batches_from_table_pooled, chunk_columns, chunk_to_batch, convert_chunks, gather_columns, ones,
+    BatchStream, ColumnBatch, ColumnVec,
 };
 use crate::exec::Driver;
-use crate::kernels::{eval_expr, eval_triple, range_truth_masks, truth_masks, Evaluated};
+use crate::kernels::{
+    eval_expr, eval_triple, is_definite_null, range_truth_masks, truth_masks, Evaluated,
+};
 use crate::ops::{build_index, probe_index, JoinIndex};
-use std::sync::Arc;
-use ua_data::algebra::ProjColumn;
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::sync::{Arc, OnceLock};
+use ua_data::algebra::{candidate_keys, JoinKeys, ProjColumn};
 use ua_data::expr::Expr;
 use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
@@ -122,7 +138,9 @@ use ua_data::FxHashMap;
 use ua_plan::plan::{AggExpr, Plan};
 use ua_plan::storage::Table;
 use ua_plan::EngineError;
-use ua_ranges::ops::{key_family, refine_pair_mult};
+use ua_ranges::ops::{
+    except_select, key_family, outer_join_select, refine_pair_mult, Pin, RowView, Selection,
+};
 use ua_ranges::relation::AuTuple;
 use ua_ranges::{
     approx_range, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
@@ -159,9 +177,21 @@ fn to_relation(user: &Schema, batches: &[ColumnBatch]) -> AuRelation {
 /// Relation → stream, the other boundary function: a shared-operator
 /// result (already canonical — operator outputs normalize through the
 /// `RangeValue` / `MultBound` constructors) re-batches through its
-/// flattened table, chunk-parallel on the query's pool.
+/// flattened table, chunk-parallel on the query's pool. Counts its rows in
+/// `au.vec.relation_rows`; callers of [`to_relation`] count theirs.
 fn from_relation(rel: &AuRelation, driver: &Driver) -> BatchStream {
+    count_relation_rows(rel.rows().len());
     batches_from_table_pooled(&ua_plan::au_table(rel), driver.batch_rows, &driver.pool)
+}
+
+/// Count AU rows crossing the stream ↔ relation boundary in
+/// `au.vec.relation_rows`. γ crosses on every query, so the handle is
+/// looked up once.
+fn count_relation_rows(rows: usize) {
+    static COUNTER: OnceLock<ua_obs::Counter> = OnceLock::new();
+    COUNTER
+        .get_or_init(|| ua_obs::global().counter("au.vec.relation_rows"))
+        .add(rows as u64);
 }
 
 /// The batch's selected-guess view: the first `n` columns under the user
@@ -486,10 +516,10 @@ impl Driver<'_> {
         Ok(BatchStream { schema, batches })
     }
 
-    /// A binary operator with no columnar form (`−`, `⟕`, the cross-family
-    /// hash ⋈): both sides cross the relation boundary into the shared
-    /// [`ua_plan::au_binary`] and the result crosses back.
-    pub(crate) fn au_binary(
+    /// The cross-family hash ⋈, which has no columnar form: both sides
+    /// cross the relation boundary into the shared [`ua_plan::au_binary`]
+    /// and the result crosses back.
+    fn au_binary(
         &self,
         plan: &Plan,
         ls: &BatchStream,
@@ -497,7 +527,137 @@ impl Driver<'_> {
     ) -> Result<BatchStream, EngineError> {
         let l = to_relation(&user_schema(&ls.schema), &ls.batches);
         let r = to_relation(&user_schema(&rs.schema), &rs.batches);
-        Ok(from_relation(&ua_plan::au_binary(plan, &l, &r)?, self))
+        let out = ua_plan::au_binary(plan, &l, &r)?;
+        Ok(self.crossed_back(ls.num_rows() + rs.num_rows(), &out))
+    }
+
+    /// The result `out` of a binary operator whose inputs sent `inputs`
+    /// rows across the relation boundary, re-batched: both crossings count
+    /// in `au.vec.relation_rows` and on the operator's stats node.
+    fn crossed_back(&self, inputs: usize, out: &AuRelation) -> BatchStream {
+        count_relation_rows(inputs);
+        self.report_relation_rows(inputs + out.rows().len());
+        from_relation(out, self)
+    }
+
+    /// `⟦−⟧_AU` (EXCEPT [ALL]), column-native: both inputs are read as
+    /// [`ChunkView`]s, the shared `ua_ranges::ops::except_select` keeps the
+    /// surviving left rows with their triples, and
+    /// [`Driver::gather_selection`] gathers them.
+    pub(crate) fn au_except(
+        &self,
+        ls: BatchStream,
+        rs: BatchStream,
+        all: bool,
+    ) -> Result<BatchStream, EngineError> {
+        let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
+        // The row engine's check and error speak of the user arities.
+        luser
+            .check_union_compatible(&ruser)
+            .map_err(EngineError::Schema)?;
+        let left = ChunkView::new(ls, &luser, [])?;
+        let right = ChunkView::new(rs, &ruser, [])?;
+        let selection = except_select(&left, &right, luser.arity(), all);
+        Ok(self.gather_selection(flattened_schema(&luser), &selection, &left, None))
+    }
+
+    /// `⟦⟕⟧_AU` / `⟦⟖⟧_AU`, column-native: the ON clause binds over the
+    /// user schemas, each input is read as a [`ChunkView`] carrying its
+    /// side of the clause's candidate keys (`ua_data::algebra::
+    /// candidate_keys`, evaluated by [`expr_triple`]), the shared
+    /// `ua_ranges::ops::outer_join_select` picks the matched pairs and pads
+    /// with their triples, and [`Driver::gather_selection`] gathers them.
+    pub(crate) fn au_outer_join(
+        &self,
+        ls: BatchStream,
+        rs: BatchStream,
+        predicate: Option<&Expr>,
+        left_kind: bool,
+    ) -> Result<BatchStream, EngineError> {
+        let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
+        let user = luser.concat(&ruser);
+        let bound = predicate
+            .map(|p| p.bind(&user))
+            .transpose()
+            .map_err(EngineError::Expr)?;
+        let arities = (luser.arity(), ruser.arity());
+        let keys = bound
+            .as_ref()
+            .map_or_else(JoinKeys::default, |p| candidate_keys(p, arities.0));
+        let left = ChunkView::new(ls, &luser, keys.keys.iter().map(|k| &k.left))?;
+        let right = ChunkView::new(rs, &ruser, keys.keys.iter().map(|k| &k.right))?;
+        let selection = outer_join_select(&left, &right, arities, bound.as_ref(), &keys, left_kind)
+            .map_err(EngineError::Expr)?;
+        Ok(self.gather_selection(flattened_schema(&user), &selection, &left, Some(&right)))
+    }
+
+    /// Gather a [`Selection`] out of its inputs' chunks, in `batch_rows`
+    /// slices — the batch boundaries the re-batched relation had. Each
+    /// side's attribute columns go through [`gather_columns`], so a buffer
+    /// several columns alias is gathered once; a side some row pads is its
+    /// chunk plus one appended definite-NULL row (the trick the
+    /// deterministic `ops::outer_join` plays), built only then; and the
+    /// multiplicity columns are written once, from the selected triples
+    /// (clamped to `i64` as the row encoding clamps them).
+    fn gather_selection(
+        &self,
+        flat: Schema,
+        selection: &Selection,
+        left: &ChunkView,
+        right: Option<&ChunkView>,
+    ) -> BatchStream {
+        /// One side's gather indices, its pad at row `pad`.
+        fn indices(rows: &[Option<usize>], pad: usize) -> Vec<u32> {
+            rows.iter().map(|r| r.unwrap_or(pad) as u32).collect()
+        }
+        let sides: Vec<(&ChunkView, &[Option<usize>])> =
+            std::iter::once((left, &selection.left[..]))
+                .chain(right.map(|r| (r, &selection.right[..])))
+                .collect();
+        let columns: Vec<Vec<ColumnVec>> = sides
+            .iter()
+            .map(|(view, rows)| view.attributes(rows.contains(&None)))
+            .collect();
+        let parts: [fn(&MultBound) -> u64; 3] = [|m| m.lb, |m| m.bg, |m| m.ub];
+        let step = self.batch_rows.max(1);
+        let total = selection.len();
+        let full = Arc::new(vec![1u64; step.min(total)]);
+        let mut batches = Vec::with_capacity(total.div_ceil(step));
+        for start in (0..total).step_by(step) {
+            let end = (start + step).min(total);
+            let gathered: Vec<Vec<ColumnVec>> = sides
+                .iter()
+                .zip(&columns)
+                .map(|((view, rows), cols)| {
+                    gather_columns(cols, &indices(&rows[start..end], view.len()))
+                })
+                .collect();
+            // Flattened layout of `left ++ right`: all bg, all lb, all ub,
+            // then the multiplicity triple.
+            let mut out: Vec<ColumnVec> = Vec::with_capacity(flat.arity());
+            for part in 0..3 {
+                for ((view, _), cols) in sides.iter().zip(&gathered) {
+                    out.extend_from_slice(&cols[part * view.n..(part + 1) * view.n]);
+                }
+            }
+            let mults = &selection.mults[start..end];
+            out.extend(parts.map(|part| {
+                let clamped = mults
+                    .iter()
+                    .map(|m| i64::try_from(part(m)).unwrap_or(i64::MAX));
+                ColumnVec::Int(Arc::new(clamped.collect()))
+            }));
+            batches.push(ColumnBatch::new(
+                flat.clone(),
+                out,
+                Bitmap::filled(end - start, true),
+                ones(&full, end - start),
+            ));
+        }
+        BatchStream {
+            schema: flat,
+            batches,
+        }
     }
 
     /// `⟦γ⟧_AU`, triple-column-native: group keys, aggregate arguments
@@ -604,7 +764,7 @@ impl Driver<'_> {
                 out.push(row.clone());
             }
         }
-        Ok(from_relation(&out, self))
+        Ok(self.crossed_back(ls.num_rows() + rs.num_rows(), &out))
     }
 
     /// `⟦⋈⟧_AU` for `Plan::HashJoin`, triple-column-native — the columnar
@@ -802,6 +962,131 @@ impl Driver<'_> {
             rel.push(row);
         }
         from_relation(&rel, self)
+    }
+}
+
+/// One input of AU `−` / `⟕` as a [`RowView`] — how the shared bound rules
+/// read the vectorized engine's columns: the stream concatenated into one
+/// chunk (aliased point bounds stay aliased), its attribute triples as
+/// columns `0..n`, then any evaluated key triples. A cell's pin reads its
+/// column's [`point_mask`], built on first use (O(1) when the bounds alias
+/// `bg`); a range is assembled only when a bound rule asks for one.
+struct ChunkView {
+    chunk: ColumnBatch,
+    /// User arity.
+    n: usize,
+    /// Evaluated key triples `[bg, lb, ub]`: columns `n..`.
+    keys: Vec<[ColumnVec; 3]>,
+    /// Per column, its point rows.
+    points: Vec<OnceCell<Bitmap>>,
+    mults: Vec<MultBound>,
+}
+
+impl ChunkView {
+    /// `stream` (user schema `user`) with the (bound) key expressions
+    /// `keys` evaluated over it — typed where [`expr_triple`] is, a plain
+    /// reference being its column triple.
+    fn new<'e>(
+        stream: BatchStream,
+        user: &Schema,
+        keys: impl IntoIterator<Item = &'e Expr>,
+    ) -> Result<ChunkView, EngineError> {
+        let chunk = stream.into_single_chunk();
+        let n = user.arity();
+        let mut bgv = None;
+        let keys: Vec<[ColumnVec; 3]> = keys
+            .into_iter()
+            .map(|e| {
+                let bgv = bgv.get_or_insert_with(|| bg_view(&chunk, user));
+                expr_triple(&chunk, n, e, bgv).map(|(triple, _)| triple)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ChunkView {
+            points: (0..n + keys.len()).map(|_| OnceCell::new()).collect(),
+            mults: mult_bounds(&chunk, n).collect(),
+            chunk,
+            n,
+            keys,
+        })
+    }
+
+    /// Column `c`'s `(lb, bg, ub)`.
+    fn triple(&self, c: usize) -> (&ColumnVec, &ColumnVec, &ColumnVec) {
+        match c.checked_sub(self.n) {
+            Some(k) => {
+                let [bg, lb, ub] = &self.keys[k];
+                (lb, bg, ub)
+            }
+            None => (
+                self.chunk.column(self.n + c),
+                self.chunk.column(c),
+                self.chunk.column(2 * self.n + c),
+            ),
+        }
+    }
+
+    /// The attribute columns in flattened order `[bg*, lb*, ub*]`; with
+    /// `pad`, each one row longer — the encoded definite NULL, at row
+    /// `len()`. Columns that alias one buffer still do.
+    fn attributes(&self, pad: bool) -> Vec<ColumnVec> {
+        let columns = &self.chunk.columns()[..3 * self.n];
+        if !pad {
+            return columns.to_vec();
+        }
+        let (sentinel, null, _) = range_parts(&RangeValue::null());
+        let mut out: Vec<ColumnVec> = Vec::with_capacity(columns.len());
+        for (c, col) in columns.iter().enumerate() {
+            // A bg column pads with NULL, a bound column with the sentinel.
+            let is_bg = c < self.n;
+            let alias = (0..c).find(|&p| (p < self.n) == is_bg && columns[p].shares_buffer(col));
+            out.push(match alias {
+                Some(p) => out[p].clone(),
+                None => {
+                    let pad = ColumnVec::broadcast(if is_bg { &null } else { &sentinel }, 1);
+                    ColumnVec::concat(&[col, &pad])
+                }
+            });
+        }
+        out
+    }
+}
+
+impl RowView for ChunkView {
+    fn len(&self) -> usize {
+        self.chunk.len()
+    }
+
+    fn mult(&self, i: usize) -> MultBound {
+        self.mults[i]
+    }
+
+    fn bg(&self, i: usize, c: usize) -> Value {
+        self.triple(c).1.value(i)
+    }
+
+    fn pin(&self, i: usize, c: usize) -> Pin {
+        let (lb, bg, ub) = self.triple(c);
+        if self.points[c].get_or_init(|| point_mask(lb, bg, ub)).get(i) {
+            let nan = match bg {
+                ColumnVec::Float(v) => v[i].get().is_nan(),
+                ColumnVec::Mixed(v) => matches!(&v[i], Value::Float(f) if f.get().is_nan()),
+                _ => false,
+            };
+            if nan {
+                Pin::Nan
+            } else {
+                Pin::Point
+            }
+        } else if is_definite_null(lb, bg, ub, i) {
+            Pin::Null
+        } else {
+            Pin::Loose
+        }
+    }
+
+    fn range(&self, i: usize, c: usize) -> Cow<'_, RangeValue> {
+        let (lb, bg, ub) = self.triple(c);
+        Cow::Owned(range_from_parts(lb.value(i), bg.value(i), ub.value(i)))
     }
 }
 

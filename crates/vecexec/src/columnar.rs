@@ -317,23 +317,13 @@ impl ColumnBatch {
         self.columns.iter().map(|c| c.value(i)).collect()
     }
 
-    /// The rows at `idx` (labels and multiplicities ride along). Each
-    /// distinct buffer is gathered once and the result handed to every
-    /// column that aliases it, so an AU point column — bounds sharing the
-    /// `bg` buffer — is still one above a filter, at a third of the copies.
+    /// The rows at `idx` (labels and multiplicities ride along), the
+    /// columns through `gather_columns`.
     pub fn gather(&self, idx: &[u32]) -> ColumnBatch {
-        let mut columns: Vec<ColumnVec> = Vec::with_capacity(self.columns.len());
-        for (c, col) in self.columns.iter().enumerate() {
-            let alias = self.columns[..c].iter().position(|p| p.shares_buffer(col));
-            columns.push(match alias {
-                Some(first) => columns[first].clone(),
-                None => col.gather(idx),
-            });
-        }
         ColumnBatch {
             schema: self.schema.clone(),
             len: idx.len(),
-            columns,
+            columns: gather_columns(&self.columns, idx),
             labels: self.labels.gather(idx),
             mults: Arc::new(idx.iter().map(|&i| self.mults[i as usize]).collect()),
         }
@@ -347,6 +337,22 @@ impl ColumnBatch {
             ..self.clone()
         }
     }
+}
+
+/// The rows at `idx` of every column. Each distinct buffer is gathered
+/// once and the result handed to every column that aliases it, so an AU
+/// point column — bounds sharing the `bg` buffer — is still one after the
+/// gather, at a third of the copies.
+pub(crate) fn gather_columns(columns: &[ColumnVec], idx: &[u32]) -> Vec<ColumnVec> {
+    let mut out: Vec<ColumnVec> = Vec::with_capacity(columns.len());
+    for (c, col) in columns.iter().enumerate() {
+        let alias = columns[..c].iter().position(|p| p.shares_buffer(col));
+        out.push(match alias {
+            Some(first) => out[first].clone(),
+            None => col.gather(idx),
+        });
+    }
+    out
 }
 
 /// A schema-carrying sequence of batches (the unit operators consume and
@@ -377,19 +383,33 @@ impl BatchStream {
         }
     }
 
-    /// Concatenate all batches into one (the build side of a hash join).
+    /// Concatenate all batches into one (the build side of a hash join, an
+    /// input of AU `−` / `⟕`). A column that is an earlier column's buffer
+    /// in every batch — an AU point column's bounds — comes out as that
+    /// column's concatenation, so the chunk keeps the aliasing.
     pub fn into_single_chunk(self) -> ColumnBatch {
         if self.batches.len() == 1 {
             return self.batches.into_iter().next().expect("one batch");
         }
         let arity = self.schema.arity();
         let total: usize = self.batches.iter().map(|b| b.len()).sum();
-        let columns = (0..arity)
-            .map(|c| {
-                let parts: Vec<&ColumnVec> = self.batches.iter().map(|b| b.column(c)).collect();
-                ColumnVec::concat(&parts)
-            })
-            .collect();
+        let mut columns: Vec<ColumnVec> = Vec::with_capacity(arity);
+        for c in 0..arity {
+            let aliases = |p: &usize| {
+                !self.batches.is_empty()
+                    && self
+                        .batches
+                        .iter()
+                        .all(|b| b.column(c).shares_buffer(b.column(*p)))
+            };
+            columns.push(match (0..c).find(aliases) {
+                Some(p) => columns[p].clone(),
+                None => {
+                    let parts: Vec<&ColumnVec> = self.batches.iter().map(|b| b.column(c)).collect();
+                    ColumnVec::concat(&parts)
+                }
+            });
+        }
         let labels = Bitmap::concat(self.batches.iter().map(|b| b.labels()));
         let mut mults = Vec::with_capacity(total);
         for b in &self.batches {

@@ -228,6 +228,9 @@ pub(crate) struct Driver<'a> {
     /// Held until the driver drops, so states that coexist during
     /// execution stack in the query-wide memory high-water mark.
     mem: std::cell::RefCell<Vec<ua_obs::MemTracker>>,
+    /// AU rows the running source has sent across the stream ↔ relation
+    /// boundary ([`Driver::report_relation_rows`]), taken when it finishes.
+    relation_rows: std::cell::Cell<u64>,
     pub(crate) pool: rayon::ThreadPool,
 }
 
@@ -310,6 +313,7 @@ impl<'a> Driver<'a> {
             collect_stats: opts.collect_stats,
             collect_trace: opts.collect_trace,
             mem: std::cell::RefCell::new(Vec::new()),
+            relation_rows: std::cell::Cell::new(0),
             pool,
         }
     }
@@ -333,6 +337,13 @@ impl<'a> Driver<'a> {
         let mut t = ua_obs::MemTracker::new();
         t.alloc(bytes);
         self.mem.borrow_mut().push(t);
+    }
+
+    /// Put `rows` an AU binary operator sent across the stream ↔ relation
+    /// boundary on its stats node (`relation_rows`).
+    pub(crate) fn report_relation_rows(&self, rows: usize) {
+        self.relation_rows
+            .set(self.relation_rows.get() + rows as u64);
     }
 
     /// Where a query enters the driver. The `ua_c` marker is engine
@@ -708,18 +719,18 @@ impl<'a> Driver<'a> {
                 }
                 (ops::union_all(l, r)?, children)
             }
-            // Under AU, difference, outer join and the cross-family hash
-            // join route through the shared bound-combination operators in
-            // `ua_ranges::ops` (the single copy the row interpreter
-            // dispatches through `au_binary`), so the engines cannot
+            // Under AU, difference and outer join select through the shared
+            // bound rules of `ua_ranges::ops` (the row interpreter's own
+            // `except` / `outer_join` run them too), so the engines cannot
             // diverge on the `[lb, bg, ub]` arithmetic.
-            Plan::Except { left, right, .. } | Plan::OuterJoin { left, right, .. } if au => {
-                let (l, r, children) = self.inputs(left, right)?;
-                (self.au_binary(plan, &l, &r)?, children)
-            }
             Plan::Except { left, right, all } => {
                 let (l, r, children) = self.inputs(left, right)?;
-                (ops::except(l, r, *all)?, children)
+                let out = if au {
+                    self.au_except(l, r, *all)?
+                } else {
+                    ops::except(l, r, *all)?
+                };
+                (out, children)
             }
             Plan::OuterJoin {
                 left,
@@ -728,16 +739,13 @@ impl<'a> Driver<'a> {
                 kind,
             } => {
                 let (l, r, children) = self.inputs(left, right)?;
-                (
-                    ops::outer_join(
-                        l,
-                        r,
-                        predicate.as_ref(),
-                        *kind == ua_plan::plan::OuterKind::Left,
-                        Some(&self.pool),
-                    )?,
-                    children,
-                )
+                let left_kind = *kind == ua_plan::plan::OuterKind::Left;
+                let out = if au {
+                    self.au_outer_join(l, r, predicate.as_ref(), left_kind)?
+                } else {
+                    ops::outer_join(l, r, predicate.as_ref(), left_kind, Some(&self.pool))?
+                };
+                (out, children)
             }
             Plan::Sort { input, keys } | Plan::TopK { input, keys, .. } => {
                 let (stream, child) = self.input(input)?;
@@ -824,12 +832,15 @@ impl<'a> Driver<'a> {
         if let Some(bytes) = breaker_bytes {
             self.track_mem(bytes);
         }
+        // Inputs took their own crossings when they finished.
+        let relation_rows = self.relation_rows.take();
         let stats = timer.map(|timer| {
             // `timer` spans children too, so the elapsed time is already
             // cumulative — exactly the [`OperatorStats::wall_ns`] contract.
             let mut tally = StageTally {
                 wall_ns: timer.elapsed_ns(),
                 rowwise,
+                relation_rows,
                 ..StageTally::default()
             };
             tally.observe(&stream.batches, semantics);
@@ -875,6 +886,10 @@ impl<'a> Driver<'a> {
                     "Map" if tally.rowwise > 0 => node.push_extra("rowwise_rows", tally.rowwise),
                     "HashJoin" => node.push_extra("rowwise_pairs", tally.rowwise),
                     _ => {}
+                }
+                // Like a projection's row-wise rows, by exception.
+                if tally.relation_rows > 0 {
+                    node.push_extra("relation_rows", tally.relation_rows);
                 }
             }
         }
@@ -1017,6 +1032,8 @@ struct StageTally {
     /// AU: σ / π input rows and hash-⋈ candidate pairs that left the
     /// columnar kernels for the per-row range evaluator.
     rowwise: u64,
+    /// AU: rows a source sent across the stream ↔ relation boundary.
+    relation_rows: u64,
 }
 
 impl StageTally {
@@ -1045,6 +1062,7 @@ impl StageTally {
         self.width.merge(&other.width);
         self.mem_bytes += other.mem_bytes;
         self.rowwise += other.rowwise;
+        self.relation_rows += other.relation_rows;
     }
 }
 

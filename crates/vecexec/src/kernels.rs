@@ -44,6 +44,7 @@ use ua_data::expr::{ArithOp, CmpOp, Expr, ExprError, Truth};
 use ua_data::schema::Schema;
 use ua_data::value::{cmp_int_float, Value, F64};
 use ua_plan::EngineError;
+use ua_ranges::{range_parts, RangeValue};
 
 /// The result of vectorized scalar evaluation.
 pub enum Evaluated {
@@ -952,6 +953,45 @@ fn range_cmp_masks(op: CmpOp, a: &Native, b: &Native, len: usize) -> Option<(Bit
     }
 }
 
+/// Whether row `i` of a stored `[lb, bg, ub]` triple is the encoded
+/// definite NULL: a `NULL` selected guess between the two bound sentinels
+/// `ua_ranges::range_parts` writes for one.
+pub(crate) fn is_definite_null(lb: &ColumnVec, bg: &ColumnVec, ub: &ColumnVec, i: usize) -> bool {
+    if !matches!(bg, ColumnVec::Mixed(b) if b[i] == Value::Null) {
+        return false;
+    }
+    let (sentinel, _, _) = range_parts(&RangeValue::null());
+    lb.value(i) == sentinel && ub.value(i) == sentinel
+}
+
+/// `truth_range`'s `IS NULL` rule over one stored triple, row by row: a
+/// definite NULL is NULL in every world (`(1, 0)`), a top range may or may
+/// not ground to NULL (`(1, 1)`), and any other range never does
+/// (`(0, 1)`). A stream's triples are canonical, so a top range is an
+/// unknown `bg` or two unknown (`∓∞`) bounds; three dense typed columns hold
+/// no unknown at all, and are `(0, 1)` on every row.
+fn is_null_masks(lb: &ColumnVec, bg: &ColumnVec, ub: &ColumnVec) -> (Bitmap, Bitmap) {
+    let len = bg.len();
+    let mut t = Bitmap::filled(len, false);
+    let mut f = Bitmap::filled(len, true);
+    let unknown =
+        |col: &ColumnVec, i: usize| matches!(col, ColumnVec::Mixed(v) if v[i].is_unknown());
+    if [lb, bg, ub]
+        .iter()
+        .any(|c| matches!(c, ColumnVec::Mixed(_)))
+    {
+        for i in 0..len {
+            if is_definite_null(lb, bg, ub, i) {
+                t.set(i, true);
+                f.set(i, false);
+            } else if unknown(bg, i) || (unknown(lb, i) && unknown(ub, i)) {
+                t.set(i, true);
+            }
+        }
+    }
+    (t, f)
+}
+
 /// The typed three-valued kernel of `⟦σ⟧_AU`: evaluate a (bound) predicate
 /// over an AU batch's `[bg | lb | ub]` triple columns (user arity `n`)
 /// into `(possibly true, possibly false)` bitmaps — bit for bit
@@ -960,12 +1000,13 @@ fn range_cmp_masks(op: CmpOp, a: &Native, b: &Native, len: usize) -> Option<(Bit
 /// comparisons, `BETWEEN` and literal `IN` lists whose operands are
 /// kernel-native ([`eval_triple`]'s shapes: references to dense same-typed
 /// `Int`/`Float`/`Str` triples, known literals of those types, `+`/`−`/`×`
-/// over the numeric ones). Such operands are never top, so every leaf's
-/// *unknown* flag is identically false and the Kleene connectives lift to
-/// word-wide bitmap ops; a row is certainly true iff it is possibly true
-/// and not possibly false. `None` for every other shape (and for a NaN
-/// met by a coercing Int/Float comparison): the caller takes the per-row
-/// `truth_range` path.
+/// over the numeric ones), and `IS NULL` over a stored column of any
+/// representation (`is_null_masks`). No leaf is ever *unknown* — such
+/// operands are never top, and `IS NULL` is never unknown — so the Kleene
+/// connectives lift to word-wide bitmap ops; a row is certainly true iff
+/// it is possibly true and not possibly false. `None` for every other
+/// shape (and for a NaN met by a coercing Int/Float comparison): the
+/// caller takes the per-row `truth_range` path.
 pub fn range_truth_masks(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<(Bitmap, Bitmap)> {
     let len = batch.len();
     // Each operand evaluates once, however many leaves compare it.
@@ -987,6 +1028,14 @@ pub fn range_truth_masks(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<(
             Some((t, f))
         }
         Expr::Not(a) => range_truth_masks(a, batch, n).map(|(t, f)| (f, t)),
+        Expr::IsNull(a) => match **a {
+            Expr::Col(c) if c < n => Some(is_null_masks(
+                batch.column(n + c),
+                batch.column(c),
+                batch.column(2 * n + c),
+            )),
+            _ => None,
+        },
         Expr::Between(e, lo, hi) => {
             let e = operand(e)?;
             let (mut t, mut f) = range_cmp_masks(CmpOp::Ge, &e, &operand(lo)?, len)?;

@@ -1293,6 +1293,171 @@ fn au_hash_joins_match_the_row_operator_over_ranged_keys() {
     }
 }
 
+/// AU `−` and `⟕` over uncertain keys: the column-native operators select
+/// through the row engine's own bound rules, so every stream must
+/// materialize to `execute_au` + `au_table` byte for byte — `EXCEPT` and
+/// `EXCEPT ALL` over whole rows and over the repeating key columns alone
+/// (duplicates for the protectors), `LEFT` / `RIGHT JOIN` on plain,
+/// composite and computed equi-keys, with a residual, under `NOT IN`'s
+/// null-aware predicate and keyless, and the `NOT IN` anti-join shape
+/// (`IS NULL` over the padded flag) — over point / ranged / top /
+/// definite-NULL keys, NaN and `−0.0`, `Int`-vs-`Float` equal points,
+/// cross-family sides, `lb = 0` / `bg = 0` multiplicities and empty sides.
+/// At threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024} every parallel
+/// stream is the serial one, and a query the row engine rejects fails on
+/// every run.
+#[test]
+fn au_except_and_outer_joins_match_the_row_operators_over_ranged_keys() {
+    use ua_data::algebra::null_aware_eq;
+    use ua_engine::plan::OuterKind;
+    use Domain::{Float, Int, Str};
+    use Keys::{Points, Ranged};
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    let key_columns = |t: &str| {
+        Box::new(Plan::Map {
+            input: scan(t),
+            columns: vec![ProjColumn::named("k"), ProjColumn::named("k2")],
+        })
+    };
+    let col = Expr::named;
+    let predicates: Vec<(&str, Option<Expr>)> = vec![
+        ("plain", Some(col("l.k").eq(col("r.k")))),
+        (
+            "composite",
+            Some(col("l.k").eq(col("r.k")).and(col("l.k2").eq(col("r.k2")))),
+        ),
+        (
+            "computed",
+            Some(
+                col("l.k")
+                    .add(Expr::lit(1i64))
+                    .eq(col("r.k").add(col("r.k2"))),
+            ),
+        ),
+        (
+            "residual",
+            Some(col("l.k").eq(col("r.k")).and(col("l.v").lt(col("r.v")))),
+        ),
+        ("not in", Some(null_aware_eq(col("l.k"), col("r.k")))),
+        ("keyless", None),
+    ];
+    let mut plans: Vec<(String, Plan)> = Vec::new();
+    for all in [false, true] {
+        plans.push((
+            format!("except all={all}"),
+            Plan::Except {
+                left: scan("l"),
+                right: scan("r"),
+                all,
+            },
+        ));
+        plans.push((
+            format!("except keys all={all}"),
+            Plan::Except {
+                left: key_columns("l"),
+                right: key_columns("r"),
+                all,
+            },
+        ));
+    }
+    for (name, predicate) in &predicates {
+        for kind in [OuterKind::Left, OuterKind::Right] {
+            plans.push((
+                format!("{kind:?} join {name}"),
+                Plan::OuterJoin {
+                    left: scan("l"),
+                    right: scan("r"),
+                    predicate: predicate.clone(),
+                    kind,
+                },
+            ));
+        }
+    }
+    plans.push((
+        "not in anti-join".into(),
+        Plan::Map {
+            input: Box::new(Plan::Filter {
+                input: Box::new(Plan::OuterJoin {
+                    left: scan("l"),
+                    right: Box::new(Plan::Map {
+                        input: scan("r"),
+                        columns: vec![
+                            ProjColumn::expr(col("k"), "__in"),
+                            ProjColumn::expr(Expr::lit(1i64), "__anti"),
+                        ],
+                    }),
+                    predicate: Some(null_aware_eq(col("l.k"), col("__in"))),
+                    kind: OuterKind::Left,
+                }),
+                predicate: Expr::IsNull(Box::new(col("__anti"))),
+            }),
+            columns: vec![
+                ProjColumn::expr(col("l.k"), "k"),
+                ProjColumn::expr(col("l.v"), "v"),
+            ],
+        },
+    ));
+
+    // (name, left rows/keys/domain, right rows/keys/domain)
+    #[allow(clippy::type_complexity)]
+    let sides: Vec<(&str, (usize, Keys, Domain), (usize, Keys, Domain))> = vec![
+        ("points", (40, Points, Int), (30, Points, Int)),
+        ("ranged", (40, Ranged, Int), (30, Ranged, Int)),
+        ("floats", (40, Ranged, Float), (30, Points, Float)),
+        ("int vs float", (40, Ranged, Int), (30, Ranged, Float)),
+        ("strings", (30, Ranged, Str), (20, Ranged, Str)),
+        ("cross family", (20, Ranged, Int), (15, Points, Str)),
+        ("empty left", (0, Points, Int), (20, Ranged, Int)),
+        ("empty right", (20, Ranged, Int), (0, Points, Int)),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x2E6A_7105);
+    for (side, (ln, lkeys, ldom), (rn, rkeys, rdom)) in sides {
+        let catalog = Catalog::new();
+        let l = au_side(&mut rng, "l", ln, lkeys, ldom);
+        let r = au_side(&mut rng, "r", rn, rkeys, rdom);
+        catalog.register("l", ua_engine::au_table(&l));
+        catalog.register("r", ua_engine::au_table(&r));
+        for (name, plan) in &plans {
+            let context = format!("`{name}` over {side}");
+            let row = ua_engine::execute_au(plan, &catalog).map(|rel| ua_engine::au_table(&rel));
+            // Only `k + 1` over string keys is a type error; a preserved
+            // side that has rows keeps some of them.
+            assert!(
+                row.is_ok() || name.contains("computed"),
+                "{context}: {row:?}"
+            );
+            if name.starts_with("Left") && ln > 0 || name.starts_with("Right") && rn > 0 {
+                assert!(row.as_ref().map_or(true, |t| !t.is_empty()), "{context}");
+            }
+            for batch_rows in [1usize, 7, 64, 1024] {
+                let serial = stream(plan, &catalog, opts(1, batch_rows), Semantics::Au);
+                match (&row, &serial) {
+                    (Ok(row), Ok(serial)) => assert_tables_identical(
+                        row,
+                        &table_from_batches(serial),
+                        &format!("{context} batch={batch_rows}"),
+                    ),
+                    (Err(_), Err(_)) => {}
+                    (row, serial) => panic!(
+                        "{context} batch={batch_rows}: row {:?} vs vectorized {:?}",
+                        row.as_ref().map(Table::len),
+                        serial.as_ref().map(BatchStream::num_rows)
+                    ),
+                }
+                for threads in [2usize, 4, 8] {
+                    let parallel = stream(plan, &catalog, opts(threads, batch_rows), Semantics::Au);
+                    let ctx = format!("{context} batch={batch_rows} threads={threads}");
+                    match (&serial, &parallel) {
+                        (Ok(s), Ok(p)) => assert_streams_byte_identical(s, p, &ctx),
+                        (Err(s), Err(p)) => assert_eq!(s.to_string(), p.to_string(), "{ctx}"),
+                        _ => panic!("{ctx}: serial and parallel disagree on success"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Computed AU projections and computed predicate operands — the shapes the
 /// typed `[lb, bg, ub]` expression kernel evaluates (`+ − ×`, nested,
 /// `Int × Float`, a literal on either side) and the shapes it declines

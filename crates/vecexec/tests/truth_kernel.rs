@@ -226,4 +226,37 @@ proptest! {
             }
         }
     }
+
+    /// `IS [NOT] NULL` over any stored column is a native leaf — the dense
+    /// triples, and the hostile column's definite NULLs, top ranges and
+    /// half-bounded ranges alike — alone or combined with the generated
+    /// predicates, and it is `truth_range` bit for bit.
+    #[test]
+    fn is_null_leaves_equal_truth_range(
+        rows in arb_rows(),
+        pred in arb_predicate(),
+        column in 0usize..COLS.len(),
+        negate in 0u32..2,
+        shape in 0u32..3,
+    ) {
+        let batch = batch_of(&rows);
+        let mut leaf = Expr::IsNull(Box::new(Expr::Col(column)));
+        if negate == 1 {
+            leaf = leaf.not();
+        }
+        prop_assert!(range_truth_masks(&leaf, &batch, COLS.len()).is_some(), "{leaf}");
+        let pred = match shape {
+            0 => leaf,
+            1 => leaf.and(pred),
+            _ => pred.or(leaf),
+        };
+        if let Some((possibly_true, possibly_false)) = range_truth_masks(&pred, &batch, COLS.len()) {
+            for (i, ranges) in rows.iter().enumerate() {
+                let rt = truth_range(&pred, ranges);
+                prop_assert!(!rt.u, "row {i} of {pred}: the kernel assumes no unknown");
+                prop_assert_eq!(possibly_true.get(i), rt.t, "row {} t of {}", i, &pred);
+                prop_assert_eq!(possibly_false.get(i), rt.f, "row {} f of {}", i, &pred);
+            }
+        }
+    }
 }

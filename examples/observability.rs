@@ -82,9 +82,36 @@ fn main() {
     });
     println!("as JSON: {}\n", stats.to_json());
 
-    // 3. The global registry: planner est-vs-actual feedback (fed by every
-    //    instrumented join) and the AU vectorized fallback audit.
+    // 3. An AU `NOT IN` on the vectorized engine: its outer join selects
+    //    straight off the column chunks, so the `OuterJoin` line carries no
+    //    `relation_rows` (rows sent across the stream ↔ relation boundary),
+    //    and the anti-join's `IS NULL` filter reports `rowwise_rows=0`.
+    //    `items` carries a tuple probability `p`, so `IS TI` reads it as a
+    //    tuple-independent source with uncertain rows.
+    session.register_table(
+        "items",
+        Table::from_rows(
+            Schema::qualified("items", ["id", "grp", "p"]),
+            (0..60i64)
+                .map(|i| tuple![i, i % 6, if i % 5 == 0 { 0.5 } else { 1.0 }])
+                .collect(),
+        ),
+    );
     session.set_exec_mode(ExecMode::Vectorized);
+    println!("──── EXPLAIN ANALYZE AU NOT IN (Vectorized) ────");
+    println!(
+        "{}\n",
+        session
+            .explain_analyze_au(
+                "SELECT i.id FROM items IS TI WITH PROBABILITY (p) i WHERE i.grp NOT IN \
+                 (SELECT j.grp FROM items IS TI WITH PROBABILITY (p) j WHERE j.id > 55)"
+            )
+            .expect("analyze AU NOT IN")
+    );
+
+    // 4. The global registry: planner est-vs-actual feedback (fed by every
+    //    instrumented join), the AU vectorized fallback audit and
+    //    `au.vec.relation_rows`.
     session
         .query_au(
             "SELECT x.region, count(*) AS n FROM \
