@@ -240,11 +240,12 @@ fn au_vectorized_fallback_counters_stay_zero() {
 /// operator that sent rows across): not AU `−` or `⟕` — no node of an
 /// `EXCEPT`, `EXCEPT ALL`, `LEFT` / `RIGHT JOIN`, `NOT IN` or `NOT EXISTS`
 /// carries the extra, and the anti-join filter `NOT IN` / `NOT EXISTS`
-/// lower to runs in the σ kernel (`rowwise_rows = 0`). A `GROUP BY` still
-/// does: γ's output re-batches through a relation, so the counter moves.
-/// The registry is process-wide and this file's other tests run AU
-/// `GROUP BY`s concurrently, so the zero side is read per query off its
-/// stats tree and only the non-zero side off the counter.
+/// lower to runs in the σ kernel (`rowwise_rows = 0`). A keyless `⋈` still
+/// does: both inputs convert to relations, so the counter moves. The
+/// registry is process-wide and this file's other tests run AU joins
+/// concurrently, so the zero side is read per query off its stats tree and
+/// only the non-zero side off the counter (γ and δ's zero side is
+/// `relation_boundary.rs`, a process of its own).
 #[test]
 fn au_negation_no_longer_crosses_the_relation_boundary() {
     let s = seeded_session();
@@ -284,10 +285,13 @@ fn au_negation_no_longer_crosses_the_relation_boundary() {
 
     let crossed = || ua_obs::global().counter("au.vec.relation_rows").get();
     let before = crossed();
-    s.query_au(AU_SQL).expect("au group by");
+    s.query_au(&format!(
+        "SELECT x.v, y.v AS w FROM {x}, {y} WHERE x.v < y.g"
+    ))
+    .expect("au keyless join");
     assert!(
-        crossed() >= before + 5,
-        "γ's five output groups still cross the relation boundary"
+        crossed() >= before + 400,
+        "a keyless ⋈'s two 200-row inputs still cross the relation boundary"
     );
 }
 

@@ -18,9 +18,10 @@
 //!   the pointwise product, then the predicate refines like σ.
 //! * **∪** — rows concatenate (annotations add by standing next to each
 //!   other, as in the bag engine).
-//! * **δ (DISTINCT)** — rows merge by selected-guess tuple; ranges hull,
-//!   `lb/bg` cap at 1, `ub` sums (each merged copy may ground to a
-//!   distinct value and survive deduplication on its own).
+//! * **δ (DISTINCT)** — see [`distinct_cols`]: rows merge by
+//!   selected-guess tuple; ranges hull, `lb/bg` cap at 1, `ub` sums (each
+//!   merged copy may ground to a distinct value and survive deduplication
+//!   on its own). Written once beside γ, over the same column-major input.
 //! * **− / ⟕ (EXCEPT, outer joins, `NOT IN`)** — see [`except`] and
 //!   [`outer_join`]. Their bound rules quantify over *pairs* of rows, but
 //!   only pairs that can possibly match move any bound, so both take
@@ -34,6 +35,11 @@
 //!   the distinct selected-guess keys; every input tuple whose key range
 //!   intersects a group's key hull contributes to that group's aggregate
 //!   bounds, certainly-present point-key members to its lower bounds.
+//!
+//! γ and δ run over column-major input ([`AggCols`]) and return a
+//! column-major result ([`AuCols`]), so a columnar executor hands its dense
+//! triples in and writes the output columns out without a [`RangeValue`]
+//! per cell; the row engine wraps both ([`aggregate`], [`distinct`]).
 
 use crate::eval::{eval_range, truth_range, RangeTruth};
 use crate::mult::MultBound;
@@ -41,12 +47,14 @@ use crate::relation::{encode_row, AuRelation, AuTuple};
 use crate::value::{range_cmp, Bound, RangeValue};
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use ua_data::algebra::{candidate_keys, merge_ascending, JoinKeys};
 use ua_data::expr::{Expr, ExprError, Truth};
 use ua_data::schema::{Column, Schema, SchemaError};
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
-use ua_data::{FxHashMap, FxHashSet};
+use ua_data::{FxHashMap, FxHashSet, FxHasher};
 use ua_semiring::Semiring;
 
 /// σ_θ: keep possibly-true rows, refining each multiplicity component.
@@ -667,52 +675,6 @@ pub fn union(left: &AuRelation, right: &AuRelation) -> Result<AuRelation, Schema
     Ok(out)
 }
 
-/// δ: duplicate elimination. Rows merge by selected-guess tuple in
-/// first-seen order; each output tuple's ranges hull the merged rows'. A
-/// merged row set certainly yields at least one distinct tuple when any
-/// member is certainly present, exactly one in the SG world when any
-/// member is SG-present, and at most the *sum* of member upper bounds
-/// (every copy may ground to a distinct value that survives
-/// deduplication).
-pub fn distinct(rel: &AuRelation) -> AuRelation {
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut merged: FxHashMap<Tuple, AuTuple> = FxHashMap::default();
-    for row in rel.rows() {
-        let key = row.bg_tuple();
-        match merged.get_mut(&key) {
-            Some(acc) => {
-                for (a, r) in acc.values.iter_mut().zip(&row.values) {
-                    *a = a.hull(r);
-                }
-                acc.mult = MultBound::new(
-                    acc.mult.lb.max(u64::from(row.mult.lb >= 1)),
-                    acc.mult.bg.max(u64::from(row.mult.bg >= 1)),
-                    acc.mult.ub.saturating_add(row.mult.ub),
-                );
-            }
-            None => {
-                order.push(key.clone());
-                merged.insert(
-                    key,
-                    AuTuple {
-                        values: row.values.clone(),
-                        mult: MultBound::new(
-                            u64::from(row.mult.lb >= 1),
-                            u64::from(row.mult.bg >= 1),
-                            row.mult.ub,
-                        ),
-                    },
-                );
-            }
-        }
-    }
-    let mut out = AuRelation::new(rel.schema().clone());
-    for key in order {
-        out.push(merged.remove(&key).expect("recorded"));
-    }
-    out
-}
-
 /// An aggregate function kind (mirrors the engine's `AggFunc`; kept local
 /// so the bound combination lives below the engine in the crate graph).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -782,6 +744,27 @@ impl BgAgg {
                 is_min: false,
             },
             AggKind::Avg => BgAgg::Avg { total: 0.0, n: 0 },
+        }
+    }
+
+    /// [`BgAgg::update`] over a dense argument: the same arithmetic, read
+    /// straight off the scalar (a dense value is known and numeric).
+    fn update_dense<T: DenseVal>(&mut self, x: T, mult: u64) {
+        match self {
+            BgAgg::Sum {
+                total,
+                saw_int_only,
+                any,
+            } => {
+                *total += x.to_f64() * mult as f64;
+                *any = true;
+                *saw_int_only &= !T::FLOAT;
+            }
+            BgAgg::Avg { total, n } => {
+                *total += x.to_f64() * mult as f64;
+                *n += mult;
+            }
+            BgAgg::Count(_) | BgAgg::MinMax { .. } => self.update(Some(&x.to_value()), mult),
         }
     }
 
@@ -1188,18 +1171,21 @@ fn agg_bounds<'a>(
     }
 }
 
-/// One aggregation-input column as a flattened `lb/bg/ub` triple — the
-/// columnar twin of a `Vec<RangeValue>`.
+/// One aggregation-input (or γ / δ output) column as a flattened
+/// `lb/bg/ub` triple — the columnar twin of a `Vec<RangeValue>`.
 ///
 /// The dense variants are the triple-column-native fast path: a columnar
 /// executor that already holds an attribute as three same-typed vectors
 /// (the AU flattened layout) passes the slices straight through, and the
-/// bound combination runs typed kernels over them instead of folding
-/// per-row `RangeValue`s. **Invariant**: dense triples must be canonical —
-/// element-wise `lb ≤ bg ≤ ub` under the domain order (which for same-typed
-/// `i64`/[`F64`] columns is the native `Ord`). Non-canonical, mixed-type,
-/// nullable or computed columns go through [`TripleCol::Rows`], the exact
-/// per-row representation.
+/// grouping, hulls and bound combination run typed kernels over them
+/// instead of folding per-row `RangeValue`s. **Invariant**: dense triples
+/// must be canonical — element-wise `lb ≤ bg ≤ ub` under the domain order
+/// (which for same-typed `i64`/[`F64`] columns is the native `Ord`).
+/// Non-canonical, mixed-type, nullable or computed columns go through
+/// [`TripleCol::Rows`], the exact per-row representation. Outputs keep the
+/// invariant: an [`AuCols`] column is dense exactly when its ranges are
+/// finite triples of one type.
+#[derive(Clone, Debug, PartialEq)]
 pub enum TripleCol {
     /// A dense all-integer triple (canonical).
     Int {
@@ -1231,11 +1217,59 @@ impl TripleCol {
             TripleCol::Rows(rows) => ColView::Rows(rows),
         }
     }
+
+    /// Row `i` as a range.
+    fn range(&self, i: usize) -> RangeValue {
+        self.view().range_at(i)
+    }
+
+    /// An output column of `ranges` ([`AuCols`]' representation): dense
+    /// when there are some and every one is a finite triple of one type,
+    /// per row otherwise.
+    fn of_ranges(ranges: Vec<RangeValue>) -> TripleCol {
+        /// The ranges' `lb/bg/ub` vectors when all are finite triples of `T`.
+        fn dense<T: DenseVal>(ranges: &[RangeValue]) -> Option<[Vec<T>; 3]> {
+            let mut cols = [0, 1, 2].map(|_| Vec::with_capacity(ranges.len()));
+            for r in ranges {
+                for (col, x) in cols.iter_mut().zip(finite::<T>(r)?) {
+                    col.push(x);
+                }
+            }
+            Some(cols)
+        }
+        if ranges.is_empty() {
+            TripleCol::Rows(ranges)
+        } else if let Some([lb, bg, ub]) = dense::<i64>(&ranges) {
+            TripleCol::Int { lb, bg, ub }
+        } else if let Some([lb, bg, ub]) = dense::<F64>(&ranges) {
+            TripleCol::Float { lb, bg, ub }
+        } else {
+            TripleCol::Rows(ranges)
+        }
+    }
+}
+
+/// The range of a canonical dense triple.
+fn dense_range<T: DenseVal>(l: T, b: T, u: T) -> RangeValue {
+    RangeValue::new(
+        Bound::Val(l.to_value()),
+        b.to_value(),
+        Bound::Val(u.to_value()),
+    )
+}
+
+/// `r` as a dense triple of `T`: finite bounds and a selected guess, all
+/// of type `T` (which makes it canonical — ranges are normalized).
+fn finite<T: DenseVal>(r: &RangeValue) -> Option<[T; 3]> {
+    match (r.lb(), r.ub()) {
+        (Bound::Val(l), Bound::Val(u)) => Some([T::of(l)?, T::of(&r.bg)?, T::of(u)?]),
+        _ => None,
+    }
 }
 
 /// Borrowed view of one aggregation-input column; what [`aggregate_cols`]
-/// actually runs over, so row-backed and dense [`TripleCol`]s share the
-/// whole grouping + bound combination.
+/// and [`distinct_cols`] actually run over, so row-backed and dense
+/// [`TripleCol`]s share the whole grouping, hulls and bound combination.
 #[derive(Clone, Copy)]
 enum ColView<'a> {
     Int {
@@ -1272,38 +1306,147 @@ impl<'a> ColView<'a> {
         }
     }
 
-    /// Row `i` materialized as a range (used off the hot member loops:
-    /// hull folding and intersection tests; alloc-free for dense scalars).
+    /// Row `i` materialized as a range (off the hot loops: the generic
+    /// intersection test and output demotion; alloc-free for dense scalars).
     fn range_at(&self, i: usize) -> RangeValue {
         match self {
-            ColView::Int { lb, bg, ub } => RangeValue::new(
-                Bound::Val(Value::Int(lb[i])),
-                Value::Int(bg[i]),
-                Bound::Val(Value::Int(ub[i])),
-            ),
-            ColView::Float { lb, bg, ub } => RangeValue::new(
-                Bound::Val(Value::Float(lb[i])),
-                Value::Float(bg[i]),
-                Bound::Val(Value::Float(ub[i])),
-            ),
+            ColView::Int { lb, bg, ub } => dense_range(lb[i], bg[i], ub[i]),
+            ColView::Float { lb, bg, ub } => dense_range(lb[i], bg[i], ub[i]),
             ColView::Rows(rows) => rows[i].clone(),
         }
     }
 
-    /// `range_cmp(bg_i, v) == Equal` without cloning row-backed guesses.
-    fn bg_eq(&self, i: usize, v: &Value) -> bool {
+    /// Whether rows `i` and `j` hold the same selected guess under
+    /// `Value`'s structural equality (`1` and `1.0` differ) — how γ and δ
+    /// tell groups apart.
+    fn same_bg(&self, i: usize, j: usize) -> bool {
         match self {
-            ColView::Int { bg, .. } => range_cmp(&Value::Int(bg[i]), v) == Ordering::Equal,
-            ColView::Float { bg, .. } => range_cmp(&Value::Float(bg[i]), v) == Ordering::Equal,
-            ColView::Rows(rows) => range_cmp(&rows[i].bg, v) == Ordering::Equal,
+            ColView::Int { bg, .. } => bg[i] == bg[j],
+            ColView::Float { bg, .. } => bg[i] == bg[j],
+            ColView::Rows(rows) => rows[i].bg == rows[j].bg,
         }
     }
 
-    /// Whether row `i`'s range intersects `h`.
-    fn intersects_at(&self, i: usize, h: &RangeValue) -> bool {
+    /// Feed row `i`'s selected guess to `h`, consistently with
+    /// [`ColView::same_bg`].
+    fn hash_bg(&self, i: usize, h: &mut FxHasher) {
         match self {
-            ColView::Rows(rows) => rows[i].intersects(h),
-            _ => self.range_at(i).intersects(h),
+            ColView::Int { bg, .. } => h.write_i64(bg[i]),
+            ColView::Float { bg, .. } => bg[i].hash(h),
+            ColView::Rows(rows) => rows[i].bg.hash(h),
+        }
+    }
+
+    /// `range_cmp(bg_i, bg_j) == Equal`, typed for dense triples (the
+    /// native equality of same-typed scalars is the domain order's).
+    fn bg_eq(&self, i: usize, j: usize) -> bool {
+        match self {
+            ColView::Int { bg, .. } => bg[i] == bg[j],
+            ColView::Float { bg, .. } => bg[i] == bg[j],
+            ColView::Rows(rows) => range_cmp(&rows[i].bg, &rows[j].bg) == Ordering::Equal,
+        }
+    }
+
+    /// Every row's selected guess when all are `Int`s — the one-`Int`-key
+    /// fast path of the grouping.
+    fn int_bgs(&self) -> Option<Cow<'a, [i64]>> {
+        match *self {
+            ColView::Int { bg, .. } => Some(Cow::Borrowed(bg)),
+            ColView::Float { .. } => None,
+            ColView::Rows(rows) => rows
+                .iter()
+                .map(|r| match r.bg {
+                    Value::Int(k) => Some(k),
+                    _ => None,
+                })
+                .collect::<Option<Vec<i64>>>()
+                .map(Cow::Owned),
+        }
+    }
+
+    /// Whether the selected guesses mix `Int`s and `Float`s — the only way
+    /// two structurally different keys share a coercion-normalized one
+    /// (`join_key` turns integral floats into ints and fixes the rest).
+    fn mixes_numeric(&self) -> bool {
+        match self {
+            ColView::Rows(rows) => {
+                rows.iter().any(|r| matches!(r.bg, Value::Int(_)))
+                    && rows.iter().any(|r| matches!(r.bg, Value::Float(_)))
+            }
+            _ => false,
+        }
+    }
+
+    /// The hull of rows `members` (non-empty, the first holding the group's
+    /// key): what folding [`RangeValue::hull`] from the first member gives
+    /// — `min lb` / `max ub` around the key, typed over a dense triple.
+    /// `points`: every member is a point, so the hull is the key itself.
+    fn hull(&self, members: &[usize], points: bool) -> Hull {
+        fn typed<T: DenseVal>(
+            lb: &[T],
+            bg: &[T],
+            ub: &[T],
+            rows: &[usize],
+            points: bool,
+        ) -> [T; 3] {
+            let key = bg[rows[0]];
+            if points {
+                return [key, key, key];
+            }
+            let lo = rows.iter().map(|&i| lb[i]).min().unwrap_or(key);
+            let hi = rows.iter().map(|&i| ub[i]).max().unwrap_or(key);
+            [lo, key, hi]
+        }
+        match *self {
+            ColView::Int { lb, bg, ub } => Hull::Int(typed(lb, bg, ub, members, points)),
+            ColView::Float { lb, bg, ub } => Hull::Float(typed(lb, bg, ub, members, points)),
+            ColView::Rows(rows) => {
+                let mut hull = rows[members[0]].clone();
+                if !points {
+                    for &i in &members[1..] {
+                        hull = hull.hull(&rows[i]);
+                    }
+                }
+                Hull::Range(hull)
+            }
+        }
+    }
+
+    /// Whether row `i`'s range intersects `h`: two comparisons when the
+    /// hull's bounds have the column's own type, [`RangeValue::intersects`]
+    /// otherwise.
+    fn intersects(&self, i: usize, h: &Hull) -> bool {
+        match (self, h) {
+            (ColView::Int { lb, ub, .. }, Hull::Int([l, _, u])) => lb[i] <= *u && *l <= ub[i],
+            (ColView::Float { lb, ub, .. }, Hull::Float([l, _, u])) => lb[i] <= *u && *l <= ub[i],
+            (ColView::Rows(rows), Hull::Range(h)) => rows[i].intersects(h),
+            _ => self.range_at(i).intersects(&h.range()),
+        }
+    }
+}
+
+/// A group's key hull in one key column: a typed triple over a dense
+/// column, a range over a row-backed one.
+enum Hull {
+    Int([i64; 3]),
+    Float([F64; 3]),
+    Range(RangeValue),
+}
+
+impl Hull {
+    fn is_point(&self) -> bool {
+        match self {
+            Hull::Int([l, b, u]) => l == b && b == u,
+            Hull::Float([l, b, u]) => l == b && b == u,
+            Hull::Range(r) => r.is_point(),
+        }
+    }
+
+    fn range(&self) -> RangeValue {
+        match *self {
+            Hull::Int([l, b, u]) => dense_range(l, b, u),
+            Hull::Float([l, b, u]) => dense_range(l, b, u),
+            Hull::Range(ref r) => r.clone(),
         }
     }
 }
@@ -1312,25 +1455,152 @@ impl<'a> ColView<'a> {
 /// order for same-typed comparisons), numeric, and convertible back into a
 /// [`Value`] for the output bounds.
 trait DenseVal: Copy + Ord {
+    /// Whether this is the float type (a selected-guess SUM over it is a
+    /// float).
+    const FLOAT: bool;
     fn to_value(self) -> Value;
     fn to_f64(self) -> f64;
+    /// `v` as this type, when it is one.
+    fn of(v: &Value) -> Option<Self>;
 }
 
 impl DenseVal for i64 {
+    const FLOAT: bool = false;
     fn to_value(self) -> Value {
         Value::Int(self)
     }
     fn to_f64(self) -> f64 {
         self as f64
     }
+    fn of(v: &Value) -> Option<i64> {
+        match v {
+            Value::Int(x) => Some(*x),
+            _ => None,
+        }
+    }
 }
 
 impl DenseVal for F64 {
+    const FLOAT: bool = true;
     fn to_value(self) -> Value {
         Value::Float(self)
     }
     fn to_f64(self) -> f64 {
         self.get()
+    }
+    fn of(v: &Value) -> Option<F64> {
+        match v {
+            Value::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+}
+
+/// Rows partitioned by selected-guess key tuple under `Value`'s
+/// structural equality (`1` and `1.0` are two keys), groups in first-seen
+/// order, each group's rows ascending.
+struct Groups {
+    /// The rows, group by group: group `g` is `rows[starts[g]..starts[g + 1]]`.
+    rows: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl Groups {
+    /// Group `n_rows` rows by their selected guesses in `keys`: one `Int`
+    /// key hashes its `i64`s; any other key tuple hashes column-wise and a
+    /// hash hit is checked against the group's first row, so no row builds
+    /// a tuple.
+    fn of(keys: &[ColView], n_rows: usize) -> Groups {
+        let (group_of, n_groups) = match keys {
+            [] => (vec![0; n_rows], usize::from(n_rows > 0)),
+            [key] => match key.int_bgs() {
+                Some(ints) => Groups::by_int(&ints),
+                None => Groups::by_hash(keys, n_rows),
+            },
+            _ => Groups::by_hash(keys, n_rows),
+        };
+        // Counting sort by group: rows stay ascending within each group.
+        let mut starts = vec![0usize; n_groups + 1];
+        for &g in &group_of {
+            starts[g + 1] += 1;
+        }
+        for g in 0..n_groups {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0; n_rows];
+        for (i, &g) in group_of.iter().enumerate() {
+            rows[next[g]] = i;
+            next[g] += 1;
+        }
+        Groups { rows, starts }
+    }
+
+    /// One group with no rows — global aggregation over an empty input.
+    fn one_empty() -> Groups {
+        Groups {
+            rows: Vec::new(),
+            starts: vec![0, 0],
+        }
+    }
+
+    /// Per row its group, and the number of groups, for one `Int` key.
+    fn by_int(keys: &[i64]) -> (Vec<usize>, usize) {
+        let mut index: FxHashMap<i64, usize> = FxHashMap::default();
+        let group_of = keys
+            .iter()
+            .map(|&k| {
+                let next = index.len();
+                *index.entry(k).or_insert(next)
+            })
+            .collect();
+        (group_of, index.len())
+    }
+
+    /// Per row its group, and the number of groups, for any key tuple:
+    /// groups whose keys share a hash are chained, and a row joins the
+    /// first one whose first row holds its key.
+    fn by_hash(keys: &[ColView], n_rows: usize) -> (Vec<usize>, usize) {
+        const END: usize = usize::MAX;
+        let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut firsts: Vec<usize> = Vec::new();
+        // Per group, the next group in its hash chain.
+        let mut chain: Vec<usize> = Vec::new();
+        let mut group_of = Vec::with_capacity(n_rows);
+        for i in 0..n_rows {
+            let mut h = FxHasher::default();
+            for c in keys {
+                c.hash_bg(i, &mut h);
+            }
+            let new = firsts.len();
+            let g = match heads.entry(h.finish()) {
+                Entry::Vacant(e) => *e.insert(new),
+                Entry::Occupied(e) => {
+                    let mut g = *e.get();
+                    loop {
+                        if keys.iter().all(|c| c.same_bg(i, firsts[g])) {
+                            break g;
+                        }
+                        if chain[g] == END {
+                            chain[g] = new;
+                            break new;
+                        }
+                        g = chain[g];
+                    }
+                }
+            };
+            if g == new {
+                firsts.push(i);
+                chain.push(END);
+            }
+            group_of.push(g);
+        }
+        (group_of, firsts.len())
+    }
+
+    /// Each group's rows, in group order.
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.starts.windows(2).map(|w| &self.rows[w[0]..w[1]])
     }
 }
 
@@ -1506,14 +1776,16 @@ fn agg_bounds_dense<T: DenseVal>(
 
 /// Pre-evaluated, column-major aggregation input: every group-key and
 /// aggregate-argument range for every row, plus the row multiplicities.
-/// Each column is a [`TripleCol`]: [`aggregate`] fills [`TripleCol::Rows`]
-/// from an [`AuRelation`]; a columnar executor that evaluated the
-/// expressions batch-at-a-time hands over dense `lb/bg/ub` vectors, which
-/// flow straight into the typed kernel arms of the bound combination — no
-/// per-row [`RangeValue`] gathering. Both feed [`aggregate_cols`], so the
-/// bound combination has exactly one implementation.
+/// Each column is a [`TripleCol`]: [`aggregate`] and [`distinct`] fill
+/// [`TripleCol::Rows`] from an [`AuRelation`]; a columnar executor that
+/// evaluated the expressions batch-at-a-time hands over dense `lb/bg/ub`
+/// vectors, which flow straight into the typed grouping, hulls and bound
+/// combination — no per-row [`RangeValue`] gathering. Both feed
+/// [`aggregate_cols`] and [`distinct_cols`], so each bound rule has
+/// exactly one implementation.
 pub struct AggCols {
-    /// Group-key triples, one per key expression.
+    /// Group-key triples, one per key expression (for δ: one per
+    /// attribute).
     pub keys: Vec<TripleCol>,
     /// Aggregate-argument triples, one optional entry per aggregate
     /// (`None` for `COUNT(*)`).
@@ -1522,13 +1794,49 @@ pub struct AggCols {
     pub mults: Vec<MultBound>,
 }
 
+/// A γ / δ result, column-major: one [`TripleCol`] per output attribute
+/// and the multiplicity triples. A column is dense when it has rows and
+/// every one is a finite triple of one type (`Int` or `Float`, canonical
+/// like every range), [`TripleCol::Rows`] otherwise — its representation
+/// is a function of its ranges, whatever the input's was.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AuCols {
+    /// The output attributes.
+    pub cols: Vec<TripleCol>,
+    /// Per output row, its multiplicity triple.
+    pub mults: Vec<MultBound>,
+}
+
+impl AuCols {
+    /// The result with output attributes `cols`, one range per row each.
+    fn of(cols: Vec<Vec<RangeValue>>, mults: Vec<MultBound>) -> AuCols {
+        AuCols {
+            cols: cols.into_iter().map(TripleCol::of_ranges).collect(),
+            mults,
+        }
+    }
+
+    /// The result as a relation over `schema` — how the row engine
+    /// materialises γ and δ.
+    fn to_relation(&self, schema: Schema) -> AuRelation {
+        let mut out = AuRelation::new(schema);
+        for (i, &mult) in self.mults.iter().enumerate() {
+            out.push(AuTuple {
+                values: self.cols.iter().map(|c| c.range(i)).collect(),
+                mult,
+            });
+        }
+        out
+    }
+}
+
 /// γ over pre-evaluated input: the grouping + bound combination of
 /// [`aggregate`] without expression evaluation — typed kernels where a
 /// column is a dense triple, the per-row fold where it is not. `kinds`
-/// gives one aggregate function per `input.args` entry; `schema` is the
-/// output schema (key columns then aggregate columns). Grouped iff
-/// `input.keys` is non-empty.
-pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuRelation {
+/// gives one aggregate function per `input.args` entry; the output holds
+/// the key columns, then the aggregate columns. Grouped iff `input.keys`
+/// is non-empty.
+pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind]) -> AuCols {
     let keys: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
     let args: Vec<Option<ColView>> = input
         .args
@@ -1536,9 +1844,8 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuR
         .map(|c| c.as_ref().map(TripleCol::view))
         .collect();
     let mults = &input.mults;
-    let n_keys = keys.len();
     let n_rows = mults.len();
-    let grouped = n_keys > 0;
+    let grouped = !keys.is_empty();
 
     // Pre-classify each tuple once: whether all its key ranges are points
     // (the common certain case) and, per row-backed aggregate column, its
@@ -1555,179 +1862,107 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuR
             _ => None,
         })
         .collect();
+    let ranged: Vec<usize> = (0..n_rows).filter(|&i| !key_points[i]).collect();
 
-    // Partition by selected-guess key, first-seen order; bucket point-keyed
-    // tuples by coercion-normalized key so point-hull groups find their
-    // possible members by lookup instead of rescanning the whole input per
-    // group (O(N) instead of O(groups × N)). Single all-integer keys (the
-    // common GROUP BY shape) partition through an i64 map — one integer
-    // hash per row instead of a tuple-of-values hash — and only the final
-    // per-group handful of keys materializes as tuples.
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut groups: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
-    let mut point_buckets: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
-    let mut ranged: Vec<usize> = Vec::new();
-    let int_fast = n_keys == 1
-        && match keys[0] {
-            ColView::Int { .. } => true,
-            ColView::Rows(rows) => rows.iter().all(|r| matches!(r.bg, Value::Int(_))),
-            ColView::Float { .. } => false,
-        };
-    if int_fast {
-        let int_key = |i: usize| -> i64 {
-            match keys[0] {
-                ColView::Int { bg, .. } => bg[i],
-                ColView::Rows(rows) => match rows[i].bg {
-                    Value::Int(k) => k,
-                    _ => unreachable!("int fast path checked"),
-                },
-                ColView::Float { .. } => unreachable!("int fast path checked"),
-            }
-        };
-        struct IntSlot {
-            members: Vec<usize>,
-            points: Vec<usize>,
-        }
-        let mut slots: FxHashMap<i64, IntSlot> = FxHashMap::default();
-        let mut int_order: Vec<i64> = Vec::new();
-        for (i, &point) in key_points.iter().enumerate() {
-            let k = int_key(i);
-            let slot = slots.entry(k).or_insert_with(|| {
-                int_order.push(k);
-                IntSlot {
-                    members: Vec::new(),
-                    points: Vec::new(),
-                }
-            });
-            slot.members.push(i);
-            if point {
-                slot.points.push(i);
-            } else {
-                ranged.push(i);
-            }
-        }
-        // `join_key` is the identity on Int, so the raw and normalized
-        // keys coincide and both maps share the slot's index lists.
-        for k in int_order {
-            let slot = slots.remove(&k).expect("slot recorded");
-            let key = Tuple::new(vec![Value::Int(k)]);
-            order.push(key.clone());
-            point_buckets.insert(key.clone(), slot.points);
-            groups.insert(key, slot.members);
-        }
-    } else {
-        for (i, &point) in key_points.iter().enumerate() {
-            let key: Tuple = keys.iter().map(|c| c.bg_at(i)).collect();
-            if point {
-                let norm: Tuple = key.values().iter().map(|v| v.clone().join_key()).collect();
-                point_buckets.entry(norm).or_default().push(i);
-            } else {
-                ranged.push(i);
-            }
-            groups
-                .entry(key.clone())
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(i);
-        }
-    }
+    let mut groups = Groups::of(&keys, n_rows);
     // Global aggregation over an empty input still yields one row.
-    if !grouped && order.is_empty() {
-        order.push(Tuple::empty());
-        groups.insert(Tuple::empty(), Vec::new());
+    if !grouped && n_rows == 0 {
+        groups = Groups::one_empty();
     }
-    let normalize =
-        |key: &Tuple| -> Tuple { key.values().iter().map(|v| v.clone().join_key()).collect() };
+    // A point-hull group finds its point-keyed possible members by lookup
+    // instead of rescanning the input: they are the point-keyed rows whose
+    // coercion-normalized key equals the group's. That is the group's own
+    // point members unless some key column mixes `Int` and `Float`
+    // guesses (`1` and `1.0` are two groups but one normalized key); only
+    // then are the rows bucketed by normalized key.
+    let shared: Option<(Vec<usize>, Vec<Vec<usize>>)> =
+        keys.iter().any(ColView::mixes_numeric).then(|| {
+            let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
+            let bucket_of: Vec<usize> = groups
+                .iter()
+                .map(|rows| {
+                    let norm: Tuple = keys.iter().map(|c| c.bg_at(rows[0]).join_key()).collect();
+                    let next = index.len();
+                    *index.entry(norm).or_insert(next)
+                })
+                .collect();
+            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); index.len()];
+            for (rows, &b) in groups.iter().zip(&bucket_of) {
+                buckets[b].extend(rows.iter().copied().filter(|&i| key_points[i]));
+            }
+            for bucket in &mut buckets {
+                bucket.sort_unstable();
+            }
+            (bucket_of, buckets)
+        });
 
-    let mut out = AuRelation::new(schema);
-
-    for key in order {
-        let member_idx = groups.remove(&key).expect("group recorded");
+    let mut cols: Vec<Vec<RangeValue>> = vec![Vec::new(); keys.len() + kinds.len()];
+    let mut out_mults: Vec<MultBound> = Vec::new();
+    for (g, member_idx) in groups.iter().enumerate() {
         // Key hulls over the group's own (selected-guess) members. When
         // every member is point-keyed the hull is the shared point — no
         // per-member hull folding.
         let all_member_points = member_idx.iter().all(|&i| key_points[i]);
-        let hulls: Vec<RangeValue> = (0..n_keys)
-            .map(|k| {
-                let mut hull = keys[k]
-                    .range_at(member_idx[0])
-                    .with_bg(key.get(k).expect("key arity").clone());
-                if !all_member_points {
-                    for &i in &member_idx[1..] {
-                        hull = hull.hull(&keys[k].range_at(i));
-                    }
-                }
-                hull
-            })
+        let hulls: Vec<Hull> = keys
+            .iter()
+            .map(|c| c.hull(member_idx, all_member_points))
             .collect();
         // Possible members: every tuple whose key ranges intersect the
         // hulls (a grounding may land any of them in a covered world
         // group). Always a superset of the selected-guess members. When
         // the hull is a single point, point-keyed tuples intersect it iff
-        // their (coercion-normalized) key equals the group key — a bucket
-        // lookup; only range-keyed tuples need the intersection test.
-        // Non-point hulls (the uncertain-key minority) fall back to the
-        // full scan.
-        let case_a = hulls.iter().all(RangeValue::is_point);
-        let intersects_hulls =
-            |i: usize| keys.iter().zip(&hulls).all(|(c, h)| c.intersects_at(i, h));
-        let possible: Vec<usize> = if case_a {
-            let mut candidates: Vec<usize> = point_buckets
-                .get(&normalize(&key))
-                .cloned()
-                .unwrap_or_default();
-            // Bucket members are recorded in input order; the sort is
-            // only needed once range-keyed candidates interleave.
-            let n_bucket = candidates.len();
-            candidates.extend(ranged.iter().copied().filter(|&i| intersects_hulls(i)));
-            if candidates.len() > n_bucket {
+        // their (coercion-normalized) key equals the group key — the
+        // bucket; only range-keyed tuples need the intersection test, and
+        // the bucket is borrowed when none of them joins. Non-point hulls
+        // (the uncertain-key minority) scan the whole input.
+        let case_a = hulls.iter().all(Hull::is_point);
+        let intersects_hulls = |i: usize| keys.iter().zip(&hulls).all(|(c, h)| c.intersects(i, h));
+        let possible: Cow<[usize]> = if case_a {
+            let bucket: Cow<[usize]> = match &shared {
+                Some((bucket_of, buckets)) => Cow::Borrowed(&buckets[bucket_of[g]]),
+                None if all_member_points => Cow::Borrowed(member_idx),
+                None => member_idx
+                    .iter()
+                    .copied()
+                    .filter(|&i| key_points[i])
+                    .collect(),
+            };
+            let joining: Vec<usize> = ranged
+                .iter()
+                .copied()
+                .filter(|&i| intersects_hulls(i))
+                .collect();
+            if joining.is_empty() {
+                bucket
+            } else {
+                let mut candidates = bucket.into_owned();
+                candidates.extend(joining);
                 candidates.sort_unstable();
+                Cow::Owned(candidates)
             }
-            candidates
         } else {
             (0..n_rows).filter(|&i| intersects_hulls(i)).collect()
         };
         // One certainty flag per possible member, shared by every
-        // aggregate's bound computation and the group's multiplicity.
+        // aggregate's bound computation and the group's multiplicity: the
+        // member's guesses equal the group key's (its first member's).
         let certain_flags: Vec<bool> = possible
             .iter()
             .map(|&i| {
-                mults[i].lb >= 1
-                    && key_points[i]
-                    && keys.iter().zip(key.values()).all(|(c, v)| c.bg_eq(i, v))
+                mults[i].lb >= 1 && key_points[i] && keys.iter().all(|c| c.bg_eq(i, member_idx[0]))
             })
             .collect();
-        // Selected-guess values: ordinary aggregation over the SG members
-        // (those whose selected-guess multiplicity materializes the row).
-        let mut in_sg_any = false;
-        let mut bg_states: Vec<BgAgg> = kinds.iter().map(|&k| BgAgg::new(k)).collect();
-        for &i in &member_idx {
-            if mults[i].bg < 1 {
-                continue;
-            }
-            in_sg_any = true;
-            for (s, argcol) in bg_states.iter_mut().zip(&args) {
-                match argcol {
-                    Some(ColView::Int { bg, .. }) => {
-                        s.update(Some(&Value::Int(bg[i])), mults[i].bg)
-                    }
-                    Some(ColView::Float { bg, .. }) => {
-                        s.update(Some(&Value::Float(bg[i])), mults[i].bg)
-                    }
-                    Some(ColView::Rows(rows)) => s.update(Some(&rows[i].bg), mults[i].bg),
-                    None => s.update(None, mults[i].bg),
-                }
-            }
-        }
+        let in_sg_any = member_idx.iter().any(|&i| mults[i].bg >= 1);
 
+        for (col, hull) in cols.iter_mut().zip(&hulls) {
+            col.push(hull.range());
+        }
         // Bounds per aggregate over the possible members — a lazy,
         // cloneable view over the shared index/flag vectors (borrowed arg
         // ranges and precomputed classes; nothing clones or allocates per
         // aggregate).
-        let mut values: Vec<RangeValue> = hulls;
-        for (a_idx, (&kind, state)) in kinds.iter().zip(bg_states).enumerate() {
+        let agg_cols = cols[keys.len()..].iter_mut();
+        for (a_idx, (&kind, col)) in kinds.iter().zip(agg_cols).enumerate() {
             let (lb, ub) = match args[a_idx] {
                 Some(ColView::Int { lb, ub, .. }) => agg_bounds_dense(
                     kind,
@@ -1776,7 +2011,8 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuR
                     agg_bounds(kind, members, grouped, case_a)
                 }
             };
-            values.push(RangeValue::new(lb, state.finish(), ub));
+            let bg = sg_value(kind, args[a_idx], member_idx, mults);
+            col.push(RangeValue::new(lb, bg, ub));
         }
 
         let certainly_materializes = !grouped || certain_flags.iter().any(|&c| c);
@@ -1789,16 +2025,29 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind], schema: Schema) -> AuR
         } else {
             1
         };
-        out.push(AuTuple {
-            values,
-            mult: MultBound::new(
-                u64::from(certainly_materializes),
-                u64::from(in_sg),
-                ub.max(u64::from(in_sg)).max(1),
-            ),
-        });
+        out_mults.push(MultBound::new(
+            u64::from(certainly_materializes),
+            u64::from(in_sg),
+            ub.max(u64::from(in_sg)).max(1),
+        ));
     }
-    out
+    AuCols::of(cols, out_mults)
+}
+
+/// The selected-guess value of one aggregate over a group: ordinary
+/// aggregation over the members whose selected-guess multiplicity
+/// materializes the row, in member order — dense arguments read straight
+/// off their slices.
+fn sg_value(kind: AggKind, arg: Option<ColView>, members: &[usize], mults: &[MultBound]) -> Value {
+    let mut state = BgAgg::new(kind);
+    let sg = members.iter().copied().filter(|&i| mults[i].bg >= 1);
+    match arg {
+        Some(ColView::Int { bg, .. }) => sg.for_each(|i| state.update_dense(bg[i], mults[i].bg)),
+        Some(ColView::Float { bg, .. }) => sg.for_each(|i| state.update_dense(bg[i], mults[i].bg)),
+        Some(ColView::Rows(rows)) => sg.for_each(|i| state.update(Some(&rows[i].bg), mults[i].bg)),
+        None => sg.for_each(|i| state.update(None, mults[i].bg)),
+    }
+    state.finish()
 }
 
 /// γ: grouping + aggregation with sound attribute-level bounds.
@@ -1853,7 +2102,50 @@ pub fn aggregate(
     let kinds: Vec<AggKind> = aggregates.iter().map(|a| a.kind).collect();
     let mut columns: Vec<Column> = group_by.iter().map(|(_, c)| c.clone()).collect();
     columns.extend(aggregates.iter().map(|a| a.column.clone()));
-    Ok(aggregate_cols(&input, &kinds, Schema::new(columns)))
+    Ok(aggregate_cols(&input, &kinds).to_relation(Schema::new(columns)))
+}
+
+/// δ over column-major input: every `input.keys` column is an attribute
+/// (`input.args` is ignored). Rows merge by selected-guess tuple — γ's
+/// grouping, so `1` and `1.0` stay apart — in first-seen order; each
+/// output tuple's attributes hull the merged rows' (typed over dense
+/// columns). A merged row set certainly yields at least one distinct tuple
+/// when any member is certainly present, exactly one in the SG world when
+/// any member is SG-present, and at most the *sum* of member upper bounds
+/// (every copy may ground to a distinct value that survives
+/// deduplication).
+pub fn distinct_cols(input: &AggCols) -> AuCols {
+    let views: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
+    let mults = &input.mults;
+    let mut cols: Vec<Vec<RangeValue>> = vec![Vec::new(); views.len()];
+    let mut out_mults: Vec<MultBound> = Vec::new();
+    for members in Groups::of(&views, mults.len()).iter() {
+        for (c, col) in views.iter().zip(&mut cols) {
+            col.push(c.hull(members, false).range());
+        }
+        out_mults.push(MultBound::new(
+            u64::from(members.iter().any(|&i| mults[i].lb >= 1)),
+            u64::from(members.iter().any(|&i| mults[i].bg >= 1)),
+            members
+                .iter()
+                .map(|&i| mults[i].ub)
+                .fold(0, u64::saturating_add),
+        ));
+    }
+    AuCols::of(cols, out_mults)
+}
+
+/// δ: duplicate elimination — [`distinct_cols`] over the relation's
+/// attributes as per-row ranges.
+pub fn distinct(rel: &AuRelation) -> AuRelation {
+    let input = AggCols {
+        keys: (0..rel.schema().arity())
+            .map(|c| TripleCol::Rows(rel.rows().iter().map(|r| r.values[c].clone()).collect()))
+            .collect(),
+        args: Vec::new(),
+        mults: rel.rows().iter().map(|r| r.mult).collect(),
+    };
+    distinct_cols(&input).to_relation(rel.schema().clone())
 }
 
 /// Sort rows by selected-guess keys (outermost first, per-key direction)
@@ -2468,6 +2760,8 @@ impl<'p> PairEval<'p> {
     }
 }
 
+#[cfg(test)]
+mod dense_equivalence;
 #[cfg(test)]
 mod pruning_equivalence;
 

@@ -57,13 +57,20 @@
 //!   positive multiplicities); only chunks that fail it pay the row-wise
 //!   `decode_row`/`encode_row` normalization — pay-as-you-go, and the
 //!   first malformed row reports exactly like the row engine's scan.
-//! * **γ** — aggregation prepares its inputs *columnar*: group keys and
-//!   aggregate arguments assemble per column (stored triples for plain
-//!   references, typed-kernel selected guesses re-anchoring interval
-//!   evaluation for computed expressions) into an `AggCols` of
-//!   `TripleCol`s, then the single shared bound combination
-//!   `ua_ranges::ops::aggregate_cols` (with its integer-key fast path)
-//!   folds the groups. No row tuples, no decode round trip.
+//! * **γ, δ** — column-native in and out (`Driver::{au_aggregate,
+//!   au_distinct}`). Group keys and aggregate arguments — for δ, every
+//!   attribute as a key — assemble per column into an `AggCols` of
+//!   `TripleCol`s (`agg_input`: stored dense triples copy their slices,
+//!   other columns and computed expressions become per-row ranges, the
+//!   latter re-anchoring interval evaluation on typed-kernel selected
+//!   guesses). The row engine's own `ua_ranges::ops::{aggregate_cols,
+//!   distinct_cols}` group, hull and bound them — typed over dense
+//!   triples: `i64` keys, column-wise key hashing, `min lb` / `max ub`
+//!   hulls, two-comparison intersections — and return a column-major
+//!   `AuCols`, which `Driver::write_cols` writes straight into flattened
+//!   batches: dense columns copy their slices, per-row ones encode, each
+//!   slice in the representation the encoded rows would convert into. No
+//!   row tuples, no relation.
 //! * **⋈ (hash)** — triple-column-native (`Driver::au_hash_join`). The
 //!   build side's *point* keys (`lb = bg = ub`, checked columnar; NaN
 //!   excluded) go into the deterministic engine's hash index
@@ -94,18 +101,14 @@
 //!   under which triple; the driver gathers that selection out of the
 //!   chunks (`Driver::gather_selection`). Nothing crosses into an
 //!   `AuRelation`.
-//! * **⋈ (keyless), cross-family ⋈** — cross the stream ↔ relation
-//!   boundary (one pair of functions, `to_relation` / `from_relation`:
-//!   columns convert straight into range rows, no tuple encoding, no
-//!   re-validation — the stream is canonical by construction) and feed the
-//!   shared `ua_ranges::ops::{join, hash_join}`; keyless / non-equi joins
-//!   run block-nested-loop on the pool. The rows crossing are counted
-//!   (`au.vec.relation_rows`, and a `relation_rows` extra on the
-//!   operator's stats node), as are those γ's and δ's outputs re-batch
-//!   through `from_relation`.
-//! * **δ (distinct)** — rows merge by selected-guess tuple straight off
-//!   the bg columns in first-seen scan order, hulling attribute ranges
-//!   and combining multiplicities exactly as `ua_ranges::ops::distinct`.
+//! * **⋈ (keyless), cross-family ⋈** — the only operators that cross the
+//!   stream ↔ relation boundary (one pair of functions, `to_relation` /
+//!   `from_relation`: columns convert straight into range rows, no tuple
+//!   encoding, no re-validation — the stream is canonical by construction)
+//!   and feed the shared `ua_ranges::ops::{join, hash_join}`; keyless /
+//!   non-equi joins run block-nested-loop on the pool. The rows crossing,
+//!   both ways, are counted (`au.vec.relation_rows`, and a `relation_rows`
+//!   extra on the operator's stats node).
 //!
 //! No operator falls back to the row engine's materialize-and-dispatch
 //! path: every `au.vec.fallback.*` counter stays pinned at zero
@@ -128,23 +131,24 @@ use crate::kernels::{
 use crate::ops::{build_index, probe_index, JoinIndex};
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::Arc;
 use ua_data::algebra::{candidate_keys, JoinKeys, ProjColumn};
 use ua_data::expr::Expr;
 use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
-use ua_data::FxHashMap;
 use ua_plan::plan::{AggExpr, Plan};
 use ua_plan::storage::Table;
 use ua_plan::EngineError;
 use ua_ranges::ops::{
-    except_select, key_family, outer_join_select, refine_pair_mult, Pin, RowView, Selection,
+    distinct_cols, except_select, key_family, outer_join_select, refine_pair_mult, Pin, RowView,
+    Selection,
 };
 use ua_ranges::relation::AuTuple;
 use ua_ranges::{
     approx_range, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
-    reanchor, truth_range, AggCols, AggKind, AuRelation, MultBound, RangeValue, TripleCol,
+    reanchor, truth_range, AggCols, AggKind, AuCols, AuRelation, MultBound, RangeValue, TripleCol,
     WidthSummary,
 };
 
@@ -174,24 +178,13 @@ fn to_relation(user: &Schema, batches: &[ColumnBatch]) -> AuRelation {
     rel
 }
 
-/// Relation → stream, the other boundary function: a shared-operator
-/// result (already canonical — operator outputs normalize through the
-/// `RangeValue` / `MultBound` constructors) re-batches through its
-/// flattened table, chunk-parallel on the query's pool. Counts its rows in
-/// `au.vec.relation_rows`; callers of [`to_relation`] count theirs.
+/// Relation → stream, the other boundary function, reached only from
+/// [`Driver::crossed_back`]: a shared-operator result (already canonical —
+/// operator outputs normalize through the `RangeValue` / `MultBound`
+/// constructors) re-batches through its flattened table, chunk-parallel on
+/// the query's pool.
 fn from_relation(rel: &AuRelation, driver: &Driver) -> BatchStream {
-    count_relation_rows(rel.rows().len());
     batches_from_table_pooled(&ua_plan::au_table(rel), driver.batch_rows, &driver.pool)
-}
-
-/// Count AU rows crossing the stream ↔ relation boundary in
-/// `au.vec.relation_rows`. γ crosses on every query, so the handle is
-/// looked up once.
-fn count_relation_rows(rows: usize) {
-    static COUNTER: OnceLock<ua_obs::Counter> = OnceLock::new();
-    COUNTER
-        .get_or_init(|| ua_obs::global().counter("au.vec.relation_rows"))
-        .add(rows as u64);
 }
 
 /// The batch's selected-guess view: the first `n` columns under the user
@@ -535,8 +528,11 @@ impl Driver<'_> {
     /// rows across the relation boundary, re-batched: both crossings count
     /// in `au.vec.relation_rows` and on the operator's stats node.
     fn crossed_back(&self, inputs: usize, out: &AuRelation) -> BatchStream {
-        count_relation_rows(inputs);
-        self.report_relation_rows(inputs + out.rows().len());
+        let rows = inputs + out.rows().len();
+        ua_obs::global()
+            .counter("au.vec.relation_rows")
+            .add(rows as u64);
+        self.report_relation_rows(rows);
         from_relation(out, self)
     }
 
@@ -591,14 +587,12 @@ impl Driver<'_> {
         Ok(self.gather_selection(flattened_schema(&user), &selection, &left, Some(&right)))
     }
 
-    /// Gather a [`Selection`] out of its inputs' chunks, in `batch_rows`
-    /// slices — the batch boundaries the re-batched relation had. Each
-    /// side's attribute columns go through [`gather_columns`], so a buffer
-    /// several columns alias is gathered once; a side some row pads is its
-    /// chunk plus one appended definite-NULL row (the trick the
-    /// deterministic `ops::outer_join` plays), built only then; and the
-    /// multiplicity columns are written once, from the selected triples
-    /// (clamped to `i64` as the row encoding clamps them).
+    /// Gather a [`Selection`] out of its inputs' chunks
+    /// ([`Driver::write_batches`]). Each side's attribute columns go
+    /// through [`gather_columns`], so a buffer several columns alias is
+    /// gathered once; a side some row pads is its chunk plus one appended
+    /// definite-NULL row (the trick the deterministic `ops::outer_join`
+    /// plays), built only then.
     fn gather_selection(
         &self,
         flat: Schema,
@@ -618,42 +612,78 @@ impl Driver<'_> {
             .iter()
             .map(|(view, rows)| view.attributes(rows.contains(&None)))
             .collect();
-        let parts: [fn(&MultBound) -> u64; 3] = [|m| m.lb, |m| m.bg, |m| m.ub];
-        let step = self.batch_rows.max(1);
-        let total = selection.len();
-        let full = Arc::new(vec![1u64; step.min(total)]);
-        let mut batches = Vec::with_capacity(total.div_ceil(step));
-        for start in (0..total).step_by(step) {
-            let end = (start + step).min(total);
+        let width = flat.arity() - 3;
+        self.write_batches(flat, &selection.mults, |slice| {
             let gathered: Vec<Vec<ColumnVec>> = sides
                 .iter()
                 .zip(&columns)
                 .map(|((view, rows), cols)| {
-                    gather_columns(cols, &indices(&rows[start..end], view.len()))
+                    gather_columns(cols, &indices(&rows[slice.clone()], view.len()))
                 })
                 .collect();
-            // Flattened layout of `left ++ right`: all bg, all lb, all ub,
-            // then the multiplicity triple.
-            let mut out: Vec<ColumnVec> = Vec::with_capacity(flat.arity());
+            // Flattened layout of `left ++ right`: all bg, all lb, all ub.
+            let mut out: Vec<ColumnVec> = Vec::with_capacity(width);
             for part in 0..3 {
                 for ((view, _), cols) in sides.iter().zip(&gathered) {
                     out.extend_from_slice(&cols[part * view.n..(part + 1) * view.n]);
                 }
             }
-            let mults = &selection.mults[start..end];
-            out.extend(parts.map(|part| {
-                let clamped = mults
-                    .iter()
-                    .map(|m| i64::try_from(part(m)).unwrap_or(i64::MAX));
-                ColumnVec::Int(Arc::new(clamped.collect()))
-            }));
-            batches.push(ColumnBatch::new(
-                flat.clone(),
-                out,
-                Bitmap::filled(end - start, true),
-                ones(&full, end - start),
-            ));
-        }
+            out
+        })
+    }
+
+    /// A γ / δ result written straight into flattened batches over
+    /// `user`'s flattened schema ([`Driver::write_batches`]), no relation
+    /// in between: per slice, each column's `[bg, lb, ub]` comes out of
+    /// [`triple_slice`].
+    fn write_cols(&self, user: &Schema, out: &AuCols) -> BatchStream {
+        self.write_batches(flattened_schema(user), &out.mults, |slice| {
+            let triples: Vec<[ColumnVec; 3]> = out
+                .cols
+                .iter()
+                .map(|col| triple_slice(col, slice.clone()))
+                .collect();
+            (0..3)
+                .flat_map(|part| triples.iter().map(move |t| t[part].clone()))
+                .collect()
+        })
+    }
+
+    /// Lay `mults.len()` output rows out in `batch_rows` slices — the batch
+    /// boundaries a re-batched relation has: `attributes(slice)` writes a
+    /// slice's attribute columns in flattened order, and the multiplicity
+    /// columns are written once, from the triples (clamped to `i64` as the
+    /// row encoding clamps them).
+    fn write_batches(
+        &self,
+        flat: Schema,
+        mults: &[MultBound],
+        mut attributes: impl FnMut(Range<usize>) -> Vec<ColumnVec>,
+    ) -> BatchStream {
+        let parts: [fn(&MultBound) -> u64; 3] = [|m| m.lb, |m| m.bg, |m| m.ub];
+        let step = self.batch_rows.max(1);
+        let total = mults.len();
+        let full = Arc::new(vec![1u64; step.min(total)]);
+        let batches = (0..total)
+            .step_by(step)
+            .map(|start| {
+                let slice = start..(start + step).min(total);
+                let len = slice.len();
+                let mut columns = attributes(slice.clone());
+                columns.extend(parts.map(|part| {
+                    let clamped = mults[slice.clone()]
+                        .iter()
+                        .map(|m| i64::try_from(part(m)).unwrap_or(i64::MAX));
+                    ColumnVec::Int(Arc::new(clamped.collect()))
+                }));
+                ColumnBatch::new(
+                    flat.clone(),
+                    columns,
+                    Bitmap::filled(len, true),
+                    ones(&full, len),
+                )
+            })
+            .collect();
         BatchStream {
             schema: flat,
             batches,
@@ -662,13 +692,13 @@ impl Driver<'_> {
 
     /// `⟦γ⟧_AU`, triple-column-native: group keys, aggregate arguments
     /// and multiplicity triples assemble columnar into the shared
-    /// [`AggCols`] — plain references over dense same-typed triples copy
-    /// the `lb/bg/ub` slices straight off the canonical chunks (no
-    /// per-row [`RangeValue`] gathering), everything else evaluates per
-    /// row via [`expr_ranges`] — and the single workspace bound
-    /// combination (`ua_ranges::ops::aggregate_cols`, typed kernels over
-    /// the dense triples, integer-key fast path included) folds the
-    /// groups. Keys evaluate before arguments, like the row engine.
+    /// [`AggCols`] ([`agg_input`]: plain references over dense same-typed
+    /// triples copy the `lb/bg/ub` slices straight off the canonical
+    /// chunks, everything else evaluates per row via [`expr_ranges`]), the
+    /// single workspace bound combination (`ua_ranges::ops::aggregate_cols`
+    /// — typed grouping, hulls, intersections and bounds over the dense
+    /// triples) folds the groups, and its column-major result is written
+    /// out as batches ([`Driver::write_cols`]).
     pub(crate) fn au_aggregate(
         &self,
         stream: &BatchStream,
@@ -686,45 +716,15 @@ impl Driver<'_> {
             .map(|a| a.arg.as_ref().map(|e| e.bind(&user)).transpose())
             .collect::<Result<_, _>>()
             .map_err(EngineError::Expr)?;
-        let n = user.arity();
-        let n_rows: usize = stream.batches.iter().map(|b| b.len()).sum();
-        let mut input = AggCols {
-            keys: bound_keys
-                .iter()
-                .map(|e| empty_triple(&stream.batches, n, e, n_rows))
-                .collect(),
-            args: bound_args
-                .iter()
-                .map(|e| {
-                    e.as_ref()
-                        .map(|e| empty_triple(&stream.batches, n, e, n_rows))
-                })
-                .collect(),
-            mults: Vec::with_capacity(n_rows),
-        };
-        for batch in &stream.batches {
-            if batch.is_empty() {
-                continue;
-            }
-            let bgv = bg_view(batch, &user);
-            for (e, col) in bound_keys.iter().zip(&mut input.keys) {
-                fill_triple(batch, n, e, &bgv, col)?;
-            }
-            for (e, col) in bound_args.iter().zip(&mut input.args) {
-                if let (Some(e), Some(col)) = (e.as_ref(), col.as_mut()) {
-                    fill_triple(batch, n, e, &bgv, col)?;
-                }
-            }
-            input.mults.extend(mult_bounds(batch, n));
-        }
+        let input = agg_input(stream, &user, &bound_keys, &bound_args)?;
         let kinds: Vec<AggKind> = aggregates
             .iter()
             .map(|a| ua_plan::agg_kind(a.func))
             .collect();
         let mut columns: Vec<Column> = group_by.iter().map(|g| g.column.clone()).collect();
         columns.extend(aggregates.iter().map(|a| Column::unqualified(&a.name)));
-        let rel = ua_ranges::ops::aggregate_cols(&input, &kinds, Schema::new(columns));
-        Ok(from_relation(&rel, self))
+        let out = ua_ranges::ops::aggregate_cols(&input, &kinds);
+        Ok(self.write_cols(&Schema::new(columns), &out))
     }
 
     /// `⟦⋈⟧_AU` for keyless / non-equi joins (`Plan::Join`), block
@@ -916,52 +916,16 @@ impl Driver<'_> {
         ))
     }
 
-    /// `⟦δ⟧_AU`, batch-native: rows merge by selected-guess tuple over the
-    /// canonical chunks in first-seen scan order. The stream's first `n`
-    /// columns *are* the SG tuple, so the merge key reads straight off the
-    /// bg columns; merged rows hull their attribute ranges and combine
-    /// multiplicities exactly as `ua_ranges::ops::distinct` (`lb`/`bg` cap
-    /// at 1, `ub` sums — each copy may ground to a distinct surviving
-    /// value), so the output is byte-identical to the row engine's δ.
-    pub(crate) fn au_distinct(&self, stream: &BatchStream) -> BatchStream {
+    /// `⟦δ⟧_AU`, triple-column-native: every attribute assembles into the
+    /// shared [`AggCols`] as a key, exactly as γ's keys do ([`agg_input`]),
+    /// the row engine's own `ua_ranges::ops::distinct_cols` merges the rows
+    /// by selected-guess tuple (typed hulls over dense triples; `lb`/`bg`
+    /// cap at 1, `ub` sums), and [`Driver::write_cols`] writes the result.
+    pub(crate) fn au_distinct(&self, stream: &BatchStream) -> Result<BatchStream, EngineError> {
         let user = user_schema(&stream.schema);
-        let n = user.arity();
-        let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
-        let mut merged: Vec<AuTuple> = Vec::new();
-        for batch in &stream.batches {
-            for (i, mult) in mult_bounds(batch, n).enumerate() {
-                let key: Tuple = (0..n).map(|c| batch.column(c).value(i)).collect();
-                match index.get(&key) {
-                    Some(&slot) => {
-                        let acc = &mut merged[slot];
-                        for (a, r) in acc.values.iter_mut().zip(row_ranges(batch, n, i)) {
-                            *a = a.hull(&r);
-                        }
-                        acc.mult = MultBound::new(
-                            acc.mult.lb.max(u64::from(mult.lb >= 1)),
-                            acc.mult.bg.max(u64::from(mult.bg >= 1)),
-                            acc.mult.ub.saturating_add(mult.ub),
-                        );
-                    }
-                    None => {
-                        index.insert(key, merged.len());
-                        merged.push(AuTuple {
-                            values: row_ranges(batch, n, i),
-                            mult: MultBound::new(
-                                u64::from(mult.lb >= 1),
-                                u64::from(mult.bg >= 1),
-                                mult.ub,
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let mut rel = AuRelation::new(user);
-        for row in merged {
-            rel.push(row);
-        }
-        from_relation(&rel, self)
+        let attributes: Vec<Expr> = (0..user.arity()).map(Expr::Col).collect();
+        let input = agg_input(stream, &user, &attributes, &[])?;
+        Ok(self.write_cols(&user, &distinct_cols(&input)))
     }
 }
 
@@ -1348,6 +1312,74 @@ impl AuProbe {
             )),
             refined,
         ))
+    }
+}
+
+/// The column-major input of γ / δ over `stream` (user schema `user`):
+/// each (bound) key and argument expression becomes a [`TripleCol`] —
+/// [`empty_triple`] picks its representation, [`fill_triple`] fills it
+/// batch by batch, keys before arguments within a batch as the row engine
+/// evaluates them — beside the multiplicity triples.
+fn agg_input(
+    stream: &BatchStream,
+    user: &Schema,
+    keys: &[Expr],
+    args: &[Option<Expr>],
+) -> Result<AggCols, EngineError> {
+    let n = user.arity();
+    let n_rows = stream.num_rows();
+    let mut input = AggCols {
+        keys: keys
+            .iter()
+            .map(|e| empty_triple(&stream.batches, n, e, n_rows))
+            .collect(),
+        args: args
+            .iter()
+            .map(|e| {
+                e.as_ref()
+                    .map(|e| empty_triple(&stream.batches, n, e, n_rows))
+            })
+            .collect(),
+        mults: Vec::with_capacity(n_rows),
+    };
+    for batch in &stream.batches {
+        if batch.is_empty() {
+            continue;
+        }
+        let bgv = bg_view(batch, user);
+        for (e, col) in keys.iter().zip(&mut input.keys) {
+            fill_triple(batch, n, e, &bgv, col)?;
+        }
+        for (e, col) in args.iter().zip(&mut input.args) {
+            if let (Some(e), Some(col)) = (e.as_ref(), col.as_mut()) {
+                fill_triple(batch, n, e, &bgv, col)?;
+            }
+        }
+        input.mults.extend(mult_bounds(batch, n));
+    }
+    Ok(input)
+}
+
+/// Rows `slice` of one γ / δ output column as its `[bg, lb, ub]` columns,
+/// each in the representation the encoded rows would convert into: a
+/// dense triple's slices copy, per-row ranges encode (`NULL` for `∓∞`,
+/// the definite-NULL sentinel) into the densest column holding them.
+fn triple_slice(col: &TripleCol, slice: Range<usize>) -> [ColumnVec; 3] {
+    match col {
+        TripleCol::Int { lb, bg, ub } => {
+            [bg, lb, ub].map(|v| ColumnVec::Int(Arc::new(v[slice.clone()].to_vec())))
+        }
+        TripleCol::Float { lb, bg, ub } => {
+            [bg, lb, ub].map(|v| ColumnVec::Float(Arc::new(v[slice.clone()].to_vec())))
+        }
+        TripleCol::Rows(ranges) => {
+            let parts: Vec<(Value, Value, Value)> = ranges[slice].iter().map(range_parts).collect();
+            [
+                ColumnVec::from_values(parts.iter().map(|(_, bg, _)| bg)),
+                ColumnVec::from_values(parts.iter().map(|(lb, _, _)| lb)),
+                ColumnVec::from_values(parts.iter().map(|(_, _, ub)| ub)),
+            ]
+        }
     }
 }
 

@@ -772,7 +772,7 @@ impl<'a> Driver<'a> {
             Plan::Distinct { input } => {
                 let (stream, child) = self.input(input)?;
                 let distinct = if au {
-                    self.au_distinct(&stream)
+                    self.au_distinct(&stream)?
                 } else {
                     ops::distinct(stream)
                 };

@@ -1458,6 +1458,110 @@ fn au_except_and_outer_joins_match_the_row_operators_over_ranged_keys() {
     }
 }
 
+/// AU `GROUP BY` and `DISTINCT` over uncertain keys: the column-native γ
+/// and δ fold through the row engine's own bound rules and write their
+/// results as columns, so every stream must materialize to `execute_au` +
+/// `au_table` byte for byte — `GROUP BY` on one and two keys with
+/// `COUNT(*)` / `COUNT` / `SUM` / `MIN` / `MAX` / `AVG` over ranged `Int`
+/// payloads and over the keys themselves, a global aggregate, and
+/// `DISTINCT` over one, two and all columns (strings included, and above a
+/// σ) — over point / ranged / top / definite-NULL keys, NaN and `−0.0`,
+/// `Int` and `Float` keys, `lb = 0` / `bg = 0` multiplicities and an empty
+/// input. At threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024} every
+/// parallel stream is the serial one.
+#[test]
+fn au_grouping_and_distinct_match_the_row_operators_over_ranged_keys() {
+    use Domain::{Float, Int, Str};
+    use Keys::{Points, Ranged};
+    let scan = || Box::new(Plan::Scan("l".into()));
+    let agg = |func, arg: Option<&str>, name: &str| AggExpr {
+        func,
+        arg: arg.map(Expr::named),
+        name: name.into(),
+    };
+    let every_kind = |arg: &str| {
+        vec![
+            agg(AggFunc::CountStar, None, "n"),
+            agg(AggFunc::Count, Some(arg), "c"),
+            agg(AggFunc::Sum, Some(arg), "s"),
+            agg(AggFunc::Min, Some(arg), "lo"),
+            agg(AggFunc::Max, Some(arg), "hi"),
+            agg(AggFunc::Avg, Some(arg), "a"),
+        ]
+    };
+    let group = |keys: &[&str], aggregates| Plan::Aggregate {
+        input: scan(),
+        group_by: keys.iter().map(|&k| ProjColumn::named(k)).collect(),
+        aggregates,
+    };
+    let distinct = |input: Box<Plan>, cols: &[&str]| Plan::Distinct {
+        input: Box::new(Plan::Map {
+            input,
+            columns: cols.iter().map(|&c| ProjColumn::named(c)).collect(),
+        }),
+    };
+    let plans: Vec<(&str, Plan)> = vec![
+        ("group by k", group(&["k"], every_kind("v"))),
+        ("group by k, k2", group(&["k", "k2"], every_kind("v"))),
+        ("group by k2 over k", group(&["k2"], every_kind("k"))),
+        ("global", group(&[], every_kind("v"))),
+        (
+            "global over k",
+            group(
+                &[],
+                vec![
+                    agg(AggFunc::Min, Some("k"), "lo"),
+                    agg(AggFunc::Sum, Some("k"), "s"),
+                ],
+            ),
+        ),
+        ("distinct k", distinct(scan(), &["k"])),
+        ("distinct k, k2", distinct(scan(), &["k", "k2"])),
+        ("distinct all", Plan::Distinct { input: scan() }),
+        (
+            "distinct above σ",
+            distinct(
+                Box::new(Plan::Filter {
+                    input: scan(),
+                    predicate: Expr::named("v").ge(Expr::lit(5i64)),
+                }),
+                &["k2", "k"],
+            ),
+        ),
+    ];
+    let sides: Vec<(&str, (usize, Keys, Domain))> = vec![
+        ("points", (120, Points, Int)),
+        ("ranged", (150, Ranged, Int)),
+        ("float points", (90, Points, Float)),
+        ("ranged floats", (120, Ranged, Float)),
+        ("strings", (80, Ranged, Str)),
+        ("empty", (0, Points, Int)),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x6E0_0B1);
+    for (side, (rows, keys, domain)) in sides {
+        let catalog = Catalog::new();
+        let l = au_side(&mut rng, "l", rows, keys, domain);
+        catalog.register("l", ua_engine::au_table(&l));
+        for (name, plan) in &plans {
+            let context = format!("`{name}` over {side}");
+            let row = ua_engine::au_table(&ua_engine::execute_au(plan, &catalog).expect("au row"));
+            assert!(rows == 0 || !row.is_empty(), "{context}");
+            for batch_rows in [1usize, 7, 64, 1024] {
+                let serial =
+                    stream(plan, &catalog, opts(1, batch_rows), Semantics::Au).expect("serial AU");
+                let context = format!("{context} batch={batch_rows}");
+                assert_tables_identical(&row, &table_from_batches(&serial), &context);
+                for threads in [2usize, 4, 8] {
+                    let parallel = stream(plan, &catalog, opts(threads, batch_rows), Semantics::Au)
+                        .expect("parallel AU");
+                    let ctx = format!("{context} threads={threads}");
+                    assert_streams_byte_identical(&serial, &parallel, &ctx);
+                }
+            }
+        }
+    }
+}
+
 /// Computed AU projections and computed predicate operands — the shapes the
 /// typed `[lb, bg, ub]` expression kernel evaluates (`+ − ×`, nested,
 /// `Int × Float`, a literal on either side) and the shapes it declines

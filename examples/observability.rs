@@ -3,9 +3,10 @@
 //! Runs a 3-way join + GROUP BY on both executors, prints the
 //! instrumented plan tree (per-operator actual rows, wall time, and the
 //! planner's estimated cardinalities), reads the same stats back
-//! programmatically via `last_query_stats()`, and dumps the global
-//! metrics registry — including the AU fallback audit and the planner's
-//! est-vs-actual join feedback counters.
+//! programmatically via `last_query_stats()`, shows an AU `NOT IN`, `GROUP
+//! BY` and `DISTINCT` staying off the stream ↔ relation boundary, and dumps
+//! the global metrics registry — including the AU fallback audit and the
+//! planner's est-vs-actual join feedback counters.
 //!
 //! Run with `cargo run --example observability`.
 
@@ -109,15 +110,28 @@ fn main() {
             .expect("analyze AU NOT IN")
     );
 
-    // 4. The global registry: planner est-vs-actual feedback (fed by every
+    // 4. AU `GROUP BY` and `DISTINCT` on the vectorized engine take their
+    //    input as columns and write their output as columns: the registry's
+    //    `au.vec.relation_rows` (AU rows sent across the stream ↔ relation
+    //    boundary) must not move over them.
+    let relation_rows = || uadb::obs::global().counter("au.vec.relation_rows").get();
+    let before = relation_rows();
+    for sql in [
+        "SELECT i.grp, count(*) AS n, sum(i.id) AS s FROM \
+         items IS TI WITH PROBABILITY (p) i GROUP BY i.grp",
+        "SELECT DISTINCT i.grp FROM items IS TI WITH PROBABILITY (p) i",
+    ] {
+        session.query_au(sql).expect("AU γ / δ");
+    }
+    println!("──── AU GROUP BY + DISTINCT (Vectorized) ────");
+    println!(
+        "au.vec.relation_rows over AU GROUP BY + DISTINCT: before={before} after={}\n",
+        relation_rows()
+    );
+
+    // 5. The global registry: planner est-vs-actual feedback (fed by every
     //    instrumented join), the AU vectorized fallback audit and
     //    `au.vec.relation_rows`.
-    session
-        .query_au(
-            "SELECT x.region, count(*) AS n FROM \
-             dept IS TI WITH PROBABILITY (dk) x GROUP BY x.region",
-        )
-        .ok();
     println!("──── metrics registry ────");
     println!("{}", uadb::obs::global().to_json());
 }
