@@ -29,7 +29,7 @@ use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_engine::{EngineError, ExecMode, Table, UaSession};
-use ua_ranges::{check_encloses_world, sg_rows};
+use ua_ranges::{check_encloses_world, sg_rows, MultBound};
 
 /// One x-tuple block: weighted alternatives over `(g, v)`.
 type Block = Vec<(Tuple, f64)>;
@@ -668,4 +668,56 @@ fn overflowing_interval_endpoints_widen_instead_of_wrapping() {
     assert_eq!(w_of(1).bg, Value::Int((1i64 << 62).wrapping_mul(4)));
     assert!(w_of(2).contains(&Value::Int(12)) && w_of(2).contains(&Value::Int(20)));
     assert!(!w_of(2).contains(&Value::Int(21)) && !w_of(2).is_top());
+}
+
+/// AU `GROUP BY` over a key column holding both `1` and `1.0`: two
+/// selected-guess groups (as in every world) that share one normalized
+/// key. The certain `1` is a possible member of the group `1.0` but never a
+/// certain one, so that group — whose only row is absent from the
+/// selected guess — gets the well-formed triple `[0, 0, 2]` on both engines
+/// (it was `[1, 0, 2]`: a debug build panicked, a release build encoded
+/// `lb > bg`), and the bounds enclose both worlds of the TI source.
+#[test]
+fn group_by_over_mixed_int_float_keys_keeps_multiplicities_well_formed() {
+    let base = Table::from_rows(
+        Schema::qualified("t", ["k", "p"]),
+        vec![
+            Tuple::new(vec![Value::Int(1), Value::float(1.0)]),
+            Tuple::new(vec![Value::float(1.0), Value::float(0.3)]),
+        ],
+    );
+    let sql = "SELECT x.k, count(*) AS n FROM t IS TI WITH PROBABILITY (p) x GROUP BY x.k";
+    let results: Vec<_> = [ExecMode::Row, ExecMode::Vectorized]
+        .into_iter()
+        .map(|mode| {
+            let session = UaSession::with_mode(mode);
+            session.register_table("t", base.clone());
+            session
+                .query_au(sql)
+                .unwrap_or_else(|e| panic!("{mode:?}: {e}"))
+        })
+        .collect();
+    assert_eq!(results[0].table.rows(), results[1].table.rows());
+    let au_rel = results[0].decode();
+    let mults: Vec<MultBound> = au_rel.rows().iter().map(|r| r.mult).collect();
+    assert_eq!(mults, [MultBound::new(1, 1, 2), MultBound::new(0, 0, 2)]);
+
+    let world_schema = Schema::qualified("t", ["k"]);
+    let one = Tuple::new(vec![Value::Int(1)]);
+    let one_float = Tuple::new(vec![Value::float(1.0)]);
+    for (name, rows) in [
+        ("both", vec![one.clone(), one_float]),
+        ("certain row only", vec![one]),
+    ] {
+        let session = UaSession::with_mode(ExecMode::Row);
+        session.register_table("t", Table::from_rows(world_schema.clone(), rows));
+        let truth = session
+            .query_det("SELECT x.k, count(*) AS n FROM t x GROUP BY x.k")
+            .expect("world query");
+        check_encloses_world(&au_rel, truth.rows()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if name == "certain row only" {
+            // The selected-guess world: the 0.3 row is likelier absent.
+            assert_eq!(sg_rows(&au_rel), truth.sorted_rows());
+        }
+    }
 }

@@ -235,17 +235,12 @@ fn au_vectorized_fallback_counters_stay_zero() {
     }
 }
 
-/// What still crosses the stream ↔ relation boundary on the vectorized
-/// engine (`au.vec.relation_rows`, and a `relation_rows` extra on the
-/// operator that sent rows across): not AU `−` or `⟕` — no node of an
-/// `EXCEPT`, `EXCEPT ALL`, `LEFT` / `RIGHT JOIN`, `NOT IN` or `NOT EXISTS`
-/// carries the extra, and the anti-join filter `NOT IN` / `NOT EXISTS`
-/// lower to runs in the σ kernel (`rowwise_rows = 0`). A keyless `⋈` still
-/// does: both inputs convert to relations, so the counter moves. The
-/// registry is process-wide and this file's other tests run AU joins
-/// concurrently, so the zero side is read per query off its stats tree and
-/// only the non-zero side off the counter (γ and δ's zero side is
-/// `relation_boundary.rs`, a process of its own).
+/// AU `−`, `⟕` and the keyless `⋈` select straight off their inputs'
+/// chunks on the vectorized engine: no node of an `EXCEPT`, `EXCEPT ALL`,
+/// `LEFT` / `RIGHT JOIN`, `NOT IN`, `NOT EXISTS` or keyless-join query
+/// carries a `relation_rows` extra (rows converted into a relation), and
+/// the anti-join filter `NOT IN` / `NOT EXISTS` lower to runs in the σ
+/// kernel (`rowwise_rows = 0`).
 #[test]
 fn au_negation_no_longer_crosses_the_relation_boundary() {
     let s = seeded_session();
@@ -283,16 +278,20 @@ fn au_negation_no_longer_crosses_the_relation_boundary() {
         assert_eq!(negation, 1, "`{sql}` must run one `−` or `⟕`");
     }
 
-    let crossed = || ua_obs::global().counter("au.vec.relation_rows").get();
-    let before = crossed();
-    s.query_au(&format!(
-        "SELECT x.v, y.v AS w FROM {x}, {y} WHERE x.v < y.g"
-    ))
-    .expect("au keyless join");
-    assert!(
-        crossed() >= before + 400,
-        "a keyless ⋈'s two 200-row inputs still cross the relation boundary"
-    );
+    let sql = format!("SELECT x.v, y.v AS w FROM {x}, {y} WHERE x.v < y.g");
+    let result = s.query_au(&sql).expect("au keyless join");
+    assert!(!result.table.is_empty(), "`{sql}` must return rows");
+    let stats = s.last_query_stats().expect("stats collected");
+    let mut joins = 0;
+    stats.root.walk(&mut |node| {
+        assert!(
+            node.extra.iter().all(|(k, _)| k != "relation_rows"),
+            "`{sql}`: {} crossed",
+            node.name
+        );
+        joins += usize::from(node.name == "Join");
+    });
+    assert_eq!(joins, 1, "`{sql}` must run one keyless ⋈");
 }
 
 /// One collection path, one set of numbers: for an AU join + filter +

@@ -3,17 +3,19 @@
 //! The row engine executes AU plans natively by interpreting each
 //! operator over [`AuRelation`]s with the shared `ua_ranges::ops`
 //! implementations ([`execute_au`]). It is the oracle for the vectorized
-//! engine, whose one driver runs σ / π / ⋈ / γ / δ over range column
-//! triples and reaches the shared ops only for `−`, `⟕`, keyless and
-//! cross-family joins (through [`au_binary`]) — the differential suites
-//! hold the two byte-identical. The session-level entry points
-//! (`UaSession::query_au`, the Section 9.2 source labelings) live in
-//! `ua-engine`.
+//! engine, whose one driver runs every operator over range column triples
+//! — calling the same bound rules and pair loop (`ua_ranges::ops`'
+//! `aggregate_cols`, `distinct_cols`, `except_select`, `outer_join_select`,
+//! `JoinSelect`) over its chunks instead of relations — and the
+//! differential suites hold the two byte-identical. The session-level
+//! entry points (`UaSession::query_au`, the Section 9.2 source labelings)
+//! live in `ua-engine`.
 
 use crate::exec::EngineError;
 use crate::plan::{AggFunc, Plan, SortOrder};
 use crate::storage::{Catalog, Table};
 use ua_core::{expr_mentions_marker, UA_LABEL_COLUMN};
+use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::{Column, SchemaError};
 use ua_ranges::{decode_rows, encode_rows, flattened_schema, AggKind, AggSpec, AuRelation};
@@ -72,8 +74,7 @@ pub fn agg_kind(func: AggFunc) -> AggKind {
 
 /// Execute an AU plan on the row engine: each operator interprets over
 /// [`AuRelation`]s via the shared `ua_ranges::ops` — the bound rules the
-/// vectorized engine's column-native operators are tested against, and the
-/// very code it calls (through [`au_binary`]) where it has none.
+/// vectorized engine's column-native operators are tested against.
 pub fn execute_au(plan: &Plan, catalog: &Catalog) -> Result<AuRelation, EngineError> {
     execute_au_traced(plan, catalog, &mut crate::stats::Tracer::off())
 }
@@ -91,29 +92,11 @@ pub(crate) fn execute_au_traced(
         ua_obs::trace_begin(name, "operator");
     }
     tracer.enter(plan);
-    let result = match plan {
-        Plan::Scan(name) => catalog
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.clone()))
-            .and_then(|table| decode_rows(table.schema(), table.rows()).map_err(EngineError::Sql)),
-        Plan::Alias { input, .. }
-        | Plan::Filter { input, .. }
-        | Plan::Map { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => {
-            execute_au_traced(input, catalog, tracer).and_then(|rel| au_unary(plan, &rel))
-        }
-        Plan::Join { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::UnionAll { left, right }
-        | Plan::Except { left, right, .. }
-        | Plan::OuterJoin { left, right, .. } => execute_au_traced(left, catalog, tracer)
-            .and_then(|l| execute_au_traced(right, catalog, tracer).map(|r| (l, r)))
-            .and_then(|(l, r)| au_binary(plan, &l, &r)),
-    };
+    let result = plan
+        .inputs()
+        .map(|input| execute_au_traced(input, catalog, tracer))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|inputs| au_operator(plan, &inputs, catalog));
     let result = match result {
         Ok(rel) => {
             if tracer.enabled() {
@@ -176,34 +159,42 @@ pub(crate) fn au_relation_mem_bytes(rel: &AuRelation) -> u64 {
         .sum()
 }
 
-/// Apply one unary AU operator (the node at the root of `plan`) to an
-/// already-evaluated input.
-pub fn au_unary(plan: &Plan, rel: &AuRelation) -> Result<AuRelation, EngineError> {
+/// Apply the AU operator at the root of `plan` to its already-evaluated
+/// `inputs` (in [`Plan::inputs`] order: the one input of a unary operator,
+/// the left and right ones of a binary one).
+fn au_operator(
+    plan: &Plan,
+    inputs: &[AuRelation],
+    catalog: &Catalog,
+) -> Result<AuRelation, EngineError> {
+    use ua_ranges::ops;
+    let columns = |cs: &[ProjColumn]| -> Vec<(Expr, Column)> {
+        cs.iter()
+            .map(|c| (c.expr.clone(), c.column.clone()))
+            .collect()
+    };
+    let input = |i: usize| &inputs[i];
     match plan {
+        Plan::Scan(name) => catalog
+            .get(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.clone()))
+            .and_then(|table| decode_rows(table.schema(), table.rows()).map_err(EngineError::Sql)),
         Plan::Alias { name, .. } => {
-            let schema = rel.schema().with_qualifier(name);
-            Ok(rel.clone().with_schema(schema))
+            let schema = input(0).schema().with_qualifier(name);
+            Ok(input(0).clone().with_schema(schema))
         }
         Plan::Filter { predicate, .. } => {
-            ua_ranges::ops::filter(rel, predicate).map_err(EngineError::Expr)
+            ops::filter(input(0), predicate).map_err(EngineError::Expr)
         }
-        Plan::Map { columns, .. } => {
-            let cols: Vec<(Expr, Column)> = columns
-                .iter()
-                .map(|c| (c.expr.clone(), c.column.clone()))
-                .collect();
-            ua_ranges::ops::map(rel, &cols).map_err(EngineError::Expr)
+        Plan::Map { columns: cs, .. } => {
+            ops::map(input(0), &columns(cs)).map_err(EngineError::Expr)
         }
-        Plan::Distinct { .. } => Ok(ua_ranges::ops::distinct(rel)),
+        Plan::Distinct { .. } => Ok(ops::distinct(input(0))),
         Plan::Aggregate {
             group_by,
             aggregates,
             ..
         } => {
-            let keys: Vec<(Expr, Column)> = group_by
-                .iter()
-                .map(|g| (g.expr.clone(), g.column.clone()))
-                .collect();
             let specs: Vec<AggSpec> = aggregates
                 .iter()
                 .map(|a| AggSpec {
@@ -212,59 +203,41 @@ pub fn au_unary(plan: &Plan, rel: &AuRelation) -> Result<AuRelation, EngineError
                     column: Column::unqualified(&a.name),
                 })
                 .collect();
-            ua_ranges::ops::aggregate(rel, &keys, &specs).map_err(EngineError::Expr)
+            ops::aggregate(input(0), &columns(group_by), &specs).map_err(EngineError::Expr)
         }
-        Plan::Sort { keys, .. } => {
+        Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
             let keys: Vec<(Expr, bool)> = keys
                 .iter()
                 .map(|(e, o)| (e.clone(), *o == SortOrder::Desc))
                 .collect();
-            ua_ranges::ops::sort_by_bg(rel, &keys).map_err(EngineError::Expr)
+            let sorted = ops::sort_by_bg(input(0), &keys).map_err(EngineError::Expr)?;
+            Ok(match plan {
+                Plan::TopK { limit, .. } => ops::limit(&sorted, *limit),
+                _ => sorted,
+            })
         }
-        Plan::Limit { limit, .. } => Ok(ua_ranges::ops::limit(rel, *limit)),
-        Plan::TopK { keys, limit, .. } => {
-            let keys: Vec<(Expr, bool)> = keys
-                .iter()
-                .map(|(e, o)| (e.clone(), *o == SortOrder::Desc))
-                .collect();
-            let sorted = ua_ranges::ops::sort_by_bg(rel, &keys).map_err(EngineError::Expr)?;
-            Ok(ua_ranges::ops::limit(&sorted, *limit))
-        }
-        other => Err(EngineError::Sql(format!(
-            "not a unary AU operator: {other}"
-        ))),
-    }
-}
-
-/// Apply one binary AU operator to already-evaluated inputs. Shared
-/// between the row interpreter and the vectorized engine's `−`, `⟕`,
-/// keyless and cross-family joins.
-pub fn au_binary(plan: &Plan, l: &AuRelation, r: &AuRelation) -> Result<AuRelation, EngineError> {
-    match plan {
+        Plan::Limit { limit, .. } => Ok(ops::limit(input(0), *limit)),
         Plan::Join { predicate, .. } => {
-            ua_ranges::ops::join(l, r, predicate.as_ref()).map_err(EngineError::Expr)
+            ops::join(input(0), input(1), predicate.as_ref()).map_err(EngineError::Expr)
         }
         Plan::HashJoin {
             keys,
             residual,
             build_left,
             ..
-        } => ua_ranges::ops::hash_join(l, r, keys, residual.as_ref(), *build_left)
+        } => ops::hash_join(input(0), input(1), keys, residual.as_ref(), *build_left)
             .map_err(EngineError::Expr),
-        Plan::UnionAll { .. } => ua_ranges::ops::union(l, r).map_err(EngineError::Schema),
-        Plan::Except { all, .. } => ua_ranges::ops::except(l, r, *all).map_err(EngineError::Schema),
+        Plan::UnionAll { .. } => ops::union(input(0), input(1)).map_err(EngineError::Schema),
+        Plan::Except { all, .. } => {
+            ops::except(input(0), input(1), *all).map_err(EngineError::Schema)
+        }
         Plan::OuterJoin {
             predicate, kind, ..
-        } => ua_ranges::ops::outer_join(
-            l,
-            r,
-            predicate.as_ref(),
-            *kind == crate::plan::OuterKind::Left,
-        )
-        .map_err(EngineError::Expr),
-        other => Err(EngineError::Sql(format!(
-            "not a binary AU operator: {other}"
-        ))),
+        } => {
+            let left_kind = *kind == crate::plan::OuterKind::Left;
+            ops::outer_join(input(0), input(1), predicate.as_ref(), left_kind)
+                .map_err(EngineError::Expr)
+        }
     }
 }
 

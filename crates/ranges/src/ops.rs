@@ -44,12 +44,13 @@
 use crate::eval::{eval_range, truth_range, RangeTruth};
 use crate::mult::MultBound;
 use crate::relation::{encode_row, AuRelation, AuTuple};
-use crate::value::{range_cmp, Bound, RangeValue};
+use crate::value::{Bound, RangeValue};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
-use ua_data::algebra::{candidate_keys, merge_ascending, JoinKeys};
+use std::ops::Range;
+use ua_data::algebra::{candidate_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError, Truth};
 use ua_data::schema::{Column, Schema, SchemaError};
 use ua_data::tuple::Tuple;
@@ -95,31 +96,13 @@ pub fn map(rel: &AuRelation, columns: &[(Expr, Column)]) -> Result<AuRelation, E
     Ok(out)
 }
 
-/// Apply a (bound) join predicate to one concatenated candidate pair
-/// exactly as the nested loop does: `None` unless the predicate is
-/// possibly true, otherwise the pair with its multiplicity refined like
-/// [`filter`] (`lb` survives only certain truth, `bg` only selected-guess
-/// truth). Shared by the row and vectorized join paths so refinement
-/// cannot diverge between engines.
-pub fn refine_join_pair(
-    predicate: Option<&Expr>,
-    values: Vec<RangeValue>,
-    mult: MultBound,
-) -> Result<Option<AuTuple>, ExprError> {
-    let mult = match predicate {
-        Some(pred) => match refine_pair_mult(pred, &values, mult)? {
-            Some(mult) => mult,
-            None => return Ok(None),
-        },
-        None => mult,
-    };
-    Ok(Some(AuTuple { values, mult }))
-}
-
-/// The multiplicity half of [`refine_join_pair`] over borrowed ranges: the
-/// vectorized join gathers surviving pairs' attribute columns itself, so
-/// it only needs the survive/refine decision. `values` may hold
-/// placeholders at positions `predicate` does not reference.
+/// Apply a (bound) join predicate to one concatenated candidate pair's
+/// ranges: `None` unless the predicate is possibly true, otherwise the
+/// pair's multiplicity refined like [`filter`] (`lb` survives only certain
+/// truth, `bg` only selected-guess truth) — [`JoinSelect`]'s refinement,
+/// for the vectorized hash join's probe, which gathers surviving pairs
+/// itself. `values` may hold placeholders at positions `predicate` does
+/// not reference.
 pub fn refine_pair_mult(
     predicate: &Expr,
     values: &[RangeValue],
@@ -235,34 +218,33 @@ impl RowView for [AuTuple] {
 
 /// A relation with evaluated key columns after its attributes: column
 /// `arity + k` of row `i` is its `k`-th key range — how the row engine's
-/// keyed joins hand their keys to the index and the `⟕` selection.
+/// `⋈` and `⟕` hand their keys to [`JoinSelect`].
 struct WithKeys<'a> {
     rel: &'a AuRelation,
+    /// Per row its key ranges.
     keys: Vec<Vec<RangeValue>>,
-    /// The key columns' positions.
-    cols: Vec<usize>,
 }
 
 impl<'a> WithKeys<'a> {
-    /// `rel` with the (bound) key expressions `exprs` evaluated per row.
-    fn new(rel: &'a AuRelation, exprs: &[Expr]) -> Result<WithKeys<'a>, ExprError> {
-        let arity = rel.schema().arity();
-        let keys = rel
-            .rows()
-            .iter()
-            .map(|row| {
+    /// Both inputs of a `⋈` / `⟕`, each with its side of the (bound)
+    /// `keys` evaluated per row — the left side's first.
+    fn pair(
+        left: &'a AuRelation,
+        right: &'a AuRelation,
+        keys: &JoinKeys,
+    ) -> Result<(WithKeys<'a>, WithKeys<'a>), ExprError> {
+        let side = |rel: &'a AuRelation, key: fn(&EquiKey) -> &Expr| {
+            let rows = rel.rows().iter().map(|row| {
                 let bg = row.bg_tuple();
-                exprs
-                    .iter()
-                    .map(|e| eval_range(e, &row.values, &bg))
-                    .collect()
+                let exprs = keys.keys.iter().map(key);
+                exprs.map(|e| eval_range(e, &row.values, &bg)).collect()
+            });
+            Ok::<_, ExprError>(WithKeys {
+                rel,
+                keys: rows.collect::<Result<_, _>>()?,
             })
-            .collect::<Result<_, _>>()?;
-        Ok(WithKeys {
-            rel,
-            keys,
-            cols: (arity..arity + exprs.len()).collect(),
-        })
+        };
+        Ok((side(left, |k| &k.left)?, side(right, |k| &k.right)?))
     }
 
     /// Column `c`'s range in row `i`.
@@ -306,23 +288,15 @@ enum SgKey {
     Tuple(Tuple),
 }
 
-impl SgKey {
-    /// The key of the selected guesses `bgs` (`int`: of the one `Int`
-    /// column).
-    fn of(int: bool, mut bgs: impl Iterator<Item = Value>) -> SgKey {
-        if !int {
-            return SgKey::Tuple(bgs.map(Value::join_key).collect());
-        }
-        match bgs.next() {
-            Some(Value::Int(k)) => SgKey::Int(k),
-            _ => unreachable!("the one-Int-column path is checked over every row"),
-        }
-    }
-}
-
-/// Row `i`'s key over `cols`.
+/// Row `i`'s key over `cols` (`int`: the one `Int` column's `i64`).
 fn row_key<V: RowView + ?Sized>(int: bool, v: &V, i: usize, cols: &[usize]) -> SgKey {
-    SgKey::of(int, cols.iter().map(|&c| v.bg(i, c)))
+    if !int {
+        return SgKey::Tuple(cols.iter().map(|&c| v.bg(i, c).join_key()).collect());
+    }
+    match v.bg(i, cols[0]) {
+        Value::Int(k) => SgKey::Int(k),
+        _ => unreachable!("the one-Int-column path is checked over every row"),
+    }
 }
 
 /// Whether `a_cols` / `b_cols` are one column holding an `Int` selected
@@ -339,18 +313,14 @@ where
     a_cols.len() == 1 && all_int(a, a_cols[0]) && all_int(b, b_cols[0])
 }
 
-/// Whether cells pinned by `pins` each fix one hashable value: a point
-/// other than NaN or — under IS-NOT-DISTINCT matching (`nulls_match`,
-/// EXCEPT's) — a definite NULL, which matches exactly the other definite
-/// NULLs; under join equality it does not (no bucket could hold "matches
-/// nothing").
-fn hashable(mut pins: impl Iterator<Item = Pin>, nulls_match: bool) -> bool {
-    pins.all(|p| p == Pin::Point || (nulls_match && p == Pin::Null))
-}
-
-/// Whether row `i` of `v` is hashable over `cols`.
+/// Whether row `i` of `v` is hashable over `cols`: each cell fixes one
+/// hashable value — a point other than NaN or, under IS-NOT-DISTINCT
+/// matching (`nulls_match`, EXCEPT's), a definite NULL, which matches
+/// exactly the other definite NULLs; under join equality it does not (no
+/// bucket could hold "matches nothing").
 fn hashable_row<V: RowView + ?Sized>(v: &V, i: usize, cols: &[usize], nulls_match: bool) -> bool {
-    hashable(cols.iter().map(|&c| v.pin(i, c)), nulls_match)
+    let mut pins = cols.iter().map(|&c| v.pin(i, c));
+    pins.all(|p| p == Pin::Point || (nulls_match && p == Pin::Null))
 }
 
 /// The comparable-type family of a point key value. Cross-family point
@@ -495,110 +465,36 @@ impl SgKeyIndex {
     fn bucket_hit(&self, key: Option<&SgKey>, b: usize) -> bool {
         key.is_some() && self.bucketed[b]
     }
-
-    /// Collect the candidates of a probe row given its key ranges (in
-    /// `probe_cols` order), ascending, into `out`.
-    pub fn candidates(&self, keys: &[RangeValue], out: &mut Vec<usize>) {
-        let key = hashable(keys.iter().map(Pin::of), self.nulls_match)
-            .then(|| SgKey::of(self.int, keys.iter().map(|r| r.bg.clone())));
-        self.candidates_of(key.as_ref(), out);
-    }
 }
 
 /// θ-join in left-major order; multiplicities multiply pointwise, the
-/// predicate refines like [`filter`] over the pair. When the predicate
-/// contains extractable equi-keys whose point keys stay within one
-/// comparable type family per column, candidate pairs come from a
-/// selected-guess hash index ([`SgKeyIndex`]) instead of the full cross
-/// product — pruned pairs have a certainly-false key equality, so output
-/// rows and order match the nested loop exactly.
+/// predicate refines like [`filter`] over the pair. The predicate's
+/// [`candidate_keys`] (equi-keys, or `NOT IN`'s null-aware key) index the
+/// right side when their point keys stay within one comparable type family
+/// per column ([`JoinSelect`]) — pruned pairs have a certainly-false key
+/// equality, so output rows and order match the nested loop exactly.
 pub fn join(
     left: &AuRelation,
     right: &AuRelation,
     predicate: Option<&Expr>,
 ) -> Result<AuRelation, ExprError> {
-    let schema = left.schema().concat(right.schema());
-    let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
-    let mut out = AuRelation::new(schema);
-    let keyed = match &bound {
-        Some(pred) => equi_key_index(pred, left, right, false)?,
-        None => None,
-    };
-    let mut cand: Vec<usize> = (0..right.rows().len()).collect();
-    for (li, l) in left.rows().iter().enumerate() {
-        if let Some((index, l_keys)) = &keyed {
-            index.candidates(&l_keys[li], &mut cand);
-        }
-        for &ri in &cand {
-            let r = &right.rows()[ri];
-            let mut values = l.values.clone();
-            values.extend(r.values.iter().cloned());
-            if let Some(t) = refine_join_pair(bound.as_ref(), values, l.mult.times(&r.mult))? {
-                out.push(t);
-            }
-        }
-    }
-    Ok(out)
+    let (bound, keys) = bind_on(predicate, left.schema(), right.schema())?;
+    join_rows(left, right, bound.as_ref(), &keys, false)
 }
 
-/// A build-side key index plus the probe side's per-row key ranges.
-type KeyedCandidates = (SgKeyIndex, Vec<Vec<RangeValue>>);
-
-/// The candidate index of a θ-join whose (bound) predicate has
-/// extractable keys ([`candidate_keys`]: the null-aware key of a `NOT IN`
-/// anti-join, or the conjunction's equi-keys): a [`SgKeyIndex`] over the
-/// build side's key ranges (`left` when `build_left`) plus the probe
-/// side's per-row key ranges. `None` — every pair is a candidate — when
-/// there are no keys or cross-family point keys make pruning unsound.
-///
-/// The null-aware predicate `x = k OR x IS NULL OR k IS NULL` prunes on
-/// `x = k` alone: a pruned pair has two point keys, so both `IS NULL`
-/// disjuncts are certainly false along with the equality (a definite-NULL
-/// or top key is fuzzy and never pruned).
-fn equi_key_index(
-    pred: &Expr,
-    left: &AuRelation,
-    right: &AuRelation,
-    build_left: bool,
-) -> Result<Option<KeyedCandidates>, ExprError> {
-    let keys = candidate_keys(pred, left.schema().arity());
-    if keys.keys.is_empty() {
-        return Ok(None);
-    }
-    let (lk, rk) = key_exprs(&keys);
-    Ok(key_index(
-        WithKeys::new(left, &lk)?,
-        WithKeys::new(right, &rk)?,
-        build_left,
-    ))
-}
-
-/// The per-side key expressions of a join's candidate keys.
-fn key_exprs(keys: &JoinKeys) -> (Vec<Expr>, Vec<Expr>) {
-    keys.keys
-        .iter()
-        .map(|k| (k.left.clone(), k.right.clone()))
-        .unzip()
-}
-
-/// The [`SgKeyIndex`] over the key columns of `left` (when `build_left`)
-/// or `right`, plus the other side's key ranges; `None` when cross-family
-/// point keys make pruning unsound.
-fn key_index(left: WithKeys, right: WithKeys, build_left: bool) -> Option<KeyedCandidates> {
-    let (build, probe) = if build_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let index = SgKeyIndex::build_for(&build, &build.cols, &probe, &probe.cols, false)?;
-    Some((index, probe.keys))
-}
-
-/// Shift a (bound) right-side expression's column refs up onto the
-/// concatenated schema.
-fn shift_up(e: &Expr, l_arity: usize) -> Expr {
-    e.map_refs(&|n| Some(n.to_string()), &|i| i + l_arity)
-        .expect("identity name mapping cannot fail")
+/// A `⋈` / `⟕` predicate bound over `left ++ right`, with its
+/// [`candidate_keys`] (the equi-keys, or `NOT IN`'s null-aware key) — how
+/// both engines bind one.
+pub fn bind_on(
+    predicate: Option<&Expr>,
+    left: &Schema,
+    right: &Schema,
+) -> Result<(Option<Expr>, JoinKeys), ExprError> {
+    let bound = predicate.map(|p| p.bind(&left.concat(right))).transpose()?;
+    let keys = bound
+        .as_ref()
+        .map_or_else(JoinKeys::default, |p| candidate_keys(p, left.arity()));
+    Ok((bound, keys))
 }
 
 /// Hash equi-join on selected-guess keys, refined over the full
@@ -608,7 +504,8 @@ fn shift_up(e: &Expr, l_arity: usize) -> Expr {
 /// output order (probe-major, candidates in build-scan order), and
 /// columns are always left ++ right. The same multiset as [`join`] over
 /// the reconstructed predicate; when cross-family point keys make hash
-/// pruning unsound it defers to [`join`] entirely (left-major order).
+/// pruning unsound every pair is a candidate, in [`join`]'s left-major
+/// order.
 pub fn hash_join(
     left: &AuRelation,
     right: &AuRelation,
@@ -616,53 +513,214 @@ pub fn hash_join(
     residual: Option<&Expr>,
     build_left: bool,
 ) -> Result<AuRelation, ExprError> {
-    let schema = left.schema().concat(right.schema());
-    let l_arity = left.schema().arity();
-    let lk: Vec<Expr> = keys
-        .iter()
-        .map(|(l, _)| l.bind(left.schema()))
-        .collect::<Result<_, _>>()?;
-    let rk: Vec<Expr> = keys
-        .iter()
-        .map(|(_, r)| r.bind(right.schema()))
-        .collect::<Result<_, _>>()?;
-    let mut conjuncts: Vec<Expr> = lk
-        .iter()
-        .zip(&rk)
-        .map(|(l, r)| l.clone().eq(shift_up(r, l_arity)))
-        .collect();
-    if let Some(res) = residual {
-        conjuncts.push(res.bind(&schema)?);
+    let (pred, keys) = bind_hash_keys(keys, residual, left.schema(), right.schema())?;
+    join_rows(left, right, Some(&pred), &keys, build_left)
+}
+
+/// A hash join's plan keys and residual bound over its inputs' schemas:
+/// the predicate its pairs refine against, over `left ++ right` (key
+/// equalities ∧ residual), and the keys as [`JoinKeys`]. The keys are the
+/// plan's own, never re-extracted from that predicate: an extra key could
+/// change the cross-family decision, and with it the row order.
+pub fn bind_hash_keys(
+    keys: &[(Expr, Expr)],
+    residual: Option<&Expr>,
+    left: &Schema,
+    right: &Schema,
+) -> Result<(Expr, JoinKeys), ExprError> {
+    // Every left key binds before any right key, then the residual.
+    let bind = |side: fn(&(Expr, Expr)) -> &Expr, schema| {
+        keys.iter()
+            .map(|k| side(k).bind(schema))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let (lk, rk) = (bind(|k| &k.0, left)?, bind(|k| &k.1, right)?);
+    let residual = residual.map(|r| r.bind(&left.concat(right))).transpose()?;
+    let mut out = JoinKeys::default();
+    let mut pred = Vec::new();
+    for (l, r) in lk.into_iter().zip(rk) {
+        let shifted = r.map_refs(&|n| Some(n.to_string()), &|i| i + left.arity());
+        let shifted = shifted.expect("identity name mapping cannot fail");
+        pred.push(l.clone().eq(shifted));
+        out.keys.push(EquiKey { left: l, right: r });
     }
-    let pred = Expr::conjunction(conjuncts);
-    let keyed = key_index(
-        WithKeys::new(left, &lk)?,
-        WithKeys::new(right, &rk)?,
-        build_left,
-    );
-    let Some((index, probe_keys)) = keyed else {
-        return join(left, right, Some(&pred));
-    };
-    let (build_rel, probe_rel) = if build_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let mut out = AuRelation::new(schema);
-    let mut cand: Vec<usize> = Vec::new();
-    for (pi, p) in probe_rel.rows().iter().enumerate() {
-        index.candidates(&probe_keys[pi], &mut cand);
-        for &bi in &cand {
-            let b = &build_rel.rows()[bi];
-            let (l, r) = if build_left { (b, p) } else { (p, b) };
-            let mut values = l.values.clone();
-            values.extend(r.values.iter().cloned());
-            if let Some(t) = refine_join_pair(Some(&pred), values, l.mult.times(&r.mult))? {
-                out.push(t);
-            }
+    pred.extend(residual.clone());
+    out.residual.extend(residual);
+    Ok((Expr::conjunction(pred), out))
+}
+
+/// The row engine's `⋈`: [`JoinSelect`] over the two relations, each
+/// carrying its side of `keys` evaluated, materialised.
+fn join_rows(
+    left: &AuRelation,
+    right: &AuRelation,
+    predicate: Option<&Expr>,
+    keys: &JoinKeys,
+    build_left: bool,
+) -> Result<AuRelation, ExprError> {
+    let (l, r) = WithKeys::pair(left, right, keys)?;
+    let arities = (left.schema().arity(), right.schema().arity());
+    let join = JoinSelect::new(&l, &r, arities, predicate, keys, build_left);
+    let selection = join.select(0..join.probe_len())?;
+    Ok(selection.materialise(left, Some(right), left.schema().concat(right.schema())))
+}
+
+/// AU `⋈`'s pair loop, written once over two [`RowView`]s: which pairs of
+/// rows survive a (bound) predicate, under which triple. [`join`],
+/// [`hash_join`] and [`outer_join_select`]'s matched pairs run it; the
+/// vectorized engine runs it over its column chunks, one probe-row range
+/// per task, and gathers the [`Selection`].
+///
+/// Candidates come from an [`SgKeyIndex`] over the build side's key
+/// columns when there are keys and pruning between the sides is sound; a
+/// pruned pair's key equality is certainly false, so its predicate is. A
+/// bucket hit pairs two certainly equal keys: when the predicate is
+/// nothing but plain-column key equalities — or `NOT IN`'s null-aware one,
+/// where `x = k` certainly true makes the disjunction so — the pair is
+/// certainly true and true over the selected guesses, and keeps its plain
+/// product without assembling a range (a key column is then the attribute
+/// column the predicate reads). Every other candidate is refined like
+/// [`filter`] over the pair, through [`PairEval`].
+pub struct JoinSelect<'a, V: ?Sized> {
+    left: &'a V,
+    right: &'a V,
+    arities: (usize, usize),
+    predicate: Option<&'a Expr>,
+    index: Option<SgKeyIndex>,
+    /// The left side is the build side: probe rows are the right side's.
+    build_left: bool,
+    /// The probe side's key columns.
+    probe_cols: Vec<usize>,
+    /// A bucket hit is a certainly true pair.
+    certain_hits: bool,
+}
+
+/// How one probe row matched: some surviving pair has a build row that is
+/// possibly present, present in the selected-guess world under a
+/// selected-guess-true predicate, or certainly present under a certainly
+/// true one.
+#[derive(Default)]
+struct Matched {
+    possibly: bool,
+    sg: bool,
+    certainly: bool,
+}
+
+impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
+    /// The join of `left` and `right` (user arities `arities`) under
+    /// `predicate` (bound over `left ++ right`; `None`: every pair
+    /// matches) with candidate keys `keys`, whose left / right
+    /// expressions each view carries, evaluated, as its columns
+    /// `arity..arity + keys.len()`. The output is probe-major, the probe
+    /// side being the right one when `build_left`, when an index prunes;
+    /// left-major otherwise.
+    pub fn new(
+        left: &'a V,
+        right: &'a V,
+        arities: (usize, usize),
+        predicate: Option<&'a Expr>,
+        keys: &JoinKeys,
+        build_left: bool,
+    ) -> JoinSelect<'a, V> {
+        let n_keys = keys.keys.len();
+        let cols = |arity: usize| (arity..arity + n_keys).collect::<Vec<usize>>();
+        let (l_cols, r_cols) = (cols(arities.0), cols(arities.1));
+        let (build, build_cols, probe, probe_cols) = if build_left {
+            (left, l_cols, right, r_cols)
+        } else {
+            (right, r_cols, left, l_cols)
+        };
+        let index = (n_keys > 0)
+            .then(|| SgKeyIndex::build_for(build, &build_cols, probe, &probe_cols, false))
+            .flatten();
+        let plain = |k: &EquiKey| matches!((&k.left, &k.right), (Expr::Col(_), Expr::Col(_)));
+        let certain_hits =
+            (keys.residual.is_empty() || keys.null_aware) && keys.keys.iter().all(plain);
+        JoinSelect {
+            left,
+            right,
+            arities,
+            predicate,
+            build_left: build_left && index.is_some(),
+            index,
+            probe_cols,
+            certain_hits,
         }
     }
-    Ok(out)
+
+    /// The side whose rows drive the output order, then the other.
+    fn sides(&self) -> (&'a V, &'a V) {
+        if self.build_left {
+            (self.right, self.left)
+        } else {
+            (self.left, self.right)
+        }
+    }
+
+    /// Number of probe rows.
+    pub fn probe_len(&self) -> usize {
+        self.sides().0.len()
+    }
+
+    /// The surviving pairs of probe rows `probe`: probe row by probe row,
+    /// each one's candidates ascending.
+    pub fn select(&self, probe: Range<usize>) -> Result<Selection, ExprError> {
+        let mut scan = self.scan();
+        let mut out = Selection::default();
+        for p in probe {
+            self.probe_row(p, &mut scan, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// One task's scratch: the candidate list (every build row when no
+    /// index narrows it per probe row) and the pair evaluator.
+    fn scan(&self) -> (Vec<usize>, Option<PairEval<'a>>) {
+        let every = self.index.is_none().then(|| self.sides().1.len());
+        (
+            (0..every.unwrap_or(0)).collect(),
+            self.predicate.map(|p| PairEval::new(p, self.arities)),
+        )
+    }
+
+    /// Push probe row `p`'s surviving pairs onto `out`, and say how it
+    /// matched.
+    fn probe_row(
+        &self,
+        p: usize,
+        (cand, pairs): &mut (Vec<usize>, Option<PairEval<'a>>),
+        out: &mut Selection,
+    ) -> Result<Matched, ExprError> {
+        let (probe, build) = self.sides();
+        let key = self.index.as_ref().and_then(|index| {
+            let key = index.probe_key(probe, p, &self.probe_cols);
+            index.candidates_of(key.as_ref(), cand);
+            key
+        });
+        let hits = self.index.as_ref().filter(|_| self.certain_hits);
+        let hit = |b: usize| hits.is_some_and(|index| index.bucket_hit(key.as_ref(), b));
+        let certain = RangeTruth::exact(Truth::True);
+        let mut matched = Matched::default();
+        for &b in cand.iter() {
+            let (l, r) = if self.build_left { (b, p) } else { (p, b) };
+            let (rt, bg_true) = match pairs {
+                // No predicate: every pair matches in every world.
+                None => (certain, true),
+                Some(_) if hit(b) => (certain, true),
+                Some(pairs) => pairs.eval(self.left, l, self.right, r)?,
+            };
+            let mult = self.left.mult(l).times(&self.right.mult(r));
+            let Some(mult) = refine(rt, bg_true, mult) else {
+                continue;
+            };
+            let m = build.mult(b);
+            matched.possibly |= m.ub >= 1;
+            matched.sg |= bg_true && m.bg >= 1;
+            matched.certainly |= rt.certainly_true() && m.lb >= 1;
+            out.pair(Some(l), Some(r), mult);
+        }
+        Ok(matched)
+    }
 }
 
 /// ∪: bag union (left schema wins, like the bag engine).
@@ -1337,16 +1395,6 @@ impl<'a> ColView<'a> {
         }
     }
 
-    /// `range_cmp(bg_i, bg_j) == Equal`, typed for dense triples (the
-    /// native equality of same-typed scalars is the domain order's).
-    fn bg_eq(&self, i: usize, j: usize) -> bool {
-        match self {
-            ColView::Int { bg, .. } => bg[i] == bg[j],
-            ColView::Float { bg, .. } => bg[i] == bg[j],
-            ColView::Rows(rows) => range_cmp(&rows[i].bg, &rows[j].bg) == Ordering::Equal,
-        }
-    }
-
     /// Every row's selected guess when all are `Int`s — the one-`Int`-key
     /// fast path of the grouping.
     fn int_bgs(&self) -> Option<Cow<'a, [i64]>> {
@@ -1818,7 +1866,7 @@ impl AuCols {
 
     /// The result as a relation over `schema` — how the row engine
     /// materialises γ and δ.
-    fn to_relation(&self, schema: Schema) -> AuRelation {
+    fn materialise(&self, schema: Schema) -> AuRelation {
         let mut out = AuRelation::new(schema);
         for (i, &mult) in self.mults.iter().enumerate() {
             out.push(AuTuple {
@@ -1944,13 +1992,16 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind]) -> AuCols {
             (0..n_rows).filter(|&i| intersects_hulls(i)).collect()
         };
         // One certainty flag per possible member, shared by every
-        // aggregate's bound computation and the group's multiplicity: the
-        // member's guesses equal the group key's (its first member's).
+        // aggregate's bound computation and the group's multiplicity: a
+        // certainly present point-keyed member of the group itself — its
+        // guesses structurally those of the group's first member. A
+        // possible member from another selected-guess group whose key
+        // merely compares equal (`1` next to the group `1.0`) lands in its
+        // own group in every world, so it is no certain member here.
+        let own = |i: usize| keys.iter().all(|c| c.same_bg(i, member_idx[0]));
         let certain_flags: Vec<bool> = possible
             .iter()
-            .map(|&i| {
-                mults[i].lb >= 1 && key_points[i] && keys.iter().all(|c| c.bg_eq(i, member_idx[0]))
-            })
+            .map(|&i| mults[i].lb >= 1 && key_points[i] && own(i))
             .collect();
         let in_sg_any = member_idx.iter().any(|&i| mults[i].bg >= 1);
 
@@ -2102,7 +2153,7 @@ pub fn aggregate(
     let kinds: Vec<AggKind> = aggregates.iter().map(|a| a.kind).collect();
     let mut columns: Vec<Column> = group_by.iter().map(|(_, c)| c.clone()).collect();
     columns.extend(aggregates.iter().map(|a| a.column.clone()));
-    Ok(aggregate_cols(&input, &kinds).to_relation(Schema::new(columns)))
+    Ok(aggregate_cols(&input, &kinds).materialise(Schema::new(columns)))
 }
 
 /// δ over column-major input: every `input.keys` column is an attribute
@@ -2145,7 +2196,7 @@ pub fn distinct(rel: &AuRelation) -> AuRelation {
         args: Vec::new(),
         mults: rel.rows().iter().map(|r| r.mult).collect(),
     };
-    distinct_cols(&input).to_relation(rel.schema().clone())
+    distinct_cols(&input).materialise(rel.schema().clone())
 }
 
 /// Sort rows by selected-guess keys (outermost first, per-key direction)
@@ -2282,17 +2333,17 @@ fn certain_valued<V: RowView + ?Sized>(v: &V, i: usize, arity: usize) -> bool {
     (0..arity).all(|c| v.pin(i, c) != Pin::Loose)
 }
 
-/// What `−` and `⟕` select, before anything is materialised: output row
-/// `k` is row `left[k]` of the left input next to row `right[k]` of the
-/// right input (`None`: that side is the definite-NULL pad), under
-/// multiplicity triple `mults[k]`. `−` keeps left rows only, so its
+/// What `⋈`, `−` and `⟕` select, before anything is materialised: output
+/// row `k` is row `left[k]` of the left input next to row `right[k]` of
+/// the right input (`None`: that side is the definite-NULL pad, `⟕` only),
+/// under multiplicity triple `mults[k]`. `−` keeps left rows only, so its
 /// `right` is empty. Every selected triple has `ub ≥ 1` — a row with
 /// `ub = 0` exists in no world and is never selected.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Selection {
     /// Per output row, its row of the left input.
     pub left: Vec<Option<usize>>,
-    /// Per output row, its row of the right input (`⟕` only).
+    /// Per output row, its row of the right input (`⋈` and `⟕`).
     pub right: Vec<Option<usize>>,
     /// Per output row, its multiplicity triple.
     pub mults: Vec<MultBound>,
@@ -2317,13 +2368,21 @@ impl Selection {
         }
     }
 
-    /// Keep the pair `(left, right)` under `mult` (`⟕`).
+    /// Keep the pair `(left, right)` under `mult` (`⋈`, `⟕`).
     fn pair(&mut self, left: Option<usize>, right: Option<usize>, mult: MultBound) {
         if mult.ub >= 1 {
             self.left.push(left);
             self.right.push(right);
             self.mults.push(mult);
         }
+    }
+
+    /// Append `other`'s rows after these — how selections over
+    /// consecutive probe-row ranges concatenate.
+    pub fn append(&mut self, mut other: Selection) {
+        self.left.append(&mut other.left);
+        self.right.append(&mut other.right);
+        self.mults.append(&mut other.mults);
     }
 
     /// The selected rows of `left` (next to those of `right`, for `⟕`) as
@@ -2614,16 +2673,11 @@ pub fn outer_join(
     predicate: Option<&Expr>,
     left_kind: bool,
 ) -> Result<AuRelation, ExprError> {
-    let schema = left.schema().concat(right.schema());
-    let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
+    let (bound, keys) = bind_on(predicate, left.schema(), right.schema())?;
+    let (l, r) = WithKeys::pair(left, right, &keys)?;
     let arities = (left.schema().arity(), right.schema().arity());
-    let keys = bound
-        .as_ref()
-        .map_or_else(JoinKeys::default, |p| candidate_keys(p, arities.0));
-    let (lk, rk) = key_exprs(&keys);
-    let (l, r) = (WithKeys::new(left, &lk)?, WithKeys::new(right, &rk)?);
     let selection = outer_join_select(&l, &r, arities, bound.as_ref(), &keys, left_kind)?;
-    Ok(selection.materialise(left, Some(right), schema))
+    Ok(selection.materialise(left, Some(right), left.schema().concat(right.schema())))
 }
 
 /// `⟕` / `⟖` over two views: the selection [`outer_join`] materialises
@@ -2633,14 +2687,9 @@ pub fn outer_join(
 /// evaluated, as its columns `arity..arity + keys.len()` (no predicate,
 /// no keys).
 ///
-/// Keys prune exactly like [`join`]: a pruned pair's predicate is
-/// certainly false, so no match flag and no output row depends on it. A
-/// bucket hit pairs two certainly equal keys; when the predicate is
-/// nothing but plain-column key equalities — or `NOT IN`'s null-aware
-/// one, where `x = k` certainly true makes the disjunction so — such a
-/// pair is certainly true and true over the selected guess, and refines
-/// to its plain product without assembling a range (a key column is then
-/// the attribute column the predicate reads).
+/// The matched pairs are [`JoinSelect`]'s, the preserved side probing:
+/// keys prune exactly as they do for [`join`] — a pruned pair's predicate
+/// is certainly false, so no match flag and no output row depends on it.
 pub fn outer_join_select<V: RowView + ?Sized>(
     left: &V,
     right: &V,
@@ -2649,64 +2698,19 @@ pub fn outer_join_select<V: RowView + ?Sized>(
     keys: &JoinKeys,
     left_kind: bool,
 ) -> Result<Selection, ExprError> {
-    let (outer, inner, o_arity, i_arity) = if left_kind {
-        (left, right, arities.0, arities.1)
-    } else {
-        (right, left, arities.1, arities.0)
-    };
-    let n_keys = keys.keys.len();
-    let o_cols: Vec<usize> = (o_arity..o_arity + n_keys).collect();
-    let i_cols: Vec<usize> = (i_arity..i_arity + n_keys).collect();
-    let index = (n_keys > 0)
-        .then(|| SgKeyIndex::build_for(inner, &i_cols, outer, &o_cols, false))
-        .flatten();
-    let certain_hits = (keys.residual.is_empty() || keys.null_aware)
-        && keys
-            .keys
-            .iter()
-            .all(|k| matches!((&k.left, &k.right), (Expr::Col(_), Expr::Col(_))));
-    let mut pairs = predicate.map(|p| PairEval::new(p, arities));
-    let certain = RangeTruth::exact(Truth::True);
-    let mut cand: Vec<usize> = (0..inner.len()).collect();
+    let mut join = JoinSelect::new(left, right, arities, predicate, keys, !left_kind);
+    // The preserved side probes whether or not an index prunes.
+    join.build_left = !left_kind;
+    let outer = join.sides().0;
+    let mut scan = join.scan();
     let mut out = Selection::default();
     for o in 0..outer.len() {
-        let key = index.as_ref().and_then(|index| {
-            let key = index.probe_key(outer, o, &o_cols);
-            index.candidates_of(key.as_ref(), &mut cand);
-            key
-        });
-        let mut sg_matched = false;
-        let mut possibly_matched = false;
-        let mut certainly_matched = false;
-        for &i in &cand {
-            let (l, r) = if left_kind { (o, i) } else { (i, o) };
-            let (rt, bg_true) = match &mut pairs {
-                // No predicate: every pair matches in every world.
-                None => (certain, true),
-                Some(_)
-                    if certain_hits
-                        && index
-                            .as_ref()
-                            .is_some_and(|x| x.bucket_hit(key.as_ref(), i)) =>
-                {
-                    (certain, true)
-                }
-                Some(pairs) => pairs.eval(left, l, right, r)?,
-            };
-            let Some(mult) = refine(rt, bg_true, left.mult(l).times(&right.mult(r))) else {
-                continue;
-            };
-            let m = inner.mult(i);
-            possibly_matched |= m.ub >= 1;
-            sg_matched |= bg_true && m.bg >= 1;
-            certainly_matched |= rt.certainly_true() && m.lb >= 1;
-            out.pair(Some(l), Some(r), mult);
-        }
+        let matched = join.probe_row(o, &mut scan, &mut out)?;
         let m = outer.mult(o);
         let pad = MultBound::new(
-            if possibly_matched { 0 } else { m.lb },
-            if sg_matched { 0 } else { m.bg },
-            if certainly_matched { 0 } else { m.ub },
+            if matched.possibly { 0 } else { m.lb },
+            if matched.sg { 0 } else { m.bg },
+            if matched.certainly { 0 } else { m.ub },
         );
         if left_kind {
             out.pair(Some(o), None, pad);
@@ -2851,6 +2855,37 @@ mod tests {
         assert_eq!(g2.values[0].bg, Value::Int(2));
         assert!(g2.values[0].contains(&Value::Int(1)));
         assert_eq!(g2.mult.lb, 0, "row 3 may ground its key to 1");
+    }
+
+    #[test]
+    fn mixed_int_float_keys_keep_group_multiplicities_well_formed() {
+        // `1` and `1.0` are two selected-guess groups sharing one
+        // normalized key: the certain `1` is a possible member of the group
+        // `1.0` (their keys compare equal) but never a certain one — in
+        // every world it groups with itself. The group `1.0`'s only member
+        // is absent from the selected guess, so it certainly materializes
+        // nowhere: `[0, 0, 2]`, not the ill-formed `[1, 0, 2]`.
+        let input = AggCols {
+            keys: vec![TripleCol::Rows(vec![
+                RangeValue::point(Value::Int(1)),
+                RangeValue::point(fv(1.0)),
+            ])],
+            args: vec![None],
+            mults: vec![MultBound::certain(1), MultBound::new(0, 0, 1)],
+        };
+        let out = aggregate_cols(&input, &[AggKind::CountStar]);
+        assert_eq!(
+            out.mults,
+            [MultBound::new(1, 1, 2), MultBound::new(0, 0, 2)]
+        );
+        assert!(out.mults.iter().all(MultBound::is_well_formed));
+        // The same input through δ: each group's triple comes from its own
+        // members only.
+        let distinct = distinct_cols(&input);
+        assert_eq!(
+            distinct.mults,
+            [MultBound::certain(1), MultBound::new(0, 0, 1)]
+        );
     }
 
     #[test]

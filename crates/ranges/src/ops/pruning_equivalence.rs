@@ -1,7 +1,9 @@
-//! Hashed candidate generation changes nothing: [`except`] (both variants)
-//! and [`outer_join`] under `NOT IN`'s null-aware predicate against their
-//! all-pairs references — identical rows, order and `[lb, bg, ub]`
-//! triples — over inputs that mix everything the index special-cases.
+//! Hashed candidate generation changes nothing: [`except`] (both variants),
+//! [`outer_join`] under `NOT IN`'s null-aware predicate and the keyed
+//! [`join`] against their all-pairs references — identical rows, order and
+//! `[lb, bg, ub]` triples — and [`hash_join`] with either build side against
+//! [`join`] as a multiset, over inputs that mix everything the index
+//! special-cases.
 
 use super::*;
 use proptest::prelude::*;
@@ -114,6 +116,45 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn hashed_join_equals_pairwise(sides in arb_sides(&["a", "b"], &["a", "b"])) {
+        let (l, r) = sides;
+        let col = Expr::named;
+        let sorted = |rel: AuRelation| {
+            let mut rows = crate::relation::encode_rows(&rel);
+            rows.sort();
+            rows
+        };
+        // Hash-join keys and residual. `+` over a string is a type error a
+        // keyed join raises evaluating keys, the all-pairs loop on a pair.
+        let mut shapes = vec![
+            (vec![(col("l.a"), col("r.a"))], None),
+            (vec![(col("l.a"), col("r.a")), (col("l.b"), col("r.b"))], None),
+            (vec![(col("l.a"), col("r.b"))], Some(col("l.b").lt(col("r.a")))),
+        ];
+        let cells = l.rows().iter().chain(r.rows()).flat_map(|t| &t.values);
+        if cells.clone().all(|v| !matches!(v.bg, Value::Str(_))) {
+            shapes.push((vec![(col("l.a").add(Expr::lit(1i64)), col("r.b"))], None));
+        }
+        let mut thetas = vec![null_aware_eq(col("l.a"), col("r.a"))];
+        for (keys, residual) in &shapes {
+            let equalities = keys.iter().map(|(a, b)| a.clone().eq(b.clone()));
+            let theta = Expr::conjunction(equalities.chain(residual.clone()));
+            let keyed = sorted(join(&l, &r, Some(&theta)).unwrap());
+            for build_left in [false, true] {
+                let hashed = hash_join(&l, &r, keys, residual.as_ref(), build_left).unwrap();
+                let context = format!("{theta} build_left={build_left} {l:?} {r:?}");
+                prop_assert_eq!(sorted(hashed), keyed.clone(), "{}", context);
+            }
+            thetas.push(theta);
+        }
+        for theta in thetas {
+            let pairwise = theta.clone().or(Expr::lit(false));
+            let (keyed, all_pairs) = (join(&l, &r, Some(&theta)), join(&l, &r, Some(&pairwise)));
+            prop_assert_eq!(keyed.unwrap(), all_pairs.unwrap(), "{} {:?} {:?}", theta, l, r);
+        }
+    }
 }
 
 fn rel_of(qualifier: &str, rows: Vec<Vec<RangeValue>>) -> AuRelation {
@@ -144,16 +185,20 @@ fn the_index_prunes_exactly_when_it_may() {
         vec![int(1), int(2), vec![RangeValue::null()], ranged, int(1)],
     );
     let index = row_index(r.rows(), l.rows(), 1, true);
-    let mut cand = Vec::new();
-    index.candidates(&l.rows()[0].values, &mut cand);
+    let cand = candidates(&index, l.rows(), 0, &[0]);
     assert_eq!(cand, [0, 3, 4], "bucket of 1 merged with the ranged row");
-    index.candidates(&l.rows()[1].values, &mut cand);
+    let cand = candidates(&index, l.rows(), 1, &[0]);
     assert_eq!(cand, [2, 3], "a definite NULL matches NULLs and fuzzy rows");
-    index.candidates(&l.rows()[2].values, &mut cand);
+    let cand = candidates(&index, l.rows(), 2, &[0]);
     assert_eq!(cand, [0, 1, 2, 3, 4], "a ranged probe scans everything");
 
     let strs = rel_of("s", vec![vec![RangeValue::point(Value::str("1"))]]);
-    row_index(r.rows(), strs.rows(), 1, true).candidates(&strs.rows()[0].values, &mut cand);
+    let cand = candidates(
+        &row_index(r.rows(), strs.rows(), 1, true),
+        strs.rows(),
+        0,
+        &[0],
+    );
     assert_eq!(
         cand,
         [0, 1, 2, 3, 4],
@@ -164,9 +209,25 @@ fn the_index_prunes_exactly_when_it_may() {
     let not_in = null_aware_eq(Expr::named("l.a"), Expr::named("r.a"))
         .bind(&schema)
         .unwrap();
-    let (index, probe_keys) = equi_key_index(&not_in, &l, &r, false)
-        .unwrap()
+    let keys = candidate_keys(&not_in, 1);
+    let (lv, rv) = WithKeys::pair(&l, &r, &keys).unwrap();
+    let join = JoinSelect::new(&lv, &rv, (1, 1), Some(&not_in), &keys, false);
+    let index = join
+        .index
+        .as_ref()
         .expect("NOT IN's predicate is keyed on x = k");
-    index.candidates(&probe_keys[0], &mut cand);
+    let cand = candidates(index, &lv, 0, &join.probe_cols);
     assert_eq!(cand, [0, 2, 3, 4], "under `=` a definite-NULL key is fuzzy");
+}
+
+/// The candidates `index` lists for row `i` of `probe`, keyed over `cols`.
+fn candidates<V: RowView + ?Sized>(
+    index: &SgKeyIndex,
+    probe: &V,
+    i: usize,
+    cols: &[usize],
+) -> Vec<usize> {
+    let mut cand = Vec::new();
+    index.candidates_of(index.probe_key(probe, i, cols).as_ref(), &mut cand);
+    cand
 }

@@ -87,28 +87,21 @@
 //!   shared `ua_ranges::ops::refine_pair_mult` over ranges assembled for
 //!   that pair only. Output columns are gathered, never re-encoded. Point
 //!   keys of *different* families on the two sides (`Int` vs `Str`) make
-//!   pruning unsound; that case defers to the relation path
-//!   (`ua_ranges::ops::hash_join`).
-//! * **−, ⟕** — column-native selection (`Driver::{au_except,
-//!   au_outer_join}`). Each input concatenates into one chunk and is read
-//!   through a `ChunkView`, the vectorized `ua_ranges::ops::RowView`: a
-//!   cell's pin comes off its column's `point_mask` (O(1) when the
-//!   bounds alias `bg`), a range is assembled only when a bound rule asks
-//!   for one, and `⟕`'s key expressions are evaluated by `expr_triple`
-//!   as the hash join's are. The shared `ua_ranges::ops::{except_select,
-//!   outer_join_select}` — the very bound rules the row engine's `except`
-//!   / `outer_join` run — return which rows survive, paired with what,
-//!   under which triple; the driver gathers that selection out of the
-//!   chunks (`Driver::gather_selection`). Nothing crosses into an
+//!   pruning unsound; that case selects over views like the `⋈` below.
+//! * **−, ⟕, ⋈ (keyless, non-equi, cross-family)** — column-native
+//!   selection (`Driver::{au_except, au_outer_join, au_join}`). Each input
+//!   concatenates into one chunk and is read through a `ChunkView`, the
+//!   vectorized `ua_ranges::ops::RowView`: a cell's pin comes off its
+//!   column's `point_mask` (O(1) when the bounds alias `bg`), a range is
+//!   assembled only when a bound rule asks for one, and the join keys are
+//!   evaluated by `expr_triple` as the hash join's are. The shared
+//!   `ua_ranges::ops::{except_select, outer_join_select, JoinSelect}` —
+//!   the very bound rules and pair loop the row engine's `except` /
+//!   `outer_join` / `join` / `hash_join` run — return which rows survive,
+//!   paired with what, under which triple (`⋈` one `batch_rows` range of
+//!   probe rows per pool task); the driver gathers that selection out of
+//!   the chunks (`Driver::gather_selection`). Nothing crosses into an
 //!   `AuRelation`.
-//! * **⋈ (keyless), cross-family ⋈** — the only operators that cross the
-//!   stream ↔ relation boundary (one pair of functions, `to_relation` /
-//!   `from_relation`: columns convert straight into range rows, no tuple
-//!   encoding, no re-validation — the stream is canonical by construction)
-//!   and feed the shared `ua_ranges::ops::{join, hash_join}`; keyless /
-//!   non-equi joins run block-nested-loop on the pool. The rows crossing,
-//!   both ways, are counted (`au.vec.relation_rows`, and a `relation_rows`
-//!   extra on the operator's stats node).
 //!
 //! No operator falls back to the row engine's materialize-and-dispatch
 //! path: every `au.vec.fallback.*` counter stays pinned at zero
@@ -121,8 +114,8 @@
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{
-    batches_from_table_pooled, chunk_columns, chunk_to_batch, convert_chunks, gather_columns, ones,
-    BatchStream, ColumnBatch, ColumnVec,
+    chunk_columns, chunk_to_batch, convert_chunks, gather_columns, ones, BatchStream, ColumnBatch,
+    ColumnVec,
 };
 use crate::exec::Driver;
 use crate::kernels::{
@@ -130,10 +123,9 @@ use crate::kernels::{
 };
 use crate::ops::{build_index, probe_index, JoinIndex};
 use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::ops::Range;
-use std::sync::Arc;
-use ua_data::algebra::{candidate_keys, JoinKeys, ProjColumn};
+use std::sync::{Arc, OnceLock};
+use ua_data::algebra::{EquiKey, JoinKeys, ProjColumn};
 use ua_data::expr::Expr;
 use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
@@ -142,13 +134,12 @@ use ua_plan::plan::{AggExpr, Plan};
 use ua_plan::storage::Table;
 use ua_plan::EngineError;
 use ua_ranges::ops::{
-    distinct_cols, except_select, key_family, outer_join_select, refine_pair_mult, Pin, RowView,
-    Selection,
+    bind_hash_keys, bind_on, distinct_cols, except_select, key_family, outer_join_select,
+    refine_pair_mult, JoinSelect, Pin, RowView, Selection,
 };
-use ua_ranges::relation::AuTuple;
 use ua_ranges::{
     approx_range, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
-    reanchor, truth_range, AggCols, AggKind, AuCols, AuRelation, MultBound, RangeValue, TripleCol,
+    reanchor, truth_range, AggCols, AggKind, AuCols, MultBound, RangeValue, TripleCol,
     WidthSummary,
 };
 
@@ -157,34 +148,6 @@ use ua_ranges::{
 /// the layout validation scans already did).
 pub(crate) fn user_schema(flat: &Schema) -> Schema {
     Schema::new(flat.columns()[..(flat.arity() - 3) / 3].to_vec())
-}
-
-/// Stream → relation, one of the two boundary functions between the
-/// columnar AU stream and the shared `ua_ranges::ops` operators: the
-/// columns convert straight into range rows. Infallible — every stream is
-/// canonical by construction (scans normalize, operators preserve normal
-/// form), so no validation round trip is paid.
-fn to_relation(user: &Schema, batches: &[ColumnBatch]) -> AuRelation {
-    let n = user.arity();
-    let mut rel = AuRelation::new(user.clone());
-    for b in batches {
-        for (i, mult) in mult_bounds(b, n).enumerate() {
-            rel.push(AuTuple {
-                values: row_ranges(b, n, i),
-                mult,
-            });
-        }
-    }
-    rel
-}
-
-/// Relation → stream, the other boundary function, reached only from
-/// [`Driver::crossed_back`]: a shared-operator result (already canonical —
-/// operator outputs normalize through the `RangeValue` / `MultBound`
-/// constructors) re-batches through its flattened table, chunk-parallel on
-/// the query's pool.
-fn from_relation(rel: &AuRelation, driver: &Driver) -> BatchStream {
-    batches_from_table_pooled(&ua_plan::au_table(rel), driver.batch_rows, &driver.pool)
 }
 
 /// The batch's selected-guess view: the first `n` columns under the user
@@ -207,11 +170,6 @@ fn range_at(batch: &ColumnBatch, n: usize, c: usize, i: usize) -> RangeValue {
         batch.column(c).value(i),
         batch.column(2 * n + c).value(i),
     )
-}
-
-/// Assemble row `i`'s attribute ranges from the triple columns.
-fn row_ranges(batch: &ColumnBatch, n: usize, i: usize) -> Vec<RangeValue> {
-    (0..n).map(|c| range_at(batch, n, c, i)).collect()
 }
 
 /// Row-at-a-time range assembly for the shapes the typed kernels do not
@@ -509,33 +467,6 @@ impl Driver<'_> {
         Ok(BatchStream { schema, batches })
     }
 
-    /// The cross-family hash ⋈, which has no columnar form: both sides
-    /// cross the relation boundary into the shared [`ua_plan::au_binary`]
-    /// and the result crosses back.
-    fn au_binary(
-        &self,
-        plan: &Plan,
-        ls: &BatchStream,
-        rs: &BatchStream,
-    ) -> Result<BatchStream, EngineError> {
-        let l = to_relation(&user_schema(&ls.schema), &ls.batches);
-        let r = to_relation(&user_schema(&rs.schema), &rs.batches);
-        let out = ua_plan::au_binary(plan, &l, &r)?;
-        Ok(self.crossed_back(ls.num_rows() + rs.num_rows(), &out))
-    }
-
-    /// The result `out` of a binary operator whose inputs sent `inputs`
-    /// rows across the relation boundary, re-batched: both crossings count
-    /// in `au.vec.relation_rows` and on the operator's stats node.
-    fn crossed_back(&self, inputs: usize, out: &AuRelation) -> BatchStream {
-        let rows = inputs + out.rows().len();
-        ua_obs::global()
-            .counter("au.vec.relation_rows")
-            .add(rows as u64);
-        self.report_relation_rows(rows);
-        from_relation(out, self)
-    }
-
     /// `⟦−⟧_AU` (EXCEPT [ALL]), column-native: both inputs are read as
     /// [`ChunkView`]s, the shared `ua_ranges::ops::except_select` keeps the
     /// surviving left rows with their triples, and
@@ -551,18 +482,17 @@ impl Driver<'_> {
         luser
             .check_union_compatible(&ruser)
             .map_err(EngineError::Schema)?;
-        let left = ChunkView::new(ls, &luser, [])?;
-        let right = ChunkView::new(rs, &ruser, [])?;
+        let (left, right) = ChunkView::pair(ls, rs, &JoinKeys::default())?;
         let selection = except_select(&left, &right, luser.arity(), all);
         Ok(self.gather_selection(flattened_schema(&luser), &selection, &left, None))
     }
 
     /// `⟦⟕⟧_AU` / `⟦⟖⟧_AU`, column-native: the ON clause binds over the
-    /// user schemas, each input is read as a [`ChunkView`] carrying its
-    /// side of the clause's candidate keys (`ua_data::algebra::
-    /// candidate_keys`, evaluated by [`expr_triple`]), the shared
-    /// `ua_ranges::ops::outer_join_select` picks the matched pairs and pads
-    /// with their triples, and [`Driver::gather_selection`] gathers them.
+    /// user schemas (`ua_ranges::ops::bind_on`), each input is read as a
+    /// [`ChunkView`] carrying its side of the clause's candidate keys, the
+    /// shared `ua_ranges::ops::outer_join_select` picks the matched pairs
+    /// and pads with their triples, and [`Driver::gather_selection`]
+    /// gathers them.
     pub(crate) fn au_outer_join(
         &self,
         ls: BatchStream,
@@ -571,19 +501,61 @@ impl Driver<'_> {
         left_kind: bool,
     ) -> Result<BatchStream, EngineError> {
         let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
-        let user = luser.concat(&ruser);
-        let bound = predicate
-            .map(|p| p.bind(&user))
-            .transpose()
-            .map_err(EngineError::Expr)?;
-        let arities = (luser.arity(), ruser.arity());
-        let keys = bound
-            .as_ref()
-            .map_or_else(JoinKeys::default, |p| candidate_keys(p, arities.0));
-        let left = ChunkView::new(ls, &luser, keys.keys.iter().map(|k| &k.left))?;
-        let right = ChunkView::new(rs, &ruser, keys.keys.iter().map(|k| &k.right))?;
-        let selection = outer_join_select(&left, &right, arities, bound.as_ref(), &keys, left_kind)
-            .map_err(EngineError::Expr)?;
+        let (bound, keys) = bind_on(predicate, &luser, &ruser).map_err(EngineError::Expr)?;
+        let (left, right) = ChunkView::pair(ls, rs, &keys)?;
+        let arities = (left.n, right.n);
+        let selection = outer_join_select(&left, &right, arities, bound.as_ref(), &keys, left_kind);
+        let selection = selection.map_err(EngineError::Expr)?;
+        let flat = flattened_schema(&luser.concat(&ruser));
+        Ok(self.gather_selection(flat, &selection, &left, Some(&right)))
+    }
+
+    /// `⟦⋈⟧_AU` for `Plan::Join` — keyless, non-equi, or keyed with the
+    /// optimizer off: the predicate binds like `⟕`'s ON clause and the
+    /// pairs are selected over views ([`Driver::join_views`]).
+    pub(crate) fn au_join(
+        &self,
+        ls: BatchStream,
+        rs: BatchStream,
+        predicate: Option<&Expr>,
+    ) -> Result<BatchStream, EngineError> {
+        let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
+        let (bound, keys) = bind_on(predicate, &luser, &ruser).map_err(EngineError::Expr)?;
+        self.join_views(ls, rs, bound.as_ref(), &keys, false)
+    }
+
+    /// `⟦⋈⟧_AU` over views: each input is read as a [`ChunkView`] carrying
+    /// its side of `keys`, the shared `ua_ranges::ops::JoinSelect` — the
+    /// very pair loop of the row engine's `join` / `hash_join` — selects the
+    /// surviving pairs of each `batch_rows` range of probe rows on the pool,
+    /// the selections concatenate in range order (the lowest failing
+    /// range's error wins, the row engine's scan order), and
+    /// [`Driver::gather_selection`] gathers them. `predicate` is bound over
+    /// `left ++ right`.
+    fn join_views(
+        &self,
+        ls: BatchStream,
+        rs: BatchStream,
+        predicate: Option<&Expr>,
+        keys: &JoinKeys,
+        build_left: bool,
+    ) -> Result<BatchStream, EngineError> {
+        let user = user_schema(&ls.schema).concat(&user_schema(&rs.schema));
+        let (left, right) = ChunkView::pair(ls, rs, keys)?;
+        let arities = (left.n, right.n);
+        let join = JoinSelect::new(&left, &right, arities, predicate, keys, build_left);
+        let (rows, step) = (join.probe_len(), self.batch_rows.max(1));
+        let ranges: Vec<Range<usize>> = (0..rows)
+            .step_by(step)
+            .map(|start| start..(start + step).min(rows))
+            .collect();
+        let mut selection = Selection::default();
+        for part in self
+            .pool
+            .map_in_order(ranges, |_, probe| join.select(probe))
+        {
+            selection.append(part.map_err(EngineError::Expr)?);
+        }
         Ok(self.gather_selection(flattened_schema(&user), &selection, &left, Some(&right)))
     }
 
@@ -653,13 +625,15 @@ impl Driver<'_> {
     /// boundaries a re-batched relation has: `attributes(slice)` writes a
     /// slice's attribute columns in flattened order, and the multiplicity
     /// columns are written once, from the triples (clamped to `i64` as the
-    /// row encoding clamps them).
+    /// row encoding clamps them). A debug build rejects an ill-formed
+    /// triple here, as `AuRelation::push` does on the row engine.
     fn write_batches(
         &self,
         flat: Schema,
         mults: &[MultBound],
         mut attributes: impl FnMut(Range<usize>) -> Vec<ColumnVec>,
     ) -> BatchStream {
+        debug_assert!(mults.iter().all(MultBound::is_well_formed));
         let parts: [fn(&MultBound) -> u64; 3] = [|m| m.lb, |m| m.bg, |m| m.ub];
         let step = self.batch_rows.max(1);
         let total = mults.len();
@@ -727,46 +701,6 @@ impl Driver<'_> {
         Ok(self.write_cols(&Schema::new(columns), &out))
     }
 
-    /// `⟦⋈⟧_AU` for keyless / non-equi joins (`Plan::Join`), block
-    /// nested-loop: each left chunk converts straight into range rows
-    /// (reusing the stream↔relation conversion) and joins against the
-    /// full right relation on its own worker through the shared
-    /// [`ua_plan::au_binary`] → `ua_ranges::ops::join` refinement.
-    /// `join` is left-row-major over the whole right side, so blocks
-    /// concatenated in chunk order are byte-identical to one monolithic
-    /// call, and errors surface from the lowest-indexed failing chunk —
-    /// the row engine's left-scan order.
-    pub(crate) fn au_block_join(
-        &self,
-        plan: &Plan,
-        ls: &BatchStream,
-        rs: &BatchStream,
-    ) -> Result<BatchStream, EngineError> {
-        let right = to_relation(&user_schema(&rs.schema), &rs.batches);
-        let user = user_schema(&ls.schema);
-        let parts: Vec<AuRelation> = if ls.batches.is_empty() {
-            // Empty left side: one empty block still produces the joined
-            // schema (and any predicate binding error) like the row path.
-            vec![ua_plan::au_binary(plan, &AuRelation::new(user), &right)?]
-        } else {
-            self.pool
-                .map_in_order(ls.batches.iter().collect::<Vec<_>>(), |_, batch| {
-                    let block = to_relation(&user, std::slice::from_ref(batch));
-                    ua_plan::au_binary(plan, &block, &right)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?
-        };
-        let mut parts = parts.into_iter();
-        let mut out = parts.next().expect("at least one block");
-        for part in parts {
-            for row in part.rows() {
-                out.push(row.clone());
-            }
-        }
-        Ok(self.crossed_back(ls.num_rows() + rs.num_rows(), &out))
-    }
-
     /// `⟦⋈⟧_AU` for `Plan::HashJoin`, triple-column-native — the columnar
     /// form of `ua_ranges::ops::hash_join`, emitting the same rows in the
     /// same order (probe-major, candidates ascending in build-scan order).
@@ -781,15 +715,15 @@ impl Driver<'_> {
     /// comparable family that differ, i.e. a certainly-false key
     /// equality, so dropping it loses no possibly-true pair — which is
     /// sound only when each key column's point keys share one family
-    /// across both sides; the cross-family case defers to the relation
-    /// path (`ua_ranges::ops::hash_join`, which itself falls back to the
-    /// nested loop there). Also returns how many candidate pairs were
-    /// refined row-wise.
+    /// across both sides; the cross-family case selects every pair over
+    /// views, left-major ([`Driver::join_views`] — the row operator's own
+    /// pair loop, which prunes nothing there either). Also returns how many
+    /// candidate pairs were refined row-wise.
     ///
     /// That family check over *both* sides, left keys evaluating before
-    /// right keys whichever side builds, and the deferral's left-major
-    /// output are why this is a source over two executed inputs and not a
-    /// build-at-bind / probe-per-morsel stage like the det join.
+    /// right keys whichever side builds, and the cross-family case's
+    /// left-major output are why this is a source over two executed inputs
+    /// and not a build-at-bind / probe-per-morsel stage like the det join.
     pub(crate) fn au_hash_join(
         &self,
         plan: &Plan,
@@ -807,48 +741,25 @@ impl Driver<'_> {
         };
         let build_left = *build_left;
         let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
-        let user = luser.concat(&ruser);
         let (nl, nr) = (luser.arity(), ruser.arity());
-        let lk: Vec<Expr> = keys
-            .iter()
-            .map(|(l, _)| l.bind(&luser))
-            .collect::<Result<_, _>>()
-            .map_err(EngineError::Expr)?;
-        let rk: Vec<Expr> = keys
-            .iter()
-            .map(|(_, r)| r.bind(&ruser))
-            .collect::<Result<_, _>>()
-            .map_err(EngineError::Expr)?;
         // The full join predicate over `left ++ right`, as the row
         // operator reconstructs it: key equalities ∧ residual.
-        let mut conjuncts: Vec<Expr> = lk
-            .iter()
-            .zip(&rk)
-            .map(|(l, r)| {
-                let shifted = r
-                    .map_refs(&|name| Some(name.to_string()), &|i| i + nl)
-                    .expect("identity name mapping cannot fail");
-                l.clone().eq(shifted)
-            })
-            .collect();
-        if let Some(res) = residual {
-            conjuncts.push(res.bind(&user).map_err(EngineError::Expr)?);
-        }
-        let pred = Expr::conjunction(conjuncts);
+        let (pred, join_keys) =
+            bind_hash_keys(keys, residual.as_ref(), &luser, &ruser).map_err(EngineError::Expr)?;
 
-        let (build, probe, build_exprs, probe_exprs, build_user, probe_user) = if build_left {
-            (ls, rs, &lk, &rk, &luser, &ruser)
+        let (l_side, r_side): (Side, Side) = (|k| &k.left, |k| &k.right);
+        let (build, probe, build_side, probe_side, build_user, probe_user) = if build_left {
+            (ls, rs, l_side, r_side, &luser, &ruser)
         } else {
-            (rs, ls, &rk, &lk, &ruser, &luser)
+            (rs, ls, r_side, l_side, &ruser, &luser)
         };
-        let (nb, np) = (build_user.arity(), probe_user.arity());
         let chunk = build.clone().into_single_chunk();
-        let build_keys = || SideKeys::eval(&chunk, nb, build_exprs, build_user);
+        let build_keys = || SideKeys::eval(&chunk, build_user, &join_keys, build_side);
         let probe_keys = || {
             probe
                 .batches
                 .iter()
-                .map(|b| SideKeys::eval(b, np, probe_exprs, probe_user))
+                .map(|b| SideKeys::eval(b, probe_user, &join_keys, probe_side))
                 .collect::<Result<Vec<_>, _>>()
         };
         // Left keys evaluate before right keys, like the row operator.
@@ -873,7 +784,9 @@ impl Driver<'_> {
         if !compatible {
             let pairs = (ls.num_rows() * rs.num_rows()) as u64;
             count_rowwise("au.vec.rowwise.join_pairs", pairs);
-            return Ok((self.au_binary(plan, ls, rs)?, pairs));
+            let joined =
+                self.join_views(ls.clone(), rs.clone(), Some(&pred), &join_keys, build_left)?;
+            return Ok((joined, pairs));
         }
 
         let build_points = bkeys.point_rows();
@@ -894,7 +807,7 @@ impl Driver<'_> {
             has_residual: residual.is_some(),
             build_left,
             arity: (nl, nr),
-            flat: flattened_schema(&user),
+            flat: flattened_schema(&luser.concat(&ruser)),
         };
         let mut pairs = 0u64;
         let mut batches: Vec<ColumnBatch> = Vec::with_capacity(probe.batches.len());
@@ -929,12 +842,13 @@ impl Driver<'_> {
     }
 }
 
-/// One input of AU `−` / `⟕` as a [`RowView`] — how the shared bound rules
-/// read the vectorized engine's columns: the stream concatenated into one
-/// chunk (aliased point bounds stay aliased), its attribute triples as
-/// columns `0..n`, then any evaluated key triples. A cell's pin reads its
-/// column's [`point_mask`], built on first use (O(1) when the bounds alias
-/// `bg`); a range is assembled only when a bound rule asks for one.
+/// One input of AU `⋈`, `−` or `⟕` as a [`RowView`] — how the shared
+/// bound rules read the vectorized engine's columns: the stream
+/// concatenated into one chunk (aliased point bounds stay aliased), its
+/// attribute triples as columns `0..n`, then any evaluated key triples. A
+/// cell's pin reads its column's [`point_mask`], built on first use (O(1)
+/// when the bounds alias `bg`) by whichever pool worker asks first; a range
+/// is assembled only when a bound rule asks for one.
 struct ChunkView {
     chunk: ColumnBatch,
     /// User arity.
@@ -942,36 +856,45 @@ struct ChunkView {
     /// Evaluated key triples `[bg, lb, ub]`: columns `n..`.
     keys: Vec<[ColumnVec; 3]>,
     /// Per column, its point rows.
-    points: Vec<OnceCell<Bitmap>>,
+    points: Vec<OnceLock<Bitmap>>,
     mults: Vec<MultBound>,
 }
 
 impl ChunkView {
-    /// `stream` (user schema `user`) with the (bound) key expressions
-    /// `keys` evaluated over it — typed where [`expr_triple`] is, a plain
-    /// reference being its column triple.
-    fn new<'e>(
-        stream: BatchStream,
-        user: &Schema,
-        keys: impl IntoIterator<Item = &'e Expr>,
-    ) -> Result<ChunkView, EngineError> {
+    /// `stream` with its `side` of the (bound) join `keys` evaluated over
+    /// it — typed where [`expr_triple`] is, a plain reference being its
+    /// column triple.
+    fn new(stream: BatchStream, keys: &JoinKeys, side: Side) -> Result<ChunkView, EngineError> {
+        let user = user_schema(&stream.schema);
         let chunk = stream.into_single_chunk();
         let n = user.arity();
         let mut bgv = None;
         let keys: Vec<[ColumnVec; 3]> = keys
-            .into_iter()
-            .map(|e| {
-                let bgv = bgv.get_or_insert_with(|| bg_view(&chunk, user));
-                expr_triple(&chunk, n, e, bgv).map(|(triple, _)| triple)
+            .keys
+            .iter()
+            .map(|k| {
+                let bgv = bgv.get_or_insert_with(|| bg_view(&chunk, &user));
+                expr_triple(&chunk, n, side(k), bgv).map(|(triple, _)| triple)
             })
             .collect::<Result<_, _>>()?;
         Ok(ChunkView {
-            points: (0..n + keys.len()).map(|_| OnceCell::new()).collect(),
+            points: (0..n + keys.len()).map(|_| OnceLock::new()).collect(),
             mults: mult_bounds(&chunk, n).collect(),
             chunk,
             n,
             keys,
         })
+    }
+
+    /// Both inputs of a `⋈`, `−` or `⟕`, each carrying its side of `keys`
+    /// — the left side's evaluated first.
+    fn pair(
+        ls: BatchStream,
+        rs: BatchStream,
+        keys: &JoinKeys,
+    ) -> Result<(ChunkView, ChunkView), EngineError> {
+        let left = ChunkView::new(ls, keys, |k| &k.left)?;
+        Ok((left, ChunkView::new(rs, keys, |k| &k.right)?))
     }
 
     /// Column `c`'s `(lb, bg, ub)`.
@@ -1054,6 +977,9 @@ impl RowView for ChunkView {
     }
 }
 
+/// Which side of a join key a join input evaluates.
+type Side = fn(&EquiKey) -> &Expr;
+
 /// One join side's evaluated key columns over a batch (or the build
 /// chunk).
 struct SideKeys {
@@ -1066,18 +992,19 @@ struct SideKeys {
 }
 
 impl SideKeys {
-    /// Evaluate the (bound) key expressions of a side with user arity `n`.
+    /// Evaluate a side's (user schema `user`) `side` of the (bound) join
+    /// `keys`.
     fn eval(
         batch: &ColumnBatch,
-        n: usize,
-        exprs: &[Expr],
         user: &Schema,
+        keys: &JoinKeys,
+        side: Side,
     ) -> Result<SideKeys, EngineError> {
         let bgv = bg_view(batch, user);
         let mut point = Bitmap::filled(batch.len(), true);
-        let mut bg = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            let ([b, lb, ub], _) = expr_triple(batch, n, e, &bgv)?;
+        let mut bg = Vec::with_capacity(keys.keys.len());
+        for k in &keys.keys {
+            let ([b, lb, ub], _) = expr_triple(batch, user.arity(), side(k), &bgv)?;
             point.and_assign(&point_mask(&lb, &b, &ub));
             // NaN compares `None` against ints (three-valued ANY): fuzzy.
             match &b {

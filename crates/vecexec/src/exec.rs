@@ -228,9 +228,6 @@ pub(crate) struct Driver<'a> {
     /// Held until the driver drops, so states that coexist during
     /// execution stack in the query-wide memory high-water mark.
     mem: std::cell::RefCell<Vec<ua_obs::MemTracker>>,
-    /// AU rows the running source has sent across the stream ↔ relation
-    /// boundary ([`Driver::report_relation_rows`]), taken when it finishes.
-    relation_rows: std::cell::Cell<u64>,
     pub(crate) pool: rayon::ThreadPool,
 }
 
@@ -313,7 +310,6 @@ impl<'a> Driver<'a> {
             collect_stats: opts.collect_stats,
             collect_trace: opts.collect_trace,
             mem: std::cell::RefCell::new(Vec::new()),
-            relation_rows: std::cell::Cell::new(0),
             pool,
         }
     }
@@ -337,13 +333,6 @@ impl<'a> Driver<'a> {
         let mut t = ua_obs::MemTracker::new();
         t.alloc(bytes);
         self.mem.borrow_mut().push(t);
-    }
-
-    /// Put `rows` an AU binary operator sent across the stream ↔ relation
-    /// boundary on its stats node (`relation_rows`).
-    pub(crate) fn report_relation_rows(&self, rows: usize) {
-        self.relation_rows
-            .set(self.relation_rows.get() + rows as u64);
     }
 
     /// Where a query enters the driver. The `ua_c` marker is engine
@@ -791,9 +780,13 @@ impl<'a> Driver<'a> {
                 };
                 (grouped?, child)
             }
-            Plan::Join { left, right, .. } if au => {
+            Plan::Join {
+                left,
+                right,
+                predicate,
+            } if au => {
                 let (l, r, children) = self.inputs(left, right)?;
-                (self.au_block_join(plan, &l, &r)?, children)
+                (self.au_join(l, r, predicate.as_ref())?, children)
             }
             Plan::HashJoin { left, right, .. } if au => {
                 let (l, r, children) = self.inputs(left, right)?;
@@ -832,15 +825,12 @@ impl<'a> Driver<'a> {
         if let Some(bytes) = breaker_bytes {
             self.track_mem(bytes);
         }
-        // Inputs took their own crossings when they finished.
-        let relation_rows = self.relation_rows.take();
         let stats = timer.map(|timer| {
             // `timer` spans children too, so the elapsed time is already
             // cumulative — exactly the [`OperatorStats::wall_ns`] contract.
             let mut tally = StageTally {
                 wall_ns: timer.elapsed_ns(),
                 rowwise,
-                relation_rows,
                 ..StageTally::default()
             };
             tally.observe(&stream.batches, semantics);
@@ -886,10 +876,6 @@ impl<'a> Driver<'a> {
                     "Map" if tally.rowwise > 0 => node.push_extra("rowwise_rows", tally.rowwise),
                     "HashJoin" => node.push_extra("rowwise_pairs", tally.rowwise),
                     _ => {}
-                }
-                // Like a projection's row-wise rows, by exception.
-                if tally.relation_rows > 0 {
-                    node.push_extra("relation_rows", tally.relation_rows);
                 }
             }
         }
@@ -1032,8 +1018,6 @@ struct StageTally {
     /// AU: σ / π input rows and hash-⋈ candidate pairs that left the
     /// columnar kernels for the per-row range evaluator.
     rowwise: u64,
-    /// AU: rows a source sent across the stream ↔ relation boundary.
-    relation_rows: u64,
 }
 
 impl StageTally {
@@ -1062,7 +1046,6 @@ impl StageTally {
         self.width.merge(&other.width);
         self.mem_bytes += other.mem_bytes;
         self.rowwise += other.rowwise;
-        self.relation_rows += other.relation_rows;
     }
 }
 

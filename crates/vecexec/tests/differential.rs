@@ -1458,6 +1458,130 @@ fn au_except_and_outer_joins_match_the_row_operators_over_ranged_keys() {
     }
 }
 
+/// AU `⋈` selected over chunk views: the vectorized engine runs the row
+/// engine's own pair loop (`ua_ranges::ops::JoinSelect`) over its chunks,
+/// one probe-row range per task, so every stream must materialize to
+/// `execute_au` + `au_table` byte for byte — `Plan::Join` keyless, non-equi,
+/// and keyed as the optimizer-off plan leaves it (plain, composite,
+/// computed, with a residual, `NOT IN`'s null-aware key), and a hash join
+/// under both build sides, whose cross-family case selects over views too —
+/// over point / ranged / top / definite-NULL keys, NaN and `−0.0`,
+/// `Int`-vs-`Float` equal points, cross-family sides, `lb = 0` / `bg = 0`
+/// multiplicities and empty sides. At threads {1, 2, 4, 8} × batch rows
+/// {1, 7, 64, 1024} every parallel stream is the serial one, and a query
+/// the row engine rejects fails on every run.
+#[test]
+fn au_joins_over_views_match_the_row_operators_over_ranged_keys() {
+    use ua_data::algebra::null_aware_eq;
+    use Domain::{Float, Int, Str};
+    use Keys::{Points, Ranged};
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    let col = Expr::named;
+    let predicates: Vec<(&str, Option<Expr>)> = vec![
+        ("keyless", None),
+        ("non-equi", Some(col("l.v").lt(col("r.v")))),
+        ("plain", Some(col("l.k").eq(col("r.k")))),
+        (
+            "composite",
+            Some(col("l.k").eq(col("r.k")).and(col("l.k2").eq(col("r.k2")))),
+        ),
+        (
+            "computed",
+            Some(
+                col("l.k")
+                    .add(Expr::lit(1i64))
+                    .eq(col("r.k").add(col("r.k2"))),
+            ),
+        ),
+        (
+            "residual",
+            Some(col("l.k").eq(col("r.k")).and(col("l.v").lt(col("r.v")))),
+        ),
+        ("not in", Some(null_aware_eq(col("l.k"), col("r.k")))),
+    ];
+    let mut plans: Vec<(String, Plan)> = predicates
+        .into_iter()
+        .map(|(name, predicate)| {
+            let plan = Plan::Join {
+                left: scan("l"),
+                right: scan("r"),
+                predicate,
+            };
+            (format!("join {name}"), plan)
+        })
+        .collect();
+    for build_left in [false, true] {
+        plans.push((
+            format!("hash join build_left={build_left}"),
+            Plan::HashJoin {
+                left: scan("l"),
+                right: scan("r"),
+                keys: vec![(col("l.k"), col("r.k"))],
+                residual: Some(col("l.k2").le(col("r.k2"))),
+                build_left,
+            },
+        ));
+    }
+
+    // (name, left rows/keys/domain, right rows/keys/domain)
+    #[allow(clippy::type_complexity)]
+    let sides: Vec<(&str, (usize, Keys, Domain), (usize, Keys, Domain))> = vec![
+        ("points", (40, Points, Int), (30, Points, Int)),
+        ("ranged", (40, Ranged, Int), (30, Ranged, Int)),
+        ("floats", (40, Ranged, Float), (30, Points, Float)),
+        ("int vs float", (40, Ranged, Int), (30, Ranged, Float)),
+        ("strings", (30, Ranged, Str), (20, Ranged, Str)),
+        ("cross family", (20, Ranged, Int), (15, Points, Str)),
+        ("empty left", (0, Points, Int), (20, Ranged, Int)),
+        ("empty right", (20, Ranged, Int), (0, Points, Int)),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x701_5E1EC7);
+    for (side, (ln, lkeys, ldom), (rn, rkeys, rdom)) in sides {
+        let catalog = Catalog::new();
+        let l = au_side(&mut rng, "l", ln, lkeys, ldom);
+        let r = au_side(&mut rng, "r", rn, rkeys, rdom);
+        catalog.register("l", ua_engine::au_table(&l));
+        catalog.register("r", ua_engine::au_table(&r));
+        for (name, plan) in &plans {
+            let context = format!("`{name}` over {side}");
+            let row = ua_engine::execute_au(plan, &catalog).map(|rel| ua_engine::au_table(&rel));
+            // Only `k + 1` over string keys is a type error.
+            assert!(
+                row.is_ok() || name.contains("computed"),
+                "{context}: {row:?}"
+            );
+            if name.contains("keyless") && ln > 0 && rn > 0 {
+                assert!(row.as_ref().is_ok_and(|t| !t.is_empty()), "{context}");
+            }
+            for batch_rows in [1usize, 7, 64, 1024] {
+                let serial = stream(plan, &catalog, opts(1, batch_rows), Semantics::Au);
+                match (&row, &serial) {
+                    (Ok(row), Ok(serial)) => assert_tables_identical(
+                        row,
+                        &table_from_batches(serial),
+                        &format!("{context} batch={batch_rows}"),
+                    ),
+                    (Err(_), Err(_)) => {}
+                    (row, serial) => panic!(
+                        "{context} batch={batch_rows}: row {:?} vs vectorized {:?}",
+                        row.as_ref().map(Table::len),
+                        serial.as_ref().map(BatchStream::num_rows)
+                    ),
+                }
+                for threads in [2usize, 4, 8] {
+                    let parallel = stream(plan, &catalog, opts(threads, batch_rows), Semantics::Au);
+                    let ctx = format!("{context} batch={batch_rows} threads={threads}");
+                    match (&serial, &parallel) {
+                        (Ok(s), Ok(p)) => assert_streams_byte_identical(s, p, &ctx),
+                        (Err(s), Err(p)) => assert_eq!(s.to_string(), p.to_string(), "{ctx}"),
+                        _ => panic!("{ctx}: serial and parallel disagree on success"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// AU `GROUP BY` and `DISTINCT` over uncertain keys: the column-native γ
 /// and δ fold through the row engine's own bound rules and write their
 /// results as columns, so every stream must materialize to `execute_au` +

@@ -57,8 +57,9 @@ fn vectorized_au_matches_row_au() {
         "SELECT DISTINCT g FROM t IS TI WITH PROBABILITY (p) x",
         "SELECT g, v + 1 AS w FROM t IS TI WITH PROBABILITY (p) x ORDER BY w DESC LIMIT 2",
         "SELECT g, min(v) AS lo, max(v) AS hi, avg(v) AS m FROM t IS TI WITH PROBABILITY (p) x GROUP BY g",
-        // Non-equi and keyless joins exercise the block-nested-loop
-        // against the row engine's monolithic `au_binary` nested loop.
+        // Non-equi and keyless joins exercise the pair loop over chunk
+        // views, one probe-row range per task, against the row engine's
+        // one pass over its relations.
         "SELECT x.v, y.v FROM t IS TI WITH PROBABILITY (p) x, \
          t IS TI WITH PROBABILITY (p) y WHERE x.v < y.v",
         "SELECT x.g, y.g FROM t IS TI WITH PROBABILITY (p) x, \

@@ -3,9 +3,9 @@
 //! Runs a 3-way join + GROUP BY on both executors, prints the
 //! instrumented plan tree (per-operator actual rows, wall time, and the
 //! planner's estimated cardinalities), reads the same stats back
-//! programmatically via `last_query_stats()`, shows an AU `NOT IN`, `GROUP
-//! BY` and `DISTINCT` staying off the stream ↔ relation boundary, and dumps
-//! the global metrics registry — including the AU fallback audit and the
+//! programmatically via `last_query_stats()`, shows an AU `NOT IN` and an
+//! AU keyless join selecting straight off the column chunks, and dumps the
+//! global metrics registry — including the AU fallback audit and the
 //! planner's est-vs-actual join feedback counters.
 //!
 //! Run with `cargo run --example observability`.
@@ -84,9 +84,8 @@ fn main() {
     println!("as JSON: {}\n", stats.to_json());
 
     // 3. An AU `NOT IN` on the vectorized engine: its outer join selects
-    //    straight off the column chunks, so the `OuterJoin` line carries no
-    //    `relation_rows` (rows sent across the stream ↔ relation boundary),
-    //    and the anti-join's `IS NULL` filter reports `rowwise_rows=0`.
+    //    straight off the column chunks, and the anti-join's `IS NULL`
+    //    filter reports `rowwise_rows=0`.
     //    `items` carries a tuple probability `p`, so `IS TI` reads it as a
     //    tuple-independent source with uncertain rows.
     session.register_table(
@@ -110,28 +109,23 @@ fn main() {
             .expect("analyze AU NOT IN")
     );
 
-    // 4. AU `GROUP BY` and `DISTINCT` on the vectorized engine take their
-    //    input as columns and write their output as columns: the registry's
-    //    `au.vec.relation_rows` (AU rows sent across the stream ↔ relation
-    //    boundary) must not move over them.
-    let relation_rows = || uadb::obs::global().counter("au.vec.relation_rows").get();
-    let before = relation_rows();
-    for sql in [
-        "SELECT i.grp, count(*) AS n, sum(i.id) AS s FROM \
-         items IS TI WITH PROBABILITY (p) i GROUP BY i.grp",
-        "SELECT DISTINCT i.grp FROM items IS TI WITH PROBABILITY (p) i",
-    ] {
-        session.query_au(sql).expect("AU γ / δ");
-    }
-    println!("──── AU GROUP BY + DISTINCT (Vectorized) ────");
+    // 4. An AU keyless (non-equi) join on the vectorized engine: the `Join`
+    //    node runs the row engine's own pair loop over views of its inputs'
+    //    chunks, one range of probe rows per pool task, and gathers the
+    //    surviving pairs.
+    println!("──── EXPLAIN ANALYZE AU keyless join (Vectorized) ────");
     println!(
-        "au.vec.relation_rows over AU GROUP BY + DISTINCT: before={before} after={}\n",
-        relation_rows()
+        "{}\n",
+        session
+            .explain_analyze_au(
+                "SELECT i.id, j.id AS other FROM items IS TI WITH PROBABILITY (p) i, \
+                 items IS TI WITH PROBABILITY (p) j WHERE i.id < j.grp"
+            )
+            .expect("analyze AU keyless join")
     );
 
     // 5. The global registry: planner est-vs-actual feedback (fed by every
-    //    instrumented join), the AU vectorized fallback audit and
-    //    `au.vec.relation_rows`.
+    //    instrumented join) and the AU vectorized fallback audit.
     println!("──── metrics registry ────");
     println!("{}", uadb::obs::global().to_json());
 }
