@@ -1,9 +1,12 @@
 //! The row-at-a-time executor.
 //!
 //! Evaluates [`Plan`]s against a [`Catalog`], materializing each operator's
-//! output. Joins pick a hash strategy when the (bound) predicate contains
-//! extractable equi-keys — the same extraction the K-relation evaluator
-//! uses, so both engines make identical strategy choices. `WHERE` follows
+//! output. Every det / UA join — inner, θ, hash and outer, `NOT IN`
+//! included — is one pair loop, `join_rows`, over the candidates its
+//! [`JoinSpec`] names: a hash table on the equi-keys the K-relation
+//! evaluator extracts too, every build row when there are none. The
+//! vectorized engine's `ProbeState` takes the same spec, so both engines
+//! try the same pairs in the same order. `WHERE` follows
 //! SQL semantics: only rows whose predicate is *certainly* true survive
 //! (`Unknown` rejects, matching `θ(t) ∈ {0_K, 1_K}` of the paper).
 
@@ -11,7 +14,7 @@ use crate::plan::{AggExpr, AggFunc, OuterKind, Plan, SortOrder};
 use crate::stats::Tracer;
 use crate::storage::{Catalog, Table};
 use std::fmt;
-use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, JoinKeys};
+use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError};
 use ua_data::schema::{Schema, SchemaError};
 use ua_data::tuple::Tuple;
@@ -170,8 +173,9 @@ fn execute_node(
             // the UA rewriting inserts exactly this Map-over-Join shape
             // (Figure 9's join rule) — without fusion it would pay a full
             // extra materialization pass over the join result.
-            if matches!(input.as_ref(), Plan::Join { .. } | Plan::HashJoin { .. }) {
-                let (left, right) = join_inputs(input).expect("matched join");
+            if let Plan::Join { left, right, .. } | Plan::HashJoin { left, right, .. } =
+                input.as_ref()
+            {
                 // The fused join still gets its own span (between the Map
                 // span and the input spans), with joined-row cardinality
                 // counted as rows stream through.
@@ -185,10 +189,11 @@ fn execute_node(
                     .collect::<Result<_, _>>()?;
                 let out_schema = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
                 let mut out = Table::new(out_schema);
-                let mut join_rows: usize = 0;
+                let mut joined_rows: usize = 0;
                 let mut meter = tracer.enabled().then(JoinMeter::default);
-                join_node_stream(input, &l, &r, meter.as_mut(), &mut |joined| {
-                    join_rows += 1;
+                let spec = JoinSpec::bind(input, l.schema(), r.schema())?;
+                join_rows(&l, &r, &spec, meter.as_mut(), &mut |joined| {
+                    joined_rows += 1;
                     let mapped: Tuple = bound
                         .iter()
                         .map(|e| e.eval(&joined))
@@ -198,7 +203,7 @@ fn execute_node(
                 })?;
                 join_span_extras(input, &l, &r, meter.as_ref(), tracer);
                 tracer.extra("fused_into_map", 1);
-                tracer.exit(join_rows);
+                tracer.exit(joined_rows);
                 return Ok(out);
             }
             let t = execute_traced(input, catalog, tracer)?;
@@ -217,13 +222,17 @@ fn execute_node(
             }
             Ok(out)
         }
-        Plan::Join { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+        Plan::Join { left, right, .. }
+        | Plan::HashJoin { left, right, .. }
+        | Plan::OuterJoin { left, right, .. } => {
             let l = execute_traced(left, catalog, tracer)?;
             let r = execute_traced(right, catalog, tracer)?;
-            let schema = l.schema().concat(r.schema());
-            let mut out = Table::new(schema);
-            let mut meter = tracer.enabled().then(JoinMeter::default);
-            join_node_stream(plan, &l, &r, meter.as_mut(), &mut |joined| {
+            let spec = JoinSpec::bind(plan, l.schema(), r.schema())?;
+            let mut out = Table::new(spec.schema.clone());
+            // An outer join reports no build figures.
+            let metered = tracer.enabled() && !matches!(plan, Plan::OuterJoin { .. });
+            let mut meter = metered.then(JoinMeter::default);
+            join_rows(&l, &r, &spec, meter.as_mut(), &mut |joined| {
                 out.push(joined);
                 Ok(())
             })?;
@@ -270,22 +279,6 @@ fn execute_node(
             }
             Ok(out)
         }
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => {
-            let l = execute_traced(left, catalog, tracer)?;
-            let r = execute_traced(right, catalog, tracer)?;
-            let schema = l.schema().concat(r.schema());
-            let mut out = Table::new(schema);
-            outer_join_stream(&l, &r, predicate.as_ref(), *kind, &mut |row| {
-                out.push(row);
-                Ok(())
-            })?;
-            Ok(out)
-        }
         Plan::Aggregate {
             input,
             group_by,
@@ -328,8 +321,8 @@ pub(crate) struct JoinMeter {
 }
 
 /// Record the hash-join build/probe split and build-table memory on the
-/// current span (no-op for disabled tracers; θ-joins that fall back to
-/// nested loops build no table and report nothing).
+/// current span (no-op for disabled tracers; a keyless `Join` builds no
+/// table and reports nothing).
 fn join_span_extras(
     plan: &Plan,
     l: &Table,
@@ -438,7 +431,7 @@ fn sort_entry_bytes(key: &[Value], row: &Tuple) -> u64 {
 /// The first `k` rows of `sort_table(t, keys)` without sorting the whole
 /// table: a bounded buffer of the `k` best rows (kept ordered, with a
 /// cheap "worse than the current k-th" rejection test for the common case)
-/// replaces the full decorate-sort pass. Ordering is [`decorated_row_cmp`]
+/// replaces the full decorate-sort pass. Ordering is `decorated_row_cmp`
 /// — the same comparison `sort_table` sorts with.
 pub fn top_k_table(t: &Table, keys: &[(Expr, SortOrder)], k: usize) -> Result<Table, EngineError> {
     top_k_table_metered(t, keys, k, None)
@@ -573,53 +566,144 @@ pub(crate) fn except_table_metered(
     out
 }
 
-/// Stream a left/right outer θ-join through `on_row`. Output columns are
-/// always `left ++ right`; order is preserved-side-major (for each
-/// preserved row in scan order: its surviving matches in the other side's
-/// scan order, else one NULL-padded row). Join equality follows SQL
-/// semantics — NULL keys never match, so NULL-keyed preserved rows come
-/// out padded. Shared contract for both executors.
-///
-/// Candidate pairs come from a hash table on the predicate's keys
-/// ([`candidate_keys`]) when it has any, the residual decides among
-/// them. `NOT IN`'s null-aware key differs from an equi-key in one way:
-/// an unknown key is a candidate for every row of the other side (unknown
-/// build keys merge into each probe's bucket in build-scan order, an
-/// unknown probe key takes every build row) where an equi-join drops it.
-/// A predicate without keys visits all pairs.
-pub fn outer_join_stream(
+/// A det / UA join node bound over its inputs: how its pairs are
+/// generated. `keys` holds the candidate keys — each side of an
+/// [`ua_data::algebra::EquiKey`] evaluates on its own input — and the
+/// residual over `schema`, the output's `left ++ right`; `build_left`
+/// names the input the hash
+/// table is built on (the other one probes and drives output order);
+/// `pad` makes a probe row without a surviving candidate emit one
+/// NULL-padded row. Both engines' one pair loop take it — this crate's
+/// row loop and the vectorized `ProbeState` — so they try the same pairs
+/// in the same order.
+pub struct JoinSpec {
+    /// Candidate keys, residual and the null-aware flag.
+    pub keys: JoinKeys,
+    /// The left input builds, the right one probes.
+    pub build_left: bool,
+    /// Probe misses emit a NULL-padded row (outer joins).
+    pub pad: bool,
+    /// The joined schema, `left ++ right` whichever side builds.
+    pub schema: Schema,
+}
+
+impl JoinSpec {
+    /// Bind join node `plan` over its inputs' schemas. An inner
+    /// [`Plan::Join`] hashes on its predicate's equi-keys
+    /// ([`extract_equi_keys`]) with the right side building; a
+    /// [`Plan::HashJoin`] on its own keys and build side; a
+    /// [`Plan::OuterJoin`] on [`candidate_keys`] — `NOT IN`'s null-aware
+    /// key included — with the non-preserved side building, padding on.
+    /// Without keys the bound predicate as written is the residual.
+    pub fn bind(plan: &Plan, left: &Schema, right: &Schema) -> Result<JoinSpec, EngineError> {
+        let schema = left.concat(right);
+        let on = |predicate: &Option<Expr>, split: fn(&Expr, usize) -> JoinKeys| {
+            let Some(predicate) = predicate else {
+                return Ok::<_, EngineError>(JoinKeys::default());
+            };
+            let bound = predicate.bind(&schema)?;
+            let keys = split(&bound, left.arity());
+            Ok(if keys.keys.is_empty() {
+                JoinKeys {
+                    residual: vec![bound],
+                    ..keys
+                }
+            } else {
+                keys
+            })
+        };
+        match plan {
+            Plan::Join { predicate, .. } => Ok(JoinSpec {
+                keys: on(predicate, |p, arity| {
+                    let (keys, residual) = extract_equi_keys(p, arity);
+                    JoinKeys {
+                        keys,
+                        residual,
+                        null_aware: false,
+                    }
+                })?,
+                build_left: false,
+                pad: false,
+                schema,
+            }),
+            Plan::HashJoin {
+                keys,
+                residual,
+                build_left,
+                ..
+            } => {
+                // Every left key binds before any right key, then the residual.
+                let bind = |side: fn(&(Expr, Expr)) -> &Expr, schema| {
+                    keys.iter()
+                        .map(|k| side(k).bind(schema))
+                        .collect::<Result<Vec<_>, _>>()
+                };
+                let (lk, rk) = (bind(|k| &k.0, left)?, bind(|k| &k.1, right)?);
+                let residual = residual.as_ref().map(|e| e.bind(&schema)).transpose()?;
+                Ok(JoinSpec {
+                    keys: JoinKeys {
+                        keys: lk
+                            .into_iter()
+                            .zip(rk)
+                            .map(|(left, right)| EquiKey { left, right })
+                            .collect(),
+                        residual: residual.into_iter().collect(),
+                        null_aware: false,
+                    },
+                    build_left: *build_left,
+                    pad: false,
+                    schema,
+                })
+            }
+            Plan::OuterJoin {
+                predicate, kind, ..
+            } => Ok(JoinSpec {
+                keys: on(predicate, candidate_keys)?,
+                build_left: *kind == OuterKind::Right,
+                pad: true,
+                schema,
+            }),
+            other => Err(EngineError::Sql(format!("not a join node: {other}"))),
+        }
+    }
+}
+
+/// The row engine's one det / UA ⋈ — inner, θ, hash and outer joins,
+/// `NOT IN` included. For each probe row in scan order it emits the
+/// surviving build candidates in build-scan order, then, under
+/// `spec.pad`, one NULL-padded row if none survived; columns are always
+/// `left ++ right`. Candidates come from a hash table on the keys, the
+/// residual decides among them. Join equality follows SQL: a key holding
+/// `NULL` meets no row. `NOT IN`'s null-aware key differs in one way: an
+/// unknown key meets every row of the other side (unknown build keys
+/// join every bucket, merged in build-scan order; an unknown probe key
+/// takes every build row). With no keys every build row is a candidate.
+/// Build keys evaluate before any probe row; `meter` times the build and
+/// sizes its table.
+fn join_rows(
     l: &Table,
     r: &Table,
-    predicate: Option<&Expr>,
-    kind: OuterKind,
+    spec: &JoinSpec,
+    meter: Option<&mut JoinMeter>,
     on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    let schema = l.schema().concat(r.schema());
-    let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
-    let outer_is_left = kind == OuterKind::Left;
-    let (outer, inner) = if outer_is_left { (l, r) } else { (r, l) };
-    let pad = Tuple::new(vec![Value::Null; inner.schema().arity()]);
-    let concat = |orow: &Tuple, irow: &Tuple| -> Tuple {
-        if outer_is_left {
-            orow.concat(irow)
-        } else {
-            irow.concat(orow)
-        }
-    };
-    let JoinKeys {
-        keys,
-        residual,
-        null_aware,
-    } = match &bound {
-        Some(pred) => candidate_keys(pred, l.schema().arity()),
-        None => JoinKeys::default(),
-    };
-    let residual = Expr::conjunction(residual);
-    let (build_exprs, probe_exprs): (Vec<&Expr>, Vec<&Expr>) = if outer_is_left {
-        keys.iter().map(|k| (&k.right, &k.left)).unzip()
-    } else {
+    let JoinSpec {
+        keys: JoinKeys {
+            keys,
+            residual,
+            null_aware,
+        },
+        build_left,
+        pad,
+        ..
+    } = spec;
+    let (build, probe) = if *build_left { (l, r) } else { (r, l) };
+    let (build_exprs, probe_exprs): (Vec<&Expr>, Vec<&Expr>) = if *build_left {
         keys.iter().map(|k| (&k.left, &k.right)).unzip()
+    } else {
+        keys.iter().map(|k| (&k.right, &k.left)).unzip()
     };
+    let residual = (!residual.is_empty()).then(|| Expr::conjunction(residual.iter().cloned()));
     let key_of = |exprs: &[&Expr], row: &Tuple| -> Result<Tuple, EngineError> {
         Ok(exprs
             .iter()
@@ -631,31 +715,53 @@ pub fn outer_join_stream(
     // an equality for no NULL key (labeled nulls equal themselves). With
     // no keys at all every pair is a candidate.
     let meets_all =
-        |key: &Tuple| keys.is_empty() || (null_aware && key.iter().any(Value::is_unknown));
+        |key: &Tuple| keys.is_empty() || (*null_aware && key.iter().any(Value::is_unknown));
     let meets_none = |key: &Tuple| !null_aware && key.has_null();
 
-    let all: Vec<usize> = if keys.is_empty() || null_aware {
-        (0..inner.rows().len()).collect()
+    let every: Vec<usize> = if keys.is_empty() || *null_aware {
+        (0..build.len()).collect()
     } else {
         Vec::new()
     };
+    let build_timer = meter.as_ref().map(|_| Stopwatch::start());
+    let mut mem = meter.as_ref().map(|_| ua_obs::MemTracker::new());
     let mut table: FxHashMap<Tuple, Vec<usize>> = FxHashMap::default();
     let mut always: Vec<usize> = Vec::new();
     if !keys.is_empty() {
-        for (ii, irow) in inner.rows().iter().enumerate() {
-            let key = key_of(&build_exprs, irow)?;
+        for (bi, brow) in build.rows().iter().enumerate() {
+            let key = key_of(&build_exprs, brow)?;
             if meets_all(&key) {
-                always.push(ii);
+                always.push(bi);
             } else if !meets_none(&key) {
-                table.entry(key).or_default().push(ii);
+                if let Some(mem) = &mut mem {
+                    // One slot per build row plus the key tuple per distinct key.
+                    mem.alloc(if table.contains_key(&key) {
+                        8
+                    } else {
+                        8 + crate::stats::tuple_mem_bytes(&key)
+                    });
+                }
+                table.entry(key).or_default().push(bi);
             }
         }
     }
+    if let (Some(meter), Some(timer)) = (meter, build_timer) {
+        meter.build_ns = timer.elapsed_ns();
+        meter.build_bytes = mem.as_ref().map_or(0, ua_obs::MemTracker::peak);
+    }
+    let pad_row = pad.then(|| Tuple::new(vec![Value::Null; build.schema().arity()]));
+    let concat = |prow: &Tuple, brow: &Tuple| -> Tuple {
+        if *build_left {
+            brow.concat(prow)
+        } else {
+            prow.concat(brow)
+        }
+    };
     let mut merged: Vec<usize> = Vec::new();
-    for orow in outer.rows() {
-        let key = key_of(&probe_exprs, orow)?;
+    for prow in probe.rows() {
+        let key = key_of(&probe_exprs, prow)?;
         let cand: &[usize] = if meets_all(&key) {
-            &all
+            &every
         } else if meets_none(&key) {
             &[]
         } else {
@@ -669,210 +775,15 @@ pub fn outer_join_stream(
             }
         };
         let mut matched = false;
-        for &ii in cand {
-            let joined = concat(orow, &inner.rows()[ii]);
-            if residual.holds(&joined)? {
+        for &bi in cand {
+            let joined = concat(prow, &build.rows()[bi]);
+            if residual.as_ref().map_or(Ok(true), |p| p.holds(&joined))? {
                 matched = true;
                 on_row(joined)?;
             }
         }
-        if !matched {
-            on_row(concat(orow, &pad))?;
-        }
-    }
-    Ok(())
-}
-
-/// The two inputs of a join-like plan node.
-fn join_inputs(plan: &Plan) -> Option<(&Plan, &Plan)> {
-    match plan {
-        Plan::Join { left, right, .. } | Plan::HashJoin { left, right, .. } => Some((left, right)),
-        _ => None,
-    }
-}
-
-/// Stream a join-like plan node ([`Plan::Join`] or [`Plan::HashJoin`]) over
-/// its executed inputs.
-fn join_node_stream(
-    plan: &Plan,
-    l: &Table,
-    r: &Table,
-    meter: Option<&mut JoinMeter>,
-    on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    match plan {
-        Plan::Join { predicate, .. } => join_stream(l, r, predicate.as_ref(), meter, on_row),
-        Plan::HashJoin {
-            keys,
-            residual,
-            build_left,
-            ..
-        } => hash_join_stream(l, r, keys, residual.as_ref(), *build_left, meter, on_row),
-        other => Err(EngineError::Sql(format!("not a join node: {other}"))),
-    }
-}
-
-/// Stream an optimizer-planned hash join: build a hash table on the chosen
-/// side, probe with the other in scan order (so output order is probe-major
-/// with build-side scan order within a probe row — the contract the
-/// vectorized executor replicates).
-fn hash_join_stream(
-    l: &Table,
-    r: &Table,
-    keys: &[(Expr, Expr)],
-    residual: Option<&Expr>,
-    build_left: bool,
-    meter: Option<&mut JoinMeter>,
-    on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    let lkeys: Vec<Expr> = keys
-        .iter()
-        .map(|(e, _)| e.bind(l.schema()))
-        .collect::<Result<_, _>>()?;
-    let rkeys: Vec<Expr> = keys
-        .iter()
-        .map(|(_, e)| e.bind(r.schema()))
-        .collect::<Result<_, _>>()?;
-    let joined_schema = l.schema().concat(r.schema());
-    let residual = residual.map(|e| e.bind(&joined_schema)).transpose()?;
-    let key_of = |exprs: &[Expr], row: &Tuple| -> Result<Tuple, EngineError> {
-        Ok(exprs
-            .iter()
-            .map(|e| e.eval(row).map(Value::join_key))
-            .collect::<Result<_, _>>()?)
-    };
-    let emit = |joined: Tuple,
-                on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>|
-     -> Result<(), EngineError> {
-        match &residual {
-            Some(p) if !p.holds(&joined)? => Ok(()),
-            _ => on_row(joined),
-        }
-    };
-    // One build/probe loop regardless of side: only which input builds and
-    // the concat order depend on `build_left` (output columns stay
-    // left ++ right).
-    let (build, build_keys, probe, probe_keys) = if build_left {
-        (l, &lkeys, r, &rkeys)
-    } else {
-        (r, &rkeys, l, &lkeys)
-    };
-    let build_timer = meter.as_ref().map(|_| Stopwatch::start());
-    let mut mem = meter.as_ref().map(|_| ua_obs::MemTracker::new());
-    let mut table: FxHashMap<Tuple, Vec<&Tuple>> = FxHashMap::default();
-    for brow in build.rows() {
-        let key = key_of(build_keys, brow)?;
-        if key.has_null() {
-            continue; // SQL NULL keys never join
-        }
-        if let Some(mem) = &mut mem {
-            // One slot per build row plus the key tuple per distinct key.
-            mem.alloc(if table.contains_key(&key) {
-                8
-            } else {
-                8 + crate::stats::tuple_mem_bytes(&key)
-            });
-        }
-        table.entry(key).or_default().push(brow);
-    }
-    if let (Some(meter), Some(timer)) = (meter, build_timer) {
-        meter.build_ns = timer.elapsed_ns();
-        meter.build_bytes = mem.as_ref().map_or(0, ua_obs::MemTracker::peak);
-    }
-    for prow in probe.rows() {
-        let key = key_of(probe_keys, prow)?;
-        if key.has_null() {
-            continue;
-        }
-        if let Some(matches) = table.get(&key) {
-            for brow in matches {
-                let joined = if build_left {
-                    brow.concat(prow)
-                } else {
-                    prow.concat(brow)
-                };
-                emit(joined, on_row)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Stream the join of `l` and `r` through `on_row` (hash strategy when the
-/// predicate has extractable equi-keys, nested loops otherwise). Streaming
-/// lets parent operators fuse with the join instead of materializing it.
-fn join_stream(
-    l: &Table,
-    r: &Table,
-    predicate: Option<&Expr>,
-    meter: Option<&mut JoinMeter>,
-    on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    let schema = l.schema().concat(r.schema());
-    let bound = match predicate {
-        Some(p) => Some(p.bind(&schema)?),
-        None => None,
-    };
-
-    if let Some(pred) = &bound {
-        let (keys, residual) = extract_equi_keys(pred, l.schema().arity());
-        if !keys.is_empty() {
-            let residual = Expr::conjunction(residual);
-            let build_timer = meter.as_ref().map(|_| Stopwatch::start());
-            let mut mem = meter.as_ref().map(|_| ua_obs::MemTracker::new());
-            let mut table: FxHashMap<Tuple, Vec<&Tuple>> = FxHashMap::default();
-            for row in r.rows() {
-                let key: Tuple = keys
-                    .iter()
-                    .map(|k| k.right.eval(row).map(Value::join_key))
-                    .collect::<Result<_, _>>()?;
-                if key.has_null() {
-                    continue;
-                }
-                if let Some(mem) = &mut mem {
-                    mem.alloc(if table.contains_key(&key) {
-                        8
-                    } else {
-                        8 + crate::stats::tuple_mem_bytes(&key)
-                    });
-                }
-                table.entry(key).or_default().push(row);
-            }
-            if let (Some(meter), Some(timer)) = (meter, build_timer) {
-                meter.build_ns = timer.elapsed_ns();
-                meter.build_bytes = mem.as_ref().map_or(0, ua_obs::MemTracker::peak);
-            }
-            for lrow in l.rows() {
-                let key: Tuple = keys
-                    .iter()
-                    .map(|k| k.left.eval(lrow).map(Value::join_key))
-                    .collect::<Result<_, _>>()?;
-                if key.has_null() {
-                    continue;
-                }
-                if let Some(matches) = table.get(&key) {
-                    for rrow in matches {
-                        let joined = lrow.concat(rrow);
-                        if residual.holds(&joined)? {
-                            on_row(joined)?;
-                        }
-                    }
-                }
-            }
-            return Ok(());
-        }
-    }
-
-    for lrow in l.rows() {
-        for rrow in r.rows() {
-            let joined = lrow.concat(rrow);
-            let keep = match &bound {
-                Some(p) => p.holds(&joined)?,
-                None => true,
-            };
-            if keep {
-                on_row(joined)?;
-            }
+        if let (false, Some(pad_row)) = (matched, &pad_row) {
+            on_row(concat(prow, pad_row))?;
         }
     }
     Ok(())
@@ -1137,7 +1048,9 @@ mod tests {
     /// holds exactly when θ does, but has no recognisable key): the same
     /// rows in the same order for both preserved sides, over NULL and
     /// labeled-null keys on either side, `1` next to `1.0`, integers past
-    /// 2⁵³ next to the float they round to, and cross-family values.
+    /// 2⁵³ next to the float they round to, and cross-family values. The
+    /// same fixture goes through inner `Join` (keyed and keyless) and a
+    /// `HashJoin` building either side, each against its all-pairs loop.
     #[test]
     fn null_aware_outer_join_matches_the_all_pairs_loop() {
         use ua_data::algebra::null_aware_eq;
@@ -1180,19 +1093,59 @@ mod tests {
         let empty = keys("r", vec![]);
         let not_in = null_aware_eq(Expr::named("l.k"), Expr::named("r.k"));
         let pairwise = not_in.clone().or(Expr::lit(false));
-        let run = |r: &Table, pred: &Expr, kind: OuterKind| {
+        let join = |r: &Table, plan: Plan| {
+            let spec = JoinSpec::bind(&plan, l.schema(), r.schema()).unwrap();
             let mut out = Vec::new();
-            outer_join_stream(&l, r, Some(pred), kind, &mut |row| {
+            join_rows(&l, r, &spec, None, &mut |row| {
                 out.push(row);
                 Ok(())
             })
             .unwrap();
             out
         };
+        let side = || Box::new(Plan::Scan(String::new()));
+        let outer = |predicate: &Expr, kind| Plan::OuterJoin {
+            left: side(),
+            right: side(),
+            predicate: Some(predicate.clone()),
+            kind,
+        };
+        let run = |r: &Table, pred: &Expr, kind: OuterKind| join(r, outer(pred, kind));
         for r in [&with_unknowns, &known, &empty] {
             for kind in [OuterKind::Left, OuterKind::Right] {
                 let hashed = run(r, &not_in, kind);
                 assert_eq!(hashed, run(r, &pairwise, kind), "{kind:?} over {r:?}");
+            }
+        }
+        // Inner joins over the same keys: a keyed and a keyless `Join`
+        // against their predicate `OR FALSE`; a `HashJoin` on `l.k = r.k`
+        // against the keyless `HashJoin` on the same build side.
+        let inner = |predicate: Expr| Plan::Join {
+            left: side(),
+            right: side(),
+            predicate: Some(predicate),
+        };
+        let equal = Expr::named("l.k").eq(Expr::named("r.k"));
+        let hash = |keys: Vec<(Expr, Expr)>, residual: Option<Expr>, build_left| Plan::HashJoin {
+            left: side(),
+            right: side(),
+            keys,
+            residual,
+            build_left,
+        };
+        for r in [&with_unknowns, &known, &empty] {
+            for theta in [equal.clone(), not_in.clone()] {
+                let pairs = join(r, inner(theta.clone().or(Expr::lit(false))));
+                assert_eq!(join(r, inner(theta.clone())), pairs, "{theta} over {r:?}");
+            }
+            for build_left in [false, true] {
+                let keyed = vec![(Expr::named("l.k"), Expr::named("r.k"))];
+                let pairwise = Some(equal.clone().or(Expr::lit(false)));
+                assert_eq!(
+                    join(r, hash(keyed, None, build_left)),
+                    join(r, hash(Vec::new(), pairwise, build_left)),
+                    "hash join build_left={build_left} over {r:?}"
+                );
             }
         }
         // Without unknown keys on the right only equal keys match: `4`

@@ -19,7 +19,7 @@
 //! * [`ua`] — the plan-level `⟦·⟧_UA` rewriting: a UA query becomes one
 //!   ordinary plan over the `Enc` tables (`RA⁺`, `−`, `⟕`, trailing
 //!   `Sort`/`Limit`/`TopK`), which the row interpreter executes as is;
-//! * [`optimize`] — the pass pipeline (filter pushdown, cost-aware join
+//! * [`optimize`](mod@optimize) — the pass pipeline (filter pushdown, cost-aware join
 //!   planning into [`plan::Plan::HashJoin`]) applied uniformly to both
 //!   executors' plans before dispatch;
 //! * [`sql`] — lexer, parser and planner for a SPJUA SQL dialect including

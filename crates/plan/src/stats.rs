@@ -1,6 +1,6 @@
 //! Per-operator execution statistics for the row engine.
 //!
-//! [`Tracer`] is the span stack the recursive executors
+//! `Tracer` is the span stack the recursive executors
 //! ([`crate::exec::execute`], [`crate::au::execute_au`]) thread through
 //! their recursion: entering a plan node pushes a frame (stamped with the
 //! planner's cardinality estimate from [`crate::optimize::estimate_rows`]),
@@ -9,7 +9,7 @@
 //! [`OperatorStats`] tree mirroring the executed plan.
 //!
 //! The tracer is **off the result path**: every method is a no-op for
-//! [`Tracer::off`], and nothing an executor produces depends on the
+//! `Tracer::off`, and nothing an executor produces depends on the
 //! tracer's state — results are byte-identical with collection on or off
 //! (the differential tests assert it).
 

@@ -348,7 +348,7 @@ fn add_families<V: RowView + ?Sized>(fam: &mut [u8], v: &V, i: usize, cols: &[us
 }
 
 /// A selected-guess key index over one side's key columns: rows whose keys
-/// are all hashable ([`hashable`]) sit in buckets by coercion-normalized
+/// are all hashable (`hashable`) sit in buckets by coercion-normalized
 /// key; rows with a ranged, unknown, or NaN key are *fuzzy* — possibly
 /// equal to any probe key — and appear in every candidate list. Pruned
 /// pairs are exactly those whose key equality is certainly false (two
@@ -580,7 +580,7 @@ fn join_rows(
 /// certainly true and true over the selected guesses, and keeps its plain
 /// product without assembling a range (a key column is then the attribute
 /// column the predicate reads). Every other candidate is refined like
-/// [`filter`] over the pair, through [`PairEval`].
+/// [`filter`] over the pair, through `PairEval`.
 pub struct JoinSelect<'a, V: ?Sized> {
     left: &'a V,
     right: &'a V,
@@ -2425,10 +2425,10 @@ impl Selection {
 ///
 /// * `lb` — survivors guaranteed in every world: the left row's `lb`
 ///   minus every right-side copy that might ground equal to it
-///   (Σ `ub` over [`rows_possibly_equal`] right rows).
+///   (Σ `ub` over `rows_possibly_equal` right rows).
 /// * `ub` — survivors possible in some world: reducible only when the
-///   left row is [`certain_valued`] (its tuple is fixed across worlds).
-///   The certain removal budget Σ `lb` over [`rows_certainly_equal`]
+///   left row is `certain_valued` (its tuple is fixed across worlds).
+///   The certain removal budget Σ `lb` over `rows_certainly_equal`
 ///   right rows shrinks it — minus the part that *earlier* left rows
 ///   might absorb first (removal is first-`k` in scan order, so
 ///   Σ `ub` over earlier possibly-equal left rows protects this row's
@@ -2436,8 +2436,8 @@ impl Selection {
 ///
 /// Candidate generation is hashed, the pair tests are not: the right side
 /// (and, for `EXCEPT ALL`'s protectors, the left side) is indexed by
-/// selected-guess tuple over *all* columns ([`row_index`]), and
-/// [`rows_possibly_equal`] / [`rows_certainly_equal`] run on a left row's
+/// selected-guess tuple over *all* columns (`row_index`), and
+/// `rows_possibly_equal` / `rows_certainly_equal` run on a left row's
 /// candidates only. A pruned pair is two fixed rows that differ in some
 /// column, where both tests are false — every sum and flag above is the
 /// one the all-pairs loop computes, in the same order. A bucket hit is two

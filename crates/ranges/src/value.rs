@@ -302,7 +302,7 @@ impl EndpointOp {
 /// Interval addition. `bg` must already be the exact selected-guess result
 /// (the caller computes it with the scalar evaluator); endpoint failures —
 /// type errors, opposing infinities, `i64` overflow (see
-/// [`EndpointOp::endpoint`]) — widen to top.
+/// `EndpointOp::endpoint`) — widen to top.
 pub fn interval_add(a: &RangeValue, b: &RangeValue, bg: Value) -> RangeValue {
     let lb = bound_binop(&a.lb, &b.lb, |x, y| ADD.endpoint(a, b, x, y));
     let ub = bound_binop(&a.ub, &b.ub, |x, y| ADD.endpoint(a, b, x, y));

@@ -7,7 +7,7 @@
 //! * a **label bitmap** — one bit per row copy, set iff the copy is labeled
 //!   certain (the `ua_c` marker of Definition 8, packed 64 rows per word);
 //! * a **multiplicity column** — `u64` per row, so a batch can also
-//!   represent an annotation-map [`Relation<u64>`] without expanding
+//!   represent an annotation-map [`ua_data::Relation`]`<u64>` without expanding
 //!   duplicates.
 //!
 //! Converters are lossless both ways: `Table` ⇄ batches (row copies,

@@ -4,8 +4,9 @@
 //! parameterise one query semantics by the annotation.
 //!
 //! * `Det` — batches are typed columns plus a `u64` multiplicity column;
-//!   σ / π / alias and the hash-join probe are pipeline stages, the
-//!   breakers are the [`ops`] operators.
+//!   σ / π / alias and the join probe ([`ops::ProbeState`], every inner,
+//!   θ and hash join) are pipeline stages, the breakers are the [`ops`]
+//!   operators.
 //! * `Ua` — plus a label bitmap (the scan strips `ua_c` into it). The same
 //!   kernels and probes run; labels are gathered with the rows and ANDed
 //!   in the join gather. δ / γ and marker references are rejected.
@@ -20,11 +21,11 @@
 //!
 //! The driver splits a plan into **pipelines**: maximal chains of per-batch
 //! operators — filter, projection, re-qualification, and (det / UA)
-//! hash-join *probe* — over one source (a scan, a pipeline breaker like
+//! join *probe* — over one source (a scan, a pipeline breaker like
 //! Sort/Aggregate, an AU join). Each source batch is a *morsel*: it runs
 //! through the whole bound stage chain independently, so morsels execute on
 //! a small work-stealing thread pool (the offline `rayon` shim) with **no
-//! shared mutable state** — hash-join build sides are built once (large
+//! shared mutable state** — join build sides are built once (large
 //! builds partition by key hash and index each partition on its own worker,
 //! see [`ops`]) and probed read-only; UA label bitmaps AND per morsel inside
 //! the join gather. Aggregation, the other pipeline breaker, folds
@@ -54,7 +55,7 @@
 //!
 //! ## Fused kernels
 //!
-//! Adjacent det / UA `Filter→Map` and `Filter→HashJoin-probe` pairs fuse:
+//! Adjacent det / UA `Filter→Map` and `Filter→join-probe` pairs fuse:
 //! the filter's selection bitmap is evaluated and *consumed in the same
 //! pass* ([`crate::kernels::project_selected`], [`ops::ProbeState::probe`]),
 //! gathering each needed column once instead of materializing the filtered
@@ -82,6 +83,7 @@ use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::Schema;
 use ua_obs::{OperatorStats, PoolStats, QueryStats, Stopwatch};
+use ua_plan::exec::JoinSpec;
 use ua_plan::plan::Plan;
 use ua_plan::stats::node_label;
 use ua_plan::storage::{Catalog, Chunks, Table};
@@ -236,15 +238,11 @@ enum Spec<'p> {
     Filter(&'p Expr),
     Project(&'p [ProjColumn]),
     Requalify(&'p str),
-    HashJoin {
+    /// A det / UA join node probing with this chain's stream; its other
+    /// input (`build_plan`) builds.
+    Join {
         build_plan: &'p Plan,
-        keys: &'p [(Expr, Expr)],
-        residual: Option<&'p Expr>,
         build_left: bool,
-    },
-    Theta {
-        right: &'p Plan,
-        predicate: Option<&'p Expr>,
     },
 }
 
@@ -269,11 +267,6 @@ enum Stage {
     FilterProbe {
         pred: Expr,
         probe: ProbeState,
-    },
-    NestedLoop {
-        chunk: ColumnBatch,
-        pred: Option<Expr>,
-        schema: Schema,
     },
     /// `⟦σ⟧_AU` ([`filter_batch`]); `user` is the input's user schema.
     AuFilter {
@@ -460,42 +453,27 @@ impl<'a> Driver<'a> {
                 Plan::HashJoin { .. } | Plan::Join { .. } if self.semantics == Semantics::Au => {
                     return cur
                 }
-                Plan::HashJoin {
-                    left,
-                    right,
-                    keys,
-                    residual,
-                    build_left,
-                } => {
-                    let (build_plan, probe_plan) = if *build_left {
+                Plan::HashJoin { left, right, .. } | Plan::Join { left, right, .. } => {
+                    let build_left = matches!(
+                        cur,
+                        Plan::HashJoin {
+                            build_left: true,
+                            ..
+                        }
+                    );
+                    let (build_plan, probe_plan) = if build_left {
                         (&**left, &**right)
                     } else {
                         (&**right, &**left)
                     };
                     specs.push((
-                        Spec::HashJoin {
+                        Spec::Join {
                             build_plan,
-                            keys,
-                            residual: residual.as_ref(),
-                            build_left: *build_left,
+                            build_left,
                         },
                         node,
                     ));
                     cur = probe_plan;
-                }
-                Plan::Join {
-                    left,
-                    right,
-                    predicate,
-                } => {
-                    specs.push((
-                        Spec::Theta {
-                            right,
-                            predicate: predicate.as_ref(),
-                        },
-                        node,
-                    ));
-                    cur = left;
                 }
                 _ => return cur,
             }
@@ -594,54 +572,20 @@ impl<'a> Driver<'a> {
                     }
                     stages.push(Stage::Requalify(flat.as_ref().unwrap_or(&schema).clone()));
                 }
-                Spec::HashJoin {
+                Spec::Join {
                     build_plan,
-                    keys,
-                    residual,
                     build_left,
                 } => {
                     let build = self.build_side(build_plan, meta.as_mut())?;
-                    let (left_schema, right_schema) = if build_left {
-                        (build.schema.clone(), schema.clone())
+                    let (left, right) = if build_left {
+                        (&build.schema, &schema)
                     } else {
-                        (schema.clone(), build.schema.clone())
+                        (&schema, &build.schema)
                     };
-                    let state = ops::hash_join_probe_state(
-                        build,
-                        &left_schema,
-                        &right_schema,
-                        keys,
-                        residual,
-                        build_left,
-                        Some(&self.pool),
-                    )?;
+                    let spec = JoinSpec::bind(node_plan, left, right)?;
+                    let state = ProbeState::new(build, spec, Some(&self.pool))?;
                     schema = state.out_schema().clone();
                     stages.push(Stage::Probe(state));
-                }
-                Spec::Theta { right, predicate } => {
-                    let right_stream = self.build_side(right, meta.as_mut())?;
-                    let out_schema = schema.concat(&right_stream.schema);
-                    let bound = predicate
-                        .map(|p| p.bind(&out_schema))
-                        .transpose()
-                        .map_err(EngineError::Expr)?;
-                    match ops::theta_strategy(
-                        right_stream,
-                        bound.as_ref(),
-                        schema.arity(),
-                        &out_schema,
-                        Some(&self.pool),
-                    )? {
-                        ops::ThetaStrategy::Hash(state) => stages.push(Stage::Probe(state)),
-                        ops::ThetaStrategy::NestedLoop(chunk) => {
-                            stages.push(Stage::NestedLoop {
-                                chunk,
-                                pred: bound,
-                                schema: out_schema.clone(),
-                            });
-                        }
-                    }
-                    schema = out_schema;
                 }
             }
             metas.extend(meta);
@@ -728,11 +672,12 @@ impl<'a> Driver<'a> {
                 kind,
             } => {
                 let (l, r, children) = self.inputs(left, right)?;
-                let left_kind = *kind == ua_plan::plan::OuterKind::Left;
                 let out = if au {
+                    let left_kind = *kind == ua_plan::plan::OuterKind::Left;
                     self.au_outer_join(l, r, predicate.as_ref(), left_kind)?
                 } else {
-                    ops::outer_join(l, r, predicate.as_ref(), left_kind, Some(&self.pool))?
+                    let spec = JoinSpec::bind(plan, &l.schema, &r.schema)?;
+                    ops::outer_join(l, r, spec, Some(&self.pool))?
                 };
                 (out, children)
             }
@@ -1159,17 +1104,12 @@ fn apply_stage(
             Some(sel) => out.push(project_selected(&batch, Some(&sel), exprs, schema)?),
         },
         Stage::Requalify(schema) => out.push(batch.with_schema(schema.clone())),
-        Stage::Probe(probe) => out.extend(probe.probe(&batch, None)?),
+        Stage::Probe(probe) => probe.probe(&batch, None, out)?,
         Stage::FilterProbe { pred, probe } => match filter_selection(pred, &batch)? {
-            None => out.extend(probe.probe(&batch, None)?),
+            None => probe.probe(&batch, None, out)?,
             Some(sel) if sel.is_empty() => {}
-            Some(sel) => out.extend(probe.probe(&batch, Some(&sel))?),
+            Some(sel) => probe.probe(&batch, Some(&sel), out)?,
         },
-        Stage::NestedLoop {
-            chunk,
-            pred,
-            schema,
-        } => ops::nested_loop_batch(&batch, chunk, pred.as_ref(), schema, out)?,
         Stage::AuFilter { pred, user } => {
             let (kept, rowwise) = filter_batch(&batch, pred, user, batch.schema(), user.arity())?;
             out.extend(kept);

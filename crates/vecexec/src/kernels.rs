@@ -871,8 +871,8 @@ fn eval_native(e: &Expr, batch: &ColumnBatch, n: usize) -> Option<Native> {
 /// triple columns (user arity `n`) into its three columns — row by row, and
 /// column representation for column representation, what
 /// `ua_ranges::eval_range` + `range_parts` produce — without assembling a
-/// range. Native shapes are those of [`eval_native`]; the per-operator
-/// bit-identity argument and the `Point` lemma are on [`interval_arith`].
+/// range. Native shapes are those of `eval_native`; the per-operator
+/// bit-identity argument and the `Point` lemma are on `interval_arith`.
 /// `None` for every other shape and for a batch in which some row, at some
 /// nesting level, fails `lb ⪯ bg ⪯ ub` or overflows an integer endpoint:
 /// the caller evaluates that batch per row.

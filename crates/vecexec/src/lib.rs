@@ -21,9 +21,9 @@
 //!   range kernels: the `[lb, bg, ub]` expression kernel AU π runs and the
 //!   three-valued range-truth kernel AU σ runs over it;
 //! * [`ops`] — the stream operators (union, difference, outer join,
-//!   distinct, aggregate, columnar sort, fused Top-K, limit) and the hash
-//!   / nested-loop join state the pipeline probes, order-compatible with
-//!   the row executor;
+//!   distinct, aggregate, columnar sort, fused Top-K, limit) and the one
+//!   det / UA join state every inner, θ, hash and outer join probes
+//!   ([`ops::ProbeState`]), order-compatible with the row executor;
 //! * [`exec`] — **the** morsel-driven plan driver and the one entry point
 //!   [`execute`]: a single plan walk, pipeline, stats assembler and result
 //!   materialisation for deterministic, UA and AU semantics, selected by

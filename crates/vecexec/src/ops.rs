@@ -1,7 +1,7 @@
 //! Vectorized relational operators over [`BatchStream`]s.
 //!
 //! Operators are order-preserving replicas of the row executor's operators
-//! (same hash-join strategy choice, same first-seen orders), so the two
+//! (the same [`JoinSpec`] for every join, same first-seen orders), so the two
 //! engines produce identical tables — rows, labels *and* row order — which
 //! the differential tests assert. UA labels flow through as bitmaps:
 //! filters/projections gather them, joins AND them (`min(C₁, C₂)` over
@@ -15,12 +15,13 @@ use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
-use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, JoinKeys, ProjColumn};
+use ua_data::algebra::{merge_ascending, JoinKeys, ProjColumn};
 use ua_data::expr::Expr;
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
 use ua_data::{FxHashMap, FxHashSet, FxHasher};
+use ua_plan::exec::JoinSpec;
 use ua_plan::plan::{AggExpr, SortOrder};
 use ua_plan::{AggState, EngineError};
 
@@ -144,18 +145,11 @@ pub fn except(
     })
 }
 
-/// Left/right outer θ-join, columnar: the preserved side streams as the
-/// probe, the other side builds the same partitioned [`JoinIndex`] an
-/// inner hash join uses (SQL join equality — NULL keys never enter the
-/// index or match out of it), and probe misses pad with NULLs by routing
-/// them at an extra all-NULL row appended to the build chunk — one gather
-/// assembles matches and pads in preserved-major order. `NOT IN`'s
-/// null-aware equality uses the same index on its `x = k`, plus the two
-/// rules that make it null-aware: build rows with an unknown key are
-/// candidates of every probe row (merged into its bucket in build-scan
-/// order), and an unknown probe key takes every build row. Output columns
-/// are always `left ++ right`; row order, padding and residual treatment
-/// are byte-for-byte `ua_plan::exec::outer_join_stream`'s.
+/// Left/right outer θ-join, columnar: a pipeline breaker that builds one
+/// [`ProbeState`] on the non-preserved side (its [`JoinSpec`] pads) and
+/// probes every preserved batch through it in order — the row engine's
+/// loop, row for row: matches and pads come out in preserved-major order
+/// with columns `left ++ right`.
 ///
 /// UA labels: matched rows AND their sides' labels (the `⟦·⟧_UA` join
 /// rule); pad rows are never certain — the pad row's label bit is `0`, so
@@ -163,182 +157,21 @@ pub fn except(
 pub fn outer_join(
     left: BatchStream,
     right: BatchStream,
-    predicate: Option<&Expr>,
-    left_kind: bool,
+    spec: JoinSpec,
     pool: Option<&ThreadPool>,
 ) -> Result<BatchStream, EngineError> {
-    let out_schema = left.schema.concat(&right.schema);
-    let left_arity = left.schema.arity();
-    let bound = predicate
-        .map(|p| p.bind(&out_schema))
-        .transpose()
-        .map_err(EngineError::Expr)?;
-    let (outer, inner) = if left_kind {
+    let (build, probe) = if spec.build_left {
         (left, right)
     } else {
         (right, left)
     };
-    let chunk = inner.into_single_chunk();
-    let pad_idx = chunk.len() as u32;
-    // The build chunk plus one all-NULL pad row (label 0, multiplicity 1):
-    // gathering a probe miss at `pad_idx` produces exactly the row engine's
-    // NULL-padded output — values NULL, label uncertain, the preserved
-    // row's multiplicity.
-    let ext = {
-        let null_col = ColumnVec::broadcast(&Value::Null, 1);
-        let columns: Vec<ColumnVec> = chunk
-            .columns()
-            .iter()
-            .map(|c| ColumnVec::concat(&[c, &null_col]))
-            .collect();
-        let mut labels = chunk.labels().clone();
-        labels.push(false);
-        let mut mults = chunk.mults().to_vec();
-        mults.push(1);
-        ColumnBatch::new(chunk.schema().clone(), columns, labels, Arc::new(mults))
-    };
-
-    // Strategy split mirrors `outer_join_stream`: the predicate's keys
-    // index the non-preserved side (residual on candidates), anything else
-    // nested-loops. `always` is `Some` for `NOT IN`'s null-aware key: the
-    // build rows with an unknown key, candidates of every probe row.
-    let mut index: Option<JoinIndex> = None;
-    let mut always: Option<Vec<u32>> = None;
-    let mut probe_exprs: Vec<Expr> = Vec::new();
-    let mut pair_pred: Option<Expr> = bound.clone();
-    if let Some(pred) = &bound {
-        let JoinKeys {
-            keys,
-            residual,
-            null_aware,
-        } = candidate_keys(pred, left_arity);
-        if !keys.is_empty() {
-            let (build_keys, probes): (Vec<Expr>, Vec<Expr>) = if left_kind {
-                keys.into_iter().map(|k| (k.right, k.left)).unzip()
-            } else {
-                keys.into_iter().map(|k| (k.left, k.right)).unzip()
-            };
-            let key_cols: Vec<Evaluated> = build_keys
-                .iter()
-                .map(|e| eval_expr(e, &chunk))
-                .collect::<Result<_, _>>()?;
-            always = null_aware.then(|| unknown_rows(&key_cols[0], chunk.len()));
-            index = Some(build_index(&key_cols, chunk.len(), pool));
-            probe_exprs = probes;
-            pair_pred = (!residual.is_empty()).then(|| Expr::conjunction(residual));
-        }
-    }
-    let n_build = chunk.len() as u32;
-
+    let state = ProbeState::new(build, spec, pool)?;
     let mut batches = Vec::new();
-    for obatch in &outer.batches {
-        if obatch.is_empty() {
-            continue;
-        }
-        // The key-equal pairs of the whole batch, probe-major with build
-        // rows ascending — bounded by actual key matches.
-        let probe_cols: Vec<Evaluated> = probe_exprs
-            .iter()
-            .map(|e| eval_expr(e, obatch))
-            .collect::<Result<_, _>>()?;
-        let (eq_p, eq_b) = match &index {
-            Some(index) => probe_index(index, &probe_cols, obatch.len()),
-            None => (Vec::new(), Vec::new()),
-        };
-        let unknown_probes = match &always {
-            Some(_) => unknown_rows(&probe_cols[0], obatch.len()),
-            None => Vec::new(),
-        };
-        let (mut eq_at, mut unknown_at) = (0usize, 0usize);
-        // Plain equi-keys take the batch in one piece. The other two paths
-        // materialize their candidates in bounded pieces (whole probe rows
-        // per piece, so pad grouping stays local): the nested path a slice
-        // of the cross product, the null-aware path each probe row's
-        // bucket merged with `always` — or the whole build side for an
-        // unknown probe key.
-        const MAX_PAIRS_PER_PIECE: usize = 1 << 16;
-        let mut start = 0u32;
-        while (start as usize) < obatch.len() {
-            let mut end = start;
-            let (mut piece_p, mut piece_b) = (Vec::new(), Vec::new());
-            let (pidx, bidx): (&[u32], &[u32]) = match (&index, &always) {
-                (Some(_), None) => {
-                    end = obatch.len() as u32;
-                    (&eq_p, &eq_b)
-                }
-                _ => {
-                    while (end as usize) < obatch.len()
-                        && (end == start || piece_p.len() < MAX_PAIRS_PER_PIECE)
-                    {
-                        let run = eq_at;
-                        while eq_at < eq_p.len() && eq_p[eq_at] == end {
-                            eq_at += 1;
-                        }
-                        match &always {
-                            Some(_) if unknown_probes.get(unknown_at) == Some(&end) => {
-                                unknown_at += 1;
-                                piece_b.extend(0..n_build);
-                            }
-                            Some(always) => {
-                                merge_ascending(&eq_b[run..eq_at], always, &mut piece_b)
-                            }
-                            None => piece_b.extend(0..n_build),
-                        }
-                        piece_p.resize(piece_b.len(), end);
-                        end += 1;
-                    }
-                    (&piece_p, &piece_b)
-                }
-            };
-            // Which candidate pairs survive the (residual) predicate.
-            // Failing matches count as no-match: a probe row whose every
-            // candidate fails still pads.
-            let survivors: Option<Bitmap> = match &pair_pred {
-                Some(pred) if !pidx.is_empty() => {
-                    let cand = if left_kind {
-                        join_gather(obatch, &chunk, pidx, bidx, &out_schema)
-                    } else {
-                        join_gather(&chunk, obatch, bidx, pidx, &out_schema)
-                    };
-                    let (t, _f) = truth_masks(pred, &cand)?;
-                    Some(t)
-                }
-                _ => None,
-            };
-            let mut oidx: Vec<u32> = Vec::new();
-            let mut iidx: Vec<u32> = Vec::new();
-            let mut p = 0usize;
-            for i in start..end {
-                let mut matched = false;
-                while p < pidx.len() && pidx[p] < i {
-                    p += 1;
-                }
-                while p < pidx.len() && pidx[p] == i {
-                    if survivors.as_ref().is_none_or(|t| t.get(p)) {
-                        matched = true;
-                        oidx.push(i);
-                        iidx.push(bidx[p]);
-                    }
-                    p += 1;
-                }
-                if !matched {
-                    oidx.push(i);
-                    iidx.push(pad_idx);
-                }
-            }
-            let joined = if left_kind {
-                join_gather(obatch, &ext, &oidx, &iidx, &out_schema)
-            } else {
-                join_gather(&ext, obatch, &iidx, &oidx, &out_schema)
-            };
-            if !joined.is_empty() {
-                batches.push(joined);
-            }
-            start = end;
-        }
+    for batch in probe.batches.iter().filter(|b| !b.is_empty()) {
+        state.probe(batch, None, &mut batches)?;
     }
     Ok(BatchStream {
-        schema: out_schema,
+        schema: state.out_schema,
         batches,
     })
 }
@@ -381,17 +214,24 @@ fn owning_part<K>(
     }
 }
 
-/// Prepared state of a streaming hash-join probe: the materialized build
-/// side, its hash index, and the bound probe-key/residual expressions. The
-/// morsel pipeline builds this once (serial) and then probes batch by
-/// batch — probing is read-only, so morsels probe in parallel — optionally
-/// consuming a filter's selection vector in the same pass (the fused
-/// σ→probe kernel: key expressions evaluate over filter survivors only,
-/// and the join gathers straight from the *original* batch through the
+/// The one det / UA join state: every inner, θ, hash and outer join of
+/// this engine probes through it. It holds the build side as one chunk
+/// (and, when probe misses pad, that chunk plus one all-NULL pad row —
+/// label 0, multiplicity 1 — so gathering a miss at the pad row produces
+/// exactly the row engine's NULL-padded output), the hash index on the
+/// build keys (`None` without keys), the null-aware `always` rows (build
+/// rows with an unknown key, candidates of every probe row), and the
+/// bound probe keys and residual. Built once (serially; large builds
+/// partition) and probed read-only, so morsels probe in parallel —
+/// optionally through a filter's selection vector (the fused σ→probe
+/// kernel: key expressions evaluate over filter survivors only, and the
+/// join gathers straight from the *original* batch through the
 /// mapped-back selection, one gather instead of two).
 pub struct ProbeState {
     chunk: ColumnBatch,
-    index: JoinIndex,
+    padded: Option<ColumnBatch>,
+    index: Option<JoinIndex>,
+    always: Option<Vec<u32>>,
     probe_keys: Vec<Expr>,
     residual: Option<Expr>,
     build_left: bool,
@@ -399,31 +239,61 @@ pub struct ProbeState {
 }
 
 impl ProbeState {
-    /// Assemble probe state from a fully-executed build stream. All
-    /// expressions arrive bound: `build_keys` against the build chunk,
-    /// `probe_keys` against the probe-side schema, `residual` against
-    /// `out_schema` (always `left ++ right` in plan order, regardless of
-    /// which side builds).
+    /// Assemble the join state from a fully-executed build stream and the
+    /// join's bound [`JoinSpec`] (`build` is the plan's left input when
+    /// `spec.build_left`, its right input otherwise). Build keys evaluate
+    /// here, before any probe row.
     pub fn new(
         build: BatchStream,
-        build_keys: &[Expr],
-        probe_keys: Vec<Expr>,
-        residual: Option<Expr>,
-        build_left: bool,
-        out_schema: Schema,
+        spec: JoinSpec,
         pool: Option<&ThreadPool>,
     ) -> Result<ProbeState, EngineError> {
+        let JoinSpec {
+            keys:
+                JoinKeys {
+                    keys,
+                    residual,
+                    null_aware,
+                },
+            build_left,
+            pad,
+            schema: out_schema,
+        } = spec;
         let chunk = build.into_single_chunk();
-        let key_cols: Vec<Evaluated> = build_keys
-            .iter()
-            .map(|e| eval_expr(e, &chunk))
-            .collect::<Result<_, _>>()?;
-        let index = build_index(&key_cols, chunk.len(), pool);
+        let (build_keys, probe_keys): (Vec<Expr>, Vec<Expr>) = if build_left {
+            keys.into_iter().map(|k| (k.left, k.right)).unzip()
+        } else {
+            keys.into_iter().map(|k| (k.right, k.left)).unzip()
+        };
+        let (mut index, mut always) = (None, None);
+        if !build_keys.is_empty() {
+            let key_cols: Vec<Evaluated> = build_keys
+                .iter()
+                .map(|e| eval_expr(e, &chunk))
+                .collect::<Result<_, _>>()?;
+            always = null_aware.then(|| unknown_rows(&key_cols[0], chunk.len()));
+            index = Some(build_index(&key_cols, chunk.len(), pool));
+        }
+        let padded = pad.then(|| {
+            let null_col = ColumnVec::broadcast(&Value::Null, 1);
+            let columns: Vec<ColumnVec> = chunk
+                .columns()
+                .iter()
+                .map(|c| ColumnVec::concat(&[c, &null_col]))
+                .collect();
+            let mut labels = chunk.labels().clone();
+            labels.push(false);
+            let mut mults = chunk.mults().to_vec();
+            mults.push(1);
+            ColumnBatch::new(chunk.schema().clone(), columns, labels, Arc::new(mults))
+        });
         Ok(ProbeState {
             chunk,
+            padded,
             index,
+            always,
             probe_keys,
-            residual,
+            residual: (!residual.is_empty()).then(|| Expr::conjunction(residual)),
             build_left,
             out_schema,
         })
@@ -435,172 +305,135 @@ impl ProbeState {
     }
 
     /// Probe one batch, restricted to the rows at `sel` when given (`None`
-    /// = every row). Output row order is probe-scan order with build-scan
-    /// order within one probe row — the row engine's contract — and `sel`
-    /// vectors are ascending, so fused probing emits exactly the order a
-    /// separate filter-then-probe would.
+    /// = every row), appending the joined batches to `out`. Output row
+    /// order is probe-scan order with build candidates ascending within
+    /// one probe row, then its pad when none survived — the row engine's
+    /// contract — and `sel` vectors are ascending, so fused probing emits
+    /// exactly the order a separate filter-then-probe would.
+    ///
+    /// Plain keys take the batch in one piece: the index's key-equal
+    /// pairs. Keyless and null-aware candidates materialize in bounded
+    /// pieces of whole probe rows (so pad grouping stays local): a slice
+    /// of the cross product, or each probe row's bucket merged with
+    /// `always` — the whole build side for an unknown probe key. The
+    /// residual then decides among a piece's candidates; a probe row whose
+    /// every candidate fails still pads.
     pub fn probe(
         &self,
         batch: &ColumnBatch,
         sel: Option<&[u32]>,
-    ) -> Result<Option<ColumnBatch>, EngineError> {
+        out: &mut Vec<ColumnBatch>,
+    ) -> Result<(), EngineError> {
+        const MAX_PAIRS_PER_PIECE: usize = 1 << 16;
         let mut gathered: Option<ColumnBatch> = None;
         let probe_cols: Vec<Evaluated> = self
             .probe_keys
             .iter()
             .map(|e| eval_selected(e, batch, sel, &mut gathered))
             .collect::<Result<_, _>>()?;
-        let rows = sel.map_or(batch.len(), <[u32]>::len);
-        let (mut pidx, bidx) = probe_index(&self.index, &probe_cols, rows);
-        if pidx.is_empty() {
-            return Ok(None);
-        }
-        if let Some(sel) = sel {
-            // Map selection-local probe positions back to the original
-            // batch so the join gathers source rows directly.
-            for p in &mut pidx {
-                *p = sel[*p as usize];
-            }
-        }
-        let (lsrc, rsrc, lidx, ridx): (&ColumnBatch, &ColumnBatch, &[u32], &[u32]) =
-            if self.build_left {
-                (&self.chunk, batch, &bidx, &pidx)
+        let rows = sel.map_or(batch.len(), <[u32]>::len) as u32;
+        // The batch row at selection-local probe position `i`: the join
+        // gathers source rows directly.
+        let at = |i: u32| sel.map_or(i, |sel| sel[i as usize]);
+        let n_build = self.chunk.len() as u32;
+        let (mut eq_p, mut eq_b) = match &self.index {
+            Some(index) => probe_index(index, &probe_cols, rows as usize),
+            None => (Vec::new(), Vec::new()),
+        };
+        let unknown_probes = match &self.always {
+            Some(_) => unknown_rows(&probe_cols[0], rows as usize),
+            None => Vec::new(),
+        };
+        let (mut eq_at, mut unknown_at) = (0usize, 0usize);
+        let mut start = 0u32;
+        while start < rows {
+            let (pidx, bidx, end) = if self.index.is_some() && self.always.is_none() {
+                if sel.is_some() {
+                    for p in &mut eq_p {
+                        *p = at(*p);
+                    }
+                }
+                (std::mem::take(&mut eq_p), std::mem::take(&mut eq_b), rows)
             } else {
-                (batch, &self.chunk, &pidx, &bidx)
+                let (mut piece_p, mut piece_b) = (Vec::new(), Vec::new());
+                let mut end = start;
+                while end < rows && (end == start || piece_p.len() < MAX_PAIRS_PER_PIECE) {
+                    let run = eq_at;
+                    while eq_at < eq_p.len() && eq_p[eq_at] == end {
+                        eq_at += 1;
+                    }
+                    match &self.always {
+                        Some(_) if unknown_probes.get(unknown_at) == Some(&end) => {
+                            unknown_at += 1;
+                            piece_b.extend(0..n_build);
+                        }
+                        Some(always) => merge_ascending(&eq_b[run..eq_at], always, &mut piece_b),
+                        None => piece_b.extend(0..n_build),
+                    }
+                    piece_p.resize(piece_b.len(), at(end));
+                    end += 1;
+                }
+                (piece_p, piece_b, end)
             };
-        let joined = join_gather(lsrc, rsrc, lidx, ridx, &self.out_schema);
-        let joined = match &self.residual {
-            Some(pred) => apply_residual(joined, pred)?,
-            None => joined,
-        };
-        Ok((!joined.is_empty()).then_some(joined))
+            // The candidate pairs joined, where the residual or the
+            // output needs them, and which of them survive the residual.
+            let cand = (!pidx.is_empty() && (self.residual.is_some() || self.padded.is_none()))
+                .then(|| self.gather(&self.chunk, batch, &pidx, &bidx));
+            let survivors = match (&self.residual, &cand) {
+                (Some(pred), Some(cand)) => Some(truth_masks(pred, cand)?.0),
+                _ => None,
+            };
+            let joined = match (&self.padded, cand) {
+                (None, None) => None,
+                (None, Some(cand)) => Some(match survivors {
+                    Some(t) if !t.all_ones() => cand.gather(&t.ones()),
+                    _ => cand,
+                }),
+                (Some(padded), _) => {
+                    let (mut oidx, mut iidx) = (Vec::new(), Vec::new());
+                    let mut p = 0usize;
+                    for i in (start..end).map(at) {
+                        let mut matched = false;
+                        while p < pidx.len() && pidx[p] < i {
+                            p += 1;
+                        }
+                        while p < pidx.len() && pidx[p] == i {
+                            if survivors.as_ref().is_none_or(|t| t.get(p)) {
+                                matched = true;
+                                oidx.push(i);
+                                iidx.push(bidx[p]);
+                            }
+                            p += 1;
+                        }
+                        if !matched {
+                            oidx.push(i);
+                            iidx.push(n_build);
+                        }
+                    }
+                    Some(self.gather(padded, batch, &oidx, &iidx))
+                }
+            };
+            out.extend(joined.filter(|j| !j.is_empty()));
+            start = end;
+        }
+        Ok(())
     }
-}
 
-/// The θ-join strategy decision, mirroring the row executor exactly: with
-/// extractable equi-keys in the bound predicate, the right side builds a
-/// [`ProbeState`] (residual applied to matches); otherwise the right side
-/// chunks for nested loops.
-pub(crate) enum ThetaStrategy {
-    /// Hash-probe the left side against the indexed right side.
-    Hash(ProbeState),
-    /// No equi-keys: nested loops against the right chunk.
-    NestedLoop(ColumnBatch),
-}
-
-/// Decide the strategy for a θ-join of a streamed left side against
-/// `right`. `bound` is the predicate bound against `out_schema`
-/// (`left ++ right`), as [`extract_equi_keys`] expects.
-pub(crate) fn theta_strategy(
-    right: BatchStream,
-    bound: Option<&Expr>,
-    left_arity: usize,
-    out_schema: &Schema,
-    pool: Option<&ThreadPool>,
-) -> Result<ThetaStrategy, EngineError> {
-    if let Some(pred) = bound {
-        let (keys, residual) = extract_equi_keys(pred, left_arity);
-        if !keys.is_empty() {
-            let residual = Expr::conjunction(residual);
-            let build_keys: Vec<Expr> = keys.iter().map(|k| k.right.clone()).collect();
-            let probe_keys: Vec<Expr> = keys.iter().map(|k| k.left.clone()).collect();
-            return Ok(ThetaStrategy::Hash(ProbeState::new(
-                right,
-                &build_keys,
-                probe_keys,
-                Some(residual),
-                false,
-                out_schema.clone(),
-                pool,
-            )?));
+    /// Join the probe rows `pidx` of `batch` with the rows `bidx` of
+    /// `build` (the chunk or its padded form), columns `left ++ right`.
+    fn gather(
+        &self,
+        build: &ColumnBatch,
+        batch: &ColumnBatch,
+        pidx: &[u32],
+        bidx: &[u32],
+    ) -> ColumnBatch {
+        if self.build_left {
+            join_gather(build, batch, bidx, pidx, &self.out_schema)
+        } else {
+            join_gather(batch, build, pidx, bidx, &self.out_schema)
         }
     }
-    Ok(ThetaStrategy::NestedLoop(right.into_single_chunk()))
-}
-
-/// Nested-loop pieces of one left batch against the whole right chunk: the
-/// cross product materializes in bounded pieces (a few left rows at a
-/// time) so a large θ-join never holds the full product in memory; slicing
-/// on the left preserves the row engine's output order. The full predicate
-/// filters each piece (matching the row engine's nested-loop path).
-pub(crate) fn nested_loop_batch(
-    lbatch: &ColumnBatch,
-    right_chunk: &ColumnBatch,
-    bound: Option<&Expr>,
-    out_schema: &Schema,
-    out: &mut Vec<ColumnBatch>,
-) -> Result<(), EngineError> {
-    const MAX_PAIRS_PER_PIECE: usize = 1 << 16;
-    if lbatch.is_empty() || right_chunk.is_empty() {
-        return Ok(());
-    }
-    let rows_per_piece = (MAX_PAIRS_PER_PIECE / right_chunk.len()).max(1);
-    let mut start = 0u32;
-    while (start as usize) < lbatch.len() {
-        let end = ((start as usize + rows_per_piece).min(lbatch.len())) as u32;
-        let mut lidx: Vec<u32> = Vec::new();
-        let mut ridx: Vec<u32> = Vec::new();
-        for i in start..end {
-            for j in 0..right_chunk.len() as u32 {
-                lidx.push(i);
-                ridx.push(j);
-            }
-        }
-        let joined = join_gather(lbatch, right_chunk, &lidx, &ridx, out_schema);
-        let joined = match bound {
-            Some(pred) => apply_residual(joined, pred)?,
-            None => joined,
-        };
-        if !joined.is_empty() {
-            out.push(joined);
-        }
-        start = end;
-    }
-    Ok(())
-}
-
-/// Bind a [`ua_plan::plan::Plan::HashJoin`]'s per-side expressions and
-/// build its [`ProbeState`] from the already-executed build stream
-/// (`build` is the plan's left input when `build_left`, its right input
-/// otherwise; the probe side stays streamed).
-pub fn hash_join_probe_state(
-    build: BatchStream,
-    left_schema: &Schema,
-    right_schema: &Schema,
-    keys: &[(Expr, Expr)],
-    residual: Option<&Expr>,
-    build_left: bool,
-    pool: Option<&ThreadPool>,
-) -> Result<ProbeState, EngineError> {
-    let out_schema = left_schema.concat(right_schema);
-    let lkeys: Vec<Expr> = keys
-        .iter()
-        .map(|(e, _)| e.bind(left_schema))
-        .collect::<Result<_, _>>()
-        .map_err(EngineError::Expr)?;
-    let rkeys: Vec<Expr> = keys
-        .iter()
-        .map(|(_, e)| e.bind(right_schema))
-        .collect::<Result<_, _>>()
-        .map_err(EngineError::Expr)?;
-    let residual = residual
-        .map(|e| e.bind(&out_schema))
-        .transpose()
-        .map_err(EngineError::Expr)?;
-    let (build_keys, probe_keys) = if build_left {
-        (lkeys, rkeys)
-    } else {
-        (rkeys, lkeys)
-    };
-    ProbeState::new(
-        build,
-        &build_keys,
-        probe_keys,
-        residual,
-        build_left,
-        out_schema,
-        pool,
-    )
 }
 
 /// How many build partitions a pool (if any) warrants for `rows` rows.
@@ -781,16 +614,6 @@ fn join_gather(
     ColumnBatch::new(out_schema.clone(), columns, labels, Arc::new(mults))
 }
 
-fn apply_residual(batch: ColumnBatch, residual: &Expr) -> Result<ColumnBatch, EngineError> {
-    let bound = residual.bind(batch.schema()).map_err(EngineError::Expr)?;
-    let (t, _f) = truth_masks(&bound, &batch)?;
-    if t.all_ones() {
-        Ok(batch)
-    } else {
-        Ok(batch.gather(&t.ones()))
-    }
-}
-
 /// Row-count limit, columnar-native: batches pass through untouched until
 /// the running row-copy count (multiplicities included, matching the row
 /// engine's limit over expanded rows) reaches `limit`; the boundary batch
@@ -945,7 +768,7 @@ pub(crate) fn bind_sort_keys(
 
 /// Columnar multi-key sort: concatenates the input into one chunk,
 /// evaluates the key expressions once per column, sorts a row-index
-/// permutation under [`sort_cmp`]'s ordering, and gathers the output in
+/// permutation under `sort_cmp`'s ordering, and gathers the output in
 /// `batch_rows`-sized slices — no row materialization anywhere. Order
 /// (null placement, direction handling, tie-breaks) is identical to
 /// `ua_plan::sort_table` over the materialized (encoded) table, which
@@ -1005,7 +828,7 @@ pub fn sort(
 }
 
 /// Fused Sort+Limit (Top-K): a bounded buffer of the `k` smallest rows
-/// under [`sort_cmp`]'s ordering — the full input is never sorted, let
+/// under `sort_cmp`'s ordering — the full input is never sorted, let
 /// alone materialized. Row copies count like the row engine's
 /// `Limit(Sort(..))` over expanded rows: an entry with multiplicity `m`
 /// stands for `m` adjacent copies, the buffer keeps just enough entries to
@@ -1293,7 +1116,7 @@ pub fn aggregate(
 
 /// [`aggregate`] with a thread pool: with more than one worker and more
 /// than one input batch, evaluation runs batch-parallel and the group fold
-/// runs through [`fold_partitioned`] — byte-identical output, every
+/// runs through `fold_partitioned` — byte-identical output, every
 /// thread count.
 pub fn aggregate_pooled(
     input: BatchStream,
@@ -1581,19 +1404,27 @@ mod tests {
         ];
         let not_in = null_aware_eq(Expr::named("l.k"), Expr::named("r.k"));
         for (l, r) in &cases {
-            for (kind, left_kind) in [(OuterKind::Left, true), (OuterKind::Right, false)] {
-                let mut expected = Vec::new();
-                ua_plan::exec::outer_join_stream(l, r, Some(&not_in), kind, &mut |row| {
-                    expected.push(row);
-                    Ok(())
-                })
-                .unwrap();
+            let catalog = ua_plan::Catalog::new();
+            catalog.register("l", l.clone());
+            catalog.register("r", r.clone());
+            for kind in [OuterKind::Left, OuterKind::Right] {
+                let plan = ua_plan::Plan::OuterJoin {
+                    left: Box::new(ua_plan::Plan::Scan("l".into())),
+                    right: Box::new(ua_plan::Plan::Scan("r".into())),
+                    predicate: Some(not_in.clone()),
+                    kind,
+                };
+                let expected =
+                    ua_plan::execute_row(&plan, &catalog, ua_plan::Semantics::Det, false)
+                        .0
+                        .unwrap()
+                        .rows()
+                        .to_vec();
                 for batch_rows in [1, 4096] {
                     let got = outer_join(
                         batches_from_table(l, batch_rows),
                         batches_from_table(r, batch_rows),
-                        Some(&not_in),
-                        left_kind,
+                        JoinSpec::bind(&plan, l.schema(), r.schema()).unwrap(),
                         None,
                     )
                     .unwrap();

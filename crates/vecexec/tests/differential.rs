@@ -1582,6 +1582,238 @@ fn au_joins_over_views_match_the_row_operators_over_ranged_keys() {
     }
 }
 
+/// A plain table `name(k, k2, v)` — with a trailing `ua_c` marker when
+/// `ua` — whose `k` is drawn from `keys`, `k2` a small `Int`, `v` an `Int`.
+fn plain_side(rng: &mut StdRng, name: &str, rows: usize, keys: &[Value], ua: bool) -> Table {
+    let mut schema = Schema::qualified(name, ["k", "k2", "v"]);
+    if ua {
+        schema = schema.with_column(ua_core::UA_LABEL_COLUMN);
+    }
+    let rows = (0..rows)
+        .map(|_| {
+            let mut row = vec![
+                keys[rng.gen_range(0..keys.len())].clone(),
+                Value::Int(rng.gen_range(0..3)),
+                Value::Int(rng.gen_range(0..20)),
+            ];
+            if ua {
+                row.push(Value::Int(rng.gen_range(0..2)));
+            }
+            Tuple::new(row)
+        })
+        .collect();
+    Table::from_rows(schema, rows)
+}
+
+/// The det / UA twin of the AU join-shape suites: every join shape those
+/// list — `Plan::Join` keyless, non-equi, plain, composite, computed, with
+/// a residual and under `NOT IN`'s null-aware predicate; a `HashJoin`
+/// building either side; `LEFT` / `RIGHT JOIN` for every predicate; the
+/// `NOT IN` anti-join — under `Semantics::Det` and `Semantics::Ua` over
+/// plain tables whose keys hold `NULL`, labeled nulls, NaN, `−0.0`, `1`
+/// next to `1.0`, `2⁵³ + 1` next to `2⁵³`, strings against integers, dense
+/// `Int` and `Float` columns and an empty side. The row engine (UA: over
+/// the `rewrite_ua_plan` plan) equals the vectorized result labels
+/// included; at threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024} every
+/// parallel stream is the serial one; an `Err` on one engine is an `Err`
+/// on the other.
+#[test]
+fn det_and_ua_joins_match_the_row_operators_over_plain_keys() {
+    use ua_data::algebra::null_aware_eq;
+    use ua_engine::plan::OuterKind;
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    let col = Expr::named;
+    let predicates: Vec<(&str, Option<Expr>)> = vec![
+        ("keyless", None),
+        ("non-equi", Some(col("l.v").lt(col("r.v")))),
+        ("plain", Some(col("l.k").eq(col("r.k")))),
+        (
+            "composite",
+            Some(col("l.k").eq(col("r.k")).and(col("l.k2").eq(col("r.k2")))),
+        ),
+        (
+            "computed",
+            Some(
+                col("l.k")
+                    .add(Expr::lit(1i64))
+                    .eq(col("r.k").add(col("r.k2"))),
+            ),
+        ),
+        (
+            "residual",
+            Some(col("l.k").eq(col("r.k")).and(col("l.v").lt(col("r.v")))),
+        ),
+        ("not in", Some(null_aware_eq(col("l.k"), col("r.k")))),
+    ];
+    let mut plans: Vec<(String, Plan)> = Vec::new();
+    for (name, predicate) in &predicates {
+        plans.push((
+            format!("join {name}"),
+            Plan::Join {
+                left: scan("l"),
+                right: scan("r"),
+                predicate: predicate.clone(),
+            },
+        ));
+        for kind in [OuterKind::Left, OuterKind::Right] {
+            plans.push((
+                format!("{kind:?} join {name}"),
+                Plan::OuterJoin {
+                    left: scan("l"),
+                    right: scan("r"),
+                    predicate: predicate.clone(),
+                    kind,
+                },
+            ));
+        }
+    }
+    for build_left in [false, true] {
+        plans.push((
+            format!("hash join build_left={build_left}"),
+            Plan::HashJoin {
+                left: scan("l"),
+                right: scan("r"),
+                keys: vec![(col("l.k"), col("r.k"))],
+                residual: Some(col("l.k2").le(col("r.k2"))),
+                build_left,
+            },
+        ));
+    }
+    plans.push((
+        "not in anti-join".into(),
+        Plan::Map {
+            input: Box::new(Plan::Filter {
+                input: Box::new(Plan::OuterJoin {
+                    left: scan("l"),
+                    right: Box::new(Plan::Map {
+                        input: scan("r"),
+                        columns: vec![
+                            ProjColumn::expr(col("k"), "__in"),
+                            ProjColumn::expr(Expr::lit(1i64), "__anti"),
+                        ],
+                    }),
+                    predicate: Some(null_aware_eq(col("l.k"), col("__in"))),
+                    kind: OuterKind::Left,
+                }),
+                predicate: Expr::IsNull(Box::new(col("__anti"))),
+            }),
+            columns: vec![
+                ProjColumn::expr(col("l.k"), "k"),
+                ProjColumn::expr(col("l.v"), "v"),
+            ],
+        },
+    ));
+
+    // The row engine's UA plan. A user plan has no hash joins (the
+    // optimizer plans them after the rewriting), so a `HashJoin` goes back
+    // under the marker projection `rewrite_ua_plan` puts over its join.
+    let ua_row_plan = |plan: &Plan, catalog: &Catalog| match plan {
+        Plan::HashJoin { left, right, .. } => {
+            let join = Plan::Join {
+                left: left.clone(),
+                right: right.clone(),
+                predicate: None,
+            };
+            match ua_engine::rewrite_ua_plan(&join, catalog)? {
+                Plan::Map { columns, .. } => Ok(Plan::Map {
+                    input: Box::new(plan.clone()),
+                    columns,
+                }),
+                other => panic!("a UA join rewrites to a marker projection: {other}"),
+            }
+        }
+        _ => ua_engine::rewrite_ua_plan(plan, catalog),
+    };
+    let big = 1i64 << 53;
+    let mixed = vec![
+        Value::Null,
+        Value::Var(VarId(3)),
+        Value::Var(VarId(4)),
+        Value::Int(0),
+        Value::Int(1),
+        Value::float(1.0),
+        Value::float(f64::NAN),
+        Value::float(-0.0),
+        Value::Int(big + 1),
+        Value::float(big as f64),
+        Value::str("1"),
+        Value::Int(4),
+    ];
+    let ints: Vec<Value> = (0..6).map(Value::Int).collect();
+    let floats: Vec<Value> = [f64::NAN, -0.0, 0.0, 1.0, 2.5, 3.0]
+        .into_iter()
+        .map(Value::float)
+        .collect();
+    let strings = vec![Value::str("a"), Value::str("1"), Value::Null];
+    #[allow(clippy::type_complexity)]
+    let sides: Vec<(&str, (usize, &[Value]), (usize, &[Value]))> = vec![
+        ("mixed", (40, &mixed), (30, &mixed)),
+        ("ints", (40, &ints), (30, &ints)),
+        ("int vs float", (40, &ints), (30, &floats)),
+        ("floats", (30, &floats), (30, &floats)),
+        ("strings vs ints", (30, &strings), (20, &ints)),
+        ("empty left", (0, &mixed), (20, &mixed)),
+        ("empty right", (20, &mixed), (0, &mixed)),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xDE70_A0A0);
+    for (side, (ln, lkeys), (rn, rkeys)) in sides {
+        for semantics in [Semantics::Det, Semantics::Ua] {
+            let ua = semantics == Semantics::Ua;
+            let catalog = Catalog::new();
+            catalog.register("l", plain_side(&mut rng, "l", ln, lkeys, ua));
+            catalog.register("r", plain_side(&mut rng, "r", rn, rkeys, ua));
+            for (name, plan) in &plans {
+                let context = format!("`{name}` {semantics:?} over {side}");
+                let row = if ua {
+                    ua_row_plan(plan, &catalog)
+                        .and_then(|p| ua_engine::execute_row(&p, &catalog, semantics, false).0)
+                } else {
+                    ua_engine::execute_row(plan, &catalog, semantics, false).0
+                };
+                // Only `k + 1` over string keys is a type error.
+                assert!(
+                    row.is_ok() || name.contains("computed"),
+                    "{context}: {row:?}"
+                );
+                if name.ends_with("join keyless") && ln > 0 && rn > 0 {
+                    assert!(row.as_ref().is_ok_and(|t| !t.is_empty()), "{context}");
+                }
+                for batch_rows in [1usize, 7, 64, 1024] {
+                    let serial = stream(plan, &catalog, opts(1, batch_rows), semantics);
+                    match (&row, &serial) {
+                        (Ok(row), Ok(serial)) => {
+                            let vec = if ua {
+                                ua_vecexec::columnar::encoded_table_from_batches(serial)
+                            } else {
+                                table_from_batches(serial)
+                            };
+                            assert_tables_identical(
+                                row,
+                                &vec,
+                                &format!("{context} batch={batch_rows}"),
+                            )
+                        }
+                        (Err(_), Err(_)) => {}
+                        (row, serial) => panic!(
+                            "{context} batch={batch_rows}: row {row:?} vs vectorized {:?}",
+                            serial.as_ref().map(BatchStream::num_rows)
+                        ),
+                    }
+                    for threads in [2usize, 4, 8] {
+                        let parallel = stream(plan, &catalog, opts(threads, batch_rows), semantics);
+                        let ctx = format!("{context} batch={batch_rows} threads={threads}");
+                        match (&serial, &parallel) {
+                            (Ok(s), Ok(p)) => assert_streams_byte_identical(s, p, &ctx),
+                            (Err(s), Err(p)) => assert_eq!(s.to_string(), p.to_string(), "{ctx}"),
+                            _ => panic!("{ctx}: serial and parallel disagree on success"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// AU `GROUP BY` and `DISTINCT` over uncertain keys: the column-native γ
 /// and δ fold through the row engine's own bound rules and write their
 /// results as columns, so every stream must materialize to `execute_au` +
