@@ -12,7 +12,7 @@
 //! the row engine — its oracle — interprets each operator over
 //! [`AuRelation`]s with the shared `ua_ranges::ops` implementations
 //! ([`ua_plan::au`], re-exported here), which the vectorized engine also
-//! calls for `−`, `⟕`, keyless and cross-family joins.
+//! calls for `−`, `⟕` and keyless / non-equi joins.
 //!
 //! Source relations enter AU sessions either pre-annotated
 //! ([`UaSession::register_au_relation`]) or through the Section 9.2 SQL

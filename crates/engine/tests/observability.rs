@@ -367,6 +367,135 @@ fn au_vectorized_stats_tree_equals_the_row_interpreters() {
     assert_eq!(row.peak_mem_bytes, vec.peak_mem_bytes, "query memory peak");
 }
 
+/// The stats-tree contract through a pipelined AU hash join: two stacked
+/// hash joins probe one morsel pipeline, a σ directly below each probe
+/// side fuses into the probe, and the vectorized tree still equals the row
+/// interpreter's node for node — one `Filter` span and one `HashJoin` span
+/// per plan operator, a join's children in plan order (left, right)
+/// whichever side builds, every figure of the per-morsel tallies summed —
+/// and so does the query's memory peak, under each choice of build sides.
+#[test]
+fn au_pipelined_hash_join_stats_trees_equal_the_row_interpreters() {
+    use ua_engine::plan::Plan;
+    use ua_engine::{Catalog, ExecOptions, Semantics};
+    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
+    let int = |i: i64| RangeValue::point(Value::Int(i));
+    let ranged = |i: i64| {
+        RangeValue::new(
+            Bound::Val(Value::Int(i - 1)),
+            Value::Int(i),
+            Bound::Val(Value::Int(i + 2)),
+        )
+    };
+    let catalog = Catalog::new();
+    for (name, cols, rows) in [
+        ("a", ["k", "g", "v"], 900i64),
+        ("b", ["k", "w", "x"], 300),
+        ("c", ["g", "z", "y"], 20),
+    ] {
+        let mut rel = AuRelation::new(Schema::qualified(name, cols));
+        for i in 0..rows {
+            let key = if i % 7 == 3 {
+                ranged(i % 60)
+            } else {
+                int(i % 60)
+            };
+            rel.push(AuTuple {
+                values: vec![key, int(i % 10), ranged(i % 13)],
+                mult: if i % 5 == 0 {
+                    MultBound::new(0, 1, 1)
+                } else {
+                    MultBound::certain(1)
+                },
+            });
+        }
+        catalog.register(name, ua_engine::au_table(&rel));
+    }
+    let col = |name: &str| ua_data::Expr::named(name);
+    // σ over table `t` on its third column `c`.
+    let sigma = |t: &str, c: &str, bound: i64| {
+        Box::new(Plan::Filter {
+            input: Box::new(Plan::Scan(t.into())),
+            predicate: col(&format!("{t}.{c}")).ge(ua_data::Expr::lit(bound)),
+        })
+    };
+    let opts = ExecOptions {
+        threads: 4,
+        batch_rows: 64,
+        collect_stats: true,
+        collect_trace: false,
+    };
+    for (b1, b2) in [(true, false), (false, true), (false, false), (true, true)] {
+        let lower = Plan::HashJoin {
+            left: sigma("a", "v", 3),
+            right: sigma("b", "x", 2),
+            keys: vec![(col("a.k"), col("b.k"))],
+            residual: None,
+            build_left: b1,
+        };
+        let plan = Plan::Map {
+            input: Box::new(Plan::HashJoin {
+                left: Box::new(lower),
+                right: sigma("c", "y", 1),
+                keys: vec![(col("a.g"), col("c.g"))],
+                residual: Some(col("a.v").lt(col("c.z").add(ua_data::Expr::lit(8i64)))),
+                build_left: b2,
+            }),
+            columns: vec![
+                ua_data::algebra::ProjColumn::expr(col("a.k"), "k"),
+                ua_data::algebra::ProjColumn::expr(col("b.w").add(col("c.z")), "s"),
+            ],
+        };
+        let (row_result, row) = ua_engine::execute_row(&plan, &catalog, Semantics::Au, true);
+        let (vec_result, vec) = ua_vecexec::execute(&plan, &catalog, opts, Semantics::Au);
+        let context = format!("build_left=({b1}, {b2})");
+        let (row, vec) = (row.expect("row stats"), vec.expect("vec stats"));
+        assert_eq!(
+            row_result.expect("au row"),
+            vec_result.expect("au vec"),
+            "{context}"
+        );
+        assert_same_tree(&row.root, &vec.root, &context);
+        let mut shape = Vec::new();
+        vec.root.walk(&mut |n| shape.push(n.name.clone()));
+        assert_eq!(
+            shape,
+            ["Map", "HashJoin", "HashJoin", "Filter", "Scan", "Filter", "Scan", "Filter", "Scan"],
+            "{context}"
+        );
+        assert!(row.peak_mem_bytes > 0);
+        assert_eq!(
+            row.peak_mem_bytes, vec.peak_mem_bytes,
+            "{context}: query memory peak"
+        );
+    }
+}
+
+/// One AU span and its subtree against the row interpreter's: operator,
+/// rows, the bound-width profile, the logical bytes and the children, in
+/// order.
+fn assert_same_tree(row: &ua_obs::OperatorStats, vec: &ua_obs::OperatorStats, path: &str) {
+    let path = format!("{path}/{}", row.name);
+    assert_eq!(row.name, vec.name, "{path}: operator");
+    assert_eq!(row.rows_out, vec.rows_out, "{path}: rows_out");
+    for key in [
+        "certain_rows",
+        "top_attrs_permille",
+        "rel_width_permille",
+        "mult_spread",
+        "mem_bytes",
+    ] {
+        let extra =
+            |n: &ua_obs::OperatorStats| n.extra.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+        assert!(extra(row).is_some(), "{path}: row tree lacks `{key}`");
+        assert_eq!(extra(row), extra(vec), "{path}: {key}");
+    }
+    assert_eq!(row.children.len(), vec.children.len(), "{path}: children");
+    for (r, v) in row.children.iter().zip(&vec.children) {
+        assert_same_tree(r, v, &path);
+    }
+}
+
 /// The `planner.join.misestimated` regression: a join above an aggregate
 /// subquery must compare its estimate against the aggregate's
 /// *post-grouping* cardinality (group-key ndvs), not the pre-grouping

@@ -325,8 +325,7 @@ fn hashable_row<V: RowView + ?Sized>(v: &V, i: usize, cols: &[usize], nulls_matc
 
 /// The comparable-type family of a point key value. Cross-family point
 /// comparisons are `None` under `sql_cmp` — three-valued ANY, i.e.
-/// possibly equal — so hash pruning is sound only when each key column's
-/// point keys stay within one family across both sides.
+/// possibly equal — so a hash bucket speaks only for keys of one family.
 pub fn key_family(v: &Value) -> u8 {
     match v {
         Value::Bool(_) => 1,
@@ -336,37 +335,33 @@ pub fn key_family(v: &Value) -> u8 {
     }
 }
 
-/// OR the point keys' families of one hashable row into `fam` (a definite
-/// NULL has no family: it is comparable with nothing and equal to NULLs
-/// only).
-fn add_families<V: RowView + ?Sized>(fam: &mut [u8], v: &V, i: usize, cols: &[usize]) {
-    for (f, &c) in fam.iter_mut().zip(cols) {
-        if v.pin(i, c) == Pin::Point {
-            *f |= key_family(&v.bg(i, c));
-        }
-    }
-}
-
-/// A selected-guess key index over one side's key columns: rows whose keys
-/// are all hashable (`hashable`) sit in buckets by coercion-normalized
-/// key; rows with a ranged, unknown, or NaN key are *fuzzy* — possibly
-/// equal to any probe key — and appear in every candidate list. Pruned
-/// pairs are exactly those whose key equality is certainly false (two
-/// hashable key tuples of one family per column in different buckets
-/// differ under `sql_cmp`, which is exact), so refining the candidates
-/// reproduces the pairwise loop's result.
+/// A selected-guess key index over one side's key columns. The build side
+/// fixes each key column's type family: the family of the first hashable
+/// row holding a point there. Rows whose keys are all hashable
+/// (`hashable_row`) and whose point keys are all of their column's family
+/// sit in buckets by coercion-normalized key; every other row — a ranged,
+/// unknown or NaN key, or a point of another family — is *fuzzy*: possibly
+/// equal to any probe key, it appears in every candidate list. A probe row
+/// is keyed by the same rule, and a fuzzy probe row has every build row as
+/// candidate. Pruned pairs are exactly those whose key equality is
+/// certainly false (two keyed tuples in different buckets differ in some
+/// column between two points of that column's family, where `sql_cmp` is
+/// exact, or between a point and a definite NULL), so refining the
+/// candidates reproduces the pairwise loop's result.
 ///
-/// The converse is what lets callers skip refinement: a hashable probe
-/// row meets a hashable build row only in its own bucket, and two hashable
-/// keys of one family share a bucket iff `sql_cmp` calls them equal
-/// (`join_key` equality is `sql_cmp` equality within a family — `F64::new`
-/// canonicalises `−0.0`, and NaN never hashes). So such a *bucket hit*
-/// (`bucket_hit`) is a pair of certainly equal keys.
+/// The converse is what lets callers skip refinement: two keyed rows share
+/// a bucket iff `sql_cmp` calls their keys equal (`join_key` equality is
+/// `sql_cmp` equality within a family — `F64::new` canonicalises `−0.0`,
+/// and NaN never hashes). So such a *bucket hit* (`bucket_hit`) is a pair
+/// of certainly equal keys.
 pub struct SgKeyIndex {
     buckets: FxHashMap<SgKey, Vec<usize>>,
     fuzzy: Vec<usize>,
     /// Per build row, whether it sits in a bucket.
     bucketed: Vec<bool>,
+    /// Per key column, the family the build side fixed (`None`: no
+    /// hashable build row holds a point there).
+    families: Vec<Option<u8>>,
     nulls_match: bool,
     /// Keys take the one-`Int`-column path.
     int: bool,
@@ -374,76 +369,62 @@ pub struct SgKeyIndex {
 
 impl SgKeyIndex {
     /// Index `build`'s rows by their key over `build_cols` for probing
-    /// `probe`'s rows over `probe_cols`, under join equality or —
-    /// `nulls_match` — under IS-NOT-DISTINCT matching. `None` when hash
-    /// pruning between the two sides is unsound: some key column's point
-    /// keys span two comparable type families across them (cross-family
-    /// points compare `None`, i.e. possibly equal).
+    /// `probe`'s rows over `probe_cols` (which only decide whether the keys
+    /// take the one-`Int`-column path), under join equality or —
+    /// `nulls_match` — under IS-NOT-DISTINCT matching.
     pub fn build_for<B, P>(
         build: &B,
         build_cols: &[usize],
         probe: &P,
         probe_cols: &[usize],
         nulls_match: bool,
-    ) -> Option<SgKeyIndex>
+    ) -> SgKeyIndex
     where
         B: RowView + ?Sized,
         P: RowView + ?Sized,
     {
-        let int = int_keyed(build, build_cols, probe, probe_cols);
-        // Per-key-column family bitmasks over the hashable rows of both
-        // sides (fuzzy rows join every candidate list, so their families
-        // never matter).
-        let mut families = vec![0u8; build_cols.len()];
-        let mut buckets: FxHashMap<SgKey, Vec<usize>> = FxHashMap::default();
-        let mut fuzzy = Vec::new();
-        let mut bucketed = Vec::with_capacity(build.len());
+        let mut index = SgKeyIndex {
+            buckets: FxHashMap::default(),
+            fuzzy: Vec::new(),
+            bucketed: Vec::with_capacity(build.len()),
+            families: vec![None; build_cols.len()],
+            nulls_match,
+            int: int_keyed(build, build_cols, probe, probe_cols),
+        };
         for i in 0..build.len() {
-            let keyed = hashable_row(build, i, build_cols, nulls_match);
+            let hashable = hashable_row(build, i, build_cols, nulls_match);
+            if hashable {
+                for (f, &c) in index.families.iter_mut().zip(build_cols) {
+                    if f.is_none() && build.pin(i, c) == Pin::Point {
+                        *f = Some(key_family(&build.bg(i, c)));
+                    }
+                }
+            }
+            let keyed = hashable && index.in_family(build, i, build_cols);
             if keyed {
-                add_families(&mut families, build, i, build_cols);
-                buckets
-                    .entry(row_key(int, build, i, build_cols))
-                    .or_default()
-                    .push(i);
+                let key = row_key(index.int, build, i, build_cols);
+                index.buckets.entry(key).or_default().push(i);
             } else {
-                fuzzy.push(i);
+                index.fuzzy.push(i);
             }
-            bucketed.push(keyed);
+            index.bucketed.push(keyed);
         }
-        for i in 0..probe.len() {
-            if hashable_row(probe, i, probe_cols, nulls_match) {
-                add_families(&mut families, probe, i, probe_cols);
-            }
-        }
-        families
-            .iter()
-            .all(|f| f.count_ones() <= 1)
-            .then_some(SgKeyIndex {
-                buckets,
-                fuzzy,
-                bucketed,
-                nulls_match,
-                int,
-            })
+        index
     }
 
-    /// The index that prunes nothing: all `len` rows are candidates of
-    /// every probe, and none is a bucket hit.
-    fn unpruned(len: usize) -> SgKeyIndex {
-        SgKeyIndex {
-            buckets: FxHashMap::default(),
-            fuzzy: (0..len).collect(),
-            bucketed: vec![false; len],
-            nulls_match: false,
-            int: false,
-        }
+    /// Whether every point key of (hashable) row `i` of `v` over `cols` is
+    /// of its column's family.
+    fn in_family<V: RowView + ?Sized>(&self, v: &V, i: usize, cols: &[usize]) -> bool {
+        let mut points = cols.iter().zip(&self.families);
+        points.all(|(&c, f)| v.pin(i, c) != Pin::Point || *f == Some(key_family(&v.bg(i, c))))
     }
 
     /// Row `i` of `probe`'s key over `cols`, or `None` when the row is
     /// fuzzy — then every build row is its candidate.
     fn probe_key<P: RowView + ?Sized>(&self, probe: &P, i: usize, cols: &[usize]) -> Option<SgKey> {
-        hashable_row(probe, i, cols, self.nulls_match).then(|| row_key(self.int, probe, i, cols))
+        let keyed =
+            hashable_row(probe, i, cols, self.nulls_match) && self.in_family(probe, i, cols);
+        keyed.then(|| row_key(self.int, probe, i, cols))
     }
 
     /// Collect the build rows whose key equality with a probe row keyed
@@ -470,8 +451,7 @@ impl SgKeyIndex {
 /// θ-join in left-major order; multiplicities multiply pointwise, the
 /// predicate refines like [`filter`] over the pair. The predicate's
 /// [`candidate_keys`] (equi-keys, or `NOT IN`'s null-aware key) index the
-/// right side when their point keys stay within one comparable type family
-/// per column ([`JoinSelect`]) — pruned pairs have a certainly-false key
+/// right side ([`JoinSelect`]) — pruned pairs have a certainly-false key
 /// equality, so output rows and order match the nested loop exactly.
 pub fn join(
     left: &AuRelation,
@@ -502,10 +482,10 @@ pub fn bind_on(
 /// per-side key expressions (each bindable against its own side's
 /// schema); `build_left` picks the hash-index side, the probe side drives
 /// output order (probe-major, candidates in build-scan order), and
-/// columns are always left ++ right. The same multiset as [`join`] over
-/// the reconstructed predicate; when cross-family point keys make hash
-/// pruning unsound every pair is a candidate, in [`join`]'s left-major
-/// order.
+/// columns are always left ++ right — whatever families the key columns
+/// hold ([`SgKeyIndex`]: a point key outside its column's build-side
+/// family is fuzzy). The same multiset as [`join`] over the reconstructed
+/// predicate.
 pub fn hash_join(
     left: &AuRelation,
     right: &AuRelation,
@@ -520,8 +500,8 @@ pub fn hash_join(
 /// A hash join's plan keys and residual bound over its inputs' schemas:
 /// the predicate its pairs refine against, over `left ++ right` (key
 /// equalities ∧ residual), and the keys as [`JoinKeys`]. The keys are the
-/// plan's own, never re-extracted from that predicate: an extra key could
-/// change the cross-family decision, and with it the row order.
+/// plan's own, never re-extracted from that predicate: an extra key would
+/// change which rows are fuzzy, and with it how many pairs refine.
 pub fn bind_hash_keys(
     keys: &[(Expr, Expr)],
     residual: Option<&Expr>,
@@ -572,8 +552,8 @@ fn join_rows(
 /// per task, and gathers the [`Selection`].
 ///
 /// Candidates come from an [`SgKeyIndex`] over the build side's key
-/// columns when there are keys and pruning between the sides is sound; a
-/// pruned pair's key equality is certainly false, so its predicate is. A
+/// columns when there are keys; a pruned pair's key equality is certainly
+/// false, so its predicate is. A
 /// bucket hit pairs two certainly equal keys: when the predicate is
 /// nothing but plain-column key equalities — or `NOT IN`'s null-aware one,
 /// where `x = k` certainly true makes the disjunction so — the pair is
@@ -612,8 +592,7 @@ impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
     /// matches) with candidate keys `keys`, whose left / right
     /// expressions each view carries, evaluated, as its columns
     /// `arity..arity + keys.len()`. The output is probe-major, the probe
-    /// side being the right one when `build_left`, when an index prunes;
-    /// left-major otherwise.
+    /// side being the right one when `build_left`.
     pub fn new(
         left: &'a V,
         right: &'a V,
@@ -631,8 +610,7 @@ impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
             (right, r_cols, left, l_cols)
         };
         let index = (n_keys > 0)
-            .then(|| SgKeyIndex::build_for(build, &build_cols, probe, &probe_cols, false))
-            .flatten();
+            .then(|| SgKeyIndex::build_for(build, &build_cols, probe, &probe_cols, false));
         let plain = |k: &EquiKey| matches!((&k.left, &k.right), (Expr::Col(_), Expr::Col(_)));
         let certain_hits =
             (keys.residual.is_empty() || keys.null_aware) && keys.keys.iter().all(plain);
@@ -641,7 +619,7 @@ impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
             right,
             arities,
             predicate,
-            build_left: build_left && index.is_some(),
+            build_left,
             index,
             probe_cols,
             certain_hits,
@@ -2460,7 +2438,7 @@ pub fn except_select<V: RowView + ?Sized>(
 }
 
 /// The all-pairs reference [`except`] is tested against: every right (and
-/// earlier left) row is a candidate — the path cross-family columns take.
+/// earlier left) row is a candidate.
 #[cfg(test)]
 fn except_pairwise(
     left: &AuRelation,
@@ -2497,24 +2475,51 @@ fn except_rows<V: RowView + ?Sized>(
 }
 
 /// The rows of `build` that can ground equal to rows of `probe` under
-/// EXCEPT's IS-NOT-DISTINCT matching, as an all-column [`SgKeyIndex`]:
-/// rows whose every attribute is a definite NULL or a hashable point sit
-/// in buckets, rows with a ranged / top / NaN attribute are in every
-/// candidate list, and a probe row that is itself not fixed scans
-/// everything. Every row is a candidate for every probe when some
-/// column's points span two type families across the two sides
-/// (cross-family points compare `None`, i.e. possibly equal) or `hashed`
-/// is off.
-fn row_index<B, P>(build: &B, probe: &P, arity: usize, hashed: bool) -> SgKeyIndex
-where
-    B: RowView + ?Sized,
-    P: RowView + ?Sized,
-{
-    let cols: Vec<usize> = (0..arity).collect();
-    hashed
-        .then(|| SgKeyIndex::build_for(build, &cols, probe, &cols, true))
-        .flatten()
-        .unwrap_or_else(|| SgKeyIndex::unpruned(build.len()))
+/// EXCEPT's IS-NOT-DISTINCT matching: an all-column [`SgKeyIndex`] — rows
+/// whose every attribute is a definite NULL or a hashable point of its
+/// column's family sit in buckets, every other row is in every candidate
+/// list, and a probe row that is itself fuzzy scans everything — or, with
+/// `hashed` off (the all-pairs reference), every row for every probe.
+struct RowIndex {
+    index: Option<SgKeyIndex>,
+    len: usize,
+}
+
+impl RowIndex {
+    fn new<B, P>(build: &B, probe: &P, arity: usize, hashed: bool) -> RowIndex
+    where
+        B: RowView + ?Sized,
+        P: RowView + ?Sized,
+    {
+        let cols: Vec<usize> = (0..arity).collect();
+        RowIndex {
+            index: hashed.then(|| SgKeyIndex::build_for(build, &cols, probe, &cols, true)),
+            len: build.len(),
+        }
+    }
+
+    /// [`SgKeyIndex::probe_key`].
+    fn probe_key<P: RowView + ?Sized>(&self, probe: &P, i: usize, cols: &[usize]) -> Option<SgKey> {
+        self.index.as_ref()?.probe_key(probe, i, cols)
+    }
+
+    /// [`SgKeyIndex::candidates_of`].
+    fn candidates_of(&self, key: Option<&SgKey>, out: &mut Vec<usize>) {
+        match &self.index {
+            Some(index) => index.candidates_of(key, out),
+            None => {
+                out.clear();
+                out.extend(0..self.len);
+            }
+        }
+    }
+
+    /// [`SgKeyIndex::bucket_hit`].
+    fn bucket_hit(&self, key: Option<&SgKey>, b: usize) -> bool {
+        self.index
+            .as_ref()
+            .is_some_and(|index| index.bucket_hit(key, b))
+    }
 }
 
 fn except_all<V: RowView + ?Sized>(left: &V, right: &V, arity: usize, hashed: bool) -> Selection {
@@ -2528,10 +2533,10 @@ fn except_all<V: RowView + ?Sized>(left: &V, right: &V, arity: usize, hashed: bo
             *budget.entry(row_key(int, right, r, &cols)).or_insert(0) += m.bg;
         }
     }
-    let right_index = row_index(right, left, arity, hashed);
+    let right_index = RowIndex::new(right, left, arity, hashed);
     // Protectors are needed by certainly-hit rows only: index the left
     // side against itself on first use.
-    let mut left_index: Option<SgKeyIndex> = None;
+    let mut left_index: Option<RowIndex> = None;
     let mut cand: Vec<usize> = Vec::new();
     let mut out = Selection::default();
     for i in 0..left.len() {
@@ -2565,7 +2570,7 @@ fn except_all<V: RowView + ?Sized>(left: &V, right: &V, arity: usize, hashed: bo
         }
         let lb_out = l.lb.saturating_sub(possible_removal);
         let ub_out = if certain_removal > 0 {
-            let index = left_index.get_or_insert_with(|| row_index(left, left, arity, hashed));
+            let index = left_index.get_or_insert_with(|| RowIndex::new(left, left, arity, hashed));
             let key = index.probe_key(left, i, &cols);
             index.candidates_of(key.as_ref(), &mut cand);
             let mut protectors: u64 = 0;
@@ -2610,7 +2615,7 @@ fn except_distinct<V: RowView + ?Sized>(
     // guarantees the single output copy, so later rows must not).
     let mut sg_seen: FxHashSet<SgKey> = FxHashSet::default();
     let mut certain_seen: FxHashSet<SgKey> = FxHashSet::default();
-    let right_index = row_index(right, left, arity, hashed);
+    let right_index = RowIndex::new(right, left, arity, hashed);
     let mut cand: Vec<usize> = Vec::new();
     let mut out = Selection::default();
     for i in 0..left.len() {
@@ -2698,9 +2703,7 @@ pub fn outer_join_select<V: RowView + ?Sized>(
     keys: &JoinKeys,
     left_kind: bool,
 ) -> Result<Selection, ExprError> {
-    let mut join = JoinSelect::new(left, right, arities, predicate, keys, !left_kind);
-    // The preserved side probes whether or not an index prunes.
-    join.build_left = !left_kind;
+    let join = JoinSelect::new(left, right, arities, predicate, keys, !left_kind);
     let outer = join.sides().0;
     let mut scan = join.scan();
     let mut out = Selection::default();
@@ -3125,7 +3128,8 @@ mod tests {
     fn hash_join_cross_family_keys_fall_back() {
         // Int vs Str point keys are possibly equal under three-valued SQL
         // comparison (`sql_cmp` is `None`), so the hash path must not
-        // bucket-prune them: the whole join falls back to the nested loop.
+        // bucket-prune them: a probe key outside the build side's family is
+        // fuzzy, and the pair is refined like the nested loop's.
         let mut l = AuRelation::new(Schema::qualified("l", ["a"]));
         l.push(AuTuple {
             values: vec![RangeValue::point(Value::Int(1))],

@@ -3,7 +3,9 @@
 //! [`join`] against their all-pairs references — identical rows, order and
 //! `[lb, bg, ub]` triples — and [`hash_join`] with either build side against
 //! [`join`] as a multiset, over inputs that mix everything the index
-//! special-cases.
+//! special-cases — and the rule underneath: every pair [`SgKeyIndex`]
+//! prunes, over key columns of any mix of families, is a certainly-false
+//! key equality.
 
 use super::*;
 use proptest::prelude::*;
@@ -169,8 +171,9 @@ fn rel_of(qualifier: &str, rows: Vec<Vec<RangeValue>>) -> AuRelation {
 }
 
 /// The property above is not vacuous: the index really prunes same-family
-/// inputs, really gives up on cross-family ones, and `NOT IN`'s predicate
-/// really is keyed.
+/// inputs, really makes a probe key outside the build side's family fuzzy
+/// (every build row its candidate), and `NOT IN`'s predicate really is
+/// keyed.
 #[test]
 fn the_index_prunes_exactly_when_it_may() {
     let int = |i| vec![RangeValue::point(Value::Int(i))];
@@ -184,7 +187,7 @@ fn the_index_prunes_exactly_when_it_may() {
         "r",
         vec![int(1), int(2), vec![RangeValue::null()], ranged, int(1)],
     );
-    let index = row_index(r.rows(), l.rows(), 1, true);
+    let index = RowIndex::new(r.rows(), l.rows(), 1, true).index.unwrap();
     let cand = candidates(&index, l.rows(), 0, &[0]);
     assert_eq!(cand, [0, 3, 4], "bucket of 1 merged with the ranged row");
     let cand = candidates(&index, l.rows(), 1, &[0]);
@@ -194,7 +197,7 @@ fn the_index_prunes_exactly_when_it_may() {
 
     let strs = rel_of("s", vec![vec![RangeValue::point(Value::str("1"))]]);
     let cand = candidates(
-        &row_index(r.rows(), strs.rows(), 1, true),
+        &RowIndex::new(r.rows(), strs.rows(), 1, true).index.unwrap(),
         strs.rows(),
         0,
         &[0],
@@ -230,4 +233,133 @@ fn candidates<V: RowView + ?Sized>(
     let mut cand = Vec::new();
     index.candidates_of(index.probe_key(probe, i, cols).as_ref(), &mut cand);
     cand
+}
+
+/// One key cell: an `Int`, `Float`, `Str` or `Bool` point, a NaN, a definite
+/// NULL, a top or a ranged value — every family next to every other.
+fn arb_key() -> BoxedStrategy<RangeValue> {
+    let bools = proptest::bool::ANY.prop_map(|b| RangeValue::point(Value::Bool(b)));
+    Union::new(vec![arb_attr(true), bools.boxed()]).boxed()
+}
+
+/// Up to eight rows of `arity` key cells.
+fn arb_keys(arity: usize) -> impl Strategy<Value = Vec<Vec<RangeValue>>> {
+    proptest::collection::vec(proptest::collection::vec(arb_key(), arity..=arity), 0..=8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The per-row family rule is sound on its own: whichever side builds,
+    /// under join equality and under IS-NOT-DISTINCT matching, a pair the
+    /// index leaves out of a probe row's candidates cannot match in any
+    /// world, and a bucket hit matches in every world.
+    #[test]
+    fn every_pruned_pair_is_certainly_false(
+        case in (1usize..=2, arb_keys(2), arb_keys(2))
+    ) {
+        // One or two key columns: the first `arity` cells of each row.
+        let (arity, a, b) = case;
+        let keep = |rows: Vec<Vec<RangeValue>>| -> Vec<Vec<RangeValue>> {
+            rows.into_iter().map(|r| r[..arity].to_vec()).collect()
+        };
+        let (a, b) = (keep(a), keep(b));
+        let cols: Vec<usize> = (0..arity).collect();
+        let equalities = Expr::conjunction(
+            cols.iter().map(|&c| Expr::Col(c).eq(Expr::Col(arity + c))),
+        );
+        for (probe, build) in [(&a, &b), (&b, &a)] {
+            let (probe, build) = (rel_of_keys(probe, arity), rel_of_keys(build, arity));
+            let (probe, build) = (probe.rows(), build.rows());
+            for nulls_match in [false, true] {
+                let index = SgKeyIndex::build_for(build, &cols, probe, &cols, nulls_match);
+                for p in 0..probe.len() {
+                    let key = index.probe_key(probe, p, &cols);
+                    let mut cand = Vec::new();
+                    index.candidates_of(key.as_ref(), &mut cand);
+                    for q in 0..build.len() {
+                        let pair: Vec<RangeValue> = probe[p].values.iter()
+                            .chain(&build[q].values).cloned().collect();
+                        let (possibly, certainly) = if nulls_match {
+                            (
+                                rows_possibly_equal(probe, p, build, q, arity),
+                                rows_certainly_equal(probe, p, build, q, arity),
+                            )
+                        } else {
+                            let truth = truth_range(&equalities, &pair);
+                            (truth.possibly_true(), truth.certainly_true())
+                        };
+                        let context = format!("nulls_match={nulls_match} probe {pair:?}");
+                        if !cand.contains(&q) {
+                            prop_assert!(!possibly, "pruned: {}", context);
+                        } else if index.bucket_hit(key.as_ref(), q) {
+                            prop_assert!(certainly, "bucket hit: {}", context);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A relation of certain rows over `a`, `b`, … holding `rows`.
+fn rel_of_keys(rows: &[Vec<RangeValue>], arity: usize) -> AuRelation {
+    let names = ["a", "b"];
+    let mut rel = AuRelation::new(Schema::qualified("k", names[..arity].iter().copied()));
+    for values in rows {
+        rel.push(AuTuple {
+            values: values.clone(),
+            mult: MultBound::certain(1),
+        });
+    }
+    rel
+}
+
+/// A hash join whose key columns hold points of two families (`Int`
+/// against `Str`): every pair is a candidate — possibly equal, never
+/// certainly — and a join building on the left emits probe-major, the
+/// right side's rows outermost, as every other hash join does. The same
+/// bag as the left-major nested loop.
+#[test]
+fn a_cross_family_hash_join_building_left_is_probe_major() {
+    let side = |q: &str, keys: [Value; 2]| {
+        let mut rel = AuRelation::new(Schema::qualified(q, ["k"]));
+        for k in keys {
+            rel.push(AuTuple {
+                values: vec![RangeValue::point(k)],
+                mult: MultBound::certain(1),
+            });
+        }
+        rel
+    };
+    let l = side("l", [Value::Int(1), Value::Int(2)]);
+    let r = side("r", [Value::str("1"), Value::str("a")]);
+    let keys = [(Expr::named("l.k"), Expr::named("r.k"))];
+    let hashed = hash_join(&l, &r, &keys, None, true).unwrap();
+    let pairs: Vec<(Value, Value)> = hashed
+        .rows()
+        .iter()
+        .map(|t| (t.values[0].bg.clone(), t.values[1].bg.clone()))
+        .collect();
+    let (one, two, s1, sa) = (
+        Value::Int(1),
+        Value::Int(2),
+        Value::str("1"),
+        Value::str("a"),
+    );
+    assert_eq!(
+        pairs,
+        [
+            (one.clone(), s1.clone()),
+            (two.clone(), s1),
+            (one, sa.clone()),
+            (two, sa)
+        ]
+    );
+    let theta = Expr::named("l.k").eq(Expr::named("r.k"));
+    let mut nested = crate::relation::encode_rows(&join(&l, &r, Some(&theta)).unwrap());
+    let mut bag = crate::relation::encode_rows(&hashed);
+    nested.sort();
+    bag.sort();
+    assert_eq!(bag, nested);
 }

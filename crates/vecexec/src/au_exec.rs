@@ -1,6 +1,6 @@
 //! AU semantics for the one vectorized driver: the per-batch range
-//! kernels its σ / π stages run, and the AU sources (`impl Driver`) its
-//! `source_traced` runs under `Semantics::Au`. The plan walk, pipeline,
+//! kernels its σ / π / hash-⋈ stages run, and the AU sources (`impl
+//! Driver`) its `source_traced` runs under `Semantics::Au`. The plan walk, pipeline,
 //! stats assembly and entry point live in [`crate::exec`]; nothing here
 //! drives a plan.
 //!
@@ -48,6 +48,28 @@
 //!   row engine's `eval_range`).
 //! * **alias** — the driver's own re-qualification stage over the
 //!   flattened schema.
+//! * **⋈ (hash)** — a probe stage, triple-column-native (`AuProbe`).
+//!   At bind the build side executes into one chunk and its *keyed* rows —
+//!   every key a hashable point (`lb = bg = ub`, checked columnar; NaN
+//!   excluded) of its column's family, which the first hashable build row
+//!   fixes — go into the deterministic engine's hash index
+//!   (`ops::build_index`, integer fast path and partitioned build
+//!   included); every other row is *fuzzy* and joins every candidate list,
+//!   `ua_ranges::SgKeyIndex`'s rule. Each morsel evaluates its own probe
+//!   keys and probes read-only, probe-major, candidates ascending in
+//!   build-scan order — the row operator's order, byte for byte. A σ
+//!   directly below fuses in: its masks and refined multiplicities are
+//!   computed, the keys evaluate over its survivors only, and the output
+//!   gathers straight from the scan batch. Pruning is sound because a
+//!   pruned pair's keys differ between two points of one family (or a
+//!   point and a definite NULL): its key equality is certainly false. A
+//!   pair the index finds between same-typed point keys, with no
+//!   residual, is certainly equal and keeps the plain `MultBound::times`
+//!   product unrefined; every other candidate (fuzzy key, residual, mixed
+//!   key types) is refined by the shared `ua_ranges::ops::refine_pair_mult`
+//!   over ranges assembled for that pair only. Each side's columns gather
+//!   through one aliasing-aware gather (a point column leaves as one
+//!   buffer), never re-encoded.
 //!
 //! Sources:
 //!
@@ -71,24 +93,7 @@
 //!   batches: dense columns copy their slices, per-row ones encode, each
 //!   slice in the representation the encoded rows would convert into. No
 //!   row tuples, no relation.
-//! * **⋈ (hash)** — triple-column-native (`Driver::au_hash_join`). The
-//!   build side's *point* keys (`lb = bg = ub`, checked columnar; NaN
-//!   excluded) go into the deterministic engine's hash index
-//!   (`ops::build_index`, integer fast path and partitioned build
-//!   included); rows with a ranged, unknown or NaN key are *fuzzy* and
-//!   join every candidate list. Probe batches run on the morsel pool and
-//!   emit probe-major, candidates ascending in build-scan order — the
-//!   row operator's order, byte for byte. Pruning is sound because a
-//!   pruned pair has two unequal point keys of one comparable family: its
-//!   key equality is certainly false. A pair the index finds between
-//!   same-typed point keys, with no residual, is certainly equal and
-//!   keeps the plain `MultBound::times` product unrefined; every other
-//!   candidate (fuzzy key, residual, mixed key types) is refined by the
-//!   shared `ua_ranges::ops::refine_pair_mult` over ranges assembled for
-//!   that pair only. Output columns are gathered, never re-encoded. Point
-//!   keys of *different* families on the two sides (`Int` vs `Str`) make
-//!   pruning unsound; that case selects over views like the `⋈` below.
-//! * **−, ⟕, ⋈ (keyless, non-equi, cross-family)** — column-native
+//! * **−, ⟕, ⋈ (keyless, non-equi)** — column-native
 //!   selection (`Driver::{au_except, au_outer_join, au_join}`). Each input
 //!   concatenates into one chunk and is read through a `ChunkView`, the
 //!   vectorized `ua_ranges::ops::RowView`: a cell's pin comes off its
@@ -439,7 +444,7 @@ fn expr_triple(
 
 /// The AU sources of the one vectorized [`Driver`] — what its
 /// `source_traced` runs under `Semantics::Au` for Scan, γ, δ, `−`, `⟕` and
-/// both joins. Every stream in and out is a [`BatchStream`] over a
+/// `Plan::Join`. Every stream in and out is a [`BatchStream`] over a
 /// flattened AU schema.
 impl Driver<'_> {
     /// Decode an AU-encoded table into batches, chunk-parallel — the AU
@@ -511,8 +516,14 @@ impl Driver<'_> {
     }
 
     /// `⟦⋈⟧_AU` for `Plan::Join` — keyless, non-equi, or keyed with the
-    /// optimizer off: the predicate binds like `⟕`'s ON clause and the
-    /// pairs are selected over views ([`Driver::join_views`]).
+    /// optimizer off: the predicate binds like `⟕`'s ON clause, each input
+    /// is read as a [`ChunkView`] carrying its side of the clause's
+    /// candidate keys, the shared `ua_ranges::ops::JoinSelect` — the very
+    /// pair loop of the row engine's `join` / `hash_join` — selects the
+    /// surviving pairs of each `batch_rows` range of left rows on the pool,
+    /// the selections concatenate in range order (the lowest failing
+    /// range's error wins, the row engine's scan order), and
+    /// [`Driver::gather_selection`] gathers them.
     pub(crate) fn au_join(
         &self,
         ls: BatchStream,
@@ -521,29 +532,9 @@ impl Driver<'_> {
     ) -> Result<BatchStream, EngineError> {
         let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
         let (bound, keys) = bind_on(predicate, &luser, &ruser).map_err(EngineError::Expr)?;
-        self.join_views(ls, rs, bound.as_ref(), &keys, false)
-    }
-
-    /// `⟦⋈⟧_AU` over views: each input is read as a [`ChunkView`] carrying
-    /// its side of `keys`, the shared `ua_ranges::ops::JoinSelect` — the
-    /// very pair loop of the row engine's `join` / `hash_join` — selects the
-    /// surviving pairs of each `batch_rows` range of probe rows on the pool,
-    /// the selections concatenate in range order (the lowest failing
-    /// range's error wins, the row engine's scan order), and
-    /// [`Driver::gather_selection`] gathers them. `predicate` is bound over
-    /// `left ++ right`.
-    fn join_views(
-        &self,
-        ls: BatchStream,
-        rs: BatchStream,
-        predicate: Option<&Expr>,
-        keys: &JoinKeys,
-        build_left: bool,
-    ) -> Result<BatchStream, EngineError> {
-        let user = user_schema(&ls.schema).concat(&user_schema(&rs.schema));
-        let (left, right) = ChunkView::pair(ls, rs, keys)?;
+        let (left, right) = ChunkView::pair(ls, rs, &keys)?;
         let arities = (left.n, right.n);
-        let join = JoinSelect::new(&left, &right, arities, predicate, keys, build_left);
+        let join = JoinSelect::new(&left, &right, arities, bound.as_ref(), &keys, false);
         let (rows, step) = (join.probe_len(), self.batch_rows.max(1));
         let ranges: Vec<Range<usize>> = (0..rows)
             .step_by(step)
@@ -556,7 +547,8 @@ impl Driver<'_> {
         {
             selection.append(part.map_err(EngineError::Expr)?);
         }
-        Ok(self.gather_selection(flattened_schema(&user), &selection, &left, Some(&right)))
+        let flat = flattened_schema(&luser.concat(&ruser));
+        Ok(self.gather_selection(flat, &selection, &left, Some(&right)))
     }
 
     /// Gather a [`Selection`] out of its inputs' chunks
@@ -699,134 +691,6 @@ impl Driver<'_> {
         columns.extend(aggregates.iter().map(|a| Column::unqualified(&a.name)));
         let out = ua_ranges::ops::aggregate_cols(&input, &kinds);
         Ok(self.write_cols(&Schema::new(columns), &out))
-    }
-
-    /// `⟦⋈⟧_AU` for `Plan::HashJoin`, triple-column-native — the columnar
-    /// form of `ua_ranges::ops::hash_join`, emitting the same rows in the
-    /// same order (probe-major, candidates ascending in build-scan order).
-    ///
-    /// The build side concatenates into one chunk and the *existing*
-    /// deterministic hash index ([`build_index`], `Int` fast path and
-    /// partitioned build included) covers the bg keys of its rows whose
-    /// key triples are all hashable points; rows with a ranged, unknown
-    /// or NaN key are *fuzzy* and stand in every candidate list, exactly
-    /// as in [`ua_ranges::SgKeyIndex`]. Probe batches run on the morsel
-    /// pool ([`AuProbe::probe`]). A pruned pair has two point keys of one
-    /// comparable family that differ, i.e. a certainly-false key
-    /// equality, so dropping it loses no possibly-true pair — which is
-    /// sound only when each key column's point keys share one family
-    /// across both sides; the cross-family case selects every pair over
-    /// views, left-major ([`Driver::join_views`] — the row operator's own
-    /// pair loop, which prunes nothing there either). Also returns how many
-    /// candidate pairs were refined row-wise.
-    ///
-    /// That family check over *both* sides, left keys evaluating before
-    /// right keys whichever side builds, and the cross-family case's
-    /// left-major output are why this is a source over two executed inputs
-    /// and not a build-at-bind / probe-per-morsel stage like the det join.
-    pub(crate) fn au_hash_join(
-        &self,
-        plan: &Plan,
-        ls: &BatchStream,
-        rs: &BatchStream,
-    ) -> Result<(BatchStream, u64), EngineError> {
-        let Plan::HashJoin {
-            keys,
-            residual,
-            build_left,
-            ..
-        } = plan
-        else {
-            unreachable!("au_hash_join runs Plan::HashJoin nodes")
-        };
-        let build_left = *build_left;
-        let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
-        let (nl, nr) = (luser.arity(), ruser.arity());
-        // The full join predicate over `left ++ right`, as the row
-        // operator reconstructs it: key equalities ∧ residual.
-        let (pred, join_keys) =
-            bind_hash_keys(keys, residual.as_ref(), &luser, &ruser).map_err(EngineError::Expr)?;
-
-        let (l_side, r_side): (Side, Side) = (|k| &k.left, |k| &k.right);
-        let (build, probe, build_side, probe_side, build_user, probe_user) = if build_left {
-            (ls, rs, l_side, r_side, &luser, &ruser)
-        } else {
-            (rs, ls, r_side, l_side, &ruser, &luser)
-        };
-        let chunk = build.clone().into_single_chunk();
-        let build_keys = || SideKeys::eval(&chunk, build_user, &join_keys, build_side);
-        let probe_keys = || {
-            probe
-                .batches
-                .iter()
-                .map(|b| SideKeys::eval(b, probe_user, &join_keys, probe_side))
-                .collect::<Result<Vec<_>, _>>()
-        };
-        // Left keys evaluate before right keys, like the row operator.
-        let (bkeys, pkeys) = if build_left {
-            let b = build_keys()?;
-            (b, probe_keys()?)
-        } else {
-            let p = probe_keys()?;
-            (build_keys()?, p)
-        };
-        let probe_families = pkeys.iter().fold(vec![0u8; keys.len()], |mut acc, k| {
-            for (a, f) in acc.iter_mut().zip(k.families()) {
-                *a |= f;
-            }
-            acc
-        });
-        let compatible = bkeys
-            .families()
-            .iter()
-            .zip(&probe_families)
-            .all(|(a, b)| (a | b).count_ones() <= 1);
-        if !compatible {
-            let pairs = (ls.num_rows() * rs.num_rows()) as u64;
-            count_rowwise("au.vec.rowwise.join_pairs", pairs);
-            let joined =
-                self.join_views(ls.clone(), rs.clone(), Some(&pred), &join_keys, build_left)?;
-            return Ok((joined, pairs));
-        }
-
-        let build_points = bkeys.point_rows();
-        let index = build_index(
-            &bkeys.index_columns(build_points.as_deref()),
-            build_points.as_ref().map_or(chunk.len(), Vec::len),
-            Some(&self.pool),
-        );
-        let state = AuProbe {
-            build_fuzzy: (0..chunk.len() as u32)
-                .filter(|&i| !bkeys.point.get(i as usize))
-                .collect(),
-            chunk,
-            build_bg: bkeys.bg,
-            build_points,
-            index,
-            pred,
-            has_residual: residual.is_some(),
-            build_left,
-            arity: (nl, nr),
-            flat: flattened_schema(&luser.concat(&ruser)),
-        };
-        let mut pairs = 0u64;
-        let mut batches: Vec<ColumnBatch> = Vec::with_capacity(probe.batches.len());
-        for part in self.pool.map_in_order(
-            probe.batches.iter().zip(&pkeys).collect::<Vec<_>>(),
-            |_, (batch, keys)| state.probe(batch, keys),
-        ) {
-            let (batch, refined) = part?;
-            pairs += refined;
-            batches.extend(batch);
-        }
-        count_rowwise("au.vec.rowwise.join_pairs", pairs);
-        Ok((
-            BatchStream {
-                schema: state.flat,
-                batches,
-            },
-            pairs,
-        ))
     }
 
     /// `⟦δ⟧_AU`, triple-column-native: every attribute assembles into the
@@ -981,38 +845,56 @@ impl RowView for ChunkView {
 type Side = fn(&EquiKey) -> &Expr;
 
 /// One join side's evaluated key columns over a batch (or the build
-/// chunk).
+/// chunk), restricted to a filter's survivors when the σ below is fused.
 struct SideKeys {
     /// The selected-guess key columns, one per key.
     bg: Vec<ColumnVec>,
     /// Rows whose every key is a *hashable point* (`lb = bg = ub`, not
-    /// NaN — `ua_ranges::ops`' `hashable_point`, checked columnar): the rows
-    /// an index can hold or look up. Every other row is fuzzy.
+    /// NaN — `ua_ranges::ops`' `hashable_row`, checked columnar).
     point: Bitmap,
 }
 
 impl SideKeys {
-    /// Evaluate a side's (user schema `user`) `side` of the (bound) join
-    /// `keys`.
+    /// Evaluate the (bound) key expressions `keys` of a side with user
+    /// schema `user` over the rows `sel` of `batch` (`None`: every row).
+    /// A plain column reference gathers its three columns — aliased
+    /// buffers once — and anything else evaluates over the survivors,
+    /// gathered on first need, as the det probe's `eval_selected` does.
     fn eval(
         batch: &ColumnBatch,
+        sel: Option<&[u32]>,
         user: &Schema,
-        keys: &JoinKeys,
-        side: Side,
+        keys: &[Expr],
     ) -> Result<SideKeys, EngineError> {
-        let bgv = bg_view(batch, user);
-        let mut point = Bitmap::filled(batch.len(), true);
-        let mut bg = Vec::with_capacity(keys.keys.len());
-        for k in &keys.keys {
-            let ([b, lb, ub], _) = expr_triple(batch, user.arity(), side(k), &bgv)?;
+        let n = user.arity();
+        let mut gathered: Option<(ColumnBatch, ColumnBatch)> = None;
+        let len = sel.map_or(batch.len(), <[u32]>::len);
+        let mut point = Bitmap::filled(len, true);
+        let mut bg = Vec::with_capacity(keys.len());
+        for key in keys {
+            let [b, lb, ub] = match (sel, key) {
+                (Some(rows), &Expr::Col(c)) => {
+                    let triple = [c, n + c, 2 * n + c].map(|i| batch.column(i).clone());
+                    let gathered = gather_columns(&triple, rows);
+                    gathered.try_into().expect("three columns")
+                }
+                _ => {
+                    let (rows, bgv) = gathered.get_or_insert_with(|| {
+                        let rows = sel.map_or_else(|| batch.clone(), |sel| batch.gather(sel));
+                        let bgv = bg_view(&rows, user);
+                        (rows, bgv)
+                    });
+                    expr_triple(rows, n, key, bgv)?.0
+                }
+            };
             point.and_assign(&point_mask(&lb, &b, &ub));
             // NaN compares `None` against ints (three-valued ANY): fuzzy.
             match &b {
                 ColumnVec::Float(vals) => {
-                    point.and_not_assign(&Bitmap::from_fn(vals.len(), |i| vals[i].get().is_nan()));
+                    point.and_not_assign(&Bitmap::from_fn(len, |i| vals[i].get().is_nan()));
                 }
                 ColumnVec::Mixed(vals) => point.and_not_assign(&Bitmap::from_fn(
-                    vals.len(),
+                    len,
                     |i| matches!(&vals[i], Value::Float(f) if f.get().is_nan()),
                 )),
                 _ => {}
@@ -1022,9 +904,28 @@ impl SideKeys {
         Ok(SideKeys { bg, point })
     }
 
-    /// The point rows, ascending; `None` when every row is one.
-    fn point_rows(&self) -> Option<Vec<u32>> {
-        (!self.point.all_ones()).then(|| self.point.ones())
+    /// The rows an index holds or looks up: hashable points whose every
+    /// key is of its column's `families` (`ua_ranges::SgKeyIndex`'s rule;
+    /// `None`: no row is). Every other row is fuzzy.
+    fn keyed(&self, families: Option<&[u8]>) -> Bitmap {
+        let len = self.point.len();
+        let Some(families) = families else {
+            return Bitmap::filled(len, false);
+        };
+        let mut keyed = self.point.clone();
+        for (col, &family) in self.bg.iter().zip(families) {
+            match col {
+                ColumnVec::Mixed(vals) => {
+                    keyed.and_assign(&Bitmap::from_fn(len, |i| key_family(&vals[i]) == family));
+                }
+                // A typed column's values all share one family.
+                typed if len > 0 && key_family(&typed.value(0)) != family => {
+                    return Bitmap::filled(len, false)
+                }
+                _ => {}
+            }
+        }
+        keyed
     }
 
     /// The bg key columns restricted to `rows` (`None` = every row), in
@@ -1035,25 +936,11 @@ impl SideKeys {
             .map(|c| Evaluated::Col(rows.map_or_else(|| c.clone(), |r| c.gather(r))))
             .collect()
     }
+}
 
-    /// Per key column, the comparable-type families
-    /// (`ua_ranges::ops::key_family`) of the point rows' keys.
-    fn families(&self) -> Vec<u8> {
-        let any_point = self.point.count_ones() > 0;
-        self.bg
-            .iter()
-            .map(|col| match col {
-                ColumnVec::Mixed(vals) => self
-                    .point
-                    .ones()
-                    .iter()
-                    .fold(0, |f, &i| f | key_family(&vals[i as usize])),
-                // A typed column's values all share one family.
-                typed if any_point => key_family(&typed.value(0)),
-                _ => 0,
-            })
-            .collect()
-    }
+/// The rows set in `mask`, ascending; `None` when every row is.
+fn rows_of(mask: &Bitmap) -> Option<Vec<u32>> {
+    (!mask.all_ones()).then(|| mask.ones())
 }
 
 /// Whether two key columns are dense vectors of one type — then two point
@@ -1069,69 +956,185 @@ fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
     v.retain(|_| *flags.next().expect("one flag per element"));
 }
 
-/// Prepared probe state of the AU hash join (read-only, shared by the
-/// probe morsels).
-struct AuProbe {
+/// `⟦⋈⟧_AU` for `Plan::HashJoin` as a probe stage of the one driver — the
+/// columnar form of `ua_ranges::ops::hash_join`, emitting the same rows in
+/// the same order (probe-major, candidates ascending in build-scan order).
+///
+/// Prepared once at bind (`AuProbe::new`): the build side concatenates
+/// into one chunk, its key triples evaluate, and the *existing*
+/// deterministic hash index ([`build_index`], `Int` fast path and
+/// partitioned build included) covers the bg keys of its *keyed* rows —
+/// hashable points of each key column's family, which the build side's
+/// first hashable row fixes. Every other row (a ranged, unknown or NaN
+/// key, or a point of another family) is *fuzzy* and stands in every
+/// candidate list, exactly as in [`ua_ranges::SgKeyIndex`]. Each morsel of
+/// the probe side's pipeline then evaluates its own keys and probes
+/// read-only ([`AuProbe::probe`]) — through the σ directly below, when one
+/// is fused in. A pruned pair has two keys that differ between points of
+/// one family (or a point and a definite NULL): its key equality is
+/// certainly false, so dropping it loses no possibly-true pair.
+pub(crate) struct AuProbe {
     /// The build side as one chunk over its flattened schema.
     chunk: ColumnBatch,
     /// The build side's bg key columns (over the whole chunk).
     build_bg: Vec<ColumnVec>,
+    /// Per key column, the family of the build side's first hashable row
+    /// (`None`: no row is hashable).
+    families: Option<Vec<u8>>,
     /// Chunk rows the index holds, ascending (`None` = every row): index
     /// entries are positions into this list.
-    build_points: Option<Vec<u32>>,
+    build_keyed: Option<Vec<u32>>,
     /// Chunk rows with a fuzzy key, ascending.
     build_fuzzy: Vec<u32>,
     index: JoinIndex,
+    /// The probe side's key expressions, bound over its user schema.
+    probe_keys: Vec<Expr>,
+    /// The probe side's user schema.
+    probe_user: Schema,
     /// Key equalities ∧ residual, bound over `left ++ right`.
     pred: Expr,
     has_residual: bool,
-    build_left: bool,
+    pub(crate) build_left: bool,
     /// User arities `(left, right)`.
     arity: (usize, usize),
-    /// The flattened output schema.
+    /// The output's user schema (`left ++ right`) and its flattened form.
+    pub(crate) user: Schema,
     flat: Schema,
 }
 
 impl AuProbe {
-    /// Probe one batch: the joined batch (`None` when no pair survives)
-    /// and the number of pairs refined row-wise.
+    /// Prepare `plan`'s (a `Plan::HashJoin`) probe from its executed build
+    /// side (its left input when `build_left`) for a probe side of user
+    /// schema `probe_user`: bind keys and residual, evaluate the build
+    /// keys, fix the key families and index the keyed rows.
+    pub(crate) fn new(
+        plan: &Plan,
+        build: BatchStream,
+        probe_user: Schema,
+        pool: &rayon::ThreadPool,
+    ) -> Result<AuProbe, EngineError> {
+        let Plan::HashJoin {
+            keys,
+            residual,
+            build_left,
+            ..
+        } = plan
+        else {
+            unreachable!("an AU probe stage runs a Plan::HashJoin")
+        };
+        let build_user = user_schema(&build.schema);
+        let (luser, ruser) = if *build_left {
+            (&build_user, &probe_user)
+        } else {
+            (&probe_user, &build_user)
+        };
+        let (pred, join_keys) =
+            bind_hash_keys(keys, residual.as_ref(), luser, ruser).map_err(EngineError::Expr)?;
+        let user = luser.concat(ruser);
+        let (build_keys, probe_keys): (Vec<Expr>, Vec<Expr>) = join_keys
+            .keys
+            .into_iter()
+            .map(|k| {
+                if *build_left {
+                    (k.left, k.right)
+                } else {
+                    (k.right, k.left)
+                }
+            })
+            .unzip();
+        let chunk = build.into_single_chunk();
+        let bkeys = SideKeys::eval(&chunk, None, &build_user, &build_keys)?;
+        let families = (0..chunk.len()).find(|&i| bkeys.point.get(i)).map(|i| {
+            bkeys
+                .bg
+                .iter()
+                .map(|c| key_family(&c.value(i)))
+                .collect::<Vec<_>>()
+        });
+        let keyed = bkeys.keyed(families.as_deref());
+        let build_keyed = rows_of(&keyed);
+        let index = build_index(
+            &bkeys.index_columns(build_keyed.as_deref()),
+            build_keyed.as_ref().map_or(chunk.len(), Vec::len),
+            Some(pool),
+        );
+        Ok(AuProbe {
+            build_fuzzy: (0..chunk.len() as u32)
+                .filter(|&i| !keyed.get(i as usize))
+                .collect(),
+            chunk,
+            build_bg: bkeys.bg,
+            families,
+            build_keyed,
+            index,
+            probe_keys,
+            pred,
+            has_residual: residual.is_some(),
+            build_left: *build_left,
+            arity: (luser.arity(), ruser.arity()),
+            flat: flattened_schema(&user),
+            user,
+            probe_user,
+        })
+    }
+
+    /// Probe one batch — through the σ `filter` (bound over the probe
+    /// side's user schema) when one is fused in: the joined batch (`None`
+    /// when no pair survives), how many rows the σ evaluated per row, and
+    /// how many pairs were refined per row.
     ///
-    /// A point probe row's candidates are its index bucket merged with
-    /// the fuzzy build rows, ascending; a fuzzy probe row's candidates
-    /// are all build rows. A pair found through the index between
-    /// same-typed point keys, with no residual, is certainly equal
-    /// (`points_equal`): the predicate is certainly true and holds over
-    /// the selected guess, so its multiplicity is the plain product and
-    /// nothing is refined. Every other candidate goes through the shared
+    /// A fused σ decides its survivors and their refined `lb` / `bg`
+    /// multiplicities ([`filter_select`]) without gathering them; the keys
+    /// evaluate over the survivors only, and the output gathers straight
+    /// from the scan batch, so nothing is copied twice.
+    ///
+    /// A keyed probe row's candidates are its index bucket merged with the
+    /// fuzzy build rows, ascending; a fuzzy probe row's candidates are all
+    /// build rows. A pair found through the index between same-typed point
+    /// keys, with no residual, is certainly equal (`points_equal`): the
+    /// predicate is certainly true and holds over the selected guess, so
+    /// its multiplicity is the plain product and nothing is refined. Every
+    /// other candidate goes through the shared
     /// `ua_ranges::ops::refine_pair_mult` over ranges assembled for that
     /// pair's referenced columns only.
-    fn probe(
+    pub(crate) fn probe(
         &self,
         batch: &ColumnBatch,
-        keys: &SideKeys,
-    ) -> Result<(Option<ColumnBatch>, u64), EngineError> {
+        filter: Option<(&Expr, &Schema)>,
+    ) -> Result<(Option<ColumnBatch>, u64, u64), EngineError> {
         let (nl, nr) = self.arity;
         let (nb, np) = if self.build_left { (nl, nr) } else { (nr, nl) };
-        let probe_points = keys.point_rows();
+        let (survivors, filtered) = match filter {
+            Some((pred, user)) => filter_select(batch, pred, user, np)?,
+            None => (None, 0),
+        };
+        let sel = survivors.as_ref().map(|s| &s.rows[..]);
+        if sel.is_some_and(<[u32]>::is_empty) {
+            return Ok((None, filtered, 0));
+        }
+        let keys = SideKeys::eval(batch, sel, &self.probe_user, &self.probe_keys)?;
+        let rows = keys.point.len() as u32;
+        let keyed = keys.keyed(self.families.as_deref());
+        let probe_keyed = rows_of(&keyed);
         let (mut pidx, mut bidx) = probe_index(
             &self.index,
-            &keys.index_columns(probe_points.as_deref()),
-            probe_points.as_ref().map_or(batch.len(), Vec::len),
+            &keys.index_columns(probe_keyed.as_deref()),
+            probe_keyed.as_ref().map_or(rows as usize, Vec::len),
         );
-        if let Some(rows) = &probe_points {
+        if let Some(rows) = &probe_keyed {
             pidx.iter_mut().for_each(|p| *p = rows[*p as usize]);
         }
-        if let Some(rows) = &self.build_points {
+        if let Some(rows) = &self.build_keyed {
             bidx.iter_mut().for_each(|b| *b = rows[*b as usize]);
         }
         // `indexed[j]`: pair `j` came out of the index (`None` = all did).
         let mut indexed: Option<Vec<bool>> = None;
-        if probe_points.is_some() || !self.build_fuzzy.is_empty() {
+        if probe_keyed.is_some() || !self.build_fuzzy.is_empty() {
             let (hp, hb) = (std::mem::take(&mut pidx), std::mem::take(&mut bidx));
             let mut flags = Vec::with_capacity(hp.len());
             let mut next = 0;
-            for i in 0..batch.len() as u32 {
-                if !keys.point.get(i as usize) {
+            for i in 0..rows {
+                if !keyed.get(i as usize) {
                     for b in 0..self.chunk.len() as u32 {
                         pidx.push(i);
                         bidx.push(b);
@@ -1162,20 +1165,31 @@ impl AuProbe {
             indexed = Some(flags);
         }
         if pidx.is_empty() {
-            return Ok((None, 0));
+            return Ok((None, filtered, 0));
         }
 
         // `MultBound::times` on the three multiplicity columns: saturating
         // products (`i64` saturation is where the `u64` product clamps
-        // when it is encoded).
+        // when it is encoded). A fused σ's survivors carry refined `lb` /
+        // `bg`; `ub` is the batch's.
         let pm = mult_slices(batch, np);
         let bm = mult_slices(&self.chunk, nb);
+        let probe_mult = |k: usize, q: u32| match (&survivors, k) {
+            (Some(s), 0) => s.lb[q as usize],
+            (Some(s), 1) => s.bg[q as usize],
+            _ => pm[k][sel.map_or(q, |sel| sel[q as usize]) as usize],
+        };
         let mut mults: [Vec<i64>; 3] = [0, 1, 2].map(|k| {
             pidx.iter()
                 .zip(&bidx)
-                .map(|(&p, &b)| pm[k][p as usize].saturating_mul(bm[k][b as usize]))
+                .map(|(&q, &b)| probe_mult(k, q).saturating_mul(bm[k][b as usize]))
                 .collect()
         });
+        // Probe positions become batch rows: what the ranges and the
+        // gather read.
+        if let Some(sel) = sel {
+            pidx.iter_mut().for_each(|p| *p = sel[*p as usize]);
+        }
 
         let certain_keys = !self.has_residual
             && keys
@@ -1220,25 +1234,27 @@ impl AuProbe {
         }
         let rows_out = lidx.len();
         if rows_out == 0 {
-            return Ok((None, refined));
+            return Ok((None, filtered, refined));
         }
 
-        // Flattened layout of `left ++ right`: all bg, all lb, all ub.
+        // Flattened layout of `left ++ right`: all bg, all lb, all ub. Each
+        // side gathers through `gather_columns`, so a point column (bounds
+        // aliasing `bg`) leaves the join as one buffer.
+        let left = gather_columns(&lsrc.columns()[..3 * nl], lidx);
+        let right = gather_columns(&rsrc.columns()[..3 * nr], ridx);
         let mut columns: Vec<ColumnVec> = Vec::with_capacity(3 * (nl + nr) + 3);
         for part in 0..3 {
-            columns.extend((0..nl).map(|c| lsrc.column(part * nl + c).gather(lidx)));
-            columns.extend((0..nr).map(|c| rsrc.column(part * nr + c).gather(ridx)));
+            columns.extend_from_slice(&left[part * nl..(part + 1) * nl]);
+            columns.extend_from_slice(&right[part * nr..(part + 1) * nr]);
         }
-        columns.extend(mults.into_iter().map(|m| ColumnVec::Int(Arc::new(m))));
-        Ok((
-            Some(ColumnBatch::new(
-                self.flat.clone(),
-                columns,
-                Bitmap::filled(rows_out, true),
-                Arc::new(vec![1u64; rows_out]),
-            )),
-            refined,
-        ))
+        columns.extend(mults.map(|m| ColumnVec::Int(Arc::new(m))));
+        let joined = ColumnBatch::new(
+            self.flat.clone(),
+            columns,
+            Bitmap::filled(rows_out, true),
+            Arc::new(vec![1u64; rows_out]),
+        );
+        Ok((Some(joined), filtered, refined))
     }
 }
 
@@ -1389,27 +1405,34 @@ fn fill_triple(
     Ok(())
 }
 
-/// One batch of `⟦σ_θ⟧_AU` (pure per-batch function, safe to run on the
-/// pool): possibly-true rows survive, the multiplicity lower bound is
-/// kept only under a certainly-true predicate and the selected-guess
-/// multiplicity only when θ holds over the bg columns (the deterministic
-/// typed mask). Kernel-native predicates ([`range_truth_masks`]) decide
-/// possibility and certainty as bitmaps straight off the `lb`/`ub`
-/// columns; any other shape evaluates `truth_range` per row over ranges
-/// assembled for the referenced columns only. Either way the two
-/// multiplicity columns are refined by masking and the survivors leave in
-/// one gather. Returns the surviving batch (`None` when no row survives)
+/// What one batch's `⟦σ_θ⟧_AU` keeps, before anything is gathered: the
+/// surviving rows, ascending, with their refined `lb` / `bg`
+/// multiplicities (`ub` is the input's).
+#[derive(Default)]
+struct Survivors {
+    rows: Vec<u32>,
+    lb: Vec<i64>,
+    bg: Vec<i64>,
+}
+
+/// One batch of `⟦σ_θ⟧_AU`, decided: possibly-true rows survive, the
+/// multiplicity lower bound is kept only under a certainly-true predicate
+/// and the selected-guess multiplicity only when θ holds over the bg
+/// columns (the deterministic typed mask). Kernel-native predicates
+/// ([`range_truth_masks`]) decide possibility and certainty as bitmaps
+/// straight off the `lb`/`ub` columns; any other shape evaluates
+/// `truth_range` per row over ranges assembled for the referenced columns
+/// only. Returns the survivors (`None` when every row survives unchanged)
 /// and how many rows took the per-row path.
-pub(crate) fn filter_batch(
+fn filter_select(
     batch: &ColumnBatch,
     bound: &Expr,
     user: &Schema,
-    flat: &Schema,
     n: usize,
-) -> Result<(Option<ColumnBatch>, u64), EngineError> {
+) -> Result<(Option<Survivors>, u64), EngineError> {
     let len = batch.len();
     if len == 0 {
-        return Ok((None, 0));
+        return Ok((Some(Survivors::default()), 0));
     }
     let (bg_true, _) = truth_masks(bound, &bg_view(batch, user))?;
     let (possibly, certainly, rowwise) = match range_truth_masks(bound, batch, n) {
@@ -1431,25 +1454,42 @@ pub(crate) fn filter_batch(
             (possibly, certainly, len as u64)
         }
     };
-    let keep = possibly.ones();
-    if keep.is_empty() {
+    let rows = possibly.ones();
+    if rows.len() == len && certainly.all_ones() && bg_true.all_ones() {
         return Ok((None, rowwise));
-    }
-    if keep.len() == len && certainly.all_ones() && bg_true.all_ones() {
-        return Ok((Some(batch.clone()), rowwise));
     }
     let [m_lb, m_bg, _] = mult_slices(batch, n);
     let masked = |mult: &[i64], mask: &Bitmap| {
-        let kept = keep.iter().map(|&i| i as usize);
-        ColumnVec::Int(Arc::new(
-            kept.map(|i| if mask.get(i) { mult[i] } else { 0 })
-                .collect(),
-        ))
+        let kept = rows.iter().map(|&i| i as usize);
+        kept.map(|i| if mask.get(i) { mult[i] } else { 0 })
+            .collect()
     };
-    let gathered = batch.gather(&keep);
+    let (lb, bg) = (masked(m_lb, &certainly), masked(m_bg, &bg_true));
+    Ok((Some(Survivors { rows, lb, bg }), rowwise))
+}
+
+/// One batch of `⟦σ_θ⟧_AU` (pure per-batch function, safe to run on the
+/// pool): [`filter_select`]'s survivors leave in one gather, the two
+/// multiplicity columns refined. Returns the surviving batch (`None` when
+/// no row survives) and how many rows took the per-row path.
+pub(crate) fn filter_batch(
+    batch: &ColumnBatch,
+    bound: &Expr,
+    user: &Schema,
+    flat: &Schema,
+    n: usize,
+) -> Result<(Option<ColumnBatch>, u64), EngineError> {
+    let (survivors, rowwise) = filter_select(batch, bound, user, n)?;
+    let Some(Survivors { rows, lb, bg }) = survivors else {
+        return Ok((Some(batch.clone()), rowwise));
+    };
+    if rows.is_empty() {
+        return Ok((None, rowwise));
+    }
+    let gathered = batch.gather(&rows);
     let mut columns = gathered.columns().to_vec();
-    columns[3 * n] = masked(m_lb, &certainly);
-    columns[3 * n + 1] = masked(m_bg, &bg_true);
+    columns[3 * n] = ColumnVec::Int(Arc::new(lb));
+    columns[3 * n + 1] = ColumnVec::Int(Arc::new(bg));
     Ok((
         Some(ColumnBatch::new(
             flat.clone(),

@@ -11,18 +11,19 @@
 //!   kernels and probes run; labels are gathered with the rows and ANDed
 //!   in the join gather. δ / γ and marker references are rejected.
 //! * `Au` — batches over the *flattened* schema: user columns, `lb` / `ub`
-//!   columns, the multiplicity triple. σ / π are pipeline stages over the
-//!   range kernels in [`crate::au_exec`], joins are sources over two
-//!   executed inputs, `ops::{sort, top_k, limit, union_all}` run the
-//!   flattened batches unchanged, and Scan / δ / γ / `−` / `⟕` are the AU
-//!   sources in [`crate::au_exec`].
+//!   columns, the multiplicity triple. σ / π and the hash-join probe
+//!   (`AuProbe`) are pipeline stages over the range kernels in
+//!   [`crate::au_exec`], `ops::{sort, top_k, limit, union_all}` run the
+//!   flattened batches unchanged, and Scan / δ / γ / `−` / `⟕` and the
+//!   keyless / non-equi `Plan::Join` are the AU sources in
+//!   [`crate::au_exec`].
 //!
 //! ## Pipelines and morsels
 //!
 //! The driver splits a plan into **pipelines**: maximal chains of per-batch
-//! operators — filter, projection, re-qualification, and (det / UA)
-//! join *probe* — over one source (a scan, a pipeline breaker like
-//! Sort/Aggregate, an AU join). Each source batch is a *morsel*: it runs
+//! operators — filter, projection, re-qualification, and join *probe* —
+//! over one source (a scan, a pipeline breaker like Sort/Aggregate, an AU
+//! keyless join). Each source batch is a *morsel*: it runs
 //! through the whole bound stage chain independently, so morsels execute on
 //! a small work-stealing thread pool (the offline `rayon` shim) with **no
 //! shared mutable state** — join build sides are built once (large
@@ -30,9 +31,6 @@
 //! see [`ops`]) and probed read-only; UA label bitmaps AND per morsel inside
 //! the join gather. Aggregation, the other pipeline breaker, folds
 //! partition-parallel through [`ops::aggregate_pooled`].
-//!
-//! The AU hash join is a *source* over two executed inputs, not a probe
-//! stage; `Driver::au_hash_join` says why.
 //!
 //! ## Determinism contract
 //!
@@ -59,8 +57,10 @@
 //! the filter's selection bitmap is evaluated and *consumed in the same
 //! pass* ([`crate::kernels::project_selected`], [`ops::ProbeState::probe`]),
 //! gathering each needed column once instead of materializing the filtered
-//! batch first. AU stages do not fuse, so an AU stats tree keeps one span
-//! per plan operator like the row interpreter's.
+//! batch first. An AU `Filter→hash-probe` pair fuses the same way
+//! (`AuProbe::probe`), but keeps both spans: an AU stats tree has one
+//! span per plan operator like the row interpreter's, so a run that
+//! collects stats applies the σ and the probe one after the other.
 //!
 //! ## One collection path
 //!
@@ -70,7 +70,7 @@
 //! run closes through [`execute`], which emits the `bind` / `execute` /
 //! `merge` phase spans and the [`QueryStats`] for all three semantics.
 
-use crate::au_exec::{self, filter_batch, map_batch, user_schema};
+use crate::au_exec::{self, filter_batch, map_batch, user_schema, AuProbe};
 use crate::columnar::{
     batches_from_encoded_table_pooled, batches_from_table_pooled,
     encoded_table_from_batches_pooled, table_from_batches_pooled, BatchStream, ColumnBatch,
@@ -238,8 +238,8 @@ enum Spec<'p> {
     Filter(&'p Expr),
     Project(&'p [ProjColumn]),
     Requalify(&'p str),
-    /// A det / UA join node probing with this chain's stream; its other
-    /// input (`build_plan`) builds.
+    /// A join node probing with this chain's stream; its other input
+    /// (`build_plan`) builds.
     Join {
         build_plan: &'p Plan,
         build_left: bool,
@@ -280,6 +280,39 @@ enum Stage {
         user: Schema,
         flat: Schema,
     },
+    /// `⟦⋈⟧_AU` of a hash join, probing with this chain's stream
+    /// ([`AuProbe::probe`]).
+    AuProbe(AuProbe),
+    /// Fused `⟦σ⟧_AU`→probe: keys evaluate over the σ's survivors only and
+    /// the join gathers straight from the original batch. Unlike the det
+    /// fusions it keeps the σ's own span: an observed run applies the two
+    /// halves one after the other ([`run_chain`]).
+    AuFilterProbe {
+        pred: Expr,
+        user: Schema,
+        probe: AuProbe,
+    },
+}
+
+impl Stage {
+    /// How many spans the stage reports: one per plan operator, except that
+    /// a fused det stage reports as its consumer.
+    fn spans(&self) -> usize {
+        match self {
+            Stage::AuFilterProbe { .. } => 2,
+            _ => 1,
+        }
+    }
+
+    /// Whether the stage's (last) span lists the probe input before the
+    /// build side: an AU hash join building on its right input, whose span
+    /// keeps plan order like the row interpreter's.
+    fn probe_first(&self) -> bool {
+        match self {
+            Stage::AuProbe(probe) | Stage::AuFilterProbe { probe, .. } => !probe.build_left,
+            _ => false,
+        }
+    }
 }
 
 impl<'a> Driver<'a> {
@@ -394,12 +427,21 @@ impl<'a> Driver<'a> {
         }
         // Wrap the source span in one node per stage, innermost (first to
         // run) deepest — the tree mirrors the executed pipeline.
+        let probe_first = stages.iter().flat_map(|stage| {
+            (1..=stage.spans()).map(|span| span == stage.spans() && stage.probe_first())
+        });
         let stats = source_stats.map(|mut node| {
-            for (mut meta, mut tally) in metas.into_iter().zip(tallies) {
+            for ((mut meta, mut tally), probe_first) in
+                metas.into_iter().zip(tallies).zip(probe_first)
+            {
                 if matches!(meta.name.as_str(), "HashJoin" | "Join" | "Cross") {
                     meta.push_extra("probe_rows", node.rows_out);
                 }
-                meta.children.push(node);
+                if probe_first {
+                    meta.children.insert(0, node);
+                } else {
+                    meta.children.push(node);
+                }
                 tally.wall_ns += meta.children.iter().map(|c| c.wall_ns).sum::<u64>();
                 node = self.finish_node(meta, tally);
             }
@@ -430,9 +472,9 @@ impl<'a> Driver<'a> {
     /// Walk down the plan collecting pipelineable stages (top-down order),
     /// each paired with the plan node it came from (for stage labels and
     /// cardinality estimates when tracing); returns the pipeline's source
-    /// node. σ, π and re-qualification pipeline under every semantics;
-    /// joins are probe stages under det / UA and sources under AU (see
-    /// [`Driver::au_hash_join`]).
+    /// node. σ, π, re-qualification and hash joins pipeline under every
+    /// semantics; a `Plan::Join` is a probe stage under det / UA and a
+    /// source under AU.
     fn collect_chain<'p>(&self, plan: &'p Plan, specs: &mut Vec<(Spec<'p>, &'p Plan)>) -> &'p Plan {
         let mut cur = plan;
         loop {
@@ -450,9 +492,8 @@ impl<'a> Driver<'a> {
                     specs.push((Spec::Requalify(name), node));
                     cur = input;
                 }
-                Plan::HashJoin { .. } | Plan::Join { .. } if self.semantics == Semantics::Au => {
-                    return cur
-                }
+                // AU keyless / non-equi `⋈` selects over both inputs.
+                Plan::Join { .. } if self.semantics == Semantics::Au => return cur,
                 Plan::HashJoin { left, right, .. } | Plan::Join { left, right, .. } => {
                     let build_left = matches!(
                         cur,
@@ -503,9 +544,13 @@ impl<'a> Driver<'a> {
         if let (Some(m), Some(timer)) = (meta, timer) {
             m.push_extra("build_ns", timer.elapsed_ns());
             m.push_extra("build_rows", build.num_rows() as u64);
-            let bytes = stream_mem_bytes(&build);
-            self.track_mem(bytes);
-            m.push_extra("mem_bytes", bytes);
+            // An AU span charges its operator's output instead
+            // ([`Driver::finish_node`]), as the row interpreter does.
+            if self.semantics != Semantics::Au {
+                let bytes = stream_mem_bytes(&build);
+                self.track_mem(bytes);
+                m.push_extra("mem_bytes", bytes);
+            }
             m.children.extend(build_stats);
         }
         Ok(build)
@@ -519,8 +564,8 @@ impl<'a> Driver<'a> {
     ///
     /// `schema` is the *user* schema throughout. Under AU the stream
     /// carries its flattened form (`flat`), so AU stages keep the user
-    /// schema they bound against; they never fuse, which keeps one span
-    /// per plan operator like the row interpreter's tree.
+    /// schema they bound against, and a join's probe is prepared from its
+    /// executed build side ([`AuProbe::new`]).
     fn bind_stages(
         &self,
         specs: Vec<(Spec<'_>, &Plan)>,
@@ -577,15 +622,22 @@ impl<'a> Driver<'a> {
                     build_left,
                 } => {
                     let build = self.build_side(build_plan, meta.as_mut())?;
-                    let (left, right) = if build_left {
-                        (&build.schema, &schema)
+                    if let Some(flat) = &mut flat {
+                        let probe = AuProbe::new(node_plan, build, schema, &self.pool)?;
+                        schema = probe.user.clone();
+                        *flat = flattened_schema(&schema);
+                        stages.push(Stage::AuProbe(probe));
                     } else {
-                        (&schema, &build.schema)
-                    };
-                    let spec = JoinSpec::bind(node_plan, left, right)?;
-                    let state = ProbeState::new(build, spec, Some(&self.pool))?;
-                    schema = state.out_schema().clone();
-                    stages.push(Stage::Probe(state));
+                        let (left, right) = if build_left {
+                            (&build.schema, &schema)
+                        } else {
+                            (&schema, &build.schema)
+                        };
+                        let spec = JoinSpec::bind(node_plan, left, right)?;
+                        let state = ProbeState::new(build, spec, Some(&self.pool))?;
+                        schema = state.out_schema().clone();
+                        stages.push(Stage::Probe(state));
+                    }
                 }
             }
             metas.extend(meta);
@@ -624,7 +676,7 @@ impl<'a> Driver<'a> {
     }
 
     /// Execute a pipeline source / breaker node, with its span when
-    /// tracing. Scan, δ, γ, `−`, `⟕` and — under AU — both joins pick
+    /// tracing. Scan, δ, γ, `−`, `⟕` and — under AU — `Plan::Join` pick
     /// their implementation by semantics; Sort / Top-K / Limit / ∪ are the
     /// same columnar operators for all three (the flattened AU row layout
     /// *is* the AU sort tie-break order, so [`ops::sort`] and
@@ -637,8 +689,6 @@ impl<'a> Driver<'a> {
         let timer = self.collect_stats.then(Stopwatch::start);
         let semantics = self.semantics;
         let (ua, au) = (semantics == Semantics::Ua, semantics == Semantics::Au);
-        // AU hash-⋈ candidate pairs refined row-wise.
-        let mut rowwise = 0;
         let (stream, children) = match plan {
             Plan::Scan(name) => (self.scan(name)?, Vec::new()),
             Plan::UnionAll { left, right } => {
@@ -733,12 +783,6 @@ impl<'a> Driver<'a> {
                 let (l, r, children) = self.inputs(left, right)?;
                 (self.au_join(l, r, predicate.as_ref())?, children)
             }
-            Plan::HashJoin { left, right, .. } if au => {
-                let (l, r, children) = self.inputs(left, right)?;
-                let (joined, pairs) = self.au_hash_join(plan, &l, &r)?;
-                rowwise = pairs;
-                (joined, children)
-            }
             Plan::Filter { .. }
             | Plan::Map { .. }
             | Plan::Alias { .. }
@@ -775,7 +819,6 @@ impl<'a> Driver<'a> {
             // cumulative — exactly the [`OperatorStats::wall_ns`] contract.
             let mut tally = StageTally {
                 wall_ns: timer.elapsed_ns(),
-                rowwise,
                 ..StageTally::default()
             };
             tally.observe(&stream.batches, semantics);
@@ -999,7 +1042,8 @@ impl StageTally {
 /// stages' open spans (one per stage when tracing, none otherwise) fuse in
 /// lockstep: the merged span keeps the consumer's label with the filter's
 /// predicate folded into its detail, so the tree mirrors the kernels that
-/// actually ran.
+/// actually ran. An AU `Filter→probe` pair fuses too, but its spans stay
+/// two — the row interpreter's tree ([`Stage::spans`]).
 fn fuse_stages(stages: Vec<Stage>, metas: Vec<OperatorStats>) -> (Vec<Stage>, Vec<OperatorStats>) {
     let mut metas = metas.into_iter();
     let mut out: Vec<Stage> = Vec::with_capacity(stages.len());
@@ -1030,6 +1074,10 @@ fn fuse_stages(stages: Vec<Stage>, metas: Vec<OperatorStats>) -> (Vec<Stage>, Ve
                 out.push(Stage::FilterProbe { pred, probe });
                 fuse_meta(&mut out_metas, meta);
             }
+            (Some(Stage::AuFilter { pred, user }), Stage::AuProbe(probe)) => {
+                out.push(Stage::AuFilterProbe { pred, user, probe });
+                out_metas.extend(meta);
+            }
             (prev, stage) => {
                 out.extend(prev);
                 out.push(stage);
@@ -1042,44 +1090,64 @@ fn fuse_stages(stages: Vec<Stage>, metas: Vec<OperatorStats>) -> (Vec<Stage>, Ve
 
 /// Run one morsel through the stage chain. Pure function of the input
 /// batch — the parallel driver's determinism rests on this. With
-/// `observe`, a per-stage [`StageTally`] rides *next to* the batches (an
+/// `observe`, a per-span [`StageTally`] rides *next to* the batches (an
 /// empty list otherwise); the batches themselves are bit for bit what the
-/// unobserved run produces.
+/// unobserved run produces. An observed AU σ→probe runs its halves one
+/// after the other, so the σ's tally counts the batches it would have
+/// gathered.
 fn run_chain(
     batch: ColumnBatch,
     stages: &[Stage],
     observe: Option<Semantics>,
 ) -> Result<(Vec<ColumnBatch>, Vec<StageTally>), EngineError> {
-    let mut tallies = vec![StageTally::default(); observe.map_or(0, |_| stages.len())];
+    let spans = stages.iter().map(Stage::spans).sum();
+    let mut tallies = vec![StageTally::default(); observe.map_or(0, |_| spans)];
     let mut cur = if batch.is_empty() {
         Vec::new()
     } else {
         vec![batch]
     };
-    for (i, stage) in stages.iter().enumerate() {
+    let mut span = 0;
+    for stage in stages {
         if cur.is_empty() {
             break;
         }
-        let timer = observe.map(|_| Stopwatch::start());
-        let mut next = Vec::new();
-        let mut rowwise = 0;
-        for b in cur {
-            rowwise += apply_stage(stage, b, &mut next)?;
-        }
-        if let (Some(semantics), Some(timer)) = (observe, timer) {
-            let t = &mut tallies[i];
+        let Some(semantics) = observe else {
+            let mut next = Vec::new();
+            for b in cur {
+                apply_stage(stage, b, &mut next)?;
+            }
+            cur = next;
+            continue;
+        };
+        let mut observed = |cur: Vec<ColumnBatch>, apply: &dyn Fn(ColumnBatch, &mut _) -> _| {
+            let timer = Stopwatch::start();
+            let mut next = Vec::new();
+            let mut rowwise = 0;
+            for b in cur {
+                rowwise += apply(b, &mut next)?;
+            }
+            let t = &mut tallies[span];
             t.wall_ns = timer.elapsed_ns();
             t.rowwise = rowwise;
             t.observe(&next, semantics);
-        }
-        cur = next;
+            span += 1;
+            Ok::<_, EngineError>(next)
+        };
+        cur = match stage {
+            Stage::AuFilterProbe { pred, user, probe } => {
+                let filtered = observed(cur, &|b, out| au_filter(b, pred, user, out))?;
+                observed(filtered, &|b, out| au_probe(probe, b, None, out))?
+            }
+            _ => observed(cur, &|b, out| apply_stage(stage, b, out))?,
+        };
     }
     Ok((cur, tallies))
 }
 
 /// Apply one stage to one batch, appending its output batches to `out`.
-/// Returns how many input rows took the AU per-row range path (always 0
-/// outside `⟦σ⟧_AU` / `⟦π⟧_AU`).
+/// Returns how many input rows (hash-⋈: candidate pairs) took the AU
+/// per-row range path (always 0 outside `⟦σ⟧_AU` / `⟦π⟧_AU` / `⟦⋈⟧_AU`).
 fn apply_stage(
     stage: &Stage,
     batch: ColumnBatch,
@@ -1110,18 +1178,46 @@ fn apply_stage(
             Some(sel) if sel.is_empty() => {}
             Some(sel) => probe.probe(&batch, Some(&sel), out)?,
         },
-        Stage::AuFilter { pred, user } => {
-            let (kept, rowwise) = filter_batch(&batch, pred, user, batch.schema(), user.arity())?;
-            out.extend(kept);
-            au_exec::count_rowwise("au.vec.rowwise.filter_rows", rowwise);
-            return Ok(rowwise);
-        }
+        Stage::AuFilter { pred, user } => return au_filter(batch, pred, user, out),
         Stage::AuProject { exprs, user, flat } => {
             let (mapped, rowwise) = map_batch(&batch, exprs, user, flat, user.arity())?;
             out.push(mapped);
             au_exec::count_rowwise("au.vec.rowwise.project_rows", rowwise);
             return Ok(rowwise);
         }
+        Stage::AuProbe(probe) => return au_probe(probe, batch, None, out),
+        Stage::AuFilterProbe { pred, user, probe } => {
+            return au_probe(probe, batch, Some((pred, user)), out)
+        }
     }
     Ok(0)
+}
+
+/// `⟦σ⟧_AU` over one batch ([`filter_batch`]); returns how many rows took
+/// the per-row path.
+fn au_filter(
+    batch: ColumnBatch,
+    pred: &Expr,
+    user: &Schema,
+    out: &mut Vec<ColumnBatch>,
+) -> Result<u64, EngineError> {
+    let (kept, rowwise) = filter_batch(&batch, pred, user, batch.schema(), user.arity())?;
+    out.extend(kept);
+    au_exec::count_rowwise("au.vec.rowwise.filter_rows", rowwise);
+    Ok(rowwise)
+}
+
+/// `⟦⋈⟧_AU`'s probe of one batch, through the fused σ `filter` if any
+/// ([`AuProbe::probe`]); returns how many pairs were refined per row.
+fn au_probe(
+    probe: &AuProbe,
+    batch: ColumnBatch,
+    filter: Option<(&Expr, &Schema)>,
+    out: &mut Vec<ColumnBatch>,
+) -> Result<u64, EngineError> {
+    let (joined, filtered, refined) = probe.probe(&batch, filter)?;
+    out.extend(joined);
+    au_exec::count_rowwise("au.vec.rowwise.filter_rows", filtered);
+    au_exec::count_rowwise("au.vec.rowwise.join_pairs", refined);
+    Ok(refined)
 }

@@ -1126,7 +1126,7 @@ fn parallel_au_pipelines_are_byte_identical_to_serial() {
 /// the row operator's bytes — same rows, same order, same refined
 /// multiplicities — for point keys, ranged / NULL / top / NaN keys on the
 /// build side, the probe side and both, a residual predicate,
-/// `Int`-vs-`Float` keys, cross-family keys (the relation-path deferral),
+/// `Int`-vs-`Float` keys, cross-family keys (fuzzy, never a bucket hit),
 /// computed and composite keys and empty sides, under both `build_left`
 /// settings, at threads {1, 2, 4} × batch rows {1, 7, 1024}.
 #[test]
@@ -1464,7 +1464,7 @@ fn au_except_and_outer_joins_match_the_row_operators_over_ranged_keys() {
 /// `execute_au` + `au_table` byte for byte — `Plan::Join` keyless, non-equi,
 /// and keyed as the optimizer-off plan leaves it (plain, composite,
 /// computed, with a residual, `NOT IN`'s null-aware key), and a hash join
-/// under both build sides, whose cross-family case selects over views too —
+/// under both build sides (a probe stage, its cross-family case included) —
 /// over point / ranged / top / definite-NULL keys, NaN and `−0.0`,
 /// `Int`-vs-`Float` equal points, cross-family sides, `lb = 0` / `bg = 0`
 /// multiplicities and empty sides. At threads {1, 2, 4, 8} × batch rows
@@ -1579,6 +1579,280 @@ fn au_joins_over_views_match_the_row_operators_over_ranged_keys() {
                 }
             }
         }
+    }
+}
+
+/// AU hash joins pipelined: a hash join is a probe stage of the one
+/// driver — its build side executed and indexed at bind, its probe keys
+/// evaluated per morsel, a σ directly below fused into the probe — so
+/// every shape must still materialize to `execute_au` + `au_table` byte
+/// for byte: σ below the probe side under both build sides, two stacked
+/// hash joins sharing one probe pipeline (Q3's shape), π and `Alias` above
+/// and between the joins, over ranged / NULL / top / NaN / `−0.0` keys on
+/// both sides; a key that errors (`k + 1` over strings) on either side;
+/// and an empty build side whose probe keys error, which the row operator
+/// rejects because it evaluates every probe key. At threads {1, 2, 4, 8}
+/// × batch rows {1, 7, 64, 1024} every parallel stream
+/// is the serial one (stats collection, which runs a fused σ→probe as its
+/// two halves, on at two thread counts), and an `Err` on one engine is an
+/// `Err` on the other, with one message at every thread count.
+#[test]
+fn pipelined_au_hash_joins_match_the_row_operators() {
+    use Domain::{Float, Int, Str};
+    use Keys::{Points, Ranged};
+    let col = |name: &str| Expr::named(name);
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    let sigma = |t: &str| {
+        Box::new(Plan::Filter {
+            input: scan(t),
+            predicate: col(&format!("{t}.v")).ge(Expr::lit(4i64)),
+        })
+    };
+    let hash = |left, right, keys: Vec<(Expr, Expr)>, residual, build_left| Plan::HashJoin {
+        left,
+        right,
+        keys,
+        residual,
+        build_left,
+    };
+    let on = |a: &str, b: &str| vec![(col(a), col(b))];
+    // (name, plan) for one pair of build sides: the lower join's, the
+    // upper join's (the one-join shapes take the lower join's only).
+    let plans = |b1: bool, b2: bool| -> Vec<(String, Plan)> {
+        let sides = format!("build_left=({b1}, {b2})");
+        let lower = || hash(sigma("l"), sigma("r"), on("l.k", "r.k"), None, b1);
+        // π then `Alias` between the joins and above them.
+        let between = Plan::Alias {
+            input: Box::new(Plan::Map {
+                input: Box::new(lower()),
+                columns: vec![
+                    ProjColumn::expr(col("l.k"), "k"),
+                    ProjColumn::expr(col("l.k2"), "k2"),
+                    ProjColumn::expr(col("l.v").add(col("r.v")), "w"),
+                ],
+            }),
+            name: "j".into(),
+        };
+        let upper = hash(
+            Box::new(between),
+            sigma("m"),
+            on("j.k2", "m.k2"),
+            Some(col("j.w").gt(col("m.v"))),
+            b2,
+        );
+        let above = Plan::Alias {
+            input: Box::new(Plan::Map {
+                input: Box::new(upper),
+                columns: vec![
+                    ProjColumn::expr(col("j.k"), "k"),
+                    ProjColumn::expr(col("j.w").sub(col("m.v")), "d"),
+                ],
+            }),
+            name: "out".into(),
+        };
+        let mut plans = vec![
+            (
+                format!("stacked {sides}"),
+                hash(Box::new(lower()), sigma("m"), on("r.k2", "m.k2"), None, b2),
+            ),
+            (format!("π and alias between and above {sides}"), above),
+        ];
+        if b2 {
+            return plans;
+        }
+        plans.extend([
+            (format!("σ below both sides {sides}"), lower()),
+            (
+                format!("left key errors {sides}"),
+                hash(
+                    sigma("l"),
+                    scan("r"),
+                    vec![(col("l.k").add(Expr::lit(1i64)), col("r.k"))],
+                    None,
+                    b1,
+                ),
+            ),
+            (
+                format!("right key errors {sides}"),
+                hash(
+                    scan("l"),
+                    sigma("r"),
+                    vec![(col("l.k"), col("r.k").add(Expr::lit(1i64)))],
+                    None,
+                    b1,
+                ),
+            ),
+        ]);
+        plans
+    };
+    // (name, l, r, m): rows / keys / domain of each table.
+    #[allow(clippy::type_complexity)]
+    let tables: Vec<(
+        &str,
+        (usize, Keys, Domain),
+        (usize, Keys, Domain),
+        (usize, Keys, Domain),
+    )> = vec![
+        (
+            "points",
+            (48, Points, Int),
+            (24, Points, Int),
+            (12, Points, Int),
+        ),
+        (
+            "ranged",
+            (48, Ranged, Int),
+            (24, Ranged, Int),
+            (12, Ranged, Int),
+        ),
+        (
+            "floats",
+            (48, Ranged, Float),
+            (24, Ranged, Float),
+            (12, Ranged, Float),
+        ),
+        (
+            "int vs float",
+            (48, Ranged, Int),
+            (24, Ranged, Float),
+            (12, Points, Int),
+        ),
+        (
+            "strings left",
+            (32, Ranged, Str),
+            (24, Ranged, Int),
+            (12, Ranged, Int),
+        ),
+        (
+            "strings right",
+            (32, Ranged, Int),
+            (24, Points, Str),
+            (12, Ranged, Int),
+        ),
+        (
+            "empty right",
+            (32, Ranged, Str),
+            (0, Points, Int),
+            (12, Ranged, Int),
+        ),
+        (
+            "empty left",
+            (0, Points, Int),
+            (24, Ranged, Str),
+            (12, Ranged, Int),
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x9_1BE_11E);
+    for (tables, l, r, m) in tables {
+        let catalog = Catalog::new();
+        for (name, (rows, keys, domain)) in [("l", l), ("r", r), ("m", m)] {
+            let rel = au_side(&mut rng, name, rows, keys, domain);
+            catalog.register(name, ua_engine::au_table(&rel));
+        }
+        for (b1, b2) in [(false, false), (false, true), (true, false), (true, true)] {
+            for (name, plan) in plans(b1, b2) {
+                let context = format!("`{name}` over {tables}");
+                let row = ua_engine::execute_au(&plan, &catalog).map(|t| ua_engine::au_table(&t));
+                // `k + 1` errors exactly where a string key reaches it —
+                // an empty build side does not spare the probe keys.
+                let errs = (name.starts_with("left key") && tables.contains("strings left"))
+                    || (name.starts_with("left key") && tables == "empty right")
+                    || (name.starts_with("right key") && tables == "strings right")
+                    || (name.starts_with("right key") && tables == "empty left");
+                assert_eq!(row.is_err(), errs, "{context}: {row:?}");
+                for batch_rows in [1usize, 7, 64, 1024] {
+                    let serial = stream(&plan, &catalog, opts(1, batch_rows), Semantics::Au);
+                    match (&row, &serial) {
+                        (Ok(row), Ok(serial)) => assert_tables_identical(
+                            row,
+                            &table_from_batches(serial),
+                            &format!("{context} batch={batch_rows}"),
+                        ),
+                        (Err(_), Err(_)) => {}
+                        (row, serial) => panic!(
+                            "{context} batch={batch_rows}: row {:?} vs vectorized {:?}",
+                            row.as_ref().map(Table::len),
+                            serial.as_ref().map(BatchStream::num_rows)
+                        ),
+                    }
+                    let runs = [
+                        (1, false),
+                        (2, false),
+                        (2, true),
+                        (4, false),
+                        (8, false),
+                        (8, true),
+                    ];
+                    for (threads, collect_stats) in runs {
+                        let options = ExecOptions {
+                            collect_stats,
+                            ..opts(threads, batch_rows)
+                        };
+                        let parallel = stream(&plan, &catalog, options, Semantics::Au);
+                        let ctx = format!(
+                            "{context} batch={batch_rows} threads={threads} stats={collect_stats}"
+                        );
+                        match (&serial, &parallel) {
+                            (Ok(s), Ok(p)) => assert_streams_byte_identical(s, p, &ctx),
+                            (Err(s), Err(p)) => assert_eq!(s.to_string(), p.to_string(), "{ctx}"),
+                            _ => panic!("{ctx}: serial and parallel disagree on success"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A hash join over `Int` keys on the left and `Str` keys on the right —
+/// points of two families, possibly equal, never certainly — building on
+/// the left: both engines emit probe-major, the right side's rows
+/// outermost, as every other hash join does.
+#[test]
+fn a_cross_family_hash_join_building_left_is_probe_major_on_both_engines() {
+    use ua_ranges::{AuRelation, AuTuple, MultBound, RangeValue};
+    let catalog = Catalog::new();
+    for (name, keys) in [
+        ("l", [Value::Int(1), Value::Int(2)]),
+        ("r", [Value::str("1"), Value::str("a")]),
+    ] {
+        let mut rel = AuRelation::new(Schema::qualified(name, ["k"]));
+        for k in keys {
+            rel.push(AuTuple {
+                values: vec![RangeValue::point(k)],
+                mult: MultBound::certain(1),
+            });
+        }
+        catalog.register(name, ua_engine::au_table(&rel));
+    }
+    let plan = Plan::HashJoin {
+        left: Box::new(Plan::Scan("l".into())),
+        right: Box::new(Plan::Scan("r".into())),
+        keys: vec![(Expr::named("l.k"), Expr::named("r.k"))],
+        residual: None,
+        build_left: true,
+    };
+    let probe_major: Vec<(Value, Value)> = [("1", 1), ("1", 2), ("a", 1), ("a", 2)]
+        .into_iter()
+        .map(|(r, l)| (Value::Int(l), Value::str(r)))
+        .collect();
+    let pairs = |t: &Table| -> Vec<(Value, Value)> {
+        t.rows()
+            .iter()
+            .map(|row| (row.values()[0].clone(), row.values()[1].clone()))
+            .collect()
+    };
+    let row = ua_engine::au_table(&ua_engine::execute_au(&plan, &catalog).expect("au row"));
+    assert_eq!(pairs(&row), probe_major, "row engine");
+    for (threads, batch_rows) in [(1, 1), (2, 1), (1, 1024)] {
+        let vec =
+            ua_vecexec::execute_au_vectorized_opts(&plan, &catalog, opts(threads, batch_rows))
+                .expect("au vec");
+        assert_eq!(
+            pairs(&vec),
+            probe_major,
+            "threads={threads} batch={batch_rows}"
+        );
     }
 }
 

@@ -348,6 +348,72 @@ fn pointness_survives_filter_and_project() {
     }
 }
 
+/// All-point data through σ → ⋈ → ⋈ → π: each hash join gathers its two
+/// sides through one aliasing-aware gather, so a point column leaves every
+/// join — and the π above them — with its bounds still *being* its `bg`
+/// buffer, and the join's output matches the row interpreter's.
+#[test]
+fn pointness_survives_hash_joins() {
+    let catalog = Catalog::new();
+    for (name, rows) in [("a", 120i64), ("b", 40), ("c", 12)] {
+        let mut rel = AuRelation::new(Schema::qualified(name, ["k", "x"]));
+        for i in 0..rows {
+            rel.push(AuTuple {
+                values: vec![
+                    RangeValue::point(Value::Int(i % 40)),
+                    RangeValue::point(Value::float(i as f64 / 8.0)),
+                ],
+                mult: MultBound::certain(1),
+            });
+        }
+        catalog.register(name, ua_engine::au_table(&rel));
+    }
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    // (a ⋈ b) ⋈ c, σ below the probe side, both joins probing a's pipeline.
+    let inner = Plan::HashJoin {
+        left: Box::new(Plan::Filter {
+            input: scan("a"),
+            // Keeps some rows of every batch: a real selection.
+            predicate: Expr::named("a.x").lt(Expr::lit(10.0)),
+        }),
+        right: scan("b"),
+        keys: vec![(Expr::named("a.k"), Expr::named("b.k"))],
+        residual: None,
+        build_left: false,
+    };
+    let plan = Plan::Map {
+        input: Box::new(Plan::HashJoin {
+            left: Box::new(inner),
+            right: scan("c"),
+            keys: vec![(Expr::named("b.k"), Expr::named("c.k"))],
+            residual: None,
+            build_left: false,
+        }),
+        columns: vec![
+            ProjColumn::expr(Expr::named("a.k"), "k"),
+            ProjColumn::expr(Expr::named("a.x").add(Expr::named("c.x")), "s"),
+            ProjColumn::expr(Expr::named("b.x"), "bx"),
+        ],
+    };
+    let row = ua_engine::au_table(&ua_engine::execute_au(&plan, &catalog).expect("au row"));
+    for (threads, batch_rows) in [(1, 16), (2, 16), (1, 1024), (2, 1024)] {
+        let out = ua_vecexec::stream(&plan, &catalog, opts(threads, batch_rows), Semantics::Au)
+            .expect("au vec");
+        assert_eq!(out.num_rows(), 24);
+        let n = 3;
+        for b in &out.batches {
+            for c in 0..n {
+                assert!(
+                    b.column(n + c).shares_buffer(b.column(c))
+                        && b.column(2 * n + c).shares_buffer(b.column(c)),
+                    "column {c} lost its pointness (threads={threads} batch={batch_rows})"
+                );
+            }
+        }
+        assert_eq!(row.rows(), ua_vecexec::table_from_batches(&out).rows());
+    }
+}
+
 /// One row whose interval product overflows `i64`: the kernel abandons
 /// that row's batch — 16 rows of 48 — and no other, the row evaluator
 /// widens the row to top, and the result is the row interpreter's.
