@@ -11,11 +11,14 @@
 //! * [`relation::Relation`] — K-relations (annotation maps) over any
 //!   [`ua_semiring::Semiring`];
 //! * [`algebra`] — the positive relational algebra with K-relational
-//!   semantics, one evaluator for every annotation domain.
+//!   semantics, one evaluator for every annotation domain;
+//! * [`agg`] — the SQL aggregate functions and their one running fold,
+//!   [`agg::AggState`], shared by every engine and semantics.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agg;
 pub mod algebra;
 pub mod expr;
 pub mod hash;
@@ -24,6 +27,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
+pub use agg::{AggFunc, AggState};
 pub use algebra::{eval, ProjColumn, RaError, RaExpr};
 pub use expr::{ArithOp, CmpOp, Expr, ExprError, Truth};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};

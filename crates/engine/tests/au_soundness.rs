@@ -670,6 +670,61 @@ fn overflowing_interval_endpoints_widen_instead_of_wrapping() {
     assert!(!w_of(2).contains(&Value::Int(21)) && !w_of(2).is_top());
 }
 
+/// AU `COUNT` over registered multiplicities at `i64::MAX` saturates
+/// instead of wrapping: two rows used to count `[-2, -2, i64::MAX]` and
+/// three panicked a debug build in the lower-bound sum. Global
+/// `COUNT(*)`, `COUNT(x)` and a grouped `COUNT(*)` now answer
+/// `[i64::MAX, i64::MAX, i64::MAX]`, byte-identically on both engines.
+#[test]
+fn count_over_huge_multiplicities_saturates_instead_of_wrapping() {
+    use ua_ranges::{AuRelation, AuTuple, Bound, RangeValue};
+    let huge = i64::MAX as u64;
+    let max = Value::Int(i64::MAX);
+    for n_rows in [2usize, 3] {
+        let mut rel = AuRelation::new(Schema::qualified("t", ["g", "x"]));
+        for _ in 0..n_rows {
+            rel.push(AuTuple {
+                values: vec![
+                    RangeValue::point(Value::Int(0)),
+                    RangeValue::point(Value::Int(1)),
+                ],
+                mult: MultBound::new(huge, huge, huge),
+            });
+        }
+        for sql in [
+            "SELECT count(*) AS n FROM t",
+            "SELECT count(x) AS n FROM t",
+            "SELECT g, count(*) AS n FROM t GROUP BY g",
+        ] {
+            let results: Vec<_> = [ExecMode::Row, ExecMode::Vectorized]
+                .into_iter()
+                .map(|mode| {
+                    let session = UaSession::with_mode(mode);
+                    session.register_au_relation("t", &rel);
+                    session
+                        .query_au(sql)
+                        .unwrap_or_else(|e| panic!("{mode:?} `{sql}` over {n_rows} rows: {e}"))
+                })
+                .collect();
+            assert_eq!(
+                results[0].table.rows(),
+                results[1].table.rows(),
+                "engines diverge on `{sql}` over {n_rows} rows"
+            );
+            let decoded = results[0].decode();
+            let [row] = decoded.rows() else {
+                panic!("`{sql}` over {n_rows} rows: one group expected");
+            };
+            let n = row.values.last().expect("the count column");
+            assert_eq!(
+                (n.lb(), &n.bg, n.ub()),
+                (&Bound::Val(max.clone()), &max, &Bound::Val(max.clone())),
+                "`{sql}` over {n_rows} rows"
+            );
+        }
+    }
+}
+
 /// AU `GROUP BY` over a key column holding both `1` and `1.0`: two
 /// selected-guess groups (as in every world) that share one normalized
 /// key. The certain `1` is a possible member of the group `1.0` but never a

@@ -539,3 +539,139 @@ fn staleness_counter_and_catalog_gauges() {
         "ANALYZE must pre-empt the staleness event"
     );
 }
+
+/// `EXPLAIN ANALYZE` with its wall times masked: every `time=` column and
+/// the `build_ns` extra become `*`; names, rows, estimates and the
+/// deterministic extras stay.
+fn mask_times(report: &str) -> String {
+    let mask = |word: &str| {
+        for key in ["time=", "build_ns="] {
+            if let Some(value) = word.strip_prefix(key) {
+                let tail = value.trim_start_matches(|c: char| c != ',' && c != ')');
+                return format!("{key}*{tail}");
+            }
+        }
+        word.to_string()
+    };
+    report
+        .lines()
+        .map(|line| line.split(' ').map(mask).collect::<Vec<_>>().join(" "))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Golden row-engine stats trees over a two-way hash join under a
+/// projection, one per semantics. The join span reports its build / probe
+/// split and build table; under UA the `⟦⋈⟧` projection counts the
+/// certain rows and the join below it does not — its output is
+/// `left ++ right`, whose last column is only the right side's marker.
+#[test]
+fn golden_row_join_trees() {
+    let s = seeded_session();
+    s.set_exec_mode(ExecMode::Row);
+    let det = "SELECT o.ok, c.dk FROM orders o, cust c \
+               WHERE o.ck = c.ck AND o.total >= 490";
+    let annotated = "SELECT x.v, c.dk FROM t IS TI WITH PROBABILITY (p) x, \
+                     cu IS TI WITH PROBABILITY (p) c WHERE x.g = c.ck AND x.v >= 190";
+    let reports = [
+        ("det", s.explain_analyze_det(det)),
+        ("ua", s.explain_analyze_ua(annotated)),
+        ("au", s.explain_analyze_au(annotated)),
+    ];
+    let expected: [&[&str]; 3] = [
+        &[
+            "plan:",
+            "  Map[o.ok→ok, c.dk→dk](Filter[((o.ck = c.ck) AND (o.total >= 490))](Cross(Alias[o](Scan(orders)), Alias[c](Scan(cust)))))",
+            "physical (optimized):",
+            "  Map[o.ok→ok, c.dk→dk](HashJoin[o.ck=c.ck; build=left](Alias[o](Filter[(total >= 490)](Scan(orders))), Alias[c](Scan(cust))))",
+            "execution (EXPLAIN ANALYZE, engine=row semantics=det):",
+            "  Map[o.ok→ok, c.dk→dk] rows=11 est=11 time=*",
+            "    HashJoin[o.ck=c.ck; build=left] rows=11 est=11 time=* (build_rows=11, probe_rows=120, build_ns=*, mem_bytes=352)",
+            "      Alias[o] rows=11 est=11 time=*",
+            "        Filter[(total >= 490)] rows=11 est=11 time=*",
+            "          Scan[orders] rows=600 est=600 time=*",
+            "      Alias[c] rows=120 est=120 time=*",
+            "        Scan[cust] rows=120 est=120 time=*",
+            "  memory: query peak=352 bytes",
+        ],
+        &[
+            "user plan:",
+            "  Map[x.v→v, c.dk→dk](Filter[((x.g = c.ck) AND (x.v >= 190))](Cross(Alias[x](Scan(__ua__t__ti_1_p)), Alias[c](Scan(__ua__cu__ti_1_p)))))",
+            "rewritten (⟦·⟧_UA):",
+            "  Map[x.v→v, c.dk→dk, ua_c→ua_c](Filter[((x.g = c.ck) AND (x.v >= 190))](Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c](Cross(Alias[x](Scan(__ua__t__ti_1_p)), Alias[c](Scan(__ua__cu__ti_1_p))))))",
+            "physical (optimized):",
+            "  Map[x.v→v, c.dk→dk, ua_c→ua_c](Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c](HashJoin[#0=#0; build=left](Alias[x](Filter[(#1 >= 190)](Scan(__ua__t__ti_1_p))), Alias[c](Scan(__ua__cu__ti_1_p)))))",
+            "execution (EXPLAIN ANALYZE, engine=row semantics=ua):",
+            "  Map[x.v→v, c.dk→dk, ua_c→ua_c] rows=10 est=10 time=* (certain_rows=8)",
+            "    Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c] rows=10 est=10 time=* (certain_rows=8)",
+            "      HashJoin[#0=#0; build=left] rows=10 est=10 time=* (build_rows=10, probe_rows=120, build_ns=*, mem_bytes=200)",
+            "        Alias[x] rows=10 est=10 time=* (certain_rows=8)",
+            "          Filter[(#1 >= 190)] rows=10 est=10 time=* (certain_rows=8)",
+            "            Scan[__ua__t__ti_1_p] rows=200 est=200 time=* (certain_rows=150)",
+            "        Alias[c] rows=120 est=120 time=* (certain_rows=120)",
+            "          Scan[__ua__cu__ti_1_p] rows=120 est=120 time=* (certain_rows=120)",
+            "  memory: query peak=200 bytes",
+        ],
+        &[
+            "plan:",
+            "  Map[x.v→v, c.dk→dk](Filter[((x.g = c.ck) AND (x.v >= 190))](Cross(Alias[x](Scan(__au__t__ti_1_p)), Alias[c](Scan(__au__cu__ti_1_p)))))",
+            "physical (optimized):",
+            "  Map[x.v→v, c.dk→dk](HashJoin[x.g=c.ck; build=left](Alias[x](Filter[(v >= 190)](Scan(__au__t__ti_1_p))), Alias[c](Scan(__au__cu__ti_1_p))))",
+            "execution (EXPLAIN ANALYZE, engine=row semantics=au):",
+            "  Map[x.v→v, c.dk→dk] rows=10 est=10 time=* (certain_rows=8, top_attrs_permille=0, rel_width_permille=0, mult_spread=2, mem_bytes=1200)",
+            "    HashJoin[x.g=c.ck; build=left] rows=10 est=10 time=* (certain_rows=8, top_attrs_permille=0, rel_width_permille=0, mult_spread=2, mem_bytes=2160)",
+            "      Alias[x] rows=10 est=10 time=* (certain_rows=8, top_attrs_permille=0, rel_width_permille=0, mult_spread=2, mem_bytes=1200)",
+            "        Filter[(v >= 190)] rows=10 est=10 time=* (certain_rows=8, top_attrs_permille=0, rel_width_permille=0, mult_spread=2, mem_bytes=1200)",
+            "          Scan[__au__t__ti_1_p] rows=200 est=200 time=* (certain_rows=150, top_attrs_permille=0, rel_width_permille=0, mult_spread=50, mem_bytes=24000)",
+            "      Alias[c] rows=120 est=120 time=* (certain_rows=120, top_attrs_permille=0, rel_width_permille=0, mult_spread=0, mem_bytes=14400)",
+            "        Scan[__au__cu__ti_1_p] rows=120 est=120 time=* (certain_rows=120, top_attrs_permille=0, rel_width_permille=0, mult_spread=0, mem_bytes=14400)",
+            "  memory: query peak=24000 bytes",
+        ],
+    ];
+    for ((sem, report), expected) in reports.into_iter().zip(expected) {
+        let report = mask_times(&report.unwrap_or_else(|e| panic!("{sem}: {e}")));
+        assert_eq!(
+            report,
+            expected.join("\n"),
+            "{sem} row join golden drifted:\n{report}"
+        );
+    }
+}
+
+/// No row-engine inner join span counts `certain_rows` under UA, also
+/// where an error-capable filter stays between the join and its `⟦⋈⟧`
+/// projection: the join's output ends in the right side's marker only,
+/// which is not the joined rows' certainty (the count was reported there
+/// before).
+#[test]
+fn ua_row_inner_join_spans_count_no_certain_rows() {
+    fn joins_under_filters(node: &ua_obs::OperatorStats, parent: &str, found: &mut usize) {
+        if matches!(node.name.as_str(), "Join" | "HashJoin" | "Cross") {
+            assert!(
+                !node.extra.iter().any(|(k, _)| k == "certain_rows"),
+                "join span counts certain rows: {node:?}"
+            );
+            *found += usize::from(parent == "Filter");
+        }
+        for child in &node.children {
+            joins_under_filters(child, &node.name, found);
+        }
+    }
+    let s = seeded_session();
+    s.set_exec_mode(ExecMode::Row);
+    s.set_stats_enabled(true);
+    s.query_ua(
+        "SELECT q.v FROM (SELECT x.v AS v, c.dk AS dk FROM t IS TI WITH PROBABILITY (p) x, \
+         cu IS TI WITH PROBABILITY (p) c WHERE x.g = c.ck) q WHERE q.v * q.dk >= 1",
+    )
+    .expect("ua");
+    let stats = s.last_query_stats().expect("stats");
+    let mut found = 0;
+    joins_under_filters(&stats.root, "", &mut found);
+    assert_eq!(
+        found,
+        1,
+        "a hash join directly under a filter:\n{}",
+        stats.render(false)
+    );
+}

@@ -1,7 +1,8 @@
-//! The AU row interpreter: `⟦·⟧_AU` evaluated operator by operator.
+//! The AU row operators: `⟦·⟧_AU` evaluated operator by operator.
 //!
-//! The row engine executes AU plans natively by interpreting each
-//! operator over [`AuRelation`]s with the shared `ua_ranges::ops`
+//! The row engine executes AU plans natively through the same recursion
+//! as det / UA plans (`stats::interpret`), instantiated over
+//! [`AuRelation`]s: each operator applies the shared `ua_ranges::ops`
 //! implementations ([`execute_au`]). It is the oracle for the vectorized
 //! engine, whose one driver runs every operator over range column triples
 //! — calling the same bound rules and pair loop (`ua_ranges::ops`'
@@ -12,13 +13,14 @@
 //! live in `ua-engine`.
 
 use crate::exec::EngineError;
-use crate::plan::{AggFunc, Plan, SortOrder};
+use crate::plan::{Plan, SortOrder};
+use crate::stats::{interpret, RowOperators, Tracer};
 use crate::storage::{Catalog, Table};
 use ua_core::{expr_mentions_marker, UA_LABEL_COLUMN};
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::{Column, SchemaError};
-use ua_ranges::{decode_rows, encode_rows, flattened_schema, AggKind, AggSpec, AuRelation};
+use ua_ranges::{decode_rows, encode_rows, flattened_schema, AggSpec, AuRelation};
 
 /// Whether a column name is one of the AU encoding's sidecars (bound
 /// columns or the multiplicity triple). Matches only the *exact* names
@@ -60,60 +62,11 @@ pub fn reject_marker_in_plan(plan: &Plan) -> Result<(), EngineError> {
     plan.inputs().try_for_each(reject_marker_in_plan)
 }
 
-/// Map the engine's aggregate functions onto the range layer's kinds.
-pub fn agg_kind(func: AggFunc) -> AggKind {
-    match func {
-        AggFunc::Count => AggKind::Count,
-        AggFunc::CountStar => AggKind::CountStar,
-        AggFunc::Sum => AggKind::Sum,
-        AggFunc::Min => AggKind::Min,
-        AggFunc::Max => AggKind::Max,
-        AggFunc::Avg => AggKind::Avg,
-    }
-}
-
 /// Execute an AU plan on the row engine: each operator interprets over
 /// [`AuRelation`]s via the shared `ua_ranges::ops` — the bound rules the
 /// vectorized engine's column-native operators are tested against.
 pub fn execute_au(plan: &Plan, catalog: &Catalog) -> Result<AuRelation, EngineError> {
-    execute_au_traced(plan, catalog, &mut crate::stats::Tracer::off())
-}
-
-/// [`execute_au`] with a span tracer threaded through the recursion (see
-/// [`crate::exec::execute_traced`] — same contract: no-op when off,
-/// byte-identical results either way).
-pub(crate) fn execute_au_traced(
-    plan: &Plan,
-    catalog: &Catalog,
-    tracer: &mut crate::stats::Tracer<'_>,
-) -> Result<AuRelation, EngineError> {
-    let trace_name = ua_obs::trace_active().then(|| crate::stats::node_label(plan).0);
-    if let Some(name) = &trace_name {
-        ua_obs::trace_begin(name, "operator");
-    }
-    tracer.enter(plan);
-    let result = plan
-        .inputs()
-        .map(|input| execute_au_traced(input, catalog, tracer))
-        .collect::<Result<Vec<_>, _>>()
-        .and_then(|inputs| au_operator(plan, &inputs, catalog));
-    let result = match result {
-        Ok(rel) => {
-            if tracer.enabled() {
-                au_span_extras(&rel, tracer);
-            }
-            tracer.exit(rel.rows().len());
-            Ok(rel)
-        }
-        Err(e) => {
-            tracer.abandon();
-            Err(e)
-        }
-    };
-    if let Some(name) = &trace_name {
-        ua_obs::trace_end(name, "operator");
-    }
-    result
+    interpret(plan, catalog, &mut Tracer::off())
 }
 
 /// Record the AU telemetry extras for a finished span: the bound-precision
@@ -121,7 +74,7 @@ pub(crate) fn execute_au_traced(
 /// ⊤, and by how much) plus the logical bytes of the materialized
 /// range-annotated relation. The materialization is also charged against
 /// the query-wide memory high-water mark.
-fn au_span_extras(rel: &AuRelation, tracer: &mut crate::stats::Tracer<'_>) {
+fn au_span_extras(rel: &AuRelation, tracer: &mut Tracer<'_>) {
     let ws = ua_ranges::WidthSummary::of(rel);
     tracer.extra("certain_rows", ws.certain_rows);
     tracer.extra("top_attrs_permille", ws.top_attr_permille());
@@ -159,85 +112,96 @@ pub(crate) fn au_relation_mem_bytes(rel: &AuRelation) -> u64 {
         .sum()
 }
 
-/// Apply the AU operator at the root of `plan` to its already-evaluated
-/// `inputs` (in [`Plan::inputs`] order: the one input of a unary operator,
-/// the left and right ones of a binary one).
-fn au_operator(
-    plan: &Plan,
-    inputs: &[AuRelation],
-    catalog: &Catalog,
-) -> Result<AuRelation, EngineError> {
-    use ua_ranges::ops;
-    let columns = |cs: &[ProjColumn]| -> Vec<(Expr, Column)> {
-        cs.iter()
-            .map(|c| (c.expr.clone(), c.column.clone()))
-            .collect()
-    };
-    let input = |i: usize| &inputs[i];
-    match plan {
-        Plan::Scan(name) => catalog
-            .get(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.clone()))
-            .and_then(|table| decode_rows(table.schema(), table.rows()).map_err(EngineError::Sql)),
-        Plan::Alias { name, .. } => {
-            let schema = input(0).schema().with_qualifier(name);
-            Ok(input(0).clone().with_schema(schema))
-        }
-        Plan::Filter { predicate, .. } => {
-            ops::filter(input(0), predicate).map_err(EngineError::Expr)
-        }
-        Plan::Map { columns: cs, .. } => {
-            ops::map(input(0), &columns(cs)).map_err(EngineError::Expr)
-        }
-        Plan::Distinct { .. } => Ok(ops::distinct(input(0))),
-        Plan::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } => {
-            let specs: Vec<AggSpec> = aggregates
-                .iter()
-                .map(|a| AggSpec {
-                    kind: agg_kind(a.func),
-                    arg: a.arg.clone(),
-                    column: Column::unqualified(&a.name),
+/// The AU operators: the shared `ua_ranges::ops` over [`AuRelation`]s.
+impl RowOperators for AuRelation {
+    fn operator(
+        plan: &Plan,
+        mut inputs: Vec<AuRelation>,
+        catalog: &Catalog,
+        _: &mut Tracer<'_>,
+    ) -> Result<AuRelation, EngineError> {
+        use ua_ranges::ops;
+        let columns = |cs: &[ProjColumn]| -> Vec<(Expr, Column)> {
+            cs.iter()
+                .map(|c| (c.expr.clone(), c.column.clone()))
+                .collect()
+        };
+        let input = |i: usize| &inputs[i];
+        match plan {
+            Plan::Scan(name) => catalog
+                .get(name)
+                .ok_or_else(|| EngineError::UnknownTable(name.clone()))
+                .and_then(|table| {
+                    decode_rows(table.schema(), table.rows()).map_err(EngineError::Sql)
+                }),
+            Plan::Alias { name, .. } => {
+                let rel = inputs.pop().expect("one evaluated input");
+                let schema = rel.schema().with_qualifier(name);
+                Ok(rel.with_schema(schema))
+            }
+            Plan::Filter { predicate, .. } => {
+                ops::filter(input(0), predicate).map_err(EngineError::Expr)
+            }
+            Plan::Map { columns: cs, .. } => {
+                ops::map(input(0), &columns(cs)).map_err(EngineError::Expr)
+            }
+            Plan::Distinct { .. } => Ok(ops::distinct(input(0))),
+            Plan::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => {
+                let specs: Vec<AggSpec> = aggregates
+                    .iter()
+                    .map(|a| AggSpec {
+                        kind: a.func,
+                        arg: a.arg.clone(),
+                        column: Column::unqualified(&a.name),
+                    })
+                    .collect();
+                ops::aggregate(input(0), &columns(group_by), &specs).map_err(EngineError::Expr)
+            }
+            Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
+                let keys: Vec<(Expr, bool)> = keys
+                    .iter()
+                    .map(|(e, o)| (e.clone(), *o == SortOrder::Desc))
+                    .collect();
+                let sorted = ops::sort_by_bg(input(0), &keys).map_err(EngineError::Expr)?;
+                Ok(match plan {
+                    Plan::TopK { limit, .. } => ops::limit(&sorted, *limit),
+                    _ => sorted,
                 })
-                .collect();
-            ops::aggregate(input(0), &columns(group_by), &specs).map_err(EngineError::Expr)
+            }
+            Plan::Limit { limit, .. } => Ok(ops::limit(input(0), *limit)),
+            Plan::Join { predicate, .. } => {
+                ops::join(input(0), input(1), predicate.as_ref()).map_err(EngineError::Expr)
+            }
+            Plan::HashJoin {
+                keys,
+                residual,
+                build_left,
+                ..
+            } => ops::hash_join(input(0), input(1), keys, residual.as_ref(), *build_left)
+                .map_err(EngineError::Expr),
+            Plan::UnionAll { .. } => ops::union(input(0), input(1)).map_err(EngineError::Schema),
+            Plan::Except { all, .. } => {
+                ops::except(input(0), input(1), *all).map_err(EngineError::Schema)
+            }
+            Plan::OuterJoin {
+                predicate, kind, ..
+            } => {
+                let left_kind = *kind == crate::plan::OuterKind::Left;
+                ops::outer_join(input(0), input(1), predicate.as_ref(), left_kind)
+                    .map_err(EngineError::Expr)
+            }
         }
-        Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
-            let keys: Vec<(Expr, bool)> = keys
-                .iter()
-                .map(|(e, o)| (e.clone(), *o == SortOrder::Desc))
-                .collect();
-            let sorted = ops::sort_by_bg(input(0), &keys).map_err(EngineError::Expr)?;
-            Ok(match plan {
-                Plan::TopK { limit, .. } => ops::limit(&sorted, *limit),
-                _ => sorted,
-            })
+    }
+
+    fn close_span(&self, _: &Plan, tracer: &mut Tracer<'_>) -> usize {
+        if tracer.enabled() {
+            au_span_extras(self, tracer);
         }
-        Plan::Limit { limit, .. } => Ok(ops::limit(input(0), *limit)),
-        Plan::Join { predicate, .. } => {
-            ops::join(input(0), input(1), predicate.as_ref()).map_err(EngineError::Expr)
-        }
-        Plan::HashJoin {
-            keys,
-            residual,
-            build_left,
-            ..
-        } => ops::hash_join(input(0), input(1), keys, residual.as_ref(), *build_left)
-            .map_err(EngineError::Expr),
-        Plan::UnionAll { .. } => ops::union(input(0), input(1)).map_err(EngineError::Schema),
-        Plan::Except { all, .. } => {
-            ops::except(input(0), input(1), *all).map_err(EngineError::Schema)
-        }
-        Plan::OuterJoin {
-            predicate, kind, ..
-        } => {
-            let left_kind = *kind == crate::plan::OuterKind::Left;
-            ops::outer_join(input(0), input(1), predicate.as_ref(), left_kind)
-                .map_err(EngineError::Expr)
-        }
+        self.rows().len()
     }
 }
 

@@ -1,24 +1,28 @@
-//! The row-at-a-time executor.
+//! The row-at-a-time executor's det / UA operators.
 //!
 //! Evaluates [`Plan`]s against a [`Catalog`], materializing each operator's
-//! output. Every det / UA join — inner, θ, hash and outer, `NOT IN`
-//! included — is one pair loop, `join_rows`, over the candidates its
-//! [`JoinSpec`] names: a hash table on the equi-keys the K-relation
-//! evaluator extracts too, every build row when there are none. The
-//! vectorized engine's `ProbeState` takes the same spec, so both engines
-//! try the same pairs in the same order. `WHERE` follows
-//! SQL semantics: only rows whose predicate is *certainly* true survive
-//! (`Unknown` rejects, matching `θ(t) ∈ {0_K, 1_K}` of the paper).
+//! output: the [`Table`] arm of the row interpreter's one recursion
+//! (`stats::interpret`, which brackets every node with its stats span and
+//! hands this module's operator the evaluated inputs). Every det / UA join
+//! — inner, θ, hash and outer, `NOT IN` included — is one pair loop,
+//! `join_rows`, over the candidates its [`JoinSpec`] names: a hash table
+//! on the equi-keys the K-relation evaluator extracts too, every build row
+//! when there are none. The vectorized engine's `ProbeState` takes the
+//! same spec, so both engines try the same pairs in the same order.
+//! `WHERE` follows SQL semantics: only rows whose predicate is *certainly*
+//! true survive (`Unknown` rejects, matching `θ(t) ∈ {0_K, 1_K}` of the
+//! paper).
 
-use crate::plan::{AggExpr, AggFunc, OuterKind, Plan, SortOrder};
-use crate::stats::Tracer;
+use crate::plan::{AggExpr, OuterKind, Plan, SortOrder};
+use crate::stats::{interpret, RowOperators, Tracer};
 use crate::storage::{Catalog, Table};
 use std::fmt;
+pub use ua_data::agg::AggState;
 use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError};
 use ua_data::schema::{Schema, SchemaError};
 use ua_data::tuple::Tuple;
-use ua_data::value::{Value, F64};
+use ua_data::value::Value;
 use ua_data::FxHashMap;
 use ua_obs::Stopwatch;
 
@@ -80,42 +84,150 @@ pub const UA_FRAGMENT_ERROR: &str = "UA queries support the relational algebra \
 
 /// Execute `plan` against `catalog`, materializing the result.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Table, EngineError> {
-    execute_traced(plan, catalog, &mut Tracer::off())
+    interpret(plan, catalog, &mut Tracer::off())
 }
 
-/// [`execute`] with a span tracer threaded through the recursion: each node
-/// opens a span (stamped with the planner's cardinality estimate), executes,
-/// and closes it with actual rows and wall time. A no-op for
-/// [`Tracer::off`]; results are byte-identical either way. On error each
-/// open span is closed with an `error=1` marker, so the tracer still
-/// finishes into a (partial) tree. When query tracing is armed
-/// (`ua_obs::trace_start`), each node additionally brackets an `operator`
-/// trace span — independent of the stats tracer.
-pub(crate) fn execute_traced(
-    plan: &Plan,
-    catalog: &Catalog,
-    tracer: &mut Tracer<'_>,
-) -> Result<Table, EngineError> {
-    let trace_name = ua_obs::trace_active().then(|| crate::stats::node_label(plan).0);
-    if let Some(name) = &trace_name {
-        ua_obs::trace_begin(name, "operator");
-    }
-    tracer.enter(plan);
-    let result = match execute_node(plan, catalog, tracer) {
-        Ok(t) => {
-            ua_certainty_extras(&t, tracer);
-            tracer.exit(t.len());
-            Ok(t)
+/// The det / UA operators: UA plans arrive `⟦·⟧_UA`-rewritten and run as
+/// deterministic ones over the `Enc` tables.
+impl RowOperators for Table {
+    fn operator(
+        plan: &Plan,
+        inputs: Vec<Table>,
+        catalog: &Catalog,
+        tracer: &mut Tracer<'_>,
+    ) -> Result<Table, EngineError> {
+        let mut inputs = inputs.into_iter();
+        let mut input = || inputs.next().expect("one evaluated input per plan input");
+        match plan {
+            Plan::Scan(name) => catalog
+                .get(name)
+                .map(|t| (*t).clone())
+                .ok_or_else(|| EngineError::UnknownTable(name.clone())),
+            Plan::Alias { name, .. } => {
+                let t = input();
+                let schema = t.schema().with_qualifier(name);
+                Ok(t.with_schema(schema))
+            }
+            Plan::Filter { predicate, .. } => {
+                let t = input();
+                let bound = predicate.bind(t.schema())?;
+                let mut out = Table::new(t.schema().clone());
+                for row in t.rows() {
+                    if bound.holds(row)? {
+                        out.push(row.clone());
+                    }
+                }
+                Ok(out)
+            }
+            Plan::Map { columns, .. } => {
+                let t = input();
+                let bound: Vec<Expr> = columns
+                    .iter()
+                    .map(|c| c.expr.bind(t.schema()))
+                    .collect::<Result<_, _>>()?;
+                let schema = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
+                let mut out = Table::new(schema);
+                for row in t.rows() {
+                    let mapped: Tuple = bound
+                        .iter()
+                        .map(|e| e.eval(row))
+                        .collect::<Result<_, _>>()?;
+                    out.push(mapped);
+                }
+                Ok(out)
+            }
+            Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. } => {
+                let (l, r) = (input(), input());
+                let spec = JoinSpec::bind(plan, l.schema(), r.schema())?;
+                let mut out = Table::new(spec.schema.clone());
+                // An outer join reports no build figures.
+                let metered = tracer.enabled() && !matches!(plan, Plan::OuterJoin { .. });
+                let mut meter = metered.then(JoinMeter::default);
+                join_rows(&l, &r, &spec, meter.as_mut(), &mut |joined| {
+                    out.push(joined);
+                    Ok(())
+                })?;
+                join_span_extras(plan, &l, &r, meter.as_ref(), tracer);
+                Ok(out)
+            }
+            Plan::UnionAll { .. } => {
+                let (mut out, r) = (input(), input());
+                out.schema().check_union_compatible(r.schema())?;
+                for row in r.rows() {
+                    out.push(row.clone());
+                }
+                Ok(out)
+            }
+            Plan::Distinct { .. } => {
+                let t = input();
+                let mut mem = tracer.enabled().then(ua_obs::MemTracker::new);
+                let mut seen: ua_data::FxHashSet<Tuple> = ua_data::FxHashSet::default();
+                let mut out = Table::new(t.schema().clone());
+                for row in t.rows() {
+                    if seen.insert(row.clone()) {
+                        if let Some(mem) = &mut mem {
+                            mem.alloc(crate::stats::tuple_mem_bytes(row));
+                        }
+                        out.push(row.clone());
+                    }
+                }
+                if let Some(mem) = &mem {
+                    tracer.extra("mem_bytes", mem.peak());
+                }
+                Ok(out)
+            }
+            Plan::Except { all, .. } => {
+                let (l, r) = (input(), input());
+                l.schema().check_union_compatible(r.schema())?;
+                let mut mem_bytes = 0u64;
+                let out =
+                    except_table_metered(&l, &r, *all, tracer.enabled().then_some(&mut mem_bytes));
+                if tracer.enabled() {
+                    tracer.extra("mem_bytes", mem_bytes);
+                }
+                Ok(out)
+            }
+            Plan::Aggregate {
+                group_by,
+                aggregates,
+                ..
+            } => aggregate(&input(), group_by, aggregates, tracer),
+            Plan::Sort { keys, .. } => {
+                let mut mem_bytes = 0u64;
+                let out =
+                    sort_table_metered(&input(), keys, tracer.enabled().then_some(&mut mem_bytes))?;
+                if tracer.enabled() {
+                    tracer.extra("mem_bytes", mem_bytes);
+                }
+                Ok(out)
+            }
+            Plan::Limit { limit, .. } => Ok(limit_table(&input(), *limit)),
+            Plan::TopK { keys, limit, .. } => {
+                let mut mem_bytes = 0u64;
+                let out = top_k_table_metered(
+                    &input(),
+                    keys,
+                    *limit,
+                    tracer.enabled().then_some(&mut mem_bytes),
+                )?;
+                if tracer.enabled() {
+                    tracer.extra("mem_bytes", mem_bytes);
+                }
+                Ok(out)
+            }
         }
-        Err(e) => {
-            tracer.abandon();
-            Err(e)
-        }
-    };
-    if let Some(name) = &trace_name {
-        ua_obs::trace_end(name, "operator");
     }
-    result
+
+    /// Record the UA certainty profile, except on an inner join: its
+    /// output is `left ++ right`, whose last column is only the right
+    /// side's marker; the `⟦⋈⟧` projection above it reports the join's
+    /// certain rows.
+    fn close_span(&self, plan: &Plan, tracer: &mut Tracer<'_>) -> usize {
+        if !matches!(plan, Plan::Join { .. } | Plan::HashJoin { .. }) {
+            ua_certainty_extras(self, tracer);
+        }
+        self.len()
+    }
 }
 
 /// Record the UA certainty profile on the current span: when the output
@@ -140,174 +252,6 @@ fn ua_certainty_extras(t: &Table, tracer: &mut Tracer<'_>) {
         .filter(|row| matches!(row.get(last), Some(Value::Int(n)) if *n >= 1))
         .count() as u64;
     tracer.extra("certain_rows", certain);
-}
-
-fn execute_node(
-    plan: &Plan,
-    catalog: &Catalog,
-    tracer: &mut Tracer<'_>,
-) -> Result<Table, EngineError> {
-    match plan {
-        Plan::Scan(name) => catalog
-            .get(name)
-            .map(|t| (*t).clone())
-            .ok_or_else(|| EngineError::UnknownTable(name.clone())),
-        Plan::Alias { input, name } => {
-            let t = execute_traced(input, catalog, tracer)?;
-            let schema = t.schema().with_qualifier(name);
-            Ok(t.with_schema(schema))
-        }
-        Plan::Filter { input, predicate } => {
-            let t = execute_traced(input, catalog, tracer)?;
-            let bound = predicate.bind(t.schema())?;
-            let mut out = Table::new(t.schema().clone());
-            for row in t.rows() {
-                if bound.holds(row)? {
-                    out.push(row.clone());
-                }
-            }
-            Ok(out)
-        }
-        Plan::Map { input, columns } => {
-            // Fuse projection into a child join: real engines pipeline, and
-            // the UA rewriting inserts exactly this Map-over-Join shape
-            // (Figure 9's join rule) — without fusion it would pay a full
-            // extra materialization pass over the join result.
-            if let Plan::Join { left, right, .. } | Plan::HashJoin { left, right, .. } =
-                input.as_ref()
-            {
-                // The fused join still gets its own span (between the Map
-                // span and the input spans), with joined-row cardinality
-                // counted as rows stream through.
-                tracer.enter(input);
-                let l = execute_traced(left, catalog, tracer)?;
-                let r = execute_traced(right, catalog, tracer)?;
-                let join_schema = l.schema().concat(r.schema());
-                let bound: Vec<Expr> = columns
-                    .iter()
-                    .map(|c| c.expr.bind(&join_schema))
-                    .collect::<Result<_, _>>()?;
-                let out_schema = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
-                let mut out = Table::new(out_schema);
-                let mut joined_rows: usize = 0;
-                let mut meter = tracer.enabled().then(JoinMeter::default);
-                let spec = JoinSpec::bind(input, l.schema(), r.schema())?;
-                join_rows(&l, &r, &spec, meter.as_mut(), &mut |joined| {
-                    joined_rows += 1;
-                    let mapped: Tuple = bound
-                        .iter()
-                        .map(|e| e.eval(&joined))
-                        .collect::<Result<_, _>>()?;
-                    out.push(mapped);
-                    Ok(())
-                })?;
-                join_span_extras(input, &l, &r, meter.as_ref(), tracer);
-                tracer.extra("fused_into_map", 1);
-                tracer.exit(joined_rows);
-                return Ok(out);
-            }
-            let t = execute_traced(input, catalog, tracer)?;
-            let bound: Vec<Expr> = columns
-                .iter()
-                .map(|c| c.expr.bind(t.schema()))
-                .collect::<Result<_, _>>()?;
-            let schema = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
-            let mut out = Table::new(schema);
-            for row in t.rows() {
-                let mapped: Tuple = bound
-                    .iter()
-                    .map(|e| e.eval(row))
-                    .collect::<Result<_, _>>()?;
-                out.push(mapped);
-            }
-            Ok(out)
-        }
-        Plan::Join { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::OuterJoin { left, right, .. } => {
-            let l = execute_traced(left, catalog, tracer)?;
-            let r = execute_traced(right, catalog, tracer)?;
-            let spec = JoinSpec::bind(plan, l.schema(), r.schema())?;
-            let mut out = Table::new(spec.schema.clone());
-            // An outer join reports no build figures.
-            let metered = tracer.enabled() && !matches!(plan, Plan::OuterJoin { .. });
-            let mut meter = metered.then(JoinMeter::default);
-            join_rows(&l, &r, &spec, meter.as_mut(), &mut |joined| {
-                out.push(joined);
-                Ok(())
-            })?;
-            join_span_extras(plan, &l, &r, meter.as_ref(), tracer);
-            Ok(out)
-        }
-        Plan::UnionAll { left, right } => {
-            let l = execute_traced(left, catalog, tracer)?;
-            let r = execute_traced(right, catalog, tracer)?;
-            l.schema().check_union_compatible(r.schema())?;
-            let mut out = l.clone();
-            for row in r.rows() {
-                out.push(row.clone());
-            }
-            Ok(out)
-        }
-        Plan::Distinct { input } => {
-            let t = execute_traced(input, catalog, tracer)?;
-            let mut mem = tracer.enabled().then(ua_obs::MemTracker::new);
-            let mut seen: ua_data::FxHashSet<Tuple> = ua_data::FxHashSet::default();
-            let mut out = Table::new(t.schema().clone());
-            for row in t.rows() {
-                if seen.insert(row.clone()) {
-                    if let Some(mem) = &mut mem {
-                        mem.alloc(crate::stats::tuple_mem_bytes(row));
-                    }
-                    out.push(row.clone());
-                }
-            }
-            if let Some(mem) = &mem {
-                tracer.extra("mem_bytes", mem.peak());
-            }
-            Ok(out)
-        }
-        Plan::Except { left, right, all } => {
-            let l = execute_traced(left, catalog, tracer)?;
-            let r = execute_traced(right, catalog, tracer)?;
-            l.schema().check_union_compatible(r.schema())?;
-            let mut mem_bytes = 0u64;
-            let out =
-                except_table_metered(&l, &r, *all, tracer.enabled().then_some(&mut mem_bytes));
-            if tracer.enabled() {
-                tracer.extra("mem_bytes", mem_bytes);
-            }
-            Ok(out)
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => aggregate(input, group_by, aggregates, catalog, tracer),
-        Plan::Sort { input, keys } => {
-            let t = execute_traced(input, catalog, tracer)?;
-            let mut mem_bytes = 0u64;
-            let out = sort_table_metered(&t, keys, tracer.enabled().then_some(&mut mem_bytes))?;
-            if tracer.enabled() {
-                tracer.extra("mem_bytes", mem_bytes);
-            }
-            Ok(out)
-        }
-        Plan::Limit { input, limit } => {
-            let t = execute_traced(input, catalog, tracer)?;
-            Ok(limit_table(&t, *limit))
-        }
-        Plan::TopK { input, keys, limit } => {
-            let t = execute_traced(input, catalog, tracer)?;
-            let mut mem_bytes = 0u64;
-            let out =
-                top_k_table_metered(&t, keys, *limit, tracer.enabled().then_some(&mut mem_bytes))?;
-            if tracer.enabled() {
-                tracer.extra("mem_bytes", mem_bytes);
-            }
-            Ok(out)
-        }
-    }
 }
 
 /// Join instrumentation collected while streaming a join node: the build
@@ -372,9 +316,9 @@ fn decorated_row_cmp(
 }
 
 /// Sort a materialized table by `keys` (outermost first), with a
-/// deterministic full-row tie-break. Shared by both executors: the
-/// vectorized engine materializes before sorting too, so the operators stay
-/// byte-for-byte compatible.
+/// deterministic full-row tie-break — `decorated_row_cmp`, the ordering the
+/// vectorized engine's columnar `ops::sort` mirrors over its columns, so
+/// the two engines' sorts stay byte-for-byte compatible.
 pub fn sort_table(t: &Table, keys: &[(Expr, SortOrder)]) -> Result<Table, EngineError> {
     sort_table_metered(t, keys, None)
 }
@@ -789,155 +733,12 @@ fn join_rows(
     Ok(())
 }
 
-/// Running state of one aggregate.
-///
-/// Shared by both executors: the row engine feeds it one row at a time
-/// (`mult = 1`), the vectorized engine feeds batch rows weighted by their
-/// multiplicity column — keeping the two engines' aggregate semantics a
-/// single code path.
-pub enum AggState {
-    /// `COUNT(*)` / `COUNT(expr)` running count.
-    Count(u64),
-    /// `SUM(expr)` running total (int/float typing tracked).
-    Sum {
-        /// Accumulated total.
-        total: f64,
-        /// Whether only integer inputs were seen (result stays `Int`).
-        saw_int_only: bool,
-        /// Whether any numeric input was seen (`NULL` otherwise).
-        any: bool,
-    },
-    /// `MIN`/`MAX` best-so-far.
-    MinMax {
-        /// Current best value.
-        best: Option<Value>,
-        /// `true` for `MIN`, `false` for `MAX`.
-        is_min: bool,
-    },
-    /// `AVG(expr)` running total and count.
-    Avg {
-        /// Accumulated total.
-        total: f64,
-        /// Number of numeric inputs.
-        n: u64,
-    },
-}
-
-impl AggState {
-    /// Fresh state for `func`.
-    pub fn new(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count | AggFunc::CountStar => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum {
-                total: 0.0,
-                saw_int_only: true,
-                any: false,
-            },
-            AggFunc::Min => AggState::MinMax {
-                best: None,
-                is_min: true,
-            },
-            AggFunc::Max => AggState::MinMax {
-                best: None,
-                is_min: false,
-            },
-            AggFunc::Avg => AggState::Avg { total: 0.0, n: 0 },
-        }
-    }
-
-    /// Fold in `value` standing for `mult` duplicate rows (`None` = the
-    /// `COUNT(*)` row marker).
-    pub fn update(&mut self, value: Option<&Value>, mult: u64) {
-        match self {
-            AggState::Count(n) => {
-                // COUNT(*) passes None; COUNT(e) skips unknowns.
-                match value {
-                    None => *n += mult,
-                    Some(v) if !v.is_unknown() => *n += mult,
-                    _ => {}
-                }
-            }
-            AggState::Sum {
-                total,
-                saw_int_only,
-                any,
-            } => {
-                if let Some(v) = value {
-                    if let Some(x) = v.as_f64() {
-                        *total += x * mult as f64;
-                        *any = true;
-                        if matches!(v, Value::Float(_)) {
-                            *saw_int_only = false;
-                        }
-                    }
-                }
-            }
-            AggState::MinMax { best, is_min } => {
-                if let Some(v) = value {
-                    if v.is_unknown() {
-                        return;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => matches!(
-                            (v.sql_cmp(b), *is_min),
-                            (Some(std::cmp::Ordering::Less), true)
-                                | (Some(std::cmp::Ordering::Greater), false)
-                        ),
-                    };
-                    if better {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            AggState::Avg { total, n } => {
-                if let Some(v) = value {
-                    if let Some(x) = v.as_f64() {
-                        *total += x * mult as f64;
-                        *n += mult;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The final aggregate value.
-    pub fn finish(self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int(n as i64),
-            AggState::Sum {
-                total,
-                saw_int_only,
-                any,
-            } => {
-                if !any {
-                    Value::Null
-                } else if saw_int_only {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Float(F64::new(total))
-                }
-            }
-            AggState::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            AggState::Avg { total, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(F64::new(total / n as f64))
-                }
-            }
-        }
-    }
-}
-
 fn aggregate(
-    input: &Plan,
+    t: &Table,
     group_by: &[ua_data::algebra::ProjColumn],
     aggregates: &[AggExpr],
-    catalog: &Catalog,
     tracer: &mut Tracer<'_>,
 ) -> Result<Table, EngineError> {
-    let t = execute_traced(input, catalog, tracer)?;
     let bound_groups: Vec<Expr> = group_by
         .iter()
         .map(|g| g.expr.bind(t.schema()))
@@ -1016,7 +817,7 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Plan;
+    use crate::plan::{AggFunc, Plan};
     use ua_data::algebra::ProjColumn;
     use ua_data::tuple;
 

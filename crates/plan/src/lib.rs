@@ -40,7 +40,7 @@ pub mod stats;
 pub mod storage;
 pub mod ua;
 
-pub use au::{agg_kind, au_table, execute_au, is_au_sidecar_name, reject_marker_in_plan};
+pub use au::{au_table, execute_au, is_au_sidecar_name, reject_marker_in_plan};
 pub use exec::{
     execute, limit_table, sort_table, top_k_table, AggState, EngineError, UA_FRAGMENT_ERROR,
 };

@@ -8,38 +8,9 @@
 //! queries (Q1–Q5, QP1–QP3) run end-to-end.
 
 use std::fmt;
+pub use ua_data::agg::AggFunc;
 use ua_data::algebra::{ProjColumn, RaExpr};
 use ua_data::expr::Expr;
-
-/// An aggregate function.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AggFunc {
-    /// `COUNT(expr)` — non-null count.
-    Count,
-    /// `COUNT(*)` — row count.
-    CountStar,
-    /// `SUM(expr)`.
-    Sum,
-    /// `MIN(expr)`.
-    Min,
-    /// `MAX(expr)`.
-    Max,
-    /// `AVG(expr)`.
-    Avg,
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AggFunc::Count => "count",
-            AggFunc::CountStar => "count(*)",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Avg => "avg",
-        })
-    }
-}
 
 /// One aggregate in an [`Plan::Aggregate`] node.
 #[derive(Clone, PartialEq, Debug)]

@@ -1,8 +1,12 @@
-//! Per-operator execution statistics for the row engine.
+//! The row interpreter's one recursion and its per-operator statistics.
 //!
-//! `Tracer` is the span stack the recursive executors
-//! ([`crate::exec::execute`], [`crate::au::execute_au`]) thread through
-//! their recursion: entering a plan node pushes a frame (stamped with the
+//! [`execute_row`] evaluates a plan bottom-up through `interpret`, which
+//! serves all three semantics: it brackets every node with a stats span
+//! and a Perfetto `operator` event, evaluates the node's inputs, applies
+//! the semantics' operator (`RowOperators` — det / UA over [`Table`]s in
+//! `exec.rs`, AU over `AuRelation`s in `au.rs`) and closes the span with
+//! that semantics' extras. `Tracer` is the span stack the recursion
+//! threads through: entering a plan node pushes a frame (stamped with the
 //! planner's cardinality estimate from [`crate::optimize::estimate_rows`]),
 //! exiting pops it — filled with rows out and cumulative wall time — and
 //! attaches it to the parent frame, so a finished query yields an
@@ -19,8 +23,9 @@ use crate::options::Semantics;
 use crate::plan::Plan;
 use crate::storage::{Catalog, Table};
 use ua_obs::{OperatorStats, QueryStats, Stopwatch};
+use ua_ranges::AuRelation;
 
-/// The span stack threaded through the row executors' recursion.
+/// The span stack threaded through the row interpreter's recursion.
 pub(crate) struct Tracer<'a> {
     state: Option<TraceState<'a>>,
 }
@@ -124,22 +129,10 @@ impl<'a> Tracer<'a> {
     }
 
     /// The finished span tree (the single top-level operator), if any.
-    /// Error unwinding can leave spans open (the fused Map-over-Join path
-    /// holds two frames at once); they are closed here with the `error`
-    /// marker so partial trees always come out well-formed.
+    /// Every span is closed by the time the recursion returns.
     pub(crate) fn finish(self) -> Option<OperatorStats> {
         self.state.and_then(|mut st| {
-            while st.stack.len() > 1 {
-                let mut frame = st.stack.pop().expect("len checked");
-                frame.node.wall_ns = frame.start.elapsed_ns();
-                frame.node.push_extra("error", 1);
-                st.stack
-                    .last_mut()
-                    .expect("len checked")
-                    .node
-                    .children
-                    .push(frame.node);
-            }
+            debug_assert_eq!(st.stack.len(), 1, "a span left open");
             let mut root = st.stack.pop().expect("sentinel root");
             debug_assert!(root.node.children.len() <= 1, "one top-level span");
             root.node.children.pop()
@@ -147,11 +140,62 @@ impl<'a> Tracer<'a> {
     }
 }
 
+/// One semantics' operators over its relation type: what `interpret`
+/// needs to evaluate a plan node once its inputs are evaluated.
+pub(crate) trait RowOperators: Sized {
+    /// Apply the operator at the root of `plan` to its evaluated `inputs`
+    /// (in [`Plan::inputs`] order).
+    fn operator(
+        plan: &Plan,
+        inputs: Vec<Self>,
+        catalog: &Catalog,
+        tracer: &mut Tracer<'_>,
+    ) -> Result<Self, EngineError>;
+
+    /// Record this semantics' extras on `plan`'s finished span and return
+    /// the output cardinality.
+    fn close_span(&self, plan: &Plan, tracer: &mut Tracer<'_>) -> usize;
+}
+
+/// The row interpreter: evaluate `plan` bottom-up, each node inside its
+/// own stats span (a no-op for [`Tracer::off`]) and, when query tracing is
+/// armed (`ua_obs::trace_start`), its own `operator` trace span. A node
+/// that fails closes its span with an `error=1` marker, so the tracer
+/// still finishes into a (partial) tree.
+pub(crate) fn interpret<R: RowOperators>(
+    plan: &Plan,
+    catalog: &Catalog,
+    tracer: &mut Tracer<'_>,
+) -> Result<R, EngineError> {
+    let trace_name = ua_obs::trace_active().then(|| node_label(plan).0);
+    if let Some(name) = &trace_name {
+        ua_obs::trace_begin(name, "operator");
+    }
+    tracer.enter(plan);
+    let result = plan
+        .inputs()
+        .map(|input| interpret(input, catalog, tracer))
+        .collect::<Result<Vec<R>, _>>()
+        .and_then(|inputs| R::operator(plan, inputs, catalog, tracer));
+    match &result {
+        Ok(rel) => {
+            let rows = rel.close_span(plan, tracer);
+            tracer.exit(rows);
+        }
+        Err(_) => tracer.abandon(),
+    }
+    if let Some(name) = &trace_name {
+        ua_obs::trace_end(name, "operator");
+    }
+    result
+}
+
 /// Execute `plan` against `catalog` under `semantics` on the row engine,
 /// materializing the result table in that semantics' encoding — the twin
-/// of `ua_vecexec::execute`, and the oracle it is tested against. `Ua`
-/// plans arrive `⟦·⟧_UA`-rewritten and run as deterministic ones; `Au`
-/// plans run the AU interpreter and come back flattened ([`au_table`]).
+/// of `ua_vecexec::execute`, and the oracle it is tested against. One
+/// recursion, `interpret`, serves every semantics: `Ua` plans arrive
+/// `⟦·⟧_UA`-rewritten and run over [`Table`]s as deterministic ones; `Au`
+/// plans run over [`AuRelation`]s and come back flattened ([`au_table`]).
 ///
 /// With `collect_stats` the run's [`QueryStats`] come back next to the
 /// result — on the error path too, as the partial operator tree whose
@@ -170,13 +214,13 @@ pub fn execute_row(
         Tracer::off()
     };
     let result = match semantics {
-        Semantics::Det | Semantics::Ua => crate::exec::execute_traced(plan, catalog, &mut tracer),
+        Semantics::Det | Semantics::Ua => interpret::<Table>(plan, catalog, &mut tracer),
         Semantics::Au => {
-            crate::au::execute_au_traced(plan, catalog, &mut tracer).map(|rel| au_table(&rel))
+            interpret::<AuRelation>(plan, catalog, &mut tracer).map(|rel| au_table(&rel))
         }
     };
-    // A collecting tracer always finishes into a root span (the executors
-    // open one before anything can fail), so the accumulator armed above
+    // A collecting tracer always finishes into a root span (the recursion
+    // opens one before anything can fail), so the accumulator armed above
     // is disarmed here.
     let stats = tracer.finish().map(|root| QueryStats {
         engine: "row".into(),

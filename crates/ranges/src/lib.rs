@@ -45,7 +45,7 @@ pub mod width;
 pub use enclosure::{check_encloses_world, sg_rows};
 pub use eval::{approx_range, eval_range, reanchor, truth_range, RangeTruth};
 pub use mult::MultBound;
-pub use ops::{AggCols, AggKind, AggSpec, AuCols, SgKeyIndex, TripleCol};
+pub use ops::{AggCols, AggSpec, AuCols, SgKeyIndex, TripleCol};
 pub use relation::{
     au_base_schema, decode_row, decode_rows, encode_row, encode_rows, flattened_schema,
     range_from_parts, range_parts, AuRelation, AuTuple, AU_LB_PREFIX, AU_MULT_BG, AU_MULT_LB,

@@ -50,6 +50,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use ua_data::agg::{count_value, AggFunc, AggState};
 use ua_data::algebra::{candidate_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError, Truth};
 use ua_data::schema::{Column, Schema, SchemaError};
@@ -711,175 +712,15 @@ pub fn union(left: &AuRelation, right: &AuRelation) -> Result<AuRelation, Schema
     Ok(out)
 }
 
-/// An aggregate function kind (mirrors the engine's `AggFunc`; kept local
-/// so the bound combination lives below the engine in the crate graph).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AggKind {
-    /// `COUNT(expr)` — non-null count.
-    Count,
-    /// `COUNT(*)` — row count.
-    CountStar,
-    /// `SUM(expr)`.
-    Sum,
-    /// `MIN(expr)`.
-    Min,
-    /// `MAX(expr)`.
-    Max,
-    /// `AVG(expr)`.
-    Avg,
-}
-
 /// One aggregate of an AU aggregation.
 #[derive(Clone, Debug)]
 pub struct AggSpec {
     /// The function.
-    pub kind: AggKind,
+    pub kind: AggFunc,
     /// Its argument (`None` for `COUNT(*)`).
     pub arg: Option<Expr>,
     /// Output column.
     pub column: Column,
-}
-
-/// The selected-guess aggregator — a faithful replica of the engine's
-/// `AggState` semantics (COUNT skips unknowns, SUM stays integer until a
-/// float appears and accumulates in `f64`, MIN/MAX use SQL comparison,
-/// AVG divides `f64` totals), so the SG component of an AU aggregate
-/// equals deterministic aggregation over the SG world bit for bit.
-enum BgAgg {
-    Count(u64),
-    Sum {
-        total: f64,
-        saw_int_only: bool,
-        any: bool,
-    },
-    MinMax {
-        best: Option<Value>,
-        is_min: bool,
-    },
-    Avg {
-        total: f64,
-        n: u64,
-    },
-}
-
-impl BgAgg {
-    fn new(kind: AggKind) -> BgAgg {
-        match kind {
-            AggKind::Count | AggKind::CountStar => BgAgg::Count(0),
-            AggKind::Sum => BgAgg::Sum {
-                total: 0.0,
-                saw_int_only: true,
-                any: false,
-            },
-            AggKind::Min => BgAgg::MinMax {
-                best: None,
-                is_min: true,
-            },
-            AggKind::Max => BgAgg::MinMax {
-                best: None,
-                is_min: false,
-            },
-            AggKind::Avg => BgAgg::Avg { total: 0.0, n: 0 },
-        }
-    }
-
-    /// [`BgAgg::update`] over a dense argument: the same arithmetic, read
-    /// straight off the scalar (a dense value is known and numeric).
-    fn update_dense<T: DenseVal>(&mut self, x: T, mult: u64) {
-        match self {
-            BgAgg::Sum {
-                total,
-                saw_int_only,
-                any,
-            } => {
-                *total += x.to_f64() * mult as f64;
-                *any = true;
-                *saw_int_only &= !T::FLOAT;
-            }
-            BgAgg::Avg { total, n } => {
-                *total += x.to_f64() * mult as f64;
-                *n += mult;
-            }
-            BgAgg::Count(_) | BgAgg::MinMax { .. } => self.update(Some(&x.to_value()), mult),
-        }
-    }
-
-    fn update(&mut self, value: Option<&Value>, mult: u64) {
-        match self {
-            BgAgg::Count(n) => match value {
-                None => *n += mult,
-                Some(v) if !v.is_unknown() => *n += mult,
-                _ => {}
-            },
-            BgAgg::Sum {
-                total,
-                saw_int_only,
-                any,
-            } => {
-                if let Some(v) = value {
-                    if let Some(x) = v.as_f64() {
-                        *total += x * mult as f64;
-                        *any = true;
-                        if matches!(v, Value::Float(_)) {
-                            *saw_int_only = false;
-                        }
-                    }
-                }
-            }
-            BgAgg::MinMax { best, is_min } => {
-                if let Some(v) = value {
-                    if v.is_unknown() {
-                        return;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => matches!(
-                            (v.sql_cmp(b), *is_min),
-                            (Some(Ordering::Less), true) | (Some(Ordering::Greater), false)
-                        ),
-                    };
-                    if better {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            BgAgg::Avg { total, n } => {
-                if let Some(v) = value {
-                    if let Some(x) = v.as_f64() {
-                        *total += x * mult as f64;
-                        *n += mult;
-                    }
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            BgAgg::Count(n) => Value::Int(n as i64),
-            BgAgg::Sum {
-                total,
-                saw_int_only,
-                any,
-            } => {
-                if !any {
-                    Value::Null
-                } else if saw_int_only {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Float(F64::new(total))
-                }
-            }
-            BgAgg::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            BgAgg::Avg { total, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(F64::new(total / n as f64))
-                }
-            }
-        }
-    }
 }
 
 /// How one tuple's aggregate argument can ground.
@@ -980,7 +821,7 @@ fn f64_bound(x: f64) -> Bound {
 /// (all key hulls are points), so certainly-present point-key members
 /// bound from below.
 fn agg_bounds<'a>(
-    kind: AggKind,
+    kind: AggFunc,
     members: impl Iterator<Item = Member<'a>>,
     grouped: bool,
     case_a: bool,
@@ -990,12 +831,12 @@ fn agg_bounds<'a>(
     // to one visit (accumulating in member order, which pins the exact
     // float-addition and bound-fold order the multi-pass version had).
     match kind {
-        AggKind::CountStar => {
+        AggFunc::CountStar => {
             let mut lb: u64 = 0;
             let mut ub: u64 = 0;
             for m in members {
                 if case_a && m.certain {
-                    lb += m.mult.lb;
+                    lb = lb.saturating_add(m.mult.lb);
                 }
                 ub = ub.saturating_add(m.mult.ub);
             }
@@ -1006,29 +847,23 @@ fn agg_bounds<'a>(
                     lb = 1;
                 }
             }
-            (
-                Bound::Val(Value::Int(lb as i64)),
-                Bound::Val(Value::Int(i64::try_from(ub).unwrap_or(i64::MAX))),
-            )
+            (Bound::Val(count_value(lb)), Bound::Val(count_value(ub)))
         }
-        AggKind::Count => {
+        AggFunc::Count => {
             let mut lb: u64 = 0;
             let mut ub: u64 = 0;
             for m in members {
                 if case_a && m.certain && !matches!(m.arg, Some(ArgClass::Anything)) {
-                    lb += m.mult.lb;
+                    lb = lb.saturating_add(m.mult.lb);
                 }
                 ub = ub.saturating_add(m.mult.ub);
             }
             if grouped && !case_a {
                 lb = 0;
             }
-            (
-                Bound::Val(Value::Int(lb as i64)),
-                Bound::Val(Value::Int(i64::try_from(ub).unwrap_or(i64::MAX))),
-            )
+            (Bound::Val(count_value(lb)), Bound::Val(count_value(ub)))
         }
-        AggKind::Sum => {
+        AggFunc::Sum => {
             let mut has_certain_numeric = false;
             let mut all_numeric = true;
             let mut lo = 0.0f64;
@@ -1061,8 +896,8 @@ fn agg_bounds<'a>(
             }
             (f64_bound(lo), f64_bound(hi))
         }
-        AggKind::Min | AggKind::Max => {
-            let is_min = kind == AggKind::Min;
+        AggFunc::Min | AggFunc::Max => {
+            let is_min = kind == AggFunc::Min;
             let fold = |acc: Option<Bound>, candidate: Bound| {
                 Some(match acc {
                     None => candidate,
@@ -1124,7 +959,7 @@ fn agg_bounds<'a>(
                 _ => (Bound::NegInf, Bound::PosInf),
             }
         }
-        AggKind::Avg => {
+        AggFunc::Avg => {
             // Hull of the possible numeric groundings: the mean of the
             // numeric contributions stays inside their convex hull. A
             // possibly-present member that may ground to *anything* voids
@@ -1640,7 +1475,7 @@ impl Groups {
 /// generic path.
 #[allow(clippy::too_many_arguments)]
 fn agg_bounds_dense<T: DenseVal>(
-    kind: AggKind,
+    kind: AggFunc,
     lb: &[T],
     ub: &[T],
     possible: &[usize],
@@ -1650,19 +1485,19 @@ fn agg_bounds_dense<T: DenseVal>(
     case_a: bool,
 ) -> (Bound, Bound) {
     match kind {
-        AggKind::CountStar | AggKind::Count => {
+        AggFunc::CountStar | AggFunc::Count => {
             let mut lo: u64 = 0;
             let mut hi: u64 = 0;
             for (&i, &certain) in possible.iter().zip(certain_flags) {
                 // A dense argument is never `Anything`, so COUNT(expr)'s
                 // exclusion of possibly-NULL members never fires.
                 if case_a && certain {
-                    lo += mults[i].lb;
+                    lo = lo.saturating_add(mults[i].lb);
                 }
                 hi = hi.saturating_add(mults[i].ub);
             }
             if grouped {
-                if kind == AggKind::CountStar {
+                if kind == AggFunc::CountStar {
                     lo = lo.max(1);
                     if !case_a {
                         lo = 1;
@@ -1671,12 +1506,9 @@ fn agg_bounds_dense<T: DenseVal>(
                     lo = 0;
                 }
             }
-            (
-                Bound::Val(Value::Int(lo as i64)),
-                Bound::Val(Value::Int(i64::try_from(hi).unwrap_or(i64::MAX))),
-            )
+            (Bound::Val(count_value(lo)), Bound::Val(count_value(hi)))
         }
-        AggKind::Sum => {
+        AggFunc::Sum => {
             let mut has_certain_numeric = false;
             let mut lo = 0.0f64;
             let mut hi = 0.0f64;
@@ -1699,8 +1531,8 @@ fn agg_bounds_dense<T: DenseVal>(
             }
             (f64_bound(lo), f64_bound(hi))
         }
-        AggKind::Min | AggKind::Max => {
-            let is_min = kind == AggKind::Min;
+        AggFunc::Min | AggFunc::Max => {
+            let is_min = kind == AggFunc::Min;
             let mut anchor: Option<T> = None;
             let mut outer_lo: Option<T> = None;
             let mut outer_hi: Option<T> = None;
@@ -1746,7 +1578,7 @@ fn agg_bounds_dense<T: DenseVal>(
                 None => (Bound::NegInf, Bound::PosInf),
             }
         }
-        AggKind::Avg => {
+        AggFunc::Avg => {
             let mut has_certain_numeric = false;
             let mut hull_lo = f64::INFINITY;
             let mut hull_hi = f64::NEG_INFINITY;
@@ -1862,7 +1694,7 @@ impl AuCols {
 /// gives one aggregate function per `input.args` entry; the output holds
 /// the key columns, then the aggregate columns. Grouped iff `input.keys`
 /// is non-empty.
-pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind]) -> AuCols {
+pub fn aggregate_cols(input: &AggCols, kinds: &[AggFunc]) -> AuCols {
     let keys: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
     let args: Vec<Option<ColView>> = input
         .args
@@ -2067,16 +1899,41 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggKind]) -> AuCols {
 /// aggregation over the members whose selected-guess multiplicity
 /// materializes the row, in member order — dense arguments read straight
 /// off their slices.
-fn sg_value(kind: AggKind, arg: Option<ColView>, members: &[usize], mults: &[MultBound]) -> Value {
-    let mut state = BgAgg::new(kind);
+fn sg_value(kind: AggFunc, arg: Option<ColView>, members: &[usize], mults: &[MultBound]) -> Value {
+    let mut state = AggState::new(kind);
     let sg = members.iter().copied().filter(|&i| mults[i].bg >= 1);
     match arg {
-        Some(ColView::Int { bg, .. }) => sg.for_each(|i| state.update_dense(bg[i], mults[i].bg)),
-        Some(ColView::Float { bg, .. }) => sg.for_each(|i| state.update_dense(bg[i], mults[i].bg)),
+        Some(ColView::Int { bg, .. }) => {
+            sg.for_each(|i| update_dense(&mut state, bg[i], mults[i].bg))
+        }
+        Some(ColView::Float { bg, .. }) => {
+            sg.for_each(|i| update_dense(&mut state, bg[i], mults[i].bg))
+        }
         Some(ColView::Rows(rows)) => sg.for_each(|i| state.update(Some(&rows[i].bg), mults[i].bg)),
         None => sg.for_each(|i| state.update(None, mults[i].bg)),
     }
     state.finish()
+}
+
+/// [`AggState::update`] over a dense argument: the same arithmetic, read
+/// straight off the scalar (a dense value is known and numeric).
+fn update_dense<T: DenseVal>(state: &mut AggState, x: T, mult: u64) {
+    match state {
+        AggState::Sum {
+            total,
+            saw_int_only,
+            any,
+        } => {
+            *total += x.to_f64() * mult as f64;
+            *any = true;
+            *saw_int_only &= !T::FLOAT;
+        }
+        AggState::Avg { total, n } => {
+            *total += x.to_f64() * mult as f64;
+            *n += mult;
+        }
+        AggState::Count(_) | AggState::MinMax { .. } => state.update(Some(&x.to_value()), mult),
+    }
 }
 
 /// γ: grouping + aggregation with sound attribute-level bounds.
@@ -2128,7 +1985,7 @@ pub fn aggregate(
         mults: rel.rows().iter().map(|row| row.mult).collect(),
     };
 
-    let kinds: Vec<AggKind> = aggregates.iter().map(|a| a.kind).collect();
+    let kinds: Vec<AggFunc> = aggregates.iter().map(|a| a.kind).collect();
     let mut columns: Vec<Column> = group_by.iter().map(|(_, c)| c.clone()).collect();
     columns.extend(aggregates.iter().map(|a| a.column.clone()));
     Ok(aggregate_cols(&input, &kinds).materialise(Schema::new(columns)))
@@ -2825,12 +2682,12 @@ mod tests {
             &[(Expr::named("g"), Column::unqualified("g"))],
             &[
                 AggSpec {
-                    kind: AggKind::CountStar,
+                    kind: AggFunc::CountStar,
                     arg: None,
                     column: Column::unqualified("n"),
                 },
                 AggSpec {
-                    kind: AggKind::Sum,
+                    kind: AggFunc::Sum,
                     arg: Some(Expr::named("v")),
                     column: Column::unqualified("s"),
                 },
@@ -2876,7 +2733,7 @@ mod tests {
             args: vec![None],
             mults: vec![MultBound::certain(1), MultBound::new(0, 0, 1)],
         };
-        let out = aggregate_cols(&input, &[AggKind::CountStar]);
+        let out = aggregate_cols(&input, &[AggFunc::CountStar]);
         assert_eq!(
             out.mults,
             [MultBound::new(1, 1, 2), MultBound::new(0, 0, 2)]
@@ -2898,7 +2755,7 @@ mod tests {
             &r,
             &[],
             &[AggSpec {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 arg: None,
                 column: Column::unqualified("n"),
             }],
@@ -2965,7 +2822,7 @@ mod tests {
             &r,
             &[(Expr::named("g"), Column::unqualified("g"))],
             &[AggSpec {
-                kind: AggKind::Avg,
+                kind: AggFunc::Avg,
                 arg: Some(Expr::named("v")),
                 column: Column::unqualified("a"),
             }],

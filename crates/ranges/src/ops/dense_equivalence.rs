@@ -133,13 +133,13 @@ fn arb_mult() -> impl Strategy<Value = MultBound> {
 }
 
 /// Every aggregate kind, each over its own argument column but `COUNT(*)`.
-const KINDS: [AggKind; 6] = [
-    AggKind::CountStar,
-    AggKind::Count,
-    AggKind::Sum,
-    AggKind::Min,
-    AggKind::Max,
-    AggKind::Avg,
+const KINDS: [AggFunc; 6] = [
+    AggFunc::CountStar,
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::Avg,
 ];
 
 /// One γ / δ input: `rows` rows, `n_keys` of the two key columns (none:

@@ -15,6 +15,7 @@
 
 use crate::mult::MultBound;
 use crate::value::{Bound, RangeValue};
+use ua_data::agg::count_value;
 use ua_data::relation::Relation;
 use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
@@ -228,10 +229,6 @@ fn decode_bound(v: &Value, lower: bool) -> Bound {
     }
 }
 
-fn mult_value(m: u64) -> Value {
-    Value::Int(i64::try_from(m).unwrap_or(i64::MAX))
-}
-
 /// The encoded bound sentinel marking a definite-NULL range: no
 /// normalized range pairs a `NULL` selected guess with *known* bound
 /// values (`RangeValue::new` widens an unknown bg to top, whose bounds
@@ -269,9 +266,9 @@ pub fn encode_row(row: &AuTuple) -> Tuple {
     values.extend(parts.iter().map(|(_, bg, _)| bg.clone()));
     values.extend(parts.iter().map(|(lb, _, _)| lb.clone()));
     values.extend(parts.iter().map(|(_, _, ub)| ub.clone()));
-    values.push(mult_value(row.mult.lb));
-    values.push(mult_value(row.mult.bg));
-    values.push(mult_value(row.mult.ub));
+    values.push(count_value(row.mult.lb));
+    values.push(count_value(row.mult.bg));
+    values.push(count_value(row.mult.ub));
     Tuple::new(values)
 }
 

@@ -137,15 +137,14 @@ use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_plan::plan::{AggExpr, Plan};
 use ua_plan::storage::Table;
-use ua_plan::EngineError;
+use ua_plan::{AggFunc, EngineError};
 use ua_ranges::ops::{
     bind_hash_keys, bind_on, distinct_cols, except_select, key_family, outer_join_select,
     refine_pair_mult, JoinSelect, Pin, RowView, Selection,
 };
 use ua_ranges::{
     approx_range, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
-    reanchor, truth_range, AggCols, AggKind, AuCols, MultBound, RangeValue, TripleCol,
-    WidthSummary,
+    reanchor, truth_range, AggCols, AuCols, MultBound, RangeValue, TripleCol, WidthSummary,
 };
 
 /// The user schema of an AU stream: the first `(arity − 3) / 3` columns of
@@ -683,10 +682,7 @@ impl Driver<'_> {
             .collect::<Result<_, _>>()
             .map_err(EngineError::Expr)?;
         let input = agg_input(stream, &user, &bound_keys, &bound_args)?;
-        let kinds: Vec<AggKind> = aggregates
-            .iter()
-            .map(|a| ua_plan::agg_kind(a.func))
-            .collect();
+        let kinds: Vec<AggFunc> = aggregates.iter().map(|a| a.func).collect();
         let mut columns: Vec<Column> = group_by.iter().map(|g| g.column.clone()).collect();
         columns.extend(aggregates.iter().map(|a| Column::unqualified(&a.name)));
         let out = ua_ranges::ops::aggregate_cols(&input, &kinds);
