@@ -1,8 +1,7 @@
 //! SQL aggregate functions and their one running fold.
 //!
 //! [`AggState`] is the single definition of SQL aggregate arithmetic in
-//! the workspace: the row engine feeds it one row at a time (`mult = 1`),
-//! the vectorized engine batch rows weighted by their multiplicity column,
+//! the workspace: both engines feed it one row at a time (`mult = 1`),
 //! and the AU aggregation its selected-guess members weighted by their
 //! selected-guess multiplicity — so the selected guess of an AU aggregate
 //! is deterministic aggregation over the selected-guess world by
@@ -70,8 +69,9 @@ pub enum AggState {
     Avg {
         /// Accumulated total.
         total: f64,
-        /// Number of numeric inputs.
-        n: u64,
+        /// Number of numeric inputs, exact for any sum of `u64`
+        /// multiplicities.
+        n: u128,
     },
 }
 
@@ -146,7 +146,7 @@ impl AggState {
                 if let Some(v) = value {
                     if let Some(x) = v.as_f64() {
                         *total += x * mult as f64;
-                        *n += mult;
+                        *n += u128::from(mult);
                     }
                 }
             }

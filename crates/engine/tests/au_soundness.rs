@@ -725,6 +725,60 @@ fn count_over_huge_multiplicities_saturates_instead_of_wrapping() {
     }
 }
 
+/// AU `AVG` over the same huge multiplicities counts exactly: three rows
+/// of `[i64::MAX; 3]` copies used to panic a debug build in the bounds'
+/// count sum, and a release build wrapped the selected guess's count and
+/// answered `3.0` for an average of ones. Global and grouped `AVG(x)` now
+/// answer `[1.0, 1.0, 1.0]`, byte-identically on both engines.
+#[test]
+fn avg_over_huge_multiplicities_counts_exactly() {
+    use ua_ranges::{AuRelation, AuTuple, Bound, RangeValue};
+    let huge = i64::MAX as u64;
+    let one = Value::float(1.0);
+    for n_rows in [2usize, 3] {
+        let mut rel = AuRelation::new(Schema::qualified("t", ["g", "x"]));
+        for _ in 0..n_rows {
+            rel.push(AuTuple {
+                values: vec![
+                    RangeValue::point(Value::Int(0)),
+                    RangeValue::point(Value::Int(1)),
+                ],
+                mult: MultBound::new(huge, huge, huge),
+            });
+        }
+        for sql in [
+            "SELECT avg(x) AS a FROM t",
+            "SELECT g, avg(x) AS a FROM t GROUP BY g",
+        ] {
+            let results: Vec<_> = [ExecMode::Row, ExecMode::Vectorized]
+                .into_iter()
+                .map(|mode| {
+                    let session = UaSession::with_mode(mode);
+                    session.register_au_relation("t", &rel);
+                    session
+                        .query_au(sql)
+                        .unwrap_or_else(|e| panic!("{mode:?} `{sql}` over {n_rows} rows: {e}"))
+                })
+                .collect();
+            assert_eq!(
+                results[0].table.rows(),
+                results[1].table.rows(),
+                "engines diverge on `{sql}` over {n_rows} rows"
+            );
+            let decoded = results[0].decode();
+            let [row] = decoded.rows() else {
+                panic!("`{sql}` over {n_rows} rows: one group expected");
+            };
+            let a = row.values.last().expect("the avg column");
+            assert_eq!(
+                (a.lb(), &a.bg, a.ub()),
+                (&Bound::Val(one.clone()), &one, &Bound::Val(one.clone())),
+                "`{sql}` over {n_rows} rows"
+            );
+        }
+    }
+}
+
 /// AU `GROUP BY` over a key column holding both `1` and `1.0`: two
 /// selected-guess groups (as in every world) that share one normalized
 /// key. The certain `1` is a possible member of the group `1.0` but never a

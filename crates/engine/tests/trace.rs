@@ -638,40 +638,54 @@ fn golden_row_join_trees() {
     }
 }
 
-/// No row-engine inner join span counts `certain_rows` under UA, also
-/// where an error-capable filter stays between the join and its `⟦⋈⟧`
-/// projection: the join's output ends in the right side's marker only,
-/// which is not the joined rows' certainty (the count was reported there
-/// before).
+/// No row-engine join span counts `certain_rows` under UA — inner or
+/// outer, also where an error-capable filter stays between an inner join
+/// and its `⟦⋈⟧` projection: the join's output ends in the right side's
+/// marker only, which is not the joined rows' certainty (the count was
+/// reported there before). The `⟦⋈⟧` / `⟦⟕⟧` projection above reports it.
 #[test]
-fn ua_row_inner_join_spans_count_no_certain_rows() {
-    fn joins_under_filters(node: &ua_obs::OperatorStats, parent: &str, found: &mut usize) {
-        if matches!(node.name.as_str(), "Join" | "HashJoin" | "Cross") {
+fn ua_row_join_spans_count_no_certain_rows() {
+    fn walk(node: &ua_obs::OperatorStats, parent: &str, joins: &mut usize, filtered: &mut usize) {
+        if matches!(
+            node.name.as_str(),
+            "Join" | "HashJoin" | "Cross" | "OuterJoin"
+        ) {
             assert!(
                 !node.extra.iter().any(|(k, _)| k == "certain_rows"),
                 "join span counts certain rows: {node:?}"
             );
-            *found += usize::from(parent == "Filter");
+            *joins += 1;
+            *filtered += usize::from(parent == "Filter");
         }
         for child in &node.children {
-            joins_under_filters(child, &node.name, found);
+            walk(child, &node.name, joins, filtered);
         }
     }
     let s = seeded_session();
     s.set_exec_mode(ExecMode::Row);
     s.set_stats_enabled(true);
-    s.query_ua(
-        "SELECT q.v FROM (SELECT x.v AS v, c.dk AS dk FROM t IS TI WITH PROBABILITY (p) x, \
-         cu IS TI WITH PROBABILITY (p) c WHERE x.g = c.ck) q WHERE q.v * q.dk >= 1",
-    )
-    .expect("ua");
-    let stats = s.last_query_stats().expect("stats");
-    let mut found = 0;
-    joins_under_filters(&stats.root, "", &mut found);
-    assert_eq!(
-        found,
-        1,
-        "a hash join directly under a filter:\n{}",
-        stats.render(false)
-    );
+    let queries = [
+        (
+            "SELECT q.v FROM (SELECT x.v AS v, c.dk AS dk FROM t IS TI WITH PROBABILITY (p) x, \
+             cu IS TI WITH PROBABILITY (p) c WHERE x.g = c.ck) q WHERE q.v * q.dk >= 1",
+            1,
+        ),
+        (
+            "SELECT x.v, c.dk FROM t IS TI WITH PROBABILITY (p) x \
+             LEFT JOIN cu IS TI WITH PROBABILITY (p) c ON x.g = c.ck",
+            0,
+        ),
+    ];
+    for (sql, under_filter) in queries {
+        s.query_ua(sql).expect("ua");
+        let stats = s.last_query_stats().expect("stats");
+        let (mut joins, mut filtered) = (0, 0);
+        walk(&stats.root, "", &mut joins, &mut filtered);
+        assert_eq!(
+            (joins, filtered),
+            (1, under_filter),
+            "one join, {under_filter} of them directly under a filter:\n{}",
+            stats.render(false)
+        );
+    }
 }

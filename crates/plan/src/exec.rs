@@ -218,12 +218,15 @@ impl RowOperators for Table {
         }
     }
 
-    /// Record the UA certainty profile, except on an inner join: its
-    /// output is `left ++ right`, whose last column is only the right
-    /// side's marker; the `⟦⋈⟧` projection above it reports the join's
-    /// certain rows.
+    /// Record the UA certainty profile, except on a join, inner or outer:
+    /// its output is `left ++ right`, whose last column is only the right
+    /// side's marker; the `⟦⋈⟧` / `⟦⟕⟧` projection above it reports the
+    /// join's certain rows.
     fn close_span(&self, plan: &Plan, tracer: &mut Tracer<'_>) -> usize {
-        if !matches!(plan, Plan::Join { .. } | Plan::HashJoin { .. }) {
+        if !matches!(
+            plan,
+            Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. }
+        ) {
             ua_certainty_extras(self, tracer);
         }
         self.len()

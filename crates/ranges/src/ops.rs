@@ -980,8 +980,8 @@ fn agg_bounds<'a>(
             let mut hull_hi = f64::NEG_INFINITY;
             let mut sum_lo = 0.0f64;
             let mut sum_hi = 0.0f64;
-            let mut cnt_lo: u64 = 0;
-            let mut cnt_hi: u64 = 0;
+            let mut cnt_lo: u128 = 0;
+            let mut cnt_hi: u128 = 0;
             for m in members {
                 let numeric = matches!(m.arg, Some(ArgClass::Numeric { .. }));
                 all_numeric &= numeric;
@@ -1007,9 +1007,9 @@ fn agg_bounds<'a>(
                 }
                 if numeric {
                     if certain {
-                        cnt_lo += m.mult.lb;
+                        cnt_lo += u128::from(m.mult.lb);
                     }
-                    cnt_hi = cnt_hi.saturating_add(m.mult.ub);
+                    cnt_hi += u128::from(m.mult.ub);
                 }
             }
             let admissible = if grouped {
@@ -1584,8 +1584,8 @@ fn agg_bounds_dense<T: DenseVal>(
             let mut hull_hi = f64::NEG_INFINITY;
             let mut sum_lo = 0.0f64;
             let mut sum_hi = 0.0f64;
-            let mut cnt_lo: u64 = 0;
-            let mut cnt_hi: u64 = 0;
+            let mut cnt_lo: u128 = 0;
+            let mut cnt_hi: u128 = 0;
             for (&i, &c) in possible.iter().zip(certain_flags) {
                 let certain = case_a && c;
                 has_certain_numeric |= certain && mults[i].lb >= 1;
@@ -1602,9 +1602,9 @@ fn agg_bounds_dense<T: DenseVal>(
                     sum_hi += ch.max(0.0);
                 }
                 if certain {
-                    cnt_lo += mults[i].lb;
+                    cnt_lo += u128::from(mults[i].lb);
                 }
-                cnt_hi = cnt_hi.saturating_add(mults[i].ub);
+                cnt_hi += u128::from(mults[i].ub);
             }
             // All-numeric members: grouped groups are always admissible
             // and nothing voids the hull.
@@ -1930,7 +1930,7 @@ fn update_dense<T: DenseVal>(state: &mut AggState, x: T, mult: u64) {
         }
         AggState::Avg { total, n } => {
             *total += x.to_f64() * mult as f64;
-            *n += mult;
+            *n += u128::from(mult);
         }
         AggState::Count(_) | AggState::MinMax { .. } => state.update(Some(&x.to_value()), mult),
     }

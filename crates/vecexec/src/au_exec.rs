@@ -119,7 +119,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{
-    chunk_columns, chunk_to_batch, convert_chunks, gather_columns, ones, BatchStream, ColumnBatch,
+    chunk_columns, chunk_to_batch, convert_chunks, gather_columns, BatchStream, ColumnBatch,
     ColumnVec,
 };
 use crate::exec::Driver;
@@ -163,7 +163,6 @@ fn bg_view(batch: &ColumnBatch, user: &Schema) -> ColumnBatch {
         user.clone(),
         batch.columns()[..n].to_vec(),
         batch.labels().clone(),
-        batch.shared_mults(),
     )
 }
 
@@ -321,13 +320,7 @@ fn share_point_bounds(columns: &mut [ColumnVec], n: usize) {
 /// canonical check first, the row-wise `decode_row`/`encode_row`
 /// normalization (dropping `ub = 0` rows, erroring on the first malformed
 /// multiplicity — identical to the row engine's scan) only when it fails.
-/// `full` is the decode's shared all-ones sidecar (see [`convert_chunks`]).
-fn scan_chunk(
-    flat: &Schema,
-    n: usize,
-    chunk: &[Tuple],
-    full: &Arc<Vec<u64>>,
-) -> Result<ColumnBatch, EngineError> {
+fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, EngineError> {
     let mut columns = chunk_columns(flat.arity(), chunk);
     if chunk_is_canonical(&columns, n) {
         share_point_bounds(&mut columns, n);
@@ -335,7 +328,6 @@ fn scan_chunk(
             flat.clone(),
             columns,
             Bitmap::filled(chunk.len(), true),
-            ones(full, chunk.len()),
         ));
     }
     let mut rows: Vec<Tuple> = Vec::with_capacity(chunk.len());
@@ -344,7 +336,7 @@ fn scan_chunk(
             rows.push(encode_row(&t));
         }
     }
-    Ok(chunk_to_batch(flat, &rows, full))
+    Ok(chunk_to_batch(flat, &rows))
 }
 
 /// The per-row ranges of a *computed* (bound) expression: an interval
@@ -460,8 +452,8 @@ impl Driver<'_> {
         })?;
         let schema = flattened_schema(&user);
         let n = user.arity();
-        let batches = convert_chunks(table.rows(), self.batch_rows, &self.pool, |chunk, full| {
-            scan_chunk(&schema, n, chunk, full)
+        let batches = convert_chunks(table.rows(), self.batch_rows, &self.pool, |chunk| {
+            scan_chunk(&schema, n, chunk)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?
@@ -628,7 +620,6 @@ impl Driver<'_> {
         let parts: [fn(&MultBound) -> u64; 3] = [|m| m.lb, |m| m.bg, |m| m.ub];
         let step = self.batch_rows.max(1);
         let total = mults.len();
-        let full = Arc::new(vec![1u64; step.min(total)]);
         let batches = (0..total)
             .step_by(step)
             .map(|start| {
@@ -641,12 +632,7 @@ impl Driver<'_> {
                         .map(|m| i64::try_from(part(m)).unwrap_or(i64::MAX));
                     ColumnVec::Int(Arc::new(clamped.collect()))
                 }));
-                ColumnBatch::new(
-                    flat.clone(),
-                    columns,
-                    Bitmap::filled(len, true),
-                    ones(&full, len),
-                )
+                ColumnBatch::new(flat.clone(), columns, Bitmap::filled(len, true))
             })
             .collect();
         BatchStream {
@@ -1244,12 +1230,7 @@ impl AuProbe {
             columns.extend_from_slice(&right[part * nr..(part + 1) * nr]);
         }
         columns.extend(mults.map(|m| ColumnVec::Int(Arc::new(m))));
-        let joined = ColumnBatch::new(
-            self.flat.clone(),
-            columns,
-            Bitmap::filled(rows_out, true),
-            Arc::new(vec![1u64; rows_out]),
-        );
+        let joined = ColumnBatch::new(self.flat.clone(), columns, Bitmap::filled(rows_out, true));
         Ok((Some(joined), filtered, refined))
     }
 }
@@ -1491,7 +1472,6 @@ pub(crate) fn filter_batch(
             flat.clone(),
             columns,
             gathered.labels().clone(),
-            gathered.shared_mults(),
         )),
         rowwise,
     ))
@@ -1522,12 +1502,7 @@ pub(crate) fn map_batch(
         out_cols.extend(triples.iter().map(|t| t[part].clone()));
     }
     out_cols.extend_from_slice(&batch.columns()[3 * n_in..]);
-    let out = ColumnBatch::new(
-        out_flat.clone(),
-        out_cols,
-        batch.labels().clone(),
-        batch.shared_mults(),
-    );
+    let out = ColumnBatch::new(out_flat.clone(), out_cols, batch.labels().clone());
     Ok((out, if rowwise { batch.len() as u64 } else { 0 }))
 }
 

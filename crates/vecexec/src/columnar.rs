@@ -1,18 +1,13 @@
 //! Columnar batches and lossless converters to/from the row world.
 //!
 //! A [`ColumnBatch`] holds ~[`DEFAULT_BATCH_ROWS`] rows decomposed into
-//! typed column vectors ([`ColumnVec`]), plus the two UA sidecars the paper's
-//! encoding needs:
+//! typed column vectors ([`ColumnVec`]), plus the UA **label bitmap** — one
+//! bit per row, set iff the row is labeled certain (the `ua_c` marker of
+//! Definition 8, packed 64 rows per word).
 //!
-//! * a **label bitmap** — one bit per row copy, set iff the copy is labeled
-//!   certain (the `ua_c` marker of Definition 8, packed 64 rows per word);
-//! * a **multiplicity column** — `u64` per row, so a batch can also
-//!   represent an annotation-map [`ua_data::Relation`]`<u64>` without expanding
-//!   duplicates.
-//!
-//! Converters are lossless both ways: `Table` ⇄ batches (row copies,
-//! multiplicity 1) and `Relation<u64>` ⇄ batches (support tuples with their
-//! annotations).
+//! A batch row is one bag copy, as a `Table` row is: a tuple with
+//! multiplicity `n` is `n` rows. Converters are lossless both ways between
+//! `Table`s and batches.
 
 use crate::bitmap::Bitmap;
 use std::sync::Arc;
@@ -235,39 +230,31 @@ impl ColumnVec {
     }
 }
 
-/// A batch of rows in columnar form, with UA sidecars.
+/// A batch of rows in columnar form, with the UA label bitmap. Each row is
+/// one bag copy.
 #[derive(Clone, Debug)]
 pub struct ColumnBatch {
     schema: Schema,
     len: usize,
     columns: Vec<ColumnVec>,
-    /// Bit set ⇔ row copy labeled certain.
+    /// Bit set ⇔ row labeled certain.
     labels: Bitmap,
-    /// Per-row multiplicity (1 for table-sourced batches).
-    mults: Arc<Vec<u64>>,
 }
 
 impl ColumnBatch {
-    /// Assemble a batch (columns, labels and mults must agree on length).
-    pub fn new(
-        schema: Schema,
-        columns: Vec<ColumnVec>,
-        labels: Bitmap,
-        mults: Arc<Vec<u64>>,
-    ) -> ColumnBatch {
+    /// Assemble a batch (columns and labels must agree on length).
+    pub fn new(schema: Schema, columns: Vec<ColumnVec>, labels: Bitmap) -> ColumnBatch {
         let len = labels.len();
         assert_eq!(schema.arity(), columns.len(), "column count mismatch");
         assert!(
             columns.iter().all(|c| c.len() == len),
             "column len mismatch"
         );
-        assert_eq!(mults.len(), len, "mult len mismatch");
         ColumnBatch {
             schema,
             len,
             columns,
             labels,
-            mults,
         }
     }
 
@@ -276,7 +263,7 @@ impl ColumnBatch {
         &self.schema
     }
 
-    /// Number of rows (not counting multiplicities).
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -301,31 +288,19 @@ impl ColumnBatch {
         &self.labels
     }
 
-    /// The multiplicity column.
-    pub fn mults(&self) -> &[u64] {
-        &self.mults
-    }
-
-    /// The multiplicity column's shared buffer, for views that keep the
-    /// rows and only swap columns.
-    pub fn shared_mults(&self) -> Arc<Vec<u64>> {
-        Arc::clone(&self.mults)
-    }
-
     /// Materialize row `i` as a tuple.
     pub fn row(&self, i: usize) -> Tuple {
         self.columns.iter().map(|c| c.value(i)).collect()
     }
 
-    /// The rows at `idx` (labels and multiplicities ride along), the
-    /// columns through `gather_columns`.
+    /// The rows at `idx` (labels ride along), the columns through
+    /// `gather_columns`.
     pub fn gather(&self, idx: &[u32]) -> ColumnBatch {
         ColumnBatch {
             schema: self.schema.clone(),
             len: idx.len(),
             columns: gather_columns(&self.columns, idx),
             labels: self.labels.gather(idx),
-            mults: Arc::new(idx.iter().map(|&i| self.mults[i as usize]).collect()),
         }
     }
 
@@ -366,7 +341,7 @@ pub struct BatchStream {
 }
 
 impl BatchStream {
-    /// Total row count (not counting multiplicities).
+    /// Total row count.
     pub fn num_rows(&self) -> usize {
         self.batches.iter().map(|b| b.len()).sum()
     }
@@ -392,7 +367,6 @@ impl BatchStream {
             return self.batches.into_iter().next().expect("one batch");
         }
         let arity = self.schema.arity();
-        let total: usize = self.batches.iter().map(|b| b.len()).sum();
         let mut columns: Vec<ColumnVec> = Vec::with_capacity(arity);
         for c in 0..arity {
             let aliases = |p: &usize| {
@@ -411,11 +385,7 @@ impl BatchStream {
             });
         }
         let labels = Bitmap::concat(self.batches.iter().map(|b| b.labels()));
-        let mut mults = Vec::with_capacity(total);
-        for b in &self.batches {
-            mults.extend_from_slice(b.mults());
-        }
-        ColumnBatch::new(self.schema, columns, labels, Arc::new(mults))
+        ColumnBatch::new(self.schema, columns, labels)
     }
 }
 
@@ -444,31 +414,16 @@ fn inline_pool() -> rayon::ThreadPool {
 }
 
 /// Convert `rows` chunk by chunk on `pool`, results in chunk order — the
-/// one scan loop under the plain, UA-encoded and AU-encoded scans. Every
-/// chunk is also handed the decode's one all-ones multiplicity sidecar,
-/// as long as a full chunk: the chunk store keeps the result resident, and
-/// a sidecar per chunk would be 8 KiB of ones each ([`ones`] picks).
+/// one scan loop under the plain, UA-encoded and AU-encoded scans.
 pub(crate) fn convert_chunks<T: Send>(
     rows: &[Tuple],
     batch_rows: usize,
     pool: &rayon::ThreadPool,
-    convert: impl Fn(&[Tuple], &Arc<Vec<u64>>) -> T + Sync,
+    convert: impl Fn(&[Tuple]) -> T + Sync,
 ) -> Vec<T> {
-    let full = Arc::new(vec![1u64; batch_rows.max(1).min(rows.len())]);
     pool.map_in_order(chunk_ranges(rows.len(), batch_rows), |_, (s, e)| {
-        convert(&rows[s..e], &full)
+        convert(&rows[s..e])
     })
-}
-
-/// `len` ones as a multiplicity sidecar: the decode's shared buffer when
-/// the chunk is full-size, a buffer of its own otherwise (the last chunk,
-/// an AU chunk that dropped `ub = 0` rows).
-pub(crate) fn ones(full: &Arc<Vec<u64>>, len: usize) -> Arc<Vec<u64>> {
-    if len == full.len() {
-        Arc::clone(full)
-    } else {
-        Arc::new(vec![1u64; len])
-    }
 }
 
 /// Columns `0..arity` of a row chunk, each in its densest representation.
@@ -480,19 +435,14 @@ pub(crate) fn chunk_columns(arity: usize, chunk: &[Tuple]) -> Vec<ColumnVec> {
         .collect()
 }
 
-/// Convert one row chunk into a batch with every row labeled certain at
-/// multiplicity 1 — deterministic semantics, and AU semantics too (AU
-/// multiplicities live in the `ua_m_*` data columns).
-pub(crate) fn chunk_to_batch(
-    schema: &Schema,
-    chunk: &[Tuple],
-    full: &Arc<Vec<u64>>,
-) -> ColumnBatch {
+/// Convert one row chunk into a batch with every row labeled certain —
+/// deterministic semantics, and AU semantics too (AU multiplicities live
+/// in the `ua_m_*` data columns).
+pub(crate) fn chunk_to_batch(schema: &Schema, chunk: &[Tuple]) -> ColumnBatch {
     ColumnBatch::new(
         schema.clone(),
         chunk_columns(schema.arity(), chunk),
         Bitmap::filled(chunk.len(), true),
-        ones(full, chunk.len()),
     )
 }
 
@@ -503,7 +453,6 @@ fn encoded_chunk_to_batch(
     base_schema: &Schema,
     name: &str,
     chunk: &[Tuple],
-    full: &Arc<Vec<u64>>,
 ) -> Result<ColumnBatch, EngineError> {
     let arity = base_schema.arity();
     let mut bm = Bitmap::filled(chunk.len(), false);
@@ -523,12 +472,11 @@ fn encoded_chunk_to_batch(
         base_schema.clone(),
         chunk_columns(arity, chunk),
         bm,
-        ones(full, chunk.len()),
     ))
 }
 
-/// Decompose a row table into batches (all rows labeled certain,
-/// multiplicity 1 — deterministic semantics).
+/// Decompose a row table into batches, one batch row per table row (all
+/// rows labeled certain — deterministic semantics).
 pub fn batches_from_table(table: &Table, batch_rows: usize) -> BatchStream {
     batches_from_table_pooled(table, batch_rows, &inline_pool())
 }
@@ -544,8 +492,8 @@ pub fn batches_from_table_pooled(
     let schema = table.schema();
     BatchStream {
         schema: schema.clone(),
-        batches: convert_chunks(table.rows(), batch_rows, pool, |chunk, full| {
-            chunk_to_batch(schema, chunk, full)
+        batches: convert_chunks(table.rows(), batch_rows, pool, |chunk| {
+            chunk_to_batch(schema, chunk)
         }),
     }
 }
@@ -591,8 +539,8 @@ pub fn batches_from_encoded_table_pooled(
     pool: &rayon::ThreadPool,
 ) -> Result<BatchStream, EngineError> {
     let base_schema = encoded_base_schema(table, name)?;
-    let batches = convert_chunks(table.rows(), batch_rows, pool, |chunk, full| {
-        encoded_chunk_to_batch(&base_schema, name, chunk, full)
+    let batches = convert_chunks(table.rows(), batch_rows, pool, |chunk| {
+        encoded_chunk_to_batch(&base_schema, name, chunk)
     })
     .into_iter()
     .collect::<Result<_, _>>()?;
@@ -602,43 +550,8 @@ pub fn batches_from_encoded_table_pooled(
     })
 }
 
-/// Decompose an annotation-map relation into batches: one row per support
-/// tuple, the annotation in the multiplicity column (lossless — no
-/// duplicate expansion). Rows are emitted in the deterministic structural
-/// order.
-pub fn batches_from_relation(rel: &ua_data::Relation<u64>, batch_rows: usize) -> BatchStream {
-    let sorted = rel.sorted_tuples();
-    let schema = rel.schema().clone();
-    let arity = schema.arity();
-    let mut batches = Vec::with_capacity(sorted.len().div_ceil(batch_rows.max(1)));
-    let mut start = 0;
-    while start < sorted.len() {
-        let end = (start + batch_rows).min(sorted.len());
-        let chunk = &sorted[start..end];
-        let columns: Vec<ColumnVec> = (0..arity)
-            .map(|c| {
-                ColumnVec::from_values(
-                    chunk
-                        .iter()
-                        .map(move |(t, _)| t.get(c).expect("arity checked")),
-                )
-            })
-            .collect();
-        let mults: Vec<u64> = chunk.iter().map(|(_, n)| *n).collect();
-        batches.push(ColumnBatch::new(
-            schema.clone(),
-            columns,
-            Bitmap::filled(chunk.len(), true),
-            Arc::new(mults),
-        ));
-        start = end;
-    }
-    BatchStream { schema, batches }
-}
-
-/// Materialize a stream as a row table: a row with multiplicity `n` becomes
-/// `n` copies (the engine's bag representation). Labels are dropped — use
-/// [`encoded_table_from_batches`] to keep them.
+/// Materialize a stream as a row table, one row per batch row. Labels are
+/// dropped — use [`encoded_table_from_batches`] to keep them.
 pub fn table_from_batches(stream: &BatchStream) -> Table {
     table_from_batches_pooled(stream, &inline_pool())
 }
@@ -649,23 +562,22 @@ pub fn encoded_table_from_batches(stream: &BatchStream) -> Table {
     encoded_table_from_batches_pooled(stream, &inline_pool())
 }
 
-/// The stream's row copies in stream order, one batch per task on `pool`;
-/// `marker` appends each copy's label as a trailing `0`/`1` value.
+/// The stream's rows in stream order, one batch per task on `pool`;
+/// `marker` appends each row's label as a trailing `0`/`1` value.
 fn rows_pooled(stream: &BatchStream, pool: &rayon::ThreadPool, marker: bool) -> Vec<Tuple> {
     let batches: Vec<&ColumnBatch> = stream.batches.iter().collect();
     let materialize = |_, b: &ColumnBatch| {
-        let mut rows = Vec::with_capacity(b.len());
-        for i in 0..b.len() {
-            let row = if marker {
-                let label = Value::Int(i64::from(b.labels().get(i)));
-                let values = b.columns().iter().map(|c| c.value(i));
-                values.chain(std::iter::once(label)).collect()
-            } else {
-                b.row(i)
-            };
-            rows.extend(std::iter::repeat_n(row, b.mults()[i] as usize));
-        }
-        rows
+        (0..b.len())
+            .map(|i| {
+                if marker {
+                    let label = Value::Int(i64::from(b.labels().get(i)));
+                    let values = b.columns().iter().map(|c| c.value(i));
+                    values.chain(std::iter::once(label)).collect()
+                } else {
+                    b.row(i)
+                }
+            })
+            .collect::<Vec<Tuple>>()
     };
     // A result of at most one full morsel's rows is one worker's work
     // however many batches hold it (a point lookup's three near-empty
@@ -702,18 +614,6 @@ pub fn encoded_table_from_batches_pooled(stream: &BatchStream, pool: &rayon::Thr
     )
 }
 
-/// Collapse a stream back into an annotation-map relation (multiplicities
-/// accumulate per distinct tuple).
-pub fn relation_from_batches(stream: &BatchStream) -> ua_data::Relation<u64> {
-    let mut rel = ua_data::Relation::new(stream.schema.clone());
-    for b in &stream.batches {
-        for i in 0..b.len() {
-            rel.insert(b.row(i), b.mults()[i]);
-        }
-    }
-    rel
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,28 +641,6 @@ mod tests {
             assert_eq!(back.rows(), t.rows());
             assert_eq!(back.schema(), t.schema());
         }
-    }
-
-    #[test]
-    fn relation_round_trip_is_lossless() {
-        let rel = ua_data::bag_relation(
-            "r",
-            &["a"],
-            vec![
-                vec![Value::Int(1)],
-                vec![Value::Int(1)],
-                vec![Value::Int(1)],
-                vec![Value::Int(2)],
-            ],
-        );
-        let stream = batches_from_relation(&rel, 2);
-        assert_eq!(stream.num_rows(), 2, "support tuples, not copies");
-        assert_eq!(relation_from_batches(&stream), rel);
-        // Expanding to a table matches Table::from_relation.
-        assert_eq!(
-            table_from_batches(&stream).sorted_rows(),
-            Table::from_relation(&rel).sorted_rows()
-        );
     }
 
     #[test]

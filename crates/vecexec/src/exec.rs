@@ -3,7 +3,7 @@
 //! semantics**, parameterised by [`Semantics`] the way both papers
 //! parameterise one query semantics by the annotation.
 //!
-//! * `Det` — batches are typed columns plus a `u64` multiplicity column;
+//! * `Det` — batches are typed columns, one row per bag copy;
 //!   σ / π / alias and the join probe ([`ops::ProbeState`], every inner,
 //!   θ and hash join) are pipeline stages, the breakers are the [`ops`]
 //!   operators.
@@ -208,7 +208,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 
 /// One query's execution context: the catalog, the morsel size, the
 /// worker pool, and the [`Semantics`] — the annotation every operator arm
-/// is parameterised by. Det batches carry `u64` multiplicities; UA scans
+/// is parameterised by. Det batch rows are bag copies; UA scans
 /// decode encoded tables into label bitmaps that the same kernels gather
 /// and AND; AU batches are plain batches over the flattened schema (user
 /// columns, then `lb` / `ub` columns, then the multiplicity triple) whose
@@ -938,8 +938,8 @@ fn stream_mem_bytes(stream: &BatchStream) -> u64 {
 
 /// What a decoded stream keeps resident in the chunk store, the figure
 /// behind the `catalog.chunk_bytes` gauge: element size × length of every
-/// column, multiplicity and label buffer, each shared buffer (the all-ones
-/// sidecar, an AU bound column that is its `bg` column) counted once.
+/// column and label buffer, each shared buffer (an AU bound column that is
+/// its `bg` column) counted once.
 /// String payloads are the row store's own `Arc<str>`s and count nothing.
 fn resident_bytes(stream: &BatchStream) -> u64 {
     use crate::columnar::ColumnVec;
@@ -959,7 +959,7 @@ fn resident_bytes(stream: &BatchStream) -> u64 {
             ColumnVec::Str(v) => buffer(v),
             ColumnVec::Mixed(v) => buffer(v),
         });
-        for (ptr, len) in columns.chain([buffer(&b.shared_mults())]) {
+        for (ptr, len) in columns {
             if seen.insert(ptr) {
                 bytes += len;
             }

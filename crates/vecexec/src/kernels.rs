@@ -315,7 +315,7 @@ pub fn filter_selection(
 /// (`None` = all rows). Column references gather just their own column;
 /// literals broadcast; anything else evaluates over a lazily-gathered
 /// survivor batch, so computed expressions never see rejected rows. Labels
-/// and multiplicities ride along with the selection.
+/// ride along with the selection.
 pub fn project_selected(
     batch: &ColumnBatch,
     sel: Option<&[u32]>,
@@ -332,7 +332,6 @@ pub fn project_selected(
                 out_schema.clone(),
                 cols,
                 batch.labels().clone(),
-                Arc::new(batch.mults().to_vec()),
             ))
         }
         Some(sel) => {
@@ -352,13 +351,10 @@ pub fn project_selected(
                     }
                 })
                 .collect::<Result<_, EngineError>>()?;
-            let labels = batch.labels().gather(sel);
-            let mults: Vec<u64> = sel.iter().map(|&i| batch.mults()[i as usize]).collect();
             Ok(ColumnBatch::new(
                 out_schema.clone(),
                 cols,
-                labels,
-                Arc::new(mults),
+                batch.labels().gather(sel),
             ))
         }
     }

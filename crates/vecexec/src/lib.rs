@@ -4,17 +4,18 @@
 //! a pair-semiring call per tuple for UA label propagation. This crate runs
 //! the *same* [`Plan`](ua_plan::plan::Plan)s over [`columnar::ColumnBatch`]es
 //! (~1024-row typed column vectors) and carries the paper's certain/uncertain
-//! annotation as a per-batch **label bitmap** plus a `u64` multiplicity
-//! column, so selection, projection, join and union propagate labels with
-//! bitwise operations (`min(C₁, C₂)` on `{0,1}` markers ≡ bitwise AND).
+//! annotation as a per-batch **label bitmap**, so selection, projection,
+//! join and union propagate labels with bitwise operations (`min(C₁, C₂)`
+//! on `{0,1}` markers ≡ bitwise AND). A batch row is one bag copy, as a
+//! `Table` row is.
 //!
 //! Layout:
 //!
 //! * [`bitmap`] — packed bitmaps for predicate masks and label vectors;
 //! * [`columnar`] — [`columnar::ColumnBatch`], typed
 //!   [`columnar::ColumnVec`]s, and lossless converters to/from
-//!   [`ua_plan::Table`] and [`ua_data::Relation`]`<u64>` (one per
-//!   direction and encoding; the serial forms run the pooled ones inline);
+//!   [`ua_plan::Table`] (one per direction and encoding; the serial forms
+//!   run the pooled ones inline);
 //! * [`kernels`] — vectorized expression/predicate evaluation, bit-exact
 //!   with the row engine's scalar `Expr` evaluator, plus the fused
 //!   selection-consuming kernels (σ→π, σ→probe) and the two typed AU
@@ -64,9 +65,8 @@ pub mod ops;
 pub mod ua;
 
 pub use columnar::{
-    batches_from_relation, batches_from_table, batches_from_table_pooled, relation_from_batches,
-    table_from_batches, table_from_batches_pooled, BatchStream, ColumnBatch, ColumnVec,
-    DEFAULT_BATCH_ROWS,
+    batches_from_table, batches_from_table_pooled, table_from_batches, table_from_batches_pooled,
+    BatchStream, ColumnBatch, ColumnVec, DEFAULT_BATCH_ROWS,
 };
 pub use exec::{execute, execute_au_vectorized_opts, resolve_threads, stream};
 

@@ -58,8 +58,8 @@ pub fn union_all(left: BatchStream, right: BatchStream) -> Result<BatchStream, E
     })
 }
 
-/// Bag difference, columnar: right-side multiplicities accumulate into a
-/// per-key budget, then left batches stream through it in order. Matching
+/// Bag difference, columnar: right-side rows count into a per-key budget,
+/// then left batches stream through it in order. Matching
 /// follows `ua_plan::except_table` exactly — IS-NOT-DISTINCT keys
 /// ([`Value::join_key`] over every column, NULL matches NULL), earliest-
 /// first removal for `all`, first unmatched occurrence for distinct — so
@@ -86,46 +86,28 @@ pub fn except(
     let mut budget: FxHashMap<Tuple, u64> = FxHashMap::default();
     for b in &right.batches {
         for i in 0..b.len() {
-            let m = b.mults()[i];
-            // Zero-multiplicity rows expand to no copies — they are not
-            // occurrences and must not cancel (or match) anything.
-            if m > 0 {
-                *budget.entry(key_at(b, i)).or_insert(0) += m;
-            }
+            *budget.entry(key_at(b, i)).or_insert(0) += 1;
         }
     }
     let mut seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut batches = Vec::new();
     for b in &left.batches {
         let mut keep: Vec<u32> = Vec::new();
-        let mut mults: Vec<u64> = Vec::new();
         for i in 0..b.len() {
-            let m = b.mults()[i];
-            if m == 0 {
-                continue;
-            }
             let key = key_at(b, i);
-            if all {
-                let out = match budget.get_mut(&key) {
-                    Some(n) => {
-                        let take = (*n).min(m);
-                        *n -= take;
-                        m - take
+            let kept = if all {
+                match budget.get_mut(&key) {
+                    Some(n) if *n > 0 => {
+                        *n -= 1;
+                        false
                     }
-                    None => m,
-                };
-                if out > 0 {
-                    keep.push(i as u32);
-                    mults.push(out);
+                    _ => true,
                 }
             } else {
-                if budget.contains_key(&key) {
-                    continue;
-                }
-                if seen.insert(key) {
-                    keep.push(i as u32);
-                    mults.push(1);
-                }
+                !budget.contains_key(&key) && seen.insert(key)
+            };
+            if kept {
+                keep.push(i as u32);
             }
         }
         if keep.is_empty() {
@@ -136,7 +118,6 @@ pub fn except(
             g.schema().clone(),
             g.columns().to_vec(),
             Bitmap::filled(keep.len(), false),
-            Arc::new(mults),
         ));
     }
     Ok(BatchStream {
@@ -217,7 +198,7 @@ fn owning_part<K>(
 /// The one det / UA join state: every inner, θ, hash and outer join of
 /// this engine probes through it. It holds the build side as one chunk
 /// (and, when probe misses pad, that chunk plus one all-NULL pad row —
-/// label 0, multiplicity 1 — so gathering a miss at the pad row produces
+/// label 0 — so gathering a miss at the pad row produces
 /// exactly the row engine's NULL-padded output), the hash index on the
 /// build keys (`None` without keys), the null-aware `always` rows (build
 /// rows with an unknown key, candidates of every probe row), and the
@@ -283,9 +264,7 @@ impl ProbeState {
                 .collect();
             let mut labels = chunk.labels().clone();
             labels.push(false);
-            let mut mults = chunk.mults().to_vec();
-            mults.push(1);
-            ColumnBatch::new(chunk.schema().clone(), columns, labels, Arc::new(mults))
+            ColumnBatch::new(chunk.schema().clone(), columns, labels)
         });
         Ok(ProbeState {
             chunk,
@@ -589,7 +568,7 @@ pub(crate) fn probe_index(
 }
 
 /// Assemble the joined batch: gathered left columns ++ gathered right
-/// columns; labels AND bitwise; multiplicities multiply (ℕ is saturating).
+/// columns; labels AND bitwise.
 fn join_gather(
     lbatch: &ColumnBatch,
     rchunk: &ColumnBatch,
@@ -606,58 +585,28 @@ fn join_gather(
     }
     let mut labels = lbatch.labels().gather(lidx);
     labels.and_assign(&rchunk.labels().gather(ridx));
-    let mults: Vec<u64> = lidx
-        .iter()
-        .zip(ridx)
-        .map(|(&i, &j)| lbatch.mults()[i as usize].saturating_mul(rchunk.mults()[j as usize]))
-        .collect();
-    ColumnBatch::new(out_schema.clone(), columns, labels, Arc::new(mults))
+    ColumnBatch::new(out_schema.clone(), columns, labels)
 }
 
 /// Row-count limit, columnar-native: batches pass through untouched until
-/// the running row-copy count (multiplicities included, matching the row
-/// engine's limit over expanded rows) reaches `limit`; the boundary batch
-/// is truncated by gathering its prefix — columns, label bitmap and
-/// multiplicity column together — and the boundary *row*'s multiplicity is
-/// clipped when the limit lands inside its copies. No row materialization
-/// happens.
+/// `limit` rows have passed, like the row engine's `limit_table`; the
+/// boundary batch is truncated by gathering its prefix — columns and label
+/// bitmap together. No row materialization happens.
 pub fn limit(input: BatchStream, limit: usize) -> BatchStream {
-    let mut remaining = limit as u64;
+    let mut remaining = limit;
     let mut batches = Vec::with_capacity(input.batches.len());
     for batch in input.batches {
         if remaining == 0 {
             break;
         }
-        let total: u64 = batch.mults().iter().sum();
-        if total <= remaining {
-            remaining -= total;
+        if batch.len() <= remaining {
+            remaining -= batch.len();
             batches.push(batch);
-            continue;
+        } else {
+            let prefix: Vec<u32> = (0..remaining as u32).collect();
+            batches.push(batch.gather(&prefix));
+            remaining = 0;
         }
-        let mut keep: Vec<u32> = Vec::new();
-        let mut mults: Vec<u64> = Vec::new();
-        for i in 0..batch.len() {
-            if remaining == 0 {
-                break;
-            }
-            let m = batch.mults()[i];
-            if m == 0 {
-                // Zero-multiplicity rows expand to nothing; dropping them
-                // here matches the row engine's view of the stream.
-                continue;
-            }
-            let take = m.min(remaining);
-            keep.push(i as u32);
-            mults.push(take);
-            remaining -= take;
-        }
-        let gathered = batch.gather(&keep);
-        batches.push(ColumnBatch::new(
-            gathered.schema().clone(),
-            gathered.columns().to_vec(),
-            gathered.labels().clone(),
-            Arc::new(mults),
-        ));
     }
     BatchStream {
         schema: input.schema,
@@ -828,12 +777,8 @@ pub fn sort(
 }
 
 /// Fused Sort+Limit (Top-K): a bounded buffer of the `k` smallest rows
-/// under `sort_cmp`'s ordering — the full input is never sorted, let
-/// alone materialized. Row copies count like the row engine's
-/// `Limit(Sort(..))` over expanded rows: an entry with multiplicity `m`
-/// stands for `m` adjacent copies, the buffer keeps just enough entries to
-/// cover `k` copies, and the boundary entry's multiplicity is clipped on
-/// emit (exactly like [`limit`]).
+/// under `sort_cmp`'s ordering, as in the row engine's `top_k_table` — the
+/// full input is never sorted, let alone materialized.
 pub fn top_k(
     input: BatchStream,
     keys: &[(Expr, SortOrder)],
@@ -846,11 +791,8 @@ pub fn top_k(
         key: Vec<Value>,
         bi: u32,
         ri: u32,
-        mult: u64,
     }
-    let mut top: Vec<Entry> = Vec::new();
-    let mut total: u64 = 0;
-    let k64 = k as u64;
+    let mut top: Vec<Entry> = Vec::with_capacity(k.min(input.num_rows()) + 1);
     for (bi, batch) in input.batches.iter().enumerate() {
         // Keys evaluate for every input row — even rows Top-K rejects and
         // even when k = 0 — matching the row engine, which decorates the
@@ -860,11 +802,10 @@ pub fn top_k(
             .iter()
             .map(|(e, _)| eval_expr(e, batch))
             .collect::<Result<_, _>>()?;
+        if k == 0 {
+            continue;
+        }
         for ri in 0..batch.len() {
-            let mult = batch.mults()[ri];
-            if k == 0 || mult == 0 {
-                continue;
-            }
             let cmp_entry_to_cand = |e: &Entry| -> Ordering {
                 sort_cmp(
                     &bound,
@@ -874,13 +815,12 @@ pub fn top_k(
                     (batch, ri),
                 )
             };
-            if total >= k64 {
-                if let Some(worst) = top.last() {
-                    // Not strictly better than the current k-th copy's row:
-                    // every copy of the candidate would rank past k.
-                    if cmp_entry_to_cand(worst) != Ordering::Greater {
-                        continue;
-                    }
+            if top.len() == k {
+                let worst = top.last().expect("k > 0");
+                // Not strictly better than the current k-th row: the
+                // candidate would rank past k.
+                if cmp_entry_to_cand(worst) != Ordering::Greater {
+                    continue;
                 }
             }
             let pos = top
@@ -893,65 +833,37 @@ pub fn top_k(
                     key,
                     bi: bi as u32,
                     ri: ri as u32,
-                    mult,
                 },
             );
-            total += mult;
-            while let Some(worst) = top.last() {
-                if total - worst.mult >= k64 {
-                    total -= worst.mult;
-                    top.pop();
-                } else {
-                    break;
+            top.truncate(k);
+        }
+    }
+    let batches = top
+        .chunks(batch_rows.max(1))
+        .map(|slice| {
+            let mut labels = Bitmap::filled(slice.len(), false);
+            for (i, e) in slice.iter().enumerate() {
+                if input.batches[e.bi as usize].labels().get(e.ri as usize) {
+                    labels.set(i, true);
                 }
             }
-        }
-    }
-    // Emit the surviving entries in order, clipping the boundary entry's
-    // multiplicity so the copy count is exactly min(k, input copies).
-    let mut batches = Vec::new();
-    let mut remaining = k64;
-    for slice in top.chunks(batch_rows.max(1)) {
-        let mut mults: Vec<u64> = Vec::with_capacity(slice.len());
-        for e in slice {
-            if remaining == 0 {
-                break;
-            }
-            let take = e.mult.min(remaining);
-            remaining -= take;
-            mults.push(take);
-        }
-        if mults.is_empty() {
-            break;
-        }
-        let slice = &slice[..mults.len()];
-        let mut labels = Bitmap::filled(slice.len(), false);
-        for (i, e) in slice.iter().enumerate() {
-            if input.batches[e.bi as usize].labels().get(e.ri as usize) {
-                labels.set(i, true);
-            }
-        }
-        let columns: Vec<ColumnVec> = (0..schema.arity())
-            .map(|c| {
-                let values: Vec<Value> = slice
-                    .iter()
-                    .map(|e| input.batches[e.bi as usize].column(c).value(e.ri as usize))
-                    .collect();
-                ColumnVec::from_values(values.iter())
-            })
-            .collect();
-        batches.push(ColumnBatch::new(
-            schema.clone(),
-            columns,
-            labels,
-            Arc::new(mults),
-        ));
-    }
+            let columns: Vec<ColumnVec> = (0..schema.arity())
+                .map(|c| {
+                    let values: Vec<Value> = slice
+                        .iter()
+                        .map(|e| input.batches[e.bi as usize].column(c).value(e.ri as usize))
+                        .collect();
+                    ColumnVec::from_values(values.iter())
+                })
+                .collect();
+            ColumnBatch::new(schema.clone(), columns, labels)
+        })
+        .collect();
     Ok(BatchStream { schema, batches })
 }
 
-/// Duplicate elimination: first occurrence of each distinct row survives
-/// with multiplicity 1 (set semantics over the bag's row copies).
+/// Duplicate elimination: the first occurrence of each distinct row
+/// survives (set semantics over the bag's row copies).
 ///
 /// The UA label participates in the key: in the row engine's encoded
 /// representation the marker is a real column, so `(t, certain)` and
@@ -963,22 +875,12 @@ pub fn distinct(input: BatchStream) -> BatchStream {
     for batch in &input.batches {
         let mut keep: Vec<u32> = Vec::new();
         for i in 0..batch.len() {
-            if batch.mults()[i] == 0 {
-                continue;
-            }
             if seen.insert((batch.row(i), batch.labels().get(i))) {
                 keep.push(i as u32);
             }
         }
         if !keep.is_empty() {
-            let gathered = batch.gather(&keep);
-            // Normalize multiplicities to 1.
-            batches.push(ColumnBatch::new(
-                gathered.schema().clone(),
-                gathered.columns().to_vec(),
-                gathered.labels().clone(),
-                Arc::new(vec![1u64; gathered.len()]),
-            ));
+            batches.push(batch.gather(&keep));
         }
     }
     BatchStream {
@@ -1042,9 +944,6 @@ fn fold_partitioned<K: Hash + Eq + Clone + Send + Sync>(
             let be = &evaluated[b];
             let mut lists: Vec<Vec<(u32, K)>> = (0..parts).map(|_| Vec::new()).collect();
             for i in 0..be.0.len() {
-                if be.0.mults()[i] == 0 {
-                    continue;
-                }
                 let key = key_of(be, i);
                 let p = (partition_hash(&key) % parts as u64) as usize;
                 lists[p].push((i as u32, key));
@@ -1063,9 +962,8 @@ fn fold_partitioned<K: Hash + Eq + Clone + Send + Sync>(
         let mut slots: FxHashMap<K, usize> = FxHashMap::default();
         let mut out: FoldedGroups<K> = Vec::new();
         for (b, i, key) in entries {
-            let (batch, _, acols) = &evaluated[b as usize];
+            let (_, _, acols) = &evaluated[b as usize];
             let i = i as usize;
-            let mult = batch.mults()[i];
             let slot = match slots.get(&key) {
                 Some(&s) => s,
                 None => {
@@ -1081,8 +979,8 @@ fn fold_partitioned<K: Hash + Eq + Clone + Send + Sync>(
             };
             for (state, arg) in out[slot].2.iter_mut().zip(acols) {
                 match arg {
-                    Some(col) => state.update(Some(&col.value_at(i)), mult),
-                    None => state.update(None, mult),
+                    Some(col) => state.update(Some(&col.value_at(i)), 1),
+                    None => state.update(None, 1),
                 }
             }
         }
@@ -1206,10 +1104,6 @@ fn aggregate_impl(
         for (batch, gcols, acols) in &evaluated {
             let key_col = IntKey::of(&gcols[0]).expect("checked above");
             for i in 0..batch.len() {
-                let mult = batch.mults()[i];
-                if mult == 0 {
-                    continue;
-                }
                 let k = key_col.at(i);
                 let states = match int_groups.get_mut(&k) {
                     Some(s) => s,
@@ -1222,8 +1116,8 @@ fn aggregate_impl(
                 };
                 for (state, arg) in states.iter_mut().zip(acols) {
                     match arg {
-                        Some(col) => state.update(Some(&col.value_at(i)), mult),
-                        None => state.update(None, mult),
+                        Some(col) => state.update(Some(&col.value_at(i)), 1),
+                        None => state.update(None, 1),
                     }
                 }
             }
@@ -1240,10 +1134,6 @@ fn aggregate_impl(
         let mut order: Vec<Tuple> = Vec::new();
         for (batch, group_cols, agg_cols) in &evaluated {
             for i in 0..batch.len() {
-                let mult = batch.mults()[i];
-                if mult == 0 {
-                    continue;
-                }
                 let key: Tuple = group_cols.iter().map(|c| c.value_at(i)).collect();
                 let states = match groups.get_mut(&key) {
                     Some(s) => s,
@@ -1256,8 +1146,8 @@ fn aggregate_impl(
                 };
                 for (state, arg) in states.iter_mut().zip(agg_cols) {
                     match arg {
-                        Some(col) => state.update(Some(&col.value_at(i)), mult),
-                        None => state.update(None, mult),
+                        Some(col) => state.update(Some(&col.value_at(i)), 1),
+                        None => state.update(None, 1),
                     }
                 }
             }
@@ -1298,12 +1188,7 @@ fn aggregate_impl(
         .map(|c| ColumnVec::from_values(rows.iter().map(move |r| r.get(c).expect("arity"))))
         .collect();
     let len = rows.len();
-    let batch = ColumnBatch::new(
-        out_schema.clone(),
-        cols,
-        Bitmap::filled(len, true),
-        Arc::new(vec![1u64; len]),
-    );
+    let batch = ColumnBatch::new(out_schema.clone(), cols, Bitmap::filled(len, true));
     Ok(BatchStream {
         schema: out_schema,
         batches: if len == 0 { Vec::new() } else { vec![batch] },

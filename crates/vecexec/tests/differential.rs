@@ -411,11 +411,11 @@ fn referencing_the_marker_is_rejected_in_both_paths() {
 }
 
 #[test]
-fn columnar_limit_counts_row_copies_and_clips_multiplicities() {
-    // Limit over multiplicity-carrying batches (relation-sourced, so a row
-    // with annotation n stands for n copies): the columnar limit must count
-    // copies like the row engine's limit over the expanded table, clipping
-    // the boundary row's multiplicity instead of materializing.
+fn columnar_limit_and_top_k_count_row_copies() {
+    // A tuple with multiplicity n is n duplicate rows, in the table and in
+    // its batches: the columnar limit and Top-K must count those copies
+    // like the row engine's `limit_table` / `top_k_table`, including when
+    // a batch boundary or the limit falls between copies of one tuple.
     let rel = ua_data::bag_relation(
         "r",
         &["a"],
@@ -424,23 +424,36 @@ fn columnar_limit_counts_row_copies_and_clips_multiplicities() {
             .collect::<Vec<Vec<Value>>>(),
     );
     let expanded = Table::from_relation(&rel);
+    let key_sets = [
+        vec![(Expr::named("a"), SortOrder::Desc)],
+        vec![(Expr::lit(1i64), SortOrder::Asc)],
+    ];
     for batch_rows in [1, 3, 1024] {
         for limit in [0usize, 1, 4, 7, 12, 24, 25, 100] {
-            let stream = ua_vecexec::batches_from_relation(&rel, batch_rows);
+            let stream = ua_vecexec::batches_from_table(&expanded, batch_rows);
             let limited = ua_vecexec::ops::limit(stream, limit);
-            let via_batches = table_from_batches(&limited);
-            let via_rows = ua_engine::limit_table(&expanded, limit);
             assert_eq!(
-                via_batches.rows(),
-                via_rows.rows(),
-                "batch_rows={batch_rows}, limit={limit}"
+                table_from_batches(&limited).rows(),
+                ua_engine::limit_table(&expanded, limit).rows(),
+                "limit: batch_rows={batch_rows}, limit={limit}"
             );
+            for keys in &key_sets {
+                let stream = ua_vecexec::batches_from_table(&expanded, batch_rows);
+                let top = ua_vecexec::ops::top_k(stream, keys, limit, batch_rows).unwrap();
+                assert_eq!(
+                    table_from_batches(&top).rows(),
+                    ua_engine::top_k_table(&expanded, keys, limit)
+                        .unwrap()
+                        .rows(),
+                    "top_k {keys:?}: batch_rows={batch_rows}, k={limit}"
+                );
+            }
         }
     }
 }
 
 /// Streams compared *byte for byte*: same batch boundaries, same rows,
-/// same label bitmaps, same multiplicity columns. Stronger than table
+/// same label bitmaps. Stronger than table
 /// equality — this is the morsel pipeline's determinism contract.
 fn assert_streams_byte_identical(a: &BatchStream, b: &BatchStream, context: &str) {
     assert_eq!(a.schema, b.schema, "schema mismatch: {context}");
@@ -449,7 +462,6 @@ fn assert_streams_byte_identical(a: &BatchStream, b: &BatchStream, context: &str
         assert_eq!(ba.len(), bb.len(), "batch {i} len: {context}");
         assert_eq!(ba.columns(), bb.columns(), "batch {i} columns: {context}");
         assert_eq!(ba.labels(), bb.labels(), "batch {i} labels: {context}");
-        assert_eq!(ba.mults(), bb.mults(), "batch {i} mults: {context}");
     }
 }
 

@@ -8,7 +8,6 @@
 //! its batch to the row path.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::{ArithOp, CmpOp, Expr};
 use ua_data::schema::Schema;
@@ -181,12 +180,7 @@ fn batch_of(rows: &[Vec<RangeValue>]) -> ColumnBatch {
             columns[bound] = columns[c].clone();
         }
     }
-    ColumnBatch::new(
-        flat,
-        columns,
-        Bitmap::filled(rows.len(), true),
-        Arc::new(vec![1; rows.len()]),
-    )
+    ColumnBatch::new(flat, columns, Bitmap::filled(rows.len(), true))
 }
 
 /// Every sub-expression of `e`, `e` included.

@@ -4,7 +4,6 @@
 //! row, bit for bit — or decline, sending the batch down the per-row path.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use ua_data::expr::{CmpOp, Expr};
 use ua_data::schema::Schema;
 use ua_data::value::Value;
@@ -165,12 +164,7 @@ fn batch_of(rows: &[Vec<RangeValue>]) -> ColumnBatch {
     let columns = (0..flat.arity())
         .map(|c| ColumnVec::from_values(encoded.iter().map(move |r| r.get(c).expect("arity"))))
         .collect();
-    ColumnBatch::new(
-        flat,
-        columns,
-        Bitmap::filled(rows.len(), true),
-        Arc::new(vec![1; rows.len()]),
-    )
+    ColumnBatch::new(flat, columns, Bitmap::filled(rows.len(), true))
 }
 
 /// The value family each operand of every comparison leaf draws from
