@@ -99,6 +99,7 @@ impl AggState {
 
     /// Fold in `value` standing for `mult` duplicate rows (`None` = the
     /// `COUNT(*)` row marker).
+    #[inline]
     pub fn update(&mut self, value: Option<&Value>, mult: u64) {
         match self {
             AggState::Count(n) => {

@@ -118,7 +118,7 @@ impl RowOperators for AuRelation {
         plan: &Plan,
         mut inputs: Vec<AuRelation>,
         catalog: &Catalog,
-        _: &mut Tracer<'_>,
+        tracer: &mut Tracer<'_>,
     ) -> Result<AuRelation, EngineError> {
         use ua_ranges::ops;
         let columns = |cs: &[ProjColumn]| -> Vec<(Expr, Column)> {
@@ -159,7 +159,14 @@ impl RowOperators for AuRelation {
                         column: Column::unqualified(&a.name),
                     })
                     .collect();
-                ops::aggregate(input(0), &columns(group_by), &specs).map_err(EngineError::Expr)
+                let (out, listed_rows) = ops::aggregate(input(0), &columns(group_by), &specs)
+                    .map_err(EngineError::Expr)?;
+                // Like a projection's `rowwise_rows`, the extra appears only
+                // when some group left the fold's passes over the input.
+                if listed_rows > 0 {
+                    tracer.extra("listed_rows", listed_rows);
+                }
+                Ok(out)
             }
             Plan::Sort { keys, .. } | Plan::TopK { keys, .. } => {
                 let keys: Vec<(Expr, bool)> = keys

@@ -745,23 +745,9 @@ fn classify_arg(r: &RangeValue) -> ArgClass {
     }
 }
 
-/// One possible group member, pre-classified for the bound combination.
-#[derive(Clone, Copy)]
-struct Member<'a> {
-    mult: MultBound,
-    /// Certainly in the group's (single-point) key in every world: the
-    /// tuple is certainly present and all its key attributes are points
-    /// equal to the group key.
-    certain: bool,
-    arg: Option<ArgClass>,
-    arg_range: Option<&'a RangeValue>,
-}
-
-/// Contribution corners of one numeric member over multiplicity × value —
-/// the enclosure of what `mult` copies within `[lo, hi]` can add to a
-/// numeric SUM in a covered world. Shared by [`member_contrib`] and the
-/// dense kernel arms of [`agg_bounds_dense`], so the exact corner
-/// arithmetic (and its float semantics) has one implementation.
+/// Contribution corners of `mult` copies of a numeric value within
+/// `[lo, hi]` — the enclosure of what they can add to a numeric SUM in a
+/// covered world.
 fn numeric_contrib(mult: MultBound, lo: f64, hi: f64) -> (f64, f64) {
     let corners = [
         mult.lb as f64 * lo,
@@ -785,23 +771,6 @@ fn numeric_contrib(mult: MultBound, lo: f64, hi: f64) -> (f64, f64) {
     )
 }
 
-/// Per-member contribution corners over multiplicity × value — the
-/// enclosure of what the member can add to a numeric SUM in a covered
-/// world (shared by the SUM and AVG bound combinations).
-fn member_contrib(m: &Member) -> (f64, f64) {
-    match m.arg {
-        Some(ArgClass::Numeric { lo, hi }) => numeric_contrib(m.mult, lo, hi),
-        Some(ArgClass::NonNumeric) => (0.0, 0.0),
-        Some(ArgClass::Anything) | None => {
-            if m.mult.ub == 0 {
-                (0.0, 0.0)
-            } else {
-                (f64::NEG_INFINITY, f64::INFINITY)
-            }
-        }
-    }
-}
-
 fn f64_bound(x: f64) -> Bound {
     if x == f64::NEG_INFINITY {
         Bound::NegInf
@@ -812,232 +781,413 @@ fn f64_bound(x: f64) -> Bound {
     }
 }
 
-/// The attribute-level bounds of one aggregate over one group's possible
-/// members (a cloneable lazy iterator, so per-group member vectors are
-/// never materialized per aggregate). `grouped` distinguishes GROUP BY
-/// groups (which exist in a world only when non-empty) from the global
-/// group (always present, even over an empty input); `case_a` says every
-/// covered world group carries exactly the group's selected-guess key
-/// (all key hulls are points), so certainly-present point-key members
-/// bound from below.
-fn agg_bounds<'a>(
-    kind: AggFunc,
-    members: impl Iterator<Item = Member<'a>>,
-    grouped: bool,
-    case_a: bool,
-) -> (Bound, Bound) {
-    // Every arm is a single fused pass over the members — the group loop
-    // dominates aggregation cost at scale, so the per-member work is kept
-    // to one visit (accumulating in member order, which pins the exact
-    // float-addition and bound-fold order the multi-pass version had).
-    match kind {
-        AggFunc::CountStar => {
-            let mut lb: u64 = 0;
-            let mut ub: u64 = 0;
-            for m in members {
-                if case_a && m.certain {
-                    lb = lb.saturating_add(m.mult.lb);
-                }
-                ub = ub.saturating_add(m.mult.ub);
+/// One aggregate's argument column as the γ fold reads it, row by row: a
+/// dense canonical triple ([`Dense`]), per-row ranges, or none
+/// (`COUNT(*)`, [`NoArg`]). `B` is what the MIN / MAX arm folds bounds
+/// in — the scalar itself over a dense triple (its native `Ord` is the
+/// domain order there), a [`Bound`] otherwise — so the bound rules of
+/// [`Bounds`] are written once and compile to typed scalar loops over
+/// dense columns.
+trait ArgCol: Copy {
+    type B: Clone;
+    /// How row `i`'s argument can ground (`None`: there is no argument).
+    fn class(self, i: usize) -> Option<ArgClass>;
+    /// Row `i`'s lower bound (`None`: no argument).
+    fn lb(self, i: usize) -> Option<Self::B>;
+    /// Row `i`'s upper bound (`None`: no argument).
+    fn ub(self, i: usize) -> Option<Self::B>;
+    fn min(a: Self::B, b: Self::B) -> Self::B;
+    fn max(a: Self::B, b: Self::B) -> Self::B;
+    fn bound(b: Self::B) -> Bound;
+    /// Fold `mult` copies of row `i`'s selected guess into `state` — the
+    /// selected-guess aggregate, ordinary SQL aggregation.
+    fn sg(self, state: &mut AggState, i: usize, mult: u64);
+}
+
+/// A dense canonical triple: every row classifies `Numeric { lb, ub }`
+/// (dense columns hold no unknowns and no infinities).
+#[derive(Clone, Copy)]
+struct Dense<'a, T> {
+    lb: &'a [T],
+    bg: &'a [T],
+    ub: &'a [T],
+}
+
+impl<T: DenseVal> ArgCol for Dense<'_, T> {
+    type B = T;
+    fn class(self, i: usize) -> Option<ArgClass> {
+        Some(ArgClass::Numeric {
+            lo: self.lb[i].to_f64(),
+            hi: self.ub[i].to_f64(),
+        })
+    }
+    fn lb(self, i: usize) -> Option<T> {
+        Some(self.lb[i])
+    }
+    fn ub(self, i: usize) -> Option<T> {
+        Some(self.ub[i])
+    }
+    fn min(a: T, b: T) -> T {
+        a.min(b)
+    }
+    fn max(a: T, b: T) -> T {
+        a.max(b)
+    }
+    fn bound(b: T) -> Bound {
+        Bound::Val(b.to_value())
+    }
+    fn sg(self, state: &mut AggState, i: usize, mult: u64) {
+        update_dense(state, self.bg[i], mult);
+    }
+}
+
+impl ArgCol for &[RangeValue] {
+    type B = Bound;
+    fn class(self, i: usize) -> Option<ArgClass> {
+        Some(classify_arg(&self[i]))
+    }
+    fn lb(self, i: usize) -> Option<Bound> {
+        Some(self[i].lb().clone())
+    }
+    fn ub(self, i: usize) -> Option<Bound> {
+        Some(self[i].ub().clone())
+    }
+    fn min(a: Bound, b: Bound) -> Bound {
+        a.min_bound(b)
+    }
+    fn max(a: Bound, b: Bound) -> Bound {
+        a.max_bound(b)
+    }
+    fn bound(b: Bound) -> Bound {
+        b
+    }
+    fn sg(self, state: &mut AggState, i: usize, mult: u64) {
+        state.update(Some(&self[i].bg), mult);
+    }
+}
+
+/// `COUNT(*)`'s missing argument.
+#[derive(Clone, Copy)]
+struct NoArg;
+
+impl ArgCol for NoArg {
+    type B = Bound;
+    fn class(self, _: usize) -> Option<ArgClass> {
+        None
+    }
+    fn lb(self, _: usize) -> Option<Bound> {
+        None
+    }
+    fn ub(self, _: usize) -> Option<Bound> {
+        None
+    }
+    fn min(a: Bound, _: Bound) -> Bound {
+        a
+    }
+    fn max(a: Bound, _: Bound) -> Bound {
+        a
+    }
+    fn bound(b: Bound) -> Bound {
+        b
+    }
+    fn sg(self, state: &mut AggState, _: usize, mult: u64) {
+        state.update(None, mult);
+    }
+}
+
+/// Evaluate `$body` with `$arg` bound to the [`ArgCol`] of the aggregate
+/// argument `$col` (an `Option<ColView>`), monomorphised per column type.
+macro_rules! with_arg {
+    ($col:expr, $arg:ident => $body:expr) => {
+        match $col {
+            Some(ColView::Int { lb, bg, ub }) => {
+                let $arg = Dense { lb, bg, ub };
+                $body
             }
-            if grouped {
-                // A materialized world group is non-empty.
-                lb = lb.max(1);
-                if !case_a {
-                    lb = 1;
-                }
+            Some(ColView::Float { lb, bg, ub }) => {
+                let $arg = Dense { lb, bg, ub };
+                $body
             }
-            (Bound::Val(count_value(lb)), Bound::Val(count_value(ub)))
+            Some(ColView::Rows(rows)) => {
+                let $arg = rows;
+                $body
+            }
+            None => {
+                let $arg = NoArg;
+                $body
+            }
         }
-        AggFunc::Count => {
-            let mut lb: u64 = 0;
-            let mut ub: u64 = 0;
-            for m in members {
-                if case_a && m.certain && !matches!(m.arg, Some(ArgClass::Anything)) {
-                    lb = lb.saturating_add(m.mult.lb);
-                }
-                ub = ub.saturating_add(m.mult.ub);
-            }
-            if grouped && !case_a {
-                lb = 0;
-            }
-            (Bound::Val(count_value(lb)), Bound::Val(count_value(ub)))
+    };
+}
+
+/// The numeric part of SUM and AVG over a group's possible members: the
+/// sum's contribution corners, and whether a covered world may see no
+/// numeric contribution at all.
+#[derive(Clone, Copy)]
+struct SumFold {
+    lo: f64,
+    hi: f64,
+    has_certain_numeric: bool,
+    all_numeric: bool,
+}
+
+impl SumFold {
+    const EMPTY: SumFold = SumFold {
+        lo: 0.0,
+        hi: 0.0,
+        has_certain_numeric: false,
+        all_numeric: true,
+    };
+
+    fn add(&mut self, class: Option<ArgClass>, mult: MultBound, certain: bool) {
+        let numeric = matches!(class, Some(ArgClass::Numeric { .. }));
+        self.all_numeric &= numeric;
+        self.has_certain_numeric |= certain && mult.lb >= 1 && numeric;
+        // What the member can add to a numeric SUM in a covered world.
+        let (cl, ch) = match class {
+            Some(ArgClass::Numeric { lo, hi }) => numeric_contrib(mult, lo, hi),
+            Some(ArgClass::NonNumeric) => (0.0, 0.0),
+            Some(ArgClass::Anything) | None if mult.ub == 0 => (0.0, 0.0),
+            Some(ArgClass::Anything) | None => (f64::NEG_INFINITY, f64::INFINITY),
+        };
+        if certain {
+            self.lo += cl;
+            self.hi += ch;
+        } else {
+            self.lo += cl.min(0.0);
+            self.hi += ch.max(0.0);
         }
-        AggFunc::Sum => {
-            let mut has_certain_numeric = false;
-            let mut all_numeric = true;
-            let mut lo = 0.0f64;
-            let mut hi = 0.0f64;
-            for m in members {
-                let numeric = matches!(m.arg, Some(ArgClass::Numeric { .. }));
-                all_numeric &= numeric;
-                let certain = case_a && m.certain;
-                has_certain_numeric |= certain && m.mult.lb >= 1 && numeric;
-                let (cl, ch) = member_contrib(&m);
-                if certain {
-                    lo += cl;
-                    hi += ch;
-                } else {
-                    lo += cl.min(0.0);
-                    hi += ch.max(0.0);
-                }
-            }
-            // Whether SUM may be NULL in some covered world (no numeric
-            // contribution there).
-            let maybe_null = if grouped && !case_a {
-                !all_numeric
-            } else if grouped {
-                !(has_certain_numeric || all_numeric)
-            } else {
-                !has_certain_numeric
-            };
-            if maybe_null {
-                return (Bound::NegInf, Bound::PosInf);
-            }
-            (f64_bound(lo), f64_bound(hi))
+    }
+
+    /// Whether every covered world has a numeric contribution: a certain
+    /// numeric member, or — a world's group being non-empty — a grouped
+    /// group whose possible members are all numeric.
+    fn numeric_in_every_world(&self, grouped: bool) -> bool {
+        self.has_certain_numeric || (grouped && self.all_numeric)
+    }
+}
+
+/// One aggregate's attribute bounds over one group's possible members,
+/// fed one member at a time in ascending row order — which fixes the
+/// float-addition and bound-fold order, so the bounds do not depend on
+/// which pass of [`aggregate_cols`] fed the group. Every bound rule of γ
+/// is one arm here, whatever the argument column's representation.
+enum Bounds<A: ArgCol> {
+    /// `COUNT(*)` (`star`) and `COUNT(expr)`.
+    Count {
+        star: bool,
+        lb: u64,
+        ub: u64,
+    },
+    Sum(SumFold),
+    MinMax {
+        is_min: bool,
+        /// The tightest bound certainly-present members pin on one side.
+        anchor: Option<A::B>,
+        all_known: bool,
+        /// The hull of every possibly-present member's argument.
+        outer_lo: Option<A::B>,
+        outer_hi: Option<A::B>,
+    },
+    Avg {
+        sum: SumFold,
+        voided: bool,
+        hull_lo: f64,
+        hull_hi: f64,
+        cnt_lo: u128,
+        cnt_hi: u128,
+    },
+}
+
+impl<A: ArgCol> Bounds<A> {
+    fn new(kind: AggFunc) -> Bounds<A> {
+        match kind {
+            AggFunc::CountStar | AggFunc::Count => Bounds::Count {
+                star: kind == AggFunc::CountStar,
+                lb: 0,
+                ub: 0,
+            },
+            AggFunc::Sum => Bounds::Sum(SumFold::EMPTY),
+            AggFunc::Min | AggFunc::Max => Bounds::MinMax {
+                is_min: kind == AggFunc::Min,
+                anchor: None,
+                all_known: true,
+                outer_lo: None,
+                outer_hi: None,
+            },
+            AggFunc::Avg => Bounds::Avg {
+                sum: SumFold::EMPTY,
+                voided: false,
+                hull_lo: f64::INFINITY,
+                hull_hi: f64::NEG_INFINITY,
+                cnt_lo: 0,
+                cnt_hi: 0,
+            },
         }
-        AggFunc::Min | AggFunc::Max => {
-            let is_min = kind == AggFunc::Min;
-            let fold = |acc: Option<Bound>, candidate: Bound| {
-                Some(match acc {
-                    None => candidate,
-                    Some(b) => {
-                        if is_min {
-                            b.min_bound(candidate)
-                        } else {
-                            b.max_bound(candidate)
-                        }
-                    }
-                })
-            };
-            // A certainly-present member with bounded values anchors one
-            // side; the hull of all possible members gives the other.
-            let mut anchor: Option<Bound> = None;
-            let mut all_known = true;
-            let mut outer_lo: Option<Bound> = None;
-            let mut outer_hi: Option<Bound> = None;
-            for m in members {
-                let known = !matches!(m.arg, Some(ArgClass::Anything) | None);
-                all_known &= known;
-                if case_a && m.certain && known {
-                    let r = m.arg_range.expect("arg present");
-                    anchor = fold(
-                        anchor,
-                        if is_min {
-                            r.ub().clone()
-                        } else {
-                            r.lb().clone()
-                        },
-                    );
+    }
+
+    /// Feed possible member `i` of multiplicity `mult`. `certain`: the
+    /// group is case A (every key hull a point, so every covered world
+    /// group carries the group's selected-guess key) and `i` is a certainly
+    /// present, point-keyed member of the group itself — it bounds from
+    /// below.
+    // Always inlined: its call is the body of γ's per-row loops.
+    #[inline(always)]
+    fn add(&mut self, arg: A, i: usize, mult: MultBound, certain: bool) {
+        match self {
+            Bounds::Count { star, lb, ub } => {
+                // COUNT(expr) skips a member that may ground to NULL.
+                if certain && (*star || !matches!(arg.class(i), Some(ArgClass::Anything))) {
+                    *lb = lb.saturating_add(mult.lb);
                 }
-                if m.mult.ub >= 1 {
-                    if let Some(r) = m.arg_range {
-                        outer_lo = Some(match outer_lo {
-                            None => r.lb().clone(),
-                            Some(b) => b.min_bound(r.lb().clone()),
+                *ub = ub.saturating_add(mult.ub);
+            }
+            Bounds::Sum(sum) => sum.add(arg.class(i), mult, certain),
+            Bounds::MinMax {
+                is_min,
+                anchor,
+                all_known,
+                outer_lo,
+                outer_hi,
+            } => {
+                // A certainly-present member with bounded values anchors
+                // one side; the hull of all possible members gives the
+                // other.
+                let known = !matches!(arg.class(i), Some(ArgClass::Anything) | None);
+                *all_known &= known;
+                if certain && known {
+                    let side = if *is_min { arg.ub(i) } else { arg.lb(i) };
+                    let side = side.expect("a known argument has bounds");
+                    *anchor = Some(match anchor.take() {
+                        None => side,
+                        Some(b) if *is_min => A::min(b, side),
+                        Some(b) => A::max(b, side),
+                    });
+                }
+                if mult.ub >= 1 {
+                    if let (Some(lo), Some(hi)) = (arg.lb(i), arg.ub(i)) {
+                        *outer_lo = Some(match outer_lo.take() {
+                            None => lo,
+                            Some(b) => A::min(b, lo),
                         });
-                        outer_hi = Some(match outer_hi {
-                            None => r.ub().clone(),
-                            Some(b) => b.max_bound(r.ub().clone()),
+                        *outer_hi = Some(match outer_hi.take() {
+                            None => hi,
+                            Some(b) => A::max(b, hi),
                         });
                     }
                 }
             }
-            let outer_lo = outer_lo.unwrap_or(Bound::NegInf);
-            let outer_hi = outer_hi.unwrap_or(Bound::PosInf);
-            match anchor {
-                Some(b) if case_a => {
-                    if is_min {
-                        (outer_lo, b)
-                    } else {
-                        (b, outer_hi)
-                    }
-                }
-                // Grouped non-point-key groups still materialize non-empty,
-                // so a fully-bounded member pool hulls the result.
-                _ if grouped && all_known => (outer_lo, outer_hi),
-                _ => (Bound::NegInf, Bound::PosInf),
-            }
-        }
-        AggFunc::Avg => {
-            // Hull of the possible numeric groundings: the mean of the
-            // numeric contributions stays inside their convex hull. A
-            // possibly-present member that may ground to *anything* voids
-            // the enclosure — its grounding can drag the mean arbitrarily
-            // far (hulling only the numeric members, as this arm used to,
-            // was unsound tightening). The sum/count corner quotient then
-            // tightens the hull: the sum reuses the SUM contribution
-            // corners, certain numeric members pin the count from below
-            // (≥ 1 by admissibility — with no certain numeric member a
-            // covered world group is still non-empty and all-numeric),
-            // possible members cap it from above. Sound for any sum/count
-            // correlation since the quotient box encloses every corner
-            // pairing.
-            let mut has_certain_numeric = false;
-            let mut all_numeric = true;
-            let mut voided = false;
-            let mut hull_lo = f64::INFINITY;
-            let mut hull_hi = f64::NEG_INFINITY;
-            let mut sum_lo = 0.0f64;
-            let mut sum_hi = 0.0f64;
-            let mut cnt_lo: u128 = 0;
-            let mut cnt_hi: u128 = 0;
-            for m in members {
-                let numeric = matches!(m.arg, Some(ArgClass::Numeric { .. }));
-                all_numeric &= numeric;
-                let certain = case_a && m.certain;
-                has_certain_numeric |= certain && m.mult.lb >= 1 && numeric;
-                if m.mult.ub >= 1 {
-                    match m.arg {
+            Bounds::Avg {
+                sum,
+                voided,
+                hull_lo,
+                hull_hi,
+                cnt_lo,
+                cnt_hi,
+            } => {
+                let class = arg.class(i);
+                sum.add(class, mult, certain);
+                if mult.ub >= 1 {
+                    match class {
                         Some(ArgClass::Numeric { lo, hi }) => {
-                            hull_lo = hull_lo.min(lo);
-                            hull_hi = hull_hi.max(hi);
+                            *hull_lo = hull_lo.min(lo);
+                            *hull_hi = hull_hi.max(hi);
                         }
                         Some(ArgClass::NonNumeric) => {}
-                        Some(ArgClass::Anything) | None => voided = true,
+                        Some(ArgClass::Anything) | None => *voided = true,
                     }
                 }
-                let (cl, ch) = member_contrib(&m);
-                if certain {
-                    sum_lo += cl;
-                    sum_hi += ch;
-                } else {
-                    sum_lo += cl.min(0.0);
-                    sum_hi += ch.max(0.0);
-                }
-                if numeric {
+                if matches!(class, Some(ArgClass::Numeric { .. })) {
                     if certain {
-                        cnt_lo += u128::from(m.mult.lb);
+                        *cnt_lo += u128::from(mult.lb);
                     }
-                    cnt_hi += u128::from(m.mult.ub);
+                    *cnt_hi += u128::from(mult.ub);
                 }
             }
-            let admissible = if grouped {
-                (case_a && has_certain_numeric) || all_numeric
-            } else {
-                has_certain_numeric
-            };
-            if !admissible || voided || hull_lo > hull_hi {
-                return (Bound::NegInf, Bound::PosInf);
+        }
+    }
+
+    /// The bounds. `grouped` distinguishes GROUP BY groups (which exist in
+    /// a world only when non-empty) from the global group (always present,
+    /// even over an empty input).
+    fn finish(self, grouped: bool) -> (Bound, Bound) {
+        match self {
+            Bounds::Count { star, mut lb, ub } => {
+                if grouped && star {
+                    // A materialized world group is non-empty.
+                    lb = lb.max(1);
+                }
+                (Bound::Val(count_value(lb)), Bound::Val(count_value(ub)))
             }
-            let cnt_lo = cnt_lo.max(1) as f64;
-            let cnt_hi = cnt_hi.max(1) as f64;
-            let corners = [
-                sum_lo / cnt_lo,
-                sum_lo / cnt_hi,
-                sum_hi / cnt_lo,
-                sum_hi / cnt_hi,
-            ];
-            let q_lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
-            let q_hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let lo = hull_lo.max(q_lo);
-            let hi = hull_hi.min(q_hi);
-            if lo > hi {
-                // Vacuous (no covered world materializes the group with a
-                // numeric value): stay conservative.
-                return (Bound::NegInf, Bound::PosInf);
+            Bounds::Sum(sum) => {
+                if !sum.numeric_in_every_world(grouped) {
+                    // SUM may be NULL in some covered world.
+                    return (Bound::NegInf, Bound::PosInf);
+                }
+                (f64_bound(sum.lo), f64_bound(sum.hi))
             }
-            (f64_bound(lo), f64_bound(hi))
+            Bounds::MinMax {
+                is_min,
+                anchor,
+                all_known,
+                outer_lo,
+                outer_hi,
+            } => {
+                let outer_lo = outer_lo.map_or(Bound::NegInf, A::bound);
+                let outer_hi = outer_hi.map_or(Bound::PosInf, A::bound);
+                match anchor {
+                    // `anchor` is only ever set for a case-A group.
+                    Some(b) if is_min => (outer_lo, A::bound(b)),
+                    Some(b) => (A::bound(b), outer_hi),
+                    // Grouped non-point-key groups still materialize
+                    // non-empty, so a fully-bounded member pool hulls the
+                    // result.
+                    None if grouped && all_known => (outer_lo, outer_hi),
+                    None => (Bound::NegInf, Bound::PosInf),
+                }
+            }
+            Bounds::Avg {
+                sum,
+                voided,
+                hull_lo,
+                hull_hi,
+                cnt_lo,
+                cnt_hi,
+            } => {
+                // Hull of the possible numeric groundings: the mean of the
+                // numeric contributions stays inside their convex hull. A
+                // possibly-present member that may ground to *anything*
+                // voids the enclosure — its grounding can drag the mean
+                // arbitrarily far. The sum/count corner quotient then
+                // tightens the hull: the sum takes the SUM contribution
+                // corners, certain numeric members pin the count from
+                // below (≥ 1 by admissibility — with no certain numeric
+                // member a covered world group is still non-empty and
+                // all-numeric), possible members cap it from above. Sound
+                // for any sum/count correlation since the quotient box
+                // encloses every corner pairing.
+                if !sum.numeric_in_every_world(grouped) || voided || hull_lo > hull_hi {
+                    return (Bound::NegInf, Bound::PosInf);
+                }
+                let cnt_lo = cnt_lo.max(1) as f64;
+                let cnt_hi = cnt_hi.max(1) as f64;
+                let corners = [
+                    sum.lo / cnt_lo,
+                    sum.lo / cnt_hi,
+                    sum.hi / cnt_lo,
+                    sum.hi / cnt_hi,
+                ];
+                let q_lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
+                let q_hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let lo = hull_lo.max(q_lo);
+                let hi = hull_hi.min(q_hi);
+                if lo > hi {
+                    // Vacuous (no covered world materializes the group with
+                    // a numeric value): stay conservative.
+                    return (Bound::NegInf, Bound::PosInf);
+                }
+                (f64_bound(lo), f64_bound(hi))
+            }
         }
     }
 }
@@ -1157,17 +1307,6 @@ enum ColView<'a> {
 }
 
 impl<'a> ColView<'a> {
-    /// Whether row `i`'s range pins a single known value. For dense
-    /// triples structural equality of the three same-typed slots is
-    /// exactly [`RangeValue::is_point`] (dense columns hold no unknowns).
-    fn is_point(&self, i: usize) -> bool {
-        match self {
-            ColView::Int { lb, bg, ub } => lb[i] == bg[i] && bg[i] == ub[i],
-            ColView::Float { lb, bg, ub } => lb[i] == bg[i] && bg[i] == ub[i],
-            ColView::Rows(rows) => rows[i].is_point(),
-        }
-    }
-
     /// Row `i`'s selected guess.
     fn bg_at(&self, i: usize) -> Value {
         match self {
@@ -1238,37 +1377,50 @@ impl<'a> ColView<'a> {
         }
     }
 
-    /// The hull of rows `members` (non-empty, the first holding the group's
-    /// key): what folding [`RangeValue::hull`] from the first member gives
-    /// — `min lb` / `max ub` around the key, typed over a dense triple.
-    /// `points`: every member is a point, so the hull is the key itself.
-    fn hull(&self, members: &[usize], points: bool) -> Hull {
+    /// Per group, the hull of its rows' ranges: what folding
+    /// [`RangeValue::hull`] over the group's rows in ascending order from
+    /// its first row (`firsts[g]`, which holds its key) gives — `min lb` /
+    /// `max ub` around the key, typed over a dense triple. `of` gives each
+    /// row's group. A point row is its group's key, inside any hull of the
+    /// group, and is not folded; `points[i]` is cleared unless row `i` is
+    /// one (over a dense triple, structural equality of the three slots is
+    /// exactly [`RangeValue::is_point`]: dense columns hold no unknowns).
+    fn hulls(&self, of: &[usize], firsts: &[usize], points: &mut [bool]) -> Vec<Hull> {
         fn typed<T: DenseVal>(
-            lb: &[T],
-            bg: &[T],
-            ub: &[T],
-            rows: &[usize],
-            points: bool,
-        ) -> [T; 3] {
-            let key = bg[rows[0]];
-            if points {
-                return [key, key, key];
+            [lb, bg, ub]: [&[T]; 3],
+            of: &[usize],
+            firsts: &[usize],
+            points: &mut [bool],
+        ) -> Vec<[T; 3]> {
+            let mut hulls: Vec<[T; 3]> = firsts.iter().map(|&f| [bg[f]; 3]).collect();
+            for (i, &g) in of.iter().enumerate() {
+                points[i] &= lb[i] == bg[i] && bg[i] == ub[i];
+                let [lo, _, hi] = &mut hulls[g];
+                *lo = (*lo).min(lb[i]);
+                *hi = (*hi).max(ub[i]);
             }
-            let lo = rows.iter().map(|&i| lb[i]).min().unwrap_or(key);
-            let hi = rows.iter().map(|&i| ub[i]).max().unwrap_or(key);
-            [lo, key, hi]
+            hulls
         }
         match *self {
-            ColView::Int { lb, bg, ub } => Hull::Int(typed(lb, bg, ub, members, points)),
-            ColView::Float { lb, bg, ub } => Hull::Float(typed(lb, bg, ub, members, points)),
+            ColView::Int { lb, bg, ub } => typed([lb, bg, ub], of, firsts, points)
+                .into_iter()
+                .map(Hull::Int)
+                .collect(),
+            ColView::Float { lb, bg, ub } => typed([lb, bg, ub], of, firsts, points)
+                .into_iter()
+                .map(Hull::Float)
+                .collect(),
             ColView::Rows(rows) => {
-                let mut hull = rows[members[0]].clone();
-                if !points {
-                    for &i in &members[1..] {
-                        hull = hull.hull(&rows[i]);
+                let mut hulls: Vec<RangeValue> = firsts.iter().map(|&f| rows[f].clone()).collect();
+                for (i, &g) in of.iter().enumerate() {
+                    if !rows[i].is_point() {
+                        points[i] = false;
+                        if i != firsts[g] {
+                            hulls[g] = hulls[g].hull(&rows[i]);
+                        }
                     }
                 }
-                Hull::Range(hull)
+                hulls.into_iter().map(Hull::Range).collect()
             }
         }
     }
@@ -1358,12 +1510,13 @@ impl DenseVal for F64 {
 }
 
 /// Rows partitioned by selected-guess key tuple under `Value`'s
-/// structural equality (`1` and `1.0` are two keys), groups in first-seen
-/// order, each group's rows ascending.
+/// structural equality (`1` and `1.0` are two keys): per row its group,
+/// groups numbered in first-seen order.
 struct Groups {
-    /// The rows, group by group: group `g` is `rows[starts[g]..starts[g + 1]]`.
-    rows: Vec<usize>,
-    starts: Vec<usize>,
+    /// Per row, its group.
+    of: Vec<usize>,
+    /// Per group, its first row (the one holding its key).
+    firsts: Vec<usize>,
 }
 
 impl Groups {
@@ -1372,62 +1525,45 @@ impl Groups {
     /// hash hit is checked against the group's first row, so no row builds
     /// a tuple.
     fn of(keys: &[ColView], n_rows: usize) -> Groups {
-        let (group_of, n_groups) = match keys {
-            [] => (vec![0; n_rows], usize::from(n_rows > 0)),
+        match keys {
+            [] => Groups {
+                of: vec![0; n_rows],
+                firsts: (n_rows > 0).then_some(0).into_iter().collect(),
+            },
             [key] => match key.int_bgs() {
                 Some(ints) => Groups::by_int(&ints),
                 None => Groups::by_hash(keys, n_rows),
             },
             _ => Groups::by_hash(keys, n_rows),
-        };
-        // Counting sort by group: rows stay ascending within each group.
-        let mut starts = vec![0usize; n_groups + 1];
-        for &g in &group_of {
-            starts[g + 1] += 1;
-        }
-        for g in 0..n_groups {
-            starts[g + 1] += starts[g];
-        }
-        let mut next = starts.clone();
-        let mut rows = vec![0; n_rows];
-        for (i, &g) in group_of.iter().enumerate() {
-            rows[next[g]] = i;
-            next[g] += 1;
-        }
-        Groups { rows, starts }
-    }
-
-    /// One group with no rows — global aggregation over an empty input.
-    fn one_empty() -> Groups {
-        Groups {
-            rows: Vec::new(),
-            starts: vec![0, 0],
         }
     }
 
-    /// Per row its group, and the number of groups, for one `Int` key.
-    fn by_int(keys: &[i64]) -> (Vec<usize>, usize) {
+    /// One `Int` key.
+    fn by_int(keys: &[i64]) -> Groups {
         let mut index: FxHashMap<i64, usize> = FxHashMap::default();
-        let group_of = keys
+        let mut firsts = Vec::new();
+        let of = keys
             .iter()
-            .map(|&k| {
-                let next = index.len();
-                *index.entry(k).or_insert(next)
+            .enumerate()
+            .map(|(i, &k)| {
+                *index.entry(k).or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
             })
             .collect();
-        (group_of, index.len())
+        Groups { of, firsts }
     }
 
-    /// Per row its group, and the number of groups, for any key tuple:
-    /// groups whose keys share a hash are chained, and a row joins the
-    /// first one whose first row holds its key.
-    fn by_hash(keys: &[ColView], n_rows: usize) -> (Vec<usize>, usize) {
+    /// Any key tuple: groups whose keys share a hash are chained, and a
+    /// row joins the first one whose first row holds its key.
+    fn by_hash(keys: &[ColView], n_rows: usize) -> Groups {
         const END: usize = usize::MAX;
         let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
         let mut firsts: Vec<usize> = Vec::new();
         // Per group, the next group in its hash chain.
         let mut chain: Vec<usize> = Vec::new();
-        let mut group_of = Vec::with_capacity(n_rows);
+        let mut of = Vec::with_capacity(n_rows);
         for i in 0..n_rows {
             let mut h = FxHasher::default();
             for c in keys {
@@ -1454,180 +1590,72 @@ impl Groups {
                 firsts.push(i);
                 chain.push(END);
             }
-            group_of.push(g);
+            of.push(g);
         }
-        (group_of, firsts.len())
-    }
-
-    /// Each group's rows, in group order.
-    fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.starts.windows(2).map(|w| &self.rows[w[0]..w[1]])
+        Groups { of, firsts }
     }
 }
 
-/// [`agg_bounds`] specialized to a dense canonical triple: every member's
-/// argument classifies `Numeric { lb_i, ub_i }` (dense columns hold no
-/// unknowns and no infinities), so the per-member `RangeValue` fold
-/// collapses to typed scalar loops. Accumulation runs in the same member
-/// order with the same float operations ([`numeric_contrib`], `f64`
-/// min/max, native `Ord` for the bound folds — which is the domain order
-/// for same-typed scalars), so the bounds are byte-identical to the
-/// generic path.
-#[allow(clippy::too_many_arguments)]
-fn agg_bounds_dense<T: DenseVal>(
-    kind: AggFunc,
-    lb: &[T],
-    ub: &[T],
-    possible: &[usize],
-    certain_flags: &[bool],
-    mults: &[MultBound],
-    grouped: bool,
-    case_a: bool,
-) -> (Bound, Bound) {
-    match kind {
-        AggFunc::CountStar | AggFunc::Count => {
-            let mut lo: u64 = 0;
-            let mut hi: u64 = 0;
-            for (&i, &certain) in possible.iter().zip(certain_flags) {
-                // A dense argument is never `Anything`, so COUNT(expr)'s
-                // exclusion of possibly-NULL members never fires.
-                if case_a && certain {
-                    lo = lo.saturating_add(mults[i].lb);
-                }
-                hi = hi.saturating_add(mults[i].ub);
-            }
-            if grouped {
-                if kind == AggFunc::CountStar {
-                    lo = lo.max(1);
-                    if !case_a {
-                        lo = 1;
-                    }
-                } else if !case_a {
-                    lo = 0;
-                }
-            }
-            (Bound::Val(count_value(lo)), Bound::Val(count_value(hi)))
+/// What one group's own (selected-guess) members fold to.
+#[derive(Clone, Copy)]
+struct Own {
+    /// Every member is point-keyed.
+    points: bool,
+    /// Some member is certainly present.
+    present: bool,
+    /// Some member is certainly present and point-keyed.
+    certain: bool,
+    /// Some member is in the selected-guess world.
+    in_sg: bool,
+    /// Σ member `ub`.
+    ub: u64,
+}
+
+impl Own {
+    const EMPTY: Own = Own {
+        points: true,
+        present: false,
+        certain: false,
+        in_sg: false,
+        ub: 0,
+    };
+}
+
+/// The key pass γ and δ share: the input grouped by selected-guess key
+/// tuple, and per group its key hulls and [`Own`] flags, each group's
+/// members visited in ascending row order.
+struct KeyPass {
+    groups: Groups,
+    /// Per row, whether every key range is a point.
+    points: Vec<bool>,
+    /// Per key column, per group, its key hull.
+    hulls: Vec<Vec<Hull>>,
+    own: Vec<Own>,
+}
+
+impl KeyPass {
+    fn of(keys: &[ColView], mults: &[MultBound]) -> KeyPass {
+        let n_rows = mults.len();
+        let groups = Groups::of(keys, n_rows);
+        let mut points = vec![true; n_rows];
+        let hulls = keys
+            .iter()
+            .map(|c| c.hulls(&groups.of, &groups.firsts, &mut points))
+            .collect();
+        let mut own = vec![Own::EMPTY; groups.firsts.len()];
+        for ((&g, m), &point) in groups.of.iter().zip(mults).zip(&points) {
+            let o = &mut own[g];
+            o.points &= point;
+            o.present |= m.lb >= 1;
+            o.certain |= m.lb >= 1 && point;
+            o.in_sg |= m.bg >= 1;
+            o.ub = o.ub.saturating_add(m.ub);
         }
-        AggFunc::Sum => {
-            let mut has_certain_numeric = false;
-            let mut lo = 0.0f64;
-            let mut hi = 0.0f64;
-            for (&i, &c) in possible.iter().zip(certain_flags) {
-                let certain = case_a && c;
-                has_certain_numeric |= certain && mults[i].lb >= 1;
-                let (cl, ch) = numeric_contrib(mults[i], lb[i].to_f64(), ub[i].to_f64());
-                if certain {
-                    lo += cl;
-                    hi += ch;
-                } else {
-                    lo += cl.min(0.0);
-                    hi += ch.max(0.0);
-                }
-            }
-            // All members are numeric, so SUM can only be NULL in the
-            // global group with no certain numeric contributor.
-            if !grouped && !has_certain_numeric {
-                return (Bound::NegInf, Bound::PosInf);
-            }
-            (f64_bound(lo), f64_bound(hi))
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let is_min = kind == AggFunc::Min;
-            let mut anchor: Option<T> = None;
-            let mut outer_lo: Option<T> = None;
-            let mut outer_hi: Option<T> = None;
-            for (&i, &c) in possible.iter().zip(certain_flags) {
-                if case_a && c {
-                    let cand = if is_min { ub[i] } else { lb[i] };
-                    anchor = Some(match anchor {
-                        None => cand,
-                        Some(b) => {
-                            if is_min {
-                                b.min(cand)
-                            } else {
-                                b.max(cand)
-                            }
-                        }
-                    });
-                }
-                if mults[i].ub >= 1 {
-                    outer_lo = Some(match outer_lo {
-                        None => lb[i],
-                        Some(b) => b.min(lb[i]),
-                    });
-                    outer_hi = Some(match outer_hi {
-                        None => ub[i],
-                        Some(b) => b.max(ub[i]),
-                    });
-                }
-            }
-            let outer_lo = outer_lo.map_or(Bound::NegInf, |v| Bound::Val(v.to_value()));
-            let outer_hi = outer_hi.map_or(Bound::PosInf, |v| Bound::Val(v.to_value()));
-            match anchor {
-                // `anchor` is only ever set under `case_a && certain`.
-                Some(b) => {
-                    if is_min {
-                        (outer_lo, Bound::Val(b.to_value()))
-                    } else {
-                        (Bound::Val(b.to_value()), outer_hi)
-                    }
-                }
-                // Every dense member is known, so grouped non-point-key
-                // groups always hull.
-                None if grouped => (outer_lo, outer_hi),
-                None => (Bound::NegInf, Bound::PosInf),
-            }
-        }
-        AggFunc::Avg => {
-            let mut has_certain_numeric = false;
-            let mut hull_lo = f64::INFINITY;
-            let mut hull_hi = f64::NEG_INFINITY;
-            let mut sum_lo = 0.0f64;
-            let mut sum_hi = 0.0f64;
-            let mut cnt_lo: u128 = 0;
-            let mut cnt_hi: u128 = 0;
-            for (&i, &c) in possible.iter().zip(certain_flags) {
-                let certain = case_a && c;
-                has_certain_numeric |= certain && mults[i].lb >= 1;
-                if mults[i].ub >= 1 {
-                    hull_lo = hull_lo.min(lb[i].to_f64());
-                    hull_hi = hull_hi.max(ub[i].to_f64());
-                }
-                let (cl, ch) = numeric_contrib(mults[i], lb[i].to_f64(), ub[i].to_f64());
-                if certain {
-                    sum_lo += cl;
-                    sum_hi += ch;
-                } else {
-                    sum_lo += cl.min(0.0);
-                    sum_hi += ch.max(0.0);
-                }
-                if certain {
-                    cnt_lo += u128::from(mults[i].lb);
-                }
-                cnt_hi += u128::from(mults[i].ub);
-            }
-            // All-numeric members: grouped groups are always admissible
-            // and nothing voids the hull.
-            let admissible = grouped || has_certain_numeric;
-            if !admissible || hull_lo > hull_hi {
-                return (Bound::NegInf, Bound::PosInf);
-            }
-            let cnt_lo = cnt_lo.max(1) as f64;
-            let cnt_hi = cnt_hi.max(1) as f64;
-            let corners = [
-                sum_lo / cnt_lo,
-                sum_lo / cnt_hi,
-                sum_hi / cnt_lo,
-                sum_hi / cnt_hi,
-            ];
-            let q_lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
-            let q_hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let lo = hull_lo.max(q_lo);
-            let hi = hull_hi.min(q_hi);
-            if lo > hi {
-                return (Bound::NegInf, Bound::PosInf);
-            }
-            (f64_bound(lo), f64_bound(hi))
+        KeyPass {
+            groups,
+            points,
+            hulls,
+            own,
         }
     }
 }
@@ -1663,6 +1691,9 @@ pub struct AuCols {
     pub cols: Vec<TripleCol>,
     /// Per output row, its multiplicity triple.
     pub mults: Vec<MultBound>,
+    /// How many possible-member visits γ made from explicit lists, outside
+    /// its passes over the input (see [`aggregate_cols`]); 0 for δ.
+    pub listed_rows: u64,
 }
 
 impl AuCols {
@@ -1671,6 +1702,7 @@ impl AuCols {
         AuCols {
             cols: cols.into_iter().map(TripleCol::of_ranges).collect(),
             mults,
+            listed_rows: 0,
         }
     }
 
@@ -1694,6 +1726,20 @@ impl AuCols {
 /// gives one aggregate function per `input.args` entry; the output holds
 /// the key columns, then the aggregate columns. Grouped iff `input.keys`
 /// is non-empty.
+///
+/// Every member of a group is visited in ascending row order, whichever
+/// of two routes feeds it:
+///
+/// * **In the passes over the input** (the key pass γ shares with δ,
+///   `KeyPass`, then one pass per aggregate argument column): every group's key hulls, flags and
+///   selected-guess aggregates; and the bounds of every *plain* group —
+///   case A (every key hull a point), point-keyed members only, no ranged
+///   row intersecting its key and no other group sharing its
+///   coercion-normalized key — whose possible members are exactly its
+///   own.
+/// * **From an explicit list**, one group at a time: every other group's
+///   possible members, ascending. Their count is
+///   [`AuCols::listed_rows`].
 pub fn aggregate_cols(input: &AggCols, kinds: &[AggFunc]) -> AuCols {
     let keys: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
     let args: Vec<Option<ColView>> = input
@@ -1705,214 +1751,174 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggFunc]) -> AuCols {
     let n_rows = mults.len();
     let grouped = !keys.is_empty();
 
-    // Pre-classify each tuple once: whether all its key ranges are points
-    // (the common certain case) and, per row-backed aggregate column, its
-    // argument classes. Dense triples skip the per-row classification —
-    // a canonical scalar triple always classifies `Numeric { lb, ub }`,
-    // which the typed kernel arms read straight off the slices.
-    let key_points: Vec<bool> = (0..n_rows)
-        .map(|i| keys.iter().all(|c| c.is_point(i)))
-        .collect();
-    let arg_classes: Vec<Option<Vec<ArgClass>>> = args
-        .iter()
-        .map(|col| match col {
-            Some(ColView::Rows(rows)) => Some(rows.iter().map(classify_arg).collect()),
-            _ => None,
-        })
-        .collect();
-    let ranged: Vec<usize> = (0..n_rows).filter(|&i| !key_points[i]).collect();
-
-    let mut groups = Groups::of(&keys, n_rows);
+    let KeyPass {
+        groups,
+        points,
+        hulls,
+        mut own,
+    } = KeyPass::of(&keys, mults);
     // Global aggregation over an empty input still yields one row.
     if !grouped && n_rows == 0 {
-        groups = Groups::one_empty();
+        own.push(Own::EMPTY);
     }
-    // A point-hull group finds its point-keyed possible members by lookup
-    // instead of rescanning the input: they are the point-keyed rows whose
-    // coercion-normalized key equals the group's. That is the group's own
-    // point members unless some key column mixes `Int` and `Float`
-    // guesses (`1` and `1.0` are two groups but one normalized key); only
-    // then are the rows bucketed by normalized key.
-    let shared: Option<(Vec<usize>, Vec<Vec<usize>>)> =
-        keys.iter().any(ColView::mixes_numeric).then(|| {
-            let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
-            let bucket_of: Vec<usize> = groups
-                .iter()
-                .map(|rows| {
-                    let norm: Tuple = keys.iter().map(|c| c.bg_at(rows[0]).join_key()).collect();
-                    let next = index.len();
-                    *index.entry(norm).or_insert(next)
-                })
-                .collect();
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); index.len()];
-            for (rows, &b) in groups.iter().zip(&bucket_of) {
-                buckets[b].extend(rows.iter().copied().filter(|&i| key_points[i]));
+    let n_groups = own.len();
+    let of = &groups.of;
+    // Case A: every key hull is a point, so every covered world group
+    // carries the group's selected-guess key.
+    let case_a: Vec<bool> = (0..n_groups)
+        .map(|g| hulls.iter().all(|h| h[g].is_point()))
+        .collect();
+    // Possible members of group `g`: every row whose key ranges intersect
+    // its hulls (a grounding may land any of them in a covered world
+    // group) — its own rows and, in case A, the point-keyed rows whose
+    // coercion-normalized key equals its key, and the ranged rows that
+    // intersect it.
+    let ranged: Vec<usize> = (0..n_rows).filter(|&i| !points[i]).collect();
+    let intersects =
+        |g: usize, i: usize| keys.iter().zip(&hulls).all(|(c, h)| c.intersects(i, &h[g]));
+    // Groups by coercion-normalized key: one bucket per group unless some
+    // key column mixes `Int` and `Float` guesses (`1` and `1.0` are two
+    // groups but one normalized key).
+    let bucket_of: Vec<usize> = if keys.iter().any(ColView::mixes_numeric) {
+        let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
+        let normalized =
+            |f: usize| -> Tuple { keys.iter().map(|c| c.bg_at(f).join_key()).collect() };
+        groups
+            .firsts
+            .iter()
+            .map(|&f| {
+                let next = index.len();
+                *index.entry(normalized(f)).or_insert(next)
+            })
+            .collect()
+    } else {
+        (0..n_groups).collect()
+    };
+    let mut bucket_size = vec![0usize; n_groups];
+    for &b in &bucket_of {
+        bucket_size[b] += 1;
+    }
+    let plain: Vec<bool> = (0..n_groups)
+        .map(|g| {
+            case_a[g]
+                && own[g].points
+                && bucket_size[bucket_of[g]] == 1
+                && !ranged.iter().any(|&i| intersects(g, i))
+        })
+        .collect();
+
+    // Per aggregate: every group's selected guess, every plain group's
+    // bounds.
+    let mut aggs: Vec<_> = kinds
+        .iter()
+        .zip(&args)
+        .map(
+            |(&kind, &arg)| with_arg!(arg, a => argument_pass(a, kind, of, &plain, mults, grouped)),
+        )
+        .collect();
+
+    // Every other group from its possible-member list.
+    let mut ub: Vec<u64> = own.iter().map(|o| o.ub).collect();
+    let mut listed_rows = 0u64;
+    let point_rows: Option<Vec<Vec<usize>>> =
+        (0..n_groups).any(|g| !plain[g] && case_a[g]).then(|| {
+            let mut by_bucket = vec![Vec::new(); n_groups];
+            for i in (0..n_rows).filter(|&i| points[i]) {
+                by_bucket[bucket_of[of[i]]].push(i);
             }
-            for bucket in &mut buckets {
-                bucket.sort_unstable();
-            }
-            (bucket_of, buckets)
+            by_bucket
         });
-
-    let mut cols: Vec<Vec<RangeValue>> = vec![Vec::new(); keys.len() + kinds.len()];
-    let mut out_mults: Vec<MultBound> = Vec::new();
-    for (g, member_idx) in groups.iter().enumerate() {
-        // Key hulls over the group's own (selected-guess) members. When
-        // every member is point-keyed the hull is the shared point — no
-        // per-member hull folding.
-        let all_member_points = member_idx.iter().all(|&i| key_points[i]);
-        let hulls: Vec<Hull> = keys
-            .iter()
-            .map(|c| c.hull(member_idx, all_member_points))
-            .collect();
-        // Possible members: every tuple whose key ranges intersect the
-        // hulls (a grounding may land any of them in a covered world
-        // group). Always a superset of the selected-guess members. When
-        // the hull is a single point, point-keyed tuples intersect it iff
-        // their (coercion-normalized) key equals the group key — the
-        // bucket; only range-keyed tuples need the intersection test, and
-        // the bucket is borrowed when none of them joins. Non-point hulls
-        // (the uncertain-key minority) scan the whole input.
-        let case_a = hulls.iter().all(Hull::is_point);
-        let intersects_hulls = |i: usize| keys.iter().zip(&hulls).all(|(c, h)| c.intersects(i, h));
-        let possible: Cow<[usize]> = if case_a {
-            let bucket: Cow<[usize]> = match &shared {
-                Some((bucket_of, buckets)) => Cow::Borrowed(&buckets[bucket_of[g]]),
-                None if all_member_points => Cow::Borrowed(member_idx),
-                None => member_idx
-                    .iter()
-                    .copied()
-                    .filter(|&i| key_points[i])
-                    .collect(),
-            };
-            let joining: Vec<usize> = ranged
-                .iter()
-                .copied()
-                .filter(|&i| intersects_hulls(i))
-                .collect();
-            if joining.is_empty() {
-                bucket
-            } else {
-                let mut candidates = bucket.into_owned();
-                candidates.extend(joining);
-                candidates.sort_unstable();
-                Cow::Owned(candidates)
+    let mut possible: Vec<usize> = Vec::new();
+    for g in (0..n_groups).filter(|&g| !plain[g]) {
+        possible.clear();
+        if case_a[g] {
+            possible
+                .extend_from_slice(&point_rows.as_ref().expect("built for case A")[bucket_of[g]]);
+            let points_end = possible.len();
+            possible.extend(ranged.iter().copied().filter(|&i| intersects(g, i)));
+            if possible.len() > points_end {
+                possible.sort_unstable();
             }
         } else {
-            (0..n_rows).filter(|&i| intersects_hulls(i)).collect()
-        };
-        // One certainty flag per possible member, shared by every
-        // aggregate's bound computation and the group's multiplicity: a
-        // certainly present point-keyed member of the group itself — its
-        // guesses structurally those of the group's first member. A
-        // possible member from another selected-guess group whose key
-        // merely compares equal (`1` next to the group `1.0`) lands in its
-        // own group in every world, so it is no certain member here.
-        let own = |i: usize| keys.iter().all(|c| c.same_bg(i, member_idx[0]));
-        let certain_flags: Vec<bool> = possible
+            possible.extend((0..n_rows).filter(|&i| intersects(g, i)));
+        }
+        listed_rows += possible.len() as u64;
+        // A certain member is a certainly present point-keyed member of
+        // the group itself: a possible member from another selected-guess
+        // group whose key merely compares equal (`1` next to the group
+        // `1.0`) lands in its own group in every world.
+        let certain = |i: usize| case_a[g] && mults[i].lb >= 1 && points[i] && of[i] == g;
+        for ((&kind, &arg), (_, bounds)) in kinds.iter().zip(&args).zip(&mut aggs) {
+            bounds[g] = with_arg!(arg, a => {
+                let mut fold = Bounds::new(kind);
+                for &i in &possible {
+                    fold.add(a, i, mults[i], certain(i));
+                }
+                fold.finish(grouped)
+            });
+        }
+        ub[g] = possible
             .iter()
-            .map(|&i| mults[i].lb >= 1 && key_points[i] && own(i))
-            .collect();
-        let in_sg_any = member_idx.iter().any(|&i| mults[i].bg >= 1);
-
-        for (col, hull) in cols.iter_mut().zip(&hulls) {
-            col.push(hull.range());
-        }
-        // Bounds per aggregate over the possible members — a lazy,
-        // cloneable view over the shared index/flag vectors (borrowed arg
-        // ranges and precomputed classes; nothing clones or allocates per
-        // aggregate).
-        let agg_cols = cols[keys.len()..].iter_mut();
-        for (a_idx, (&kind, col)) in kinds.iter().zip(agg_cols).enumerate() {
-            let (lb, ub) = match args[a_idx] {
-                Some(ColView::Int { lb, ub, .. }) => agg_bounds_dense(
-                    kind,
-                    lb,
-                    ub,
-                    &possible,
-                    &certain_flags,
-                    mults,
-                    grouped,
-                    case_a,
-                ),
-                Some(ColView::Float { lb, ub, .. }) => agg_bounds_dense(
-                    kind,
-                    lb,
-                    ub,
-                    &possible,
-                    &certain_flags,
-                    mults,
-                    grouped,
-                    case_a,
-                ),
-                Some(ColView::Rows(rows)) => {
-                    let classes = arg_classes[a_idx].as_deref();
-                    let members = possible
-                        .iter()
-                        .zip(&certain_flags)
-                        .map(move |(&i, &certain)| Member {
-                            mult: mults[i],
-                            certain,
-                            arg: classes.map(|c| c[i]),
-                            arg_range: Some(&rows[i]),
-                        });
-                    agg_bounds(kind, members, grouped, case_a)
-                }
-                None => {
-                    let members =
-                        possible
-                            .iter()
-                            .zip(&certain_flags)
-                            .map(|(&i, &certain)| Member {
-                                mult: mults[i],
-                                certain,
-                                arg: None,
-                                arg_range: None,
-                            });
-                    agg_bounds(kind, members, grouped, case_a)
-                }
-            };
-            let bg = sg_value(kind, args[a_idx], member_idx, mults);
-            col.push(RangeValue::new(lb, bg, ub));
-        }
-
-        let certainly_materializes = !grouped || certain_flags.iter().any(|&c| c);
-        let in_sg = !grouped || in_sg_any;
-        let ub: u64 = if grouped {
-            possible
-                .iter()
-                .map(|&i| mults[i].ub)
-                .fold(0, u64::saturating_add)
-        } else {
-            1
-        };
-        out_mults.push(MultBound::new(
-            u64::from(certainly_materializes),
-            u64::from(in_sg),
-            ub.max(u64::from(in_sg)).max(1),
-        ));
+            .map(|&i| mults[i].ub)
+            .fold(0, u64::saturating_add);
     }
-    AuCols::of(cols, out_mults)
+
+    let mut cols: Vec<Vec<RangeValue>> = hulls
+        .iter()
+        .map(|h| h.iter().map(Hull::range).collect())
+        .collect();
+    cols.extend(aggs.into_iter().map(|(sg, bounds)| {
+        sg.into_iter()
+            .zip(bounds)
+            .map(|(bg, (lb, ub))| RangeValue::new(lb, bg, ub))
+            .collect()
+    }));
+    let out_mults = own
+        .iter()
+        .zip(ub)
+        .map(|(o, ub)| {
+            if grouped {
+                let in_sg = u64::from(o.in_sg);
+                MultBound::new(u64::from(o.certain), in_sg, ub.max(in_sg).max(1))
+            } else {
+                MultBound::certain(1)
+            }
+        })
+        .collect();
+    AuCols {
+        listed_rows,
+        ..AuCols::of(cols, out_mults)
+    }
 }
 
-/// The selected-guess value of one aggregate over a group: ordinary
-/// aggregation over the members whose selected-guess multiplicity
-/// materializes the row, in member order — dense arguments read straight
-/// off their slices.
-fn sg_value(kind: AggFunc, arg: Option<ColView>, members: &[usize], mults: &[MultBound]) -> Value {
-    let mut state = AggState::new(kind);
-    let sg = members.iter().copied().filter(|&i| mults[i].bg >= 1);
-    match arg {
-        Some(ColView::Int { bg, .. }) => {
-            sg.for_each(|i| update_dense(&mut state, bg[i], mults[i].bg))
+/// γ's pass over one aggregate argument column, in row order: per group
+/// its selected-guess value (ordinary aggregation over the members whose
+/// selected-guess multiplicity materializes the row) and, for a `plain`
+/// group, its bounds — a plain group's possible members are its own rows,
+/// and a point-keyed member of its own is certain when certainly present.
+/// Other groups' bounds are left empty for their list to fill.
+fn argument_pass<A: ArgCol>(
+    arg: A,
+    kind: AggFunc,
+    of: &[usize],
+    plain: &[bool],
+    mults: &[MultBound],
+    grouped: bool,
+) -> (Vec<Value>, Vec<(Bound, Bound)>) {
+    let mut sg: Vec<AggState> = plain.iter().map(|_| AggState::new(kind)).collect();
+    let mut bounds: Vec<Bounds<A>> = plain.iter().map(|_| Bounds::new(kind)).collect();
+    for (i, (&g, &m)) in of.iter().zip(mults).enumerate() {
+        if m.bg >= 1 {
+            arg.sg(&mut sg[g], i, m.bg);
         }
-        Some(ColView::Float { bg, .. }) => {
-            sg.for_each(|i| update_dense(&mut state, bg[i], mults[i].bg))
+        if plain[g] {
+            bounds[g].add(arg, i, m, m.lb >= 1);
         }
-        Some(ColView::Rows(rows)) => sg.for_each(|i| state.update(Some(&rows[i].bg), mults[i].bg)),
-        None => sg.for_each(|i| state.update(None, mults[i].bg)),
     }
-    state.finish()
+    (
+        sg.into_iter().map(AggState::finish).collect(),
+        bounds.into_iter().map(|b| b.finish(grouped)).collect(),
+    )
 }
 
 /// [`AggState::update`] over a dense argument: the same arithmetic, read
@@ -1946,11 +1952,12 @@ fn update_dense<T: DenseVal>(state: &mut AggState, x: T, mult: u64) {
 /// widen the aggregate bounds; certainly-present members with single-point
 /// keys ground the lower bounds; the multiplicity triple is
 /// `[certainly materializes, in the SG world, Σ possible member copies]`.
+/// Returned beside the relation: [`AuCols::listed_rows`].
 pub fn aggregate(
     rel: &AuRelation,
     group_by: &[(Expr, Column)],
     aggregates: &[AggSpec],
-) -> Result<AuRelation, ExprError> {
+) -> Result<(AuRelation, u64), ExprError> {
     let bound_keys: Vec<Expr> = group_by
         .iter()
         .map(|(e, _)| e.bind(rel.schema()))
@@ -1988,37 +1995,31 @@ pub fn aggregate(
     let kinds: Vec<AggFunc> = aggregates.iter().map(|a| a.kind).collect();
     let mut columns: Vec<Column> = group_by.iter().map(|(_, c)| c.clone()).collect();
     columns.extend(aggregates.iter().map(|a| a.column.clone()));
-    Ok(aggregate_cols(&input, &kinds).materialise(Schema::new(columns)))
+    let out = aggregate_cols(&input, &kinds);
+    Ok((out.materialise(Schema::new(columns)), out.listed_rows))
 }
 
 /// δ over column-major input: every `input.keys` column is an attribute
 /// (`input.args` is ignored). Rows merge by selected-guess tuple — γ's
-/// grouping, so `1` and `1.0` stay apart — in first-seen order; each
-/// output tuple's attributes hull the merged rows' (typed over dense
-/// columns). A merged row set certainly yields at least one distinct tuple
-/// when any member is certainly present, exactly one in the SG world when
-/// any member is SG-present, and at most the *sum* of member upper bounds
-/// (every copy may ground to a distinct value that survives
+/// grouping and key pass, so `1` and `1.0` stay apart — in first-seen
+/// order; each output tuple's attributes hull the merged rows' (typed over
+/// dense columns). A merged row set certainly yields at least one distinct
+/// tuple when any member is certainly present, exactly one in the SG world
+/// when any member is SG-present, and at most the *sum* of member upper
+/// bounds (every copy may ground to a distinct value that survives
 /// deduplication).
 pub fn distinct_cols(input: &AggCols) -> AuCols {
     let views: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
-    let mults = &input.mults;
-    let mut cols: Vec<Vec<RangeValue>> = vec![Vec::new(); views.len()];
-    let mut out_mults: Vec<MultBound> = Vec::new();
-    for members in Groups::of(&views, mults.len()).iter() {
-        for (c, col) in views.iter().zip(&mut cols) {
-            col.push(c.hull(members, false).range());
-        }
-        out_mults.push(MultBound::new(
-            u64::from(members.iter().any(|&i| mults[i].lb >= 1)),
-            u64::from(members.iter().any(|&i| mults[i].bg >= 1)),
-            members
-                .iter()
-                .map(|&i| mults[i].ub)
-                .fold(0, u64::saturating_add),
-        ));
-    }
-    AuCols::of(cols, out_mults)
+    let KeyPass { hulls, own, .. } = KeyPass::of(&views, &input.mults);
+    AuCols::of(
+        hulls
+            .iter()
+            .map(|h| h.iter().map(Hull::range).collect())
+            .collect(),
+        own.iter()
+            .map(|o| MultBound::new(u64::from(o.present), u64::from(o.in_sg), o.ub))
+            .collect(),
+    )
 }
 
 /// δ: duplicate elimination — [`distinct_cols`] over the relation's
@@ -2677,7 +2678,7 @@ mod tests {
     #[test]
     fn group_by_sum_bounds_enclose_groundings() {
         let r = rel();
-        let out = aggregate(
+        let (out, listed_rows) = aggregate(
             &r,
             &[(Expr::named("g"), Column::unqualified("g"))],
             &[
@@ -2696,6 +2697,9 @@ mod tests {
         .unwrap();
         // Two SG groups: g=1 and g=2.
         assert_eq!(out.rows().len(), 2);
+        // Neither is plain: row 3's ranged key meets g=1's point hull, and
+        // g=2's hull is not a point. Each lists rows 1-3.
+        assert_eq!(listed_rows, 6);
         let g1 = &out.rows()[0];
         assert_eq!(g1.values[0].bg, Value::Int(1));
         // SG: rows 1+2 → count 2, sum 30.
@@ -2751,7 +2755,7 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_input() {
         let r = AuRelation::new(Schema::qualified("r", ["g", "v"]));
-        let out = aggregate(
+        let (out, _) = aggregate(
             &r,
             &[],
             &[AggSpec {
@@ -2818,7 +2822,7 @@ mod tests {
         for row in rows {
             r.push(row);
         }
-        let out = aggregate(
+        let (out, _) = aggregate(
             &r,
             &[(Expr::named("g"), Column::unqualified("g"))],
             &[AggSpec {

@@ -649,13 +649,14 @@ impl Driver<'_> {
     /// single workspace bound combination (`ua_ranges::ops::aggregate_cols`
     /// — typed grouping, hulls, intersections and bounds over the dense
     /// triples) folds the groups, and its column-major result is written
-    /// out as batches ([`Driver::write_cols`]).
+    /// out as batches ([`Driver::write_cols`]). Returned beside them: the
+    /// fold's `listed_rows`.
     pub(crate) fn au_aggregate(
         &self,
         stream: &BatchStream,
         group_by: &[ProjColumn],
         aggregates: &[AggExpr],
-    ) -> Result<BatchStream, EngineError> {
+    ) -> Result<(BatchStream, u64), EngineError> {
         let user = user_schema(&stream.schema);
         let bound_keys: Vec<Expr> = group_by
             .iter()
@@ -672,7 +673,10 @@ impl Driver<'_> {
         let mut columns: Vec<Column> = group_by.iter().map(|g| g.column.clone()).collect();
         columns.extend(aggregates.iter().map(|a| Column::unqualified(&a.name)));
         let out = ua_ranges::ops::aggregate_cols(&input, &kinds);
-        Ok(self.write_cols(&Schema::new(columns), &out))
+        Ok((
+            self.write_cols(&Schema::new(columns), &out),
+            out.listed_rows,
+        ))
     }
 
     /// `⟦δ⟧_AU`, triple-column-native: every attribute assembles into the

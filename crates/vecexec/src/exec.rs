@@ -689,6 +689,8 @@ impl<'a> Driver<'a> {
         let timer = self.collect_stats.then(Stopwatch::start);
         let semantics = self.semantics;
         let (ua, au) = (semantics == Semantics::Ua, semantics == Semantics::Au);
+        // AU γ's possible-member visits outside its passes over the input.
+        let mut listed_rows = 0;
         let (stream, children) = match plan {
             Plan::Scan(name) => (self.scan(name)?, Vec::new()),
             Plan::UnionAll { left, right } => {
@@ -770,6 +772,10 @@ impl<'a> Driver<'a> {
                 let (stream, child) = self.input(input)?;
                 let grouped = if au {
                     self.au_aggregate(&stream, group_by, aggregates)
+                        .map(|(out, listed)| {
+                            listed_rows = listed;
+                            out
+                        })
                 } else {
                     ops::aggregate_pooled(stream, group_by, aggregates, &self.pool)
                 };
@@ -825,6 +831,11 @@ impl<'a> Driver<'a> {
             let mut node = self.open_node(plan);
             node.extra
                 .extend(breaker_bytes.map(|bytes| ("mem_bytes".into(), bytes)));
+            // Like a projection's `rowwise_rows`: only when some group left
+            // the fold's passes over the input.
+            if listed_rows > 0 {
+                node.push_extra("listed_rows", listed_rows);
+            }
             node.children = children;
             self.finish_node(node, tally)
         });
