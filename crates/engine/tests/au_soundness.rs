@@ -783,7 +783,7 @@ fn avg_over_huge_multiplicities_counts_exactly() {
 /// selected-guess groups (as in every world) that share one normalized
 /// key. The certain `1` is a possible member of the group `1.0` but never a
 /// certain one, so that group — whose only row is absent from the
-/// selected guess — gets the well-formed triple `[0, 0, 2]` on both engines
+/// selected guess — gets the well-formed triple `[0, 0, 1]` on both engines
 /// (it was `[1, 0, 2]`: a debug build panicked, a release build encoded
 /// `lb > bg`), and the bounds enclose both worlds of the TI source.
 #[test]
@@ -809,7 +809,7 @@ fn group_by_over_mixed_int_float_keys_keeps_multiplicities_well_formed() {
     assert_eq!(results[0].table.rows(), results[1].table.rows());
     let au_rel = results[0].decode();
     let mults: Vec<MultBound> = au_rel.rows().iter().map(|r| r.mult).collect();
-    assert_eq!(mults, [MultBound::new(1, 1, 2), MultBound::new(0, 0, 2)]);
+    assert_eq!(mults, [MultBound::new(1, 1, 1), MultBound::new(0, 0, 1)]);
 
     let world_schema = Schema::qualified("t", ["k"]);
     let one = Tuple::new(vec![Value::Int(1)]);
@@ -829,4 +829,105 @@ fn group_by_over_mixed_int_float_keys_keeps_multiplicities_well_formed() {
             assert_eq!(sg_rows(&au_rel), truth.sorted_rows());
         }
     }
+}
+
+/// A point-key group's multiplicity is bounded by 1 whatever its possible
+/// members: a world has at most one group at a given key, so at most one
+/// copy is ever charged to it. Group `1` collects certain, maybe-absent
+/// and alternative members from a TI and an x-DB source; group `2`'s key
+/// hull is `[1, 2]` (one x-tuple may move to group `1`), which also makes
+/// that x-tuple a ranged possible member of group `1`. On both engines the
+/// point-key group is `[1, 1, 1]`, the ranged-key group keeps the sum of
+/// its possible members' copies, and the result encloses every world.
+#[test]
+fn point_key_groups_over_ti_and_x_members_bound_their_multiplicity_by_one() {
+    let ti = Table::from_rows(
+        Schema::qualified("t", ["g", "v", "p"]),
+        vec![
+            Tuple::new(vec![Value::Int(1), Value::Int(10), Value::float(1.0)]),
+            Tuple::new(vec![Value::Int(1), Value::Int(20), Value::float(0.7)]),
+            Tuple::new(vec![Value::Int(2), Value::Int(30), Value::float(0.5)]),
+        ],
+    );
+    let blocks: Vec<Block> = vec![
+        // Two alternatives sharing group `1`.
+        vec![
+            (Tuple::new(vec![Value::Int(1), Value::Int(7)]), 0.5),
+            (Tuple::new(vec![Value::Int(1), Value::Int(8)]), 0.5),
+        ],
+        // Maybe absent.
+        vec![(Tuple::new(vec![Value::Int(1), Value::Int(9)]), 0.6)],
+        // Group `2`, or group `1`.
+        vec![
+            (Tuple::new(vec![Value::Int(2), Value::Int(4)]), 0.6),
+            (Tuple::new(vec![Value::Int(1), Value::Int(6)]), 0.4),
+        ],
+    ];
+    let au_sql = format!(
+        "SELECT g, count(*) AS n, sum(v) AS s FROM \
+         (SELECT x.g, x.v FROM t IS TI WITH PROBABILITY (p) x \
+          UNION ALL SELECT y.g, y.v FROM {}) u GROUP BY g",
+        X_SOURCE.replace(" x", " y")
+    );
+    let det_sql = "SELECT g, count(*) AS n, sum(v) AS s FROM \
+                   (SELECT g, v FROM t UNION ALL SELECT g, v FROM xr) u GROUP BY g";
+    let results: Vec<_> = [ExecMode::Row, ExecMode::Vectorized]
+        .into_iter()
+        .map(|mode| {
+            let session = au_session(&blocks, mode);
+            session.register_table("t", ti.clone());
+            session
+                .query_au(&au_sql)
+                .unwrap_or_else(|e| panic!("{mode:?}: {e}"))
+        })
+        .collect();
+    assert_eq!(results[0].table.rows(), results[1].table.rows());
+    let au_rel = results[0].decode();
+    let mult_of = |g: i64| {
+        au_rel
+            .rows()
+            .iter()
+            .find(|r| r.values[0].bg == Value::Int(g))
+            .map(|r| r.mult)
+            .unwrap_or_else(|| panic!("group {g}"))
+    };
+    assert_eq!(mult_of(1), MultBound::new(1, 1, 1));
+    // Group `2`'s key hull `[1, 2]` meets every input row: six possible
+    // members, one copy each.
+    assert_eq!(mult_of(2), MultBound::new(0, 1, 6));
+
+    // Every world: TI rows 2 and 3 present or not, one choice per x-block.
+    let ti_rows: Vec<Tuple> = ti
+        .rows()
+        .iter()
+        .map(|r| {
+            Tuple::new(vec![
+                r.get(0).expect("g").clone(),
+                r.get(1).expect("v").clone(),
+            ])
+        })
+        .collect();
+    let mut checked = 0;
+    for mask in 0..4u8 {
+        let ti_world: Vec<Tuple> = ti_rows
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i == 0 || mask & (1 << (i - 1)) != 0)
+            .map(|(_, t)| t.clone())
+            .collect();
+        for x_world in enumerate_worlds(&blocks) {
+            let session = UaSession::with_mode(ExecMode::Row);
+            session.register_table(
+                "t",
+                Table::from_rows(Schema::qualified("t", ["g", "v"]), ti_world.clone()),
+            );
+            session.register_table("xr", x_world);
+            let truth = session.query_det(det_sql).expect("world query");
+            check_encloses_world(&au_rel, truth.rows()).unwrap_or_else(|e| {
+                panic!("TI mask {mask}: {e}\nworld result: {:?}", truth.rows())
+            });
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 4 * 8);
 }

@@ -430,10 +430,10 @@ fn golden_render_includes_mem_and_uncertainty_columns() {
         au.root.render(false),
         "Map[g\u{2192}g, __agg0\u{2192}n, __agg1\u{2192}s] rows=5 est=5 batches=1 \
          (certain_rows=5, top_attrs_permille=0, rel_width_permille=163, \
-         mult_spread=195, mem_bytes=840)\n\
+         mult_spread=0, mem_bytes=840)\n\
          \x20 Aggregate[g; count(*)\u{2192}__agg0, sum\u{2192}__agg1] rows=5 est=5 \
          batches=1 (certain_rows=5, top_attrs_permille=0, rel_width_permille=163, \
-         mult_spread=195, mem_bytes=840)\n\
+         mult_spread=0, mem_bytes=840)\n\
          \x20   Alias[x] rows=200 est=200 batches=1 (certain_rows=150, \
          top_attrs_permille=0, rel_width_permille=0, mult_spread=50, \
          mem_bytes=24000)\n\

@@ -1817,8 +1817,12 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggFunc]) -> AuCols {
         )
         .collect();
 
-    // Every other group from its possible-member list.
-    let mut ub: Vec<u64> = own.iter().map(|o| o.ub).collect();
+    // Every other group from its possible-member list. A case-A group's
+    // key is one point, and a world has at most one group at a given key:
+    // at most one copy is ever charged to the group, so its multiplicity
+    // is bounded by 1 whatever its possible members are. Any other group
+    // may cover as many world groups as its possible members' copies.
+    let mut ub: Vec<u64> = vec![1; n_groups];
     let mut listed_rows = 0u64;
     let point_rows: Option<Vec<Vec<usize>>> =
         (0..n_groups).any(|g| !plain[g] && case_a[g]).then(|| {
@@ -1857,10 +1861,12 @@ pub fn aggregate_cols(input: &AggCols, kinds: &[AggFunc]) -> AuCols {
                 fold.finish(grouped)
             });
         }
-        ub[g] = possible
-            .iter()
-            .map(|&i| mults[i].ub)
-            .fold(0, u64::saturating_add);
+        if !case_a[g] {
+            ub[g] = possible
+                .iter()
+                .map(|&i| mults[i].ub)
+                .fold(0, u64::saturating_add);
+        }
     }
 
     let mut cols: Vec<Vec<RangeValue>> = hulls
@@ -1951,7 +1957,9 @@ fn update_dense<T: DenseVal>(state: &mut AggState, x: T, mult: u64) {
 /// tuples whose key ranges intersect the hull are *possible members* and
 /// widen the aggregate bounds; certainly-present members with single-point
 /// keys ground the lower bounds; the multiplicity triple is
-/// `[certainly materializes, in the SG world, Σ possible member copies]`.
+/// `[certainly materializes, in the SG world, ub]`, where `ub` is 1 for a
+/// point-key hull (a world has at most one group at that key) and the sum
+/// of the possible members' copies otherwise.
 /// Returned beside the relation: [`AuCols::listed_rows`].
 pub fn aggregate(
     rel: &AuRelation,
@@ -2713,9 +2721,12 @@ mod tests {
         assert!(g1.values[2].contains(&Value::Int(10)));
         assert!(g1.values[2].contains(&Value::Int(47)));
         assert!(!g1.values[2].contains(&Value::Int(3)), "below certain 10");
-        assert_eq!(g1.mult, MultBound::new(1, 1, 3));
-        // g=2 group: row 3's SG; key hull [1,2] is not a point → wide count.
+        // The key hull is the point 1: a world has one group at key 1.
+        assert_eq!(g1.mult, MultBound::new(1, 1, 1));
+        // g=2 group: row 3's SG; key hull [1,2] is not a point → wide count
+        // and a multiplicity up to its possible members' copies.
         let g2 = &out.rows()[1];
+        assert_eq!(g2.mult, MultBound::new(0, 1, 3));
         assert_eq!(g2.values[0].bg, Value::Int(2));
         assert!(g2.values[0].contains(&Value::Int(1)));
         assert_eq!(g2.mult.lb, 0, "row 3 may ground its key to 1");
@@ -2728,7 +2739,8 @@ mod tests {
         // `1.0` (their keys compare equal) but never a certain one — in
         // every world it groups with itself. The group `1.0`'s only member
         // is absent from the selected guess, so it certainly materializes
-        // nowhere: `[0, 0, 2]`, not the ill-formed `[1, 0, 2]`.
+        // nowhere: `[0, 0, 1]`, not the ill-formed `[1, 0, 1]`. Both point
+        // keys bound their multiplicities by 1.
         let input = AggCols {
             keys: vec![TripleCol::Rows(vec![
                 RangeValue::point(Value::Int(1)),
@@ -2740,7 +2752,7 @@ mod tests {
         let out = aggregate_cols(&input, &[AggFunc::CountStar]);
         assert_eq!(
             out.mults,
-            [MultBound::new(1, 1, 2), MultBound::new(0, 0, 2)]
+            [MultBound::new(1, 1, 1), MultBound::new(0, 0, 1)]
         );
         assert!(out.mults.iter().all(MultBound::is_well_formed));
         // The same input through δ: each group's triple comes from its own
