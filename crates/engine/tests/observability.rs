@@ -294,6 +294,87 @@ fn au_negation_no_longer_crosses_the_relation_boundary() {
     assert_eq!(joins, 1, "`{sql}` must run one keyless ⋈");
 }
 
+/// AU γ reports `listed_rows` on both engines — how many possible-member
+/// visits it made from explicit lists, outside its passes over the input
+/// — and only when there were some. A point-key `GROUP BY` over uncertain
+/// arguments folds every group in the passes; a key that may move between
+/// groups lists the groups it touches. The goldens' point-key γ shows no
+/// such extra.
+#[test]
+fn au_aggregate_reports_listed_rows_only_for_ranged_keys() {
+    // Blocks of two alternatives each: in `same` they share the group key
+    // and differ in `v`, in `moved` the second moves to the next group.
+    let x_table = |name: &str, moved: bool| {
+        let rows = (0..40i64).flat_map(|i| {
+            let g = i % 4;
+            [
+                Tuple::new(vec![
+                    Value::Int(i),
+                    Value::Int(0),
+                    Value::float(0.6),
+                    Value::Int(g),
+                    Value::Int(i),
+                ]),
+                Tuple::new(vec![
+                    Value::Int(i),
+                    Value::Int(1),
+                    Value::float(0.4),
+                    Value::Int(if moved { (g + 1) % 4 } else { g }),
+                    Value::Int(i + 100),
+                ]),
+            ]
+        });
+        Table::from_rows(
+            Schema::qualified(name, ["xid", "aid", "p", "g", "v"]),
+            rows.collect(),
+        )
+    };
+    let listed_rows = |table: &str| {
+        let sql = format!(
+            "SELECT y.g, count(*) AS n, sum(y.v) AS s FROM \
+             {table} IS X WITH XID (xid) ALTID (aid) PROBABILITY (p) y GROUP BY y.g"
+        );
+        let per_engine: Vec<Option<u64>> = [ExecMode::Row, ExecMode::Vectorized]
+            .into_iter()
+            .map(|mode| {
+                let s = UaSession::with_mode(mode);
+                s.register_table("same", x_table("same", false));
+                s.register_table("moved", x_table("moved", true));
+                s.set_stats_enabled(true);
+                s.query_au(&sql)
+                    .unwrap_or_else(|e| panic!("{mode:?} `{sql}`: {e}"));
+                let stats = s.last_query_stats().expect("stats collected");
+                let mut listed = None;
+                let mut aggregates = 0;
+                stats.root.walk(&mut |node| {
+                    if node.name == "Aggregate" {
+                        aggregates += 1;
+                        listed = node
+                            .extra
+                            .iter()
+                            .find(|(k, _)| k == "listed_rows")
+                            .map(|&(_, v)| v);
+                    } else {
+                        assert!(
+                            node.extra.iter().all(|(k, _)| k != "listed_rows"),
+                            "{}",
+                            node.name
+                        );
+                    }
+                });
+                assert_eq!(aggregates, 1, "`{sql}`");
+                listed
+            })
+            .collect();
+        assert_eq!(per_engine[0], per_engine[1], "engines disagree on `{sql}`");
+        per_engine[0]
+    };
+    assert_eq!(listed_rows("same"), None);
+    // Every key hull is `[g, g + 1]` or wider: each group lists the rows
+    // its hull meets.
+    assert!(listed_rows("moved").is_some_and(|n| n > 0));
+}
+
 /// One collection path, one set of numbers: for an AU join + filter +
 /// `GROUP BY` the vectorized stats tree equals the row interpreter's node
 /// for node — shape, child order, row counts, the bound-width profile and

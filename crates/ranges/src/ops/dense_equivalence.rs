@@ -3,7 +3,9 @@
 //! they return over the same cells as per-row ranges — same groups, order,
 //! output column representations, bounds and multiplicity triples — and
 //! [`distinct`] still returns what δ's original row-at-a-time merge
-//! ([`distinct_reference`]) returns.
+//! ([`distinct_reference`]) returns; and [`aggregate_cols`], which folds
+//! most groups in its passes over the input, returns what listing every
+//! group's possible members naively returns ([`aggregate_reference`]).
 
 use super::*;
 use proptest::prelude::*;
@@ -48,6 +50,83 @@ fn distinct_reference(rel: &AuRelation) -> AuRelation {
         out.push(merged.remove(&key).expect("recorded"));
     }
     out
+}
+
+/// γ without its passes: every group's possible members listed naively —
+/// every row whose key ranges intersect the group's hulls, ascending — and
+/// fed to the same accumulator [`aggregate_cols`] folds with. No plain
+/// groups, no coercion buckets, no ranged-row shortlist.
+fn aggregate_reference(input: &AggCols, kinds: &[AggFunc]) -> AuCols {
+    let keys: Vec<ColView> = input.keys.iter().map(TripleCol::view).collect();
+    let args: Vec<Option<ColView>> = input
+        .args
+        .iter()
+        .map(|c| c.as_ref().map(TripleCol::view))
+        .collect();
+    let mults = &input.mults;
+    let grouped = !keys.is_empty();
+    let KeyPass {
+        groups,
+        points,
+        hulls,
+        mut own,
+    } = KeyPass::of(&keys, mults);
+    if !grouped && mults.is_empty() {
+        own.push(Own::EMPTY);
+    }
+    let mut cols: Vec<Vec<RangeValue>> = vec![Vec::new(); keys.len() + kinds.len()];
+    let mut out_mults = Vec::new();
+    for (g, o) in own.iter().enumerate() {
+        let case_a = hulls.iter().all(|h| h[g].is_point());
+        let possible: Vec<usize> = (0..mults.len())
+            .filter(|&i| keys.iter().zip(&hulls).all(|(c, h)| c.intersects(i, &h[g])))
+            .collect();
+        let own_rows: Vec<usize> = (0..mults.len()).filter(|&i| groups.of[i] == g).collect();
+        for (col, h) in cols.iter_mut().zip(&hulls) {
+            col.push(h[g].range());
+        }
+        let agg_cols = cols[keys.len()..].iter_mut();
+        for ((&kind, &arg), col) in kinds.iter().zip(&args).zip(agg_cols) {
+            col.push(with_arg!(arg, a => {
+                let mut bounds = Bounds::new(kind);
+                for &i in &possible {
+                    let certain = case_a && mults[i].lb >= 1 && points[i] && groups.of[i] == g;
+                    bounds.add(a, i, mults[i], certain);
+                }
+                let (lb, ub) = bounds.finish(grouped);
+                let mut sg = AggState::new(kind);
+                for &i in own_rows.iter().filter(|&&i| mults[i].bg >= 1) {
+                    a.sg(&mut sg, i, mults[i].bg);
+                }
+                RangeValue::new(lb, sg.finish(), ub)
+            }));
+        }
+        out_mults.push(if grouped {
+            let in_sg = u64::from(o.in_sg);
+            let ub = if case_a {
+                1
+            } else {
+                possible
+                    .iter()
+                    .map(|&i| mults[i].ub)
+                    .fold(0, u64::saturating_add)
+            };
+            MultBound::new(u64::from(o.certain), in_sg, ub.max(in_sg).max(1))
+        } else {
+            MultBound::certain(1)
+        });
+    }
+    AuCols::of(cols, out_mults)
+}
+
+/// `aggregate_cols` and its naive reference agree on `input` (generated
+/// from `case`); the first one's [`AuCols::listed_rows`].
+fn check_against_reference(input: &AggCols, case: &dyn std::fmt::Debug) -> u64 {
+    let out = aggregate_cols(input, &KINDS);
+    let reference = aggregate_reference(input, &KINDS);
+    assert_eq!(out.cols, reference.cols, "{case:?}");
+    assert_eq!(out.mults, reference.mults, "{case:?}");
+    out.listed_rows
 }
 
 /// Rows per generated case (a case keeps a prefix of them, possibly none).
@@ -277,6 +356,106 @@ proptest! {
     fn distinct_equals_the_reference_over_mixed_values(rel in arb_mixed_rel()) {
         prop_assert_eq!(distinct(&rel), distinct_reference(&rel), "{:?}", rel);
     }
+
+    #[test]
+    fn aggregation_equals_the_naive_member_lists(case in arb_case()) {
+        for dense in [true, false] {
+            check_against_reference(&case.aggregation(dense), &case);
+        }
+    }
+
+    #[test]
+    fn aggregation_over_mixed_values_equals_the_naive_member_lists(rel in arb_mixed_rel()) {
+        let column = |c: usize| {
+            TripleCol::Rows(rel.rows().iter().map(|r| r.values[c].clone()).collect())
+        };
+        for n_keys in 0..3 {
+            let input = AggCols {
+                keys: (0..n_keys).map(column).collect(),
+                args: std::iter::once(None).chain((0..5).map(|_| Some(column(1)))).collect(),
+                mults: rel.rows().iter().map(|r| r.mult).collect(),
+            };
+            check_against_reference(&input, &rel);
+        }
+    }
+}
+
+/// One γ input over one key column, every aggregate over `arg`.
+fn one_key(key: TripleCol, arg: TripleCol, mults: Vec<MultBound>) -> AggCols {
+    AggCols {
+        keys: vec![key],
+        args: std::iter::once(None)
+            .chain((0..5).map(|_| Some(arg.clone())))
+            .collect(),
+        mults,
+    }
+}
+
+/// Each way a group can fold, with interleaved groups, dense and per row:
+/// the reference agrees, and `listed_rows` shows which route each took.
+#[test]
+fn every_group_shape_equals_the_naive_member_lists() {
+    let ints =
+        |cells: &[[i64; 3]], dense: bool| Cells::Int(cells.to_vec()).column(cells.len(), dense);
+    let mults = vec![
+        MultBound::certain(1),
+        MultBound::new(0, 1, 2),
+        MultBound::new(1, 2, 3),
+        MultBound::new(0, 0, 1),
+        MultBound::certain(2),
+    ];
+    let arg = [[4, 4, 4], [-1, 0, 3], [7, 7, 7], [2, 5, 5], [0, 0, 0]];
+    for dense in [true, false] {
+        let arg = ints(&arg, dense);
+        // Plain groups only: point keys `1 2 1 3 2`.
+        let plain = one_key(
+            ints(&[[1; 3], [2; 3], [1; 3], [3; 3], [2; 3]], dense),
+            arg.clone(),
+            mults.clone(),
+        );
+        assert_eq!(check_against_reference(&plain, &"plain"), 0);
+        // Row 2 is ranged `[1, 2]` in group `2`: group `2`'s hull is not a
+        // point (it lists rows 0-3, all but group `3`'s) and row 2 joins
+        // group `1`'s point hull (rows 0, 2, 3); group `3` stays plain.
+        let ranged = one_key(
+            ints(&[[1; 3], [2; 3], [1, 2, 2], [1; 3], [3; 3]], dense),
+            arg.clone(),
+            mults.clone(),
+        );
+        assert_eq!(check_against_reference(&ranged, &"ranged"), 4 + 3);
+    }
+    // `1` and `1.0` are two groups sharing a normalized key: each lists
+    // the four point rows at that key. `2.0` stays plain.
+    let mixed = one_key(
+        TripleCol::Rows(
+            [
+                Value::Int(1),
+                Value::float(1.0),
+                Value::Int(1),
+                Value::float(2.0),
+                Value::float(1.0),
+            ]
+            .into_iter()
+            .map(RangeValue::point)
+            .collect(),
+        ),
+        ints(&arg, false),
+        mults,
+    );
+    assert_eq!(check_against_reference(&mixed, &"mixed"), 4 + 4);
+    // A global aggregate over an empty input is one plain group.
+    let empty = AggCols {
+        keys: Vec::new(),
+        args: std::iter::once(None)
+            .chain((0..5).map(|_| Some(TripleCol::Rows(Vec::new()))))
+            .collect(),
+        mults: Vec::new(),
+    };
+    assert_eq!(check_against_reference(&empty, &"empty"), 0);
+    assert_eq!(
+        aggregate_cols(&empty, &KINDS).mults,
+        [MultBound::certain(1)]
+    );
 }
 
 /// The properties above are not vacuous: equal points of two types stay
