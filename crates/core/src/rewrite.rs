@@ -83,10 +83,17 @@ pub fn rewrite_ua(
             let rs = r.schema_with(lookup)?;
             let la = ls.arity();
             let ra = rs.arity();
+            // A positional reference counts user columns: over the encoded
+            // `left ++ right`, right-side positions move past the left
+            // marker.
+            let shift = |p: &Expr| {
+                p.map_refs(&|n| Some(n.to_string()), &|i| i + usize::from(i >= la - 1))
+                    .expect("names map to themselves")
+            };
             let joined = RaExpr::Join {
                 left: Box::new(l),
                 right: Box::new(r),
-                predicate: predicate.clone(),
+                predicate: predicate.as_ref().map(shift),
             };
             // Keep all non-C columns (with their qualifiers), then combine
             // the two C markers with min — a certain join result needs both
@@ -118,10 +125,8 @@ pub fn rewrite_ua(
 /// certainty marker [`UA_LABEL_COLUMN`], under any qualifier.
 ///
 /// The marker is bookkeeping of the encoded representation, not part of the
-/// user-visible schema: both executors reject queries that mention it, so
-/// the row path (where the marker is a real column of the encoded tables)
-/// and the vectorized path (where it lives in the label bitmaps) stay
-/// observably identical.
+/// user-visible schema: queries that mention it are rejected before either
+/// executor runs them.
 pub fn expr_mentions_marker(expr: &Expr) -> bool {
     let mut mentioned = false;
     expr.for_each_leaf(&mut |leaf| {
@@ -225,6 +230,13 @@ mod tests {
             RaExpr::table("s"),
             Expr::named("r.b").eq(Expr::named("s.b")),
         ));
+    }
+
+    /// `Col(1) = Col(2)` is `r.b = s.b` in the user layout `r(a, b) ++
+    /// s(b, c)`; unshifted over the encoded inputs it would read `r.ua_c`.
+    #[test]
+    fn theorem7_positional_join() {
+        check_theorem7(&RaExpr::table("r").join(RaExpr::table("s"), Expr::col(1).eq(Expr::col(2))));
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl UaSession {
         // keys, aggregate arguments) identically.
         reject_marker_in_plan(plan)?;
         let plan = &ua_obs::trace_scope("optimize", "session", || {
-            self.optimize_plan(plan.clone(), Semantics::Au, self.exec_mode())
+            self.optimize_plan(plan.clone(), Semantics::Au)
         });
         self.dispatch(plan, Semantics::Au)
             .map(|table| AuResult { table })
@@ -112,7 +112,7 @@ impl UaSession {
     /// really executes; its result is discarded.
     pub fn explain_analyze_au(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &AuResolver)?;
-        let physical = self.optimize_plan(plan.clone(), Semantics::Au, self.exec_mode());
+        let physical = self.optimize_plan(plan.clone(), Semantics::Au);
         let stats = self.run_analyzed(|| self.execute_au_plan(&plan).map(|_| ()))?;
         Ok(format!(
             "plan:\n  {plan}\nphysical (optimized):\n  {physical}\n{}",

@@ -311,65 +311,43 @@ impl UaSession {
 
     /// The one optimization step: every query plan passes through here
     /// before executor dispatch (and before `EXPLAIN` renders it), so both
-    /// engines always run plans shaped by the same rewrites and cannot
-    /// drift. `(semantics, mode)` name the executor the plan is for, and
-    /// with it the schemas its expressions will bind against at run time:
+    /// engines always run the same plan and cannot drift. `semantics`
+    /// names the schemas its expressions will bind against at run time:
     ///
-    /// * `Det`, and `Ua` on the row engine (which executes the
-    ///   `⟦·⟧_UA`-rewritten plan as a deterministic one): the full pipeline.
-    /// * `Ua` on the vectorized engine, whose runtime schemas are the
-    ///   marker-*stripped* encoded schemas: positional references would be
-    ///   classified against the wrong arities there, so join planning is
-    ///   restricted to name-based classification (all plans lowered from
-    ///   SQL are name-based; only programmatic `RaExpr` queries with
-    ///   `Expr::Col` predicates give up the hash-join rewrite, keeping
-    ///   their pre-optimizer runtime-binding semantics). Join *reordering*
-    ///   already happened on the shared user plan ([`Self::ua_plans`]), so
-    ///   the pass is off.
-    /// * `Au`: the full pipeline on the shared user plan, before `⟦·⟧_AU`
-    ///   dispatch, so both engines execute identically shaped plans.
-    ///   Positional classification is off — AU scans resolve to flattened
-    ///   encoded tables (arity `3n + 3`), so only name-based references
-    ///   (the user columns, which lead the flattened schema) classify
-    ///   reliably.
-    pub(crate) fn optimize_plan(&self, plan: Plan, semantics: Semantics, mode: ExecMode) -> Plan {
+    /// * `Det`, and `Ua` (whose plan is the `⟦·⟧_UA` rewriting, run as a
+    ///   deterministic plan over the encoded tables): the full pipeline.
+    /// * `Au`: the full pipeline on the user plan, before `⟦·⟧_AU`
+    ///   dispatch. Positional classification is off — AU scans resolve to
+    ///   flattened encoded tables (arity `3n + 3`), so only name-based
+    ///   references (the user columns, which lead the flattened schema)
+    ///   classify reliably.
+    pub(crate) fn optimize_plan(&self, plan: Plan, semantics: Semantics) -> Plan {
         if !self.optimizer_enabled() {
             return plan;
         }
-        let (positional_joins, reorder_joins) = match (semantics, mode) {
-            (Semantics::Det, _) | (Semantics::Ua, ExecMode::Row) => (true, true),
-            (Semantics::Ua, ExecMode::Vectorized) => (false, false),
-            (Semantics::Au, _) => (false, true),
-        };
         let passes = OptimizerPasses {
-            positional_joins,
-            reorder_joins: reorder_joins && self.reorder_joins_enabled(),
+            positional_joins: semantics != Semantics::Au,
+            reorder_joins: self.reorder_joins_enabled(),
             ..OptimizerPasses::default()
         };
         ua_plan::optimize::optimize_with(plan, &self.catalog, passes)
     }
 
-    /// The two plans a UA query is made of: the *user* plan after
-    /// statistics-driven join reordering, and its `⟦·⟧_UA` rewriting.
-    /// Reordering happens on the user plan, before the two execution paths
-    /// diverge — the row engine executes the rewriting (whose
-    /// marker-combining projections would otherwise hide the join tree
-    /// from the optimizer) and the vectorized engine executes the user
-    /// plan directly, so this is the single point that keeps both engines
-    /// on the same join order (and therefore the same output row order,
-    /// which the differential harness asserts byte-for-byte). The
-    /// rewriting doubles as the one pre-dispatch guard: whatever it
-    /// rejects, it rejects identically for both engines.
-    fn ua_plans(&self, plan: &Plan) -> Result<(Plan, Plan), EngineError> {
+    /// The one plan a UA query runs as: its `⟦·⟧_UA` rewriting after
+    /// statistics-driven join reordering of the *user* plan, where the
+    /// rewriting's marker-combining projections do not yet hide the join
+    /// tree from the optimizer. The rewriting doubles as the one
+    /// pre-dispatch guard: whatever it rejects, it rejects identically for
+    /// both engines.
+    fn ua_plan(&self, plan: &Plan) -> Result<Plan, EngineError> {
         let user = if self.optimizer_enabled() && self.reorder_joins_enabled() {
             ua_plan::optimize::reorder_joins_ua(plan.clone(), &self.catalog)
         } else {
             plan.clone()
         };
-        let rewritten = ua_obs::trace_scope("rewrite", "session", || {
+        ua_obs::trace_scope("rewrite", "session", || {
             rewrite_ua_plan(&user, &self.catalog)
-        })?;
-        Ok((user, rewritten))
+        })
     }
 
     /// The underlying catalog (deterministic tables and encoded UA tables
@@ -408,7 +386,7 @@ impl UaSession {
         let _trace = self.trace_query();
         let plan = self.plan_sql(sql, &UaResolver)?;
         let plan = ua_obs::trace_scope("optimize", "session", || {
-            self.optimize_plan(plan, Semantics::Det, self.exec_mode())
+            self.optimize_plan(plan, Semantics::Det)
         });
         self.dispatch(&plan, Semantics::Det)
     }
@@ -433,13 +411,12 @@ impl UaSession {
     }
 
     /// Explain a UA query: the user plan, the `⟦·⟧_UA`-rewritten plan
-    /// ([`rewrite_ua_plan`]), and the optimized physical plan the row
-    /// engine executes (the middleware's "show rewritten SQL", plus
-    /// `EXPLAIN`).
+    /// ([`rewrite_ua_plan`]), and the optimized physical plan both engines
+    /// execute (the middleware's "show rewritten SQL", plus `EXPLAIN`).
     pub fn explain_ua(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &UaResolver)?;
-        let (_, rewritten) = self.ua_plans(&plan)?;
-        let physical = self.optimize_plan(rewritten.clone(), Semantics::Ua, ExecMode::Row);
+        let rewritten = self.ua_plan(&plan)?;
+        let physical = self.optimize_plan(rewritten.clone(), Semantics::Ua);
         Ok(format!(
             "user plan:\n  {plan}\nrewritten (⟦·⟧_UA):\n  {rewritten}\nphysical (optimized):\n  {physical}"
         ))
@@ -449,27 +426,16 @@ impl UaSession {
     /// physical plan that actually executes.
     pub fn explain_det(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.plan_sql(sql, &UaResolver)?;
-        let physical = self.optimize_plan(plan.clone(), Semantics::Det, self.exec_mode());
+        let physical = self.optimize_plan(plan.clone(), Semantics::Det);
         Ok(format!(
             "plan:\n  {plan}\nphysical (optimized):\n  {physical}"
         ))
     }
 
     fn execute_ua_plan(&self, plan: &Plan) -> Result<UaResult, EngineError> {
-        let (user, rewritten) = self.ua_plans(plan)?;
-        // Both arms run the SAME optimizer pipeline on the plan their
-        // executor receives — the uniformity the differential harness
-        // asserts. The row engine executes the rewritten plan as an
-        // ordinary deterministic query; the vectorized engine propagates
-        // labels itself (bitmaps, per the ⟦·⟧_UA rules), so it takes the
-        // *user* query's physical plan.
-        let mode = self.exec_mode();
+        let rewritten = self.ua_plan(plan)?;
         let physical = ua_obs::trace_scope("optimize", "session", || {
-            let plan = match mode {
-                ExecMode::Row => rewritten,
-                ExecMode::Vectorized => user,
-            };
-            self.optimize_plan(plan, Semantics::Ua, mode)
+            self.optimize_plan(rewritten, Semantics::Ua)
         });
         self.dispatch(&physical, Semantics::Ua)
             .map(|table| UaResult { table })
@@ -488,10 +454,9 @@ impl UaSession {
     }
 
     /// `EXPLAIN ANALYZE` for UA queries: [`Self::explain_ua`]'s plans plus
-    /// the executed operator tree. Under `ExecMode::Row` the tree is the
-    /// `⟦·⟧_UA`-rewritten physical plan's (what actually ran); under
-    /// `ExecMode::Vectorized` it is the pipeline structure over the user
-    /// plan, with morsel-pool totals appended.
+    /// the executed operator tree of the `⟦·⟧_UA`-rewritten physical plan
+    /// (what actually ran, on either engine; the vectorized tree shows its
+    /// pipeline structure, fused stages and morsel-pool totals).
     pub fn explain_analyze_ua(&self, sql: &str) -> Result<String, EngineError> {
         let plans = self.explain_ua(sql)?;
         let stats = self.run_analyzed(|| self.query_ua(sql).map(|_| ()))?;

@@ -416,7 +416,8 @@ fn golden_render_includes_mem_and_uncertainty_columns() {
     let ua = s.last_query_stats().expect("ua stats");
     assert_eq!(
         ua.root.render(false),
-        "Map[x.g\u{2192}g, x.v\u{2192}v] rows=150 est=150 batches=1 (certain_rows=113)\n\
+        "Map[x.g\u{2192}g, x.v\u{2192}v, ua_c\u{2192}ua_c] rows=150 est=150 batches=1 \
+         (certain_rows=113)\n\
          \x20 Alias[x] rows=150 est=150 batches=1 (certain_rows=113)\n\
          \x20   Filter[(v >= 50)] rows=150 est=150 batches=1 (certain_rows=113)\n\
          \x20     Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 (certain_rows=150)\n",

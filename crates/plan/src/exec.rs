@@ -218,43 +218,23 @@ impl RowOperators for Table {
         }
     }
 
-    /// Record the UA certainty profile, except on a join, inner or outer:
-    /// its output is `left ++ right`, whose last column is only the right
-    /// side's marker; the `⟦⋈⟧` / `⟦⟕⟧` projection above it reports the
-    /// join's certain rows.
+    /// Record the UA certainty profile where the output carries the marker
+    /// ([`crate::ua::certainty_marker`]): not on a join.
     fn close_span(&self, plan: &Plan, tracer: &mut Tracer<'_>) -> usize {
-        if !matches!(
-            plan,
-            Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. }
-        ) {
-            ua_certainty_extras(self, tracer);
+        let marker = tracer
+            .enabled()
+            .then(|| crate::ua::certainty_marker(plan, self.schema()))
+            .flatten();
+        if let Some(marker) = marker {
+            let certain = self
+                .rows()
+                .iter()
+                .filter(|row| matches!(row.get(marker), Some(Value::Int(1))))
+                .count();
+            tracer.extra("certain_rows", certain as u64);
         }
         self.len()
     }
-}
-
-/// Record the UA certainty profile on the current span: when the output
-/// carries the UA certainty marker (`ua_c` in last position), count the
-/// rows labeled certain. No-op for disabled tracers and non-UA tables.
-fn ua_certainty_extras(t: &Table, tracer: &mut Tracer<'_>) {
-    if !tracer.enabled() {
-        return;
-    }
-    let marker_last = t
-        .schema()
-        .columns()
-        .last()
-        .is_some_and(|c| c.name.eq_ignore_ascii_case(ua_core::UA_LABEL_COLUMN));
-    if !marker_last {
-        return;
-    }
-    let last = t.schema().arity() - 1;
-    let certain = t
-        .rows()
-        .iter()
-        .filter(|row| matches!(row.get(last), Some(Value::Int(n)) if *n >= 1))
-        .count() as u64;
-    tracer.extra("certain_rows", certain);
 }
 
 /// Join instrumentation collected while streaming a join node: the build

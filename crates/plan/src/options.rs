@@ -9,9 +9,9 @@
 pub enum Semantics {
     /// Deterministic bag semantics.
     Det,
-    /// `⟦·⟧_UA`. Row engine: the plan is the `⟦·⟧_UA`-rewritten plan,
-    /// interpreted deterministically. Vectorized engine: the plan is the
-    /// user plan over UA-encoded tables and labels propagate as bitmaps.
+    /// `⟦·⟧_UA`. On both engines the plan is the `⟦·⟧_UA`-rewritten plan
+    /// ([`crate::ua::rewrite_ua_plan`]), run deterministically; the stats
+    /// are tagged `ua` and count `certain_rows` from the marker column.
     Ua,
     /// `⟦·⟧_AU` over AU-encoded (flattened range-triple) tables.
     Au,

@@ -300,8 +300,8 @@ pub struct Catalog {
     /// stale snapshot, even under racing registrations.
     stats: RwLock<BTreeMap<String, (u64, Arc<TableStats>)>>,
     /// The chunk store ([`Catalog::chunks_of`]): per table at most one
-    /// decoded copy per encoding (slot `Semantics as usize`), under the
-    /// same generation tag as `stats`.
+    /// entry per encoding (slot `Semantics as usize`), under the same
+    /// generation tag as `stats`.
     chunks: RwLock<BTreeMap<String, [Option<ChunkEntry>; 3]>>,
     /// Derived tables ([`Catalog::derive`]): derived name → the base table
     /// and the base's generation the derivation read.
@@ -379,9 +379,12 @@ impl Catalog {
     }
 
     /// The chunk store: the decoded column chunks of table `name` under
-    /// `encoding` (plain, `Enc` marker → label bitmap, AU flattened
-    /// canonical) at `batch_rows` rows per chunk, or `None` for an unknown
-    /// table.
+    /// `encoding` (`Det`: plain, which a UA-encoded table scans as too;
+    /// `Au`: flattened canonical) at `batch_rows` rows per chunk, or `None`
+    /// for an unknown table. The `Ua` entry holds no chunks: it is the
+    /// empty token `⟦·⟧_UA`'s rewriting leaves once the table's markers
+    /// passed [`crate::ua::check_encoded`], so that check also runs once
+    /// per registration.
     ///
     /// The first scan that asks decodes the live table with `build`, which
     /// returns the chunks and their resident bytes; every later scan gets

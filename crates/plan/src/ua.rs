@@ -3,10 +3,11 @@
 //!
 //! [`rewrite_ua_plan`] turns a user plan into a deterministic plan over the
 //! encoded representation (every relation carries its certainty marker
-//! `ua_c` in last position; Definition 8), which the row engine then
-//! optimizes and executes like any other query — the paper's "lightweight"
-//! claim (Figures 8/9, Theorem 7). The five `RA⁺` rules emit exactly what
-//! `Plan::from_ra(ua_core::rewrite_ua(..))` emits; `ua_core::rewrite_ua`
+//! `ua_c` in last position; Definition 8), which the session optimizes
+//! once and hands to either executor to run like any other query — the
+//! paper's "lightweight" claim (Figures 8/9, Theorem 7). On both engines
+//! the marker is an ordinary `Int` column. The `RA⁺` rules emit exactly
+//! what `Plan::from_ra(ua_core::rewrite_ua(..))` emits; `ua_core::rewrite_ua`
 //! stays the formal reference they are tested against.
 //!
 //! ```text
@@ -21,7 +22,12 @@
 //! ```
 //!
 //! `Sch` is the user-visible schema (everything left of the markers), with
-//! names and qualifiers kept so user predicates bind unchanged.
+//! names and qualifiers kept so user predicates bind unchanged. A
+//! positional reference in a `⋈` / `⟕` predicate (a `HashJoin` residual
+//! too) counts user columns: over `⟦Q₁⟧ ++ ⟦Q₂⟧` every right-side
+//! position moves one past the left marker. A `HashJoin` — a user plan the
+//! optimizer already shaped — rewrites like the `⋈` it plans; its keys bind
+//! per side, where the marker is last, and stay.
 //!
 //! **Why `−` labels every row 0.** Under `K²` a difference row is certain
 //! only if the right side's multiplicity is bounded *from above* in every
@@ -39,29 +45,33 @@
 //! it NULL — hence the explicit "both markers are 1" test, false on NULL.
 //!
 //! Trailing `Sort`/`Limit`/`TopK` only reorder or truncate encoded rows, so
-//! they pass through (sorting encoded rows tie-breaks on the full row with
-//! the marker last — the vectorized columnar sort's order). Anywhere else
-//! they, `DISTINCT` and aggregation are outside the fragment
-//! ([`UA_FRAGMENT_ERROR`]): UA-DBs are not closed under them. The marker is
-//! engine bookkeeping, not user schema: any expression naming it is
-//! rejected up front by [`reject_marker_in_plan`], the guard the AU path
-//! shares.
+//! they pass through (sorting encoded rows tie-breaks on the full row, the
+//! marker last). Anywhere else they, `DISTINCT` and aggregation are outside
+//! the fragment ([`UA_FRAGMENT_ERROR`]): UA-DBs are not closed under them.
+//! The marker is engine bookkeeping, not user schema: any expression naming
+//! it is rejected up front by [`reject_marker_in_plan`], the guard the AU
+//! path shares. Every base table is checked once per registration
+//! ([`check_encoded`]), so a malformed marker fails the same way on both
+//! engines.
 
 use crate::au::reject_marker_in_plan;
 use crate::exec::{EngineError, UA_FRAGMENT_ERROR};
+use crate::options::Semantics;
 use crate::plan::Plan;
 use crate::sql::plan_schema;
-use crate::storage::Catalog;
+use crate::storage::{Catalog, Chunks, Table};
+use std::sync::Arc;
 use ua_core::UA_LABEL_COLUMN;
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::{Schema, SchemaError};
+use ua_data::value::Value;
 
 /// Rewrite a user plan over UA-encoded tables into the deterministic plan
 /// computing its encoded result (marker column last). Serves as the one
 /// pre-dispatch guard of UA queries too: marker references, unencoded or
-/// unknown tables and plans outside the fragment fail here, identically
-/// for both executors.
+/// unknown tables, malformed markers and plans outside the fragment fail
+/// here, identically for both executors.
 pub fn rewrite_ua_plan(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
     reject_marker_in_plan(plan)?;
     rewrite_trailing(plan, catalog)
@@ -90,18 +100,13 @@ fn rewrite_trailing(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError>
 fn rewrite_core(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
     Ok(match plan {
         Plan::Scan(name) => {
-            let schema = catalog
-                .schema_of(name)
+            // Once per registration: the chunk store keeps an empty entry
+            // under `Ua` for a table whose markers passed.
+            catalog
+                .chunks_of(name, Semantics::Ua, 0, |table| {
+                    check_encoded(table, name).map(|()| (Arc::new(()) as Chunks, 0))
+                })?
                 .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-            let encoded = schema
-                .columns()
-                .last()
-                .is_some_and(|c| c.name.eq_ignore_ascii_case(UA_LABEL_COLUMN));
-            if !encoded {
-                return Err(EngineError::Schema(SchemaError::UnknownColumn(format!(
-                    "{name}.{UA_LABEL_COLUMN} (table is not UA-encoded)"
-                ))));
-            }
             Plan::Scan(name.clone())
         }
         Plan::Alias { input, name } => Plan::Alias {
@@ -118,24 +123,6 @@ fn rewrite_core(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
             Plan::Map {
                 input: Box::new(rewrite_core(input, catalog)?),
                 columns,
-            }
-        }
-        Plan::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let (left, ls) = rewrite_side(left, catalog)?;
-            let (right, rs) = rewrite_side(right, catalog)?;
-            // A certain join result needs both inputs certain: min.
-            let marker = marker_col(&ls, 0).least(marker_col(&rs, ls.arity()));
-            Plan::Map {
-                columns: join_columns(&ls, &rs, marker),
-                input: Box::new(Plan::Join {
-                    left,
-                    right,
-                    predicate: predicate.clone(),
-                }),
             }
         }
         Plan::UnionAll { left, right } => Plan::UnionAll {
@@ -170,39 +157,120 @@ fn rewrite_core(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
                 }),
             }
         }
-        Plan::OuterJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => {
+        Plan::Join { left, right, .. }
+        | Plan::HashJoin { left, right, .. }
+        | Plan::OuterJoin { left, right, .. } => {
             let (left, ls) = rewrite_side(left, catalog)?;
             let (right, rs) = rewrite_side(right, catalog)?;
-            let certain = |marker: Expr| marker.eq(Expr::lit(1i64));
-            let marker = Expr::Case {
-                branches: vec![(
-                    certain(marker_col(&ls, 0)).and(certain(marker_col(&rs, ls.arity()))),
-                    Expr::lit(1i64),
-                )],
-                otherwise: Some(Box::new(Expr::lit(0i64))),
+            // User positions right of the left side's columns move past its
+            // marker.
+            let left_user = ls.arity() - 1;
+            let shift = |e: &Expr| {
+                e.map_refs(&|n| Some(n.to_string()), &|i| {
+                    i + usize::from(i >= left_user)
+                })
+                .expect("names map to themselves")
+            };
+            let (lm, rm) = (marker_col(&ls, 0), marker_col(&rs, ls.arity()));
+            let (input, marker) = match plan {
+                Plan::Join { predicate, .. } => (
+                    Plan::Join {
+                        left,
+                        right,
+                        predicate: predicate.as_ref().map(shift),
+                    },
+                    // A certain join result needs both inputs certain: min.
+                    lm.least(rm),
+                ),
+                Plan::HashJoin {
+                    keys,
+                    residual,
+                    build_left,
+                    ..
+                } => (
+                    Plan::HashJoin {
+                        left,
+                        right,
+                        keys: keys.clone(),
+                        residual: residual.as_ref().map(shift),
+                        build_left: *build_left,
+                    },
+                    lm.least(rm),
+                ),
+                Plan::OuterJoin {
+                    predicate, kind, ..
+                } => {
+                    let certain = |marker: Expr| marker.eq(Expr::lit(1i64));
+                    (
+                        Plan::OuterJoin {
+                            left,
+                            right,
+                            predicate: predicate.as_ref().map(shift),
+                            kind: *kind,
+                        },
+                        Expr::Case {
+                            branches: vec![(certain(lm).and(certain(rm)), Expr::lit(1i64))],
+                            otherwise: Some(Box::new(Expr::lit(0i64))),
+                        },
+                    )
+                }
+                _ => unreachable!("a join node"),
             };
             Plan::Map {
                 columns: join_columns(&ls, &rs, marker),
-                input: Box::new(Plan::OuterJoin {
-                    left,
-                    right,
-                    predicate: predicate.clone(),
-                    kind: *kind,
-                }),
+                input: Box::new(input),
             }
         }
-        Plan::HashJoin { .. }
-        | Plan::Distinct { .. }
+        Plan::Distinct { .. }
         | Plan::Aggregate { .. }
         | Plan::Sort { .. }
         | Plan::Limit { .. }
         | Plan::TopK { .. } => return Err(EngineError::Sql(UA_FRAGMENT_ERROR.into())),
     })
+}
+
+/// Check that `table`, registered as `name`, is UA-encoded: `ua_c` last and
+/// every marker `0` or `1` — the one marker check of both engines. NULL, a
+/// `Float` or any other value is an error naming the first offending
+/// marker.
+pub fn check_encoded(table: &Table, name: &str) -> Result<(), EngineError> {
+    let schema = table.schema();
+    let encoded = schema
+        .columns()
+        .last()
+        .is_some_and(|c| c.name.eq_ignore_ascii_case(UA_LABEL_COLUMN));
+    if !encoded {
+        return Err(EngineError::Schema(SchemaError::UnknownColumn(format!(
+            "{name}.{UA_LABEL_COLUMN} (table is not UA-encoded)"
+        ))));
+    }
+    let marker = schema.arity() - 1;
+    match table
+        .rows()
+        .iter()
+        .map(|row| row.get(marker))
+        .find(|m| !matches!(m, Some(Value::Int(0 | 1))))
+    {
+        Some(bad) => Err(EngineError::Sql(format!(
+            "invalid certainty marker {bad:?} in `{name}`"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The certainty marker's position in the output of `plan`, a node of a
+/// rewritten plan with output schema `schema`: the last column when it is
+/// `ua_c`, except on a join, inner or outer — its output is
+/// `left ++ right`, whose last column is only the right side's marker; the
+/// `⟦⋈⟧` / `⟦⟕⟧` projection above it carries the join's. Both engines
+/// count an operator's `certain_rows` at this position and nowhere else.
+pub fn certainty_marker(plan: &Plan, schema: &Schema) -> Option<usize> {
+    let join = matches!(
+        plan,
+        Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. }
+    );
+    let last = schema.columns().last()?;
+    (!join && last.name.eq_ignore_ascii_case(UA_LABEL_COLUMN)).then(|| schema.arity() - 1)
 }
 
 /// One input of a binary node rewritten, with its encoded schema.

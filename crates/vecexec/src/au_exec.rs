@@ -159,11 +159,7 @@ pub(crate) fn user_schema(flat: &Schema) -> Schema {
 /// expressions directly.
 fn bg_view(batch: &ColumnBatch, user: &Schema) -> ColumnBatch {
     let n = user.arity();
-    ColumnBatch::new(
-        user.clone(),
-        batch.columns()[..n].to_vec(),
-        batch.labels().clone(),
-    )
+    ColumnBatch::new(user.clone(), batch.columns()[..n].to_vec(), batch.len())
 }
 
 /// Row `i`'s range for attribute `c`, assembled from its triple columns.
@@ -324,11 +320,7 @@ fn scan_chunk(flat: &Schema, n: usize, chunk: &[Tuple]) -> Result<ColumnBatch, E
     let mut columns = chunk_columns(flat.arity(), chunk);
     if chunk_is_canonical(&columns, n) {
         share_point_bounds(&mut columns, n);
-        return Ok(ColumnBatch::new(
-            flat.clone(),
-            columns,
-            Bitmap::filled(chunk.len(), true),
-        ));
+        return Ok(ColumnBatch::new(flat.clone(), columns, chunk.len()));
     }
     let mut rows: Vec<Tuple> = Vec::with_capacity(chunk.len());
     for row in chunk {
@@ -632,7 +624,7 @@ impl Driver<'_> {
                         .map(|m| i64::try_from(part(m)).unwrap_or(i64::MAX));
                     ColumnVec::Int(Arc::new(clamped.collect()))
                 }));
-                ColumnBatch::new(flat.clone(), columns, Bitmap::filled(len, true))
+                ColumnBatch::new(flat.clone(), columns, len)
             })
             .collect();
         BatchStream {
@@ -1234,7 +1226,7 @@ impl AuProbe {
             columns.extend_from_slice(&right[part * nr..(part + 1) * nr]);
         }
         columns.extend(mults.map(|m| ColumnVec::Int(Arc::new(m))));
-        let joined = ColumnBatch::new(self.flat.clone(), columns, Bitmap::filled(rows_out, true));
+        let joined = ColumnBatch::new(self.flat.clone(), columns, rows_out);
         Ok((Some(joined), filtered, refined))
     }
 }
@@ -1472,11 +1464,7 @@ pub(crate) fn filter_batch(
     columns[3 * n] = ColumnVec::Int(Arc::new(lb));
     columns[3 * n + 1] = ColumnVec::Int(Arc::new(bg));
     Ok((
-        Some(ColumnBatch::new(
-            flat.clone(),
-            columns,
-            gathered.labels().clone(),
-        )),
+        Some(ColumnBatch::new(flat.clone(), columns, rows.len())),
         rowwise,
     ))
 }
@@ -1506,7 +1494,7 @@ pub(crate) fn map_batch(
         out_cols.extend(triples.iter().map(|t| t[part].clone()));
     }
     out_cols.extend_from_slice(&batch.columns()[3 * n_in..]);
-    let out = ColumnBatch::new(out_flat.clone(), out_cols, batch.labels().clone());
+    let out = ColumnBatch::new(out_flat.clone(), out_cols, batch.len());
     Ok((out, if rowwise { batch.len() as u64 } else { 0 }))
 }
 

@@ -1,15 +1,14 @@
 //! Columnar batches and lossless converters to/from the row world.
 //!
 //! A [`ColumnBatch`] holds ~[`DEFAULT_BATCH_ROWS`] rows decomposed into
-//! typed column vectors ([`ColumnVec`]), plus the UA **label bitmap** — one
-//! bit per row, set iff the row is labeled certain (the `ua_c` marker of
-//! Definition 8, packed 64 rows per word).
+//! typed column vectors ([`ColumnVec`]) under a schema — nothing else. A
+//! UA-encoded batch carries its `ua_c` marker as an ordinary `Int` column,
+//! the way the encoded table stores it.
 //!
 //! A batch row is one bag copy, as a `Table` row is: a tuple with
 //! multiplicity `n` is `n` rows. Converters are lossless both ways between
 //! `Table`s and batches.
 
-use crate::bitmap::Bitmap;
 use std::sync::Arc;
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
@@ -230,21 +229,19 @@ impl ColumnVec {
     }
 }
 
-/// A batch of rows in columnar form, with the UA label bitmap. Each row is
-/// one bag copy.
+/// A batch of rows in columnar form. Each row is one bag copy.
 #[derive(Clone, Debug)]
 pub struct ColumnBatch {
     schema: Schema,
+    /// Rows: the columns' common length, kept apart so a batch of no
+    /// columns still has its rows.
     len: usize,
     columns: Vec<ColumnVec>,
-    /// Bit set ⇔ row labeled certain.
-    labels: Bitmap,
 }
 
 impl ColumnBatch {
-    /// Assemble a batch (columns and labels must agree on length).
-    pub fn new(schema: Schema, columns: Vec<ColumnVec>, labels: Bitmap) -> ColumnBatch {
-        let len = labels.len();
+    /// Assemble a batch of `len` rows (every column must have `len` rows).
+    pub fn new(schema: Schema, columns: Vec<ColumnVec>, len: usize) -> ColumnBatch {
         assert_eq!(schema.arity(), columns.len(), "column count mismatch");
         assert!(
             columns.iter().all(|c| c.len() == len),
@@ -254,7 +251,6 @@ impl ColumnBatch {
             schema,
             len,
             columns,
-            labels,
         }
     }
 
@@ -283,24 +279,17 @@ impl ColumnBatch {
         &self.columns[i]
     }
 
-    /// The label bitmap.
-    pub fn labels(&self) -> &Bitmap {
-        &self.labels
-    }
-
     /// Materialize row `i` as a tuple.
     pub fn row(&self, i: usize) -> Tuple {
         self.columns.iter().map(|c| c.value(i)).collect()
     }
 
-    /// The rows at `idx` (labels ride along), the columns through
-    /// `gather_columns`.
+    /// The rows at `idx`, the columns through `gather_columns`.
     pub fn gather(&self, idx: &[u32]) -> ColumnBatch {
         ColumnBatch {
             schema: self.schema.clone(),
             len: idx.len(),
             columns: gather_columns(&self.columns, idx),
-            labels: self.labels.gather(idx),
         }
     }
 
@@ -384,8 +373,8 @@ impl BatchStream {
                 }
             });
         }
-        let labels = Bitmap::concat(self.batches.iter().map(|b| b.labels()));
-        ColumnBatch::new(self.schema, columns, labels)
+        let len = self.num_rows();
+        ColumnBatch::new(self.schema, columns, len)
     }
 }
 
@@ -435,48 +424,16 @@ pub(crate) fn chunk_columns(arity: usize, chunk: &[Tuple]) -> Vec<ColumnVec> {
         .collect()
 }
 
-/// Convert one row chunk into a batch with every row labeled certain —
-/// deterministic semantics, and AU semantics too (AU multiplicities live
-/// in the `ua_m_*` data columns).
+/// Convert one row chunk into a batch.
 pub(crate) fn chunk_to_batch(schema: &Schema, chunk: &[Tuple]) -> ColumnBatch {
     ColumnBatch::new(
         schema.clone(),
         chunk_columns(schema.arity(), chunk),
-        Bitmap::filled(chunk.len(), true),
+        chunk.len(),
     )
 }
 
-/// Convert one UA-encoded row chunk into a batch: the trailing marker
-/// column is stripped into the label bitmap (errors on non-`0`/`1`
-/// markers).
-fn encoded_chunk_to_batch(
-    base_schema: &Schema,
-    name: &str,
-    chunk: &[Tuple],
-) -> Result<ColumnBatch, EngineError> {
-    let arity = base_schema.arity();
-    let mut bm = Bitmap::filled(chunk.len(), false);
-    for (i, row) in chunk.iter().enumerate() {
-        match row.get(arity) {
-            Some(Value::Int(1)) => bm.set(i, true),
-            Some(Value::Int(0)) => {}
-            other => {
-                return Err(EngineError::Sql(format!(
-                    "invalid certainty marker {:?} in `{name}`",
-                    other
-                )))
-            }
-        }
-    }
-    Ok(ColumnBatch::new(
-        base_schema.clone(),
-        chunk_columns(arity, chunk),
-        bm,
-    ))
-}
-
-/// Decompose a row table into batches, one batch row per table row (all
-/// rows labeled certain — deterministic semantics).
+/// Decompose a row table into batches, one batch row per table row.
 pub fn batches_from_table(table: &Table, batch_rows: usize) -> BatchStream {
     batches_from_table_pooled(table, batch_rows, &inline_pool())
 }
@@ -498,87 +455,31 @@ pub fn batches_from_table_pooled(
     }
 }
 
-/// The marker-stripped base schema of a UA-encoded table, or the
-/// not-encoded error.
-fn encoded_base_schema(table: &Table, name: &str) -> Result<Schema, EngineError> {
-    let schema = table.schema();
-    let last_is_marker = schema
-        .columns()
-        .last()
-        .is_some_and(|c| c.name.eq_ignore_ascii_case(ua_core::UA_LABEL_COLUMN));
-    if !last_is_marker {
-        return Err(EngineError::Schema(
-            ua_data::schema::SchemaError::UnknownColumn(format!(
-                "{name}.{} (table is not UA-encoded)",
-                ua_core::UA_LABEL_COLUMN
-            )),
-        ));
-    }
-    Ok(Schema::new(schema.columns()[..schema.arity() - 1].to_vec()))
-}
-
-/// Decompose a UA-*encoded* table (certainty marker in last position, per
-/// `Enc`) into batches: the marker column is stripped into the label
-/// bitmap. Errors when the table is not encoded or a marker is not `0`/`1`.
-pub fn batches_from_encoded_table(
-    table: &Table,
-    name: &str,
-    batch_rows: usize,
-) -> Result<BatchStream, EngineError> {
-    batches_from_encoded_table_pooled(table, name, batch_rows, &inline_pool())
-}
-
-/// [`batches_from_encoded_table`] with chunks converted in parallel on
-/// `pool`. Batch order is identical to the serial decomposition, and an
-/// invalid marker reports the lowest-indexed offending chunk — the same
-/// row a serial scan finds first.
+/// [`batches_from_table_pooled`] of a UA-encoded table, after the one
+/// marker check both engines share ([`ua_plan::ua::check_encoded`]); the
+/// marker stays an ordinary column.
 pub fn batches_from_encoded_table_pooled(
     table: &Table,
     name: &str,
     batch_rows: usize,
     pool: &rayon::ThreadPool,
 ) -> Result<BatchStream, EngineError> {
-    let base_schema = encoded_base_schema(table, name)?;
-    let batches = convert_chunks(table.rows(), batch_rows, pool, |chunk| {
-        encoded_chunk_to_batch(&base_schema, name, chunk)
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    Ok(BatchStream {
-        schema: base_schema,
-        batches,
-    })
+    ua_plan::ua::check_encoded(table, name)?;
+    Ok(batches_from_table_pooled(table, batch_rows, pool))
 }
 
-/// Materialize a stream as a row table, one row per batch row. Labels are
-/// dropped — use [`encoded_table_from_batches`] to keep them.
+/// Materialize a stream as a row table, one row per batch row.
 pub fn table_from_batches(stream: &BatchStream) -> Table {
     table_from_batches_pooled(stream, &inline_pool())
 }
 
-/// Materialize a stream as a UA-encoded row table: the label bitmap is
-/// re-attached as a trailing `ua_c` column of `0`/`1` markers.
-pub fn encoded_table_from_batches(stream: &BatchStream) -> Table {
-    encoded_table_from_batches_pooled(stream, &inline_pool())
-}
-
-/// The stream's rows in stream order, one batch per task on `pool`;
-/// `marker` appends each row's label as a trailing `0`/`1` value.
-fn rows_pooled(stream: &BatchStream, pool: &rayon::ThreadPool, marker: bool) -> Vec<Tuple> {
+/// [`table_from_batches`] with per-batch row materialization on `pool`
+/// (row order unchanged — batches flatten in stream order). Every result
+/// comes out of here: a UA stream's marker is its last column, an AU
+/// stream's flattened schema is its table schema.
+pub fn table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
     let batches: Vec<&ColumnBatch> = stream.batches.iter().collect();
-    let materialize = |_, b: &ColumnBatch| {
-        (0..b.len())
-            .map(|i| {
-                if marker {
-                    let label = Value::Int(i64::from(b.labels().get(i)));
-                    let values = b.columns().iter().map(|c| c.value(i));
-                    values.chain(std::iter::once(label)).collect()
-                } else {
-                    b.row(i)
-                }
-            })
-            .collect::<Vec<Tuple>>()
-    };
+    let materialize = |_, b: &ColumnBatch| (0..b.len()).map(|i| b.row(i)).collect::<Vec<Tuple>>();
     // A result of at most one full morsel's rows is one worker's work
     // however many batches hold it (a point lookup's three near-empty
     // batches): it stays on the calling thread, saving the pool's spawn and
@@ -594,24 +495,13 @@ fn rows_pooled(stream: &BatchStream, pool: &rayon::ThreadPool, marker: bool) -> 
     for p in parts {
         rows.extend(p);
     }
-    rows
+    Table::from_rows(stream.schema.clone(), rows)
 }
 
-/// [`table_from_batches`] with per-batch row materialization on `pool`
-/// (row order unchanged — batches flatten in stream order). Deterministic
-/// and AU results both come out of here: an AU stream's flattened schema
-/// is its table schema.
-pub fn table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
-    Table::from_rows(stream.schema.clone(), rows_pooled(stream, pool, false))
-}
-
-/// [`encoded_table_from_batches`] with per-batch row materialization on
-/// `pool` (row order unchanged).
+/// [`table_from_batches_pooled`]: a UA stream carries its marker column
+/// already.
 pub fn encoded_table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
-    Table::from_rows(
-        stream.schema.with_column(ua_core::UA_LABEL_COLUMN),
-        rows_pooled(stream, pool, true),
-    )
+    table_from_batches_pooled(stream, pool)
 }
 
 #[cfg(test)]
@@ -658,29 +548,17 @@ mod tests {
     }
 
     #[test]
-    fn encoded_round_trip_preserves_labels() {
+    fn encoded_tables_decode_after_the_marker_check() {
         let t = Table::from_rows(
             Schema::qualified("r", ["a"]).with_column(ua_core::UA_LABEL_COLUMN),
             vec![tuple![1i64, 1i64], tuple![2i64, 0i64], tuple![3i64, 1i64]],
         );
-        let stream = batches_from_encoded_table(&t, "r", 2).unwrap();
-        assert_eq!(stream.schema.arity(), 1);
-        assert_eq!(
-            stream
-                .batches
-                .iter()
-                .map(|b| b.labels().count_ones())
-                .sum::<usize>(),
-            2
+        let stream = batches_from_encoded_table_pooled(&t, "r", 2, &inline_pool()).unwrap();
+        assert_eq!(stream.schema, *t.schema());
+        assert_eq!(table_from_batches(&stream), t);
+        assert!(
+            batches_from_encoded_table_pooled(&sample_table(), "r", 8, &inline_pool()).is_err()
         );
-        let back = encoded_table_from_batches(&stream);
-        assert_eq!(back.sorted_rows(), t.sorted_rows());
-    }
-
-    #[test]
-    fn unencoded_table_is_rejected() {
-        let t = sample_table();
-        assert!(batches_from_encoded_table(&t, "r", 8).is_err());
     }
 
     #[test]

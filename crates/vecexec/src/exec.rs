@@ -7,9 +7,10 @@
 //!   σ / π / alias and the join probe ([`ops::ProbeState`], every inner,
 //!   θ and hash join) are pipeline stages, the breakers are the [`ops`]
 //!   operators.
-//! * `Ua` — plus a label bitmap (the scan strips `ua_c` into it). The same
-//!   kernels and probes run; labels are gathered with the rows and ANDed
-//!   in the join gather. δ / γ and marker references are rejected.
+//! * `Ua` — the plan is the `⟦·⟧_UA` rewriting and runs exactly as `Det`,
+//!   the `ua_c` marker an ordinary `Int` column; the semantics only tags
+//!   the stats `ua` and has them count `certain_rows` where an operator's
+//!   output carries the marker ([`ua_plan::ua::certainty_marker`]).
 //! * `Au` — batches over the *flattened* schema: user columns, `lb` / `ub`
 //!   columns, the multiplicity triple. σ / π and the hash-join probe
 //!   (`AuProbe`) are pipeline stages over the range kernels in
@@ -28,8 +29,7 @@
 //! a small work-stealing thread pool (the offline `rayon` shim) with **no
 //! shared mutable state** — join build sides are built once (large
 //! builds partition by key hash and index each partition on its own worker,
-//! see [`ops`]) and probed read-only; UA label bitmaps AND per morsel inside
-//! the join gather. Aggregation, the other pipeline breaker, folds
+//! see [`ops`]) and probed read-only. Aggregation, the other pipeline breaker, folds
 //! partition-parallel through [`ops::aggregate_pooled`].
 //!
 //! ## Determinism contract
@@ -53,7 +53,7 @@
 //!
 //! ## Fused kernels
 //!
-//! Adjacent det / UA `Filter→Map` and `Filter→join-probe` pairs fuse:
+//! Adjacent det `Filter→Map` and `Filter→join-probe` pairs fuse:
 //! the filter's selection bitmap is evaluated and *consumed in the same
 //! pass* ([`crate::kernels::project_selected`], [`ops::ProbeState::probe`]),
 //! gathering each needed column once instead of materializing the filtered
@@ -72,8 +72,7 @@
 
 use crate::au_exec::{self, filter_batch, map_batch, user_schema, AuProbe};
 use crate::columnar::{
-    batches_from_encoded_table_pooled, batches_from_table_pooled,
-    encoded_table_from_batches_pooled, table_from_batches_pooled, BatchStream, ColumnBatch,
+    batches_from_table_pooled, table_from_batches_pooled, BatchStream, ColumnBatch, ColumnVec,
     DEFAULT_BATCH_ROWS,
 };
 use crate::kernels::{filter_selection, project_selected};
@@ -82,19 +81,21 @@ use std::sync::Arc;
 use ua_data::algebra::ProjColumn;
 use ua_data::expr::Expr;
 use ua_data::schema::Schema;
+use ua_data::value::Value;
 use ua_obs::{OperatorStats, PoolStats, QueryStats, Stopwatch};
 use ua_plan::exec::JoinSpec;
 use ua_plan::plan::Plan;
 use ua_plan::stats::node_label;
 use ua_plan::storage::{Catalog, Chunks, Table};
+use ua_plan::ua::certainty_marker;
 use ua_plan::{estimate_rows, EngineError, ExecOptions, Semantics};
 use ua_ranges::{flattened_schema, WidthSummary};
 
 /// Execute `plan` against `catalog` under `semantics` with the vectorized
 /// engine, materializing the result table in that semantics' encoding
-/// (plain, `ua_c` marker last, flattened AU triples) — what the row
-/// engine's `execute` / `execute_au` + `au_table` return for the same
-/// plan. The run's [`QueryStats`] come back by value next to the result:
+/// (plain — for a `⟦·⟧_UA`-rewritten plan, `ua_c` marker last — or
+/// flattened AU triples) — what the row engine's `execute_row` returns for
+/// the same plan. The run's [`QueryStats`] come back by value next to the result:
 /// `Some` iff `opts.collect_stats`, on the error path too (a one-node
 /// error-marked tree). This is the one vectorized entry point; the
 /// session's `ExecMode::Vectorized` dispatch calls it.
@@ -108,13 +109,9 @@ pub fn execute(
         ua_obs::mem_query_start();
     }
     let driver = Driver::new(catalog, opts, semantics);
-    let (result, root) = match driver.run(plan) {
+    let (result, root) = match driver.stream_traced(plan) {
         Ok((stream, stats)) => {
-            let table = driver.phase("merge", || match semantics {
-                Semantics::Ua => encoded_table_from_batches_pooled(&stream, &driver.pool),
-                // An AU stream's flattened schema is its table schema.
-                Semantics::Det | Semantics::Au => table_from_batches_pooled(&stream, &driver.pool),
-            });
+            let table = driver.phase("merge", || table_from_batches_pooled(&stream, &driver.pool));
             (Ok(table), stats)
         }
         // A failed run still reports *something*: a one-node error-marked
@@ -141,7 +138,7 @@ pub fn stream(
     semantics: Semantics,
 ) -> Result<BatchStream, EngineError> {
     let driver = Driver::new(catalog, opts, semantics);
-    driver.run(plan).map(|(stream, _)| stream)
+    driver.stream_traced(plan).map(|(stream, _)| stream)
 }
 
 /// [`execute`] under AU semantics, result only.
@@ -208,9 +205,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 
 /// One query's execution context: the catalog, the morsel size, the
 /// worker pool, and the [`Semantics`] — the annotation every operator arm
-/// is parameterised by. Det batch rows are bag copies; UA scans
-/// decode encoded tables into label bitmaps that the same kernels gather
-/// and AND; AU batches are plain batches over the flattened schema (user
+/// is parameterised by. Det batch rows are bag copies, and a UA plan — the
+/// `⟦·⟧_UA` rewriting — runs as a det one; AU batches are plain batches over the flattened schema (user
 /// columns, then `lb` / `ub` columns, then the multiplicity triple) whose
 /// σ / π run the range kernels and whose breakers are the AU sources in
 /// [`crate::au_exec`].
@@ -361,18 +357,6 @@ impl<'a> Driver<'a> {
         self.mem.borrow_mut().push(t);
     }
 
-    /// Where a query enters the driver. The `ua_c` marker is engine
-    /// bookkeeping, not user schema (here it lives in the label bitmaps), so
-    /// a UA plan that mentions it is rejected before anything executes —
-    /// the guard the session's `rewrite_ua_plan` and `ua_core::rewrite_ua`
-    /// apply for the row engine.
-    fn run(&self, plan: &Plan) -> Result<(BatchStream, Option<OperatorStats>), EngineError> {
-        if self.semantics == Semantics::Ua {
-            ua_plan::reject_marker_in_plan(plan)?;
-        }
-        self.stream_traced(plan)
-    }
-
     /// Execute `plan` to a batch stream, returning the per-stage span tree
     /// when stats collection is on (`None` otherwise).
     ///
@@ -390,9 +374,19 @@ impl<'a> Driver<'a> {
         if specs.is_empty() {
             return Ok((source, source_stats));
         }
-        let (stages, schema, metas) =
+        let (stages, schema, spans) =
             self.phase("bind", || self.bind_stages(specs, source.schema.clone()))?;
-        let observe = self.collect_stats.then_some(self.semantics);
+        let (metas, mut tallies): (Vec<OperatorStats>, Vec<StageTally>) = spans
+            .into_iter()
+            .map(|(meta, marker)| {
+                let tally = StageTally {
+                    marker,
+                    ..StageTally::default()
+                };
+                (meta, tally)
+            })
+            .unzip();
+        let observe = self.collect_stats.then_some((self.semantics, &tallies[..]));
         let run = |batch: ColumnBatch| run_chain(batch, &stages, observe);
         // A scan's batches are handles on the catalog's resident chunks
         // (`Driver::scan`): dropping one frees a column list, never a
@@ -415,7 +409,6 @@ impl<'a> Driver<'a> {
             }
         });
         let mut batches = Vec::new();
-        let mut tallies = vec![StageTally::default(); metas.len()];
         for r in results {
             // `?` on the lowest-indexed error reproduces the serial loop's
             // failure; later morsels' speculative work is discarded.
@@ -559,8 +552,9 @@ impl<'a> Driver<'a> {
     /// Bind the collected stages bottom-up against the evolving schema,
     /// executing join build sides, then fuse adjacent filter pairs. When
     /// tracing, an open span per bound stage rides along (labels,
-    /// estimates, build-side span trees), fused in lockstep with the
-    /// stages; untraced runs get none.
+    /// estimates, build-side span trees, and where its output carries the
+    /// UA marker), fused in lockstep with the stages; untraced runs get
+    /// none.
     ///
     /// `schema` is the *user* schema throughout. Under AU the stream
     /// carries its flattened form (`flat`), so AU stages keep the user
@@ -570,13 +564,13 @@ impl<'a> Driver<'a> {
         &self,
         specs: Vec<(Spec<'_>, &Plan)>,
         source_schema: Schema,
-    ) -> Result<(Vec<Stage>, Schema, Vec<OperatorStats>), EngineError> {
+    ) -> Result<(Vec<Stage>, Schema, Vec<Span>), EngineError> {
         let (mut schema, mut flat) = match self.semantics {
             Semantics::Au => (user_schema(&source_schema), Some(source_schema)),
             Semantics::Det | Semantics::Ua => (source_schema, None),
         };
         let mut stages: Vec<Stage> = Vec::with_capacity(specs.len());
-        let mut metas: Vec<OperatorStats> = Vec::new();
+        let mut metas: Vec<Span> = Vec::new();
         for (spec, node_plan) in specs.into_iter().rev() {
             let mut meta = self.collect_stats.then(|| self.open_node(node_plan));
             match spec {
@@ -640,7 +634,7 @@ impl<'a> Driver<'a> {
                     }
                 }
             }
-            metas.extend(meta);
+            metas.extend(meta.map(|meta| (meta, self.ua_marker(node_plan, &schema))));
         }
         let (stages, metas) = fuse_stages(stages, metas);
         Ok((stages, flat.unwrap_or(schema), metas))
@@ -649,21 +643,23 @@ impl<'a> Driver<'a> {
     /// Scan base table `name`: its decoded chunks come out of the
     /// catalog's chunk store ([`Catalog::chunks_of`]) as clones of the
     /// `Arc`-shared column buffers — O(batches × columns) pointer bumps.
-    /// Only the first scan of a registration under this semantics (and
-    /// batch size) decodes, on this query's pool, with the one converter
-    /// its encoding has: plain rows, `ua_c` marker → label bitmap, AU
-    /// flattened-canonical with every validation rule of
+    /// Only the first scan of a registration in this encoding (and batch
+    /// size) decodes, on this query's pool, with the one converter the
+    /// encoding has: plain rows — a UA-encoded table, whose markers the
+    /// `⟦·⟧_UA` rewriting checked, scans as the plain table it is stored as
+    /// — or AU flattened-canonical with every validation rule of
     /// [`Driver::au_scan`]. A decode error is returned, not stored.
     fn scan(&self, name: &str) -> Result<BatchStream, EngineError> {
+        let encoding = match self.semantics {
+            Semantics::Det | Semantics::Ua => Semantics::Det,
+            Semantics::Au => Semantics::Au,
+        };
         let chunks = self
             .catalog
-            .chunks_of(name, self.semantics, self.batch_rows, |table| {
-                let stream = match self.semantics {
-                    Semantics::Det => batches_from_table_pooled(table, self.batch_rows, &self.pool),
-                    Semantics::Ua => {
-                        batches_from_encoded_table_pooled(table, name, self.batch_rows, &self.pool)?
-                    }
+            .chunks_of(name, encoding, self.batch_rows, |table| {
+                let stream = match encoding {
                     Semantics::Au => self.au_scan(table)?,
+                    _ => batches_from_table_pooled(table, self.batch_rows, &self.pool),
                 };
                 let bytes = resident_bytes(&stream);
                 Ok::<_, EngineError>((Arc::new(stream) as Chunks, bytes))
@@ -688,7 +684,7 @@ impl<'a> Driver<'a> {
     ) -> Result<(BatchStream, Option<OperatorStats>), EngineError> {
         let timer = self.collect_stats.then(Stopwatch::start);
         let semantics = self.semantics;
-        let (ua, au) = (semantics == Semantics::Ua, semantics == Semantics::Au);
+        let au = semantics == Semantics::Au;
         // AU γ's possible-member visits outside its passes over the input.
         let mut listed_rows = 0;
         let (stream, children) = match plan {
@@ -751,9 +747,6 @@ impl<'a> Driver<'a> {
             Plan::Limit { input, limit } => {
                 let (stream, child) = self.input(input)?;
                 (ops::limit(stream, *limit), child)
-            }
-            Plan::Distinct { .. } | Plan::Aggregate { .. } if ua => {
-                return Err(EngineError::Sql(ua_plan::UA_FRAGMENT_ERROR.into()))
             }
             Plan::Distinct { input } => {
                 let (stream, child) = self.input(input)?;
@@ -825,6 +818,7 @@ impl<'a> Driver<'a> {
             // cumulative — exactly the [`OperatorStats::wall_ns`] contract.
             let mut tally = StageTally {
                 wall_ns: timer.elapsed_ns(),
+                marker: self.ua_marker(plan, &stream.schema),
                 ..StageTally::default()
             };
             tally.observe(&stream.batches, semantics);
@@ -842,10 +836,19 @@ impl<'a> Driver<'a> {
         Ok((stream, stats))
     }
 
+    /// Where `plan`'s output carries the UA certainty marker, under UA
+    /// ([`certainty_marker`], the row engine's rule): the column its
+    /// `certain_rows` counts.
+    fn ua_marker(&self, plan: &Plan, schema: &Schema) -> Option<usize> {
+        (self.semantics == Semantics::Ua)
+            .then(|| certainty_marker(plan, schema))
+            .flatten()
+    }
+
     /// Close the span of a finished operator — pipeline stage or source —
     /// with its output tally (`tally.wall_ns` already cumulative): the one
     /// place a finished operator's figures are written. The per-semantics
-    /// telemetry goes on here: UA certain-label counts; under AU the
+    /// telemetry goes on here: UA certain-row counts; under AU the
     /// bound-precision profile the row interpreter records
     /// ([`WidthSummary`]: which operator widened bounds toward ⊤, and by
     /// how much), the output's logical bytes, and how much of a σ / π /
@@ -858,8 +861,11 @@ impl<'a> Driver<'a> {
         node.batches_out = tally.batches_out;
         node.wall_ns = tally.wall_ns;
         match self.semantics {
-            Semantics::Det => {}
-            Semantics::Ua => node.push_extra("certain_rows", tally.certain_rows),
+            Semantics::Det | Semantics::Ua => {
+                if tally.marker.is_some() {
+                    node.push_extra("certain_rows", tally.certain_rows);
+                }
+            }
             Semantics::Au => {
                 let ws = &tally.width;
                 node.push_extra("certain_rows", ws.certain_rows);
@@ -930,8 +936,7 @@ fn batch_mem_bytes(batch: &ColumnBatch) -> u64 {
 
 /// One column's logical bytes under the same convention: one 16-byte
 /// value slot per row plus string payload lengths.
-pub(crate) fn column_mem_bytes(col: &crate::columnar::ColumnVec) -> u64 {
-    use crate::columnar::ColumnVec;
+pub(crate) fn column_mem_bytes(col: &ColumnVec) -> u64 {
     match col {
         ColumnVec::Int(v) => 16 * v.len() as u64,
         ColumnVec::Float(v) => 16 * v.len() as u64,
@@ -949,11 +954,10 @@ fn stream_mem_bytes(stream: &BatchStream) -> u64 {
 
 /// What a decoded stream keeps resident in the chunk store, the figure
 /// behind the `catalog.chunk_bytes` gauge: element size × length of every
-/// column and label buffer, each shared buffer (an AU bound column that is
-/// its `bg` column) counted once.
+/// column buffer, each shared buffer (an AU bound column that is its `bg`
+/// column) counted once.
 /// String payloads are the row store's own `Arc<str>`s and count nothing.
 fn resident_bytes(stream: &BatchStream) -> u64 {
-    use crate::columnar::ColumnVec;
     fn buffer<T>(v: &Arc<Vec<T>>) -> (usize, u64) {
         (
             Arc::as_ptr(v) as usize,
@@ -975,7 +979,6 @@ fn resident_bytes(stream: &BatchStream) -> u64 {
                 bytes += len;
             }
         }
-        bytes += b.len().div_ceil(8) as u64;
     }
     bytes
 }
@@ -1008,7 +1011,10 @@ struct StageTally {
     rows_out: u64,
     batches_out: u64,
     wall_ns: u64,
-    /// UA: output rows whose label bit is set.
+    /// UA: the output's marker column, decided before the operator ran
+    /// ([`Driver::ua_marker`]); `None` counts no `certain_rows`.
+    marker: Option<usize>,
+    /// UA: output rows whose marker is `1`.
     certain_rows: u64,
     /// AU: the output's bound-precision profile.
     width: WidthSummary,
@@ -1026,10 +1032,18 @@ impl StageTally {
         self.batches_out += out.len() as u64;
         for b in out {
             self.rows_out += b.len() as u64;
-            match semantics {
-                Semantics::Det => {}
-                Semantics::Ua => self.certain_rows += b.labels().count_ones() as u64,
-                Semantics::Au => {
+            match (semantics, self.marker) {
+                (Semantics::Det | Semantics::Ua, None) => {}
+                (Semantics::Det | Semantics::Ua, Some(marker)) => {
+                    let certain = match b.column(marker) {
+                        ColumnVec::Int(v) => v.iter().filter(|&&m| m == 1).count(),
+                        other => (0..b.len())
+                            .filter(|&i| other.value(i) == Value::Int(1))
+                            .count(),
+                    };
+                    self.certain_rows += certain as u64;
+                }
+                (Semantics::Au, _) => {
                     au_exec::observe_width(b, &mut self.width);
                     self.mem_bytes += au_exec::batch_mem_bytes(b);
                 }
@@ -1048,6 +1062,10 @@ impl StageTally {
     }
 }
 
+/// A bound stage's open span and the column its UA `certain_rows` count
+/// reads ([`StageTally::marker`]).
+type Span = (OperatorStats, Option<usize>);
+
 /// Fuse adjacent `Filter→Project` / `Filter→Probe` stage pairs so the
 /// selection bitmap is consumed in the same pass it is produced. The
 /// stages' open spans (one per stage when tracing, none otherwise) fuse in
@@ -1055,19 +1073,19 @@ impl StageTally {
 /// predicate folded into its detail, so the tree mirrors the kernels that
 /// actually ran. An AU `Filter→probe` pair fuses too, but its spans stay
 /// two — the row interpreter's tree ([`Stage::spans`]).
-fn fuse_stages(stages: Vec<Stage>, metas: Vec<OperatorStats>) -> (Vec<Stage>, Vec<OperatorStats>) {
+fn fuse_stages(stages: Vec<Stage>, metas: Vec<Span>) -> (Vec<Stage>, Vec<Span>) {
     let mut metas = metas.into_iter();
     let mut out: Vec<Stage> = Vec::with_capacity(stages.len());
-    let mut out_metas: Vec<OperatorStats> = Vec::new();
-    let fuse_meta = |out_metas: &mut Vec<OperatorStats>, meta: Option<OperatorStats>| {
-        if let (Some(filter), Some(mut consumer)) = (out_metas.pop(), meta) {
+    let mut out_metas: Vec<Span> = Vec::new();
+    let fuse_meta = |out_metas: &mut Vec<Span>, meta: Option<Span>| {
+        if let (Some((filter, _)), Some((mut consumer, marker))) = (out_metas.pop(), meta) {
             consumer.detail = if consumer.detail.is_empty() {
                 format!("σ[{}]", filter.detail)
             } else {
                 format!("{}; σ[{}]", consumer.detail, filter.detail)
             };
             consumer.push_extra("fused_filter", 1);
-            out_metas.push(consumer);
+            out_metas.push((consumer, marker));
         }
     };
     for stage in stages {
@@ -1101,18 +1119,17 @@ fn fuse_stages(stages: Vec<Stage>, metas: Vec<OperatorStats>) -> (Vec<Stage>, Ve
 
 /// Run one morsel through the stage chain. Pure function of the input
 /// batch — the parallel driver's determinism rests on this. With
-/// `observe`, a per-span [`StageTally`] rides *next to* the batches (an
-/// empty list otherwise); the batches themselves are bit for bit what the
-/// unobserved run produces. An observed AU σ→probe runs its halves one
-/// after the other, so the σ's tally counts the batches it would have
-/// gathered.
+/// `observe`, a per-span [`StageTally`] — started from the span's empty
+/// one — rides *next to* the batches (an empty list otherwise); the
+/// batches themselves are bit for bit what the unobserved run produces.
+/// An observed AU σ→probe runs its halves one after the other, so the σ's
+/// tally counts the batches it would have gathered.
 fn run_chain(
     batch: ColumnBatch,
     stages: &[Stage],
-    observe: Option<Semantics>,
+    observe: Option<(Semantics, &[StageTally])>,
 ) -> Result<(Vec<ColumnBatch>, Vec<StageTally>), EngineError> {
-    let spans = stages.iter().map(Stage::spans).sum();
-    let mut tallies = vec![StageTally::default(); observe.map_or(0, |_| spans)];
+    let mut tallies = observe.map_or_else(Vec::new, |(_, empty)| empty.to_vec());
     let mut cur = if batch.is_empty() {
         Vec::new()
     } else {
@@ -1123,7 +1140,7 @@ fn run_chain(
         if cur.is_empty() {
             break;
         }
-        let Some(semantics) = observe else {
+        let Some((semantics, _)) = observe else {
             let mut next = Vec::new();
             for b in cur {
                 apply_stage(stage, b, &mut next)?;

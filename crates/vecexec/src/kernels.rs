@@ -12,9 +12,10 @@
 //!   ([`Evaluated::Col`]) or an unexpanded constant ([`Evaluated::Const`]).
 //!   Arithmetic gets typed kernels (dense `Int`/`Float` loops with the row
 //!   engine's exact wrapping/promotion/NULL-division semantics; mixed
-//!   columns drop to per-row `Value` arithmetic). Rare expression shapes
-//!   fall back to row-at-a-time evaluation of the same `Expr::eval` the
-//!   row engine uses — again guaranteeing agreement.
+//!   columns drop to per-row `Value` arithmetic). `LEAST` — the `⟦⋈⟧_UA`
+//!   marker — takes the elementwise minimum of two `Int` operands, and
+//!   `CASE` — the `⟦⟕⟧_UA` marker — evaluates each branch over the rows
+//!   that reach it, in the row engine's order.
 //!
 //! Beside them sit the two AU range kernels, which read an AU batch's
 //! `[bg | lb | ub]` triple columns and never assemble a range:
@@ -125,8 +126,95 @@ pub fn eval_expr(expr: &Expr, batch: &ColumnBatch) -> Result<Evaluated, EngineEr
                 Evaluated::Col(ColumnVec::Mixed(Arc::new(out)))
             }
         }
-        Expr::Case { .. } | Expr::Least(..) => row_fallback(expr, batch)?,
+        Expr::Least(a, b) => least(eval_expr(a, batch)?, eval_expr(b, batch)?, batch.len()),
+        Expr::Case {
+            branches,
+            otherwise,
+        } => case(branches, otherwise.as_deref(), batch)?,
     })
+}
+
+/// `LEAST(a, b)` with the row engine's rule: the smaller operand under
+/// [`Value::sql_cmp`], NULL when the two do not compare. Two `Int`
+/// operands take the elementwise minimum; any other pair compares row by
+/// row over the evaluated operands.
+fn least(ea: Evaluated, eb: Evaluated, n: usize) -> Evaluated {
+    let pick = |va: Value, vb: Value| match va.sql_cmp(&vb) {
+        Some(Ordering::Greater) => vb,
+        Some(_) => va,
+        None => Value::Null,
+    };
+    if let (Evaluated::Const(va), Evaluated::Const(vb)) = (&ea, &eb) {
+        return Evaluated::Const(pick(va.clone(), vb.clone()));
+    }
+    match (NumOperand::classify(&ea), NumOperand::classify(&eb)) {
+        (Some(a), Some(b)) if a.is_int() && b.is_int() => Evaluated::Col(ColumnVec::Int(Arc::new(
+            (0..n).map(|i| a.int_at(i).min(b.int_at(i))).collect(),
+        ))),
+        _ => {
+            let out: Vec<Value> = (0..n)
+                .map(|i| pick(ea.value_at(i), eb.value_at(i)))
+                .collect();
+            Evaluated::Col(ColumnVec::from_values(out.iter()))
+        }
+    }
+}
+
+/// `CASE` in the row engine's evaluation order: each condition sees only
+/// the rows no earlier branch took, each result only the rows that take
+/// it, so a branch errs only where the row engine's would reach it.
+fn case(
+    branches: &[(Expr, Expr)],
+    otherwise: Option<&Expr>,
+    batch: &ColumnBatch,
+) -> Result<Evaluated, EngineError> {
+    let n = batch.len();
+    let mut rest: Vec<u32> = (0..n as u32).collect();
+    // (result over its rows, those rows ascending)
+    let mut parts: Vec<(Evaluated, Vec<u32>)> = Vec::new();
+    for (cond, result) in branches {
+        if rest.is_empty() {
+            break;
+        }
+        let (t, _) = if rest.len() == n {
+            truth_masks(cond, batch)?
+        } else {
+            truth_masks(cond, &batch.gather(&rest))?
+        };
+        let (mut i, mut taken) = (0, Vec::new());
+        rest.retain(|&row| {
+            let take = t.get(i);
+            i += 1;
+            if take {
+                taken.push(row);
+            }
+            !take
+        });
+        if !taken.is_empty() {
+            parts.push((
+                eval_selected(result, batch, Some(&taken), &mut None)?,
+                taken,
+            ));
+        }
+    }
+    if !rest.is_empty() {
+        let value = match otherwise {
+            Some(e) => eval_selected(e, batch, Some(&rest), &mut None)?,
+            None => Evaluated::Const(Value::Null),
+        };
+        parts.push((value, rest));
+    }
+    // The parts cover every row, so a lone part is the result as it stands.
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one part").0);
+    }
+    let mut out = vec![Value::Null; n];
+    for (value, rows) in &parts {
+        for (k, &row) in rows.iter().enumerate() {
+            out[row as usize] = value.value_at(k);
+        }
+    }
+    Ok(Evaluated::Col(ColumnVec::from_values(out.iter())))
 }
 
 /// One scalar arithmetic step with the row engine's exact semantics
@@ -284,18 +372,6 @@ fn arith_kernel(
     }
 }
 
-/// Row-at-a-time fallback for expression shapes without a dedicated kernel:
-/// materializes each row as a tuple and reuses the scalar evaluator, then
-/// re-sniffs the output into the densest column representation.
-fn row_fallback(expr: &Expr, batch: &ColumnBatch) -> Result<Evaluated, EngineError> {
-    let mut out = Vec::with_capacity(batch.len());
-    for i in 0..batch.len() {
-        let row = batch.row(i);
-        out.push(expr.eval(&row).map_err(EngineError::Expr)?);
-    }
-    Ok(Evaluated::Col(ColumnVec::from_values(out.iter())))
-}
-
 /// Evaluate a (bound) predicate over `batch` into a selection vector: the
 /// positions whose predicate is certainly true, or `None` when every row
 /// survives (callers then reuse the input batch as-is).
@@ -314,8 +390,7 @@ pub fn filter_selection(
 /// Fused σ→π kernel: project `exprs` over the rows of `batch` at `sel`
 /// (`None` = all rows). Column references gather just their own column;
 /// literals broadcast; anything else evaluates over a lazily-gathered
-/// survivor batch, so computed expressions never see rejected rows. Labels
-/// ride along with the selection.
+/// survivor batch, so computed expressions never see rejected rows.
 pub fn project_selected(
     batch: &ColumnBatch,
     sel: Option<&[u32]>,
@@ -328,11 +403,7 @@ pub fn project_selected(
                 .iter()
                 .map(|e| Ok(eval_expr(e, batch)?.into_column(batch.len())))
                 .collect::<Result<_, EngineError>>()?;
-            Ok(ColumnBatch::new(
-                out_schema.clone(),
-                cols,
-                batch.labels().clone(),
-            ))
+            Ok(ColumnBatch::new(out_schema.clone(), cols, batch.len()))
         }
         Some(sel) => {
             let mut gathered: Option<ColumnBatch> = None;
@@ -351,11 +422,7 @@ pub fn project_selected(
                     }
                 })
                 .collect::<Result<_, EngineError>>()?;
-            Ok(ColumnBatch::new(
-                out_schema.clone(),
-                cols,
-                batch.labels().gather(sel),
-            ))
+            Ok(ColumnBatch::new(out_schema.clone(), cols, sel.len()))
         }
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! Operators are order-preserving replicas of the row executor's operators
 //! (the same [`JoinSpec`] for every join, same first-seen orders), so the two
-//! engines produce identical tables — rows, labels *and* row order — which
-//! the differential tests assert. UA labels flow through as bitmaps:
-//! filters/projections gather them, joins AND them (`min(C₁, C₂)` over
-//! `{0,1}` markers), unions concatenate them.
+//! engines produce identical tables — rows *and* row order — which the
+//! differential tests assert. They know no UA: a `⟦·⟧_UA`-rewritten plan
+//! runs them over the encoded batches, marker column included.
 
-use crate::bitmap::Bitmap;
 use crate::columnar::{BatchStream, ColumnBatch, ColumnVec};
 use crate::kernels::{eval_expr, eval_selected, truth_masks, Evaluated};
 use rayon::ThreadPool;
@@ -64,11 +62,6 @@ pub fn union_all(left: BatchStream, right: BatchStream) -> Result<BatchStream, E
 /// ([`Value::join_key`] over every column, NULL matches NULL), earliest-
 /// first removal for `all`, first unmatched occurrence for distinct — so
 /// the two engines emit byte-identical rows in the same order.
-///
-/// `⟦·⟧_UA` difference: a UA encoding carries no upper bound on the right
-/// side, so no output row's presence can be certified — every output copy
-/// is labeled uncertain (label `0`). Deterministic runs drop labels at
-/// materialization, so the rule costs nothing there.
 pub fn except(
     left: BatchStream,
     right: BatchStream,
@@ -113,12 +106,7 @@ pub fn except(
         if keep.is_empty() {
             continue;
         }
-        let g = b.gather(&keep);
-        batches.push(ColumnBatch::new(
-            g.schema().clone(),
-            g.columns().to_vec(),
-            Bitmap::filled(keep.len(), false),
-        ));
+        batches.push(b.gather(&keep));
     }
     Ok(BatchStream {
         schema: left.schema,
@@ -131,10 +119,6 @@ pub fn except(
 /// probes every preserved batch through it in order — the row engine's
 /// loop, row for row: matches and pads come out in preserved-major order
 /// with columns `left ++ right`.
-///
-/// UA labels: matched rows AND their sides' labels (the `⟦·⟧_UA` join
-/// rule); pad rows are never certain — the pad row's label bit is `0`, so
-/// the AND yields `0` without a special case.
 pub fn outer_join(
     left: BatchStream,
     right: BatchStream,
@@ -195,10 +179,10 @@ fn owning_part<K>(
     }
 }
 
-/// The one det / UA join state: every inner, θ, hash and outer join of
-/// this engine probes through it. It holds the build side as one chunk
-/// (and, when probe misses pad, that chunk plus one all-NULL pad row —
-/// label 0 — so gathering a miss at the pad row produces
+/// The one join state: every inner, θ, hash and outer join of this engine
+/// probes through it. It holds the build side as one chunk
+/// (and, when probe misses pad, that chunk plus one all-NULL pad row,
+/// so gathering a miss at the pad row produces
 /// exactly the row engine's NULL-padded output), the hash index on the
 /// build keys (`None` without keys), the null-aware `always` rows (build
 /// rows with an unknown key, candidates of every probe row), and the
@@ -262,9 +246,7 @@ impl ProbeState {
                 .iter()
                 .map(|c| ColumnVec::concat(&[c, &null_col]))
                 .collect();
-            let mut labels = chunk.labels().clone();
-            labels.push(false);
-            ColumnBatch::new(chunk.schema().clone(), columns, labels)
+            ColumnBatch::new(chunk.schema().clone(), columns, chunk.len() + 1)
         });
         Ok(ProbeState {
             chunk,
@@ -568,7 +550,7 @@ pub(crate) fn probe_index(
 }
 
 /// Assemble the joined batch: gathered left columns ++ gathered right
-/// columns; labels AND bitwise.
+/// columns.
 fn join_gather(
     lbatch: &ColumnBatch,
     rchunk: &ColumnBatch,
@@ -583,15 +565,13 @@ fn join_gather(
     for c in rchunk.columns() {
         columns.push(c.gather(ridx));
     }
-    let mut labels = lbatch.labels().gather(lidx);
-    labels.and_assign(&rchunk.labels().gather(ridx));
-    ColumnBatch::new(out_schema.clone(), columns, labels)
+    ColumnBatch::new(out_schema.clone(), columns, lidx.len())
 }
 
 /// Row-count limit, columnar-native: batches pass through untouched until
 /// `limit` rows have passed, like the row engine's `limit_table`; the
-/// boundary batch is truncated by gathering its prefix — columns and label
-/// bitmap together. No row materialization happens.
+/// boundary batch is truncated by gathering its prefix. No row
+/// materialization happens.
 pub fn limit(input: BatchStream, limit: usize) -> BatchStream {
     let mut remaining = limit;
     let mut batches = Vec::with_capacity(input.batches.len());
@@ -616,15 +596,9 @@ pub fn limit(input: BatchStream, limit: usize) -> BatchStream {
 
 /// The shared sort comparator contract, applied to columnar rows: sort
 /// keys (outermost first, `Value`'s total order, per-key direction), then
-/// the full base row, then the UA label (uncertain before certain).
-///
-/// This is byte-for-byte `ua_plan::sort_table`'s ordering: in the row
-/// engine's UA path the sort runs over the *encoded* table, whose
-/// deterministic full-row tie-break ends on the trailing `ua_c` marker
-/// (`0` for uncertain, `1` for certain) — here the marker lives in the
-/// label bitmap, so the label becomes the final tie-break key (`false <
-/// true` matches `0 < 1`). Deterministic semantics are unaffected: labels
-/// are uniformly certain there.
+/// the full row — byte-for-byte `ua_plan::sort_table`'s ordering. Over a
+/// UA-encoded stream the full row ends on the `ua_c` marker, so an
+/// uncertain copy sorts before an equal certain one on both engines.
 fn sort_cmp(
     bound: &[(Expr, SortOrder)],
     keys_a: impl Fn(usize) -> Value,
@@ -650,7 +624,7 @@ fn sort_cmp(
             return ord;
         }
     }
-    ba.labels().get(ia).cmp(&bb.labels().get(ib))
+    Ordering::Equal
 }
 
 /// A single-chunk comparison accessor: typed dense columns compare on
@@ -749,7 +723,6 @@ pub fn sort(
         .map(|((_, order), ev)| (ColCmp::for_eval(ev), *order))
         .collect();
     let row_cmp: Vec<ColCmp> = chunk.columns().iter().map(ColCmp::for_col).collect();
-    let labels = chunk.labels();
     idx.sort_by(|&a, &b| {
         let (a, b) = (a as usize, b as usize);
         for (col, order) in &key_cmp {
@@ -767,7 +740,7 @@ pub fn sort(
                 return ord;
             }
         }
-        labels.get(a).cmp(&labels.get(b))
+        Ordering::Equal
     });
     let batches = idx
         .chunks(batch_rows.max(1))
@@ -841,12 +814,6 @@ pub fn top_k(
     let batches = top
         .chunks(batch_rows.max(1))
         .map(|slice| {
-            let mut labels = Bitmap::filled(slice.len(), false);
-            for (i, e) in slice.iter().enumerate() {
-                if input.batches[e.bi as usize].labels().get(e.ri as usize) {
-                    labels.set(i, true);
-                }
-            }
             let columns: Vec<ColumnVec> = (0..schema.arity())
                 .map(|c| {
                     let values: Vec<Value> = slice
@@ -856,7 +823,7 @@ pub fn top_k(
                     ColumnVec::from_values(values.iter())
                 })
                 .collect();
-            ColumnBatch::new(schema.clone(), columns, labels)
+            ColumnBatch::new(schema.clone(), columns, slice.len())
         })
         .collect();
     Ok(BatchStream { schema, batches })
@@ -864,18 +831,13 @@ pub fn top_k(
 
 /// Duplicate elimination: the first occurrence of each distinct row
 /// survives (set semantics over the bag's row copies).
-///
-/// The UA label participates in the key: in the row engine's encoded
-/// representation the marker is a real column, so `(t, certain)` and
-/// `(t, uncertain)` are distinct rows there — labeled batches must dedupe
-/// the same way or a certain copy could vanish behind an uncertain one.
 pub fn distinct(input: BatchStream) -> BatchStream {
-    let mut seen: ua_data::FxHashSet<(Tuple, bool)> = ua_data::FxHashSet::default();
+    let mut seen: ua_data::FxHashSet<Tuple> = ua_data::FxHashSet::default();
     let mut batches = Vec::with_capacity(input.batches.len());
     for batch in &input.batches {
         let mut keep: Vec<u32> = Vec::new();
         for i in 0..batch.len() {
-            if seen.insert((batch.row(i), batch.labels().get(i))) {
+            if seen.insert(batch.row(i)) {
                 keep.push(i as u32);
             }
         }
@@ -1188,7 +1150,7 @@ fn aggregate_impl(
         .map(|c| ColumnVec::from_values(rows.iter().map(move |r| r.get(c).expect("arity"))))
         .collect();
     let len = rows.len();
-    let batch = ColumnBatch::new(out_schema.clone(), cols, Bitmap::filled(len, true));
+    let batch = ColumnBatch::new(out_schema.clone(), cols, len);
     Ok(BatchStream {
         schema: out_schema,
         batches: if len == 0 { Vec::new() } else { vec![batch] },
@@ -1198,14 +1160,14 @@ fn aggregate_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::batches_from_encoded_table;
+    use crate::columnar::{batches_from_table, table_from_batches};
     use ua_data::tuple;
     use ua_plan::Table;
 
     #[test]
-    fn distinct_keeps_differently_labeled_copies_apart() {
-        // Same tuple twice with different labels: both must survive, like
-        // the row engine's Distinct over the encoded (ua_c-bearing) rows.
+    fn distinct_keeps_differently_marked_copies_apart() {
+        // Same tuple twice with different markers: both survive, first
+        // occurrences in order — the marker is a column like any other.
         let t = Table::from_rows(
             Schema::qualified("r", ["a"]).with_column(ua_core::UA_LABEL_COLUMN),
             vec![
@@ -1215,20 +1177,10 @@ mod tests {
                 tuple![2i64, 1i64],
             ],
         );
-        let stream = batches_from_encoded_table(&t, "r", 2).unwrap();
-        let out = distinct(stream);
-        let rows: Vec<(Tuple, bool)> = out
-            .batches
-            .iter()
-            .flat_map(|b| (0..b.len()).map(move |i| (b.row(i), b.labels().get(i))))
-            .collect();
+        let out = table_from_batches(&distinct(batches_from_table(&t, 2)));
         assert_eq!(
-            rows,
-            vec![
-                (tuple![1i64], false),
-                (tuple![1i64], true),
-                (tuple![2i64], true),
-            ]
+            out.rows(),
+            [tuple![1i64, 0i64], tuple![1i64, 1i64], tuple![2i64, 1i64]]
         );
     }
 

@@ -12,7 +12,8 @@ use ua_data::value::{Value, VarId};
 use ua_data::{Expr, RaExpr, Relation};
 use ua_engine::plan::{AggExpr, AggFunc, Plan, SortOrder};
 use ua_engine::{
-    execute, Catalog, EngineError, ExecMode, ExecOptions, Semantics, Table, UaSession,
+    execute, rewrite_ua_plan, Catalog, EngineError, ExecMode, ExecOptions, Semantics, Table,
+    UaSession,
 };
 use ua_semiring::pair::Ua;
 use ua_vecexec::{stream, table_from_batches, BatchStream};
@@ -452,16 +453,15 @@ fn columnar_limit_and_top_k_count_row_copies() {
     }
 }
 
-/// Streams compared *byte for byte*: same batch boundaries, same rows,
-/// same label bitmaps. Stronger than table
-/// equality — this is the morsel pipeline's determinism contract.
+/// Streams compared *byte for byte*: same batch boundaries, same rows.
+/// Stronger than table equality — this is the morsel pipeline's
+/// determinism contract.
 fn assert_streams_byte_identical(a: &BatchStream, b: &BatchStream, context: &str) {
     assert_eq!(a.schema, b.schema, "schema mismatch: {context}");
     assert_eq!(a.batches.len(), b.batches.len(), "batch count: {context}");
     for (i, (ba, bb)) in a.batches.iter().zip(&b.batches).enumerate() {
         assert_eq!(ba.len(), bb.len(), "batch {i} len: {context}");
         assert_eq!(ba.columns(), bb.columns(), "batch {i} columns: {context}");
-        assert_eq!(ba.labels(), bb.labels(), "batch {i} labels: {context}");
     }
 }
 
@@ -514,8 +514,8 @@ fn parallel_pipelines_are_byte_identical_to_serial() {
     }
 }
 
-/// The same determinism property for the UA path: label bitmaps must land
-/// on identical rows for every thread count.
+/// The same determinism property for the UA path: the `⟦·⟧_UA` rewriting
+/// streams identically — marker column included — at every thread count.
 #[test]
 fn parallel_ua_pipelines_are_byte_identical_to_serial() {
     let mut rng = StdRng::seed_from_u64(0x9A11E2);
@@ -527,8 +527,8 @@ fn parallel_ua_pipelines_are_byte_identical_to_serial() {
         );
         session.register_ua_relation("s", &random_ua_relation(&mut rng, "s", &["b", "d"], 80));
         let q = random_ra(&mut rng);
-        let plan = Plan::from_ra(&q);
         let catalog = session.catalog();
+        let plan = rewrite_ua_plan(&Plan::from_ra(&q), catalog).expect("in the fragment");
         let serial = stream(&plan, catalog, opts(1, 64), Semantics::Ua).expect("serial UA");
         for threads in [2usize, 8] {
             for rep in 0..3 {
@@ -610,11 +610,11 @@ fn sort_and_topk_agree_across_batch_sizes_and_threads() {
     }
 }
 
-/// Regression: the vectorized UA path no longer bails out to the row
-/// engine for trailing ORDER BY / LIMIT — a `Semantics::Ua` `stream` of
-/// Sort/Limit/TopK-bearing plans succeeds and matches the row path's
+/// Regression: the vectorized UA path runs trailing ORDER BY / LIMIT
+/// natively — a `Semantics::Ua` `stream` of the rewriting of
+/// Sort/Limit/TopK-bearing plans succeeds and matches the row engine's
 /// encoded sort (which tie-breaks on the trailing marker column) byte for
-/// byte, labels riding with their rows.
+/// byte.
 #[test]
 fn ua_hook_executes_order_by_limit_natively() {
     // Same tuple with different labels: the sort's final tie-break must
@@ -660,10 +660,11 @@ fn ua_hook_executes_order_by_limit_natively() {
     for (pi, plan) in plans.iter().enumerate() {
         // The old driver returned Err("...ORDER BY/LIMIT are applied by the
         // session...") here; now it must execute natively.
+        let plan = rewrite_ua_plan(plan, &catalog).expect("in the fragment");
         for batch_rows in [3usize, 1024] {
-            let stream = stream(plan, &catalog, opts(1, batch_rows), Semantics::Ua)
+            let stream = stream(&plan, &catalog, opts(1, batch_rows), Semantics::Ua)
                 .unwrap_or_else(|e| panic!("UA stream fell back for plan {pi}: {e}"));
-            let got = ua_vecexec::columnar::encoded_table_from_batches(&stream);
+            let got = table_from_batches(&stream);
             // Reference: the row engine's sort/limit over the *encoded*
             // table (what the session's old fallback computed).
             let mut expected = ua_engine::sort_table(&encoded, &keys).expect("row sort");
@@ -710,25 +711,6 @@ fn unknown_table_errors_match_between_thread_counts() {
     let parallel = stream(&plan, &catalog, opts(4, 16), Semantics::Det).expect_err("unknown table");
     assert!(matches!(serial, EngineError::UnknownTable(_)));
     assert_eq!(serial.to_string(), parallel.to_string());
-}
-
-#[test]
-fn columnar_limit_truncates_label_bitmaps_with_their_rows() {
-    // An encoded table with alternating labels: the limit prefix must keep
-    // label-row alignment exactly (asserted through the encoded round trip).
-    let encoded = Table::from_rows(
-        Schema::qualified("r", ["a"]).with_column(ua_core::UA_LABEL_COLUMN),
-        (0..20i64)
-            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 2)]))
-            .collect(),
-    );
-    for limit in [0usize, 1, 7, 20] {
-        let stream =
-            ua_vecexec::columnar::batches_from_encoded_table(&encoded, "r", 4).expect("encoded");
-        let limited = ua_vecexec::ops::limit(stream, limit);
-        let back = ua_vecexec::columnar::encoded_table_from_batches(&limited);
-        assert_eq!(back.rows(), ua_engine::limit_table(&encoded, limit).rows());
-    }
 }
 
 /// Parallel pipeline-breaker determinism sweep (PR satellite): GROUP BY
@@ -855,8 +837,8 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
         }
     }
 
-    // UA path: the 3-way hash-join core (UA is not closed under
-    // aggregation), labels riding with their rows.
+    // UA path: the rewriting of the 3-way hash-join core (UA is not
+    // closed under aggregation), marker column included.
     let ua_session = UaSession::new();
     ua_session.register_ua_relation(
         "r",
@@ -878,6 +860,7 @@ fn pipeline_breakers_deterministic_across_threads_batches_and_semantics() {
         build_left: false,
     };
     let ua_catalog = ua_session.catalog();
+    let ua_join = rewrite_ua_plan(&ua_join, ua_catalog).expect("in the fragment");
     for batch_rows in BATCHES {
         let serial =
             stream(&ua_join, ua_catalog, opts(1, batch_rows), Semantics::Ua).expect("ua serial");
@@ -1898,9 +1881,10 @@ fn plain_side(rng: &mut StdRng, name: &str, rows: usize, keys: &[Value], ua: boo
 /// `NOT IN` anti-join — under `Semantics::Det` and `Semantics::Ua` over
 /// plain tables whose keys hold `NULL`, labeled nulls, NaN, `−0.0`, `1`
 /// next to `1.0`, `2⁵³ + 1` next to `2⁵³`, strings against integers, dense
-/// `Int` and `Float` columns and an empty side. The row engine (UA: over
-/// the `rewrite_ua_plan` plan) equals the vectorized result labels
-/// included; at threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024} every
+/// `Int` and `Float` columns and an empty side. Both engines run one plan
+/// (UA: its `rewrite_ua_plan` rewriting) and the row engine's result
+/// equals the vectorized one, markers included; at threads {1, 2, 4, 8} ×
+/// batch rows {1, 7, 64, 1024} every
 /// parallel stream is the serial one; an `Err` on one engine is an `Err`
 /// on the other.
 #[test]
@@ -1990,26 +1974,6 @@ fn det_and_ua_joins_match_the_row_operators_over_plain_keys() {
         },
     ));
 
-    // The row engine's UA plan. A user plan has no hash joins (the
-    // optimizer plans them after the rewriting), so a `HashJoin` goes back
-    // under the marker projection `rewrite_ua_plan` puts over its join.
-    let ua_row_plan = |plan: &Plan, catalog: &Catalog| match plan {
-        Plan::HashJoin { left, right, .. } => {
-            let join = Plan::Join {
-                left: left.clone(),
-                right: right.clone(),
-                predicate: None,
-            };
-            match ua_engine::rewrite_ua_plan(&join, catalog)? {
-                Plan::Map { columns, .. } => Ok(Plan::Map {
-                    input: Box::new(plan.clone()),
-                    columns,
-                }),
-                other => panic!("a UA join rewrites to a marker projection: {other}"),
-            }
-        }
-        _ => ua_engine::rewrite_ua_plan(plan, catalog),
-    };
     let big = 1i64 << 53;
     let mixed = vec![
         Value::Null,
@@ -2050,12 +2014,12 @@ fn det_and_ua_joins_match_the_row_operators_over_plain_keys() {
             catalog.register("r", plain_side(&mut rng, "r", rn, rkeys, ua));
             for (name, plan) in &plans {
                 let context = format!("`{name}` {semantics:?} over {side}");
-                let row = if ua {
-                    ua_row_plan(plan, &catalog)
-                        .and_then(|p| ua_engine::execute_row(&p, &catalog, semantics, false).0)
+                let plan = &if ua {
+                    rewrite_ua_plan(plan, &catalog).expect("in the fragment")
                 } else {
-                    ua_engine::execute_row(plan, &catalog, semantics, false).0
+                    plan.clone()
                 };
+                let row = ua_engine::execute_row(plan, &catalog, semantics, false).0;
                 // Only `k + 1` over string keys is a type error.
                 assert!(
                     row.is_ok() || name.contains("computed"),
@@ -2067,18 +2031,11 @@ fn det_and_ua_joins_match_the_row_operators_over_plain_keys() {
                 for batch_rows in [1usize, 7, 64, 1024] {
                     let serial = stream(plan, &catalog, opts(1, batch_rows), semantics);
                     match (&row, &serial) {
-                        (Ok(row), Ok(serial)) => {
-                            let vec = if ua {
-                                ua_vecexec::columnar::encoded_table_from_batches(serial)
-                            } else {
-                                table_from_batches(serial)
-                            };
-                            assert_tables_identical(
-                                row,
-                                &vec,
-                                &format!("{context} batch={batch_rows}"),
-                            )
-                        }
+                        (Ok(row), Ok(serial)) => assert_tables_identical(
+                            row,
+                            &table_from_batches(serial),
+                            &format!("{context} batch={batch_rows}"),
+                        ),
                         (Err(_), Err(_)) => {}
                         (row, serial) => panic!(
                             "{context} batch={batch_rows}: row {row:?} vs vectorized {:?}",

@@ -19,7 +19,6 @@ use ua_ranges::{
     approx_range, encode_row, eval_range, flattened_schema, range_parts, truth_range, AuRelation,
     AuTuple, Bound, MultBound, RangeValue,
 };
-use ua_vecexec::bitmap::Bitmap;
 use ua_vecexec::kernels::{eval_triple, range_truth_masks, Triple};
 use ua_vecexec::{ColumnBatch, ColumnVec};
 
@@ -180,7 +179,7 @@ fn batch_of(rows: &[Vec<RangeValue>]) -> ColumnBatch {
             columns[bound] = columns[c].clone();
         }
     }
-    ColumnBatch::new(flat, columns, Bitmap::filled(rows.len(), true))
+    ColumnBatch::new(flat, columns, rows.len())
 }
 
 /// Every sub-expression of `e`, `e` included.

@@ -8,7 +8,6 @@ use ua_data::expr::{CmpOp, Expr};
 use ua_data::schema::Schema;
 use ua_data::value::Value;
 use ua_ranges::{encode_row, flattened_schema, truth_range, AuTuple, Bound, MultBound, RangeValue};
-use ua_vecexec::bitmap::Bitmap;
 use ua_vecexec::kernels::range_truth_masks;
 use ua_vecexec::{ColumnBatch, ColumnVec};
 
@@ -164,7 +163,7 @@ fn batch_of(rows: &[Vec<RangeValue>]) -> ColumnBatch {
     let columns = (0..flat.arity())
         .map(|c| ColumnVec::from_values(encoded.iter().map(move |r| r.get(c).expect("arity"))))
         .collect();
-    ColumnBatch::new(flat, columns, Bitmap::filled(rows.len(), true))
+    ColumnBatch::new(flat, columns, rows.len())
 }
 
 /// The value family each operand of every comparison leaf draws from
