@@ -133,8 +133,8 @@ fn bench_sel_join_proj(c: &mut Criterion) {
 }
 
 fn bench_ua_labels(c: &mut Criterion) {
-    // UA path: same pipeline over a TI-style uncertain orders table —
-    // rewritten row plan vs. bitmap-propagating vectorized path.
+    // UA path: same pipeline over a TI-style uncertain orders table — the
+    // one rewritten plan on the row and the vectorized engine.
     let mut rng = StdRng::seed_from_u64(43);
     let raw = Table::from_rows(
         Schema::qualified("orders", ["okey", "custkey", "total", "p"]),
@@ -188,7 +188,7 @@ fn bench_ua_labels(c: &mut Criterion) {
         session.set_exec_mode(ExecMode::Row);
         b.iter(|| session.query_ua(sql).expect("row ua"))
     });
-    group.bench_function(BenchmarkId::new("vectorized_bitmaps", ORDERS), |b| {
+    group.bench_function(BenchmarkId::new("vectorized_rewritten", ORDERS), |b| {
         session.set_exec_mode(ExecMode::Vectorized);
         b.iter(|| session.query_ua(sql).expect("vec ua"))
     });

@@ -932,14 +932,13 @@ fn distinct_annotations_of_one_table_do_not_collide() {
 }
 
 /// Regression: programmatic `RaExpr` queries with *positional* (`Expr::Col`)
-/// join predicates under the vectorized UA path. The optimizer classifies
-/// positions against `plan_schema` — the encoded, marker-bearing schemas —
-/// but that path executes marker-stripped batches, so positional
-/// classification must be disabled there: the optimizer leaves such
-/// predicates for runtime binding instead of silently joining on the wrong
-/// columns.
+/// join predicates under UA. A position counts user columns on both
+/// engines: the `⟦·⟧_UA` rewriting shifts right-side positions past the
+/// left input's marker, so neither engine joins on the wrong columns (the
+/// row engine used to bind `Col(3)` to `s.c` over the encoded
+/// `r(a, b, ua_c) ++ s(c, d, ua_c)`).
 #[test]
-fn positional_predicates_keep_runtime_binding_semantics_in_vectorized_ua() {
+fn positional_join_predicates_count_user_columns_on_both_engines() {
     use ua_data::relation::Relation;
     use ua_data::RaExpr;
     use ua_semiring::pair::Ua;
@@ -964,27 +963,29 @@ fn positional_predicates_keep_runtime_binding_semantics_in_vectorized_ua() {
         right: Box::new(RaExpr::table("s")),
         predicate: Some(ua_data::Expr::Col(1).eq(ua_data::Expr::Col(3))),
     };
-    for optimizer in [true, false] {
-        let session = UaSession::with_mode(ExecMode::Vectorized);
-        session.set_optimizer_enabled(optimizer);
-        session.register_ua_relation("r", &r);
-        session.register_ua_relation("s", &s);
-        let result = session.query_ua_ra(&q).expect("vectorized UA query");
-        assert!(
-            result.table.is_empty(),
-            "optimizer={optimizer}: Col(1)=Col(3) means r.b = s.d in the \
-             vectorized path and must match nothing, got {:?}",
-            result.table.rows()
-        );
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        for optimizer in [true, false] {
+            let session = UaSession::with_mode(mode);
+            session.set_optimizer_enabled(optimizer);
+            session.register_ua_relation("r", &r);
+            session.register_ua_relation("s", &s);
+            let result = session.query_ua_ra(&q).expect("UA query");
+            assert!(
+                result.table.is_empty(),
+                "{mode:?} optimizer={optimizer}: Col(1)=Col(3) means r.b = s.d \
+                 and must match nothing, got {:?}",
+                result.table.rows()
+            );
+        }
     }
 }
 
 /// Regression: 3- and 4-way comma-joins in deliberately bad orders execute
 /// identically — label for label, in the same row order — on both engines
 /// with the optimizer on and off, under UA and deterministic semantics.
-/// (The UA reordering happens once, on the shared user plan, so the row
-/// path's rewritten plan and the vectorized path's bitmap propagation keep
-/// the same join order; this is what makes byte-equality possible.)
+/// (A UA query is one plan: its user plan is reordered once, rewritten
+/// and optimized, and both engines run that plan; this is what makes
+/// byte-equality possible.)
 #[test]
 fn multi_way_comma_joins_agree_across_engines_and_optimizer() {
     let queries = [

@@ -335,8 +335,8 @@ fn reordered_three_way_join_stays_c_sound_on_both_engines() {
 ///                                 ⊆  certain(⟦Q⟧)  ⊆  cert_ℕ(Q(𝒟))
 /// ```
 ///
-/// on both engines (the vectorized one executes the sort/Top-K natively
-/// over label bitmaps). The fusion is in fact exact — rewritten and
+/// on both engines (both execute the sort/Top-K natively over the encoded
+/// rows of the `⟦·⟧_UA` rewriting). The fusion is in fact exact — rewritten and
 /// unrewritten runs produce the same certain set — but the inclusions are
 /// what must survive any future, lossier Top-K (e.g. an approximate heap).
 #[test]

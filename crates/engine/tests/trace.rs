@@ -546,10 +546,11 @@ fn staleness_counter_and_catalog_gauges() {
 /// deterministic extras stay.
 fn mask_times(report: &str) -> String {
     let mask = |word: &str| {
+        let (open, body) = word.strip_prefix('(').map_or(("", word), |b| ("(", b));
         for key in ["time=", "build_ns="] {
-            if let Some(value) = word.strip_prefix(key) {
+            if let Some(value) = body.strip_prefix(key) {
                 let tail = value.trim_start_matches(|c: char| c != ',' && c != ')');
-                return format!("{key}*{tail}");
+                return format!("{open}{key}*{tail}");
             }
         }
         word.to_string()
@@ -637,6 +638,57 @@ fn golden_row_join_trees() {
             "{sem} row join golden drifted:\n{report}"
         );
     }
+}
+
+/// The vectorized twin of `golden_row_join_trees`' UA case: both engines
+/// print the same plans — the vectorized engine runs the optimized
+/// `⟦·⟧_UA` rewriting too — and its tree counts `certain_rows` on the same
+/// operators as the row tree: not on the hash join, whose output ends in
+/// the right side's marker only. The σ below the join's build side fuses
+/// into nothing here (it sits under an alias), so every row span has its
+/// vectorized twin.
+#[test]
+fn golden_vectorized_ua_join_tree() {
+    let s = seeded_session();
+    s.set_vec_threads(1);
+    let annotated = "SELECT x.v, c.dk FROM t IS TI WITH PROBABILITY (p) x, \
+                     cu IS TI WITH PROBABILITY (p) c WHERE x.g = c.ck AND x.v >= 190";
+    let report = |mode| {
+        s.set_exec_mode(mode);
+        mask_times(&s.explain_analyze_ua(annotated).expect("ua explain analyze"))
+    };
+    let (row, vec) = (report(ExecMode::Row), report(ExecMode::Vectorized));
+    let plans = |report: &str| {
+        report
+            .split("execution (")
+            .next()
+            .unwrap_or_default()
+            .to_string()
+    };
+    assert_eq!(plans(&row), plans(&vec), "the engines run different plans");
+    // The morsel-pool line after the tree carries wall times.
+    let execution: Vec<&str> = vec
+        .lines()
+        .skip_while(|l| !l.starts_with("execution"))
+        .take_while(|l| !l.starts_with("  morsel pool:"))
+        .collect();
+    let expected = [
+        "execution (EXPLAIN ANALYZE, engine=vectorized semantics=ua):",
+        "  Map[x.v→v, c.dk→dk, ua_c→ua_c] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "    Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "      HashJoin[#0=#0; build=left] rows=10 est=10 batches=1 time=* (build_ns=*, build_rows=10, mem_bytes=560, probe_rows=120)",
+        "        Alias[x] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "          Filter[(#1 >= 190)] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "            Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 time=* (certain_rows=150)",
+        "        Alias[c] rows=120 est=120 batches=1 time=* (certain_rows=120)",
+        "          Scan[__ua__cu__ti_1_p] rows=120 est=120 batches=1 time=* (certain_rows=120)",
+        "  memory: query peak=560 bytes",
+    ];
+    assert_eq!(
+        execution.join("\n"),
+        expected.join("\n"),
+        "vectorized UA join golden drifted:\n{vec}"
+    );
 }
 
 /// No row-engine join span counts `certain_rows` under UA — inner or

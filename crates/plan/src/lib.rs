@@ -18,7 +18,7 @@
 //! * [`au`] — the AU row interpreter (`⟦·⟧_AU` over `ua_ranges::ops`);
 //! * [`ua`] — the plan-level `⟦·⟧_UA` rewriting: a UA query becomes one
 //!   ordinary plan over the `Enc` tables (`RA⁺`, `−`, `⟕`, trailing
-//!   `Sort`/`Limit`/`TopK`), which the row interpreter executes as is;
+//!   `Sort`/`Limit`/`TopK`), which both executors run as is;
 //! * [`optimize`](mod@optimize) — the pass pipeline (filter pushdown, cost-aware join
 //!   planning into [`plan::Plan::HashJoin`]) applied uniformly to both
 //!   executors' plans before dispatch;

@@ -55,8 +55,9 @@
 //! * rewrites preserve the engines' shared row order contract: the same
 //!   optimized plan executes to byte-identical tables on both engines;
 //! * expressions stay *unbound* (name-based) unless they already were
-//!   positional — the vectorized UA path runs over marker-stripped batches,
-//!   so positions valid against encoded schemas would misalign there.
+//!   positional — a user plan over UA- or AU-encoded tables counts
+//!   positions in user columns, so positions valid against the encoded
+//!   schemas would misalign there.
 
 use crate::plan::Plan;
 use crate::sql::planner::{is_system_column, plan_schema};
@@ -78,15 +79,15 @@ pub struct OptimizerPasses {
     /// (pass 2; only runs when `plan_joins` is on).
     pub reorder_joins: bool,
     /// Let join planning and reordering classify and shift *positional*
-    /// (`Expr::Col`) references. Must be off when the executor's runtime
-    /// schemas differ from `plan_schema` — the vectorized UA path strips
-    /// the `ua_c` marker out of its batches, so positions computed against
-    /// encoded schemas would split at the wrong arity and silently join on
-    /// the wrong columns. Named references are always safe (the marker
-    /// never participates in name resolution). With it off, reordering
-    /// also sees each leaf's *user-visible* schema — no trailing `ua_c`,
-    /// no AU bound or multiplicity sidecars — which is what the vectorized
-    /// UA batches and the AU relations carry at run time.
+    /// (`Expr::Col`) references. Must be off when the plan's positions do
+    /// not count `plan_schema`'s columns — a user plan over UA-encoded
+    /// tables (positions count user columns; the `⟦·⟧_UA` rewriting shifts
+    /// them past the markers) or an AU plan (flattened tables): positions
+    /// computed against encoded schemas would split at the wrong arity and
+    /// silently join on the wrong columns. Named references are always
+    /// safe (the marker never participates in name resolution). With it
+    /// off, reordering also sees each leaf's *user-visible* schema — no
+    /// trailing `ua_c`, no AU bound or multiplicity sidecars.
     pub positional_joins: bool,
     /// Fuse `Limit(Sort(..))` into the bounded-heap [`Plan::TopK`]
     /// operator ([`fuse_topk`]).
@@ -921,10 +922,10 @@ pub fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
 /// [`reorder_joins`] for *user* `RA⁺` plans over UA-annotated sources, as
 /// run by `UaSession` before the `⟦·⟧_UA` rewriting: leaf schemas are the
 /// encoded tables' schemas with the trailing `ua_c` marker stripped (the
-/// user-visible columns), classification is name-based only (positions
-/// computed against encoded schemas would misalign on the vectorized
-/// path's marker-stripped batches), and the emitted plan stays in the
-/// `RA⁺` fragment so `Plan::to_ra` succeeds.
+/// user-visible columns), classification is name-based only (a user
+/// position counts user columns, not `plan_schema`'s encoded ones), and
+/// the emitted plan stays in the `RA⁺` fragment so `Plan::to_ra`
+/// succeeds.
 pub fn reorder_joins_ua(plan: Plan, catalog: &Catalog) -> Plan {
     reorder_joins_impl(plan, catalog, false)
 }
@@ -1259,9 +1260,9 @@ fn flatten_join_tree<'a>(
 /// The user-visible part of an encoded leaf schema: everything but the
 /// system columns (the UA `ua_c` marker, the AU bound and multiplicity
 /// sidecars). Reordering classifies conjuncts and restores column order
-/// against these — the schemas the vectorized UA batches and the AU
-/// relations actually carry — so a restoring projection never names a
-/// bookkeeping column.
+/// against these — the schemas a user plan over UA tables (before its
+/// rewriting) and the AU relations speak of — so a restoring projection
+/// never names a bookkeeping column.
 fn user_visible(schema: Schema) -> Schema {
     Schema::new(
         schema

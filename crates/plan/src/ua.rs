@@ -308,7 +308,6 @@ mod tests {
     use super::*;
     use crate::exec::execute;
     use crate::plan::OuterKind;
-    use crate::storage::Table;
     use ua_data::tuple;
 
     /// `r` = {1 certain, 2 uncertain, 3 certain}, `s` = {1 certain, 2 certain}.
@@ -354,6 +353,70 @@ mod tests {
                 ua_data::Tuple::new(vec![3i64.into(), ua_data::Value::Null, 0i64.into()]),
             ]
         );
+    }
+
+    /// A positional `⋈` / `⟕` predicate (a `HashJoin` residual too) counts
+    /// user columns: `#0 = #1` over `r(a) ++ s(a)` is `r.a = s.a`, not
+    /// `r.a = r.ua_c`.
+    #[test]
+    fn positional_join_predicates_count_user_columns() {
+        let named = Expr::named("r.a").eq(Expr::named("s.a"));
+        let positional = Expr::col(0).eq(Expr::col(1));
+        let joins = |predicate: &Expr| {
+            [
+                Plan::Join {
+                    left: scan("r"),
+                    right: scan("s"),
+                    predicate: Some(predicate.clone()),
+                },
+                Plan::OuterJoin {
+                    left: scan("r"),
+                    right: scan("s"),
+                    predicate: Some(predicate.clone()),
+                    kind: OuterKind::Left,
+                },
+                Plan::HashJoin {
+                    left: scan("r"),
+                    right: scan("s"),
+                    keys: vec![(Expr::named("a"), Expr::named("a"))],
+                    residual: Some(predicate.clone()),
+                    build_left: false,
+                },
+            ]
+        };
+        for (by_name, by_position) in joins(&named).iter().zip(&joins(&positional)) {
+            assert_eq!(run(by_name), run(by_position), "{by_position}");
+        }
+        assert_eq!(run(&joins(&positional)[0]).len(), 2);
+    }
+
+    /// NULL, `Float` and out-of-range markers fail the rewriting with one
+    /// error naming the first of them; a repaired registration passes.
+    #[test]
+    fn malformed_markers_fail_the_rewriting() {
+        let c = catalog();
+        let schema = Schema::qualified("t", ["a"]).with_column(UA_LABEL_COLUMN);
+        for bad in [
+            Value::Null,
+            Value::float(1.0),
+            Value::Int(2),
+            Value::Int(-1),
+        ] {
+            let expected = format!("invalid certainty marker {:?} in `t`", Some(&bad));
+            let rows = vec![
+                tuple![1i64, 1i64],
+                ua_data::Tuple::new(vec![2i64.into(), bad]),
+            ];
+            c.register("t", Table::from_rows(schema.clone(), rows));
+            for _ in 0..2 {
+                match rewrite_ua_plan(&Plan::Scan("t".into()), &c) {
+                    Err(EngineError::Sql(msg)) => assert_eq!(msg, expected),
+                    other => panic!("{expected}: got {other:?}"),
+                }
+            }
+        }
+        c.register("t", Table::from_rows(schema, vec![tuple![1i64, 0i64]]));
+        assert!(rewrite_ua_plan(&Plan::Scan("t".into()), &c).is_ok());
     }
 
     #[test]

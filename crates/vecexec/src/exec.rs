@@ -1032,21 +1032,18 @@ impl StageTally {
         self.batches_out += out.len() as u64;
         for b in out {
             self.rows_out += b.len() as u64;
-            match (semantics, self.marker) {
-                (Semantics::Det | Semantics::Ua, None) => {}
-                (Semantics::Det | Semantics::Ua, Some(marker)) => {
-                    let certain = match b.column(marker) {
-                        ColumnVec::Int(v) => v.iter().filter(|&&m| m == 1).count(),
-                        other => (0..b.len())
-                            .filter(|&i| other.value(i) == Value::Int(1))
-                            .count(),
-                    };
-                    self.certain_rows += certain as u64;
-                }
-                (Semantics::Au, _) => {
-                    au_exec::observe_width(b, &mut self.width);
-                    self.mem_bytes += au_exec::batch_mem_bytes(b);
-                }
+            if let Some(marker) = self.marker {
+                let certain = match b.column(marker) {
+                    ColumnVec::Int(v) => v.iter().filter(|&&m| m == 1).count(),
+                    other => (0..b.len())
+                        .filter(|&i| other.value(i) == Value::Int(1))
+                        .count(),
+                };
+                self.certain_rows += certain as u64;
+            }
+            if semantics == Semantics::Au {
+                au_exec::observe_width(b, &mut self.width);
+                self.mem_bytes += au_exec::batch_mem_bytes(b);
             }
         }
     }

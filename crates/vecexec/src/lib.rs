@@ -1,21 +1,22 @@
 //! **ua-vecexec** — a batch-oriented, columnar execution engine for UA-DBs.
 //!
-//! The row executor in `ua-plan` interprets plans tuple at a time and pays
-//! a pair-semiring call per tuple for UA label propagation. This crate runs
-//! the *same* [`Plan`](ua_plan::plan::Plan)s over [`columnar::ColumnBatch`]es
-//! (~1024-row typed column vectors) and carries the paper's certain/uncertain
-//! annotation as a per-batch **label bitmap**, so selection, projection,
-//! join and union propagate labels with bitwise operations (`min(C₁, C₂)`
-//! on `{0,1}` markers ≡ bitwise AND). A batch row is one bag copy, as a
-//! `Table` row is.
+//! The row executor in `ua-plan` interprets plans tuple at a time. This
+//! crate runs the *same* [`Plan`](ua_plan::plan::Plan)s over
+//! [`columnar::ColumnBatch`]es (~1024-row typed column vectors: a schema
+//! and its columns). A UA query reaches it as its `⟦·⟧_UA` rewriting — the
+//! plan the row engine runs — so the paper's certain/uncertain annotation
+//! is the encoded tables' `ua_c` column, carried like any other: `LEAST`
+//! over two `Int` marker columns is the join rule. A batch row is one bag
+//! copy, as a `Table` row is.
 //!
 //! Layout:
 //!
-//! * [`bitmap`] — packed bitmaps for predicate masks and label vectors;
+//! * [`bitmap`] — packed bitmaps for predicate masks;
 //! * [`columnar`] — [`columnar::ColumnBatch`], typed
 //!   [`columnar::ColumnVec`]s, and lossless converters to/from
-//!   [`ua_plan::Table`] (one per direction and encoding; the serial forms
-//!   run the pooled ones inline);
+//!   [`ua_plan::Table`] (one per direction — a UA-encoded table converts
+//!   as the plain table it is; the serial forms run the pooled ones
+//!   inline);
 //! * [`kernels`] — vectorized expression/predicate evaluation, bit-exact
 //!   with the row engine's scalar `Expr` evaluator, plus the fused
 //!   selection-consuming kernels (σ→π, σ→probe) and the two typed AU
@@ -23,7 +24,7 @@
 //!   three-valued range-truth kernel AU σ runs over it;
 //! * [`ops`] — the stream operators (union, difference, outer join,
 //!   distinct, aggregate, columnar sort, fused Top-K, limit) and the one
-//!   det / UA join state every inner, θ, hash and outer join probes
+//!   join state every det / UA inner, θ, hash and outer join probes
 //!   ([`ops::ProbeState`]), order-compatible with the row executor;
 //! * [`exec`] — **the** morsel-driven plan driver and the one entry point
 //!   [`execute`]: a single plan walk, pipeline, stats assembler and result
@@ -31,8 +32,8 @@
 //!   [`ua_plan::Semantics`]. Per-batch pipelines run on a work-stealing
 //!   thread pool (offline `rayon` shim) and merge in deterministic
 //!   batch-index order, so parallel output is byte-identical to serial;
-//! * [`ua`] — what `⟦·⟧_UA` means on this engine (label bitmaps instead of
-//!   plan rewriting);
+//! * [`ua`] — what `⟦·⟧_UA` means on this engine: the rewritten plan, run
+//!   by the det operators;
 //! * [`au_exec`] — the AU range kernels the driver's σ / π stages call and
 //!   the AU sources (scan, γ, δ, joins, `−`, `⟕`) it runs as pipeline
 //!   breakers.

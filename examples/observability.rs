@@ -3,10 +3,12 @@
 //! Runs a 3-way join + GROUP BY on both executors, prints the
 //! instrumented plan tree (per-operator actual rows, wall time, and the
 //! planner's estimated cardinalities), reads the same stats back
-//! programmatically via `last_query_stats()`, shows an AU `NOT IN` and an
-//! AU keyless join selecting straight off the column chunks, and dumps the
-//! global metrics registry — including the AU fallback audit and the
-//! planner's est-vs-actual join feedback counters.
+//! programmatically via `last_query_stats()`, shows a UA join's tree on
+//! both executors (one `⟦·⟧_UA`-rewritten plan, `certain_rows` per
+//! operator), an AU `NOT IN` and an AU keyless join selecting straight off
+//! the column chunks, and dumps the global metrics registry — including
+//! the AU fallback audit and the planner's est-vs-actual join feedback
+//! counters.
 //!
 //! Run with `cargo run --example observability`.
 
@@ -124,7 +126,24 @@ fn main() {
             .expect("analyze AU keyless join")
     );
 
-    // 5. The global registry: planner est-vs-actual feedback (fed by every
+    // 5. A UA join on both engines: one `⟦·⟧_UA`-rewritten physical plan,
+    //    and each tree counts `certain_rows` wherever an operator's output
+    //    carries the `ua_c` marker — not on the join itself.
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        session.set_exec_mode(mode);
+        println!("──── EXPLAIN ANALYZE UA join ({mode:?}) ────");
+        println!(
+            "{}\n",
+            session
+                .explain_analyze_ua(
+                    "SELECT i.id, j.grp FROM items IS TI WITH PROBABILITY (p) i, \
+                     items IS TI WITH PROBABILITY (p) j WHERE i.grp = j.id AND i.id >= 30"
+                )
+                .expect("analyze UA join")
+        );
+    }
+
+    // 6. The global registry: planner est-vs-actual feedback (fed by every
     //    instrumented join) and the AU vectorized fallback audit.
     println!("──── metrics registry ────");
     println!("{}", uadb::obs::global().to_json());

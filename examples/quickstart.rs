@@ -76,9 +76,10 @@ fn main() {
     );
 
     // The same pipeline through the SQL middleware, on the vectorized
-    // columnar executor (the session default, spelled out here): labels
-    // flow as per-batch bitmaps instead of per-tuple pair-semiring calls.
-    // Results are identical to ExecMode::Row — only faster at scale.
+    // columnar executor (the session default, spelled out here): it runs
+    // the same rewritten plan as the row engine, the `ua_c` marker one
+    // more column in its batches. Results are identical to ExecMode::Row —
+    // only faster at scale.
     let session = uadb::engine::UaSession::with_mode(uadb::engine::ExecMode::Vectorized);
     session.register_table(
         "addr",

@@ -371,6 +371,59 @@ fn encoded_r_s(mode: ExecMode) -> UaSession {
     session
 }
 
+/// A UA-encoded table whose markers are not all `0` / `1` — `2`, `-1`,
+/// NULL, a `Float` — fails every UA query over it with one error on both
+/// engines, naming the first offending marker, query after query; a
+/// repaired registration answers, and its markers are checked once, not
+/// once per query.
+#[test]
+fn malformed_certainty_markers_fail_alike_on_both_engines() {
+    use uadb::data::Value;
+    use uadb::engine::Semantics;
+    let schema = Schema::qualified("t", ["a"]).with_column("ua_c");
+    // Rows 1500 and 2400 are broken, differently: the error names row 1500.
+    let table = |bad: Option<&Value>| {
+        let rows = (0..2500i64).map(|i| {
+            let marker = match (i, bad) {
+                (1500, Some(bad)) => bad.clone(),
+                (2400, Some(_)) => Value::Int(3),
+                _ => Value::Int(i % 2),
+            };
+            Tuple::new(vec![Value::Int(i), marker])
+        });
+        Table::from_rows(schema.clone(), rows.collect())
+    };
+    let sql = "SELECT a FROM t WHERE a >= 10";
+    for bad in [
+        Value::Int(2),
+        Value::Int(-1),
+        Value::Null,
+        Value::float(1.0),
+    ] {
+        let expected = format!("invalid certainty marker {:?} in `t`", Some(&bad));
+        for mode in [ExecMode::Row, ExecMode::Vectorized] {
+            let session = UaSession::with_mode(mode);
+            session.register_table("t", table(Some(&bad)));
+            for query in 1..=2 {
+                let err = session.query_ua(sql).expect_err("malformed markers");
+                assert_eq!(err.to_string(), expected, "{mode:?} query {query}");
+            }
+            session.register_table("t", table(None));
+            for _ in 0..2 {
+                let result = session.query_ua(sql).expect("repaired table");
+                assert_eq!(result.certainty_counts(), (1245, 2490), "{mode:?}");
+            }
+            let checked_again = session
+                .catalog()
+                .chunks_of("t", Semantics::Ua, 0, |_| -> Result<_, ()> {
+                    panic!("{mode:?}: the markers of one registration are checked once")
+                })
+                .expect("cached");
+            assert!(checked_again.is_some());
+        }
+    }
+}
+
 /// UA `EXCEPT` / `LEFT JOIN` / `NOT IN` go through the one dispatch like
 /// every other query: they report their own stats and trace on both
 /// engines and register nothing in the catalog.
