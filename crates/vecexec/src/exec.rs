@@ -29,8 +29,8 @@
 //! a small work-stealing thread pool (the offline `rayon` shim) with **no
 //! shared mutable state** — join build sides are built once (large
 //! builds partition by key hash and index each partition on its own worker,
-//! see [`ops`]) and probed read-only. Aggregation, the other pipeline breaker, folds
-//! partition-parallel through [`ops::aggregate_pooled`].
+//! see [`ops`]) and probed read-only. Aggregation, the other pipeline
+//! breaker, folds partition-parallel through [`ops::aggregate_pooled`].
 //!
 //! ## Determinism contract
 //!
@@ -95,10 +95,10 @@ use ua_ranges::{flattened_schema, WidthSummary};
 /// engine, materializing the result table in that semantics' encoding
 /// (plain — for a `⟦·⟧_UA`-rewritten plan, `ua_c` marker last — or
 /// flattened AU triples) — what the row engine's `execute_row` returns for
-/// the same plan. The run's [`QueryStats`] come back by value next to the result:
-/// `Some` iff `opts.collect_stats`, on the error path too (a one-node
-/// error-marked tree). This is the one vectorized entry point; the
-/// session's `ExecMode::Vectorized` dispatch calls it.
+/// the same plan. The run's [`QueryStats`] come back by value next to the
+/// result: `Some` iff `opts.collect_stats`, on the error path too (a
+/// one-node error-marked tree). This is the one vectorized entry point;
+/// the session's `ExecMode::Vectorized` dispatch calls it.
 pub fn execute(
     plan: &Plan,
     catalog: &Catalog,
@@ -206,10 +206,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// One query's execution context: the catalog, the morsel size, the
 /// worker pool, and the [`Semantics`] — the annotation every operator arm
 /// is parameterised by. Det batch rows are bag copies, and a UA plan — the
-/// `⟦·⟧_UA` rewriting — runs as a det one; AU batches are plain batches over the flattened schema (user
-/// columns, then `lb` / `ub` columns, then the multiplicity triple) whose
-/// σ / π run the range kernels and whose breakers are the AU sources in
-/// [`crate::au_exec`].
+/// `⟦·⟧_UA` rewriting — runs as a det one; AU batches are plain batches
+/// over the flattened schema (user columns, then `lb` / `ub` columns, then
+/// the multiplicity triple) whose σ / π run the range kernels and whose
+/// breakers are the AU sources in [`crate::au_exec`].
 pub(crate) struct Driver<'a> {
     catalog: &'a Catalog,
     pub(crate) batch_rows: usize,
