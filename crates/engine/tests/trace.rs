@@ -691,6 +691,37 @@ fn golden_vectorized_ua_join_tree() {
     );
 }
 
+/// `certain_rows` is a UA count on both engines: a det query over a
+/// UA-encoded table reports none (the row engine used to count its
+/// `ua_c` column), the UA query over it reports the same on every node.
+#[test]
+fn only_ua_runs_count_certain_rows() {
+    let s = UaSession::new();
+    s.register_table(
+        "e",
+        Table::from_rows(
+            Schema::qualified("e", ["a"]).with_column("ua_c"),
+            (0..10i64)
+                .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 2)]))
+                .collect(),
+        ),
+    );
+    for mode in [ExecMode::Row, ExecMode::Vectorized] {
+        s.set_exec_mode(mode);
+        let det = s.explain_analyze_det("SELECT * FROM e").expect("det");
+        assert!(!det.contains("certain_rows"), "{mode:?}:\n{det}");
+        let ua = s.explain_analyze_ua("SELECT a FROM e").expect("ua");
+        let counted = ua
+            .lines()
+            .filter(|l| l.contains("rows=10 "))
+            .collect::<Vec<_>>();
+        assert!(
+            counted.len() == 2 && counted.iter().all(|l| l.contains("(certain_rows=5)")),
+            "{mode:?}:\n{ua}"
+        );
+    }
+}
+
 /// No row-engine join span counts `certain_rows` under UA — inner or
 /// outer, also where an error-capable filter stays between an inner join
 /// and its `⟦⋈⟧` projection: the join's output ends in the right side's

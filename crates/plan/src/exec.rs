@@ -218,11 +218,11 @@ impl RowOperators for Table {
         }
     }
 
-    /// Record the UA certainty profile where the output carries the marker
-    /// ([`crate::ua::certainty_marker`]): not on a join.
+    /// Under UA, record the certainty profile where the output carries
+    /// the marker ([`crate::ua::certainty_marker`]): not on a join.
     fn close_span(&self, plan: &Plan, tracer: &mut Tracer<'_>) -> usize {
         let marker = tracer
-            .enabled()
+            .counts_certainty()
             .then(|| crate::ua::certainty_marker(plan, self.schema()))
             .flatten();
         if let Some(marker) = marker {

@@ -32,6 +32,7 @@ pub(crate) struct Tracer<'a> {
 
 struct TraceState<'a> {
     catalog: &'a Catalog,
+    semantics: Semantics,
     /// `stack[0]` is a sentinel root; finished spans attach to the frame
     /// below them.
     stack: Vec<Frame>,
@@ -49,12 +50,13 @@ impl<'a> Tracer<'a> {
         Tracer { state: None }
     }
 
-    /// A collecting tracer. `catalog` supplies the planner statistics for
-    /// per-node cardinality estimates.
-    pub(crate) fn on(catalog: &'a Catalog) -> Tracer<'a> {
+    /// A collecting tracer of a run under `semantics`. `catalog` supplies
+    /// the planner statistics for per-node cardinality estimates.
+    pub(crate) fn on(catalog: &'a Catalog, semantics: Semantics) -> Tracer<'a> {
         Tracer {
             state: Some(TraceState {
                 catalog,
+                semantics,
                 stack: vec![Frame {
                     node: OperatorStats::new("", ""),
                     start: Stopwatch::start(),
@@ -126,6 +128,14 @@ impl<'a> Tracer<'a> {
     /// like phase timing when off).
     pub(crate) fn enabled(&self) -> bool {
         self.state.is_some()
+    }
+
+    /// Whether the spans count UA `certain_rows`: a collecting run under
+    /// `Ua`, as on the vectorized engine.
+    pub(crate) fn counts_certainty(&self) -> bool {
+        self.state
+            .as_ref()
+            .is_some_and(|st| st.semantics == Semantics::Ua)
     }
 
     /// The finished span tree (the single top-level operator), if any.
@@ -209,7 +219,7 @@ pub fn execute_row(
 ) -> (Result<Table, EngineError>, Option<QueryStats>) {
     let mut tracer = if collect_stats {
         ua_obs::mem_query_start();
-        Tracer::on(catalog)
+        Tracer::on(catalog, semantics)
     } else {
         Tracer::off()
     };

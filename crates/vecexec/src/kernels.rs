@@ -1319,7 +1319,6 @@ mod tests {
         for i in 0..b.len() {
             assert_eq!(col.value(i), e.eval(&b.row(i)).unwrap());
         }
-        // CASE goes through the row fallback.
         let case = bind(
             Expr::Case {
                 branches: vec![(Expr::named("a").lt(Expr::lit(10i64)), Expr::lit("small"))],
@@ -1330,6 +1329,100 @@ mod tests {
         let col = eval_expr(&case, &b).unwrap().into_column(b.len());
         for i in 0..b.len() {
             assert_eq!(col.value(i), case.eval(&b.row(i)).unwrap());
+        }
+    }
+
+    /// `LEAST` and `CASE` against the scalar evaluator row by row: the
+    /// value of every row, and an error exactly where some row the row
+    /// engine evaluates errs — never for a branch no row reaches.
+    #[test]
+    fn least_and_case_kernels_match_the_scalar_evaluator() {
+        let cols = ["a", "b", "f", "s"];
+        let rows = (0..40i64)
+            .map(|i| {
+                let b = if i % 4 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(20 - i)
+                };
+                tuple![i, b, (i as f64) / 3.0, format!("s{}", i % 5)]
+            })
+            .collect();
+        let b = batch(rows, &cols);
+        let col = Expr::named;
+        let case = |branches: Vec<(Expr, Expr)>, otherwise: Option<Expr>| Expr::Case {
+            branches,
+            otherwise: otherwise.map(Box::new),
+        };
+        let exprs = [
+            col("a").least(Expr::lit(7i64)),
+            col("a").least(col("b")),
+            col("a").least(col("f")),
+            col("s").least(col("a")),
+            Expr::lit(3i64).least(Expr::lit(2.5)),
+            case(
+                vec![
+                    (col("a").lt(Expr::lit(10i64)), col("s")),
+                    (
+                        Expr::IsNull(Box::new(col("b"))),
+                        col("a").add(Expr::lit(1i64)),
+                    ),
+                ],
+                Some(col("a").mul(col("f"))),
+            ),
+            case(vec![(col("a").ge(Expr::lit(0i64)), Expr::lit(1i64))], None),
+            case(
+                vec![(Expr::IsNull(Box::new(col("b"))), Expr::lit(1i64))],
+                None,
+            ),
+            // Branches no row reaches cannot err.
+            case(
+                vec![(col("a").ge(Expr::lit(0i64)), col("a"))],
+                Some(col("s").add(Expr::lit(1i64))),
+            ),
+            case(
+                vec![
+                    (col("a").ge(Expr::lit(0i64)), Expr::lit(1i64)),
+                    (
+                        col("s").add(Expr::lit(1i64)).gt(Expr::lit(0i64)),
+                        Expr::lit(2i64),
+                    ),
+                ],
+                None,
+            ),
+            // ... and branches some row reaches do.
+            case(
+                vec![(col("a").lt(Expr::lit(5i64)), col("s").add(col("a")))],
+                Some(Expr::lit(0i64)),
+            ),
+            case(
+                vec![
+                    (col("a").lt(Expr::lit(25i64)), Expr::lit(1i64)),
+                    (
+                        col("s").add(Expr::lit(1i64)).gt(Expr::lit(0i64)),
+                        Expr::lit(2i64),
+                    ),
+                ],
+                None,
+            ),
+        ];
+        for e in exprs {
+            let e = bind(e, &cols);
+            let scalar: Result<Vec<Value>, _> = (0..b.len()).map(|i| e.eval(&b.row(i))).collect();
+            match (scalar, eval_expr(&e, &b)) {
+                (Ok(values), Ok(ev)) => {
+                    let column = ev.into_column(b.len());
+                    for (i, v) in values.iter().enumerate() {
+                        assert_eq!(&column.value(i), v, "row {i} of {e}");
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                (scalar, kernel) => panic!(
+                    "{e}: scalar {:?} vs kernel {:?}",
+                    scalar.map(|_| ()),
+                    kernel.map(|_| ())
+                ),
+            }
         }
     }
 }
