@@ -934,9 +934,9 @@ fn distinct_annotations_of_one_table_do_not_collide() {
 /// Regression: programmatic `RaExpr` queries with *positional* (`Expr::Col`)
 /// join predicates under UA. A position counts user columns on both
 /// engines: the `⟦·⟧_UA` rewriting shifts right-side positions past the
-/// left input's marker, so neither engine joins on the wrong columns (the
-/// row engine used to bind `Col(3)` to `s.c` over the encoded
-/// `r(a, b, ua_c) ++ s(c, d, ua_c)`).
+/// left input's marker, so neither engine joins on the wrong columns (over
+/// the encoded `r(a, b, ua_c) ++ s(c, d, ua_c)` an unshifted `Col(3)` is
+/// `s.c`).
 #[test]
 fn positional_join_predicates_count_user_columns_on_both_engines() {
     use ua_data::relation::Relation;

@@ -692,8 +692,8 @@ fn golden_vectorized_ua_join_tree() {
 }
 
 /// `certain_rows` is a UA count on both engines: a det query over a
-/// UA-encoded table reports none (the row engine used to count its
-/// `ua_c` column), the UA query over it reports the same on every node.
+/// UA-encoded table reports none, the UA query over it the same count on
+/// every node whose output carries the marker.
 #[test]
 fn only_ua_runs_count_certain_rows() {
     let s = UaSession::new();
