@@ -1337,7 +1337,8 @@ mod tests {
     /// engine evaluates errs — never for a branch no row reaches.
     #[test]
     fn least_and_case_kernels_match_the_scalar_evaluator() {
-        let cols = ["a", "b", "f", "s"];
+        // `x` is a string below row 10 and an integer from there on.
+        let cols = ["a", "b", "f", "s", "x"];
         let rows = (0..40i64)
             .map(|i| {
                 let b = if i % 4 == 0 {
@@ -1345,7 +1346,12 @@ mod tests {
                 } else {
                     Value::Int(20 - i)
                 };
-                tuple![i, b, (i as f64) / 3.0, format!("s{}", i % 5)]
+                let x = if i < 10 {
+                    Value::str("x")
+                } else {
+                    Value::Int(i)
+                };
+                tuple![i, b, (i as f64) / 3.0, format!("s{}", i % 5), x]
             })
             .collect();
         let b = batch(rows, &cols);
@@ -1375,7 +1381,26 @@ mod tests {
                 vec![(Expr::IsNull(Box::new(col("b"))), Expr::lit(1i64))],
                 None,
             ),
-            // Branches no row reaches cannot err.
+            // A branch errs only on the rows that reach it: `x + 1` is a
+            // type error on rows 0–9 alone.
+            case(
+                vec![(col("a").lt(Expr::lit(10i64)), Expr::lit(0i64))],
+                Some(col("x").add(Expr::lit(1i64))),
+            ),
+            case(
+                vec![(col("a").ge(Expr::lit(10i64)), col("x").add(Expr::lit(1i64)))],
+                Some(Expr::lit(0i64)),
+            ),
+            case(
+                vec![
+                    (col("a").lt(Expr::lit(10i64)), Expr::lit(0i64)),
+                    (
+                        col("x").add(Expr::lit(1i64)).gt(Expr::lit(20i64)),
+                        Expr::lit(1i64),
+                    ),
+                ],
+                None,
+            ),
             case(
                 vec![(col("a").ge(Expr::lit(0i64)), col("a"))],
                 Some(col("s").add(Expr::lit(1i64))),
