@@ -9,8 +9,14 @@
 //! ⟦σ_θ(Q)⟧       = σ_θ(⟦Q⟧)
 //! ⟦π_A(Q)⟧       = π_{A,C}(⟦Q⟧)
 //! ⟦Q₁ ⋈_θ Q₂⟧    = π_{Sch(Q₁⋈Q₂), min(Q₁.C, Q₂.C) → C}(⟦Q₁⟧ ⋈_θ ⟦Q₂⟧)
+//! ⟦π_A(σ_φ(Q₁ ⋈_θ Q₂))⟧ = π_{A, min(Q₁.C, Q₂.C) → C}(σ_φ(⟦Q₁⟧ ⋈_θ ⟦Q₂⟧))
 //! ⟦Q₁ ∪ Q₂⟧      = ⟦Q₁⟧ ∪ ⟦Q₂⟧
 //! ```
+//!
+//! A projection over a join (through any selections between them) absorbs
+//! the join's own projection, so each join is projected once; positional
+//! references in the projection, the selections and the join predicate
+//! count user columns and move past the left marker.
 //!
 //! Theorem 7 — `Q(D_UA) = Enc⁻¹(⟦Q⟧_UA(Enc(D_UA)))` — is verified by the
 //! tests of this module and property tests at the workspace level.
@@ -59,6 +65,9 @@ pub fn rewrite_ua(
                 }
                 reject_marker_reference(&c.expr)?;
             }
+            if selects_over_join(input) {
+                return rewrite_join(input, Some(columns), lookup);
+            }
             let mut out_columns = columns.clone();
             out_columns.push(ProjColumn::with_column(
                 Expr::named(UA_LABEL_COLUMN),
@@ -69,56 +78,98 @@ pub fn rewrite_ua(
                 columns: out_columns,
             })
         }
-        RaExpr::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            if let Some(p) = predicate {
-                reject_marker_reference(p)?;
-            }
-            let l = rewrite_ua(left, lookup)?;
-            let r = rewrite_ua(right, lookup)?;
-            let ls = l.schema_with(lookup)?;
-            let rs = r.schema_with(lookup)?;
-            let la = ls.arity();
-            let ra = rs.arity();
-            // A positional reference counts user columns: over the encoded
-            // `left ++ right`, right-side positions move past the left
-            // marker.
-            let shift = |p: &Expr| {
-                p.map_refs(&|n| Some(n.to_string()), &|i| i + usize::from(i >= la - 1))
-                    .expect("names map to themselves")
-            };
-            let joined = RaExpr::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                predicate: predicate.as_ref().map(shift),
-            };
-            // Keep all non-C columns (with their qualifiers), then combine
-            // the two C markers with min — a certain join result needs both
-            // inputs certain.
-            let mut columns: Vec<ProjColumn> = Vec::with_capacity(la + ra - 1);
-            for (i, col) in ls.columns().iter().enumerate().take(la - 1) {
-                columns.push(ProjColumn::with_column(Expr::Col(i), col.clone()));
-            }
-            for (j, col) in rs.columns().iter().enumerate().take(ra - 1) {
-                columns.push(ProjColumn::with_column(Expr::Col(la + j), col.clone()));
-            }
-            columns.push(ProjColumn::with_column(
-                Expr::Col(la - 1).least(Expr::Col(la + ra - 1)),
-                Column::unqualified(UA_LABEL_COLUMN),
-            ));
-            Ok(RaExpr::Project {
-                input: Box::new(joined),
-                columns,
-            })
-        }
+        RaExpr::Join { .. } => rewrite_join(query, None, lookup),
         RaExpr::Union { left, right } => Ok(RaExpr::Union {
             left: Box::new(rewrite_ua(left, lookup)?),
             right: Box::new(rewrite_ua(right, lookup)?),
         }),
     }
+}
+
+/// Whether `query` is a join under a (possibly empty) stack of selections.
+fn selects_over_join(query: &RaExpr) -> bool {
+    match query {
+        RaExpr::Join { .. } => true,
+        RaExpr::Select { input, .. } => selects_over_join(input),
+        _ => false,
+    }
+}
+
+/// `⟦Q₁ ⋈_θ Q₂⟧` under one projection: `columns`, a projection over the
+/// join (`⟦π_A(σ_φ(Q₁ ⋈_θ Q₂))⟧`, `query` the join under its selections),
+/// or else every non-`C` column with its qualifier — then the two `C`
+/// markers combined with min, since a certain join result needs both
+/// inputs certain.
+fn rewrite_join(
+    query: &RaExpr,
+    columns: Option<&[ProjColumn]>,
+    lookup: &dyn Fn(&str) -> Option<Schema>,
+) -> Result<RaExpr, RaError> {
+    let mut selections = Vec::new();
+    let mut join = query;
+    while let RaExpr::Select { input, predicate } = join {
+        reject_marker_reference(predicate)?;
+        selections.push(predicate);
+        join = input;
+    }
+    let RaExpr::Join {
+        left,
+        right,
+        predicate,
+    } = join
+    else {
+        unreachable!("a join under selections")
+    };
+    if let Some(p) = predicate {
+        reject_marker_reference(p)?;
+    }
+    let l = rewrite_ua(left, lookup)?;
+    let r = rewrite_ua(right, lookup)?;
+    let ls = l.schema_with(lookup)?;
+    let rs = r.schema_with(lookup)?;
+    let la = ls.arity();
+    let ra = rs.arity();
+    // A positional reference counts user columns: over the encoded
+    // `left ++ right`, right-side positions move past the left marker.
+    let shift = |p: &Expr| {
+        p.map_refs(&|n| Some(n.to_string()), &|i| i + usize::from(i >= la - 1))
+            .expect("names map to themselves")
+    };
+    let joined = RaExpr::Join {
+        left: Box::new(l),
+        right: Box::new(r),
+        predicate: predicate.as_ref().map(shift),
+    };
+    let joined = selections
+        .into_iter()
+        .rev()
+        .fold(joined, |input, predicate| RaExpr::Select {
+            input: Box::new(input),
+            predicate: shift(predicate),
+        });
+    let mut out: Vec<ProjColumn> = match columns {
+        Some(columns) => columns
+            .iter()
+            .map(|c| ProjColumn::with_column(shift(&c.expr), c.column.clone()))
+            .collect(),
+        None => {
+            let left = ls.columns().iter().enumerate().take(la - 1);
+            let right = rs.columns().iter().enumerate().take(ra - 1);
+            left.map(|(i, col)| ProjColumn::with_column(Expr::Col(i), col.clone()))
+                .chain(
+                    right.map(|(j, col)| ProjColumn::with_column(Expr::Col(la + j), col.clone())),
+                )
+                .collect()
+        }
+    };
+    out.push(ProjColumn::with_column(
+        Expr::Col(la - 1).least(Expr::Col(la + ra - 1)),
+        Column::unqualified(UA_LABEL_COLUMN),
+    ));
+    Ok(RaExpr::Project {
+        input: Box::new(joined),
+        columns: out,
+    })
 }
 
 /// Whether a (named, pre-binding) expression references the engine-managed
@@ -237,6 +288,24 @@ mod tests {
     #[test]
     fn theorem7_positional_join() {
         check_theorem7(&RaExpr::table("r").join(RaExpr::table("s"), Expr::col(1).eq(Expr::col(2))));
+    }
+
+    /// A projection over a positional join folds into the join's own
+    /// projection: its `Col(3)` is `s.c` in the user layout and moves past
+    /// the left marker like the predicate's `Col(2)` — directly on the
+    /// join, and through a positional selection between them.
+    #[test]
+    fn theorem7_projection_over_positional_join() {
+        let join = RaExpr::table("r").join(RaExpr::table("s"), Expr::col(1).eq(Expr::col(2)));
+        for input in [join.clone(), join.select(Expr::col(3).eq(Expr::lit("x")))] {
+            check_theorem7(&RaExpr::Project {
+                input: Box::new(input),
+                columns: vec![
+                    ProjColumn::expr(Expr::col(0), "a"),
+                    ProjColumn::expr(Expr::col(3), "c"),
+                ],
+            });
+        }
     }
 
     #[test]

@@ -89,20 +89,7 @@ impl UaSession {
     /// attribute-level and multiplicity bounds. `ORDER BY`/`LIMIT` order
     /// and truncate by the selected-guess world (presentation-level).
     pub fn query_au(&self, sql: &str) -> Result<AuResult, EngineError> {
-        let _trace = self.trace_query();
-        let plan = self.plan_sql(sql, &AuResolver)?;
-        self.execute_au_plan(&plan)
-    }
-
-    fn execute_au_plan(&self, plan: &Plan) -> Result<AuResult, EngineError> {
-        // One uniform guard before dispatch: both engines reject marker
-        // references (selection, projection, joins, sort keys, GROUP BY
-        // keys, aggregate arguments) identically.
-        reject_marker_in_plan(plan)?;
-        let plan = &ua_obs::trace_scope("optimize", "session", || {
-            self.optimize_plan(plan.clone(), Semantics::Au)
-        });
-        self.dispatch(plan, Semantics::Au)
+        self.query(sql, Semantics::Au)
             .map(|table| AuResult { table })
     }
 
@@ -111,13 +98,7 @@ impl UaSession {
     /// row counts, wall times and est-vs-actual cardinalities. The query
     /// really executes; its result is discarded.
     pub fn explain_analyze_au(&self, sql: &str) -> Result<String, EngineError> {
-        let plan = self.plan_sql(sql, &AuResolver)?;
-        let physical = self.optimize_plan(plan.clone(), Semantics::Au);
-        let stats = self.run_analyzed(|| self.execute_au_plan(&plan).map(|_| ()))?;
-        Ok(format!(
-            "plan:\n  {plan}\nphysical (optimized):\n  {physical}\n{}",
-            crate::ua::render_analysis(&stats)
-        ))
+        self.explain(sql, Semantics::Au, true)
     }
 }
 
@@ -251,7 +232,7 @@ pub fn ctable_source_au(
 
 /// Source resolver for AU queries: the Section 9.2 annotation clauses
 /// convert through the range labelings.
-struct AuResolver;
+pub(crate) struct AuResolver;
 
 impl SourceResolver for AuResolver {
     fn resolve(

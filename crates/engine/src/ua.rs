@@ -1,11 +1,13 @@
 //! The UA-DB query-rewriting frontend (paper Section 9).
 //!
 //! [`UaSession`] is the middleware the paper describes: input queries are
-//! parsed, planned, rewritten with `⟦·⟧_UA` (Figures 8/9 —
+//! parsed, planned, optimized, rewritten with `⟦·⟧_UA` (Figures 8/9 —
 //! [`ua_plan::ua::rewrite_ua_plan`], one ordinary plan over the encoded
 //! representation; extra `ua_c` column, Definition 8) and executed by the
-//! bag engine. A UA query takes the same route as a deterministic or AU
-//! one: plan → optimize → one executor dispatch.
+//! bag engine. Every query takes one route, its semantics a parameter:
+//! plan → marker guard (UA, AU) → one optimizer run on the user plan →
+//! lowering (under UA the `⟦·⟧_UA` rewriting, which runs last) → one
+//! executor dispatch.
 //!
 //! Source relations enter the system either
 //!
@@ -15,6 +17,7 @@
 //!   best-guess-world extraction are implemented by [`ti_source`],
 //!   [`x_source`] and [`ctable_source`].
 
+use crate::au::AuResolver;
 use crate::mode::{ExecMode, ExecOptions};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -25,6 +28,7 @@ use ua_data::schema::{Column, Schema};
 use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashMap;
+use ua_plan::au::reject_marker_in_plan;
 use ua_plan::exec::EngineError;
 pub use ua_plan::exec::UA_FRAGMENT_ERROR;
 use ua_plan::optimize::OptimizerPasses;
@@ -131,7 +135,7 @@ impl Default for UaSession {
 /// is disabled or a trace is already active (nested query execution, e.g.
 /// an AU resolver encoding a source mid-plan): the outer guard owns the
 /// ring.
-pub(crate) struct TraceGuard<'a> {
+struct TraceGuard<'a> {
     session: Option<&'a UaSession>,
 }
 
@@ -257,7 +261,7 @@ impl UaSession {
 
     /// Arm the per-thread trace ring for one query (no-op guard when
     /// tracing is off or an outer query already owns the ring).
-    pub(crate) fn trace_query(&self) -> TraceGuard<'_> {
+    fn trace_query(&self) -> TraceGuard<'_> {
         TraceGuard {
             session: (self.trace_enabled() && ua_obs::trace_start()).then_some(self),
         }
@@ -267,7 +271,7 @@ impl UaSession {
     /// est-vs-actual join counters ([`ua_plan::optimize::record_join_misestimates`])
     /// and publish the query's memory high-water mark as the
     /// `mem.query.peak_bytes` gauge.
-    pub(crate) fn store_stats(&self, stats: ua_obs::QueryStats) {
+    fn store_stats(&self, stats: ua_obs::QueryStats) {
         ua_plan::optimize::record_join_misestimates(&stats.root);
         ua_obs::global()
             .gauge("mem.query.peak_bytes")
@@ -276,7 +280,7 @@ impl UaSession {
     }
 
     /// The per-query options handed to the vectorized executor.
-    pub(crate) fn exec_options(&self) -> ExecOptions {
+    fn exec_options(&self) -> ExecOptions {
         ExecOptions {
             threads: self.vec_threads(),
             batch_rows: 0,
@@ -292,7 +296,7 @@ impl UaSession {
     /// [`ua_obs::QueryStats`] back by value next to the result, so an
     /// instrumented query stores its own stats — on failure too, as the
     /// error-marked partial tree — and an uninstrumented one stores none.
-    pub(crate) fn dispatch(&self, plan: &Plan, semantics: Semantics) -> Result<Table, EngineError> {
+    fn dispatch(&self, plan: &Plan, semantics: Semantics) -> Result<Table, EngineError> {
         ua_obs::trace_scope("execute", "session", || {
             let (result, stats) = match self.exec_mode() {
                 ExecMode::Row => {
@@ -309,45 +313,94 @@ impl UaSession {
         })
     }
 
-    /// The one optimization step: every query plan passes through here
-    /// before executor dispatch (and before `EXPLAIN` renders it), so both
-    /// engines always run the same plan and cannot drift. `semantics`
+    /// The one optimizer run of a query, on its user plan. `semantics`
     /// names the schemas its expressions will bind against at run time:
-    ///
-    /// * `Det`, and `Ua` (whose plan is the `⟦·⟧_UA` rewriting, run as a
-    ///   deterministic plan over the encoded tables): the full pipeline.
-    /// * `Au`: the full pipeline on the user plan, before `⟦·⟧_AU`
-    ///   dispatch. Positional classification is off — AU scans resolve to
-    ///   flattened encoded tables (arity `3n + 3`), so only name-based
-    ///   references (the user columns, which lead the flattened schema)
-    ///   classify reliably.
-    pub(crate) fn optimize_plan(&self, plan: Plan, semantics: Semantics) -> Plan {
+    /// under `Det` the full pipeline; under `Ua` and `Au` positional
+    /// classification is off — a user position counts user columns, while
+    /// `plan_schema` sees the encoded tables (the trailing `ua_c` marker;
+    /// AU's flattened arity `3n + 3`), so only name-based references
+    /// classify reliably.
+    fn optimize_plan(&self, plan: Plan, semantics: Semantics) -> Plan {
         if !self.optimizer_enabled() {
             return plan;
         }
         let passes = OptimizerPasses {
-            positional_joins: semantics != Semantics::Au,
+            positional_joins: semantics == Semantics::Det,
             reorder_joins: self.reorder_joins_enabled(),
-            ..OptimizerPasses::default()
         };
         ua_plan::optimize::optimize_with(plan, &self.catalog, passes)
     }
 
-    /// The one plan a UA query runs as: its `⟦·⟧_UA` rewriting after
-    /// statistics-driven join reordering of the *user* plan, where the
-    /// rewriting's marker-combining projections do not yet hide the join
-    /// tree from the optimizer. The rewriting doubles as the one
-    /// pre-dispatch guard: whatever it rejects, it rejects identically for
-    /// both engines.
-    fn ua_plan(&self, plan: &Plan) -> Result<Plan, EngineError> {
-        let user = if self.optimizer_enabled() && self.reorder_joins_enabled() {
-            ua_plan::optimize::reorder_joins_ua(plan.clone(), &self.catalog)
-        } else {
-            plan.clone()
+    /// The one query pipeline, which every query and every `EXPLAIN` takes:
+    /// the marker guard (UA and AU), [`Self::optimize_plan`] once on the
+    /// user plan, then the lowering to the plan both engines run. Returns
+    /// the optimized plan and, under UA, its `⟦·⟧_UA` rewriting: UA runs
+    /// the rewriting, and no optimizer pass sees it; det runs the
+    /// optimized plan, and so does AU (the executors evaluate `⟦·⟧_AU`
+    /// under `Semantics::Au`).
+    fn lower(&self, plan: Plan, semantics: Semantics) -> Result<(Plan, Option<Plan>), EngineError> {
+        if semantics != Semantics::Det {
+            reject_marker_in_plan(&plan)?;
+        }
+        let optimized = ua_obs::trace_scope("optimize", "session", || {
+            self.optimize_plan(plan, semantics)
+        });
+        let rewritten = match semantics {
+            Semantics::Ua => Some(ua_obs::trace_scope("rewrite", "session", || {
+                rewrite_ua_plan(&optimized, &self.catalog)
+            })?),
+            Semantics::Det | Semantics::Au => None,
         };
-        ua_obs::trace_scope("rewrite", "session", || {
-            rewrite_ua_plan(&user, &self.catalog)
-        })
+        Ok((optimized, rewritten))
+    }
+
+    /// Plan `sql` (annotated sources resolved for `semantics`), lower it
+    /// and run it.
+    pub(crate) fn query(&self, sql: &str, semantics: Semantics) -> Result<Table, EngineError> {
+        let _trace = self.trace_query();
+        let plan = self.plan_sql(sql, semantics)?;
+        self.run(plan, semantics)
+    }
+
+    fn run(&self, plan: Plan, semantics: Semantics) -> Result<Table, EngineError> {
+        let (optimized, rewritten) = self.lower(plan, semantics)?;
+        self.dispatch(rewritten.as_ref().unwrap_or(&optimized), semantics)
+    }
+
+    /// `EXPLAIN [ANALYZE]` under `semantics`: the user plan, the optimized
+    /// plan and, under UA, the `⟦·⟧_UA` rewriting that runs. With
+    /// `analyze` the lowered plan also executes with stats collection on
+    /// (whatever the session default is — the previous setting is restored
+    /// afterwards), and the executed, annotated operator tree follows the
+    /// plans. Its result is discarded.
+    pub(crate) fn explain(
+        &self,
+        sql: &str,
+        semantics: Semantics,
+        analyze: bool,
+    ) -> Result<String, EngineError> {
+        let _trace = analyze.then(|| self.trace_query());
+        let plan = self.plan_sql(sql, semantics)?;
+        let (optimized, rewritten) = self.lower(plan.clone(), semantics)?;
+        let mut text = match &rewritten {
+            None => format!("plan:\n  {plan}\nphysical (optimized):\n  {optimized}"),
+            Some(rewritten) => format!(
+                "user plan:\n  {plan}\noptimized:\n  {optimized}\n\
+                 physical (rewritten with ⟦·⟧_UA):\n  {rewritten}"
+            ),
+        };
+        if analyze {
+            let was = self.stats_enabled();
+            self.set_stats_enabled(true);
+            let result = self.dispatch(rewritten.as_ref().unwrap_or(&optimized), semantics);
+            self.set_stats_enabled(was);
+            result?;
+            let stats = self.last_query_stats().ok_or_else(|| {
+                EngineError::Sql("EXPLAIN ANALYZE: execution produced no stats".into())
+            })?;
+            text = format!("{text}\n{}", render_analysis(&stats));
+        }
+        Ok(text)
     }
 
     /// The underlying catalog (deterministic tables and encoded UA tables
@@ -367,13 +420,14 @@ impl UaSession {
         self.catalog.register(name, Table::from_relation(&encoded));
     }
 
-    /// Parse and plan `sql`, resolving annotated sources through
-    /// `resolver` (the `parse` and `plan` phases of a traced query).
-    pub(crate) fn plan_sql(
-        &self,
-        sql: &str,
-        resolver: &dyn SourceResolver,
-    ) -> Result<Plan, EngineError> {
+    /// Parse and plan `sql`, resolving annotated sources to their UA or,
+    /// under `Semantics::Au`, their AU encoding (the `parse` and `plan`
+    /// phases of a traced query).
+    fn plan_sql(&self, sql: &str, semantics: Semantics) -> Result<Plan, EngineError> {
+        let resolver: &dyn SourceResolver = match semantics {
+            Semantics::Au => &AuResolver,
+            Semantics::Det | Semantics::Ua => &UaResolver,
+        };
         let ast = ua_obs::trace_scope("parse", "session", || parse(sql))
             .map_err(|e| EngineError::Sql(e.to_string()))?;
         ua_obs::trace_scope("plan", "session", || {
@@ -383,106 +437,63 @@ impl UaSession {
 
     /// Run a query under plain deterministic semantics.
     pub fn query_det(&self, sql: &str) -> Result<Table, EngineError> {
-        let _trace = self.trace_query();
-        let plan = self.plan_sql(sql, &UaResolver)?;
-        let plan = ua_obs::trace_scope("optimize", "session", || {
-            self.optimize_plan(plan, Semantics::Det)
-        });
-        self.dispatch(&plan, Semantics::Det)
+        self.query(sql, Semantics::Det)
     }
 
-    /// Run a query under UA semantics: plan, rewrite with `⟦·⟧_UA`, execute
-    /// over the encoded tables.
+    /// Run a query under UA semantics: plan, optimize, rewrite with
+    /// `⟦·⟧_UA`, execute over the encoded tables.
     ///
     /// `RA⁺`, `EXCEPT [ALL]`, outer joins and `NOT IN`/`NOT EXISTS` (+
     /// trailing `ORDER BY`/`LIMIT`) are supported; `DISTINCT` and
     /// aggregation over UA-DBs are future work in the paper and rejected
     /// here.
     pub fn query_ua(&self, sql: &str) -> Result<UaResult, EngineError> {
-        let _trace = self.trace_query();
-        let plan = self.plan_sql(sql, &UaResolver)?;
-        self.execute_ua_plan(&plan)
+        self.query(sql, Semantics::Ua)
+            .map(|table| UaResult { table })
     }
 
     /// Run an already-planned `RA⁺` query under UA semantics.
     pub fn query_ua_ra(&self, query: &ua_data::RaExpr) -> Result<UaResult, EngineError> {
         let _trace = self.trace_query();
-        self.execute_ua_plan(&Plan::from_ra(query))
+        self.run(Plan::from_ra(query), Semantics::Ua)
+            .map(|table| UaResult { table })
     }
 
-    /// Explain a UA query: the user plan, the `⟦·⟧_UA`-rewritten plan
-    /// ([`rewrite_ua_plan`]), and the optimized physical plan both engines
-    /// execute (the middleware's "show rewritten SQL", plus `EXPLAIN`).
+    /// Explain a UA query: the user plan, its optimized plan, and the
+    /// `⟦·⟧_UA` rewriting of the latter ([`rewrite_ua_plan`]) — the one
+    /// physical plan both engines execute (the middleware's "show
+    /// rewritten SQL", plus `EXPLAIN`).
     pub fn explain_ua(&self, sql: &str) -> Result<String, EngineError> {
-        let plan = self.plan_sql(sql, &UaResolver)?;
-        let rewritten = self.ua_plan(&plan)?;
-        let physical = self.optimize_plan(rewritten.clone(), Semantics::Ua);
-        Ok(format!(
-            "user plan:\n  {plan}\nrewritten (⟦·⟧_UA):\n  {rewritten}\nphysical (optimized):\n  {physical}"
-        ))
+        self.explain(sql, Semantics::Ua, false)
     }
 
     /// Explain a deterministic query: the planner's plan and the optimized
     /// physical plan that actually executes.
     pub fn explain_det(&self, sql: &str) -> Result<String, EngineError> {
-        let plan = self.plan_sql(sql, &UaResolver)?;
-        let physical = self.optimize_plan(plan.clone(), Semantics::Det);
-        Ok(format!(
-            "plan:\n  {plan}\nphysical (optimized):\n  {physical}"
-        ))
+        self.explain(sql, Semantics::Det, false)
     }
 
-    fn execute_ua_plan(&self, plan: &Plan) -> Result<UaResult, EngineError> {
-        let rewritten = self.ua_plan(plan)?;
-        let physical = ua_obs::trace_scope("optimize", "session", || {
-            self.optimize_plan(rewritten, Semantics::Ua)
-        });
-        self.dispatch(&physical, Semantics::Ua)
-            .map(|table| UaResult { table })
-    }
-
-    /// `EXPLAIN ANALYZE` for deterministic queries: run `sql` with stats
-    /// collection on (whatever the session default is — the previous
-    /// setting is restored afterwards) and render [`Self::explain_det`]'s
+    /// `EXPLAIN ANALYZE` for deterministic queries: [`Self::explain_det`]'s
     /// plans followed by the executed, annotated operator tree with
     /// per-operator row counts, wall times and the planner's est-vs-actual
     /// cardinalities. The query really executes; its result is discarded.
     pub fn explain_analyze_det(&self, sql: &str) -> Result<String, EngineError> {
-        let plans = self.explain_det(sql)?;
-        let stats = self.run_analyzed(|| self.query_det(sql).map(|_| ()))?;
-        Ok(format!("{plans}\n{}", render_analysis(&stats)))
+        self.explain(sql, Semantics::Det, true)
     }
 
     /// `EXPLAIN ANALYZE` for UA queries: [`Self::explain_ua`]'s plans plus
-    /// the executed operator tree of the `⟦·⟧_UA`-rewritten physical plan
-    /// (what actually ran, on either engine; the vectorized tree shows its
-    /// pipeline structure, fused stages and morsel-pool totals).
+    /// the executed operator tree of the `⟦·⟧_UA` rewriting (what actually
+    /// ran, on either engine; the vectorized tree shows its pipeline
+    /// structure, fused stages and morsel-pool totals).
     pub fn explain_analyze_ua(&self, sql: &str) -> Result<String, EngineError> {
-        let plans = self.explain_ua(sql)?;
-        let stats = self.run_analyzed(|| self.query_ua(sql).map(|_| ()))?;
-        Ok(format!("{plans}\n{}", render_analysis(&stats)))
-    }
-
-    /// Run `f` with stats collection forced on, restore the previous
-    /// setting, and return the collected stats.
-    pub(crate) fn run_analyzed(
-        &self,
-        f: impl FnOnce() -> Result<(), EngineError>,
-    ) -> Result<ua_obs::QueryStats, EngineError> {
-        let was = self.stats_enabled();
-        self.set_stats_enabled(true);
-        let result = f();
-        self.set_stats_enabled(was);
-        result?;
-        self.last_query_stats()
-            .ok_or_else(|| EngineError::Sql("EXPLAIN ANALYZE: execution produced no stats".into()))
+        self.explain(sql, Semantics::Ua, true)
     }
 }
 
 /// The execution section `EXPLAIN ANALYZE` appends below the plan text:
 /// a header naming the engine/semantics, then the annotated operator tree
 /// (indented to match the plan sections above it).
-pub(crate) fn render_analysis(stats: &ua_obs::QueryStats) -> String {
+fn render_analysis(stats: &ua_obs::QueryStats) -> String {
     let mut out = format!(
         "execution (EXPLAIN ANALYZE, engine={} semantics={}):\n",
         stats.engine, stats.semantics
@@ -901,7 +912,8 @@ pub(crate) mod tests {
     }
 
     /// `EXCEPT` and outer joins explain like everything else `query_ua`
-    /// runs: user plan, its `⟦·⟧_UA` rewriting, the optimized physical plan.
+    /// runs: user plan, its optimized plan, and the `⟦·⟧_UA` rewriting of
+    /// that — the physical plan.
     #[test]
     fn explain_ua_goldens_for_except_and_left_join() {
         let session = UaSession::new();
@@ -915,13 +927,14 @@ pub(crate) mod tests {
                 .unwrap(),
             "user plan:\n  \
              Except(Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s)))\n\
-             rewritten (⟦·⟧_UA):\n  \
-             Map[#0→a, 0→ua_c](Except(\
-             Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s))))\n\
-             physical (optimized):\n  \
+             optimized:\n  \
+             Except(Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s)))\n\
+             physical (rewritten with ⟦·⟧_UA):\n  \
              Map[#0→a, 0→ua_c](Except(\
              Map[a→a](Filter[(a > 0)](Scan(r))), Map[a→a](Scan(s))))"
         );
+        // One projection over the outer join: the user's, carrying the
+        // join's marker, with the WHERE filter still on the joined rows.
         assert_eq!(
             session
                 .explain_ua("SELECT r.a, s.a AS b FROM r LEFT JOIN s ON r.a = s.a WHERE r.a > 0")
@@ -929,14 +942,12 @@ pub(crate) mod tests {
             "user plan:\n  \
              Map[r.a→a, s.a→b](Filter[(r.a > 0)](\
              OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s))))\n\
-             rewritten (⟦·⟧_UA):\n  \
-             Map[r.a→a, s.a→b, ua_c→ua_c](Filter[(r.a > 0)](\
-             Map[#0→r.a, #2→s.a, CASE WHEN ((#1 = 1) AND (#3 = 1)) THEN 1 ELSE 0 END→ua_c](\
-             OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s)))))\n\
-             physical (optimized):\n  \
-             Map[r.a→a, s.a→b, ua_c→ua_c](\
-             Map[#0→r.a, #2→s.a, CASE WHEN ((#1 = 1) AND (#3 = 1)) THEN 1 ELSE 0 END→ua_c](\
-             Filter[(#0 > 0)](OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s)))))"
+             optimized:\n  \
+             Map[r.a→a, s.a→b](Filter[(r.a > 0)](\
+             OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s))))\n\
+             physical (rewritten with ⟦·⟧_UA):\n  \
+             Map[r.a→a, s.a→b, CASE WHEN ((#1 = 1) AND (#3 = 1)) THEN 1 ELSE 0 END→ua_c](\
+             Filter[(r.a > 0)](OuterJoin[left; (r.a = s.a)](Scan(r), Scan(s))))"
         );
     }
 

@@ -228,14 +228,14 @@ fn explain_ua_snapshots_the_hash_join() {
         )
         .unwrap();
     let physical = text.lines().last().expect("physical plan line").trim();
-    // The filter pushed below the join (and through the alias, since it is
-    // positional after substitution through the relabeling projection); the
-    // build side is `s` — one row after filtering vs two in `r`.
+    // The filter pushed below the join (and through the alias, requalified
+    // to `d`); the build side is `s` — one row after filtering vs two in
+    // `r`. The user projection carries the join's marker: one `Map`.
     assert_eq!(
         physical,
-        "Map[x.a→a, y.d→d, ua_c→ua_c](Map[#0→x.a, #2→y.k, #3→y.d, LEAST(#1, #4)→ua_c](\
-         HashJoin[#0=#0; build=right](Alias[x](Scan(__ua__r__ti_1_p)), \
-         Alias[y](Filter[(#1 > 5)](Scan(__ua__s__ti_1_q))))))"
+        "Map[x.a→a, y.d→d, LEAST(#1, #4)→ua_c](\
+         HashJoin[x.a=y.k; build=right](Alias[x](Scan(__ua__r__ti_1_p)), \
+         Alias[y](Filter[(d > 5)](Scan(__ua__s__ti_1_q)))))"
     );
 }
 

@@ -564,9 +564,10 @@ fn mask_times(report: &str) -> String {
 
 /// Golden row-engine stats trees over a two-way hash join under a
 /// projection, one per semantics. The join span reports its build / probe
-/// split and build table; under UA the `⟦⋈⟧` projection counts the
-/// certain rows and the join below it does not — its output is
-/// `left ++ right`, whose last column is only the right side's marker.
+/// split and build table; under UA the user projection, which carries the
+/// join's marker (one `Map` per join), counts the certain rows and the
+/// join below it does not — its output is `left ++ right`, whose last
+/// column is only the right side's marker.
 #[test]
 fn golden_row_join_trees() {
     let s = seeded_session();
@@ -599,19 +600,18 @@ fn golden_row_join_trees() {
         &[
             "user plan:",
             "  Map[x.v→v, c.dk→dk](Filter[((x.g = c.ck) AND (x.v >= 190))](Cross(Alias[x](Scan(__ua__t__ti_1_p)), Alias[c](Scan(__ua__cu__ti_1_p)))))",
-            "rewritten (⟦·⟧_UA):",
-            "  Map[x.v→v, c.dk→dk, ua_c→ua_c](Filter[((x.g = c.ck) AND (x.v >= 190))](Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c](Cross(Alias[x](Scan(__ua__t__ti_1_p)), Alias[c](Scan(__ua__cu__ti_1_p))))))",
-            "physical (optimized):",
-            "  Map[x.v→v, c.dk→dk, ua_c→ua_c](Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c](HashJoin[#0=#0; build=left](Alias[x](Filter[(#1 >= 190)](Scan(__ua__t__ti_1_p))), Alias[c](Scan(__ua__cu__ti_1_p)))))",
+            "optimized:",
+            "  Map[x.v→v, c.dk→dk](HashJoin[x.g=c.ck; build=left](Alias[x](Filter[(v >= 190)](Scan(__ua__t__ti_1_p))), Alias[c](Scan(__ua__cu__ti_1_p))))",
+            "physical (rewritten with ⟦·⟧_UA):",
+            "  Map[x.v→v, c.dk→dk, LEAST(#2, #5)→ua_c](HashJoin[x.g=c.ck; build=left](Alias[x](Filter[(v >= 190)](Scan(__ua__t__ti_1_p))), Alias[c](Scan(__ua__cu__ti_1_p))))",
             "execution (EXPLAIN ANALYZE, engine=row semantics=ua):",
-            "  Map[x.v→v, c.dk→dk, ua_c→ua_c] rows=10 est=10 time=* (certain_rows=8)",
-            "    Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c] rows=10 est=10 time=* (certain_rows=8)",
-            "      HashJoin[#0=#0; build=left] rows=10 est=10 time=* (build_rows=10, probe_rows=120, build_ns=*, mem_bytes=200)",
-            "        Alias[x] rows=10 est=10 time=* (certain_rows=8)",
-            "          Filter[(#1 >= 190)] rows=10 est=10 time=* (certain_rows=8)",
-            "            Scan[__ua__t__ti_1_p] rows=200 est=200 time=* (certain_rows=150)",
-            "        Alias[c] rows=120 est=120 time=* (certain_rows=120)",
-            "          Scan[__ua__cu__ti_1_p] rows=120 est=120 time=* (certain_rows=120)",
+            "  Map[x.v→v, c.dk→dk, LEAST(#2, #5)→ua_c] rows=10 est=10 time=* (certain_rows=8)",
+            "    HashJoin[x.g=c.ck; build=left] rows=10 est=10 time=* (build_rows=10, probe_rows=120, build_ns=*, mem_bytes=200)",
+            "      Alias[x] rows=10 est=10 time=* (certain_rows=8)",
+            "        Filter[(v >= 190)] rows=10 est=10 time=* (certain_rows=8)",
+            "          Scan[__ua__t__ti_1_p] rows=200 est=200 time=* (certain_rows=150)",
+            "      Alias[c] rows=120 est=120 time=* (certain_rows=120)",
+            "        Scan[__ua__cu__ti_1_p] rows=120 est=120 time=* (certain_rows=120)",
             "  memory: query peak=200 bytes",
         ],
         &[
@@ -641,10 +641,10 @@ fn golden_row_join_trees() {
 }
 
 /// The vectorized twin of `golden_row_join_trees`' UA case: both engines
-/// print the same plans — the vectorized engine runs the optimized
-/// `⟦·⟧_UA` rewriting too — and its tree counts `certain_rows` on the same
-/// operators as the row tree: not on the hash join, whose output ends in
-/// the right side's marker only. The σ below the join's build side fuses
+/// print the same plans — the vectorized engine runs the `⟦·⟧_UA`
+/// rewriting of the optimized plan too — and its tree counts
+/// `certain_rows` on the same operators as the row tree: not on the hash
+/// join, whose output ends in the right side's marker only. The σ below the join's build side fuses
 /// into nothing here (it sits under an alias), so every row span has its
 /// vectorized twin.
 #[test]
@@ -674,14 +674,13 @@ fn golden_vectorized_ua_join_tree() {
         .collect();
     let expected = [
         "execution (EXPLAIN ANALYZE, engine=vectorized semantics=ua):",
-        "  Map[x.v→v, c.dk→dk, ua_c→ua_c] rows=10 est=10 batches=1 time=* (certain_rows=8)",
-        "    Map[#0→x.g, #1→x.v, #3→c.ck, #4→c.dk, LEAST(#2, #5)→ua_c] rows=10 est=10 batches=1 time=* (certain_rows=8)",
-        "      HashJoin[#0=#0; build=left] rows=10 est=10 batches=1 time=* (build_ns=*, build_rows=10, mem_bytes=560, probe_rows=120)",
-        "        Alias[x] rows=10 est=10 batches=1 time=* (certain_rows=8)",
-        "          Filter[(#1 >= 190)] rows=10 est=10 batches=1 time=* (certain_rows=8)",
-        "            Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 time=* (certain_rows=150)",
-        "        Alias[c] rows=120 est=120 batches=1 time=* (certain_rows=120)",
-        "          Scan[__ua__cu__ti_1_p] rows=120 est=120 batches=1 time=* (certain_rows=120)",
+        "  Map[x.v→v, c.dk→dk, LEAST(#2, #5)→ua_c] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "    HashJoin[x.g=c.ck; build=left] rows=10 est=10 batches=1 time=* (build_ns=*, build_rows=10, mem_bytes=560, probe_rows=120)",
+        "      Alias[x] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "        Filter[(v >= 190)] rows=10 est=10 batches=1 time=* (certain_rows=8)",
+        "          Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 time=* (certain_rows=150)",
+        "      Alias[c] rows=120 est=120 batches=1 time=* (certain_rows=120)",
+        "        Scan[__ua__cu__ti_1_p] rows=120 est=120 batches=1 time=* (certain_rows=120)",
         "  memory: query peak=560 bytes",
     ];
     assert_eq!(
@@ -726,20 +725,25 @@ fn only_ua_runs_count_certain_rows() {
 /// outer, also where an error-capable filter stays between an inner join
 /// and its `⟦⋈⟧` projection: the join's output ends in the right side's
 /// marker only, which is not the joined rows' certainty (the count was
-/// reported there before). The `⟦⋈⟧` / `⟦⟕⟧` projection above reports it.
+/// reported there before). Nor does that filter, whose output is the
+/// join's. The `⟦⋈⟧` / `⟦⟕⟧` projection above reports it.
 #[test]
 fn ua_row_join_spans_count_no_certain_rows() {
-    fn walk(node: &ua_obs::OperatorStats, parent: &str, joins: &mut usize, filtered: &mut usize) {
-        if matches!(
+    fn is_join(node: &ua_obs::OperatorStats) -> bool {
+        matches!(
             node.name.as_str(),
             "Join" | "HashJoin" | "Cross" | "OuterJoin"
-        ) {
-            assert!(
-                !node.extra.iter().any(|(k, _)| k == "certain_rows"),
-                "join span counts certain rows: {node:?}"
-            );
+        )
+    }
+    fn walk(node: &ua_obs::OperatorStats, parent: &str, joins: &mut usize, filtered: &mut usize) {
+        let counts = node.extra.iter().any(|(k, _)| k == "certain_rows");
+        if is_join(node) {
+            assert!(!counts, "join span counts certain rows: {node:?}");
             *joins += 1;
             *filtered += usize::from(parent == "Filter");
+        }
+        if node.name == "Filter" && node.children.iter().any(is_join) {
+            assert!(!counts, "filter over a join counts certain rows: {node:?}");
         }
         for child in &node.children {
             walk(child, &node.name, joins, filtered);

@@ -1,25 +1,25 @@
 //! Plan optimization: filter pushdown, statistics-driven join reordering
 //! and cost-aware join planning.
 //!
-//! The optimizer is a pass pipeline over [`Plan`]s, applied by
-//! `ua_engine::UaSession` to the plan each executor actually runs —
-//! uniformly before `ExecMode::Row` / `ExecMode::Vectorized` dispatch, and
-//! for both deterministic and UA queries — so the two engines cannot drift
-//! (the differential test harness locks them together).
+//! The optimizer is a pass pipeline over [`Plan`]s, applied once by
+//! `ua_engine::UaSession` to the *user* plan of every query — before the
+//! `⟦·⟧_UA` rewriting under UA, before `⟦·⟧_AU` dispatch under AU — and
+//! uniformly before `ExecMode::Row` / `ExecMode::Vectorized` dispatch, so
+//! the two engines cannot drift (the differential test harness locks them
+//! together). Every rewrite holds in any commutative semiring, so it
+//! commutes with the annotation.
 //!
 //! Passes, in pipeline order ([`optimize`] / [`optimize_with`]):
 //!
-//! 1. **Filter pushdown** ([`push_filters`]). The UA rewriting (Figure 9)
-//!    wraps every join in a projection that re-labels columns and combines
-//!    the two certainty markers, and user queries add their own
-//!    projections; selections sit *above* those projections, so a naive
+//! 1. **Filter pushdown** ([`push_filters`]). Queries wrap subqueries and
+//!    joins in projections, and selections sit *above* them, so a naive
 //!    executor pays the projection over the full input before filtering.
 //!    `Filter(P) ∘ Map(M) ≡ Map(M) ∘ Filter(P∘M)` whenever `P`'s column
 //!    references can be substituted by `M`'s expressions, which is exactly
-//!    the shape both produce. Name-based predicates also sink through
-//!    `Alias` by *requalifying* their references against the inner schema
-//!    (`q.salary` above `Alias[q]` becomes `salary` below it, when the
-//!    requalified reference resolves uniquely back to the same column).
+//!    the shape the planner produces. Name-based predicates also sink
+//!    through `Alias` by *requalifying* their references against the inner
+//!    schema (`q.salary` above `Alias[q]` becomes `salary` below it, when
+//!    the requalified reference resolves uniquely back to the same column).
 //! 2. **Join reordering** ([`reorder_joins`]). A filter stack over a tree
 //!    of joins is flattened into its base relations plus one conjunct set
 //!    (the comma-join graph); single-relation conjuncts become selections
@@ -67,41 +67,32 @@ use ua_data::algebra::{shift_columns, ProjColumn};
 use ua_data::expr::{CmpOp, Expr};
 use ua_data::schema::{Schema, SchemaError};
 
-/// Which optimizer passes to run (all on by default).
+/// The optimizer's two switches (both on by default); filter pushdown,
+/// join planning and Top-K fusion always run.
 #[derive(Clone, Copy, Debug)]
 pub struct OptimizerPasses {
-    /// Sink filters below projections (pass 1 and 4).
-    pub push_filters: bool,
-    /// Rewrite cross-join+filter into hash joins with build-side selection
-    /// (pass 3).
-    pub plan_joins: bool,
     /// Reorder 3+-way join trees by estimated cost before planning them
-    /// (pass 2; only runs when `plan_joins` is on).
+    /// (pass 2).
     pub reorder_joins: bool,
     /// Let join planning and reordering classify and shift *positional*
     /// (`Expr::Col`) references. Must be off when the plan's positions do
     /// not count `plan_schema`'s columns — a user plan over UA-encoded
-    /// tables (positions count user columns; the `⟦·⟧_UA` rewriting shifts
-    /// them past the markers) or an AU plan (flattened tables): positions
-    /// computed against encoded schemas would split at the wrong arity and
-    /// silently join on the wrong columns. Named references are always
-    /// safe (the marker never participates in name resolution). With it
-    /// off, reordering also sees each leaf's *user-visible* schema — no
-    /// trailing `ua_c`, no AU bound or multiplicity sidecars.
+    /// tables (positions count user columns; the `⟦·⟧_UA` rewriting, which
+    /// runs after the optimizer, shifts them past the markers) or an AU
+    /// plan (flattened tables): positions computed against encoded schemas
+    /// would split at the wrong arity and silently join on the wrong
+    /// columns. Named references are always safe (the marker never
+    /// participates in name resolution). With it off, reordering also sees
+    /// each leaf's *user-visible* schema — no trailing `ua_c`, no AU bound
+    /// or multiplicity sidecars.
     pub positional_joins: bool,
-    /// Fuse `Limit(Sort(..))` into the bounded-heap [`Plan::TopK`]
-    /// operator ([`fuse_topk`]).
-    pub fuse_topk: bool,
 }
 
 impl Default for OptimizerPasses {
     fn default() -> OptimizerPasses {
         OptimizerPasses {
-            push_filters: true,
-            plan_joins: true,
             reorder_joins: true,
             positional_joins: true,
-            fuse_topk: true,
         }
     }
 }
@@ -111,25 +102,14 @@ pub fn optimize(plan: Plan, catalog: &Catalog) -> Plan {
     optimize_with(plan, catalog, OptimizerPasses::default())
 }
 
-/// Run the selected optimizer passes.
+/// Run the optimizer pipeline with the given switches.
 pub fn optimize_with(plan: Plan, catalog: &Catalog, passes: OptimizerPasses) -> Plan {
-    let mut plan = plan;
-    if passes.push_filters {
-        plan = push_filters(plan, catalog);
+    let mut plan = push_filters(plan, catalog);
+    if passes.reorder_joins {
+        plan = reorder_joins_impl(plan, catalog, passes.positional_joins);
     }
-    if passes.plan_joins {
-        if passes.reorder_joins {
-            plan = reorder_joins_impl(plan, catalog, passes.positional_joins);
-        }
-        plan = plan_joins_impl(plan, catalog, passes.positional_joins);
-        if passes.push_filters {
-            plan = push_filters(plan, catalog);
-        }
-    }
-    if passes.fuse_topk {
-        plan = fuse_topk(plan);
-    }
-    plan
+    plan = plan_joins_impl(plan, catalog, passes.positional_joins);
+    fuse_topk(push_filters(plan, catalog))
 }
 
 /// Rewrite every `Limit(Sort(..))` stack into the fused [`Plan::TopK`]
@@ -442,31 +422,19 @@ fn rewrite_join(
         }
     }
 
-    // Single-side conjuncts become selections below the join; re-plan a
-    // child only when the new filter actually sits on an (unplanned) join
-    // it could merge into — anything else would re-traverse an
-    // already-planned subtree for nothing. Projections may separate the
-    // fresh filter from that join (the `⟦·⟧_UA` rewriting wraps every join
-    // in a marker-combining Map, so on the row UA path a 3-way join's
-    // inner joins are always behind one); the filter is first sunk through
-    // them, then planning merges it — keeping the row and vectorized
-    // paths' join trees, and hence their row orders, in lockstep.
-    let replan = |child: Plan, gained: bool, catalog: &Catalog| -> Plan {
-        if !gained {
+    // Single-side conjuncts become selections below the join. A side that
+    // gained some is sunk through its projections and aliases and planned
+    // again, so a join they reach can merge them — also one written as a
+    // bare cross product whose join conditions all sat above this join.
+    let replan = |child: Plan, conjuncts: Vec<Expr>| -> Plan {
+        if conjuncts.is_empty() {
             return child;
         }
-        if peels_to_join(&child) {
-            return plan_joins_impl(child, catalog, positional);
-        }
-        if peels_to_join_through_maps(&child) {
-            return plan_joins_impl(push_filters(child, catalog), catalog, positional);
-        }
-        child
+        let sunk = push_filters(wrap_filters(child, conjuncts), catalog);
+        plan_joins_impl(sunk, catalog, positional)
     };
-    let gained_left = !left_only.is_empty();
-    let gained_right = !right_only.is_empty();
-    let left = replan(wrap_filters(left, left_only), gained_left, catalog);
-    let right = replan(wrap_filters(right, right_only), gained_right, catalog);
+    let left = replan(left, left_only);
+    let right = replan(right, right_only);
 
     if keys.is_empty() {
         return Plan::Join {
@@ -913,19 +881,22 @@ pub const DP_MAX_RELATIONS: usize = 6;
 
 /// Reorder 3+-way join trees by estimated cost (pipeline pass 2; see the
 /// module docs). Positional (`Expr::Col`) references are classified and
-/// remapped — use [`reorder_joins_ua`] when runtime schemas differ from
+/// remapped — use [`reorder_joins_ua`] (or [`optimize_with`] with
+/// `positional_joins` off) when runtime schemas differ from
 /// `plan_schema`.
 pub fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
     reorder_joins_impl(plan, catalog, true)
 }
 
-/// [`reorder_joins`] for *user* `RA⁺` plans over UA-annotated sources, as
-/// run by `UaSession` before the `⟦·⟧_UA` rewriting: leaf schemas are the
-/// encoded tables' schemas with the trailing `ua_c` marker stripped (the
+/// [`reorder_joins`] alone for *user* `RA⁺` plans over UA-annotated
+/// sources, before the `⟦·⟧_UA` rewriting: leaf schemas are the encoded
+/// tables' schemas with the trailing `ua_c` marker stripped (the
 /// user-visible columns), classification is name-based only (a user
 /// position counts user columns, not `plan_schema`'s encoded ones), and
 /// the emitted plan stays in the `RA⁺` fragment so `Plan::to_ra`
-/// succeeds.
+/// succeeds. The session runs this pass inside its one [`optimize_with`]
+/// call (`positional_joins` off); this entry point serves callers that
+/// reorder an `RA⁺` plan by itself, such as the benchmark's UA replay.
 pub fn reorder_joins_ua(plan: Plan, catalog: &Catalog) -> Plan {
     reorder_joins_impl(plan, catalog, false)
 }
@@ -1796,23 +1767,11 @@ fn is_error_free(expr: &Expr) -> bool {
 }
 
 /// Whether the plan is a join under a (possibly empty) stack of filters —
-/// the only shape a freshly pushed filter can merge into.
+/// the root of a join region.
 fn peels_to_join(plan: &Plan) -> bool {
     match plan {
         Plan::Join { .. } => true,
         Plan::Filter { input, .. } => peels_to_join(input),
-        _ => false,
-    }
-}
-
-/// Like [`peels_to_join`], but looking through interposed projections: a
-/// filter over `Map(… Join …)` can reach the join once `push_filters`
-/// substitutes it through (the shape the UA rewriting's marker Maps
-/// produce).
-fn peels_to_join_through_maps(plan: &Plan) -> bool {
-    match plan {
-        Plan::Join { .. } => true,
-        Plan::Filter { input, .. } | Plan::Map { input, .. } => peels_to_join_through_maps(input),
         _ => false,
     }
 }

@@ -3,18 +3,22 @@
 //!
 //! [`rewrite_ua_plan`] turns a user plan into a deterministic plan over the
 //! encoded representation (every relation carries its certainty marker
-//! `ua_c` in last position; Definition 8), which the session optimizes
-//! once and hands to either executor to run like any other query — the
-//! paper's "lightweight" claim (Figures 8/9, Theorem 7). On both engines
-//! the marker is an ordinary `Int` column. The `RA⁺` rules emit exactly
-//! what `Plan::from_ra(ua_core::rewrite_ua(..))` emits; `ua_core::rewrite_ua`
-//! stays the formal reference they are tested against.
+//! `ua_c` in last position; Definition 8). The session optimizes the user
+//! plan once, rewrites the optimized plan last and hands the rewriting to
+//! either executor to run like any other query — the paper's
+//! "lightweight" claim (Figures 8/9, Theorem 7); the optimizer's rewrites
+//! hold in every commutative semiring, so they commute with `⟦·⟧_UA`. On
+//! both engines the marker is an ordinary `Int` column. The `RA⁺` rules
+//! emit exactly what `Plan::from_ra(ua_core::rewrite_ua(..))` emits;
+//! `ua_core::rewrite_ua` stays the formal reference they are tested
+//! against.
 //!
 //! ```text
 //! ⟦R⟧          = R                                      (already encoded)
 //! ⟦σ_θ(Q)⟧     = σ_θ(⟦Q⟧)
 //! ⟦π_A(Q)⟧     = π_{A, ua_c}(⟦Q⟧)
 //! ⟦Q₁ ⋈_θ Q₂⟧  = π_{Sch, LEAST(Q₁.ua_c, Q₂.ua_c)→ua_c}(⟦Q₁⟧ ⋈_θ ⟦Q₂⟧)
+//! ⟦π_A(σ_φ(Q₁ ⋈_θ Q₂))⟧ = π_{A, LEAST(Q₁.ua_c, Q₂.ua_c)→ua_c}(σ_φ(⟦Q₁⟧ ⋈_θ ⟦Q₂⟧))
 //! ⟦Q₁ ∪ Q₂⟧    = ⟦Q₁⟧ ∪ ⟦Q₂⟧
 //! ⟦Q₁ − Q₂⟧    = π_{Sch, 0→ua_c}(π_Sch⟦Q₁⟧ − π_Sch⟦Q₂⟧)
 //! ⟦Q₁ ⟕_θ Q₂⟧  = π_{Sch, [Q₁.ua_c = 1 ∧ Q₂.ua_c = 1]→ua_c}(⟦Q₁⟧ ⟕_θ ⟦Q₂⟧)
@@ -25,9 +29,12 @@
 //! names and qualifiers kept so user predicates bind unchanged. A
 //! positional reference in a `⋈` / `⟕` predicate (a `HashJoin` residual
 //! too) counts user columns: over `⟦Q₁⟧ ++ ⟦Q₂⟧` every right-side
-//! position moves one past the left marker. A `HashJoin` — a user plan the
-//! optimizer already shaped — rewrites like the `⋈` it plans; its keys bind
-//! per side, where the marker is last, and stay.
+//! position moves one past the left marker, and so does one in a user
+//! projection over the join and in the filters between them: the user
+//! projection absorbs the join's own (one `Map` per join), and the filters
+//! stay on the joined rows. A `HashJoin` — a user plan the optimizer
+//! already shaped — rewrites like the `⋈` it plans; its keys bind per
+//! side, where the marker is last, and stay.
 //!
 //! **Why `−` labels every row 0.** Under `K²` a difference row is certain
 //! only if the right side's multiplicity is bounded *from above* in every
@@ -68,10 +75,11 @@ use ua_data::schema::{Schema, SchemaError};
 use ua_data::value::Value;
 
 /// Rewrite a user plan over UA-encoded tables into the deterministic plan
-/// computing its encoded result (marker column last). Serves as the one
-/// pre-dispatch guard of UA queries too: marker references, unencoded or
-/// unknown tables, malformed markers and plans outside the fragment fail
-/// here, identically for both executors.
+/// computing its encoded result (marker column last). Marker references,
+/// unencoded or unknown tables, malformed markers and plans outside the
+/// fragment fail here, identically for both executors; the marker guard
+/// also serves callers that reach the rewriting without the session
+/// (`ua_vecexec::ua::ua_stream_opts`), which guards before optimizing.
 pub fn rewrite_ua_plan(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
     reject_marker_in_plan(plan)?;
     rewrite_trailing(plan, catalog)
@@ -117,6 +125,9 @@ fn rewrite_core(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
             input: Box::new(rewrite_core(input, catalog)?),
             predicate: predicate.clone(),
         },
+        Plan::Map { input, columns } if peels_to_join(input) => {
+            rewrite_join(input, Some(columns), catalog)?
+        }
         Plan::Map { input, columns } => {
             let mut columns = columns.clone();
             columns.push(ProjColumn::named(UA_LABEL_COLUMN));
@@ -157,69 +168,8 @@ fn rewrite_core(plan: &Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
                 }),
             }
         }
-        Plan::Join { left, right, .. }
-        | Plan::HashJoin { left, right, .. }
-        | Plan::OuterJoin { left, right, .. } => {
-            let (left, ls) = rewrite_side(left, catalog)?;
-            let (right, rs) = rewrite_side(right, catalog)?;
-            // User positions right of the left side's columns move past its
-            // marker.
-            let left_user = ls.arity() - 1;
-            let shift = |e: &Expr| {
-                e.map_refs(&|n| Some(n.to_string()), &|i| {
-                    i + usize::from(i >= left_user)
-                })
-                .expect("names map to themselves")
-            };
-            let (lm, rm) = (marker_col(&ls, 0), marker_col(&rs, ls.arity()));
-            let (input, marker) = match plan {
-                Plan::Join { predicate, .. } => (
-                    Plan::Join {
-                        left,
-                        right,
-                        predicate: predicate.as_ref().map(shift),
-                    },
-                    // A certain join result needs both inputs certain: min.
-                    lm.least(rm),
-                ),
-                Plan::HashJoin {
-                    keys,
-                    residual,
-                    build_left,
-                    ..
-                } => (
-                    Plan::HashJoin {
-                        left,
-                        right,
-                        keys: keys.clone(),
-                        residual: residual.as_ref().map(shift),
-                        build_left: *build_left,
-                    },
-                    lm.least(rm),
-                ),
-                Plan::OuterJoin {
-                    predicate, kind, ..
-                } => {
-                    let certain = |marker: Expr| marker.eq(Expr::lit(1i64));
-                    (
-                        Plan::OuterJoin {
-                            left,
-                            right,
-                            predicate: predicate.as_ref().map(shift),
-                            kind: *kind,
-                        },
-                        Expr::Case {
-                            branches: vec![(certain(lm).and(certain(rm)), Expr::lit(1i64))],
-                            otherwise: Some(Box::new(Expr::lit(0i64))),
-                        },
-                    )
-                }
-                _ => unreachable!("a join node"),
-            };
-            Plan::Map {
-                columns: join_columns(&ls, &rs, marker),
-                input: Box::new(input),
-            }
+        Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. } => {
+            rewrite_join(plan, None, catalog)?
         }
         Plan::Distinct { .. }
         | Plan::Aggregate { .. }
@@ -260,17 +210,124 @@ pub fn check_encoded(table: &Table, name: &str) -> Result<(), EngineError> {
 
 /// The certainty marker's position in the output of `plan`, a node of a
 /// rewritten plan with output schema `schema`: the last column when it is
-/// `ua_c`, except on a join, inner or outer — its output is
-/// `left ++ right`, whose last column is only the right side's marker; the
-/// `⟦⋈⟧` / `⟦⟕⟧` projection above it carries the join's. Both engines
-/// count an operator's `certain_rows` at this position and nowhere else.
+/// `ua_c`, except on a join, inner or outer, and on a filter over one —
+/// their output is `left ++ right`, whose last column is only the right
+/// side's marker; the `⟦⋈⟧` / `⟦⟕⟧` projection above carries the join's.
+/// Both engines count an operator's `certain_rows` at this position and
+/// nowhere else.
 pub fn certainty_marker(plan: &Plan, schema: &Schema) -> Option<usize> {
-    let join = matches!(
-        plan,
-        Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. }
-    );
-    let last = schema.columns().last()?;
-    (!join && last.name.eq_ignore_ascii_case(UA_LABEL_COLUMN)).then(|| schema.arity() - 1)
+    match plan {
+        Plan::Filter { input, .. } => certainty_marker(input, schema),
+        Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. } => None,
+        _ => {
+            let last = schema.columns().last()?;
+            last.name
+                .eq_ignore_ascii_case(UA_LABEL_COLUMN)
+                .then(|| schema.arity() - 1)
+        }
+    }
+}
+
+/// Whether `plan` is a join, inner or outer, under a (possibly empty)
+/// stack of filters.
+fn peels_to_join(plan: &Plan) -> bool {
+    match plan {
+        Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. } => true,
+        Plan::Filter { input, .. } => peels_to_join(input),
+        _ => false,
+    }
+}
+
+/// `⟦⋈⟧` / `⟦⟕⟧` (a `HashJoin` like the `⋈` it plans) with one projection
+/// over the join of the rewritten inputs: `columns`, a user projection
+/// over the join, or else the join's user-visible schema, then the join's
+/// marker as `ua_c`. `plan` is the join under the filters between it and
+/// that projection; they stay there, on the joined rows. User positions in
+/// the projection, the filters and the join's predicate all move past the
+/// left marker.
+fn rewrite_join(
+    plan: &Plan,
+    columns: Option<&[ProjColumn]>,
+    catalog: &Catalog,
+) -> Result<Plan, EngineError> {
+    let mut filters = Vec::new();
+    let mut join = plan;
+    while let Plan::Filter { input, predicate } = join {
+        filters.push(predicate);
+        join = input;
+    }
+    let mut sides = join.inputs().map(|side| rewrite_side(side, catalog));
+    let (left, ls) = sides.next().expect("a join's left input")?;
+    let (right, rs) = sides.next().expect("a join's right input")?;
+    // User positions right of the left side's columns move past its marker.
+    let left_user = ls.arity() - 1;
+    let shift = |e: &Expr| {
+        e.map_refs(&|n| Some(n.to_string()), &|i| {
+            i + usize::from(i >= left_user)
+        })
+        .expect("names map to themselves")
+    };
+    let (lm, rm) = (Expr::Col(left_user), Expr::Col(ls.arity() + rs.arity() - 1));
+    let input = match join {
+        Plan::Join { predicate, .. } => Plan::Join {
+            left,
+            right,
+            predicate: predicate.as_ref().map(shift),
+        },
+        Plan::HashJoin {
+            keys,
+            residual,
+            build_left,
+            ..
+        } => Plan::HashJoin {
+            left,
+            right,
+            keys: keys.clone(),
+            residual: residual.as_ref().map(shift),
+            build_left: *build_left,
+        },
+        Plan::OuterJoin {
+            predicate, kind, ..
+        } => Plan::OuterJoin {
+            left,
+            right,
+            predicate: predicate.as_ref().map(shift),
+            kind: *kind,
+        },
+        _ => unreachable!("a join under filters"),
+    };
+    let marker = if let Plan::OuterJoin { .. } = join {
+        // Certain iff both markers are 1: false on a pad's NULL.
+        let certain = |marker: Expr| marker.eq(Expr::lit(1i64));
+        Expr::Case {
+            branches: vec![(certain(lm).and(certain(rm)), Expr::lit(1i64))],
+            otherwise: Some(Box::new(Expr::lit(0i64))),
+        }
+    } else {
+        // A certain join result needs both inputs certain: min.
+        lm.least(rm)
+    };
+    let input = filters
+        .into_iter()
+        .rev()
+        .fold(input, |input, predicate| Plan::Filter {
+            input: Box::new(input),
+            predicate: shift(predicate),
+        });
+    let mut columns: Vec<ProjColumn> = match columns {
+        Some(columns) => columns
+            .iter()
+            .map(|c| ProjColumn::with_column(shift(&c.expr), c.column.clone()))
+            .collect(),
+        None => base_columns(&ls, 0)
+            .chain(base_columns(&rs, ls.arity()))
+            .collect(),
+    };
+    columns.push(ProjColumn::expr(marker, UA_LABEL_COLUMN));
+    Ok(Plan::Map {
+        columns,
+        input: Box::new(input),
+    })
 }
 
 /// One input of a binary node rewritten, with its encoded schema.
@@ -287,20 +344,6 @@ fn base_columns(schema: &Schema, offset: usize) -> impl Iterator<Item = ProjColu
     base.iter()
         .enumerate()
         .map(move |(i, col)| ProjColumn::with_column(Expr::Col(offset + i), col.clone()))
-}
-
-/// The marker of an encoded schema sitting at `offset`.
-fn marker_col(schema: &Schema, offset: usize) -> Expr {
-    Expr::Col(offset + schema.arity() - 1)
-}
-
-/// `π_{Sch, marker→ua_c}` over `left ++ right` of two encoded inputs.
-fn join_columns(ls: &Schema, rs: &Schema, marker: Expr) -> Vec<ProjColumn> {
-    let mut columns: Vec<ProjColumn> = base_columns(ls, 0)
-        .chain(base_columns(rs, ls.arity()))
-        .collect();
-    columns.push(ProjColumn::expr(marker, UA_LABEL_COLUMN));
-    columns
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! `⟦·⟧_UA` on this engine: nothing of its own. The session hands the
-//! driver ([`crate::exec`]) the optimized `⟦·⟧_UA`-rewritten plan
-//! ([`ua_plan::ua::rewrite_ua_plan`]) — the plan the row engine runs — and
-//! the driver runs it with its det operators over the encoded tables,
-//! where `ua_c` is an ordinary `Int` column (Theorem 7: the rewriting
-//! computes the encoded result on any bag engine). [`Semantics::Ua`] only
+//! driver ([`crate::exec`]) the `⟦·⟧_UA` rewriting
+//! ([`ua_plan::ua::rewrite_ua_plan`]) of the optimized user plan — the
+//! plan the row engine runs — and the driver runs it with its det
+//! operators over the encoded tables, where `ua_c` is an ordinary `Int`
+//! column (Theorem 7: the rewriting computes the encoded result on any bag
+//! engine). [`Semantics::Ua`] only
 //! tags the stats and has them count `certain_rows`. What remains here is
 //! the stream forward the benchmark adapter calls.
 

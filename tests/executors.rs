@@ -921,3 +921,66 @@ fn annotated_sources_follow_their_base_table() {
         }
     }
 }
+
+/// UA is AU with point attributes (ROADMAP item 5(a)): over `IS TI`
+/// tables of non-NULL values both labelings take `p ≥ 1` as certain and
+/// `p ≥ 0.5` as the best guess, and σ / π / ⋈ / `UNION ALL` keep every
+/// attribute a point. So per result tuple, on both engines, the AU
+/// multiplicities' `lb` sum is the UA certain count and their `bg` sum the
+/// UA row count.
+#[test]
+fn ua_is_au_with_point_attributes() {
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+    const R: &str = "r IS TI WITH PROBABILITY (p) x";
+    const S: &str = "s IS TI WITH PROBABILITY (p) y";
+    let queries = [
+        format!("SELECT x.a, x.b FROM {R} WHERE x.a >= 2"),
+        format!("SELECT x.b FROM {R}"),
+        format!("SELECT x.a, y.c FROM {R}, {S} WHERE x.b = y.b"),
+        format!("SELECT x.a, y.c FROM {R}, {S} WHERE x.b = y.b AND y.c < 3"),
+        format!("SELECT x.a, y.c FROM {R}, {S} WHERE x.a < y.c"),
+        format!("SELECT x.a FROM {R} WHERE x.b = 1 UNION ALL SELECT y.c FROM {S}"),
+    ];
+    let mut seen = (0, 0);
+    for seed in 0..4u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let session = UaSession::new();
+        for (name, cols) in [("r", ["a", "b", "p"]), ("s", ["b", "c", "p"])] {
+            let rows = (0..12)
+                .map(|_| {
+                    let p = [0.2, 0.5, 0.7, 1.0][rng.gen_range(0..4usize)];
+                    tuple![rng.gen_range(0..4i64), rng.gen_range(0..4i64), p]
+                })
+                .collect();
+            session.register_table(name, Table::from_rows(Schema::qualified(name, cols), rows));
+        }
+        for mode in [ExecMode::Row, ExecMode::Vectorized] {
+            session.set_exec_mode(mode);
+            for sql in &queries {
+                let mut ua: BTreeMap<Tuple, (u64, u64)> = BTreeMap::new();
+                let result = session.query_ua(sql).expect("ua");
+                for (t, certain) in result.rows_with_certainty() {
+                    let entry = ua.entry(t).or_default();
+                    entry.0 += u64::from(certain);
+                    entry.1 += 1;
+                }
+                let mut au: BTreeMap<Tuple, (u64, u64)> = BTreeMap::new();
+                for row in session.query_au(sql).expect("au").decode().rows() {
+                    assert!(row.values.iter().all(|v| v.is_point()), "{sql}: {row:?}");
+                    let entry = au.entry(row.bg_tuple()).or_default();
+                    entry.0 += row.mult.lb;
+                    entry.1 += row.mult.bg;
+                }
+                au.retain(|_, &mut (_, bg)| bg > 0);
+                assert_eq!(au, ua, "seed {seed}, {mode:?}: `{sql}`");
+                let (certain, rows) = result.certainty_counts();
+                seen = (seen.0 + certain, seen.1 + rows);
+            }
+        }
+    }
+    assert!(
+        0 < seen.0 && seen.0 < seen.1,
+        "certain / all rows: {seen:?}"
+    );
+}
