@@ -8,10 +8,10 @@
 //! * deterministic grouped aggregation, row vs vectorized — the typed
 //!   single-`Int`-key aggregation path; the acceptance bar is **≥ 3x**
 //!   vectorized over row;
-//! * parallel det-vec aggregation, threads=1 vs threads=4 — byte-equal
-//!   output asserted at every thread count unconditionally; the >= 2x
-//!   wall-clock gate arms only on hosts with >= 4 cores (the CI
-//!   container has 1);
+//! * det-vec aggregation, threads=1 vs threads=4 — byte-equal output
+//!   asserted at every thread count unconditionally; reported, not
+//!   gated: the pool only evaluates key and argument columns per
+//!   morsel, and γ groups and folds on the calling thread;
 //! * AU grouped aggregation (range-annotated input, ~6% uncertain rows),
 //!   row interpreter vs the batch-native range-triple executor — gated:
 //!   the vectorized AU path must beat the row interpreter, stay within
@@ -201,11 +201,10 @@ fn bench_agg_ranges(c: &mut Criterion) {
         },
         5,
     );
-    // Parallel pipeline breakers: the partitioned aggregation fold at
-    // threads=1 vs threads=4. Byte-equality holds at every thread count
-    // by construction (per-worker pre-aggregation partitions merge in
-    // fixed order) and is asserted unconditionally; the wall-clock gate
-    // arms only where 4 workers actually have 4 cores to run on.
+    // Det aggregation at threads=1 vs threads=4. Byte-equality holds at
+    // every thread count by construction (the pool only evaluates key and
+    // argument columns per morsel; grouping and the fold run on the
+    // calling thread in scan order) and is asserted unconditionally.
     let par_opts = |threads: usize| ExecOptions {
         threads,
         batch_rows: 0,
@@ -319,17 +318,6 @@ fn bench_agg_ranges(c: &mut Criterion) {
         "vectorized grouped aggregation must be >= 3x over the row engine \
          at {N} rows, got {speedup:.1}x"
     );
-    if cores >= 4 {
-        let par_speedup = t_par1 / t_par4;
-        assert!(
-            par_speedup >= 2.0,
-            "partitioned parallel aggregation must be >= 2x over threads=1 \
-             on a {cores}-core host, got {par_speedup:.2}x \
-             ({:.1} ms vs {:.1} ms)",
-            t_par1 * 1e3,
-            t_par4 * 1e3
-        );
-    }
     // The tentpole's pay-as-you-go gates: the batch-native AU path must
     // beat the row interpreter outright and stay within a bounded tax of
     // deterministic vectorized aggregation. The columnar `agg_bounds`
@@ -396,10 +384,9 @@ fn bench_agg_ranges(c: &mut Criterion) {
     if let (Ok(_), Some(stats)) = vec_execute(&au_plan, &catalog, stats_opts, Semantics::Au) {
         report = report.operator_stats("au_vectorized", stats);
     }
-    // The parallel breakers' phase accounting: an instrumented threads=4
-    // run surfaces the pool's build/merge phases (partitioned hash-join
-    // build tasks, partition-merge wait) both as top-level fields and in
-    // the embedded `operator_stats.det_vectorized_threads4.pool`.
+    // The pool's phase accounting of an instrumented threads=4 run, both
+    // as top-level fields and in the embedded
+    // `operator_stats.det_vectorized_threads4.pool`: γ runs no build task.
     let par_stats_opts = ExecOptions {
         threads: 4,
         batch_rows: 0,
@@ -411,7 +398,6 @@ fn bench_agg_ranges(c: &mut Criterion) {
             report = report
                 .int("pool_build_tasks", pool.build_tasks)
                 .int("pool_build_wall_ns", pool.build_wall_ns)
-                .int("pool_partition_merge_ns", pool.partition_merge_ns)
                 .int("pool_merge_ns", pool.merge_ns);
         }
         report = report.operator_stats("det_vectorized_threads4", stats);

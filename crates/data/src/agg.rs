@@ -1,4 +1,5 @@
-//! SQL aggregate functions and their one running fold.
+//! SQL aggregate functions, their one running fold and the one grouping
+//! the column-major γ / δ share.
 //!
 //! [`AggState`] is the single definition of SQL aggregate arithmetic in
 //! the workspace: both engines feed it one row at a time (`mult = 1`),
@@ -6,9 +7,17 @@
 //! selected-guess multiplicity — so the selected guess of an AU aggregate
 //! is deterministic aggregation over the selected-guess world by
 //! construction, not by replica.
+//!
+//! [`Groups`] maps rows to groups over any [`KeyColumn`]s: the vectorized
+//! det γ / δ over their evaluated key columns and the AU γ / δ of both
+//! engines over their selected guesses.
 
+use crate::hash::{FxHashMap, FxHasher};
 use crate::value::{Value, F64};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::Hasher;
 
 /// An aggregate function.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,5 +189,148 @@ impl AggState {
                 }
             }
         }
+    }
+}
+
+/// One group-key column as [`Groups`] reads it, by row index.
+pub trait KeyColumn {
+    /// Feed row `i`'s key to `h`, consistently with [`KeyColumn::same`].
+    fn hash_at(&self, i: usize, h: &mut FxHasher);
+    /// Whether rows `i` and `j` hold the same key under `Value`'s
+    /// structural equality (`1` and `1.0` differ).
+    fn same(&self, i: usize, j: usize) -> bool;
+    /// Every row's key when all are `Int`s — the one-`Int`-key fast path.
+    fn ints(&self) -> Option<Cow<'_, [i64]>>;
+}
+
+/// Rows partitioned by key tuple under `Value`'s structural equality
+/// (`1` and `1.0` are two keys): per row its group, groups numbered in
+/// first-seen order, so a group's rows are visited in scan order.
+pub struct Groups {
+    /// Per row, its group.
+    pub of: Vec<usize>,
+    /// Per group, its first row (the one holding its key), ascending.
+    pub firsts: Vec<usize>,
+}
+
+impl Groups {
+    /// Group `n_rows` rows by their keys in `keys`: one `Int` key hashes
+    /// its `i64`s; any other key tuple hashes column-wise and a hash hit
+    /// is checked against the group's first row, so no row builds a tuple.
+    /// No key column puts every row in one group.
+    pub fn of<K: KeyColumn>(keys: &[K], n_rows: usize) -> Groups {
+        match keys {
+            [] => Groups {
+                of: vec![0; n_rows],
+                firsts: (n_rows > 0).then_some(0).into_iter().collect(),
+            },
+            [key] => match key.ints() {
+                Some(ints) => Groups::by_int(&ints),
+                None => Groups::by_hash(keys, n_rows),
+            },
+            _ => Groups::by_hash(keys, n_rows),
+        }
+    }
+
+    /// One `Int` key.
+    fn by_int(keys: &[i64]) -> Groups {
+        let mut index: FxHashMap<i64, usize> = FxHashMap::default();
+        let mut firsts = Vec::new();
+        let of = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                *index.entry(k).or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        Groups { of, firsts }
+    }
+
+    /// Any key tuple: groups whose keys share a hash are chained, and a
+    /// row joins the first one whose first row holds its key.
+    fn by_hash<K: KeyColumn>(keys: &[K], n_rows: usize) -> Groups {
+        const END: usize = usize::MAX;
+        let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut firsts: Vec<usize> = Vec::new();
+        // Per group, the next group in its hash chain.
+        let mut chain: Vec<usize> = Vec::new();
+        let mut of = Vec::with_capacity(n_rows);
+        for i in 0..n_rows {
+            let mut h = FxHasher::default();
+            for c in keys {
+                c.hash_at(i, &mut h);
+            }
+            let new = firsts.len();
+            let g = match heads.entry(h.finish()) {
+                Entry::Vacant(e) => *e.insert(new),
+                Entry::Occupied(e) => {
+                    let mut g = *e.get();
+                    loop {
+                        if keys.iter().all(|c| c.same(i, firsts[g])) {
+                            break g;
+                        }
+                        if chain[g] == END {
+                            chain[g] = new;
+                            break new;
+                        }
+                        g = chain[g];
+                    }
+                }
+            };
+            if g == new {
+                firsts.push(i);
+                chain.push(END);
+            }
+            of.push(g);
+        }
+        Groups { of, firsts }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keys that all hash alike, so every group shares one hash chain.
+    struct Colliding(Vec<Value>);
+
+    impl KeyColumn for Colliding {
+        fn hash_at(&self, _: usize, h: &mut FxHasher) {
+            h.write_u8(0);
+        }
+        fn same(&self, i: usize, j: usize) -> bool {
+            self.0[i] == self.0[j]
+        }
+        fn ints(&self) -> Option<Cow<'_, [i64]>> {
+            None
+        }
+    }
+
+    #[test]
+    fn hash_chains_keep_structurally_different_keys_apart() {
+        let keys = Colliding(vec![
+            Value::Int(1),
+            Value::float(1.0),
+            Value::Int(1),
+            Value::Null,
+            Value::float(1.0),
+            Value::str("a"),
+            Value::Null,
+        ]);
+        let groups = Groups::of(&[keys], 7);
+        assert_eq!(groups.of, [0, 1, 0, 2, 1, 3, 2]);
+        assert_eq!(groups.firsts, [0, 1, 3, 5]);
+    }
+
+    #[test]
+    fn no_key_is_one_group_when_there_are_rows() {
+        let none: [Colliding; 0] = [];
+        let groups = Groups::of(&none, 3);
+        assert_eq!((groups.of, groups.firsts), (vec![0, 0, 0], vec![0]));
+        let groups = Groups::of(&none, 0);
+        assert!(groups.of.is_empty() && groups.firsts.is_empty());
     }
 }

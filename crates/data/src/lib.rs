@@ -13,7 +13,9 @@
 //! * [`algebra`] — the positive relational algebra with K-relational
 //!   semantics, one evaluator for every annotation domain;
 //! * [`agg`] — the SQL aggregate functions and their one running fold,
-//!   [`agg::AggState`], shared by every engine and semantics.
+//!   [`agg::AggState`], shared by every engine and semantics, and the one
+//!   column-major grouping, [`agg::Groups`], that det γ / δ on the
+//!   vectorized engine and AU γ / δ on both engines run.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

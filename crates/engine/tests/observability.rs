@@ -658,3 +658,59 @@ fn planner_feedback_counters_observe_joins() {
         "a 3-way join must record >= 2 observed joins (before={before}, after={after})"
     );
 }
+
+/// Det vectorized γ and δ group on the calling thread: with stats on, at
+/// threads 4, over a source of 10 batches, the pool runs only the
+/// morsels that evaluate γ's key and argument columns — no build task.
+#[test]
+fn det_grouping_runs_no_build_tasks_on_the_pool() {
+    use ua_data::algebra::ProjColumn;
+    use ua_data::Expr;
+    use ua_engine::plan::{AggExpr, AggFunc, Plan};
+    use ua_engine::{Catalog, ExecOptions, Semantics};
+    let catalog = Catalog::new();
+    catalog.register(
+        "orders",
+        Table::from_rows(
+            Schema::qualified("orders", ["ok", "ck", "total"]),
+            (0..640i64)
+                .map(|i| {
+                    Tuple::new(vec![
+                        Value::Int(i),
+                        Value::Int((i * 7) % 120),
+                        Value::Int((i * 13) % 500),
+                    ])
+                })
+                .collect(),
+        ),
+    );
+    let scan = || Box::new(Plan::Scan("orders".into()));
+    let group_by = Plan::Aggregate {
+        input: scan(),
+        group_by: vec![ProjColumn::named("ck")],
+        aggregates: vec![AggExpr {
+            func: AggFunc::Sum,
+            arg: Some(Expr::named("total")),
+            name: "s".into(),
+        }],
+    };
+    let distinct = Plan::Distinct {
+        input: Box::new(Plan::Map {
+            input: scan(),
+            columns: vec![ProjColumn::named("ck")],
+        }),
+    };
+    let opts = ExecOptions {
+        threads: 4,
+        batch_rows: 64,
+        collect_stats: true,
+        collect_trace: false,
+    };
+    for (name, plan) in [("GROUP BY", group_by), ("DISTINCT", distinct)] {
+        let (result, stats) = ua_vecexec::execute(&plan, &catalog, opts, Semantics::Det);
+        assert_eq!(result.expect(name).len(), 120, "{name}");
+        let pool = stats.expect("stats").pool.expect("pool stats");
+        assert_eq!(pool.workers, 4, "{name}");
+        assert_eq!(pool.build_tasks, 0, "{name}: {pool:?}");
+    }
+}

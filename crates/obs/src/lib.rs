@@ -447,14 +447,11 @@ pub struct PoolStats {
     pub worker_busy_ns: Vec<u64>,
     /// Per-worker task counts.
     pub worker_tasks: Vec<u64>,
-    /// Pipeline-breaker build tasks (hash-join partition builds,
-    /// aggregation partition folds) — disjoint from `tasks`.
+    /// Pipeline-breaker build tasks (hash-join partition builds) —
+    /// disjoint from `tasks`.
     pub build_tasks: u64,
     /// Wall time of the build-phase parallel sections.
     pub build_wall_ns: u64,
-    /// Time spent merging per-partition breaker state in fixed partition
-    /// order.
-    pub partition_merge_ns: u64,
 }
 
 impl PoolStats {
@@ -462,7 +459,7 @@ impl PoolStats {
         format!(
             "{{\"workers\": {}, \"tasks\": {}, \"stolen\": {}, \"wall_ns\": {}, \
              \"merge_ns\": {}, \"worker_busy_ns\": {:?}, \"worker_tasks\": {:?}, \
-             \"build_tasks\": {}, \"build_wall_ns\": {}, \"partition_merge_ns\": {}}}",
+             \"build_tasks\": {}, \"build_wall_ns\": {}}}",
             self.workers,
             self.tasks,
             self.stolen,
@@ -471,8 +468,7 @@ impl PoolStats {
             self.worker_busy_ns,
             self.worker_tasks,
             self.build_tasks,
-            self.build_wall_ns,
-            self.partition_merge_ns
+            self.build_wall_ns
         )
     }
 }
@@ -514,11 +510,10 @@ impl QueryStats {
             ));
             if include_time {
                 out.push_str(&format!(
-                    " wall={} merge={} build_wall={} partition_merge={}",
+                    " wall={} merge={} build_wall={}",
                     fmt_ns(pool.wall_ns),
                     fmt_ns(pool.merge_ns),
-                    fmt_ns(pool.build_wall_ns),
-                    fmt_ns(pool.partition_merge_ns)
+                    fmt_ns(pool.build_wall_ns)
                 ));
             }
             out.push('\n');
@@ -690,7 +685,6 @@ mod tests {
                 worker_tasks: vec![4, 4, 4, 4],
                 build_tasks: 2,
                 build_wall_ns: 200,
-                partition_merge_ns: 5,
             }),
             peak_mem_bytes: 4096,
         };
@@ -699,7 +693,7 @@ mod tests {
         assert!(json.contains("\"pool\": {\"workers\": 4"));
         assert!(json.contains("\"stolen\": 3"));
         assert!(json.contains("\"build_tasks\": 2"));
-        assert!(json.contains("\"partition_merge_ns\": 5"));
+        assert!(json.contains("\"build_wall_ns\": 200"));
         let text = stats.render(true);
         assert!(text.contains("memory: query peak=4096 bytes"));
         assert!(text.contains("morsel pool: workers=4 tasks=16 stolen=3"));

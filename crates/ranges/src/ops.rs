@@ -47,10 +47,9 @@ use crate::relation::{encode_row, AuRelation, AuTuple};
 use crate::value::{Bound, RangeValue};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use ua_data::agg::{count_value, AggFunc, AggState};
+use ua_data::agg::{count_value, AggFunc, AggState, Groups, KeyColumn};
 use ua_data::algebra::{candidate_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError, Truth};
 use ua_data::schema::{Column, Schema, SchemaError};
@@ -1326,44 +1325,6 @@ impl<'a> ColView<'a> {
         }
     }
 
-    /// Whether rows `i` and `j` hold the same selected guess under
-    /// `Value`'s structural equality (`1` and `1.0` differ) — how γ and δ
-    /// tell groups apart.
-    fn same_bg(&self, i: usize, j: usize) -> bool {
-        match self {
-            ColView::Int { bg, .. } => bg[i] == bg[j],
-            ColView::Float { bg, .. } => bg[i] == bg[j],
-            ColView::Rows(rows) => rows[i].bg == rows[j].bg,
-        }
-    }
-
-    /// Feed row `i`'s selected guess to `h`, consistently with
-    /// [`ColView::same_bg`].
-    fn hash_bg(&self, i: usize, h: &mut FxHasher) {
-        match self {
-            ColView::Int { bg, .. } => h.write_i64(bg[i]),
-            ColView::Float { bg, .. } => bg[i].hash(h),
-            ColView::Rows(rows) => rows[i].bg.hash(h),
-        }
-    }
-
-    /// Every row's selected guess when all are `Int`s — the one-`Int`-key
-    /// fast path of the grouping.
-    fn int_bgs(&self) -> Option<Cow<'a, [i64]>> {
-        match *self {
-            ColView::Int { bg, .. } => Some(Cow::Borrowed(bg)),
-            ColView::Float { .. } => None,
-            ColView::Rows(rows) => rows
-                .iter()
-                .map(|r| match r.bg {
-                    Value::Int(k) => Some(k),
-                    _ => None,
-                })
-                .collect::<Option<Vec<i64>>>()
-                .map(Cow::Owned),
-        }
-    }
-
     /// Whether the selected guesses mix `Int`s and `Float`s — the only way
     /// two structurally different keys share a coercion-normalized one
     /// (`join_key` turns integral floats into ints and fixes the rest).
@@ -1438,6 +1399,40 @@ impl<'a> ColView<'a> {
     }
 }
 
+/// A key column's keys are its selected guesses.
+impl KeyColumn for ColView<'_> {
+    fn hash_at(&self, i: usize, h: &mut FxHasher) {
+        match self {
+            ColView::Int { bg, .. } => h.write_i64(bg[i]),
+            ColView::Float { bg, .. } => bg[i].hash(h),
+            ColView::Rows(rows) => rows[i].bg.hash(h),
+        }
+    }
+
+    fn same(&self, i: usize, j: usize) -> bool {
+        match self {
+            ColView::Int { bg, .. } => bg[i] == bg[j],
+            ColView::Float { bg, .. } => bg[i] == bg[j],
+            ColView::Rows(rows) => rows[i].bg == rows[j].bg,
+        }
+    }
+
+    fn ints(&self) -> Option<Cow<'_, [i64]>> {
+        match *self {
+            ColView::Int { bg, .. } => Some(Cow::Borrowed(bg)),
+            ColView::Float { .. } => None,
+            ColView::Rows(rows) => rows
+                .iter()
+                .map(|r| match r.bg {
+                    Value::Int(k) => Some(k),
+                    _ => None,
+                })
+                .collect::<Option<Vec<i64>>>()
+                .map(Cow::Owned),
+        }
+    }
+}
+
 /// A group's key hull in one key column: a typed triple over a dense
 /// column, a range over a row-backed one.
 enum Hull {
@@ -1506,93 +1501,6 @@ impl DenseVal for F64 {
             Value::Float(x) => Some(*x),
             _ => None,
         }
-    }
-}
-
-/// Rows partitioned by selected-guess key tuple under `Value`'s
-/// structural equality (`1` and `1.0` are two keys): per row its group,
-/// groups numbered in first-seen order.
-struct Groups {
-    /// Per row, its group.
-    of: Vec<usize>,
-    /// Per group, its first row (the one holding its key).
-    firsts: Vec<usize>,
-}
-
-impl Groups {
-    /// Group `n_rows` rows by their selected guesses in `keys`: one `Int`
-    /// key hashes its `i64`s; any other key tuple hashes column-wise and a
-    /// hash hit is checked against the group's first row, so no row builds
-    /// a tuple.
-    fn of(keys: &[ColView], n_rows: usize) -> Groups {
-        match keys {
-            [] => Groups {
-                of: vec![0; n_rows],
-                firsts: (n_rows > 0).then_some(0).into_iter().collect(),
-            },
-            [key] => match key.int_bgs() {
-                Some(ints) => Groups::by_int(&ints),
-                None => Groups::by_hash(keys, n_rows),
-            },
-            _ => Groups::by_hash(keys, n_rows),
-        }
-    }
-
-    /// One `Int` key.
-    fn by_int(keys: &[i64]) -> Groups {
-        let mut index: FxHashMap<i64, usize> = FxHashMap::default();
-        let mut firsts = Vec::new();
-        let of = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                *index.entry(k).or_insert_with(|| {
-                    firsts.push(i);
-                    firsts.len() - 1
-                })
-            })
-            .collect();
-        Groups { of, firsts }
-    }
-
-    /// Any key tuple: groups whose keys share a hash are chained, and a
-    /// row joins the first one whose first row holds its key.
-    fn by_hash(keys: &[ColView], n_rows: usize) -> Groups {
-        const END: usize = usize::MAX;
-        let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut firsts: Vec<usize> = Vec::new();
-        // Per group, the next group in its hash chain.
-        let mut chain: Vec<usize> = Vec::new();
-        let mut of = Vec::with_capacity(n_rows);
-        for i in 0..n_rows {
-            let mut h = FxHasher::default();
-            for c in keys {
-                c.hash_bg(i, &mut h);
-            }
-            let new = firsts.len();
-            let g = match heads.entry(h.finish()) {
-                Entry::Vacant(e) => *e.insert(new),
-                Entry::Occupied(e) => {
-                    let mut g = *e.get();
-                    loop {
-                        if keys.iter().all(|c| c.same_bg(i, firsts[g])) {
-                            break g;
-                        }
-                        if chain[g] == END {
-                            chain[g] = new;
-                            break new;
-                        }
-                        g = chain[g];
-                    }
-                }
-            };
-            if g == new {
-                firsts.push(i);
-                chain.push(END);
-            }
-            of.push(g);
-        }
-        Groups { of, firsts }
     }
 }
 

@@ -63,14 +63,10 @@ pub struct PoolMetrics {
     /// Per-worker tasks executed.
     pub worker_tasks: Vec<u64>,
     /// Tasks dispatched by [`ThreadPool::map_build`] (pipeline-breaker
-    /// build phases: hash-join partition builds, aggregation partition
-    /// folds). Disjoint from `tasks`.
+    /// build phases: hash-join partition builds). Disjoint from `tasks`.
     pub build_tasks: u64,
     /// Wall-clock time inside `map_build` (all calls summed).
     pub build_wall_ns: u64,
-    /// Time callers spent merging per-partition pipeline-breaker state in
-    /// fixed partition order ([`ThreadPool::note_partition_merge`]).
-    pub partition_merge_ns: u64,
     /// Per-task execution spans, in item-index order per call. Empty
     /// unless span recording is on ([`ThreadPool::set_spans_recorded`]).
     pub spans: Vec<TaskSpan>,
@@ -154,10 +150,7 @@ impl ThreadPool {
         self.instrument.store(on, Ordering::Relaxed);
     }
 
-    /// Whether per-task instrumentation is currently on. Callers that
-    /// time their own pipeline-breaker merges
-    /// ([`ThreadPool::note_partition_merge`]) consult this to skip the
-    /// clock reads when nobody is collecting.
+    /// Whether per-task instrumentation is currently on.
     pub fn instrumented(&self) -> bool {
         self.instrument.load(Ordering::Relaxed)
     }
@@ -187,16 +180,6 @@ impl ThreadPool {
     pub fn take_spans(&self) -> Vec<TaskSpan> {
         let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::take(&mut m.spans)
-    }
-
-    /// Account `ns` of caller-side partition-merge time (the fixed-order
-    /// fold of per-partition pipeline-breaker state). No-op unless
-    /// instrumented.
-    pub fn note_partition_merge(&self, ns: u64) {
-        if self.instrumented() {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.partition_merge_ns += ns;
-        }
     }
 
     /// Run `f` "inside" the pool (compatibility shim — the closure simply
@@ -517,15 +500,13 @@ mod tests {
             let got = p.map_build((0..32).collect::<Vec<u64>>(), |_, x| x * 2);
             assert_eq!(got, (0..32).map(|x| x * 2).collect::<Vec<u64>>());
             p.map_in_order((0..8).collect::<Vec<u64>>(), |_, x| x);
-            p.note_partition_merge(17);
             let m = p.take_metrics();
             assert_eq!(m.build_tasks, 32, "threads={threads}");
             assert_eq!(m.tasks, 8, "threads={threads}");
-            assert_eq!(m.partition_merge_ns, 17);
             assert_eq!(m.worker_tasks.iter().sum::<u64>(), 40);
-            // note_partition_merge is a no-op when uninstrumented.
+            // An uninstrumented build phase leaves the metrics untouched.
             p.set_instrumented(false);
-            p.note_partition_merge(5);
+            p.map_build((0..4).collect::<Vec<u64>>(), |_, x| x);
             assert_eq!(p.take_metrics(), PoolMetrics::default());
         }
     }

@@ -9,10 +9,14 @@
 //! multiplicity `n` is `n` rows. Converters are lossless both ways between
 //! `Table`s and batches.
 
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+use ua_data::agg::KeyColumn;
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
+use ua_data::FxHasher;
 use ua_plan::storage::Table;
 use ua_plan::EngineError;
 
@@ -181,8 +185,12 @@ impl ColumnVec {
     }
 
     /// Concatenate columns (same logical column across batches). Falls back
-    /// to [`ColumnVec::Mixed`] when the parts disagree on representation.
+    /// to [`ColumnVec::Mixed`] when the parts disagree on representation;
+    /// one part comes back as a handle on its own buffer.
     pub fn concat(parts: &[&ColumnVec]) -> ColumnVec {
+        if let [one] = parts {
+            return (*one).clone();
+        }
         fn all<'a, T: Clone + 'a, F>(parts: &[&'a ColumnVec], f: F) -> Option<Vec<T>>
         where
             F: Fn(&'a ColumnVec) -> Option<&'a Vec<T>>,
@@ -226,6 +234,36 @@ impl ColumnVec {
             }
         }
         ColumnVec::Mixed(Arc::new(out))
+    }
+}
+
+/// A group key is a column's value (det γ / δ).
+impl KeyColumn for ColumnVec {
+    fn hash_at(&self, i: usize, h: &mut FxHasher) {
+        match self {
+            ColumnVec::Int(v) => h.write_i64(v[i]),
+            ColumnVec::Float(v) => v[i].hash(h),
+            ColumnVec::Bool(v) => v[i].hash(h),
+            ColumnVec::Str(v) => v[i].hash(h),
+            ColumnVec::Mixed(v) => v[i].hash(h),
+        }
+    }
+
+    fn same(&self, i: usize, j: usize) -> bool {
+        match self {
+            ColumnVec::Int(v) => v[i] == v[j],
+            ColumnVec::Float(v) => v[i] == v[j],
+            ColumnVec::Bool(v) => v[i] == v[j],
+            ColumnVec::Str(v) => v[i] == v[j],
+            ColumnVec::Mixed(v) => v[i] == v[j],
+        }
+    }
+
+    fn ints(&self) -> Option<Cow<'_, [i64]>> {
+        match self {
+            ColumnVec::Int(v) => Some(Cow::Borrowed(v)),
+            _ => None,
+        }
     }
 }
 

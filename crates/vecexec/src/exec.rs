@@ -29,8 +29,9 @@
 //! a small work-stealing thread pool (the offline `rayon` shim) with **no
 //! shared mutable state** — join build sides are built once (large
 //! builds partition by key hash and index each partition on its own worker,
-//! see [`ops`]) and probed read-only. Aggregation, the other pipeline
-//! breaker, folds partition-parallel through [`ops::aggregate_pooled`].
+//! see [`ops`]) and probed read-only. Det aggregation evaluates its key
+//! and argument columns per morsel, then groups and folds on the calling
+//! thread ([`ops::aggregate`]); det δ groups there too.
 //!
 //! ## Determinism contract
 //!
@@ -172,7 +173,7 @@ const INLINE_MORSELS: usize = 8;
 /// spans are still recorded) when there are fewer than [`INLINE_MORSELS`].
 /// Coarse fan-outs (partition builds, AU join blocks) call the pool
 /// directly: their few items are each worth a thread.
-fn map_morsels<T: Send, R: Send>(
+pub(crate) fn map_morsels<T: Send, R: Send>(
     pool: &rayon::ThreadPool,
     morsels: Vec<T>,
     f: impl Fn(usize, T) -> R + Sync,
@@ -770,7 +771,7 @@ impl<'a> Driver<'a> {
                             out
                         })
                 } else {
-                    ops::aggregate_pooled(stream, group_by, aggregates, &self.pool)
+                    ops::aggregate(stream, group_by, aggregates, &self.pool)
                 };
                 (grouped?, child)
             }
@@ -908,7 +909,6 @@ impl<'a> Driver<'a> {
             worker_tasks: m.worker_tasks,
             build_tasks: m.build_tasks,
             build_wall_ns: m.build_wall_ns,
-            partition_merge_ns: m.partition_merge_ns,
         };
         Some(QueryStats {
             engine: "vectorized".into(),

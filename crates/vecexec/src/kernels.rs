@@ -511,10 +511,9 @@ pub fn truth_masks(expr: &Expr, batch: &ColumnBatch) -> Result<(Bitmap, Bitmap),
             (t, f)
         }
         Expr::Between(e, lo, hi) => {
-            let ge_lo = Expr::Cmp(CmpOp::Ge, e.clone(), lo.clone());
-            let le_hi = Expr::Cmp(CmpOp::Le, e.clone(), hi.clone());
-            let (mut t, mut f) = truth_masks(&ge_lo, batch)?;
-            let (t2, f2) = truth_masks(&le_hi, batch)?;
+            let e = eval_expr(e, batch)?;
+            let (mut t, mut f) = cmp_masks(CmpOp::Ge, &e, &eval_expr(lo, batch)?, n);
+            let (t2, f2) = cmp_masks(CmpOp::Le, &e, &eval_expr(hi, batch)?, n);
             t.and_assign(&t2);
             f.or_assign(&f2);
             (t, f)
@@ -522,11 +521,11 @@ pub fn truth_masks(expr: &Expr, batch: &ColumnBatch) -> Result<(Bitmap, Bitmap),
         Expr::InList(e, list) => {
             // acc = False; acc = acc OR (e = item) — mirrors the scalar
             // fold, including Kleene handling of unknown memberships.
+            let e = eval_expr(e, batch)?;
             let mut t = Bitmap::filled(n, false);
             let mut f = Bitmap::filled(n, true);
             for item in list {
-                let eq = Expr::Cmp(CmpOp::Eq, e.clone(), Box::new(item.clone()));
-                let (t2, f2) = truth_masks(&eq, batch)?;
+                let (t2, f2) = cmp_masks(CmpOp::Eq, &e, &eval_expr(item, batch)?, n);
                 t.or_assign(&t2);
                 f.and_assign(&f2);
             }
@@ -1329,6 +1328,45 @@ mod tests {
         let col = eval_expr(&case, &b).unwrap().into_column(b.len());
         for i in 0..b.len() {
             assert_eq!(col.value(i), case.eval(&b.row(i)).unwrap());
+        }
+        // BETWEEN and IN over a NULL operand (a NULL-bearing column and a
+        // NULL literal) and over a computed one.
+        let cols = ["a", "n"];
+        let nb = batch(
+            (0..50i64)
+                .map(|i| {
+                    let n = if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i)
+                    };
+                    tuple![i, n]
+                })
+                .collect(),
+            &cols,
+        );
+        let (a, n) = (Expr::named("a"), Expr::named("n"));
+        let null = || Expr::lit(Value::Null);
+        let computed = || a.clone().mul(Expr::lit(2i64)).add(Expr::lit(1i64));
+        let in_list = |e: Expr, list: Vec<Expr>| Expr::InList(Box::new(e), list);
+        for e in [
+            n.clone().between(Expr::lit(5i64), Expr::lit(30i64)),
+            null().between(Expr::lit(5i64), a.clone()),
+            computed().between(n.clone(), Expr::lit(60i64)),
+            computed().between(Expr::lit(9i64), Expr::lit(41.5)),
+            in_list(n.clone(), vec![Expr::lit(4i64), Expr::lit(8i64), null()]),
+            in_list(null(), vec![Expr::lit(4i64), a.clone()]),
+            in_list(
+                computed(),
+                vec![Expr::lit(7i64), n.clone(), Expr::lit(21.0)],
+            ),
+            in_list(computed(), Vec::new()),
+        ] {
+            let e = bind(e, &cols);
+            let col = eval_expr(&e, &nb).unwrap().into_column(nb.len());
+            for i in 0..nb.len() {
+                assert_eq!(col.value(i), e.eval(&nb.row(i)).unwrap(), "{e} row {i}");
+            }
         }
     }
 

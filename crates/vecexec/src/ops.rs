@@ -7,12 +7,13 @@
 //! runs them over the encoded batches, marker column included.
 
 use crate::columnar::{BatchStream, ColumnBatch, ColumnVec};
+use crate::exec::map_morsels;
 use crate::kernels::{eval_expr, eval_selected, truth_masks, Evaluated};
 use rayon::ThreadPool;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Instant;
+use ua_data::agg::Groups;
 use ua_data::algebra::{merge_ascending, JoinKeys, ProjColumn};
 use ua_data::expr::Expr;
 use ua_data::schema::Schema;
@@ -23,9 +24,9 @@ use ua_plan::exec::JoinSpec;
 use ua_plan::plan::{AggExpr, SortOrder};
 use ua_plan::{AggState, EngineError};
 
-/// The deterministic partitioning hash for parallel pipeline breakers.
-/// Partition choice must agree between a hash-join build and its probes
-/// (and nothing else), so any fixed function works; Fx keeps it cheap.
+/// The deterministic partitioning hash of the parallel hash-join build.
+/// Partition choice must agree between a build and its probes (and
+/// nothing else), so any fixed function works; Fx keeps it cheap.
 fn partition_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
@@ -830,20 +831,26 @@ pub fn top_k(
 }
 
 /// Duplicate elimination: the first occurrence of each distinct row
-/// survives (set semantics over the bag's row copies).
+/// survives (set semantics over the bag's row copies). Rows group by the
+/// shared [`Groups`] pass over the input's concatenated columns; each
+/// input batch then gathers its groups' first rows once, so the output
+/// keeps the input's batch shape.
 pub fn distinct(input: BatchStream) -> BatchStream {
-    let mut seen: ua_data::FxHashSet<Tuple> = ua_data::FxHashSet::default();
-    let mut batches = Vec::with_capacity(input.batches.len());
-    for batch in &input.batches {
-        let mut keep: Vec<u32> = Vec::new();
-        for i in 0..batch.len() {
-            if seen.insert(batch.row(i)) {
-                keep.push(i as u32);
-            }
-        }
+    let whole = input.clone().into_single_chunk();
+    let groups = Groups::of(whole.columns(), whole.len());
+    // `firsts` ascend, so each batch's first rows are one run of them.
+    let mut firsts = groups.firsts.iter().peekable();
+    let mut start = 0;
+    let mut batches = Vec::new();
+    for batch in input.batches {
+        let end = start + batch.len();
+        let keep: Vec<u32> = std::iter::from_fn(|| firsts.next_if(|&&f| f < end))
+            .map(|&f| (f - start) as u32)
+            .collect();
         if !keep.is_empty() {
             batches.push(batch.gather(&keep));
         }
+        start = end;
     }
     BatchStream {
         schema: input.schema,
@@ -851,147 +858,46 @@ pub fn distinct(input: BatchStream) -> BatchStream {
     }
 }
 
-/// How a single-key aggregation reads its group key per row: the typed
-/// path avoids the per-row `Tuple` allocation + structural hash that
-/// dominates grouped aggregation over dense integer keys.
-enum IntKey<'a> {
-    Col(&'a [i64]),
-    Const(i64),
-}
-
-impl IntKey<'_> {
-    fn of<'a>(e: &'a Evaluated) -> Option<IntKey<'a>> {
-        match e {
-            Evaluated::Col(ColumnVec::Int(v)) => Some(IntKey::Col(v)),
-            Evaluated::Const(Value::Int(c)) => Some(IntKey::Const(*c)),
-            _ => None,
-        }
-    }
-
-    fn at(&self, i: usize) -> i64 {
-        match self {
-            IntKey::Col(v) => v[i],
-            IntKey::Const(c) => *c,
-        }
-    }
-}
-
-/// One evaluated source batch of an aggregation: the batch plus its
-/// group-key and aggregate-argument columns.
-type BatchEval<'a> = (&'a ColumnBatch, Vec<Evaluated>, Vec<Option<Evaluated>>);
-
-/// Parallel partitioned fold over evaluated batches: phase 1 scatters each
-/// batch's live rows into `parts` per-partition lists by group-key hash
-/// (batch-parallel); phase 2 folds each partition's groups on its own
-/// worker, consuming entries batch-major so every group's [`AggState`]s
-/// see exactly the serial scan's subsequence for that group, in the same
-/// order (a group lives in exactly one partition); phase 3 merges
-/// partitions in fixed order and re-sorts groups by global first-seen
-/// position. Per-group fold order and output order are both independent
-/// of `parts`, so the result is byte-identical to the serial fold for
-/// every thread count.
-/// One partition's folded output: each group's global first-seen
-/// `(batch, row)` position, its key, and its accumulated states.
-type FoldedGroups<K> = Vec<((u32, u32), K, Vec<AggState>)>;
-
-fn fold_partitioned<K: Hash + Eq + Clone + Send + Sync>(
-    evaluated: &[BatchEval],
-    aggregates: &[AggExpr],
-    pool: &ThreadPool,
-    key_of: impl Fn(&BatchEval, usize) -> K + Sync,
-) -> Vec<(K, Vec<AggState>)> {
-    let parts = pool.current_num_threads().max(1);
-    let scattered: Vec<Vec<Vec<(u32, K)>>> =
-        pool.map_build((0..evaluated.len()).collect(), |_, b: usize| {
-            let be = &evaluated[b];
-            let mut lists: Vec<Vec<(u32, K)>> = (0..parts).map(|_| Vec::new()).collect();
-            for i in 0..be.0.len() {
-                let key = key_of(be, i);
-                let p = (partition_hash(&key) % parts as u64) as usize;
-                lists[p].push((i as u32, key));
-            }
-            lists
-        });
-    // Batch-major transpose keeps each partition's entries in the scan
-    // order (batch index, then row index) the serial fold uses.
-    let mut per_part: Vec<Vec<(u32, u32, K)>> = (0..parts).map(|_| Vec::new()).collect();
-    for (b, lists) in scattered.into_iter().enumerate() {
-        for (acc, list) in per_part.iter_mut().zip(lists) {
-            acc.extend(list.into_iter().map(|(i, k)| (b as u32, i, k)));
-        }
-    }
-    let folded: Vec<FoldedGroups<K>> = pool.map_build(per_part, |_, entries| {
-        let mut slots: FxHashMap<K, usize> = FxHashMap::default();
-        let mut out: FoldedGroups<K> = Vec::new();
-        for (b, i, key) in entries {
-            let (_, _, acols) = &evaluated[b as usize];
-            let i = i as usize;
-            let slot = match slots.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let s = out.len();
-                    slots.insert(key.clone(), s);
-                    out.push((
-                        (b, i as u32),
-                        key,
-                        aggregates.iter().map(|a| AggState::new(a.func)).collect(),
-                    ));
-                    s
-                }
-            };
-            for (state, arg) in out[slot].2.iter_mut().zip(acols) {
-                match arg {
-                    Some(col) => state.update(Some(&col.value_at(i)), 1),
-                    None => state.update(None, 1),
-                }
+/// Fold one aggregate's argument column — `None` for `COUNT(*)` — over
+/// one batch into its groups' states, `of` being the batch's rows' groups.
+/// Matching a dense `Int` / `Float` column's type once, outside the row
+/// loop, took about a quarter off `agg_topk`'s det vectorized time (2-core
+/// host) against reading each row through `Evaluated::value_at`.
+fn fold_arg(states: &mut [AggState], of: &[usize], arg: Option<&Evaluated>) {
+    match arg {
+        None => of.iter().for_each(|&g| states[g].update(None, 1)),
+        Some(Evaluated::Const(v)) => of.iter().for_each(|&g| states[g].update(Some(v), 1)),
+        Some(Evaluated::Col(ColumnVec::Int(v))) => {
+            for (&g, &x) in of.iter().zip(v.iter()) {
+                states[g].update(Some(&Value::Int(x)), 1);
             }
         }
-        out
-    });
-    // First-seen positions are unique across partitions, so this sort is a
-    // fixed permutation — the global first-seen group order — no matter
-    // how many partitions the groups were spread over.
-    let merge_start = pool.instrumented().then(Instant::now);
-    let mut merged: Vec<((u32, u32), K, Vec<AggState>)> = folded.into_iter().flatten().collect();
-    merged.sort_unstable_by_key(|(first, _, _)| *first);
-    if let Some(start) = merge_start {
-        pool.note_partition_merge(start.elapsed().as_nanos() as u64);
+        Some(Evaluated::Col(ColumnVec::Float(v))) => {
+            for (&g, &x) in of.iter().zip(v.iter()) {
+                states[g].update(Some(&Value::Float(x)), 1);
+            }
+        }
+        Some(Evaluated::Col(c)) => {
+            for (i, &g) in of.iter().enumerate() {
+                states[g].update(Some(&c.value(i)), 1);
+            }
+        }
     }
-    merged.into_iter().map(|(_, k, s)| (k, s)).collect()
 }
 
 /// Grouping + aggregation (first-seen group order, like the row engine).
 ///
-/// A typed fast path handles the common shape — a single group key whose
-/// evaluated column is dense `Int` in every batch — with an `i64`-keyed
-/// hash table; the shared [`AggState`]s still fold every value, so the
-/// output is bit-identical to the general path (and the row engine).
+/// The pool only evaluates the key and argument columns, per morsel. The
+/// calling thread then groups every row in one [`Groups`] pass over the
+/// concatenated key columns — the grouping the AU γ / δ share — and folds
+/// each aggregate argument in one pass over its column into the shared
+/// [`AggState`]s, each group in scan order: output bytes equal the row
+/// engine's at every thread count and batch size.
 pub fn aggregate(
     input: BatchStream,
     group_by: &[ProjColumn],
     aggregates: &[AggExpr],
-) -> Result<BatchStream, EngineError> {
-    aggregate_impl(input, group_by, aggregates, None)
-}
-
-/// [`aggregate`] with a thread pool: with more than one worker and more
-/// than one input batch, evaluation runs batch-parallel and the group fold
-/// runs through `fold_partitioned` — byte-identical output, every
-/// thread count.
-pub fn aggregate_pooled(
-    input: BatchStream,
-    group_by: &[ProjColumn],
-    aggregates: &[AggExpr],
     pool: &ThreadPool,
-) -> Result<BatchStream, EngineError> {
-    aggregate_impl(input, group_by, aggregates, Some(pool))
-}
-
-fn aggregate_impl(
-    input: BatchStream,
-    group_by: &[ProjColumn],
-    aggregates: &[AggExpr],
-    pool: Option<&ThreadPool>,
 ) -> Result<BatchStream, EngineError> {
     let bound_groups: Vec<Expr> = group_by
         .iter()
@@ -1003,157 +909,72 @@ fn aggregate_impl(
         .map(|a| a.arg.as_ref().map(|e| e.bind(&input.schema)).transpose())
         .collect::<Result<_, _>>()
         .map_err(EngineError::Expr)?;
-    let parallel = pool
-        .map(|p| p.current_num_threads() > 1 && input.batches.len() > 1)
-        .unwrap_or(false);
 
-    // Evaluate every batch's key/argument columns up front (cheap `Arc`
-    // handles), so the typed-key decision sees the whole input.
-    let eval_batch =
-        |batch: &'_ ColumnBatch| -> Result<(Vec<Evaluated>, Vec<Option<Evaluated>>), EngineError> {
-            let group_cols: Vec<Evaluated> = bound_groups
+    type BatchEval = (Vec<ColumnVec>, Vec<Option<Evaluated>>);
+    let results = map_morsels(
+        pool,
+        input.batches.iter().collect(),
+        |_, batch: &ColumnBatch| {
+            let keys: Vec<ColumnVec> = bound_groups
                 .iter()
-                .map(|e| eval_expr(e, batch))
-                .collect::<Result<_, _>>()?;
-            let agg_cols: Vec<Option<Evaluated>> = bound_aggs
+                .map(|e| Ok(eval_expr(e, batch)?.into_column(batch.len())))
+                .collect::<Result<_, EngineError>>()?;
+            let args: Vec<Option<Evaluated>> = bound_aggs
                 .iter()
                 .map(|e| e.as_ref().map(|e| eval_expr(e, batch)).transpose())
                 .collect::<Result<_, _>>()?;
-            Ok((group_cols, agg_cols))
-        };
-    let mut evaluated: Vec<BatchEval> = Vec::with_capacity(input.batches.len());
-    if parallel {
-        let pool = pool.expect("parallel implies a pool");
-        let results = pool
-            .map_in_order(input.batches.iter().collect(), |_, batch: &ColumnBatch| {
-                eval_batch(batch).map(|(g, a)| (batch, g, a))
-            });
-        for r in results {
-            // `?` on the lowest-indexed error reproduces the serial loop's
-            // failure order.
-            evaluated.push(r?);
-        }
-    } else {
-        for batch in &input.batches {
-            let (group_cols, agg_cols) = eval_batch(batch)?;
-            evaluated.push((batch, group_cols, agg_cols));
-        }
-    }
+            Ok::<BatchEval, EngineError>((keys, args))
+        },
+    );
+    // `?` on the lowest-indexed error reproduces the serial loop's
+    // failure order.
+    let evaluated: Vec<BatchEval> = results.into_iter().collect::<Result<_, _>>()?;
 
-    let int_keyed = bound_groups.len() == 1
-        && evaluated
-            .iter()
-            .all(|(_, gcols, _)| IntKey::of(&gcols[0]).is_some());
-    // The fold produces groups as `(key, states)` in first-seen order —
-    // serially below, or partition-parallel with the same bytes.
-    let mut grouped: Vec<(Tuple, Vec<AggState>)> = if parallel {
-        let pool = pool.expect("parallel implies a pool");
-        if int_keyed {
-            fold_partitioned(&evaluated, aggregates, pool, |be, i| {
-                IntKey::of(&be.1[0]).expect("checked above").at(i)
-            })
-            .into_iter()
-            .map(|(k, s)| (Tuple::new(vec![Value::Int(k)]), s))
-            .collect()
-        } else {
-            fold_partitioned(&evaluated, aggregates, pool, |be, i| {
-                be.1.iter().map(|c| c.value_at(i)).collect::<Tuple>()
-            })
-        }
-    } else if int_keyed {
-        let mut int_groups: FxHashMap<i64, Vec<AggState>> = FxHashMap::default();
-        let mut int_order: Vec<i64> = Vec::new();
-        for (batch, gcols, acols) in &evaluated {
-            let key_col = IntKey::of(&gcols[0]).expect("checked above");
-            for i in 0..batch.len() {
-                let k = key_col.at(i);
-                let states = match int_groups.get_mut(&k) {
-                    Some(s) => s,
-                    None => {
-                        int_order.push(k);
-                        int_groups.entry(k).or_insert_with(|| {
-                            aggregates.iter().map(|a| AggState::new(a.func)).collect()
-                        })
-                    }
-                };
-                for (state, arg) in states.iter_mut().zip(acols) {
-                    match arg {
-                        Some(col) => state.update(Some(&col.value_at(i)), 1),
-                        None => state.update(None, 1),
-                    }
-                }
-            }
-        }
-        int_order
-            .into_iter()
-            .map(|k| {
-                let states = int_groups.remove(&k).expect("recorded");
-                (Tuple::new(vec![Value::Int(k)]), states)
-            })
-            .collect()
-    } else {
-        let mut groups: FxHashMap<Tuple, Vec<AggState>> = FxHashMap::default();
-        let mut order: Vec<Tuple> = Vec::new();
-        for (batch, group_cols, agg_cols) in &evaluated {
-            for i in 0..batch.len() {
-                let key: Tuple = group_cols.iter().map(|c| c.value_at(i)).collect();
-                let states = match groups.get_mut(&key) {
-                    Some(s) => s,
-                    None => {
-                        order.push(key.clone());
-                        groups.entry(key).or_insert_with(|| {
-                            aggregates.iter().map(|a| AggState::new(a.func)).collect()
-                        })
-                    }
-                };
-                for (state, arg) in states.iter_mut().zip(agg_cols) {
-                    match arg {
-                        Some(col) => state.update(Some(&col.value_at(i)), 1),
-                        None => state.update(None, 1),
-                    }
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let states = groups.remove(&key).expect("group recorded");
-                (key, states)
-            })
-            .collect()
-    };
-
+    let keys: Vec<ColumnVec> = (0..bound_groups.len())
+        .map(|k| {
+            ColumnVec::concat(
+                &evaluated
+                    .iter()
+                    .map(|(keys, _)| &keys[k])
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    let groups = Groups::of(&keys, input.num_rows());
     // Global aggregation over an empty input still yields one row.
-    if bound_groups.is_empty() && grouped.is_empty() {
-        grouped.push((
-            Tuple::empty(),
-            aggregates.iter().map(|a| AggState::new(a.func)).collect(),
-        ));
+    let n_groups = if bound_groups.is_empty() {
+        groups.firsts.len().max(1)
+    } else {
+        groups.firsts.len()
+    };
+    let firsts: Vec<u32> = groups.firsts.iter().map(|&f| f as u32).collect();
+    let mut columns: Vec<ColumnVec> = keys.iter().map(|k| k.gather(&firsts)).collect();
+    for (a, agg) in aggregates.iter().enumerate() {
+        let mut states: Vec<AggState> = (0..n_groups).map(|_| AggState::new(agg.func)).collect();
+        let mut start = 0;
+        for (batch, (_, args)) in input.batches.iter().zip(&evaluated) {
+            let end = start + batch.len();
+            fold_arg(&mut states, &groups.of[start..end], args[a].as_ref());
+            start = end;
+        }
+        let values: Vec<Value> = states.into_iter().map(AggState::finish).collect();
+        columns.push(ColumnVec::from_values(values.iter()));
     }
 
-    let mut columns: Vec<ua_data::schema::Column> =
+    let mut schema: Vec<ua_data::schema::Column> =
         group_by.iter().map(|g| g.column.clone()).collect();
     for a in aggregates {
-        columns.push(ua_data::schema::Column::unqualified(&a.name));
+        schema.push(ua_data::schema::Column::unqualified(&a.name));
     }
-    let out_schema = Schema::new(columns);
-    let mut rows: Vec<Tuple> = Vec::with_capacity(grouped.len());
-    for (key, states) in grouped {
-        let mut values: Vec<Value> = key.values().to_vec();
-        for s in states {
-            values.push(s.finish());
-        }
-        rows.push(Tuple::new(values));
-    }
-    let arity = out_schema.arity();
-    let cols: Vec<ColumnVec> = (0..arity)
-        .map(|c| ColumnVec::from_values(rows.iter().map(move |r| r.get(c).expect("arity"))))
-        .collect();
-    let len = rows.len();
-    let batch = ColumnBatch::new(out_schema.clone(), cols, len);
+    let out_schema = Schema::new(schema);
+    let batch = ColumnBatch::new(out_schema.clone(), columns, n_groups);
     Ok(BatchStream {
         schema: out_schema,
-        batches: if len == 0 { Vec::new() } else { vec![batch] },
+        batches: if n_groups == 0 {
+            Vec::new()
+        } else {
+            vec![batch]
+        },
     })
 }
 
@@ -1322,15 +1143,14 @@ mod tests {
         }
     }
 
-    /// The partition-merge-order contract: [`fold_partitioned`] (via
-    /// [`aggregate_pooled`]) must reproduce the serial fold byte for byte
+    /// The fold-order contract: [`aggregate`] must produce the same bytes
     /// at every worker count — group output order is the global
     /// first-seen order, and each group's float accumulation sees the
     /// serial scan's exact subsequence. Mixed-magnitude floats make any
     /// reordering visible: `(1e16 + 1.0) - 1e16 = 0`, but
     /// `(1e16 - 1e16) + 1.0 = 1`.
     #[test]
-    fn partitioned_aggregation_merges_in_first_seen_order() {
+    fn aggregation_merges_in_first_seen_order() {
         use crate::columnar::{batches_from_table, table_from_batches};
         use ua_plan::plan::AggFunc;
         // 24 groups, first seen in descending order, interleaved across
@@ -1362,10 +1182,23 @@ mod tests {
                 name: "m".into(),
             },
         ];
+        let pool = |workers: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .unwrap()
+        };
+        let run = |batch_rows: usize, workers: usize| {
+            let out = aggregate(
+                batches_from_table(&t, batch_rows),
+                &group_by,
+                &aggregates,
+                &pool(workers),
+            );
+            table_from_batches(&out.unwrap())
+        };
         for batch_rows in [1usize, 7, 256] {
-            let serial =
-                aggregate(batches_from_table(&t, batch_rows), &group_by, &aggregates).unwrap();
-            let expect = table_from_batches(&serial);
+            let expect = run(batch_rows, 1);
             // Output order is the global first-seen order (descending g).
             let first_keys: Vec<Value> = expect
                 .rows()
@@ -1378,23 +1211,11 @@ mod tests {
                 "first-seen group order (batch_rows={batch_rows})"
             );
             for workers in [2usize, 3, 8] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers)
-                    .build()
-                    .unwrap();
-                let got = table_from_batches(
-                    &aggregate_pooled(
-                        batches_from_table(&t, batch_rows),
-                        &group_by,
-                        &aggregates,
-                        &pool,
-                    )
-                    .unwrap(),
-                );
+                let got = run(batch_rows, workers);
                 assert_eq!(
                     got.rows(),
                     expect.rows(),
-                    "partitioned fold must be byte-identical \
+                    "aggregation must be byte-identical \
                      (batch_rows={batch_rows}, workers={workers})"
                 );
             }

@@ -2292,3 +2292,157 @@ fn au_computed_expressions_match_the_row_engine_across_threads_and_batches() {
         }
     }
 }
+
+/// Det γ and δ against the row engine over every key shape the grouping
+/// distinguishes, at threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024}:
+/// a key column whose representation changes between batches (dense `Int`
+/// up to row 1 100, then `Mixed` with `NULL` and a labeled null), `1` next
+/// to `1.0` (two groups), NaN, `-0.0` and strings, 2- and 3-column keys
+/// with thousands of distinct values (so the first-row check runs on
+/// every repeated key), empty input with and without `GROUP BY`, every
+/// aggregate function, and a key or argument that errs (`Err` ↔ `Err`).
+#[test]
+fn det_grouping_matches_the_row_engine_over_every_key_shape() {
+    const ROWS: i64 = 3000;
+    let t_rows: Vec<Tuple> = (0..ROWS)
+        .map(|i| {
+            let k = match (i < 1100, i % 6) {
+                (true, _) => Value::Int(i % 40),
+                (false, 0) => Value::Null,
+                (false, 1) => Value::Var(VarId((i % 3) as u32)),
+                (false, 2) => Value::float((i % 5) as f64),
+                _ => Value::Int(i % 5),
+            };
+            let f = match i % 7 {
+                0 => Value::float(f64::NAN),
+                1 => Value::float(-0.0),
+                2 => Value::float(0.0),
+                3 => Value::Int(1),
+                4 => Value::float(1.0),
+                _ => Value::float((i % 11) as f64 / 4.0),
+            };
+            let v = match i % 9 {
+                0 => Value::Null,
+                1 => Value::float(i as f64 / 8.0),
+                _ => Value::Int(i % 97 - 40),
+            };
+            Tuple::new(vec![
+                k,
+                f,
+                Value::str(format!("s{}", i % 13)),
+                Value::Int(i % 2000),
+                Value::Int((i % 2000) % 3),
+                v,
+            ])
+        })
+        .collect();
+    let schema = Schema::qualified("t", ["k", "f", "s", "a", "b", "v"]);
+    let catalog = Catalog::new();
+    catalog.register("t", Table::from_rows(schema.clone(), t_rows));
+    catalog.register("e", Table::from_rows(schema, Vec::new()));
+
+    let agg = |func, arg: Option<&str>, name: &str| AggExpr {
+        func,
+        arg: arg.map(Expr::named),
+        name: name.into(),
+    };
+    let every_agg = || {
+        vec![
+            agg(AggFunc::Count, Some("v"), "c"),
+            agg(AggFunc::CountStar, None, "n"),
+            agg(AggFunc::Sum, Some("v"), "s_v"),
+            agg(AggFunc::Min, Some("v"), "lo"),
+            agg(AggFunc::Max, Some("v"), "hi"),
+            agg(AggFunc::Avg, Some("v"), "m"),
+        ]
+    };
+    let scan = |table: &str| Plan::Scan(table.into());
+    let group = |input: Plan, keys: &[&str], aggregates: Vec<AggExpr>| Plan::Aggregate {
+        input: Box::new(input),
+        group_by: keys.iter().map(|k| ProjColumn::named(*k)).collect(),
+        aggregates,
+    };
+    let distinct_of = |input: Plan, cols: &[&str]| Plan::Distinct {
+        input: Box::new(Plan::Map {
+            input: Box::new(input),
+            columns: cols.iter().map(|c| ProjColumn::named(*c)).collect(),
+        }),
+    };
+    let plans = [
+        group(scan("t"), &["k"], every_agg()),
+        group(scan("t"), &["f"], every_agg()),
+        group(scan("t"), &["a", "b"], every_agg()),
+        group(scan("t"), &["a", "s", "f"], every_agg()),
+        group(
+            scan("t"),
+            &["k", "s"],
+            vec![agg(AggFunc::Min, Some("s"), "lo")],
+        ),
+        group(scan("t"), &[], every_agg()),
+        group(scan("e"), &[], every_agg()),
+        group(scan("e"), &["k"], every_agg()),
+        group(
+            Plan::Filter {
+                input: Box::new(scan("t")),
+                predicate: Expr::named("a").lt(Expr::lit(0i64)),
+            },
+            &[],
+            every_agg(),
+        ),
+        Plan::Distinct {
+            input: Box::new(scan("t")),
+        },
+        distinct_of(scan("t"), &["k"]),
+        distinct_of(scan("t"), &["f", "s"]),
+        distinct_of(scan("t"), &["a", "b"]),
+        distinct_of(scan("t"), &["a", "s", "f"]),
+        distinct_of(scan("e"), &["k", "f"]),
+        // A key that errs on every row, and an argument that errs only on
+        // the rows with `a >= 1500` (from row 1 500 on).
+        Plan::Aggregate {
+            input: Box::new(scan("t")),
+            group_by: vec![ProjColumn::expr(
+                Expr::named("k").add(Expr::named("s")),
+                "ks",
+            )],
+            aggregates: Vec::new(),
+        },
+        Plan::Aggregate {
+            input: Box::new(scan("t")),
+            group_by: vec![ProjColumn::named("b")],
+            aggregates: vec![AggExpr {
+                func: AggFunc::Sum,
+                arg: Some(Expr::Case {
+                    branches: vec![(Expr::named("a").lt(Expr::lit(1500i64)), Expr::named("v"))],
+                    otherwise: Some(Box::new(Expr::named("s").add(Expr::lit(1i64)))),
+                }),
+                name: "s_k".into(),
+            }],
+        },
+    ];
+    let mut errs = 0;
+    for plan in &plans {
+        let row = execute(plan, &catalog);
+        for threads in [1usize, 2, 4, 8] {
+            for batch_rows in [1usize, 7, 64, 1024] {
+                let context = format!("threads={threads} batch_rows={batch_rows} {plan}");
+                match (
+                    &row,
+                    stream(plan, &catalog, opts(threads, batch_rows), Semantics::Det),
+                ) {
+                    (Ok(row), Ok(vec)) => {
+                        assert_tables_identical(row, &table_from_batches(&vec), &context)
+                    }
+                    (Err(_), Err(_)) => errs += 1,
+                    (row, vec) => panic!(
+                        "outcome mismatch: {context}\n row: {:?}\n vec: {:?}",
+                        row.as_ref().err(),
+                        vec.err()
+                    ),
+                }
+            }
+        }
+    }
+    // Both erring plans err on both engines in all 16 settings.
+    assert_eq!(errs, 2 * 16);
+}
