@@ -150,11 +150,6 @@ impl ThreadPool {
         self.instrument.store(on, Ordering::Relaxed);
     }
 
-    /// Whether per-task instrumentation is currently on.
-    pub fn instrumented(&self) -> bool {
-        self.instrument.load(Ordering::Relaxed)
-    }
-
     /// Turn per-task span recording on or off (off by default). Spans are
     /// only collected while the pool is *also* instrumented
     /// ([`ThreadPool::set_instrumented`]); they feed trace export and, like
@@ -496,7 +491,6 @@ mod tests {
         for threads in [1, 4] {
             let p = pool(threads);
             p.set_instrumented(true);
-            assert!(p.instrumented());
             let got = p.map_build((0..32).collect::<Vec<u64>>(), |_, x| x * 2);
             assert_eq!(got, (0..32).map(|x| x * 2).collect::<Vec<u64>>());
             p.map_in_order((0..8).collect::<Vec<u64>>(), |_, x| x);
