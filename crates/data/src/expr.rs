@@ -8,7 +8,6 @@
 //! SQL/Libkin three-valued semantics over nulls.
 
 use crate::schema::{Schema, SchemaError};
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
@@ -433,7 +432,7 @@ impl Expr {
 
     /// Evaluate to a [`Value`]. Predicates embedded as values follow SQL
     /// semantics (`Unknown` ⇒ `NULL`).
-    pub fn eval(&self, tuple: &Tuple) -> Result<Value, ExprError> {
+    pub fn eval(&self, tuple: &[Value]) -> Result<Value, ExprError> {
         Ok(match self {
             Expr::Col(i) => tuple
                 .get(*i)
@@ -486,7 +485,7 @@ impl Expr {
     }
 
     /// Evaluate as a predicate under Kleene three-valued logic.
-    pub fn eval_truth(&self, tuple: &Tuple) -> Result<Truth, ExprError> {
+    pub fn eval_truth(&self, tuple: &[Value]) -> Result<Truth, ExprError> {
         Ok(match self {
             Expr::Cmp(op, a, b) => {
                 let va = a.eval(tuple)?;
@@ -542,7 +541,7 @@ impl Expr {
 
     /// Two-valued predicate evaluation: `Unknown` collapses to `false`.
     /// This realizes the paper's `θ(t)` in `[σ_θ(R)](t) = R(t) ⊗ θ(t)`.
-    pub fn holds(&self, tuple: &Tuple) -> Result<bool, ExprError> {
+    pub fn holds(&self, tuple: &[Value]) -> Result<bool, ExprError> {
         Ok(self.eval_truth(tuple)?.is_true())
     }
 
@@ -635,6 +634,7 @@ impl fmt::Display for Expr {
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::tuple::Tuple;
     use crate::value::VarId;
 
     fn bind(e: Expr, names: &[&str]) -> Expr {

@@ -35,5 +35,5 @@ pub use expr::{ArithOp, CmpOp, Expr, ExprError, Truth};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use relation::{bag_relation, set_relation, Database, Relation};
 pub use schema::{Column, Schema, SchemaError};
-pub use tuple::Tuple;
+pub use tuple::{RowWriter, Tuple};
 pub use value::{Value, VarId, F64};

@@ -69,10 +69,18 @@ impl AuResult {
 
     /// `(certainly-present rows, total rows)` — the AU analogue of the UA
     /// result's certainty counts.
+    /// Reads the multiplicity columns in place; a row with `ub = 0`
+    /// represents nothing and is not counted, as decoding drops it.
     pub fn certainty_counts(&self) -> (usize, usize) {
-        let rel = self.decode();
-        let certain = rel.rows().iter().filter(|r| r.mult.lb >= 1).count();
-        (certain, rel.rows().len())
+        let m = self.table.schema().arity() - 3;
+        let mult = |row: &Tuple, i: usize| match row.get(m + i) {
+            Some(Value::Int(n)) => *n,
+            other => panic!("invalid AU multiplicity {other:?}"),
+        };
+        let present = self.table.rows().iter().filter(|row| mult(row, 2) != 0);
+        present.fold((0, 0), |(certain, total), row| {
+            (certain + usize::from(mult(row, 0) >= 1), total + 1)
+        })
     }
 }
 
@@ -288,6 +296,54 @@ mod tests {
         assert!(ny.values[1].contains(&Value::Int(4)));
         assert!(ny.values[1].contains(&Value::Int(3)));
         assert!(!ny.values[1].contains(&Value::Int(2)));
+    }
+
+    #[test]
+    fn certainty_counts_read_the_marker_and_multiplicity_columns() {
+        // UA: certain and uncertain rows, counted against the projection
+        // path.
+        let ua = crate::UaResult {
+            table: Table::from_rows(
+                Schema::qualified("r", ["a"]).with_column(ua_core::UA_LABEL_COLUMN),
+                vec![tuple![1i64, 1i64], tuple![2i64, 0i64], tuple![3i64, 1i64]],
+            ),
+        };
+        let labels = ua.rows_with_certainty();
+        let by_projection = (labels.iter().filter(|(_, c)| *c).count(), labels.len());
+        assert_eq!(ua.certainty_counts(), by_projection);
+        assert_eq!(ua.certainty_counts(), (2, 3));
+        // AU: certain, uncertain and `ub = 0` rows, counted against the
+        // decoded relation.
+        let row = |v: RangeValue, m: [u64; 3]| {
+            ua_ranges::encode_row(&AuTuple {
+                values: vec![RangeValue::point(Value::Int(1)), v],
+                mult: MultBound::new(m[0], m[1], m[2]),
+            })
+        };
+        let ranged = RangeValue::new(
+            ua_ranges::Bound::Val(Value::Int(0)),
+            Value::Int(2),
+            ua_ranges::Bound::PosInf,
+        );
+        let au = AuResult {
+            table: Table::from_rows(
+                ua_ranges::flattened_schema(&Schema::qualified("r", ["a", "b"])),
+                vec![
+                    row(RangeValue::point(Value::Int(5)), [1, 1, 1]),
+                    row(ranged.clone(), [0, 1, 2]),
+                    row(RangeValue::null(), [0, 0, 0]),
+                    row(ranged, [2, 2, 3]),
+                    row(RangeValue::point(Value::Int(7)), [0, 0, 1]),
+                ],
+            ),
+        };
+        let rel = au.decode();
+        let by_decode = (
+            rel.rows().iter().filter(|r| r.mult.lb >= 1).count(),
+            rel.rows().len(),
+        );
+        assert_eq!(au.certainty_counts(), by_decode);
+        assert_eq!(au.certainty_counts(), (2, 4));
     }
 
     #[test]

@@ -51,16 +51,18 @@ pub struct UaResult {
 impl UaResult {
     /// Rows paired with their certainty markers.
     pub fn rows_with_certainty(&self) -> Vec<(Tuple, bool)> {
-        let arity = self.table.schema().arity();
-        let base: Vec<usize> = (0..arity - 1).collect();
+        let marker = self.marker();
+        let base: Vec<usize> = (0..marker).collect();
         self.table
             .rows()
             .iter()
-            .map(|row| {
-                let certain = matches!(row.get(arity - 1), Some(Value::Int(1)));
-                (row.project(&base), certain)
-            })
+            .map(|row| (row.project(&base), is_certain(row, marker)))
             .collect()
+    }
+
+    /// The position of the `ua_c` marker: the last column.
+    fn marker(&self) -> usize {
+        self.table.schema().arity() - 1
     }
 
     /// Decode into a `K²`-relation (`Enc⁻¹`, Definition 8).
@@ -70,11 +72,17 @@ impl UaResult {
 
     /// `(certain rows, total rows)` — the headline numbers of the paper's
     /// experiments (Figure 13's certain-answer percentages).
+    /// Counts the marker column in place.
     pub fn certainty_counts(&self) -> (usize, usize) {
-        let rows = self.rows_with_certainty();
-        let certain = rows.iter().filter(|(_, c)| *c).count();
+        let (rows, marker) = (self.table.rows(), self.marker());
+        let certain = rows.iter().filter(|row| is_certain(row, marker)).count();
         (certain, rows.len())
     }
+}
+
+/// Whether `row`'s marker at `marker` labels it certain.
+fn is_certain(row: &Tuple, marker: usize) -> bool {
+    matches!(row.get(marker), Some(Value::Int(1)))
 }
 
 /// The UA-DB frontend session.

@@ -21,7 +21,7 @@ pub use ua_data::agg::AggState;
 use ua_data::algebra::{candidate_keys, extract_equi_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError};
 use ua_data::schema::{Schema, SchemaError};
-use ua_data::tuple::Tuple;
+use ua_data::tuple::{RowWriter, Tuple};
 use ua_data::value::Value;
 use ua_data::FxHashMap;
 use ua_obs::Stopwatch;
@@ -126,29 +126,24 @@ impl RowOperators for Table {
                     .map(|c| c.expr.bind(t.schema()))
                     .collect::<Result<_, _>>()?;
                 let schema = Schema::new(columns.iter().map(|c| c.column.clone()).collect());
-                let mut out = Table::new(schema);
+                let mut out = RowWriter::new(bound.len());
                 for row in t.rows() {
-                    let mapped: Tuple = bound
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Result<_, _>>()?;
-                    out.push(mapped);
+                    for e in &bound {
+                        out.push(e.eval(row)?);
+                    }
+                    out.end_row();
                 }
-                Ok(out)
+                Ok(Table::from_rows(schema, out.finish()))
             }
             Plan::Join { .. } | Plan::HashJoin { .. } | Plan::OuterJoin { .. } => {
                 let (l, r) = (input(), input());
                 let spec = JoinSpec::bind(plan, l.schema(), r.schema())?;
-                let mut out = Table::new(spec.schema.clone());
                 // An outer join reports no build figures.
                 let metered = tracer.enabled() && !matches!(plan, Plan::OuterJoin { .. });
                 let mut meter = metered.then(JoinMeter::default);
-                join_rows(&l, &r, &spec, meter.as_mut(), &mut |joined| {
-                    out.push(joined);
-                    Ok(())
-                })?;
+                let rows = join_rows(&l, &r, &spec, meter.as_mut())?;
                 join_span_extras(plan, &l, &r, meter.as_ref(), tracer);
-                Ok(out)
+                Ok(Table::from_rows(spec.schema, rows))
             }
             Plan::UnionAll { .. } => {
                 let (mut out, r) = (input(), input());
@@ -606,14 +601,14 @@ impl JoinSpec {
 /// join every bucket, merged in build-scan order; an unknown probe key
 /// takes every build row). With no keys every build row is a candidate.
 /// Build keys evaluate before any probe row; `meter` times the build and
-/// sizes its table.
+/// sizes its table. Joined rows are written into shared buffers
+/// ([`RowWriter`]), the residual tested on each before it is kept.
 fn join_rows(
     l: &Table,
     r: &Table,
     spec: &JoinSpec,
     meter: Option<&mut JoinMeter>,
-    on_row: &mut dyn FnMut(Tuple) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
+) -> Result<Vec<Tuple>, EngineError> {
     let JoinSpec {
         keys: JoinKeys {
             keys,
@@ -631,19 +626,23 @@ fn join_rows(
         keys.iter().map(|k| (&k.right, &k.left)).unzip()
     };
     let residual = (!residual.is_empty()).then(|| Expr::conjunction(residual.iter().cloned()));
-    let key_of = |exprs: &[&Expr], row: &Tuple| -> Result<Tuple, EngineError> {
-        Ok(exprs
-            .iter()
-            .map(|e| e.eval(row).map(Value::join_key))
-            .collect::<Result<_, _>>()?)
+    // A row's key is evaluated into one reused buffer; the hash table
+    // is probed by the slice and owns a `Tuple` per distinct build key.
+    let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+    let key_into = |exprs: &[&Expr], row: &Tuple, key: &mut Vec<Value>| {
+        key.clear();
+        for e in exprs {
+            key.push(e.eval(row)?.join_key());
+        }
+        Ok::<_, EngineError>(())
     };
     // How a key that cannot be hashed is treated: the null-aware predicate
     // holds for any unknown key (`IS NULL` is true of labeled nulls too),
     // an equality for no NULL key (labeled nulls equal themselves). With
     // no keys at all every pair is a candidate.
     let meets_all =
-        |key: &Tuple| keys.is_empty() || (*null_aware && key.iter().any(Value::is_unknown));
-    let meets_none = |key: &Tuple| !null_aware && key.has_null();
+        |key: &[Value]| keys.is_empty() || (*null_aware && key.iter().any(Value::is_unknown));
+    let meets_none = |key: &[Value]| !null_aware && key.iter().any(|v| matches!(v, Value::Null));
 
     let every: Vec<usize> = if keys.is_empty() || *null_aware {
         (0..build.len()).collect()
@@ -656,19 +655,26 @@ fn join_rows(
     let mut always: Vec<usize> = Vec::new();
     if !keys.is_empty() {
         for (bi, brow) in build.rows().iter().enumerate() {
-            let key = key_of(&build_exprs, brow)?;
+            key_into(&build_exprs, brow, &mut key)?;
             if meets_all(&key) {
                 always.push(bi);
             } else if !meets_none(&key) {
-                if let Some(mem) = &mut mem {
-                    // One slot per build row plus the key tuple per distinct key.
-                    mem.alloc(if table.contains_key(&key) {
+                // One slot per build row plus the key tuple per distinct key.
+                let bytes = match table.get_mut(key.as_slice()) {
+                    Some(rows) => {
+                        rows.push(bi);
                         8
-                    } else {
-                        8 + crate::stats::tuple_mem_bytes(&key)
-                    });
+                    }
+                    None => {
+                        let owned = Tuple::new(key.as_slice());
+                        let bytes = 8 + crate::stats::tuple_mem_bytes(&owned);
+                        table.insert(owned, vec![bi]);
+                        bytes
+                    }
+                };
+                if let Some(mem) = &mut mem {
+                    mem.alloc(bytes);
                 }
-                table.entry(key).or_default().push(bi);
             }
         }
     }
@@ -676,23 +682,25 @@ fn join_rows(
         meter.build_ns = timer.elapsed_ns();
         meter.build_bytes = mem.as_ref().map_or(0, ua_obs::MemTracker::peak);
     }
-    let pad_row = pad.then(|| Tuple::new(vec![Value::Null; build.schema().arity()]));
-    let concat = |prow: &Tuple, brow: &Tuple| -> Tuple {
-        if *build_left {
-            brow.concat(prow)
+    let pad_row = pad.then(|| vec![Value::Null; build.schema().arity()]);
+    let mut out = RowWriter::new(l.schema().arity() + r.schema().arity());
+    let write = |out: &mut RowWriter, prow: &[Value], brow: &[Value]| {
+        let (first, second) = if *build_left {
+            (brow, prow)
         } else {
-            prow.concat(brow)
-        }
+            (prow, brow)
+        };
+        out.extend(first.iter().chain(second).cloned());
     };
     let mut merged: Vec<usize> = Vec::new();
     for prow in probe.rows() {
-        let key = key_of(&probe_exprs, prow)?;
+        key_into(&probe_exprs, prow, &mut key)?;
         let cand: &[usize] = if meets_all(&key) {
             &every
         } else if meets_none(&key) {
             &[]
         } else {
-            let bucket = table.get(&key).map_or(&[][..], Vec::as_slice);
+            let bucket = table.get(key.as_slice()).map_or(&[][..], Vec::as_slice);
             if always.is_empty() {
                 bucket
             } else {
@@ -703,17 +711,23 @@ fn join_rows(
         };
         let mut matched = false;
         for &bi in cand {
-            let joined = concat(prow, &build.rows()[bi]);
-            if residual.as_ref().map_or(Ok(true), |p| p.holds(&joined))? {
+            write(&mut out, prow, &build.rows()[bi]);
+            if residual
+                .as_ref()
+                .map_or(Ok(true), |p| p.holds(out.open_row()))?
+            {
                 matched = true;
-                on_row(joined)?;
+                out.end_row();
+            } else {
+                out.discard_row();
             }
         }
         if let (false, Some(pad_row)) = (matched, &pad_row) {
-            on_row(concat(prow, pad_row))?;
+            write(&mut out, prow, pad_row);
+            out.end_row();
         }
     }
-    Ok(())
+    Ok(out.finish())
 }
 
 fn aggregate(
@@ -879,13 +893,7 @@ mod tests {
         let pairwise = not_in.clone().or(Expr::lit(false));
         let join = |r: &Table, plan: Plan| {
             let spec = JoinSpec::bind(&plan, l.schema(), r.schema()).unwrap();
-            let mut out = Vec::new();
-            join_rows(&l, r, &spec, None, &mut |row| {
-                out.push(row);
-                Ok(())
-            })
-            .unwrap();
-            out
+            join_rows(&l, r, &spec, None).unwrap()
         };
         let side = || Box::new(Plan::Scan(String::new()));
         let outer = |predicate: &Expr, kind| Plan::OuterJoin {
@@ -960,6 +968,18 @@ mod tests {
         };
         let t = execute(&plan, &catalog()).unwrap();
         assert_eq!(t.sorted_rows(), vec![tuple!["ann"], tuple!["bob"]]);
+    }
+
+    #[test]
+    fn empty_projection_keeps_every_row() {
+        let c = catalog();
+        let plan = Plan::Map {
+            input: Box::new(Plan::Scan("emp".into())),
+            columns: Vec::new(),
+        };
+        let t = execute(&plan, &c).unwrap();
+        assert_eq!(t.len(), c.get("emp").unwrap().len());
+        assert!(t.rows().iter().all(|r| r.arity() == 0));
     }
 
     #[test]

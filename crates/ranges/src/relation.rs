@@ -18,7 +18,7 @@ use crate::value::{Bound, RangeValue};
 use ua_data::agg::count_value;
 use ua_data::relation::Relation;
 use ua_data::schema::{Column, Schema};
-use ua_data::tuple::Tuple;
+use ua_data::tuple::{RowWriter, Tuple};
 use ua_data::value::Value;
 
 /// Prefix of the encoded per-attribute lower-bound columns.
@@ -261,21 +261,43 @@ pub fn range_parts(r: &RangeValue) -> (Value, Value, Value) {
 /// This layout doubles as the deterministic tie-break order for AU sorts,
 /// so both engines compare ties over identical byte sequences.
 pub fn encode_row(row: &AuTuple) -> Tuple {
-    let parts: Vec<(Value, Value, Value)> = row.values.iter().map(range_parts).collect();
-    let mut values: Vec<Value> = Vec::with_capacity(3 * parts.len() + 3);
-    values.extend(parts.iter().map(|(_, bg, _)| bg.clone()));
-    values.extend(parts.iter().map(|(lb, _, _)| lb.clone()));
-    values.extend(parts.iter().map(|(_, _, ub)| ub.clone()));
-    values.push(count_value(row.mult.lb));
-    values.push(count_value(row.mult.bg));
-    values.push(count_value(row.mult.ub));
+    let mut values: Vec<Value> = Vec::with_capacity(3 * row.values.len() + 3);
+    encode_into(row, &mut values);
     Tuple::new(values)
 }
 
+/// Append `row`'s flattened values to `out`: each part as [`range_parts`]
+/// splits it, then the multiplicity triple.
+fn encode_into(row: &AuTuple, out: &mut impl Extend<Value>) {
+    let bound = |r: &RangeValue, b: &Bound| {
+        if r.is_null() {
+            null_sentinel()
+        } else {
+            encode_bound(b)
+        }
+    };
+    out.extend(row.values.iter().map(|r| {
+        if r.is_null() {
+            Value::Null
+        } else {
+            r.bg.clone()
+        }
+    }));
+    out.extend(row.values.iter().map(|r| bound(r, r.lb())));
+    out.extend(row.values.iter().map(|r| bound(r, r.ub())));
+    out.extend([row.mult.lb, row.mult.bg, row.mult.ub].map(count_value));
+}
+
 /// Encode an [`AuRelation`] into flattened rows (pair with
-/// [`flattened_schema`] of its schema).
+/// [`flattened_schema`] of its schema), written into shared buffers
+/// ([`RowWriter`]).
 pub fn encode_rows(rel: &AuRelation) -> Vec<Tuple> {
-    rel.rows().iter().map(encode_row).collect()
+    let mut out = RowWriter::new(3 * rel.schema().arity() + 3);
+    for row in rel.rows() {
+        encode_into(row, &mut out);
+        out.end_row();
+    }
+    out.finish()
 }
 
 /// Decode one flattened row of user arity `n`: `Ok(None)` for well-formed

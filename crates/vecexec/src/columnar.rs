@@ -14,15 +14,16 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use ua_data::agg::KeyColumn;
 use ua_data::schema::Schema;
-use ua_data::tuple::Tuple;
+use ua_data::tuple::{Tuple, MAX_BUFFER_ROWS};
 use ua_data::value::{Value, F64};
 use ua_data::FxHasher;
 use ua_plan::storage::Table;
 use ua_plan::EngineError;
 
 /// Default number of rows per batch: small enough for L1/L2-resident
-/// columns, large enough to amortize per-batch dispatch.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
+/// columns, large enough to amortize per-batch dispatch. A default batch
+/// materialises into one shared row buffer.
+pub const DEFAULT_BATCH_ROWS: usize = MAX_BUFFER_ROWS;
 
 /// A typed column vector. Columns whose values are uniformly one scalar
 /// type get a dense representation; anything else (SQL nulls, labeled
@@ -511,20 +512,25 @@ pub fn table_from_batches(stream: &BatchStream) -> Table {
     table_from_batches_pooled(stream, &inline_pool())
 }
 
+/// The most result rows [`table_from_batches_pooled`] materialises on the
+/// calling thread.
+const INLINE_RESULT_ROWS: usize = 2 * DEFAULT_BATCH_ROWS;
+
 /// [`table_from_batches`] with per-batch row materialization on `pool`
 /// (row order unchanged — batches flatten in stream order). Every result
 /// comes out of here: a UA stream's marker is its last column, an AU
 /// stream's flattened schema is its table schema.
 pub fn table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool) -> Table {
     let batches: Vec<&ColumnBatch> = stream.batches.iter().collect();
-    let materialize = |_, b: &ColumnBatch| (0..b.len()).map(|i| b.row(i)).collect::<Vec<Tuple>>();
-    // A result of at most one full morsel's rows is one worker's work
+    let materialize = |_, b: &ColumnBatch| batch_rows(b);
+    // A result of at most two full morsels' rows is one worker's work
     // however many batches hold it (a point lookup's three near-empty
     // batches): it stays on the calling thread, saving the pool's spawn and
     // join (`exec::INLINE_MORSELS`). Beyond that the rows decide, not the
-    // batch count — a row costs ≈ 0.1 µs to materialise, so five full
-    // batches repay two threads.
-    let parts: Vec<Vec<Tuple>> = if stream.num_rows() <= DEFAULT_BATCH_ROWS {
+    // batch count — a row costs ≈ 0.05 µs to materialise, so a 2 048-row
+    // result is cheaper inline, 4 096 rows break even and 8 192 repay two
+    // threads (six columns, 2 vCPUs).
+    let parts: Vec<Vec<Tuple>> = if stream.num_rows() <= INLINE_RESULT_ROWS {
         pool.map_inline(batches, materialize)
     } else {
         pool.map_in_order(batches, materialize)
@@ -534,6 +540,39 @@ pub fn table_from_batches_pooled(stream: &BatchStream, pool: &rayon::ThreadPool)
         rows.extend(p);
     }
     Table::from_rows(stream.schema.clone(), rows)
+}
+
+/// The rows of one batch, cut from one shared row-major buffer per
+/// [`MAX_BUFFER_ROWS`] rows ([`Tuple::cut`]), each buffer filled a column
+/// at a time. The row count is the batch's, so a zero-column batch keeps
+/// its rows.
+fn batch_rows(b: &ColumnBatch) -> Vec<Tuple> {
+    let arity = b.columns().len();
+    let mut rows = Vec::with_capacity(b.len());
+    for start in (0..b.len()).step_by(MAX_BUFFER_ROWS) {
+        let n = MAX_BUFFER_ROWS.min(b.len() - start);
+        let mut buf: Arc<[Value]> = (0..n * arity).map(|_| Value::Null).collect();
+        let values = Arc::get_mut(&mut buf).expect("a new buffer is unshared");
+        for (c, col) in b.columns().iter().enumerate() {
+            let slots = values.chunks_exact_mut(arity).map(|row| &mut row[c]);
+            match col {
+                ColumnVec::Int(v) => fill(slots, &v[start..], |x| Value::Int(*x)),
+                ColumnVec::Float(v) => fill(slots, &v[start..], |x| Value::Float(*x)),
+                ColumnVec::Bool(v) => fill(slots, &v[start..], |x| Value::Bool(*x)),
+                ColumnVec::Str(v) => fill(slots, &v[start..], |x| Value::Str(Arc::clone(x))),
+                ColumnVec::Mixed(v) => fill(slots, &v[start..], Value::clone),
+            }
+        }
+        rows.extend(Tuple::cut(buf, n));
+    }
+    rows
+}
+
+/// Write `value` of each of `xs` into the next of `slots`.
+fn fill<'a, T>(slots: impl Iterator<Item = &'a mut Value>, xs: &[T], value: impl Fn(&T) -> Value) {
+    for (slot, x) in slots.zip(xs) {
+        *slot = value(x);
+    }
 }
 
 /// [`table_from_batches_pooled`]: a UA stream carries its marker column
@@ -569,6 +608,39 @@ mod tests {
             assert_eq!(back.rows(), t.rows());
             assert_eq!(back.schema(), t.schema());
         }
+    }
+
+    #[test]
+    fn zero_column_batches_keep_their_rows() {
+        let schema = Schema::new(Vec::new());
+        let sizes = [3, MAX_BUFFER_ROWS + 500, 0, 700];
+        let stream = BatchStream {
+            schema: schema.clone(),
+            batches: sizes
+                .iter()
+                .map(|&n| ColumnBatch::new(schema.clone(), Vec::new(), n))
+                .collect(),
+        };
+        let rows: usize = sizes.iter().sum();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        for t in [
+            table_from_batches(&stream),
+            table_from_batches_pooled(&stream, &pool),
+        ] {
+            assert_eq!(t.len(), rows);
+            assert!(t.rows().iter().all(|r| r.arity() == 0));
+        }
+    }
+
+    #[test]
+    fn wide_batches_materialise_across_buffers() {
+        let t = sample_table();
+        let stream = batches_from_table(&t, 2 * MAX_BUFFER_ROWS + 1);
+        assert_eq!(stream.batches[0].len(), 2 * MAX_BUFFER_ROWS + 1);
+        assert_eq!(table_from_batches(&stream), t);
     }
 
     #[test]
