@@ -57,14 +57,12 @@ impl AuResult {
     /// over the best-guess world returns.
     pub fn sg_table(&self) -> Table {
         let rel = self.decode();
-        let mut out = Table::new(rel.schema().clone());
+        let mut out = Vec::new();
         for row in rel.rows() {
             let t = row.bg_tuple();
-            for _ in 0..row.mult.bg {
-                out.push(t.clone());
-            }
+            out.extend(std::iter::repeat_n(t, row.mult.bg as usize));
         }
-        out
+        Table::from_rows(rel.schema().clone(), out)
     }
 
     /// `(certainly-present rows, total rows)` — the AU analogue of the UA

@@ -695,7 +695,8 @@ fn explain_analyze_golden_snapshot() {
     );
 
     // The vectorized tree carries batch counts and lists the hash join's
-    // build-side subtree (dept) before the streamed probe chain.
+    // build-side subtree (dept) before the streamed probe chain. The σ
+    // fuses into the probe through the alias, which keeps its span.
     s.set_exec_mode(ua_engine::ExecMode::Vectorized);
     s.query_det(sql).unwrap();
     let vec = s.last_query_stats().unwrap();
@@ -703,11 +704,10 @@ fn explain_analyze_golden_snapshot() {
         vec.root.render(false),
         "Map[city→city, __agg0→n] rows=1 est=2 batches=1\n\
          \x20 Aggregate[city; count(*)→__agg0] rows=1 est=2 batches=1 (mem_bytes=43)\n\
-         \x20   HashJoin[e.dept=d.name; build=right] rows=2 est=2 batches=1 (build_rows=2, mem_bytes=92, probe_rows=2)\n\
+         \x20   HashJoin[e.dept=d.name; build=right; σ[(salary >= 80)]] rows=2 est=2 batches=1 (build_rows=2, mem_bytes=92, fused_filter=1, probe_rows=2)\n\
          \x20     Alias[d] rows=2 est=2 batches=1\n\
          \x20       Scan[dept] rows=2 est=2 batches=1\n\
          \x20     Alias[e] rows=2 est=2 batches=1\n\
-         \x20       Filter[(salary >= 80)] rows=2 est=2 batches=1\n\
-         \x20         Scan[emp] rows=4 est=4 batches=1\n"
+         \x20       Scan[emp] rows=4 est=4 batches=1\n"
     );
 }

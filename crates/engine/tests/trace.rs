@@ -645,8 +645,8 @@ fn golden_row_join_trees() {
 /// rewriting of the optimized plan too — and its tree counts
 /// `certain_rows` on the same operators as the row tree: not on the hash
 /// join, whose output ends in the right side's marker only. The σ below the join's build side fuses
-/// into nothing here (it sits under an alias), so every row span has its
-/// vectorized twin.
+/// into nothing here (the build side is a pipeline of its own, with no
+/// probe above the σ), so every row span has its vectorized twin.
 #[test]
 fn golden_vectorized_ua_join_tree() {
     let s = seeded_session();
@@ -688,6 +688,52 @@ fn golden_vectorized_ua_join_tree() {
         expected.join("\n"),
         "vectorized UA join golden drifted:\n{vec}"
     );
+}
+
+/// A σ under an alias on a hash join's *probe* side fuses into the probe
+/// through the alias on the vectorized engine: under UA the join's span
+/// folds the σ in and the alias keeps a span of its own over the scan,
+/// counting the σ's survivors as the row tree's `Alias[x]` does; under AU
+/// the σ keeps its span too, so the tree is the row tree.
+#[test]
+fn probe_side_filter_fuses_through_alias() {
+    let s = seeded_session();
+    s.set_vec_threads(1);
+    let sql = "SELECT x.v, c.dk FROM t IS TI WITH PROBABILITY (p) x, \
+               cu IS TI WITH PROBABILITY (p) c WHERE x.g = c.ck AND x.v >= 10";
+    let tree = |mode, au: bool| {
+        s.set_exec_mode(mode);
+        let report = if au {
+            s.explain_analyze_au(sql)
+        } else {
+            s.explain_analyze_ua(sql)
+        };
+        let report = mask_times(&report.expect("explain analyze"));
+        let lines = report.lines().skip_while(|l| !l.starts_with("execution"));
+        lines
+            .skip(1)
+            .take_while(|l| !l.starts_with("  memory"))
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let ua = tree(ExecMode::Vectorized, false);
+    assert_eq!(
+        ua[1..].join("\n"),
+        [
+            "    HashJoin[x.g=c.ck; build=right; σ[(v >= 10)]] rows=190 est=190 batches=1 time=* (build_ns=*, build_rows=120, mem_bytes=6720, fused_filter=1, probe_rows=190)",
+            "      Alias[c] rows=120 est=120 batches=1 time=* (certain_rows=120)",
+            "        Scan[__ua__cu__ti_1_p] rows=120 est=120 batches=1 time=* (certain_rows=120)",
+            "      Alias[x] rows=190 est=190 batches=1 time=* (certain_rows=143)",
+            "        Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 time=* (certain_rows=150)",
+        ]
+        .join("\n"),
+    );
+    let names = |tree: &[String]| -> Vec<String> {
+        let label = |l: &String| l.split(" est=").next().unwrap_or_default().to_string();
+        tree.iter().map(label).collect()
+    };
+    let (row, vec) = (tree(ExecMode::Row, true), tree(ExecMode::Vectorized, true));
+    assert_eq!(names(&row), names(&vec), "AU trees:\n{row:#?}\n{vec:#?}");
 }
 
 /// `certain_rows` is a UA count on both engines: a det query over a

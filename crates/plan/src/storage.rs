@@ -26,11 +26,13 @@ use ua_data::tuple::Tuple;
 use ua_data::value::Value;
 use ua_data::FxHashSet;
 
-/// A materialized bag of rows.
+/// A materialized bag of rows. The rows sit behind an `Arc`, so a clone
+/// — the row engine's scan of a registered table — is O(1), and
+/// [`Table::push`] copies them first only while they are shared.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Table {
     schema: Schema,
-    rows: Vec<Tuple>,
+    rows: Arc<Vec<Tuple>>,
 }
 
 impl Table {
@@ -38,7 +40,7 @@ impl Table {
     pub fn new(schema: Schema) -> Table {
         Table {
             schema,
-            rows: Vec::new(),
+            rows: Arc::new(Vec::new()),
         }
     }
 
@@ -56,7 +58,10 @@ impl Table {
                 bad.arity()
             );
         }
-        Table { schema, rows }
+        Table {
+            schema,
+            rows: Arc::new(rows),
+        }
     }
 
     /// Convert from the annotation-map representation: a tuple with
@@ -78,7 +83,7 @@ impl Table {
         rows.sort_unstable();
         Table {
             schema: rel.schema().clone(),
-            rows,
+            rows: Arc::new(rows),
         }
     }
 
@@ -114,7 +119,7 @@ impl Table {
     /// Panics on arity mismatch.
     pub fn push(&mut self, row: Tuple) {
         assert_eq!(row.arity(), self.schema.arity(), "row arity mismatch");
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
     }
 
     /// Number of rows (bag cardinality).
@@ -129,7 +134,7 @@ impl Table {
 
     /// Rows in deterministic (structural) order — for stable test output.
     pub fn sorted_rows(&self) -> Vec<Tuple> {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows.to_vec();
         rows.sort();
         rows
     }

@@ -98,6 +98,60 @@ impl Bitmap {
         Bitmap { words, len }
     }
 
+    /// A bitmap with bit `i` set iff `pred(&xs[i])`, built a word at a
+    /// time: each row ORs its bit into the word branch-free, so the loop
+    /// over one 64-row chunk has no data-dependent jump.
+    pub fn from_slice<T>(xs: &[T], pred: impl Fn(&T) -> bool) -> Bitmap {
+        let words = xs
+            .chunks(64)
+            .map(|chunk| {
+                let mut word = 0u64;
+                for (bit, x) in chunk.iter().enumerate() {
+                    word |= u64::from(pred(x)) << bit;
+                }
+                word
+            })
+            .collect();
+        Bitmap {
+            words,
+            len: xs.len(),
+        }
+    }
+
+    /// A bitmap with bit `i` set iff `pred(&xs[i], &ys[i])`, a word at a
+    /// time like [`Bitmap::from_slice`].
+    ///
+    /// # Panics
+    /// Panics when the slices differ in length.
+    pub fn from_slices<T, U>(xs: &[T], ys: &[U], pred: impl Fn(&T, &U) -> bool) -> Bitmap {
+        assert_eq!(xs.len(), ys.len(), "slice length mismatch");
+        let words = xs
+            .chunks(64)
+            .zip(ys.chunks(64))
+            .map(|(xc, yc)| {
+                let mut word = 0u64;
+                for (bit, (x, y)) in xc.iter().zip(yc).enumerate() {
+                    word |= u64::from(pred(x, y)) << bit;
+                }
+                word
+            })
+            .collect();
+        Bitmap {
+            words,
+            len: xs.len(),
+        }
+    }
+
+    /// The complement: every bit below `len` flipped.
+    pub fn not(&self) -> Bitmap {
+        let mut bm = Bitmap {
+            words: self.words.iter().map(|w| !w).collect(),
+            len: self.len,
+        };
+        bm.clear_tail();
+        bm
+    }
+
     /// Positions of all set bits, in order — the selection vector of a
     /// predicate mask.
     pub fn ones(&self) -> Vec<u32> {
@@ -166,6 +220,22 @@ mod tests {
         assert!(ones.iter().all(|&i| i % 3 == 0));
         assert_eq!(ones.len(), bm.count_ones());
         assert_eq!(ones.len(), (0..130).filter(|i| i % 3 == 0).count());
+    }
+
+    #[test]
+    fn word_constructors_match_from_fn() {
+        for len in [0, 1, 63, 64, 65, 128, 129, 200] {
+            let xs: Vec<i64> = (0..len as i64).map(|i| (i * 7) % 11).collect();
+            let ys: Vec<i64> = (0..len as i64).map(|i| (i * 5) % 11).collect();
+            let one = Bitmap::from_slice(&xs, |&x| x < 5);
+            assert_eq!(one, Bitmap::from_fn(len, |i| xs[i] < 5));
+            let two = Bitmap::from_slices(&xs, &ys, |x, y| x <= y);
+            assert_eq!(two, Bitmap::from_fn(len, |i| xs[i] <= ys[i]));
+            let not = one.not();
+            assert_eq!(not, Bitmap::from_fn(len, |i| xs[i] >= 5));
+            assert_eq!(not.count_ones() + one.count_ones(), len);
+            assert_eq!(not.not(), one);
+        }
     }
 
     #[test]

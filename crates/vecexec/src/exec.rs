@@ -260,9 +260,13 @@ enum Stage {
     Requalify(Schema),
     Probe(ProbeState),
     /// Fused σ→probe: hash keys evaluate over filter survivors only and
-    /// the join gathers straight from the original batch.
+    /// the join gathers straight from the original batch. `alias` is a
+    /// requalification that stood between the two: the σ is bound by
+    /// position and the probe reads columns by position, so it only
+    /// renames — it runs nowhere, and keeps its span.
     FilterProbe {
         pred: Expr,
+        alias: Option<Schema>,
         probe: ProbeState,
     },
     /// `⟦σ⟧_AU` ([`filter_batch`]); `user` is the input's user schema.
@@ -283,20 +287,23 @@ enum Stage {
     /// Fused `⟦σ⟧_AU`→probe: keys evaluate over the σ's survivors only and
     /// the join gathers straight from the original batch. Unlike the det
     /// fusions it keeps the σ's own span: an observed run applies the two
-    /// halves one after the other ([`run_chain`]).
+    /// halves one after the other ([`run_chain`]). `alias` as in
+    /// `FilterProbe`.
     AuFilterProbe {
         pred: Expr,
         user: Schema,
+        alias: Option<Schema>,
         probe: AuProbe,
     },
 }
 
 impl Stage {
     /// How many spans the stage reports: one per plan operator, except that
-    /// a fused det stage reports as its consumer.
+    /// a fused det σ reports as its consumer.
     fn spans(&self) -> usize {
         match self {
-            Stage::AuFilterProbe { .. } => 2,
+            Stage::FilterProbe { alias, .. } => 1 + usize::from(alias.is_some()),
+            Stage::AuFilterProbe { alias, .. } => 2 + usize::from(alias.is_some()),
             _ => 1,
         }
     }
@@ -1064,29 +1071,47 @@ impl StageTally {
 type Span = (OperatorStats, Option<usize>);
 
 /// Fuse adjacent `Filter→Project` / `Filter→Probe` stage pairs so the
-/// selection bitmap is consumed in the same pass it is produced. The
-/// stages' open spans (one per stage when tracing, none otherwise) fuse in
-/// lockstep: the merged span keeps the consumer's label with the filter's
-/// predicate folded into its detail, so the tree mirrors the kernels that
-/// actually ran. An AU `Filter→probe` pair fuses too, but its spans stay
-/// two — the row interpreter's tree ([`Stage::spans`]).
+/// selection bitmap is consumed in the same pass it is produced; a
+/// `Filter→Requalify→Probe` triple fuses too (the requalification only
+/// renames; see `Stage::FilterProbe`). The stages' open spans (one per
+/// stage when tracing, none otherwise) fuse in lockstep: the merged span
+/// keeps the consumer's label with the filter's predicate folded into its
+/// detail, so the tree mirrors the kernels that actually ran; a fused
+/// alias keeps its span, below the probe's. An AU `Filter→probe` pair
+/// fuses too, but its spans stay two — the row interpreter's tree
+/// ([`Stage::spans`]).
 fn fuse_stages(stages: Vec<Stage>, metas: Vec<Span>) -> (Vec<Stage>, Vec<Span>) {
     let mut metas = metas.into_iter();
     let mut out: Vec<Stage> = Vec::with_capacity(stages.len());
     let mut out_metas: Vec<Span> = Vec::new();
-    let fuse_meta = |out_metas: &mut Vec<Span>, meta: Option<Span>| {
-        if let (Some((filter, _)), Some((mut consumer, marker))) = (out_metas.pop(), meta) {
-            consumer.detail = if consumer.detail.is_empty() {
-                format!("σ[{}]", filter.detail)
-            } else {
-                format!("{}; σ[{}]", consumer.detail, filter.detail)
-            };
-            consumer.push_extra("fused_filter", 1);
-            out_metas.push((consumer, marker));
-        }
+    let fold = |filter: Option<Span>, consumer: Option<Span>| {
+        let ((filter, _), (mut consumer, marker)) = (filter?, consumer?);
+        consumer.detail = if consumer.detail.is_empty() {
+            format!("σ[{}]", filter.detail)
+        } else {
+            format!("{}; σ[{}]", consumer.detail, filter.detail)
+        };
+        consumer.push_extra("fused_filter", 1);
+        Some((consumer, marker))
     };
     for stage in stages {
         let meta = metas.next();
+        let across_alias = matches!(
+            (&out[..], &stage),
+            ([.., Stage::Filter(_), Stage::Requalify(_)], Stage::Probe(_))
+                | (
+                    [.., Stage::AuFilter { .. }, Stage::Requalify(_)],
+                    Stage::AuProbe(_)
+                )
+        );
+        let (alias, alias_meta) = if across_alias {
+            let Some(Stage::Requalify(schema)) = out.pop() else {
+                unreachable!("matched above")
+            };
+            (Some(schema), out_metas.pop())
+        } else {
+            (None, None)
+        };
         match (out.pop(), stage) {
             (Some(Stage::Filter(pred)), Stage::Project { exprs, schema }) => {
                 out.push(Stage::FilterProject {
@@ -1094,14 +1119,23 @@ fn fuse_stages(stages: Vec<Stage>, metas: Vec<Span>) -> (Vec<Stage>, Vec<Span>) 
                     exprs,
                     schema,
                 });
-                fuse_meta(&mut out_metas, meta);
+                let fused = fold(out_metas.pop(), meta);
+                out_metas.extend(fused);
             }
             (Some(Stage::Filter(pred)), Stage::Probe(probe)) => {
-                out.push(Stage::FilterProbe { pred, probe });
-                fuse_meta(&mut out_metas, meta);
+                out.push(Stage::FilterProbe { pred, alias, probe });
+                let fused = fold(out_metas.pop(), meta);
+                out_metas.extend(alias_meta);
+                out_metas.extend(fused);
             }
             (Some(Stage::AuFilter { pred, user }), Stage::AuProbe(probe)) => {
-                out.push(Stage::AuFilterProbe { pred, user, probe });
+                out.push(Stage::AuFilterProbe {
+                    pred,
+                    user,
+                    alias,
+                    probe,
+                });
+                out_metas.extend(alias_meta);
                 out_metas.extend(meta);
             }
             (prev, stage) => {
@@ -1160,9 +1194,46 @@ fn run_chain(
             Ok::<_, EngineError>(next)
         };
         cur = match stage {
-            Stage::AuFilterProbe { pred, user, probe } => {
-                let filtered = observed(cur, &|b, out| au_filter(b, pred, user, out))?;
+            Stage::AuFilterProbe {
+                pred,
+                user,
+                alias,
+                probe,
+            } => {
+                let mut filtered = observed(cur, &|b, out| au_filter(b, pred, user, out))?;
+                if let Some(alias) = alias {
+                    filtered = observed(filtered, &|b, out| {
+                        out.push(b.with_schema(alias.clone()));
+                        Ok(0)
+                    })?;
+                }
                 observed(filtered, &|b, out| au_probe(probe, b, None, out))?
+            }
+            // The σ stays fused; the alias span counts the survivors it
+            // would have renamed (gathered for the tally, off the clock).
+            Stage::FilterProbe {
+                pred,
+                alias: Some(alias),
+                probe,
+            } => {
+                let timer = Stopwatch::start();
+                let (mut renamed, mut next, mut tally_ns) = (Vec::new(), Vec::new(), 0);
+                for b in cur {
+                    let sel = filter_probe(pred, probe, &b, &mut next)?;
+                    let gather = Stopwatch::start();
+                    let survivors = match sel {
+                        None => Some(b),
+                        Some(sel) => (!sel.is_empty()).then(|| b.gather(&sel)),
+                    };
+                    renamed.extend(survivors.map(|b| b.with_schema(alias.clone())));
+                    tally_ns += gather.elapsed_ns();
+                }
+                tallies[span].observe(&renamed, semantics);
+                let t = &mut tallies[span + 1];
+                t.wall_ns = timer.elapsed_ns().saturating_sub(tally_ns);
+                t.observe(&next, semantics);
+                span += 2;
+                next
             }
             _ => observed(cur, &|b, out| apply_stage(stage, b, out))?,
         };
@@ -1198,11 +1269,9 @@ fn apply_stage(
         },
         Stage::Requalify(schema) => out.push(batch.with_schema(schema.clone())),
         Stage::Probe(probe) => probe.probe(&batch, None, out)?,
-        Stage::FilterProbe { pred, probe } => match filter_selection(pred, &batch)? {
-            None => probe.probe(&batch, None, out)?,
-            Some(sel) if sel.is_empty() => {}
-            Some(sel) => probe.probe(&batch, Some(&sel), out)?,
-        },
+        Stage::FilterProbe { pred, probe, .. } => {
+            filter_probe(pred, probe, &batch, out)?;
+        }
         Stage::AuFilter { pred, user } => return au_filter(batch, pred, user, out),
         Stage::AuProject { exprs, user, flat } => {
             let (mapped, rowwise) = map_batch(&batch, exprs, user, flat, user.arity())?;
@@ -1211,11 +1280,26 @@ fn apply_stage(
             return Ok(rowwise);
         }
         Stage::AuProbe(probe) => return au_probe(probe, batch, None, out),
-        Stage::AuFilterProbe { pred, user, probe } => {
-            return au_probe(probe, batch, Some((pred, user)), out)
-        }
+        Stage::AuFilterProbe {
+            pred, user, probe, ..
+        } => return au_probe(probe, batch, Some((pred, user)), out),
     }
     Ok(0)
+}
+
+/// A fused σ→probe over one batch: the probe reads the survivors in place.
+/// Returns the σ's selection (`None` = every row).
+fn filter_probe(
+    pred: &Expr,
+    probe: &ProbeState,
+    batch: &ColumnBatch,
+    out: &mut Vec<ColumnBatch>,
+) -> Result<Option<Vec<u32>>, EngineError> {
+    let sel = filter_selection(pred, batch)?;
+    if sel.as_ref().is_none_or(|sel| !sel.is_empty()) {
+        probe.probe(batch, sel.as_deref(), out)?;
+    }
+    Ok(sel)
 }
 
 /// `⟦σ⟧_AU` over one batch ([`filter_batch`]); returns how many rows took

@@ -4,10 +4,11 @@
 //!
 //! * [`truth_masks`] — evaluate a predicate under Kleene three-valued logic
 //!   into a pair of bitmaps `(certainly true, certainly false)`. Conjunction
-//!   and disjunction become word-wide AND/OR on the masks; comparisons get
-//!   typed loops for the common column shapes and a per-row
-//!   [`Value::sql_cmp`] fallback everywhere else, so the decisions are
-//!   bit-identical to the row executor's `Expr::eval_truth`.
+//!   and disjunction become word-wide AND/OR on the masks; comparisons
+//!   between same-typed operands build their masks 64 rows per word,
+//!   branch-free (`word_cmp`), and everything else takes a per-row
+//!   [`Value::sql_cmp`] fallback, so the decisions are bit-identical to
+//!   the row executor's `Expr::eval_truth`.
 //! * [`eval_expr`] — evaluate a scalar expression to a column
 //!   ([`Evaluated::Col`]) or an unexpanded constant ([`Evaluated::Const`]).
 //!   Arithmetic gets typed kernels (dense `Int`/`Float` loops with the row
@@ -581,15 +582,100 @@ fn truth_of(v: &Value) -> Result<Truth, EngineError> {
     }
 }
 
-fn masks_from_ords(
-    op: CmpOp,
-    n: usize,
-    ord_at: impl Fn(usize) -> Option<Ordering>,
-) -> (Bitmap, Bitmap) {
+/// One side of a typed comparison: a column slice or a literal.
+enum Side<'a, T> {
+    Col(&'a [T]),
+    Lit(&'a T),
+}
+
+// Two borrows: `Copy` whatever `T` is (a derive would demand `T: Copy`).
+impl<T> Clone for Side<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Side<'_, T> {}
+
+/// The mask of `x op y` over `len` rows of two same-typed sides, a word at
+/// a time ([`Bitmap::from_slice`]): `op` is matched once per batch, outside
+/// the loop, and a literal on the left compares as the flipped operator.
+/// The order is `T`'s own (`Ord` on `i64`, [`F64`]'s order-preserving
+/// bits, `str` order), which is `sql_cmp` between two values of one type.
+fn word_cmp<T: Ord>(op: CmpOp, x: Side<'_, T>, y: Side<'_, T>, len: usize) -> Bitmap {
+    match (x, y) {
+        (Side::Lit(a), Side::Lit(b)) => Bitmap::filled(len, op.test(a.cmp(b))),
+        (Side::Lit(c), Side::Col(y)) => word_cmp(op.flip(), Side::Col(y), Side::Lit(c), len),
+        (Side::Col(x), Side::Lit(c)) => match op {
+            CmpOp::Eq => Bitmap::from_slice(x, |v| v == c),
+            CmpOp::Ne => Bitmap::from_slice(x, |v| v != c),
+            CmpOp::Lt => Bitmap::from_slice(x, |v| v < c),
+            CmpOp::Le => Bitmap::from_slice(x, |v| v <= c),
+            CmpOp::Gt => Bitmap::from_slice(x, |v| v > c),
+            CmpOp::Ge => Bitmap::from_slice(x, |v| v >= c),
+        },
+        (Side::Col(x), Side::Col(y)) => match op {
+            CmpOp::Eq => Bitmap::from_slices(x, y, |a, b| a == b),
+            CmpOp::Ne => Bitmap::from_slices(x, y, |a, b| a != b),
+            CmpOp::Lt => Bitmap::from_slices(x, y, |a, b| a < b),
+            CmpOp::Le => Bitmap::from_slices(x, y, |a, b| a <= b),
+            CmpOp::Gt => Bitmap::from_slices(x, y, |a, b| a > b),
+            CmpOp::Ge => Bitmap::from_slices(x, y, |a, b| a >= b),
+        },
+    }
+}
+
+/// An evaluated comparison operand as a typed [`Side`]: a dense `Int` /
+/// `Float` / `Str` column or a literal of those types.
+enum Typed<'a> {
+    Int(Side<'a, i64>),
+    Float(Side<'a, F64>),
+    Str(Side<'a, Arc<str>>),
+}
+
+impl Evaluated {
+    fn typed(&self) -> Option<Typed<'_>> {
+        Some(match self {
+            Evaluated::Col(ColumnVec::Int(x)) => Typed::Int(Side::Col(x)),
+            Evaluated::Col(ColumnVec::Float(x)) => Typed::Float(Side::Col(x)),
+            Evaluated::Col(ColumnVec::Str(x)) => Typed::Str(Side::Col(x)),
+            Evaluated::Const(Value::Int(c)) => Typed::Int(Side::Lit(c)),
+            Evaluated::Const(Value::Float(c)) => Typed::Float(Side::Lit(c)),
+            Evaluated::Const(Value::Str(c)) => Typed::Str(Side::Lit(c)),
+            _ => return None,
+        })
+    }
+}
+
+fn cmp_masks(op: CmpOp, a: &Evaluated, b: &Evaluated, n: usize) -> (Bitmap, Bitmap) {
+    // Two same-typed operands: a typed column never holds NULL, so no row
+    // is unknown and the false mask is the true mask's complement.
+    let t = match (a.typed(), b.typed()) {
+        (Some(Typed::Int(x)), Some(Typed::Int(y))) => Some(word_cmp(op, x, y, n)),
+        (Some(Typed::Float(x)), Some(Typed::Float(y))) => Some(word_cmp(op, x, y, n)),
+        (Some(Typed::Str(x)), Some(Typed::Str(y))) => Some(word_cmp(op, x, y, n)),
+        _ => None,
+    };
+    if let Some(t) = t {
+        let f = t.not();
+        return (t, f);
+    }
+    if let (Evaluated::Const(va), Evaluated::Const(vb)) = (a, b) {
+        // Decide once, broadcast.
+        return match va.sql_cmp(vb) {
+            Some(ord) => (
+                Bitmap::filled(n, op.test(ord)),
+                Bitmap::filled(n, !op.test(ord)),
+            ),
+            None => (Bitmap::filled(n, false), Bitmap::filled(n, false)),
+        };
+    }
+    // Mixed columns and numeric promotion (where a NULL or a NaN under
+    // `cmp_int_float` leaves a row unknown): per-row SQL comparison.
     let mut t = Bitmap::filled(n, false);
     let mut f = Bitmap::filled(n, false);
     for i in 0..n {
-        if let Some(ord) = ord_at(i) {
+        if let Some(ord) = a.value_at(i).sql_cmp(&b.value_at(i)) {
             if op.test(ord) {
                 t.set(i, true);
             } else {
@@ -598,46 +684,6 @@ fn masks_from_ords(
         }
     }
     (t, f)
-}
-
-fn cmp_masks(op: CmpOp, a: &Evaluated, b: &Evaluated, n: usize) -> (Bitmap, Bitmap) {
-    use ColumnVec::*;
-    use Evaluated::*;
-    match (a, b) {
-        // Typed fast paths: plain `Ord` loops, no Value construction.
-        (Col(Int(x)), Col(Int(y))) => masks_from_ords(op, n, |i| Some(x[i].cmp(&y[i]))),
-        (Col(Int(x)), Const(Value::Int(c))) => masks_from_ords(op, n, |i| Some(x[i].cmp(c))),
-        (Const(Value::Int(c)), Col(Int(y))) => masks_from_ords(op, n, |i| Some(c.cmp(&y[i]))),
-        (Col(Float(x)), Col(Float(y))) => masks_from_ords(op, n, |i| Some(x[i].cmp(&y[i]))),
-        (Col(Float(x)), Const(Value::Float(c))) => masks_from_ords(op, n, |i| Some(x[i].cmp(c))),
-        (Const(Value::Float(c)), Col(Float(y))) => masks_from_ords(op, n, |i| Some(c.cmp(&y[i]))),
-        (Col(Str(x)), Col(Str(y))) => {
-            masks_from_ords(op, n, |i| Some(x[i].as_ref().cmp(y[i].as_ref())))
-        }
-        (Col(Str(x)), Const(Value::Str(c))) => {
-            masks_from_ords(op, n, |i| Some(x[i].as_ref().cmp(c.as_ref())))
-        }
-        (Const(Value::Str(c)), Col(Str(y))) => {
-            masks_from_ords(op, n, |i| Some(c.as_ref().cmp(y[i].as_ref())))
-        }
-        // Constant-constant: decide once, broadcast.
-        (Const(va), Const(vb)) => {
-            let ord = va.sql_cmp(vb);
-            match ord {
-                Some(ord) => {
-                    if op.test(ord) {
-                        (Bitmap::filled(n, true), Bitmap::filled(n, false))
-                    } else {
-                        (Bitmap::filled(n, false), Bitmap::filled(n, true))
-                    }
-                }
-                None => (Bitmap::filled(n, false), Bitmap::filled(n, false)),
-            }
-        }
-        // Everything else (numeric promotions, Mixed columns, type
-        // mismatches): per-row SQL comparison semantics.
-        _ => masks_from_ords(op, n, |i| a.value_at(i).sql_cmp(&b.value_at(i))),
-    }
 }
 
 /// One kernel-native operand of the AU expression kernel, over element
@@ -678,6 +724,16 @@ impl<T> Operand<T> {
             Operand::Lit(v) => (v, v, v),
             Operand::Point(bg) => (&bg[i], &bg[i], &bg[i]),
             Operand::Ranged { lb, bg, ub } => (&lb[i], &bg[i], &ub[i]),
+        }
+    }
+
+    /// The operand's three sides `(lb, bg, ub)` for the word kernels: a
+    /// literal is its own bounds, and so is a point's `bg` buffer.
+    fn sides(&self) -> [Side<'_, T>; 3] {
+        match self {
+            Operand::Lit(v) => [Side::Lit(v); 3],
+            Operand::Point(bg) => [Side::Col(bg); 3],
+            Operand::Ranged { lb, bg, ub } => [Side::Col(lb), Side::Col(bg), Side::Col(ub)],
         }
     }
 
@@ -953,7 +1009,8 @@ pub fn eval_triple(expr: &Expr, batch: &ColumnBatch, n: usize) -> Option<Triple>
 /// a.ub`, `eq` iff the intervals intersect, certain equality only between
 /// two equal points). `cmp` is the domain order (`range_cmp`); `None` from
 /// it — a NaN under the coercing Int/Float comparison — abandons the
-/// kernel, because that row's truth is `ANY`.
+/// kernel, because that row's truth is `ANY`. Only the coercing pairs take
+/// this loop; same-typed operands take [`word_possibility_masks`].
 fn possibility_masks<T: PartialEq, U: PartialEq>(
     op: CmpOp,
     len: usize,
@@ -998,20 +1055,121 @@ fn possibility_masks<T: PartialEq, U: PartialEq>(
     Some((t, f))
 }
 
+/// [`possibility_masks`]' rule between two same-typed operands, a word at a
+/// time ([`word_cmp`]). Under `lb ≤ bg ≤ ub` on both sides each flag is one
+/// endpoint comparison — `low` is `a.lb` against `b.ub`, `high` is `a.ub`
+/// against `b.lb`:
+///
+/// | `op` | possibly true | possibly false |
+/// |------|---------------|----------------|
+/// | `<`  | `low <`       | `high ≥`       |
+/// | `≤`  | `low ≤`       | `high >`       |
+/// | `>`  | `high >`      | `low ≤`        |
+/// | `≥`  | `high ≥`      | `low <`        |
+/// | `=`  | `low ≤ ∧ high ≥` | not two equal points |
+///
+/// and `≠` is `=` swapped. (`gt ∨ eq` is `a.ub ≥ b.lb`: if `a.ub = b.lb`,
+/// the intervals touch, since `a.lb ≤ a.ub = b.lb ≤ b.ub`; `lt ∨ eq` is
+/// `a.lb ≤ b.ub` the same way. Two points are equal iff each has `lb = ub`
+/// — which pins `bg` between them — and the two `lb`s agree.) Two
+/// operands neither of which is ranged are points: each is its own bounds,
+/// so possibly true is the deterministic mask over `bg` and possibly
+/// false its complement.
+fn word_possibility_masks<T: Ord>(
+    op: CmpOp,
+    a: &Operand<T>,
+    b: &Operand<T>,
+    len: usize,
+) -> (Bitmap, Bitmap) {
+    let ([al, ag, au], [bl, bg, bu]) = (a.sides(), b.sides());
+    let ranged = |o: &Operand<T>| matches!(o, Operand::Ranged { .. });
+    if !ranged(a) && !ranged(b) {
+        let t = word_cmp(op, ag, bg, len);
+        let f = t.not();
+        return (t, f);
+    }
+    let low = |op| word_cmp(op, al, bu, len);
+    let high = |op| word_cmp(op, au, bl, len);
+    match op {
+        CmpOp::Lt => (low(CmpOp::Lt), high(CmpOp::Ge)),
+        CmpOp::Le => (low(CmpOp::Le), high(CmpOp::Gt)),
+        CmpOp::Gt => (high(CmpOp::Gt), low(CmpOp::Le)),
+        CmpOp::Ge => (high(CmpOp::Ge), low(CmpOp::Lt)),
+        CmpOp::Eq | CmpOp::Ne => {
+            let mut eq = low(CmpOp::Le);
+            eq.and_assign(&high(CmpOp::Ge));
+            let mut points_equal = word_cmp(CmpOp::Eq, al, bl, len);
+            for o in [a, b] {
+                if let Operand::Ranged { lb, ub, .. } = o {
+                    points_equal.and_assign(&Bitmap::from_slices(lb, ub, |l, u| l == u));
+                }
+            }
+            let ne = points_equal.not();
+            if op == CmpOp::Eq {
+                (eq, ne)
+            } else {
+                (ne, eq)
+            }
+        }
+    }
+}
+
 /// One comparison leaf of [`range_truth_masks`] over two operands out of
 /// [`eval_native`] — a computed operand's range is never top (a batch with
 /// a top row declines there), so it compares like a stored one.
 fn range_cmp_masks(op: CmpOp, a: &Native, b: &Native, len: usize) -> Option<(Bitmap, Bitmap)> {
     use Native::*;
     match (a, b) {
-        (Int(a), Int(b)) => possibility_masks(op, len, a, b, |x, y| Some(x.cmp(y))),
-        (Float(a), Float(b)) => possibility_masks(op, len, a, b, |x, y| Some(x.cmp(y))),
-        (Str(a), Str(b)) => possibility_masks(op, len, a, b, |x, y| Some(x.cmp(y))),
+        (Int(a), Int(b)) => Some(word_possibility_masks(op, a, b, len)),
+        (Float(a), Float(b)) => Some(word_possibility_masks(op, a, b, len)),
+        (Str(a), Str(b)) => Some(word_possibility_masks(op, a, b, len)),
         (Int(a), Float(b)) => possibility_masks(op, len, a, b, |x, y| cmp_int_float(*x, y.get())),
         (Float(a), Int(b)) => possibility_masks(op, len, a, b, |x, y| {
             cmp_int_float(*y, x.get()).map(Ordering::reverse)
         }),
         _ => None,
+    }
+}
+
+/// Whether [`range_truth_masks`] of `expr` is `(t, !t)` for `t` the
+/// deterministic [`truth_masks`] over the `bg` columns alone: every leaf
+/// compares operands of one native type that are literals or stored
+/// point triples (both bounds *are* the `bg` buffer, as a scan stores a
+/// never-uncertain column), or tests `IS NULL` on such a column. Each
+/// leaf then takes `word_possibility_masks`' point rule, which is the
+/// det kernel's mask, and the connectives are the same bitmap algebra in
+/// both kernels. Nothing is evaluated: the test reads column handles.
+pub fn reads_points_only(expr: &Expr, batch: &ColumnBatch, n: usize) -> bool {
+    // The operand's type family, when it is a literal or a point column.
+    let point = |e: &Expr| -> Option<u8> {
+        match e {
+            Expr::Lit(Value::Int(_)) => Some(0),
+            Expr::Lit(Value::Float(_)) => Some(1),
+            Expr::Lit(Value::Str(_)) => Some(2),
+            Expr::Col(c) if *c < n => {
+                let [bg, lb, ub] = [*c, n + c, 2 * n + c].map(|k| batch.column(k));
+                let family = match bg {
+                    ColumnVec::Int(_) => 0,
+                    ColumnVec::Float(_) => 1,
+                    ColumnVec::Str(_) => 2,
+                    _ => return None,
+                };
+                (lb.shares_buffer(bg) && ub.shares_buffer(bg)).then_some(family)
+            }
+            _ => None,
+        }
+    };
+    let same = |a: &Expr, b: &Expr| point(a).is_some_and(|f| point(b) == Some(f));
+    match expr {
+        Expr::Cmp(_, a, b) => same(a, b),
+        Expr::And(a, b) | Expr::Or(a, b) => {
+            reads_points_only(a, batch, n) && reads_points_only(b, batch, n)
+        }
+        Expr::Not(a) => reads_points_only(a, batch, n),
+        Expr::Between(e, lo, hi) => same(e, lo) && same(e, hi),
+        Expr::InList(e, list) => point(e).is_some() && list.iter().all(|i| same(e, i)),
+        Expr::IsNull(a) => matches!(**a, Expr::Col(_)) && point(a).is_some(),
+        _ => false,
     }
 }
 

@@ -1,14 +1,19 @@
-//! The typed three-valued σ kernel against its specification: over random
-//! `[lb, bg, ub]` triples and random predicates,
+//! The typed three-valued σ kernels against their specifications: over
+//! random `[lb, bg, ub]` triples and random predicates,
 //! `kernels::range_truth_masks` must equal `ua_ranges::truth_range` row by
-//! row, bit for bit — or decline, sending the batch down the per-row path.
+//! row, bit for bit — or decline, sending the batch down the per-row path;
+//! over random typed columns, the deterministic `kernels::truth_masks`
+//! must equal `Expr::eval_truth` row by row. Batch lengths straddle the
+//! 64-row words the kernels build their masks in.
 
 use proptest::prelude::*;
-use ua_data::expr::{CmpOp, Expr};
+use std::sync::Arc;
+use ua_data::expr::{CmpOp, Expr, Truth};
 use ua_data::schema::Schema;
-use ua_data::value::Value;
+use ua_data::value::{Value, F64};
 use ua_ranges::{encode_row, flattened_schema, truth_range, AuTuple, Bound, MultBound, RangeValue};
-use ua_vecexec::kernels::range_truth_masks;
+use ua_vecexec::bitmap::Bitmap;
+use ua_vecexec::kernels::{range_truth_masks, reads_points_only, truth_masks};
 use ua_vecexec::{ColumnBatch, ColumnVec};
 
 /// User columns: two `Int` triples, a `Float` and a `Str` triple (always
@@ -66,6 +71,21 @@ fn arb_hostile() -> impl Strategy<Value = RangeValue> {
     })
 }
 
+/// Batch lengths: one word, a word and a row on either side of its edge,
+/// anything up to 70, and long batches of three or four words.
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(63usize),
+        Just(64usize),
+        Just(65usize),
+        1usize..=70,
+        129usize..=200,
+    ]
+}
+
+/// Rows of the five user columns. Each dense column is, with probability
+/// one half, points only — the shape a scan stores as one buffer.
 fn arb_rows() -> impl Strategy<Value = Vec<Vec<RangeValue>>> {
     let row = (
         arb_cell(int_of),
@@ -75,11 +95,21 @@ fn arb_rows() -> impl Strategy<Value = Vec<Vec<RangeValue>>> {
         arb_hostile(),
     )
         .prop_map(|(a, b, f, s, h)| vec![a, b, f, s, h]);
-    proptest::collection::vec(row, 1..=70).prop_map(|mut rows| {
-        // Row 0 pins the hostile column to an untyped representation.
-        rows[0][HOSTILE] = RangeValue::null();
-        rows
-    })
+    (proptest::collection::vec(row, 200), arb_len(), 0u32..16).prop_map(
+        |(mut rows, len, points)| {
+            rows.truncate(len);
+            for row in &mut rows {
+                for (c, cell) in row.iter_mut().enumerate().take(HOSTILE) {
+                    if points >> c & 1 == 1 {
+                        *cell = RangeValue::point(cell.bg.clone());
+                    }
+                }
+            }
+            // Row 0 pins the hostile column to an untyped representation.
+            rows[0][HOSTILE] = RangeValue::null();
+            rows
+        },
+    )
 }
 
 /// The columns and the literal constructor of value family `family`:
@@ -110,23 +140,35 @@ fn operand(family: u32, pick: u32, code: u32) -> Expr {
     }
 }
 
-fn arb_predicate() -> impl Strategy<Value = Expr> {
-    let op = prop_oneof![
+/// All six comparison operators.
+fn arb_op() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
         Just(CmpOp::Eq),
         Just(CmpOp::Ne),
         Just(CmpOp::Lt),
         Just(CmpOp::Le),
         Just(CmpOp::Gt),
         Just(CmpOp::Ge),
-    ];
+    ]
+}
+
+fn arb_predicate() -> impl Strategy<Value = Expr> {
     // (family, operand picks, literal codes)
     let seed = (0u32..10, 0u32..6, 0u32..6, 0u32..9, 0u32..9, 0u32..9);
     let leaf = prop_oneof![
-        (op, seed.clone()).prop_map(|(op, (fam, p1, p2, c1, c2, _))| {
+        (arb_op(), seed.clone()).prop_map(|(op, (fam, p1, p2, c1, c2, _))| {
             Expr::Cmp(
                 op,
                 Box::new(operand(fam, p1, c1)),
                 Box::new(operand(fam, p2, c2)),
+            )
+        }),
+        // A literal on the left, which the word kernels flip.
+        (arb_op(), seed.clone()).prop_map(|(op, (fam, p, _, c1, c2, _))| {
+            Expr::Cmp(
+                op,
+                Box::new(literal(fam, c1)),
+                Box::new(operand(fam, p, c2)),
             )
         }),
         seed.clone().prop_map(|(fam, p, _, c1, c2, c3)| {
@@ -148,8 +190,11 @@ fn arb_predicate() -> impl Strategy<Value = Expr> {
 }
 
 /// The rows as one AU batch over the flattened `[bg | lb | ub | m*]`
-/// layout, exactly as a scan would hand them to σ.
-fn batch_of(rows: &[Vec<RangeValue>]) -> ColumnBatch {
+/// layout, exactly as a scan would hand them to σ: with `share`, a bound
+/// column equal to its `bg` column *is* that buffer, as the scan's
+/// `share_point_bounds` stores it (a point operand); without, it is a
+/// buffer of its own holding the same values (a ranged operand).
+fn batch_of(rows: &[Vec<RangeValue>], share: bool) -> ColumnBatch {
     let flat = flattened_schema(&Schema::qualified("t", COLS));
     let encoded: Vec<_> = rows
         .iter()
@@ -160,10 +205,26 @@ fn batch_of(rows: &[Vec<RangeValue>]) -> ColumnBatch {
             })
         })
         .collect();
-    let columns = (0..flat.arity())
+    let mut columns: Vec<ColumnVec> = (0..flat.arity())
         .map(|c| ColumnVec::from_values(encoded.iter().map(move |r| r.get(c).expect("arity"))))
         .collect();
+    let n = COLS.len();
+    for c in (0..n).filter(|_| share) {
+        for bound in [n + c, 2 * n + c] {
+            if columns[bound] == columns[c] {
+                columns[bound] = columns[c].clone();
+            }
+        }
+    }
     ColumnBatch::new(flat, columns, rows.len())
+}
+
+/// The batch's `bg` columns as a user-schema batch: what the AU σ's
+/// deterministic mask evaluates over.
+fn bg_view(batch: &ColumnBatch) -> ColumnBatch {
+    let n = COLS.len();
+    let columns = batch.columns()[..n].to_vec();
+    ColumnBatch::new(Schema::qualified("t", COLS), columns, batch.len())
 }
 
 /// The value family each operand of every comparison leaf draws from
@@ -195,10 +256,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(600))]
 
     #[test]
-    fn kernel_equals_truth_range_or_declines(rows in arb_rows(), pred in arb_predicate()) {
-        let batch = batch_of(&rows);
+    fn kernel_equals_truth_range_or_declines(
+        rows in arb_rows(),
+        pred in arb_predicate(),
+        share in proptest::bool::ANY,
+    ) {
+        let batch = batch_of(&rows, share);
         prop_assert!(matches!(batch.column(HOSTILE), ColumnVec::Mixed(_)));
         let masks = range_truth_masks(&pred, &batch, COLS.len());
+        // Over point operands the analysis is the deterministic mask.
+        if reads_points_only(&pred, &batch, COLS.len()) {
+            let (t, _) = truth_masks(&pred, &bg_view(&batch)).expect("det kernel");
+            let f = t.not();
+            prop_assert_eq!(masks.clone(), Some((t, f)), "point lemma of {}", &pred);
+        }
 
         let mut leaves = Vec::new();
         leaf_families(&pred, &mut leaves);
@@ -232,7 +303,7 @@ proptest! {
         negate in 0u32..2,
         shape in 0u32..3,
     ) {
-        let batch = batch_of(&rows);
+        let batch = batch_of(&rows, negate == 1);
         let mut leaf = Expr::IsNull(Box::new(Expr::Col(column)));
         if negate == 1 {
             leaf = leaf.not();
@@ -251,5 +322,157 @@ proptest! {
                 prop_assert_eq!(possibly_false.get(i), rt.f, "row {} f of {}", i, &pred);
             }
         }
+    }
+}
+
+/// The deterministic kernel's typed user columns: two `Int`, two `Float`
+/// and two `Str` columns, never NULL.
+const DET_COLS: [&str; 6] = ["i", "j", "f", "g", "s", "t"];
+
+fn det_int(code: u32) -> i64 {
+    [
+        i64::MIN,
+        i64::MIN + 1,
+        -3,
+        -1,
+        0,
+        1,
+        2,
+        3,
+        i64::MAX - 1,
+        i64::MAX,
+    ][code as usize % 10]
+}
+
+fn det_float(code: u32) -> F64 {
+    F64::new(
+        [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -0.0,
+            0.0,
+            0.5,
+            2.0,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+        ][code as usize % 10],
+    )
+}
+
+fn det_str(code: u32) -> Arc<str> {
+    ["", "a", "ab", "b", "é"][code as usize % 5].into()
+}
+
+/// One batch of typed columns, row `r` drawn from `codes[r]`.
+fn det_batch(codes: &[[u32; 6]]) -> ColumnBatch {
+    let col = |k: usize| -> ColumnVec {
+        let codes = codes.iter().map(|row| row[k]);
+        match k / 2 {
+            0 => ColumnVec::Int(Arc::new(codes.map(det_int).collect())),
+            1 => ColumnVec::Float(Arc::new(codes.map(det_float).collect())),
+            _ => ColumnVec::Str(Arc::new(codes.map(det_str).collect())),
+        }
+    };
+    let schema = Schema::qualified("d", DET_COLS);
+    ColumnBatch::new(schema, (0..6).map(col).collect(), codes.len())
+}
+
+/// A literal of family `family % 3`: `Int`, `Float` or `Str`.
+fn det_literal(family: u32, code: u32) -> Expr {
+    Expr::Lit(match family % 3 {
+        0 => Value::Int(det_int(code)),
+        1 => Value::Float(det_float(code)),
+        _ => Value::Str(det_str(code)),
+    })
+}
+
+/// One of the family's two columns, or (one pick in three) a literal.
+fn det_operand(family: u32, pick: u32, code: u32) -> Expr {
+    match pick % 3 {
+        2 => det_literal(family, code),
+        p => Expr::Col((family % 3 * 2 + p) as usize),
+    }
+}
+
+/// Leaves over one family — the word kernels — and, one leaf in four,
+/// across two (`Int` against `Float` promotes row by row, NaN leaving the
+/// row unknown; `Str` against a number is unknown throughout).
+fn arb_det_predicate() -> impl Strategy<Value = Expr> {
+    // (family, cross-family when 0, operand picks, literal codes)
+    let seed = (0u32..3, 0u32..4, 0u32..3, 0u32..3, 0u32..10, 0u32..10);
+    let other = |family: u32, cross: u32| if cross == 0 { family + 1 } else { family };
+    let leaf = prop_oneof![
+        (arb_op(), seed.clone()).prop_map(move |(op, (fam, cross, p1, p2, c1, c2))| {
+            Expr::Cmp(
+                op,
+                Box::new(det_operand(fam, p1, c1)),
+                Box::new(det_operand(other(fam, cross), p2, c2)),
+            )
+        }),
+        seed.clone().prop_map(move |(fam, cross, p, _, c1, c2)| {
+            let hi = det_literal(other(fam, cross), c2);
+            det_operand(fam, p, c1).between(det_literal(fam, c1 + c2), hi)
+        }),
+        (seed, 0usize..=3).prop_map(move |((fam, cross, p, _, c1, c2), len)| {
+            let items = [c1, c2, c1 + 3].map(|c| det_literal(other(fam, cross * c), c));
+            Expr::InList(Box::new(det_operand(fam, p, c1)), items[..len].to_vec())
+        }),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.clone().prop_map(Expr::not),
+            inner,
+        ]
+    })
+}
+
+fn arb_det_codes() -> impl Strategy<Value = Vec<[u32; 6]>> {
+    let row = (0u32..10, 0u32..10, 0u32..10, 0u32..10, 0u32..10, 0u32..10)
+        .prop_map(|(a, b, c, d, e, f)| [a, b, c, d, e, f]);
+    let len = prop_oneof![Just(0usize), arb_len()];
+    (proptest::collection::vec(row, 200), len).prop_map(|(mut rows, len)| {
+        rows.truncate(len);
+        rows
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// The deterministic twin: `truth_masks` over typed columns is
+    /// `Expr::eval_truth` row by row — `i64` extremes, NaN, `−0.0` and
+    /// `±∞` included — and never marks a row both true and false.
+    #[test]
+    fn det_kernel_equals_eval_truth(codes in arb_det_codes(), pred in arb_det_predicate()) {
+        let batch = det_batch(&codes);
+        let (t, f) = truth_masks(&pred, &batch).expect("typed columns evaluate");
+        prop_assert_eq!((t.len(), f.len()), (codes.len(), codes.len()));
+        for i in 0..codes.len() {
+            let row = batch.row(i);
+            let scalar = pred.eval_truth(&row).expect("scalar evaluation");
+            let kernel = match (t.get(i), f.get(i)) {
+                (true, false) => Truth::True,
+                (false, true) => Truth::False,
+                (false, false) => Truth::Unknown,
+                (true, true) => panic!("row {i} of {pred} is both true and false"),
+            };
+            prop_assert_eq!(kernel, scalar, "row {} of {}", i, &pred);
+        }
+    }
+}
+
+/// An empty batch yields empty masks from both kernels (or the AU kernel
+/// declines: an empty AU batch carries no typed triple).
+#[test]
+fn empty_batches_give_empty_masks() {
+    let pred = Expr::Col(0).lt(Expr::Lit(Value::Int(1)));
+    let (t, f) = truth_masks(&pred, &det_batch(&[])).expect("det kernel");
+    assert_eq!((t, f), (Bitmap::filled(0, false), Bitmap::filled(0, false)));
+    if let Some((t, f)) = range_truth_masks(&pred, &batch_of(&[], true), COLS.len()) {
+        assert!(t.is_empty() && f.is_empty());
     }
 }
