@@ -57,12 +57,14 @@ impl AuResult {
     /// over the best-guess world returns.
     pub fn sg_table(&self) -> Table {
         let rel = self.decode();
-        let mut out = Vec::new();
+        let mut out = Table::new(rel.schema().clone());
         for row in rel.rows() {
             let t = row.bg_tuple();
-            out.extend(std::iter::repeat_n(t, row.mult.bg as usize));
+            for _ in 0..row.mult.bg {
+                out.push(t.clone());
+            }
         }
-        Table::from_rows(rel.schema().clone(), out)
+        out
     }
 
     /// `(certainly-present rows, total rows)` — the AU analogue of the UA

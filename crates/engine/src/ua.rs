@@ -620,7 +620,7 @@ pub fn ti_source(table: &Table, prob_col: &str) -> Result<Table, EngineError> {
     let p_idx = table.schema().resolve(prob_col)?;
     let (keep, mut cols) = keep_columns(table.schema(), &[p_idx]);
     cols.push(Column::unqualified(UA_LABEL_COLUMN));
-    let mut out = Vec::new();
+    let mut out = Table::new(Schema::new(cols));
     for row in table.rows() {
         let p = float_of(row.get(p_idx).expect("resolved index"), prob_col)?;
         if p >= 0.5 {
@@ -632,7 +632,7 @@ pub fn ti_source(table: &Table, prob_col: &str) -> Result<Table, EngineError> {
             out.push(Tuple::new(values));
         }
     }
-    Ok(Table::from_rows(Schema::new(cols), out))
+    Ok(out)
 }
 
 /// `label_xDB` + BGW extraction over a raw table with x-tuple id,
@@ -687,7 +687,7 @@ pub fn x_source(
         }
     }
 
-    let mut out = Vec::new();
+    let mut out = Table::new(Schema::new(cols));
     for xid in order {
         let b = blocks.remove(&xid).expect("recorded");
         let p_absent = (1.0 - b.total).max(0.0);
@@ -702,7 +702,7 @@ pub fn x_source(
         values.push(Value::Int(i64::from(certain)));
         out.push(Tuple::new(values));
     }
-    Ok(Table::from_rows(Schema::new(cols), out))
+    Ok(out)
 }
 
 /// `label_C-table` + BGW extraction over a raw table storing per-attribute
@@ -730,7 +730,7 @@ pub fn ctable_source(
     cols.push(Column::unqualified(UA_LABEL_COLUMN));
 
     let mut interner = VarInterner::new();
-    let mut out = Vec::new();
+    let mut out = Table::new(Schema::new(cols));
     for row in table.rows() {
         let all_constant = var_idxs
             .iter()
@@ -757,7 +757,7 @@ pub fn ctable_source(
         values.push(Value::Int(i64::from(certain)));
         out.push(Tuple::new(values));
     }
-    Ok(Table::from_rows(Schema::new(cols), out))
+    Ok(out)
 }
 
 #[cfg(test)]

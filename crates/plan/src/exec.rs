@@ -111,13 +111,13 @@ impl RowOperators for Table {
             Plan::Filter { predicate, .. } => {
                 let t = input();
                 let bound = predicate.bind(t.schema())?;
-                let mut out = Vec::new();
+                let mut out = Table::new(t.schema().clone());
                 for row in t.rows() {
                     if bound.holds(row)? {
                         out.push(row.clone());
                     }
                 }
-                Ok(Table::from_rows(t.schema().clone(), out))
+                Ok(out)
             }
             Plan::Map { columns, .. } => {
                 let t = input();
@@ -146,16 +146,18 @@ impl RowOperators for Table {
                 Ok(Table::from_rows(spec.schema, rows))
             }
             Plan::UnionAll { .. } => {
-                let (l, r) = (input(), input());
-                l.schema().check_union_compatible(r.schema())?;
-                let rows = [l.rows(), r.rows()].concat();
-                Ok(Table::from_rows(l.schema().clone(), rows))
+                let (mut out, r) = (input(), input());
+                out.schema().check_union_compatible(r.schema())?;
+                for row in r.rows() {
+                    out.push(row.clone());
+                }
+                Ok(out)
             }
             Plan::Distinct { .. } => {
                 let t = input();
                 let mut mem = tracer.enabled().then(ua_obs::MemTracker::new);
                 let mut seen: ua_data::FxHashSet<Tuple> = ua_data::FxHashSet::default();
-                let mut out = Vec::new();
+                let mut out = Table::new(t.schema().clone());
                 for row in t.rows() {
                     if seen.insert(row.clone()) {
                         if let Some(mem) = &mut mem {
@@ -167,7 +169,7 @@ impl RowOperators for Table {
                 if let Some(mem) = &mem {
                     tracer.extra("mem_bytes", mem.peak());
                 }
-                Ok(Table::from_rows(t.schema().clone(), out))
+                Ok(out)
             }
             Plan::Except { all, .. } => {
                 let (l, r) = (input(), input());
@@ -455,7 +457,7 @@ pub(crate) fn except_table_metered(
         }
         *budget.entry(key).or_insert(0) += 1;
     }
-    let mut out = Vec::new();
+    let mut out = Table::new(l.schema().clone());
     if all {
         for row in l.rows() {
             match budget.get_mut(&key_of(row)) {
@@ -483,7 +485,7 @@ pub(crate) fn except_table_metered(
     if let Some((slot, tracker)) = mem {
         *slot = tracker.peak();
     }
-    Table::from_rows(l.schema().clone(), out)
+    out
 }
 
 /// A det / UA join node bound over its inputs: how its pairs are
@@ -794,7 +796,7 @@ fn aggregate(
     for a in aggregates {
         columns.push(ua_data::schema::Column::unqualified(&a.name));
     }
-    let mut out = Vec::with_capacity(order.len());
+    let mut out = Table::new(Schema::new(columns));
     for key in order {
         let states = groups.remove(&key).expect("group recorded");
         let mut values: Vec<Value> = key.values().to_vec();
@@ -806,7 +808,7 @@ fn aggregate(
     if let Some(mem) = &mem {
         tracer.extra("mem_bytes", mem.peak());
     }
-    Ok(Table::from_rows(Schema::new(columns), out))
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -124,8 +124,7 @@ use crate::columnar::{
 };
 use crate::exec::Driver;
 use crate::kernels::{
-    eval_expr, eval_triple, is_definite_null, range_truth_masks, reads_points_only, truth_masks,
-    Evaluated,
+    eval_expr, eval_triple, is_definite_null, range_truth_masks, truth_masks, Evaluated,
 };
 use crate::ops::{build_index, probe_index, JoinIndex};
 use std::borrow::Cow;
@@ -1394,9 +1393,7 @@ struct Survivors {
 /// and the selected-guess multiplicity only when θ holds over the bg
 /// columns (the deterministic typed mask). Kernel-native predicates
 /// ([`range_truth_masks`]) decide possibility and certainty as bitmaps
-/// straight off the `lb`/`ub` columns — or, when every operand is a point
-/// (`reads_points_only`), take both from the bg mask with no second
-/// evaluation; any other shape evaluates
+/// straight off the `lb`/`ub` columns; any other shape evaluates
 /// `truth_range` per row over ranges assembled for the referenced columns
 /// only. Returns the survivors (`None` when every row survives unchanged)
 /// and how many rows took the per-row path.
@@ -1411,13 +1408,7 @@ fn filter_select(
         return Ok((Some(Survivors::default()), 0));
     }
     let (bg_true, _) = truth_masks(bound, &bg_view(batch, user))?;
-    // Over points the range analysis is the bg mask itself.
-    let native = if reads_points_only(bound, batch, n) {
-        Some((bg_true.clone(), bg_true.not()))
-    } else {
-        range_truth_masks(bound, batch, n)
-    };
-    let (possibly, certainly, rowwise) = match native {
+    let (possibly, certainly, rowwise) = match range_truth_masks(bound, batch, n) {
         Some((possibly, possibly_false)) => {
             let mut certainly = possibly.clone();
             certainly.and_not_assign(&possibly_false);

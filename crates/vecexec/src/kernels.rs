@@ -1131,48 +1131,6 @@ fn range_cmp_masks(op: CmpOp, a: &Native, b: &Native, len: usize) -> Option<(Bit
     }
 }
 
-/// Whether [`range_truth_masks`] of `expr` is `(t, !t)` for `t` the
-/// deterministic [`truth_masks`] over the `bg` columns alone: every leaf
-/// compares operands of one native type that are literals or stored
-/// point triples (both bounds *are* the `bg` buffer, as a scan stores a
-/// never-uncertain column), or tests `IS NULL` on such a column. Each
-/// leaf then takes `word_possibility_masks`' point rule, which is the
-/// det kernel's mask, and the connectives are the same bitmap algebra in
-/// both kernels. Nothing is evaluated: the test reads column handles.
-pub fn reads_points_only(expr: &Expr, batch: &ColumnBatch, n: usize) -> bool {
-    // The operand's type family, when it is a literal or a point column.
-    let point = |e: &Expr| -> Option<u8> {
-        match e {
-            Expr::Lit(Value::Int(_)) => Some(0),
-            Expr::Lit(Value::Float(_)) => Some(1),
-            Expr::Lit(Value::Str(_)) => Some(2),
-            Expr::Col(c) if *c < n => {
-                let [bg, lb, ub] = [*c, n + c, 2 * n + c].map(|k| batch.column(k));
-                let family = match bg {
-                    ColumnVec::Int(_) => 0,
-                    ColumnVec::Float(_) => 1,
-                    ColumnVec::Str(_) => 2,
-                    _ => return None,
-                };
-                (lb.shares_buffer(bg) && ub.shares_buffer(bg)).then_some(family)
-            }
-            _ => None,
-        }
-    };
-    let same = |a: &Expr, b: &Expr| point(a).is_some_and(|f| point(b) == Some(f));
-    match expr {
-        Expr::Cmp(_, a, b) => same(a, b),
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            reads_points_only(a, batch, n) && reads_points_only(b, batch, n)
-        }
-        Expr::Not(a) => reads_points_only(a, batch, n),
-        Expr::Between(e, lo, hi) => same(e, lo) && same(e, hi),
-        Expr::InList(e, list) => point(e).is_some() && list.iter().all(|i| same(e, i)),
-        Expr::IsNull(a) => matches!(**a, Expr::Col(_)) && point(a).is_some(),
-        _ => false,
-    }
-}
-
 /// Whether row `i` of a stored `[lb, bg, ub]` triple is the encoded
 /// definite NULL: a `NULL` selected guess between the two bound sentinels
 /// `ua_ranges::range_parts` writes for one.

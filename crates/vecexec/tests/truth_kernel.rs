@@ -13,7 +13,7 @@ use ua_data::schema::Schema;
 use ua_data::value::{Value, F64};
 use ua_ranges::{encode_row, flattened_schema, truth_range, AuTuple, Bound, MultBound, RangeValue};
 use ua_vecexec::bitmap::Bitmap;
-use ua_vecexec::kernels::{range_truth_masks, reads_points_only, truth_masks};
+use ua_vecexec::kernels::{range_truth_masks, truth_masks};
 use ua_vecexec::{ColumnBatch, ColumnVec};
 
 /// User columns: two `Int` triples, a `Float` and a `Str` triple (always
@@ -219,14 +219,6 @@ fn batch_of(rows: &[Vec<RangeValue>], share: bool) -> ColumnBatch {
     ColumnBatch::new(flat, columns, rows.len())
 }
 
-/// The batch's `bg` columns as a user-schema batch: what the AU σ's
-/// deterministic mask evaluates over.
-fn bg_view(batch: &ColumnBatch) -> ColumnBatch {
-    let n = COLS.len();
-    let columns = batch.columns()[..n].to_vec();
-    ColumnBatch::new(Schema::qualified("t", COLS), columns, batch.len())
-}
-
 /// The value family each operand of every comparison leaf draws from
 /// (`None` for the hostile column), leaf by leaf.
 fn leaf_families(e: &Expr, out: &mut Vec<Vec<Option<u8>>>) {
@@ -264,13 +256,6 @@ proptest! {
         let batch = batch_of(&rows, share);
         prop_assert!(matches!(batch.column(HOSTILE), ColumnVec::Mixed(_)));
         let masks = range_truth_masks(&pred, &batch, COLS.len());
-        // Over point operands the analysis is the deterministic mask.
-        if reads_points_only(&pred, &batch, COLS.len()) {
-            let (t, _) = truth_masks(&pred, &bg_view(&batch)).expect("det kernel");
-            let f = t.not();
-            prop_assert_eq!(masks.clone(), Some((t, f)), "point lemma of {}", &pred);
-        }
-
         let mut leaves = Vec::new();
         leaf_families(&pred, &mut leaves);
         let hostile = leaves.iter().flatten().any(Option::is_none);
