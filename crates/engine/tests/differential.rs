@@ -427,42 +427,64 @@ fn arb_group_by() -> impl Strategy<Value = String> {
         )
 }
 
-/// `EXCEPT [ALL]` between union-compatible one-column projections over the
-/// annotated sources, with an optional single-side WHERE and an optional
-/// trailing ORDER BY/LIMIT — the wrapper shapes the UA negation path peels
-/// off and re-applies over the encoded result.
+/// `EXCEPT [ALL]` between union-compatible projections over the annotated
+/// sources — one column, two columns, or one column against the same kind
+/// of column made `Float` (`* 1.0`, so `3` meets `3.0` and the keys match
+/// only under coercion) — with an optional single-side WHERE and an
+/// optional trailing ORDER BY/LIMIT — the wrapper shapes the UA negation
+/// path peels off and re-applies over the encoded result.
 fn arb_except() -> impl Strategy<Value = String> {
     (
         0usize..3,
         0usize..3,
         (0usize..2, 0usize..2),
         (0usize..4, 0i64..6, 0usize..3),
-        proptest::bool::ANY,
-        proptest::bool::ANY,
+        (proptest::bool::ANY, proptest::bool::ANY),
+        0usize..4,
     )
-        .prop_map(|(s1, s2, (c1, c2), (op, lit, where_side), all, order)| {
-            let a = &SOURCES[s1];
-            let b = &SOURCES[s2];
-            let connective = if all { "EXCEPT ALL" } else { "EXCEPT" };
-            let lw = if where_side == 0 {
-                format!(" WHERE {}", atom(a.cols[c1], op, lit))
-            } else {
-                String::new()
-            };
-            let rw = if where_side == 1 {
-                format!(" WHERE {}", atom(b.cols[c2], op, lit))
-            } else {
-                String::new()
-            };
-            let mut sql = format!(
-                "SELECT {} AS u FROM {}{lw} {connective} SELECT {} AS u FROM {}{rw}",
-                a.cols[c1], a.from, b.cols[c2], b.from
-            );
-            if order {
-                sql.push_str(" ORDER BY u LIMIT 12");
-            }
-            sql
-        })
+        .prop_map(
+            |(s1, s2, (c1, c2), (op, lit, where_side), (all, order), shape)| {
+                let a = &SOURCES[s1];
+                let b = &SOURCES[s2];
+                let connective = if all { "EXCEPT ALL" } else { "EXCEPT" };
+                let lw = if where_side == 0 {
+                    format!(" WHERE {}", atom(a.cols[c1], op, lit))
+                } else {
+                    String::new()
+                };
+                let rw = if where_side == 1 {
+                    format!(" WHERE {}", atom(b.cols[c2], op, lit))
+                } else {
+                    String::new()
+                };
+                let (left, right) = match shape {
+                    1 => (
+                        format!("{} AS u, {} AS w", a.cols[c1], a.cols[1 - c1]),
+                        format!("{} AS u, {} AS w", b.cols[c2], b.cols[1 - c2]),
+                    ),
+                    2 => (
+                        format!("{} AS u", a.cols[c1]),
+                        format!("{} * 1.0 AS u", b.cols[c2]),
+                    ),
+                    3 => (
+                        format!("{} * 1.0 AS u, {} AS w", a.cols[c1], a.cols[1 - c1]),
+                        format!("{} AS u, {} * 1.0 AS w", b.cols[c2], b.cols[1 - c2]),
+                    ),
+                    _ => (
+                        format!("{} AS u", a.cols[c1]),
+                        format!("{} AS u", b.cols[c2]),
+                    ),
+                };
+                let mut sql = format!(
+                    "SELECT {left} FROM {}{lw} {connective} SELECT {right} FROM {}{rw}",
+                    a.from, b.from
+                );
+                if order {
+                    sql.push_str(" ORDER BY u LIMIT 12");
+                }
+                sql
+            },
+        )
 }
 
 /// `LEFT`/`RIGHT [OUTER] JOIN ... ON` equi-joins over the annotated

@@ -268,6 +268,25 @@ impl KeyColumn for ColumnVec {
     }
 }
 
+impl ColumnVec {
+    /// This column under [`Value::join_key`], as a key column for
+    /// [`ua_data::agg::Groups`] (det / UA `−`): a `Mixed` column comes back
+    /// as its values' join keys, any other as a handle on its own buffer (a
+    /// one-`Int` key keeps the `i64` fast path). A typed column needs no
+    /// rewrite: `join_key` is one-to-one over one type, and `F64` already
+    /// equates `-0.0` with `0.0` and NaN with NaN. Structural equality of
+    /// two rows of the result is then IS-NOT-DISTINCT key equality: `1 =
+    /// 1.0`, NULL = NULL, a labeled null equal to itself, exact past 2⁵³.
+    pub fn join_keys(&self) -> ColumnVec {
+        match self {
+            ColumnVec::Mixed(v) => {
+                ColumnVec::Mixed(Arc::new(v.iter().map(|x| x.clone().join_key()).collect()))
+            }
+            _ => self.clone(),
+        }
+    }
+}
+
 /// A batch of rows in columnar form. Each row is one bag copy.
 #[derive(Clone, Debug)]
 pub struct ColumnBatch {

@@ -19,7 +19,7 @@ use ua_data::expr::Expr;
 use ua_data::schema::Schema;
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
-use ua_data::{FxHashMap, FxHashSet, FxHasher};
+use ua_data::{FxHashMap, FxHasher};
 use ua_plan::exec::JoinSpec;
 use ua_plan::plan::{AggExpr, SortOrder};
 use ua_plan::{AggState, EngineError};
@@ -57,12 +57,14 @@ pub fn union_all(left: BatchStream, right: BatchStream) -> Result<BatchStream, E
     })
 }
 
-/// Bag difference, columnar: right-side rows count into a per-key budget,
-/// then left batches stream through it in order. Matching
-/// follows `ua_plan::except_table` exactly — IS-NOT-DISTINCT keys
-/// ([`Value::join_key`] over every column, NULL matches NULL), earliest-
-/// first removal for `all`, first unmatched occurrence for distinct — so
-/// the two engines emit byte-identical rows in the same order.
+/// Bag difference, columnar: the grouping δ runs. Right rows then left
+/// rows are grouped in one [`Groups`] pass over their [`ColumnVec::join_keys`]
+/// columns, right rows count into their group's budget, then left batches
+/// stream through it in order. Matching follows `ua_plan::except_table`
+/// exactly — IS-NOT-DISTINCT keys ([`Value::join_key`] over every column,
+/// NULL matches NULL), earliest-first removal for `all`, first unmatched
+/// occurrence for distinct — so the two engines emit byte-identical rows in
+/// the same order.
 pub fn except(
     left: BatchStream,
     right: BatchStream,
@@ -71,43 +73,34 @@ pub fn except(
     left.schema
         .check_union_compatible(&right.schema)
         .map_err(EngineError::Schema)?;
-    let arity = left.schema.arity();
-    let key_at = |b: &ColumnBatch, i: usize| -> Tuple {
-        (0..arity)
-            .map(|c| b.column(c).value(i).join_key())
-            .collect()
-    };
-    let mut budget: FxHashMap<Tuple, u64> = FxHashMap::default();
-    for b in &right.batches {
-        for i in 0..b.len() {
-            *budget.entry(key_at(b, i)).or_insert(0) += 1;
-        }
+    let n_right = right.num_rows();
+    let mut both = right;
+    both.batches.extend(left.batches.iter().cloned());
+    let both = both.into_single_chunk();
+    let keys: Vec<ColumnVec> = both.columns().iter().map(ColumnVec::join_keys).collect();
+    let groups = Groups::of(&keys, both.len());
+    let mut budget = vec![0u64; groups.firsts.len()];
+    for &g in &groups.of[..n_right] {
+        budget[g] += 1;
     }
-    let mut seen: FxHashSet<Tuple> = FxHashSet::default();
+    let mut start = n_right;
     let mut batches = Vec::new();
     for b in &left.batches {
-        let mut keep: Vec<u32> = Vec::new();
-        for i in 0..b.len() {
-            let key = key_at(b, i);
-            let kept = if all {
-                match budget.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                }
-            } else {
-                !budget.contains_key(&key) && seen.insert(key)
-            };
-            if kept {
-                keep.push(i as u32);
-            }
+        let keep: Vec<u32> = (0..b.len())
+            .filter(|&i| {
+                let g = groups.of[start + i];
+                let matched = budget[g] > 0;
+                budget[g] -= (all && matched) as u64;
+                // Unmatched: `all` keeps every copy, distinct the group's
+                // first row — a left row, as no right row holds the key.
+                !matched && (all || groups.firsts[g] == start + i)
+            })
+            .map(|i| i as u32)
+            .collect();
+        start += b.len();
+        if !keep.is_empty() {
+            batches.push(b.gather(&keep));
         }
-        if keep.is_empty() {
-            continue;
-        }
-        batches.push(b.gather(&keep));
     }
     Ok(BatchStream {
         schema: left.schema,

@@ -2446,3 +2446,131 @@ fn det_grouping_matches_the_row_engine_over_every_key_shape() {
     // Both erring plans err on both engines in all 16 settings.
     assert_eq!(errs, 2 * 16);
 }
+
+/// Det `EXCEPT` / `EXCEPT ALL` against the row engine's `except_table` over
+/// every key shape the join-key normalisation distinguishes, at batch rows
+/// {1, 7, default}: `1` next to `1.0`, `-0.0` next to `0.0`, NaN, ±∞,
+/// `2⁵³ + 1` next to `2⁵³` as a float, `i64::MIN` / `MAX` next to ∓2⁶³ as
+/// floats, floats beyond the `i64` range, NULL, labeled nulls, strings and
+/// booleans; one- and three-column keys, an `Int` column on one side
+/// against a `Float` column on the other, empty sides, and heavy duplicates
+/// (a few hundred rows over a few dozen keys).
+#[test]
+fn det_except_matches_the_row_engine_over_every_key_shape() {
+    let two53 = 2f64.powi(53);
+    let two63 = 2f64.powi(63);
+    let ints = vec![
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(2),
+        Value::Int((1 << 53) + 1),
+        Value::Int(1 << 53),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+    ];
+    let floats = vec![
+        Value::float(0.0),
+        Value::float(-0.0),
+        Value::float(1.0),
+        Value::float(0.5),
+        Value::float(f64::NAN),
+        Value::float(f64::INFINITY),
+        Value::float(f64::NEG_INFINITY),
+        Value::float(two53),
+        Value::float(-two63),
+        Value::float(two63),
+        Value::float(1e19),
+        Value::float(-1e19),
+    ];
+    let strs = vec![Value::str("1"), Value::str("s"), Value::str("")];
+    let bools = vec![Value::Bool(true), Value::Bool(false)];
+    let mut mixed: Vec<Value> = [&ints, &floats, &strs, &bools]
+        .into_iter()
+        .flatten()
+        .cloned()
+        .collect();
+    mixed.extend([Value::Null, Value::Var(VarId(0)), Value::Var(VarId(1))]);
+
+    let mut rng = StdRng::seed_from_u64(0xE8C3);
+    let catalog = Catalog::new();
+    let mut tables: Vec<(String, Table)> = Vec::new();
+    let mut register = |name: &str, cols: &[&str], rows: Vec<Tuple>| {
+        let table = Table::from_rows(Schema::qualified(name, cols.iter().copied()), rows);
+        catalog.register(name, table.clone());
+        tables.push((name.to_string(), table));
+    };
+    // One-column keys: each side a typed (or mixed) column of 300 rows
+    // drawn from its pool, and an empty one.
+    let one = [
+        ("ints", &ints),
+        ("floats", &floats),
+        ("strs", &strs),
+        ("bools", &bools),
+        ("mixed", &mixed),
+    ];
+    for (name, pool) in one {
+        let rows = (0..300)
+            .map(|_| Tuple::new(vec![pool[rng.gen_range(0..pool.len())].clone()]))
+            .collect();
+        register(name, &["k"], rows);
+    }
+    register("empty", &["k"], Vec::new());
+    // Three-column keys over small domains so whole tuples repeat: `a` an
+    // `Int` column (`wide_i`) or the same values as `Float`s (`wide_f`).
+    for (name, as_float) in [("wide_i", false), ("wide_f", true), ("wide_i2", false)] {
+        let rows = (0..400)
+            .map(|_| {
+                let a = rng.gen_range(0..4i64);
+                let a = if as_float {
+                    Value::float(a as f64)
+                } else {
+                    Value::Int(a)
+                };
+                let b = [Value::float(0.0), Value::float(1.0), Value::float(f64::NAN)]
+                    [rng.gen_range(0..3usize)]
+                .clone();
+                let c = [
+                    Value::Null,
+                    Value::Var(VarId(0)),
+                    Value::Int(1),
+                    Value::float(1.0),
+                    Value::str("s"),
+                ][rng.gen_range(0..5usize)]
+                .clone();
+                Tuple::new(vec![a, b, c])
+            })
+            .collect();
+        register(name, &["a", "b", "c"], rows);
+    }
+    register("wide_empty", &["a", "b", "c"], Vec::new());
+
+    let names = |arity: usize| -> Vec<&(String, Table)> {
+        tables
+            .iter()
+            .filter(|(_, t)| t.schema().arity() == arity)
+            .collect()
+    };
+    let mut runs = 0;
+    for arity in [1, 3] {
+        for (l, lt) in names(arity) {
+            for (r, rt) in names(arity) {
+                for all in [false, true] {
+                    let expected = ua_engine::exec::except_table(lt, rt, all);
+                    let plan = Plan::Except {
+                        left: Box::new(Plan::Scan(l.clone())),
+                        right: Box::new(Plan::Scan(r.clone())),
+                        all,
+                    };
+                    for batch_rows in [1usize, 7, ua_vecexec::DEFAULT_BATCH_ROWS] {
+                        let vec = stream(&plan, &catalog, opts(0, batch_rows), Semantics::Det)
+                            .expect("vectorized EXCEPT");
+                        let context = format!("batch_rows={batch_rows} {plan}");
+                        assert_tables_identical(&expected, &table_from_batches(&vec), &context);
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, (6 * 6 + 4 * 4) * 2 * 3);
+}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Size of the executor core (ROADMAP item 2): `crates/{plan,vecexec,engine,
+# Size of the executor core (ROADMAP item 5): `crates/{plan,vecexec,engine,
 # ranges}/src`, then the data layer `crates/data/src` they share and the sum
 # of both (code that moves between the core and the data layer shows in
 # neither total alone). "code" counts the non-blank, non-comment lines of the

@@ -253,3 +253,66 @@ fn sql_and_programmatic_ctable_paths_agree() {
         "tautology labeled certain, contingent condition uncertain"
     );
 }
+
+/// PDBench Q3 (TPC-H Q7 shape, the `spine` `join_heavy` statement) over
+/// small generated TPC-H instances with 5 % injected cell uncertainty: the
+/// aliased 4-way comma join runs under AU on both engines at scales 0.001
+/// and 0.005, the vectorized AU result equals the row AU result row for
+/// row, and its selected-guess world equals the deterministic answer over
+/// the best-guess world.
+#[test]
+fn aliased_tpch_q3_runs_under_au_on_both_engines_at_small_scales() {
+    use uadb::datagen::pdbench::inject_db;
+    use uadb::datagen::queries::pdbench_uncertain_columns;
+    use uadb::ranges::AuRelation;
+    const Q3: &str = "SELECT s.suppkey, c.custkey, l.shipdate \
+         FROM supplier s, lineitem l, orders o, customer c \
+         WHERE s.suppkey = l.suppkey AND o.orderkey = l.orderkey \
+         AND c.custkey = o.custkey AND s.nationkey = 1 AND c.nationkey = 2";
+    for scale in [0.001, 0.005] {
+        let data = generate(&TpchConfig::new(scale, 1));
+        let tables: Vec<(&str, &Table, &[&str])> = data
+            .tables()
+            .into_iter()
+            .map(|(name, table)| (name, table, pdbench_uncertain_columns(name)))
+            .collect();
+        let db = inject_db(
+            &tables,
+            &PdbenchConfig {
+                uncertainty: 0.05,
+                seed: 1,
+                ..PdbenchConfig::default()
+            },
+        );
+        let det = UaSession::new();
+        let au = UaSession::new();
+        for &(name, _, _) in &tables {
+            det.register_table(name, db.bgw[name].clone());
+            let xrel = db.xdb.get(name).expect("every table was injected");
+            let blocks: Vec<Vec<(uadb::data::Tuple, f64)>> = xrel
+                .xtuples()
+                .iter()
+                .map(|xt| {
+                    xt.alternatives
+                        .iter()
+                        .map(|a| (a.tuple.clone(), a.probability))
+                        .collect()
+                })
+                .collect();
+            let rel =
+                AuRelation::from_x_blocks(xrel.schema().clone(), blocks.iter().map(Vec::as_slice));
+            au.register_table(name, uadb::engine::au_table(&rel));
+        }
+        let expected = det.query_det(Q3).expect("det Q3").sorted_rows();
+        au.set_exec_mode(ExecMode::Row);
+        let row = au
+            .query_au(Q3)
+            .unwrap_or_else(|e| panic!("row AU Q3 at scale {scale}: {e}"));
+        au.set_exec_mode(ExecMode::Vectorized);
+        let vec = au
+            .query_au(Q3)
+            .unwrap_or_else(|e| panic!("vectorized AU Q3 at scale {scale}: {e}"));
+        assert_eq!(vec.table.rows(), row.table.rows(), "scale {scale}");
+        assert_eq!(vec.sg_table().sorted_rows(), expected, "scale {scale}");
+    }
+}
