@@ -714,3 +714,92 @@ fn det_grouping_runs_no_build_tasks_on_the_pool() {
         assert_eq!(pool.build_tasks, 0, "{name}: {pool:?}");
     }
 }
+
+/// AU `−`, `⟕` and the keyless `⋈` report `rowwise_pairs` on the
+/// vectorized engine: the candidate pairs their shared selection refined
+/// through the range rule instead of settling them as bucket hits. Over
+/// point keys every `−` / `⟕` candidate is a bucket hit (0); a ranged key
+/// makes its pairs refine; a keyless `⋈` refines every pair. The figure is
+/// the same at every thread count and batch size.
+#[test]
+fn au_negation_and_keyless_join_report_refined_pairs() {
+    use ua_engine::plan::{OuterKind, Plan};
+    use ua_engine::{Catalog, ExecOptions, Semantics};
+    use ua_ranges::{AuRelation, AuTuple, Bound, MultBound, RangeValue};
+    let side = |name: &str, ranged: bool| {
+        let mut rel = AuRelation::new(Schema::qualified(name, ["k"]));
+        for i in 0..12i64 {
+            let k = if ranged && i % 4 == 0 {
+                RangeValue::new(
+                    Bound::Val(Value::Int(i % 5)),
+                    Value::Int(i % 5),
+                    Bound::Val(Value::Int(i % 5 + 1)),
+                )
+            } else {
+                RangeValue::point(Value::Int(i % 5))
+            };
+            rel.push(AuTuple {
+                values: vec![k],
+                mult: MultBound::certain(1),
+            });
+        }
+        rel
+    };
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    let col = ua_data::Expr::named;
+    let except = |all| Plan::Except {
+        left: scan("l"),
+        right: scan("r"),
+        all,
+    };
+    let plans = [
+        ("Except", except(false)),
+        ("Except", except(true)),
+        (
+            "OuterJoin",
+            Plan::OuterJoin {
+                left: scan("l"),
+                right: scan("r"),
+                predicate: Some(col("l.k").eq(col("r.k"))),
+                kind: OuterKind::Left,
+            },
+        ),
+        (
+            "Join",
+            Plan::Join {
+                left: scan("l"),
+                right: scan("r"),
+                predicate: Some(col("l.k").lt(col("r.k"))),
+            },
+        ),
+    ];
+    for ranged in [false, true] {
+        let catalog = Catalog::new();
+        catalog.register("l", ua_engine::au_table(&side("l", ranged)));
+        catalog.register("r", ua_engine::au_table(&side("r", ranged)));
+        for (name, plan) in &plans {
+            let mut seen = Vec::new();
+            for (threads, batch_rows) in [(1, 1024), (2, 5), (4, 1)] {
+                let opts = ExecOptions {
+                    threads,
+                    batch_rows,
+                    collect_stats: true,
+                    collect_trace: false,
+                };
+                let (result, stats) = ua_vecexec::execute(plan, &catalog, opts, Semantics::Au);
+                result.expect("au vec");
+                let root = stats.expect("stats on").root;
+                assert_eq!(root.name, *name);
+                let pairs = root.extra.iter().find(|(k, _)| k == "rowwise_pairs");
+                seen.push(pairs.map(|&(_, v)| v).expect("reported"));
+            }
+            let context = format!("{name} ranged={ranged}: {seen:?}");
+            assert!(seen.iter().all(|&s| s == seen[0]), "{context}");
+            match (*name, ranged) {
+                ("Join", _) => assert_eq!(seen[0], 12 * 12, "{context}"),
+                (_, false) => assert_eq!(seen[0], 0, "{context}"),
+                (_, true) => assert!(seen[0] > 0, "{context}"),
+            }
+        }
+    }
+}

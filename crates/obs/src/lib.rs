@@ -452,6 +452,10 @@ pub struct PoolStats {
     pub build_tasks: u64,
     /// Wall time of the build-phase parallel sections.
     pub build_wall_ns: u64,
+    /// Pool calls (morsel and build phases alike) that spawned worker
+    /// threads, each paying a spawn and a join; a call run on the calling
+    /// thread counts none.
+    pub spawns: u64,
 }
 
 impl PoolStats {
@@ -459,7 +463,7 @@ impl PoolStats {
         format!(
             "{{\"workers\": {}, \"tasks\": {}, \"stolen\": {}, \"wall_ns\": {}, \
              \"merge_ns\": {}, \"worker_busy_ns\": {:?}, \"worker_tasks\": {:?}, \
-             \"build_tasks\": {}, \"build_wall_ns\": {}}}",
+             \"build_tasks\": {}, \"build_wall_ns\": {}, \"spawns\": {}}}",
             self.workers,
             self.tasks,
             self.stolen,
@@ -468,7 +472,8 @@ impl PoolStats {
             self.worker_busy_ns,
             self.worker_tasks,
             self.build_tasks,
-            self.build_wall_ns
+            self.build_wall_ns,
+            self.spawns
         )
     }
 }
@@ -505,8 +510,8 @@ impl QueryStats {
         }
         if let Some(pool) = &self.pool {
             out.push_str(&format!(
-                "morsel pool: workers={} tasks={} stolen={} build_tasks={}",
-                pool.workers, pool.tasks, pool.stolen, pool.build_tasks
+                "morsel pool: workers={} tasks={} stolen={} build_tasks={} spawns={}",
+                pool.workers, pool.tasks, pool.stolen, pool.build_tasks, pool.spawns
             ));
             if include_time {
                 out.push_str(&format!(
@@ -685,6 +690,7 @@ mod tests {
                 worker_tasks: vec![4, 4, 4, 4],
                 build_tasks: 2,
                 build_wall_ns: 200,
+                spawns: 5,
             }),
             peak_mem_bytes: 4096,
         };
@@ -698,6 +704,8 @@ mod tests {
         assert!(text.contains("memory: query peak=4096 bytes"));
         assert!(text.contains("morsel pool: workers=4 tasks=16 stolen=3"));
         assert!(text.contains("build_tasks=2"));
+        assert!(json.contains("\"spawns\": 5"));
+        assert!(text.contains("spawns=5"));
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! * **− / ⟕ (EXCEPT, outer joins, `NOT IN`)** — see [`except`] and
 //!   [`outer_join`]. Their bound rules quantify over *pairs* of rows, but
 //!   only pairs that can possibly match move any bound, so both take
-//!   their candidates from a selected-guess hash index ([`SgKeyIndex`])
-//!   and run the pair tests on those alone. The rules are written once,
+//!   their candidates from a selected-guess key index ([`SgKeyIndex`]:
+//!   both sides grouped in one pass over the typed key columns a view
+//!   hands) and run the pair tests on those alone. The rules are written once,
 //!   over a read-only [`RowView`], and return a [`Selection`] — which
 //!   rows survive, paired with what, under which triple — instead of a
 //!   relation: the row engine materialises it from its [`AuRelation`]s,
@@ -49,13 +50,14 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::Arc;
 use ua_data::agg::{count_value, AggFunc, AggState, Groups, KeyColumn};
 use ua_data::algebra::{candidate_keys, merge_ascending, EquiKey, JoinKeys};
 use ua_data::expr::{Expr, ExprError, Truth};
 use ua_data::schema::{Column, Schema, SchemaError};
 use ua_data::tuple::Tuple;
 use ua_data::value::{Value, F64};
-use ua_data::{FxHashMap, FxHashSet, FxHasher};
+use ua_data::{FxHashMap, FxHasher};
 use ua_semiring::Semiring;
 
 /// σ_θ: keep possibly-true rows, refining each multiplicity component.
@@ -192,6 +194,17 @@ pub trait RowView {
 
     /// Row `i`'s range in column `c`, assembled on demand.
     fn range(&self, i: usize, c: usize) -> Cow<'_, RangeValue>;
+
+    /// Column `c`'s selected guesses under [`Value::join_key`], and its
+    /// point rows (`Pin::Point` or `Pin::Nan`; `None`: every row) — what
+    /// [`SgKeyIndex`] groups and classifies a key column by. By default
+    /// every cell is read through [`RowView::bg`] and [`RowView::pin`]; a
+    /// columnar view hands its typed buffers.
+    fn key_column(&self, c: usize) -> (SgColumn<'_>, Option<Vec<bool>>) {
+        let keys = (0..self.len()).map(|i| self.bg(i, c).join_key());
+        let points = (0..self.len()).map(|i| matches!(self.pin(i, c), Pin::Point | Pin::Nan));
+        (SgColumn::Values(keys.collect()), Some(points.collect()))
+    }
 }
 
 impl RowView for [AuTuple] {
@@ -278,54 +291,148 @@ impl RowView for WithKeys<'_> {
     }
 }
 
-/// A row's coercion-normalized (`join_key`) selected-guess key over a
-/// column set: one `i64` on the one-`Int`-column fast path (the shape
-/// `aggregate_cols` and the deterministic join index special-case), the
-/// tuple otherwise.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum SgKey {
-    Int(i64),
-    Tuple(Tuple),
+/// One key column's selected guesses under [`Value::join_key`], as
+/// [`RowView::key_column`] hands them to [`SgKeyIndex`]: one typed buffer
+/// when every row holds one scalar type (`join_key` is one-to-one within a
+/// type, and [`F64`] already equates `−0.0` with `0.0`), normalised values
+/// otherwise. Structural equality of two rows is `join_key` equality.
+#[derive(Clone, Debug)]
+pub enum SgColumn<'a> {
+    /// All `Int`s.
+    Int(Cow<'a, [i64]>),
+    /// All `Float`s.
+    Float(Cow<'a, [F64]>),
+    /// All `Bool`s.
+    Bool(Cow<'a, [bool]>),
+    /// All strings.
+    Str(Cow<'a, [Arc<str>]>),
+    /// Anything else, each value under `join_key`.
+    Values(Cow<'a, [Value]>),
 }
 
-/// Row `i`'s key over `cols` (`int`: the one `Int` column's `i64`).
-fn row_key<V: RowView + ?Sized>(int: bool, v: &V, i: usize, cols: &[usize]) -> SgKey {
-    if !int {
-        return SgKey::Tuple(cols.iter().map(|&c| v.bg(i, c).join_key()).collect());
+impl SgColumn<'_> {
+    fn len(&self) -> usize {
+        match self {
+            SgColumn::Int(v) => v.len(),
+            SgColumn::Float(v) => v.len(),
+            SgColumn::Bool(v) => v.len(),
+            SgColumn::Str(v) => v.len(),
+            SgColumn::Values(v) => v.len(),
+        }
     }
-    match v.bg(i, cols[0]) {
-        Value::Int(k) => SgKey::Int(k),
-        _ => unreachable!("the one-Int-column path is checked over every row"),
+
+    /// Row `i`'s key as a normalised value.
+    fn value(&self, i: usize) -> Value {
+        match self {
+            SgColumn::Int(v) => Value::Int(v[i]),
+            SgColumn::Float(v) => Value::Float(v[i]).join_key(),
+            SgColumn::Bool(v) => Value::Bool(v[i]),
+            SgColumn::Str(v) => Value::Str(Arc::clone(&v[i])),
+            SgColumn::Values(v) => v[i].clone(),
+        }
+    }
+
+    /// The class of row `i` when it is a point: its [`key_family`], or
+    /// [`FUZZY`] for a NaN.
+    fn point_class(&self, i: usize) -> u8 {
+        let nan = |f: &F64| f.get().is_nan();
+        match self {
+            SgColumn::Float(v) if nan(&v[i]) => FUZZY,
+            SgColumn::Int(_) | SgColumn::Float(_) => key_family(&Value::Int(0)),
+            SgColumn::Bool(_) => key_family(&Value::Bool(false)),
+            SgColumn::Str(_) => key_family(&Value::str("")),
+            SgColumn::Values(v) => match &v[i] {
+                Value::Float(f) if nan(f) => FUZZY,
+                other => key_family(other),
+            },
+        }
+    }
+
+    /// `a`'s rows, then `b`'s: typed when both are of one type.
+    fn concat(a: &SgColumn, b: &SgColumn) -> SgColumn<'static> {
+        fn both<T: Clone>(a: &[T], b: &[T]) -> Cow<'static, [T]> {
+            Cow::Owned([a, b].concat())
+        }
+        match (a, b) {
+            (SgColumn::Int(a), SgColumn::Int(b)) => SgColumn::Int(both(a, b)),
+            (SgColumn::Float(a), SgColumn::Float(b)) => SgColumn::Float(both(a, b)),
+            (SgColumn::Bool(a), SgColumn::Bool(b)) => SgColumn::Bool(both(a, b)),
+            (SgColumn::Str(a), SgColumn::Str(b)) => SgColumn::Str(both(a, b)),
+            _ => {
+                let a_rows = (0..a.len()).map(|i| a.value(i));
+                let values = a_rows.chain((0..b.len()).map(|i| b.value(i)));
+                SgColumn::Values(values.collect())
+            }
+        }
     }
 }
 
-/// Whether `a_cols` / `b_cols` are one column holding an `Int` selected
-/// guess in every row of both views: the keys are then that `i64`
-/// (`join_key` is the identity on `Int`).
-fn int_keyed<A, B>(a: &A, a_cols: &[usize], b: &B, b_cols: &[usize]) -> bool
-where
-    A: RowView + ?Sized,
-    B: RowView + ?Sized,
-{
-    fn all_int<V: RowView + ?Sized>(v: &V, c: usize) -> bool {
-        (0..v.len()).all(|i| matches!(v.bg(i, c), Value::Int(_)))
+impl KeyColumn for SgColumn<'_> {
+    fn hash_at(&self, i: usize, h: &mut FxHasher) {
+        match self {
+            SgColumn::Int(v) => h.write_i64(v[i]),
+            SgColumn::Float(v) => v[i].hash(h),
+            SgColumn::Bool(v) => v[i].hash(h),
+            SgColumn::Str(v) => v[i].hash(h),
+            SgColumn::Values(v) => v[i].hash(h),
+        }
     }
-    a_cols.len() == 1 && all_int(a, a_cols[0]) && all_int(b, b_cols[0])
+
+    fn same(&self, i: usize, j: usize) -> bool {
+        match self {
+            SgColumn::Int(v) => v[i] == v[j],
+            SgColumn::Float(v) => v[i] == v[j],
+            SgColumn::Bool(v) => v[i] == v[j],
+            SgColumn::Str(v) => v[i] == v[j],
+            SgColumn::Values(v) => v[i] == v[j],
+        }
+    }
+
+    fn ints(&self) -> Option<Cow<'_, [i64]>> {
+        match self {
+            SgColumn::Int(v) => Some(Cow::Borrowed(v)),
+            SgColumn::Values(v) => v
+                .iter()
+                .map(|x| match x {
+                    Value::Int(k) => Some(*k),
+                    _ => None,
+                })
+                .collect::<Option<Vec<i64>>>()
+                .map(Cow::Owned),
+            _ => None,
+        }
+    }
 }
 
-/// Whether row `i` of `v` is hashable over `cols`: each cell fixes one
-/// hashable value — a point other than NaN or, under IS-NOT-DISTINCT
-/// matching (`nulls_match`, EXCEPT's), a definite NULL, which matches
-/// exactly the other definite NULLs; under join equality it does not (no
-/// bucket could hold "matches nothing").
-fn hashable_row<V: RowView + ?Sized>(v: &V, i: usize, cols: &[usize], nulls_match: bool) -> bool {
-    let mut pins = cols.iter().map(|&c| v.pin(i, c));
-    pins.all(|p| p == Pin::Point || (nulls_match && p == Pin::Null))
+/// A key cell's class: a point of [`key_family`] `1..=8`, a definite
+/// NULL, or fuzzy (ranged, top or NaN — possibly equal to anything).
+const FUZZY: u8 = 0;
+/// See [`FUZZY`].
+const NULL_KEY: u8 = 16;
+
+/// Append to `out`, per row of `v`, the class of its key cell in column
+/// `c` (`RowView::key_column`'s selected guesses and point rows): only a
+/// non-point row asks its pin.
+fn key_classes<V: RowView + ?Sized>(
+    v: &V,
+    c: usize,
+    (keys, points): &(SgColumn, Option<Vec<bool>>),
+    out: &mut Vec<u8>,
+) {
+    out.extend((0..v.len()).map(|i| {
+        if points.as_ref().is_none_or(|p| p[i]) {
+            keys.point_class(i)
+        } else if v.pin(i, c) == Pin::Null {
+            NULL_KEY
+        } else {
+            FUZZY
+        }
+    }));
 }
 
 /// The comparable-type family of a point key value. Cross-family point
 /// comparisons are `None` under `sql_cmp` — three-valued ANY, i.e.
-/// possibly equal — so a hash bucket speaks only for keys of one family.
+/// possibly equal — so a key group speaks only for keys of one family.
 pub fn key_family(v: &Value) -> u8 {
     match v {
         Value::Bool(_) => 1,
@@ -335,42 +442,49 @@ pub fn key_family(v: &Value) -> u8 {
     }
 }
 
-/// A selected-guess key index over one side's key columns. The build side
-/// fixes each key column's type family: the family of the first hashable
-/// row holding a point there. Rows whose keys are all hashable
-/// (`hashable_row`) and whose point keys are all of their column's family
-/// sit in buckets by coercion-normalized key; every other row — a ranged,
-/// unknown or NaN key, or a point of another family — is *fuzzy*: possibly
-/// equal to any probe key, it appears in every candidate list. A probe row
-/// is keyed by the same rule, and a fuzzy probe row has every build row as
-/// candidate. Pruned pairs are exactly those whose key equality is
-/// certainly false (two keyed tuples in different buckets differ in some
-/// column between two points of that column's family, where `sql_cmp` is
-/// exact, or between a point and a definite NULL), so refining the
-/// candidates reproduces the pairwise loop's result.
+/// A selected-guess key index of one side's key columns (the *build*
+/// side) for another's (the *probe* side), in one grouping pass: build
+/// rows then probe rows are grouped together ([`Groups`]) by their
+/// coercion-normalized selected-guess key tuple ([`RowView::key_column`]).
+///
+/// A row is *keyed* when each key cell fixes one hashable value — a point
+/// other than NaN or, under IS-NOT-DISTINCT matching (`nulls_match`,
+/// EXCEPT's), a definite NULL, which matches exactly the other definite
+/// NULLs (under join equality it matches nothing, and no group could say
+/// so) — and each point is of its column's family, which the build side
+/// fixes: the family of the first such build row holding a point there.
+/// Every other row — a ranged, unknown or NaN key, or a point of another
+/// family — is *fuzzy*: possibly equal to anything. A keyed probe row's
+/// candidates are its group's keyed build rows merged with the fuzzy build
+/// rows; a fuzzy probe row has every build row as candidate. Pruned pairs
+/// are exactly those whose key equality is certainly false (two keyed
+/// tuples in different groups differ in some column between two points of
+/// that column's family, where `sql_cmp` is exact, or between a point and
+/// a definite NULL), so refining the candidates reproduces the pairwise
+/// loop's result.
 ///
 /// The converse is what lets callers skip refinement: two keyed rows share
-/// a bucket iff `sql_cmp` calls their keys equal (`join_key` equality is
+/// a group iff `sql_cmp` calls their keys equal (`join_key` equality is
 /// `sql_cmp` equality within a family — `F64::new` canonicalises `−0.0`,
-/// and NaN never hashes). So such a *bucket hit* (`bucket_hit`) is a pair
-/// of certainly equal keys.
+/// and NaN is never keyed). So such a *bucket hit* (`bucket_hit`) is a
+/// pair of certainly equal keys.
 pub struct SgKeyIndex {
-    buckets: FxHashMap<SgKey, Vec<usize>>,
+    /// Build rows then probe rows, by selected-guess key tuple.
+    groups: Groups,
+    n_build: usize,
+    /// Per row of build ++ probe, whether it is keyed.
+    keyed: Vec<bool>,
+    /// Per group `g`, its keyed build rows ascending:
+    /// `members[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+    members: Vec<usize>,
+    /// The fuzzy build rows, ascending.
     fuzzy: Vec<usize>,
-    /// Per build row, whether it sits in a bucket.
-    bucketed: Vec<bool>,
-    /// Per key column, the family the build side fixed (`None`: no
-    /// hashable build row holds a point there).
-    families: Vec<Option<u8>>,
-    nulls_match: bool,
-    /// Keys take the one-`Int`-column path.
-    int: bool,
 }
 
 impl SgKeyIndex {
-    /// Index `build`'s rows by their key over `build_cols` for probing
-    /// `probe`'s rows over `probe_cols` (which only decide whether the keys
-    /// take the one-`Int`-column path), under join equality or —
+    /// Index `build`'s rows by their key over `build_cols` for the rows of
+    /// `probe` keyed over `probe_cols`, under join equality or —
     /// `nulls_match` — under IS-NOT-DISTINCT matching.
     pub fn build_for<B, P>(
         build: &B,
@@ -383,68 +497,94 @@ impl SgKeyIndex {
         B: RowView + ?Sized,
         P: RowView + ?Sized,
     {
-        let mut index = SgKeyIndex {
-            buckets: FxHashMap::default(),
-            fuzzy: Vec::new(),
-            bucketed: Vec::with_capacity(build.len()),
-            families: vec![None; build_cols.len()],
-            nulls_match,
-            int: int_keyed(build, build_cols, probe, probe_cols),
-        };
-        for i in 0..build.len() {
-            let hashable = hashable_row(build, i, build_cols, nulls_match);
-            if hashable {
-                for (f, &c) in index.families.iter_mut().zip(build_cols) {
-                    if f.is_none() && build.pin(i, c) == Pin::Point {
-                        *f = Some(key_family(&build.bg(i, c)));
-                    }
-                }
+        let n_build = build.len();
+        let n = n_build + probe.len();
+        let mut keys = Vec::with_capacity(build_cols.len());
+        let mut classes: Vec<Vec<u8>> = Vec::with_capacity(build_cols.len());
+        let mut keyed = vec![true; n];
+        for (&bc, &pc) in build_cols.iter().zip(probe_cols) {
+            let (build_col, probe_col) = (build.key_column(bc), probe.key_column(pc));
+            let mut class = Vec::with_capacity(n);
+            key_classes(build, bc, &build_col, &mut class);
+            key_classes(probe, pc, &probe_col, &mut class);
+            // Hashable so far: no fuzzy cell, and a NULL only when NULLs match.
+            for (k, &cell) in keyed.iter_mut().zip(&class) {
+                *k &= cell != FUZZY && (nulls_match || cell != NULL_KEY);
             }
-            let keyed = hashable && index.in_family(build, i, build_cols);
-            if keyed {
-                let key = row_key(index.int, build, i, build_cols);
-                index.buckets.entry(key).or_default().push(i);
+            keys.push(SgColumn::concat(&build_col.0, &probe_col.0));
+            classes.push(class);
+        }
+        // Each column's family: of the first hashable build row's point.
+        let families: Vec<u8> = classes
+            .iter()
+            .map(|class| {
+                let first = (0..n_build).find(|&i| keyed[i] && class[i] != NULL_KEY);
+                first.map_or(FUZZY, |i| class[i])
+            })
+            .collect();
+        for (class, &family) in classes.iter().zip(&families) {
+            for (k, &cell) in keyed.iter_mut().zip(class) {
+                *k &= cell == NULL_KEY || cell == family;
+            }
+        }
+        let groups = Groups::of(&keys, n);
+        let mut starts = vec![0; groups.firsts.len() + 1];
+        let mut fuzzy = Vec::new();
+        for (b, &g) in groups.of[..n_build].iter().enumerate() {
+            if keyed[b] {
+                starts[g + 1] += 1;
             } else {
-                index.fuzzy.push(i);
+                fuzzy.push(b);
             }
-            index.bucketed.push(keyed);
         }
-        index
+        for g in 1..starts.len() {
+            starts[g] += starts[g - 1];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0; n_build - fuzzy.len()];
+        for (b, &g) in groups.of[..n_build].iter().enumerate() {
+            if keyed[b] {
+                members[next[g]] = b;
+                next[g] += 1;
+            }
+        }
+        SgKeyIndex {
+            groups,
+            n_build,
+            keyed,
+            starts,
+            members,
+            fuzzy,
+        }
     }
 
-    /// Whether every point key of (hashable) row `i` of `v` over `cols` is
-    /// of its column's family.
-    fn in_family<V: RowView + ?Sized>(&self, v: &V, i: usize, cols: &[usize]) -> bool {
-        let mut points = cols.iter().zip(&self.families);
-        points.all(|(&c, f)| v.pin(i, c) != Pin::Point || *f == Some(key_family(&v.bg(i, c))))
+    /// Probe row `p`'s group.
+    fn probe_group(&self, p: usize) -> usize {
+        self.groups.of[self.n_build + p]
     }
 
-    /// Row `i` of `probe`'s key over `cols`, or `None` when the row is
-    /// fuzzy — then every build row is its candidate.
-    fn probe_key<P: RowView + ?Sized>(&self, probe: &P, i: usize, cols: &[usize]) -> Option<SgKey> {
-        let keyed =
-            hashable_row(probe, i, cols, self.nulls_match) && self.in_family(probe, i, cols);
-        keyed.then(|| row_key(self.int, probe, i, cols))
+    /// Whether probe row `p` is keyed.
+    fn probe_keyed(&self, p: usize) -> bool {
+        self.keyed[self.n_build + p]
     }
 
-    /// Collect the build rows whose key equality with a probe row keyed
-    /// `key` ([`SgKeyIndex::probe_key`]) is possibly true, ascending
-    /// (build-scan order), into `out`.
-    fn candidates_of(&self, key: Option<&SgKey>, out: &mut Vec<usize>) {
+    /// Collect the build rows whose key equality with probe row `p` is
+    /// possibly true, ascending (build-scan order), into `out`.
+    fn candidates_of(&self, p: usize, out: &mut Vec<usize>) {
         out.clear();
-        match key {
-            None => out.extend(0..self.bucketed.len()),
-            Some(key) => {
-                let bucket = self.buckets.get(key).map(Vec::as_slice);
-                merge_ascending(bucket.unwrap_or_default(), &self.fuzzy, out);
-            }
+        if self.probe_keyed(p) {
+            let g = self.probe_group(p);
+            let bucket = &self.members[self.starts[g]..self.starts[g + 1]];
+            merge_ascending(bucket, &self.fuzzy, out);
+        } else {
+            out.extend(0..self.n_build);
         }
     }
 
-    /// Whether candidate `b` of a probe row keyed `key` came out of the
-    /// probe's own bucket: the two keys are certainly equal.
-    fn bucket_hit(&self, key: Option<&SgKey>, b: usize) -> bool {
-        key.is_some() && self.bucketed[b]
+    /// Whether candidate `b` of probe row `p` came out of the probe's own
+    /// group: the two keys are certainly equal.
+    fn bucket_hit(&self, p: usize, b: usize) -> bool {
+        self.probe_keyed(p) && self.keyed[b]
     }
 }
 
@@ -551,10 +691,10 @@ fn join_rows(
 /// vectorized engine runs it over its column chunks, one probe-row range
 /// per task, and gathers the [`Selection`].
 ///
-/// Candidates come from an [`SgKeyIndex`] over the build side's key
-/// columns when there are keys; a pruned pair's key equality is certainly
-/// false, so its predicate is. A
-/// bucket hit pairs two certainly equal keys: when the predicate is
+/// Candidates come from an [`SgKeyIndex`] of the build side's key
+/// columns for the probe side's, built once when there are keys; a pruned
+/// pair's key equality is certainly false, so its predicate is. A bucket
+/// hit pairs two certainly equal keys: when the predicate is
 /// nothing but plain-column key equalities — or `NOT IN`'s null-aware one,
 /// where `x = k` certainly true makes the disjunction so — the pair is
 /// certainly true and true over the selected guesses, and keeps its plain
@@ -569,8 +709,6 @@ pub struct JoinSelect<'a, V: ?Sized> {
     index: Option<SgKeyIndex>,
     /// The left side is the build side: probe rows are the right side's.
     build_left: bool,
-    /// The probe side's key columns.
-    probe_cols: Vec<usize>,
     /// A bucket hit is a certainly true pair.
     certain_hits: bool,
 }
@@ -621,7 +759,6 @@ impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
             predicate,
             build_left,
             index,
-            probe_cols,
             certain_hits,
         }
     }
@@ -669,14 +806,12 @@ impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
         (cand, pairs): &mut (Vec<usize>, Option<PairEval<'a>>),
         out: &mut Selection,
     ) -> Result<Matched, ExprError> {
-        let (probe, build) = self.sides();
-        let key = self.index.as_ref().and_then(|index| {
-            let key = index.probe_key(probe, p, &self.probe_cols);
-            index.candidates_of(key.as_ref(), cand);
-            key
-        });
+        let build = self.sides().1;
+        if let Some(index) = &self.index {
+            index.candidates_of(p, cand);
+        }
         let hits = self.index.as_ref().filter(|_| self.certain_hits);
-        let hit = |b: usize| hits.is_some_and(|index| index.bucket_hit(key.as_ref(), b));
+        let hit = |b: usize| hits.is_some_and(|index| index.bucket_hit(p, b));
         let certain = RangeTruth::exact(Truth::True);
         let mut matched = Matched::default();
         for &b in cand.iter() {
@@ -685,7 +820,10 @@ impl<'a, V: RowView + ?Sized> JoinSelect<'a, V> {
                 // No predicate: every pair matches in every world.
                 None => (certain, true),
                 Some(_) if hit(b) => (certain, true),
-                Some(pairs) => pairs.eval(self.left, l, self.right, r)?,
+                Some(pairs) => {
+                    out.refined += 1;
+                    pairs.eval(self.left, l, self.right, r)?
+                }
             };
             let mult = self.left.mult(l).times(&self.right.mult(r));
             let Some(mult) = refine(rt, bg_true, mult) else {
@@ -2099,6 +2237,11 @@ pub struct Selection {
     pub right: Vec<Option<usize>>,
     /// Per output row, its multiplicity triple.
     pub mults: Vec<MultBound>,
+    /// How many candidate pairs the selection refined through the range
+    /// rule (`PairEval` for `⋈` / `⟕`, `rows_possibly_equal` /
+    /// `rows_certainly_equal` for `−`) rather than settling them as a
+    /// bucket hit — the work uncertainty cost, not a selected row.
+    pub refined: u64,
 }
 
 impl Selection {
@@ -2135,6 +2278,7 @@ impl Selection {
         self.left.append(&mut other.left);
         self.right.append(&mut other.right);
         self.mults.append(&mut other.mults);
+        self.refined += other.refined;
     }
 
     /// The selected rows of `left` (next to those of `right`, for `⟕`) as
@@ -2186,15 +2330,17 @@ impl Selection {
 ///   Σ `ub` over earlier possibly-equal left rows protects this row's
 ///   copies from the budget).
 ///
-/// Candidate generation is hashed, the pair tests are not: the right side
-/// (and, for `EXCEPT ALL`'s protectors, the left side) is indexed by
-/// selected-guess tuple over *all* columns (`row_index`), and
-/// `rows_possibly_equal` / `rows_certainly_equal` run on a left row's
-/// candidates only. A pruned pair is two fixed rows that differ in some
-/// column, where both tests are false — every sum and flag above is the
-/// one the all-pairs loop computes, in the same order. A bucket hit is two
-/// fixed rows equal in every column, where both tests are true without
-/// reading a range.
+/// One grouping pass does the keying: right rows then left rows are
+/// grouped by selected-guess tuple over *all* columns ([`SgKeyIndex`]
+/// under IS-NOT-DISTINCT matching), and the removal budgets and seen-flags
+/// above are kept per group. A keyed left row's bucket hits — two fixed
+/// rows equal in every column, where both tests are true without reading
+/// a range — add up to its group's precomputed sums; it runs
+/// `rows_possibly_equal` / `rows_certainly_equal` against the fuzzy right
+/// rows only (and, for `EXCEPT ALL`'s protectors, against the earlier left
+/// rows that are not keyed). A pruned pair is two fixed rows that differ
+/// in some column, where both tests are false — every sum and flag above
+/// is the one the all-pairs loop computes.
 pub fn except(left: &AuRelation, right: &AuRelation, all: bool) -> Result<AuRelation, SchemaError> {
     except_over(left, right, all, true)
 }
@@ -2248,117 +2394,127 @@ fn except_rows<V: RowView + ?Sized>(
     }
 }
 
-/// The rows of `build` that can ground equal to rows of `probe` under
-/// EXCEPT's IS-NOT-DISTINCT matching: an all-column [`SgKeyIndex`] — rows
-/// whose every attribute is a definite NULL or a hashable point of its
-/// column's family sit in buckets, every other row is in every candidate
-/// list, and a probe row that is itself fuzzy scans everything — or, with
-/// `hashed` off (the all-pairs reference), every row for every probe.
-struct RowIndex {
-    index: Option<SgKeyIndex>,
-    len: usize,
+/// `−`'s one grouping pass: the right side indexed for the left side over
+/// all `arity` columns under IS-NOT-DISTINCT matching, and per key group
+/// Σ `bg` over every right row (the selected-guess removal budget) and
+/// Σ `ub` / Σ `lb` over the keyed ones — what a keyed left row's bucket
+/// hits add up to without visiting them (saturating sums of non-negative
+/// terms do not depend on their order). A left row refines against its
+/// fuzzy candidates when it is keyed, every right row otherwise (and
+/// always, with `hashed` off: the all-pairs reference).
+struct ExceptPass {
+    index: SgKeyIndex,
+    bg: Vec<u64>,
+    ub: Vec<u64>,
+    lb: Vec<u64>,
+    every: Vec<usize>,
+    hashed: bool,
 }
 
-impl RowIndex {
-    fn new<B, P>(build: &B, probe: &P, arity: usize, hashed: bool) -> RowIndex
-    where
-        B: RowView + ?Sized,
-        P: RowView + ?Sized,
-    {
+impl ExceptPass {
+    fn new<V: RowView + ?Sized>(left: &V, right: &V, arity: usize, hashed: bool) -> ExceptPass {
         let cols: Vec<usize> = (0..arity).collect();
-        RowIndex {
-            index: hashed.then(|| SgKeyIndex::build_for(build, &cols, probe, &cols, true)),
-            len: build.len(),
-        }
-    }
-
-    /// [`SgKeyIndex::probe_key`].
-    fn probe_key<P: RowView + ?Sized>(&self, probe: &P, i: usize, cols: &[usize]) -> Option<SgKey> {
-        self.index.as_ref()?.probe_key(probe, i, cols)
-    }
-
-    /// [`SgKeyIndex::candidates_of`].
-    fn candidates_of(&self, key: Option<&SgKey>, out: &mut Vec<usize>) {
-        match &self.index {
-            Some(index) => index.candidates_of(key, out),
-            None => {
-                out.clear();
-                out.extend(0..self.len);
+        let index = SgKeyIndex::build_for(right, &cols, left, &cols, true);
+        let n = index.groups.firsts.len();
+        let (mut bg, mut ub, mut lb) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+        for r in 0..right.len() {
+            let (g, m) = (index.groups.of[r], right.mult(r));
+            bg[g] = bg[g].saturating_add(m.bg);
+            if index.keyed[r] {
+                ub[g] = ub[g].saturating_add(m.ub);
+                lb[g] = lb[g].saturating_add(m.lb);
             }
         }
+        ExceptPass {
+            index,
+            bg,
+            ub,
+            lb,
+            every: (0..right.len()).collect(),
+            hashed,
+        }
     }
 
-    /// [`SgKeyIndex::bucket_hit`].
-    fn bucket_hit(&self, key: Option<&SgKey>, b: usize) -> bool {
-        self.index
-            .as_ref()
-            .is_some_and(|index| index.bucket_hit(key, b))
+    /// Left row `i`'s group, whether its bucket hits count without
+    /// refinement, and the right rows it refines against.
+    fn row(&self, i: usize) -> (usize, bool, &[usize]) {
+        let keyed = self.hashed && self.index.probe_keyed(i);
+        let refine = if keyed {
+            &self.index.fuzzy
+        } else {
+            &self.every
+        };
+        (self.index.probe_group(i), keyed, refine)
     }
 }
 
 fn except_all<V: RowView + ?Sized>(left: &V, right: &V, arity: usize, hashed: bool) -> Selection {
-    let cols: Vec<usize> = (0..arity).collect();
-    let int = int_keyed(left, &cols, right, &cols);
-    // SG removal budget per normalized selected-guess tuple.
-    let mut budget: FxHashMap<SgKey, u64> = FxHashMap::default();
-    for r in 0..right.len() {
-        let m = right.mult(r);
-        if m.bg >= 1 {
-            *budget.entry(row_key(int, right, r, &cols)).or_insert(0) += m.bg;
-        }
-    }
-    let right_index = RowIndex::new(right, left, arity, hashed);
-    // Protectors are needed by certainly-hit rows only: index the left
-    // side against itself on first use.
-    let mut left_index: Option<RowIndex> = None;
-    let mut cand: Vec<usize> = Vec::new();
+    let pass = ExceptPass::new(left, right, arity, hashed);
+    // SG removal budget per selected-guess tuple.
+    let mut budget = pass.bg.clone();
+    // Per group, Σ `ub` of the keyed left rows so far — a keyed row's
+    // protectors among them — and the other left rows so far, which
+    // protect only through refinement. (A keyed earlier row in another
+    // group differs from a keyed row in some column between two points of
+    // one family, or a point and a definite NULL: never possibly equal.)
+    let mut earlier_ub = vec![0u64; pass.bg.len()];
+    let mut earlier_fuzzy: Vec<usize> = Vec::new();
     let mut out = Selection::default();
     for i in 0..left.len() {
         let l = left.mult(i);
+        let (g, keyed, refine) = pass.row(i);
         let bg_out = if l.bg >= 1 {
-            match budget.get_mut(&row_key(int, left, i, &cols)) {
-                Some(b) => {
-                    let take = (*b).min(l.bg);
-                    *b -= take;
-                    l.bg - take
-                }
-                None => l.bg,
-            }
+            let take = budget[g].min(l.bg);
+            budget[g] -= take;
+            l.bg - take
         } else {
             0
         };
-        let mut possible_removal: u64 = 0;
-        let mut certain_removal: u64 = 0;
         let fixed = certain_valued(left, i, arity);
-        let key = right_index.probe_key(left, i, &cols);
-        right_index.candidates_of(key.as_ref(), &mut cand);
-        for &r in &cand {
+        let (mut possible_removal, mut certain_removal) = if keyed {
+            (pass.ub[g], if fixed { pass.lb[g] } else { 0 })
+        } else {
+            (0, 0)
+        };
+        for &r in refine {
             let m = right.mult(r);
-            let hit = right_index.bucket_hit(key.as_ref(), r);
-            if m.ub >= 1 && (hit || rows_possibly_equal(left, i, right, r, arity)) {
+            let (possibly, certainly) = (m.ub >= 1, fixed && m.lb >= 1);
+            if !possibly && !certainly {
+                continue;
+            }
+            out.refined += 1;
+            if possibly && rows_possibly_equal(left, i, right, r, arity) {
                 possible_removal = possible_removal.saturating_add(m.ub);
             }
-            if fixed && m.lb >= 1 && (hit || rows_certainly_equal(left, i, right, r, arity)) {
+            if certainly && rows_certainly_equal(left, i, right, r, arity) {
                 certain_removal = certain_removal.saturating_add(m.lb);
             }
         }
         let lb_out = l.lb.saturating_sub(possible_removal);
         let ub_out = if certain_removal > 0 {
-            let index = left_index.get_or_insert_with(|| RowIndex::new(left, left, arity, hashed));
-            let key = index.probe_key(left, i, &cols);
-            index.candidates_of(key.as_ref(), &mut cand);
-            let mut protectors: u64 = 0;
-            for &k in cand.iter().take_while(|&&k| k < i) {
+            let (mut protectors, earlier) = if keyed {
+                (earlier_ub[g], Cow::Borrowed(&earlier_fuzzy[..]))
+            } else {
+                (0, Cow::Owned((0..i).collect()))
+            };
+            for &k in earlier.iter() {
                 let m = left.mult(k);
-                let hit = index.bucket_hit(key.as_ref(), k);
-                if m.ub >= 1 && (hit || rows_possibly_equal(left, k, left, i, arity)) {
-                    protectors = protectors.saturating_add(m.ub);
+                if m.ub >= 1 {
+                    out.refined += 1;
+                    if rows_possibly_equal(left, k, left, i, arity) {
+                        protectors = protectors.saturating_add(m.ub);
+                    }
                 }
             }
             l.ub.saturating_sub(certain_removal.saturating_sub(protectors))
         } else {
             l.ub
         };
+        if keyed {
+            earlier_ub[g] = earlier_ub[g].saturating_add(l.ub);
+        } else {
+            earlier_fuzzy.push(i);
+        }
         out.keep(
             i,
             MultBound::new(lb_out.min(bg_out).min(ub_out), bg_out.min(ub_out), ub_out),
@@ -2378,44 +2534,34 @@ fn except_distinct<V: RowView + ?Sized>(
     arity: usize,
     hashed: bool,
 ) -> Selection {
-    let cols: Vec<usize> = (0..arity).collect();
-    let int = int_keyed(left, &cols, right, &cols);
-    let sg_right: FxHashSet<SgKey> = (0..right.len())
-        .filter(|&r| right.mult(r).bg >= 1)
-        .map(|r| row_key(int, right, r, &cols))
-        .collect();
+    let pass = ExceptPass::new(left, right, arity, hashed);
     // First SG occurrence per left tuple, and first certain claimant per
     // fixed tuple (an earlier certainly-equal row with lb ≥ 1 already
     // guarantees the single output copy, so later rows must not).
-    let mut sg_seen: FxHashSet<SgKey> = FxHashSet::default();
-    let mut certain_seen: FxHashSet<SgKey> = FxHashSet::default();
-    let right_index = RowIndex::new(right, left, arity, hashed);
-    let mut cand: Vec<usize> = Vec::new();
+    let mut sg_seen = vec![false; pass.bg.len()];
+    let mut certain_seen = vec![false; pass.bg.len()];
     let mut out = Selection::default();
     for i in 0..left.len() {
         let l = left.mult(i);
-        let row = row_key(int, left, i, &cols);
-        let key = right_index.probe_key(left, i, &cols);
-        right_index.candidates_of(key.as_ref(), &mut cand);
-        let hit = |r: usize| right_index.bucket_hit(key.as_ref(), r);
-        let possibly_removed = cand.iter().any(|&r| {
-            right.mult(r).ub >= 1 && (hit(r) || rows_possibly_equal(left, i, right, r, arity))
-        });
+        let (g, keyed, refine) = pass.row(i);
         let fixed = certain_valued(left, i, arity);
-        let certainly_removed = fixed
-            && cand.iter().any(|&r| {
-                right.mult(r).lb >= 1 && (hit(r) || rows_certainly_equal(left, i, right, r, arity))
-            });
-        let bg_out = if l.bg >= 1 && !sg_right.contains(&row) && sg_seen.insert(row.clone()) {
-            1
-        } else {
-            0
-        };
-        let lb_out = if l.lb >= 1 && fixed && !possibly_removed && certain_seen.insert(row) {
-            1
-        } else {
-            0
-        };
+        let mut possibly_removed = keyed && pass.ub[g] >= 1;
+        let mut certainly_removed = fixed && keyed && pass.lb[g] >= 1;
+        for &r in refine {
+            let m = right.mult(r);
+            let possibly = !possibly_removed && m.ub >= 1;
+            let certainly = fixed && !certainly_removed && m.lb >= 1;
+            if !possibly && !certainly {
+                continue;
+            }
+            out.refined += 1;
+            possibly_removed |= possibly && rows_possibly_equal(left, i, right, r, arity);
+            certainly_removed |= certainly && rows_certainly_equal(left, i, right, r, arity);
+        }
+        let bg_out = u64::from(l.bg >= 1 && pass.bg[g] == 0 && !sg_seen[g]);
+        sg_seen[g] |= bg_out == 1;
+        let lb_out = u64::from(l.lb >= 1 && fixed && !possibly_removed && !certain_seen[g]);
+        certain_seen[g] |= lb_out == 1;
         let ub_out = if certainly_removed { 0 } else { l.ub.min(1) };
         out.keep(
             i,

@@ -187,20 +187,18 @@ fn the_index_prunes_exactly_when_it_may() {
         "r",
         vec![int(1), int(2), vec![RangeValue::null()], ranged, int(1)],
     );
-    let index = RowIndex::new(r.rows(), l.rows(), 1, true).index.unwrap();
-    let cand = candidates(&index, l.rows(), 0, &[0]);
+    let index = SgKeyIndex::build_for(r.rows(), &[0], l.rows(), &[0], true);
+    let cand = candidates(&index, 0);
     assert_eq!(cand, [0, 3, 4], "bucket of 1 merged with the ranged row");
-    let cand = candidates(&index, l.rows(), 1, &[0]);
+    let cand = candidates(&index, 1);
     assert_eq!(cand, [2, 3], "a definite NULL matches NULLs and fuzzy rows");
-    let cand = candidates(&index, l.rows(), 2, &[0]);
+    let cand = candidates(&index, 2);
     assert_eq!(cand, [0, 1, 2, 3, 4], "a ranged probe scans everything");
 
     let strs = rel_of("s", vec![vec![RangeValue::point(Value::str("1"))]]);
     let cand = candidates(
-        &RowIndex::new(r.rows(), strs.rows(), 1, true).index.unwrap(),
-        strs.rows(),
+        &SgKeyIndex::build_for(r.rows(), &[0], strs.rows(), &[0], true),
         0,
-        &[0],
     );
     assert_eq!(
         cand,
@@ -219,19 +217,14 @@ fn the_index_prunes_exactly_when_it_may() {
         .index
         .as_ref()
         .expect("NOT IN's predicate is keyed on x = k");
-    let cand = candidates(index, &lv, 0, &join.probe_cols);
+    let cand = candidates(index, 0);
     assert_eq!(cand, [0, 2, 3, 4], "under `=` a definite-NULL key is fuzzy");
 }
 
-/// The candidates `index` lists for row `i` of `probe`, keyed over `cols`.
-fn candidates<V: RowView + ?Sized>(
-    index: &SgKeyIndex,
-    probe: &V,
-    i: usize,
-    cols: &[usize],
-) -> Vec<usize> {
+/// The candidates `index` lists for its probe row `i`.
+fn candidates(index: &SgKeyIndex, i: usize) -> Vec<usize> {
     let mut cand = Vec::new();
-    index.candidates_of(index.probe_key(probe, i, cols).as_ref(), &mut cand);
+    index.candidates_of(i, &mut cand);
     cand
 }
 
@@ -274,9 +267,8 @@ proptest! {
             for nulls_match in [false, true] {
                 let index = SgKeyIndex::build_for(build, &cols, probe, &cols, nulls_match);
                 for p in 0..probe.len() {
-                    let key = index.probe_key(probe, p, &cols);
                     let mut cand = Vec::new();
-                    index.candidates_of(key.as_ref(), &mut cand);
+                    index.candidates_of(p, &mut cand);
                     for q in 0..build.len() {
                         let pair: Vec<RangeValue> = probe[p].values.iter()
                             .chain(&build[q].values).cloned().collect();
@@ -292,7 +284,7 @@ proptest! {
                         let context = format!("nulls_match={nulls_match} probe {pair:?}");
                         if !cand.contains(&q) {
                             prop_assert!(!possibly, "pruned: {}", context);
-                        } else if index.bucket_hit(key.as_ref(), q) {
+                        } else if index.bucket_hit(p, q) {
                             prop_assert!(certainly, "bucket hit: {}", context);
                         }
                     }
@@ -362,4 +354,185 @@ fn a_cross_family_hash_join_building_left_is_probe_major() {
     nested.sort();
     bag.sort();
     assert_eq!(bag, nested);
+}
+
+/// One cell of an all-point column of one kind — `0`: `Int`s, `2⁵³ + 1`
+/// among them; `1`: `Float`s with `−0.0` next to `0.0`, NaN, and `1.0` /
+/// `2⁵³ as f64`, which equal `Int` keys under `join_key`; `2`: strings —
+/// or, one cell in ten when `fuzz`, a ranged, top or definite-NULL one,
+/// which makes its row fuzzy.
+fn arb_typed(kind: u8, fuzz: bool) -> BoxedStrategy<RangeValue> {
+    let point = match kind {
+        0 => prop_oneof![
+            (0i64..4).prop_map(Value::Int),
+            Just(Value::Int((1 << 53) + 1))
+        ]
+        .boxed(),
+        1 => {
+            let floats = [-0.0, 0.0, 1.0, 1.5, f64::NAN, (1i64 << 53) as f64];
+            Union::new(Vec::from(floats.map(|f| Just(Value::float(f)).boxed()))).boxed()
+        }
+        _ => Union::new(Vec::from(
+            ["a", "b", "1"].map(|s| Just(Value::str(s)).boxed()),
+        ))
+        .boxed(),
+    };
+    let fuzzy = prop_oneof![
+        Just(RangeValue::null()),
+        Just(RangeValue::top(Value::Int(1))),
+        Just(RangeValue::new(
+            Bound::Val(Value::Int(0)),
+            Value::Int(1),
+            Bound::Val(Value::Int(2)),
+        )),
+    ];
+    (0u8..10, point, fuzzy)
+        .prop_map(move |(roll, point, fuzzy)| {
+            if fuzz && roll == 0 {
+                fuzzy
+            } else {
+                RangeValue::point(point)
+            }
+        })
+        .boxed()
+}
+
+/// Up to twelve rows over the columns `kinds` names ([`arb_typed`]);
+/// multiplicities as [`arb_rel`]'s.
+fn arb_typed_rel(qualifier: &'static str, kinds: &[u8], fuzz: bool) -> BoxedStrategy<AuRelation> {
+    let arity = kinds.len();
+    let cells = (arb_typed(kinds[0], fuzz), arb_typed(kinds[arity - 1], fuzz));
+    let row = (cells, proptest::collection::vec(0u64..4, 3..=3));
+    proptest::collection::vec(row, 0..=12)
+        .prop_map(move |rows| {
+            let names = ["a", "b"];
+            let mut rel = AuRelation::new(Schema::qualified(qualifier, names[..arity].to_vec()));
+            for ((a, b), mut m) in rows {
+                m.sort_unstable();
+                let values = [a, b][..arity].to_vec();
+                rel.push(AuTuple {
+                    values,
+                    mult: MultBound::new(m[0], m[1], m[2]),
+                });
+            }
+            rel
+        })
+        .boxed()
+}
+
+/// Both sides of one all-point case: one `Int`, `Float` or `Str` column
+/// on each side, `Int` against `Float`, or a two-column key (`Float` /
+/// `Int` against `Int` / `Int`) — each with and without a few fuzzy rows.
+fn arb_typed_sides() -> BoxedStrategy<(AuRelation, AuRelation)> {
+    let shapes: [(&'static [u8], &'static [u8]); 5] = [
+        (&[0], &[0]),
+        (&[1], &[1]),
+        (&[2], &[2]),
+        (&[0], &[1]),
+        (&[1, 0], &[0, 0]),
+    ];
+    let arms = shapes.into_iter().flat_map(|(l, r)| {
+        [false, true].map(|fuzz| (arb_typed_rel("l", l, fuzz), arb_typed_rel("r", r, fuzz)).boxed())
+    });
+    Union::new(arms.collect()).boxed()
+}
+
+/// `rows` handing each key column as the typed buffer a columnar view
+/// would — raw `Int`, `Float` or string guesses when the column holds one
+/// type — so the typed grouping paths run over relations too.
+struct Typed<'a>(&'a [AuTuple]);
+
+impl RowView for Typed<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn mult(&self, i: usize) -> MultBound {
+        self.0.mult(i)
+    }
+
+    fn bg(&self, i: usize, c: usize) -> Value {
+        self.0.bg(i, c)
+    }
+
+    fn pin(&self, i: usize, c: usize) -> Pin {
+        self.0.pin(i, c)
+    }
+
+    fn range(&self, i: usize, c: usize) -> Cow<'_, RangeValue> {
+        self.0.range(i, c)
+    }
+
+    fn key_column(&self, c: usize) -> (SgColumn<'_>, Option<Vec<bool>>) {
+        let (keys, points) = self.0.key_column(c);
+        let guesses = || self.0.iter().map(move |t| &t.values[c].bg);
+        let typed = if guesses().all(|v| matches!(v, Value::Int(_))) {
+            SgColumn::Int(guesses().map(|v| DenseVal::of(v).unwrap()).collect())
+        } else if guesses().all(|v| matches!(v, Value::Float(_))) {
+            SgColumn::Float(guesses().map(|v| DenseVal::of(v).unwrap()).collect())
+        } else if guesses().all(|v| matches!(v, Value::Str(_))) {
+            let strs = guesses().map(|v| match v {
+                Value::Str(s) => Arc::clone(s),
+                _ => unreachable!("checked above"),
+            });
+            SgColumn::Str(strs.collect())
+        } else {
+            keys
+        };
+        (typed, points)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The grouped `−` over all-point inputs — where nearly every row is
+    /// keyed and its bucket hits add up as per-group sums — against the
+    /// all-pairs loop, over relation views and over typed key columns.
+    #[test]
+    fn all_point_except_equals_pairwise(sides in arb_typed_sides()) {
+        let (l, r) = sides;
+        let arity = l.schema().arity();
+        for all in [true, false] {
+            let pairwise = except_rows(l.rows(), r.rows(), arity, all, false);
+            let typed = except_select(&Typed(l.rows()), &Typed(r.rows()), arity, all);
+            prop_assert_eq!(
+                (&typed.left, &typed.mults),
+                (&pairwise.left, &pairwise.mults),
+                "typed all={} left={:?} right={:?}", all, l, r
+            );
+            prop_assert_eq!(
+                except(&l, &r, all).unwrap(),
+                except_pairwise(&l, &r, all).unwrap(),
+                "all={} left={:?} right={:?}", all, l, r
+            );
+        }
+    }
+
+    /// `NOT IN`'s `⟕` and the keyed `⋈` over the same all-point inputs
+    /// against their all-pairs loops (`θ OR FALSE`).
+    #[test]
+    fn all_point_not_in_and_keyed_joins_equal_pairwise(sides in arb_typed_sides()) {
+        let (l, r) = sides;
+        let col = Expr::named;
+        let mut thetas = vec![
+            null_aware_eq(col("l.a"), col("r.a")),
+            col("l.a").eq(col("r.a")),
+        ];
+        if l.schema().arity() == 2 {
+            thetas.push(col("l.a").eq(col("r.a")).and(col("l.b").eq(col("r.b"))));
+        }
+        for theta in thetas {
+            let pairwise = theta.clone().or(Expr::lit(false));
+            let (keyed, all_pairs) = (join(&l, &r, Some(&theta)), join(&l, &r, Some(&pairwise)));
+            prop_assert_eq!(keyed.unwrap(), all_pairs.unwrap(), "{} {:?} {:?}", theta, l, r);
+            for left_kind in [true, false] {
+                prop_assert_eq!(
+                    outer_join(&l, &r, Some(&theta), left_kind).unwrap(),
+                    outer_join(&l, &r, Some(&pairwise), left_kind).unwrap(),
+                    "{} left_kind={} {:?} {:?}", theta, left_kind, l, r
+                );
+            }
+        }
+    }
 }

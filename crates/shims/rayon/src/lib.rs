@@ -67,6 +67,10 @@ pub struct PoolMetrics {
     pub build_tasks: u64,
     /// Wall-clock time inside `map_build` (all calls summed).
     pub build_wall_ns: u64,
+    /// Calls (`map_in_order` and `map_build` alike) that spawned worker
+    /// threads — each pays a spawn and a join; a call over at most one
+    /// item, or through [`ThreadPool::map_inline`], spawns none.
+    pub spawns: u64,
     /// Per-task execution spans, in item-index order per call. Empty
     /// unless span recording is on ([`ThreadPool::set_spans_recorded`]).
     pub spans: Vec<TaskSpan>,
@@ -263,7 +267,16 @@ impl ThreadPool {
                 .collect();
             if let Some(start) = wall {
                 let ns = start.elapsed().as_nanos() as u64;
-                self.record(n as u64, 0, ns, 0, &[(0, ns, n as u64)], spans, build);
+                self.record(
+                    n as u64,
+                    0,
+                    ns,
+                    0,
+                    &[(0, ns, n as u64)],
+                    spans,
+                    build,
+                    false,
+                );
             }
             return out;
         }
@@ -366,13 +379,14 @@ impl ThreadPool {
                 &per_worker,
                 spans,
                 build,
+                true,
             );
         }
         out
     }
 
-    /// Fold one instrumented `map_in_order` call into the accumulated
-    /// metrics.
+    /// Fold one instrumented `map_in_order` / `map_build` call into the
+    /// accumulated metrics; `spawned`: it ran on spawned workers.
     #[allow(clippy::too_many_arguments)]
     fn record(
         &self,
@@ -383,9 +397,11 @@ impl ThreadPool {
         per_worker: &[(usize, u64, u64)],
         spans: Vec<TaskSpan>,
         build: bool,
+        spawned: bool,
     ) {
         let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         m.workers = self.num_threads;
+        m.spawns += u64::from(spawned);
         if build {
             m.build_tasks += tasks;
             m.build_wall_ns += wall_ns;
@@ -454,6 +470,18 @@ mod tests {
         assert_eq!((m.workers, m.tasks), (4, 10));
         assert_eq!(m.spans.len(), 10);
         assert!(m.spans[..5].iter().all(|s| s.worker == 0 && !s.build));
+    }
+
+    #[test]
+    fn spawns_count_the_calls_that_started_workers() {
+        let p = pool(2);
+        p.set_instrumented(true);
+        p.map_inline((0..8).collect::<Vec<u64>>(), |_, x| x);
+        p.map_in_order(vec![1u64], |_, x| x);
+        assert_eq!(p.take_metrics().spawns, 0, "inline and one-item maps");
+        p.map_in_order((0..8).collect::<Vec<u64>>(), |_, x| x);
+        let m = p.take_metrics();
+        assert_eq!((m.spawns, m.tasks), (1, 8), "one 2-thread map of 8 items");
     }
 
     #[test]

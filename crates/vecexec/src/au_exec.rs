@@ -99,14 +99,19 @@
 //!   vectorized `ua_ranges::ops::RowView`: a cell's pin comes off its
 //!   column's `point_mask` (O(1) when the bounds alias `bg`), a range is
 //!   assembled only when a bound rule asks for one, and the join keys are
-//!   evaluated by `expr_triple` as the hash join's are. The shared
+//!   evaluated by `expr_triple` as the hash join's are. The selected-guess
+//!   index (`ua_ranges::SgKeyIndex`) reads a key column through
+//!   `RowView::key_column`: the view hands its typed `bg` buffer as it is
+//!   and its point mask, so keying both sides is one grouping pass. The
+//!   shared
 //!   `ua_ranges::ops::{except_select, outer_join_select, JoinSelect}` —
 //!   the very bound rules and pair loop the row engine's `except` /
 //!   `outer_join` / `join` / `hash_join` run — return which rows survive,
 //!   paired with what, under which triple (`⋈` one `batch_rows` range of
 //!   probe rows per pool task); the driver gathers that selection out of
 //!   the chunks (`Driver::gather_selection`). Nothing crosses into an
-//!   `AuRelation`.
+//!   `AuRelation`. The candidate pairs a selection refined through the
+//!   range rule are its operator's `rowwise_pairs`.
 //!
 //! No operator falls back to the row engine's materialize-and-dispatch
 //! path: every `au.vec.fallback.*` counter stays pinned at zero
@@ -115,7 +120,9 @@
 //! `au.vec.rowwise.{filter_rows, project_rows, join_pairs}` registry
 //! counters and the `rowwise_rows` / `rowwise_pairs` extras on the Filter
 //! / Map / HashJoin stats nodes say how much of an operator paid for
-//! uncertainty (zero over all-certain data).
+//! uncertainty (zero over all-certain data); Except / OuterJoin / Join
+//! nodes report `rowwise_pairs` from their selection, with no registry
+//! counter.
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{
@@ -140,7 +147,7 @@ use ua_plan::storage::Table;
 use ua_plan::{AggFunc, EngineError};
 use ua_ranges::ops::{
     bind_hash_keys, bind_on, distinct_cols, except_select, key_family, outer_join_select,
-    refine_pair_mult, JoinSelect, Pin, RowView, Selection,
+    refine_pair_mult, JoinSelect, Pin, RowView, Selection, SgColumn,
 };
 use ua_ranges::{
     approx_range, decode_row, encode_row, flattened_schema, range_from_parts, range_parts,
@@ -458,13 +465,14 @@ impl Driver<'_> {
     /// `⟦−⟧_AU` (EXCEPT [ALL]), column-native: both inputs are read as
     /// [`ChunkView`]s, the shared `ua_ranges::ops::except_select` keeps the
     /// surviving left rows with their triples, and
-    /// [`Driver::gather_selection`] gathers them.
+    /// [`Driver::gather_selection`] gathers them. Returned beside them: the
+    /// candidate pairs the selection refined (`Selection::refined`).
     pub(crate) fn au_except(
         &self,
         ls: BatchStream,
         rs: BatchStream,
         all: bool,
-    ) -> Result<BatchStream, EngineError> {
+    ) -> Result<(BatchStream, u64), EngineError> {
         let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
         // The row engine's check and error speak of the user arities.
         luser
@@ -472,7 +480,8 @@ impl Driver<'_> {
             .map_err(EngineError::Schema)?;
         let (left, right) = ChunkView::pair(ls, rs, &JoinKeys::default())?;
         let selection = except_select(&left, &right, luser.arity(), all);
-        Ok(self.gather_selection(flattened_schema(&luser), &selection, &left, None))
+        let out = self.gather_selection(flattened_schema(&luser), &selection, &left, None);
+        Ok((out, selection.refined))
     }
 
     /// `⟦⟕⟧_AU` / `⟦⟖⟧_AU`, column-native: the ON clause binds over the
@@ -480,14 +489,14 @@ impl Driver<'_> {
     /// [`ChunkView`] carrying its side of the clause's candidate keys, the
     /// shared `ua_ranges::ops::outer_join_select` picks the matched pairs
     /// and pads with their triples, and [`Driver::gather_selection`]
-    /// gathers them.
+    /// gathers them. Returned beside them: the candidate pairs refined.
     pub(crate) fn au_outer_join(
         &self,
         ls: BatchStream,
         rs: BatchStream,
         predicate: Option<&Expr>,
         left_kind: bool,
-    ) -> Result<BatchStream, EngineError> {
+    ) -> Result<(BatchStream, u64), EngineError> {
         let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
         let (bound, keys) = bind_on(predicate, &luser, &ruser).map_err(EngineError::Expr)?;
         let (left, right) = ChunkView::pair(ls, rs, &keys)?;
@@ -495,7 +504,8 @@ impl Driver<'_> {
         let selection = outer_join_select(&left, &right, arities, bound.as_ref(), &keys, left_kind);
         let selection = selection.map_err(EngineError::Expr)?;
         let flat = flattened_schema(&luser.concat(&ruser));
-        Ok(self.gather_selection(flat, &selection, &left, Some(&right)))
+        let out = self.gather_selection(flat, &selection, &left, Some(&right));
+        Ok((out, selection.refined))
     }
 
     /// `⟦⋈⟧_AU` for `Plan::Join` — keyless, non-equi, or keyed with the
@@ -506,13 +516,14 @@ impl Driver<'_> {
     /// surviving pairs of each `batch_rows` range of left rows on the pool,
     /// the selections concatenate in range order (the lowest failing
     /// range's error wins, the row engine's scan order), and
-    /// [`Driver::gather_selection`] gathers them.
+    /// [`Driver::gather_selection`] gathers them. Returned beside them: the
+    /// candidate pairs refined.
     pub(crate) fn au_join(
         &self,
         ls: BatchStream,
         rs: BatchStream,
         predicate: Option<&Expr>,
-    ) -> Result<BatchStream, EngineError> {
+    ) -> Result<(BatchStream, u64), EngineError> {
         let (luser, ruser) = (user_schema(&ls.schema), user_schema(&rs.schema));
         let (bound, keys) = bind_on(predicate, &luser, &ruser).map_err(EngineError::Expr)?;
         let (left, right) = ChunkView::pair(ls, rs, &keys)?;
@@ -531,7 +542,8 @@ impl Driver<'_> {
             selection.append(part.map_err(EngineError::Expr)?);
         }
         let flat = flattened_schema(&luser.concat(&ruser));
-        Ok(self.gather_selection(flat, &selection, &left, Some(&right)))
+        let out = self.gather_selection(flat, &selection, &left, Some(&right));
+        Ok((out, selection.refined))
     }
 
     /// Gather a [`Selection`] out of its inputs' chunks
@@ -817,6 +829,25 @@ impl RowView for ChunkView {
         let (lb, bg, ub) = self.triple(c);
         Cow::Owned(range_from_parts(lb.value(i), bg.value(i), ub.value(i)))
     }
+
+    /// A typed `bg` buffer is handed as it is (a `Mixed` one under
+    /// `join_key`), and the point rows off [`point_mask`] — `None` when
+    /// every row is one.
+    fn key_column(&self, c: usize) -> (SgColumn<'_>, Option<Vec<bool>>) {
+        let (lb, bg, ub) = self.triple(c);
+        let keys = match bg {
+            ColumnVec::Int(v) => SgColumn::Int(Cow::Borrowed(v)),
+            ColumnVec::Float(v) => SgColumn::Float(Cow::Borrowed(v)),
+            ColumnVec::Bool(v) => SgColumn::Bool(Cow::Borrowed(v)),
+            ColumnVec::Str(v) => SgColumn::Str(Cow::Borrowed(v)),
+            ColumnVec::Mixed(v) => {
+                SgColumn::Values(v.iter().map(|x| x.clone().join_key()).collect())
+            }
+        };
+        let mask = self.points[c].get_or_init(|| point_mask(lb, bg, ub));
+        let points = (!mask.all_ones()).then(|| (0..mask.len()).map(|i| mask.get(i)).collect());
+        (keys, points)
+    }
 }
 
 /// Which side of a join key a join input evaluates.
@@ -828,7 +859,8 @@ struct SideKeys {
     /// The selected-guess key columns, one per key.
     bg: Vec<ColumnVec>,
     /// Rows whose every key is a *hashable point* (`lb = bg = ub`, not
-    /// NaN — `ua_ranges::ops`' `hashable_row`, checked columnar).
+    /// NaN — what `ua_ranges::SgKeyIndex` asks of a keyed row under join
+    /// equality, checked columnar).
     point: Bitmap,
 }
 

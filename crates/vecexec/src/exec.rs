@@ -693,8 +693,10 @@ impl<'a> Driver<'a> {
         let timer = self.collect_stats.then(Stopwatch::start);
         let semantics = self.semantics;
         let au = semantics == Semantics::Au;
-        // AU γ's possible-member visits outside its passes over the input.
+        // AU γ's possible-member visits outside its passes over the input,
+        // and the candidate pairs AU `−` / `⟕` / `⋈` refined.
         let mut listed_rows = 0;
+        let mut refined = 0;
         let (stream, children) = match plan {
             Plan::Scan(name) => (self.scan(name)?, Vec::new()),
             Plan::UnionAll { left, right } => {
@@ -715,7 +717,9 @@ impl<'a> Driver<'a> {
             Plan::Except { left, right, all } => {
                 let (l, r, children) = self.inputs(left, right)?;
                 let out = if au {
-                    self.au_except(l, r, *all)?
+                    let (out, pairs) = self.au_except(l, r, *all)?;
+                    refined = pairs;
+                    out
                 } else {
                     ops::except(l, r, *all)?
                 };
@@ -730,7 +734,9 @@ impl<'a> Driver<'a> {
                 let (l, r, children) = self.inputs(left, right)?;
                 let out = if au {
                     let left_kind = *kind == ua_plan::plan::OuterKind::Left;
-                    self.au_outer_join(l, r, predicate.as_ref(), left_kind)?
+                    let (out, pairs) = self.au_outer_join(l, r, predicate.as_ref(), left_kind)?;
+                    refined = pairs;
+                    out
                 } else {
                     let spec = JoinSpec::bind(plan, &l.schema, &r.schema)?;
                     ops::outer_join(l, r, spec, Some(&self.pool))?
@@ -788,7 +794,9 @@ impl<'a> Driver<'a> {
                 predicate,
             } if au => {
                 let (l, r, children) = self.inputs(left, right)?;
-                (self.au_join(l, r, predicate.as_ref())?, children)
+                let (out, pairs) = self.au_join(l, r, predicate.as_ref())?;
+                refined = pairs;
+                (out, children)
             }
             Plan::Filter { .. }
             | Plan::Map { .. }
@@ -827,6 +835,7 @@ impl<'a> Driver<'a> {
             let mut tally = StageTally {
                 wall_ns: timer.elapsed_ns(),
                 marker: self.ua_marker(plan, &stream.schema),
+                rowwise: refined,
                 ..StageTally::default()
             };
             tally.observe(&stream.batches, semantics);
@@ -887,7 +896,9 @@ impl<'a> Driver<'a> {
                     // A projection is row-wise by exception (most are plain
                     // references): the extra appears only when it was.
                     "Map" if tally.rowwise > 0 => node.push_extra("rowwise_rows", tally.rowwise),
-                    "HashJoin" => node.push_extra("rowwise_pairs", tally.rowwise),
+                    "HashJoin" | "Join" | "OuterJoin" | "Except" => {
+                        node.push_extra("rowwise_pairs", tally.rowwise)
+                    }
                     _ => {}
                 }
             }
@@ -916,6 +927,7 @@ impl<'a> Driver<'a> {
             worker_tasks: m.worker_tasks,
             build_tasks: m.build_tasks,
             build_wall_ns: m.build_wall_ns,
+            spawns: m.spawns,
         };
         Some(QueryStats {
             engine: "vectorized".into(),
@@ -1027,8 +1039,8 @@ struct StageTally {
     width: WidthSummary,
     /// AU: the output's logical bytes.
     mem_bytes: u64,
-    /// AU: σ / π input rows and hash-⋈ candidate pairs that left the
-    /// columnar kernels for the per-row range evaluator.
+    /// AU: σ / π input rows, and ⋈ / `⟕` / `−` candidate pairs, that left
+    /// the columnar kernels for the per-row range evaluator.
     rowwise: u64,
 }
 

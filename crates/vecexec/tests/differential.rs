@@ -963,6 +963,9 @@ enum Keys {
     Points,
     /// Points mixed with ranged, definite-NULL and top keys.
     Ranged,
+    /// Every key a certain value, and the payload `v` too: every row a
+    /// certain point, read through typed key buffers.
+    Certain,
 }
 
 #[derive(Clone, Copy)]
@@ -1006,6 +1009,11 @@ fn au_side(
         };
         let v = rng.gen_range(0..20i64);
         let spread = rng.gen_range(0..3i64);
+        let spread = if matches!(keys, Keys::Certain) {
+            0
+        } else {
+            spread
+        };
         let ub = rng.gen_range(1..3u64);
         let bg = rng.gen_range(0..=ub);
         let lb = rng.gen_range(0..=bg);
@@ -1297,16 +1305,18 @@ fn au_hash_joins_match_the_row_operator_over_ranged_keys() {
 /// null-aware predicate and keyless, and the `NOT IN` anti-join shape
 /// (`IS NULL` over the padded flag) — over point / ranged / top /
 /// definite-NULL keys, NaN and `−0.0`, `Int`-vs-`Float` equal points,
-/// cross-family sides, `lb = 0` / `bg = 0` multiplicities and empty sides.
-/// At threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024} every parallel
-/// stream is the serial one, and a query the row engine rejects fails on
-/// every run.
+/// cross-family sides, `lb = 0` / `bg = 0` multiplicities and empty sides
+/// — and over all-point sides (`Int`, `Float`, `Str`, `Int` against
+/// `Float`), whose typed key columns the chunk view hands to the index as
+/// they are. At threads {1, 2, 4, 8} × batch rows {1, 7, 64, 1024} every
+/// parallel stream is the serial one, and a query the row engine rejects
+/// fails on every run.
 #[test]
 fn au_except_and_outer_joins_match_the_row_operators_over_ranged_keys() {
     use ua_data::algebra::null_aware_eq;
     use ua_engine::plan::OuterKind;
     use Domain::{Float, Int, Str};
-    use Keys::{Points, Ranged};
+    use Keys::{Certain, Points, Ranged};
     let scan = |t: &str| Box::new(Plan::Scan(t.into()));
     let key_columns = |t: &str| {
         Box::new(Plan::Map {
@@ -1404,6 +1414,18 @@ fn au_except_and_outer_joins_match_the_row_operators_over_ranged_keys() {
         ("cross family", (20, Ranged, Int), (15, Points, Str)),
         ("empty left", (0, Points, Int), (20, Ranged, Int)),
         ("empty right", (20, Ranged, Int), (0, Points, Int)),
+        ("all points", (40, Certain, Int), (30, Certain, Int)),
+        (
+            "all point floats",
+            (40, Certain, Float),
+            (30, Certain, Float),
+        ),
+        ("all point strings", (30, Certain, Str), (20, Certain, Str)),
+        (
+            "all point int vs float",
+            (40, Certain, Int),
+            (30, Certain, Float),
+        ),
     ];
     let mut rng = StdRng::seed_from_u64(0x2E6A_7105);
     for (side, (ln, lkeys, ldom), (rn, rkeys, rdom)) in sides {
