@@ -491,8 +491,8 @@ impl UaSession {
 
     /// `EXPLAIN ANALYZE` for UA queries: [`Self::explain_ua`]'s plans plus
     /// the executed operator tree of the `⟦·⟧_UA` rewriting (what actually
-    /// ran, on either engine; the vectorized tree shows its pipeline
-    /// structure, fused stages and morsel-pool totals).
+    /// ran, on either engine; the vectorized tree adds batch counts and
+    /// morsel-pool totals).
     pub fn explain_analyze_ua(&self, sql: &str) -> Result<String, EngineError> {
         self.explain(sql, Semantics::Ua, true)
     }

@@ -450,7 +450,7 @@ fn au_vectorized_stats_tree_equals_the_row_interpreters() {
 
 /// The stats-tree contract through a pipelined AU hash join: two stacked
 /// hash joins probe one morsel pipeline, a σ directly below each probe
-/// side fuses into the probe, and the vectorized tree still equals the row
+/// side hands the probe its selection, and the vectorized tree still equals the row
 /// interpreter's node for node — one `Filter` span and one `HashJoin` span
 /// per plan operator, a join's children in plan order (left, right)
 /// whichever side builds, every figure of the per-morsel tallies summed —
@@ -549,6 +549,162 @@ fn au_pipelined_hash_join_stats_trees_equal_the_row_interpreters() {
             row.peak_mem_bytes, vec.peak_mem_bytes,
             "{context}: query memory peak"
         );
+    }
+}
+
+/// The det / UA twin of the AU stats-tree contract: every pipeline stage
+/// runs one plan operator and reports one span, a σ's survivors ride to the
+/// next operator as a selection, and a join lists its children in plan
+/// order whichever side builds — so the vectorized tree equals the row
+/// interpreter's node for node (operator, detail, `rows_out`, UA
+/// `certain_rows`, child order) on σ→π, σ→alias→π, σ→alias→probe under
+/// each build side, two stacked hash joins and a keyless θ-join with a σ
+/// on its probe side, at threads {1, 4} × batch rows {64, default}.
+#[test]
+fn det_and_ua_vectorized_stats_trees_equal_the_row_interpreters() {
+    use ua_data::algebra::ProjColumn;
+    use ua_data::Expr;
+    use ua_engine::plan::Plan;
+    use ua_engine::{rewrite_ua_plan, Catalog, ExecOptions, Semantics};
+    let col = |name: &str| Expr::named(name);
+    let scan = |t: &str| Box::new(Plan::Scan(t.into()));
+    // σ over table `t` on its third column `c`.
+    let sigma = |t: &str, c: &str, bound: i64| {
+        Box::new(Plan::Filter {
+            input: scan(t),
+            predicate: col(&format!("{t}.{c}")).ge(Expr::lit(bound)),
+        })
+    };
+    let alias = |input: Box<Plan>, name: &str| {
+        Box::new(Plan::Alias {
+            input,
+            name: name.into(),
+        })
+    };
+    let hash = |left, right, (l, r): (&str, &str), build_left| Plan::HashJoin {
+        left,
+        right,
+        keys: vec![(col(l), col(r))],
+        residual: None,
+        build_left,
+    };
+    let mut plans: Vec<(String, Plan)> = vec![
+        (
+            "σ→π".into(),
+            Plan::Map {
+                input: sigma("a", "v", 3),
+                columns: vec![
+                    ProjColumn::expr(col("a.k"), "k"),
+                    ProjColumn::expr(col("a.v").add(col("a.g")), "s"),
+                ],
+            },
+        ),
+        (
+            "σ→alias→π".into(),
+            Plan::Map {
+                input: alias(sigma("a", "v", 3), "x"),
+                columns: vec![
+                    ProjColumn::expr(col("x.k"), "k"),
+                    ProjColumn::expr(col("x.v").mul(Expr::lit(2i64)), "d"),
+                ],
+            },
+        ),
+        (
+            "keyless θ-join, σ on the probe side".into(),
+            Plan::Join {
+                left: sigma("a", "v", 9),
+                right: scan("c"),
+                predicate: Some(col("a.v").lt(col("c.y"))),
+            },
+        ),
+    ];
+    for build_left in [false, true] {
+        let probe = || alias(sigma("a", "v", 3), "x");
+        let (left, right, keys) = if build_left {
+            (scan("b"), probe(), ("b.k", "x.k"))
+        } else {
+            (probe(), scan("b"), ("x.k", "b.k"))
+        };
+        plans.push((
+            format!("σ→alias→probe build_left={build_left}"),
+            hash(left, right, keys, build_left),
+        ));
+    }
+    for (b1, b2) in [(false, false), (false, true), (true, false), (true, true)] {
+        let lower = hash(sigma("a", "v", 3), sigma("b", "x", 2), ("a.k", "b.k"), b1);
+        plans.push((
+            format!("stacked joins build_left=({b1}, {b2})"),
+            hash(Box::new(lower), sigma("c", "y", 1), ("a.g", "c.g"), b2),
+        ));
+    }
+    for semantics in [Semantics::Det, Semantics::Ua] {
+        let ua = semantics == Semantics::Ua;
+        let catalog = Catalog::new();
+        for (name, cols, rows) in [
+            ("a", ["k", "g", "v"], 900i64),
+            ("b", ["k", "w", "x"], 300),
+            ("c", ["g", "z", "y"], 20),
+        ] {
+            let mut schema = Schema::qualified(name, cols);
+            if ua {
+                schema = schema.with_column("ua_c");
+            }
+            let rows = (0..rows)
+                .map(|i| {
+                    let mut row = vec![Value::Int(i % 60), Value::Int(i % 10), Value::Int(i % 13)];
+                    if ua {
+                        row.push(Value::Int(i64::from(i % 4 != 0)));
+                    }
+                    Tuple::new(row)
+                })
+                .collect();
+            catalog.register(name, Table::from_rows(schema, rows));
+        }
+        for (name, plan) in &plans {
+            let plan = &if ua {
+                rewrite_ua_plan(plan, &catalog).expect("in the fragment")
+            } else {
+                plan.clone()
+            };
+            let (row_result, row) = ua_engine::execute_row(plan, &catalog, semantics, true);
+            let row_result = row_result.unwrap_or_else(|e| panic!("`{name}` {semantics:?}: {e:?}"));
+            let row = row.expect("row stats");
+            for (threads, batch_rows) in [(1, 64), (1, 0), (4, 64), (4, 0)] {
+                let opts = ExecOptions {
+                    threads,
+                    batch_rows,
+                    collect_stats: true,
+                    collect_trace: false,
+                };
+                let (vec_result, vec) = ua_vecexec::execute(plan, &catalog, opts, semantics);
+                let context =
+                    format!("`{name}` {semantics:?} threads={threads} batch_rows={batch_rows}");
+                assert_eq!(row_result, vec_result.expect("vec run"), "{context}");
+                let vec = vec.expect("vec stats");
+                assert_same_det_tree(&row.root, &vec.root, &context);
+            }
+        }
+    }
+}
+
+/// One det / UA span and its subtree against the row interpreter's:
+/// operator, detail, rows, the UA certain-row count and the children, in
+/// order.
+fn assert_same_det_tree(row: &ua_obs::OperatorStats, vec: &ua_obs::OperatorStats, path: &str) {
+    let path = format!("{path}/{}", row.name);
+    assert_eq!(row.name, vec.name, "{path}: operator");
+    assert_eq!(row.detail, vec.detail, "{path}: detail");
+    assert_eq!(row.rows_out, vec.rows_out, "{path}: rows_out");
+    let certain = |n: &ua_obs::OperatorStats| {
+        n.extra
+            .iter()
+            .find(|(k, _)| k == "certain_rows")
+            .map(|&(_, v)| v)
+    };
+    assert_eq!(certain(row), certain(vec), "{path}: certain_rows");
+    assert_eq!(row.children.len(), vec.children.len(), "{path}: children");
+    for (r, v) in row.children.iter().zip(&vec.children) {
+        assert_same_det_tree(r, v, &path);
     }
 }
 

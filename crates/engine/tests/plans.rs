@@ -694,9 +694,9 @@ fn explain_analyze_golden_snapshot() {
          \x20       Scan[dept] rows=2 est=2\n"
     );
 
-    // The vectorized tree carries batch counts and lists the hash join's
-    // build-side subtree (dept) before the streamed probe chain. The σ
-    // fuses into the probe through the alias, which keeps its span.
+    // The vectorized tree is the row tree plus batch counts: the σ keeps
+    // its own span below the alias, and the hash join lists its children
+    // in plan order, the streamed probe chain (emp) before the build side.
     s.set_exec_mode(ua_engine::ExecMode::Vectorized);
     s.query_det(sql).unwrap();
     let vec = s.last_query_stats().unwrap();
@@ -704,10 +704,11 @@ fn explain_analyze_golden_snapshot() {
         vec.root.render(false),
         "Map[city→city, __agg0→n] rows=1 est=2 batches=1\n\
          \x20 Aggregate[city; count(*)→__agg0] rows=1 est=2 batches=1 (mem_bytes=43)\n\
-         \x20   HashJoin[e.dept=d.name; build=right; σ[(salary >= 80)]] rows=2 est=2 batches=1 (build_rows=2, mem_bytes=92, fused_filter=1, probe_rows=2)\n\
-         \x20     Alias[d] rows=2 est=2 batches=1\n\
-         \x20       Scan[dept] rows=2 est=2 batches=1\n\
+         \x20   HashJoin[e.dept=d.name; build=right] rows=2 est=2 batches=1 (build_rows=2, mem_bytes=92, probe_rows=2)\n\
          \x20     Alias[e] rows=2 est=2 batches=1\n\
-         \x20       Scan[emp] rows=4 est=4 batches=1\n"
+         \x20       Filter[(salary >= 80)] rows=2 est=2 batches=1\n\
+         \x20         Scan[emp] rows=4 est=4 batches=1\n\
+         \x20     Alias[d] rows=2 est=2 batches=1\n\
+         \x20       Scan[dept] rows=2 est=2 batches=1\n"
     );
 }

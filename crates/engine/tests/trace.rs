@@ -644,9 +644,9 @@ fn golden_row_join_trees() {
 /// print the same plans — the vectorized engine runs the `⟦·⟧_UA`
 /// rewriting of the optimized plan too — and its tree counts
 /// `certain_rows` on the same operators as the row tree: not on the hash
-/// join, whose output ends in the right side's marker only. The σ below the join's build side fuses
-/// into nothing here (the build side is a pipeline of its own, with no
-/// probe above the σ), so every row span has its vectorized twin.
+/// join, whose output ends in the right side's marker only. Every row
+/// span has its vectorized twin, the σ below the join's build side
+/// included.
 #[test]
 fn golden_vectorized_ua_join_tree() {
     let s = seeded_session();
@@ -690,11 +690,11 @@ fn golden_vectorized_ua_join_tree() {
     );
 }
 
-/// A σ under an alias on a hash join's *probe* side fuses into the probe
-/// through the alias on the vectorized engine: under UA the join's span
-/// folds the σ in and the alias keeps a span of its own over the scan,
-/// counting the σ's survivors as the row tree's `Alias[x]` does; under AU
-/// the σ keeps its span too, so the tree is the row tree.
+/// A σ under an alias on a hash join's *probe* side hands its selection
+/// through the alias to the probe on the vectorized engine, and every
+/// operator keeps its own span: under UA the σ and the alias each count
+/// the σ's survivors, and the join lists its probe side (`x`) first, in
+/// plan order, as the row tree does; under AU the tree is the row tree.
 #[test]
 fn probe_side_filter_fuses_through_alias() {
     let s = seeded_session();
@@ -720,11 +720,12 @@ fn probe_side_filter_fuses_through_alias() {
     assert_eq!(
         ua[1..].join("\n"),
         [
-            "    HashJoin[x.g=c.ck; build=right; σ[(v >= 10)]] rows=190 est=190 batches=1 time=* (build_ns=*, build_rows=120, mem_bytes=6720, fused_filter=1, probe_rows=190)",
+            "    HashJoin[x.g=c.ck; build=right] rows=190 est=190 batches=1 time=* (build_ns=*, build_rows=120, mem_bytes=6720, probe_rows=190)",
+            "      Alias[x] rows=190 est=190 batches=1 time=* (certain_rows=143)",
+            "        Filter[(v >= 10)] rows=190 est=190 batches=1 time=* (certain_rows=143)",
+            "          Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 time=* (certain_rows=150)",
             "      Alias[c] rows=120 est=120 batches=1 time=* (certain_rows=120)",
             "        Scan[__ua__cu__ti_1_p] rows=120 est=120 batches=1 time=* (certain_rows=120)",
-            "      Alias[x] rows=190 est=190 batches=1 time=* (certain_rows=143)",
-            "        Scan[__ua__t__ti_1_p] rows=200 est=200 batches=1 time=* (certain_rows=150)",
         ]
         .join("\n"),
     );

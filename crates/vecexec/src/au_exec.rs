@@ -16,7 +16,7 @@
 //!
 //! Pipeline stages (run per morsel by `exec::run_chain`):
 //!
-//! * **σ** (`filter_batch`) — the selected-guess mask evaluates with the
+//! * **σ** (`filter_select`) — the selected-guess mask evaluates with the
 //!   existing typed [`crate::kernels::truth_masks`] over the bg columns.
 //!   The possibly-true / certainly-true analysis is *kernel-native* for
 //!   predicates built from comparisons, `BETWEEN`, literal `IN` lists and
@@ -33,9 +33,11 @@
 //!   ranges, a `÷` or `CASE` operand, a NaN under an Int/Float coercion —
 //!   sends the batch down the per-row `ua_ranges::truth_range` path, over
 //!   ranges assembled for the referenced columns only. Either way `ua_m_lb` /
-//!   `ua_m_bg` are refined by masking and the survivors leave in one
-//!   gather, which gathers each distinct buffer once — a point column
-//!   (bounds aliasing `bg`) is still one above the filter.
+//!   `ua_m_bg` are refined by masking, and the survivors and those two
+//!   columns become the morsel's selection, gathered by the operator that
+//!   reads them (`exec`'s "Selections"): one gather of each distinct
+//!   buffer, so a point column (bounds aliasing `bg`) is still one above
+//!   the filter.
 //! * **π** (`map_batch`) — every kernel-native output column comes out of
 //!   [`crate::kernels::eval_triple`] as three typed columns (interval
 //!   arithmetic at column speed; points map to points whose bounds alias
@@ -57,17 +59,18 @@
 //!   included); every other row is *fuzzy* and joins every candidate list,
 //!   `ua_ranges::SgKeyIndex`'s rule. Each morsel evaluates its own probe
 //!   keys and probes read-only, probe-major, candidates ascending in
-//!   build-scan order — the row operator's order, byte for byte. A σ
-//!   directly below fuses in: its masks and refined multiplicities are
-//!   computed, the keys evaluate over its survivors only, and the output
-//!   gathers straight from the scan batch. Pruning is sound because a
-//!   pruned pair's keys differ between two points of one family (or a
-//!   point and a definite NULL): its key equality is certainly false. A
-//!   pair the index finds between same-typed point keys, with no
-//!   residual, is certainly equal and keeps the plain `MultBound::times`
-//!   product unrefined; every other candidate (fuzzy key, residual, mixed
-//!   key types) is refined by the shared `ua_ranges::ops::refine_pair_mult`
-//!   over ranges assembled for that pair only. Each side's columns gather
+//!   build-scan order — the row operator's order, byte for byte. A
+//!   morsel a σ selected is probed through its selection: the keys
+//!   evaluate over the survivors only, their refined multiplicities enter
+//!   the products, and the output gathers straight from the scan batch.
+//!   Pruning is sound because a pruned pair's keys differ between two
+//!   points of one family (or a point and a definite NULL): its key
+//!   equality is certainly false. A pair the index finds between
+//!   same-typed point keys, with no residual, is certainly equal and
+//!   keeps the plain `MultBound::times` product unrefined; every other
+//!   candidate (fuzzy key, residual, mixed key types) is refined by the
+//!   shared `ua_ranges::ops::refine_pair_mult` over ranges assembled for
+//!   that pair only. Each side's columns gather
 //!   through one aliasing-aware gather (a point column leaves as one
 //!   buffer), never re-encoded.
 //!
@@ -129,7 +132,7 @@ use crate::columnar::{
     chunk_columns, chunk_to_batch, convert_chunks, gather_columns, BatchStream, ColumnBatch,
     ColumnVec,
 };
-use crate::exec::Driver;
+use crate::exec::{Driver, Survivors};
 use crate::kernels::{
     eval_expr, eval_triple, is_definite_null, range_truth_masks, truth_masks, Evaluated,
 };
@@ -854,7 +857,7 @@ impl RowView for ChunkView {
 type Side = fn(&EquiKey) -> &Expr;
 
 /// One join side's evaluated key columns over a batch (or the build
-/// chunk), restricted to a filter's survivors when the σ below is fused.
+/// chunk), restricted to the survivors of a σ below when it left any.
 struct SideKeys {
     /// The selected-guess key columns, one per key.
     bg: Vec<ColumnVec>,
@@ -979,9 +982,9 @@ fn retain_flagged<T>(v: &mut Vec<T>, keep: &[bool]) {
 /// key, or a point of another family) is *fuzzy* and stands in every
 /// candidate list, exactly as in [`ua_ranges::SgKeyIndex`]. Each morsel of
 /// the probe side's pipeline then evaluates its own keys and probes
-/// read-only ([`AuProbe::probe`]) — through the σ directly below, when one
-/// is fused in. A pruned pair has two keys that differ between points of
-/// one family (or a point and a definite NULL): its key equality is
+/// read-only ([`AuProbe::probe`]) — through the selection a σ below left
+/// on the morsel, if any. A pruned pair has two keys that differ between
+/// points of one family (or a point and a definite NULL): its key equality is
 /// certainly false, so dropping it loses no possibly-true pair.
 pub(crate) struct AuProbe {
     /// The build side as one chunk over its flattened schema.
@@ -1088,15 +1091,14 @@ impl AuProbe {
         })
     }
 
-    /// Probe one batch — through the σ `filter` (bound over the probe
-    /// side's user schema) when one is fused in: the joined batch (`None`
-    /// when no pair survives), how many rows the σ evaluated per row, and
-    /// how many pairs were refined per row.
+    /// Probe one batch, restricted to the `selection` a σ below left when
+    /// given: the joined batch (`None` when no pair survives) and how many
+    /// pairs were refined per row.
     ///
-    /// A fused σ decides its survivors and their refined `lb` / `bg`
-    /// multiplicities ([`filter_select`]) without gathering them; the keys
-    /// evaluate over the survivors only, and the output gathers straight
-    /// from the scan batch, so nothing is copied twice.
+    /// The selection's rows are ascending and carry their refined `lb` /
+    /// `bg` multiplicities ([`filter_select`]); the keys evaluate over them
+    /// only, and the output gathers straight from the scan batch, so
+    /// nothing is copied twice.
     ///
     /// A keyed probe row's candidates are its index bucket merged with the
     /// fuzzy build rows, ascending; a fuzzy probe row's candidates are all
@@ -1110,18 +1112,11 @@ impl AuProbe {
     pub(crate) fn probe(
         &self,
         batch: &ColumnBatch,
-        filter: Option<(&Expr, &Schema)>,
-    ) -> Result<(Option<ColumnBatch>, u64, u64), EngineError> {
+        selection: Option<&Survivors>,
+    ) -> Result<(Option<ColumnBatch>, u64), EngineError> {
         let (nl, nr) = self.arity;
         let (nb, np) = if self.build_left { (nl, nr) } else { (nr, nl) };
-        let (survivors, filtered) = match filter {
-            Some((pred, user)) => filter_select(batch, pred, user, np)?,
-            None => (None, 0),
-        };
-        let sel = survivors.as_ref().map(|s| &s.rows[..]);
-        if sel.is_some_and(<[u32]>::is_empty) {
-            return Ok((None, filtered, 0));
-        }
+        let sel = selection.map(|s| &s.rows[..]);
         let keys = SideKeys::eval(batch, sel, &self.probe_user, &self.probe_keys)?;
         let rows = keys.point.len() as u32;
         let keyed = keys.keyed(self.families.as_deref());
@@ -1175,18 +1170,18 @@ impl AuProbe {
             indexed = Some(flags);
         }
         if pidx.is_empty() {
-            return Ok((None, filtered, 0));
+            return Ok((None, 0));
         }
 
         // `MultBound::times` on the three multiplicity columns: saturating
         // products (`i64` saturation is where the `u64` product clamps
-        // when it is encoded). A fused σ's survivors carry refined `lb` /
-        // `bg`; `ub` is the batch's.
+        // when it is encoded). A selection carries its rows' refined `lb`
+        // / `bg`; `ub` is the batch's.
         let pm = mult_slices(batch, np);
         let bm = mult_slices(&self.chunk, nb);
-        let probe_mult = |k: usize, q: u32| match (&survivors, k) {
-            (Some(s), 0) => s.lb[q as usize],
-            (Some(s), 1) => s.bg[q as usize],
+        let refined_mults = selection.and_then(|s| s.mults.as_ref());
+        let probe_mult = |k: usize, q: u32| match refined_mults {
+            Some(m) if k < 2 => m[k][q as usize],
             _ => pm[k][sel.map_or(q, |sel| sel[q as usize]) as usize],
         };
         let mut mults: [Vec<i64>; 3] = [0, 1, 2].map(|k| {
@@ -1244,7 +1239,7 @@ impl AuProbe {
         }
         let rows_out = lidx.len();
         if rows_out == 0 {
-            return Ok((None, filtered, refined));
+            return Ok((None, refined));
         }
 
         // Flattened layout of `left ++ right`: all bg, all lb, all ub. Each
@@ -1259,7 +1254,7 @@ impl AuProbe {
         }
         columns.extend(mults.map(|m| ColumnVec::Int(Arc::new(m))));
         let joined = ColumnBatch::new(self.flat.clone(), columns, rows_out);
-        Ok((Some(joined), filtered, refined))
+        Ok((Some(joined), refined))
     }
 }
 
@@ -1410,16 +1405,6 @@ fn fill_triple(
     Ok(())
 }
 
-/// What one batch's `⟦σ_θ⟧_AU` keeps, before anything is gathered: the
-/// surviving rows, ascending, with their refined `lb` / `bg`
-/// multiplicities (`ub` is the input's).
-#[derive(Default)]
-struct Survivors {
-    rows: Vec<u32>,
-    lb: Vec<i64>,
-    bg: Vec<i64>,
-}
-
 /// One batch of `⟦σ_θ⟧_AU`, decided: possibly-true rows survive, the
 /// multiplicity lower bound is kept only under a certainly-true predicate
 /// and the selected-guess multiplicity only when θ holds over the bg
@@ -1427,9 +1412,11 @@ struct Survivors {
 /// ([`range_truth_masks`]) decide possibility and certainty as bitmaps
 /// straight off the `lb`/`ub` columns; any other shape evaluates
 /// `truth_range` per row over ranges assembled for the referenced columns
-/// only. Returns the survivors (`None` when every row survives unchanged)
-/// and how many rows took the per-row path.
-fn filter_select(
+/// only. Returns the survivors — their rows ascending, with their refined
+/// `lb` / `bg` multiplicities (`ub` is the batch's), nothing gathered;
+/// `None` when every row survives unchanged — and how many rows took the
+/// per-row path.
+pub(crate) fn filter_select(
     batch: &ColumnBatch,
     bound: &Expr,
     user: &Schema,
@@ -1437,7 +1424,7 @@ fn filter_select(
 ) -> Result<(Option<Survivors>, u64), EngineError> {
     let len = batch.len();
     if len == 0 {
-        return Ok((Some(Survivors::default()), 0));
+        return Ok((None, 0));
     }
     let (bg_true, _) = truth_masks(bound, &bg_view(batch, user))?;
     let (possibly, certainly, rowwise) = match range_truth_masks(bound, batch, n) {
@@ -1469,36 +1456,8 @@ fn filter_select(
         kept.map(|i| if mask.get(i) { mult[i] } else { 0 })
             .collect()
     };
-    let (lb, bg) = (masked(m_lb, &certainly), masked(m_bg, &bg_true));
-    Ok((Some(Survivors { rows, lb, bg }), rowwise))
-}
-
-/// One batch of `⟦σ_θ⟧_AU` (pure per-batch function, safe to run on the
-/// pool): [`filter_select`]'s survivors leave in one gather, the two
-/// multiplicity columns refined. Returns the surviving batch (`None` when
-/// no row survives) and how many rows took the per-row path.
-pub(crate) fn filter_batch(
-    batch: &ColumnBatch,
-    bound: &Expr,
-    user: &Schema,
-    flat: &Schema,
-    n: usize,
-) -> Result<(Option<ColumnBatch>, u64), EngineError> {
-    let (survivors, rowwise) = filter_select(batch, bound, user, n)?;
-    let Some(Survivors { rows, lb, bg }) = survivors else {
-        return Ok((Some(batch.clone()), rowwise));
-    };
-    if rows.is_empty() {
-        return Ok((None, rowwise));
-    }
-    let gathered = batch.gather(&rows);
-    let mut columns = gathered.columns().to_vec();
-    columns[3 * n] = ColumnVec::Int(Arc::new(lb));
-    columns[3 * n + 1] = ColumnVec::Int(Arc::new(bg));
-    Ok((
-        Some(ColumnBatch::new(flat.clone(), columns, rows.len())),
-        rowwise,
-    ))
+    let mults = Some([masked(m_lb, &certainly), masked(m_bg, &bg_true)]);
+    Ok((Some(Survivors { rows, mults }), rowwise))
 }
 
 /// One batch of `⟦π⟧_AU` (pure per-batch function, safe to run on the

@@ -52,16 +52,19 @@
 //! is deterministic across thread counts and batch sizes, but the *choice
 //! among multiple errors* is not part of the cross-engine contract.
 //!
-//! ## Fused kernels
+//! ## Selections
 //!
-//! Adjacent det `Filter→Map` and `Filter→join-probe` pairs fuse:
-//! the filter's selection bitmap is evaluated and *consumed in the same
-//! pass* ([`crate::kernels::project_selected`], [`ops::ProbeState::probe`]),
-//! gathering each needed column once instead of materializing the filtered
-//! batch first. An AU `Filter→hash-probe` pair fuses the same way
-//! (`AuProbe::probe`), but keeps both spans: an AU stats tree has one
-//! span per plan operator like the row interpreter's, so a run that
-//! collects stats applies the σ and the probe one after the other.
+//! A morsel in flight is a batch plus an optional **selection**: the rows
+//! a σ kept, ascending, not yet gathered — under AU with their refined
+//! `lb` / `bg` multiplicities, the two columns `⟦σ⟧_AU` changes. A σ sets
+//! the selection and gathers nothing; det π
+//! ([`crate::kernels::project_selected`]), re-qualification and both join
+//! probes ([`ops::ProbeState::probe`],
+//! `AuProbe::probe`) read through it, so a σ's survivors are gathered once,
+//! by the operator that needs their columns. Every other stage — a σ over
+//! an already-selected morsel, AU π — and the end of the chain first
+//! materialise the morsel in one gather. Each stage runs one plan operator
+//! and reports one span, so the stats tree is the row interpreter's.
 //!
 //! ## One collection path
 //!
@@ -71,7 +74,7 @@
 //! run closes through [`execute`], which emits the `bind` / `execute` /
 //! `merge` phase spans and the [`QueryStats`] for all three semantics.
 
-use crate::au_exec::{self, filter_batch, map_batch, user_schema, AuProbe};
+use crate::au_exec::{self, filter_select, map_batch, user_schema, AuProbe};
 use crate::columnar::{
     batches_from_table_pooled, table_from_batches_pooled, BatchStream, ColumnBatch, ColumnVec,
     DEFAULT_BATCH_ROWS,
@@ -244,32 +247,16 @@ enum Spec<'p> {
 }
 
 /// A bound per-batch stage (expressions resolved against the stage's input
-/// schema; join build sides materialized and indexed).
+/// schema; join build sides materialized and indexed): one plan operator.
 enum Stage {
     Filter(Expr),
     Project {
         exprs: Vec<Expr>,
         schema: Schema,
     },
-    /// Fused σ→π: selection bitmap evaluated and consumed in one pass.
-    FilterProject {
-        pred: Expr,
-        exprs: Vec<Expr>,
-        schema: Schema,
-    },
     Requalify(Schema),
     Probe(ProbeState),
-    /// Fused σ→probe: hash keys evaluate over filter survivors only and
-    /// the join gathers straight from the original batch. `alias` is a
-    /// requalification that stood between the two: the σ is bound by
-    /// position and the probe reads columns by position, so it only
-    /// renames — it runs nowhere, and keeps its span.
-    FilterProbe {
-        pred: Expr,
-        alias: Option<Schema>,
-        probe: ProbeState,
-    },
-    /// `⟦σ⟧_AU` ([`filter_batch`]); `user` is the input's user schema.
+    /// `⟦σ⟧_AU` ([`filter_select`]); `user` is the input's user schema.
     AuFilter {
         pred: Expr,
         user: Schema,
@@ -284,38 +271,69 @@ enum Stage {
     /// `⟦⋈⟧_AU` of a hash join, probing with this chain's stream
     /// ([`AuProbe::probe`]).
     AuProbe(AuProbe),
-    /// Fused `⟦σ⟧_AU`→probe: keys evaluate over the σ's survivors only and
-    /// the join gathers straight from the original batch. Unlike the det
-    /// fusions it keeps the σ's own span: an observed run applies the two
-    /// halves one after the other ([`run_chain`]). `alias` as in
-    /// `FilterProbe`.
-    AuFilterProbe {
-        pred: Expr,
-        user: Schema,
-        alias: Option<Schema>,
-        probe: AuProbe,
-    },
 }
 
 impl Stage {
-    /// How many spans the stage reports: one per plan operator, except that
-    /// a fused det σ reports as its consumer.
-    fn spans(&self) -> usize {
+    /// A join probe's build side: `Some(true)` when it is the plan's left
+    /// input; `None` for a stage that is no join.
+    fn build_left(&self) -> Option<bool> {
         match self {
-            Stage::FilterProbe { alias, .. } => 1 + usize::from(alias.is_some()),
-            Stage::AuFilterProbe { alias, .. } => 2 + usize::from(alias.is_some()),
-            _ => 1,
+            Stage::Probe(probe) => Some(probe.build_left),
+            Stage::AuProbe(probe) => Some(probe.build_left),
+            _ => None,
+        }
+    }
+}
+
+/// The rows of a morsel's batch that a σ kept, ascending, not yet gathered.
+pub(crate) struct Survivors {
+    pub(crate) rows: Vec<u32>,
+    /// AU: the kept rows' refined `lb` / `bg` multiplicities (`ub` is the
+    /// batch's); `None` under det / UA.
+    pub(crate) mults: Option<[Vec<i64>; 2]>,
+}
+
+impl Survivors {
+    /// `batch`'s rows at this selection in one gather; under AU the refined
+    /// multiplicities replace the batch's `lb` / `bg` columns.
+    fn gather(self, batch: &ColumnBatch) -> ColumnBatch {
+        let gathered = batch.gather(&self.rows);
+        let Some([lb, bg]) = self.mults else {
+            return gathered;
+        };
+        let mut columns = gathered.columns().to_vec();
+        let m = columns.len() - 3;
+        columns[m] = ColumnVec::Int(Arc::new(lb));
+        columns[m + 1] = ColumnVec::Int(Arc::new(bg));
+        ColumnBatch::new(batch.schema().clone(), columns, self.rows.len())
+    }
+}
+
+/// One morsel in flight through a pipeline: a batch and, once a σ has run,
+/// its [`Survivors`].
+struct Morsel {
+    batch: ColumnBatch,
+    sel: Option<Survivors>,
+}
+
+impl From<ColumnBatch> for Morsel {
+    fn from(batch: ColumnBatch) -> Morsel {
+        Morsel { batch, sel: None }
+    }
+}
+
+impl Morsel {
+    /// The morsel as one batch, its selection gathered.
+    fn into_batch(self) -> ColumnBatch {
+        match self.sel {
+            None => self.batch,
+            Some(sel) => sel.gather(&self.batch),
         }
     }
 
-    /// Whether the stage's (last) span lists the probe input before the
-    /// build side: an AU hash join building on its right input, whose span
-    /// keeps plan order like the row interpreter's.
-    fn probe_first(&self) -> bool {
-        match self {
-            Stage::AuProbe(probe) | Stage::AuFilterProbe { probe, .. } => !probe.build_left,
-            _ => false,
-        }
+    /// The selected rows (`None` = every row).
+    fn rows(&self) -> Option<&[u32]> {
+        self.sel.as_ref().map(|sel| &sel.rows[..])
     }
 }
 
@@ -427,21 +445,20 @@ impl<'a> Driver<'a> {
             }
         }
         // Wrap the source span in one node per stage, innermost (first to
-        // run) deepest — the tree mirrors the executed pipeline.
-        let probe_first = stages.iter().flat_map(|stage| {
-            (1..=stage.spans()).map(|span| span == stage.spans() && stage.probe_first())
-        });
+        // run) deepest — the tree mirrors the executed pipeline, a join's
+        // children in plan order whichever side builds.
         let stats = source_stats.map(|mut node| {
-            for ((mut meta, mut tally), probe_first) in
-                metas.into_iter().zip(tallies).zip(probe_first)
-            {
-                if matches!(meta.name.as_str(), "HashJoin" | "Join" | "Cross") {
-                    meta.push_extra("probe_rows", node.rows_out);
-                }
-                if probe_first {
-                    meta.children.insert(0, node);
-                } else {
-                    meta.children.push(node);
+            for ((mut meta, mut tally), stage) in metas.into_iter().zip(tallies).zip(&stages) {
+                match stage.build_left() {
+                    Some(build_left) => {
+                        meta.push_extra("probe_rows", node.rows_out);
+                        if build_left {
+                            meta.children.push(node);
+                        } else {
+                            meta.children.insert(0, node);
+                        }
+                    }
+                    None => meta.children.push(node),
                 }
                 tally.wall_ns += meta.children.iter().map(|c| c.wall_ns).sum::<u64>();
                 node = self.finish_node(meta, tally);
@@ -558,11 +575,9 @@ impl<'a> Driver<'a> {
     }
 
     /// Bind the collected stages bottom-up against the evolving schema,
-    /// executing join build sides, then fuse adjacent filter pairs. When
-    /// tracing, an open span per bound stage rides along (labels,
-    /// estimates, build-side span trees, and where its output carries the
-    /// UA marker), fused in lockstep with the stages; untraced runs get
-    /// none.
+    /// executing join build sides. When tracing, an open span per bound
+    /// stage rides along (labels, estimates, build-side span trees, and
+    /// where its output carries the UA marker); untraced runs get none.
     ///
     /// `schema` is the *user* schema throughout. Under AU the stream
     /// carries its flattened form (`flat`), so AU stages keep the user
@@ -644,7 +659,6 @@ impl<'a> Driver<'a> {
             }
             metas.extend(meta.map(|meta| (meta, self.ua_marker(node_plan, &schema))));
         }
-        let (stages, metas) = fuse_stages(stages, metas);
         Ok((stages, flat.unwrap_or(schema), metas))
     }
 
@@ -830,15 +844,18 @@ impl<'a> Driver<'a> {
             self.track_mem(bytes);
         }
         let stats = timer.map(|timer| {
-            // `timer` spans children too, so the elapsed time is already
-            // cumulative — exactly the [`OperatorStats::wall_ns`] contract.
             let mut tally = StageTally {
-                wall_ns: timer.elapsed_ns(),
                 marker: self.ua_marker(plan, &stream.schema),
                 rowwise: refined,
                 ..StageTally::default()
             };
-            tally.observe(&stream.batches, semantics);
+            for batch in &stream.batches {
+                tally.observe(batch, None, semantics);
+            }
+            // `timer` spans children too, so the elapsed time is already
+            // cumulative — exactly the [`OperatorStats::wall_ns`] contract —
+            // and it stops after the observation, which the operator pays.
+            tally.wall_ns = timer.elapsed_ns();
             let mut node = self.open_node(plan);
             node.extra
                 .extend(breaker_bytes.map(|bytes| ("mem_bytes".into(), bytes)));
@@ -1045,25 +1062,26 @@ struct StageTally {
 }
 
 impl StageTally {
-    /// Count an operator's output batches in, with the telemetry
-    /// `semantics` calls for.
-    fn observe(&mut self, out: &[ColumnBatch], semantics: Semantics) {
-        self.batches_out += out.len() as u64;
-        for b in out {
-            self.rows_out += b.len() as u64;
-            if let Some(marker) = self.marker {
-                let certain = match b.column(marker) {
-                    ColumnVec::Int(v) => v.iter().filter(|&&m| m == 1).count(),
-                    other => (0..b.len())
-                        .filter(|&i| other.value(i) == Value::Int(1))
-                        .count(),
-                };
-                self.certain_rows += certain as u64;
-            }
-            if semantics == Semantics::Au {
-                au_exec::observe_width(b, &mut self.width);
-                self.mem_bytes += au_exec::batch_mem_bytes(b);
-            }
+    /// Count one output batch in — its `rows` when given — with the
+    /// telemetry `semantics` calls for.
+    fn observe(&mut self, batch: &ColumnBatch, rows: Option<&[u32]>, semantics: Semantics) {
+        self.batches_out += 1;
+        self.rows_out += rows.map_or(batch.len(), <[u32]>::len) as u64;
+        if let Some(marker) = self.marker {
+            let column = batch.column(marker);
+            let certain = |i: usize| match column {
+                ColumnVec::Int(v) => v[i] == 1,
+                other => other.value(i) == Value::Int(1),
+            };
+            self.certain_rows += match rows {
+                None => (0..batch.len()).filter(|&i| certain(i)).count(),
+                Some(rows) => rows.iter().filter(|&&i| certain(i as usize)).count(),
+            } as u64;
+        }
+        if semantics == Semantics::Au {
+            debug_assert!(rows.is_none(), "an observed AU morsel is gathered");
+            au_exec::observe_width(batch, &mut self.width);
+            self.mem_bytes += au_exec::batch_mem_bytes(batch);
         }
     }
 
@@ -1082,263 +1100,109 @@ impl StageTally {
 /// reads ([`StageTally::marker`]).
 type Span = (OperatorStats, Option<usize>);
 
-/// Fuse adjacent `Filter→Project` / `Filter→Probe` stage pairs so the
-/// selection bitmap is consumed in the same pass it is produced; a
-/// `Filter→Requalify→Probe` triple fuses too (the requalification only
-/// renames; see `Stage::FilterProbe`). The stages' open spans (one per
-/// stage when tracing, none otherwise) fuse in lockstep: the merged span
-/// keeps the consumer's label with the filter's predicate folded into its
-/// detail, so the tree mirrors the kernels that actually ran; a fused
-/// alias keeps its span, below the probe's. An AU `Filter→probe` pair
-/// fuses too, but its spans stay two — the row interpreter's tree
-/// ([`Stage::spans`]).
-fn fuse_stages(stages: Vec<Stage>, metas: Vec<Span>) -> (Vec<Stage>, Vec<Span>) {
-    let mut metas = metas.into_iter();
-    let mut out: Vec<Stage> = Vec::with_capacity(stages.len());
-    let mut out_metas: Vec<Span> = Vec::new();
-    let fold = |filter: Option<Span>, consumer: Option<Span>| {
-        let ((filter, _), (mut consumer, marker)) = (filter?, consumer?);
-        consumer.detail = if consumer.detail.is_empty() {
-            format!("σ[{}]", filter.detail)
-        } else {
-            format!("{}; σ[{}]", consumer.detail, filter.detail)
-        };
-        consumer.push_extra("fused_filter", 1);
-        Some((consumer, marker))
-    };
-    for stage in stages {
-        let meta = metas.next();
-        let across_alias = matches!(
-            (&out[..], &stage),
-            ([.., Stage::Filter(_), Stage::Requalify(_)], Stage::Probe(_))
-                | (
-                    [.., Stage::AuFilter { .. }, Stage::Requalify(_)],
-                    Stage::AuProbe(_)
-                )
-        );
-        let (alias, alias_meta) = if across_alias {
-            let Some(Stage::Requalify(schema)) = out.pop() else {
-                unreachable!("matched above")
-            };
-            (Some(schema), out_metas.pop())
-        } else {
-            (None, None)
-        };
-        match (out.pop(), stage) {
-            (Some(Stage::Filter(pred)), Stage::Project { exprs, schema }) => {
-                out.push(Stage::FilterProject {
-                    pred,
-                    exprs,
-                    schema,
-                });
-                let fused = fold(out_metas.pop(), meta);
-                out_metas.extend(fused);
-            }
-            (Some(Stage::Filter(pred)), Stage::Probe(probe)) => {
-                out.push(Stage::FilterProbe { pred, alias, probe });
-                let fused = fold(out_metas.pop(), meta);
-                out_metas.extend(alias_meta);
-                out_metas.extend(fused);
-            }
-            (Some(Stage::AuFilter { pred, user }), Stage::AuProbe(probe)) => {
-                out.push(Stage::AuFilterProbe {
-                    pred,
-                    user,
-                    alias,
-                    probe,
-                });
-                out_metas.extend(alias_meta);
-                out_metas.extend(meta);
-            }
-            (prev, stage) => {
-                out.extend(prev);
-                out.push(stage);
-                out_metas.extend(meta);
-            }
-        }
-    }
-    (out, out_metas)
-}
-
 /// Run one morsel through the stage chain. Pure function of the input
 /// batch — the parallel driver's determinism rests on this. With
-/// `observe`, a per-span [`StageTally`] — started from the span's empty
+/// `observe`, a per-stage [`StageTally`] — started from the stage's empty
 /// one — rides *next to* the batches (an empty list otherwise); the
 /// batches themselves are bit for bit what the unobserved run produces.
-/// An observed AU σ→probe runs its halves one after the other, so the σ's
-/// tally counts the batches it would have gathered.
+/// A stage's clock stops after its output is observed, so the operator
+/// observed pays for it; the last stage's clock also covers the gather
+/// that materialises the chain's output.
 fn run_chain(
     batch: ColumnBatch,
     stages: &[Stage],
     observe: Option<(Semantics, &[StageTally])>,
 ) -> Result<(Vec<ColumnBatch>, Vec<StageTally>), EngineError> {
     let mut tallies = observe.map_or_else(Vec::new, |(_, empty)| empty.to_vec());
-    let mut cur = if batch.is_empty() {
+    let mut cur: Vec<Morsel> = if batch.is_empty() {
         Vec::new()
     } else {
-        vec![batch]
+        vec![batch.into()]
     };
-    let mut span = 0;
-    for stage in stages {
+    for (span, stage) in stages.iter().enumerate() {
         if cur.is_empty() {
             break;
         }
-        let Some((semantics, _)) = observe else {
-            let mut next = Vec::new();
-            for b in cur {
-                apply_stage(stage, b, &mut next)?;
-            }
-            cur = next;
-            continue;
-        };
-        let mut observed = |cur: Vec<ColumnBatch>, apply: &dyn Fn(ColumnBatch, &mut _) -> _| {
-            let timer = Stopwatch::start();
-            let mut next = Vec::new();
-            let mut rowwise = 0;
-            for b in cur {
-                rowwise += apply(b, &mut next)?;
-            }
+        let timer = observe.is_some().then(Stopwatch::start);
+        let mut next = Vec::new();
+        let mut rowwise = 0;
+        for morsel in cur {
+            rowwise += apply_stage(stage, morsel, &mut next)?;
+        }
+        // The chain's output leaves gathered. So does an observed AU
+        // stage's: its width profile reads whole batches, and a consumer
+        // reading the gathered rows reads what the selection names.
+        let au_observed = observe.is_some_and(|(semantics, _)| semantics == Semantics::Au);
+        if span + 1 == stages.len() || au_observed {
+            next = next
+                .into_iter()
+                .map(|morsel| morsel.into_batch().into())
+                .collect();
+        }
+        if let (Some((semantics, _)), Some(timer)) = (observe, timer) {
             let t = &mut tallies[span];
-            t.wall_ns = timer.elapsed_ns();
             t.rowwise = rowwise;
-            t.observe(&next, semantics);
-            span += 1;
-            Ok::<_, EngineError>(next)
-        };
-        cur = match stage {
-            Stage::AuFilterProbe {
-                pred,
-                user,
-                alias,
-                probe,
-            } => {
-                let mut filtered = observed(cur, &|b, out| au_filter(b, pred, user, out))?;
-                if let Some(alias) = alias {
-                    filtered = observed(filtered, &|b, out| {
-                        out.push(b.with_schema(alias.clone()));
-                        Ok(0)
-                    })?;
-                }
-                observed(filtered, &|b, out| au_probe(probe, b, None, out))?
+            for morsel in &next {
+                t.observe(&morsel.batch, morsel.rows(), semantics);
             }
-            // The σ stays fused; the alias span counts the survivors it
-            // would have renamed (gathered for the tally, off the clock).
-            Stage::FilterProbe {
-                pred,
-                alias: Some(alias),
-                probe,
-            } => {
-                let timer = Stopwatch::start();
-                let (mut renamed, mut next, mut tally_ns) = (Vec::new(), Vec::new(), 0);
-                for b in cur {
-                    let sel = filter_probe(pred, probe, &b, &mut next)?;
-                    let gather = Stopwatch::start();
-                    let survivors = match sel {
-                        None => Some(b),
-                        Some(sel) => (!sel.is_empty()).then(|| b.gather(&sel)),
-                    };
-                    renamed.extend(survivors.map(|b| b.with_schema(alias.clone())));
-                    tally_ns += gather.elapsed_ns();
-                }
-                tallies[span].observe(&renamed, semantics);
-                let t = &mut tallies[span + 1];
-                t.wall_ns = timer.elapsed_ns().saturating_sub(tally_ns);
-                t.observe(&next, semantics);
-                span += 2;
-                next
-            }
-            _ => observed(cur, &|b, out| apply_stage(stage, b, out))?,
-        };
+            t.wall_ns = timer.elapsed_ns();
+        }
+        cur = next;
     }
-    Ok((cur, tallies))
+    Ok((cur.into_iter().map(Morsel::into_batch).collect(), tallies))
 }
 
-/// Apply one stage to one batch, appending its output batches to `out`.
+/// Apply one stage to one morsel, appending its output morsels to `out`.
 /// Returns how many input rows (hash-⋈: candidate pairs) took the AU
 /// per-row range path (always 0 outside `⟦σ⟧_AU` / `⟦π⟧_AU` / `⟦⋈⟧_AU`).
-fn apply_stage(
-    stage: &Stage,
-    batch: ColumnBatch,
-    out: &mut Vec<ColumnBatch>,
-) -> Result<u64, EngineError> {
+fn apply_stage(stage: &Stage, morsel: Morsel, out: &mut Vec<Morsel>) -> Result<u64, EngineError> {
     match stage {
-        Stage::Filter(pred) => match filter_selection(pred, &batch)? {
-            None => out.push(batch),
-            Some(sel) if sel.is_empty() => {}
-            Some(sel) => out.push(batch.gather(&sel)),
-        },
+        Stage::Filter(pred) => {
+            let batch = morsel.into_batch();
+            match filter_selection(pred, &batch)? {
+                None => out.push(batch.into()),
+                Some(rows) if rows.is_empty() => {}
+                Some(rows) => out.push(Morsel {
+                    batch,
+                    sel: Some(Survivors { rows, mults: None }),
+                }),
+            }
+        }
         Stage::Project { exprs, schema } => {
-            out.push(project_selected(&batch, None, exprs, schema)?);
+            let projected = project_selected(&morsel.batch, morsel.rows(), exprs, schema)?;
+            out.push(projected.into());
         }
-        Stage::FilterProject {
-            pred,
-            exprs,
-            schema,
-        } => match filter_selection(pred, &batch)? {
-            None => out.push(project_selected(&batch, None, exprs, schema)?),
-            Some(sel) if sel.is_empty() => {}
-            Some(sel) => out.push(project_selected(&batch, Some(&sel), exprs, schema)?),
-        },
-        Stage::Requalify(schema) => out.push(batch.with_schema(schema.clone())),
-        Stage::Probe(probe) => probe.probe(&batch, None, out)?,
-        Stage::FilterProbe { pred, probe, .. } => {
-            filter_probe(pred, probe, &batch, out)?;
+        Stage::Requalify(schema) => out.push(Morsel {
+            batch: morsel.batch.with_schema(schema.clone()),
+            sel: morsel.sel,
+        }),
+        Stage::Probe(probe) => {
+            let mut joined = Vec::new();
+            probe.probe(&morsel.batch, morsel.rows(), &mut joined)?;
+            out.extend(joined.into_iter().map(Morsel::from));
         }
-        Stage::AuFilter { pred, user } => return au_filter(batch, pred, user, out),
+        Stage::AuFilter { pred, user } => {
+            let batch = morsel.into_batch();
+            let (sel, rowwise) = filter_select(&batch, pred, user, user.arity())?;
+            if sel.as_ref().is_none_or(|sel| !sel.rows.is_empty()) {
+                out.push(Morsel { batch, sel });
+            }
+            au_exec::count_rowwise("au.vec.rowwise.filter_rows", rowwise);
+            return Ok(rowwise);
+        }
         Stage::AuProject { exprs, user, flat } => {
+            let batch = morsel.into_batch();
             let (mapped, rowwise) = map_batch(&batch, exprs, user, flat, user.arity())?;
-            out.push(mapped);
+            out.push(mapped.into());
             au_exec::count_rowwise("au.vec.rowwise.project_rows", rowwise);
             return Ok(rowwise);
         }
-        Stage::AuProbe(probe) => return au_probe(probe, batch, None, out),
-        Stage::AuFilterProbe {
-            pred, user, probe, ..
-        } => return au_probe(probe, batch, Some((pred, user)), out),
+        Stage::AuProbe(probe) => {
+            let (joined, refined) = probe.probe(&morsel.batch, morsel.sel.as_ref())?;
+            out.extend(joined.map(Morsel::from));
+            au_exec::count_rowwise("au.vec.rowwise.join_pairs", refined);
+            return Ok(refined);
+        }
     }
     Ok(0)
-}
-
-/// A fused σ→probe over one batch: the probe reads the survivors in place.
-/// Returns the σ's selection (`None` = every row).
-fn filter_probe(
-    pred: &Expr,
-    probe: &ProbeState,
-    batch: &ColumnBatch,
-    out: &mut Vec<ColumnBatch>,
-) -> Result<Option<Vec<u32>>, EngineError> {
-    let sel = filter_selection(pred, batch)?;
-    if sel.as_ref().is_none_or(|sel| !sel.is_empty()) {
-        probe.probe(batch, sel.as_deref(), out)?;
-    }
-    Ok(sel)
-}
-
-/// `⟦σ⟧_AU` over one batch ([`filter_batch`]); returns how many rows took
-/// the per-row path.
-fn au_filter(
-    batch: ColumnBatch,
-    pred: &Expr,
-    user: &Schema,
-    out: &mut Vec<ColumnBatch>,
-) -> Result<u64, EngineError> {
-    let (kept, rowwise) = filter_batch(&batch, pred, user, batch.schema(), user.arity())?;
-    out.extend(kept);
-    au_exec::count_rowwise("au.vec.rowwise.filter_rows", rowwise);
-    Ok(rowwise)
-}
-
-/// `⟦⋈⟧_AU`'s probe of one batch, through the fused σ `filter` if any
-/// ([`AuProbe::probe`]); returns how many pairs were refined per row.
-fn au_probe(
-    probe: &AuProbe,
-    batch: ColumnBatch,
-    filter: Option<(&Expr, &Schema)>,
-    out: &mut Vec<ColumnBatch>,
-) -> Result<u64, EngineError> {
-    let (joined, filtered, refined) = probe.probe(&batch, filter)?;
-    out.extend(joined);
-    au_exec::count_rowwise("au.vec.rowwise.filter_rows", filtered);
-    au_exec::count_rowwise("au.vec.rowwise.join_pairs", refined);
-    Ok(refined)
 }

@@ -26,17 +26,17 @@
 //! evaluator). Both are bit for bit `ua_ranges`' per-row evaluators or
 //! decline the batch.
 //!
-//! On top of those sit the **fused** kernels the morsel pipeline uses to
-//! evaluate a selection bitmap and consume it in the same pass:
+//! On top of those sit the selection kernels of the morsel pipeline, where
+//! a σ's survivors are a selection vector that the next operator reads
+//! through:
 //!
 //! * [`filter_selection`] — predicate → surviving row positions (`None`
 //!   when every row survives, so callers skip gathering entirely);
-//! * [`project_selected`] — π over a selection vector: plain column
-//!   references gather only their own column, computed expressions
-//!   evaluate over the surviving rows only (never over rows the filter
-//!   rejected — expression errors must match the row engine's
-//!   filter-then-map behavior). One gather per *needed* column replaces
-//!   the old gather-every-column-then-project two-pass shape.
+//! * [`eval_selected`] / [`project_selected`] — an expression, or π, over
+//!   a selection vector: plain column references gather only their own
+//!   column, computed expressions evaluate over the surviving rows only
+//!   (never over rows the filter rejected — expression errors must match
+//!   the row engine's filter-then-map behavior).
 
 use crate::bitmap::Bitmap;
 use crate::columnar::{ColumnBatch, ColumnVec};
@@ -388,51 +388,30 @@ pub fn filter_selection(
     }
 }
 
-/// Fused σ→π kernel: project `exprs` over the rows of `batch` at `sel`
-/// (`None` = all rows). Column references gather just their own column;
-/// literals broadcast; anything else evaluates over a lazily-gathered
-/// survivor batch, so computed expressions never see rejected rows.
+/// π over the rows of `batch` at `sel` (`None` = all rows): one
+/// [`eval_selected`] per output column, so computed expressions never see
+/// rows a σ rejected.
 pub fn project_selected(
     batch: &ColumnBatch,
     sel: Option<&[u32]>,
     exprs: &[Expr],
     out_schema: &Schema,
 ) -> Result<ColumnBatch, EngineError> {
-    match sel {
-        None => {
-            let cols: Vec<ColumnVec> = exprs
-                .iter()
-                .map(|e| Ok(eval_expr(e, batch)?.into_column(batch.len())))
-                .collect::<Result<_, EngineError>>()?;
-            Ok(ColumnBatch::new(out_schema.clone(), cols, batch.len()))
-        }
-        Some(sel) => {
-            let mut gathered: Option<ColumnBatch> = None;
-            let cols: Vec<ColumnVec> = exprs
-                .iter()
-                .map(|e| match e {
-                    Expr::Col(i) => Ok(batch
-                        .columns()
-                        .get(*i)
-                        .ok_or_else(|| EngineError::Sql(format!("column index {i} out of range")))?
-                        .gather(sel)),
-                    Expr::Lit(v) => Ok(ColumnVec::broadcast(v, sel.len())),
-                    other => {
-                        let g = gathered.get_or_insert_with(|| batch.gather(sel));
-                        Ok(eval_expr(other, g)?.into_column(sel.len()))
-                    }
-                })
-                .collect::<Result<_, EngineError>>()?;
-            Ok(ColumnBatch::new(out_schema.clone(), cols, sel.len()))
-        }
-    }
+    let len = sel.map_or(batch.len(), <[u32]>::len);
+    let mut gathered = None;
+    let cols = exprs
+        .iter()
+        .map(|e| Ok(eval_selected(e, batch, sel, &mut gathered)?.into_column(len)))
+        .collect::<Result<_, EngineError>>()?;
+    Ok(ColumnBatch::new(out_schema.clone(), cols, len))
 }
 
 /// Evaluate a (bound) scalar expression over the rows of `batch` at `sel`
-/// (`None` = all rows), without evaluating on unselected rows — the fused
-/// σ→probe path uses this for hash-key evaluation so error-capable key
-/// expressions only ever see filter survivors, like the row engine's
-/// filter-below-join.
+/// (`None` = all rows), without evaluating on unselected rows: a column
+/// reference gathers its own column, a literal stays a constant, anything
+/// else evaluates over the survivors, gathered into `gathered` on first
+/// need. Error-capable expressions only ever see a σ's survivors, like the
+/// row engine's σ below π or ⋈.
 pub fn eval_selected(
     expr: &Expr,
     batch: &ColumnBatch,

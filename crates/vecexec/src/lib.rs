@@ -18,8 +18,8 @@
 //!   as the plain table it is; the serial forms run the pooled ones
 //!   inline);
 //! * [`kernels`] — vectorized expression/predicate evaluation, bit-exact
-//!   with the row engine's scalar `Expr` evaluator, plus the fused
-//!   selection-consuming kernels (σ→π, σ→probe) and the two typed AU
+//!   with the row engine's scalar `Expr` evaluator, plus the kernels that
+//!   read through a σ's selection vector (π, probe keys) and the two typed AU
 //!   range kernels: the `[lb, bg, ub]` expression kernel AU π runs and the
 //!   three-valued range-truth kernel AU σ runs over it;
 //! * [`ops`] — the stream operators (union, difference, outer join,

@@ -182,10 +182,10 @@ fn owning_part<K>(
 /// rows with an unknown key, candidates of every probe row), and the
 /// bound probe keys and residual. Built once (serially; large builds
 /// partition) and probed read-only, so morsels probe in parallel —
-/// optionally through a filter's selection vector (the fused σ→probe
-/// kernel: key expressions evaluate over filter survivors only, and the
-/// join gathers straight from the *original* batch through the
-/// mapped-back selection, one gather instead of two).
+/// optionally through the selection vector a σ below left on the morsel
+/// (key expressions evaluate over its survivors only, and the join
+/// gathers straight from the *original* batch through the mapped-back
+/// selection, one gather instead of two).
 pub struct ProbeState {
     chunk: ColumnBatch,
     padded: Option<ColumnBatch>,
@@ -193,7 +193,7 @@ pub struct ProbeState {
     always: Option<Vec<u32>>,
     probe_keys: Vec<Expr>,
     residual: Option<Expr>,
-    build_left: bool,
+    pub(crate) build_left: bool,
     out_schema: Schema,
 }
 
@@ -263,8 +263,8 @@ impl ProbeState {
     /// = every row), appending the joined batches to `out`. Output row
     /// order is probe-scan order with build candidates ascending within
     /// one probe row, then its pad when none survived — the row engine's
-    /// contract — and `sel` vectors are ascending, so fused probing emits
-    /// exactly the order a separate filter-then-probe would.
+    /// contract — and `sel` vectors are ascending, so probing through a
+    /// selection emits exactly the order probing its gathered rows would.
     ///
     /// Plain keys take the batch in one piece: the index's key-equal
     /// pairs. Keyless and null-aware candidates materialize in bounded

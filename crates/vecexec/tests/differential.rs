@@ -1601,17 +1601,18 @@ fn au_joins_over_views_match_the_row_operators_over_ranged_keys() {
 
 /// AU hash joins pipelined: a hash join is a probe stage of the one
 /// driver — its build side executed and indexed at bind, its probe keys
-/// evaluated per morsel, a σ directly below fused into the probe — so
-/// every shape must still materialize to `execute_au` + `au_table` byte
-/// for byte: σ below the probe side under both build sides, two stacked
+/// evaluated per morsel through the selection a σ below left — so every
+/// shape must still materialize to `execute_au` + `au_table` byte for
+/// byte: σ below the probe side under both build sides, two stacked
 /// hash joins sharing one probe pipeline (Q3's shape), π and `Alias` above
 /// and between the joins, over ranged / NULL / top / NaN / `−0.0` keys on
-/// both sides; a key that errors (`k + 1` over strings) on either side;
-/// and an empty build side whose probe keys error, which the row operator
-/// rejects because it evaluates every probe key. At threads {1, 2, 4, 8}
-/// × batch rows {1, 7, 64, 1024} every parallel stream
-/// is the serial one (stats collection, which runs a fused σ→probe as its
-/// two halves, on at two thread counts), and an `Err` on one engine is an
+/// both sides; σ→alias→π and σ→alias→probe over an expression that errors
+/// exactly on the rows the σ rejects (both engines `Ok`); a key that
+/// errors (`k + 1` over strings) on either side; and an empty build side
+/// whose probe keys error, which the row operator rejects because it
+/// evaluates every probe key. At threads {1, 2, 4, 8} × batch rows
+/// {1, 7, 64, 1024} every parallel stream is the serial one (stats
+/// collection on at two thread counts), and an `Err` on one engine is an
 /// `Err` on the other, with one message at every thread count.
 #[test]
 fn pipelined_au_hash_joins_match_the_row_operators() {
@@ -1676,6 +1677,46 @@ fn pipelined_au_hash_joins_match_the_row_operators() {
         ];
         if b2 {
             return plans;
+        }
+        // σ→alias→π and σ→alias→probe over a key `k2` (a certain point)
+        // whose expression errors exactly on the rows the σ rejects.
+        let selected = || {
+            Box::new(Plan::Alias {
+                input: Box::new(Plan::Filter {
+                    input: scan("l"),
+                    predicate: col("l.k2").ne(Expr::lit(0i64)),
+                }),
+                name: "a".into(),
+            })
+        };
+        let (left, right, keys) = if b1 {
+            (
+                scan("r"),
+                selected(),
+                (col("r.k2"), errs_where_k2_is_zero("a")),
+            )
+        } else {
+            (
+                selected(),
+                scan("r"),
+                (errs_where_k2_is_zero("a"), col("r.k2")),
+            )
+        };
+        plans.push((
+            format!("σ→alias→probe guarded {sides}"),
+            hash(left, right, vec![keys], None, b1),
+        ));
+        if !b1 {
+            plans.push((
+                "σ→alias→π guarded".into(),
+                Plan::Map {
+                    input: selected(),
+                    columns: vec![
+                        ProjColumn::expr(col("a.k"), "k"),
+                        ProjColumn::expr(errs_where_k2_is_zero("a"), "g"),
+                    ],
+                },
+            ));
         }
         plans.extend([
             (format!("σ below both sides {sides}"), lower()),
@@ -1873,6 +1914,18 @@ fn a_cross_family_hash_join_building_left_is_probe_major_on_both_engines() {
     }
 }
 
+/// `CASE WHEN q.k2 = 0 THEN 'x' ELSE q.k2 END + 1`: a type error (`'x' + 1`)
+/// on exactly the rows of `q` whose `k2` is `0` (division by zero would
+/// not do: it is `NULL`, not an error).
+fn errs_where_k2_is_zero(q: &str) -> Expr {
+    let k2 = Expr::named(format!("{q}.k2"));
+    Expr::Case {
+        branches: vec![(k2.clone().eq(Expr::lit(0i64)), Expr::Lit(Value::str("x")))],
+        otherwise: Some(Box::new(k2)),
+    }
+    .add(Expr::lit(1i64))
+}
+
 /// A plain table `name(k, k2, v)` — with a trailing `ua_c` marker when
 /// `ua` — whose `k` is drawn from `keys`, `k2` a small `Int`, `v` an `Int`.
 fn plain_side(rng: &mut StdRng, name: &str, rows: usize, keys: &[Value], ua: bool) -> Table {
@@ -1900,7 +1953,9 @@ fn plain_side(rng: &mut StdRng, name: &str, rows: usize, keys: &[Value], ua: boo
 /// list — `Plan::Join` keyless, non-equi, plain, composite, computed, with
 /// a residual and under `NOT IN`'s null-aware predicate; a `HashJoin`
 /// building either side; `LEFT` / `RIGHT JOIN` for every predicate; the
-/// `NOT IN` anti-join — under `Semantics::Det` and `Semantics::Ua` over
+/// `NOT IN` anti-join; σ→alias→π and σ→alias→probe (either build side)
+/// over an expression that errors exactly on the rows the σ rejects, which
+/// must be `Ok` on both engines — under `Semantics::Det` and `Semantics::Ua` over
 /// plain tables whose keys hold `NULL`, labeled nulls, NaN, `−0.0`, `1`
 /// next to `1.0`, `2⁵³ + 1` next to `2⁵³`, strings against integers, dense
 /// `Int` and `Float` columns and an empty side. Both engines run one plan
@@ -1995,6 +2050,53 @@ fn det_and_ua_joins_match_the_row_operators_over_plain_keys() {
             ],
         },
     ));
+    // σ→alias→π and σ→alias→probe over an expression that errors exactly
+    // on the rows the σ rejects: the consumer reads through the σ's
+    // selection and must never evaluate them.
+    let selected = || {
+        Box::new(Plan::Alias {
+            input: Box::new(Plan::Filter {
+                input: scan("l"),
+                predicate: col("l.k2").ne(Expr::lit(0i64)),
+            }),
+            name: "a".into(),
+        })
+    };
+    plans.push((
+        "σ→alias→π guarded".into(),
+        Plan::Map {
+            input: selected(),
+            columns: vec![
+                ProjColumn::expr(col("a.k"), "k"),
+                ProjColumn::expr(errs_where_k2_is_zero("a"), "g"),
+            ],
+        },
+    ));
+    for build_left in [false, true] {
+        let (left, right, keys) = if build_left {
+            (
+                scan("r"),
+                selected(),
+                (col("r.k2"), errs_where_k2_is_zero("a")),
+            )
+        } else {
+            (
+                selected(),
+                scan("r"),
+                (errs_where_k2_is_zero("a"), col("r.k2")),
+            )
+        };
+        plans.push((
+            format!("σ→alias→probe guarded build_left={build_left}"),
+            Plan::HashJoin {
+                left,
+                right,
+                keys: vec![keys],
+                residual: None,
+                build_left,
+            },
+        ));
+    }
 
     let big = 1i64 << 53;
     let mixed = vec![
